@@ -5,7 +5,7 @@
 //! Benchmarks cover the ablation axes: lookup machinery (linear / TSS /
 //! microflow / full), rule-set size, the HARMLESS translator path
 //! (pop+output, push+set+output), and the batched fast path
-//! (`process_batch` bursts vs. frame-at-a-time `process`).
+//! (`process_batch_into` bursts vs. frame-at-a-time `process`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -16,7 +16,7 @@ use netpkt::{builder, MacAddr};
 use openflow::message::FlowMod;
 use openflow::{Action, Match};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
-use softswitch::FrameBatch;
+use softswitch::{BatchResult, FrameBatch};
 
 fn udp_frame(src: u32, dst_port: u16, len: usize) -> Bytes {
     let overhead = 14 + 20 + 8;
@@ -213,13 +213,15 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
         }
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
+        let mut out = BatchResult::default();
         g.bench_function("batch32", |b| {
             b.iter(|| {
                 t += 1;
                 for f in &frames {
                     batch.push(1, f.clone());
                 }
-                std::hint::black_box(dp.process_batch(&mut batch, t).total_outputs())
+                dp.process_batch_into(&mut batch, t, &mut out);
+                std::hint::black_box(out.total_outputs())
             })
         });
     }
@@ -249,13 +251,15 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
         let mut dp = acl_dp(PipelineMode::tss(), 1024);
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
+        let mut out = BatchResult::default();
         g.bench_function("batch32", |b| {
             b.iter(|| {
                 t += 1;
                 for f in &frames {
                     batch.push(1, f.clone());
                 }
-                std::hint::black_box(dp.process_batch(&mut batch, t).total_outputs())
+                dp.process_batch_into(&mut batch, t, &mut out);
+                std::hint::black_box(out.total_outputs())
             })
         });
     }

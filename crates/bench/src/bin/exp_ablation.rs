@@ -1,6 +1,6 @@
-//! E7 — the design ablation DESIGN.md calls out: the paper's two-switch
-//! layout (dedicated translator SS_1 + policy switch SS_2) versus a
-//! merged single-datapath pipeline.
+//! E7 — the design ablation docs/ARCHITECTURE.md calls out: the paper's
+//! two-switch layout (dedicated translator SS_1 + policy switch SS_2)
+//! versus a merged single-datapath pipeline.
 //!
 //! The two-switch design buys controller transparency with an extra
 //! software hop; here we price that hop in throughput and latency.

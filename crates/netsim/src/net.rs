@@ -47,7 +47,6 @@ pub struct Network {
     /// The persistent worker pool and mailbox buffer pools (see
     /// [`crate::runtime`]).
     runtime: Runtime,
-    tracing: bool,
 }
 
 impl Network {
@@ -61,7 +60,6 @@ impl Network {
             ctrl_delay: SimTime::from_micros(50),
             ctrl_profile: CtrlProfile::default(),
             runtime: Runtime::new(),
-            tracing: false,
         }
     }
 
@@ -293,11 +291,7 @@ impl Network {
         shards[0].unconnected_drops = old.unconnected_drops;
         for s in &mut shards {
             s.now = old.now;
-            if self.tracing {
-                s.trace = Some(Vec::new());
-            }
         }
-        shards[0].trace = old.trace.take();
         // Every shard starts from the same replica of the partition
         // state; accumulated per-channel counters stay on shard 0.
         for s in &mut shards {
@@ -425,31 +419,6 @@ impl Network {
 
         self.shards = shards;
         self.loc = Arc::new(loc);
-    }
-
-    /// Start collecting trace lines from [`NodeCtx::trace`].
-    pub fn enable_tracing(&mut self) {
-        self.tracing = true;
-        for s in &mut self.shards {
-            if s.trace.is_none() {
-                s.trace = Some(Vec::new());
-            }
-        }
-    }
-
-    /// Drain collected trace lines, merged across shards in time order
-    /// (ties resolved by shard id).
-    pub fn take_trace(&mut self) -> Vec<String> {
-        let mut entries: Vec<(SimTime, u32, usize, String)> = Vec::new();
-        for s in &mut self.shards {
-            if let Some(buf) = s.trace.as_mut() {
-                for (i, (t, line)) in std::mem::take(buf).into_iter().enumerate() {
-                    entries.push((t, s.id, i, line));
-                }
-            }
-        }
-        entries.sort_by_key(|e| (e.0, e.1, e.2));
-        entries.into_iter().map(|(_, _, _, line)| line).collect()
     }
 
     /// Egress statistics of the link attached to `(node, port)`, if
@@ -686,7 +655,6 @@ impl Network {
                 node: id,
                 actions: &mut actions,
                 rng: &mut shard.rng,
-                trace: shard.trace.as_mut(),
             };
             f(node, &mut ctx)
         };

@@ -52,7 +52,6 @@ pub struct NodeCtx<'a> {
     pub(crate) node: NodeId,
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) trace: Option<&'a mut Vec<(SimTime, String)>>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -99,16 +98,6 @@ impl<'a> NodeCtx<'a> {
     /// the thread count).
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// Record a trace line (no-op unless tracing was enabled on the
-    /// network).
-    pub fn trace(&mut self, msg: impl AsRef<str>) {
-        let now = self.now;
-        let node = self.node.0;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.push((now, format!("[{now}] n{node}: {}", msg.as_ref())));
-        }
     }
 }
 

@@ -290,7 +290,6 @@ pub(crate) struct Shard {
     pub ports: Vec<Vec<Option<u32>>>,
     pub chans: Vec<Chan>,
     pub rng: StdRng,
-    pub trace: Option<Vec<(SimTime, String)>>,
     pub unconnected_drops: u64,
     pub events_processed: u64,
     /// Frames actually handed to a node's `on_packet`/`on_frames` — the
@@ -330,7 +329,6 @@ impl Shard {
             ports: Vec::new(),
             chans: Vec::new(),
             rng,
-            trace: None,
             unconnected_drops: 0,
             events_processed: 0,
             delivered_frames: 0,
@@ -603,7 +601,6 @@ impl Shard {
                 node: self.gids[idx as usize],
                 actions: &mut actions,
                 rng: &mut self.rng,
-                trace: self.trace.as_mut(),
             };
             f(node, &mut ctx);
         }

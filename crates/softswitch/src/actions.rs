@@ -14,10 +14,13 @@ use netpkt::{EtherType, FlowKey, FrameBuf, IpProto, Ipv4Packet, TcpPacket, UdpPa
 use openflow::message::PacketInReason;
 use openflow::oxm::OxmField;
 
+use crate::batch::BatchResult;
 use crate::nat::NatTable;
+use crate::trace::ProcessingTrace;
 
-/// A concrete (fully resolved) action, as recorded for cache replay: no
-/// groups, no reserved ports — just transformations and concrete outputs.
+/// A concrete (fully resolved) action, as lowered by the slow path and
+/// recorded for cache replay: no groups, no reserved ports — just
+/// transformations, concrete outputs and group-bucket scope markers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CAction {
     /// Push an 802.1Q tag with this TPID and VID 0.
@@ -34,9 +37,9 @@ pub enum CAction {
     /// path time (so replays report `NoMatch` vs `Action` faithfully).
     ToController(PacketInReason),
     /// Decrement the IPv4 TTL with an incremental checksum patch. A
-    /// packet whose TTL would hit zero stops here (the replay reports it
-    /// via [`ReplayOutput::ttl_expired`] so the caller can answer with
-    /// ICMP time-exceeded); such truncated recordings are never cached.
+    /// packet whose TTL would hit zero stops here (the datapath answers
+    /// with ICMP time-exceeded); such truncated recordings are never
+    /// cached.
     DecTtl,
     /// Rewrite the ICMP echo identifier (the NAT "port" of an ICMP
     /// flow) and repair the ICMP checksum. Recorded by the NAT stage;
@@ -48,6 +51,13 @@ pub enum CAction {
     /// Rewrites nothing — the concrete set-fields recorded next to it
     /// carry the translation.
     NatTouch(u64),
+    /// Open a group-bucket scope: the bucket works on its own copy of
+    /// the packet (OF 1.3 §5.6.1) — lazily, from a shared snapshot that
+    /// only a rewriting action turns into a real copy.
+    BucketBegin,
+    /// Close the innermost bucket scope: the packet after a bucket is
+    /// the packet before it.
+    BucketEnd,
 }
 
 /// Outcome of [`dec_ttl`] on a frame.
@@ -319,117 +329,114 @@ fn fix_l4_checksum(frame: &mut BytesMut, off: usize) {
     }
 }
 
-/// Result of replaying a [`CAction`] list.
-#[derive(Debug, Default)]
-pub struct ReplayOutput {
-    /// `(concrete port, frame)` pairs to emit.
-    pub outputs: Vec<(u32, Bytes)>,
-    /// Copies for the controller, with their recorded punt reasons.
-    pub to_controller: Vec<(PacketInReason, Bytes)>,
-    /// Dropped by a meter.
-    pub metered_out: bool,
-    /// The packet expired at a [`CAction::DecTtl`]: the frame as it
-    /// stood at expiry, for the caller's ICMP time-exceeded reply.
-    /// Nothing after the expiring action executed.
-    pub ttl_expired: Option<Bytes>,
+/// Why a frame's action program stopped before its last action.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Halt {
+    /// A meter band refused the packet.
+    Metered,
+    /// A [`CAction::DecTtl`] found TTL ≤ 1; [`Stepper::buf`] holds the
+    /// frame as it stood at expiry, for the ICMP time-exceeded reply.
+    TtlExpired,
+    /// The NAT stage refused the packet (set by the slow path, which
+    /// owns translation state; a cached path never contains a refusal).
+    NatRefused,
 }
 
-/// Where a replay delivers its frames. The datapath's batched path
-/// sinks straight into the flat [`BatchResult`] arena; the public
-/// [`replay`] sinks into a [`ReplayOutput`].
+/// One frame in flight, and the only interpreter of [`CAction`]s: the
+/// slow path and `packet_out` feed it each action as they lower it, a
+/// cache hit feeds it the recording, so the two cannot disagree.
 ///
-/// [`BatchResult`]: crate::batch::BatchResult
-pub(crate) trait ReplaySink {
-    /// One frame for a concrete egress port.
-    fn output(&mut self, port: u32, frame: Bytes);
-    /// One copy punted to the controller.
-    fn packet_in(&mut self, reason: PacketInReason, frame: Bytes);
-}
-
-impl ReplaySink for ReplayOutput {
-    fn output(&mut self, port: u32, frame: Bytes) {
-        self.outputs.push((port, frame));
-    }
-    fn packet_in(&mut self, reason: PacketInReason, frame: Bytes) {
-        self.to_controller.push((reason, frame));
-    }
-}
-
-/// Out-of-band replay outcomes that are not frames (see
-/// [`ReplayOutput`] for field semantics).
-#[derive(Debug, Default)]
-pub(crate) struct ReplayFlags {
-    pub(crate) metered_out: bool,
-    pub(crate) ttl_expired: Option<Bytes>,
-}
-
-/// Replay a recorded action list over a copy-on-write [`FrameBuf`],
-/// delivering frames into `sink`.
-///
-/// The ingress frame is *not* copied up front: pure-forward paths emit
-/// refcounted clones of it, and the first byte-rewriting action
+/// The ingress frame is *not* copied up front: pure-forward programs
+/// emit refcounted clones of it, and the first byte-rewriting action
 /// (VLAN push/pop, set-field, TTL, ICMP ident) pays exactly one copy
-/// via [`FrameBuf::make_mut`]. `meters` is consulted for
-/// [`CAction::Meter`] entries, `nat` for [`CAction::NatTouch`]
-/// keep-alives.
-pub(crate) fn replay_cow<S: ReplaySink>(
-    cactions: &[CAction],
-    frame: Bytes,
-    key: &mut FlowKey,
-    now_ns: u64,
-    meters: &mut openflow::MeterTable,
-    nat: &mut NatTable,
-    sink: &mut S,
-) -> ReplayFlags {
-    let mut flags = ReplayFlags::default();
-    let mut buf = FrameBuf::from_bytes(frame);
-    for a in cactions {
-        match a {
-            CAction::PushVlan(tpid) => push_vlan(buf.make_mut(), key, *tpid),
-            CAction::PopVlan => pop_vlan(buf.make_mut(), key),
-            CAction::SetField(f) => {
-                set_field(buf.make_mut(), key, f);
-            }
-            CAction::Meter(id) => {
-                if !meters.offer(*id, now_ns, buf.len()) {
-                    flags.metered_out = true;
-                    return flags;
-                }
-            }
-            CAction::Output(port) => sink.output(*port, buf.snapshot()),
-            CAction::ToController(reason) => sink.packet_in(*reason, buf.snapshot()),
-            CAction::DecTtl => match dec_ttl(buf.make_mut()) {
-                TtlResult::Decremented | TtlResult::NotIpv4 => {}
-                TtlResult::Expired => {
-                    flags.ttl_expired = Some(buf.into_bytes());
-                    return flags;
-                }
-            },
-            CAction::SetIcmpId(id) => {
-                set_icmp_id(buf.make_mut(), *id);
-            }
-            CAction::NatTouch(token) => nat.touch(*token, now_ns),
+/// via [`FrameBuf::make_mut`].
+pub(crate) struct Stepper {
+    /// The frame as currently transformed.
+    pub(crate) buf: FrameBuf,
+    /// Its flow key, kept in sync so later tables match the rewrite.
+    pub(crate) key: FlowKey,
+    /// Cost accounting; `step` owns the execution-side counters.
+    pub(crate) trace: ProcessingTrace,
+    /// Set once the program stopped early; later actions are ignored.
+    pub(crate) halt: Option<Halt>,
+    /// Packet state saved at each open [`CAction::BucketBegin`].
+    scopes: Vec<(Bytes, FlowKey)>,
+}
+
+impl Stepper {
+    /// Start executing on `frame`, whose extracted key is `key`.
+    #[inline]
+    pub(crate) fn new(frame: Bytes, key: FlowKey, trace: ProcessingTrace) -> Stepper {
+        Stepper {
+            buf: FrameBuf::from_bytes(frame),
+            key,
+            trace,
+            halt: None,
+            scopes: Vec::new(),
         }
     }
-    flags
-}
 
-/// Replay a recorded action list on a fresh packet. `meters` is
-/// consulted for [`CAction::Meter`] entries, `nat` for
-/// [`CAction::NatTouch`] keep-alives.
-pub fn replay(
-    cactions: &[CAction],
-    frame: Bytes,
-    key: &mut FlowKey,
-    now_ns: u64,
-    meters: &mut openflow::MeterTable,
-    nat: &mut NatTable,
-) -> ReplayOutput {
-    let mut out = ReplayOutput::default();
-    let flags = replay_cow(cactions, frame, key, now_ns, meters, nat, &mut out);
-    out.metered_out = flags.metered_out;
-    out.ttl_expired = flags.ttl_expired;
-    out
+    /// Execute one action: rewrite bytes and key, consult `meters`,
+    /// refresh `nat` keep-alives, emit into `out`, count in the trace.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        a: &CAction,
+        now_ns: u64,
+        meters: &mut openflow::MeterTable,
+        nat: &mut NatTable,
+        out: &mut BatchResult,
+    ) {
+        if self.halt.is_some() {
+            return;
+        }
+        match a {
+            CAction::PushVlan(tpid) => {
+                self.trace.vlan_ops += 1;
+                push_vlan(self.buf.make_mut(), &mut self.key, *tpid);
+            }
+            CAction::PopVlan => {
+                self.trace.vlan_ops += 1;
+                pop_vlan(self.buf.make_mut(), &mut self.key);
+            }
+            CAction::SetField(f) => {
+                self.trace.set_fields += 1;
+                set_field(self.buf.make_mut(), &mut self.key, f);
+            }
+            CAction::DecTtl => {
+                self.trace.set_fields += 1;
+                if dec_ttl(self.buf.make_mut()) == TtlResult::Expired {
+                    self.halt = Some(Halt::TtlExpired);
+                }
+            }
+            CAction::SetIcmpId(id) => {
+                self.trace.set_fields += 1;
+                set_icmp_id(self.buf.make_mut(), *id);
+            }
+            CAction::Meter(id) => {
+                self.trace.meter_checks += 1;
+                if !meters.offer(*id, now_ns, self.buf.len()) {
+                    self.halt = Some(Halt::Metered);
+                }
+            }
+            CAction::NatTouch(token) => nat.touch(*token, now_ns),
+            CAction::Output(port) => {
+                self.trace.outputs += 1;
+                out.push_output(*port, self.buf.snapshot());
+            }
+            CAction::ToController(reason) => {
+                self.trace.packet_in = true;
+                out.push_packet_in(*reason, self.key.in_port, self.buf.snapshot());
+            }
+            CAction::BucketBegin => self.scopes.push((self.buf.snapshot(), self.key)),
+            CAction::BucketEnd => {
+                if let Some((frame, key)) = self.scopes.pop() {
+                    self.buf = FrameBuf::from_bytes(frame);
+                    self.key = key;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -596,56 +603,73 @@ mod tests {
         assert_eq!(&f[..], &orig[..]);
     }
 
+    /// Step `program` over `frame` the way a cache hit does.
+    fn run(
+        program: &[CAction],
+        frame: Bytes,
+        meters: &mut openflow::MeterTable,
+    ) -> (Stepper, BatchResult) {
+        let key = FlowKey::extract(1, &frame).unwrap();
+        let trace = ProcessingTrace::new(frame.len());
+        let mut st = Stepper::new(frame, key, trace);
+        let mut out = BatchResult::default();
+        let mut nat = NatTable::new();
+        for a in program {
+            st.step(a, 0, meters, &mut nat, &mut out);
+        }
+        (st, out)
+    }
+
     #[test]
-    fn replay_translator_sequence() {
+    fn stepper_runs_translator_sequence() {
         // The HARMLESS SS_1 downstream path: pop the access VLAN then send
         // to a patch port; upstream: push + set-vid then to trunk.
         let (f, _) = frame_and_key();
         let tagged = netpkt::vlan::push_vlan(&f.freeze(), netpkt::vlan::VlanTag::new(101)).unwrap();
-        let mut key = FlowKey::extract(1, &tagged).unwrap();
         let mut meters = openflow::MeterTable::new();
-        let mut nat = NatTable::new();
-        let out = replay(
-            &[CAction::PopVlan, CAction::Output(7)],
-            tagged,
-            &mut key,
-            0,
-            &mut meters,
-            &mut nat,
-        );
-        assert_eq!(out.outputs.len(), 1);
-        assert_eq!(out.outputs[0].0, 7);
-        let rekey = FlowKey::extract(7, &out.outputs[0].1).unwrap();
+        let (st, out) = run(&[CAction::PopVlan, CAction::Output(7)], tagged, &mut meters);
+        assert_eq!(out.all_outputs().len(), 1);
+        assert_eq!(out.all_outputs()[0].0, 7);
+        let rekey = FlowKey::extract(7, &out.all_outputs()[0].1).unwrap();
         assert_eq!(rekey.vlan_vid, 0, "tag must be gone on the patch side");
+        assert_eq!((st.trace.vlan_ops, st.trace.outputs), (1, 1));
     }
 
     #[test]
-    fn replay_meter_drop() {
-        let (f, mut k) = frame_and_key();
+    fn stepper_halts_on_meter_drop() {
+        let (f, _) = frame_and_key();
         let mut meters = openflow::MeterTable::new();
-        let mut nat = NatTable::new();
         meters
             .add(1, openflow::MeterBand { rate: 1, burst: 0 }, true, 0)
             .unwrap();
         // burst 0 -> capacity max(1)... offer a couple to exhaust tokens.
-        let _ = replay(
-            &[CAction::Meter(1), CAction::Output(1)],
-            f.clone().freeze(),
-            &mut k,
-            0,
+        let program = [CAction::Meter(1), CAction::Output(1)];
+        let _ = run(&program, f.clone().freeze(), &mut meters);
+        let (st, out) = run(&program, f.freeze(), &mut meters);
+        assert_eq!(st.halt, Some(Halt::Metered));
+        assert!(out.all_outputs().is_empty());
+    }
+
+    #[test]
+    fn bucket_scope_restores_the_packet() {
+        let (f, _) = frame_and_key();
+        let f = f.freeze();
+        let mut meters = openflow::MeterTable::new();
+        let (st, out) = run(
+            &[
+                CAction::BucketBegin,
+                CAction::SetField(OxmField::EthDst(MacAddr::host(9), None)),
+                CAction::Output(2),
+                CAction::BucketEnd,
+                CAction::Output(3),
+            ],
+            f.clone(),
             &mut meters,
-            &mut nat,
         );
-        let out = replay(
-            &[CAction::Meter(1), CAction::Output(1)],
-            f.freeze(),
-            &mut k,
-            0,
-            &mut meters,
-            &mut nat,
-        );
-        assert!(out.metered_out);
-        assert!(out.outputs.is_empty());
+        let outs = out.all_outputs();
+        assert_eq!(&outs[0].1[0..6], &MacAddr::host(9).octets());
+        assert_eq!(outs[1], (3, f), "after the bucket: the packet before it");
+        assert_eq!(st.key.eth_dst, MacAddr::host(2), "key restored too");
     }
 
     #[test]
@@ -663,24 +687,22 @@ mod tests {
     }
 
     #[test]
-    fn replay_stops_at_expired_ttl() {
+    fn stepper_halts_at_expired_ttl() {
         let (mut f, _) = frame_and_key();
         for _ in 0..63 {
             assert_eq!(dec_ttl(&mut f), TtlResult::Decremented);
         }
-        let mut key = FlowKey::extract(1, &f).unwrap();
         let mut meters = openflow::MeterTable::new();
-        let mut nat = NatTable::new();
-        let out = replay(
+        let (st, out) = run(
             &[CAction::DecTtl, CAction::Output(3)],
             f.freeze(),
-            &mut key,
-            0,
             &mut meters,
-            &mut nat,
         );
-        assert!(out.ttl_expired.is_some(), "expiry must be reported");
-        assert!(out.outputs.is_empty(), "expired packets are not forwarded");
+        assert_eq!(st.halt, Some(Halt::TtlExpired), "expiry must be reported");
+        assert!(
+            out.all_outputs().is_empty(),
+            "expired packets are not forwarded"
+        );
     }
 
     #[test]

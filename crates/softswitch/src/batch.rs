@@ -1,5 +1,5 @@
 //! Batched frame processing: the containers and the per-batch lookup
-//! memo behind [`Datapath::process_batch`].
+//! memo behind [`Datapath::process_batch_into`].
 //!
 //! A [`FrameBatch`] collects `(ingress port, frame)` pairs; the datapath
 //! drains it in one call, parsing every frame up front and resolving
@@ -25,7 +25,7 @@
 //! binding install) bumps the epoch, and the next batch starts from an
 //! empty memo, exactly as the microflow/megaflow caches invalidate.
 //!
-//! [`Datapath::process_batch`]: crate::Datapath::process_batch
+//! [`Datapath::process_batch_into`]: crate::Datapath::process_batch_into
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -40,10 +40,10 @@ use openflow::message::PacketInReason;
 
 /// A batch of `(ingress port, frame)` pairs awaiting processing.
 ///
-/// Reusable: [`Datapath::process_batch`] drains the batch, leaving it
-/// empty (capacity retained) for the next fill.
+/// Reusable: [`Datapath::process_batch_into`] drains the batch, leaving
+/// it empty (capacity retained) for the next fill.
 ///
-/// [`Datapath::process_batch`]: crate::Datapath::process_batch
+/// [`Datapath::process_batch_into`]: crate::Datapath::process_batch_into
 #[derive(Debug, Default)]
 pub struct FrameBatch {
     frames: Vec<(u32, Bytes)>,
@@ -125,8 +125,8 @@ pub(crate) struct FrameMark {
     pi: u32,
 }
 
-/// Everything one [`Datapath::process_batch`] call produced, as a flat
-/// arena.
+/// Everything one [`Datapath::process_batch_into`] call produced, as a
+/// flat arena.
 ///
 /// Output frames and packet-ins are stored contiguously in emission
 /// order; each processed frame records its sub-range, in input order
@@ -139,7 +139,7 @@ pub(crate) struct FrameMark {
 /// allocations, so a service loop can recycle one result object across
 /// service periods.
 ///
-/// [`Datapath::process_batch`]: crate::Datapath::process_batch
+/// [`Datapath::process_batch_into`]: crate::Datapath::process_batch_into
 #[derive(Debug, Default)]
 pub struct BatchResult {
     outputs: Vec<(u32, Bytes)>,
@@ -520,6 +520,20 @@ mod tests {
             1,
         );
         assert_eq!(pure.fast_ports(), Some(&[2u32, 3][..]));
+        // An ALL group of plain outputs scopes nothing: still a plan.
+        let grouped = CachedPath::new(
+            vec![
+                CAction::BucketBegin,
+                CAction::Output(2),
+                CAction::BucketEnd,
+                CAction::BucketBegin,
+                CAction::Output(3),
+                CAction::BucketEnd,
+            ],
+            vec![(0, 0)],
+            1,
+        );
+        assert_eq!(grouped.fast_ports(), Some(&[2u32, 3][..]));
         for rewriting in [
             CAction::PopVlan,
             CAction::PushVlan(0x8100),

@@ -32,15 +32,16 @@ use crate::actions::CAction;
 /// recorded, so sharing is safe by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPath {
-    /// Flattened actions to replay.
+    /// The lowered action program, as the slow path stepped it.
     pub actions: Vec<CAction>,
     /// `(table, entry index)` pairs whose counters this path bumps.
     pub hits: Vec<(usize, usize)>,
     /// Datapath epoch this was recorded at.
     pub epoch: u64,
     /// Precompiled egress ports for pure-forward paths (only concrete
-    /// `Output`s — no rewrites, meters or packet-ins, the overwhelmingly
-    /// common case on a switch's fast path). A hit on such a path
+    /// `Output`s, bare or inside group buckets — no rewrites, meters or
+    /// packet-ins, the overwhelmingly common case on a switch's fast
+    /// path). A hit on such a path
     /// replays as refcounted clones of the ingress frame with no action
     /// interpretation and no copy-on-write buffer. `None` when any
     /// action touches packet bytes or datapath state.
@@ -50,12 +51,18 @@ pub struct CachedPath {
 impl CachedPath {
     /// Record a path, compiling its pure-forward replay plan (one
     /// action scan, paid once per resolved path).
-    pub fn new(actions: Vec<CAction>, hits: Vec<(usize, usize)>, epoch: u64) -> CachedPath {
+    pub fn new(mut actions: Vec<CAction>, mut hits: Vec<(usize, usize)>, epoch: u64) -> CachedPath {
+        // A path lives for an epoch in up to three caches: drop the
+        // growth slack of the recording it was built from.
+        actions.shrink_to_fit();
+        hits.shrink_to_fit();
         let mut ports = Vec::with_capacity(actions.len());
         let mut pure = true;
         for a in &actions {
             match a {
                 CAction::Output(p) => ports.push(*p),
+                // A bucket of plain outputs has nothing to scope.
+                CAction::BucketBegin | CAction::BucketEnd => {}
                 _ => {
                     pure = false;
                     break;

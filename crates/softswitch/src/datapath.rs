@@ -1,10 +1,10 @@
 //! The multi-table OpenFlow 1.3 dataplane, structured as an explicit
 //! run-to-completion pipeline.
 //!
-//! [`Datapath::process_batch`] is the primary entry point: a
-//! [`FrameBatch`] goes in, a flat [`BatchResult`] arena of outputs /
-//! packet-ins / [`ProcessingTrace`]s comes out. Each batch runs through
-//! staged processing:
+//! [`Datapath::process_batch_into`] is the primary entry point: a
+//! [`FrameBatch`] goes in, a flat caller-owned [`BatchResult`] arena of
+//! outputs / packet-ins / [`ProcessingTrace`]s comes out. Each batch
+//! runs through staged processing:
 //!
 //! 1. **Parse** — every frame's [`FlowKey`] is extracted up front into
 //!    per-batch scratch (reused across batches, no per-batch Vec
@@ -12,22 +12,32 @@
 //!    parse.
 //! 2. **Probe + execute, run-to-completion per frame** — each frame
 //!    resolves through memo → microflow → megaflow → slow path and
-//!    replays its actions immediately, emitting into the result arena.
+//!    runs its actions immediately, emitting into the result arena.
 //!    Frames are *not* pre-resolved as a separate stage: an action can
 //!    mutate datapath state mid-batch (a NAT eviction bumps the epoch),
 //!    so later frames must observe it.
 //! 3. **Emit** — results land in the flat arena in input order, ready
 //!    for the node's TX stage to walk without re-grouping.
 //!
+//! There is one action interpreter, the crate-private `Stepper` in
+//! [`actions`](crate::actions). The slow path (and
+//! [`Datapath::packet_out`]) only *lowers* OpenFlow instructions to
+//! concrete [`CAction`]s — FLOOD to ports, a select group to its
+//! bucket, NAT to set-fields, group buckets to scope markers — and
+//! hands each one to the stepper as it is produced, recording it; a
+//! cache hit hands the stepper the recording. One tail
+//! (`Datapath::finish`) closes the frame either way, so a cached
+//! frame is indistinguishable from the walk that recorded it.
+//!
 //! Frames travel as refcounted [`Bytes`] wrapped in a copy-on-write
-//! [`FrameBuf`]: pure-forward and flood paths never copy payloads, and
-//! the first byte-rewriting action (NAT, TTL, VLAN) pays exactly one
-//! copy. The single-frame [`Datapath::process`] delegates to the same
-//! engine with the memo disabled, so scalar and batched behaviour are
-//! identical by construction. Depending on [`PipelineMode`], lookups
-//! are served by the microflow cache, the megaflow cache, tuple-space
-//! indexes, or a plain linear walk — the ablation axis of the E8
-//! experiment.
+//! [`FrameBuf`](netpkt::FrameBuf): pure-forward and flood paths never
+//! copy payloads, and the first byte-rewriting action (NAT, TTL, VLAN)
+//! pays exactly one copy. The single-frame [`Datapath::process`]
+//! delegates to the same engine with the memo disabled, so scalar and
+//! batched behaviour are identical by construction. Depending on
+//! [`PipelineMode`], lookups are served by the microflow cache, the
+//! megaflow cache, tuple-space indexes, or a plain linear walk — the
+//! ablation axis of the E8 experiment.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -37,7 +47,7 @@ use std::sync::Arc;
 use netpkt::flowkey::FieldMask;
 use netpkt::icmp::Icmpv4Packet;
 use netpkt::vlan::VlanView;
-use netpkt::{builder, EtherType, FlowKey, FrameBuf, IpProto, Ipv4Packet, MacAddr};
+use netpkt::{builder, EtherType, FlowKey, IpProto, Ipv4Packet, MacAddr};
 use openflow::message::{FlowMod, PacketInReason, PortDesc, PortStatsEntry};
 use openflow::table::{FlowEntry, FlowModCommand, RemovedReason, TableId};
 use openflow::{
@@ -45,8 +55,8 @@ use openflow::{
     Result,
 };
 
-use crate::actions::{self, CAction, ReplaySink, TtlResult};
-use crate::batch::{BatchMemo, BatchResult, FrameBatch};
+use crate::actions::{CAction, Halt, Stepper};
+use crate::batch::{BatchMemo, BatchResult, FrameBatch, FrameMark};
 use crate::cache::{CachedPath, MegaflowCache, MicroflowCache};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
@@ -220,54 +230,37 @@ pub struct Datapath {
 const MAX_GROUP_DEPTH: u32 = 4;
 
 /// Reusable per-batch working storage. Taken out of the datapath for
-/// the duration of one [`Datapath::process_batch`] call and put back
-/// after, allocations intact.
+/// the duration of one [`Datapath::process_batch_into`] call and put
+/// back after, allocations intact.
 #[derive(Default)]
 struct BatchScratch {
     keys: Vec<FlowKey>,
     memo: BatchMemo,
 }
 
-/// Sink adapter: replayed frames land directly in the result arena,
-/// packet-ins stamped with the ingress port.
-struct ArenaSink<'a> {
-    out: &'a mut BatchResult,
-    in_port: u32,
-}
-
-impl ReplaySink for ArenaSink<'_> {
-    fn output(&mut self, port: u32, frame: Bytes) {
-        self.out.push_output(port, frame);
-    }
-    fn packet_in(&mut self, reason: PacketInReason, frame: Bytes) {
-        self.out.push_packet_in(reason, self.in_port, frame);
-    }
-}
-
-struct ExecCtx<'a> {
-    buf: FrameBuf,
-    key: FlowKey,
-    in_port: u32,
+/// Slow-path state of one frame: the stepper executing it, plus what
+/// only the lowering knows.
+struct Lowering<'a> {
+    fr: Stepper,
+    /// Every action handed to `fr`, in order — the cacheable program.
     recorded: Vec<CAction>,
+    /// Fields the walk consulted: the megaflow mask.
+    unwild: FieldMask,
+    now_ns: u64,
     /// The batch arena this frame emits into.
     out: &'a mut BatchResult,
-    trace: ProcessingTrace,
-    unwild: FieldMask,
-    metered_out: bool,
-    /// A `DecNwTtl` found TTL ≤ 1: stop the pipeline, answer with ICMP
-    /// time-exceeded, never cache (the truncated recording is not the
-    /// path healthy packets take).
-    ttl_expired: bool,
-    /// The NAT stage refused the packet (untranslatable protocol, or
-    /// inbound with no live connection): drop, never cache — a later
-    /// outbound packet can create the very mapping this one lacked.
-    nat_dropped: bool,
 }
 
-impl ExecCtx<'_> {
-    fn halted(&self) -> bool {
-        self.metered_out || self.ttl_expired || self.nat_dropped
-    }
+/// Unwildcard the IPv4 5-tuple: decisions that hash or translate by it
+/// (select groups, NAT) must not be replayed for other flows.
+fn unwild_five_tuple(m: &mut FieldMask) {
+    m.ipv4_src = u32::MAX;
+    m.ipv4_dst = u32::MAX;
+    m.ip_proto = u8::MAX;
+    m.tcp_src = u16::MAX;
+    m.tcp_dst = u16::MAX;
+    m.udp_src = u16::MAX;
+    m.udp_dst = u16::MAX;
 }
 
 /// The OF 1.3 action set: one slot per action kind, executed in spec
@@ -381,7 +374,8 @@ impl Datapath {
     }
 
     /// Lookups served by the per-batch memo across all
-    /// [`Datapath::process_batch`] calls (repeated keys within a batch).
+    /// [`Datapath::process_batch_into`] calls (repeated keys within a
+    /// batch).
     pub fn batch_memo_hits(&self) -> u64 {
         self.batch_memo_hits
     }
@@ -706,32 +700,18 @@ impl Datapath {
         now_ns: u64,
     ) -> DpResult {
         let key = FlowKey::extract_lossy(in_port, &data);
-        let len = data.len();
         let mut out = BatchResult::default();
         let mark = out.mark();
-        let trace = {
-            let mut ctx = ExecCtx {
-                buf: FrameBuf::from_bytes(data),
-                key,
-                in_port,
-                recorded: Vec::new(),
-                out: &mut out,
-                trace: ProcessingTrace::new(len),
-                unwild: FieldMask::default(),
-                metered_out: false,
-                ttl_expired: false,
-                nat_dropped: false,
-            };
-            self.exec_actions(actions, &mut ctx, false, 0, now_ns);
-            for (port, f) in ctx.out.outputs_from(mark) {
-                if let Some(s) = self.pstat(*port) {
-                    s.tx_packets += 1;
-                    s.tx_bytes += f.len() as u64;
-                }
-            }
-            ctx.trace
+        let trace = ProcessingTrace::new(data.len());
+        let mut ctx = Lowering {
+            fr: Stepper::new(data, key, trace),
+            recorded: Vec::new(),
+            unwild: FieldMask::default(),
+            now_ns,
+            out: &mut out,
         };
-        out.finish_frame(mark, false, Some(trace));
+        self.lower_actions(actions, &mut ctx, false, 0);
+        self.finish(ctx.fr, mark, ctx.out);
         out.into_single()
     }
 
@@ -743,16 +723,6 @@ impl Datapath {
         let mut out = BatchResult::default();
         self.process_keyed(in_port, frame, &key, now_ns, None, &mut out);
         out.into_single()
-    }
-
-    /// Process a whole batch of frames, draining `batch`. Convenience
-    /// wrapper over [`Datapath::process_batch_into`] that allocates a
-    /// fresh result; hot loops should hold a pooled [`BatchResult`] and
-    /// call the `_into` form directly.
-    pub fn process_batch(&mut self, batch: &mut FrameBatch, now_ns: u64) -> BatchResult {
-        let mut out = BatchResult::default();
-        self.process_batch_into(batch, now_ns, &mut out);
-        out
     }
 
     /// Process a whole batch of frames into a caller-owned (reusable)
@@ -831,8 +801,8 @@ impl Datapath {
     }
 
     /// The shared per-frame engine behind [`Datapath::process`] and
-    /// [`Datapath::process_batch`]: memo → microflow → megaflow → slow
-    /// path, emitting one frame's results into `out`.
+    /// [`Datapath::process_batch_into`]: memo → microflow → megaflow →
+    /// slow path, emitting one frame's results into `out`.
     fn process_keyed(
         &mut self,
         in_port: u32,
@@ -847,62 +817,40 @@ impl Datapath {
             s.rx_packets += 1;
             s.rx_bytes += frame.len() as u64;
         }
-        // 0. Per-batch memo: a key already resolved in this batch
-        //    replays its path without touching the caches again —
-        //    through the precompiled plan when the path is pure-forward.
-        if let Some(m) = memo.as_deref_mut() {
-            if let Some(i) = m.lookup(key) {
-                // The memo lives in scratch (detached from `self` for
-                // the batch), so its path can be borrowed across the
-                // replay — no refcount traffic on the hottest path.
-                let path = m.path(i);
-                let mut trace = ProcessingTrace::new(frame.len());
-                trace.path = LookupPath::BatchHit;
-                if path.fast_ports().is_some() {
-                    return self.replay_fast(path, frame, now_ns, trace, out);
-                }
-                let path = path.clone();
-                return self.finish_path(&path, frame, *key, now_ns, trace, out);
-            }
-        }
-
         let mut trace = ProcessingTrace::new(frame.len());
 
-        // 1. Microflow cache. Path clones are refcount bumps: caches
-        //    share one `Arc<CachedPath>` per resolved path.
-        if self.config.mode.microflow {
-            if let Some(path) = self.micro.lookup(key, self.epoch) {
-                let path = path.clone();
-                trace.path = LookupPath::MicroHit;
-                if let Some(m) = memo.as_deref_mut().filter(|m| m.has_room()) {
-                    m.insert(*key, path.clone());
-                }
-                if path.fast_ports().is_some() {
-                    return self.replay_fast(&path, frame, now_ns, trace, out);
-                }
-                return self.finish_path(&path, frame, *key, now_ns, trace, out);
+        // 0. Per-batch memo: a key already resolved in this epoch
+        //    replays its path without touching the caches again. The
+        //    memo lives in scratch (detached from `self` for the batch),
+        //    so its path is borrowed across the replay — no refcount
+        //    traffic on the hottest path.
+        if let Some(m) = memo.as_deref_mut() {
+            if let Some(i) = m.lookup(key) {
+                trace.path = LookupPath::BatchHit;
+                return self.replay_path(m.path(i), frame, key, now_ns, trace, out);
             }
         }
 
-        // 2. Megaflow cache.
-        if self.config.mode.megaflow {
+        // 1. Microflow cache, then 2. megaflow cache (promoting its hits
+        //    into the microflow cache). Path clones are refcount bumps:
+        //    every layer shares one `Arc<CachedPath>` per resolved path.
+        let mut cached = None;
+        if self.config.mode.microflow {
+            if let Some(path) = self.micro.lookup(key, self.epoch) {
+                trace.path = LookupPath::MicroHit;
+                cached = Some(path.clone());
+            }
+        }
+        if cached.is_none() && self.config.mode.megaflow {
             let (hit, probes) = self.mega.lookup(key, self.epoch);
             if let Some(path) = hit {
-                let path = path.clone();
                 trace.path = LookupPath::MegaHit { probes };
-                // Promote to the microflow cache for next time.
+                let path = path.clone();
                 if self.config.mode.microflow {
                     self.micro.insert(*key, path.clone());
                 }
-                if let Some(m) = memo.as_deref_mut().filter(|m| m.has_room()) {
-                    m.insert(*key, path.clone());
-                }
-                if path.fast_ports().is_some() {
-                    return self.replay_fast(&path, frame, now_ns, trace, out);
-                }
-                return self.finish_path(&path, frame, *key, now_ns, trace, out);
-            }
-            if let LookupPath::SlowPath { .. } = trace.path {
+                cached = Some(path);
+            } else {
                 // carry the wasted probes into the slow-path accounting
                 trace.path = LookupPath::SlowPath {
                     tables: 0,
@@ -911,107 +859,92 @@ impl Datapath {
                 };
             }
         }
+        if let Some(path) = cached {
+            if let Some(m) = memo.filter(|m| m.has_room()) {
+                m.insert(*key, path.clone());
+            }
+            return self.replay_path(&path, frame, key, now_ns, trace, out);
+        }
 
         // 3. Slow path.
-        self.slow_path(in_port, frame, *key, now_ns, trace, memo, out)
+        self.slow_path(frame, *key, now_ns, trace, memo, out)
     }
 
-    /// Replay a precompiled pure-forward plan: emit reference-counted
-    /// clones of `frame` (the path provably never rewrites bytes), bump
-    /// the flow/port counters exactly as a full replay would, and stamp
-    /// the templated trace.
-    /// Replay a precompiled pure-forward path: bump table and port
+    /// Serve `frame` from a resolved [`CachedPath`] (from a cache or the
+    /// batch memo): bump the flow counters the recording walk bumped,
+    /// then step the recorded program.
+    fn replay_path(
+        &mut self,
+        path: &CachedPath,
+        frame: Bytes,
+        key: &FlowKey,
+        now_ns: u64,
+        trace: ProcessingTrace,
+        out: &mut BatchResult,
+    ) {
+        let len = frame.len() as u64;
+        for &(t, idx) in &path.hits {
+            self.tables[t].hit(idx, len, now_ns);
+        }
+        if let Some(ports) = path.fast_ports() {
+            return self.replay_fast(ports, frame, trace, out);
+        }
+        let mark = out.mark();
+        let mut fr = Stepper::new(frame, *key, trace);
+        for a in &path.actions {
+            fr.step(a, now_ns, &mut self.meters, &mut self.nat, out);
+        }
+        self.finish(fr, mark, out);
+    }
+
+    /// [`Datapath::replay_path`] specialised for a pure-forward program (it
+    /// provably never rewrites bytes or touches state): bump the port
     /// counters and emit refcounted clones of the ingress frame — no
     /// action interpretation, no copy-on-write buffer. The last output
     /// takes ownership of `frame`, so the common single-output path
     /// performs no refcount traffic at all.
     fn replay_fast(
         &mut self,
-        path: &CachedPath,
+        ports: &[u32],
         frame: Bytes,
-        now_ns: u64,
         mut trace: ProcessingTrace,
         out: &mut BatchResult,
     ) {
         let mark = out.mark();
         let len = frame.len() as u64;
-        for &(t, idx) in &path.hits {
-            self.tables[t].hit(idx, len, now_ns);
-        }
-        let ports = path.fast_ports().expect("caller checked fast_ports");
         trace.outputs += ports.len() as u32;
-        let empty = ports.is_empty();
-        if let [head @ .., last] = ports {
-            for &p in head {
-                if let Some(s) = self.pstat(p) {
-                    s.tx_packets += 1;
-                    s.tx_bytes += len;
-                }
-                out.push_output(p, frame.clone());
-            }
-            let last = *last;
-            if let Some(s) = self.pstat(last) {
+        for &p in ports {
+            if let Some(s) = self.pstat(p) {
                 s.tx_packets += 1;
                 s.tx_bytes += len;
             }
-            out.push_output(last, frame);
         }
-        out.finish_frame(mark, empty, Some(trace));
+        if let [head @ .., last] = ports {
+            for &p in head {
+                out.push_output(p, frame.clone());
+            }
+            out.push_output(*last, frame);
+        }
+        out.finish_frame(mark, ports.is_empty(), Some(trace));
     }
 
-    /// Replay a resolved [`CachedPath`] (from a cache or the batch memo)
-    /// on `frame`, emitting into the arena.
-    fn finish_path(
-        &mut self,
-        path: &CachedPath,
-        frame: Bytes,
-        mut key: FlowKey,
-        now_ns: u64,
-        mut trace: ProcessingTrace,
-        out: &mut BatchResult,
-    ) {
-        let mark = out.mark();
-        let len = frame.len() as u64;
-        for &(t, idx) in &path.hits {
-            self.tables[t].hit(idx, len, now_ns);
-        }
-        // Account the replayed work in the trace.
-        for a in &path.actions {
-            match a {
-                CAction::PushVlan(_) | CAction::PopVlan => trace.vlan_ops += 1,
-                CAction::SetField(_) | CAction::DecTtl | CAction::SetIcmpId(_) => {
-                    trace.set_fields += 1
+    /// Close a frame whose program has run — the one tail behind the
+    /// slow path, cached replays and `packet_out`: answer a TTL death,
+    /// account the transmissions, decide the drop, record the trace.
+    fn finish(&mut self, mut fr: Stepper, mark: FrameMark, out: &mut BatchResult) {
+        match fr.halt {
+            // A TTL death is answered with ICMP time-exceeded out of
+            // the ingress port, when this datapath has a router
+            // identity. The packet itself still counts as dropped.
+            Some(Halt::TtlExpired) => {
+                self.ttl_expired_total += 1;
+                if let Some((port, reply)) = self.time_exceeded_reply(fr.key.in_port, &fr.buf) {
+                    fr.trace.outputs += 1;
+                    out.push_output(port, reply);
                 }
-                CAction::Meter(_) => trace.meter_checks += 1,
-                CAction::Output(_) => trace.outputs += 1,
-                CAction::ToController(_) => trace.packet_in = true,
-                CAction::NatTouch(_) => {}
             }
-        }
-        let flags = {
-            let mut sink = ArenaSink {
-                out,
-                in_port: key.in_port,
-            };
-            actions::replay_cow(
-                &path.actions,
-                frame,
-                &mut key,
-                now_ns,
-                &mut self.meters,
-                &mut self.nat,
-                &mut sink,
-            )
-        };
-        // A packet can expire on a cached path too (TTL is not part of
-        // the flow key): same ICMP answer as the slow path, still a drop.
-        let ttl_expired = flags.ttl_expired.is_some();
-        if let Some(expired) = flags.ttl_expired {
-            self.ttl_expired_total += 1;
-            if let Some((port, reply)) = self.time_exceeded_reply(key.in_port, &expired) {
-                trace.outputs += 1;
-                out.push_output(port, reply);
-            }
+            Some(Halt::NatRefused) => self.nat_dropped_total += 1,
+            Some(Halt::Metered) | None => {}
         }
         for (port, f) in out.outputs_from(mark) {
             if let Some(s) = self.pstat(*port) {
@@ -1019,10 +952,9 @@ impl Datapath {
                 s.tx_bytes += f.len() as u64;
             }
         }
-        let dropped = flags.metered_out
-            || ttl_expired
+        let dropped = fr.halt.is_some()
             || (out.outputs_from(mark).is_empty() && out.no_packet_ins_from(mark));
-        out.finish_frame(mark, dropped, Some(trace));
+        out.finish_frame(mark, dropped, Some(fr.trace));
     }
 
     /// Build the ICMP time-exceeded reply for the expired packet in
@@ -1076,10 +1008,18 @@ impl Datapath {
         self.table_masks[t].1
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Hand one lowered action to the frame's stepper and record it.
+    fn emit(&mut self, ctx: &mut Lowering, a: CAction) {
+        ctx.fr
+            .step(&a, ctx.now_ns, &mut self.meters, &mut self.nat, ctx.out);
+        ctx.recorded.push(a);
+    }
+
+    /// Walk the tables for a frame no cache resolved, lowering each
+    /// instruction to [`CAction`]s that the frame's stepper executes on
+    /// the spot, and install the recording in the caches.
     fn slow_path(
         &mut self,
-        in_port: u32,
         frame: Bytes,
         key: FlowKey,
         now_ns: u64,
@@ -1095,27 +1035,19 @@ impl Datapath {
             } => (tables, entries_scanned, tss_probes),
             _ => (0, 0, 0),
         };
-        let unwild = FieldMask {
-            in_port: u32::MAX,
-            ..FieldMask::default()
-        };
-
         let mark = out.mark();
-        let mut ctx = ExecCtx {
-            buf: FrameBuf::from_bytes(frame),
-            key,
-            in_port,
+        let mut ctx = Lowering {
+            fr: Stepper::new(frame, key, trace),
             recorded: Vec::new(),
+            unwild: FieldMask {
+                in_port: u32::MAX,
+                ..FieldMask::default()
+            },
+            now_ns,
             out,
-            trace,
-            unwild,
-            metered_out: false,
-            ttl_expired: false,
-            nat_dropped: false,
         };
         let mut action_set = ActionSet::default();
         let mut table = 0usize;
-        let mut matched_any = false;
         let mut hits: Vec<(usize, usize)> = Vec::new();
 
         loop {
@@ -1133,13 +1065,13 @@ impl Datapath {
                     self.tss[table] = Some(TssIndex::build(&self.tables[table]));
                 }
                 let idx = self.tss[table].as_ref().unwrap();
-                let (hit, probes) = idx.lookup(&ctx.key);
+                let (hit, probes) = idx.lookup(&ctx.fr.key);
                 tss_probes += probes;
                 // Count the lookup on the table for stats parity.
                 let _ = self.tables[table].lookups();
                 hit
             } else {
-                let (hit, n) = self.tables[table].lookup_counting(&ctx.key);
+                let (hit, n) = self.tables[table].lookup_counting(&ctx.fr.key);
                 scanned += n as u32;
                 hit
             };
@@ -1148,8 +1080,7 @@ impl Datapath {
                 // OF 1.3 §5.4: no table-miss entry ⇒ drop.
                 break;
             };
-            matched_any = true;
-            self.tables[table].hit(entry_idx, ctx.buf.len() as u64, now_ns);
+            self.tables[table].hit(entry_idx, ctx.fr.buf.len() as u64, now_ns);
             hits.push((table, entry_idx));
             let entry = self.tables[table].entry(entry_idx);
             let instructions = entry.instructions.clone();
@@ -1158,28 +1089,22 @@ impl Datapath {
             let mut goto: Option<u8> = None;
             for insn in &instructions {
                 match insn {
-                    Instruction::Meter(id) => {
-                        ctx.trace.meter_checks += 1;
-                        ctx.recorded.push(CAction::Meter(*id));
-                        if !self.meters.offer(*id, now_ns, ctx.buf.len()) {
-                            ctx.metered_out = true;
-                        }
-                    }
+                    Instruction::Meter(id) => self.emit(&mut ctx, CAction::Meter(*id)),
                     Instruction::ApplyActions(list) => {
-                        self.exec_actions(list, &mut ctx, is_miss_entry, 0, now_ns);
+                        self.lower_actions(list, &mut ctx, is_miss_entry, 0);
                     }
                     Instruction::ClearActions => action_set.clear(),
                     Instruction::WriteActions(list) => action_set.write(list),
                     Instruction::WriteMetadata { metadata, mask } => {
-                        ctx.key.metadata = (ctx.key.metadata & !mask) | (metadata & mask);
+                        let k = &mut ctx.fr.key;
+                        k.metadata = (k.metadata & !mask) | (metadata & mask);
                     }
                     Instruction::GotoTable(t) => goto = Some(*t),
                 }
-                if ctx.halted() {
-                    break;
-                }
             }
-            if ctx.halted() {
+            // A halted frame ignored whatever followed the halt; it
+            // neither continues down the pipeline nor runs its action set.
+            if ctx.fr.halt.is_some() {
                 break;
             }
             match goto {
@@ -1191,32 +1116,18 @@ impl Datapath {
                     // End of pipeline: run the action set.
                     if !action_set.is_empty() {
                         let list = Self::action_set_to_list(&action_set);
-                        self.exec_actions(&list, &mut ctx, is_miss_entry, 0, now_ns);
+                        self.lower_actions(&list, &mut ctx, is_miss_entry, 0);
                     }
                     break;
                 }
             }
         }
 
-        ctx.trace.path = LookupPath::SlowPath {
+        ctx.fr.trace.path = LookupPath::SlowPath {
             tables: tables_visited,
             entries_scanned: scanned,
             tss_probes,
         };
-
-        // A TTL death is answered with ICMP time-exceeded out of the
-        // ingress port, when this datapath has a router identity. The
-        // packet itself still counts as dropped.
-        if ctx.ttl_expired {
-            self.ttl_expired_total += 1;
-            if let Some((port, reply)) = self.time_exceeded_reply(in_port, &ctx.buf) {
-                ctx.trace.outputs += 1;
-                ctx.out.push_output(port, reply);
-            }
-        }
-        if ctx.nat_dropped {
-            self.nat_dropped_total += 1;
-        }
 
         // Install caches and the batch memo (only for clean, meter-free
         // completions; metered paths are rate-dependent and recycle
@@ -1225,12 +1136,8 @@ impl Datapath {
         // One `Arc` is allocated per resolved path and shared by every
         // cache layer (and the memo): insertion is a refcount bump.
         let has_meter = ctx.recorded.iter().any(|a| matches!(a, CAction::Meter(_)));
-        if matched_any && !ctx.halted() && !has_meter {
-            let path = Arc::new(CachedPath::new(
-                ctx.recorded.clone(),
-                hits.clone(),
-                self.epoch,
-            ));
+        if !hits.is_empty() && ctx.fr.halt.is_none() && !has_meter {
+            let path = Arc::new(CachedPath::new(ctx.recorded, hits, self.epoch));
             if let Some(m) = memo.filter(|m| m.has_room()) {
                 m.insert(key, path.clone());
             }
@@ -1241,17 +1148,7 @@ impl Datapath {
                 self.micro.insert(key, path);
             }
         }
-
-        for (port, f) in ctx.out.outputs_from(mark) {
-            if let Some(s) = self.pstat(*port) {
-                s.tx_packets += 1;
-                s.tx_bytes += f.len() as u64;
-            }
-        }
-        let dropped = ctx.halted()
-            || (ctx.out.outputs_from(mark).is_empty() && ctx.out.no_packet_ins_from(mark));
-        let trace = ctx.trace;
-        ctx.out.finish_frame(mark, dropped, Some(trace));
+        self.finish(ctx.fr, mark, ctx.out);
     }
 
     fn action_set_to_list(set: &ActionSet) -> Vec<Action> {
@@ -1275,156 +1172,105 @@ impl Datapath {
         list
     }
 
-    fn exec_actions(
-        &mut self,
-        list: &[Action],
-        ctx: &mut ExecCtx,
-        miss_entry: bool,
-        depth: u32,
-        now_ns: u64,
-    ) {
+    /// Lower an OpenFlow action list: reserved ports to concrete ones,
+    /// groups to their buckets, NAT to the set-fields it resolves to.
+    fn lower_actions(&mut self, list: &[Action], ctx: &mut Lowering, miss_entry: bool, depth: u32) {
         for a in list {
+            if ctx.fr.halt.is_some() {
+                return;
+            }
             match a {
-                Action::PushVlan(tpid) => {
-                    ctx.trace.vlan_ops += 1;
-                    ctx.recorded.push(CAction::PushVlan(*tpid));
-                    actions::push_vlan(ctx.buf.make_mut(), &mut ctx.key, *tpid);
-                }
+                Action::PushVlan(tpid) => self.emit(ctx, CAction::PushVlan(*tpid)),
                 Action::PopVlan => {
-                    ctx.trace.vlan_ops += 1;
-                    ctx.recorded.push(CAction::PopVlan);
-                    actions::pop_vlan(ctx.buf.make_mut(), &mut ctx.key);
+                    self.emit(ctx, CAction::PopVlan);
                     // Popping exposes inner headers: matching beyond here
                     // depended on the tag, keep it unwildcarded.
                     ctx.unwild.vlan_vid = u16::MAX;
                 }
-                Action::SetField(f) => {
-                    ctx.trace.set_fields += 1;
-                    ctx.recorded.push(CAction::SetField(*f));
-                    actions::set_field(ctx.buf.make_mut(), &mut ctx.key, f);
-                }
-                Action::DecNwTtl => {
-                    ctx.trace.set_fields += 1;
-                    ctx.recorded.push(CAction::DecTtl);
-                    if actions::dec_ttl(ctx.buf.make_mut()) == TtlResult::Expired {
-                        ctx.ttl_expired = true;
-                        return;
-                    }
-                }
-                Action::Nat(dir) => {
-                    self.exec_nat(*dir, ctx, now_ns);
-                    if ctx.nat_dropped {
-                        return;
-                    }
-                }
+                Action::SetField(f) => self.emit(ctx, CAction::SetField(*f)),
+                Action::DecNwTtl => self.emit(ctx, CAction::DecTtl),
+                Action::Nat(dir) => self.lower_nat(*dir, ctx),
                 Action::SetQueue(_) => {}
-                Action::Group(gid) => {
-                    self.exec_group(*gid, ctx, depth, now_ns);
-                }
-                Action::Output { port, .. } => {
-                    self.exec_output(*port, ctx, miss_entry);
-                }
+                Action::Group(gid) => self.lower_group(*gid, ctx, depth),
+                Action::Output { port, .. } => self.lower_output(*port, ctx, miss_entry),
             }
         }
     }
 
-    /// The stateful NAT stage. The translation is applied *and recorded
-    /// as the concrete rewrites it resolved to*, so cached replays of
-    /// established connections skip the state lookup entirely — the
-    /// [`CAction::NatTouch`] recorded alongside keeps the connection's
-    /// idle timer honest on those fast-path hits.
-    fn exec_nat(&mut self, dir: NatDir, ctx: &mut ExecCtx, now_ns: u64) {
+    /// The stateful NAT stage, lowered to *the concrete rewrites it
+    /// resolved to*, so cached replays of established connections skip
+    /// the state lookup entirely — the [`CAction::NatTouch`] emitted
+    /// alongside keeps the connection's idle timer honest on those
+    /// fast-path hits.
+    fn lower_nat(&mut self, dir: NatDir, ctx: &mut Lowering) {
         // Translation decisions depend on the full 5-tuple (and the
         // ICMP header for echo flows): the megaflow entry must be at
         // least that specific or other flows would replay this one's
         // rewrites.
-        ctx.unwild.ipv4_src = u32::MAX;
-        ctx.unwild.ipv4_dst = u32::MAX;
-        ctx.unwild.ip_proto = u8::MAX;
-        ctx.unwild.tcp_src = u16::MAX;
-        ctx.unwild.tcp_dst = u16::MAX;
-        ctx.unwild.udp_src = u16::MAX;
-        ctx.unwild.udp_dst = u16::MAX;
+        unwild_five_tuple(&mut ctx.unwild);
         ctx.unwild.icmp_type = u8::MAX;
         ctx.unwild.icmp_code = u8::MAX;
         let Some(ext_ip) = self.nat.external_ip() else {
             return; // unconfigured: stage is a no-op
         };
-        if ctx.key.eth_type != EtherType::IPV4.0 {
+        let key = ctx.fr.key;
+        if key.eth_type != EtherType::IPV4.0 {
             return;
         }
-        let Some(proto) = NatProto::from_ip_proto(IpProto(ctx.key.ip_proto)) else {
-            ctx.nat_dropped = true;
+        // Refusals are never cached — a later outbound packet can create
+        // the very mapping this one lacked. Only echo flows have an
+        // identifier to translate ICMP by.
+        let Some(proto) = NatProto::from_ip_proto(IpProto(key.ip_proto))
+            .filter(|p| *p != NatProto::Icmp || matches!(key.icmp_type, 0 | 8))
+        else {
+            ctx.fr.halt = Some(Halt::NatRefused);
             return;
         };
-        // Only echo flows have an identifier to translate by.
-        if proto == NatProto::Icmp && !matches!(ctx.key.icmp_type, 0 | 8) {
-            ctx.nat_dropped = true;
-            return;
-        }
-        match dir {
+        // The identifier the connection goes by on the side this packet
+        // came from.
+        let seen_id = match (proto, dir) {
+            (NatProto::Tcp, NatDir::Egress) => key.tcp_src,
+            (NatProto::Tcp, NatDir::Ingress) => key.tcp_dst,
+            (NatProto::Udp, NatDir::Egress) => key.udp_src,
+            (NatProto::Udp, NatDir::Ingress) => key.udp_dst,
+            (NatProto::Icmp, _) => self.frame_echo_ident(&ctx.fr.buf).unwrap_or(0),
+        };
+        // (address rewrite, identifier on the far side, keep-alive token)
+        let resolved = match dir {
             NatDir::Egress => {
-                let int_id = match proto {
-                    NatProto::Tcp => ctx.key.tcp_src,
-                    NatProto::Udp => ctx.key.udp_src,
-                    NatProto::Icmp => self.frame_echo_ident(&ctx.buf).unwrap_or(0),
-                };
-                let int_ip = Ipv4Addr::from(ctx.key.ipv4_src);
-                let Some(m) = self.nat.egress(proto, int_ip, int_id, now_ns) else {
-                    ctx.nat_dropped = true;
-                    return;
-                };
-                if m.evicted {
-                    // The victim's cached rewrites are stale now.
-                    self.epoch += 1;
-                }
-                self.apply_recorded_field(ctx, OxmField::Ipv4Src(ext_ip, None));
-                match proto {
-                    NatProto::Tcp => self.apply_recorded_field(ctx, OxmField::TcpSrc(m.ext_id)),
-                    NatProto::Udp => self.apply_recorded_field(ctx, OxmField::UdpSrc(m.ext_id)),
-                    NatProto::Icmp => {
-                        ctx.trace.set_fields += 1;
-                        ctx.recorded.push(CAction::SetIcmpId(m.ext_id));
-                        actions::set_icmp_id(ctx.buf.make_mut(), m.ext_id);
-                    }
-                }
-                ctx.recorded.push(CAction::NatTouch(m.token));
+                let int_ip = Ipv4Addr::from(key.ipv4_src);
+                self.nat
+                    .egress(proto, int_ip, seen_id, ctx.now_ns)
+                    .map(|m| {
+                        if m.evicted {
+                            // The victim's cached rewrites are stale now.
+                            self.epoch += 1;
+                        }
+                        (OxmField::Ipv4Src(ext_ip, None), m.ext_id, m.token)
+                    })
             }
-            NatDir::Ingress => {
-                if ctx.key.ipv4_dst != u32::from(ext_ip) {
-                    ctx.nat_dropped = true;
-                    return;
-                }
-                let ext_id = match proto {
-                    NatProto::Tcp => ctx.key.tcp_dst,
-                    NatProto::Udp => ctx.key.udp_dst,
-                    NatProto::Icmp => self.frame_echo_ident(&ctx.buf).unwrap_or(0),
-                };
-                let Some(m) = self.nat.ingress(proto, ext_id, now_ns) else {
-                    ctx.nat_dropped = true; // no live connection: refuse
-                    return;
-                };
-                self.apply_recorded_field(ctx, OxmField::Ipv4Dst(m.int_ip, None));
-                match proto {
-                    NatProto::Tcp => self.apply_recorded_field(ctx, OxmField::TcpDst(m.int_id)),
-                    NatProto::Udp => self.apply_recorded_field(ctx, OxmField::UdpDst(m.int_id)),
-                    NatProto::Icmp => {
-                        ctx.trace.set_fields += 1;
-                        ctx.recorded.push(CAction::SetIcmpId(m.int_id));
-                        actions::set_icmp_id(ctx.buf.make_mut(), m.int_id);
-                    }
-                }
-                ctx.recorded.push(CAction::NatTouch(m.token));
-            }
-        }
-    }
-
-    /// Record and apply one concrete set-field (the NAT stage resolves
-    /// to these).
-    fn apply_recorded_field(&mut self, ctx: &mut ExecCtx, f: OxmField) {
-        ctx.trace.set_fields += 1;
-        ctx.recorded.push(CAction::SetField(f));
-        actions::set_field(ctx.buf.make_mut(), &mut ctx.key, &f);
+            NatDir::Ingress if key.ipv4_dst == u32::from(ext_ip) => self
+                .nat
+                .ingress(proto, seen_id, ctx.now_ns)
+                .map(|m| (OxmField::Ipv4Dst(m.int_ip, None), m.int_id, m.token)),
+            NatDir::Ingress => None,
+        };
+        let Some((addr, id, token)) = resolved else {
+            ctx.fr.halt = Some(Halt::NatRefused); // no live connection
+            return;
+        };
+        self.emit(ctx, CAction::SetField(addr));
+        self.emit(
+            ctx,
+            match (proto, dir) {
+                (NatProto::Tcp, NatDir::Egress) => CAction::SetField(OxmField::TcpSrc(id)),
+                (NatProto::Tcp, NatDir::Ingress) => CAction::SetField(OxmField::TcpDst(id)),
+                (NatProto::Udp, NatDir::Egress) => CAction::SetField(OxmField::UdpSrc(id)),
+                (NatProto::Udp, NatDir::Ingress) => CAction::SetField(OxmField::UdpDst(id)),
+                (NatProto::Icmp, _) => CAction::SetIcmpId(id),
+            },
+        );
+        self.emit(ctx, CAction::NatTouch(token));
     }
 
     /// The ICMP echo identifier of the (possibly VLAN-tagged) frame.
@@ -1440,11 +1286,11 @@ impl Datapath {
         Some(Icmpv4Packet::new_checked(ip.payload()).ok()?.echo_ident())
     }
 
-    fn exec_group(&mut self, gid: u32, ctx: &mut ExecCtx, depth: u32, now_ns: u64) {
+    fn lower_group(&mut self, gid: u32, ctx: &mut Lowering, depth: u32) {
         if depth >= MAX_GROUP_DEPTH {
             return;
         }
-        ctx.trace.group_hops += 1;
+        ctx.fr.trace.group_hops += 1;
         let Some(group) = self.groups.get(gid) else {
             return;
         };
@@ -1452,79 +1298,55 @@ impl Datapath {
         // be in the megaflow mask or different flows would replay the
         // wrong bucket.
         if group.type_ == openflow::GroupType::Select {
-            ctx.unwild.ipv4_src = u32::MAX;
-            ctx.unwild.ipv4_dst = u32::MAX;
+            unwild_five_tuple(&mut ctx.unwild);
             ctx.unwild.ipv6_src = u128::MAX;
             ctx.unwild.ipv6_dst = u128::MAX;
-            ctx.unwild.ip_proto = u8::MAX;
-            ctx.unwild.tcp_src = u16::MAX;
-            ctx.unwild.tcp_dst = u16::MAX;
-            ctx.unwild.udp_src = u16::MAX;
-            ctx.unwild.udp_dst = u16::MAX;
         }
         let buckets: Vec<Vec<Action>> = group
-            .select_buckets(&ctx.key)
+            .select_buckets(&ctx.fr.key)
             .into_iter()
             .map(|b| b.actions.clone())
             .collect();
-        self.groups.account(gid, ctx.buf.len() as u64);
-        // Each bucket works on a copy of the packet (OF 1.3 §5.6.1) —
-        // lazily: buckets start from a shared snapshot and only pay a
-        // real copy if their actions rewrite bytes.
-        let saved_buf = ctx.buf.snapshot();
-        let saved_key = ctx.key;
+        self.groups.account(gid, ctx.fr.buf.len() as u64);
+        // Each bucket works on its own copy of the packet and the packet
+        // after the group is the packet before it (OF 1.3 §5.6.1): the
+        // scope markers make that part of the recording.
         for bucket in buckets {
-            ctx.buf = FrameBuf::from_bytes(saved_buf.clone());
-            ctx.key = saved_key;
-            self.exec_actions(&bucket, ctx, false, depth + 1, now_ns);
+            self.emit(ctx, CAction::BucketBegin);
+            self.lower_actions(&bucket, ctx, false, depth + 1);
+            self.emit(ctx, CAction::BucketEnd);
         }
-        ctx.buf = FrameBuf::from_bytes(saved_buf);
-        ctx.key = saved_key;
     }
 
-    /// Emit the packet as currently transformed. Every emission is a
-    /// [`FrameBuf::snapshot`] — a refcount bump, never a payload copy;
-    /// a flood to N ports shares one backing buffer N ways.
-    fn exec_output(&mut self, port: u32, ctx: &mut ExecCtx, miss_entry: bool) {
+    /// Lower an output to concrete ports. Every emission is a
+    /// [`FrameBuf::snapshot`](netpkt::FrameBuf::snapshot) — a refcount
+    /// bump, never a payload copy; a flood to N ports shares one backing
+    /// buffer N ways.
+    fn lower_output(&mut self, port: u32, ctx: &mut Lowering, miss_entry: bool) {
+        let in_port = ctx.fr.key.in_port;
         match port {
             port_no::CONTROLLER => {
-                ctx.trace.packet_in = true;
                 let reason = if miss_entry {
                     PacketInReason::NoMatch
                 } else {
                     PacketInReason::Action
                 };
-                ctx.recorded.push(CAction::ToController(reason));
-                let snap = ctx.buf.snapshot();
-                ctx.out.push_packet_in(reason, ctx.in_port, snap);
+                self.emit(ctx, CAction::ToController(reason));
             }
-            port_no::IN_PORT => {
-                ctx.trace.outputs += 1;
-                ctx.recorded.push(CAction::Output(ctx.in_port));
-                let snap = ctx.buf.snapshot();
-                ctx.out.push_output(ctx.in_port, snap);
-            }
+            port_no::IN_PORT => self.emit(ctx, CAction::Output(in_port)),
             port_no::FLOOD | port_no::ALL => {
                 let ports: Vec<u32> = self
                     .ports
                     .values()
-                    .filter(|p| p.up && p.no != ctx.in_port)
+                    .filter(|p| p.up && p.no != in_port)
                     .map(|p| p.no)
                     .collect();
-                let snap = ctx.buf.snapshot();
                 for p in ports {
-                    ctx.trace.outputs += 1;
-                    ctx.recorded.push(CAction::Output(p));
-                    ctx.out.push_output(p, snap.clone());
+                    self.emit(ctx, CAction::Output(p));
                 }
             }
             port_no::ANY | port_no::TABLE | port_no::NORMAL | port_no::LOCAL => {}
-            concrete => {
-                ctx.trace.outputs += 1;
-                ctx.recorded.push(CAction::Output(concrete));
-                let snap = ctx.buf.snapshot();
-                ctx.out.push_output(concrete, snap);
-            }
+            concrete => self.emit(ctx, CAction::Output(concrete)),
         }
     }
 }
@@ -1554,6 +1376,12 @@ mod tests {
             dp.add_port(p, format!("p{p}"), 1_000_000);
         }
         dp
+    }
+
+    fn run_batch(dp: &mut Datapath, batch: &mut FrameBatch, now_ns: u64) -> BatchResult {
+        let mut out = BatchResult::default();
+        dp.process_batch_into(batch, now_ns, &mut out);
+        out
     }
 
     fn add_forward_rule(dp: &mut Datapath, dst_port: u16, out: u32) {
@@ -1762,33 +1590,65 @@ mod tests {
         assert_eq!(seen.len(), 2, "both backends must be used");
     }
 
+    /// Group buckets work on their own copy and the packet after a
+    /// group is the packet before it — on the slow path and on every
+    /// cache level alike: a bucket's rewrite must leak neither into a
+    /// sibling bucket nor into the actions that follow the group.
     #[test]
     fn all_group_copies_with_independent_rewrites() {
-        let mut dp = dp(PipelineMode::full());
-        dp.apply_group_mod(
-            openflow::group::GroupModCommand::Add,
-            openflow::GroupType::All,
-            1,
-            vec![
-                openflow::Bucket::new(vec![
-                    Action::SetField(openflow::OxmField::EthDst(MacAddr::host(50), None)),
-                    Action::output(2),
-                ]),
-                openflow::Bucket::new(vec![Action::output(3)]),
-            ],
-        )
-        .unwrap();
-        dp.apply_flow_mod(
-            &FlowMod::add(0).priority(1).apply(vec![Action::Group(1)]),
-            0,
-        )
-        .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.outputs.len(), 2);
-        let k2 = FlowKey::extract(0, &r.outputs[0].1).unwrap();
-        let k3 = FlowKey::extract(0, &r.outputs[1].1).unwrap();
-        assert_eq!(k2.eth_dst, MacAddr::host(50), "bucket 1 rewrote its copy");
-        assert_eq!(k3.eth_dst, MacAddr::host(99), "bucket 2 copy untouched");
+        let rewrite = Action::SetField(OxmField::EthDst(MacAddr::host(50), None));
+        let shapes = [
+            // ALL group: a rewriting bucket, then a plain one.
+            (
+                openflow::GroupType::All,
+                vec![
+                    openflow::Bucket::new(vec![rewrite.clone(), Action::output(2)]),
+                    openflow::Bucket::new(vec![Action::output(3)]),
+                ],
+                vec![Action::Group(1)],
+            ),
+            // INDIRECT group that rewrites, then a trailing output.
+            (
+                openflow::GroupType::Indirect,
+                vec![openflow::Bucket::new(vec![rewrite, Action::output(2)])],
+                vec![Action::Group(1), Action::output(3)],
+            ),
+        ];
+        for (type_, buckets, apply) in shapes {
+            let mut dp = dp(PipelineMode::full());
+            dp.apply_group_mod(openflow::group::GroupModCommand::Add, type_, 1, buckets)
+                .unwrap();
+            dp.apply_flow_mod(&FlowMod::add(0).priority(1).apply(apply), 0)
+                .unwrap();
+            let frame = udp_frame(1, 53);
+            let mut rewritten = bytes::BytesMut::from(&frame[..]);
+            rewritten[0..6].copy_from_slice(&MacAddr::host(50).octets());
+            let want = vec![(2, rewritten.freeze()), (3, frame.clone())];
+
+            let r = dp.process(1, frame.clone(), 0);
+            assert!(matches!(r.trace.unwrap().path, LookupPath::SlowPath { .. }));
+            assert_eq!(r.outputs, want, "{type_:?}: slow path");
+            let r = dp.process(1, frame.clone(), 1);
+            assert!(matches!(r.trace.unwrap().path, LookupPath::MicroHit));
+            assert_eq!(r.outputs, want, "{type_:?}: microflow hit");
+            // A sibling 5-tuple (same MACs, other UDP port) shares the
+            // megaflow, so the byte expectation carries over.
+            let r = dp.process(1, udp_frame(1, 54), 2);
+            assert!(matches!(r.trace.unwrap().path, LookupPath::MegaHit { .. }));
+            let sibling: Vec<u32> = r.outputs.iter().map(|(p, _)| *p).collect();
+            assert_eq!(sibling, vec![2, 3]);
+            assert_eq!(r.outputs[1].1, udp_frame(1, 54), "{type_:?}: megaflow hit");
+            assert_eq!(&r.outputs[0].1[0..6], &MacAddr::host(50).octets());
+            // Frames 2..N of one batch replay from the memo.
+            let mut batch: FrameBatch = (0..4).map(|_| (1u32, frame.clone())).collect();
+            let r = run_batch(&mut dp, &mut batch, 3);
+            for i in 0..r.len() {
+                assert_eq!(r.outputs_of(i), &want[..], "{type_:?}: batch frame {i}");
+            }
+            assert!(r.frames()[1..]
+                .iter()
+                .all(|f| matches!(f.trace.unwrap().path, LookupPath::BatchHit)));
+        }
     }
 
     #[test]
@@ -1884,7 +1744,7 @@ mod tests {
     fn empty_batch_yields_empty_result() {
         let mut dp = dp(PipelineMode::full());
         let mut batch = FrameBatch::new();
-        let r = dp.process_batch(&mut batch, 0);
+        let r = run_batch(&mut dp, &mut batch, 0);
         assert!(r.is_empty());
         assert!(r.outputs_by_port().is_empty());
         assert_eq!(dp.packets_processed(), 0);
@@ -1905,8 +1765,8 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let r = dp.process_batch(&mut batch, 0);
-        assert!(batch.is_empty(), "process_batch drains the batch");
+        let r = run_batch(&mut dp, &mut batch, 0);
+        assert!(batch.is_empty(), "processing drains the batch");
         assert_eq!(r.len(), 5);
         let ports: Vec<u32> = (0..r.len()).map(|i| r.outputs_of(i)[0].0).collect();
         assert_eq!(ports, vec![2, 2, 3, 2, 3]);
@@ -1931,7 +1791,7 @@ mod tests {
         dp.process(1, udp_frame(1, 53), 0);
         let micro_hits = dp.micro_cache().hits();
         let mut batch: FrameBatch = (0..4).map(|_| (1u32, udp_frame(1, 53))).collect();
-        let r = dp.process_batch(&mut batch, 1);
+        let r = run_batch(&mut dp, &mut batch, 1);
         // One micro probe resolves the key for the whole batch.
         assert_eq!(dp.micro_cache().hits(), micro_hits + 1);
         assert_eq!(dp.batch_memo_hits(), 3);
@@ -1956,7 +1816,7 @@ mod tests {
         }
         add_forward_rule(&mut dp, 53, 2);
         let mut batch: FrameBatch = (0..256).map(|i| (1u32, udp_frame(i, 53))).collect();
-        let r = dp.process_batch(&mut batch, 0);
+        let r = run_batch(&mut dp, &mut batch, 0);
         assert_eq!(r.len(), 256);
         assert!((0..r.len()).all(|i| !r.frame(i).dropped && r.outputs_of(i)[0].0 == 2));
         assert_eq!(r.outputs_by_port()[&2].len(), 256);
@@ -1988,7 +1848,7 @@ mod tests {
         // 1 pps, burst 1: within one instant only the first frame passes,
         // and every frame must consult the meter individually.
         let mut batch: FrameBatch = (0..3).map(|_| (1u32, udp_frame(1, 53))).collect();
-        let r = dp.process_batch(&mut batch, 0);
+        let r = run_batch(&mut dp, &mut batch, 0);
         let dropped: Vec<bool> = r.frames().iter().map(|f| f.dropped).collect();
         assert_eq!(dropped, vec![false, true, true]);
         assert_eq!(dp.batch_memo_hits(), 0, "metered paths must not memoize");
@@ -2003,7 +1863,7 @@ mod tests {
         for t in 0..3u64 {
             let scalar = a.process(1, udp_frame(1, 53), t);
             let mut batch: FrameBatch = [(1u32, udp_frame(1, 53))].into_iter().collect();
-            let batched = b.process_batch(&mut batch, t).into_single();
+            let batched = run_batch(&mut b, &mut batch, t).into_single();
             assert_eq!(scalar.outputs, batched.outputs);
             assert_eq!(scalar.dropped, batched.dropped);
             assert_eq!(scalar.trace, batched.trace, "even traces agree");

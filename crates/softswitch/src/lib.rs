@@ -9,11 +9,13 @@
 //! Layering, bottom up:
 //!
 //! * [`actions`] — concrete packet transformations (VLAN push/pop/rewrite,
-//!   set-field with checksum maintenance) and the flattened
-//!   [`actions::CAction`] lists that caches replay;
+//!   set-field with checksum maintenance), the lowered
+//!   [`actions::CAction`] programs that caches record, and the one
+//!   stepper that executes them;
 //! * [`batch`] — the [`batch::FrameBatch`]/[`batch::BatchResult`]
 //!   containers and per-batch lookup memo behind the burst-processing
-//!   fast path, [`Datapath::process_batch`](datapath::Datapath::process_batch);
+//!   fast path,
+//!   [`Datapath::process_batch_into`](datapath::Datapath::process_batch_into);
 //! * [`trace`] — the [`trace::ProcessingTrace`] every lookup produces and
 //!   the [`trace::CostModel`] that converts it to nanoseconds;
 //! * [`tss`] — tuple-space-search table indexes (the "ESwitch-style"

@@ -6,8 +6,8 @@
 //! a same-instant burst or an RX queue that filled while a core was
 //! busy — a worker drains up to [`SoftSwitchNode::batch_size`] of them
 //! into one service period and runs them through
-//! [`Datapath::process_batch`], so repeated flows in the burst pay the
-//! cheaper `BatchHit` cost instead of a full cache probe each. Under
+//! [`Datapath::process_batch_into`], so repeated flows in the burst pay
+//! the cheaper `BatchHit` cost instead of a full cache probe each. Under
 //! light load every frame still gets its own service period and the
 //! behaviour is identical to scalar processing. The drain buffer and
 //! the result arena are owned by the node and recycled across service

@@ -11,7 +11,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupPath {
     /// Repeated key within one batch: replayed from the per-batch memo
-    /// without a cache probe (see `Datapath::process_batch`).
+    /// without a cache probe (see `Datapath::process_batch_into`).
     BatchHit,
     /// Exact-match microflow cache hit.
     MicroHit,

@@ -15,7 +15,7 @@ use bytes::{buffer_allocs, Bytes};
 use netpkt::{builder, MacAddr};
 use openflow::message::FlowMod;
 use openflow::{port_no, Action, Match};
-use softswitch::batch::FrameBatch;
+use softswitch::batch::{BatchResult, FrameBatch};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
@@ -102,8 +102,9 @@ fn cached_path_batch_allocates_no_buffers() {
     for _ in 0..N {
         batch.push(1, frame.clone());
     }
+    let mut result = BatchResult::default();
     let before = buffer_allocs();
-    let result = dp.process_batch(&mut batch, 1);
+    dp.process_batch_into(&mut batch, 1, &mut result);
     let allocs = buffer_allocs() - before;
     assert_eq!(result.len(), N);
     assert_eq!(result.total_outputs(), N);
@@ -147,4 +148,47 @@ fn cow_rewrite_allocates_exactly_one_buffer_per_frame() {
         allocs, N,
         "a rewriting flow must take exactly one CoW copy per frame, got {allocs} for {N} frames"
     );
+}
+
+/// Group buckets work on lazy copies: a cached ALL group pays one CoW
+/// copy per bucket that rewrites, none for a bucket that only outputs,
+/// and none for restoring the packet after the group.
+#[test]
+fn all_group_allocates_one_buffer_per_rewriting_bucket() {
+    let _g = COUNTER_LOCK.lock().unwrap();
+    let mut dp = dp_with_ports(5);
+    let rewrite = |h| Action::SetField(openflow::OxmField::EthDst(MacAddr::host(h), None));
+    dp.apply_group_mod(
+        openflow::group::GroupModCommand::Add,
+        openflow::GroupType::All,
+        1,
+        vec![
+            openflow::Bucket::new(vec![rewrite(8), Action::output(2)]),
+            openflow::Bucket::new(vec![Action::output(3)]),
+            openflow::Bucket::new(vec![rewrite(9), Action::output(4)]),
+        ],
+    )
+    .unwrap();
+    dp.apply_flow_mod(
+        &FlowMod::add(0)
+            .priority(1)
+            .apply(vec![Action::Group(1), Action::output(5)]),
+        0,
+    )
+    .unwrap();
+    let frame = udp_frame(b"fan-out");
+    dp.process(1, frame.clone(), 0); // warm
+
+    let before = buffer_allocs();
+    let r = dp.process(1, frame.clone(), 1);
+    let allocs = buffer_allocs() - before;
+    assert_eq!(r.outputs.len(), 4);
+    assert_eq!(allocs, 2, "two rewriting buckets, two copies");
+    // The plain bucket and the trailing output share the ingress buffer.
+    for i in [1, 3] {
+        assert_eq!(
+            r.outputs[i].1.as_slice().as_ptr(),
+            frame.as_slice().as_ptr()
+        );
+    }
 }

@@ -15,7 +15,14 @@ use netpkt::{builder, FlowKey, MacAddr};
 use openflow::message::{FlowMod, Message};
 use openflow::{Action, Match, OxmField};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
-use softswitch::FrameBatch;
+use softswitch::{BatchResult, FrameBatch};
+
+/// One batched call into a fresh result arena.
+fn run_batch(dp: &mut Datapath, batch: &mut FrameBatch, now_ns: u64) -> BatchResult {
+    let mut out = BatchResult::default();
+    dp.process_batch_into(batch, now_ns, &mut out);
+    out
+}
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
     any::<[u8; 6]>().prop_map(MacAddr)
@@ -67,6 +74,39 @@ fn arb_action() -> impl Strategy<Value = Action> {
         arb_mac().prop_map(|m| Action::SetField(OxmField::EthDst(m, None))),
         arb_ipv4().prop_map(|a| Action::SetField(OxmField::Ipv4Dst(a, None))),
     ]
+}
+
+/// Groups the cache ≡ uncached property installs (ids `0..GROUPS`).
+const GROUPS: usize = 3;
+
+/// An action the datapath executes on the frame itself: outputs,
+/// punts, and rewrites whose values later tables can match on.
+fn arb_exec_action() -> impl Strategy<Value = Action> {
+    prop_oneof![
+        (1u32..5).prop_map(Action::output),
+        (1u32..5).prop_map(Action::output),
+        Just(Action::to_controller()),
+        Just(Action::PushVlan(0x8100)),
+        Just(Action::PopVlan),
+        (1u16..4).prop_map(Action::set_vlan_vid),
+        (0u32..4).prop_map(|h| Action::SetField(OxmField::EthDst(MacAddr::host(h), None))),
+        (0u32..4).prop_map(|h| Action::SetField(OxmField::EthSrc(MacAddr::host(h), None))),
+        arb_ipv4().prop_map(|a| Action::SetField(OxmField::Ipv4Dst(a, None))),
+        (0u16..8).prop_map(|p| Action::SetField(OxmField::UdpDst(p))),
+    ]
+}
+
+/// An apply-actions list: frame actions interleaved with groups, so
+/// buckets are followed by trailing actions.
+fn arb_program() -> impl Strategy<Value = Vec<Action>> {
+    proptest::collection::vec(
+        prop_oneof![
+            arb_exec_action(),
+            arb_exec_action(),
+            (0..GROUPS as u32).prop_map(Action::Group),
+        ],
+        1..6,
+    )
 }
 
 proptest! {
@@ -205,51 +245,106 @@ proptest! {
     }
 
     /// The cache hierarchy must be semantically invisible: for any mix of
-    /// rules and packets, `full` mode forwards exactly like `linear` mode.
+    /// rules, groups and packets, `full` mode emits exactly the bytes,
+    /// packet-ins, drop decisions and execution-side trace counters of
+    /// `linear` mode — and a repeated frame (served from a cache in
+    /// `full` mode) exactly those of its first occurrence.
     #[test]
     fn caches_preserve_forwarding_semantics(
-        rules in proptest::collection::vec((0u16..32, 1u32..4), 1..20),
-        packets in proptest::collection::vec((any::<u32>(), 0u16..32), 1..60),
+        groups in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(
+                proptest::collection::vec(arb_exec_action(), 1..4), 1..4)),
+            GROUPS..GROUPS + 1),
+        rules in proptest::collection::vec(
+            (0u16..8, any::<bool>(), arb_program(),
+             proptest::collection::vec(arb_exec_action(), 0..3), any::<bool>()),
+            1..12),
+        next_rules in proptest::collection::vec((0u16..8, arb_program()), 0..4),
+        packets in proptest::collection::vec((0u32..4, 0u16..8, any::<bool>()), 1..40),
     ) {
+        use openflow::Instruction;
         let build = |mode: PipelineMode| {
             let mut dp = Datapath::new(DpConfig::software(1).with_mode(mode));
             for p in 1..=4 {
                 dp.add_port(p, format!("p{p}"), 1_000_000);
             }
-            for (i, &(dport, out)) in rules.iter().enumerate() {
+            for (gid, (type_sel, buckets)) in groups.iter().enumerate() {
+                let type_ = [
+                    openflow::GroupType::All,
+                    openflow::GroupType::Select,
+                    openflow::GroupType::Indirect,
+                ][*type_sel];
+                let n = if type_ == openflow::GroupType::Indirect { 1 } else { buckets.len() };
+                let buckets = buckets[..n].iter().cloned().map(openflow::Bucket::new).collect();
+                dp.apply_group_mod(
+                    openflow::group::GroupModCommand::Add, type_, gid as u32, buckets,
+                ).unwrap();
+            }
+            let udp = |dport| Match::new().eth_type(0x0800).ip_proto(17).udp_dst(dport);
+            // Table-0 rules name the tag state they serve: the frame
+            // parser sees through two tags, so whether an L3/L4 rewrite
+            // after a push still applies depends on the ingress tag
+            // depth, which a megaflow can only tell apart by `vlan_vid`.
+            for (i, (dport, tagged, apply, write, goto)) in rules.iter().enumerate() {
+                let m = if *tagged { udp(*dport).vlan(7) } else { udp(*dport).untagged() };
+                let mut insns = vec![Instruction::ApplyActions(apply.clone())];
+                if !write.is_empty() {
+                    insns.push(Instruction::WriteActions(write.clone()));
+                }
+                if *goto {
+                    insns.push(Instruction::GotoTable(1));
+                }
                 dp.apply_flow_mod(
                     &FlowMod::add(0)
                         .priority(10 + (i % 3) as u16)
-                        .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(dport))
-                        .apply(vec![Action::output(out)]),
+                        .match_(m)
+                        .instructions(insns),
+                    0,
+                ).unwrap();
+            }
+            for (dport, apply) in &next_rules {
+                dp.apply_flow_mod(
+                    &FlowMod::add(1).priority(10).match_(udp(*dport)).apply(apply.clone()),
                     0,
                 ).unwrap();
             }
             dp
         };
+        // What a cache level must not change about one frame's service.
+        let observe = |r: softswitch::DpResult| {
+            let t = r.trace.expect("datapath traces every frame");
+            (r.outputs, r.packet_ins, r.dropped,
+             (t.vlan_ops, t.set_fields, t.outputs, t.packet_in))
+        };
         let mut slow = build(PipelineMode::linear());
         let mut fast = build(PipelineMode::full());
-        for (i, &(src, dport)) in packets.iter().enumerate() {
+        for (i, &(src, dport, tagged)) in packets.iter().enumerate() {
             let frame: Bytes = builder::udp_packet(
                 MacAddr::host(src),
                 MacAddr::host(2),
-                std::net::Ipv4Addr::from(src),
+                std::net::Ipv4Addr::from(0x0a00_0000 + src),
                 std::net::Ipv4Addr::new(10, 0, 0, 2),
                 1000,
                 dport,
                 b"x",
             );
-            let a = slow.process(1, frame.clone(), i as u64);
-            let b = fast.process(1, frame, i as u64);
-            prop_assert_eq!(a.dropped, b.dropped, "packet {}", i);
-            prop_assert_eq!(a.outputs, b.outputs, "packet {}", i);
+            let frame = if tagged { push_vlan(&frame, VlanTag::new(7)).unwrap() } else { frame };
+            let now = i as u64;
+            let reference = observe(slow.process(1, frame.clone(), now));
+            prop_assert_eq!(&observe(slow.process(1, frame.clone(), now)), &reference,
+                "packet {}: linear, repeated", i);
+            prop_assert_eq!(&observe(fast.process(1, frame.clone(), now)), &reference,
+                "packet {}: full, first", i);
+            prop_assert_eq!(&observe(fast.process(1, frame, now)), &reference,
+                "packet {}: full, repeated", i);
         }
     }
 
     /// The batched fast path must be semantically invisible: for any mix
-    /// of rules, pipeline mode and packet sequence, one `process_batch`
-    /// call produces exactly the outputs, packet-ins and drop decisions
-    /// of N sequential `process` calls, in the same per-frame order.
+    /// of rules, pipeline mode and packet sequence, one
+    /// `process_batch_into` call produces exactly the outputs, packet-ins
+    /// and drop decisions of N sequential `process` calls, in the same
+    /// per-frame order.
     #[test]
     fn process_batch_equals_sequential_process(
         rules in proptest::collection::vec((0u16..16, 1u32..4), 1..16),
@@ -304,8 +399,7 @@ proptest! {
             .collect();
         let mut batch_dp = build();
         let mut batch: FrameBatch = packets.iter().map(|p| (1u32, frame(p))).collect();
-        let batched = batch_dp.process_batch(&mut batch, now);
-        let batched = batched.per_frame();
+        let batched = run_batch(&mut batch_dp, &mut batch, now).per_frame();
         prop_assert_eq!(batched.len(), sequential.len());
         for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
             prop_assert_eq!(&s.outputs, &b.outputs, "outputs of packet {}", i);
@@ -390,7 +484,7 @@ proptest! {
         let mut batch_dp = build();
         let originals: Vec<Bytes> = packets.iter().map(frame).collect();
         let mut batch: FrameBatch = originals.iter().map(|f| (1u32, f.clone())).collect();
-        let batched = batch_dp.process_batch(&mut batch, now).per_frame();
+        let batched = run_batch(&mut batch_dp, &mut batch, now).per_frame();
         prop_assert_eq!(batched.len(), sequential.len());
         for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
             prop_assert_eq!(&s.outputs, &b.outputs, "rewritten frames of packet {}", i);
@@ -959,8 +1053,7 @@ proptest! {
         let sequential: Vec<_> = packets.iter().map(|p| seq_dp.process(1, frame(p), now)).collect();
         let mut batch_dp = build();
         let mut batch: FrameBatch = packets.iter().map(|p| (1u32, frame(p))).collect();
-        let batched = batch_dp.process_batch(&mut batch, now);
-        let batched = batched.per_frame();
+        let batched = run_batch(&mut batch_dp, &mut batch, now).per_frame();
         prop_assert_eq!(batched.len(), sequential.len());
         for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
             prop_assert_eq!(&s.outputs, &b.outputs, "rewritten frames of packet {}", i);
