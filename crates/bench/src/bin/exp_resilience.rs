@@ -123,8 +123,7 @@ fn build_with(seed: u64, traffic_stop: SimTime, proxy: bool) -> Harness {
 }
 
 /// Attach the stations — their fabric identities go to the ARP proxy so
-/// sink traffic is routed, never flooded. Must run after the controller
-/// is registered with the fabric.
+/// sink traffic is routed, never flooded.
 fn attach_stations(hx: &mut Harness) {
     let gen = hx.gen;
     hx.fx

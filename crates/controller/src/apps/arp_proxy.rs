@@ -43,9 +43,9 @@
 //! host table does not know (and is free to flood it, as before).
 //!
 //! The app is fabric-agnostic: it only sees `(dpid, port)` pairs. The
-//! `harmless` crate's `Fabric::host_route` computes them from the
-//! topology, and `FabricSpec`'s `arp_proxy` flag wires the whole thing
-//! up.
+//! `harmless` crate's fabric layer derives them from its topology and
+//! attachment table, and `FabricSpec`'s `arp_proxy` flag wires the
+//! whole thing up.
 
 use std::any::Any;
 use std::collections::HashMap;

@@ -400,19 +400,6 @@ impl ControllerNode {
         self.switches.values().filter(|s| s.ready).count()
     }
 
-    /// Datapath ids of all ready switches, sorted (for assertions over
-    /// multi-pod fabrics).
-    pub fn ready_dpids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .switches
-            .values()
-            .filter(|s| s.ready)
-            .map(|s| s.dpid)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Typed access to an app (for runtime policy updates).
     pub fn app_mut<T: App>(&mut self) -> Option<&mut T> {
         self.apps
@@ -449,6 +436,19 @@ impl ControllerNode {
         for (node, queue, durable) in sends {
             self.flush(node, queue, durable, ctx);
         }
+    }
+
+    /// Run every app's periodic sync ([`App::on_tick`]) against every
+    /// ready switch *now*. This is the first step of the 1 s tick; call
+    /// it through [`netsim::Network::with_node_ctx`] when state fed into
+    /// the apps (host routes, router configs) must reach the datapaths
+    /// without waiting for that tick.
+    pub fn sync_now(&mut self, ctx: &mut NodeCtx) {
+        self.for_each_switch(ctx, |apps, handle| {
+            for app in apps.iter_mut() {
+                app.on_tick(handle);
+            }
+        });
     }
 
     /// Send a queue of frames to `node`; if any were state-mutating,
@@ -531,11 +531,7 @@ impl Node for ControllerNode {
         if token != TOKEN_TICK {
             return;
         }
-        self.for_each_switch(ctx, |apps, handle| {
-            for app in apps.iter_mut() {
-                app.on_tick(handle);
-            }
-        });
+        self.sync_now(ctx);
         // Handshake re-drive: a switch whose FEATURES_REPLY or
         // PORT_DESC reply was lost sits mid-handshake forever — HELLOs
         // crossed and echoes flow, so neither side sees a dead link and

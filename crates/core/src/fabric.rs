@@ -28,11 +28,30 @@
 //! the topology `HarmlessSpec::build` always built — the fabric layer is
 //! a superset, not a replacement, of the paper's Fig. 1.
 //!
-//! Pods are also the natural *shard boundary* for scaling the simulator:
-//! all high-rate traffic inside a pod stays inside its three nodes, and
-//! only inter-pod frames cross an uplink, so a sharded event loop can
-//! run one pod per core and synchronise on uplink delays (see
-//! ROADMAP.md).
+//! Pods are also the natural *shard boundary* of the simulator — only
+//! inter-pod frames cross an uplink — see [`Fabric::shard_map`].
+//!
+//! # What controllers know: one table, one feed
+//!
+//! Which identity sits behind which port is the state everything else
+//! hangs off, so it lives in one place and has one way out:
+//!
+//! ```text
+//!  attach_* / detach_host / migrate_host
+//!        ▼
+//!  attachment table   (pod, port) → { node, kind, (ip, mac) captured at attach }
+//!        ▼   pure derivation: reads spec, pods and the table, never the Network
+//!  HostRoute per identity; RouterConfig per datapath on L3 fabrics
+//!        ▼   one feed function, the only caller of ArpProxy::add_host /
+//!        ▼   remove_host and Router::set_config in this module
+//!  every listed controller alike, primary first, then ControllerNode::sync_now
+//! ```
+//!
+//! A controller that joins late (a primary wired after the hosts, a
+//! warm standby) is seeded by the same function replayed over the whole
+//! table: in whatever order attachments and controllers arrive, every
+//! controller holds the same picture, so a promoted standby rebuilds
+//! the byte-exact fault-free rule set.
 //!
 //! ```
 //! use harmless::fabric::{FabricSpec, Interconnect};
@@ -64,1553 +83,38 @@
 //! assert_eq!(net.node_ref::<Host>(a).echo_replies_received(), 1);
 //! # let _ = b;
 //! ```
-
-use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
-
-use controller::apps::{ArpProxy, HostRoute, PrefixRoute, Router, RouterConfig};
-use controller::ControllerNode;
-use legacy_switch::LegacySwitchNode;
-use netpkt::vlan::{push_vlan, VlanTag};
-use netpkt::MacAddr;
-use netsim::flowsim::{FlowBundleSpec, FlowHop};
-use netsim::host::Host;
-use netsim::stats::Rollup;
-use netsim::traffic::{Generator, Sink};
-use netsim::{LinkSpec, Network, NodeId, PortId, ShardMap};
-use openflow::NatDir;
-use softswitch::{NatConfig, SoftSwitchNode};
-
-use crate::instance::{HarmlessInstance, HarmlessSpec, Variant};
-use crate::manager::{HarmlessManager, ManagerConfig, ManagerPhase};
-use crate::portmap::{PortMap, PortMapError};
-use crate::translator::patch_port;
-
-/// Default datapath id of a software spine switch.
-pub const SPINE_DPID: u64 = 0x5F;
-/// Base datapath id of per-pod translator switches (`0x5100 + pod`).
-pub const POD_SS1_DPID_BASE: u64 = 0x5100;
-/// Base datapath id of per-pod main switches (`0x5200 + pod`).
-pub const POD_SS2_DPID_BASE: u64 = 0x5200;
-/// Pod count ceiling — the host addressing scheme spends one IPv4 octet
-/// on the pod index and reserves `10.200.0.0/13` for service addresses
-/// (VIPs and the like).
-pub const MAX_PODS: u16 = 200;
-
-/// MAC identity of the soft spine's routing stage in L3 mode.
-pub const SPINE_ROUTER_MAC: MacAddr = MacAddr::host(0x4e00_ff00);
-/// IPv4 identity of the soft spine's routing stage (service space) —
-/// the source address of its ICMP time-exceeded replies.
-pub const SPINE_ROUTER_IP: Ipv4Addr = Ipv4Addr::new(10, 200, 255, 254);
-/// MAC of the upstream "internet" host a gateway pod NATs toward.
-pub const INTERNET_MAC: MacAddr = MacAddr::host(0x4e01_0001);
-
-/// MAC identity of pod `p`'s routing stage — the `eth_src` of every
-/// frame it routes and the `eth_dst` next hops address it by. Disjoint
-/// from the host MAC space ([`Fabric::host_mac`] third-lowest octet
-/// caps at [`MAX_PODS`]).
-pub fn router_mac(pod: usize) -> MacAddr {
-    MacAddr::host(0x4e00_0000 + pod as u32)
-}
-
-/// IPv4 identity of pod `p`'s routing stage — the source address of
-/// its ICMP time-exceeded replies. Lives in the pod's own `/16`, past
-/// any address [`Fabric::host_ip`] can produce.
-pub fn router_ip(pod: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, pod as u8, 255, 254)
-}
-
-/// How the pods' SS_2 uplinks are joined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interconnect {
-    /// No interconnect: a standalone pod (single-pod fabrics only).
-    None,
-    /// A chain: pod `i` ↔ pod `i+1`. Two uplink ports per pod; frames
-    /// between distant pods transit the SS_2 of every pod in between.
-    Line,
-    /// Leaf–spine over a dedicated spine `SoftSwitchNode` — the spine is
-    /// one more datapath of the fabric's controller (connect it with
-    /// [`Fabric::connect_controller`] or [`Fabric::connect_spine`]).
-    SpineSoft,
-    /// Leaf–spine over a plain legacy/COTS Ethernet switch in factory
-    /// configuration — a flat learning bridge, no controller needed.
-    /// This is the cheapest interconnect the cost model allows.
-    SpineLegacy,
-}
-
-/// Where a fabric meets the internet: one pod hosts the NAT gateway.
-///
-/// Egress traffic from every pod follows the default route to
-/// `pod`, is source-NATted behind `external_ip`
-/// ([`softswitch::NatTable`] on the gateway's SS_2), and leaves
-/// through access port `port` — where [`Fabric::attach_internet`]
-/// places the upstream host answering as `internet_ip`. Return
-/// traffic addressed to `external_ip` is reverse-translated at the
-/// gateway before routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatewaySpec {
-    /// The pod whose SS_2 runs the NAT stage.
-    pub pod: usize,
-    /// Gateway-pod access port the upstream host occupies.
-    pub port: u16,
-    /// The NAT's public face — what egress flows are translated to.
-    pub external_ip: Ipv4Addr,
-    /// Address of the upstream host (what internal hosts dial).
-    pub internet_ip: Ipv4Addr,
-}
-
-impl GatewaySpec {
-    /// A gateway at `(pod, port)` with the default `198.18.0.0/24`
-    /// (RFC 2544 benchmarking space) upstream addressing.
-    pub fn new(pod: usize, port: u16) -> GatewaySpec {
-        GatewaySpec {
-            pod,
-            port,
-            external_ip: Ipv4Addr::new(198, 18, 0, 254),
-            internet_ip: Ipv4Addr::new(198, 18, 0, 1),
-        }
-    }
-}
-
-/// Errors validating or using a [`FabricSpec`] / [`Fabric`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricError {
-    /// A fabric needs at least one pod.
-    NoPods,
-    /// More pods than the addressing scheme supports.
-    TooManyPods {
-        /// The [`MAX_PODS`] ceiling.
-        max: u16,
-        /// What the spec asked for.
-        got: u16,
-    },
-    /// A multi-pod fabric needs an interconnect other than
-    /// [`Interconnect::None`].
-    MissingInterconnect,
-    /// The merged single-datapath variant has no clean uplink port space
-    /// and cannot be manager-migrated; fabrics of more than one pod
-    /// require [`Variant::TwoSwitch`] pods.
-    MergedVariant,
-    /// The pod spec pins an uplink count that disagrees with what the
-    /// chosen interconnect wires (leave `HarmlessSpec::uplinks` at 0 to
-    /// let the fabric pick).
-    UplinkMismatch {
-        /// Uplinks the interconnect needs per pod.
-        expected: u16,
-        /// Uplinks the pod spec pinned.
-        got: u16,
-    },
-    /// Pod index out of range.
-    NoSuchPod {
-        /// The requested pod.
-        pod: usize,
-        /// How many pods the fabric has.
-        n_pods: usize,
-    },
-    /// The port is not a managed access port of that pod.
-    NotAnAccessPort {
-        /// Pod index.
-        pod: usize,
-        /// Offending port.
-        port: u16,
-    },
-    /// Something is already attached to that `(pod, port)`.
-    DuplicateHostPort {
-        /// Pod index.
-        pod: usize,
-        /// Offending port.
-        port: u16,
-    },
-    /// Detach/migrate of a `(pod, port)` with no host attached.
-    NothingAttached {
-        /// Pod index.
-        pod: usize,
-        /// Offending port.
-        port: u16,
-    },
-    /// The per-pod port map does not fit the VLAN budget.
-    PortMap(PortMapError),
-    /// Per-prefix routing needs the ARP proxy: something must answer
-    /// who-has for hosts the first hop no longer floods toward.
-    L3NeedsArpProxy,
-    /// A NAT gateway only makes sense on a routed fabric.
-    GatewayNeedsL3,
-    /// [`Fabric::attach_internet`] on a spec without a gateway.
-    NoGateway,
-}
-
-impl core::fmt::Display for FabricError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            FabricError::NoPods => write!(f, "a fabric needs at least one pod"),
-            FabricError::TooManyPods { max, got } => {
-                write!(f, "at most {max} pods are addressable, spec has {got}")
-            }
-            FabricError::MissingInterconnect => {
-                write!(f, "a multi-pod fabric needs an interconnect")
-            }
-            FabricError::MergedVariant => {
-                write!(f, "merged-variant pods cannot join a fabric interconnect")
-            }
-            FabricError::UplinkMismatch { expected, got } => {
-                write!(
-                    f,
-                    "interconnect needs {expected} uplink(s) per pod, pod spec pins {got}"
-                )
-            }
-            FabricError::NoSuchPod { pod, n_pods } => {
-                write!(f, "pod {pod} out of range (fabric has {n_pods})")
-            }
-            FabricError::NotAnAccessPort { pod, port } => {
-                write!(f, "port {port} is not an access port of pod {pod}")
-            }
-            FabricError::DuplicateHostPort { pod, port } => {
-                write!(f, "pod {pod} port {port} already has a host attached")
-            }
-            FabricError::NothingAttached { pod, port } => {
-                write!(f, "pod {pod} port {port} has no host attached")
-            }
-            FabricError::PortMap(e) => write!(f, "pod port map invalid: {e}"),
-            FabricError::L3NeedsArpProxy => {
-                write!(f, "l3_routing requires arp_proxy (who answers who-has?)")
-            }
-            FabricError::GatewayNeedsL3 => {
-                write!(f, "a NAT gateway requires l3_routing")
-            }
-            FabricError::NoGateway => {
-                write!(f, "attach_internet needs FabricSpec::gateway")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FabricError {}
-
-impl From<PortMapError> for FabricError {
-    fn from(e: PortMapError) -> Self {
-        FabricError::PortMap(e)
-    }
-}
-
-/// A declarative description of a multi-pod HARMLESS fabric.
-#[derive(Debug, Clone)]
-pub struct FabricSpec {
-    /// Number of pods.
-    pub n_pods: u16,
-    /// Template for every pod (name prefixes and datapath ids are
-    /// assigned per pod by the builder).
-    pub pod: HarmlessSpec,
-    /// How the pods are joined.
-    pub interconnect: Interconnect,
-    /// Link model of the inter-pod uplinks.
-    pub uplink_link: LinkSpec,
-    /// Datapath id of a [`Interconnect::SpineSoft`] spine.
-    pub spine_dpid: u64,
-    /// Contain round-1 ARP floods with a controller-side proxy: when
-    /// set, the fabric registers every attached host's identity and
-    /// location ([`Fabric::host_route`]) with the controller's
-    /// [`ArpProxy`] app, which answers who-has punts at the pod edge and
-    /// installs proactive `eth_dst` routes — O(hosts) round-1 packet-ins
-    /// instead of O(hosts²). The controller passed to
-    /// [`Fabric::connect_controller`] must then run an [`ArpProxy`] app
-    /// (chained before any learning app).
-    pub arp_proxy: bool,
-    /// Route between pods instead of bridging them: the controller's
-    /// [`Router`] app installs per-prefix rules (one `/16` per remote
-    /// pod, `/32`s only for the *local* pod's hosts) so inter-pod rule
-    /// state is O(pods), not O(hosts), per datapath. Requires
-    /// [`FabricSpec::arp_proxy`] (the proxy still answers who-has with
-    /// the target's real MAC; per-host `eth_dst` routes shrink to the
-    /// home pod). The controller must chain a [`Router`] app; a
-    /// learning app must *not* be chained — a router drops what it has
-    /// no route for, it does not flood.
-    pub l3_routing: bool,
-    /// NAT'd internet egress through one gateway pod (implies nothing
-    /// by itself — see [`GatewaySpec`]; requires `l3_routing`).
-    pub gateway: Option<GatewaySpec>,
-}
-
-impl FabricSpec {
-    /// A fabric of `n_pods` copies of `pod`, joined by a legacy spine
-    /// (override with [`Self::with_interconnect`]).
-    pub fn new(n_pods: u16, pod: HarmlessSpec) -> FabricSpec {
-        FabricSpec {
-            n_pods,
-            pod,
-            interconnect: if n_pods <= 1 {
-                Interconnect::None
-            } else {
-                Interconnect::SpineLegacy
-            },
-            uplink_link: LinkSpec::ten_gigabit(),
-            spine_dpid: SPINE_DPID,
-            arp_proxy: false,
-            l3_routing: false,
-            gateway: None,
-        }
-    }
-
-    /// The single-pod fabric: exactly the paper's Fig. 1, with the same
-    /// node names, datapath ids and host addressing the standalone
-    /// [`HarmlessSpec::build`] produces.
-    pub fn single(pod: HarmlessSpec) -> FabricSpec {
-        FabricSpec::new(1, pod)
-    }
-
-    /// Builder-style interconnect selection.
-    pub fn with_interconnect(mut self, i: Interconnect) -> Self {
-        self.interconnect = i;
-        self
-    }
-
-    /// Builder-style uplink link model.
-    pub fn with_uplink_link(mut self, l: LinkSpec) -> Self {
-        self.uplink_link = l;
-        self
-    }
-
-    /// Builder-style spine datapath id.
-    pub fn with_spine_dpid(mut self, dpid: u64) -> Self {
-        self.spine_dpid = dpid;
-        self
-    }
-
-    /// Builder-style ARP-proxy flood containment (see
-    /// [`FabricSpec::arp_proxy`]).
-    pub fn with_arp_proxy(mut self, on: bool) -> Self {
-        self.arp_proxy = on;
-        self
-    }
-
-    /// Builder-style per-prefix routing (see [`FabricSpec::l3_routing`]);
-    /// also turns the ARP proxy on — routing depends on it.
-    pub fn with_l3_routing(mut self) -> Self {
-        self.l3_routing = true;
-        self.arp_proxy = true;
-        self
-    }
-
-    /// Builder-style NAT gateway (see [`GatewaySpec`]); implies
-    /// [`FabricSpec::with_l3_routing`].
-    pub fn with_gateway(mut self, gw: GatewaySpec) -> Self {
-        self.gateway = Some(gw);
-        self.with_l3_routing()
-    }
-
-    /// Uplink ports per pod the chosen interconnect wires.
-    fn required_uplinks(&self) -> u16 {
-        match self.interconnect {
-            Interconnect::None => 0,
-            Interconnect::Line => {
-                if self.n_pods > 1 {
-                    2
-                } else {
-                    0
-                }
-            }
-            Interconnect::SpineSoft | Interconnect::SpineLegacy => 1,
-        }
-    }
-
-    /// Check the spec without building anything.
-    pub fn validate(&self) -> Result<(), FabricError> {
-        if self.n_pods == 0 {
-            return Err(FabricError::NoPods);
-        }
-        if self.n_pods > MAX_PODS {
-            return Err(FabricError::TooManyPods {
-                max: MAX_PODS,
-                got: self.n_pods,
-            });
-        }
-        if self.n_pods > 1 && self.interconnect == Interconnect::None {
-            return Err(FabricError::MissingInterconnect);
-        }
-        if self.n_pods > 1 && self.pod.variant == Variant::Merged {
-            return Err(FabricError::MergedVariant);
-        }
-        let required = self.required_uplinks();
-        if self.pod.uplinks != 0 && self.pod.uplinks != required {
-            return Err(FabricError::UplinkMismatch {
-                expected: required,
-                got: self.pod.uplinks,
-            });
-        }
-        if self.l3_routing && !self.arp_proxy {
-            return Err(FabricError::L3NeedsArpProxy);
-        }
-        if let Some(gw) = self.gateway {
-            if !self.l3_routing {
-                return Err(FabricError::GatewayNeedsL3);
-            }
-            if gw.pod >= usize::from(self.n_pods) {
-                return Err(FabricError::NoSuchPod {
-                    pod: gw.pod,
-                    n_pods: usize::from(self.n_pods),
-                });
-            }
-            if !(1..=self.pod.n_access_ports).contains(&gw.port) {
-                return Err(FabricError::NotAnAccessPort {
-                    pod: gw.pod,
-                    port: gw.port,
-                });
-            }
-        }
-        PortMap::new(self.pod.vlan_base, self.pod.n_access_ports)?;
-        Ok(())
-    }
-
-    /// Instantiate the fabric in `net`: build every pod, add the uplink
-    /// ports, and wire the interconnect. Hosts, direct configuration,
-    /// controller connections and migration waves are driven off the
-    /// returned [`Fabric`].
-    pub fn build(self, net: &mut Network) -> Result<Fabric, FabricError> {
-        self.validate()?;
-        let uplinks = if self.pod.uplinks != 0 {
-            self.pod.uplinks
-        } else {
-            self.required_uplinks()
-        };
-        let multi = self.n_pods > 1;
-        let mut pods = Vec::with_capacity(usize::from(self.n_pods));
-        for p in 0..self.n_pods {
-            let mut spec = self.pod.clone().with_uplinks(uplinks);
-            if multi {
-                // Per-pod identities; the single-pod fabric keeps the
-                // classic names/dpids so it is a drop-in for the
-                // standalone instance.
-                spec = spec
-                    .with_name_prefix(format!("{}pod{p}/", self.pod.name_prefix))
-                    .with_dpids(
-                        POD_SS1_DPID_BASE + u64::from(p),
-                        POD_SS2_DPID_BASE + u64::from(p),
-                    );
-            }
-            pods.push(spec.build(net));
-        }
-        let n = self.pod.n_access_ports;
-        let spine = match self.interconnect {
-            Interconnect::None => None,
-            Interconnect::Line => {
-                for p in 0..usize::from(self.n_pods) - 1 {
-                    // Right uplink (n+1) of pod p to left uplink (n+2)
-                    // of pod p+1.
-                    net.connect(
-                        pods[p].ss2,
-                        PortId(n + 1),
-                        pods[p + 1].ss2,
-                        PortId(n + 2),
-                        self.uplink_link,
-                    );
-                }
-                None
-            }
-            Interconnect::SpineSoft => {
-                let mut spine = self
-                    .pod
-                    .clone()
-                    .with_name_prefix(String::new())
-                    .soft_switch_node("spine", self.spine_dpid);
-                for p in 1..=self.n_pods {
-                    spine.add_port(u32::from(p), format!("pod{}", p - 1), 10_000_000);
-                }
-                let spine = net.add_node(spine);
-                for (p, pod) in pods.iter().enumerate() {
-                    net.connect(
-                        spine,
-                        PortId(p as u16 + 1),
-                        pod.ss2,
-                        PortId(n + 1),
-                        self.uplink_link,
-                    );
-                }
-                Some(Spine::Soft(spine))
-            }
-            Interconnect::SpineLegacy => {
-                let spine = net.add_node(LegacySwitchNode::new("spine", self.n_pods));
-                for (p, pod) in pods.iter().enumerate() {
-                    net.connect(
-                        spine,
-                        PortId(p as u16 + 1),
-                        pod.ss2,
-                        PortId(n + 1),
-                        self.uplink_link,
-                    );
-                }
-                Some(Spine::Legacy(spine))
-            }
-        };
-        Ok(Fabric {
-            spec: self,
-            pods,
-            spine,
-            attached: BTreeMap::new(),
-            host_ports: std::collections::BTreeSet::new(),
-            station_ports: std::collections::BTreeSet::new(),
-            controller: None,
-            backup_controller: None,
-            internet: None,
-        })
-    }
-}
-
-/// The fabric's interconnect switch, when it has one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Spine {
-    /// A software-switch spine (one more datapath of the controller).
-    Soft(NodeId),
-    /// A legacy Ethernet spine (self-learning, controller-free).
-    Legacy(NodeId),
-}
-
-impl Spine {
-    /// The spine's simulator node.
-    pub fn node(&self) -> NodeId {
-        match self {
-            Spine::Soft(n) | Spine::Legacy(n) => *n,
-        }
-    }
-}
-
-/// Per-datapath `(dpid, port)` pairs — the location half of a
-/// [`HostRoute`] (output ports, or reflection-guard ports).
-type DpidPorts = Vec<(u64, u32)>;
-
-/// A built multi-pod HARMLESS fabric.
-pub struct Fabric {
-    /// The spec it was built from.
-    pub spec: FabricSpec,
-    pods: Vec<HarmlessInstance>,
-    spine: Option<Spine>,
-    attached: BTreeMap<(usize, u16), NodeId>,
-    /// The subset of `attached` created by [`Fabric::attach_host`] —
-    /// stations that actually carry the fabric-wide `(IP, MAC)` identity
-    /// and therefore belong in the ARP-proxy host table (arbitrary
-    /// [`Fabric::attach_node`] devices do not).
-    host_ports: std::collections::BTreeSet<(usize, u16)>,
-    /// Ports taken by [`Fabric::attach_station`] devices — these carry
-    /// the *port's* fabric identity, and in L3 mode get a local `/32`
-    /// route like hosts do.
-    station_ports: std::collections::BTreeSet<(usize, u16)>,
-    /// Set by [`Fabric::connect_controller`]; where ARP-proxy host
-    /// routes are synced when [`FabricSpec::arp_proxy`] is on.
-    controller: Option<NodeId>,
-    /// Warm-standby controller set by
-    /// [`Fabric::connect_backup_controller`]; switches dial it only
-    /// after declaring the primary dead.
-    backup_controller: Option<NodeId>,
-    /// The upstream host placed by [`Fabric::attach_internet`].
-    internet: Option<NodeId>,
-}
-
-impl Fabric {
-    /// Number of pods.
-    pub fn n_pods(&self) -> usize {
-        self.pods.len()
-    }
-
-    /// Handle of pod `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range; use [`Self::try_pod`] to probe.
-    pub fn pod(&self, i: usize) -> &HarmlessInstance {
-        &self.pods[i]
-    }
-
-    /// Handle of pod `i`, if it exists.
-    pub fn try_pod(&self, i: usize) -> Option<&HarmlessInstance> {
-        self.pods.get(i)
-    }
-
-    /// Iterate over all pods.
-    pub fn pods(&self) -> impl Iterator<Item = &HarmlessInstance> {
-        self.pods.iter()
-    }
-
-    /// The interconnect switch, if the fabric has one.
-    pub fn spine(&self) -> Option<Spine> {
-        self.spine
-    }
-
-    fn check_pod(&self, pod: usize) -> Result<&HarmlessInstance, FabricError> {
-        self.pods.get(pod).ok_or(FabricError::NoSuchPod {
-            pod,
-            n_pods: self.pods.len(),
-        })
-    }
-
-    fn check_access(&self, pod: usize, port: u16) -> Result<(), FabricError> {
-        let px = self.check_pod(pod)?;
-        if !(1..=px.spec.n_access_ports).contains(&port) {
-            return Err(FabricError::NotAnAccessPort { pod, port });
-        }
-        Ok(())
-    }
-
-    /// Fabric-wide IPv4 address of the host on `(pod, port)`:
-    /// `10.<pod>.<(port-1)/250>.<1+(port-1)%250>`. Pod 0 matches the
-    /// classic single-instance `10.0.0.<port>` scheme for the first 250
-    /// ports.
-    ///
-    /// # Panics
-    /// Panics on a pod index or access port this fabric does not have —
-    /// silently aliasing a neighbouring host's address would be worse.
-    pub fn host_ip(&self, pod: usize, port: u16) -> Ipv4Addr {
-        self.check_access(pod, port)
-            .expect("host_ip of an existing (pod, access port)");
-        let i = u32::from(port) - 1;
-        Ipv4Addr::new(10, pod as u8, (i / 250) as u8, (1 + i % 250) as u8)
-    }
-
-    /// Fabric-wide MAC address of the host on `(pod, port)` — the pod
-    /// index in the third-lowest octet keeps MACs unique across pods
-    /// while pod 0 matches the classic `MacAddr::host(port)` scheme.
-    ///
-    /// # Panics
-    /// Panics on a pod index or access port this fabric does not have.
-    pub fn host_mac(&self, pod: usize, port: u16) -> netpkt::MacAddr {
-        self.check_access(pod, port)
-            .expect("host_mac of an existing (pod, access port)");
-        netpkt::MacAddr::host((pod as u32) << 16 | u32::from(port))
-    }
-
-    /// Attach a host to access port `port` of pod `pod`, with the
-    /// fabric-wide identity of [`Self::host_ip`] / [`Self::host_mac`].
-    /// Duplicate `(pod, port)` attachments are rejected — each access
-    /// port carries exactly one station. With [`FabricSpec::arp_proxy`]
-    /// set and a controller connected, the host's identity and route are
-    /// registered with the controller's [`ArpProxy`] app.
-    pub fn attach_host(
-        &mut self,
-        net: &mut Network,
-        pod: usize,
-        port: u16,
-    ) -> Result<NodeId, FabricError> {
-        self.check_access(pod, port)?;
-        if self.attached.contains_key(&(pod, port)) {
-            return Err(FabricError::DuplicateHostPort { pod, port });
-        }
-        let px = &self.pods[pod];
-        let h = net.add_node(Host::new(
-            format!("{}h{port}", px.spec.name_prefix),
-            self.host_mac(pod, port),
-            self.host_ip(pod, port),
-        ));
-        self.attached.insert((pod, port), h);
-        self.host_ports.insert((pod, port));
-        self.pods[pod].attach_node(net, port, h);
-        if self.spec.arp_proxy && self.controller.is_some() {
-            let route = self.host_route(pod, port);
-            self.push_route(net, route);
-        }
-        self.sync_l3(net);
-        Ok(h)
-    }
-
-    /// The fabric-wide [`HostRoute`] of the host on `(pod, port)`: its
-    /// [`Self::host_ip`] / [`Self::host_mac`] identity plus, for every
-    /// datapath the controller serves, the port that leads toward it —
-    /// the pod's own access port at its home SS_2, the uplink
-    /// (direction-aware for [`Interconnect::Line`]) everywhere else, and
-    /// the pod-facing spine port on a [`Interconnect::SpineSoft`] spine.
-    /// [`Interconnect::SpineLegacy`] routes additionally carry
-    /// reflection guards: the legacy spine floods unknown destinations,
-    /// and a flood copy arriving at a pod that does not host the MAC
-    /// must be dropped, not bounced back out of the uplink it came in
-    /// on.
-    ///
-    /// # Panics
-    /// Panics on a pod index or access port this fabric does not have.
-    pub fn host_route(&self, pod: usize, port: u16) -> HostRoute {
-        self.check_access(pod, port)
-            .expect("host_route of an existing (pod, access port)");
-        let (ports, guards) = self.route_location(pod, port);
-        HostRoute {
-            ip: self.host_ip(pod, port),
-            mac: self.host_mac(pod, port),
-            ports,
-            guards,
-        }
-    }
-
-    /// The location half of a [`HostRoute`] for a station attached at
-    /// `(pod, port)`: per-dpid output ports and reflection guards.
-    /// Identity (IP/MAC) is the caller's business — a migrated host
-    /// keeps the identity of its original attach point while its
-    /// location follows it around the fabric.
-    fn route_location(&self, pod: usize, port: u16) -> (DpidPorts, DpidPorts) {
-        // Per-prefix routing shrinks per-host state to the home pod:
-        // inter-pod delivery rides the Router app's /16 aggregates, so
-        // the only eth_dst rule a host needs is its own access port
-        // (pod-local L2 traffic short-circuits the routed pipeline
-        // there). No uplink routes, no spine entry, no guards.
-        if self.spec.l3_routing {
-            let dpid = self.pods[pod].spec.ss2_dpid;
-            return (vec![(dpid, u32::from(port))], Vec::new());
-        }
-        let n = self.spec.pod.n_access_ports;
-        let uplink_right = u32::from(n + 1);
-        let uplink_left = u32::from(n + 2);
-        let mut ports = Vec::with_capacity(self.pods.len() + 1);
-        let mut guards = Vec::new();
-        for (p, px) in self.pods.iter().enumerate() {
-            let dpid = px.spec.ss2_dpid;
-            if p == pod {
-                ports.push((dpid, u32::from(port)));
-                continue;
-            }
-            match self.spec.interconnect {
-                Interconnect::None => {} // single-pod fabrics never get here
-                Interconnect::Line => {
-                    // Toward higher pods out of the right uplink, lower
-                    // pods out of the left; transit frames enter on one
-                    // and leave on the other, so no reflection guard is
-                    // needed.
-                    let out = if pod > p { uplink_right } else { uplink_left };
-                    ports.push((dpid, out));
-                }
-                Interconnect::SpineSoft => ports.push((dpid, uplink_right)),
-                Interconnect::SpineLegacy => {
-                    ports.push((dpid, uplink_right));
-                    guards.push((dpid, uplink_right));
-                }
-            }
-        }
-        if let Some(Spine::Soft(_)) = self.spine {
-            ports.push((self.spec.spine_dpid, pod as u32 + 1));
-        }
-        (ports, guards)
-    }
-
-    /// Register one route with the connected controller's [`ArpProxy`].
-    ///
-    /// # Panics
-    /// Panics if the controller node runs no [`ArpProxy`] app — the
-    /// spec explicitly asked for proxying, so silently skipping it would
-    /// quietly restore the O(hosts²) flood.
-    fn push_route(&self, net: &mut Network, route: HostRoute) {
-        let ctrl = self.controller.expect("push_route with a controller");
-        if let Some(backup) = self.backup_controller {
-            Self::push_route_to(net, backup, route.clone());
-        }
-        Self::push_route_to(net, ctrl, route);
-    }
-
-    /// Feed one host route into `ctrl`'s [`ArpProxy`]. The warm-standby
-    /// backup gets the same feed as the primary so that, after a
-    /// fail-over, it rebuilds an identical rule set.
-    fn push_route_to(net: &mut Network, ctrl: NodeId, route: HostRoute) {
-        net.node_mut::<ControllerNode>(ctrl)
-            .app_mut::<ArpProxy>()
-            .expect(
-                "FabricSpec::arp_proxy is set, but the fabric controller \
-                 has no ArpProxy app (chain one before the learning app)",
-            )
-            .add_host(route);
-    }
-
-    /// Flush pending [`ArpProxy`] retractions/installs to every ready
-    /// datapath immediately, instead of waiting for the next controller
-    /// tick. Safe without the proxy flag — it is then a no-op.
-    fn sync_proxy_now(&self, net: &mut Network) {
-        let Some(ctrl) = self.controller else { return };
-        net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
-            c.for_each_switch(ctx, |apps, sw| {
-                if let Some(p) = apps
-                    .iter_mut()
-                    .find_map(|a| a.as_any_mut().downcast_mut::<ArpProxy>())
-                {
-                    p.sync_switch(sw);
-                }
-            });
-        });
-    }
-
-    /// Next hop from pod `p` toward pod `q`: the uplink out-port and
-    /// the MAC the routed frame is re-addressed to. Hop-by-hop on a
-    /// [`Interconnect::Line`] (each transited pod routes onward), via
-    /// the spine's own routing stage on [`Interconnect::SpineSoft`],
-    /// and straight to the target pod's router MAC across a flooding
-    /// [`Interconnect::SpineLegacy`] (the bridge learns router MACs
-    /// like any others; guard rules contain its flood copies).
-    fn l3_next_hop(&self, p: usize, q: usize) -> (u32, MacAddr) {
-        let n = self.spec.pod.n_access_ports;
-        let uplink_right = u32::from(n + 1);
-        let uplink_left = u32::from(n + 2);
-        match self.spec.interconnect {
-            Interconnect::None => {
-                unreachable!("single-pod fabrics route no inter-pod traffic")
-            }
-            Interconnect::Line => {
-                if q > p {
-                    (uplink_right, router_mac(p + 1))
-                } else {
-                    (uplink_left, router_mac(p - 1))
-                }
-            }
-            Interconnect::SpineSoft => (uplink_right, SPINE_ROUTER_MAC),
-            Interconnect::SpineLegacy => (uplink_right, router_mac(q)),
-        }
-    }
-
-    /// Pod `p`'s routing personality under the current topology and
-    /// attachment state: one `/16` per remote pod, one `/32` per
-    /// locally attached station, and — with a gateway — the default
-    /// route (NAT'd at the gateway pod itself).
-    fn l3_pod_config(&self, net: &Network, p: usize) -> RouterConfig {
-        let mut routes = Vec::new();
-        for q in 0..self.pods.len() {
-            if q == p {
-                continue;
-            }
-            let (out_port, next_hop) = self.l3_next_hop(p, q);
-            routes.push(PrefixRoute {
-                prefix: Ipv4Addr::new(10, q as u8, 0, 0),
-                len: 16,
-                out_port,
-                next_hop,
-                nat: None,
-            });
-        }
-        // Local delivery: identity from the attached node itself for
-        // hosts (a migrated host keeps its original addresses), from
-        // the port for stations (that is the identity they signed up
-        // for in attach_station).
-        for &(hp, hport) in self.host_ports.iter().filter(|&&(hp, _)| hp == p) {
-            let hr = net.node_ref::<Host>(self.attached[&(hp, hport)]);
-            routes.push(PrefixRoute {
-                prefix: hr.ip(),
-                len: 32,
-                out_port: u32::from(hport),
-                next_hop: hr.mac(),
-                nat: None,
-            });
-        }
-        for &(sp, sport) in self.station_ports.iter().filter(|&&(sp, _)| sp == p) {
-            routes.push(PrefixRoute {
-                prefix: self.host_ip(sp, sport),
-                len: 32,
-                out_port: u32::from(sport),
-                next_hop: self.host_mac(sp, sport),
-                nat: None,
-            });
-        }
-        // Exception routes: a migrated host keeps its original address,
-        // so the `/16` aggregate of its home pod no longer covers it. A
-        // fabric-wide `/32` punches through the aggregate (longest
-        // prefix wins) and steers toward wherever it lives now.
-        for (ip, _, hp) in self.l3_exceptions(net) {
-            if hp == p {
-                continue; // already a local /32 above
-            }
-            let (out_port, next_hop) = self.l3_next_hop(p, hp);
-            routes.push(PrefixRoute {
-                prefix: ip,
-                len: 32,
-                out_port,
-                next_hop,
-                nat: None,
-            });
-        }
-        let mut nat_external = None;
-        if let Some(gw) = self.spec.gateway {
-            if gw.pod == p {
-                routes.push(PrefixRoute {
-                    prefix: Ipv4Addr::UNSPECIFIED,
-                    len: 0,
-                    out_port: u32::from(gw.port),
-                    next_hop: INTERNET_MAC,
-                    nat: Some(NatDir::Egress),
-                });
-                nat_external = Some(gw.external_ip);
-            } else {
-                let (out_port, next_hop) = self.l3_next_hop(p, gw.pod);
-                routes.push(PrefixRoute {
-                    prefix: Ipv4Addr::UNSPECIFIED,
-                    len: 0,
-                    out_port,
-                    next_hop,
-                    nat: None,
-                });
-            }
-        }
-        let uplink_guards = if self.spec.interconnect == Interconnect::SpineLegacy {
-            vec![u32::from(self.spec.pod.n_access_ports + 1)]
-        } else {
-            Vec::new()
-        };
-        RouterConfig {
-            mac: router_mac(p),
-            routes,
-            nat_external,
-            uplink_guards,
-        }
-    }
-
-    /// Hosts living outside their address's home `/16` (migration
-    /// keeps IP and MAC), as `(ip, mac, current pod)` — each needs a
-    /// fabric-wide `/32` exception route.
-    fn l3_exceptions(&self, net: &Network) -> Vec<(Ipv4Addr, MacAddr, usize)> {
-        self.host_ports
-            .iter()
-            .filter_map(|&(hp, hport)| {
-                let hr = net.node_ref::<Host>(self.attached[&(hp, hport)]);
-                (usize::from(hr.ip().octets()[1]) != hp).then(|| (hr.ip(), hr.mac(), hp))
-            })
-            .collect()
-    }
-
-    /// A soft spine's routing personality: one `/16` per pod out of
-    /// its pod-facing port, plus `/32` exceptions for migrated hosts
-    /// and the default route toward the gateway pod. The spine is a
-    /// real routed hop (TTL decrement, ICMP time-exceeded under its
-    /// own identity).
-    fn l3_spine_config(&self, net: &Network) -> RouterConfig {
-        let mut routes: Vec<PrefixRoute> = (0..self.pods.len())
-            .map(|q| PrefixRoute {
-                prefix: Ipv4Addr::new(10, q as u8, 0, 0),
-                len: 16,
-                out_port: q as u32 + 1,
-                next_hop: router_mac(q),
-                nat: None,
-            })
-            .collect();
-        for (ip, _, hp) in self.l3_exceptions(net) {
-            routes.push(PrefixRoute {
-                prefix: ip,
-                len: 32,
-                out_port: hp as u32 + 1,
-                next_hop: router_mac(hp),
-                nat: None,
-            });
-        }
-        if let Some(gw) = self.spec.gateway {
-            routes.push(PrefixRoute {
-                prefix: Ipv4Addr::UNSPECIFIED,
-                len: 0,
-                out_port: gw.pod as u32 + 1,
-                next_hop: router_mac(gw.pod),
-                nat: None,
-            });
-        }
-        RouterConfig {
-            mac: SPINE_ROUTER_MAC,
-            routes,
-            nat_external: None,
-            uplink_guards: Vec::new(),
-        }
-    }
-
-    /// Recompute every datapath's routing personality from the live
-    /// attachment state, hand the configs to the controller's
-    /// [`Router`] app, set the dataplane identities the rules depend
-    /// on (router MAC/IP for ICMP errors, the gateway's NAT table),
-    /// and flush to every ready datapath. Identical configs are
-    /// no-ops end to end, so this is safe to call on every attach,
-    /// detach and migrate.
-    ///
-    /// # Panics
-    /// Panics if the controller runs no [`Router`] app while
-    /// [`FabricSpec::l3_routing`] is set — silently skipping it would
-    /// leave inter-pod traffic blackholed at the first classifier.
-    fn sync_l3(&self, net: &mut Network) {
-        if !self.spec.l3_routing {
-            return;
-        }
-        let Some(ctrl) = self.controller else { return };
-        let mut configs: Vec<(u64, RouterConfig)> = (0..self.pods.len())
-            .map(|p| (self.pods[p].spec.ss2_dpid, self.l3_pod_config(net, p)))
-            .collect();
-        if let Some(Spine::Soft(_)) = self.spine {
-            configs.push((self.spec.spine_dpid, self.l3_spine_config(net)));
-        }
-        for c in [Some(ctrl), self.backup_controller].into_iter().flatten() {
-            let r = net
-                .node_mut::<ControllerNode>(c)
-                .app_mut::<Router>()
-                .expect(
-                    "FabricSpec::l3_routing is set, but the fabric controller \
-                     has no Router app (chain one after the ArpProxy)",
-                );
-            for (dpid, cfg) in &configs {
-                r.set_config(*dpid, cfg.clone());
-            }
-        }
-        for (p, px) in self.pods.iter().enumerate() {
-            let dp = net.node_mut::<SoftSwitchNode>(px.ss2).datapath_mut();
-            if dp.router() != Some((router_ip(p), router_mac(p))) {
-                dp.set_router(router_ip(p), router_mac(p));
-            }
-            if let Some(gw) = self.spec.gateway.filter(|g| g.pod == p) {
-                if dp.nat().external_ip() != Some(gw.external_ip) {
-                    dp.configure_nat(NatConfig::new(gw.external_ip));
-                }
-            }
-        }
-        if let Some(Spine::Soft(s)) = self.spine {
-            let dp = net.node_mut::<SoftSwitchNode>(s).datapath_mut();
-            if dp.router() != Some((SPINE_ROUTER_IP, SPINE_ROUTER_MAC)) {
-                dp.set_router(SPINE_ROUTER_IP, SPINE_ROUTER_MAC);
-            }
-        }
-        self.sync_router_now(net);
-    }
-
-    /// Flush pending [`Router`] retractions/installs to every ready
-    /// datapath immediately, instead of waiting for the next
-    /// controller tick.
-    fn sync_router_now(&self, net: &mut Network) {
-        let Some(ctrl) = self.controller else { return };
-        net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
-            c.for_each_switch(ctx, |apps, sw| {
-                if let Some(r) = apps
-                    .iter_mut()
-                    .find_map(|a| a.as_any_mut().downcast_mut::<Router>())
-                {
-                    r.sync_switch(sw);
-                }
-            });
-        });
-    }
-
-    /// Place the upstream "internet" host at the gateway's access
-    /// port: a plain [`Host`] with the [`GatewaySpec::internet_ip`]
-    /// identity, answering from behind nothing while the fabric's
-    /// hosts answer from behind the NAT. With the ARP proxy on, the
-    /// address is registered for who-has answering only — no
-    /// `eth_dst` routes anywhere, reaching it is the default route's
-    /// job.
-    pub fn attach_internet(&mut self, net: &mut Network) -> Result<NodeId, FabricError> {
-        let Some(gw) = self.spec.gateway else {
-            return Err(FabricError::NoGateway);
-        };
-        let h = net.add_node(Host::new("internet", INTERNET_MAC, gw.internet_ip));
-        self.attach_node(net, gw.pod, gw.port, h)?;
-        self.internet = Some(h);
-        if self.spec.arp_proxy && self.controller.is_some() {
-            self.push_route(
-                net,
-                HostRoute {
-                    ip: gw.internet_ip,
-                    mac: INTERNET_MAC,
-                    ports: Vec::new(),
-                    guards: Vec::new(),
-                },
-            );
-            self.sync_proxy_now(net);
-        }
-        Ok(h)
-    }
-
-    /// The upstream host placed by [`Fabric::attach_internet`], if any.
-    pub fn internet_node(&self) -> Option<NodeId> {
-        self.internet
-    }
-
-    /// Detach the station on `(pod, port)`: cut its access link (frames
-    /// queued on it are blackholed, as on any cable pull) and free the
-    /// port for a new attachment. For [`Self::attach_host`] stations
-    /// with the ARP proxy on, the host's entry is removed and its
-    /// proactive routes are retracted fabric-wide right away — leaving
-    /// them would blackhole every frame for that MAC at its old edge.
-    /// Returns the detached node.
-    pub fn detach_host(
-        &mut self,
-        net: &mut Network,
-        pod: usize,
-        port: u16,
-    ) -> Result<NodeId, FabricError> {
-        self.check_access(pod, port)?;
-        let Some(&h) = self.attached.get(&(pod, port)) else {
-            return Err(FabricError::NothingAttached { pod, port });
-        };
-        self.attached.remove(&(pod, port));
-        let carries_identity = self.host_ports.remove(&(pod, port));
-        self.station_ports.remove(&(pod, port));
-        net.disconnect(h, PortId(0));
-        if let Some(ctrl) = self
-            .controller
-            .filter(|_| carries_identity && self.spec.arp_proxy)
-        {
-            let ip = net.node_ref::<Host>(h).ip();
-            for c in [Some(ctrl), self.backup_controller].into_iter().flatten() {
-                net.node_mut::<ControllerNode>(c)
-                    .app_mut::<ArpProxy>()
-                    .expect("arp_proxy flag verified on attach")
-                    .remove_host(ip);
-            }
-            self.sync_proxy_now(net);
-        }
-        self.sync_l3(net);
-        Ok(h)
-    }
-
-    /// Move the host on `from` to the access port `to` — possibly in a
-    /// different pod — keeping its `(IP, MAC)` identity (that is the
-    /// whole point: a VM migrates, its addresses travel with it). The
-    /// old access link is cut, the host re-attaches at `to`, and with
-    /// the ARP proxy on its routes are *retracted and re-installed for
-    /// the new location in one sync*, deletes first — without the
-    /// retraction the stale `eth_dst` routes at the old pod would keep
-    /// matching and silently blackhole all traffic to the moved host.
-    ///
-    /// Callable between `run_*` calls; re-derive [`Self::shard_map`]
-    /// afterwards if the fabric is sharded, so the host's events live on
-    /// its new pod's shard.
-    pub fn migrate_host(
-        &mut self,
-        net: &mut Network,
-        from: (usize, u16),
-        to: (usize, u16),
-    ) -> Result<NodeId, FabricError> {
-        self.check_access(from.0, from.1)?;
-        self.check_access(to.0, to.1)?;
-        if self.attached.contains_key(&to) {
-            return Err(FabricError::DuplicateHostPort {
-                pod: to.0,
-                port: to.1,
-            });
-        }
-        if !self.host_ports.contains(&from) {
-            return Err(FabricError::NothingAttached {
-                pod: from.0,
-                port: from.1,
-            });
-        }
-        let h = self.attached.remove(&from).expect("host_ports ⊆ attached");
-        self.host_ports.remove(&from);
-        net.disconnect(h, PortId(0));
-        self.attached.insert(to, h);
-        self.host_ports.insert(to);
-        self.pods[to.0].attach_node(net, to.1, h);
-        if self.spec.arp_proxy && self.controller.is_some() {
-            let (ip, mac) = {
-                let hr = net.node_ref::<Host>(h);
-                (hr.ip(), hr.mac())
-            };
-            let (ports, guards) = self.route_location(to.0, to.1);
-            self.push_route(
-                net,
-                HostRoute {
-                    ip,
-                    mac,
-                    ports,
-                    guards,
-                },
-            );
-            self.sync_proxy_now(net);
-        }
-        self.sync_l3(net);
-        Ok(h)
-    }
-
-    /// Attach an arbitrary node (generator/sink) to `(pod, port)` on its
-    /// port 0, with the same duplicate-port bookkeeping as
-    /// [`Self::attach_host`].
-    pub fn attach_node(
-        &mut self,
-        net: &mut Network,
-        pod: usize,
-        port: u16,
-        node: NodeId,
-    ) -> Result<(), FabricError> {
-        self.check_access(pod, port)?;
-        if self.attached.contains_key(&(pod, port)) {
-            return Err(FabricError::DuplicateHostPort { pod, port });
-        }
-        self.attached.insert((pod, port), node);
-        self.pods[pod].attach_node(net, port, node);
-        Ok(())
-    }
-
-    /// Attach a measurement station (traffic generator or sink) at
-    /// `(pod, port)` and, with the ARP proxy on, register the port's
-    /// fabric identity ([`Self::host_ip`] / [`Self::host_mac`]) with the
-    /// proxy. Sinks never transmit, so reactive learning alone would
-    /// flood every frame destined to them fabric-wide forever; the
-    /// proactive route keeps station traffic unicast. The station's
-    /// flows should use the port's fabric identity as their addresses.
-    pub fn attach_station(
-        &mut self,
-        net: &mut Network,
-        pod: usize,
-        port: u16,
-        node: NodeId,
-    ) -> Result<(), FabricError> {
-        self.attach_node(net, pod, port, node)?;
-        self.station_ports.insert((pod, port));
-        if self.spec.arp_proxy && self.controller.is_some() {
-            let route = self.host_route(pod, port);
-            self.push_route(net, route);
-        }
-        self.sync_l3(net);
-        Ok(())
-    }
-
-    /// The node attached to `(pod, port)`, if any.
-    pub fn attached_node(&self, pod: usize, port: u16) -> Option<NodeId> {
-        self.attached.get(&(pod, port)).copied()
-    }
-
-    /// The promotable flow-level bundle of a station pair: the ordered
-    /// hops frames traverse from the [`Generator`] at `src = (pod,
-    /// port)` to the [`Sink`] at `dst`, cache-residency probes for
-    /// every hop whose ingress frames are reconstructible, and one
-    /// endpoint per link on the path — everything
-    /// [`netsim::flowsim::FlowSim::add_bundle`] needs.
-    ///
-    /// Probes are the generator's [`Generator::probe_frame`] templates:
-    /// VLAN-tagged with the source port's access VLAN at the source
-    /// SS_1 (that is what the legacy switch puts on the trunk),
-    /// untagged at the source SS_2. Past the source pod the frames stay
-    /// byte-identical only without [`FabricSpec::with_l3_routing`] —
-    /// per-hop L3 rewrites (MAC re-addressing, TTL) make downstream
-    /// ingress frames non-reconstructible, so those hops carry no probe
-    /// and are gated by their quiescence counters alone. Legacy
-    /// switches never carry probes (no flow cache to probe).
-    ///
-    /// # Panics
-    /// Panics if either end is not an existing access port with an
-    /// attached node, if the generator at `src` is not a
-    /// [`Generator`], or on a [`Variant::Merged`] pod — bundles assume
-    /// the paper's two-switch data path.
-    pub fn flow_bundle(
-        &self,
-        net: &Network,
-        src: (usize, u16),
-        dst: (usize, u16),
-    ) -> FlowBundleSpec {
-        let (sp, spt) = src;
-        let (dp, dpt) = dst;
-        let generator = self
-            .attached_node(sp, spt)
-            .expect("flow_bundle src has an attached generator");
-        let sink = self
-            .attached_node(dp, dpt)
-            .expect("flow_bundle dst has an attached sink");
-        let spod = &self.pods[sp];
-        let dpod = &self.pods[dp];
-        let src_ss1 = spod.ss1.expect("flow bundles need the two-switch variant");
-        let dst_ss1 = dpod.ss1.expect("flow bundles need the two-switch variant");
-        let gen = net.node_ref::<Generator>(generator);
-        let untagged: std::sync::Arc<[_]> =
-            (0..gen.flows().len()).map(|i| gen.probe_frame(i)).collect();
-        let vlan_src = spod.map.vlan_of(spt).expect("access port has a VLAN");
-        let vlan_dst = dpod.map.vlan_of(dpt).expect("access port has a VLAN");
-        let tagged: std::sync::Arc<[_]> = untagged
-            .iter()
-            .map(|f| push_vlan(f, VlanTag::new(vlan_src)).expect("probe frames are well-formed"))
-            .collect();
-        // Downstream of the source pod, probes exist only while frames
-        // stay byte-identical (no L3 rewrites).
-        let downstream = || (!self.spec.l3_routing).then(|| untagged.clone());
-        let n = self.spec.pod.n_access_ports;
-        let t = self.spec.pod.n_trunks;
-        let tr_src = 1 + (vlan_src % t);
-        let tr_dst = 1 + (vlan_dst % t);
-        let mut hops = vec![
-            FlowHop {
-                node: spod.legacy,
-                in_port: PortId(spt),
-                probe: None,
-            },
-            FlowHop {
-                node: src_ss1,
-                in_port: PortId(tr_src),
-                probe: Some(tagged),
-            },
-            FlowHop {
-                node: spod.ss2,
-                in_port: PortId(spt),
-                probe: Some(untagged.clone()),
-            },
-        ];
-        let mut links = vec![
-            (generator, PortId(0)),
-            (spod.legacy, PortId(n + tr_src)),
-            (spod.ss2, PortId(spt)),
-        ];
-        if sp != dp {
-            match self.spec.interconnect {
-                Interconnect::None => {
-                    unreachable!("multi-pod fabrics always have an interconnect")
-                }
-                Interconnect::Line => {
-                    // Transit pods route the frame onward; it arrives on
-                    // the uplink facing the source side.
-                    let arrive = if dp > sp {
-                        PortId(n + 2)
-                    } else {
-                        PortId(n + 1)
-                    };
-                    let mut p = sp;
-                    while p != dp {
-                        p = if dp > sp { p + 1 } else { p - 1 };
-                        hops.push(FlowHop {
-                            node: self.pods[p].ss2,
-                            in_port: arrive,
-                            probe: downstream(),
-                        });
-                    }
-                    for p in sp.min(dp)..sp.max(dp) {
-                        links.push((self.pods[p].ss2, PortId(n + 1)));
-                    }
-                }
-                Interconnect::SpineSoft | Interconnect::SpineLegacy => {
-                    let spine = self.spine.expect("spine interconnects build a spine");
-                    let probe = match spine {
-                        Spine::Soft(_) => downstream(),
-                        Spine::Legacy(_) => None,
-                    };
-                    hops.push(FlowHop {
-                        node: spine.node(),
-                        in_port: PortId(sp as u16 + 1),
-                        probe,
-                    });
-                    hops.push(FlowHop {
-                        node: dpod.ss2,
-                        in_port: PortId(n + 1),
-                        probe: downstream(),
-                    });
-                    links.push((spod.ss2, PortId(n + 1)));
-                    links.push((dpod.ss2, PortId(n + 1)));
-                }
-            }
-        }
-        hops.push(FlowHop {
-            node: dst_ss1,
-            in_port: PortId(patch_port(dpt) as u16),
-            probe: downstream(),
-        });
-        hops.push(FlowHop {
-            node: dpod.legacy,
-            in_port: PortId(n + tr_dst),
-            probe: None,
-        });
-        links.push((dpod.ss2, PortId(dpt)));
-        links.push((dpod.legacy, PortId(n + tr_dst)));
-        links.push((sink, PortId(0)));
-        FlowBundleSpec {
-            generator,
-            sink,
-            hops,
-            links,
-        }
-    }
-
-    /// Aggregate measurement rollup of pod `pod`: every attached
-    /// [`Sink`]'s frames, bytes and latency folded into one [`Rollup`].
-    /// Flow-level engine counters are per-driver, not per-pod — fold
-    /// them in with [`netsim::flowsim::HybridStats::roll_into`].
-    pub fn pod_rollup(&self, net: &Network, pod: usize) -> Rollup {
-        let mut r = Rollup::new();
-        for (&(p, _port), &node) in &self.attached {
-            if p == pod {
-                if let Some(sink) = net.try_node_ref::<Sink>(node) {
-                    sink.roll_into(&mut r);
-                }
-            }
-        }
-        r
-    }
-
-    /// The natural [`ShardMap`] of this fabric for the sharded event
-    /// engine (`Network::set_shards`): pod `p`'s switches and attached
-    /// stations go to shard `p + 1`; shard 0 — the *system shard* — keeps
-    /// everything else (the spine, the controller, managers and any node
-    /// this fabric does not know about). Pods only talk to each other
-    /// through spine/line uplinks and to the controller through the
-    /// control channel, so those are the only cross-shard edges and the
-    /// engine's lookahead is `min(uplink delay, ctrl delay)`.
-    ///
-    /// Call after all hosts are attached; nodes attached later default to
-    /// shard 0, which is correct for management nodes but serializes
-    /// data-plane traffic of late-attached stations.
-    pub fn shard_map(&self) -> ShardMap {
-        let mut map = ShardMap::new(self.pods.len() + 1);
-        for (p, pod) in self.pods.iter().enumerate() {
-            map.assign(pod.legacy, p + 1);
-            if let Some(ss1) = pod.ss1 {
-                map.assign(ss1, p + 1);
-            }
-            map.assign(pod.ss2, p + 1);
-        }
-        for (&(pod, _port), &node) in &self.attached {
-            map.assign(node, pod + 1);
-        }
-        map
-    }
-
-    /// Configure every pod through the direct (non-SNMP) path: legacy
-    /// VLAN tagging plus translator rules. Experiments that are not
-    /// about migration call this once instead of running managers.
-    pub fn configure_direct(&self, net: &mut Network) {
-        for pod in &self.pods {
-            pod.configure_legacy_directly(net);
-            pod.install_translator_rules(net);
-        }
-    }
-
-    /// Register every pod's SS_2 — and a soft spine, if present — with
-    /// the one fabric controller. Like
-    /// [`HarmlessInstance::connect_controller`], call before the first
-    /// `run_*` so the OpenFlow HELLOs go out on start; mid-run
-    /// connections go through the manager's admin path instead.
-    ///
-    /// With [`FabricSpec::arp_proxy`] set, all hosts attached so far are
-    /// registered with the controller's [`ArpProxy`] app (hosts attached
-    /// afterwards register as they attach).
-    pub fn connect_controller(&mut self, net: &mut Network, controller: NodeId) {
-        for pod in &self.pods {
-            pod.connect_controller(net, controller);
-        }
-        self.register_controller(net, controller);
-    }
-
-    /// Register `backup` as the warm-standby controller of every software
-    /// switch (all SS_2s and a soft spine). A switch dials it only after
-    /// declaring the primary dead; the backup then rebuilds each
-    /// datapath's rules from the resulting re-handshakes. Build the
-    /// backup [`ControllerNode`] with the same app chain as the primary
-    /// (and a higher role generation); the fabric replays the routes and
-    /// router configs registered so far into it here, and mirrors every
-    /// later registration, so the rebuilt rule set matches the primary's.
-    pub fn connect_backup_controller(&mut self, net: &mut Network, backup: NodeId) {
-        self.for_each_softswitch(net, |sw| sw.add_backup_controller(backup));
-        self.backup_controller = Some(backup);
-        // Warm the standby: replay every proxy route and router config
-        // already registered with the primary, and mirror all future
-        // pushes (push_route / sync_l3 fan out to both from here on).
-        if self.spec.arp_proxy {
-            for route in self.proxy_routes(net) {
-                Self::push_route_to(net, backup, route);
-            }
-        }
-        self.sync_l3(net);
-    }
-
-    /// The configured backup controller, if any.
-    pub fn backup_controller(&self) -> Option<NodeId> {
-        self.backup_controller
-    }
-
-    /// Run `f` over every software switch of the fabric — each pod's SS_2
-    /// and the soft spine, if present. Experiments use this to tune
-    /// resilience knobs (fail mode, keepalive cadence, reconnect backoff)
-    /// after the topology is built.
-    pub fn for_each_softswitch(&self, net: &mut Network, mut f: impl FnMut(&mut SoftSwitchNode)) {
-        for pod in &self.pods {
-            f(net.node_mut::<SoftSwitchNode>(pod.ss2));
-        }
-        if let Some(Spine::Soft(spine)) = self.spine {
-            f(net.node_mut::<SoftSwitchNode>(spine));
-        }
-    }
-
-    /// Adopt `controller` as the fabric controller — spine hookup, ARP
-    /// proxy bookkeeping, route registration — **without touching the
-    /// pods**. Migration-wave scenarios use this: the pods join the
-    /// controller later through their managers, and the routes
-    /// registered here flow to each datapath when it eventually
-    /// handshakes ([`ArpProxy`] replays its table on `on_switch_ready`).
-    pub fn register_controller(&mut self, net: &mut Network, controller: NodeId) {
-        self.connect_spine(net, controller);
-        self.controller = Some(controller);
-        if self.spec.arp_proxy {
-            for route in self.proxy_routes(net) {
-                self.push_route(net, route);
-            }
-        }
-        self.sync_l3(net);
-    }
-
-    /// Proactive [`ArpProxy`] routes for every identity-carrying host
-    /// attached so far, plus the internet gateway when configured.
-    /// Identity comes from the attached node itself, not the port — a
-    /// host migrated before the controller connected keeps the
-    /// addresses of its original attach point.
-    fn proxy_routes(&self, net: &Network) -> Vec<HostRoute> {
-        let mut routes: Vec<HostRoute> = self
-            .host_ports
-            .iter()
-            .map(|&(pod, port)| {
-                let hr = net.node_ref::<Host>(self.attached[&(pod, port)]);
-                let (ip, mac) = (hr.ip(), hr.mac());
-                let (ports, guards) = self.route_location(pod, port);
-                HostRoute {
-                    ip,
-                    mac,
-                    ports,
-                    guards,
-                }
-            })
-            .collect();
-        if let (Some(gw), Some(_)) = (self.spec.gateway, self.internet) {
-            routes.push(HostRoute {
-                ip: gw.internet_ip,
-                mac: INTERNET_MAC,
-                ports: Vec::new(),
-                guards: Vec::new(),
-            });
-        }
-        routes
-    }
-
-    /// Register only a [`Spine::Soft`] spine with the controller (no-op
-    /// for legacy spines). Migration-wave scenarios use this: pods join
-    /// the controller through their managers, but the spine is server
-    /// infrastructure that must be connected from the start.
-    pub fn connect_spine(&self, net: &mut Network, controller: NodeId) {
-        if let Some(Spine::Soft(spine)) = self.spine {
-            net.node_mut::<SoftSwitchNode>(spine)
-                .connect_controller(controller);
-        }
-    }
-
-    /// True once every pod's SS_2 has a controller configured.
-    pub fn all_pods_connected(&self, net: &Network) -> bool {
-        self.pods.iter().all(|p| p.ss2_has_controller(net))
-    }
-
-    /// Launch one [`HarmlessManager`] per listed pod, migrating those
-    /// pods to SDN control over the live management plane (SNMP
-    /// configure + verify, translator install, controller hookup).
-    /// Returns the manager nodes, in `pods` order; poll them with
-    /// [`Self::wave_done`]. Callable mid-run — managers start with the
-    /// next processed event, which is what makes staged migration waves
-    /// possible.
-    pub fn run_migration_wave(
-        &self,
-        net: &mut Network,
-        pods: &[usize],
-        controller: NodeId,
-    ) -> Result<Vec<NodeId>, FabricError> {
-        let mut managers = Vec::with_capacity(pods.len());
-        for &p in pods {
-            let pod = self.check_pod(p)?;
-            if pod.ss1.is_none() {
-                return Err(FabricError::MergedVariant);
-            }
-            let cfg = ManagerConfig::for_instance(pod, controller);
-            managers.push(net.add_node(HarmlessManager::new(cfg)));
-        }
-        Ok(managers)
-    }
-
-    /// True once every manager of a wave reports [`ManagerPhase::Done`].
-    pub fn wave_done(&self, net: &Network, managers: &[NodeId]) -> bool {
-        managers
-            .iter()
-            .all(|&m| *net.node_ref::<HarmlessManager>(m).phase() == ManagerPhase::Done)
-    }
-}
+//!
+//! [`HarmlessSpec`]: crate::instance::HarmlessSpec
+//! [`HarmlessManager`]: crate::manager::HarmlessManager
+
+mod attach;
+mod bundle;
+mod feed;
+mod routes;
+mod spec;
+mod topology;
+
+pub use spec::{
+    router_ip, router_mac, FabricError, FabricSpec, GatewaySpec, Interconnect, INTERNET_MAC,
+    MAX_PODS, POD_SS1_DPID_BASE, POD_SS2_DPID_BASE, SPINE_DPID, SPINE_ROUTER_IP, SPINE_ROUTER_MAC,
+};
+pub use topology::{Fabric, Spine};
 
 #[cfg(test)]
 mod tests {
+    use std::net::Ipv4Addr;
+
     use super::*;
-    use controller::apps::LearningSwitch;
-    use netsim::SimTime;
+    use crate::instance::{HarmlessSpec, Variant};
+    use crate::portmap::PortMapError;
+    use controller::apps::{ArpProxy, HostRoute, LearningSwitch, Router};
+    use controller::ControllerNode;
+    use legacy_switch::LegacySwitchNode;
+    use netsim::host::Host;
+    use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
+    use netsim::{Network, NodeId, PortId, SimTime};
     use openflow::Match;
+    use softswitch::SoftSwitchNode;
 
     fn learning_ctrl(net: &mut Network) -> NodeId {
         net.add_node(ControllerNode::new(
@@ -1937,7 +441,9 @@ mod tests {
         // fail over, and the backup must self-promote to master and
         // rebuild the exact fault-free rule set — bounded downtime,
         // zero stale rules, and the data plane keeps forwarding on its
-        // proactive routes throughout the outage.
+        // proactive routes throughout the outage. That includes a pair
+        // of stations attached *before* either controller was wired:
+        // both controllers must have been told about them all the same.
         let run = |crash: bool| {
             let mut net = Network::new(33);
             let apps = || -> Vec<Box<dyn controller::App>> {
@@ -1955,6 +461,26 @@ mod tests {
                 .build(&mut net)
                 .unwrap();
             fx.configure_direct(&mut net);
+            let flow = FlowSpec {
+                src_mac: fx.host_mac(0, 2),
+                dst_mac: fx.host_mac(1, 2),
+                src_ip: fx.host_ip(0, 2),
+                dst_ip: fx.host_ip(1, 2),
+                src_port: 10_000,
+                dst_port: 20_000,
+                frame_len: 200,
+            };
+            let gen = net.add_node(Generator::new(
+                "gen",
+                PortId(0),
+                Pattern::Cbr { pps: 1000.0 },
+                vec![flow],
+                SimTime::from_millis(150),
+                SimTime::from_millis(1200),
+            ));
+            let sink = net.add_node(Sink::new("sink"));
+            fx.attach_station(&mut net, 0, 2, gen).unwrap();
+            fx.attach_station(&mut net, 1, 2, sink).unwrap();
             fx.connect_controller(&mut net, primary);
             fx.connect_backup_controller(&mut net, backup);
             fx.for_each_softswitch(&mut net, |sw| {
@@ -2020,6 +546,10 @@ mod tests {
             });
             let promoted = net.node_ref::<ControllerNode>(backup).promotions();
             let backup_role = net.node_ref::<ControllerNode>(backup).role();
+            let station_frames = (
+                net.node_ref::<Generator>(gen).sent(),
+                net.node_ref::<Sink>(sink).received(),
+            );
             (
                 replies,
                 rules,
@@ -2028,10 +558,12 @@ mod tests {
                 on_backup,
                 promoted,
                 backup_role,
+                station_frames,
             )
         };
         let base = run(false);
         assert_eq!(base.0, 8, "fault-free: all pings answered");
+        assert_eq!(base.7, (1050, 1050), "fault-free: every station frame");
         assert_eq!(base.2, 0, "fault-free: no failovers");
         assert_eq!(base.5, 0, "fault-free: the backup is never dialed");
         let crashed = run(true);
@@ -2049,6 +581,10 @@ mod tests {
         assert_eq!(
             crashed.0, base.0,
             "proactive routes keep the data plane forwarding through the outage"
+        );
+        assert_eq!(
+            crashed.7, base.7,
+            "stations attached before the controllers lose nothing to the outage"
         );
         assert_eq!(
             crashed.1, base.1,
@@ -2165,13 +701,14 @@ mod tests {
     #[test]
     fn host_routes_follow_the_interconnect() {
         let mut net = Network::new(1);
-        let fx = FabricSpec::new(3, HarmlessSpec::new(4))
+        let mut fx = FabricSpec::new(3, HarmlessSpec::new(4))
             .with_interconnect(Interconnect::SpineSoft)
             .build(&mut net)
             .unwrap();
         // Host (pod 1, port 2): home access port, uplinks elsewhere,
         // pod-facing port on the spine.
-        let r = fx.host_route(1, 2);
+        fx.attach_host(&mut net, 1, 2).unwrap();
+        let r = fx.proxy_route((1, 2)).expect("hosts are routed to");
         assert_eq!(r.ip, fx.host_ip(1, 2));
         assert_eq!(r.mac, fx.host_mac(1, 2));
         assert_eq!(
@@ -2186,11 +723,12 @@ mod tests {
         assert!(r.guards.is_empty(), "soft spines need no guards");
 
         // Line interconnect: direction-aware uplinks, no spine entry.
-        let fx = FabricSpec::new(3, HarmlessSpec::new(4))
+        let mut fx = FabricSpec::new(3, HarmlessSpec::new(4))
             .with_interconnect(Interconnect::Line)
             .build(&mut net)
             .unwrap();
-        let r = fx.host_route(1, 3);
+        fx.attach_host(&mut net, 1, 3).unwrap();
+        let r = fx.proxy_route((1, 3)).expect("hosts are routed to");
         assert_eq!(
             r.ports,
             vec![
@@ -2201,11 +739,12 @@ mod tests {
         );
 
         // Legacy spine: uplink routes carry reflection guards.
-        let fx = FabricSpec::new(2, HarmlessSpec::new(4))
+        let mut fx = FabricSpec::new(2, HarmlessSpec::new(4))
             .with_interconnect(Interconnect::SpineLegacy)
             .build(&mut net)
             .unwrap();
-        let r = fx.host_route(0, 1);
+        fx.attach_host(&mut net, 0, 1).unwrap();
+        let r = fx.proxy_route((0, 1)).expect("hosts are routed to");
         assert_eq!(r.guards, vec![(POD_SS2_DPID_BASE + 1, 5)]);
     }
 
@@ -2312,10 +851,13 @@ mod tests {
     #[test]
     fn detach_host_retracts_routes_and_frees_the_port() {
         let mut net = Network::new(4);
-        let ctrl = net.add_node(ControllerNode::new(
-            "ctrl",
-            vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())],
-        ));
+        let apps = || -> Vec<Box<dyn controller::App>> {
+            vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())]
+        };
+        let ctrl = net.add_node(ControllerNode::new("ctrl", apps()));
+        let standby = net.add_node(
+            ControllerNode::new("standby", apps()).with_role(openflow::ControllerRole::Slave, 2),
+        );
         let mut fx = FabricSpec::new(2, HarmlessSpec::new(2))
             .with_interconnect(Interconnect::SpineSoft)
             .with_arp_proxy(true)
@@ -2323,6 +865,7 @@ mod tests {
             .unwrap();
         fx.configure_direct(&mut net);
         fx.connect_controller(&mut net, ctrl);
+        fx.connect_backup_controller(&mut net, standby);
         let a = fx.attach_host(&mut net, 0, 1).unwrap();
         let _b = fx.attach_host(&mut net, 1, 1).unwrap();
         net.run_until(SimTime::from_millis(100));
@@ -2360,6 +903,38 @@ mod tests {
         net.run_until(SimTime::from_millis(1500));
         assert_eq!(net.node_ref::<Host>(a).echo_replies_received(), 2);
         assert_eq!(net.node_ref::<Host>(b2).echo_requests_answered(), 2);
+
+        // A station carries an identity too: detaching it must take the
+        // identity out of every controller's proxy and its proactive
+        // route off every datapath, not leave it pointing at a vacated
+        // port.
+        let sink = net.add_node(Sink::new("sink"));
+        fx.attach_station(&mut net, 0, 2, sink).unwrap();
+        net.run_for(SimTime::from_secs(1));
+        let known = |net: &mut Network| {
+            [ctrl, standby].map(|c| {
+                let proxy = net.node_mut::<ControllerNode>(c).app_mut::<ArpProxy>();
+                proxy.unwrap().hosts_known()
+            })
+        };
+        let station_route = Match::new().eth_dst(fx.host_mac(0, 2));
+        let datapaths = [fx.pod(0).ss2, fx.pod(1).ss2, fx.spine().unwrap().node()];
+        let routes = |net: &Network| -> usize {
+            datapaths
+                .iter()
+                .flat_map(|&n| {
+                    let dp = net.node_ref::<SoftSwitchNode>(n).datapath();
+                    dp.table(0).unwrap().entries().to_vec()
+                })
+                .filter(|e| e.match_ == station_route)
+                .count()
+        };
+        assert_eq!(known(&mut net), [3, 3]);
+        assert_eq!(routes(&net), 3, "one route per datapath");
+        fx.detach_host(&mut net, 0, 2).unwrap();
+        net.run_for(SimTime::from_secs(1));
+        assert_eq!(known(&mut net), [2, 2], "identity left every proxy");
+        assert_eq!(routes(&net), 0, "no route toward the vacated port");
     }
 
     /// A controller for routed fabrics: proxy answers who-has, router
@@ -2650,7 +1225,7 @@ mod tests {
             for (p, q) in [(0usize, 1usize), (1, 0)] {
                 let dpid = fx.pod(p).spec.ss2_dpid;
                 let mut cfg = r.config(dpid).unwrap().clone();
-                let (out_port, next_hop) = fx.l3_next_hop(p, q);
+                let (out_port, next_hop) = fx.next_hop(p, q);
                 cfg.routes.push(PrefixRoute {
                     prefix: Ipv4Addr::new(10, 99, 0, 0),
                     len: 16,
@@ -2669,7 +1244,7 @@ mod tests {
                 guards: Vec::new(),
             });
         }
-        fx.sync_router_now(&mut net);
+        net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| c.sync_now(ctx));
         net.run_until(SimTime::from_millis(200));
         net.with_node_ctx::<Host, _>(a, move |h, ctx| {
             h.ping(b"looped", phantom);

@@ -1115,6 +1115,30 @@ proptest! {
     }
 }
 
+/// Every rule of every software datapath of `fx` (each pod's SS_2, a
+/// soft spine), as sorted `datapath table priority|match|instructions`
+/// lines: what two runs that claim the same converged state must share.
+fn rule_fingerprint(net: &netsim::Network, fx: &harmless::fabric::Fabric) -> Vec<String> {
+    let mut nodes: Vec<_> = fx.pods().map(|p| p.ss2).collect();
+    if let Some(harmless::fabric::Spine::Soft(spine)) = fx.spine() {
+        nodes.push(spine);
+    }
+    let mut rules = Vec::new();
+    for (d, &node) in nodes.iter().enumerate() {
+        let dp = net.node_ref::<softswitch::SoftSwitchNode>(node).datapath();
+        for t in 0..3 {
+            for e in dp.table(t).map_or(&[][..], |t| t.entries()) {
+                rules.push(format!(
+                    "dp{d} t{t} {}|{:?}|{:?}",
+                    e.priority, e.match_, e.instructions
+                ));
+            }
+        }
+    }
+    rules.sort();
+    rules
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -1269,23 +1293,7 @@ proptest! {
             // re-driven on the next 1 s controller tick).
             net.set_ctrl_profile(CtrlProfile::lossless());
             net.run_until(SimTime::from_secs(6));
-            let nodes = [fx.pod(0).ss2, fx.pod(1).ss2, fx.spine().expect("soft spine").node()];
-            let rules: Vec<Vec<String>> = nodes
-                .iter()
-                .map(|&n| {
-                    let mut v: Vec<String> = net
-                        .node_ref::<softswitch::SoftSwitchNode>(n)
-                        .datapath()
-                        .table(0)
-                        .expect("table 0")
-                        .entries()
-                        .iter()
-                        .map(|e| format!("{}|{:?}|{:?}", e.priority, e.match_, e.instructions))
-                        .collect();
-                    v.sort();
-                    v
-                })
-                .collect();
+            let rules = rule_fingerprint(&net, &fx);
             (rules, net.events_processed(), net.ctrl_stats().dropped)
         };
 
@@ -1302,5 +1310,168 @@ proptest! {
             (&lossy.0, lossy.1, lossy.2),
             "impaired run must be bit-identical for any thread count"
         );
+    }
+}
+
+/// One step of a random attachment history, already checked against a
+/// model of the table so that every world replays the same valid steps.
+#[derive(Debug, Clone, Copy)]
+enum FabricOp {
+    Host((usize, u16)),
+    Station((usize, u16)),
+    Detach((usize, u16)),
+    Migrate((usize, u16), (usize, u16)),
+}
+
+/// Turn raw `(kind, pod, port, pod, port)` draws into the steps that are
+/// valid when applied in order. Identities stay unique: a port whose
+/// identity travelled away with a migrated host takes no new station
+/// until that host is detached.
+fn plan_fabric_ops(raw: &[(u8, usize, u16, usize, u16)]) -> Vec<FabricOp> {
+    // occupied port → (home port of the identity it carries, is a host)
+    let mut table = std::collections::BTreeMap::<(usize, u16), ((usize, u16), bool)>::new();
+    let mut ops = Vec::new();
+    for &(kind, p, i, q, j) in raw {
+        let (a, b) = ((p, i), (q, j));
+        match kind {
+            0 | 1 => {
+                if !table.contains_key(&a) && !table.values().any(|&(home, _)| home == a) {
+                    table.insert(a, (a, kind == 0));
+                    ops.push(if kind == 0 {
+                        FabricOp::Host(a)
+                    } else {
+                        FabricOp::Station(a)
+                    });
+                }
+            }
+            2 => {
+                if table.remove(&a).is_some() {
+                    ops.push(FabricOp::Detach(a));
+                }
+            }
+            _ => {
+                if !table.contains_key(&b) && matches!(table.get(&a), Some((_, true))) {
+                    let row = table.remove(&a).expect("checked above");
+                    table.insert(b, row);
+                    ops.push(FabricOp::Migrate(a, b));
+                }
+            }
+        }
+    }
+    ops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Rule-set convergence, whatever the order things arrive in: over a
+    /// random attach / attach_station / detach / migrate history, a
+    /// controller wired before it (every step an incremental sync), a
+    /// controller wired after it (one replay of the table), and a warm
+    /// standby that joined somewhere in the middle and was then promoted
+    /// by a master crash all leave every datapath with the same rules.
+    #[test]
+    fn every_controller_converges_to_the_same_rules(
+        interconnect in 0usize..3,
+        l3 in any::<bool>(),
+        raw in proptest::collection::vec((0u8..4, 0usize..3, 1u16..4, 0usize..3, 1u16..4), 1..12),
+        join in 0usize..12,
+    ) {
+        use controller::apps::{ArpProxy, LearningSwitch, Router};
+        use controller::ControllerNode;
+        use harmless::fabric::{FabricSpec, Interconnect};
+        use harmless::instance::HarmlessSpec;
+        use netsim::traffic::Sink;
+        use netsim::{Network, SimTime};
+        use openflow::ControllerRole;
+
+        #[derive(Clone, Copy, PartialEq)]
+        enum Wired { First, Last, StandbyJoinsAt(usize) }
+
+        let ops = plan_fabric_ops(&raw);
+        let interconnect =
+            [Interconnect::Line, Interconnect::SpineSoft, Interconnect::SpineLegacy][interconnect];
+        let run = |wired: Wired| -> Vec<String> {
+            let mut net = Network::new(7);
+            let apps = || -> Vec<Box<dyn controller::App>> {
+                if l3 {
+                    vec![Box::new(ArpProxy::new()), Box::new(Router::new())]
+                } else {
+                    vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())]
+                }
+            };
+            let primary = net.add_node(
+                ControllerNode::new("primary", apps()).with_role(ControllerRole::Master, 1),
+            );
+            let standby = net.add_node(
+                ControllerNode::new("standby", apps()).with_role(ControllerRole::Slave, 2),
+            );
+            let mut spec = FabricSpec::new(3, HarmlessSpec::new(3))
+                .with_interconnect(interconnect)
+                .with_arp_proxy(true);
+            if l3 {
+                spec = spec.with_l3_routing();
+            }
+            let mut fx = spec.build(&mut net).expect("valid fabric spec");
+            fx.configure_direct(&mut net);
+            fx.for_each_softswitch(&mut net, |sw| {
+                sw.set_keepalive(SimTime::from_millis(50), 2);
+                sw.set_backoff(SimTime::from_millis(50), SimTime::from_millis(200));
+            });
+            if wired != Wired::Last {
+                // Handshakes complete before the first step, so every
+                // step reaches the datapaths as an incremental sync.
+                fx.connect_controller(&mut net, primary);
+                net.run_for(SimTime::from_millis(100));
+            }
+            for i in 0..=ops.len() {
+                if wired == Wired::StandbyJoinsAt(i) {
+                    fx.connect_backup_controller(&mut net, standby);
+                }
+                let Some(&op) = ops.get(i) else { break };
+                match op {
+                    FabricOp::Host((pod, port)) => {
+                        fx.attach_host(&mut net, pod, port).expect("planned step");
+                    }
+                    FabricOp::Station((pod, port)) => {
+                        let sink = net.add_node(Sink::new("sink"));
+                        fx.attach_station(&mut net, pod, port, sink).expect("planned step");
+                    }
+                    FabricOp::Detach((pod, port)) => {
+                        fx.detach_host(&mut net, pod, port).expect("planned step");
+                    }
+                    FabricOp::Migrate(from, to) => {
+                        fx.migrate_host(&mut net, from, to).expect("planned step");
+                    }
+                }
+                if wired != Wired::Last {
+                    net.run_for(SimTime::from_millis(10));
+                }
+            }
+            match wired {
+                Wired::First => {}
+                // Wired before the network first runs, as the HELLOs go
+                // out on start.
+                Wired::Last => fx.connect_controller(&mut net, primary),
+                Wired::StandbyJoinsAt(_) => {
+                    net.run_for(SimTime::from_millis(200));
+                    net.ctrl_down(primary);
+                }
+            }
+            net.run_for(SimTime::from_millis(1500));
+            if let Wired::StandbyJoinsAt(_) = wired {
+                let c = net.node_ref::<ControllerNode>(standby);
+                assert_eq!(c.role(), ControllerRole::Master, "standby promoted");
+                let datapaths = fx.n_pods() + usize::from(interconnect == Interconnect::SpineSoft);
+                assert_eq!(c.ready_switches(), datapaths, "every datapath failed over");
+            }
+            rule_fingerprint(&net, &fx)
+        };
+
+        let first = run(Wired::First);
+        prop_assert_eq!(&run(Wired::Last), &first,
+            "a controller wired after the history must be told what one wired before it was");
+        prop_assert_eq!(&run(Wired::StandbyJoinsAt(join.min(ops.len()))), &first,
+            "a promoted standby must rebuild the primary's rule set");
     }
 }
