@@ -1,15 +1,51 @@
-//! Flow-table and cache microbenchmarks: the raw lookup structures under
-//! the datapath (complements `datapath.rs`, which measures the composed
-//! pipeline).
+//! Flow-table, cache and MIB microbenchmarks: the raw lookup and update
+//! structures under the datapath and the SNMP agent (complements
+//! `datapath.rs`, which measures the composed pipeline).
+//!
+//! Flow-mods change the table they are timed on, so this group does not
+//! use the criterion harness: every benchmark is a *round* that times a
+//! fixed number of operations and then restores its table untimed. Each
+//! prints a harness-style line and records a `tables/*` row into
+//! `BENCH_netsim.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
+use bench::report::{self, Report};
+use legacy_switch::bridge::Bridge;
+use legacy_switch::mib::{BridgeMib, SysInfo};
+use mgmt::{mibs, MibStore};
 use netpkt::{builder, FlowKey, MacAddr};
 use openflow::table::{FlowEntry, FlowTable, TableId};
-use openflow::{Action, Instruction, Match};
+use openflow::{group_no, port_no, Action, Instruction, Match};
 use softswitch::cache::{CachedPath, MegaflowCache, MicroflowCache};
-use softswitch::tss::TssIndex;
+
+/// Run `round` — which returns the time it measured and the operations
+/// that took — once to warm up, then until 300 ms have been measured;
+/// print and record the mean.
+fn timed(rep: &mut Report, name: &str, mut round: impl FnMut() -> (Duration, usize)) {
+    round();
+    let (mut total, mut ops) = (Duration::ZERO, 0usize);
+    while total < Duration::from_millis(300) {
+        let (t, n) = round();
+        total += t;
+        ops += n;
+    }
+    let ns = total.as_nanos() as f64 / ops as f64;
+    println!("{name:<50} time: {ns:>12.1} ns/iter");
+    rep.record(&format!("tables/{name}"), &[("ns_per_iter", ns)]);
+}
+
+/// A routine that leaves its structure as it found it: rounds of 1000.
+fn steady(rep: &mut Report, name: &str, mut f: impl FnMut()) {
+    timed(rep, name, || {
+        let t = Instant::now();
+        for _ in 0..1000 {
+            f();
+        }
+        (t.elapsed(), 1000)
+    });
+}
 
 fn key(src: u32, dst_port: u16) -> FlowKey {
     let f = builder::udp_packet(
@@ -24,62 +60,136 @@ fn key(src: u32, dst_port: u16) -> FlowKey {
     FlowKey::extract(1, &f).unwrap()
 }
 
+fn acl(dst_port: u32) -> FlowEntry {
+    FlowEntry::new(
+        10,
+        Match::new()
+            .eth_type(0x0800)
+            .ip_proto(17)
+            .udp_dst((dst_port % 30000) as u16),
+        Instruction::apply(vec![Action::output(2)]),
+        0,
+    )
+}
+
 fn table_with(n: u32) -> FlowTable {
     let mut t = FlowTable::new(TableId(0));
     for i in 0..n {
-        t.add(FlowEntry::new(
-            10,
-            Match::new()
-                .eth_type(0x0800)
-                .ip_proto(17)
-                .udp_dst((i % 30000) as u16),
-            Instruction::apply(vec![Action::output(2)]),
-            0,
-        ))
-        .unwrap();
+        t.add(acl(i)).unwrap();
     }
     t
 }
 
-fn bench_linear_lookup(c: &mut Criterion) {
-    let mut g = c.benchmark_group("flowtable_linear_lookup");
-    g.throughput(Throughput::Elements(1));
+fn bench_lookup(rep: &mut Report) {
     for n in [16u32, 256, 4096] {
         let mut t = table_with(n);
         let k = key(1, (n - 1) as u16); // worst case: last rule
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(t.lookup(&k)))
+        steady(rep, &format!("flowtable_linear_lookup/{n}"), || {
+            black_box(t.lookup(&k));
+        });
+        steady(rep, &format!("indexed_lookup/{n}"), || {
+            black_box(t.lookup_indexed(&k));
         });
     }
-    g.finish();
+    // What a slow-path frame pays right after a flow-mod: the index is
+    // maintained by the flow-mod, not rebuilt by the lookup.
+    let mut t = table_with(4096);
+    let k = key(1, 4095);
+    steady(rep, "lookup_after_flow_mod/4096", || {
+        t.add(acl(7)).unwrap();
+        black_box(t.lookup_indexed(&k));
+    });
 }
 
-fn bench_tss_lookup(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tss_lookup");
-    g.throughput(Throughput::Elements(1));
-    for n in [16u32, 256, 4096] {
-        let t = table_with(n);
-        let idx = TssIndex::build(&t);
-        let k = key(1, (n - 1) as u16);
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(idx.lookup(&k)))
-        });
-    }
-    g.finish();
-    // Index construction cost (amortized over rule changes).
-    let mut g = c.benchmark_group("tss_build");
+/// An L2 host route as the ARP proxy installs it.
+fn route_match(host: u32) -> Match {
+    Match::new().eth_dst(MacAddr::host(host))
+}
+
+fn route(host: u32, out: u32) -> FlowEntry {
+    FlowEntry::new(
+        100,
+        route_match(host),
+        Instruction::apply(vec![Action::output(out)]),
+        0,
+    )
+}
+
+fn bench_flow_mod(rep: &mut Report) {
+    /// Operations per round; the table grows or shrinks by at most this.
+    const BATCH: u32 = 256;
+    let any = (port_no::ANY, group_no::ANY);
     for n in [256u32, 4096] {
-        let t = table_with(n);
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(TssIndex::build(&t)))
+        let mut t = FlowTable::new(TableId(0));
+        for host in 0..n {
+            t.add(route(host, 1)).unwrap();
+        }
+        // Victims spread over the table, not its tail.
+        let spread = |i: u32| i * (n / BATCH);
+        timed(rep, &format!("flow_mod/add/{n}"), || {
+            let fresh: Vec<FlowEntry> = (n..n + BATCH).map(|h| route(h, 1)).collect();
+            let start = Instant::now();
+            for e in fresh {
+                t.add(e).unwrap();
+            }
+            let took = start.elapsed();
+            for host in n..n + BATCH {
+                t.delete(&route_match(host), 100, true, any.0, any.1);
+            }
+            (took, BATCH as usize)
         });
+        timed(rep, &format!("flow_mod/replace/{n}"), || {
+            let again: Vec<FlowEntry> = (0..BATCH).map(|i| route(spread(i), 2)).collect();
+            let start = Instant::now();
+            for e in again {
+                t.add(e).unwrap();
+            }
+            (start.elapsed(), BATCH as usize)
+        });
+        for (name, strict) in [("delete_nonstrict_eq_mask", false), ("delete_strict", true)] {
+            timed(rep, &format!("flow_mod/{name}/{n}"), || {
+                let start = Instant::now();
+                for i in 0..BATCH {
+                    let gone = t.delete(&route_match(spread(i)), 100, strict, any.0, any.1);
+                    assert_eq!(gone.len(), 1);
+                }
+                let took = start.elapsed();
+                for i in 0..BATCH {
+                    t.add(route(spread(i), 1)).unwrap();
+                }
+                (took, BATCH as usize)
+            });
+        }
     }
-    g.finish();
 }
 
-fn bench_caches(c: &mut Criterion) {
-    let mut g = c.benchmark_group("caches");
-    g.throughput(Throughput::Elements(1));
+fn bench_snmp_get(rep: &mut Report) {
+    // A migrated legacy switch: every port an access port of its own VLAN.
+    for n in [48u16, 144] {
+        let mut bridge = Bridge::new(n);
+        for p in 1..=n {
+            bridge.make_access_port(p, 100 + p).unwrap();
+        }
+        let sys = SysInfo::default();
+        let mib = BridgeMib {
+            bridge: &mut bridge,
+            sys: &sys,
+            uptime_cs: 1,
+        };
+        // The Manager's verification reads: one PVID, one VLAN row.
+        let oids = [
+            mibs::pvid(u32::from(n)),
+            mibs::vlan_static_egress_ports(100 + n),
+        ];
+        let mut i = 0;
+        steady(rep, &format!("snmp_get/{n}_ports"), || {
+            i ^= 1;
+            black_box(mib.get(&oids[i]));
+        });
+    }
+}
+
+fn bench_caches(rep: &mut Report) {
     let path = std::sync::Arc::new(CachedPath::new(
         vec![softswitch::actions::CAction::Output(2)],
         vec![(0, 0)],
@@ -90,8 +200,8 @@ fn bench_caches(c: &mut Criterion) {
         micro.insert(key(s, 53), path.clone());
     }
     let k = key(500, 53);
-    g.bench_function("microflow_hit", |b| {
-        b.iter(|| std::hint::black_box(micro.lookup(&k, 1).is_some()))
+    steady(rep, "caches/microflow_hit", || {
+        black_box(micro.lookup(&k, 1).is_some());
     });
 
     let mut mega = MegaflowCache::new(8192);
@@ -110,22 +220,18 @@ fn bench_caches(c: &mut Criterion) {
     }
     let mut probe = key(77, 53);
     probe.udp_dst = 9999;
-    g.bench_function("megaflow_hit_4_masks", |b| {
-        b.iter(|| std::hint::black_box(mega.lookup(&probe, 1).0.is_some()))
+    steady(rep, "caches/megaflow_hit_4_masks", || {
+        black_box(mega.lookup(&probe, 1).0.is_some());
     });
-    g.finish();
 }
 
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .sample_size(30)
+fn main() {
+    let mut rep = Report::load(report::bench_file());
+    bench_lookup(&mut rep);
+    bench_flow_mod(&mut rep);
+    bench_snmp_get(&mut rep);
+    bench_caches(&mut rep);
+    if let Err(e) = rep.save(report::bench_file()) {
+        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
+    }
 }
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_linear_lookup, bench_tss_lookup, bench_caches
-}
-criterion_main!(benches);

@@ -3,6 +3,10 @@
 //! Reads serve MIB-II system/interfaces plus the Q-BRIDGE static VLAN
 //! table; writes apply Q-BRIDGE sets directly to the bridge, which is
 //! exactly the path the HARMLESS Manager's NAPALM dialects use.
+//! Each request is answered from the bridge itself — an OID splits into
+//! a column of `COLUMNS` and one index arc — not from a built table.
+
+use std::collections::BTreeSet;
 
 use mgmt::oid::Oid;
 use mgmt::pdu::{ErrorStatus, Value};
@@ -38,22 +42,219 @@ pub struct BridgeMib<'a> {
     pub uptime_cs: u32,
 }
 
+/// A column of the MIB: one object type, instantiated per [`Index`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Column {
+    SysDescr,
+    SysUpTime,
+    SysName,
+    IfNumber,
+    IfDescr,
+    IfOperStatus,
+    IfInOctets,
+    IfOutOctets,
+    VlanEgress,
+    VlanUntagged,
+    VlanRowStatus,
+    Pvid,
+}
+
+/// What the instance arc after a column's OID is: 0 for a scalar, else
+/// a port number or a VLAN id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Index {
+    Scalar,
+    Port,
+    Vlan,
+}
+
+impl Column {
+    fn index(self) -> Index {
+        match self {
+            Column::SysDescr | Column::SysUpTime | Column::SysName | Column::IfNumber => {
+                Index::Scalar
+            }
+            Column::VlanEgress | Column::VlanUntagged | Column::VlanRowStatus => Index::Vlan,
+            _ => Index::Port,
+        }
+    }
+}
+
+/// The columns served, in OID order; none is a prefix of another. An
+/// instance is a column's OID plus its one index arc.
+const COLUMNS: [(&[u32], Column); 12] = [
+    (&[1, 3, 6, 1, 2, 1, 1, 1], Column::SysDescr),
+    (&[1, 3, 6, 1, 2, 1, 1, 3], Column::SysUpTime),
+    (&[1, 3, 6, 1, 2, 1, 1, 5], Column::SysName),
+    (&[1, 3, 6, 1, 2, 1, 2, 1], Column::IfNumber),
+    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 2], Column::IfDescr),
+    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 8], Column::IfOperStatus),
+    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 10], Column::IfInOctets),
+    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 16], Column::IfOutOctets),
+    (
+        &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 2],
+        Column::VlanEgress,
+    ),
+    (
+        &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 4],
+        Column::VlanUntagged,
+    ),
+    (
+        &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 5],
+        Column::VlanRowStatus,
+    ),
+    (&[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 5, 1, 1], Column::Pvid),
+];
+
 impl BridgeMib<'_> {
-    /// All instance OIDs this agent serves, in lexicographic order, with
-    /// their current values. Small device ⇒ cheap to enumerate; keeps
-    /// GetNext trivially correct.
-    fn snapshot(&self) -> Vec<(Oid, Value)> {
-        let b = &self.bridge;
+    /// Split an instance OID into its column and index arc.
+    fn decompose(oid: &Oid) -> Option<(Column, u32)> {
+        let (&instance, column) = oid.arcs().split_last()?;
+        let (_, c) = COLUMNS.iter().find(|(prefix, _)| *prefix == column)?;
+        Some((*c, instance))
+    }
+
+    /// The value of one instance, if it exists. The arc is narrowed
+    /// checked: one beyond a port or VLAN id never aliases a real one.
+    fn value(&self, column: Column, instance: u32) -> Option<Value> {
+        let b = &*self.bridge;
+        let n = b.n_ports();
+        let id = u16::try_from(instance).ok()?;
+        let vlan = || b.vlans().get(&id);
+        let exists = match column.index() {
+            Index::Scalar => id == 0,
+            Index::Port => (1..=n).contains(&id),
+            Index::Vlan => vlan().is_some(),
+        };
+        if !exists {
+            return None;
+        }
+        let text = |s: &str| Value::OctetString(s.as_bytes().to_vec());
+        let portlist = |ports: &BTreeSet<u16>| {
+            let ports: Vec<u16> = ports.iter().copied().collect();
+            Value::OctetString(mibs::encode_portlist(&ports, n))
+        };
+        Some(match column {
+            Column::SysDescr => text(&self.sys.descr),
+            Column::SysUpTime => Value::TimeTicks(self.uptime_cs),
+            Column::SysName => text(&self.sys.name),
+            Column::IfNumber => Value::Integer(i64::from(n)),
+            Column::IfDescr => text(&format!("port{id}")),
+            Column::IfOperStatus => Value::Integer(1),
+            Column::IfInOctets => Value::Counter32(b.counters(id).rx_octets as u32),
+            Column::IfOutOctets => Value::Counter32(b.counters(id).tx_octets as u32),
+            Column::VlanEgress => portlist(&vlan()?.egress),
+            Column::VlanUntagged => portlist(&vlan()?.untagged),
+            Column::VlanRowStatus => Value::Integer(mibs::ROW_ACTIVE),
+            Column::Pvid => Value::Gauge32(u32::from(b.pvid(id))),
+        })
+    }
+
+    /// The smallest index arc of `column` above `after` (`None`: the
+    /// smallest of all).
+    fn next_instance(&self, column: Column, after: Option<u32>) -> Option<u32> {
+        let from = match after {
+            None => 0,
+            Some(arc) => arc.checked_add(1)?,
+        };
+        match column.index() {
+            Index::Scalar => (from == 0).then_some(0),
+            Index::Port => {
+                let port = from.max(1);
+                (port <= u32::from(self.bridge.n_ports())).then_some(port)
+            }
+            Index::Vlan => {
+                let from = u16::try_from(from).ok()?;
+                let (&vid, _) = self.bridge.vlans().range(from..).next()?;
+                Some(u32::from(vid))
+            }
+        }
+    }
+}
+
+impl MibStore for BridgeMib<'_> {
+    fn get(&self, oid: &Oid) -> Option<Value> {
+        let (column, instance) = Self::decompose(oid)?;
+        self.value(column, instance)
+    }
+
+    fn next(&self, oid: &Oid) -> Option<(Oid, Value)> {
+        let arcs = oid.arcs();
+        COLUMNS.iter().find_map(|&(prefix, column)| {
+            // Inside the column's subtree the arc after the prefix says
+            // where to resume — a longer OID sorts between that instance
+            // and the next; before the subtree, at its first instance;
+            // past it, in a later column.
+            let after = if arcs.starts_with(prefix) {
+                arcs.get(prefix.len()).copied()
+            } else if arcs < prefix {
+                None
+            } else {
+                return None;
+            };
+            let instance = self.next_instance(column, after)?;
+            let value = self.value(column, instance)?;
+            Some((Oid([prefix, &[instance]].concat()), value))
+        })
+    }
+
+    fn set(&mut self, oid: &Oid, value: &Value) -> Result<(), ErrorStatus> {
+        fn wrong<E>(_: E) -> ErrorStatus {
+            ErrorStatus::WrongValue
+        }
+        // Only the VLAN table and PVIDs are writable; everything else,
+        // sysName included, keeps its identity.
+        let (column, instance) = Self::decompose(oid)
+            .filter(|(c, _)| *c == Column::Pvid || c.index() == Index::Vlan)
+            .ok_or(ErrorStatus::NotWritable)?;
+        let index = u16::try_from(instance).map_err(wrong)?;
+        match column {
+            Column::VlanEgress | Column::VlanUntagged => {
+                let bytes = value.as_bytes().ok_or(ErrorStatus::WrongType)?;
+                let ports = mibs::decode_portlist(bytes);
+                self.bridge.create_vlan(index).map_err(wrong)?;
+                if column == Column::VlanEgress {
+                    self.bridge.set_egress(index, &ports).map_err(wrong)
+                } else {
+                    self.bridge.set_untagged(index, &ports).map_err(wrong)
+                }
+            }
+            Column::VlanRowStatus => match value.as_int() {
+                Some(mibs::ROW_CREATE_AND_GO) => self.bridge.create_vlan(index).map_err(wrong),
+                Some(mibs::ROW_DESTROY) => self.bridge.destroy_vlan(index).map_err(wrong),
+                Some(_) => Err(ErrorStatus::WrongValue),
+                None => Err(ErrorStatus::WrongType),
+            },
+            _ => {
+                let vid = value.as_int().ok_or(ErrorStatus::WrongType)?;
+                let vid = u16::try_from(vid).map_err(wrong)?;
+                self.bridge.set_pvid(index, vid).map_err(wrong)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mgmt::pdu::{Pdu, PduType, SnmpMessage};
+    use mgmt::store::agent_respond;
+
+    /// The oracle: every instance this agent serves with its current
+    /// value, enumerated from the bridge and sorted — what `get` and
+    /// `next` used to build per request and search.
+    fn snapshot(mib: &BridgeMib) -> Vec<(Oid, Value)> {
+        let b = &mib.bridge;
         let n = b.n_ports();
         let mut out: Vec<(Oid, Value)> = vec![
             (
                 mibs::sys_descr(),
-                Value::OctetString(self.sys.descr.clone().into_bytes()),
+                Value::OctetString(mib.sys.descr.clone().into_bytes()),
             ),
-            (mibs::sys_uptime(), Value::TimeTicks(self.uptime_cs)),
+            (mibs::sys_uptime(), Value::TimeTicks(mib.uptime_cs)),
             (
                 mibs::sys_name(),
-                Value::OctetString(self.sys.name.clone().into_bytes()),
+                Value::OctetString(mib.sys.name.clone().into_bytes()),
             ),
             (mibs::if_number(), Value::Integer(i64::from(n))),
         ];
@@ -99,101 +300,163 @@ impl BridgeMib<'_> {
         out
     }
 
-    fn parse_vlan_column(oid: &Oid) -> Option<(u8, u16)> {
-        // 1.3.6.1.2.1.17.7.1.4.3.1.<col>.<vid>
-        let arcs = oid.arcs();
-        let prefix = [1u32, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1];
-        if arcs.len() == prefix.len() + 2 && arcs[..prefix.len()] == prefix {
-            return Some((arcs[prefix.len()] as u8, arcs[prefix.len() + 1] as u16));
+    /// `get` and `next` answer `oid` as a search of the snapshot would.
+    fn assert_agrees(mib: &BridgeMib, rows: &[(Oid, Value)], oid: &Oid) {
+        let row = rows.iter().find(|(o, _)| o == oid);
+        assert_eq!(mib.get(oid), row.map(|(_, v)| v.clone()), "get {oid}");
+        let after = rows.iter().find(|(o, _)| o > oid);
+        assert_eq!(mib.next(oid), after.cloned(), "next {oid}");
+    }
+
+    #[test]
+    fn columns_are_the_mibs_oids_in_getnext_order() {
+        let named = [
+            mibs::sys_descr(),
+            mibs::sys_uptime(),
+            mibs::sys_name(),
+            mibs::if_number(),
+            mibs::if_descr(0),
+            mibs::if_oper_status(0),
+            mibs::if_in_octets(0),
+            mibs::if_out_octets(0),
+            mibs::vlan_static_egress_ports(0),
+            mibs::vlan_static_untagged_ports(0),
+            mibs::vlan_static_row_status(0),
+            mibs::pvid(0),
+        ];
+        for ((prefix, _), oid) in COLUMNS.iter().zip(&named) {
+            assert_eq!(oid.arcs().split_last().unwrap().1, *prefix);
         }
-        None
+        assert!(COLUMNS.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
-    fn parse_pvid(oid: &Oid) -> Option<u16> {
-        let arcs = oid.arcs();
-        let prefix = [1u32, 3, 6, 1, 2, 1, 17, 7, 1, 4, 5, 1, 1];
-        if arcs.len() == prefix.len() + 1 && arcs[..prefix.len()] == prefix {
-            return Some(arcs[prefix.len()] as u16);
-        }
-        None
-    }
-}
-
-impl MibStore for BridgeMib<'_> {
-    fn get(&self, oid: &Oid) -> Option<Value> {
-        self.snapshot()
-            .into_iter()
-            .find(|(o, _)| o == oid)
-            .map(|(_, v)| v)
-    }
-
-    fn next(&self, oid: &Oid) -> Option<(Oid, Value)> {
-        self.snapshot().into_iter().find(|(o, _)| o > oid)
-    }
-
-    fn set(&mut self, oid: &Oid, value: &Value) -> Result<(), ErrorStatus> {
-        if let Some((col, vid)) = Self::parse_vlan_column(oid) {
-            return match col {
-                2 => {
-                    // dot1qVlanStaticEgressPorts
-                    let bytes = value.as_bytes().ok_or(ErrorStatus::WrongType)?;
-                    let ports = mibs::decode_portlist(bytes);
-                    self.bridge
-                        .create_vlan(vid)
-                        .map_err(|_| ErrorStatus::WrongValue)?;
-                    self.bridge
-                        .set_egress(vid, &ports)
-                        .map_err(|_| ErrorStatus::WrongValue)
+    #[test]
+    fn get_and_next_agree_with_the_snapshot_on_random_bridges() {
+        // xorshift: bridge shapes and probes repeat from run to run.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..40 {
+            let n = 1 + rand(20) as u16;
+            let mut b = Bridge::new(n);
+            for _ in 0..rand(12) {
+                let port = 1 + rand(u64::from(n)) as u16;
+                let vid = 2 + rand(300) as u16;
+                match rand(4) {
+                    0 => b.make_access_port(port, vid).unwrap(),
+                    1 => b.make_trunk_port(port, &[vid, vid + 1000]).unwrap(),
+                    2 => b.create_vlan(vid).unwrap(),
+                    // Refused while a port's PVID still names the VLAN.
+                    _ => drop(b.destroy_vlan(vid)),
                 }
-                4 => {
-                    // dot1qVlanStaticUntaggedPorts
-                    let bytes = value.as_bytes().ok_or(ErrorStatus::WrongType)?;
-                    let ports = mibs::decode_portlist(bytes);
-                    self.bridge
-                        .create_vlan(vid)
-                        .map_err(|_| ErrorStatus::WrongValue)?;
-                    self.bridge
-                        .set_untagged(vid, &ports)
-                        .map_err(|_| ErrorStatus::WrongValue)
+            }
+            with_mib(&mut b, |mib| {
+                let rows = snapshot(mib);
+                // A walk from the root visits the snapshot, in its order.
+                let mut cur: Oid = "1".parse().unwrap();
+                for row in &rows {
+                    assert_eq!(mib.next(&cur).as_ref(), Some(row));
+                    cur = row.0.clone();
                 }
-                5 => {
-                    // dot1qVlanStaticRowStatus
-                    match value.as_int() {
-                        Some(mibs::ROW_CREATE_AND_GO) => self
-                            .bridge
-                            .create_vlan(vid)
-                            .map_err(|_| ErrorStatus::WrongValue),
-                        Some(mibs::ROW_DESTROY) => self
-                            .bridge
-                            .destroy_vlan(vid)
-                            .map_err(|_| ErrorStatus::WrongValue),
-                        Some(_) => Err(ErrorStatus::WrongValue),
-                        None => Err(ErrorStatus::WrongType),
+                assert_eq!(mib.next(&cur), None);
+                for (oid, _) in &rows {
+                    let (last, stem) = oid.arcs().split_last().unwrap();
+                    // The row, its column, a longer OID under it, the
+                    // gap after it, and its neighbours' columns.
+                    let mut probes = vec![oid.clone(), Oid::new(stem), oid.child(0), oid.child(7)];
+                    probes.push(Oid::new(stem).child(last + 1));
+                    probes.push(Oid::new(stem).child(u32::MAX));
+                    let (col, table) = stem.split_last().unwrap();
+                    probes.push(Oid::new(table).child(col + 1));
+                    probes.push(Oid::new(table).child(col.saturating_sub(1)).child(*last));
+                    for probe in &probes {
+                        assert_agrees(mib, &rows, probe);
                     }
                 }
-                _ => Err(ErrorStatus::NotWritable),
-            };
+                // Before the first column, between subtrees, past the
+                // last, arcs that only fit a u32, and random ones.
+                for text in [
+                    "0",
+                    "1.3",
+                    "1.3.6.1.2.1.1",
+                    "1.3.6.1.2.1.1.1",
+                    "1.3.6.1.2.1.1.2.0",
+                    "1.3.6.1.2.1.1.9",
+                    "1.3.6.1.2.1.2.2.1.1.1",
+                    "1.3.6.1.2.1.2.2.1.9.1",
+                    "1.3.6.1.2.1.2.2.1.99",
+                    "1.3.6.1.2.1.17.7.1.4.3.1.258.1",
+                    "1.3.6.1.2.1.17.7.1.4.3.1.2.65537",
+                    "1.3.6.1.2.1.17.7.1.4.4",
+                    "1.3.6.1.2.1.17.7.1.4.5.1.1.65537",
+                    "1.3.6.1.2.1.17.7.1.4.5.1.1.4294967295",
+                    "1.3.6.1.2.1.17.7.1.4.5.1.2",
+                    "1.3.6.1.4.1",
+                    "2",
+                ] {
+                    assert_agrees(mib, &rows, &text.parse().unwrap());
+                }
+                for _ in 0..200 {
+                    let (oid, _) = &rows[rand(rows.len() as u64) as usize];
+                    let mut arcs = oid.arcs().to_vec();
+                    let at = rand(arcs.len() as u64) as usize;
+                    arcs[at] = rand(400) as u32;
+                    arcs.truncate(at + 1 + rand(3) as usize);
+                    assert_agrees(mib, &rows, &Oid(arcs));
+                }
+            });
         }
-        if let Some(port) = Self::parse_pvid(oid) {
-            let vid = value.as_int().ok_or(ErrorStatus::WrongType)?;
-            let vid = u16::try_from(vid).map_err(|_| ErrorStatus::WrongValue)?;
-            return self
-                .bridge
-                .set_pvid(port, vid)
-                .map_err(|_| ErrorStatus::WrongValue);
-        }
-        if *oid == mibs::sys_name() {
-            return Err(ErrorStatus::NotWritable); // keep identity fixed
-        }
-        Err(ErrorStatus::NotWritable)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mgmt::pdu::{Pdu, PduType, SnmpMessage};
-    use mgmt::store::agent_respond;
+    #[test]
+    fn oid_arcs_beyond_a_vlan_id_do_not_alias_one() {
+        let mut b = Bridge::new(4);
+        b.make_access_port(1, 5).unwrap();
+        let before = format!("{:?}", b.vlans());
+        with_mib(&mut b, |mib| {
+            // 65541 = 65536 + 5.
+            let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.2.65541".parse().unwrap();
+            let ports = Value::OctetString(mibs::encode_portlist(&[2, 3], 4));
+            assert_eq!(mib.set(&oid, &ports), Err(ErrorStatus::WrongValue));
+            assert_eq!(mib.get(&oid), None);
+        });
+        assert_eq!(format!("{:?}", b.vlans()), before, "VLAN 5 untouched");
+    }
+
+    #[test]
+    fn column_arcs_beyond_a_byte_do_not_alias_a_column() {
+        let mut b = Bridge::new(4);
+        b.make_access_port(1, 5).unwrap();
+        let before = format!("{:?}", b.vlans());
+        with_mib(&mut b, |mib| {
+            // 258 = 256 + 2, dot1qVlanStaticEgressPorts.
+            let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.258.5".parse().unwrap();
+            let ports = Value::OctetString(mibs::encode_portlist(&[2, 3], 4));
+            assert_eq!(mib.set(&oid, &ports), Err(ErrorStatus::NotWritable));
+            assert_eq!(mib.get(&oid), None);
+        });
+        assert_eq!(format!("{:?}", b.vlans()), before, "VLAN 5 untouched");
+    }
+
+    #[test]
+    fn pvid_arcs_beyond_a_port_number_do_not_alias_a_port() {
+        let mut b = Bridge::new(4);
+        b.create_vlan(7).unwrap();
+        with_mib(&mut b, |mib| {
+            // 65537 = 65536 + 1.
+            let oid = mibs::pvid(65537);
+            assert_eq!(
+                mib.set(&oid, &Value::Gauge32(7)),
+                Err(ErrorStatus::WrongValue)
+            );
+            assert_eq!(mib.get(&oid), None);
+        });
+        assert_eq!(b.pvid(1), 1, "port 1 untouched");
+    }
 
     fn with_mib<R>(bridge: &mut Bridge, f: impl FnOnce(&mut BridgeMib) -> R) -> R {
         let sys = SysInfo::default();

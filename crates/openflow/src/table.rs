@@ -1,6 +1,18 @@
 //! Flow-table semantics per OpenFlow 1.3 §5.2–5.5 and §6.4: priority
 //! ordering, overlap checking, strict/non-strict modify/delete, idle and
 //! hard timeouts, and per-entry counters.
+//!
+//! The table owns a tuple-space index, kept current by every mutation:
+//! entries are grouped by mask, and each group maps a fingerprint of
+//! (masked key, priority) to the entry's *rank*, its sort key in the
+//! priority/FIFO-ordered entry vector. Flow-mods that name a match are
+//! a hash probe and a binary search; [`FlowTable::lookup_indexed`]
+//! probes the same groups, one per distinct mask — a table of one rule
+//! shape is a single probe, the specialisation ESwitch builds on.
+
+use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use netpkt::flowkey::FieldMask;
 use netpkt::FlowKey;
@@ -118,6 +130,17 @@ pub struct FlowEntry {
     pub installed_ns: u64,
     /// Last hit time (ns).
     pub last_used_ns: u64,
+    /// Sort key in the table, assigned at install: see [`rank`].
+    rank: u64,
+}
+
+/// Install sequence numbers occupy the low bits of a rank.
+const SEQ_BITS: u32 = 48;
+
+/// An entry's sort key: inverted priority above its install sequence
+/// number, so ascending rank is priority-descending, then FIFO.
+fn rank(priority: u16, seq: u64) -> u64 {
+    (u64::from(!priority) << SEQ_BITS) | seq
 }
 
 impl FlowEntry {
@@ -143,6 +166,7 @@ impl FlowEntry {
             bytes: 0,
             installed_ns: now_ns,
             last_used_ns: now_ns,
+            rank: 0,
         }
     }
 
@@ -214,12 +238,40 @@ impl FlowEntry {
     }
 }
 
+/// This crate's unit tests run with every fingerprint equal, so each
+/// of them also takes the paths a collision takes; the integration
+/// proptests run on whole fingerprints.
+const FINGERPRINT_BITS: u64 = if cfg!(test) { 0 } else { u64::MAX };
+
+/// The entries sharing one mask — the "tuple" of tuple-space search.
+#[derive(Debug, Default)]
+struct MaskGroup {
+    mask: FieldMask,
+    /// Rank of the group's first entry in table order. Groups are kept
+    /// sorted by it, so it bounds every later group's entries too.
+    first: u64,
+    /// Distinct priorities present, highest first, with entry counts.
+    prios: Vec<(u16, u32)>,
+    /// Fingerprint of (key, priority) → rank. The key itself is not
+    /// stored a second time: a probe is verified on the entry it names.
+    slots: HashMap<u64, u64>,
+    /// Ranks of entries whose fingerprint was already another entry's.
+    spill: Vec<u64>,
+}
+
 /// A single flow table: entries ordered by priority (descending), FIFO
 /// within equal priority.
 #[derive(Debug)]
 pub struct FlowTable {
     id: TableId,
+    /// Ascending by `rank`.
     entries: Vec<FlowEntry>,
+    /// Non-empty mask groups, ascending by `first`.
+    groups: Vec<MaskGroup>,
+    /// Keys fingerprints: matches arrive from the wire, so std's
+    /// randomly keyed hasher.
+    hasher: RandomState,
+    next_seq: u64,
     capacity: usize,
     version: u64,
     lookups: u64,
@@ -237,6 +289,9 @@ impl FlowTable {
         FlowTable {
             id,
             entries: Vec::new(),
+            groups: Vec::new(),
+            hasher: RandomState::new(),
+            next_seq: 0,
             capacity,
             version: 0,
             lookups: 0,
@@ -280,35 +335,231 @@ impl FlowTable {
         &self.entries
     }
 
+    /// Union of every entry's mask: the fields a lookup here can depend
+    /// on.
+    pub fn aggregate_mask(&self) -> FieldMask {
+        self.groups
+            .iter()
+            .fold(FieldMask::default(), |m, g| m.mask_union(&g.mask))
+    }
+
+    fn position(&self, rank: u64) -> usize {
+        self.entries.partition_point(|e| e.rank < rank)
+    }
+
+    fn key_hasher(&self, key: &FlowKey) -> DefaultHasher {
+        let mut h = self.hasher.build_hasher();
+        key.hash(&mut h);
+        h
+    }
+
+    fn fingerprint(hashed_key: &DefaultHasher, priority: u16) -> u64 {
+        let mut h = hashed_key.clone();
+        h.write_u16(priority);
+        h.finish() & FINGERPRINT_BITS
+    }
+
+    /// Position of `g`'s entry with exactly this key and priority.
+    /// Fingerprints can collide, so the slot's entry is checked and the
+    /// spill list is the fallback.
+    fn find(
+        &self,
+        g: &MaskGroup,
+        hashed_key: &DefaultHasher,
+        key: &FlowKey,
+        priority: u16,
+    ) -> Option<usize> {
+        let is_it = |&rank: &u64| {
+            let pos = self.position(rank);
+            let e = &self.entries[pos];
+            (e.priority == priority && e.key == *key).then_some(pos)
+        };
+        g.slots
+            .get(&Self::fingerprint(hashed_key, priority))
+            .and_then(is_it)
+            .or_else(|| g.spill.iter().find_map(is_it))
+    }
+
+    /// Enter a (ranked) entry into its mask group.
+    fn index(&mut self, hashed_key: &DefaultHasher, mask: &FieldMask, priority: u16, rank: u64) {
+        let fp = Self::fingerprint(hashed_key, priority);
+        let gi = self
+            .groups
+            .iter()
+            .position(|g| g.mask == *mask)
+            .unwrap_or_else(|| {
+                self.groups.push(MaskGroup {
+                    mask: *mask,
+                    first: u64::MAX,
+                    ..MaskGroup::default()
+                });
+                self.groups.len() - 1
+            });
+        let g = &mut self.groups[gi];
+        match g.prios.binary_search_by(|p| priority.cmp(&p.0)) {
+            Ok(i) => g.prios[i].1 += 1,
+            Err(i) => g.prios.insert(i, (priority, 1)),
+        }
+        match g.slots.entry(fp) {
+            Entry::Vacant(slot) => {
+                slot.insert(rank);
+            }
+            Entry::Occupied(_) => g.spill.push(rank),
+        }
+        if rank < g.first {
+            g.first = rank;
+            self.groups.sort_by_key(|g| g.first);
+        }
+    }
+
+    /// Take the entry at `pos` out of its mask group; returns the mask
+    /// if it was the group's first entry.
+    fn unindex(&mut self, pos: usize) -> Option<FieldMask> {
+        let e = &self.entries[pos];
+        let (mask, priority, rank) = (e.mask, e.priority, e.rank);
+        let fp = Self::fingerprint(&self.key_hasher(&e.key), priority);
+        let g = self
+            .groups
+            .iter_mut()
+            .find(|g| g.mask == mask)
+            .expect("an installed entry is in a group");
+        if g.slots.get(&fp) == Some(&rank) {
+            g.slots.remove(&fp);
+        } else {
+            g.spill.retain(|r| *r != rank);
+        }
+        let i = g
+            .prios
+            .binary_search_by(|p| priority.cmp(&p.0))
+            .expect("an installed entry's priority is counted");
+        g.prios[i].1 -= 1;
+        if g.prios[i].1 == 0 {
+            g.prios.remove(i);
+        }
+        (g.first == rank).then_some(mask)
+    }
+
+    /// Remove the entries at `sel` (ascending positions) and return
+    /// them in table order.
+    fn remove_at(&mut self, sel: &[usize]) -> Vec<FlowEntry> {
+        let Some(&start) = sel.first() else {
+            return Vec::new();
+        };
+        // Masks of the groups that lose their first entry.
+        let headless: Vec<FieldMask> = sel.iter().filter_map(|&p| self.unindex(p)).collect();
+        let removed = if sel.len() == 1 {
+            // One memmove; `extract_if` shifts entry by entry.
+            vec![self.entries.remove(start)]
+        } else {
+            let mut pos = start;
+            let mut sel = sel.iter().copied().peekable();
+            let selected = |_: &mut FlowEntry| {
+                pos += 1;
+                sel.next_if_eq(&(pos - 1)).is_some()
+            };
+            self.entries.extract_if(start.., selected).collect()
+        };
+        self.groups.retain(|g| !g.prios.is_empty());
+        for g in self
+            .groups
+            .iter_mut()
+            .filter(|g| headless.contains(&g.mask))
+        {
+            // The next entry of the group is the first one of its mask
+            // at or after where the one that went was.
+            let from = self.entries.partition_point(|e| e.rank < g.first);
+            let next = self.entries[from..].iter().find(|e| e.mask == g.mask);
+            g.first = next.expect("a non-empty group has an entry").rank;
+        }
+        self.groups.sort_by_key(|g| g.first);
+        self.version += 1;
+        removed
+    }
+
+    /// The next install sequence number. When the 2^48 are spent, the
+    /// installed entries are renumbered from zero in table order.
+    fn take_seq(&mut self) -> u64 {
+        if self.next_seq >> SEQ_BITS != 0 {
+            self.groups.clear();
+            for i in 0..self.entries.len() {
+                let e = &mut self.entries[i];
+                e.rank = rank(e.priority, i as u64);
+                let (key, mask, priority, rank) = (e.key, e.mask, e.priority, e.rank);
+                self.index(&self.key_hasher(&key), &mask, priority, rank);
+            }
+            self.next_seq = self.entries.len() as u64;
+        }
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
     /// Install an entry per OF `ADD` semantics.
-    pub fn add(&mut self, entry: FlowEntry) -> Result<()> {
+    pub fn add(&mut self, mut entry: FlowEntry) -> Result<()> {
         if entry.flags & flow_flags::CHECK_OVERLAP != 0 {
-            for e in &self.entries {
-                if e.priority == entry.priority && e.overlaps(&entry) {
-                    return Err(Error::Overlap);
-                }
+            let lo = self
+                .entries
+                .partition_point(|e| e.priority > entry.priority);
+            let hi = self
+                .entries
+                .partition_point(|e| e.priority >= entry.priority);
+            if self.entries[lo..hi].iter().any(|e| e.overlaps(&entry)) {
+                return Err(Error::Overlap);
             }
         }
-        // Identical match + priority: replace in place (counters reset).
-        if let Some(pos) = self.entries.iter().position(|e| {
-            e.priority == entry.priority && e.key == entry.key && e.mask == entry.mask
-        }) {
-            self.entries[pos] = entry;
-            self.version += 1;
-            return Ok(());
-        }
-        if self.entries.len() >= self.capacity {
-            return Err(Error::TableFull);
-        }
-        // Insert after the last entry with priority >= new (stable order).
-        let pos = self
-            .entries
+        let hashed_key = self.key_hasher(&entry.key);
+        let installed = self
+            .groups
             .iter()
-            .position(|e| e.priority < entry.priority)
-            .unwrap_or(self.entries.len());
-        self.entries.insert(pos, entry);
+            .find(|g| g.mask == entry.mask)
+            .and_then(|g| self.find(g, &hashed_key, &entry.key, entry.priority));
+        if let Some(pos) = installed {
+            // Identical match + priority: replace in place (counters reset).
+            entry.rank = self.entries[pos].rank;
+            self.entries[pos] = entry;
+        } else {
+            if self.entries.len() >= self.capacity {
+                return Err(Error::TableFull);
+            }
+            // Ranked after every entry of its priority (stable order).
+            entry.rank = rank(entry.priority, self.take_seq());
+            self.index(&hashed_key, &entry.mask, entry.priority, entry.rank);
+            self.entries.insert(self.position(entry.rank), entry);
+        }
         self.version += 1;
         Ok(())
+    }
+
+    /// Positions, ascending, of the entries a modify/delete selects:
+    /// strict, the one with exactly this match and priority; non-strict,
+    /// every entry within the match's region.
+    fn select(&self, match_: &Match, priority: u16, strict: bool) -> Vec<usize> {
+        let (fkey, fmask) = match_.to_key_mask();
+        let hashed_key = self.key_hasher(&fkey);
+        let mut sel = Vec::new();
+        for g in &self.groups {
+            if g.mask == fmask {
+                // Within a filter of the group's own mask means an equal
+                // key: one probe per priority.
+                let prios = g.prios.iter().map(|p| p.0);
+                sel.extend(
+                    prios
+                        .filter(|p| !strict || *p == priority)
+                        .filter_map(|p| self.find(g, &hashed_key, &fkey, p)),
+                );
+            } else if !strict && g.mask.mask_union(&fmask) == g.mask {
+                // Entries narrower than the filter: walk the group.
+                let ranks = g.slots.values().chain(&g.spill);
+                sel.extend(
+                    ranks
+                        .map(|r| self.position(*r))
+                        .filter(|pos| self.entries[*pos].key.masked(&fmask) == fkey),
+                );
+            }
+        }
+        // Hash-map order differs from run to run; what is removed, in
+        // which order, feeds `FLOW_REMOVED`.
+        sel.sort_unstable();
+        sel
     }
 
     /// Modify instructions of matching entries; returns how many changed.
@@ -319,23 +570,14 @@ impl FlowTable {
         strict: bool,
         instructions: &[Instruction],
     ) -> usize {
-        let (fkey, fmask) = match_.to_key_mask();
-        let mut changed = 0;
-        for e in &mut self.entries {
-            let selected = if strict {
-                e.priority == priority && e.key == fkey && e.mask == fmask
-            } else {
-                e.within_filter(&fkey, &fmask)
-            };
-            if selected {
-                e.instructions = instructions.to_vec();
-                changed += 1;
-            }
+        let sel = self.select(match_, priority, strict);
+        for &pos in &sel {
+            self.entries[pos].instructions = instructions.to_vec();
         }
-        if changed > 0 {
+        if !sel.is_empty() {
             self.version += 1;
         }
-        changed
+        sel.len()
     }
 
     /// Delete matching entries, honouring `out_port`/`out_group` filters.
@@ -349,40 +591,27 @@ impl FlowTable {
         out_port: u32,
         out_group: u32,
     ) -> Vec<FlowEntry> {
-        let (fkey, fmask) = match_.to_key_mask();
-        let mut removed = Vec::new();
-        self.entries.retain(|e| {
-            let selected = if strict {
-                e.priority == priority && e.key == fkey && e.mask == fmask
-            } else {
-                e.within_filter(&fkey, &fmask)
-            } && e.outputs_to(out_port)
-                && e.outputs_to_group(out_group);
-            if selected {
-                removed.push(e.clone());
-            }
-            !selected
+        let mut sel = self.select(match_, priority, strict);
+        sel.retain(|&pos| {
+            let e = &self.entries[pos];
+            e.outputs_to(out_port) && e.outputs_to_group(out_group)
         });
-        if !removed.is_empty() {
-            self.version += 1;
-        }
-        removed
+        self.remove_at(&sel)
     }
 
-    /// Highest-priority entry matching `pkt`, if any. Counters are *not*
-    /// bumped here; call [`FlowTable::hit`] with the returned index.
+    /// Highest-priority entry matching `pkt`, if any, by linear scan —
+    /// the oracle [`FlowTable::lookup_indexed`] is tested against.
+    /// Counters are *not* bumped here; call [`FlowTable::hit`] with the
+    /// returned index.
     pub fn lookup(&mut self, pkt: &FlowKey) -> Option<usize> {
-        self.lookups += 1;
-        // Entries are priority-sorted, so the first match wins.
-        let idx = self.entries.iter().position(|e| e.matches(pkt))?;
-        self.hits += 1;
-        Some(idx)
+        self.lookup_counting(pkt).0
     }
 
     /// Like [`FlowTable::lookup`] but also counts packets scanned before
     /// the hit, for cost modelling.
     pub fn lookup_counting(&mut self, pkt: &FlowKey) -> (Option<usize>, usize) {
         self.lookups += 1;
+        // Entries are priority-sorted, so the first match wins.
         for (i, e) in self.entries.iter().enumerate() {
             if e.matches(pkt) {
                 self.hits += 1;
@@ -390,6 +619,32 @@ impl FlowTable {
             }
         }
         (None, self.entries.len())
+    }
+
+    /// The entry [`FlowTable::lookup`] finds, by tuple-space search: one
+    /// probe per mask group, best group first, until a hit precedes
+    /// every entry of the groups left. Also returns the groups probed,
+    /// for cost modelling.
+    pub fn lookup_indexed(&mut self, pkt: &FlowKey) -> (Option<usize>, u32) {
+        self.lookups += 1;
+        let mut best: Option<usize> = None;
+        let mut probes = 0;
+        for g in &self.groups {
+            // Nothing in this group or a later one precedes `g.first`.
+            if best.is_some_and(|b| self.entries[b].rank < g.first) {
+                break;
+            }
+            probes += 1;
+            let key = pkt.masked(&g.mask);
+            let hashed_key = self.key_hasher(&key);
+            let mut prios = g.prios.iter();
+            let hit = prios.find_map(|p| self.find(g, &hashed_key, &key, p.0));
+            if let Some(pos) = hit {
+                best = Some(best.map_or(pos, |b| b.min(pos)));
+            }
+        }
+        self.hits += u64::from(best.is_some());
+        (best, probes)
     }
 
     /// Record a hit on entry `idx`.
@@ -407,26 +662,24 @@ impl FlowTable {
 
     /// Remove timed-out entries; returns them with their reasons.
     pub fn expire(&mut self, now_ns: u64) -> Vec<(FlowEntry, RemovedReason)> {
-        let mut out = Vec::new();
-        self.entries.retain(|e| {
-            if e.hard_timeout > 0
-                && now_ns >= e.installed_ns + u64::from(e.hard_timeout) * 1_000_000_000
-            {
-                out.push((e.clone(), RemovedReason::HardTimeout));
-                return false;
-            }
-            if e.idle_timeout > 0
-                && now_ns >= e.last_used_ns + u64::from(e.idle_timeout) * 1_000_000_000
-            {
-                out.push((e.clone(), RemovedReason::IdleTimeout));
-                return false;
-            }
-            true
-        });
-        if !out.is_empty() {
-            self.version += 1;
-        }
-        out
+        let due = |timeout: u16, since_ns: u64| {
+            timeout > 0 && now_ns >= since_ns + u64::from(timeout) * 1_000_000_000
+        };
+        let (sel, reasons): (Vec<usize>, Vec<RemovedReason>) = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, e)| {
+                if due(e.hard_timeout, e.installed_ns) {
+                    Some((pos, RemovedReason::HardTimeout))
+                } else if due(e.idle_timeout, e.last_used_ns) {
+                    Some((pos, RemovedReason::IdleTimeout))
+                } else {
+                    None
+                }
+            })
+            .unzip();
+        self.remove_at(&sel).into_iter().zip(reasons).collect()
     }
 }
 
@@ -646,6 +899,97 @@ mod tests {
             crate::group_no::ANY,
         );
         assert!(t.version() > v1);
+    }
+
+    /// Both lookups agree on which rule `dst_port` hits: the one
+    /// outputting to `out`, or none.
+    fn assert_hits(t: &mut FlowTable, dst_port: u16, out: Option<u32>) {
+        let hit = t.lookup_indexed(&udp_key(dst_port)).0;
+        assert_eq!(hit, t.lookup(&udp_key(dst_port)));
+        assert_eq!(hit.is_some(), out.is_some(), "udp_dst {dst_port}");
+        if let (Some(idx), Some(out)) = (hit, out) {
+            assert!(t.entry(idx).outputs_to(out), "udp_dst {dst_port}");
+        }
+    }
+
+    #[test]
+    fn indexed_lookup_probes_one_group_per_mask_and_stops_early() {
+        let mut t = FlowTable::new(TableId(0));
+        for port in 1..100u16 {
+            t.add(entry(10, udp_match(port), u32::from(port))).unwrap();
+        }
+        // One rule shape = one group: the ESwitch template case.
+        let (hit, probes) = t.lookup_indexed(&udp_key(42));
+        assert!(t.entry(hit.unwrap()).outputs_to(42));
+        assert_eq!(probes, 1);
+        t.add(entry(1, Match::any(), 999)).unwrap();
+        assert_eq!(
+            t.lookup_indexed(&udp_key(42)).1,
+            1,
+            "hit outranks the catch-all"
+        );
+        let (hit, probes) = t.lookup_indexed(&udp_key(7000));
+        assert!(t.entry(hit.unwrap()).outputs_to(999));
+        assert_eq!(probes, 2);
+        assert_eq!((t.lookups(), t.hits()), (3, 3));
+    }
+
+    #[test]
+    fn colliding_fingerprints_never_hit_the_wrong_rule() {
+        let any = (crate::port_no::ANY, crate::group_no::ANY);
+        let mut t = FlowTable::new(TableId(0));
+        for (port, out) in [(53, 1), (80, 2), (443, 3)] {
+            t.add(entry(5, udp_match(port), out)).unwrap();
+        }
+        // One slot, two spilled entries (`FINGERPRINT_BITS` is 0 here);
+        // each is replaced on its own.
+        assert_eq!((t.groups[0].slots.len(), t.groups[0].spill.len()), (1, 2));
+        t.add(entry(5, udp_match(80), 9)).unwrap();
+        assert_eq!(t.len(), 3);
+        for (port, out) in [(53, 1), (80, 9), (443, 3)] {
+            assert_hits(&mut t, port, Some(out));
+        }
+        // Deleting the slot's holder leaves the spilled ones reachable,
+        // and the vacated slot is not mistaken for them.
+        let removed = t.delete(&udp_match(53), 5, true, any.0, any.1);
+        assert_eq!(removed.len(), 1);
+        assert!(removed[0].outputs_to(1));
+        assert_hits(&mut t, 53, None);
+        assert_hits(&mut t, 80, Some(9));
+        let insns = Instruction::apply(vec![Action::output(7)]);
+        assert_eq!(t.modify(&udp_match(443), 5, true, &insns), 1);
+        assert_hits(&mut t, 443, Some(7));
+        t.add(entry(5, udp_match(53), 4)).unwrap();
+        let removed = t.delete(&udp_match(80), 0, false, any.0, any.1);
+        assert_eq!(removed.len(), 1);
+        assert!(removed[0].outputs_to(9));
+        assert_hits(&mut t, 80, None);
+        assert_hits(&mut t, 53, Some(4));
+        assert_hits(&mut t, 443, Some(7));
+    }
+
+    #[test]
+    fn spent_sequence_space_renumbers_in_table_order() {
+        let mut t = FlowTable::new(TableId(0));
+        t.next_seq = (1 << SEQ_BITS) - 2;
+        t.add(entry(5, udp_match(1), 1)).unwrap();
+        t.add(entry(9, udp_match(2), 2)).unwrap();
+        // The 2^48th install: survivors take sequence numbers 0 and 1.
+        t.add(entry(5, udp_match(3), 3)).unwrap();
+        t.add(entry(9, Match::any(), 4)).unwrap();
+        assert_eq!(t.next_seq, 4);
+        let outs = [2, 4, 1, 3];
+        for (e, out) in t.entries().iter().zip(outs) {
+            assert!(e.outputs_to(out), "priority, then FIFO, order kept");
+        }
+        assert!(t.entries().windows(2).all(|w| w[0].rank < w[1].rank));
+        // The rebuilt index still names every entry.
+        assert_hits(&mut t, 2, Some(2));
+        assert_hits(&mut t, 1, Some(4));
+        t.add(entry(5, udp_match(1), 8)).unwrap();
+        assert_eq!(t.len(), 4, "replaced, not duplicated");
+        let any = (crate::port_no::ANY, crate::group_no::ANY);
+        assert_eq!(t.delete(&udp_match(3), 5, true, any.0, any.1).len(), 1);
     }
 
     #[test]

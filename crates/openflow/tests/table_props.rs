@@ -1,12 +1,14 @@
 //! Property tests for flow-table semantics: priority ordering, the
 //! non-strict subset relation, and overlap symmetry — checked against
-//! brute-force oracles.
+//! brute-force oracles — and the indexed table against a scan-based
+//! model of itself, operation by operation.
 
 use proptest::prelude::*;
 
+use netpkt::flowkey::FieldMask;
 use netpkt::{builder, FlowKey, MacAddr};
-use openflow::table::{FlowEntry, FlowTable, TableId};
-use openflow::{Action, Instruction, Match};
+use openflow::table::{flow_flags, FlowEntry, FlowTable, RemovedReason, TableId};
+use openflow::{group_no, port_no, Action, Error, Instruction, Match};
 
 /// A small universe of match shapes so collisions actually happen.
 fn arb_rule_match() -> impl Strategy<Value = Match> {
@@ -159,6 +161,303 @@ proptest! {
         prop_assert_eq!(removed.len() == 1, hard_due || idle_due);
         if hard == 0 && idle == 0 {
             prop_assert_eq!(table.len(), 1, "permanent entries never expire");
+        }
+    }
+}
+
+/// The flow table as it was before it owned an index: one sorted entry
+/// list, every operation a scan of it. The model [`FlowTable`] must
+/// agree with after every step.
+struct ScanTable {
+    entries: Vec<FlowEntry>,
+    capacity: usize,
+    version: u64,
+}
+
+impl ScanTable {
+    fn add(&mut self, entry: FlowEntry) -> Result<(), Error> {
+        let same_prio = |e: &&FlowEntry| e.priority == entry.priority;
+        if entry.flags & flow_flags::CHECK_OVERLAP != 0
+            && self
+                .entries
+                .iter()
+                .filter(same_prio)
+                .any(|e| e.overlaps(&entry))
+        {
+            return Err(Error::Overlap);
+        }
+        let identical = |e: &FlowEntry| {
+            e.priority == entry.priority && e.key == entry.key && e.mask == entry.mask
+        };
+        if let Some(pos) = self.entries.iter().position(identical) {
+            self.entries[pos] = entry;
+        } else {
+            if self.entries.len() >= self.capacity {
+                return Err(Error::TableFull);
+            }
+            let pos = self
+                .entries
+                .iter()
+                .position(|e| e.priority < entry.priority)
+                .unwrap_or(self.entries.len());
+            self.entries.insert(pos, entry);
+        }
+        self.version += 1;
+        Ok(())
+    }
+
+    fn selects(e: &FlowEntry, m: &Match, priority: u16, strict: bool) -> bool {
+        let (fkey, fmask) = m.to_key_mask();
+        if strict {
+            e.priority == priority && e.key == fkey && e.mask == fmask
+        } else {
+            e.within_filter(&fkey, &fmask)
+        }
+    }
+
+    fn modify(&mut self, m: &Match, priority: u16, strict: bool, insns: &[Instruction]) -> usize {
+        let mut changed = 0;
+        for e in &mut self.entries {
+            if Self::selects(e, m, priority, strict) {
+                e.instructions = insns.to_vec();
+                changed += 1;
+            }
+        }
+        self.version += u64::from(changed > 0);
+        changed
+    }
+
+    /// Take out every entry `gone` selects, in table order.
+    fn remove(&mut self, gone: impl Fn(&FlowEntry) -> bool) -> Vec<FlowEntry> {
+        let (removed, kept) = std::mem::take(&mut self.entries)
+            .into_iter()
+            .partition(|e| gone(e));
+        self.entries = kept;
+        self.version += u64::from(!Vec::is_empty(&removed));
+        removed
+    }
+
+    fn expire(&mut self, now_ns: u64) -> Vec<(FlowEntry, RemovedReason)> {
+        let due = |timeout: u16, since: u64| {
+            timeout > 0 && now_ns >= since + u64::from(timeout) * 1_000_000_000
+        };
+        let reason = |e: &FlowEntry| {
+            if due(e.hard_timeout, e.installed_ns) {
+                Some(RemovedReason::HardTimeout)
+            } else if due(e.idle_timeout, e.last_used_ns) {
+                Some(RemovedReason::IdleTimeout)
+            } else {
+                None
+            }
+        };
+        let removed = self.remove(|e| reason(e).is_some());
+        removed
+            .into_iter()
+            .map(|e| {
+                let r = reason(&e).expect("removed because due");
+                (e, r)
+            })
+            .collect()
+    }
+
+    fn lookup(&self, pkt: &FlowKey) -> Option<usize> {
+        self.entries.iter().position(|e| e.matches(pkt))
+    }
+
+    /// Tuple-space search over an index built from scratch: one group
+    /// per mask holding the best entry per key, groups in the order of
+    /// their first entries, probed until the hit so far precedes the
+    /// next group's first entry. Returns the hit and the probe count
+    /// the cost model charges for.
+    fn lookup_tss(&self, pkt: &FlowKey) -> (Option<usize>, u32) {
+        struct Group {
+            mask: FieldMask,
+            first: usize,
+            best_by_key: Vec<(FlowKey, usize)>,
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        for (idx, e) in self.entries.iter().enumerate() {
+            let gi = groups
+                .iter()
+                .position(|g| g.mask == e.mask)
+                .unwrap_or_else(|| {
+                    groups.push(Group {
+                        mask: e.mask,
+                        first: idx,
+                        best_by_key: Vec::new(),
+                    });
+                    groups.len() - 1
+                });
+            if !groups[gi].best_by_key.iter().any(|(k, _)| *k == e.key) {
+                groups[gi].best_by_key.push((e.key, idx));
+            }
+        }
+        let (mut best, mut probes) = (None::<usize>, 0);
+        for g in &groups {
+            if best.is_some_and(|b| b < g.first) {
+                break;
+            }
+            probes += 1;
+            let masked = pkt.masked(&g.mask);
+            if let Some((_, idx)) = g.best_by_key.iter().find(|(k, _)| *k == masked) {
+                best = Some(best.map_or(*idx, |b| b.min(*idx)));
+            }
+        }
+        (best, probes)
+    }
+}
+
+/// Match shapes that nest: each mask has narrower and wider relatives
+/// in the universe, so a non-strict filter meets groups of its own
+/// mask, of wider masks (skipped) and of narrower ones (walked).
+fn model_match(shape: u8, v: u8) -> Match {
+    let v4 = |x: u32| std::net::Ipv4Addr::from(0x0a00_0000 + x);
+    let ip = || Match::new().eth_type(0x0800);
+    match shape % 9 {
+        0 => Match::any(),
+        1 => ip(),
+        2 => ip().ip_proto(17),
+        3 => ip().ip_proto(17).udp_dst(u16::from(v % 3)),
+        4 => ip().ipv4_src_masked(
+            v4(u32::from(v % 2) << 8),
+            std::net::Ipv4Addr::new(255, 255, 255, 0),
+        ),
+        5 => ip().ipv4_src(v4((u32::from(v % 2) << 8) + u32::from(v / 2 % 3))),
+        6 => Match::new().eth_dst(MacAddr::host(u32::from(v % 4))),
+        7 => Match::new().in_port(1 + u32::from(v % 2)),
+        _ => Match::new()
+            .in_port(1 + u32::from(v % 2))
+            .eth_dst(MacAddr::host(u32::from(v / 2 % 2))),
+    }
+}
+
+/// What identifies an entry and its state in a comparison: cookies are
+/// unique per add, so equal views mean the same entry in the same
+/// state.
+fn view(e: &FlowEntry) -> (u16, u64, FlowKey, FieldMask, Vec<Instruction>, u64) {
+    (
+        e.priority,
+        e.cookie,
+        e.key,
+        e.mask,
+        e.instructions.clone(),
+        e.packets,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random operation sequences on a small table: the indexed table
+    /// and the scan model agree on every result (removed lists in
+    /// order), on `entries()`, `version()` and the table counters, and
+    /// indexed lookup returns the linear lookup's entry with the probe
+    /// count of a freshly built index.
+    #[test]
+    fn indexed_table_agrees_with_scan_model(
+        capacity in 3usize..12,
+        ops in proptest::collection::vec((0u8..12, 0u8..9, any::<u8>(), 0u16..3, any::<u8>()), 1..60),
+    ) {
+        let mut table = FlowTable::with_capacity(TableId(0), capacity);
+        let mut model = ScanTable { entries: Vec::new(), capacity, version: 0 };
+        let probes: Vec<FlowKey> = (0..24u32)
+            .map(|i| {
+                let f = builder::udp_packet(
+                    MacAddr::host(9),
+                    MacAddr::host(i % 4),
+                    std::net::Ipv4Addr::from(0x0a00_0000 + ((i % 2) << 8) + i / 2 % 3),
+                    std::net::Ipv4Addr::new(10, 0, 0, 99),
+                    1000,
+                    (i / 6 % 4) as u16,
+                    b"x",
+                );
+                FlowKey::extract(1 + i % 2, &f).unwrap()
+            })
+            .collect();
+        let (mut lookups, mut hits) = (0u64, 0u64);
+        for (step, (op, shape, v, priority, aux)) in ops.into_iter().enumerate() {
+            let now_ns = step as u64 * 1_000_000_000;
+            let m = model_match(shape, v);
+            let strict = aux & 1 != 0;
+            let action = if aux & 2 != 0 {
+                Action::Group(u32::from(aux >> 6))
+            } else {
+                Action::output(u32::from(aux >> 6))
+            };
+            let insns = Instruction::apply(vec![action]);
+            match op {
+                // Adds dominate so the table fills, replaces and overflows.
+                0..=5 => {
+                    let flags = if aux & 12 == 12 { flow_flags::CHECK_OVERLAP } else { 0 };
+                    let e = FlowEntry::new(priority, m, insns, now_ns)
+                        .with_cookie(step as u64)
+                        .with_flags(flags)
+                        .with_timeouts(u16::from(aux >> 4 & 3) * 4, u16::from(aux >> 2 & 3) * 6);
+                    prop_assert_eq!(table.add(e.clone()), model.add(e), "add, step {}", step);
+                }
+                6 => prop_assert_eq!(
+                    table.modify(&m, priority, strict, &insns),
+                    model.modify(&m, priority, strict, &insns),
+                    "modify, step {}", step
+                ),
+                7..=9 => {
+                    let out_port = if aux & 12 == 4 { u32::from(aux >> 6) } else { port_no::ANY };
+                    let out_group = if aux & 12 == 8 { u32::from(aux >> 6) } else { group_no::ANY };
+                    let got = table.delete(&m, priority, strict, out_port, out_group);
+                    let want = model.remove(|e| {
+                        ScanTable::selects(e, &m, priority, strict)
+                            && e.outputs_to(out_port)
+                            && e.outputs_to_group(out_group)
+                    });
+                    prop_assert_eq!(
+                        got.iter().map(view).collect::<Vec<_>>(),
+                        want.iter().map(view).collect::<Vec<_>>(),
+                        "delete, step {}", step
+                    );
+                }
+                10 => {
+                    let got = table.expire(now_ns);
+                    let want = model.expire(now_ns);
+                    prop_assert_eq!(
+                        got.iter().map(|(e, r)| (view(e), *r)).collect::<Vec<_>>(),
+                        want.iter().map(|(e, r)| (view(e), *r)).collect::<Vec<_>>(),
+                        "expire, step {}", step
+                    );
+                }
+                // A packet: moves counters and the idle clock.
+                _ => {
+                    let key = &probes[usize::from(v) % probes.len()];
+                    let hit = table.lookup_indexed(key).0;
+                    prop_assert_eq!(hit, model.lookup(key), "hit, step {}", step);
+                    lookups += 1;
+                    if let Some(idx) = hit {
+                        hits += 1;
+                        table.hit(idx, 64, now_ns);
+                        let e = &mut model.entries[idx];
+                        e.packets += 1;
+                        e.last_used_ns = now_ns;
+                    }
+                }
+            }
+            prop_assert_eq!(
+                table.entries().iter().map(view).collect::<Vec<_>>(),
+                model.entries.iter().map(view).collect::<Vec<_>>(),
+                "entries, step {}", step
+            );
+            prop_assert_eq!(table.version(), model.version, "version, step {}", step);
+            for key in &probes {
+                let want = model.lookup(key);
+                prop_assert_eq!(table.lookup(key), want, "linear, step {}", step);
+                prop_assert_eq!(
+                    table.lookup_indexed(key),
+                    model.lookup_tss(key),
+                    "indexed, step {}", step
+                );
+                prop_assert_eq!(model.lookup_tss(key).0, want, "the model's own index");
+                lookups += 2;
+                hits += 2 * u64::from(want.is_some());
+            }
+            prop_assert_eq!((table.lookups(), table.hits()), (lookups, hits));
         }
     }
 }

@@ -60,12 +60,12 @@ use crate::batch::{BatchMemo, BatchResult, FrameBatch, FrameMark};
 use crate::cache::{CachedPath, MegaflowCache, MicroflowCache};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
-use crate::tss::TssIndex;
 
 /// Which lookup machinery is active — the ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineMode {
-    /// Use tuple-space indexes on the slow path (vs. linear scan).
+    /// Use the tables' tuple-space index on the slow path (vs. linear
+    /// scan).
     pub tss: bool,
     /// Use the exact-match microflow cache.
     pub microflow: bool,
@@ -202,10 +202,8 @@ pub struct Datapath {
     groups: GroupTable,
     meters: MeterTable,
     /// Mutation epoch: bumped by any table/group/meter/port change;
-    /// flushes both caches and invalidates TSS indexes.
+    /// flushes both caches.
     epoch: u64,
-    tss: Vec<Option<TssIndex>>,
-    table_masks: Vec<(u64, FieldMask)>,
     micro: MicroflowCache,
     mega: MegaflowCache,
     /// Per-port counters, dense-indexed by port number so hot-path
@@ -316,8 +314,6 @@ impl Datapath {
         Datapath {
             micro: MicroflowCache::new(config.micro_capacity),
             mega: MegaflowCache::new(config.mega_capacity),
-            tss: (0..n).map(|_| None).collect(),
-            table_masks: (0..n).map(|_| (u64::MAX, FieldMask::default())).collect(),
             config,
             ports: BTreeMap::new(),
             tables,
@@ -351,7 +347,7 @@ impl Datapath {
     }
 
     /// Drop every piece of dataplane state a power cycle would lose:
-    /// all flow tables, groups, meters, TSS indexes and both caches.
+    /// all flow tables, groups, meters and both caches.
     /// Ports (hardware) and their counters survive. The epoch is bumped
     /// so any cached path that somehow survived is invalidated.
     pub fn reset_tables(&mut self) {
@@ -361,8 +357,6 @@ impl Datapath {
             .collect();
         self.groups = GroupTable::new();
         self.meters = MeterTable::new();
-        self.tss = (0..n).map(|_| None).collect();
-        self.table_masks = (0..n).map(|_| (u64::MAX, FieldMask::default())).collect();
         self.micro = MicroflowCache::new(self.config.micro_capacity);
         self.mega = MegaflowCache::new(self.config.mega_capacity);
         self.epoch += 1;
@@ -606,10 +600,10 @@ impl Datapath {
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
-                let range: Vec<usize> = if all_tables {
-                    (0..self.tables.len()).collect()
+                let range = if all_tables {
+                    0..self.tables.len()
                 } else {
-                    vec![tid]
+                    tid..tid + 1
                 };
                 for t in range {
                     for e in self.tables[t].delete(
@@ -990,24 +984,6 @@ impl Datapath {
         Some((in_port, reply))
     }
 
-    /// Aggregate mask of `table` (union of all entry masks), cached per
-    /// version. IN_PORT is always included: cached paths embed concrete
-    /// ports.
-    fn aggregate_mask(&mut self, t: usize) -> FieldMask {
-        let version = self.tables[t].version();
-        if self.table_masks[t].0 != version {
-            let mut m = FieldMask {
-                in_port: u32::MAX,
-                ..FieldMask::default()
-            };
-            for e in self.tables[t].entries() {
-                m = m.mask_union(&e.mask);
-            }
-            self.table_masks[t] = (version, m);
-        }
-        self.table_masks[t].1
-    }
-
     /// Hand one lowered action to the frame's stepper and record it.
     fn emit(&mut self, ctx: &mut Lowering, a: CAction) {
         ctx.fr
@@ -1052,23 +1028,11 @@ impl Datapath {
 
         loop {
             tables_visited += 1;
-            let agg = self.aggregate_mask(table);
-            ctx.unwild = ctx.unwild.mask_union(&agg);
+            ctx.unwild = ctx.unwild.mask_union(&self.tables[table].aggregate_mask());
 
             let hit = if self.config.mode.tss {
-                // (Re)build the index if stale.
-                let rebuild = match &self.tss[table] {
-                    Some(i) => !i.fresh(&self.tables[table]),
-                    None => true,
-                };
-                if rebuild {
-                    self.tss[table] = Some(TssIndex::build(&self.tables[table]));
-                }
-                let idx = self.tss[table].as_ref().unwrap();
-                let (hit, probes) = idx.lookup(&ctx.fr.key);
+                let (hit, probes) = self.tables[table].lookup_indexed(&ctx.fr.key);
                 tss_probes += probes;
-                // Count the lookup on the table for stats parity.
-                let _ = self.tables[table].lookups();
                 hit
             } else {
                 let (hit, n) = self.tables[table].lookup_counting(&ctx.fr.key);
@@ -1412,6 +1376,22 @@ mod tests {
             let r = dp.process(1, udp_frame(1, 80), 0);
             assert!(r.dropped, "no rule for port 80 ⇒ drop (mode {mode:?})");
         }
+    }
+
+    #[test]
+    fn table_counters_advance_alike_under_linear_and_tss() {
+        let counters = |mode| {
+            let mut dp = dp(mode);
+            add_forward_rule(&mut dp, 53, 2);
+            add_forward_rule(&mut dp, 80, 3);
+            for (src, dst_port) in [(1, 53), (2, 80), (3, 443), (1, 53), (4, 22)] {
+                dp.process(1, udp_frame(src, dst_port), 0);
+            }
+            let t = dp.table(0).unwrap();
+            (t.lookups(), t.hits())
+        };
+        assert_eq!(counters(PipelineMode::linear()), (5, 3));
+        assert_eq!(counters(PipelineMode::tss()), (5, 3));
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   [`Datapath::process_batch_into`](datapath::Datapath::process_batch_into);
 //! * [`trace`] — the [`trace::ProcessingTrace`] every lookup produces and
 //!   the [`trace::CostModel`] that converts it to nanoseconds;
-//! * [`tss`] — tuple-space-search table indexes (the "ESwitch-style"
-//!   specialised fast path: one hash probe per distinct mask);
 //! * [`cache`] — exact-match microflow cache and masked megaflow cache
 //!   with OVS-style unwildcarding;
 //! * [`nat`] — the stateful source-NAT connection table behind
@@ -47,7 +45,6 @@ pub mod nat;
 pub mod node;
 pub mod route;
 pub mod trace;
-pub mod tss;
 
 pub use batch::{BatchResult, FrameBatch};
 pub use datapath::{Datapath, DpConfig, DpResult, PipelineMode};
