@@ -10,7 +10,10 @@
 //!
 //! Besides the criterion output, a single calibrated run per engine is
 //! recorded to `BENCH_netsim.json` so the performance trajectory is
-//! machine-readable across PRs.
+//! machine-readable across PRs: events and events/second, and the two
+//! factors of a frame's cost in the simulator — events per delivered
+//! frame (control-plane events of the ping storm included) and host ns
+//! per event.
 
 use criterion::{criterion_group, Criterion, Throughput};
 
@@ -25,8 +28,9 @@ use netsim::{Network, NodeId, SimTime};
 const PODS: u16 = 4;
 const HOSTS: u16 = 16;
 
-/// Build the fabric, run both ping rounds, return total events processed.
-fn fabric_ping_storm(threads: Option<usize>) -> u64 {
+/// Build the fabric, run both ping rounds, return total events processed
+/// and frames delivered.
+fn fabric_ping_storm(threads: Option<usize>) -> (u64, u64) {
     let mut net = Network::new(5);
     let ctrl = net.add_node(ControllerNode::new(
         "ctrl",
@@ -77,7 +81,7 @@ fn fabric_ping_storm(threads: Option<usize>) -> u64 {
         2 * u64::from(PODS) * u64::from(HOSTS),
         "workload must fully converge"
     );
-    net.events_processed()
+    (net.events_processed(), net.delivered_frames())
 }
 
 fn engines() -> Vec<(&'static str, Option<usize>)> {
@@ -95,8 +99,12 @@ fn engines() -> Vec<(&'static str, Option<usize>)> {
 fn bench_netloop(c: &mut Criterion) {
     // The event stream is deterministic and engine-independent; run once
     // to size the throughput denominator (and sanity-check equivalence).
-    let events = fabric_ping_storm(None);
-    assert_eq!(events, fabric_ping_storm(Some(2)), "engines must agree");
+    let (events, frames) = fabric_ping_storm(None);
+    assert_eq!(
+        (events, frames),
+        fabric_ping_storm(Some(2)),
+        "engines must agree"
+    );
     let mut g = c.benchmark_group("netloop");
     g.sample_size(10);
     g.throughput(Throughput::Elements(events));
@@ -114,7 +122,7 @@ fn main() {
     let mut rep = report::Report::load(report::bench_file());
     for (label, threads) in engines() {
         let t0 = std::time::Instant::now();
-        let events = fabric_ping_storm(threads);
+        let (events, frames) = fabric_ping_storm(threads);
         let wall = t0.elapsed().as_secs_f64();
         rep.record(
             &format!("netloop/fabric_{PODS}x{HOSTS}/{label}"),
@@ -123,6 +131,8 @@ fn main() {
                 ("events", events as f64),
                 ("wall_s", wall),
                 ("events_per_sec", events as f64 / wall),
+                ("events_per_frame", events as f64 / frames as f64),
+                ("ns_per_event", wall * 1e9 / events as f64),
             ],
         );
     }

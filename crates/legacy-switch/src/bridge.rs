@@ -9,6 +9,7 @@
 
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use netpkt::vlan::{self, VlanTag, VlanView};
 use netpkt::{EthernetFrame, MacAddr};
@@ -41,6 +42,41 @@ pub struct VlanEntry {
 struct FdbEntry {
     port: u16,
     learned_ns: u64,
+}
+
+/// FDB key: VLAN id above the 48 address bits.
+fn fdb_key(vid: u16, mac: MacAddr) -> u64 {
+    (u64::from(vid) << 48) | mac.to_u64()
+}
+
+/// Multiply-shift hash of one [`fdb_key`]. The halves are folded before
+/// and after the multiply so that the VLAN id reaches the low bits a
+/// `HashMap` picks its bucket from. The addresses hashed are those of
+/// simulated stations, not an adversary's.
+#[derive(Debug, Default, Clone, Copy)]
+struct FdbHasher(u64);
+
+impl Hasher for FdbHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// Index of 1-based `port` in the per-port vectors; port 0 maps past
+/// their end.
+fn slot(port: u16) -> usize {
+    usize::from(port).wrapping_sub(1)
 }
 
 /// Errors from configuration operations.
@@ -82,10 +118,12 @@ pub struct Forwarded {
 pub struct Bridge {
     n_ports: u16,
     vlans: BTreeMap<u16, VlanEntry>,
-    pvid: BTreeMap<u16, u16>,
-    fdb: HashMap<(u16, MacAddr), FdbEntry>,
+    /// PVID of each port, by [`slot`].
+    pvid: Vec<u16>,
+    fdb: HashMap<u64, FdbEntry, BuildHasherDefault<FdbHasher>>,
     aging_ns: u64,
-    counters: BTreeMap<u16, PortCounters>,
+    /// Counters of each port, by [`slot`].
+    counters: Vec<PortCounters>,
     flood_frames: u64,
 }
 
@@ -108,12 +146,10 @@ impl Bridge {
         Bridge {
             n_ports,
             vlans,
-            pvid: (1..=n_ports).map(|p| (p, 1)).collect(),
-            fdb: HashMap::new(),
+            pvid: vec![1; usize::from(n_ports)],
+            fdb: HashMap::default(),
             aging_ns: DEFAULT_AGING_NS,
-            counters: (1..=n_ports)
-                .map(|p| (p, PortCounters::default()))
-                .collect(),
+            counters: vec![PortCounters::default(); usize::from(n_ports)],
             flood_frames: 0,
         }
     }
@@ -130,12 +166,12 @@ impl Bridge {
 
     /// A port's PVID (1 if unset).
     pub fn pvid(&self, port: u16) -> u16 {
-        self.pvid.get(&port).copied().unwrap_or(1)
+        self.pvid.get(slot(port)).copied().unwrap_or(1)
     }
 
     /// Per-port counters.
     pub fn counters(&self, port: u16) -> PortCounters {
-        self.counters.get(&port).copied().unwrap_or_default()
+        self.counters.get(slot(port)).copied().unwrap_or_default()
     }
 
     /// Frames that had to be flooded (unknown destination).
@@ -150,7 +186,7 @@ impl Bridge {
 
     /// The learned port for `(vlan, mac)`, if any.
     pub fn fdb_lookup(&self, vlan: u16, mac: MacAddr) -> Option<u16> {
-        self.fdb.get(&(vlan, mac)).map(|e| e.port)
+        self.fdb.get(&fdb_key(vlan, mac)).map(|e| e.port)
     }
 
     /// Set the MAC aging time.
@@ -179,7 +215,7 @@ impl Bridge {
         if self.vlans.remove(&vid).is_none() {
             return Err(BridgeConfigError::NoSuchVlan);
         }
-        self.fdb.retain(|(v, _), _| *v != vid);
+        self.fdb.retain(|k, _| k >> 48 != u64::from(vid));
         Ok(())
     }
 
@@ -221,7 +257,7 @@ impl Bridge {
         if !self.vlans.contains_key(&vid) {
             return Err(BridgeConfigError::NoSuchVlan);
         }
-        self.pvid.insert(port, vid);
+        self.pvid[slot(port)] = vid;
         Ok(())
     }
 
@@ -264,64 +300,47 @@ impl Bridge {
     }
 
     /// The 802.1Q forwarding process for one received frame.
+    ///
+    /// A frame leaves in the form it arrived in wherever the egress port
+    /// wants that form (tagged in → tagged out keeps the received tag,
+    /// PCP and DEI included); the other form is built at most once, and
+    /// only if some egress port needs it.
     pub fn forward(&mut self, in_port: u16, frame: &Bytes, now_ns: u64) -> Forwarded {
-        if let Some(c) = self.counters.get_mut(&in_port) {
+        let dropped = |vlan| Forwarded {
+            outputs: Vec::new(),
+            vlan,
+            filtered: true,
+        };
+        if let Some(c) = self.counters.get_mut(slot(in_port)) {
             c.rx_frames += 1;
             c.rx_octets += frame.len() as u64;
         }
         let Ok(view) = VlanView::parse(frame) else {
-            return Forwarded {
-                outputs: Vec::new(),
-                vlan: 0,
-                filtered: true,
-            };
+            return dropped(0);
         };
-        // Ingress classification + filtering.
-        let (vid, inner): (u16, Bytes) = match view.outer {
-            Some(tag) => {
-                let member = self
-                    .vlans
-                    .get(&tag.vid)
-                    .map(|v| v.egress.contains(&in_port))
-                    .unwrap_or(false);
-                if !member {
-                    if let Some(c) = self.counters.get_mut(&in_port) {
-                        c.rx_filtered += 1;
-                    }
-                    return Forwarded {
-                        outputs: Vec::new(),
-                        vlan: tag.vid,
-                        filtered: true,
-                    };
+        // Ingress classification + filtering: a tagged frame must arrive
+        // on a member port of its VLAN, an untagged one needs its PVID's
+        // VLAN to exist.
+        let arrived_tagged = view.outer.is_some();
+        let vid = view.outer.map_or_else(|| self.pvid(in_port), |tag| tag.vid);
+        let entry = match self.vlans.get(&vid) {
+            Some(e) if !arrived_tagged || e.egress.contains(&in_port) => e,
+            _ => {
+                if let Some(c) = self.counters.get_mut(slot(in_port)) {
+                    c.rx_filtered += 1;
                 }
-                (
-                    tag.vid,
-                    vlan::pop_vlan(frame).unwrap_or_else(|_| frame.clone()),
-                )
-            }
-            None => {
-                let vid = self.pvid(in_port);
-                if !self.vlans.contains_key(&vid) {
-                    if let Some(c) = self.counters.get_mut(&in_port) {
-                        c.rx_filtered += 1;
-                    }
-                    return Forwarded {
-                        outputs: Vec::new(),
-                        vlan: vid,
-                        filtered: true,
-                    };
-                }
-                (vid, frame.clone())
+                return dropped(vid);
             }
         };
 
-        let eth = EthernetFrame::new_unchecked(&inner[..]);
+        // The addresses sit before any tag.
+        let eth = EthernetFrame::new_unchecked(&frame[..]);
         let (src, dst) = (eth.src(), eth.dst());
 
         // Learning.
         if src.is_unicast() {
             self.fdb.insert(
-                (vid, src),
+                fdb_key(vid, src),
                 FdbEntry {
                     port: in_port,
                     learned_ns: now_ns,
@@ -329,56 +348,62 @@ impl Bridge {
             );
         }
 
-        // Forwarding decision.
-        let vlan_entry = self.vlans.get(&vid).expect("validated above");
-        let egress_ports: Vec<u16> = if dst.is_unicast() {
-            match self.fdb.get(&(vid, dst)) {
-                Some(e) if e.port != in_port && vlan_entry.egress.contains(&e.port) => {
-                    vec![e.port]
-                }
-                Some(_) => Vec::new(), // destination is behind the ingress port
-                None => {
-                    self.flood_frames += 1;
-                    vlan_entry
-                        .egress
-                        .iter()
-                        .copied()
-                        .filter(|&p| p != in_port)
-                        .collect()
+        // Forwarding decision: one learned port, or a flood.
+        let learned = dst
+            .is_unicast()
+            .then(|| self.fdb.get(&fdb_key(vid, dst)))
+            .flatten();
+        let target = match learned {
+            Some(e) if e.port != in_port && entry.egress.contains(&e.port) => Some(e.port),
+            // The destination is behind the ingress port.
+            Some(_) => {
+                return Forwarded {
+                    outputs: Vec::new(),
+                    vlan: vid,
+                    filtered: false,
                 }
             }
-        } else {
-            self.flood_frames += u64::from(!dst.is_unicast());
-            vlan_entry
-                .egress
-                .iter()
-                .copied()
-                .filter(|&p| p != in_port)
-                .collect()
+            None => None,
         };
 
         // Egress tagging.
-        let vlan_entry = self.vlans.get(&vid).unwrap();
-        let mut outputs = Vec::with_capacity(egress_ports.len());
-        let tagged_frame: Option<Bytes> = if egress_ports
-            .iter()
-            .any(|p| !vlan_entry.untagged.contains(p))
-        {
-            Some(vlan::push_vlan(&inner, VlanTag::new(vid)).unwrap_or_else(|_| inner.clone()))
-        } else {
-            None
-        };
-        for p in egress_ports {
-            let f = if vlan_entry.untagged.contains(&p) {
-                inner.clone()
+        let mut outputs = Vec::with_capacity(target.map_or(entry.egress.len(), |_| 1));
+        let (mut tagged, mut untagged) = (None, None);
+        let counters = &mut self.counters;
+        let mut send = |p: u16| {
+            let f: &Bytes = if entry.untagged.contains(&p) {
+                untagged.get_or_insert_with(|| {
+                    if arrived_tagged {
+                        vlan::pop_vlan(frame).unwrap_or_else(|_| frame.clone())
+                    } else {
+                        frame.clone()
+                    }
+                })
             } else {
-                tagged_frame.clone().expect("built above")
+                tagged.get_or_insert_with(|| {
+                    if arrived_tagged {
+                        frame.clone()
+                    } else {
+                        vlan::push_vlan(frame, VlanTag::new(vid)).unwrap_or_else(|_| frame.clone())
+                    }
+                })
             };
-            if let Some(c) = self.counters.get_mut(&p) {
+            if let Some(c) = counters.get_mut(slot(p)) {
                 c.tx_frames += 1;
                 c.tx_octets += f.len() as u64;
             }
-            outputs.push((p, f));
+            outputs.push((p, f.clone()));
+        };
+        match target {
+            Some(p) => send(p),
+            None => {
+                self.flood_frames += 1;
+                entry
+                    .egress
+                    .iter()
+                    .filter(|&&p| p != in_port)
+                    .for_each(|&p| send(p));
+            }
         }
         Forwarded {
             outputs,
@@ -481,6 +506,54 @@ mod tests {
             vlan::outer_tag(f).is_none(),
             "access egress must be untagged"
         );
+    }
+
+    #[test]
+    fn tagged_to_tagged_forwards_the_received_frame() {
+        // Two trunks carrying VLAN 7: the tag a frame arrived with,
+        // priority bits included, is the tag it leaves with.
+        let mut b = Bridge::new(2);
+        b.make_trunk_port(1, &[7]).unwrap();
+        b.make_trunk_port(2, &[7]).unwrap();
+        let tag = VlanTag {
+            vid: 7,
+            pcp: 5,
+            dei: true,
+        };
+        let tagged = vlan::push_vlan(&frame(1, 2), tag).unwrap();
+        let out = b.forward(1, &tagged, 0);
+        assert_eq!(out.vlan, 7);
+        assert_eq!(out.outputs.len(), 1);
+        let (p, f) = &out.outputs[0];
+        assert_eq!(*p, 2);
+        assert_eq!(vlan::outer_tag(f), Some(tag));
+        assert_eq!(f.as_ptr(), tagged.as_ptr(), "forwarded without a copy");
+    }
+
+    #[test]
+    fn same_mac_in_two_vlans_learns_two_entries() {
+        let mut b = Bridge::new(4);
+        b.make_access_port(1, 10).unwrap();
+        b.make_access_port(2, 20).unwrap();
+        b.forward(1, &frame(1, 9), 0);
+        b.forward(2, &frame(1, 9), 0);
+        assert_eq!(b.fdb_len(), 2);
+        assert_eq!(b.fdb_lookup(10, MacAddr::host(1)), Some(1));
+        assert_eq!(b.fdb_lookup(20, MacAddr::host(1)), Some(2));
+        b.destroy_vlan(10).unwrap();
+        assert_eq!(b.fdb_lookup(10, MacAddr::host(1)), None);
+        assert_eq!(b.fdb_lookup(20, MacAddr::host(1)), Some(2));
+    }
+
+    #[test]
+    fn port_zero_and_out_of_range_ports_have_no_state() {
+        let mut b = Bridge::new(2);
+        b.forward(0, &frame(1, 2), 0);
+        b.forward(3, &frame(1, 2), 0);
+        assert_eq!(b.counters(0), PortCounters::default());
+        assert_eq!(b.counters(3), PortCounters::default());
+        assert_eq!(b.pvid(0), 1);
+        assert_eq!(b.pvid(3), 1);
     }
 
     #[test]

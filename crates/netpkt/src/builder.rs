@@ -30,15 +30,50 @@ pub fn udp_packet(
     dst_port: u16,
     payload: &[u8],
 ) -> Bytes {
-    let udp_len = udp::HEADER_LEN + payload.len();
-    let mut l4 = vec![0u8; udp_len];
-    l4[udp::HEADER_LEN..].copy_from_slice(payload);
-    let mut u = udp::UdpPacket::new_unchecked(&mut l4[..]);
-    u.set_src_port(src_port);
-    u.set_dst_port(dst_port);
-    u.set_len_field(udp_len as u16);
-    u.fill_checksum_v4(src_ip, dst_ip);
-    ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProto::UDP, &l4)
+    udp_packet_with(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        payload.len(),
+        |p| p.copy_from_slice(payload),
+    )
+}
+
+/// [`udp_packet`] whose `payload_len`-byte payload is written in place:
+/// `fill` gets the zeroed payload bytes of the frame's own buffer before
+/// the checksums are computed, so a caller that generates its payload
+/// (a traffic generator's stamp) needs no staging vector.
+#[allow(clippy::too_many_arguments)]
+pub fn udp_packet_with(
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    payload_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Bytes {
+    let udp_len = udp::HEADER_LEN + payload_len;
+    ipv4_frame_with(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        IpProto::UDP,
+        udp_len,
+        |l4| {
+            fill(&mut l4[udp::HEADER_LEN..]);
+            let mut u = udp::UdpPacket::new_unchecked(l4);
+            u.set_src_port(src_port);
+            u.set_dst_port(dst_port);
+            u.set_len_field(udp_len as u16);
+            u.fill_checksum_v4(src_ip, dst_ip);
+        },
+    )
 }
 
 /// Build an Ethernet/IPv4/TCP frame with valid checksums.
@@ -171,19 +206,46 @@ pub fn ipv4_frame(
     proto: IpProto,
     l4: &[u8],
 ) -> Bytes {
+    ipv4_frame_with(src_mac, dst_mac, src_ip, dst_ip, proto, l4.len(), |b| {
+        b.copy_from_slice(l4)
+    })
+}
+
+/// Build an Ethernet/IPv4 frame in one buffer; `fill_l4` writes the
+/// `l4_len` zeroed bytes after the IPv4 header.
+fn ipv4_frame_with(
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    proto: IpProto,
+    l4_len: usize,
+    fill_l4: impl FnOnce(&mut [u8]),
+) -> Bytes {
+    const L4: usize = HEADER_LEN + ipv4::HEADER_LEN;
+    let mut buf = BytesMut::with_capacity(L4 + l4_len);
+    buf.resize(L4 + l4_len, 0);
+    frame::EthernetRepr {
+        dst: dst_mac,
+        src: src_mac,
+        ethertype: EtherType::IPV4,
+    }
+    .emit(&mut frame::EthernetFrame::new_unchecked(
+        &mut buf[..HEADER_LEN],
+    ));
     let repr = ipv4::Ipv4Repr {
         src: src_ip,
         dst: dst_ip,
         proto,
-        payload_len: l4.len(),
+        payload_len: l4_len,
         ttl: 64,
         dscp: 0,
     };
-    let mut ip = vec![0u8; ipv4::HEADER_LEN + l4.len()];
-    ip[ipv4::HEADER_LEN..].copy_from_slice(l4);
-    let mut v = ipv4::Ipv4Packet::new_unchecked(&mut ip[..]);
-    repr.emit(&mut v);
-    ethernet(dst_mac, src_mac, EtherType::IPV4, &ip)
+    repr.emit(&mut ipv4::Ipv4Packet::new_unchecked(
+        &mut buf[HEADER_LEN..L4],
+    ));
+    fill_l4(&mut buf[L4..]);
+    buf.freeze()
 }
 
 /// Build a broadcast ARP who-has request.

@@ -114,9 +114,12 @@ pub(crate) struct LinkDir {
     pub queue: VecDeque<Bytes>,
     /// Bytes currently queued.
     pub queued_bytes: usize,
-    /// Time the serializer becomes free.
+    /// Time the serializer becomes free; at or before the current
+    /// instant means it is idle.
     pub busy_until: SimTime,
-    /// Whether a TxDone event is outstanding.
+    /// Whether a `TxDone` wake-up is queued for this direction. One is
+    /// scheduled (at `busy_until`) only while frames wait behind the one
+    /// being serialized, so an uncontended link owns no event.
     pub tx_in_flight: bool,
     /// Administratively/faulted down: frames offered to (or queued on)
     /// the direction are blackholed instead of delivered.

@@ -658,7 +658,7 @@ impl Network {
             };
             f(node, &mut ctx)
         };
-        self.shards[l.shard as usize].apply(l.idx, actions, &env);
+        self.shards[l.shard as usize].apply(l.idx, &mut actions, &env);
         self.exchange_all(&env);
         r
     }
@@ -933,6 +933,66 @@ mod tests {
         // Frames serialize one after another: arrivals spaced by 992ns.
         assert_eq!(arr[1].0 - arr[0].0, 992);
         assert_eq!(arr[2].0 - arr[1].0, 992);
+    }
+
+    /// Transmits one 100-byte frame on port 0 at each instant of `at`.
+    struct Sender {
+        at: Vec<SimTime>,
+    }
+
+    impl Node for Sender {
+        fn on_start(&mut self, ctx: &mut NodeCtx) {
+            for &t in &self.at {
+                ctx.schedule(t, 0);
+            }
+        }
+        fn on_timer(&mut self, _t: u64, ctx: &mut NodeCtx) {
+            ctx.transmit(PortId(0), Bytes::from(vec![0u8; 100]));
+        }
+        fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// `n` frames from a [`Sender`] into a silent `Pinger` over a gigabit
+    /// link (992 ns per frame), `gap` apart: the arrivals and the events
+    /// the run took, the receiver's own start timer not counted.
+    fn one_way(n: u64, gap: SimTime) -> (Vec<SimTime>, u64) {
+        let mut net = Network::new(1);
+        let tx = net.add_node(Sender {
+            at: (0..n).map(|i| SimTime::from_nanos(i * gap.0)).collect(),
+        });
+        let rx = net.add_node(pinger(0, SimTime::ZERO));
+        net.connect(tx, PortId(0), rx, PortId(0), LinkSpec::gigabit());
+        net.run_until_idle();
+        assert_eq!(net.link_stats(tx, PortId(0)).unwrap().tx_frames, n);
+        let arrivals = net.node_ref::<Pinger>(rx).arrivals.clone();
+        (arrivals, net.events_processed() - 1)
+    }
+
+    #[test]
+    fn an_idle_link_costs_one_event_per_frame() {
+        // Wider apart than the serialization time: every frame finds the
+        // link idle, so it is the sender's timer and one `Deliver` — no
+        // serializer event at all.
+        let (arrivals, events) = one_way(50, SimTime::from_micros(2));
+        assert_eq!(arrivals.len(), 50);
+        assert_eq!(arrivals[7], SimTime::from_nanos(7 * 2000 + 992 + 1000));
+        assert_eq!(events, 2 * 50);
+    }
+
+    #[test]
+    fn a_backlogged_link_wakes_once_per_waiting_frame() {
+        // All at once: the first frame starts at once, each of the other
+        // 49 is started by the one wake-up scheduled for it.
+        let (arrivals, events) = one_way(50, SimTime::ZERO);
+        assert_eq!(arrivals.len(), 50);
+        assert_eq!(arrivals[49], SimTime::from_nanos(50 * 992 + 1000));
+        assert_eq!(events, 2 * 50 + 49);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!                 Submit::Start(slot) => schedule(svc_time, TOKEN + slot),
 //!                 Submit::Queued | Submit::Dropped => {}
 //!             }
-//! on_timer:   let batch = sq.complete(slot);
+//! on_timer:   ... emit results of `sq.batch(slot)` ...
+//!             sq.finish(slot);
 //!             if sq.start_queued_batch(slot, max_batch) > 0 {
 //!                 schedule(svc_time, TOKEN + slot)
 //!             }
-//!             ... emit results of `batch` ...
 //! ```
 //!
 //! This yields an M/G/k queue whose service times the device computes
@@ -57,11 +57,14 @@ pub enum Submit {
 /// just the shared queue under another name.
 #[derive(Debug)]
 pub struct ServiceQueue<T> {
-    /// In-service batches; an empty vector means the slot is idle.
+    /// In-service batches; an empty vector means the slot is idle. The
+    /// vectors keep their storage across service periods.
     slots: Vec<Vec<T>>,
     queue: VecDeque<T>,
     /// Per-slot steering rings for `submit_to`.
     rings: Vec<VecDeque<T>>,
+    /// Items waiting in `queue` and all `rings` together.
+    waiting: usize,
     capacity: usize,
     drops: u64,
     completed: u64,
@@ -76,6 +79,7 @@ impl<T> ServiceQueue<T> {
             slots: (0..servers).map(|_| Vec::new()).collect(),
             queue: VecDeque::new(),
             rings: (0..servers).map(|_| VecDeque::new()).collect(),
+            waiting: 0,
             capacity,
             drops: 0,
             completed: 0,
@@ -101,6 +105,7 @@ impl<T> ServiceQueue<T> {
             r.clear();
         }
         self.queue.clear();
+        self.waiting = 0;
     }
 
     /// Offer an item for service.
@@ -114,7 +119,7 @@ impl<T> ServiceQueue<T> {
             return Submit::Dropped;
         }
         self.queue.push_back(item);
-        self.track_high_water();
+        self.note_waiting();
         Submit::Queued
     }
 
@@ -133,13 +138,25 @@ impl<T> ServiceQueue<T> {
             return Submit::Dropped;
         }
         self.rings[slot].push_back(item);
-        self.track_high_water();
+        self.note_waiting();
         Submit::Queued
     }
 
-    fn track_high_water(&mut self) {
-        let waiting = self.queue.len() + self.rings.iter().map(VecDeque::len).sum::<usize>();
-        self.max_queue_len = self.max_queue_len.max(waiting);
+    /// One more item waits; track the high-water mark.
+    fn note_waiting(&mut self) {
+        self.waiting += 1;
+        self.max_queue_len = self.max_queue_len.max(self.waiting);
+    }
+
+    /// Move up to `max` waiting items into `slot` — its own steering
+    /// ring first, then the shared queue. Returns how many moved.
+    fn pull(&mut self, slot: usize, max: usize) -> usize {
+        let from_ring = max.min(self.rings[slot].len());
+        self.slots[slot].extend(self.rings[slot].drain(..from_ring));
+        let from_shared = (max - from_ring).min(self.queue.len());
+        self.slots[slot].extend(self.queue.drain(..from_shared));
+        self.waiting -= from_ring + from_shared;
+        from_ring + from_shared
     }
 
     /// The head item of the batch currently served in `slot`.
@@ -164,29 +181,19 @@ impl<T> ServiceQueue<T> {
     /// Panics if the slot is idle — there is no service period to join.
     pub fn absorb_queued(&mut self, slot: usize, extra: usize) -> usize {
         assert!(!self.slots[slot].is_empty(), "absorb into idle slot");
-        let from_ring = extra.min(self.rings[slot].len());
-        for _ in 0..from_ring {
-            let item = self.rings[slot].pop_front().expect("length checked");
-            self.slots[slot].push(item);
-        }
-        let from_shared = (extra - from_ring).min(self.queue.len());
-        for _ in 0..from_shared {
-            let item = self.queue.pop_front().expect("length checked");
-            self.slots[slot].push(item);
-        }
-        from_ring + from_shared
+        self.pull(slot, extra)
     }
 
-    /// Finish the batch in `slot`, returning its items. The slot becomes
-    /// idle.
+    /// Finish the batch in `slot`: its items are dropped in place and the
+    /// slot becomes idle. Read them with [`ServiceQueue::batch`] first.
     ///
     /// # Panics
     /// Panics if the slot is idle.
-    pub fn complete(&mut self, slot: usize) -> Vec<T> {
-        let items = std::mem::take(&mut self.slots[slot]);
-        assert!(!items.is_empty(), "complete on idle slot");
+    pub fn finish(&mut self, slot: usize) {
+        let items = &mut self.slots[slot];
+        assert!(!items.is_empty(), "finish on idle slot");
         self.completed += items.len() as u64;
-        items
+        items.clear();
     }
 
     /// Pull the next queued item into the (idle) `slot`. Returns true if
@@ -204,17 +211,7 @@ impl<T> ServiceQueue<T> {
         if !self.slots[slot].is_empty() {
             return 0;
         }
-        let from_ring = max.min(self.rings[slot].len());
-        for _ in 0..from_ring {
-            let item = self.rings[slot].pop_front().expect("length checked");
-            self.slots[slot].push(item);
-        }
-        let from_shared = (max - from_ring).min(self.queue.len());
-        for _ in 0..from_shared {
-            let item = self.queue.pop_front().expect("length checked");
-            self.slots[slot].push(item);
-        }
-        from_ring + from_shared
+        self.pull(slot, max)
     }
 
     /// Credit `n` items as served without passing through the queue.
@@ -244,7 +241,7 @@ impl<T> ServiceQueue<T> {
     /// Items currently waiting (not in service), across the shared
     /// queue and all steering rings.
     pub fn queue_len(&self) -> usize {
-        self.queue.len() + self.rings.iter().map(VecDeque::len).sum::<usize>()
+        self.waiting
     }
 
     /// Number of busy servers.
@@ -257,6 +254,13 @@ impl<T> ServiceQueue<T> {
 mod tests {
     use super::*;
 
+    /// Finish the batch in `slot` and return what it held.
+    fn take(sq: &mut ServiceQueue<u32>, slot: usize) -> Vec<u32> {
+        let items = sq.batch(slot).to_vec();
+        sq.finish(slot);
+        items
+    }
+
     #[test]
     fn single_server_flow() {
         let mut sq: ServiceQueue<u32> = ServiceQueue::new(1, 2);
@@ -266,12 +270,12 @@ mod tests {
         assert_eq!(sq.submit(4), Submit::Dropped);
         assert_eq!(sq.drops(), 1);
         assert_eq!(*sq.peek(0), 1);
-        assert_eq!(sq.complete(0), vec![1]);
+        assert_eq!(take(&mut sq, 0), vec![1]);
         assert!(sq.start_queued(0));
         assert_eq!(*sq.peek(0), 2);
-        assert_eq!(sq.complete(0), vec![2]);
+        assert_eq!(take(&mut sq, 0), vec![2]);
         assert!(sq.start_queued(0));
-        assert_eq!(sq.complete(0), vec![3]);
+        assert_eq!(take(&mut sq, 0), vec![3]);
         assert!(!sq.start_queued(0));
         assert_eq!(sq.completed(), 3);
         assert_eq!(sq.max_queue_len(), 2);
@@ -285,7 +289,7 @@ mod tests {
         assert_eq!(sq.submit(3), Submit::Start(2));
         assert_eq!(sq.busy(), 3);
         assert_eq!(sq.submit(4), Submit::Dropped);
-        sq.complete(1);
+        take(&mut sq, 1);
         assert_eq!(sq.submit(5), Submit::Start(1));
     }
 
@@ -296,15 +300,15 @@ mod tests {
         for i in 2..=9 {
             assert_eq!(sq.submit(i), Submit::Queued);
         }
-        assert_eq!(sq.complete(0), vec![1]);
+        assert_eq!(take(&mut sq, 0), vec![1]);
         // Drain the backlog four at a time.
         assert_eq!(sq.start_queued_batch(0, 4), 4);
         assert_eq!(sq.batch(0), &[2, 3, 4, 5]);
         // A busy slot refuses a second batch.
         assert_eq!(sq.start_queued_batch(0, 4), 0);
-        assert_eq!(sq.complete(0), vec![2, 3, 4, 5]);
+        assert_eq!(take(&mut sq, 0), vec![2, 3, 4, 5]);
         assert_eq!(sq.start_queued_batch(0, 100), 4);
-        assert_eq!(sq.complete(0), vec![6, 7, 8, 9]);
+        assert_eq!(take(&mut sq, 0), vec![6, 7, 8, 9]);
         assert_eq!(sq.completed(), 9);
     }
 
@@ -320,7 +324,7 @@ mod tests {
         assert_eq!(sq.queue_len(), 1);
         // Absorbing more than is queued takes what exists.
         assert_eq!(sq.absorb_queued(0, 10), 1);
-        assert_eq!(sq.complete(0), vec![1, 2, 3, 4]);
+        assert_eq!(take(&mut sq, 0), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -332,13 +336,13 @@ mod tests {
             assert_eq!(a.submit(i), b.submit_to(0, i), "item {i}");
         }
         assert_eq!(a.drops(), b.drops());
-        assert_eq!(a.complete(0), b.complete(0));
+        assert_eq!(take(&mut a, 0), take(&mut b, 0));
         assert_eq!(
             a.start_queued_batch(0, 8),
             b.start_queued_batch(0, 8),
             "refill order must match"
         );
-        assert_eq!(a.complete(0), b.complete(0));
+        assert_eq!(take(&mut a, 0), take(&mut b, 0));
         assert_eq!(a.queue_len(), b.queue_len());
         assert_eq!(a.max_queue_len(), b.max_queue_len());
     }
@@ -354,11 +358,11 @@ mod tests {
         assert_eq!(sq.submit_to(0, 12), Submit::Queued);
         assert_eq!(sq.queue_len(), 3);
         // Slot 0 finishes: its refill sees only its own flow, in order.
-        assert_eq!(sq.complete(0), vec![10]);
+        assert_eq!(take(&mut sq, 0), vec![10]);
         assert_eq!(sq.start_queued_batch(0, 8), 2);
         assert_eq!(sq.batch(0), &[11, 12]);
         // Slot 1 likewise.
-        assert_eq!(sq.complete(1), vec![20]);
+        assert_eq!(take(&mut sq, 1), vec![20]);
         assert_eq!(sq.start_queued_batch(1, 8), 1);
         assert_eq!(sq.batch(1), &[21]);
     }
@@ -371,14 +375,14 @@ mod tests {
         assert_eq!(sq.submit_to(0, 3), Submit::Queued);
         assert_eq!(sq.submit_to(0, 4), Submit::Dropped, "ring bounded");
         // A shared-queue item waits behind the steered ones.
-        sq.queue.push_back(99);
+        assert_eq!(sq.submit(99), Submit::Queued);
         assert_eq!(sq.absorb_queued(0, 10), 3);
-        assert_eq!(sq.complete(0), vec![1, 2, 3, 99]);
+        assert_eq!(take(&mut sq, 0), vec![1, 2, 3, 99]);
         // An idle slot whose ring holds items must not let a newcomer
         // jump the line.
         assert_eq!(sq.submit_to(0, 5), Submit::Start(0));
         assert_eq!(sq.submit_to(0, 6), Submit::Queued);
-        assert_eq!(sq.complete(0), vec![5]);
+        assert_eq!(take(&mut sq, 0), vec![5]);
         assert_eq!(sq.submit_to(0, 7), Submit::Queued, "FIFO behind ring");
         assert_eq!(sq.start_queued_batch(0, 8), 2);
         assert_eq!(sq.batch(0), &[6, 7]);
@@ -398,9 +402,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "idle slot")]
-    fn complete_idle_slot_panics() {
+    fn finish_idle_slot_panics() {
         let mut sq: ServiceQueue<u32> = ServiceQueue::new(1, 1);
-        sq.complete(0);
+        sq.finish(0);
     }
 
     #[test]

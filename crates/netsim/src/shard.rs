@@ -47,6 +47,23 @@
 //! interleaving of events. Shard 0 uses the network seed itself, which
 //! keeps the single-shard configuration bit-compatible with the
 //! pre-shard simulator.
+//!
+//! ## The link serializer
+//!
+//! A frame hop over an uncontended link costs one queue event, its
+//! `Deliver`. `Shard::kick` starts the head-of-line frame of an egress
+//! channel whenever `now >= busy_until` and records the new
+//! `busy_until`; it schedules a `TxDone` wake-up at `busy_until` only
+//! while frames wait behind the one being serialized. The invariant:
+//! `tx_in_flight` ⇔ exactly one `TxDone` for the channel is queued, and
+//! an idle link (nothing waiting) owns no event. Frame `i` offered at
+//! `t_i` therefore starts at `max(t_i, done_{i-1})`, is done one
+//! serialization time later and arrives one propagation delay after
+//! that; a frame whose serialization starts at an instant has left the
+//! egress queue for every frame offered at that instant, whichever
+//! event the queue ordered first. A downed direction keeps `busy_until`
+//! (the frame it was serializing still occupies the wire) and any
+//! queued wake-up, which then finds nothing to start.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -164,7 +181,8 @@ pub(crate) enum Ev {
         from: NodeId,
         data: Bytes,
     },
-    /// A link serializer finishes the current frame.
+    /// A link serializer wake-up: the frame being serialized finishes and
+    /// others wait behind it (never scheduled for an uncontended link).
     TxDone { chan: u32 },
     /// A delayed transmit enters the egress queue.
     Emit {
@@ -313,6 +331,9 @@ pub(crate) struct Shard {
     /// receiver's.
     pub ctrl_stats: HashMap<(usize, usize), CtrlStats>,
     pub outbox: Vec<Remote>,
+    /// Action buffer lent to each callback by [`Shard::dispatch`] and
+    /// drained by [`Shard::apply`], so a callback allocates none.
+    scratch: Vec<Action>,
 }
 
 impl Shard {
@@ -337,6 +358,7 @@ impl Shard {
             ctrl_blocked: Vec::new(),
             ctrl_stats: HashMap::new(),
             outbox: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -504,15 +526,14 @@ impl Shard {
     /// they always did. Same-instant events never straddle a window
     /// horizon, so coalescing is also shard-safe.
     fn deliver_burst(&mut self, node: u32, port: PortId, frame: Bytes, env: &Env) {
+        if !self.deliver_follows(node) {
+            self.delivered_frames += 1;
+            self.delivered_bytes += frame.len() as u64;
+            self.dispatch(node, env, |n, ctx| n.on_packet(port, frame, ctx));
+            return;
+        }
         let mut frames = vec![(port, frame)];
-        loop {
-            match self.queue.peek() {
-                Some(top) if top.at == self.now => match &top.ev {
-                    Ev::Deliver { node: n, .. } if *n == node => {}
-                    _ => break,
-                },
-                _ => break,
-            }
+        while self.deliver_follows(node) {
             let Some(Sched {
                 ev: Ev::Deliver { port, frame, .. },
                 ..
@@ -535,6 +556,15 @@ impl Shard {
         } else {
             self.dispatch(node, env, |n, ctx| n.on_frames(frames, ctx));
         }
+    }
+
+    /// True when the next queued event is a same-instant `Deliver` for
+    /// `node`.
+    fn deliver_follows(&self, node: u32) -> bool {
+        matches!(
+            self.queue.peek(),
+            Some(Sched { at, ev: Ev::Deliver { node: n, .. }, .. }) if *at == self.now && *n == node
+        )
     }
 
     /// True when the link into `(node, port)` is down on arrival. The
@@ -593,7 +623,7 @@ impl Shard {
     }
 
     fn dispatch(&mut self, idx: u32, env: &Env, f: impl FnOnce(&mut dyn Node, &mut NodeCtx)) {
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.scratch);
         {
             let node = self.nodes[idx as usize].as_mut();
             let mut ctx = NodeCtx {
@@ -604,14 +634,15 @@ impl Shard {
             };
             f(node, &mut ctx);
         }
-        self.apply(idx, actions, env);
+        self.apply(idx, &mut actions, env);
+        self.scratch = actions;
     }
 
-    /// Apply the deferred side effects of one callback of local node
-    /// `idx`. Cross-shard control messages go to the outbox; everything
-    /// else is local by construction.
-    pub fn apply(&mut self, idx: u32, actions: Vec<Action>, env: &Env) {
-        for a in actions {
+    /// Apply (and drain) the deferred side effects of one callback of
+    /// local node `idx`. Cross-shard control messages go to the outbox;
+    /// everything else is local by construction.
+    pub fn apply(&mut self, idx: u32, actions: &mut Vec<Action>, env: &Env) {
+        for a in actions.drain(..) {
             match a {
                 Action::Transmit { port, frame } => self.emit(idx, port, frame),
                 Action::TransmitAfter { delay, port, frame } => {
@@ -695,34 +726,50 @@ impl Shard {
         }
     }
 
-    /// Enqueue a frame onto the egress channel of `(idx, port)`.
+    /// Offer a frame to the egress channel of `(idx, port)`.
     fn emit(&mut self, idx: u32, port: PortId, frame: Bytes) {
         let Some(chan) = self.chan_of(idx, port) else {
             self.unconnected_drops += 1;
             return;
         };
+        // A frame whose serialization starts at this instant leaves the
+        // queue before the newcomer is measured against it, even if its
+        // wake-up sits behind this event in the queue.
+        if !self.chans[chan as usize].dir.queue.is_empty() {
+            self.kick(chan);
+        }
         if self.chans[chan as usize].dir.enqueue(frame) {
             self.kick(chan);
         }
     }
 
-    /// If the serializer of `chan` is idle and frames are queued, start
-    /// transmitting the head-of-line frame.
+    /// Start the head-of-line frame of `chan` if its serializer is free,
+    /// and schedule the one wake-up at `busy_until` if frames wait
+    /// behind a busy serializer and none is pending.
     fn kick(&mut self, chan: u32) {
         let now = self.now;
         let c = &mut self.chans[chan as usize];
-        if c.dir.tx_in_flight || c.dir.down {
+        if c.dir.down {
             return;
         }
-        let Some(frame) = c.dir.dequeue() else { return };
-        let ser = c.dir.spec.ser_time(frame.len());
-        let tx_done = now + ser;
-        let arrive = tx_done + c.dir.spec.delay;
-        c.dir.tx_in_flight = true;
-        c.dir.busy_until = tx_done;
+        let started = if now >= c.dir.busy_until {
+            c.dir.dequeue()
+        } else {
+            None
+        };
+        if let Some(frame) = &started {
+            c.dir.busy_until = now + c.dir.spec.ser_time(frame.len());
+        }
+        let busy_until = c.dir.busy_until;
+        let wake = !c.dir.tx_in_flight && !c.dir.queue.is_empty();
+        c.dir.tx_in_flight |= wake;
+        let arrive = busy_until + c.dir.spec.delay;
         let (peer, peer_port, peer_shard, peer_idx) =
             (c.peer, c.peer_port, c.peer_shard, c.peer_idx);
-        self.push(tx_done, Ev::TxDone { chan });
+        if wake {
+            self.push(busy_until, Ev::TxDone { chan });
+        }
+        let Some(frame) = started else { return };
         if peer_shard == self.id {
             self.push(
                 arrive,

@@ -330,15 +330,20 @@ impl Generator {
         let f = self.flows[idx];
         let overhead = 14 + 20 + 8; // eth + ipv4 + udp
         let payload_len = f.frame_len.saturating_sub(overhead).max(STAMP_LEN);
-        let mut payload = vec![0u8; payload_len];
-        Stamp {
+        let stamp = Stamp {
             seq: self.seq,
             sent_ns: now.as_nanos(),
-        }
-        .write(&mut payload);
+        };
         self.seq += 1;
-        let frame = builder::udp_packet(
-            f.src_mac, f.dst_mac, f.src_ip, f.dst_ip, f.src_port, f.dst_port, &payload,
+        let frame = builder::udp_packet_with(
+            f.src_mac,
+            f.dst_mac,
+            f.src_ip,
+            f.dst_ip,
+            f.src_port,
+            f.dst_port,
+            payload_len,
+            |payload| stamp.write(payload),
         );
         match self.vlan {
             Some(vid) => push_vlan(&frame, VlanTag::new(vid)).expect("frame is well-formed"),

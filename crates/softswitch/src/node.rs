@@ -174,6 +174,8 @@ pub struct SoftSwitchNode {
     batch: FrameBatch,
     /// Emitted result arenas recycled across service periods.
     spare: Vec<BatchResult>,
+    /// Slots a burst started, recycled across [`Node::on_frames`] calls.
+    started: Vec<usize>,
     rx_dropped: u64,
     packet_ins_sent: u64,
     /// Bumped by every reset; stale service-completion timers carry the
@@ -224,6 +226,7 @@ impl SoftSwitchNode {
             steered: false,
             batch: FrameBatch::new(),
             spare: Vec::new(),
+            started: Vec::new(),
             rx_dropped: 0,
             packet_ins_sent: 0,
             svc_gen: 0,
@@ -618,7 +621,7 @@ impl Node for SoftSwitchNode {
         // free absorb queued frames into its service period, so a
         // same-instant burst is processed as one batch instead of N
         // single-frame periods.
-        let mut started = Vec::new();
+        let mut started = std::mem::take(&mut self.started);
         for (port, frame) in frames {
             match self.submit_rx(u32::from(port.0), frame) {
                 Submit::Start(slot) => started.push(slot),
@@ -626,11 +629,12 @@ impl Node for SoftSwitchNode {
                 Submit::Dropped => self.rx_dropped += 1,
             }
         }
-        for slot in started {
+        for slot in started.drain(..) {
             let room = self.batch_size.saturating_sub(self.sq.batch(slot).len());
             self.sq.absorb_queued(slot, room);
             self.start_service(slot, ctx);
         }
+        self.started = started;
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx) {
@@ -668,7 +672,7 @@ impl Node for SoftSwitchNode {
             }
             let slot = (v & 0xFFFF) as usize;
             if let Some(fin) = self.in_service[slot].take() {
-                let _ = self.sq.complete(slot);
+                self.sq.finish(slot);
                 self.emit_result(fin.result, ctx);
             }
             // Drain whatever backed up while this core was busy, as one

@@ -192,3 +192,34 @@ fn all_group_allocates_one_buffer_per_rewriting_bucket() {
         );
     }
 }
+
+/// The legacy bridge forwards a frame that arrives tagged and leaves
+/// tagged on the same VLAN as it is: no pop-and-push-again, so no
+/// buffer, and the priority bits of the received tag survive.
+#[test]
+fn bridge_trunk_to_trunk_keeps_the_tag_and_allocates_no_buffer() {
+    use netpkt::vlan::{outer_tag, push_vlan, VlanTag};
+
+    let _g = COUNTER_LOCK.lock().unwrap();
+    let mut bridge = legacy_switch::Bridge::new(2);
+    bridge.make_trunk_port(1, &[7]).unwrap();
+    bridge.make_trunk_port(2, &[7]).unwrap();
+    let tag = VlanTag {
+        vid: 7,
+        pcp: 5,
+        dei: false,
+    };
+    let tagged = push_vlan(&udp_frame(b"priority"), tag).unwrap();
+    bridge.forward(1, &tagged, 0); // unknown destination: flood, learn
+
+    let before = buffer_allocs();
+    let out = bridge.forward(1, &tagged, 1);
+    assert_eq!(buffer_allocs(), before, "tagged in, tagged out: no copy");
+    assert_eq!(out.outputs.len(), 1);
+    assert_eq!(out.outputs[0].0, 2);
+    assert_eq!(
+        outer_tag(&out.outputs[0].1),
+        Some(tag),
+        "PCP 5 leaves as PCP 5"
+    );
+}

@@ -1475,3 +1475,179 @@ proptest! {
             "a promoted standby must rebuild the primary's rule set");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The link serializer against its closed form
+// ---------------------------------------------------------------------------
+
+/// Link-oracle nodes: a sender that offers frame `i` (its index in the
+/// first four bytes) to port 0 at a scheduled instant, and a receiver
+/// that records what arrives and when.
+mod link_oracle {
+    use bytes::Bytes;
+    use netsim::{Node, NodeCtx, PortId, SimTime};
+    use std::any::Any;
+
+    pub struct Sender {
+        /// `(offer time, frame length)` in offer order.
+        pub frames: Vec<(SimTime, usize)>,
+    }
+
+    impl Node for Sender {
+        fn on_start(&mut self, ctx: &mut NodeCtx) {
+            for (i, (at, _)) in self.frames.iter().enumerate() {
+                ctx.schedule(*at, i as u64);
+            }
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx) {
+            let mut frame = vec![0u8; self.frames[token as usize].1];
+            frame[..4].copy_from_slice(&(token as u32).to_be_bytes());
+            ctx.transmit(PortId(0), Bytes::from(frame));
+        }
+        fn on_packet(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut NodeCtx) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[derive(Default)]
+    pub struct Receiver {
+        /// `(arrival ns, frame index)` in arrival order.
+        pub arrivals: Vec<(u64, u32)>,
+    }
+
+    impl Node for Receiver {
+        fn on_packet(&mut self, _port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
+            let idx = u32::from_be_bytes(frame[..4].try_into().expect("four bytes"));
+            self.arrivals.push((ctx.now().as_nanos(), idx));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One link direction against its closed form. Frame `i`, offered at
+    /// `t_i`, starts at `max(t_i, done_{i-1})`, is done one serialization
+    /// time later and arrives one propagation delay after that; a frame
+    /// waits in the egress queue from its offer to its start, and an
+    /// offer that would push the waiting bytes over `queue_bytes` is
+    /// tail-dropped. A link-down blackholes what waits, what is offered
+    /// while it lasts and what is still in flight when it arrives. Every
+    /// delivery instant and every `LinkStats` field must match — the
+    /// serializer keeps no event for an idle link, so this is what pins
+    /// that it still is one.
+    ///
+    /// Offers, serialization times and the delay are even numbers of ns
+    /// and fault instants odd, so no fault ties with a frame event. With
+    /// `grid` set, offers and serialization times are whole microseconds,
+    /// so offers keep landing on the instant a queued frame starts: it
+    /// has left the queue by then, whichever event the simulator ran
+    /// first.
+    #[test]
+    fn link_matches_closed_form_serializer(
+        offers in proptest::collection::vec((0u64..6_000, 60usize..=1514), 1..40),
+        grid in any::<bool>(),
+        delay_half in 0u64..2_000,
+        queue_bytes in 1_514usize..6_000,
+        fault in proptest::option::of((0u64..100_000, 1u64..50_000)),
+    ) {
+        use link_oracle::{Receiver, Sender};
+        use netsim::{LinkSpec, Network, PortId, SimTime};
+
+        let spec = LinkSpec::gigabit()
+            .with_delay(SimTime::from_nanos(2 * delay_half))
+            .with_queue_bytes(queue_bytes);
+        let ser = |len: usize| spec.ser_time(len).as_nanos();
+        let delay = spec.delay.as_nanos();
+        let mut t = 0;
+        let frames: Vec<(u64, usize)> = offers
+            .iter()
+            .map(|&(gap_half, len)| {
+                // On the grid: gaps of 0..6 µs, (len + 24) * 8 ns = 1..12 µs.
+                let (gap, len) = if grid {
+                    (1_000 * (gap_half % 7), 125 * (1 + len % 12) - 24)
+                } else {
+                    (2 * gap_half, len)
+                };
+                t += gap;
+                (t, len)
+            })
+            .collect();
+        let (down_at, up_at) = match fault {
+            Some((d, lasts)) => (2 * d + 1, 2 * d + 1 + 2 * lasts),
+            None => (u64::MAX, u64::MAX),
+        };
+
+        // The model. `sent` holds the frames the queue accepted, with
+        // their start and done instants; those starting after `now` wait.
+        struct Sent { idx: u32, len: usize, start: u64, done: u64 }
+        let mut sent: Vec<Sent> = Vec::new();
+        let (mut dropped, mut blackholed, mut max_queue) = (0u64, 0u64, 0usize);
+        // The link-down, applied once: what still waits then is lost.
+        let mut cut = Some(|sent: &mut Vec<Sent>| {
+            let waiting = sent.iter().filter(|s| s.start > down_at).count();
+            sent.truncate(sent.len() - waiting);
+            waiting as u64
+        });
+        for (i, &(at, len)) in frames.iter().enumerate() {
+            if at > down_at {
+                blackholed += cut.take().map_or(0, |cut| cut(&mut sent));
+            }
+            if at > down_at && at < up_at {
+                blackholed += 1;
+                continue;
+            }
+            let queued: usize = sent.iter().filter(|s| s.start > at).map(|s| s.len).sum();
+            if queued + len > queue_bytes {
+                dropped += 1;
+                continue;
+            }
+            max_queue = max_queue.max(queued + len);
+            let start = at.max(sent.last().map_or(0, |s| s.done));
+            sent.push(Sent { idx: i as u32, len, start, done: start + ser(len) });
+        }
+        blackholed += cut.take().map_or(0, |cut| cut(&mut sent));
+        let (arrived, lost_in_flight): (Vec<&Sent>, Vec<&Sent>) = sent
+            .iter()
+            .partition(|s| !(s.done + delay > down_at && s.done + delay < up_at));
+        let expected: Vec<(u64, u32)> = arrived.iter().map(|s| (s.done + delay, s.idx)).collect();
+
+        // The simulator.
+        let mut net = Network::new(1);
+        let tx = net.add_node(Sender {
+            frames: frames.iter().map(|&(at, len)| (SimTime::from_nanos(at), len)).collect(),
+        });
+        let rx = net.add_node(Receiver::default());
+        net.connect(tx, PortId(0), rx, PortId(0), spec);
+        if fault.is_some() {
+            net.schedule_link_down(SimTime::from_nanos(down_at), tx, PortId(0));
+            net.schedule_link_up(SimTime::from_nanos(up_at), tx, PortId(0));
+        }
+        net.run_until_idle();
+
+        prop_assert_eq!(&net.node_ref::<Receiver>(rx).arrivals, &expected);
+        let stats = net.link_stats(tx, PortId(0)).expect("connected");
+        prop_assert_eq!(stats.tx_frames, sent.len() as u64);
+        prop_assert_eq!(stats.tx_bytes, sent.iter().map(|s| s.len as u64).sum::<u64>());
+        prop_assert_eq!(stats.dropped_frames, dropped);
+        prop_assert_eq!(stats.blackholed_frames, blackholed);
+        prop_assert_eq!(stats.max_queue_bytes, max_queue);
+        prop_assert_eq!(net.blackholed_frames(), blackholed + lost_in_flight.len() as u64);
+        // Offer timers, deliveries (lost ones included), at most one
+        // wake-up per frame sent, the two fault events per direction.
+        let floor = (frames.len() + sent.len()) as u64 + if fault.is_some() { 4 } else { 0 };
+        let events = net.events_processed();
+        prop_assert!(events >= floor && events <= floor + sent.len() as u64,
+            "{events} events for {} offers, {} sent", frames.len(), sent.len());
+    }
+}
