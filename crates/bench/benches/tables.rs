@@ -18,6 +18,7 @@ use mgmt::{mibs, MibStore};
 use netpkt::{builder, FlowKey, MacAddr};
 use openflow::table::{FlowEntry, FlowTable, TableId};
 use openflow::{group_no, port_no, Action, Instruction, Match};
+use softswitch::batch::BatchMemo;
 use softswitch::cache::{CachedPath, MegaflowCache, MicroflowCache};
 
 /// Run `round` — which returns the time it measured and the operations
@@ -202,6 +203,50 @@ fn bench_caches(rep: &mut Report) {
     let k = key(500, 53);
     steady(rep, "caches/microflow_hit", || {
         black_box(micro.lookup(&k, 1).is_some());
+    });
+
+    // The churn working set (2048 resident flows + the never-seen
+    // tuples of one epoch), visited in random order: what a microflow
+    // probe costs when neither the key nor its slot is the hot one.
+    let resident: Vec<FlowKey> = (0..2304).map(|s| key(s, 53)).collect();
+    let mut micro = MicroflowCache::new(65536);
+    for k in &resident {
+        micro.insert(*k, path.clone());
+    }
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut order = move |n: usize| -> Vec<usize> {
+        (0..4096)
+            .map(|_| {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (lcg >> 33) as usize % n
+            })
+            .collect()
+    };
+    let (visits, mut i) = (order(resident.len()), 0);
+    steady(rep, "caches/microflow_hit_2k", || {
+        i = (i + 1) % visits.len();
+        black_box(micro.lookup(&resident[visits[i]], 1).is_some());
+    });
+
+    // The batch memo, full: a resident key and an absent one. Both are
+    // one fingerprint probe; neither repeats the previous key, so the
+    // last-key fast path stays out of it.
+    let mut memo = BatchMemo::default();
+    let mut held = 0;
+    while memo.has_room() {
+        memo.insert(resident[held], path.clone());
+        held += 1;
+    }
+    let visits = order(held);
+    steady(rep, &format!("caches/memo_hit_{held}"), || {
+        i = (i + 1) % visits.len();
+        black_box(memo.lookup(&resident[visits[i]]).is_ok());
+    });
+    let absent = &resident[held..];
+    let visits = order(absent.len());
+    steady(rep, &format!("caches/memo_miss_{held}"), || {
+        i = (i + 1) % visits.len();
+        black_box(memo.lookup(&absent[visits[i]]).is_ok());
     });
 
     let mut mega = MegaflowCache::new(8192);

@@ -5,10 +5,10 @@
 //! drains it in one call, parsing every frame up front and resolving
 //! each distinct [`FlowKey`] through the cache hierarchy only once per
 //! batch. Repeated keys replay the memoised [`CachedPath`] directly —
-//! without the per-packet hash probe, epoch check and path clone the
-//! scalar cache hit pays — which is where the batched fast path earns
-//! its throughput margin (see `benches/datapath.rs`,
-//! `batched_vs_scalar_*`).
+//! without the per-packet epoch check of a scalar cache hit and, for
+//! consecutive frames of one flow, without hashing the key at all —
+//! which is where the batched fast path earns its throughput margin
+//! (see `benches/datapath.rs`, `batched_vs_scalar_*`).
 //!
 //! [`BatchResult`] is a *flat arena*: all output frames and packet-ins
 //! of a batch live in two contiguous vectors, with each frame owning a
@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use netpkt::FlowKey;
 
-use crate::cache::CachedPath;
+use crate::cache::{CachedPath, ExactTable};
 use crate::datapath::DpResult;
 use crate::trace::ProcessingTrace;
 use openflow::message::PacketInReason;
@@ -301,26 +301,9 @@ impl BatchResult {
     }
 }
 
-struct MemoEntry {
-    key: FlowKey,
-    /// OVS flow hash of `key`, compared before the full 96-byte key so
-    /// a memo-miss scan is a fingerprint sweep, not N key compares.
-    hash: u32,
-    path: Arc<CachedPath>,
-}
-
-impl std::fmt::Debug for MemoEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoEntry")
-            .field("path", &self.path)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Hard bound on memoised keys per epoch: past this, further distinct
 /// keys simply fall through to the regular caches (still correct, just
-/// unamortised). Keeps the linear probe bounded for degenerate
-/// workloads.
+/// unamortised). Keeps the memo inside the first-level data cache.
 const MEMO_CAP: usize = 128;
 
 /// Batch lookup memo: each distinct [`FlowKey`] resolves its
@@ -328,88 +311,87 @@ const MEMO_CAP: usize = 128;
 /// reference (via the precompiled plan on the path itself when it is
 /// pure-forward — see [`CachedPath::fast_ports`]).
 ///
-/// Deliberately **not** a hash map: the memo never outgrows
-/// [`MEMO_CAP`] entries, so a newest-first linear probe — a one-word
-/// fingerprint sweep with a full key compare only on fingerprint
-/// match — beats a hash-map probe of the ~100-byte key. A one-entry
-/// "last key" fast path serves packet trains (consecutive frames of
-/// one flow) with a single compare and no hash at all.
+/// An [`ExactTable`] of at most `MEMO_CAP` (128) entries that admits
+/// while there is room and never evicts inside an epoch, behind a
+/// one-entry "last key" fast path that serves packet trains
+/// (consecutive frames of one flow) with a single compare and no hash
+/// at all. Everything else is one fingerprint probe, hit or miss — and
+/// a miss hands the hash it computed back to the caller, so the
+/// microflow probe and any install that follow do not hash the key
+/// again.
 ///
 /// Reusable across batches: [`BatchMemo::ensure_epoch`] drops all
 /// entries when the datapath epoch moved (flow-mod, NAT binding) and
 /// keeps them warm otherwise, so steady-state batches never re-probe
-/// the cache hierarchy.
-#[derive(Debug, Default)]
-pub(crate) struct BatchMemo {
-    entries: Vec<MemoEntry>,
-    last: Option<usize>,
+/// the cache hierarchy. Public so `benches/tables.rs` can time a probe.
+#[derive(Debug)]
+pub struct BatchMemo {
+    table: ExactTable,
+    /// Position of the entry that served or was admitted last (after a
+    /// flush it names whatever lands there next, or nothing).
+    last: usize,
     hits: u64,
-    epoch: u64,
+}
+
+impl Default for BatchMemo {
+    fn default() -> BatchMemo {
+        BatchMemo {
+            table: ExactTable::new(MEMO_CAP),
+            last: 0,
+            hits: 0,
+        }
+    }
 }
 
 impl BatchMemo {
-    /// Look up `key`; returns an index usable with [`BatchMemo::path`].
-    pub(crate) fn lookup(&mut self, key: &FlowKey) -> Option<usize> {
-        if let Some(i) = self.last {
-            if self.entries[i].key == *key {
-                self.hits += 1;
-                return Some(i);
-            }
+    /// Look up `key`: `Ok` is an index usable with [`BatchMemo::path`],
+    /// `Err` the key's [`FlowKey::flow_hash`]`(0)` — on a miss the hash
+    /// has been computed, and the caller's next probes want it.
+    #[inline]
+    pub fn lookup(&mut self, key: &FlowKey) -> Result<usize, u32> {
+        if !self.table.entry(self.last).is_some_and(|(k, _)| k == key) {
+            let hash = key.flow_hash(0);
+            self.last = self.table.find(hash, key).ok_or(hash)?;
         }
-        let hash = key.flow_hash(0);
-        // Newest-first: bursts revisit recently resolved flows.
-        let found = self
-            .entries
-            .iter()
-            .rposition(|e| e.hash == hash && e.key == *key);
-        if found.is_some() {
-            self.hits += 1;
-            self.last = found;
-        }
-        found
+        self.hits += 1;
+        Ok(self.last)
     }
 
     /// True while the memo can take another entry.
-    pub(crate) fn has_room(&self) -> bool {
-        self.entries.len() < MEMO_CAP
+    pub fn has_room(&self) -> bool {
+        !self.table.is_full()
     }
 
     /// The memoised path at `i` (clone = refcount bump).
-    pub(crate) fn path(&self, i: usize) -> &Arc<CachedPath> {
-        &self.entries[i].path
+    pub fn path(&self, i: usize) -> &Arc<CachedPath> {
+        &self.table.entry(i).expect("index from lookup").1
     }
 
     /// Record `path` for `key` (the pure-forward replay plan lives on
     /// the path itself — see [`CachedPath::fast_ports`]). Call only
     /// while [`BatchMemo::has_room`].
-    pub(crate) fn insert(&mut self, key: FlowKey, path: Arc<CachedPath>) {
+    pub fn insert(&mut self, key: FlowKey, path: Arc<CachedPath>) {
+        self.insert_hashed(key.flow_hash(0), key, path);
+    }
+
+    /// [`BatchMemo::insert`] with the hash a missed
+    /// [`BatchMemo::lookup`] returned.
+    pub fn insert_hashed(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) {
         debug_assert!(self.has_room(), "memo insert past MEMO_CAP");
-        let i = self.entries.len();
-        let hash = key.flow_hash(0);
-        self.entries.push(MemoEntry { key, hash, path });
-        self.last = Some(i);
+        self.last = self.table.put(hash, key, path);
     }
 
     /// Memo hits served since the last call, resetting the counter.
-    pub(crate) fn take_hits(&mut self) -> u64 {
+    pub fn take_hits(&mut self) -> u64 {
         std::mem::take(&mut self.hits)
     }
 
     /// Validate the memo against the datapath epoch: entries recorded
     /// under an older epoch are dropped wholesale (their paths may
     /// reference reordered table entries), entries from the current
-    /// epoch stay warm for the next batch.
-    pub(crate) fn ensure_epoch(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.clear();
-            self.epoch = epoch;
-        }
-    }
-
-    /// Reset entries, keeping the allocation (and the hit counter).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.last = None;
+    /// epoch stay warm for the next batch. The hit counter survives.
+    pub fn ensure_epoch(&mut self, epoch: u64) {
+        self.table.ensure_epoch(epoch);
     }
 }
 
@@ -462,24 +444,26 @@ mod tests {
     }
 
     #[test]
-    fn memo_last_key_fast_path_and_linear_fallback() {
+    fn memo_last_key_fast_path_and_indexed_fallback() {
         let mut m = BatchMemo::default();
-        assert_eq!(m.lookup(&key(53)), None);
+        assert_eq!(m.lookup(&key(53)), Err(key(53).flow_hash(0)));
         m.insert(key(53), path(2));
         m.insert(key(80), path(3));
         // `last` now points at the port-80 entry; a port-53 lookup falls
-        // back to the linear probe and repoints `last`.
-        assert_eq!(m.lookup(&key(80)), Some(1));
-        assert_eq!(m.lookup(&key(53)), Some(0));
-        assert_eq!(m.lookup(&key(53)), Some(0)); // last-key fast path
+        // back to the index probe and repoints `last`.
+        assert_eq!(m.lookup(&key(80)), Ok(1));
+        assert_eq!(m.lookup(&key(53)), Ok(0));
+        assert_eq!(m.lookup(&key(53)), Ok(0)); // last-key fast path
         assert_eq!(m.take_hits(), 3);
         assert_eq!(m.take_hits(), 0, "take_hits drains the counter");
         assert_eq!(m.path(0).actions, vec![CAction::Output(2)]);
         // An epoch move forgets entries; a matching epoch keeps them.
         m.ensure_epoch(0);
-        assert_eq!(m.lookup(&key(53)), Some(0), "same epoch keeps entries");
+        assert_eq!(m.lookup(&key(53)), Ok(0), "same epoch keeps entries");
         m.ensure_epoch(7);
-        assert_eq!(m.lookup(&key(53)), None, "epoch bump drops entries");
+        assert!(m.lookup(&key(53)).is_err(), "epoch bump drops entries");
+        m.insert(key(80), path(3));
+        assert_eq!(m.lookup(&key(80)), Ok(0), "and the last-key slot with them");
     }
 
     #[test]
@@ -495,8 +479,10 @@ mod tests {
         assert_eq!(stored, super::MEMO_CAP);
         assert!(!m.has_room());
         // Everything stored is still found; overflow keys simply miss.
-        assert!(m.lookup(&key(0)).is_some());
-        assert!(m.lookup(&key(199)).is_none());
+        for p in 0..super::MEMO_CAP as u16 {
+            assert_eq!(m.lookup(&key(p)), Ok(usize::from(p)));
+        }
+        assert!(m.lookup(&key(199)).is_err());
     }
 
     #[test]

@@ -1,20 +1,25 @@
 //! Flow caches in front of the pipeline, OVS-style.
 //!
-//! * [`MicroflowCache`]: exact [`FlowKey`] → recorded actions. One hash
-//!   probe, but every distinct microflow occupies a slot.
+//! * [`ExactTable`]: exact [`FlowKey`] → recorded actions, an
+//!   open-addressed index of 32-bit fingerprints over `(key, path)`
+//!   entries. One probe, but every distinct microflow occupies an
+//!   entry. The [`MicroflowCache`] is one; the batch memo (`batch.rs`)
+//!   holds another under its own admission rule.
 //! * [`MegaflowCache`]: `(mask, masked key)` → recorded actions, where the
 //!   mask is the *unwildcarded* set of fields the slow path actually
 //!   consulted. One entry covers an entire rule region, so the cache stays
 //!   small under flow churn.
 //!
-//! Both caches are tagged with the datapath's mutation epoch; any
+//! Both are tagged with the datapath's mutation epoch; any
 //! table/group/meter change bumps the epoch, implicitly flushing them.
 //!
-//! Both are keyed with the OVS-style [`FlowHashBuilder`] instead of the
-//! standard library's SipHash: a SipHash probe over the ~130-byte
-//! [`FlowKey`] costs about as much as an entire memoised replay, which
-//! made the hash the microflow bottleneck (see EXPERIMENTS.md's
-//! `flowhash` group for the measured gap).
+//! Both hash with the OVS-style mix ([`FlowKey::flow_hash`],
+//! [`FlowHashBuilder`]) instead of the standard library's SipHash: a
+//! SipHash probe over the 96-byte [`FlowKey`] (`size_of`; 91 bytes of
+//! fields) costs about as much as an entire memoised replay (see
+//! EXPERIMENTS.md's `flowhash` group). The datapath hashes a frame's
+//! key once per pass and hands that hash to every exact-match probe and
+//! insert (the `*_hashed` forms).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,77 +89,196 @@ impl CachedPath {
     }
 }
 
-/// Exact-match cache.
+/// The exact-match table: `(key, path)` entries stored once, in
+/// insertion order, under an open-addressed index of 32-bit
+/// fingerprints (power-of-two slots, linear probing, at most half
+/// full, doubled on demand from 16 and never pre-sized to the cap). A
+/// probe walks 8-byte slots and reads a key only on a fingerprint
+/// match, so a miss costs what a hit does. Nothing is removed singly:
+/// the table empties wholesale (epoch move, or full), keeping its
+/// allocations.
+///
+/// The fingerprint is the caller's — [`FlowKey::flow_hash`]`(0)` in the
+/// datapath, anything in tests; a key must simply arrive with the same
+/// hash every time. [`ExactTable::find`] / [`ExactTable::put`] are the
+/// bare table (the batch memo's side); `lookup` / `insert` / `contains`
+/// add the microflow cache's policy: epoch-validated on every call,
+/// flushed when full, hits and misses counted.
 #[derive(Debug, Default)]
-pub struct MicroflowCache {
-    map: HashMap<FlowKey, Arc<CachedPath>, FlowHashBuilder>,
+pub struct ExactTable {
+    entries: Vec<(FlowKey, Arc<CachedPath>)>,
+    /// `(fingerprint, entry position + 1)`; 0 = vacant.
+    slots: Vec<(u32, u32)>,
     epoch: u64,
-    capacity: usize,
+    cap: usize,
     hits: u64,
     misses: u64,
 }
 
-impl MicroflowCache {
-    /// A cache bounded to `capacity` entries (evicts by full flush, like
-    /// the kernel datapath's emergency flush).
-    pub fn new(capacity: usize) -> MicroflowCache {
-        MicroflowCache {
-            map: HashMap::default(),
-            epoch: 0,
-            capacity,
-            hits: 0,
-            misses: 0,
+/// Exact-match cache: an [`ExactTable`] bounded to its capacity by full
+/// flush, like the kernel datapath's emergency flush.
+pub type MicroflowCache = ExactTable;
+
+impl ExactTable {
+    /// An empty table that is [`ExactTable::is_full`] at `cap` entries.
+    pub fn new(cap: usize) -> ExactTable {
+        ExactTable {
+            cap,
+            ..ExactTable::default()
         }
+    }
+
+    /// Walk `key`'s probe sequence: `Ok(entry position)` if present,
+    /// `Err(vacant slot)` where it would go (`Err(0)` on an index not
+    /// allocated yet).
+    fn probe(&self, hash: u32, key: &FlowKey) -> Result<usize, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut s = hash as usize & mask;
+        while let Some(&(fp, entry)) = self.slots.get(s) {
+            if entry == 0 {
+                break;
+            }
+            let i = entry as usize - 1;
+            if fp == hash && self.entries[i].0 == *key {
+                return Ok(i);
+            }
+            s = (s + 1) & mask;
+        }
+        Err(s)
+    }
+
+    /// Position of `key`'s entry, good for [`ExactTable::entry`] until
+    /// the next flush. No epoch check, no counter.
+    #[inline]
+    pub fn find(&self, hash: u32, key: &FlowKey) -> Option<usize> {
+        self.probe(hash, key).ok()
+    }
+
+    /// The entry at position `i`.
+    #[inline]
+    pub fn entry(&self, i: usize) -> Option<&(FlowKey, Arc<CachedPath>)> {
+        self.entries.get(i)
+    }
+
+    /// Record `path` for `key` (replacing the path of an equal key) and
+    /// return the entry's position. No epoch check, no flush.
+    pub fn put(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) -> usize {
+        if (self.entries.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        match self.probe(hash, &key) {
+            Ok(i) => {
+                self.entries[i].1 = path;
+                i
+            }
+            Err(s) => {
+                self.entries.push((key, path));
+                let n = u32::try_from(self.entries.len()).expect("memory bounds the entries");
+                self.slots[s] = (hash, n);
+                self.entries.len() - 1
+            }
+        }
+    }
+
+    /// Double the index, re-placing every slot by its fingerprint (no
+    /// key is read).
+    fn grow(&mut self) {
+        let n = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); n]);
+        for slot in old.into_iter().filter(|s| s.1 != 0) {
+            let mut s = slot.0 as usize & (n - 1);
+            while self.slots[s].1 != 0 {
+                s = (s + 1) & (n - 1);
+            }
+            self.slots[s] = slot;
+        }
+    }
+
+    /// Validate against the datapath epoch: entries recorded under
+    /// another epoch are dropped wholesale (their paths may reference
+    /// reordered table entries).
+    #[inline]
+    pub fn ensure_epoch(&mut self, epoch: u64) {
+        if self.epoch != epoch {
+            self.clear();
+            self.epoch = epoch;
+        }
+    }
+
+    fn clear(&mut self) {
+        // An empty table's index is already vacant: a flow-mod burst
+        // bumps the epoch many times between frames.
+        if !self.entries.is_empty() {
+            self.entries.clear();
+            self.slots.fill((0, 0));
+        }
+    }
+
+    /// True once `cap` entries are held.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.entries.len() >= self.cap
     }
 
     /// Look up an exact key at `epoch`. Cloning the returned handle is
     /// a refcount bump.
     pub fn lookup(&mut self, key: &FlowKey, epoch: u64) -> Option<&Arc<CachedPath>> {
-        if self.epoch != epoch {
-            self.map.clear();
-            self.epoch = epoch;
-        }
-        match self.map.get(key) {
-            Some(p) => {
-                self.hits += 1;
-                Some(p)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.lookup_hashed(key.flow_hash(0), key, epoch)
     }
 
-    /// Record a path for `key`.
+    /// [`ExactTable::lookup`] with the key's hash already in hand.
+    #[inline]
+    pub fn lookup_hashed(
+        &mut self,
+        hash: u32,
+        key: &FlowKey,
+        epoch: u64,
+    ) -> Option<&Arc<CachedPath>> {
+        self.ensure_epoch(epoch);
+        let found = self.probe(hash, key).ok();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found.map(|i| &self.entries[i].1)
+    }
+
+    /// Record a path for `key`, flushing first if the table is full.
     pub fn insert(&mut self, key: FlowKey, path: Arc<CachedPath>) {
-        if self.epoch != path.epoch {
-            self.map.clear();
-            self.epoch = path.epoch;
+        self.insert_hashed(key.flow_hash(0), key, path);
+    }
+
+    /// [`ExactTable::insert`] with the key's hash already in hand.
+    pub fn insert_hashed(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) {
+        self.ensure_epoch(path.epoch);
+        if self.is_full() {
+            self.clear(); // emergency flush
         }
-        if self.map.len() >= self.capacity {
-            self.map.clear(); // emergency flush
-        }
-        self.map.insert(key, path);
+        self.put(hash, key, path);
     }
 
     /// Non-mutating residency probe: would `key` hit at `epoch` right
-    /// now? Unlike [`MicroflowCache::lookup`] this neither flushes a
-    /// stale cache (a stale epoch simply answers `false`) nor moves the
+    /// now? Unlike [`ExactTable::lookup`] this neither flushes a stale
+    /// cache (a stale epoch simply answers `false`) nor moves the
     /// hit/miss counters — the flow-level engine polls it without
     /// disturbing the statistics the promotion decision itself reads.
     pub fn contains(&self, key: &FlowKey, epoch: u64) -> bool {
-        self.epoch == epoch && self.map.contains_key(key)
+        self.contains_hashed(key.flow_hash(0), key, epoch)
+    }
+
+    /// [`ExactTable::contains`] with the key's hash already in hand.
+    pub fn contains_hashed(&self, hash: u32, key: &FlowKey, epoch: u64) -> bool {
+        self.epoch == epoch && self.probe(hash, key).is_ok()
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// True if no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
     /// Hit count.
@@ -210,27 +334,19 @@ impl MegaflowCache {
             self.epoch = epoch;
         }
         let mut probes = 0u32;
-        let mut found: Option<usize> = None;
-        for (i, (mask, map)) in self.groups.iter().enumerate() {
+        let mut found = None;
+        for (mask, map) in &self.groups {
             probes += 1;
-            let masked = key.masked(mask);
-            if map.contains_key(&masked) {
-                found = Some(i);
+            found = map.get(&key.masked(mask));
+            if found.is_some() {
                 break;
             }
         }
         match found {
-            Some(i) => {
-                self.hits += 1;
-                let (mask, map) = &self.groups[i];
-                let masked = key.masked(mask);
-                (map.get(&masked), probes)
-            }
-            None => {
-                self.misses += 1;
-                (None, probes)
-            }
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        (found, probes)
     }
 
     /// Record a path for `key` under `mask` (the unwildcarded field set).
@@ -257,7 +373,7 @@ impl MegaflowCache {
 
     /// Non-mutating residency probe: would `key` hit at `epoch` right
     /// now? Stale epochs answer `false` without flushing; no counters
-    /// move (see [`MicroflowCache::contains`]).
+    /// move (see [`ExactTable::contains`]).
     pub fn contains(&self, key: &FlowKey, epoch: u64) -> bool {
         self.epoch == epoch
             && self

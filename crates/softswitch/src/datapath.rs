@@ -204,8 +204,7 @@ pub struct Datapath {
     /// Mutation epoch: bumped by any table/group/meter/port change;
     /// flushes both caches.
     epoch: u64,
-    micro: MicroflowCache,
-    mega: MegaflowCache,
+    caches: Caches,
     /// Per-port counters, dense-indexed by port number so hot-path
     /// accounting is an array index, not a map probe. Slots for
     /// unregistered ports carry `port_no == u32::MAX`.
@@ -219,21 +218,23 @@ pub struct Datapath {
     nat: NatTable,
     ttl_expired_total: u64,
     nat_dropped_total: u64,
-    /// Per-batch scratch (parsed keys + lookup memo), reused across
-    /// batches so steady-state service periods allocate nothing.
-    scratch: BatchScratch,
+    /// Per-batch scratch (the parsed keys), reused across batches so
+    /// steady-state service periods allocate nothing.
+    keys: Vec<FlowKey>,
 }
 
 /// Recursion bound for group chains.
 const MAX_GROUP_DEPTH: u32 = 4;
 
-/// Reusable per-batch working storage. Taken out of the datapath for
-/// the duration of one [`Datapath::process_batch_into`] call and put
-/// back after, allocations intact.
+/// The lookup layers in front of the tables. Taken out of the datapath
+/// for the duration of one `process*` call and put back after, so a
+/// hit's path is *borrowed* from its cache across the replay (which
+/// needs `&mut self`): an `Arc` is cloned only for a second owner.
 #[derive(Default)]
-struct BatchScratch {
-    keys: Vec<FlowKey>,
+struct Caches {
     memo: BatchMemo,
+    micro: MicroflowCache,
+    mega: MegaflowCache,
 }
 
 /// Slow-path state of one frame: the stepper executing it, plus what
@@ -312,8 +313,11 @@ impl Datapath {
             .map(|i| FlowTable::with_capacity(TableId(i as u8), config.table_capacity))
             .collect();
         Datapath {
-            micro: MicroflowCache::new(config.micro_capacity),
-            mega: MegaflowCache::new(config.mega_capacity),
+            caches: Caches {
+                memo: BatchMemo::default(),
+                micro: MicroflowCache::new(config.micro_capacity),
+                mega: MegaflowCache::new(config.mega_capacity),
+            },
             config,
             ports: BTreeMap::new(),
             tables,
@@ -327,7 +331,7 @@ impl Datapath {
             nat: NatTable::new(),
             ttl_expired_total: 0,
             nat_dropped_total: 0,
-            scratch: BatchScratch::default(),
+            keys: Vec::new(),
         }
     }
 
@@ -357,8 +361,8 @@ impl Datapath {
             .collect();
         self.groups = GroupTable::new();
         self.meters = MeterTable::new();
-        self.micro = MicroflowCache::new(self.config.micro_capacity);
-        self.mega = MegaflowCache::new(self.config.mega_capacity);
+        self.caches.micro = MicroflowCache::new(self.config.micro_capacity);
+        self.caches.mega = MegaflowCache::new(self.config.mega_capacity);
         self.epoch += 1;
     }
 
@@ -517,12 +521,12 @@ impl Datapath {
 
     /// Microflow cache stats accessor.
     pub fn micro_cache(&self) -> &MicroflowCache {
-        &self.micro
+        &self.caches.micro
     }
 
     /// Megaflow cache stats accessor.
     pub fn mega_cache(&self) -> &MegaflowCache {
-        &self.mega
+        &self.caches.mega
     }
 
     /// Flow-residency probe for the hybrid flow-level engine: would
@@ -541,8 +545,9 @@ impl Datapath {
         let Ok(key) = FlowKey::extract(in_port, frame) else {
             return Some(false);
         };
-        let in_micro = self.config.mode.microflow && self.micro.contains(&key, self.epoch);
-        let in_mega = self.config.mode.megaflow && self.mega.contains(&key, self.epoch);
+        let Caches { micro, mega, .. } = &self.caches;
+        let in_micro = self.config.mode.microflow && micro.contains(&key, self.epoch);
+        let in_mega = self.config.mode.megaflow && mega.contains(&key, self.epoch);
         Some(in_micro || in_mega)
     }
 
@@ -562,9 +567,9 @@ impl Datapath {
     /// layer), which would keep a perfectly converged fabric "noisy".
     pub fn quiescence(&self) -> u64 {
         let slow_path = if self.config.mode.megaflow {
-            self.mega.misses()
+            self.caches.mega.misses()
         } else if self.config.mode.microflow {
-            self.micro.misses()
+            self.caches.micro.misses()
         } else {
             0
         };
@@ -715,7 +720,9 @@ impl Datapath {
     pub fn process(&mut self, in_port: u32, frame: Bytes, now_ns: u64) -> DpResult {
         let key = FlowKey::extract_lossy(in_port, &frame);
         let mut out = BatchResult::default();
-        self.process_keyed(in_port, frame, &key, now_ns, None, &mut out);
+        let mut caches = std::mem::take(&mut self.caches);
+        self.process_keyed(frame, &key, now_ns, &mut caches, false, &mut out);
+        self.caches = caches;
         out.into_single()
     }
 
@@ -731,9 +738,9 @@ impl Datapath {
     /// 2. **Probe + execute** — each frame runs to completion: its key
     ///    resolves through the per-batch memo, then the cache hierarchy
     ///    (or the slow path), and its actions replay immediately into
-    ///    the arena. Repeated keys hit the memo and skip the hash
-    ///    probe, epoch check and path clone of a scalar cache hit
-    ///    (their traces read [`LookupPath::BatchHit`]);
+    ///    the arena. Repeated keys hit the memo and skip the epoch
+    ///    check of a scalar cache hit — and, for packet trains, the
+    ///    hash (their traces read [`LookupPath::BatchHit`]);
     /// 3. **Emit** — per-frame results land in `out` in input order
     ///    (group them with [`BatchResult::outputs_by_port`]).
     ///
@@ -750,14 +757,15 @@ impl Datapath {
         out: &mut BatchResult,
     ) {
         out.clear();
-        // The scratch leaves `self` for the duration of the batch so the
-        // memo can be borrowed alongside `&mut self`.
-        let mut scratch = std::mem::take(&mut self.scratch);
+        // Keys and caches leave `self` for the duration of the batch so
+        // they can be borrowed alongside `&mut self`.
+        let mut keys = std::mem::take(&mut self.keys);
+        let mut caches = std::mem::take(&mut self.caches);
 
         // Stage 1: parse all frames before any lookup. Consecutive
         // bit-identical frames on the same port (packet trains) share
         // one parse — the memcmp is far cheaper than a key extraction.
-        scratch.keys.clear();
+        keys.clear();
         let mut prev: Option<(u32, &Bytes)> = None;
         for (port, frame) in batch.iter() {
             let key = match prev {
@@ -768,11 +776,11 @@ impl Datapath {
                         && ((f.as_ptr() == frame.as_ptr() && f.len() == frame.len())
                             || f == frame) =>
                 {
-                    *scratch.keys.last().expect("prev implies a pushed key")
+                    *keys.last().expect("prev implies a pushed key")
                 }
                 _ => FlowKey::extract_lossy(*port, frame),
             };
-            scratch.keys.push(key);
+            keys.push(key);
             prev = Some((*port, frame));
         }
 
@@ -780,68 +788,75 @@ impl Datapath {
         // Epoch-validate instead of clearing: a warm memo carries
         // resolved paths across service periods until a flow-mod (or
         // NAT binding install) bumps the epoch.
-        scratch.memo.ensure_epoch(self.epoch);
+        caches.memo.ensure_epoch(self.epoch);
         let use_memo = batch.len() > 1;
-        for (i, (in_port, frame)) in batch.drain().enumerate() {
-            let memo = if use_memo {
-                Some(&mut scratch.memo)
-            } else {
-                None
-            };
-            self.process_keyed(in_port, frame, &scratch.keys[i], now_ns, memo, out);
+        for ((_, frame), key) in batch.drain().zip(&keys) {
+            self.process_keyed(frame, key, now_ns, &mut caches, use_memo, out);
         }
-        self.batch_memo_hits += scratch.memo.take_hits();
-        self.scratch = scratch;
+        self.batch_memo_hits += caches.memo.take_hits();
+        self.caches = caches;
+        self.keys = keys;
     }
 
     /// The shared per-frame engine behind [`Datapath::process`] and
     /// [`Datapath::process_batch_into`]: memo → microflow → megaflow →
-    /// slow path, emitting one frame's results into `out`.
+    /// slow path, emitting one frame's results into `out`; `caches` are
+    /// this datapath's, detached by the caller. The key is hashed at
+    /// most once, after the memo's last-key compare failed: that hash
+    /// serves the memo probe, the microflow probe, a megaflow hit's
+    /// promotion and whatever is installed afterwards.
     fn process_keyed(
         &mut self,
-        in_port: u32,
         frame: Bytes,
         key: &FlowKey,
         now_ns: u64,
-        mut memo: Option<&mut BatchMemo>,
+        caches: &mut Caches,
+        use_memo: bool,
         out: &mut BatchResult,
     ) {
         self.packets_processed += 1;
-        if let Some(s) = self.pstat(in_port) {
+        if let Some(s) = self.pstat(key.in_port) {
             s.rx_packets += 1;
             s.rx_bytes += frame.len() as u64;
         }
         let mut trace = ProcessingTrace::new(frame.len());
+        let Caches { memo, micro, mega } = caches;
+        let mode = self.config.mode;
 
         // 0. Per-batch memo: a key already resolved in this epoch
-        //    replays its path without touching the caches again. The
-        //    memo lives in scratch (detached from `self` for the batch),
-        //    so its path is borrowed across the replay — no refcount
-        //    traffic on the hottest path.
-        if let Some(m) = memo.as_deref_mut() {
-            if let Some(i) = m.lookup(key) {
-                trace.path = LookupPath::BatchHit;
-                return self.replay_path(m.path(i), frame, key, now_ns, trace, out);
+        //    replays its path without touching the caches again.
+        let hash = if use_memo {
+            match memo.lookup(key) {
+                Ok(i) => {
+                    trace.path = LookupPath::BatchHit;
+                    return self.replay_path(memo.path(i), frame, key, now_ns, trace, out);
+                }
+                Err(hash) => hash,
             }
-        }
+        } else if mode.microflow {
+            key.flow_hash(0)
+        } else {
+            0 // no exact-match layer in play: never read
+        };
+        // Whoever resolves the key below admits it here, room permitting.
+        let memo = Some(memo).filter(|m| use_memo && m.has_room());
 
         // 1. Microflow cache, then 2. megaflow cache (promoting its hits
-        //    into the microflow cache). Path clones are refcount bumps:
-        //    every layer shares one `Arc<CachedPath>` per resolved path.
+        //    into the microflow cache). Every layer shares one
+        //    `Arc<CachedPath>` per resolved path; a hit is borrowed.
         let mut cached = None;
-        if self.config.mode.microflow {
-            if let Some(path) = self.micro.lookup(key, self.epoch) {
+        if mode.microflow {
+            if let Some(path) = micro.lookup_hashed(hash, key, self.epoch) {
                 trace.path = LookupPath::MicroHit;
-                cached = Some(path.clone());
+                cached = Some(path);
             }
         }
-        if cached.is_none() && self.config.mode.megaflow {
-            let (hit, probes) = self.mega.lookup(key, self.epoch);
+        if cached.is_none() && mode.megaflow {
+            let (hit, probes) = mega.lookup(key, self.epoch);
             if let Some(path) = hit {
                 trace.path = LookupPath::MegaHit { probes };
-                let path = path.clone();
-                if self.config.mode.microflow {
-                    self.micro.insert(*key, path.clone());
+                if mode.microflow {
+                    micro.insert_hashed(hash, *key, path.clone());
                 }
                 cached = Some(path);
             } else {
@@ -854,14 +869,26 @@ impl Datapath {
             }
         }
         if let Some(path) = cached {
-            if let Some(m) = memo.filter(|m| m.has_room()) {
-                m.insert(*key, path.clone());
+            if let Some(m) = memo {
+                m.insert_hashed(hash, *key, path.clone());
             }
-            return self.replay_path(&path, frame, key, now_ns, trace, out);
+            return self.replay_path(path, frame, key, now_ns, trace, out);
         }
 
-        // 3. Slow path.
-        self.slow_path(frame, *key, now_ns, trace, memo, out)
+        // 3. Slow path; what it recorded goes into every layer (one
+        //    `Arc` per resolved path: insertion is a refcount bump).
+        let Some((path, unwild)) = self.slow_path(frame, *key, now_ns, trace, out) else {
+            return;
+        };
+        if let Some(m) = memo {
+            m.insert_hashed(hash, *key, path.clone());
+        }
+        if mode.megaflow {
+            mega.insert(key, unwild, path.clone());
+        }
+        if mode.microflow {
+            micro.insert_hashed(hash, *key, path);
+        }
     }
 
     /// Serve `frame` from a resolved [`CachedPath`] (from a cache or the
@@ -993,16 +1020,16 @@ impl Datapath {
 
     /// Walk the tables for a frame no cache resolved, lowering each
     /// instruction to [`CAction`]s that the frame's stepper executes on
-    /// the spot, and install the recording in the caches.
+    /// the spot. Returns the recording and the fields the walk
+    /// consulted (the megaflow mask) when the caller should cache it.
     fn slow_path(
         &mut self,
         frame: Bytes,
         key: FlowKey,
         now_ns: u64,
         trace: ProcessingTrace,
-        memo: Option<&mut BatchMemo>,
         out: &mut BatchResult,
-    ) {
+    ) -> Option<(Arc<CachedPath>, FieldMask)> {
         let (mut tables_visited, mut scanned, mut tss_probes) = match trace.path {
             LookupPath::SlowPath {
                 tables,
@@ -1093,26 +1120,17 @@ impl Datapath {
             tss_probes,
         };
 
-        // Install caches and the batch memo (only for clean, meter-free
-        // completions; metered paths are rate-dependent and recycle
-        // through the slow path, and TTL-expired / NAT-refused packets
-        // record a truncated path that healthy packets must not replay).
-        // One `Arc` is allocated per resolved path and shared by every
-        // cache layer (and the memo): insertion is a refcount bump.
+        // Cacheable only for clean, meter-free completions: metered
+        // paths are rate-dependent and recycle through the slow path,
+        // and TTL-expired / NAT-refused packets record a truncated path
+        // that healthy packets must not replay.
         let has_meter = ctx.recorded.iter().any(|a| matches!(a, CAction::Meter(_)));
-        if !hits.is_empty() && ctx.fr.halt.is_none() && !has_meter {
-            let path = Arc::new(CachedPath::new(ctx.recorded, hits, self.epoch));
-            if let Some(m) = memo.filter(|m| m.has_room()) {
-                m.insert(key, path.clone());
-            }
-            if self.config.mode.megaflow {
-                self.mega.insert(&key, ctx.unwild, path.clone());
-            }
-            if self.config.mode.microflow {
-                self.micro.insert(key, path);
-            }
-        }
+        let install = (!hits.is_empty() && ctx.fr.halt.is_none() && !has_meter).then(|| {
+            let path = CachedPath::new(std::mem::take(&mut ctx.recorded), hits, self.epoch);
+            (Arc::new(path), ctx.unwild)
+        });
         self.finish(ctx.fr, mark, ctx.out);
+        install
     }
 
     fn action_set_to_list(set: &ActionSet) -> Vec<Action> {
