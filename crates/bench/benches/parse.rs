@@ -1,12 +1,22 @@
 //! Packet-parsing microbenchmarks: flow-key extraction and VLAN
 //! manipulation — the two operations on every HARMLESS hot path.
+//!
+//! The criterion groups print as always. The tag operations of
+//! [`FrameBuf`] are also recorded to `BENCH_netsim.json`
+//! (`parse/vlan_{push,pop}_{shared,unique}_{60,1514}`): the *unique*
+//! rows (the switch is the frame's only holder: twelve bytes moved in
+//! place) should not depend on the frame size and allocate nothing,
+//! the *shared* rows (somebody else holds the frame too) are one
+//! allocation and one copy each.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bench::report::{self, Report};
+use bytes::{buffer_allocs, Bytes, BytesMut};
 use netpkt::vlan::{pop_vlan, push_vlan, VlanTag};
-use netpkt::{builder, FlowKey, MacAddr};
+use netpkt::{builder, FlowKey, FrameBuf, MacAddr};
 
 fn frames() -> Vec<(&'static str, bytes::Bytes)> {
     let udp = builder::sized_udp_packet(
@@ -116,9 +126,109 @@ fn config() -> Criterion {
         .sample_size(30)
 }
 
+/// Time `op` over rounds of `bufs.len()` frames until 300 ms have been
+/// measured, running `undo` over them untimed after every round (an
+/// in-place tag operation uses up what it works on); print the mean and
+/// record it with the buffers allocated per operation.
+fn tag_rounds(
+    rep: &mut Report,
+    name: &str,
+    bufs: &mut [FrameBuf],
+    op: impl Fn(&mut FrameBuf),
+    undo: impl Fn(&mut FrameBuf),
+) {
+    let (mut total, mut ops, mut allocs) = (Duration::ZERO, 0u64, 0u64);
+    let mut warm = true;
+    while total < Duration::from_millis(300) {
+        let before = buffer_allocs();
+        let t = Instant::now();
+        bufs.iter_mut().for_each(&op);
+        let elapsed = t.elapsed();
+        if !std::mem::take(&mut warm) {
+            total += elapsed;
+            ops += bufs.len() as u64;
+            allocs += buffer_allocs() - before;
+        }
+        bufs.iter_mut().for_each(&undo);
+        black_box(&mut *bufs);
+    }
+    let ns = total.as_nanos() as f64 / ops as f64;
+    let buffers = allocs as f64 / ops as f64;
+    println!("{name:<50} time: {ns:>12.1} ns/iter  {buffers} buffers/iter");
+    rep.record(
+        &format!("parse/{name}"),
+        &[("ns_per_iter", ns), ("buffers_per_iter", buffers)],
+    );
+}
+
+fn vlan_ledger() {
+    const ROUND: usize = 64;
+    const TCI: u16 = 101;
+    let mut rep = Report::load(report::bench_file());
+    for size in [60usize, 1514] {
+        let bare = builder::sized_udp_packet(
+            MacAddr::host(1),
+            MacAddr::host(2),
+            "10.0.0.1".parse().unwrap(),
+            "10.0.0.2".parse().unwrap(),
+            1000,
+            53,
+            size,
+        );
+        let tagged = push_vlan(&bare, VlanTag::new(TCI)).unwrap();
+        let pop = |b: &mut FrameBuf| b.pop_vlan().unwrap();
+        let push = |b: &mut FrameBuf| b.push_vlan(0x8100, TCI).unwrap();
+
+        // Unique: every frame is a buffer of its own that only the
+        // `FrameBuf` holds; a pop's undo is the push into the room it
+        // left, and the other way round.
+        let own = |f: &Bytes| FrameBuf::from_bytes(Bytes::from(f.to_vec()));
+        let mut bufs: Vec<FrameBuf> = (0..ROUND).map(|_| own(&tagged)).collect();
+        tag_rounds(
+            &mut rep,
+            &format!("vlan_pop_unique_{size}"),
+            &mut bufs,
+            pop,
+            push,
+        );
+        bufs.iter_mut().for_each(pop);
+        tag_rounds(
+            &mut rep,
+            &format!("vlan_push_unique_{size}"),
+            &mut bufs,
+            push,
+            pop,
+        );
+
+        // Shared: this function holds `tagged` / `bare` throughout, so
+        // each operation copies; the undo hands the clone back.
+        let mut bufs: Vec<FrameBuf> = (0..ROUND).map(|_| tagged.clone().into()).collect();
+        let reset = |b: &mut FrameBuf| *b = tagged.clone().into();
+        tag_rounds(
+            &mut rep,
+            &format!("vlan_pop_shared_{size}"),
+            &mut bufs,
+            pop,
+            reset,
+        );
+        let reset = |b: &mut FrameBuf| *b = bare.clone().into();
+        bufs.iter_mut().for_each(reset);
+        tag_rounds(
+            &mut rep,
+            &format!("vlan_push_shared_{size}"),
+            &mut bufs,
+            push,
+            reset,
+        );
+    }
+    if let Err(e) = rep.save(report::bench_file()) {
+        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
+    }
+}
+
 criterion_group! {
     name = benches;
     config = config();
     targets = bench_flowkey, bench_vlan_ops, bench_masking
 }
-criterion_main!(benches);
+criterion_main!(benches, vlan_ledger);

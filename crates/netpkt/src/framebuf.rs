@@ -1,121 +1,181 @@
 //! Copy-on-write frame buffer for the switch hot path.
 //!
-//! A [`FrameBuf`] wraps a frame in one of two states:
+//! A [`FrameBuf`] is one refcounted [`Bytes`] handle plus the rule for
+//! rewriting it. Cloning, slicing and emitting are refcount bumps, so
+//! pure-forward and flood paths never touch the allocator. A rewrite
+//! asks the storage who else is looking:
 //!
-//! * **Shared** — a refcounted [`Bytes`]: cloning, slicing and emitting
-//!   are refcount bumps. This is the state frames arrive in from RX and
-//!   stay in on pure-forward and flood paths, which therefore never
-//!   touch the allocator.
-//! * **Owned** — a private [`BytesMut`], materialised by [`make_mut`]
-//!   the first time an action actually rewrites bytes (NAT, TTL
-//!   decrement, VLAN push/pop). The copy-on-write branch costs exactly
-//!   one buffer copy per rewritten frame, no matter how many rewrite
-//!   actions follow.
+//! * **nobody** (this handle is provably the only one, see
+//!   `Bytes::unique_mut`) — the bytes are rewritten where they lie. A
+//!   VLAN pop moves the 12 address bytes up over the tag and advances
+//!   the view's start; a push moves them back down into the room a pop
+//!   (or any `advance`) left in front of the view. Neither touches the
+//!   payload, so a tag costs the same at 60 B and at 1514 B.
+//! * **somebody** (a clone, a slice or an emitted snapshot is alive, the
+//!   storage is static, or a push finds no room in front) — exactly one
+//!   buffer is allocated, sized for the result, with the edit fused
+//!   into the copy. The fresh buffer has one handle, so whatever
+//!   rewrites follow are in place again.
 //!
-//! Emitting calls [`snapshot`]: a Shared buffer hands out a clone; an
-//! Owned buffer is frozen back to Shared first (an ownership transfer,
-//! not a copy), so a rewrite-then-flood still costs a single copy total.
-//! Header *views* stay zero-copy in both states: every parser in this
-//! crate works over `AsRef<[u8]>`, so `EthernetFrame::new_checked(&buf)`
-//! reads straight out of the shared storage.
+//! No holder of another handle can therefore observe a rewrite, and a
+//! frame that nobody else holds is never copied. Emitting calls
+//! [`snapshot`]: a clone, which by the same rule makes the next rewrite
+//! copy for as long as the emitted frame lives. Header *views* stay
+//! zero-copy throughout: every parser in this crate works over
+//! `AsRef<[u8]>`, so `EthernetFrame::new_checked(&buf)` reads straight
+//! out of the shared storage.
 //!
-//! [`make_mut`]: FrameBuf::make_mut
+//! [`push_vlan`](FrameBuf::push_vlan) and [`pop_vlan`](FrameBuf::pop_vlan)
+//! (and the copying forms `vlan::push_vlan` / `vlan::pop_vlan` build on
+//! the same two routines) are the only code in the workspace that moves
+//! a frame's address bytes around a tag.
+//!
 //! [`snapshot`]: FrameBuf::snapshot
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::fmt;
 use std::ops::Deref;
 
+use crate::frame::HEADER_LEN;
+use crate::vlan::TAG_LEN;
+use crate::{Error, EtherType, Result};
+
+/// Destination and source MAC: what a tag operation moves.
+const ADDRS_LEN: usize = 12;
+
 /// A frame that is cheap to share and pays for mutation only when
-/// mutated. See the [module docs](self) for the state machine.
+/// somebody else holds it too. See the [module docs](self).
 pub struct FrameBuf {
-    state: State,
+    frame: Bytes,
 }
 
-enum State {
-    Shared(Bytes),
-    Owned(BytesMut),
+/// `frame` with a tag inserted after the addresses, as one fresh buffer.
+pub(crate) fn copy_tagged(frame: &[u8], tpid: u16, tci: u16) -> Result<Bytes> {
+    check_header(frame)?;
+    Ok(with_tag(frame, tpid, tci))
+}
+
+/// `frame` without its outermost tag, as one fresh buffer.
+pub(crate) fn copy_untagged(frame: &[u8]) -> Result<Bytes> {
+    check_tagged(frame)?;
+    Ok(without_tag(frame))
+}
+
+/// [`copy_tagged`] of a frame that passed [`check_header`].
+fn with_tag(frame: &[u8], tpid: u16, tci: u16) -> Bytes {
+    let mut out = BytesMut::with_capacity(frame.len() + TAG_LEN);
+    out.extend_from_slice(&frame[..ADDRS_LEN]);
+    out.extend_from_slice(&tpid.to_be_bytes());
+    out.extend_from_slice(&tci.to_be_bytes());
+    out.extend_from_slice(&frame[ADDRS_LEN..]);
+    out.freeze()
+}
+
+/// [`copy_untagged`] of a frame that passed [`check_tagged`].
+fn without_tag(frame: &[u8]) -> Bytes {
+    let mut out = BytesMut::with_capacity(frame.len() - TAG_LEN);
+    out.extend_from_slice(&frame[..ADDRS_LEN]);
+    out.extend_from_slice(&frame[ADDRS_LEN + TAG_LEN..]);
+    out.freeze()
+}
+
+/// [`Error::Truncated`] if `frame` is shorter than an Ethernet header.
+fn check_header(frame: &[u8]) -> Result<()> {
+    if frame.len() < HEADER_LEN {
+        return Err(Error::Truncated);
+    }
+    Ok(())
+}
+
+/// [`Error::Truncated`] if `frame` cannot hold a tag, [`Error::Malformed`]
+/// if it carries none.
+fn check_tagged(frame: &[u8]) -> Result<()> {
+    if frame.len() < HEADER_LEN + TAG_LEN {
+        return Err(Error::Truncated);
+    }
+    if !EtherType(u16::from_be_bytes([frame[12], frame[13]])).is_vlan() {
+        return Err(Error::Malformed);
+    }
+    Ok(())
 }
 
 impl FrameBuf {
-    /// Wraps a refcounted frame; no copy, starts Shared.
+    /// Wraps a refcounted frame; no copy.
     pub fn from_bytes(frame: Bytes) -> FrameBuf {
-        FrameBuf {
-            state: State::Shared(frame),
-        }
-    }
-
-    /// Wraps an already-private buffer; no copy, starts Owned.
-    pub fn from_owned(frame: BytesMut) -> FrameBuf {
-        FrameBuf {
-            state: State::Owned(frame),
-        }
+        FrameBuf { frame }
     }
 
     /// Frame length in bytes.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.frame.len()
     }
 
     /// True if the frame is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.frame.is_empty()
     }
 
-    /// The frame contents, in either state.
+    /// The frame contents.
     pub fn as_slice(&self) -> &[u8] {
-        match &self.state {
-            State::Shared(b) => b,
-            State::Owned(m) => m,
-        }
+        &self.frame
     }
 
-    /// True while the buffer is still shared (no rewrite has happened
-    /// since the last [`snapshot`](Self::snapshot)).
-    pub fn is_shared(&self) -> bool {
-        matches!(self.state, State::Shared(_))
+    /// Mutable access for an action that rewrites bytes without moving
+    /// them (set-field, TTL, NAT). Copies the frame first — once — if
+    /// any other handle to its storage is alive.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        // Asked here and again by `unique_mut`: returning that borrow
+        // from one arm and replacing the frame in the other does not
+        // pass the borrow checker. This one is a single atomic load.
+        if !self.frame.is_unique() {
+            self.frame = Bytes::copy_from_slice(&self.frame);
+        }
+        self.frame
+            .unique_mut(0)
+            .expect("the only handle to heap storage")
     }
 
-    /// Mutable access for an action that rewrites bytes. The first call
-    /// on a Shared buffer copies it into private storage (the CoW
-    /// branch); further calls are free until the next
-    /// [`snapshot`](Self::snapshot).
-    pub fn make_mut(&mut self) -> &mut BytesMut {
-        if let State::Shared(b) = &self.state {
-            self.state = State::Owned(BytesMut::from(&b[..]));
+    /// Insert an 802.1Q tag directly after the source MAC (outermost, if
+    /// the frame is tagged already). A frame shorter than an Ethernet
+    /// header is left as it is ([`Error::Truncated`]).
+    pub fn push_vlan(&mut self, tpid: u16, tci: u16) -> Result<()> {
+        check_header(&self.frame)?;
+        match self.frame.unique_mut(TAG_LEN) {
+            Some(f) => {
+                f.copy_within(TAG_LEN..TAG_LEN + ADDRS_LEN, 0);
+                f[12..14].copy_from_slice(&tpid.to_be_bytes());
+                f[14..16].copy_from_slice(&tci.to_be_bytes());
+            }
+            None => self.frame = with_tag(&self.frame, tpid, tci),
         }
-        match &mut self.state {
-            State::Owned(m) => m,
-            State::Shared(_) => unreachable!("just materialised"),
+        Ok(())
+    }
+
+    /// Remove the outermost 802.1Q tag. A frame too short to hold one
+    /// ([`Error::Truncated`]) or carrying none ([`Error::Malformed`]) is
+    /// left as it is.
+    pub fn pop_vlan(&mut self) -> Result<()> {
+        check_tagged(&self.frame)?;
+        match self.frame.unique_mut(0) {
+            Some(f) => {
+                f.copy_within(..ADDRS_LEN, TAG_LEN);
+                self.frame.advance(TAG_LEN);
+            }
+            None => self.frame = without_tag(&self.frame),
         }
+        Ok(())
     }
 
     /// An immutable handle to the current contents, for emitting to a
-    /// port or the controller. Shared → refcount clone; Owned → the
-    /// storage is frozen back to Shared (ownership transfer, no copy)
-    /// and then cloned, so a later rewrite copies again rather than
-    /// aliasing what was emitted.
-    pub fn snapshot(&mut self) -> Bytes {
-        if matches!(self.state, State::Owned(_)) {
-            let owned = match std::mem::replace(&mut self.state, State::Shared(Bytes::new())) {
-                State::Owned(m) => m,
-                State::Shared(_) => unreachable!(),
-            };
-            self.state = State::Shared(owned.freeze());
-        }
-        match &self.state {
-            State::Shared(b) => b.clone(),
-            State::Owned(_) => unreachable!("just frozen"),
-        }
+    /// port or the controller: a refcount clone. While it lives, a
+    /// rewrite of this buffer copies rather than alias what was emitted.
+    pub fn snapshot(&self) -> Bytes {
+        self.frame.clone()
     }
 
-    /// Consumes the buffer, yielding the frame as [`Bytes`] (freezing
-    /// first if Owned; never copies).
+    /// Consumes the buffer, yielding the frame; never copies.
     pub fn into_bytes(self) -> Bytes {
-        match self.state {
-            State::Shared(b) => b,
-            State::Owned(m) => m.freeze(),
-        }
+        self.frame
     }
 }
 
@@ -138,17 +198,11 @@ impl From<Bytes> for FrameBuf {
     }
 }
 
-impl From<BytesMut> for FrameBuf {
-    fn from(m: BytesMut) -> FrameBuf {
-        FrameBuf::from_owned(m)
-    }
-}
-
 impl fmt::Debug for FrameBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FrameBuf")
             .field("len", &self.len())
-            .field("shared", &self.is_shared())
+            .field("unique", &self.frame.is_unique())
             .finish()
     }
 }
@@ -156,6 +210,8 @@ impl fmt::Debug for FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vlan::{VlanTag, VlanView};
+    use crate::MacAddr;
 
     // Zero-copy properties are asserted by storage-pointer identity
     // (thread-safe) here; exact allocation *counts* live in the serial
@@ -166,12 +222,11 @@ mod tests {
     fn shared_snapshots_are_refcount_clones() {
         let frame = Bytes::from(vec![0xabu8; 1500]);
         let ptr = frame.as_slice().as_ptr();
-        let mut buf = FrameBuf::from_bytes(frame);
+        let buf = FrameBuf::from_bytes(frame);
         for _ in 0..32 {
             let out = buf.snapshot();
             assert_eq!(out.as_slice().as_ptr(), ptr, "must share storage");
         }
-        assert!(buf.is_shared());
     }
 
     #[test]
@@ -197,11 +252,12 @@ mod tests {
     #[test]
     fn snapshot_after_rewrite_freezes_without_copy() {
         let mut buf = FrameBuf::from_bytes(Bytes::from(vec![0u8; 64]));
+        let ptr = buf.as_slice().as_ptr();
         buf.make_mut()[0] = 7;
-        let owned_ptr = buf.as_slice().as_ptr();
+        assert_eq!(buf.as_slice().as_ptr(), ptr, "sole owner: in place");
         let a = buf.snapshot();
         let b = buf.snapshot();
-        assert_eq!(a.as_slice().as_ptr(), owned_ptr, "freeze must move storage");
+        assert_eq!(a.as_slice().as_ptr(), ptr, "emitting must not copy");
         assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
         assert_eq!(a[0], 7);
     }
@@ -214,6 +270,11 @@ mod tests {
         buf.make_mut()[0] = 2; // CoW again: emitted copy must not change
         assert_eq!(emitted[0], 1);
         assert_eq!(buf[0], 2);
+        // Once the emitted frame is gone, rewriting is in place again.
+        drop(emitted);
+        let ptr = buf.as_slice().as_ptr();
+        buf.make_mut()[0] = 3;
+        assert_eq!(buf.as_slice().as_ptr(), ptr);
     }
 
     #[test]
@@ -232,5 +293,162 @@ mod tests {
         assert_eq!(eth.dst(), crate::MacAddr::host(2));
         let key = crate::FlowKey::extract(1, &buf).unwrap();
         assert_eq!(key.udp_dst, 53);
+    }
+
+    const TCI: u16 = 0xb065; // PCP 5, DEI set, VID 101
+
+    /// `dst | src | 0x8100 | TCI | 0x0800 | payload`, in storage of its own.
+    fn tagged(payload: &[u8]) -> Vec<u8> {
+        let mut f = Vec::new();
+        f.extend_from_slice(&MacAddr::host(2).octets());
+        f.extend_from_slice(&MacAddr::host(1).octets());
+        f.extend_from_slice(&[0x81, 0x00]);
+        f.extend_from_slice(&TCI.to_be_bytes());
+        f.extend_from_slice(&[0x08, 0x00]);
+        f.extend_from_slice(payload);
+        f
+    }
+
+    fn untagged(payload: &[u8]) -> Vec<u8> {
+        let mut f = tagged(payload);
+        f.drain(12..16);
+        f
+    }
+
+    #[test]
+    fn unique_pop_then_push_stay_in_the_storage() {
+        let wire = tagged(b"payload");
+        let mut buf = FrameBuf::from_bytes(Bytes::from(wire.clone()));
+        let ptr = buf.as_slice().as_ptr();
+
+        buf.pop_vlan().unwrap();
+        assert_eq!(
+            buf.as_slice().as_ptr(),
+            ptr.wrapping_add(TAG_LEN),
+            "pop keeps the storage and advances the view"
+        );
+        assert_eq!(&buf[..], &untagged(b"payload")[..]);
+
+        buf.push_vlan(0x8100, TCI).unwrap();
+        assert_eq!(buf.as_slice().as_ptr(), ptr, "push returns to the room");
+        assert_eq!(&buf[..], &wire[..], "addresses, PCP/DEI and payload intact");
+        assert_eq!(
+            VlanView::parse(&buf).unwrap().outer,
+            Some(VlanTag::from_tci(TCI))
+        );
+    }
+
+    #[test]
+    fn shared_pop_and_push_copy_once_and_leave_the_original() {
+        let wire = tagged(b"payload");
+        let held = Bytes::from(wire.clone());
+
+        let mut buf = FrameBuf::from_bytes(held.clone());
+        buf.pop_vlan().unwrap();
+        let popped_ptr = buf.as_slice().as_ptr();
+        assert!(
+            !held.as_slice().as_ptr_range().contains(&popped_ptr),
+            "a held frame is popped into a buffer of its own"
+        );
+        assert_eq!(&held[..], &wire[..]);
+        assert_eq!(&buf[..], &untagged(b"payload")[..]);
+        // The copy has one handle: what follows is in place.
+        buf.make_mut()[0] ^= 1;
+        assert_eq!(buf.as_slice().as_ptr(), popped_ptr);
+
+        let bare = Bytes::from(untagged(b"payload"));
+        let mut buf = FrameBuf::from_bytes(bare.clone());
+        buf.push_vlan(0x8100, TCI).unwrap();
+        assert!(!bare
+            .as_slice()
+            .as_ptr_range()
+            .contains(&buf.as_slice().as_ptr()));
+        assert_eq!(&bare[..], &untagged(b"payload")[..]);
+        assert_eq!(&buf[..], &wire[..]);
+        // Sized for the result: the tag back off and on fits in place.
+        let ptr = buf.as_slice().as_ptr();
+        buf.pop_vlan().unwrap();
+        buf.push_vlan(0x8100, TCI).unwrap();
+        assert_eq!(buf.as_slice().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn an_emitted_snapshot_never_sees_a_later_tag_operation() {
+        let wire = tagged(b"payload");
+        let mut buf = FrameBuf::from_bytes(Bytes::from(wire.clone()));
+        buf.pop_vlan().unwrap();
+        let emitted = buf.snapshot();
+        let slice = emitted.slice(12..);
+        buf.push_vlan(0x88a8, 7).unwrap();
+        buf.make_mut()[0] = 0xff;
+        assert_eq!(&emitted[..], &untagged(b"payload")[..]);
+        assert_eq!(&slice[..], &untagged(b"payload")[12..]);
+    }
+
+    #[test]
+    fn qinq_push_without_front_room_copies_once() {
+        let wire = tagged(b"payload");
+        let mut buf = FrameBuf::from_bytes(Bytes::from(wire.clone()));
+        let ptr = buf.as_slice().as_ptr();
+        buf.push_vlan(0x88a8, 200).unwrap();
+        assert_ne!(
+            buf.as_slice().as_ptr(),
+            ptr,
+            "nowhere to move the addresses"
+        );
+        let view = VlanView::parse(&buf).unwrap();
+        assert_eq!(view.outer, Some(VlanTag::new(200)));
+        assert_eq!(view.inner, Some(VlanTag::from_tci(TCI)));
+        assert_eq!(&buf[16..], &wire[12..]);
+        // Popping the S-tag again is in place, as is re-pushing it.
+        let ptr = buf.as_slice().as_ptr();
+        buf.pop_vlan().unwrap();
+        assert_eq!(&buf[..], &wire[..]);
+        buf.push_vlan(0x88a8, 200).unwrap();
+        assert_eq!(buf.as_slice().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn static_storage_is_never_mutated() {
+        static WIRE: [u8; 20] = [
+            2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 1, 0x81, 0x00, 0x00, 0x65, 0x08, 0x00, 0xaa, 0xbb,
+        ];
+        let range = WIRE.as_ptr_range();
+        let mut buf = FrameBuf::from_bytes(Bytes::from_static(&WIRE));
+        buf.pop_vlan().unwrap();
+        assert!(!range.contains(&buf.as_slice().as_ptr()));
+        let mut buf = FrameBuf::from_bytes(Bytes::from_static(&WIRE));
+        buf.push_vlan(0x8100, 1).unwrap();
+        assert!(!range.contains(&buf.as_slice().as_ptr()));
+        let mut buf = FrameBuf::from_bytes(Bytes::from_static(&WIRE));
+        buf.make_mut()[0] = 0xff;
+        assert!(!range.contains(&buf.as_slice().as_ptr()));
+        assert_eq!(WIRE[0], 2);
+    }
+
+    #[test]
+    fn tag_operations_refuse_what_they_cannot_edit() {
+        for len in 0..HEADER_LEN + TAG_LEN {
+            let wire = tagged(b"")[..len].to_vec();
+            for unique in [true, false] {
+                let frame = Bytes::from(wire.clone());
+                let held = (!unique).then(|| frame.clone());
+                let mut buf = FrameBuf::from_bytes(frame);
+                assert_eq!(buf.pop_vlan(), Err(Error::Truncated), "pop at {len}");
+                assert_eq!(&buf[..], &wire[..]);
+                let pushed = buf.push_vlan(0x8100, 5);
+                if len < HEADER_LEN {
+                    assert_eq!(pushed, Err(Error::Truncated), "push at {len}");
+                    assert_eq!(&buf[..], &wire[..]);
+                } else {
+                    assert_eq!(pushed, Ok(()));
+                    assert_eq!(buf.len(), len + TAG_LEN);
+                }
+                drop(held);
+            }
+        }
+        let mut buf = FrameBuf::from_bytes(Bytes::from(untagged(b"payload")));
+        assert_eq!(buf.pop_vlan(), Err(Error::Malformed));
+        assert_eq!(&buf[..], &untagged(b"payload")[..]);
     }
 }

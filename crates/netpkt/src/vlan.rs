@@ -12,7 +12,7 @@
 use bytes::{Bytes, BytesMut};
 
 use crate::frame::HEADER_LEN;
-use crate::{Error, EtherType, EthernetFrame, Result};
+use crate::{framebuf, Error, EtherType, Result};
 
 /// Mask of the 12-bit VLAN identifier within the TCI.
 pub const VID_MASK: u16 = 0x0fff;
@@ -121,38 +121,22 @@ fn read_u16(buf: &[u8], off: usize) -> Result<u16> {
 
 /// Insert an 802.1Q tag (TPID 0x8100) directly after the source MAC,
 /// returning the re-allocated frame. Works for already-tagged frames too,
-/// producing a QinQ stack with the new tag outermost.
+/// producing a QinQ stack with the new tag outermost. The caller keeps
+/// `frame`, so this always copies; a frame held by nobody else is
+/// tagged in place by [`FrameBuf::push_vlan`](crate::FrameBuf::push_vlan).
 pub fn push_vlan(frame: &Bytes, tag: VlanTag) -> Result<Bytes> {
     push_vlan_tpid(frame, tag, EtherType::VLAN)
 }
 
 /// [`push_vlan`] with an explicit TPID (use [`EtherType::QINQ`] for S-tags).
 pub fn push_vlan_tpid(frame: &Bytes, tag: VlanTag, tpid: EtherType) -> Result<Bytes> {
-    if frame.len() < HEADER_LEN {
-        return Err(Error::Truncated);
-    }
-    let mut out = BytesMut::with_capacity(frame.len() + TAG_LEN);
-    out.extend_from_slice(&frame[..12]);
-    out.extend_from_slice(&tpid.0.to_be_bytes());
-    out.extend_from_slice(&tag.to_tci().to_be_bytes());
-    out.extend_from_slice(&frame[12..]);
-    Ok(out.freeze())
+    framebuf::copy_tagged(frame, tpid.0, tag.to_tci())
 }
 
 /// Remove the outermost 802.1Q tag, returning the re-allocated frame.
 /// Fails with [`Error::Malformed`] if the frame is not tagged.
 pub fn pop_vlan(frame: &Bytes) -> Result<Bytes> {
-    if frame.len() < HEADER_LEN + TAG_LEN {
-        return Err(Error::Truncated);
-    }
-    let eth = EthernetFrame::new_unchecked(&frame[..]);
-    if !eth.ethertype().is_vlan() {
-        return Err(Error::Malformed);
-    }
-    let mut out = BytesMut::with_capacity(frame.len() - TAG_LEN);
-    out.extend_from_slice(&frame[..12]);
-    out.extend_from_slice(&frame[12 + TAG_LEN..]);
-    Ok(out.freeze())
+    framebuf::copy_untagged(frame)
 }
 
 /// Rewrite the VID of the outermost tag in place (no reallocation).
@@ -179,7 +163,7 @@ pub fn outer_tag(frame: &[u8]) -> Option<VlanTag> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MacAddr;
+    use crate::{EthernetFrame, MacAddr};
 
     fn untagged() -> Bytes {
         let mut f = vec![0u8; HEADER_LEN + 8];

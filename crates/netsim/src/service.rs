@@ -172,6 +172,13 @@ impl<T> ServiceQueue<T> {
         &self.slots[slot]
     }
 
+    /// The batch in `slot`, for a device that moves the payload out of
+    /// its items when service starts instead of cloning it. The items
+    /// stay: the slot is busy, and counts, by their number.
+    pub fn batch_mut(&mut self, slot: usize) -> &mut [T] {
+        &mut self.slots[slot]
+    }
+
     /// Move up to `extra` queued items into the batch already started in
     /// `slot` (before its completion timer is scheduled) — the slot's
     /// own steering ring first, then the shared queue. Returns how

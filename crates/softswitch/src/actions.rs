@@ -5,11 +5,11 @@
 //! updated) and keeps the in-flight [`FlowKey`] in sync so later tables
 //! match on the rewritten packet, as §5.10 of the spec requires.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use netpkt::flowkey::OFPVID_PRESENT;
 use netpkt::icmp::{Icmpv4Packet, Icmpv4Type};
-use netpkt::vlan::{VlanView, TAG_LEN};
+use netpkt::vlan::VlanView;
 use netpkt::{EtherType, FlowKey, FrameBuf, IpProto, Ipv4Packet, TcpPacket, UdpPacket};
 use openflow::message::PacketInReason;
 use openflow::oxm::OxmField;
@@ -74,7 +74,7 @@ pub enum TtlResult {
 
 /// Decrement the IPv4 TTL of `frame` (through any VLAN tags), patching
 /// the header checksum incrementally.
-pub fn dec_ttl(frame: &mut BytesMut) -> TtlResult {
+pub fn dec_ttl(frame: &mut [u8]) -> TtlResult {
     let Some(off) = ip_offset(frame) else {
         return TtlResult::NotIpv4;
     };
@@ -92,7 +92,7 @@ pub fn dec_ttl(frame: &mut BytesMut) -> TtlResult {
 /// Rewrite the echo identifier of an ICMPv4 echo request/reply and
 /// repair the ICMP checksum. Returns `false` (frame untouched) for
 /// anything that is not an IPv4 echo message.
-pub fn set_icmp_id(frame: &mut BytesMut, id: u16) -> bool {
+pub fn set_icmp_id(frame: &mut [u8], id: u16) -> bool {
     let Some(off) = ip_offset(frame) else {
         return false;
     };
@@ -119,66 +119,34 @@ pub fn set_icmp_id(frame: &mut BytesMut, id: u16) -> bool {
     true
 }
 
-/// Apply a VLAN push to the frame and key.
-pub fn push_vlan(frame: &mut BytesMut, key: &mut FlowKey, tpid: u16) {
-    let mut out = BytesMut::with_capacity(frame.len() + TAG_LEN);
-    out.extend_from_slice(&frame[..12]);
-    out.extend_from_slice(&tpid.to_be_bytes());
-    // New tag inherits the VID/PCP of the existing outer tag if any,
-    // else zero (OF 1.3 §5.12: "existing values copied").
-    let tci = if key.vlan_vid & OFPVID_PRESENT != 0 {
-        ((u16::from(key.vlan_pcp)) << 13) | (key.vlan_vid & 0x0fff)
+/// The TCI a pushed tag starts with: VID and PCP of the tag `key` has
+/// already, else zero (OF 1.3 §5.12: "existing values copied").
+pub(crate) fn pushed_tci(key: &FlowKey) -> u16 {
+    if key.vlan_vid & OFPVID_PRESENT != 0 {
+        (u16::from(key.vlan_pcp) << 13) | (key.vlan_vid & 0x0fff)
     } else {
         0
-    };
-    out.extend_from_slice(&tci.to_be_bytes());
-    out.extend_from_slice(&frame[12..]);
-    *frame = out;
-    key.vlan_vid = OFPVID_PRESENT | (tci & 0x0fff);
-    key.vlan_pcp = (tci >> 13) as u8;
-}
-
-/// Apply a VLAN pop. No-op on untagged frames (counted by the caller).
-pub fn pop_vlan(frame: &mut BytesMut, key: &mut FlowKey) {
-    let tpid = u16::from_be_bytes([frame[12], frame[13]]);
-    if !EtherType(tpid).is_vlan() || frame.len() < 14 + TAG_LEN {
-        return;
-    }
-    let mut out = BytesMut::with_capacity(frame.len() - TAG_LEN);
-    out.extend_from_slice(&frame[..12]);
-    out.extend_from_slice(&frame[12 + TAG_LEN..]);
-    *frame = out;
-    // Re-derive VLAN state: there may be an inner tag (QinQ).
-    match VlanView::parse(frame) {
-        Ok(v) => match v.outer {
-            Some(tag) => {
-                key.vlan_vid = OFPVID_PRESENT | tag.vid;
-                key.vlan_pcp = tag.pcp;
-            }
-            None => {
-                key.vlan_vid = 0;
-                key.vlan_pcp = 0;
-            }
-        },
-        Err(_) => {
-            key.vlan_vid = 0;
-            key.vlan_pcp = 0;
-        }
     }
 }
 
 /// Apply a set-field to the frame and key. Returns `false` when the field
 /// does not apply to this packet (e.g. set-VLAN on an untagged frame);
 /// such packets are left untouched, matching hardware behaviour.
-pub fn set_field(frame: &mut BytesMut, key: &mut FlowKey, field: &OxmField) -> bool {
+pub fn set_field(frame: &mut [u8], key: &mut FlowKey, field: &OxmField) -> bool {
     match *field {
         OxmField::EthDst(mac, _) => {
-            frame[0..6].copy_from_slice(&mac.octets());
+            let Some(dst) = frame.get_mut(0..6) else {
+                return false; // a runt has no address to rewrite
+            };
+            dst.copy_from_slice(&mac.octets());
             key.eth_dst = mac;
             true
         }
         OxmField::EthSrc(mac, _) => {
-            frame[6..12].copy_from_slice(&mac.octets());
+            let Some(src) = frame.get_mut(6..12) else {
+                return false;
+            };
+            src.copy_from_slice(&mac.octets());
             key.eth_src = mac;
             true
         }
@@ -226,7 +194,7 @@ fn ip_offset(frame: &[u8]) -> Option<usize> {
 }
 
 fn rewrite_ipv4(
-    frame: &mut BytesMut,
+    frame: &mut [u8],
     key: &mut FlowKey,
     src: Option<std::net::Ipv4Addr>,
     dst: Option<std::net::Ipv4Addr>,
@@ -251,7 +219,7 @@ fn rewrite_ipv4(
     true
 }
 
-fn rewrite_dscp(frame: &mut BytesMut, key: &mut FlowKey, dscp: u8) -> bool {
+fn rewrite_dscp(frame: &mut [u8], key: &mut FlowKey, dscp: u8) -> bool {
     let Some(off) = ip_offset(frame) else {
         return false;
     };
@@ -266,7 +234,7 @@ fn rewrite_dscp(frame: &mut BytesMut, key: &mut FlowKey, dscp: u8) -> bool {
 }
 
 fn rewrite_l4_port(
-    frame: &mut BytesMut,
+    frame: &mut [u8],
     key: &mut FlowKey,
     tcp: bool,
     src_side: bool,
@@ -306,7 +274,7 @@ fn rewrite_l4_port(
 }
 
 /// Recompute the TCP/UDP checksum of an IPv4 packet at `off`.
-fn fix_l4_checksum(frame: &mut BytesMut, off: usize) {
+fn fix_l4_checksum(frame: &mut [u8], off: usize) {
     let (src, dst, proto, hl) = {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[off..]) else {
             return;
@@ -347,9 +315,10 @@ pub(crate) enum Halt {
 /// cache hit feeds it the recording, so the two cannot disagree.
 ///
 /// The ingress frame is *not* copied up front: pure-forward programs
-/// emit refcounted clones of it, and the first byte-rewriting action
-/// (VLAN push/pop, set-field, TTL, ICMP ident) pays exactly one copy
-/// via [`FrameBuf::make_mut`].
+/// emit refcounted clones of it, and a byte-rewriting action (VLAN
+/// push/pop, set-field, TTL, ICMP ident) works in place when nobody
+/// else holds the frame and pays exactly one copy otherwise — the
+/// [`FrameBuf`] rule.
 pub(crate) struct Stepper {
     /// The frame as currently transformed.
     pub(crate) buf: FrameBuf,
@@ -391,13 +360,24 @@ impl Stepper {
             return;
         }
         match a {
+            // A frame the tag operation refuses (a runt; a pop with no
+            // tag) stays as it is, key included.
             CAction::PushVlan(tpid) => {
                 self.trace.vlan_ops += 1;
-                push_vlan(self.buf.make_mut(), &mut self.key, *tpid);
+                let tci = pushed_tci(&self.key);
+                if self.buf.push_vlan(*tpid, tci).is_ok() {
+                    self.key.vlan_vid = OFPVID_PRESENT | (tci & 0x0fff);
+                    self.key.vlan_pcp = (tci >> 13) as u8;
+                }
             }
             CAction::PopVlan => {
                 self.trace.vlan_ops += 1;
-                pop_vlan(self.buf.make_mut(), &mut self.key);
+                if self.buf.pop_vlan().is_ok() {
+                    // There may be an inner tag (QinQ).
+                    let tag = VlanView::parse(&self.buf).ok().and_then(|v| v.outer);
+                    self.key.vlan_vid = tag.map_or(0, |t| OFPVID_PRESENT | t.vid);
+                    self.key.vlan_pcp = tag.map_or(0, |t| t.pcp);
+                }
             }
             CAction::SetField(f) => {
                 self.trace.set_fields += 1;
@@ -442,6 +422,7 @@ impl Stepper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use netpkt::{builder, MacAddr};
     use std::net::Ipv4Addr;
 
@@ -481,22 +462,27 @@ mod tests {
 
     #[test]
     fn push_then_set_vid_then_pop() {
-        let (mut f, mut k) = frame_and_key();
-        let orig = f.clone();
-        push_vlan(&mut f, &mut k, 0x8100);
-        assert_eq!(k.vlan_vid, OFPVID_PRESENT);
-        assert!(set_field(
-            &mut f,
-            &mut k,
-            &OxmField::VlanVid(OFPVID_PRESENT | 101, None)
-        ));
-        assert_eq!(k.vlan_vid, OFPVID_PRESENT | 101);
-        let reparsed = FlowKey::extract(1, &f).unwrap();
+        let (f, _) = frame_and_key();
+        let orig = f.freeze();
+        let mut meters = openflow::MeterTable::new();
+        let tag = [
+            CAction::PushVlan(0x8100),
+            CAction::SetField(OxmField::VlanVid(OFPVID_PRESENT | 101, None)),
+        ];
+        let (st, _) = run(&tag[..1], orig.clone(), &mut meters);
+        assert_eq!(st.key.vlan_vid, OFPVID_PRESENT);
+        let (st, _) = run(&tag, orig.clone(), &mut meters);
+        assert_eq!(st.key.vlan_vid, OFPVID_PRESENT | 101);
+        let reparsed = FlowKey::extract(1, &st.buf).unwrap();
         assert_eq!(reparsed.vlan_vid, OFPVID_PRESENT | 101);
         assert_eq!(reparsed.udp_dst, 2000, "payload reachable through tag");
-        pop_vlan(&mut f, &mut k);
-        assert_eq!(k.vlan_vid, 0);
-        assert_eq!(&f[..], &orig[..], "push+pop must be identity");
+        let (st, _) = run(
+            &[tag[0].clone(), tag[1].clone(), CAction::PopVlan],
+            orig.clone(),
+            &mut meters,
+        );
+        assert_eq!(st.key.vlan_vid, 0);
+        assert_eq!(&st.buf[..], &orig[..], "push+pop must be identity");
     }
 
     #[test]
@@ -511,10 +497,12 @@ mod tests {
 
     #[test]
     fn pop_on_untagged_is_noop() {
-        let (mut f, mut k) = frame_and_key();
-        let orig = f.clone();
-        pop_vlan(&mut f, &mut k);
-        assert_eq!(&f[..], &orig[..]);
+        let (f, k) = frame_and_key();
+        let orig = f.freeze();
+        let mut meters = openflow::MeterTable::new();
+        let (st, _) = run(&[CAction::PopVlan], orig.clone(), &mut meters);
+        assert_eq!(&st.buf[..], &orig[..]);
+        assert_eq!(st.key, k);
     }
 
     #[test]

@@ -308,8 +308,8 @@ const MEMO_CAP: usize = 128;
 
 /// Batch lookup memo: each distinct [`FlowKey`] resolves its
 /// [`CachedPath`] once per datapath epoch; repeated keys replay it by
-/// reference (via the precompiled plan on the path itself when it is
-/// pure-forward — see [`CachedPath::fast_ports`]).
+/// reference (via the precompiled plan on the path itself when it has
+/// one — see [`CachedPath::plan`]).
 ///
 /// An [`ExactTable`] of at most `MEMO_CAP` (128) entries that admits
 /// while there is room and never evicts inside an epoch, behind a
@@ -367,9 +367,9 @@ impl BatchMemo {
         &self.table.entry(i).expect("index from lookup").1
     }
 
-    /// Record `path` for `key` (the pure-forward replay plan lives on
-    /// the path itself — see [`CachedPath::fast_ports`]). Call only
-    /// while [`BatchMemo::has_room`].
+    /// Record `path` for `key` (the replay plan lives on the path
+    /// itself — see [`CachedPath::plan`]). Call only while
+    /// [`BatchMemo::has_room`].
     pub fn insert(&mut self, key: FlowKey, path: Arc<CachedPath>) {
         self.insert_hashed(key.flow_hash(0), key, path);
     }
@@ -499,40 +499,72 @@ mod tests {
     }
 
     #[test]
-    fn plans_compile_only_for_pure_forward_paths() {
-        let pure = CachedPath::new(
-            vec![CAction::Output(2), CAction::Output(3)],
-            vec![(0, 0)],
-            1,
-        );
-        assert_eq!(pure.fast_ports(), Some(&[2u32, 3][..]));
+    fn plans_compile_only_for_forward_and_single_tag_paths() {
+        use crate::cache::{Plan, TagOp};
+        use netpkt::flowkey::OFPVID_PRESENT;
+        use openflow::OxmField;
+
+        let plan = |actions: Vec<CAction>| CachedPath::new(actions, vec![(0, 0)], 1).plan();
+        let forward = |tag| Some(Plan { tag, outputs: 2 });
+        let outputs = [CAction::Output(2), CAction::Output(3)];
+        assert_eq!(plan(outputs.to_vec()), forward(None));
         // An ALL group of plain outputs scopes nothing: still a plan.
-        let grouped = CachedPath::new(
-            vec![
-                CAction::BucketBegin,
-                CAction::Output(2),
-                CAction::BucketEnd,
-                CAction::BucketBegin,
-                CAction::Output(3),
-                CAction::BucketEnd,
-            ],
-            vec![(0, 0)],
-            1,
-        );
-        assert_eq!(grouped.fast_ports(), Some(&[2u32, 3][..]));
-        for rewriting in [
-            CAction::PopVlan,
-            CAction::PushVlan(0x8100),
-            CAction::Meter(1),
-            CAction::ToController(openflow::message::PacketInReason::NoMatch),
-            // Routed/NAT'd paths rewrite bytes or touch per-connection
-            // state: never eligible for the zero-copy plan.
-            CAction::DecTtl,
-            CAction::SetIcmpId(7),
-            CAction::NatTouch(0),
+        let grouped = vec![
+            CAction::BucketBegin,
+            CAction::Output(2),
+            CAction::BucketEnd,
+            CAction::BucketBegin,
+            CAction::Output(3),
+            CAction::BucketEnd,
+        ];
+        assert_eq!(plan(grouped.clone()), forward(None));
+
+        // The translator's two shapes, and a bare push.
+        let set_vid = CAction::SetField(OxmField::VlanVid(OFPVID_PRESENT | 101, None));
+        for (lead, tag) in [
+            (vec![CAction::PopVlan], TagOp::Pop),
+            (
+                vec![CAction::PushVlan(0x8100), set_vid.clone()],
+                TagOp::Push {
+                    tpid: 0x8100,
+                    vid: Some(101),
+                },
+            ),
+            (
+                vec![CAction::PushVlan(0x88a8)],
+                TagOp::Push {
+                    tpid: 0x88a8,
+                    vid: None,
+                },
+            ),
         ] {
-            let p = CachedPath::new(vec![rewriting, CAction::Output(2)], vec![], 1);
-            assert!(p.fast_ports().is_none(), "{:?}", p.actions);
+            let program = |tail: &[CAction]| [&lead[..], tail].concat();
+            assert_eq!(plan(program(&outputs)), forward(Some(tag)));
+            assert_eq!(plan(program(&grouped)), forward(Some(tag)));
+        }
+
+        for other in [
+            // A second rewrite, or a tag operation anywhere but first
+            // (inside a bucket it is scoped to the bucket).
+            vec![CAction::PopVlan, CAction::PopVlan],
+            vec![CAction::PopVlan, CAction::PushVlan(0x8100)],
+            vec![CAction::PopVlan, set_vid.clone()],
+            vec![CAction::PushVlan(0x8100), set_vid.clone(), set_vid.clone()],
+            vec![set_vid],
+            vec![CAction::Output(3), CAction::PopVlan],
+            vec![CAction::BucketBegin, CAction::PopVlan, CAction::BucketEnd],
+            vec![CAction::Meter(1)],
+            vec![CAction::ToController(
+                openflow::message::PacketInReason::NoMatch,
+            )],
+            // Routed/NAT'd paths rewrite bytes or touch per-connection
+            // state.
+            vec![CAction::DecTtl],
+            vec![CAction::SetIcmpId(7)],
+            vec![CAction::NatTouch(0)],
+        ] {
+            let p = CachedPath::new([other, vec![CAction::Output(2)]].concat(), vec![], 1);
+            assert!(p.plan().is_none(), "{:?}", p.actions);
         }
     }
 

@@ -27,7 +27,70 @@ use std::sync::Arc;
 use netpkt::flowkey::FieldMask;
 use netpkt::{FlowHashBuilder, FlowKey};
 
+use openflow::oxm::OxmField;
+
 use crate::actions::CAction;
+
+/// The one tag operation a [`Plan`] performs before its outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TagOp {
+    /// Pop the outermost tag.
+    Pop,
+    /// Push a tag with this TPID; `vid` is the set-field(VLAN_VID) that
+    /// directly followed the push, folded into the pushed tag.
+    Push {
+        /// TPID of the new tag.
+        tpid: u16,
+        /// 12-bit VID the new tag is given, if the program sets one.
+        vid: Option<u16>,
+    },
+}
+
+/// A program simple enough to replay without the action interpreter:
+/// at most one tag operation up front, then concrete outputs (read off
+/// [`CachedPath::actions`] at replay).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plan {
+    /// What happens to the frame before it is emitted.
+    pub tag: Option<TagOp>,
+    /// How many `Output`s the program holds.
+    pub outputs: u32,
+}
+
+impl Plan {
+    /// Compile `actions`, if they are `[tag op] outputs…`: `PopVlan`, or
+    /// `PushVlan` optionally followed by `SetField(VlanVid)`, may lead;
+    /// only `Output`s follow, bare or inside group buckets (a bucket of
+    /// plain outputs has nothing to scope). Anything else — another
+    /// rewrite, a meter, a packet-in, NAT state, a tag operation inside
+    /// a bucket — is the interpreter's.
+    fn compile(actions: &[CAction]) -> Option<Plan> {
+        let (tag, rest) = match actions {
+            [CAction::PopVlan, rest @ ..] => (Some(TagOp::Pop), rest),
+            [CAction::PushVlan(tpid), CAction::SetField(OxmField::VlanVid(v, _)), rest @ ..] => {
+                let vid = Some(v & 0x0fff);
+                (Some(TagOp::Push { tpid: *tpid, vid }), rest)
+            }
+            [CAction::PushVlan(tpid), rest @ ..] => (
+                Some(TagOp::Push {
+                    tpid: *tpid,
+                    vid: None,
+                }),
+                rest,
+            ),
+            _ => (None, actions),
+        };
+        let mut outputs = 0;
+        for a in rest {
+            match a {
+                CAction::Output(_) => outputs += 1,
+                CAction::BucketBegin | CAction::BucketEnd => {}
+                _ => return None,
+            }
+        }
+        Some(Plan { tag, outputs })
+    }
+}
 
 /// A cached, fully resolved processing recipe.
 ///
@@ -43,49 +106,36 @@ pub struct CachedPath {
     pub hits: Vec<(usize, usize)>,
     /// Datapath epoch this was recorded at.
     pub epoch: u64,
-    /// Precompiled egress ports for pure-forward paths (only concrete
-    /// `Output`s, bare or inside group buckets — no rewrites, meters or
-    /// packet-ins, the overwhelmingly common case on a switch's fast
-    /// path). A hit on such a path
-    /// replays as refcounted clones of the ingress frame with no action
-    /// interpretation and no copy-on-write buffer. `None` when any
-    /// action touches packet bytes or datapath state.
-    fast_ports: Option<Vec<u32>>,
+    /// Precompiled replay for forward and tag-and-forward programs —
+    /// the overwhelmingly common case on a switch's fast path, and
+    /// every frame a HARMLESS translator sees. A hit on such a path
+    /// emits the ingress frame (tagged or untagged in place if nobody
+    /// else holds it) with no action interpretation and no key copy.
+    /// `None` when the program does anything else.
+    plan: Option<Plan>,
 }
 
 impl CachedPath {
-    /// Record a path, compiling its pure-forward replay plan (one
-    /// action scan, paid once per resolved path).
+    /// Record a path, compiling its replay plan (one action scan, paid
+    /// once per resolved path).
     pub fn new(mut actions: Vec<CAction>, mut hits: Vec<(usize, usize)>, epoch: u64) -> CachedPath {
         // A path lives for an epoch in up to three caches: drop the
         // growth slack of the recording it was built from.
         actions.shrink_to_fit();
         hits.shrink_to_fit();
-        let mut ports = Vec::with_capacity(actions.len());
-        let mut pure = true;
-        for a in &actions {
-            match a {
-                CAction::Output(p) => ports.push(*p),
-                // A bucket of plain outputs has nothing to scope.
-                CAction::BucketBegin | CAction::BucketEnd => {}
-                _ => {
-                    pure = false;
-                    break;
-                }
-            }
-        }
+        let plan = Plan::compile(&actions);
         CachedPath {
             actions,
             hits,
             epoch,
-            fast_ports: pure.then_some(ports),
+            plan,
         }
     }
 
-    /// The precompiled pure-forward egress ports, if this path has any.
+    /// The precompiled replay plan, if this path has one.
     #[inline]
-    pub fn fast_ports(&self) -> Option<&[u32]> {
-        self.fast_ports.as_deref()
+    pub fn plan(&self) -> Option<Plan> {
+        self.plan
     }
 }
 

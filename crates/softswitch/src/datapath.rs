@@ -30,9 +30,12 @@
 //! frame is indistinguishable from the walk that recorded it.
 //!
 //! Frames travel as refcounted [`Bytes`] wrapped in a copy-on-write
-//! [`FrameBuf`](netpkt::FrameBuf): pure-forward and flood paths never
-//! copy payloads, and the first byte-rewriting action (NAT, TTL, VLAN)
-//! pays exactly one copy. The single-frame [`Datapath::process`]
+//! [`FrameBuf`]: pure-forward and flood paths never copy payloads, a
+//! byte-rewriting action (NAT, TTL, VLAN) works in place on a frame
+//! nobody else holds and pays exactly one copy otherwise. Forward and
+//! tag-and-forward programs — all a HARMLESS translator runs — replay
+//! from a precompiled [`Plan`] without the interpreter. The
+//! single-frame [`Datapath::process`]
 //! delegates to the same engine with the memo disabled, so scalar and
 //! batched behaviour are identical by construction. Depending on
 //! [`PipelineMode`], lookups are served by the microflow cache, the
@@ -47,7 +50,7 @@ use std::sync::Arc;
 use netpkt::flowkey::FieldMask;
 use netpkt::icmp::Icmpv4Packet;
 use netpkt::vlan::VlanView;
-use netpkt::{builder, EtherType, FlowKey, IpProto, Ipv4Packet, MacAddr};
+use netpkt::{builder, EtherType, FlowKey, FrameBuf, IpProto, Ipv4Packet, MacAddr};
 use openflow::message::{FlowMod, PacketInReason, PortDesc, PortStatsEntry};
 use openflow::table::{FlowEntry, FlowModCommand, RemovedReason, TableId};
 use openflow::{
@@ -55,9 +58,9 @@ use openflow::{
     Result,
 };
 
-use crate::actions::{CAction, Halt, Stepper};
+use crate::actions::{pushed_tci, CAction, Halt, Stepper};
 use crate::batch::{BatchMemo, BatchResult, FrameBatch, FrameMark};
-use crate::cache::{CachedPath, MegaflowCache, MicroflowCache};
+use crate::cache::{CachedPath, MegaflowCache, MicroflowCache, Plan, TagOp};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
 
@@ -907,8 +910,8 @@ impl Datapath {
         for &(t, idx) in &path.hits {
             self.tables[t].hit(idx, len, now_ns);
         }
-        if let Some(ports) = path.fast_ports() {
-            return self.replay_fast(ports, frame, trace, out);
+        if let Some(plan) = path.plan() {
+            return self.replay_plan(plan, &path.actions, frame, key, trace, out);
         }
         let mark = out.mark();
         let mut fr = Stepper::new(frame, *key, trace);
@@ -918,35 +921,59 @@ impl Datapath {
         self.finish(fr, mark, out);
     }
 
-    /// [`Datapath::replay_path`] specialised for a pure-forward program (it
-    /// provably never rewrites bytes or touches state): bump the port
-    /// counters and emit refcounted clones of the ingress frame — no
-    /// action interpretation, no copy-on-write buffer. The last output
-    /// takes ownership of `frame`, so the common single-output path
-    /// performs no refcount traffic at all.
-    fn replay_fast(
+    /// [`Datapath::replay_path`] specialised for a forward or
+    /// tag-and-forward program (see [`Plan`]): do the one tag operation
+    /// through the same [`FrameBuf`] calls the interpreter makes — in
+    /// place when nobody else holds the frame — then bump the port
+    /// counters and emit. No action interpretation, no key copy, no
+    /// re-parse after a pop. The last output takes ownership of `frame`,
+    /// so the common single-output path performs no refcount traffic at
+    /// all.
+    fn replay_plan(
         &mut self,
-        ports: &[u32],
-        frame: Bytes,
+        plan: Plan,
+        actions: &[CAction],
+        mut frame: Bytes,
+        key: &FlowKey,
         mut trace: ProcessingTrace,
         out: &mut BatchResult,
     ) {
         let mark = out.mark();
+        if let Some(op) = plan.tag {
+            trace.vlan_ops += 1;
+            let mut buf = FrameBuf::from_bytes(frame);
+            // A frame the operation refuses goes out as it came in,
+            // exactly as the interpreter leaves it.
+            let _ = match op {
+                TagOp::Pop => buf.pop_vlan(),
+                TagOp::Push { tpid, vid } => {
+                    let mut tci = pushed_tci(key);
+                    if let Some(vid) = vid {
+                        trace.set_fields += 1;
+                        tci = (tci & 0xe000) | vid;
+                    }
+                    buf.push_vlan(tpid, tci)
+                }
+            };
+            frame = buf.into_bytes();
+        }
         let len = frame.len() as u64;
-        trace.outputs += ports.len() as u32;
-        for &p in ports {
-            if let Some(s) = self.pstat(p) {
+        trace.outputs += plan.outputs;
+        let mut left = plan.outputs;
+        for a in actions {
+            let CAction::Output(p) = a else { continue };
+            if let Some(s) = self.pstat(*p) {
                 s.tx_packets += 1;
                 s.tx_bytes += len;
             }
-        }
-        if let [head @ .., last] = ports {
-            for &p in head {
-                out.push_output(p, frame.clone());
+            left -= 1;
+            if left == 0 {
+                out.push_output(*p, frame);
+                break;
             }
-            out.push_output(*last, frame);
+            out.push_output(*p, frame.clone());
         }
-        out.finish_frame(mark, ports.is_empty(), Some(trace));
+        out.finish_frame(mark, plan.outputs == 0, Some(trace));
     }
 
     /// Close a frame whose program has run — the one tail behind the

@@ -409,11 +409,13 @@ impl SoftSwitchNode {
         // Process the whole drained batch immediately to learn its cost,
         // hold the results until the (summed) service time elapses. The
         // drain buffer and the result arena are recycled from previous
-        // periods — a steady-state period performs no allocations here,
-        // and the frame pushes are refcount bumps.
+        // periods — a steady-state period performs no allocations here.
+        // The frames are moved out of the slot, not cloned: the slot
+        // only counts its items from here on, and a datapath that is
+        // the frame's sole holder may rewrite it in place.
         self.batch.clear();
-        for w in self.sq.batch(slot) {
-            self.batch.push(w.in_port, w.frame.clone());
+        for w in self.sq.batch_mut(slot) {
+            self.batch.push(w.in_port, std::mem::take(&mut w.frame));
         }
         let mut result = self.spare.pop().unwrap_or_default();
         self.dp

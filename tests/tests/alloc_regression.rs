@@ -4,8 +4,10 @@
 //! process-global counter ([`bytes::buffer_allocs`]); refcount clones,
 //! slices and ownership transfers do not move it. These tests pin the
 //! zero-copy contract of the hot path: once a flow is cached, serving
-//! it must not allocate — flood fan-out included — and copy-on-write
-//! paths must allocate exactly one buffer per rewritten frame.
+//! it must not allocate — flood fan-out included; rewriting a frame
+//! somebody else holds must allocate exactly one buffer per frame; and
+//! rewriting a frame the datapath alone holds — a VLAN pop, the push
+//! that follows it, a set-field, NAT — must allocate none.
 //!
 //! The counter is process-global, so this suite lives in its own test
 //! binary and serialises its tests with a mutex; keep counter-exact
@@ -222,4 +224,181 @@ fn bridge_trunk_to_trunk_keeps_the_tag_and_allocates_no_buffer() {
         Some(tag),
         "PCP 5 leaves as PCP 5"
     );
+}
+
+/// SS_1 as `harmless::translator` programs it: trunk on port 1, four
+/// access ports behind patch ports.
+fn translator_dp() -> Datapath {
+    use harmless::translator::{patch_port, translator_rules};
+    let map = harmless::PortMap::with_defaults(4).unwrap();
+    let mut dp = Datapath::new(DpConfig::software(0x51).with_mode(PipelineMode::full()));
+    dp.add_port(1, "trunk", 10_000_000);
+    for p in 1..=4 {
+        dp.add_port(patch_port(p), format!("patch{p}"), 10_000_000);
+    }
+    for fm in translator_rules(&map, 1) {
+        dp.apply_flow_mod(&fm, 0).unwrap();
+    }
+    dp
+}
+
+/// Buffers allocated while `f` runs.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = buffer_allocs();
+    let out = f();
+    (buffer_allocs() - before, out)
+}
+
+/// The translator's down rule (`pop_vlan, output`) moves twelve bytes
+/// of a frame nobody else holds and allocates nothing — on the slow
+/// path, on a cached replay and in a batch alike; a frame its sender
+/// still holds costs the one copy that keeps the sender's bytes.
+#[test]
+fn translator_down_rule_pops_in_place_or_copies_once() {
+    use harmless::translator::patch_port;
+    use netpkt::vlan::{push_vlan, VlanTag};
+
+    let _g = COUNTER_LOCK.lock().unwrap();
+    let mut dp = translator_dp();
+    let bare = udp_frame(&[0xcd; 1458]);
+    let tagged = || push_vlan(&bare, VlanTag::new(102)).unwrap();
+
+    // Slow path, then cached replay: the frame is handed over.
+    for (i, what) in ["slow path", "cached replay"].into_iter().enumerate() {
+        let frame = tagged();
+        let ptr = frame.as_slice().as_ptr();
+        let (allocs, r) = allocs_during(|| dp.process(1, frame, i as u64));
+        assert_eq!(allocs, 0, "{what}: sole holder, popped in place");
+        assert_eq!(r.outputs.len(), 1);
+        assert_eq!(r.outputs[0].0, patch_port(2));
+        assert_eq!(r.outputs[0].1, bare);
+        assert_eq!(
+            r.outputs[0].1.as_slice().as_ptr(),
+            ptr.wrapping_add(4),
+            "{what}: same storage, view advanced past the tag"
+        );
+    }
+
+    const N: usize = 32;
+    let mut batch: FrameBatch = (0..N).map(|_| (1, tagged())).collect();
+    let mut result = BatchResult::default();
+    let (allocs, ()) = allocs_during(|| dp.process_batch_into(&mut batch, 2, &mut result));
+    assert_eq!(result.total_outputs(), N);
+    assert_eq!(allocs, 0, "a batch of handed-over frames");
+
+    // The sender keeps a clone: one copy, sized for the popped frame.
+    let held: Vec<Bytes> = (0..N).map(|_| tagged()).collect();
+    let (allocs, outs) = allocs_during(|| {
+        held.iter()
+            .map(|f| dp.process(1, f.clone(), 3).outputs)
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(allocs, N as u64, "one copy per frame somebody else holds");
+    assert!(outs.iter().all(|o| o[0].1 == bare));
+    assert!(held.iter().all(|f| *f == tagged()), "the sender's frames");
+}
+
+/// The translator's up rule (`push_vlan, set vid, output`) writes one
+/// folded 4-byte tag: into the room in front of a buffer the down rule
+/// just popped (nothing allocated, the frame is back where it started),
+/// or as part of the single copy a shared or room-less frame takes.
+#[test]
+fn translator_up_rule_pushes_into_the_popped_room_or_copies_once() {
+    use harmless::translator::patch_port;
+    use netpkt::vlan::{outer_tag, push_vlan, VlanTag};
+
+    let _g = COUNTER_LOCK.lock().unwrap();
+    let mut dp = translator_dp();
+    let bare = udp_frame(&[0xcd; 1458]);
+    let tag = VlanTag::new(103);
+    let tagged = push_vlan(&bare, tag).unwrap();
+
+    // Round trips: down then straight back up, the output of one pass
+    // moved into the next. The first is two slow paths, the rest replay.
+    for i in 0..4 {
+        let frame = push_vlan(&bare, tag).unwrap();
+        let ptr = frame.as_slice().as_ptr();
+        let (allocs, up) = allocs_during(|| {
+            let down = dp.process(1, frame, i).outputs.remove(0);
+            dp.process(down.0, down.1, i).outputs.remove(0)
+        });
+        assert_eq!(allocs, 0, "round trip {i}: pop and push in place");
+        assert_eq!(up.0, 1, "back out of the trunk");
+        assert_eq!(up.1, tagged);
+        assert_eq!(up.1.as_slice().as_ptr(), ptr, "round trip {i}: same bytes");
+    }
+
+    // A frame somebody else holds: the tag and the VID arrive with the
+    // one copy (the parent made a full copy, then rebuilt it for the tag).
+    const N: u64 = 16;
+    let (allocs, ups) = allocs_during(|| {
+        (0..N)
+            .map(|i| dp.process(patch_port(3), bare.clone(), 10 + i).outputs)
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(allocs, N, "one copy per shared frame");
+    assert!(ups.iter().all(|o| o[0].1 == tagged));
+    assert_eq!(outer_tag(&ups[0][0].1), Some(tag));
+
+    // Nobody else holds it, but nothing precedes the view either: the
+    // same single copy.
+    let fresh = udp_frame(&[0xcd; 1458]);
+    let (allocs, r) = allocs_during(|| dp.process(patch_port(3), fresh, 30));
+    assert_eq!(allocs, 1, "no room in front");
+    assert_eq!(r.outputs[0].1, tagged);
+}
+
+/// Set-field and NAT rewrites change bytes where they lie when the
+/// datapath is the frame's only holder, and still take exactly one copy
+/// (never one per rewritten field) when it is not.
+#[test]
+fn header_rewrites_are_in_place_for_a_sole_holder_and_one_copy_otherwise() {
+    use openflow::NatDir;
+    use softswitch::NatConfig;
+
+    let _g = COUNTER_LOCK.lock().unwrap();
+    let mut dp = dp_with_ports(2);
+    dp.configure_nat(NatConfig::new(Ipv4Addr::new(198, 18, 0, 254)));
+    dp.apply_flow_mod(
+        &FlowMod::add(0)
+            .priority(1)
+            .match_(Match::new().in_port(1).eth_type(0x0800))
+            .apply(vec![
+                Action::Nat(NatDir::Egress),
+                Action::SetField(openflow::OxmField::EthDst(MacAddr::host(9), None)),
+                Action::output(2),
+            ]),
+        0,
+    )
+    .unwrap();
+    let wire = udp_frame(b"translate-me").to_vec();
+    dp.process(1, Bytes::from(wire.clone()), 0); // warm: binding + caches
+
+    const N: u64 = 16;
+    let unique: Vec<Bytes> = (0..N).map(|_| Bytes::from(wire.clone())).collect();
+    let ptrs: Vec<_> = unique.iter().map(|f| f.as_slice().as_ptr()).collect();
+    let (allocs, outs) = allocs_during(|| {
+        unique
+            .into_iter()
+            .map(|f| dp.process(1, f, 1).outputs.remove(0).1)
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(
+        allocs, 0,
+        "sole holder: source, port, MAC rewritten in place"
+    );
+    for (out, ptr) in outs.iter().zip(ptrs) {
+        assert_eq!(out.as_slice().as_ptr(), ptr);
+        assert_ne!(&out[..], &wire[..], "and rewritten it was");
+    }
+
+    let held = Bytes::from(wire.clone());
+    let (allocs, shared) = allocs_during(|| {
+        (0..N)
+            .map(|_| dp.process(1, held.clone(), 2).outputs.remove(0).1)
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(allocs, N, "a held frame: one copy for all its rewrites");
+    assert_eq!(&held[..], &wire[..]);
+    assert!(shared.iter().all(|f| *f == outs[0]));
 }

@@ -1651,3 +1651,283 @@ proptest! {
             "{events} events for {} offers, {} sent", frames.len(), sent.len());
     }
 }
+
+// ---------------------------------------------------------------------------
+// Frame ownership: rewritten in place only when nobody else can see it
+// ---------------------------------------------------------------------------
+
+/// Who else holds the frames a datapath is handed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Handover {
+    /// Nobody: the datapath gets the only handle and may rewrite in place.
+    Unique,
+    /// The test keeps a clone of every frame it hands over.
+    Retained,
+}
+
+/// Every handle the test still holds, beside the bytes it had when taken.
+#[derive(Default)]
+struct Ledger(Vec<(Bytes, Vec<u8>)>);
+
+impl Ledger {
+    fn hold(&mut self, frame: &Bytes) {
+        self.0.push((frame.clone(), frame.to_vec()));
+    }
+
+    fn hold_emitted(&mut self, r: &softswitch::DpResult) {
+        r.outputs.iter().for_each(|(_, f)| self.hold(f));
+        r.packet_ins.iter().for_each(|(_, _, f)| self.hold(f));
+    }
+
+    /// Position of the first held frame whose bytes moved, if any.
+    fn first_changed(&self) -> Option<usize> {
+        self.0
+            .iter()
+            .position(|(held, bytes)| held[..] != bytes[..])
+    }
+}
+
+/// One frame's service with no handle left in it: emitted bytes by port,
+/// punted bytes, the drop decision, the execution-side trace counters.
+type Seen = (
+    Vec<(u32, Vec<u8>)>,
+    Vec<Vec<u8>>,
+    bool,
+    (u32, u32, u32, bool),
+);
+
+fn see(r: &softswitch::DpResult) -> Seen {
+    let t = r.trace.expect("datapath traces every frame");
+    (
+        r.outputs.iter().map(|(p, f)| (*p, f.to_vec())).collect(),
+        r.packet_ins.iter().map(|(_, _, f)| f.to_vec()).collect(),
+        r.dropped,
+        (t.vlan_ops, t.set_fields, t.outputs, t.packet_in),
+    )
+}
+
+/// Serve `inputs` one `process` call each, or as one batch. Under
+/// [`Handover::Retained`] the ledger holds a clone of every input from
+/// before the call; when `hold_emitted`, of every emitted frame from as
+/// soon as the engine returns it.
+fn serve(
+    dp: &mut Datapath,
+    batched: bool,
+    handover: Handover,
+    inputs: Vec<(u32, Bytes)>,
+    hold_emitted: bool,
+    ledger: &mut Ledger,
+) -> Vec<softswitch::DpResult> {
+    if handover == Handover::Retained {
+        inputs.iter().for_each(|(_, f)| ledger.hold(f));
+    }
+    let keep = |r: softswitch::DpResult, ledger: &mut Ledger| {
+        if hold_emitted {
+            ledger.hold_emitted(&r);
+        }
+        r
+    };
+    if batched {
+        let mut batch: FrameBatch = inputs.into_iter().collect();
+        let results = run_batch(dp, &mut batch, 0).per_frame();
+        results.into_iter().map(|r| keep(r, ledger)).collect()
+    } else {
+        inputs
+            .into_iter()
+            .map(|(port, f)| keep(dp.process(port, f, 0), ledger))
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The ownership rule behind in-place rewrites: whoever else holds a
+    /// frame — the sender's clone, a flood sibling, a frame emitted
+    /// earlier — never sees it change, and what a datapath emits does
+    /// not depend on whether it was the frame's only holder. Scalar and
+    /// batched, cached (`full`) and uncached (`linear`), with frames
+    /// handed over uniquely or with a clone retained, all emit the same
+    /// bytes over three rounds: fresh frames (slow path), the same
+    /// frames again (cache and memo replay), and what the first round
+    /// emitted fed back in — moved, under `Unique`, so a pop's output
+    /// meets the push that re-tags it as its sole holder.
+    #[test]
+    fn ownership_regimes_emit_identical_bytes_and_never_alias(
+        groups in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(
+                proptest::collection::vec(arb_exec_action(), 1..4), 1..4)),
+            GROUPS..GROUPS + 1),
+        rules in proptest::collection::vec((0u16..8, any::<bool>(), arb_program()), 1..12),
+        packets in proptest::collection::vec((0u32..4, 0u16..8, any::<bool>()), 1..24),
+    ) {
+        let build = |mode: PipelineMode| {
+            let mut dp = Datapath::new(DpConfig::software(1).with_mode(mode));
+            for p in 1..=4 {
+                dp.add_port(p, format!("p{p}"), 1_000_000);
+            }
+            for (gid, (type_sel, buckets)) in groups.iter().enumerate() {
+                let type_ = [
+                    openflow::GroupType::All,
+                    openflow::GroupType::Select,
+                    openflow::GroupType::Indirect,
+                ][*type_sel];
+                let n = if type_ == openflow::GroupType::Indirect { 1 } else { buckets.len() };
+                let buckets = buckets[..n].iter().cloned().map(openflow::Bucket::new).collect();
+                dp.apply_group_mod(
+                    openflow::group::GroupModCommand::Add, type_, gid as u32, buckets,
+                ).unwrap();
+            }
+            // As in `caches_preserve_forwarding_semantics`, a rule names
+            // the tag state it serves.
+            for (i, (dport, tagged, apply)) in rules.iter().enumerate() {
+                let m = Match::new().eth_type(0x0800).ip_proto(17).udp_dst(*dport);
+                let m = if *tagged { m.vlan(7) } else { m.untagged() };
+                dp.apply_flow_mod(
+                    &FlowMod::add(0).priority(10 + (i % 3) as u16).match_(m).apply(apply.clone()),
+                    0,
+                ).unwrap();
+            }
+            dp
+        };
+        let fresh = || -> Vec<(u32, Bytes)> {
+            packets.iter().map(|&(src, dport, tagged)| {
+                let frame = builder::udp_packet(
+                    MacAddr::host(src),
+                    MacAddr::host(2),
+                    std::net::Ipv4Addr::from(0x0a00_0000 + src),
+                    std::net::Ipv4Addr::new(10, 0, 0, 2),
+                    1000,
+                    dport,
+                    b"whose bytes are these",
+                );
+                // A frame tagged through the borrowing API is a fresh
+                // buffer with no room in front; an untagged one is the
+                // builder's. Either way this is the only handle.
+                (1, if tagged { push_vlan(&frame, VlanTag::new(7)).unwrap() } else { frame })
+            }).collect()
+        };
+        let run = |mode: PipelineMode, batched: bool, handover: Handover| {
+            let mut dp = build(mode);
+            let mut ledger = Ledger::default();
+            let retained = handover == Handover::Retained;
+            let first = serve(&mut dp, batched, handover, fresh(), retained, &mut ledger);
+            let mut seen: Vec<Seen> = first.iter().map(see).collect();
+            let again = serve(&mut dp, batched, handover, fresh(), true, &mut ledger);
+            seen.extend(again.iter().map(see));
+            // Frames that went out with two tags or more stay out: a
+            // flow key names the outer tag only, so a cache (rightly)
+            // cannot tell ingress tag depths apart that the parser can.
+            let fed_back: Vec<(u32, Bytes)> = first
+                .into_iter()
+                .flat_map(|r| r.outputs)
+                .filter(|(_, f)| netpkt::vlan::VlanView::parse(f).is_ok_and(|v| v.inner.is_none()))
+                .collect();
+            let back = serve(&mut dp, batched, handover, fed_back, true, &mut ledger);
+            seen.extend(back.iter().map(see));
+            (seen, ledger.first_changed())
+        };
+        let (reference, changed) = run(PipelineMode::linear(), false, Handover::Retained);
+        prop_assert_eq!(changed, None, "linear, scalar, retained: a held frame changed");
+        for batched in [false, true] {
+            for handover in [Handover::Unique, Handover::Retained] {
+                let (seen, changed) = run(PipelineMode::full(), batched, handover);
+                prop_assert_eq!(changed, None,
+                    "full, batched {}, {:?}: a held frame changed", batched, handover);
+                prop_assert_eq!(&seen, &reference, "full, batched {}, {:?}", batched, handover);
+            }
+        }
+        let (seen, changed) = run(PipelineMode::linear(), false, Handover::Unique);
+        prop_assert_eq!(changed, None, "linear, scalar, unique: a held frame changed");
+        prop_assert_eq!(&seen, &reference, "linear, scalar, unique");
+    }
+}
+
+/// A frame too short for the rewrite its rule carries leaves as it came
+/// (the dataplane is total: `FlowKey::extract_lossy` gives a runt a
+/// zero key with the real `in_port`, so a port-only match is enough to
+/// reach the action). Slow path and cached replay, scalar and batched.
+#[test]
+fn runt_frames_pass_tag_actions_untouched() {
+    const VID: u16 = 101;
+    // A push needs the 14-byte header and finds no tag to inherit from
+    // (every length here is too short to parse as tagged, or to pop);
+    // an address rewrite needs the address to be there.
+    type Expect = fn(&mut Vec<u8>);
+    fn push(vid: u16, f: &mut Vec<u8>) {
+        if f.len() >= 14 {
+            f.splice(12..12, [0x81, 0x00, (vid >> 8) as u8, vid as u8]);
+        }
+    }
+    fn set_mac(at: usize, f: &mut [u8]) {
+        if let Some(mac) = f.get_mut(at..at + 6) {
+            mac.copy_from_slice(&MacAddr::host(9).octets());
+        }
+    }
+    let host9 = MacAddr::host(9);
+    let programs: [(Vec<Action>, Expect); 5] = [
+        (vec![Action::PopVlan], |_| {}),
+        (vec![Action::PushVlan(0x8100)], |f| push(0, f)),
+        (
+            vec![Action::PushVlan(0x8100), Action::set_vlan_vid(VID)],
+            |f| push(VID, f),
+        ),
+        (vec![Action::SetField(OxmField::EthDst(host9, None))], |f| {
+            set_mac(0, f)
+        }),
+        (vec![Action::SetField(OxmField::EthSrc(host9, None))], |f| {
+            set_mac(6, f)
+        }),
+    ];
+    // Address bytes, then a tag (or an EtherType and payload) cut short.
+    let tagged = [
+        2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 1, 0x81, 0x00, 0x00, 0x65, 0x08, 0x00,
+    ];
+    let plain = [
+        2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 1, 0x08, 0x00, 0x45, 0x00, 0x00, 0x1c,
+    ];
+    for (program, expect) in &programs {
+        let program = [&program[..], &[Action::output(2)]].concat();
+        let build = || {
+            let mut dp = Datapath::new(DpConfig::software(1).with_mode(PipelineMode::full()));
+            dp.add_port(1, "in", 1_000_000);
+            dp.add_port(2, "out", 1_000_000);
+            dp.apply_flow_mod(
+                &FlowMod::add(0)
+                    .priority(1)
+                    .match_(Match::new().in_port(1))
+                    .apply(program.clone()),
+                0,
+            )
+            .unwrap();
+            dp
+        };
+        for wire in [&tagged[..], &plain[..]] {
+            for len in 0..=17 {
+                let wire = &wire[..len];
+                let mut expected = wire.to_vec();
+                expect(&mut expected);
+                let frame = || Bytes::from(wire.to_vec());
+                let what = format!("{program:?} on {len} bytes");
+
+                let mut dp = build();
+                let slow = see(&dp.process(1, frame(), 0));
+                assert_eq!(slow.0, vec![(2, expected.clone())], "{what}");
+                assert!(!slow.2, "{what}");
+                assert_eq!(see(&dp.process(1, frame(), 1)), slow, "cached, {what}");
+
+                let mut dp = build();
+                for round in 0..2 {
+                    let mut batch: FrameBatch = (0..3).map(|_| (1, frame())).collect();
+                    for (i, r) in run_batch(&mut dp, &mut batch, round)
+                        .per_frame()
+                        .iter()
+                        .enumerate()
+                    {
+                        assert_eq!(see(r), slow, "batch {round} frame {i}, {what}");
+                    }
+                }
+            }
+        }
+    }
+}
