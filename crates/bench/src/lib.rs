@@ -63,11 +63,11 @@ impl System {
             System::Software => "software".into(),
             System::SoftwareWith(m) => format!(
                 "software/{}",
-                if !m.tss {
+                if *m == PipelineMode::linear() {
                     "linear"
-                } else if m.megaflow {
+                } else if *m == PipelineMode::full() {
                     "full"
-                } else if m.microflow {
+                } else if *m == PipelineMode::microflow() {
                     "micro"
                 } else {
                     "tss"

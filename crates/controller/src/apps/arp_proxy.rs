@@ -92,8 +92,6 @@ pub struct ArpProxy {
     /// dpid → number of `retired` entries already retracted there.
     retracted: HashMap<u64, usize>,
     answered: u64,
-    unknown_targets: u64,
-    routes_installed: u64,
     routes_retracted: u64,
 }
 
@@ -108,8 +106,6 @@ impl ArpProxy {
             retired: Vec::new(),
             retracted: HashMap::new(),
             answered: 0,
-            unknown_targets: 0,
-            routes_installed: 0,
             routes_retracted: 0,
         }
     }
@@ -166,17 +162,6 @@ impl ArpProxy {
     /// ARP requests answered (and consumed) at the pod edge.
     pub fn answered(&self) -> u64 {
         self.answered
-    }
-
-    /// ARP requests for targets outside the host table (left to the
-    /// rest of the app chain).
-    pub fn unknown_targets(&self) -> u64 {
-        self.unknown_targets
-    }
-
-    /// Proactive route + guard rules installed so far.
-    pub fn routes_installed(&self) -> u64 {
-        self.routes_installed
     }
 
     /// Delete flow-mods issued for retired routes so far.
@@ -242,7 +227,6 @@ impl ArpProxy {
                 if d != dpid {
                     continue;
                 }
-                self.routes_installed += 1;
                 sw.flow_mod(
                     FlowMod::add(0)
                         .priority(GUARD_PRIORITY)
@@ -254,7 +238,6 @@ impl ArpProxy {
                 if d != dpid {
                     continue;
                 }
-                self.routes_installed += 1;
                 sw.flow_mod(
                     FlowMod::add(0)
                         .priority(ROUTE_PRIORITY)
@@ -309,7 +292,6 @@ impl App for ArpProxy {
             return PacketInVerdict::Continue;
         };
         let Some(mac) = self.lookup(repr.target_ip) else {
-            self.unknown_targets += 1;
             return PacketInVerdict::Continue;
         };
         // Answer from the host table with the target's real MAC, out of
@@ -328,7 +310,7 @@ impl App for ArpProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::test_handle;
+    use crate::node::{test_handle, Outbox};
     use openflow::message::Message;
     use openflow::FlowModCommand;
 
@@ -377,10 +359,9 @@ mod tests {
             ports: vec![(0x52, 1), (0x53, 9)],
             guards: vec![(0x53, 9)],
         });
-        let (mut xid, mut fms) = (0, 0);
-        let mut q52 = Vec::new();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q52, &mut fms));
-        assert_eq!(flow_mods(&q52).len(), 1);
+        let mut q52 = Outbox::default();
+        p.sync_switch(&mut test_handle(0x52, &mut q52));
+        assert_eq!(flow_mods(&q52.queue).len(), 1);
         assert_eq!(p.routes_retracted(), 0);
 
         // The host moves: same identity, new location.
@@ -390,9 +371,9 @@ mod tests {
             ports: vec![(0x53, 2), (0x52, 7)],
             guards: Vec::new(),
         });
-        q52.clear();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q52, &mut fms));
-        let mods = flow_mods(&q52);
+        q52.queue.clear();
+        p.sync_switch(&mut test_handle(0x52, &mut q52));
+        let mods = flow_mods(&q52.queue);
         // Delete of the old rule first, then the add of the new route —
         // the reverse order would delete the fresh rule.
         assert_eq!(mods[0].0, FlowModCommand::Delete);
@@ -400,32 +381,31 @@ mod tests {
         assert_eq!(mods[1].0, FlowModCommand::Add);
         assert_eq!(mods.len(), 2);
         // 0x53 held a route *and* a guard, swept by the one delete.
-        let mut q53 = Vec::new();
-        p.sync_switch(&mut test_handle(0x53, &mut xid, &mut q53, &mut fms));
-        let mods = flow_mods(&q53);
+        let mut q53 = Outbox::default();
+        p.sync_switch(&mut test_handle(0x53, &mut q53));
+        let mods = flow_mods(&q53.queue);
         assert_eq!(mods[0].0, FlowModCommand::Delete);
         assert_eq!(mods.len(), 2);
         assert_eq!(p.routes_retracted(), 2);
         // Syncing again is a no-op: both watermarks caught up.
-        q52.clear();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q52, &mut fms));
-        assert!(q52.is_empty());
+        q52.queue.clear();
+        p.sync_switch(&mut test_handle(0x52, &mut q52));
+        assert!(q52.queue.is_empty());
     }
 
     #[test]
     fn remove_host_retracts_and_stops_answering() {
         let mut p = ArpProxy::new();
         p.add_host(route([10, 0, 0, 1], 1));
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
+        let mut q = Outbox::default();
+        p.sync_switch(&mut test_handle(0x52, &mut q));
         assert!(p.remove_host(Ipv4Addr::new(10, 0, 0, 1)));
         assert!(!p.remove_host(Ipv4Addr::new(10, 0, 0, 1)), "already gone");
         assert_eq!(p.lookup(Ipv4Addr::new(10, 0, 0, 1)), None);
         assert_eq!(p.hosts_known(), 0);
-        q.clear();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = flow_mods(&q);
+        q.queue.clear();
+        p.sync_switch(&mut test_handle(0x52, &mut q));
+        let mods = flow_mods(&q.queue);
         assert_eq!(mods.len(), 1);
         assert_eq!(mods[0].0, FlowModCommand::Delete);
     }
@@ -435,16 +415,15 @@ mod tests {
         let mut p = ArpProxy::new();
         p.add_host(route([10, 0, 0, 1], 1));
         p.add_host(route([10, 0, 0, 2], 2));
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
+        let mut q = Outbox::default();
+        p.sync_switch(&mut test_handle(0x52, &mut q));
         p.remove_host(Ipv4Addr::new(10, 0, 0, 2));
         // The datapath reboots before the tick that would retract: its
         // tables are empty, so the handshake must re-install host 1 and
         // not bother deleting rules that no longer exist.
-        q.clear();
-        p.on_switch_ready(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = flow_mods(&q);
+        q.queue.clear();
+        p.on_switch_ready(&mut test_handle(0x52, &mut q));
+        let mods = flow_mods(&q.queue);
         assert!(
             mods.iter().all(|(c, _)| *c == FlowModCommand::Add),
             "no deletes into a fresh table: {mods:?}"

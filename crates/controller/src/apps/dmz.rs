@@ -38,11 +38,6 @@ impl Dmz {
         }
     }
 
-    /// The number of directed permitted pairs.
-    pub fn permitted_pairs(&self) -> usize {
-        self.allowed.len()
-    }
-
     fn pair_rule(a: Ipv4Addr, b: Ipv4Addr) -> FlowMod {
         FlowMod::add(0)
             .priority(100)

@@ -70,12 +70,6 @@ impl LoadBalancer {
         self
     }
 
-    /// The MAC the VIP answers ARP with.
-    pub fn with_vip_mac(mut self, mac: MacAddr) -> Self {
-        self.vip_mac = mac;
-        self
-    }
-
     /// Proxy-ARP replies sent.
     pub fn arps_answered(&self) -> u64 {
         self.arps_answered

@@ -18,7 +18,6 @@ pub struct LearningSwitch {
     idle_timeout: u16,
     /// `(dpid, mac) → port`.
     macs: HashMap<(u64, MacAddr), u32>,
-    rules_installed: u64,
 }
 
 impl LearningSwitch {
@@ -28,7 +27,6 @@ impl LearningSwitch {
             table: 0,
             idle_timeout: 60,
             macs: HashMap::new(),
-            rules_installed: 0,
         }
     }
 
@@ -36,16 +34,6 @@ impl LearningSwitch {
     pub fn in_table(mut self, table: u8) -> Self {
         self.table = table;
         self
-    }
-
-    /// Number of MACs learned.
-    pub fn macs_learned(&self) -> usize {
-        self.macs.len()
-    }
-
-    /// Rules installed so far.
-    pub fn rules_installed(&self) -> u64 {
-        self.rules_installed
     }
 
     /// Learned port for a MAC on a switch.
@@ -92,7 +80,6 @@ impl App for LearningSwitch {
         match self.macs.get(&(dpid, dst)) {
             Some(&out) if dst.is_unicast() => {
                 // Proactive pair of rules so the reverse path is ready too.
-                self.rules_installed += 1;
                 sw.flow_mod(
                     FlowMod::add(self.table)
                         .priority(10)
@@ -100,7 +87,6 @@ impl App for LearningSwitch {
                         .apply(vec![Action::output(out)])
                         .timeouts(self.idle_timeout, 0),
                 );
-                self.rules_installed += 1;
                 sw.flow_mod(
                     FlowMod::add(self.table)
                         .priority(10)

@@ -35,11 +35,6 @@ impl ParentalControl {
         }
     }
 
-    /// Current blocklist size.
-    pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
-    }
-
     /// Blocks pushed to switches so far.
     pub fn blocks_installed(&self) -> u64 {
         self.blocks_installed

@@ -110,7 +110,6 @@ pub struct Router {
     configs: HashMap<u64, (u64, RouterConfig)>,
     /// dpid → config version already installed there.
     pushed: HashMap<u64, u64>,
-    routes_installed: u64,
     routes_retracted: u64,
 }
 
@@ -122,7 +121,6 @@ impl Router {
         Router {
             configs: HashMap::new(),
             pushed: HashMap::new(),
-            routes_installed: 0,
             routes_retracted: 0,
         }
     }
@@ -145,16 +143,6 @@ impl Router {
     /// `dpid`'s current config, if any.
     pub fn config(&self, dpid: u64) -> Option<&RouterConfig> {
         self.configs.get(&dpid).map(|(_, c)| c)
-    }
-
-    /// Datapaths with a routing personality.
-    pub fn configured(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Flow-mod adds issued for routing state so far.
-    pub fn routes_installed(&self) -> u64 {
-        self.routes_installed
     }
 
     /// Flow-mod deletes issued for superseded routing state so far.
@@ -219,7 +207,6 @@ impl Router {
         // addressed to this router, drop stray flood copies that would
         // otherwise be reflected back into the fabric.
         for &port in &config.uplink_guards {
-            self.routes_installed += 2;
             sw.flow_mod(
                 FlowMod::add(0)
                     .priority(GUARD_ACCEPT_PRIORITY)
@@ -250,7 +237,6 @@ impl Router {
             );
         }
         sw.flow_mod(FlowMod::add(NAT_TABLE).priority(0).goto(ROUTE_TABLE));
-        self.routes_installed += 2 + u64::from(config.nat_external.is_some());
         // Table 2: the routing table. No table-miss entry: a routed
         // packet no prefix covers is dropped, as a router should.
         for r in &config.routes {
@@ -269,7 +255,6 @@ impl Router {
             actions.push(Action::SetField(OxmField::EthSrc(config.mac, None)));
             actions.push(Action::SetField(OxmField::EthDst(r.next_hop, None)));
             actions.push(Action::output(r.out_port));
-            self.routes_installed += 1;
             sw.flow_mod(
                 FlowMod::add(ROUTE_TABLE)
                     .priority(ROUTE_PRIORITY_BASE + u16::from(r.len))
@@ -326,7 +311,7 @@ impl App for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::test_handle;
+    use crate::node::{test_handle, Outbox};
     use openflow::message::Message;
     use openflow::{FlowModCommand, Instruction};
 
@@ -375,10 +360,9 @@ mod tests {
     fn pushes_classifier_miss_and_length_ranked_routes() {
         let mut r = Router::new();
         r.set_config(0x52, pod_config());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        let mut q = Outbox::default();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
+        let mods = decode(&q.queue);
         // Classifier + NAT miss + 3 routes, all adds.
         assert_eq!(mods.len(), 5);
         assert!(mods.iter().all(|m| m.command == FlowModCommand::Add));
@@ -413,9 +397,9 @@ mod tests {
         assert_eq!(acts[1], Action::Nat(NatDir::Egress));
         assert!(matches!(acts.last(), Some(Action::Output { port: 9, .. })));
         // Re-sync is a no-op: the watermark caught up.
-        q.clear();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        assert!(q.is_empty());
+        q.queue.clear();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
+        assert!(q.queue.is_empty());
     }
 
     #[test]
@@ -424,10 +408,9 @@ mod tests {
         let mut c = pod_config();
         c.nat_external = Some(Ipv4Addr::new(198, 18, 0, 254));
         r.set_config(0x52, c);
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        let mut q = Outbox::default();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
+        let mods = decode(&q.queue);
         assert_eq!(mods.len(), 6);
         assert_eq!(mods[1].table_id, NAT_TABLE);
         assert_eq!(mods[1].priority, NAT_INGRESS_PRIORITY);
@@ -444,16 +427,15 @@ mod tests {
     fn reconfigure_deletes_before_reinstalling() {
         let mut r = Router::new();
         r.set_config(0x52, pod_config());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
+        let mut q = Outbox::default();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
         // New personality: one route fewer.
         let mut c = pod_config();
         c.routes.truncate(2);
         r.set_config(0x52, c);
-        q.clear();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        q.queue.clear();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
+        let mods = decode(&q.queue);
         // Three deletes (shared table by classifier match, own tables
         // wholesale) strictly before any add.
         assert_eq!(mods.len(), 3 + 4);
@@ -473,10 +455,9 @@ mod tests {
         let mut c = pod_config();
         c.uplink_guards = vec![9];
         r.set_config(0x52, c.clone());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        let mut q = Outbox::default();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
+        let mods = decode(&q.queue);
         assert_eq!(mods.len(), 7);
         assert_eq!(r.rules_for(0x52), 7);
         // Accept (to the router's own MAC) outranks the drop.
@@ -500,30 +481,29 @@ mod tests {
         );
         // Re-setting the identical config does not churn the rules.
         r.set_config(0x52, c);
-        q.clear();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        assert!(q.is_empty(), "identical config must be a no-op");
+        q.queue.clear();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
+        assert!(q.queue.is_empty(), "identical config must be a no-op");
     }
 
     #[test]
     fn rehandshake_reinstalls_without_deletes() {
         let mut r = Router::new();
         r.set_config(0x52, pod_config());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        q.clear();
-        r.on_switch_ready(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        let mut q = Outbox::default();
+        r.sync_switch(&mut test_handle(0x52, &mut q));
+        q.queue.clear();
+        r.on_switch_ready(&mut test_handle(0x52, &mut q));
+        let mods = decode(&q.queue);
         assert_eq!(mods.len(), 5);
         assert!(
             mods.iter().all(|m| m.command == FlowModCommand::Add),
             "no deletes into a fresh table"
         );
         // An unconfigured datapath gets nothing.
-        let mut q2 = Vec::new();
-        r.on_switch_ready(&mut test_handle(0x99, &mut xid, &mut q2, &mut fms));
-        assert!(q2.is_empty());
+        let mut q2 = Outbox::default();
+        r.on_switch_ready(&mut test_handle(0x99, &mut q2));
+        assert!(q2.queue.is_empty());
         assert_eq!(r.rules_for(0x99), 0);
     }
 }

@@ -13,7 +13,6 @@ use crate::node::{App, SwitchHandle};
 pub struct StaticForwarder {
     /// The wiring: `(in_port, out_port)` pairs.
     pub wiring: Vec<(u32, u32)>,
-    installed_on: u64,
 }
 
 impl StaticForwarder {
@@ -24,23 +23,7 @@ impl StaticForwarder {
             wiring.push((a, b));
             wiring.push((b, a));
         }
-        StaticForwarder {
-            wiring,
-            installed_on: 0,
-        }
-    }
-
-    /// Forward exactly the listed directed pairs.
-    pub fn directed(wiring: Vec<(u32, u32)>) -> StaticForwarder {
-        StaticForwarder {
-            wiring,
-            installed_on: 0,
-        }
-    }
-
-    /// How many switches received the wiring.
-    pub fn installed_on(&self) -> u64 {
-        self.installed_on
+        StaticForwarder { wiring }
     }
 }
 
@@ -50,7 +33,6 @@ impl App for StaticForwarder {
     }
 
     fn on_switch_ready(&mut self, sw: &mut SwitchHandle) {
-        self.installed_on += 1;
         for &(inp, out) in &self.wiring {
             sw.flow_mod(
                 FlowMod::add(0)

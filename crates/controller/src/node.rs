@@ -1,16 +1,16 @@
 //! The controller core: channel management and app dispatch.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use netpkt::FlowKey;
 use netsim::{Node, NodeCtx, NodeId, PortId};
 use openflow::message::{
-    decode_stream, ControllerRole, FlowMod, Message, MultipartReq, PortDesc, Xid,
+    ControllerRole, FlowMod, Message, MultipartReq, MultipartRes, PortDesc, Xid,
 };
 use openflow::oxm::OxmField;
-use openflow::{Action, NO_BUFFER};
+use openflow::{Action, Session, NO_BUFFER};
 
 /// A packet-in, pre-parsed for apps.
 #[derive(Debug)]
@@ -41,45 +41,96 @@ impl PacketInEvent {
 }
 
 /// Per-switch connection state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SwitchState {
-    /// Simulator node of the switch.
-    pub node: NodeId,
     /// Datapath id (0 until features arrive).
     pub dpid: u64,
     /// Ports reported by PORT_DESC.
     pub ports: Vec<PortDesc>,
     /// True once features + port-desc completed.
     pub ready: bool,
-    rx: BytesMut,
-    /// Keepalive probes sent to this switch, awaiting their echo reply.
-    echo_pending: Vec<Xid>,
-    /// State-mutating frames (flow/group mods) sent but not yet covered
-    /// by a BARRIER_REPLY, tagged with the covering barrier's xid. The
-    /// periodic tick re-sends whatever lingers here, so rule pushes
-    /// survive a lossy control channel.
+    /// Stream reassembly and the keepalive probes awaiting their reply.
+    session: Session,
+    /// Flow-mods sent but not yet covered by a BARRIER_REPLY, tagged
+    /// with the covering barrier's xid. The periodic tick re-sends
+    /// whatever lingers here, so rule pushes survive a lossy control
+    /// channel.
     inflight: Vec<(Xid, Bytes)>,
 }
 
 impl SwitchState {
-    fn new(node: NodeId) -> SwitchState {
-        SwitchState {
-            node,
-            dpid: 0,
-            ports: Vec::new(),
-            ready: false,
-            rx: BytesMut::new(),
-            echo_pending: Vec::new(),
-            inflight: Vec::new(),
-        }
-    }
-
     /// Forget everything tied to the current connection (a reconnecting
     /// switch starts from a clean slate; apps re-push state on ready).
     fn reset_session(&mut self) {
         self.ready = false;
-        self.echo_pending.clear();
+        self.session.reset();
         self.inflight.clear();
+    }
+
+    fn handle<'a>(&'a self, out: &'a mut Outbox) -> SwitchHandle<'a> {
+        SwitchHandle {
+            dpid: self.dpid,
+            ports: &self.ports,
+            out,
+        }
+    }
+
+    /// Send what `out` queued to this switch (`node`); if any of it was
+    /// state-mutating, append a barrier and track those frames until its
+    /// reply confirms delivery.
+    fn flush(&mut self, node: NodeId, out: &mut Outbox, ctx: &mut NodeCtx) {
+        if !out.durable.is_empty() {
+            let b = out.send(Message::BarrierRequest);
+            self.inflight.extend(out.durable.drain(..).map(|f| (b, f)));
+        }
+        out.transmit(node, ctx);
+    }
+}
+
+/// The controller's send side: the xid counter every message draws from
+/// (one across all switches) and the frames queued for the switch being
+/// served. Apps reach it through a [`SwitchHandle`].
+#[derive(Debug, Default)]
+pub(crate) struct Outbox {
+    xid: Xid,
+    flow_mods_sent: u64,
+    /// Frames for the switch being served, in send order.
+    pub(crate) queue: Vec<Bytes>,
+    /// The state-mutating frames among `queue`, to be tracked until a
+    /// barrier reply confirms the switch applied them.
+    durable: Vec<Bytes>,
+}
+
+impl Outbox {
+    fn next_xid(&mut self) -> Xid {
+        self.xid += 1;
+        self.xid
+    }
+
+    /// Queue `msg` under a fresh xid, which is returned.
+    fn send(&mut self, msg: Message) -> Xid {
+        let x = self.next_xid();
+        self.queue.push(msg.encode(x));
+        x
+    }
+
+    /// Put the queue on the channel to `node` as one coalesced message.
+    /// Fate sharing is load-bearing on lossy channels: the trailing
+    /// barrier of a flush must be dropped or delivered *together with*
+    /// the state it confirms — sent separately, a dropped flow mod whose
+    /// barrier survived would confirm state the switch never applied.
+    fn transmit(&mut self, node: NodeId, ctx: &mut NodeCtx) {
+        match self.queue.len() {
+            0 => {}
+            1 => ctx.ctrl_send(node, self.queue.pop().expect("len checked")),
+            _ => {
+                let mut buf = Vec::with_capacity(self.queue.iter().map(Bytes::len).sum());
+                for f in self.queue.drain(..) {
+                    buf.extend_from_slice(&f);
+                }
+                ctx.ctrl_send(node, Bytes::from(buf));
+            }
+        }
     }
 }
 
@@ -90,54 +141,23 @@ pub struct SwitchHandle<'a> {
     pub dpid: u64,
     /// The switch's ports.
     pub ports: &'a [PortDesc],
-    xid: &'a mut Xid,
-    queue: &'a mut Vec<Bytes>,
-    durable: &'a mut Vec<Bytes>,
-    flow_mods_sent: &'a mut u64,
+    out: &'a mut Outbox,
 }
 
 impl SwitchHandle<'_> {
-    fn next_xid(&mut self) -> Xid {
-        *self.xid += 1;
-        *self.xid
-    }
-
     /// Send a raw message.
     pub fn send(&mut self, msg: Message) {
-        let x = self.next_xid();
-        self.queue.push(msg.encode(x));
+        self.out.send(msg);
     }
 
-    /// Send a state-mutating message that must survive channel loss: it is
-    /// tracked until a barrier reply confirms the switch applied it, and
-    /// re-sent by the controller tick otherwise.
-    fn send_durable(&mut self, msg: Message) {
-        let x = self.next_xid();
-        let b = msg.encode(x);
-        self.queue.push(b.clone());
-        self.durable.push(b);
-    }
-
-    /// Send a flow-mod.
+    /// Send a flow-mod. It must survive channel loss: it is tracked until
+    /// a barrier reply confirms the switch applied it, and re-sent by the
+    /// controller tick otherwise.
     pub fn flow_mod(&mut self, fm: FlowMod) {
-        *self.flow_mods_sent += 1;
-        self.send_durable(Message::FlowMod(fm));
-    }
-
-    /// Send a group-mod.
-    pub fn group_mod(
-        &mut self,
-        command: openflow::group::GroupModCommand,
-        type_: openflow::GroupType,
-        group_id: u32,
-        buckets: Vec<openflow::Bucket>,
-    ) {
-        self.send_durable(Message::GroupMod {
-            command,
-            type_,
-            group_id,
-            buckets,
-        });
+        self.out.flow_mods_sent += 1;
+        let frame = Message::FlowMod(fm).encode(self.out.next_xid());
+        self.out.queue.push(frame.clone());
+        self.out.durable.push(frame);
     }
 
     /// Emit a frame out of a specific port (or FLOOD).
@@ -164,53 +184,21 @@ impl SwitchHandle<'_> {
         });
     }
 
-    /// Emit a frame with arbitrary actions.
-    pub fn packet_out_actions(&mut self, in_port: u32, actions: Vec<Action>, data: Bytes) {
-        self.send(Message::PacketOut {
-            buffer_id: NO_BUFFER,
-            in_port,
-            actions,
-            data,
-        });
-    }
-
-    /// Request flow statistics (reply arrives via `on_stats`).
-    pub fn request_flow_stats(&mut self) {
-        self.send(Message::MultipartRequest(MultipartReq::Flow {
-            table_id: 0xff,
-            out_port: openflow::port_no::ANY,
-            out_group: openflow::group_no::ANY,
-            cookie: 0,
-            cookie_mask: 0,
-            match_: openflow::Match::any(),
-        }));
-    }
-
     /// Send a barrier.
     pub fn barrier(&mut self) {
         self.send(Message::BarrierRequest);
     }
 }
 
-/// A free-standing [`SwitchHandle`] over caller-owned buffers, for app
-/// unit tests that want to drive callbacks without a running network.
+/// A free-standing [`SwitchHandle`] over a caller-owned outbox, for app
+/// unit tests that drive callbacks without a running network and read
+/// back `out.queue`.
 #[cfg(test)]
-pub(crate) fn test_handle<'a>(
-    dpid: u64,
-    xid: &'a mut Xid,
-    queue: &'a mut Vec<Bytes>,
-    flow_mods_sent: &'a mut u64,
-) -> SwitchHandle<'a> {
+pub(crate) fn test_handle(dpid: u64, out: &mut Outbox) -> SwitchHandle<'_> {
     SwitchHandle {
         dpid,
         ports: &[],
-        xid,
-        queue,
-        // App tests assert on `queue` only; the durability tracking is a
-        // node-level concern, so a throwaway (leaked, test-only) buffer
-        // keeps the helper's signature stable.
-        durable: Box::leak(Box::default()),
-        flow_mods_sent,
+        out,
     }
 }
 
@@ -268,6 +256,29 @@ pub trait App: 'static + Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// A switch message the apps get to see, as the [`App`] callback it
+/// turns into.
+enum AppEvent {
+    SwitchReady,
+    PacketIn(PacketInEvent),
+    FlowRemoved(Message),
+    Stats(Message),
+}
+
+impl AppEvent {
+    /// Offer the event to one app. Only a packet-in can end the chain;
+    /// the other callbacks always let the next app see the event.
+    fn offer(&self, app: &mut dyn App, sw: &mut SwitchHandle) -> PacketInVerdict {
+        match self {
+            AppEvent::SwitchReady => app.on_switch_ready(sw),
+            AppEvent::PacketIn(ev) => return app.on_packet_in(sw, ev),
+            AppEvent::FlowRemoved(m) => app.on_flow_removed(sw, m),
+            AppEvent::Stats(m) => app.on_stats(sw, m),
+        }
+        PacketInVerdict::Continue
+    }
+}
+
 const TOKEN_TICK: u64 = 1;
 const TICK: netsim::SimTime = netsim::SimTime::from_secs(1);
 /// Keepalive probes a switch may leave unanswered (one sent per tick)
@@ -278,18 +289,18 @@ const MAX_MISSED_ECHOES: usize = 3;
 pub struct ControllerNode {
     name: String,
     apps: Vec<Box<dyn App>>,
-    switches: HashMap<NodeId, SwitchState>,
-    xid: Xid,
+    /// Connected switches. Ordered by node id: bulk sends iterate the
+    /// map, and send order feeds the simulator's event sequence numbers,
+    /// so it must not vary between runs.
+    switches: BTreeMap<NodeId, SwitchState>,
+    out: Outbox,
     role: ControllerRole,
     generation_id: u64,
     packet_ins: u64,
-    flow_mods_sent: u64,
     errors_seen: u64,
     retransmits: u64,
     switch_deaths: u64,
     promotions: u64,
-    stale_echo_replies: u64,
-    slave_ignored: u64,
 }
 
 impl ControllerNode {
@@ -298,18 +309,15 @@ impl ControllerNode {
         ControllerNode {
             name: name.into(),
             apps,
-            switches: HashMap::new(),
-            xid: 0,
+            switches: BTreeMap::new(),
+            out: Outbox::default(),
             role: ControllerRole::Equal,
             generation_id: 0,
             packet_ins: 0,
-            flow_mods_sent: 0,
             errors_seen: 0,
             retransmits: 0,
             switch_deaths: 0,
             promotions: 0,
-            stale_echo_replies: 0,
-            slave_ignored: 0,
         }
     }
 
@@ -354,23 +362,10 @@ impl ControllerNode {
 
     /// Echo replies whose xid matched no outstanding probe.
     pub fn stale_echo_replies(&self) -> u64 {
-        self.stale_echo_replies
-    }
-
-    /// Packet-ins ignored while in the slave role.
-    pub fn slave_ignored(&self) -> u64 {
-        self.slave_ignored
-    }
-
-    /// Connected switch node ids in deterministic (id) order. All bulk
-    /// sends iterate in this order: HashMap order varies between map
-    /// instances, and send order feeds the simulator's event sequence
-    /// numbers, so iterating the map directly would break bit-identical
-    /// replay.
-    fn switch_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.switches.keys().copied().collect();
-        nodes.sort_by_key(|n| n.0);
-        nodes
+        self.switches
+            .values()
+            .map(|st| st.session.stale_replies())
+            .sum()
     }
 
     /// Packet-ins received so far.
@@ -380,7 +375,7 @@ impl ControllerNode {
 
     /// Flow-mods sent so far.
     pub fn flow_mods_sent(&self) -> u64 {
-        self.flow_mods_sent
+        self.out.flow_mods_sent
     }
 
     /// OpenFlow errors received.
@@ -414,27 +409,21 @@ impl ControllerNode {
         ctx: &mut NodeCtx,
         mut f: impl FnMut(&mut Vec<Box<dyn App>>, &mut SwitchHandle),
     ) {
-        let mut sends: Vec<(NodeId, Vec<Bytes>, Vec<Bytes>)> = Vec::new();
-        for node in self.switch_nodes() {
-            let st = &self.switches[&node];
-            if !st.ready {
-                continue;
-            }
-            let mut queue = Vec::new();
-            let mut durable = Vec::new();
-            let mut handle = SwitchHandle {
-                dpid: st.dpid,
-                ports: &st.ports,
-                xid: &mut self.xid,
-                queue: &mut queue,
-                durable: &mut durable,
-                flow_mods_sent: &mut self.flow_mods_sent,
-            };
-            f(&mut self.apps, &mut handle);
-            sends.push((node, queue, durable));
+        // Every switch is served before any is flushed: the barriers of a
+        // round draw their xids after all of the round's app messages.
+        let mut queued = Vec::new();
+        for st in self.switches.values().filter(|st| st.ready) {
+            f(&mut self.apps, &mut st.handle(&mut self.out));
+            queued.push((
+                std::mem::take(&mut self.out.queue),
+                std::mem::take(&mut self.out.durable),
+            ));
         }
-        for (node, queue, durable) in sends {
-            self.flush(node, queue, durable, ctx);
+        let ready = self.switches.iter_mut().filter(|(_, st)| st.ready);
+        for ((&node, st), (queue, durable)) in ready.zip(queued) {
+            self.out.queue = queue;
+            self.out.durable = durable;
+            st.flush(node, &mut self.out, ctx);
         }
     }
 
@@ -449,72 +438,6 @@ impl ControllerNode {
                 app.on_tick(handle);
             }
         });
-    }
-
-    /// Send a queue of frames to `node`; if any were state-mutating,
-    /// append a barrier and track them until its reply confirms delivery.
-    fn flush(
-        &mut self,
-        node: NodeId,
-        mut queue: Vec<Bytes>,
-        durable: Vec<Bytes>,
-        ctx: &mut NodeCtx,
-    ) {
-        if !durable.is_empty() {
-            self.xid += 1;
-            let b = self.xid;
-            queue.push(Message::BarrierRequest.encode(b));
-            if let Some(st) = self.switches.get_mut(&node) {
-                st.inflight.extend(durable.into_iter().map(|f| (b, f)));
-            }
-        }
-        Self::send_batch(node, queue, ctx);
-    }
-
-    /// Send `frames` as one coalesced control-channel message. Fate
-    /// sharing is load-bearing on lossy channels: the trailing barrier
-    /// of a flush must be dropped or delivered *together with* the
-    /// state it confirms — sent separately, a dropped flow mod whose
-    /// barrier survived would confirm state the switch never applied.
-    fn send_batch(node: NodeId, mut frames: Vec<Bytes>, ctx: &mut NodeCtx) {
-        match frames.len() {
-            0 => {}
-            1 => ctx.ctrl_send(node, frames.pop().expect("len checked")),
-            _ => {
-                let mut buf = Vec::with_capacity(frames.iter().map(Bytes::len).sum());
-                for f in &frames {
-                    buf.extend_from_slice(f);
-                }
-                ctx.ctrl_send(node, Bytes::from(buf));
-            }
-        }
-    }
-
-    /// Offer an event to every app in chain order; an app returning
-    /// [`PacketInVerdict::Consumed`] ends dispatch (non-packet-in
-    /// callbacks simply return `Continue`).
-    fn dispatch_to_apps(
-        apps: &mut [Box<dyn App>],
-        st: &SwitchState,
-        xid: &mut Xid,
-        flow_mods_sent: &mut u64,
-        queue: &mut Vec<Bytes>,
-        durable: &mut Vec<Bytes>,
-        mut f: impl FnMut(&mut dyn App, &mut SwitchHandle) -> PacketInVerdict,
-    ) {
-        for app in apps.iter_mut() {
-            let mut handle = SwitchHandle {
-                dpid: st.dpid,
-                ports: &st.ports,
-                xid,
-                queue,
-                durable,
-                flow_mods_sent,
-            };
-            if f(app.as_mut(), &mut handle) == PacketInVerdict::Consumed {
-                break;
-            }
-        }
     }
 }
 
@@ -532,159 +455,107 @@ impl Node for ControllerNode {
             return;
         }
         self.sync_now(ctx);
-        // Handshake re-drive: a switch whose FEATURES_REPLY or
-        // PORT_DESC reply was lost sits mid-handshake forever — HELLOs
-        // crossed and echoes flow, so neither side sees a dead link and
-        // nobody redials. Re-ask for the missing step each tick; both
-        // replies are idempotent, so a duplicate answer is harmless.
-        for node in self.switch_nodes() {
-            let st = self.switches.get(&node).expect("listed node exists");
-            if st.ready {
-                continue;
-            }
-            self.xid += 1;
-            let msg = if st.dpid == 0 {
-                Message::FeaturesRequest.encode(self.xid)
-            } else {
-                Message::MultipartRequest(MultipartReq::PortDesc).encode(self.xid)
-            };
-            ctx.ctrl_send(node, msg);
-        }
-        // Re-sync: anything pushed but never barrier-acked (lost on the
-        // channel, or acked by a reply that was itself lost) is re-sent
-        // under a fresh barrier. Flow/group mods are idempotent, so a
-        // spurious re-send converges to the same tables.
-        for node in self.switch_nodes() {
-            let st = self.switches.get_mut(&node).expect("listed node exists");
-            if !st.ready || st.inflight.is_empty() {
-                continue;
-            }
-            self.xid += 1;
-            let b = self.xid;
-            let mut frames = Vec::with_capacity(st.inflight.len());
-            for e in st.inflight.iter_mut() {
-                frames.push(e.1.clone());
-                e.0 = b;
-            }
-            self.retransmits += frames.len() as u64;
-            frames.push(Message::BarrierRequest.encode(b));
-            Self::send_batch(node, frames, ctx);
-        }
-        // Keepalive: probe every ready switch; a switch that has left
-        // MAX_MISSED_ECHOES probes unanswered is declared down and its
-        // session state dropped — the next handshake rebuilds it.
-        let mut dead = Vec::new();
-        for node in self.switch_nodes() {
-            let st = self.switches.get_mut(&node).expect("listed node exists");
+        let out = &mut self.out;
+        for (&node, st) in self.switches.iter_mut() {
             if !st.ready {
+                // Handshake re-drive: a switch whose FEATURES_REPLY or
+                // PORT_DESC reply was lost sits mid-handshake forever —
+                // HELLOs crossed and echoes flow, so neither side sees a
+                // dead link and nobody redials. Re-ask for the missing
+                // step each tick; both replies are idempotent, so a
+                // duplicate answer is harmless.
+                out.send(if st.dpid == 0 {
+                    Message::FeaturesRequest
+                } else {
+                    Message::MultipartRequest(MultipartReq::PortDesc)
+                });
+                out.transmit(node, ctx);
                 continue;
             }
-            if st.echo_pending.len() >= MAX_MISSED_ECHOES {
-                dead.push(node);
-                continue;
+            if !st.inflight.is_empty() {
+                // Re-sync: anything pushed but never barrier-acked (lost
+                // on the channel, or acked by a reply that was itself
+                // lost) is re-sent under a fresh barrier. Flow mods are
+                // idempotent, so a spurious re-send converges to the same
+                // tables.
+                out.queue.extend(st.inflight.iter().map(|e| e.1.clone()));
+                self.retransmits += st.inflight.len() as u64;
+                let b = out.send(Message::BarrierRequest);
+                st.inflight.iter_mut().for_each(|e| e.0 = b);
+                out.transmit(node, ctx);
             }
-            self.xid += 1;
-            st.echo_pending.push(self.xid);
-            ctx.ctrl_send(node, Message::EchoRequest(Bytes::new()).encode(self.xid));
-        }
-        for node in dead {
-            let st = self.switches.get_mut(&node).expect("listed node exists");
-            let dpid = st.dpid;
-            st.reset_session();
-            self.switch_deaths += 1;
-            for app in self.apps.iter_mut() {
-                app.on_switch_down(dpid);
+            // Keepalive: probe the switch, unless it has left
+            // MAX_MISSED_ECHOES probes unanswered — then it is declared
+            // down and its session state dropped; the next handshake
+            // rebuilds it.
+            if st.session.peer_dead(MAX_MISSED_ECHOES) {
+                st.reset_session();
+                self.switch_deaths += 1;
+                for app in self.apps.iter_mut() {
+                    app.on_switch_down(st.dpid);
+                }
+            } else {
+                ctx.ctrl_send(node, st.session.probe(out.next_xid()));
             }
         }
         ctx.schedule(TICK, TOKEN_TICK);
     }
 
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
-        let st = self
-            .switches
-            .entry(from)
-            .or_insert_with(|| SwitchState::new(from));
-        st.rx.extend_from_slice(&data);
-        let msgs = match decode_stream(&mut st.rx) {
-            Ok(m) => m,
-            Err(_) => {
-                st.rx.clear();
-                return;
-            }
+        let st = self.switches.entry(from).or_default();
+        let Ok(msgs) = st.session.feed(&data) else {
+            return;
         };
-        let mut queue: Vec<Bytes> = Vec::new();
-        let mut durable: Vec<Bytes> = Vec::new();
+        let out = &mut self.out;
         for (xid, msg) in msgs {
-            match msg {
+            let event = match msg {
                 Message::Hello => {
                     // A HELLO on an existing session is a reconnect: the
                     // switch starts from scratch, so does our view of it.
                     // Apps rebuild its state on `on_switch_ready`.
-                    self.switches.get_mut(&from).unwrap().reset_session();
+                    st.reset_session();
                     // A slave being dialed means the switches gave up on
                     // their master: promote and assert the role below.
                     if self.role == ControllerRole::Slave {
                         self.role = ControllerRole::Master;
                         self.promotions += 1;
                     }
-                    self.xid += 1;
-                    queue.push(Message::Hello.encode(self.xid));
-                    self.xid += 1;
-                    queue.push(Message::FeaturesRequest.encode(self.xid));
+                    out.send(Message::Hello);
+                    out.send(Message::FeaturesRequest);
+                    None
                 }
                 Message::EchoRequest(d) => {
                     // Echo replies must mirror the request xid — the
                     // switch matches them against its outstanding probes
                     // and discards replies with unknown xids as stale.
-                    queue.push(Message::EchoReply(d).encode(xid));
+                    out.queue.push(Message::EchoReply(d).encode(xid));
+                    None
                 }
                 Message::EchoReply(_) => {
-                    let st = self.switches.get_mut(&from).unwrap();
-                    if st.echo_pending.contains(&xid) {
-                        st.echo_pending.retain(|&x| x > xid);
-                    } else {
-                        self.stale_echo_replies += 1;
-                    }
+                    st.session.ack(xid);
+                    None
                 }
                 Message::BarrierReply => {
                     // Everything covered by this barrier (or an earlier
                     // one) reached the switch; stop tracking it.
-                    let st = self.switches.get_mut(&from).unwrap();
                     st.inflight.retain(|(b, _)| *b > xid);
+                    None
                 }
                 Message::FeaturesReply { datapath_id, .. } => {
-                    let st = self.switches.get_mut(&from).unwrap();
                     st.dpid = datapath_id;
-                    self.xid += 1;
-                    queue.push(Message::MultipartRequest(MultipartReq::PortDesc).encode(self.xid));
+                    out.send(Message::MultipartRequest(MultipartReq::PortDesc));
+                    None
                 }
-                Message::MultipartReply(openflow::message::MultipartRes::PortDesc(ports)) => {
-                    let st = self.switches.get_mut(&from).unwrap();
+                Message::MultipartReply(MultipartRes::PortDesc(ports)) => {
                     st.ports = ports;
                     st.ready = true;
                     if self.role == ControllerRole::Master {
-                        self.xid += 1;
-                        queue.push(
-                            Message::RoleRequest {
-                                role: ControllerRole::Master,
-                                generation_id: self.generation_id,
-                            }
-                            .encode(self.xid),
-                        );
+                        out.send(Message::RoleRequest {
+                            role: ControllerRole::Master,
+                            generation_id: self.generation_id,
+                        });
                     }
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| {
-                            app.on_switch_ready(h);
-                            PacketInVerdict::Continue
-                        },
-                    );
+                    Some(AppEvent::SwitchReady)
                 }
                 Message::PacketIn {
                     reason,
@@ -693,68 +564,27 @@ impl Node for ControllerNode {
                     ..
                 } => {
                     self.packet_ins += 1;
-                    if self.role == ControllerRole::Slave {
-                        // Slaves are warm standbys: they watch but must
-                        // not program switches another master owns.
-                        self.slave_ignored += 1;
-                        continue;
-                    }
-                    let in_port = match_
-                        .fields()
-                        .iter()
-                        .find_map(|f| match f {
-                            OxmField::InPort(p) => Some(*p),
-                            _ => None,
+                    // Slaves are warm standbys: they watch but must not
+                    // program switches another master owns.
+                    (self.role != ControllerRole::Slave).then(|| {
+                        let in_port = match_
+                            .fields()
+                            .iter()
+                            .find_map(|f| match f {
+                                OxmField::InPort(p) => Some(*p),
+                                _ => None,
+                            })
+                            .unwrap_or(0);
+                        AppEvent::PacketIn(PacketInEvent {
+                            in_port,
+                            reason,
+                            key: FlowKey::extract_lossy(in_port, &data),
+                            data,
                         })
-                        .unwrap_or(0);
-                    let ev = PacketInEvent {
-                        in_port,
-                        reason,
-                        key: FlowKey::extract_lossy(in_port, &data),
-                        data,
-                    };
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| app.on_packet_in(h, &ev),
-                    );
+                    })
                 }
-                m @ Message::FlowRemoved { .. } => {
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| {
-                            app.on_flow_removed(h, &m);
-                            PacketInVerdict::Continue
-                        },
-                    );
-                }
-                m @ Message::MultipartReply(_) => {
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| {
-                            app.on_stats(h, &m);
-                            PacketInVerdict::Continue
-                        },
-                    );
-                }
-                Message::RoleReply { .. } => {}
+                m @ Message::FlowRemoved { .. } => Some(AppEvent::FlowRemoved(m)),
+                m @ Message::MultipartReply(_) => Some(AppEvent::Stats(m)),
                 Message::Error { ty, .. } => {
                     self.errors_seen += 1;
                     if ty == 11 {
@@ -762,11 +592,22 @@ impl Node for ControllerNode {
                         // this switch. Step down.
                         self.role = ControllerRole::Slave;
                     }
+                    None
                 }
-                _ => {}
+                _ => None,
+            };
+            // Offer the event to every app in chain order; an app that
+            // consumes a packet-in ends the chain.
+            if let Some(event) = event {
+                let mut handle = st.handle(out);
+                for app in self.apps.iter_mut() {
+                    if event.offer(app.as_mut(), &mut handle) == PacketInVerdict::Consumed {
+                        break;
+                    }
+                }
             }
         }
-        self.flush(from, queue, durable, ctx);
+        st.flush(from, out, ctx);
     }
 
     fn name(&self) -> &str {
@@ -785,7 +626,8 @@ impl Node for ControllerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflow::message::PacketInReason;
+    use bytes::BytesMut;
+    use openflow::message::{decode_stream, PacketInReason};
 
     /// First app in the chain: returns a configured verdict.
     struct Gate {

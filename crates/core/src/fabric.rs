@@ -937,6 +937,31 @@ mod tests {
         assert_eq!(routes(&net), 0, "no route toward the vacated port");
     }
 
+    #[test]
+    fn a_vacated_port_takes_no_station_while_its_identity_lives_elsewhere() {
+        let mut net = Network::new(4);
+        let mut fx = FabricSpec::new(2, HarmlessSpec::new(2))
+            .with_interconnect(Interconnect::SpineSoft)
+            .with_arp_proxy(true)
+            .build(&mut net)
+            .unwrap();
+        fx.attach_host(&mut net, 0, 1).unwrap();
+        // The host takes (0, 1)'s IP and MAC with it to (1, 2) ...
+        fx.migrate_host(&mut net, (0, 1), (1, 2)).unwrap();
+        // ... so a new station at (0, 1) would be its double.
+        let in_use = FabricError::IdentityInUse { pod: 0, port: 1 };
+        assert_eq!(fx.attach_host(&mut net, 0, 1).unwrap_err(), in_use);
+        let sink = net.add_node(Sink::new("sink"));
+        assert_eq!(fx.attach_station(&mut net, 0, 1, sink).unwrap_err(), in_use);
+        // Another host may still move in: it brings its own identity.
+        fx.attach_host(&mut net, 0, 2).unwrap();
+        fx.migrate_host(&mut net, (0, 2), (0, 1)).unwrap();
+        fx.migrate_host(&mut net, (0, 1), (0, 2)).unwrap();
+        // Once the migrated host is gone, so is the claim on (0, 1).
+        fx.detach_host(&mut net, 1, 2).unwrap();
+        fx.attach_host(&mut net, 0, 1).unwrap();
+    }
+
     /// A controller for routed fabrics: proxy answers who-has, router
     /// installs the per-prefix pipeline. No learning app — a router
     /// drops what it has no route for.
@@ -1255,7 +1280,8 @@ mod tests {
             .map(|p| {
                 net.node_ref::<SoftSwitchNode>(fx.pod(p).ss2)
                     .datapath()
-                    .ttl_expired_total()
+                    .stats()
+                    .ttl_expired
             })
             .sum();
         assert_eq!(expiries, 1, "the looped frame dies exactly once, by TTL");

@@ -38,10 +38,22 @@ pub(super) struct Attachment {
 }
 
 impl Fabric {
-    fn check_free(&self, pod: usize, port: u16) -> Result<(), FabricError> {
+    /// `(pod, port)` is an access port with nothing attached.
+    fn check_vacant(&self, pod: usize, port: u16) -> Result<(), FabricError> {
         self.check_access(pod, port)?;
         if self.attached.contains_key(&(pod, port)) {
             return Err(FabricError::DuplicateHostPort { pod, port });
+        }
+        Ok(())
+    }
+
+    /// [`Self::check_vacant`], and the port's own identity is free to
+    /// hand to a new station: a host that migrated away from the port
+    /// took the identity with it and carries it until it is detached.
+    fn check_free(&self, pod: usize, port: u16) -> Result<(), FabricError> {
+        self.check_vacant(pod, port)?;
+        if self.away.contains(&self.host_mac(pod, port)) {
+            return Err(FabricError::IdentityInUse { pod, port });
         }
         Ok(())
     }
@@ -109,7 +121,7 @@ impl Fabric {
         port: u16,
         node: NodeId,
     ) -> Result<(), FabricError> {
-        self.check_free(pod, port)?;
+        self.check_vacant(pod, port)?;
         self.place_as(net, (pod, port), node, Kind::Device);
         Ok(())
     }
@@ -143,7 +155,7 @@ impl Fabric {
         let Some(gw) = self.spec.gateway else {
             return Err(FabricError::NoGateway);
         };
-        self.check_free(gw.pod, gw.port)?;
+        self.check_vacant(gw.pod, gw.port)?;
         let (ip, mac) = (gw.internet_ip, INTERNET_MAC);
         let h = net.add_node(Host::new("internet", mac, ip));
         self.place(net, (gw.pod, gw.port), h, Kind::Upstream, (ip, mac));
@@ -167,6 +179,7 @@ impl Fabric {
         let Some(a) = self.attached.remove(&(pod, port)) else {
             return Err(FabricError::NothingAttached { pod, port });
         };
+        self.away.remove(&a.mac);
         net.disconnect(a.node, PortId(0));
         if a.kind != Kind::Device {
             self.feed(net, &self.controllers, &[Change::Forget(a.ip)]);
@@ -182,9 +195,14 @@ impl Fabric {
     /// stale `eth_dst` routes at the old pod would otherwise keep
     /// matching and silently blackhole all traffic to the moved host.
     ///
-    /// Callable between `run_*` calls; re-derive [`Self::shard_map`]
-    /// afterwards if the fabric is sharded, so the host's events live on
-    /// its new pod's shard.
+    /// The vacated port stays closed to [`Self::attach_host`] /
+    /// [`Self::attach_station`] ([`FabricError::IdentityInUse`]) until
+    /// the moved host is detached: its identity is still in the fabric.
+    ///
+    /// Callable between `run_*` calls. On a sharded network the host's
+    /// node stays on the shard of the pod it left (a network is sharded
+    /// once): results are the same for any shard map, but the host's
+    /// frames now cross shards on their first hop.
     pub fn migrate_host(
         &mut self,
         net: &mut Network,
@@ -192,7 +210,7 @@ impl Fabric {
         to: (usize, u16),
     ) -> Result<NodeId, FabricError> {
         self.check_access(from.0, from.1)?;
-        self.check_free(to.0, to.1)?;
+        self.check_vacant(to.0, to.1)?;
         let Some(&a) = self.attached.get(&from).filter(|a| a.kind == Kind::Host) else {
             return Err(FabricError::NothingAttached {
                 pod: from.0,
@@ -200,6 +218,11 @@ impl Fabric {
             });
         };
         self.attached.remove(&from);
+        if a.mac == self.host_mac(to.0, to.1) {
+            self.away.remove(&a.mac);
+        } else {
+            self.away.insert(a.mac);
+        }
         net.disconnect(a.node, PortId(0));
         self.place(net, to, a.node, a.kind, (a.ip, a.mac));
         Ok(a.node)

@@ -147,6 +147,14 @@ pub enum FabricError {
         /// Offending port.
         port: u16,
     },
+    /// The identity of that free `(pod, port)` left with a host that
+    /// migrated away and is still attached elsewhere.
+    IdentityInUse {
+        /// Pod index.
+        pod: usize,
+        /// The vacated port.
+        port: u16,
+    },
     /// Detach/migrate of a `(pod, port)` with no host attached.
     NothingAttached {
         /// Pod index.
@@ -192,6 +200,12 @@ impl core::fmt::Display for FabricError {
             }
             FabricError::DuplicateHostPort { pod, port } => {
                 write!(f, "pod {pod} port {port} already has a host attached")
+            }
+            FabricError::IdentityInUse { pod, port } => {
+                write!(
+                    f,
+                    "the identity of pod {pod} port {port} is still carried by a migrated host"
+                )
             }
             FabricError::NothingAttached { pod, port } => {
                 write!(f, "pod {pod} port {port} has no host attached")

@@ -1,7 +1,7 @@
 //! Building the network a [`FabricSpec`] describes, and the [`Fabric`]
 //! handle with everything that depends on the topology alone.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use legacy_switch::LegacySwitchNode;
@@ -96,6 +96,7 @@ impl FabricSpec {
             pods,
             spine,
             attached: BTreeMap::new(),
+            away: BTreeSet::new(),
             controllers: Vec::new(),
         })
     }
@@ -133,6 +134,10 @@ pub struct Fabric {
     /// The attachment table: the single source of truth for everything
     /// a controller is told.
     pub(super) attached: BTreeMap<(usize, u16), Attachment>,
+    /// MACs of the access ports whose identity is attached somewhere
+    /// else: it left with a migrated host. Such a port takes no new
+    /// station until that host is detached (or moves back).
+    pub(super) away: BTreeSet<MacAddr>,
     /// Every controller fed from the table: the primary, then standbys.
     pub(super) controllers: Vec<NodeId>,
 }

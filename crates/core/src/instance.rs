@@ -12,7 +12,7 @@
 //!   controller.
 
 use netsim::host::Host;
-use netsim::{LinkSpec, Network, NodeId, PortId, SimTime};
+use netsim::{LinkSpec, Network, NodeId, PortId};
 use openflow::message::FlowMod;
 use openflow::{Action, Instruction, Match};
 use softswitch::datapath::{DpConfig, PipelineMode};
@@ -130,12 +130,6 @@ impl HarmlessSpec {
     /// Builder-style core count.
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
-        self
-    }
-
-    /// Builder-style trunk link override.
-    pub fn with_trunk_link(mut self, l: LinkSpec) -> Self {
-        self.trunk_link = l;
         self
     }
 
@@ -437,16 +431,13 @@ impl HarmlessInstance {
     }
 }
 
-/// How long examples should let the control plane settle before traffic
-/// (handshake + table installation over the default control delay).
-pub const CONTROL_PLANE_SETTLE: SimTime = SimTime::from_millis(50);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use controller::apps::{LearningSwitch, StaticForwarder};
     use controller::ControllerNode;
     use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
+    use netsim::SimTime;
 
     #[test]
     fn hosts_ping_through_full_harmless_stack() {

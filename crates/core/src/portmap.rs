@@ -67,11 +67,6 @@ impl PortMap {
         self.n_ports
     }
 
-    /// The VLAN base.
-    pub fn base(&self) -> u16 {
-        self.base
-    }
-
     /// VLAN id of access port `port` (1-based).
     pub fn vlan_of(&self, port: u16) -> Option<u16> {
         (1..=self.n_ports).contains(&port).then(|| self.base + port)

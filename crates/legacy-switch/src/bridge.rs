@@ -294,11 +294,6 @@ impl Bridge {
         before - self.fdb.len()
     }
 
-    /// Flush the entire FDB (topology change).
-    pub fn flush_fdb(&mut self) {
-        self.fdb.clear();
-    }
-
     /// The 802.1Q forwarding process for one received frame.
     ///
     /// A frame leaves in the form it arrived in wherever the egress port

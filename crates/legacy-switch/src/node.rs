@@ -14,7 +14,7 @@ use crate::mib::{BridgeMib, SysInfo};
 const TOKEN_AGE: u64 = 1;
 const AGE_PERIOD: SimTime = SimTime::from_secs(10);
 
-/// Default internal forwarding latency of a store-and-forward GbE switch
+/// Internal forwarding latency of a store-and-forward GbE switch
 /// (the frame is fully received before this; serialization is the link's
 /// job).
 pub const DEFAULT_LATENCY: SimTime = SimTime::from_micros(3);
@@ -26,7 +26,6 @@ pub struct LegacySwitchNode {
     bridge: Bridge,
     sys: SysInfo,
     community: String,
-    latency: SimTime,
     snmp_requests: u64,
     /// When the box last booted; `sysUpTime` restarts from here, which
     /// is how an SNMP manager detects the reboot.
@@ -46,7 +45,6 @@ impl LegacySwitchNode {
             name,
             bridge: Bridge::new(n_ports),
             community: "public".into(),
-            latency: DEFAULT_LATENCY,
             snmp_requests: 0,
             boot_at: SimTime::ZERO,
             reboots: 0,
@@ -62,12 +60,6 @@ impl LegacySwitchNode {
     /// detection).
     pub fn with_sys_descr(mut self, descr: impl Into<String>) -> Self {
         self.sys.descr = descr.into();
-        self
-    }
-
-    /// Override the internal forwarding latency.
-    pub fn with_latency(mut self, latency: SimTime) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -101,7 +93,7 @@ impl Node for LegacySwitchNode {
     fn on_packet(&mut self, port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
         let out = self.bridge.forward(port.0, &frame, ctx.now().as_nanos());
         for (p, f) in out.outputs {
-            ctx.transmit_after(self.latency, PortId(p), f);
+            ctx.transmit_after(DEFAULT_LATENCY, PortId(p), f);
         }
     }
 

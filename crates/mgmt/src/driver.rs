@@ -15,17 +15,6 @@ use crate::mibs;
 use crate::oid::Oid;
 use crate::pdu::Value;
 
-/// Facts discovered about a device (NAPALM `get_facts`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceFacts {
-    /// From sysDescr.
-    pub description: String,
-    /// From sysName.
-    pub hostname: String,
-    /// Number of ports (ifNumber).
-    pub n_ports: u16,
-}
-
 /// One VLAN's membership in the desired state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VlanDef {
@@ -266,11 +255,6 @@ impl Driver {
             Some(cfg) => self.dialect.rollback(&cfg),
             None => Vec::new(),
         }
-    }
-
-    /// Discard the candidate without applying.
-    pub fn discard_candidate(&mut self) {
-        self.candidate = None;
     }
 }
 

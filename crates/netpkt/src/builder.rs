@@ -284,9 +284,6 @@ pub fn sized_udp_packet(
     )
 }
 
-/// Minimum sized frame (Ethernet minimum minus FCS).
-pub const MIN_WIRE_FRAME: usize = frame::MIN_FRAME_LEN;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,8 +8,6 @@ pub const HEADER_LEN: usize = 14;
 pub const MIN_PAYLOAD: usize = 46;
 /// Minimum frame length excluding FCS.
 pub const MIN_FRAME_LEN: usize = HEADER_LEN + MIN_PAYLOAD;
-/// Standard maximum frame length excluding FCS (1500-byte MTU).
-pub const MAX_FRAME_LEN: usize = HEADER_LEN + 1500;
 
 mod field {
     use core::ops::{Range, RangeFrom};
@@ -99,11 +97,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
     /// Set the EtherType/TPID field.
     pub fn set_ethertype(&mut self, ty: EtherType) {
         self.buffer.as_mut()[field::ETHERTYPE].copy_from_slice(&ty.0.to_be_bytes());
-    }
-
-    /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[field::PAYLOAD]
     }
 }
 

@@ -99,21 +99,10 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         self.buffer.as_ref()[field::DSCP_ECN] >> 2
     }
 
-    /// ECN (bottom 2 bits of the ToS byte).
-    pub fn ecn(&self) -> u8 {
-        self.buffer.as_ref()[field::DSCP_ECN] & 0x03
-    }
-
     /// Total length field (header + payload).
     pub fn total_len(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[field::LENGTH.start], b[field::LENGTH.start + 1]])
-    }
-
-    /// Identification field.
-    pub fn ident(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[field::IDENT.start], b[field::IDENT.start + 1]])
     }
 
     /// Time to live.

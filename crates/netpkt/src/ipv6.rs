@@ -39,12 +39,6 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
         (b[0] << 4) | (b[1] >> 4)
     }
 
-    /// Flow label.
-    pub fn flow_label(&self) -> u32 {
-        let b = self.buffer.as_ref();
-        u32::from_be_bytes([b[1] & 0x0f, b[2], b[3], 0]) >> 8
-    }
-
     /// Next-header field of the fixed header.
     pub fn next_header(&self) -> IpProto {
         IpProto(self.buffer.as_ref()[6])

@@ -12,7 +12,7 @@
 //! promotion/demotion state machine per bundle:
 //!
 //! * **Packet → Converged** when the path has been *quiet* for
-//!   `promote_after` consecutive windows (no hop's quiescence counter
+//!   `PROMOTE_AFTER` consecutive windows (no hop's quiescence counter
 //!   moved, all path links up), the generator has completed at least two
 //!   round-robin cycles, the sink has seen all but the in-flight tail,
 //!   and every hop that can answer reports the bundle's probe frames
@@ -173,12 +173,15 @@ struct Bundle {
     drained: u32,
 }
 
+/// Consecutive quiet windows a bundle must show before it is promoted
+/// to the flow level.
+pub const PROMOTE_AFTER: u32 = 2;
+
 /// The hybrid driver: owns the window clock and every bundle's state
 /// machine. See the module docs for the protocol.
 pub struct FlowSim {
     window: SimTime,
     hybrid: bool,
-    promote_after: u32,
     bundles: Vec<Bundle>,
     stats: HybridStats,
 }
@@ -186,14 +189,13 @@ pub struct FlowSim {
 impl FlowSim {
     /// A hybrid driver ticking every `window` (must be positive). The
     /// window is the aggregation clock: promotion needs
-    /// `promote_after` quiet windows (default 2) and converged bundles
-    /// advance once per window.
+    /// [`PROMOTE_AFTER`] quiet windows and converged bundles advance
+    /// once per window.
     pub fn new(window: SimTime) -> FlowSim {
         assert!(window > SimTime::ZERO, "flowsim window must be positive");
         FlowSim {
             window,
             hybrid: true,
-            promote_after: 2,
             bundles: Vec::new(),
             stats: HybridStats::default(),
         }
@@ -207,13 +209,6 @@ impl FlowSim {
         let mut fs = FlowSim::new(window);
         fs.hybrid = false;
         fs
-    }
-
-    /// Require `windows` consecutive quiet windows before promoting
-    /// (default 2; 0 is clamped to 1).
-    pub fn with_promote_after(mut self, windows: u32) -> FlowSim {
-        self.promote_after = windows.max(1);
-        self
     }
 
     /// Register a bundle and return its index. Reads (but does not
@@ -300,20 +295,9 @@ impl FlowSim {
         matches!(self.bundles[i].state, State::Converged(_))
     }
 
-    /// True if bundle `i` has accounted for every departure and
-    /// arrival.
-    pub fn bundle_done(&self, i: usize) -> bool {
-        matches!(self.bundles[i].state, State::Done)
-    }
-
     /// True once every bundle is done.
     pub fn all_done(&self) -> bool {
         self.bundles.iter().all(|b| matches!(b.state, State::Done))
-    }
-
-    /// Registered bundle count.
-    pub fn n_bundles(&self) -> usize {
-        self.bundles.len()
     }
 
     /// One state-machine step for every bundle at window boundary
@@ -389,7 +373,7 @@ impl FlowSim {
         }
         let quiet = if disturbed || !links_up { 0 } else { quiet + 1 };
         self.bundles[i].state = State::Packet { quiet };
-        if !self.hybrid || quiet < self.promote_after {
+        if !self.hybrid || quiet < PROMOTE_AFTER {
             return;
         }
         // Warm and keeping up: two full round-robin cycles emitted, and

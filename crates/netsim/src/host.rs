@@ -93,11 +93,6 @@ impl Host {
         }
     }
 
-    /// This host's MAC address.
-    pub fn mac(&self) -> MacAddr {
-        self.mac
-    }
-
     /// This host's IPv4 address.
     pub fn ip(&self) -> Ipv4Addr {
         self.ip
@@ -136,11 +131,6 @@ impl Host {
     /// The learned ARP table.
     pub fn arp_table(&self) -> &HashMap<Ipv4Addr, MacAddr> {
         &self.arp_table
-    }
-
-    /// Sends still waiting for ARP resolution.
-    pub fn pending_sends(&self) -> usize {
-        self.pending.len()
     }
 
     /// Queue an ICMP echo request to `dst_ip` (resolving ARP first if

@@ -46,16 +46,6 @@ impl LinkSpec {
         }
     }
 
-    /// 40 Gbit/s trunk.
-    pub fn forty_gigabit() -> LinkSpec {
-        LinkSpec {
-            rate_bps: 40_000_000_000,
-            queue_bytes: 8 * 1024 * 1024,
-            delay: SimTime::from_micros(1),
-            overhead_bytes: ETHERNET_WIRE_OVERHEAD,
-        }
-    }
-
     /// An idealized instantaneous link (used for patch ports and tests).
     pub fn instant() -> LinkSpec {
         LinkSpec {
@@ -64,12 +54,6 @@ impl LinkSpec {
             queue_bytes: usize::MAX,
             overhead_bytes: 0,
         }
-    }
-
-    /// Builder-style rate override.
-    pub fn with_rate_bps(mut self, rate: u64) -> Self {
-        self.rate_bps = rate;
-        self
     }
 
     /// Builder-style delay override.

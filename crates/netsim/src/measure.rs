@@ -74,11 +74,6 @@ pub fn line_rate_pps(rate_bps: u64, frame_len: usize) -> f64 {
     rate_bps as f64 / ((frame_len + 24) as f64 * 8.0)
 }
 
-/// Convert frames/second at a frame length into payload bits/second.
-pub fn pps_to_bps(pps: f64, frame_len: usize) -> f64 {
-    pps * frame_len as f64 * 8.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -157,12 +157,6 @@ impl Network {
         self.ctrl_profile = profile;
     }
 
-    /// The armed control-channel impairment profile (the no-op
-    /// [`CtrlProfile::lossless`] by default).
-    pub fn ctrl_profile(&self) -> CtrlProfile {
-        self.ctrl_profile
-    }
-
     /// Control-channel impairment counters summed over every channel
     /// (see [`CtrlStats`]; `retransmitted` is owned by the protocol
     /// layer and stays 0 here).

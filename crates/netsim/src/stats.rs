@@ -321,11 +321,6 @@ impl SloMeter {
         }
     }
 
-    /// The configured outage threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns
-    }
-
     /// Record one arrival at `now_ns` (must be fed in nondecreasing
     /// time order).
     pub fn observe(&mut self, now_ns: u64) {

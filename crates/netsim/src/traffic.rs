@@ -9,7 +9,6 @@ use rand::Rng;
 use std::any::Any;
 use std::net::Ipv4Addr;
 
-use netpkt::vlan::{push_vlan, VlanTag};
 use netpkt::{builder, EtherType, Ipv4Packet, MacAddr, UdpPacket};
 
 use crate::node::{Node, NodeCtx, PortId};
@@ -165,7 +164,6 @@ pub struct Generator {
     choice: FlowChoice,
     start: SimTime,
     stop: SimTime,
-    vlan: Option<u16>,
     next_flow: usize,
     seq: u64,
     sent: Counter,
@@ -193,7 +191,6 @@ impl Generator {
             choice: FlowChoice::RoundRobin,
             start,
             stop,
-            vlan: None,
             next_flow: 0,
             seq: 0,
             sent: Counter::new(),
@@ -205,13 +202,6 @@ impl Generator {
     /// Select flows randomly instead of round-robin.
     pub fn with_random_flows(mut self) -> Self {
         self.choice = FlowChoice::Random;
-        self
-    }
-
-    /// Tag every generated frame with this VLAN id (e.g. to emulate an
-    /// already-tagged trunk feed).
-    pub fn with_vlan(mut self, vid: u16) -> Self {
-        self.vlan = Some(vid);
         self
     }
 
@@ -266,13 +256,9 @@ impl Generator {
         let overhead = 14 + 20 + 8; // eth + ipv4 + udp
         let payload_len = f.frame_len.saturating_sub(overhead).max(STAMP_LEN);
         let payload = vec![0u8; payload_len];
-        let frame = builder::udp_packet(
+        builder::udp_packet(
             f.src_mac, f.dst_mac, f.src_ip, f.dst_ip, f.src_port, f.dst_port, &payload,
-        );
-        match self.vlan {
-            Some(vid) => push_vlan(&frame, VlanTag::new(vid)).expect("frame is well-formed"),
-            None => frame,
-        }
+        )
     }
 
     /// Stop emitting without touching the schedule: a pending send timer
@@ -335,7 +321,7 @@ impl Generator {
             sent_ns: now.as_nanos(),
         };
         self.seq += 1;
-        let frame = builder::udp_packet_with(
+        builder::udp_packet_with(
             f.src_mac,
             f.dst_mac,
             f.src_ip,
@@ -344,11 +330,7 @@ impl Generator {
             f.dst_port,
             payload_len,
             |payload| stamp.write(payload),
-        );
-        match self.vlan {
-            Some(vid) => push_vlan(&frame, VlanTag::new(vid)).expect("frame is well-formed"),
-            None => frame,
-        }
+        )
     }
 }
 
@@ -468,11 +450,6 @@ impl Sink {
         self.first_rx
     }
 
-    /// Time of the most recent arrival, if any (real or credited).
-    pub fn last_rx(&self) -> Option<SimTime> {
-        self.last_rx
-    }
-
     /// Credit a window of analytically advanced arrivals: `per_port`
     /// lists `(udp_dst_port, frames)` batches, each frame `frame_len`
     /// bytes with one-way latency `latency_ns`, the last of them landing
@@ -533,14 +510,6 @@ impl Sink {
             (Some(a), Some(b)) if b > a => {
                 (self.received.get().saturating_sub(1)) as f64 / (b - a).as_secs_f64()
             }
-            _ => 0.0,
-        }
-    }
-
-    /// Mean goodput in bits/second over the observation window.
-    pub fn rx_bps(&self) -> f64 {
-        match (self.first_rx, self.last_rx) {
-            (Some(a), Some(b)) if b > a => self.rx_bytes.get() as f64 * 8.0 / (b - a).as_secs_f64(),
             _ => 0.0,
         }
     }
@@ -700,6 +669,7 @@ mod tests {
     use super::*;
     use crate::link::LinkSpec;
     use crate::net::Network;
+    use netpkt::vlan::{push_vlan, VlanTag};
 
     #[test]
     fn stamp_round_trip() {

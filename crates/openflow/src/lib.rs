@@ -1,7 +1,7 @@
 //! # openflow — an OpenFlow 1.3 subset
 //!
 //! The protocol layer between the HARMLESS software switches and the SDN
-//! controller. Three concerns live here:
+//! controller. Four concerns live here:
 //!
 //! 1. **Wire codec** ([`message`], [`oxm`], [`action`], [`instruction`]):
 //!    OpenFlow 1.3 messages encoded/decoded byte-exactly, covering the
@@ -16,6 +16,8 @@
 //! 3. **Table semantics** ([`table`], [`group`], [`meter`]): flow-table
 //!    priority/overlap/timeout behaviour per §5 and §6.4 of the 1.3 spec,
 //!    group buckets (all/select/indirect) and token-bucket meters.
+//! 4. **Channel endpoint** ([`session`]): stream reassembly and keepalive
+//!    probe tracking, the connection state both ends of a channel keep.
 //!
 //! The split mirrors real switch implementations: the codec is shared by
 //! controller and switch; the table semantics are the switch-side model
@@ -31,6 +33,7 @@ pub mod instruction;
 pub mod message;
 pub mod meter;
 pub mod oxm;
+pub mod session;
 pub mod table;
 
 pub use action::{Action, NatDir};
@@ -39,6 +42,7 @@ pub use instruction::Instruction;
 pub use message::{ControllerRole, Message, PacketInReason, PortDesc, Xid};
 pub use meter::{Meter, MeterBand, MeterTable};
 pub use oxm::{Match, OxmField};
+pub use session::Session;
 pub use table::{FlowEntry, FlowModCommand, FlowTable, TableId};
 
 /// OpenFlow protocol version byte for 1.3.

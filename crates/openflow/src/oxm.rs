@@ -394,11 +394,6 @@ impl Match {
         self.with(OxmField::EthDst(m, None))
     }
 
-    /// Match on source MAC.
-    pub fn eth_src(self, m: MacAddr) -> Match {
-        self.with(OxmField::EthSrc(m, None))
-    }
-
     /// Match frames tagged with a specific VLAN id.
     pub fn vlan(self, vid: u16) -> Match {
         self.with(OxmField::VlanVid(OFPVID_PRESENT | vid, None))

@@ -5,14 +5,14 @@
 //! reply frames. It is transport-agnostic; the node layer moves the bytes
 //! over the simulator's control plane.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use openflow::message::{
-    decode_stream, ControllerRole, FlowStatsEntry, Message, MultipartReq, MultipartRes,
-    PacketInReason, TableStatsEntry, Xid,
+    ControllerRole, FlowStatsEntry, Message, MultipartReq, MultipartRes, PacketInReason,
+    TableStatsEntry, Xid,
 };
 use openflow::table::{FlowEntry, RemovedReason};
-use openflow::{Action, Error, NO_BUFFER};
+use openflow::{Action, Error, Session, NO_BUFFER};
 
 use crate::datapath::Datapath;
 
@@ -28,30 +28,27 @@ pub struct AgentOutput {
 /// OpenFlow agent state for one switch.
 #[derive(Debug)]
 pub struct OfAgent {
-    rx: BytesMut,
+    /// Stream reassembly and keepalive probe tracking for the channel.
+    session: Session,
     next_xid: Xid,
     hello_done: bool,
     miss_send_len: u16,
     description: String,
     role: ControllerRole,
     generation_id: Option<u64>,
-    echo_pending: Vec<Xid>,
-    stale_echo_replies: u64,
 }
 
 impl OfAgent {
     /// A fresh agent; `description` lands in the Desc multipart reply.
     pub fn new(description: impl Into<String>) -> OfAgent {
         OfAgent {
-            rx: BytesMut::new(),
+            session: Session::default(),
             next_xid: 1,
             hello_done: false,
             miss_send_len: 0xffff,
             description: description.into(),
             role: ControllerRole::Equal,
             generation_id: None,
-            echo_pending: Vec::new(),
-            stale_echo_replies: 0,
         }
     }
 
@@ -77,28 +74,32 @@ impl OfAgent {
     /// replies that straggle in from the torn-down connection can never be
     /// mistaken for answers to probes sent on the new one.
     pub fn reset_connection(&mut self) {
-        self.rx.clear();
+        self.session.clear_input();
+        self.session.reset();
         self.hello_done = false;
-        self.echo_pending.clear();
     }
 
     /// Build a keepalive probe; its xid is tracked until the matching
     /// [`Message::EchoReply`] comes back.
     pub fn echo_probe(&mut self) -> Bytes {
         let x = self.xid();
-        self.echo_pending.push(x);
-        Message::EchoRequest(Bytes::new()).encode(x)
+        self.session.probe(x)
     }
 
     /// Keepalive probes sent but not yet answered.
     pub fn echoes_outstanding(&self) -> usize {
-        self.echo_pending.len()
+        self.session.outstanding()
+    }
+
+    /// True when the controller left `max_missed` probes unanswered.
+    pub fn controller_dead(&self, max_missed: u32) -> bool {
+        self.session.peer_dead(max_missed as usize)
     }
 
     /// Echo replies whose xid matched no outstanding probe (e.g. replies
     /// from before a reconnect), counted and otherwise ignored.
     pub fn stale_echo_replies(&self) -> u64 {
-        self.stale_echo_replies
+        self.session.stale_replies()
     }
 
     /// The controller role last granted via `ROLE_REQUEST`.
@@ -149,12 +150,11 @@ impl OfAgent {
     /// Feed controller→switch bytes; apply them to `dp`.
     pub fn handle(&mut self, dp: &mut Datapath, data: &[u8], now_ns: u64) -> AgentOutput {
         let mut out = AgentOutput::default();
-        self.rx.extend_from_slice(data);
-        let msgs = match decode_stream(&mut self.rx) {
+        let msgs = match self.session.feed(data) {
             Ok(m) => m,
             Err(_) => {
-                // Undecodable stream: reset the buffer, report one error.
-                self.rx.clear();
+                // Undecodable stream (the session dropped it): report
+                // one error.
                 let x = self.xid();
                 out.replies.push(
                     Message::Error {
@@ -186,16 +186,7 @@ impl OfAgent {
                 self.hello_done = true;
             }
             Message::EchoRequest(d) => out.replies.push(Message::EchoReply(d).encode(xid)),
-            Message::EchoReply(_) => {
-                if self.echo_pending.contains(&xid) {
-                    // Cumulative ack: a reply to probe N proves the channel
-                    // is alive, so earlier unanswered probes stop counting
-                    // against liveness too.
-                    self.echo_pending.retain(|&x| x > xid);
-                } else {
-                    self.stale_echo_replies += 1;
-                }
-            }
+            Message::EchoReply(_) => self.session.ack(xid),
             Message::RoleRequest {
                 role,
                 generation_id,
@@ -449,6 +440,7 @@ pub fn packet_out_msg(xid: Xid, port: u32, data: Bytes) -> Bytes {
 mod tests {
     use super::*;
     use crate::datapath::{DpConfig, PipelineMode};
+    use bytes::BytesMut;
     use netpkt::{builder, MacAddr};
     use openflow::message::FlowMod;
     use openflow::Match;

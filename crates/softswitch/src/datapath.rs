@@ -64,16 +64,18 @@ use crate::cache::{CachedPath, MegaflowCache, MicroflowCache, Plan, TagOp};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
 
-/// Which lookup machinery is active — the ablation axis.
+/// Which lookup machinery is active — the ablation axis. The four
+/// constructors are the only values: each adds one layer to the one
+/// before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineMode {
     /// Use the tables' tuple-space index on the slow path (vs. linear
     /// scan).
-    pub tss: bool,
+    tss: bool,
     /// Use the exact-match microflow cache.
-    pub microflow: bool,
+    microflow: bool,
     /// Use the masked megaflow cache.
-    pub megaflow: bool,
+    megaflow: bool,
 }
 
 impl PipelineMode {
@@ -121,6 +123,33 @@ impl Default for PipelineMode {
     }
 }
 
+/// A snapshot of a [`Datapath`]'s counters ([`Datapath::stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DatapathStats {
+    /// Packets processed (including those credited by the flow-level
+    /// engine).
+    pub packets: u64,
+    /// Lookups served by the per-batch memo.
+    pub memo_hits: u64,
+    /// Microflow cache hits.
+    pub micro_hits: u64,
+    /// Microflow cache misses.
+    pub micro_misses: u64,
+    /// Megaflow cache hits.
+    pub mega_hits: u64,
+    /// Megaflow cache misses — the slow-path walks when the cache is on.
+    pub mega_misses: u64,
+    /// Packets expired by `DecNwTtl` (answered with time-exceeded when
+    /// a router identity is configured).
+    pub ttl_expired: u64,
+    /// Packets dropped by the NAT stage (no live connection, or an
+    /// untranslatable protocol).
+    pub nat_dropped: u64,
+    /// Mutation epoch: bumps whenever tables, groups, meters, NAT state
+    /// or the router identity change.
+    pub epoch: u64,
+}
+
 /// Datapath construction parameters.
 #[derive(Debug, Clone)]
 pub struct DpConfig {
@@ -155,18 +184,6 @@ impl DpConfig {
     /// Builder-style mode override.
     pub fn with_mode(mut self, mode: PipelineMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Builder-style table count override.
-    pub fn with_tables(mut self, n: u8) -> Self {
-        self.n_tables = n;
-        self
-    }
-
-    /// Builder-style table capacity override (TCAM modelling).
-    pub fn with_table_capacity(mut self, cap: usize) -> Self {
-        self.table_capacity = cap;
         self
     }
 }
@@ -397,11 +414,6 @@ impl Datapath {
         self.epoch += 1;
     }
 
-    /// The configured router identity, if any.
-    pub fn router(&self) -> Option<(Ipv4Addr, MacAddr)> {
-        self.router
-    }
-
     /// Configure (or reconfigure) the stateful NAT stage. Drops all
     /// connection state and flushes the caches.
     pub fn configure_nat(&mut self, config: NatConfig) {
@@ -425,16 +437,19 @@ impl Datapath {
         evicted
     }
 
-    /// Packets expired by `DecNwTtl` (answered with time-exceeded when
-    /// a router identity is configured).
-    pub fn ttl_expired_total(&self) -> u64 {
-        self.ttl_expired_total
-    }
-
-    /// Packets dropped by the NAT stage (no live connection, or an
-    /// untranslatable protocol).
-    pub fn nat_dropped_total(&self) -> u64 {
-        self.nat_dropped_total
+    /// Every counter of the datapath, read at once.
+    pub fn stats(&self) -> DatapathStats {
+        DatapathStats {
+            packets: self.packets_processed,
+            memo_hits: self.batch_memo_hits,
+            micro_hits: self.caches.micro.hits(),
+            micro_misses: self.caches.micro.misses(),
+            mega_hits: self.caches.mega.hits(),
+            mega_misses: self.caches.mega.misses(),
+            ttl_expired: self.ttl_expired_total,
+            nat_dropped: self.nat_dropped_total,
+            epoch: self.epoch,
+        }
     }
 
     /// Register a port.
@@ -512,16 +527,6 @@ impl Datapath {
         self.tables.get(usize::from(id))
     }
 
-    /// Group table accessor.
-    pub fn group_table(&self) -> &GroupTable {
-        &self.groups
-    }
-
-    /// Meter table accessor.
-    pub fn meter_table(&self) -> &MeterTable {
-        &self.meters
-    }
-
     /// Microflow cache stats accessor.
     pub fn micro_cache(&self) -> &MicroflowCache {
         &self.caches.micro
@@ -569,14 +574,15 @@ impl Datapath {
     /// (every post-flush refill is a micro miss served by the megaflow
     /// layer), which would keep a perfectly converged fabric "noisy".
     pub fn quiescence(&self) -> u64 {
+        let s = self.stats();
         let slow_path = if self.config.mode.megaflow {
-            self.caches.mega.misses()
+            s.mega_misses
         } else if self.config.mode.microflow {
-            self.caches.micro.misses()
+            s.micro_misses
         } else {
             0
         };
-        self.epoch + slow_path + self.nat_dropped_total + self.ttl_expired_total
+        s.epoch + slow_path + s.nat_dropped + s.ttl_expired
     }
 
     /// Apply a flow-mod; returns entries removed by delete commands (for
@@ -1941,7 +1947,7 @@ mod tests {
             dp.micro_cache().is_empty(),
             "truncated expiry path must not be cached"
         );
-        assert_eq!(dp.ttl_expired_total(), 1);
+        assert_eq!(dp.stats().ttl_expired, 1);
     }
 
     #[test]
@@ -1962,7 +1968,7 @@ mod tests {
         let view = netpkt::vlan::VlanView::parse(&r2.outputs[0].1).unwrap();
         let ip = Ipv4Packet::new_checked(&r2.outputs[0].1[view.payload_offset..]).unwrap();
         assert_eq!(ip.proto(), IpProto::ICMP);
-        assert_eq!(dp.ttl_expired_total(), 1);
+        assert_eq!(dp.stats().ttl_expired, 1);
     }
 
     fn nat_dp() -> (Datapath, Ipv4Addr) {
@@ -2048,7 +2054,7 @@ mod tests {
         let r = dp.process(2, stray.clone(), 0);
         assert!(r.dropped, "no live connection: refused");
         assert!(r.outputs.is_empty());
-        assert_eq!(dp.nat_dropped_total(), 1);
+        assert_eq!(dp.stats().nat_dropped, 1);
         assert!(dp.micro_cache().is_empty(), "the refusal must not cache");
         // Outbound traffic establishes mappings (external ids are
         // allocated from 49152 up; distinct source ports drain the pool

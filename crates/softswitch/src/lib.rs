@@ -47,7 +47,7 @@ pub mod route;
 pub mod trace;
 
 pub use batch::{BatchResult, FrameBatch};
-pub use datapath::{Datapath, DpConfig, DpResult, PipelineMode};
+pub use datapath::{Datapath, DatapathStats, DpConfig, DpResult, PipelineMode};
 pub use nat::{NatConfig, NatProto, NatTable};
 pub use node::{FailMode, SoftSwitchNode};
 pub use route::LpmTable;

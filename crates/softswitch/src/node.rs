@@ -58,27 +58,14 @@ pub const ADMIN_MAGIC: &[u8; 8] = b"HXADMIN\0";
 /// Admin command: set the controller to the node id that follows (u64
 /// big-endian) and initiate the OpenFlow connection.
 pub const ADMIN_SET_CONTROLLER: u8 = 1;
-/// Admin command: add a backup controller (u64 big-endian node id
-/// follows). The switch dials it only after declaring the active
-/// controller dead.
-pub const ADMIN_ADD_BACKUP: u8 = 2;
-
-fn admin_msg(op: u8, controller: NodeId) -> Bytes {
-    let mut b = Vec::with_capacity(17);
-    b.extend_from_slice(ADMIN_MAGIC);
-    b.push(op);
-    b.extend_from_slice(&(controller.0 as u64).to_be_bytes());
-    Bytes::from(b)
-}
 
 /// Build a set-controller admin message.
 pub fn admin_set_controller(controller: NodeId) -> Bytes {
-    admin_msg(ADMIN_SET_CONTROLLER, controller)
-}
-
-/// Build an add-backup-controller admin message.
-pub fn admin_add_backup(controller: NodeId) -> Bytes {
-    admin_msg(ADMIN_ADD_BACKUP, controller)
+    let mut b = Vec::with_capacity(17);
+    b.extend_from_slice(ADMIN_MAGIC);
+    b.push(ADMIN_SET_CONTROLLER);
+    b.extend_from_slice(&(controller.0 as u64).to_be_bytes());
+    Bytes::from(b)
 }
 
 /// How often the switch sweeps for expired flows.
@@ -290,51 +277,19 @@ impl SoftSwitchNode {
         self.controllers.get(self.active_ctrl).copied()
     }
 
-    /// All configured controllers: the primary first, then backups.
-    pub fn controllers(&self) -> &[NodeId] {
-        &self.controllers
-    }
-
-    /// Builder-style fail-mode override.
-    pub fn with_fail_mode(mut self, mode: FailMode) -> Self {
-        self.fail_mode = mode;
-        self
-    }
-
-    /// Change the fail mode at runtime.
+    /// Change the fail mode.
     pub fn set_fail_mode(&mut self, mode: FailMode) {
         self.fail_mode = mode;
     }
 
-    /// The configured fail mode.
-    pub fn fail_mode(&self) -> FailMode {
-        self.fail_mode
-    }
-
-    /// Builder-style keepalive override: probe every `period`, declare the
+    /// Change the keepalive cadence: probe every `period`, declare the
     /// controller dead after `max_missed` unanswered probes.
-    pub fn with_keepalive(mut self, period: SimTime, max_missed: u32) -> Self {
-        self.keepalive = period;
-        self.max_missed = max_missed.max(1);
-        self
-    }
-
-    /// Builder-style reconnect backoff override (initial delay and cap).
-    pub fn with_backoff(mut self, base: SimTime, cap: SimTime) -> Self {
-        self.backoff = base;
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Change the keepalive cadence at runtime (for switches already
-    /// placed in a fabric).
     pub fn set_keepalive(&mut self, period: SimTime, max_missed: u32) {
         self.keepalive = period;
         self.max_missed = max_missed.max(1);
     }
 
-    /// Change the reconnect backoff at runtime.
+    /// Change the reconnect backoff (initial delay and cap).
     pub fn set_backoff(&mut self, base: SimTime, cap: SimTime) {
         self.backoff = base;
         self.backoff_base = base;
@@ -398,11 +353,6 @@ impl SoftSwitchNode {
     /// per-frame evidence of an unconverged flow.
     pub fn packet_ins_sent(&self) -> u64 {
         self.packet_ins_sent
-    }
-
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     fn start_service(&mut self, slot: usize, ctx: &mut NodeCtx) {
@@ -493,7 +443,7 @@ impl SoftSwitchNode {
             LinkState::Connecting => self.ctrl_dead(ctx),
             LinkState::Backoff => self.start_connect(ctx),
             LinkState::Up => {
-                if self.agent.echoes_outstanding() >= self.max_missed as usize {
+                if self.agent.controller_dead(self.max_missed) {
                     self.ctrl_dead(ctx);
                 } else if let Some(c) = self.controller() {
                     let probe = self.agent.echo_probe();
@@ -710,15 +660,10 @@ impl Node for SoftSwitchNode {
         // Local administration (set-controller) arrives on the same
         // management plane with a magic prefix.
         if data.len() >= 17 && &data[..8] == ADMIN_MAGIC {
-            let id = u64::from_be_bytes(data[9..17].try_into().expect("length checked"));
-            let controller = NodeId(id as usize);
-            match data[8] {
-                ADMIN_SET_CONTROLLER => {
-                    self.connect_controller(controller);
-                    self.start_connect(ctx);
-                }
-                ADMIN_ADD_BACKUP => self.add_backup_controller(controller),
-                _ => {}
+            if data[8] == ADMIN_SET_CONTROLLER {
+                let id = u64::from_be_bytes(data[9..17].try_into().expect("length checked"));
+                self.connect_controller(NodeId(id as usize));
+                self.start_connect(ctx);
             }
             return;
         }
@@ -1278,10 +1223,10 @@ mod tests {
             received: Vec::new(),
             live: true,
         });
-        let mut sw = switch()
-            .with_fail_mode(fail_mode)
-            .with_keepalive(SimTime::from_millis(50), 2)
-            .with_backoff(SimTime::from_millis(100), SimTime::from_millis(400));
+        let mut sw = switch();
+        sw.set_fail_mode(fail_mode);
+        sw.set_keepalive(SimTime::from_millis(50), 2);
+        sw.set_backoff(SimTime::from_millis(100), SimTime::from_millis(400));
         sw.connect_controller(ctrl);
         sw.datapath_mut()
             .apply_flow_mod(
@@ -1404,9 +1349,9 @@ mod tests {
             received: Vec::new(),
             live: true,
         });
-        let mut sw = switch()
-            .with_keepalive(SimTime::from_millis(50), 2)
-            .with_backoff(SimTime::from_millis(100), SimTime::from_millis(400));
+        let mut sw = switch();
+        sw.set_keepalive(SimTime::from_millis(50), 2);
+        sw.set_backoff(SimTime::from_millis(100), SimTime::from_millis(400));
         sw.connect_controller(primary);
         sw.add_backup_controller(backup);
         let s = net.add_node(sw);

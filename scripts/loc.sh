@@ -1,8 +1,11 @@
 #!/bin/sh
-# Non-test lines of Rust — everything above a file's first #[cfg(test)] —
-# per crate under crates/, and for the ten largest files. ROADMAP tracks
-# this number: a PR that keeps the tests and the benchmark where they
-# were with fewer of these lines made the system simpler.
+# Non-test lines of Rust — everything above a file's test module, i.e.
+# above the first #[cfg(test)] whose next line opens a `mod` — per crate
+# under crates/, and for the ten largest files. A #[cfg(test)] on a
+# single item does not end the file: it is passed over with its item
+# (both are counted; a test-only helper amid the code is code to read).
+# ROADMAP tracks this number: a PR that keeps the tests and the benchmark
+# where they were with fewer of these lines made the system simpler.
 #
 #   scripts/loc.sh            the table
 #   scripts/loc.sh FILE...    just the count of each given file
@@ -10,7 +13,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 nontest() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+    awk 'held && /^[[:space:]]*(pub(\([a-z]+\))? +)?mod[[:space:]]/ { n--; exit }
+         { held = /^[[:space:]]*#\[cfg\(test\)\]/; n++ }
+         END { print n + 0 }' "$1"
 }
 
 if [ "$#" -gt 0 ]; then

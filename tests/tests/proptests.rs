@@ -1060,8 +1060,8 @@ proptest! {
             prop_assert_eq!(s.dropped, b.dropped, "drop decision of packet {}", i);
             prop_assert_eq!(&s.packet_ins, &b.packet_ins, "packet-ins of packet {}", i);
         }
-        prop_assert_eq!(seq_dp.ttl_expired_total(), batch_dp.ttl_expired_total());
-        prop_assert_eq!(seq_dp.nat_dropped_total(), batch_dp.nat_dropped_total());
+        prop_assert_eq!(seq_dp.stats().ttl_expired, batch_dp.stats().ttl_expired);
+        prop_assert_eq!(seq_dp.stats().nat_dropped, batch_dp.stats().nat_dropped);
         prop_assert_eq!(seq_dp.nat().created(), batch_dp.nat().created());
         prop_assert_eq!(seq_dp.nat().live_conns(), batch_dp.nat().live_conns());
         prop_assert_eq!(seq_dp.packets_processed(), batch_dp.packets_processed());
