@@ -1,11 +1,13 @@
-//! E8 — real per-packet cost of the software datapath, measured natively
-//! with Criterion (this is what ESwitch/NFPA would measure on the paper's
-//! testbed, modulo the hardware generation).
+//! The native face of E11 (`exp_ablation`) — real per-packet cost of the
+//! software datapath, measured with Criterion (this is what ESwitch/NFPA
+//! would measure on the paper's testbed, modulo the hardware
+//! generation).
 //!
 //! Benchmarks cover the ablation axes: lookup machinery (linear / TSS /
 //! microflow / full), rule-set size, the HARMLESS translator path
-//! (pop+output, push+set+output), and the batched fast path
-//! (`process_batch_into` bursts vs. frame-at-a-time `process`).
+//! (pop+output, push+set+output), and the batched fast path (one
+//! `process_batch_into` burst vs. the same frames as batches of one;
+//! the `scalar` series keep their ledger names).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -17,6 +19,9 @@ use openflow::message::FlowMod;
 use openflow::{Action, Match};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use softswitch::{BatchResult, FrameBatch};
+
+mod common;
+use common::OneFrame;
 
 fn udp_frame(src: u32, dst_port: u16, len: usize) -> Bytes {
     let overhead = 14 + 20 + 8;
@@ -55,6 +60,7 @@ fn acl_dp(mode: PipelineMode, n_rules: u32) -> Datapath {
 }
 
 fn bench_pipeline_modes(c: &mut Criterion) {
+    let mut one = OneFrame::default();
     let mut g = c.benchmark_group("pipeline_mode_1k_rules");
     g.throughput(Throughput::Elements(1));
     for (name, mode) in [
@@ -66,12 +72,12 @@ fn bench_pipeline_modes(c: &mut Criterion) {
         let mut dp = acl_dp(mode, 1024);
         let frame = udp_frame(1, 512, 60);
         // Warm the caches with the benched flow.
-        dp.process(1, frame.clone(), 0);
+        one.run(&mut dp, 1, frame.clone(), 0);
         let mut t = 0u64;
         g.bench_function(name, |b| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t).total_outputs())
             })
         });
     }
@@ -79,6 +85,7 @@ fn bench_pipeline_modes(c: &mut Criterion) {
 }
 
 fn bench_rule_count_scaling(c: &mut Criterion) {
+    let mut one = OneFrame::default();
     let mut g = c.benchmark_group("linear_scan_vs_rules");
     g.throughput(Throughput::Elements(1));
     for n in [16u32, 256, 4096] {
@@ -89,7 +96,7 @@ fn bench_rule_count_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t).total_outputs())
             })
         });
     }
@@ -103,7 +110,7 @@ fn bench_rule_count_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t).total_outputs())
             })
         });
     }
@@ -111,6 +118,7 @@ fn bench_rule_count_scaling(c: &mut Criterion) {
 }
 
 fn bench_translator_paths(c: &mut Criterion) {
+    let mut one = OneFrame::default();
     // SS_1's two rule shapes, as installed by the HARMLESS manager.
     let map = harmless::PortMap::with_defaults(48).unwrap();
     let mut dp = Datapath::new(DpConfig::software(0x51));
@@ -132,35 +140,33 @@ fn bench_translator_paths(c: &mut Criterion) {
     g.bench_function("downstream_pop_dispatch", |b| {
         b.iter(|| {
             t += 1;
-            std::hint::black_box(dp.process(1, tagged.clone(), t))
+            std::hint::black_box(one.run(&mut dp, 1, tagged.clone(), t).total_outputs())
         })
     });
     let untagged = udp_frame(1, 53, 60);
     g.bench_function("upstream_push_tag", |b| {
         b.iter(|| {
             t += 1;
-            std::hint::black_box(dp.process(
-                harmless::translator::patch_port(17),
-                untagged.clone(),
-                t,
-            ))
+            let port = harmless::translator::patch_port(17);
+            std::hint::black_box(one.run(&mut dp, port, untagged.clone(), t).total_outputs())
         })
     });
     g.finish();
 }
 
 fn bench_frame_sizes(c: &mut Criterion) {
+    let mut one = OneFrame::default();
     let mut g = c.benchmark_group("frame_size_full_pipeline");
     for len in [60usize, 512, 1514] {
         let mut dp = acl_dp(PipelineMode::full(), 256);
         let frame = udp_frame(1, 128, len);
-        dp.process(1, frame.clone(), 0);
+        one.run(&mut dp, 1, frame.clone(), 0);
         g.throughput(Throughput::Bytes(len as u64));
         let mut t = 0u64;
         g.bench_with_input(BenchmarkId::from_parameter(len), &len, |b, _| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t).total_outputs())
             })
         });
     }
@@ -181,18 +187,20 @@ fn burst_frames() -> Vec<Bytes> {
 }
 
 fn bench_batched_vs_scalar(c: &mut Criterion) {
+    let mut one = OneFrame::default();
     // Cached-flow workload: every flow is warm in the full cache
     // hierarchy. One iteration = 32 frames, so the per-element numbers
-    // of `scalar` and `batch32` are directly comparable; the batched
-    // fast path wins by replaying the per-batch memo (no per-frame hash
-    // probe, epoch check or path clone) and amortizing per-call setup.
+    // of `scalar` (32 batches of one frame) and `batch32` are directly
+    // comparable; the burst wins by replaying the memo (no per-frame
+    // hash probe, epoch check or path clone) and amortizing per-call
+    // setup.
     let mut g = c.benchmark_group("batched_vs_scalar_cached");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         g.bench_function("scalar", |b| {
@@ -200,7 +208,7 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
                 t += 1;
                 let mut outs = 0usize;
                 for f in &frames {
-                    outs += dp.process(1, f.clone(), t).outputs.len();
+                    outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
                 }
                 std::hint::black_box(outs)
             })
@@ -209,7 +217,7 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
@@ -228,8 +236,8 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     g.finish();
 
     // Cache-less (TSS) workload: without micro/megaflow caches every
-    // scalar frame pays a full pipeline walk; the batch memo pays it
-    // once per flow per burst.
+    // frame that arrives alone pays a full pipeline walk; the batch
+    // memo pays it once per flow per burst.
     let mut g = c.benchmark_group("batched_vs_scalar_tss");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();
@@ -241,7 +249,7 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
                 t += 1;
                 let mut outs = 0usize;
                 for f in &frames {
-                    outs += dp.process(1, f.clone(), t).outputs.len();
+                    outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
                 }
                 std::hint::black_box(outs)
             })

@@ -20,6 +20,9 @@ use openflow::{Action, Match};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use softswitch::{BatchResult, FrameBatch};
 
+mod common;
+use common::OneFrame;
+
 fn udp_frame(src: u32, dst_port: u16, len: usize) -> Bytes {
     let overhead = 14 + 20 + 8;
     let payload = vec![0u8; len.saturating_sub(overhead)];
@@ -96,17 +99,19 @@ fn bench_parse_stage(c: &mut Criterion) {
     g.finish();
 }
 
-/// The full cached path, batch and scalar, with the result arena
-/// reused across iterations the way `SoftSwitchNode` reuses it across
-/// service periods. This is the headline zero-copy number.
+/// The full cached path, as one burst and as 32 batches of one frame
+/// (the `scalar` series), with the result arena reused across
+/// iterations the way `SoftSwitchNode` reuses it across service
+/// periods. This is the headline zero-copy number.
 fn bench_cached_stage(c: &mut Criterion) {
+    let mut one = OneFrame::default();
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
@@ -125,7 +130,7 @@ fn bench_cached_stage(c: &mut Criterion) {
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         g.bench_function("cached_scalar_32", |b| {
@@ -133,7 +138,7 @@ fn bench_cached_stage(c: &mut Criterion) {
                 t += 1;
                 let mut outs = 0usize;
                 for f in &frames {
-                    outs += dp.process(1, f.clone(), t).outputs.len();
+                    outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
                 }
                 std::hint::black_box(outs)
             })
@@ -143,10 +148,11 @@ fn bench_cached_stage(c: &mut Criterion) {
 }
 
 /// The uncached tail: a full TSS pipeline walk per frame (no micro or
-/// megaflow caches), the cost every first-of-flow frame pays. Uses the
-/// scalar engine — the batch engine's persistent memo would otherwise
-/// absorb the walk after the first iteration.
+/// megaflow caches), the cost every first-of-flow frame pays. Frames
+/// go in one per batch — a larger batch consults the persistent memo,
+/// which would absorb the walk after the first iteration.
 fn bench_slow_stage(c: &mut Criterion) {
+    let mut one = OneFrame::default();
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();
@@ -157,7 +163,7 @@ fn bench_slow_stage(c: &mut Criterion) {
             t += 1;
             let mut outs = 0usize;
             for f in &frames {
-                outs += dp.process(1, f.clone(), t).outputs.len();
+                outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
             }
             std::hint::black_box(outs)
         })
@@ -194,6 +200,7 @@ fn ns_per_iter(mut f: impl FnMut()) -> f64 {
 
 fn main() {
     benches();
+    let mut one = OneFrame::default();
     // Record the headline batch-vs-scalar cached numbers into
     // BENCH_netsim.json so perf PRs can diff them without parsing
     // criterion output.
@@ -202,7 +209,7 @@ fn main() {
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
@@ -227,14 +234,14 @@ fn main() {
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         let ns = ns_per_iter(|| {
             t += 1;
             let mut outs = 0usize;
             for f in &frames {
-                outs += dp.process(1, f.clone(), t).outputs.len();
+                outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
             }
             std::hint::black_box(outs);
         });

@@ -234,7 +234,8 @@ fn bench_caches(rep: &mut Report) {
     let mut memo = BatchMemo::default();
     let mut held = 0;
     while memo.has_room() {
-        memo.insert(resident[held], path.clone());
+        let key = resident[held];
+        memo.insert_hashed(key.flow_hash(0), key, path.clone());
         held += 1;
     }
     let visits = order(held);

@@ -1,4 +1,4 @@
-//! E7 — the design ablation docs/ARCHITECTURE.md calls out: the paper's
+//! E11 — the design ablation docs/ARCHITECTURE.md calls out: the paper's
 //! two-switch layout (dedicated translator SS_1 + policy switch SS_2)
 //! versus a merged single-datapath pipeline.
 //!
@@ -15,7 +15,7 @@ use netsim::{LinkSpec, SimTime};
 use softswitch::datapath::PipelineMode;
 
 fn main() {
-    println!("E7: two-switch (paper) vs merged single-datapath, seed 42");
+    println!("E11: two-switch (paper) vs merged single-datapath, seed 42");
 
     let variants = [
         (
@@ -59,8 +59,8 @@ fn main() {
         )
     );
 
-    // The cache ablation (also E8's simulated face): pipeline modes on the
-    // two-switch design.
+    // The cache ablation (the simulated face of the `datapath` bench's
+    // pipeline-mode groups): pipeline modes on the two-switch design.
     let mut rows = Vec::new();
     for (name, mode) in [
         ("linear", PipelineMode::linear()),

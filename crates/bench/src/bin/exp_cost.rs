@@ -1,4 +1,4 @@
-//! E4 — "cost-effective", "without any substantial price tag", and the
+//! E10 — "cost-effective", "without any substantial price tag", and the
 //! port-density argument against pure software switching.
 //!
 //! CAPEX per OpenFlow-enabled port for the three acquisition strategies,
@@ -13,7 +13,7 @@ use harmless::cost::{
 
 fn main() {
     let c = PriceCatalog::default();
-    println!("E4: CAPEX model (USD), default catalog:");
+    println!("E10: CAPEX model (USD), default catalog:");
     println!(
         "  legacy 48p switch ${:.0} (sunk), COTS SDN 48p ${:.0}, server ${:.0},\n\
          2x10G NIC ${:.0}, max {} NIC ports/server, {} access ports per HARMLESS server",

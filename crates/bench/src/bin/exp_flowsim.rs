@@ -27,10 +27,13 @@
 //! ```
 //!
 //! Defaults: 64 pods × 16384 hosts (8 bundles × 2048 flows per pod),
-//! hybrid engine, 300 s epoch. `--quick` is the CI smoke (4 pods × 64
-//! hosts, both engines, equivalence + speedup asserted); `--bench`
-//! records packet-vs-hybrid events-per-delivered-byte on 16 × 512 into
-//! `BENCH_netsim.json`.
+//! hybrid engine, 300 s epoch. `--threads 0` auto-detects the worker
+//! count and is meant for multi-core hosts (the ledger's
+//! `netloop/fabric_4x16` rows: 1.58 M events/s at `sharded_t1`, 0.27 M
+//! at `sharded_tauto` on a two-vCPU box). `--quick` is the CI smoke (4
+//! pods × 64 hosts, both engines, equivalence + speedup asserted);
+//! `--bench` records packet-vs-hybrid events-per-delivered-byte on
+//! 16 × 512 into `BENCH_netsim.json`.
 
 use bench::{render_table, report};
 use controller::apps::{ArpProxy, LearningSwitch};
@@ -375,7 +378,7 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--threads") {
         let n = args.get(i + 1).and_then(|s| s.parse::<usize>().ok());
         let Some(n) = n else {
-            eprintln!("--threads needs a non-negative integer (0 = auto-detect)");
+            eprintln!("--threads needs a non-negative integer (0 = auto, for multi-core hosts)");
             std::process::exit(2);
         };
         threads = Some(n);

@@ -9,6 +9,9 @@
 //! worst outage and time-to-reconverge next to the engine's blackholed
 //! frame count — the disruption-vs-plan table of EXPERIMENTS.md.
 //!
+//! E9 — control-plane resilience, this binary's second scenario family:
+//! the fault sits on the controller or its channel, never in the data path.
+//!
 //! `cargo run --release -p bench --bin exp_resilience` (add `--quick`
 //! for the CI smoke subset: one fault scenario + the migration wave).
 

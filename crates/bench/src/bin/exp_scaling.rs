@@ -561,6 +561,11 @@ fn forwarding_sweep() {
     );
 }
 
+/// What `--threads 0` is for, with the ledger rows that show why.
+const THREADS_HELP: &str = "--threads 0 auto-detects the worker count and is meant for \
+     multi-core hosts: BENCH_netsim.json reads netloop/fabric_4x16 at 1.58 M events/s for \
+     sharded_t1 and 0.27 M for sharded_tauto on a two-vCPU box";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--threads N` selects the sharded engine (one shard per pod + the
@@ -573,8 +578,8 @@ fn main() {
         let n = args.get(i + 1).and_then(|s| s.parse::<usize>().ok());
         let Some(n) = n else {
             eprintln!(
-                "--threads needs a non-negative integer (0 = auto-detect; \
-                 omit the flag for the single-queue engine)"
+                "--threads needs a non-negative integer; omit the flag for \
+                 the single-queue engine. {THREADS_HELP}"
             );
             std::process::exit(2);
         };
@@ -618,7 +623,7 @@ fn main() {
             eprintln!(
                 "unknown sub-experiment {other:?}; usage: \
                  exp_scaling [install|forwarding|fabric [pods] [hosts]] \
-                 [--threads N] [--arp-proxy] [--rounds N]"
+                 [--threads N] [--arp-proxy] [--rounds N]. {THREADS_HELP}"
             );
             std::process::exit(2);
         }

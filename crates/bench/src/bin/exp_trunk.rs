@@ -1,4 +1,4 @@
-//! E9 — trunk oversubscription and the VLAN tag overhead, the structural
+//! E12 — trunk oversubscription and the VLAN tag overhead, the structural
 //! costs of hairpinning every access port through one interconnect.
 //!
 //! `k` access-port pairs exchange full-rate traffic; every frame crosses
@@ -83,7 +83,7 @@ fn run(pairs: u16, n_trunks: u16, frame_len: usize) -> (f64, f64) {
 }
 
 fn main() {
-    println!("E9: trunk oversubscription under hairpinning (1G access, 10G trunks, 1500B)");
+    println!("E12: trunk oversubscription under hairpinning (1G access, 10G trunks, 1500B)");
     let frame_len = 1514;
     let mut rows = Vec::new();
     for n_trunks in [1u16, 2] {

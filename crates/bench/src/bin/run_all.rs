@@ -10,9 +10,12 @@ fn main() {
         "exp_throughput",
         "exp_latency",
         "exp_scaling",
-        "exp_cost",
+        "exp_resilience",
         "exp_usecases",
         "exp_migration",
+        "exp_l3",
+        "exp_flowsim",
+        "exp_cost",
         "exp_ablation",
         "exp_trunk",
     ];

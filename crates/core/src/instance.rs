@@ -23,7 +23,7 @@ use legacy_switch::LegacySwitchNode;
 use crate::portmap::PortMap;
 use crate::translator::{self, patch_port};
 
-/// Deployment variant — the E7 ablation axis.
+/// Deployment variant — the E11 ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// The paper's design: a dedicated translator switch (SS_1) in front

@@ -76,7 +76,20 @@ mod tests {
     use netpkt::vlan::{push_vlan, VlanTag};
     use netpkt::{builder, FlowKey, MacAddr};
     use softswitch::datapath::{Datapath, DpConfig};
+    use softswitch::BatchResult;
     use std::net::Ipv4Addr;
+
+    /// One frame as a batch of its own into a fresh arena: frame 0 of
+    /// the result is the frame.
+    fn run_one(dp: &mut Datapath, in_port: u32, frame: Bytes, now_ns: u64) -> BatchResult {
+        let mut out = BatchResult::default();
+        dp.process_batch_into(
+            &mut [(in_port, frame)].into_iter().collect(),
+            now_ns,
+            &mut out,
+        );
+        out
+    }
 
     fn frame() -> Bytes {
         builder::udp_packet(
@@ -116,10 +129,10 @@ mod tests {
         let mut dp = ss1_for(4);
         // VLAN 103 (access port 3) arrives on the trunk.
         let tagged = push_vlan(&frame(), VlanTag::new(103)).unwrap();
-        let r = dp.process(1, tagged, 0);
-        assert_eq!(r.outputs.len(), 1);
-        assert_eq!(r.outputs[0].0, patch_port(3));
-        let key = FlowKey::extract(0, &r.outputs[0].1).unwrap();
+        let r = run_one(&mut dp, 1, tagged, 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        assert_eq!(r.outputs_of(0)[0].0, patch_port(3));
+        let key = FlowKey::extract(0, &r.outputs_of(0)[0].1).unwrap();
         assert_eq!(key.vlan_vid, 0, "tag must be removed toward SS_2");
         assert_eq!(key.udp_dst, 53);
     }
@@ -128,10 +141,10 @@ mod tests {
     fn upstream_tags_and_trunks() {
         let mut dp = ss1_for(4);
         // SS_2 hairpins a packet out its port 2 -> SS_1 patch port 102.
-        let r = dp.process(patch_port(2), frame(), 0);
-        assert_eq!(r.outputs.len(), 1);
-        assert_eq!(r.outputs[0].0, 1, "must leave via the trunk");
-        let key = FlowKey::extract(0, &r.outputs[0].1).unwrap();
+        let r = run_one(&mut dp, patch_port(2), frame(), 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        assert_eq!(r.outputs_of(0)[0].0, 1, "must leave via the trunk");
+        let key = FlowKey::extract(0, &r.outputs_of(0)[0].1).unwrap();
         assert_eq!(key.vlan(), netpkt::flowkey::VlanKey::Tagged(102));
     }
 
@@ -140,12 +153,12 @@ mod tests {
         let mut dp = ss1_for(4);
         let orig = frame();
         let tagged = push_vlan(&orig, VlanTag::new(101)).unwrap();
-        let down = dp.process(1, tagged, 0);
-        let at_patch = down.outputs[0].1.clone();
+        let down = run_one(&mut dp, 1, tagged, 0);
+        let at_patch = down.outputs_of(0)[0].1.clone();
         assert_eq!(&at_patch[..], &orig[..], "SS_2 must see the original frame");
         // Hairpin back through the same port pair.
-        let up = dp.process(patch_port(1), at_patch, 1);
-        let back_on_trunk = &up.outputs[0].1;
+        let up = run_one(&mut dp, patch_port(1), at_patch, 1);
+        let back_on_trunk = &up.outputs_of(0)[0].1;
         let key = FlowKey::extract(0, back_on_trunk).unwrap();
         assert_eq!(key.vlan(), netpkt::flowkey::VlanKey::Tagged(101));
     }
@@ -154,15 +167,15 @@ mod tests {
     fn unknown_vlan_is_dropped() {
         let mut dp = ss1_for(4);
         let tagged = push_vlan(&frame(), VlanTag::new(999)).unwrap();
-        let r = dp.process(1, tagged, 0);
-        assert!(r.dropped, "VLANs outside the map must not leak");
+        let r = run_one(&mut dp, 1, tagged, 0);
+        assert!(r.frame(0).dropped, "VLANs outside the map must not leak");
     }
 
     #[test]
     fn untagged_trunk_traffic_is_dropped() {
         let mut dp = ss1_for(4);
-        let r = dp.process(1, frame(), 0);
-        assert!(r.dropped, "the trunk only carries tagged traffic");
+        let r = run_one(&mut dp, 1, frame(), 0);
+        assert!(r.frame(0).dropped, "the trunk only carries tagged traffic");
     }
 
     #[test]
@@ -181,8 +194,8 @@ mod tests {
         }
         let mut trunks_used = std::collections::HashSet::new();
         for p in 1..=8u16 {
-            let r = dp.process(patch_port(p), frame(), 0);
-            trunks_used.insert(r.outputs[0].0);
+            let r = run_one(&mut dp, patch_port(p), frame(), 0);
+            trunks_used.insert(r.outputs_of(0)[0].0);
         }
         assert_eq!(
             trunks_used.len(),
@@ -192,8 +205,8 @@ mod tests {
         // Downstream works from either trunk.
         let tagged = push_vlan(&frame(), VlanTag::new(105)).unwrap();
         for trunk in [1u32, 2] {
-            let r = dp.process(trunk, tagged.clone(), 0);
-            assert_eq!(r.outputs[0].0, patch_port(5));
+            let r = run_one(&mut dp, trunk, tagged.clone(), 0);
+            assert_eq!(r.outputs_of(0)[0].0, patch_port(5));
         }
     }
 }

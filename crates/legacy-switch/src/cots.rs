@@ -25,6 +25,7 @@ use openflow::message::Message;
 use openflow::oxm::OxmField;
 use softswitch::agent::OfAgent;
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
+use softswitch::{BatchResult, FrameBatch};
 
 const TOKEN_INSTALL: u64 = 1;
 const TOKEN_EXPIRE: u64 = 2;
@@ -70,6 +71,10 @@ pub struct CotsSwitchNode {
     install_queue: VecDeque<(NodeId, u32, Message)>,
     busy: bool,
     flow_mods_applied: u64,
+    /// The frame on its way into the ASIC and the arena it comes out
+    /// in, recycled across frames.
+    batch: FrameBatch,
+    result: BatchResult,
 }
 
 impl CotsSwitchNode {
@@ -96,6 +101,8 @@ impl CotsSwitchNode {
             install_queue: VecDeque::new(),
             busy: false,
             flow_mods_applied: 0,
+            batch: FrameBatch::with_capacity(1),
+            result: BatchResult::default(),
         }
     }
 
@@ -180,24 +187,32 @@ impl Node for CotsSwitchNode {
 
     fn on_packet(&mut self, port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
         // The ASIC forwards at line rate with a fixed pipeline latency.
-        let result = self
-            .dp
-            .process(u32::from(port.0), frame, ctx.now().as_nanos());
-        for (p, f) in result.outputs {
-            ctx.transmit_after(self.config.pipeline_latency, PortId(p as u16), f);
+        self.batch.push(u32::from(port.0), frame);
+        self.dp
+            .process_batch_into(&mut self.batch, ctx.now().as_nanos(), &mut self.result);
+        for (p, f) in self.result.all_outputs() {
+            ctx.transmit_after(self.config.pipeline_latency, PortId(*p as u16), f.clone());
         }
         if let Some(c) = self.controller {
-            for (reason, in_port, data) in result.packet_ins {
-                let msg = self.agent.packet_in(reason, in_port, &data);
+            for (reason, in_port, data) in self.result.all_packet_ins() {
+                let msg = self.agent.packet_in(*reason, *in_port, data);
                 ctx.ctrl_send(c, msg);
             }
         }
+        // Let go of the frames: a handle left here until the next
+        // frame would deny the next hop its in-place rewrite.
+        self.result.clear();
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx) {
         match token {
             TOKEN_EXPIRE => {
-                self.dp.expire_flows(ctx.now().as_nanos());
+                let notices = self.agent.expire_flows(&mut self.dp, ctx.now().as_nanos());
+                if let Some(c) = self.controller {
+                    for msg in notices {
+                        ctx.ctrl_send(c, msg);
+                    }
+                }
                 ctx.schedule(EXPIRE_PERIOD, TOKEN_EXPIRE);
             }
             TOKEN_INSTALL => {
@@ -413,6 +428,52 @@ mod tests {
             .received
             .iter()
             .any(|m| matches!(m, Message::BarrierReply)));
+    }
+
+    #[test]
+    fn expired_rules_report_flow_removed_only_when_asked() {
+        use openflow::table::flow_flags;
+        let rule = |in_port: u32, cookie: u64| {
+            FlowMod::add(0)
+                .priority(1)
+                .match_(Match::new().in_port(in_port))
+                .apply(vec![Action::output(2)])
+                .timeouts(1, 0) // 1 s idle
+                .cookie(cookie)
+        };
+        let mut net = Network::new(5);
+        let ctrl = net.add_node(ScriptedController {
+            to_send: vec![
+                Message::Hello.encode(1),
+                Message::FlowMod(rule(1, 0xa).flags(flow_flags::SEND_FLOW_REM)).encode(2),
+                Message::FlowMod(rule(3, 0xb)).encode(3),
+            ],
+            received: Vec::new(),
+            target: None,
+        });
+        let mut sw = CotsSwitchNode::new("cots", 4, CotsConfig::default());
+        sw.connect_controller(ctrl);
+        let s = net.add_node(sw);
+        net.run_until(SimTime::from_millis(100));
+        let table_len = |net: &Network| {
+            let dp = net.node_ref::<CotsSwitchNode>(s).datapath();
+            dp.table(0).unwrap().len()
+        };
+        assert_eq!(table_len(&net), 2, "both rules installed");
+
+        // Both idle out; only the one that asked is reported.
+        net.run_until(SimTime::from_millis(2000));
+        assert_eq!(table_len(&net), 0, "both rules expired");
+        let removed: Vec<u64> = net
+            .node_ref::<ScriptedController>(ctrl)
+            .received
+            .iter()
+            .filter_map(|m| match m {
+                Message::FlowRemoved { cookie, .. } => Some(*cookie),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(removed, [0xa]);
     }
 
     #[test]

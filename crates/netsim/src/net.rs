@@ -221,11 +221,15 @@ impl Network {
     }
 
     /// Run shards on `n` worker threads. `n == 0` auto-detects via
-    /// [`std::thread::available_parallelism`]. The thread count never
-    /// changes simulation results — only wall-clock time. With a
-    /// resolved count of 1 the shards run interleaved on the calling
-    /// thread, windows and barriers included, so `--threads 1` and
-    /// `--threads 8` are bit-identical.
+    /// [`std::thread::available_parallelism`] and is meant for
+    /// multi-core hosts: it takes every CPU it is shown whether or not
+    /// the windows hold enough events to pay for the barriers (ledger,
+    /// `netloop/fabric_4x16` on a two-vCPU box: 1.58 M events/s at
+    /// `sharded_t1`, 0.27 M at `sharded_tauto`); pass 1 where in
+    /// doubt. The thread count never changes simulation results — only
+    /// wall-clock time. With a resolved count of 1 the shards run
+    /// interleaved on the calling thread, windows and barriers
+    /// included, so `--threads 1` and `--threads 8` are bit-identical.
     ///
     /// For counts above 1 this is where the persistent worker pool is
     /// (re)created: workers spawn here, park between runs and windows,

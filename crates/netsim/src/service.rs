@@ -19,9 +19,8 @@
 //!
 //! This yields an M/G/k queue whose service times the device computes
 //! per batch (e.g. by summing per-frame costs from the
-//! `ProcessingTrace`s of its pipeline). Single-item service — the
-//! pre-batching behaviour — is just `start_queued` / batches of length
-//! one.
+//! `ProcessingTrace`s of its pipeline). Single-item service is a
+//! `max_batch` of one.
 
 use std::collections::VecDeque;
 
@@ -159,14 +158,6 @@ impl<T> ServiceQueue<T> {
         from_ring + from_shared
     }
 
-    /// The head item of the batch currently served in `slot`.
-    ///
-    /// # Panics
-    /// Panics if the slot is idle.
-    pub fn peek(&self, slot: usize) -> &T {
-        self.slots[slot].first().expect("peek on idle slot")
-    }
-
     /// The whole batch currently served in `slot` (empty slice = idle).
     pub fn batch(&self, slot: usize) -> &[T] {
         &self.slots[slot]
@@ -203,17 +194,11 @@ impl<T> ServiceQueue<T> {
         items.clear();
     }
 
-    /// Pull the next queued item into the (idle) `slot`. Returns true if
-    /// a new service period begins; the caller must then schedule its
-    /// timer.
-    pub fn start_queued(&mut self, slot: usize) -> bool {
-        self.start_queued_batch(slot, 1) > 0
-    }
-
     /// Pull up to `max` queued items into the (idle) `slot` as one
     /// batched service period — the slot's own steering ring first,
     /// then the shared queue. Returns the number of items started
-    /// (0 = slot busy or nothing waiting).
+    /// (0 = slot busy or nothing waiting); if any, the caller must
+    /// schedule the period's timer.
     pub fn start_queued_batch(&mut self, slot: usize, max: usize) -> usize {
         if !self.slots[slot].is_empty() {
             return 0;
@@ -276,14 +261,14 @@ mod tests {
         assert_eq!(sq.submit(3), Submit::Queued);
         assert_eq!(sq.submit(4), Submit::Dropped);
         assert_eq!(sq.drops(), 1);
-        assert_eq!(*sq.peek(0), 1);
+        assert_eq!(sq.batch(0), &[1]);
         assert_eq!(take(&mut sq, 0), vec![1]);
-        assert!(sq.start_queued(0));
-        assert_eq!(*sq.peek(0), 2);
+        assert_eq!(sq.start_queued_batch(0, 1), 1);
+        assert_eq!(sq.batch(0), &[2]);
         assert_eq!(take(&mut sq, 0), vec![2]);
-        assert!(sq.start_queued(0));
+        assert_eq!(sq.start_queued_batch(0, 1), 1);
         assert_eq!(take(&mut sq, 0), vec![3]);
-        assert!(!sq.start_queued(0));
+        assert_eq!(sq.start_queued_batch(0, 1), 0);
         assert_eq!(sq.completed(), 3);
         assert_eq!(sq.max_queue_len(), 2);
     }

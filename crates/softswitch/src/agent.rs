@@ -11,9 +11,10 @@ use openflow::message::{
     ControllerRole, FlowStatsEntry, Message, MultipartReq, MultipartRes, PacketInReason,
     TableStatsEntry, Xid,
 };
-use openflow::table::{FlowEntry, RemovedReason};
+use openflow::table::{flow_flags, FlowEntry, RemovedReason};
 use openflow::{Action, Error, Session, NO_BUFFER};
 
+use crate::batch::BatchResult;
 use crate::datapath::Datapath;
 
 /// Output of one [`OfAgent::handle`] call.
@@ -36,6 +37,8 @@ pub struct OfAgent {
     description: String,
     role: ControllerRole,
     generation_id: Option<u64>,
+    /// Arena every `PACKET_OUT` executes into; empty between messages.
+    released: BatchResult,
 }
 
 impl OfAgent {
@@ -49,6 +52,7 @@ impl OfAgent {
             description: description.into(),
             role: ControllerRole::Equal,
             generation_id: None,
+            released: BatchResult::default(),
         }
     }
 
@@ -145,6 +149,16 @@ impl OfAgent {
             match_: entry.match_.clone(),
         }
         .encode(x)
+    }
+
+    /// Remove `dp`'s timed-out flows; returns the `FLOW_REMOVED` frames
+    /// to send for the entries that asked for one (`SEND_FLOW_REM`).
+    pub fn expire_flows(&mut self, dp: &mut Datapath, now_ns: u64) -> Vec<Bytes> {
+        dp.expire_flows(now_ns)
+            .into_iter()
+            .filter(|(_, entry, _)| entry.flags & flow_flags::SEND_FLOW_REM != 0)
+            .map(|(table_id, entry, reason)| self.flow_removed(table_id, &entry, reason, now_ns))
+            .collect()
     }
 
     /// Feed controller→switch bytes; apply them to `dp`.
@@ -246,7 +260,7 @@ impl OfAgent {
             Message::FlowMod(fm) => match dp.apply_flow_mod(&fm, now_ns) {
                 Ok(removed) => {
                     for (table_id, e) in removed {
-                        if e.flags & openflow::table::flow_flags::SEND_FLOW_REM != 0 {
+                        if e.flags & flow_flags::SEND_FLOW_REM != 0 {
                             let m = self.flow_removed(table_id, &e, RemovedReason::Delete, now_ns);
                             out.replies.push(m);
                         }
@@ -280,8 +294,9 @@ impl OfAgent {
                 data,
                 ..
             } => {
-                let r = dp.packet_out(in_port, &actions, data, now_ns);
-                out.transmits.extend(r.outputs);
+                dp.packet_out(in_port, &actions, data, now_ns, &mut self.released);
+                out.transmits.extend_from_slice(self.released.all_outputs());
+                self.released.clear();
             }
             Message::BarrierRequest => {
                 out.replies.push(Message::BarrierReply.encode(xid));
@@ -439,6 +454,7 @@ pub fn packet_out_msg(xid: Xid, port: u32, data: Bytes) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datapath::tests::run_one;
     use crate::datapath::{DpConfig, PipelineMode};
     use bytes::BytesMut;
     use netpkt::{builder, MacAddr};
@@ -506,8 +522,8 @@ mod tests {
         let (xid, msg, _) = Message::decode(&out.replies[0]).unwrap();
         assert_eq!((xid, msg), (8, Message::BarrierReply));
         // The rule is live.
-        let r = dp.process(1, frame(), 0);
-        assert_eq!(r.outputs[0].0, 2);
+        let r = run_one(&mut dp, 1, frame(), 0);
+        assert_eq!(r.outputs_of(0)[0].0, 2);
     }
 
     #[test]
@@ -560,8 +576,8 @@ mod tests {
             .apply(vec![Action::output(2)])
             .cookie(0x77);
         agent.handle(&mut dp, &Message::FlowMod(fm).encode(1), 0);
-        dp.process(1, frame(), 0);
-        dp.process(1, frame(), 0);
+        run_one(&mut dp, 1, frame(), 0);
+        run_one(&mut dp, 1, frame(), 0);
         let req = Message::MultipartRequest(MultipartReq::Flow {
             table_id: 0xff,
             out_port: openflow::port_no::ANY,

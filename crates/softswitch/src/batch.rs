@@ -4,19 +4,21 @@
 //! A [`FrameBatch`] collects `(ingress port, frame)` pairs; the datapath
 //! drains it in one call, parsing every frame up front and resolving
 //! each distinct [`FlowKey`] through the cache hierarchy only once per
-//! batch. Repeated keys replay the memoised [`CachedPath`] directly —
-//! without the per-packet epoch check of a scalar cache hit and, for
+//! epoch. Repeated keys replay the memoised [`CachedPath`] directly —
+//! without the per-packet epoch check of a cache hit and, for
 //! consecutive frames of one flow, without hashing the key at all —
-//! which is where the batched fast path earns its throughput margin
-//! (see `benches/datapath.rs`, `batched_vs_scalar_*`).
+//! which is where a burst earns its throughput margin over one-frame
+//! batches (see `benches/datapath.rs`, the `batched_vs_scalar_*`
+//! series).
 //!
 //! [`BatchResult`] is a *flat arena*: all output frames and packet-ins
 //! of a batch live in two contiguous vectors, with each frame owning a
 //! range into them. A result object is reusable across batches
 //! ([`BatchResult::clear`] keeps the allocations), so a steady-state
 //! service loop emits thousands of batches without allocating per
-//! frame — the per-frame `Vec<DpResult>` shape the old API forced is
-//! available on demand via [`BatchResult::per_frame`] for tests.
+//! frame; frame `i`'s share is read back with
+//! [`BatchResult::outputs_of`], [`BatchResult::packet_ins_of`] and
+//! [`BatchResult::frame`].
 //!
 //! The memo persists across batches while the datapath epoch is
 //! unchanged, so a steady-state service loop serves every frame of a
@@ -34,7 +36,6 @@ use std::sync::Arc;
 use netpkt::FlowKey;
 
 use crate::cache::{CachedPath, ExactTable};
-use crate::datapath::DpResult;
 use crate::trace::ProcessingTrace;
 use openflow::message::PacketInReason;
 
@@ -212,20 +213,6 @@ impl BatchResult {
         self.frames.iter().filter(|f| f.dropped).count()
     }
 
-    /// Expand into owned per-frame [`DpResult`]s (clones the handles).
-    /// For equivalence tests against the scalar path; the hot path
-    /// reads the arena directly.
-    pub fn per_frame(&self) -> Vec<DpResult> {
-        (0..self.frames.len())
-            .map(|i| DpResult {
-                outputs: self.outputs_of(i).to_vec(),
-                packet_ins: self.packet_ins_of(i).to_vec(),
-                dropped: self.frames[i].dropped,
-                trace: self.frames[i].trace,
-            })
-            .collect()
-    }
-
     /// Empty the arenas, keeping their allocations for the next batch.
     pub fn clear(&mut self) {
         self.outputs.clear();
@@ -278,26 +265,6 @@ impl BatchResult {
             pi_start: mark.pi,
             pi_end: self.packet_ins.len() as u32,
         });
-    }
-
-    /// Convert a single-frame result into the scalar [`DpResult`] shape
-    /// without cloning the arenas.
-    pub(crate) fn into_single(mut self) -> DpResult {
-        debug_assert_eq!(self.frames.len(), 1, "into_single on a multi-frame result");
-        let f = self.frames.pop().unwrap_or(FrameResult {
-            dropped: true,
-            trace: None,
-            out_start: 0,
-            out_end: 0,
-            pi_start: 0,
-            pi_end: 0,
-        });
-        DpResult {
-            outputs: self.outputs,
-            packet_ins: self.packet_ins,
-            dropped: f.dropped,
-            trace: f.trace,
-        }
     }
 }
 
@@ -367,15 +334,10 @@ impl BatchMemo {
         &self.table.entry(i).expect("index from lookup").1
     }
 
-    /// Record `path` for `key` (the replay plan lives on the path
-    /// itself — see [`CachedPath::plan`]). Call only while
+    /// Record `path` for `key` under the hash a missed
+    /// [`BatchMemo::lookup`] returned (the replay plan lives on the
+    /// path itself — see [`CachedPath::plan`]). Call only while
     /// [`BatchMemo::has_room`].
-    pub fn insert(&mut self, key: FlowKey, path: Arc<CachedPath>) {
-        self.insert_hashed(key.flow_hash(0), key, path);
-    }
-
-    /// [`BatchMemo::insert`] with the hash a missed
-    /// [`BatchMemo::lookup`] returned.
     pub fn insert_hashed(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) {
         debug_assert!(self.has_room(), "memo insert past MEMO_CAP");
         self.last = self.table.put(hash, key, path);
@@ -417,6 +379,11 @@ mod tests {
         Arc::new(CachedPath::new(vec![CAction::Output(out)], vec![(0, 0)], 1))
     }
 
+    /// Admit `key` under the hash a missed lookup would have returned.
+    fn admit(m: &mut BatchMemo, key: FlowKey, path: Arc<CachedPath>) {
+        m.insert_hashed(key.flow_hash(0), key, path);
+    }
+
     #[test]
     fn frame_batch_fills_and_clears() {
         let mut b = FrameBatch::with_capacity(4);
@@ -447,8 +414,8 @@ mod tests {
     fn memo_last_key_fast_path_and_indexed_fallback() {
         let mut m = BatchMemo::default();
         assert_eq!(m.lookup(&key(53)), Err(key(53).flow_hash(0)));
-        m.insert(key(53), path(2));
-        m.insert(key(80), path(3));
+        admit(&mut m, key(53), path(2));
+        admit(&mut m, key(80), path(3));
         // `last` now points at the port-80 entry; a port-53 lookup falls
         // back to the index probe and repoints `last`.
         assert_eq!(m.lookup(&key(80)), Ok(1));
@@ -462,7 +429,7 @@ mod tests {
         assert_eq!(m.lookup(&key(53)), Ok(0), "same epoch keeps entries");
         m.ensure_epoch(7);
         assert!(m.lookup(&key(53)).is_err(), "epoch bump drops entries");
-        m.insert(key(80), path(3));
+        admit(&mut m, key(80), path(3));
         assert_eq!(m.lookup(&key(80)), Ok(0), "and the last-key slot with them");
     }
 
@@ -472,7 +439,7 @@ mod tests {
         let mut stored = 0;
         for p in 0..200u16 {
             if m.has_room() {
-                m.insert(key(p), path(2));
+                admit(&mut m, key(p), path(2));
                 stored += 1;
             }
         }
@@ -489,7 +456,7 @@ mod tests {
     fn memo_path_clones_are_refcount_bumps() {
         let mut m = BatchMemo::default();
         let p = path(2);
-        m.insert(key(53), p.clone());
+        admit(&mut m, key(53), p.clone());
         let i = m.lookup(&key(53)).unwrap();
         let replayed = m.path(i).clone();
         assert!(
@@ -596,12 +563,9 @@ mod tests {
         assert_eq!(&by_port[&2][1][..], b"c");
         assert_eq!(r.total_outputs(), 3);
         assert_eq!(r.dropped_count(), 1);
-        // The compatibility view expands to the same shape.
-        let per = r.per_frame();
-        assert_eq!(per.len(), 3);
-        assert_eq!(per[0].outputs.len(), 2);
-        assert!(per[1].dropped);
-        assert_eq!(per[2].packet_ins.len(), 1);
+        let dropped: Vec<bool> = r.frames().iter().map(|f| f.dropped).collect();
+        assert_eq!(dropped, [false, true, false]);
+        assert!(r.packet_ins_of(0).is_empty() && r.packet_ins_of(1).is_empty());
         // Clearing keeps the allocations but empties the arenas.
         r.clear();
         assert!(r.is_empty());

@@ -1,7 +1,7 @@
 //! The multi-table OpenFlow 1.3 dataplane, structured as an explicit
 //! run-to-completion pipeline.
 //!
-//! [`Datapath::process_batch_into`] is the primary entry point: a
+//! [`Datapath::process_batch_into`] is the one way a frame enters: a
 //! [`FrameBatch`] goes in, a flat caller-owned [`BatchResult`] arena of
 //! outputs / packet-ins / [`ProcessingTrace`]s comes out. Each batch
 //! runs through staged processing:
@@ -34,13 +34,10 @@
 //! byte-rewriting action (NAT, TTL, VLAN) works in place on a frame
 //! nobody else holds and pays exactly one copy otherwise. Forward and
 //! tag-and-forward programs — all a HARMLESS translator runs — replay
-//! from a precompiled [`Plan`] without the interpreter. The
-//! single-frame [`Datapath::process`]
-//! delegates to the same engine with the memo disabled, so scalar and
-//! batched behaviour are identical by construction. Depending on
+//! from a precompiled [`Plan`] without the interpreter. Depending on
 //! [`PipelineMode`], lookups are served by the microflow cache, the
 //! megaflow cache, tuple-space indexes, or a plain linear walk — the
-//! ablation axis of the E8 experiment.
+//! ablation axis of the E11 experiment.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -201,19 +198,6 @@ pub struct PortInfo {
     pub speed_kbps: u32,
 }
 
-/// Everything one `process` call produced.
-#[derive(Debug, Default)]
-pub struct DpResult {
-    /// `(port, frame)` pairs to transmit.
-    pub outputs: Vec<(u32, Bytes)>,
-    /// Frames punted to the controller: `(reason, ingress port, frame)`.
-    pub packet_ins: Vec<(PacketInReason, u32, Bytes)>,
-    /// True if the pipeline dropped the packet (miss or meter).
-    pub dropped: bool,
-    /// Cost-accounting trace.
-    pub trace: Option<ProcessingTrace>,
-}
-
 /// The dataplane state of one software (or modelled hardware) switch.
 pub struct Datapath {
     config: DpConfig,
@@ -247,7 +231,7 @@ pub struct Datapath {
 const MAX_GROUP_DEPTH: u32 = 4;
 
 /// The lookup layers in front of the tables. Taken out of the datapath
-/// for the duration of one `process*` call and put back after, so a
+/// for the duration of one batch and put back after, so a
 /// hit's path is *borrowed* from its cache across the replay (which
 /// needs `&mut self`): an `Arc` is cloned only for a second owner.
 #[derive(Default)]
@@ -699,16 +683,17 @@ impl Datapath {
     }
 
     /// Execute a controller `PACKET_OUT`: apply `actions` to `data` with
-    /// `in_port` as the ingress context.
+    /// `in_port` as the ingress context, appending one frame's results
+    /// to `out` (whatever `out` already holds stays).
     pub fn packet_out(
         &mut self,
         in_port: u32,
         actions: &[Action],
         data: Bytes,
         now_ns: u64,
-    ) -> DpResult {
+        out: &mut BatchResult,
+    ) {
         let key = FlowKey::extract_lossy(in_port, &data);
-        let mut out = BatchResult::default();
         let mark = out.mark();
         let trace = ProcessingTrace::new(data.len());
         let mut ctx = Lowering {
@@ -716,23 +701,10 @@ impl Datapath {
             recorded: Vec::new(),
             unwild: FieldMask::default(),
             now_ns,
-            out: &mut out,
+            out,
         };
         self.lower_actions(actions, &mut ctx, false, 0);
         self.finish(ctx.fr, mark, ctx.out);
-        out.into_single()
-    }
-
-    /// Process one frame. Delegates to the batch engine (memo disabled:
-    /// a single frame cannot repeat a key), so scalar and batched
-    /// processing share one code path.
-    pub fn process(&mut self, in_port: u32, frame: Bytes, now_ns: u64) -> DpResult {
-        let key = FlowKey::extract_lossy(in_port, &frame);
-        let mut out = BatchResult::default();
-        let mut caches = std::mem::take(&mut self.caches);
-        self.process_keyed(frame, &key, now_ns, &mut caches, false, &mut out);
-        self.caches = caches;
-        out.into_single()
     }
 
     /// Process a whole batch of frames into a caller-owned (reusable)
@@ -748,14 +720,14 @@ impl Datapath {
     ///    resolves through the per-batch memo, then the cache hierarchy
     ///    (or the slow path), and its actions replay immediately into
     ///    the arena. Repeated keys hit the memo and skip the epoch
-    ///    check of a scalar cache hit — and, for packet trains, the
-    ///    hash (their traces read [`LookupPath::BatchHit`]);
+    ///    check of a cache hit — and, for packet trains, the hash
+    ///    (their traces read [`LookupPath::BatchHit`]);
     /// 3. **Emit** — per-frame results land in `out` in input order
     ///    (group them with [`BatchResult::outputs_by_port`]).
     ///
-    /// Outputs, packet-ins and drop decisions are identical to calling
-    /// [`Datapath::process`] on each frame in order with the same
-    /// `now_ns`: paths are only memoised when they are cacheable
+    /// Outputs, packet-ins and drop decisions are identical to
+    /// submitting each frame as a batch of its own, in order, with the
+    /// same `now_ns`: paths are only memoised when they are cacheable
     /// (matched, meter-free), so rate-dependent flows still consult
     /// meters frame by frame. `tests/tests/proptests.rs` pins this
     /// equivalence property down.
@@ -798,6 +770,11 @@ impl Datapath {
         // resolved paths across service periods until a flow-mod (or
         // NAT binding install) bumps the epoch.
         caches.memo.ensure_epoch(self.epoch);
+        // The memo does persist across batches, so a one-frame batch
+        // could be served from it; the gate stays because the
+        // benchmark's `pod_scalar` workload is defined as one-frame
+        // batches that never touch the memo (its memo hit ratio is
+        // pinned at 0.0). Lifting it is ROADMAP direction 3(a).
         let use_memo = batch.len() > 1;
         for ((_, frame), key) in batch.drain().zip(&keys) {
             self.process_keyed(frame, key, now_ns, &mut caches, use_memo, out);
@@ -807,13 +784,13 @@ impl Datapath {
         self.keys = keys;
     }
 
-    /// The shared per-frame engine behind [`Datapath::process`] and
-    /// [`Datapath::process_batch_into`]: memo → microflow → megaflow →
-    /// slow path, emitting one frame's results into `out`; `caches` are
-    /// this datapath's, detached by the caller. The key is hashed at
-    /// most once, after the memo's last-key compare failed: that hash
-    /// serves the memo probe, the microflow probe, a megaflow hit's
-    /// promotion and whatever is installed afterwards.
+    /// The per-frame engine behind [`Datapath::process_batch_into`]:
+    /// memo → microflow → megaflow → slow path, emitting one frame's
+    /// results into `out`; `caches` are this datapath's, detached by
+    /// the caller. The key is hashed at most once, after the memo's
+    /// last-key compare failed: that hash serves the memo probe, the
+    /// microflow probe, a megaflow hit's promotion and whatever is
+    /// installed afterwards.
     fn process_keyed(
         &mut self,
         frame: Bytes,
@@ -1367,7 +1344,7 @@ impl Datapath {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use netpkt::{builder, MacAddr};
     use openflow::Match;
@@ -1399,6 +1376,17 @@ mod tests {
         out
     }
 
+    /// One frame as a batch of its own into a fresh arena: frame 0 of
+    /// the result is the frame.
+    pub(crate) fn run_one(
+        dp: &mut Datapath,
+        in_port: u32,
+        frame: Bytes,
+        now_ns: u64,
+    ) -> BatchResult {
+        run_batch(dp, &mut [(in_port, frame)].into_iter().collect(), now_ns)
+    }
+
     fn add_forward_rule(dp: &mut Datapath, dst_port: u16, out: u32) {
         dp.apply_flow_mod(
             &FlowMod::add(0)
@@ -1420,12 +1408,15 @@ mod tests {
         ] {
             let mut dp = dp(mode);
             add_forward_rule(&mut dp, 53, 2);
-            let r = dp.process(1, udp_frame(1, 53), 0);
-            assert_eq!(r.outputs.len(), 1, "mode {mode:?}");
-            assert_eq!(r.outputs[0].0, 2);
-            assert!(!r.dropped);
-            let r = dp.process(1, udp_frame(1, 80), 0);
-            assert!(r.dropped, "no rule for port 80 ⇒ drop (mode {mode:?})");
+            let r = run_one(&mut dp, 1, udp_frame(1, 53), 0);
+            assert_eq!(r.outputs_of(0).len(), 1, "mode {mode:?}");
+            assert_eq!(r.outputs_of(0)[0].0, 2);
+            assert!(!r.frame(0).dropped);
+            let r = run_one(&mut dp, 1, udp_frame(1, 80), 0);
+            assert!(
+                r.frame(0).dropped,
+                "no rule for port 80 ⇒ drop (mode {mode:?})"
+            );
         }
     }
 
@@ -1436,7 +1427,7 @@ mod tests {
             add_forward_rule(&mut dp, 53, 2);
             add_forward_rule(&mut dp, 80, 3);
             for (src, dst_port) in [(1, 53), (2, 80), (3, 443), (1, 53), (4, 22)] {
-                dp.process(1, udp_frame(src, dst_port), 0);
+                run_one(&mut dp, 1, udp_frame(src, dst_port), 0);
             }
             let t = dp.table(0).unwrap();
             (t.lookups(), t.hits())
@@ -1450,25 +1441,28 @@ mod tests {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
         // First packet: slow path.
-        let r1 = dp.process(1, udp_frame(1, 53), 0);
+        let r1 = run_one(&mut dp, 1, udp_frame(1, 53), 0);
         assert!(matches!(
-            r1.trace.unwrap().path,
+            r1.frame(0).trace.unwrap().path,
             LookupPath::SlowPath { .. }
         ));
         // Same microflow: microflow hit.
-        let r2 = dp.process(1, udp_frame(1, 53), 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
+        let r2 = run_one(&mut dp, 1, udp_frame(1, 53), 1);
+        assert!(matches!(
+            r2.frame(0).trace.unwrap().path,
+            LookupPath::MicroHit
+        ));
         // Different src, same rule region: megaflow hit (the aggregate
         // mask includes eth/ip fields, so src variation stays within one
         // megaflow only if the mask says so — here table 0 masks udp_dst,
         // eth_type, ip_proto, and IN_PORT, so a new src IP still maps to
         // the same masked key... but eth_src differs in the key only if
         // masked. Aggregate mask has no eth_src bits ⇒ megaflow hit.)
-        let r3 = dp.process(1, udp_frame(7, 53), 2);
+        let r3 = run_one(&mut dp, 1, udp_frame(7, 53), 2);
         assert!(
-            matches!(r3.trace.unwrap().path, LookupPath::MegaHit { .. }),
+            matches!(r3.frame(0).trace.unwrap().path, LookupPath::MegaHit { .. }),
             "got {:?}",
-            r3.trace.unwrap().path
+            r3.frame(0).trace.unwrap().path
         );
         assert_eq!(dp.micro_cache().hits(), 1);
         assert_eq!(dp.mega_cache().hits(), 1);
@@ -1480,8 +1474,8 @@ mod tests {
     fn flow_mod_invalidates_caches() {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
-        dp.process(1, udp_frame(1, 53), 0);
-        dp.process(1, udp_frame(1, 53), 1);
+        run_one(&mut dp, 1, udp_frame(1, 53), 0);
+        run_one(&mut dp, 1, udp_frame(1, 53), 1);
         assert_eq!(dp.micro_cache().hits(), 1);
         // Re-point the rule to port 3; cached path must not survive.
         dp.apply_flow_mod(
@@ -1492,8 +1486,8 @@ mod tests {
             2,
         )
         .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 3);
-        assert_eq!(r.outputs[0].0, 3, "stale cache would say 2");
+        let r = run_one(&mut dp, 1, udp_frame(1, 53), 3);
+        assert_eq!(r.outputs_of(0)[0].0, 3, "stale cache would say 2");
     }
 
     #[test]
@@ -1510,14 +1504,17 @@ mod tests {
         .unwrap();
         let tagged =
             netpkt::vlan::push_vlan(&udp_frame(5, 53), netpkt::vlan::VlanTag::new(101)).unwrap();
-        let r = dp.process(1, tagged.clone(), 0);
-        assert_eq!(r.outputs.len(), 1);
-        let out_key = FlowKey::extract(0, &r.outputs[0].1).unwrap();
+        let r = run_one(&mut dp, 1, tagged.clone(), 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        let out_key = FlowKey::extract(0, &r.outputs_of(0)[0].1).unwrap();
         assert_eq!(out_key.vlan_vid, 0, "tag must be popped");
         // And the cached replay does the same thing.
-        let r2 = dp.process(1, tagged, 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
-        let out_key2 = FlowKey::extract(0, &r2.outputs[0].1).unwrap();
+        let r2 = run_one(&mut dp, 1, tagged, 1);
+        assert!(matches!(
+            r2.frame(0).trace.unwrap().path,
+            LookupPath::MicroHit
+        ));
+        let out_key2 = FlowKey::extract(0, &r2.outputs_of(0)[0].1).unwrap();
         assert_eq!(out_key2.vlan_vid, 0);
     }
 
@@ -1551,9 +1548,9 @@ mod tests {
         .unwrap();
         let tagged =
             netpkt::vlan::push_vlan(&udp_frame(5, 53), netpkt::vlan::VlanTag::new(101)).unwrap();
-        let r = dp.process(1, tagged, 0);
-        assert_eq!(r.outputs.len(), 1);
-        assert_eq!(r.outputs[0].0, 4);
+        let r = run_one(&mut dp, 1, tagged, 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        assert_eq!(r.outputs_of(0)[0].0, 4);
     }
 
     #[test]
@@ -1566,9 +1563,9 @@ mod tests {
             0,
         )
         .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.packet_ins.len(), 1);
-        assert_eq!(r.packet_ins[0].0, PacketInReason::NoMatch);
+        let r = run_one(&mut dp, 1, udp_frame(1, 53), 0);
+        assert_eq!(r.packet_ins_of(0).len(), 1);
+        assert_eq!(r.packet_ins_of(0)[0].0, PacketInReason::NoMatch);
     }
 
     #[test]
@@ -1581,8 +1578,8 @@ mod tests {
             0,
         )
         .unwrap();
-        let r = dp.process(2, udp_frame(1, 53), 0);
-        let mut ports: Vec<u32> = r.outputs.iter().map(|(p, _)| *p).collect();
+        let r = run_one(&mut dp, 2, udp_frame(1, 53), 0);
+        let mut ports: Vec<u32> = r.outputs_of(0).iter().map(|(p, _)| *p).collect();
         ports.sort_unstable();
         assert_eq!(ports, vec![1, 3, 4]);
     }
@@ -1610,13 +1607,13 @@ mod tests {
         .unwrap();
         let mut seen = std::collections::HashSet::new();
         for src in 1..100u32 {
-            let r = dp.process(1, udp_frame(src, 53), u64::from(src));
-            assert_eq!(r.outputs.len(), 1);
-            seen.insert(r.outputs[0].0);
+            let r = run_one(&mut dp, 1, udp_frame(src, 53), u64::from(src));
+            assert_eq!(r.outputs_of(0).len(), 1);
+            seen.insert(r.outputs_of(0)[0].0);
             // Re-processing the same flow must pick the same port (from
             // cache, and by hash determinism).
-            let r2 = dp.process(1, udp_frame(src, 53), u64::from(src) + 1000);
-            assert_eq!(r2.outputs[0].0, r.outputs[0].0);
+            let r2 = run_one(&mut dp, 1, udp_frame(src, 53), u64::from(src) + 1000);
+            assert_eq!(r2.outputs_of(0)[0].0, r.outputs_of(0)[0].0);
         }
         assert_eq!(seen.len(), 2, "both backends must be used");
     }
@@ -1656,20 +1653,33 @@ mod tests {
             rewritten[0..6].copy_from_slice(&MacAddr::host(50).octets());
             let want = vec![(2, rewritten.freeze()), (3, frame.clone())];
 
-            let r = dp.process(1, frame.clone(), 0);
-            assert!(matches!(r.trace.unwrap().path, LookupPath::SlowPath { .. }));
-            assert_eq!(r.outputs, want, "{type_:?}: slow path");
-            let r = dp.process(1, frame.clone(), 1);
-            assert!(matches!(r.trace.unwrap().path, LookupPath::MicroHit));
-            assert_eq!(r.outputs, want, "{type_:?}: microflow hit");
+            let r = run_one(&mut dp, 1, frame.clone(), 0);
+            assert!(matches!(
+                r.frame(0).trace.unwrap().path,
+                LookupPath::SlowPath { .. }
+            ));
+            assert_eq!(r.outputs_of(0), want, "{type_:?}: slow path");
+            let r = run_one(&mut dp, 1, frame.clone(), 1);
+            assert!(matches!(
+                r.frame(0).trace.unwrap().path,
+                LookupPath::MicroHit
+            ));
+            assert_eq!(r.outputs_of(0), want, "{type_:?}: microflow hit");
             // A sibling 5-tuple (same MACs, other UDP port) shares the
             // megaflow, so the byte expectation carries over.
-            let r = dp.process(1, udp_frame(1, 54), 2);
-            assert!(matches!(r.trace.unwrap().path, LookupPath::MegaHit { .. }));
-            let sibling: Vec<u32> = r.outputs.iter().map(|(p, _)| *p).collect();
+            let r = run_one(&mut dp, 1, udp_frame(1, 54), 2);
+            assert!(matches!(
+                r.frame(0).trace.unwrap().path,
+                LookupPath::MegaHit { .. }
+            ));
+            let sibling: Vec<u32> = r.outputs_of(0).iter().map(|(p, _)| *p).collect();
             assert_eq!(sibling, vec![2, 3]);
-            assert_eq!(r.outputs[1].1, udp_frame(1, 54), "{type_:?}: megaflow hit");
-            assert_eq!(&r.outputs[0].1[0..6], &MacAddr::host(50).octets());
+            assert_eq!(
+                r.outputs_of(0)[1].1,
+                udp_frame(1, 54),
+                "{type_:?}: megaflow hit"
+            );
+            assert_eq!(&r.outputs_of(0)[0].1[0..6], &MacAddr::host(50).octets());
             // Frames 2..N of one batch replay from the memo.
             let mut batch: FrameBatch = (0..4).map(|_| (1u32, frame.clone())).collect();
             let r = run_batch(&mut dp, &mut batch, 3);
@@ -1705,10 +1715,13 @@ mod tests {
         )
         .unwrap();
         // 1 pps with burst 1: first passes, immediate repeats drop.
-        let r1 = dp.process(1, udp_frame(1, 53), 0);
-        assert!(!r1.dropped);
-        let r2 = dp.process(1, udp_frame(1, 53), 1000);
-        assert!(r2.dropped, "second packet within the same second must drop");
+        let r1 = run_one(&mut dp, 1, udp_frame(1, 53), 0);
+        assert!(!r1.frame(0).dropped);
+        let r2 = run_one(&mut dp, 1, udp_frame(1, 53), 1000);
+        assert!(
+            r2.frame(0).dropped,
+            "second packet within the same second must drop"
+        );
         assert!(
             dp.micro_cache().is_empty(),
             "metered paths must not be cached"
@@ -1735,9 +1748,13 @@ mod tests {
             0,
         )
         .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.outputs.len(), 1);
-        assert_eq!(r.outputs[0].0, 3, "group in action set wins over output");
+        let r = run_one(&mut dp, 1, udp_frame(1, 53), 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        assert_eq!(
+            r.outputs_of(0)[0].0,
+            3,
+            "group in action set wins over output"
+        );
     }
 
     #[test]
@@ -1818,19 +1835,16 @@ mod tests {
     fn batch_memo_serves_repeats_of_a_microflow_hit() {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
-        // Warm the microflow cache with scalar traffic.
-        dp.process(1, udp_frame(1, 53), 0);
+        // Warm the microflow cache with a batch of one.
+        run_one(&mut dp, 1, udp_frame(1, 53), 0);
         let micro_hits = dp.micro_cache().hits();
         let mut batch: FrameBatch = (0..4).map(|_| (1u32, udp_frame(1, 53))).collect();
         let r = run_batch(&mut dp, &mut batch, 1);
         // One micro probe resolves the key for the whole batch.
         assert_eq!(dp.micro_cache().hits(), micro_hits + 1);
         assert_eq!(dp.batch_memo_hits(), 3);
-        assert!(r
-            .per_frame()
-            .iter()
-            .all(|d| d.outputs == [(2, udp_frame(1, 53))]));
-        // Flow counters account every frame, exactly like scalar calls.
+        assert!((0..r.len()).all(|i| r.outputs_of(i) == [(2, udp_frame(1, 53))]));
+        // Flow counters account every frame, memo hit or not.
         assert_eq!(dp.table(0).unwrap().entries()[0].packets, 5);
     }
 
@@ -1885,21 +1899,59 @@ mod tests {
         assert_eq!(dp.batch_memo_hits(), 0, "metered paths must not memoize");
     }
 
+    /// A one-frame batch (the memo is gated off) and the same frame
+    /// leading a larger batch whose memo is cold — one-frame batches
+    /// admit nothing to it — resolve identically, down to the trace:
+    /// slow path first, microflow hits after.
     #[test]
-    fn single_frame_batch_equals_scalar_process() {
-        let mut a = dp(PipelineMode::full());
-        let mut b = dp(PipelineMode::full());
-        add_forward_rule(&mut a, 53, 2);
-        add_forward_rule(&mut b, 53, 2);
+    fn single_frame_batch_equals_the_frame_in_a_larger_batch_with_a_cold_memo() {
+        let warmed = |singles: u64| {
+            let mut dp = dp(PipelineMode::full());
+            add_forward_rule(&mut dp, 53, 2);
+            for t in 0..singles {
+                run_one(&mut dp, 1, udp_frame(1, 53), t);
+            }
+            dp
+        };
         for t in 0..3u64 {
-            let scalar = a.process(1, udp_frame(1, 53), t);
-            let mut batch: FrameBatch = [(1u32, udp_frame(1, 53))].into_iter().collect();
-            let batched = run_batch(&mut b, &mut batch, t).into_single();
-            assert_eq!(scalar.outputs, batched.outputs);
-            assert_eq!(scalar.dropped, batched.dropped);
-            assert_eq!(scalar.trace, batched.trace, "even traces agree");
+            let single = run_one(&mut warmed(t), 1, udp_frame(1, 53), t);
+            let mut b = warmed(t);
+            let mut batch: FrameBatch = [(1u32, udp_frame(1, 53)), (1, udp_frame(2, 80))]
+                .into_iter()
+                .collect();
+            let larger = run_batch(&mut b, &mut batch, t);
+            assert_eq!(single.outputs_of(0), larger.outputs_of(0));
+            assert_eq!(single.frame(0).dropped, larger.frame(0).dropped);
+            assert_eq!(
+                single.frame(0).trace,
+                larger.frame(0).trace,
+                "even traces agree"
+            );
+            assert_eq!(b.batch_memo_hits(), 0);
         }
-        assert_eq!(b.batch_memo_hits(), 0);
+    }
+
+    #[test]
+    fn packet_out_appends_one_frame_to_a_used_arena() {
+        let mut dp = dp(PipelineMode::full());
+        add_forward_rule(&mut dp, 53, 2);
+        let mut batch: FrameBatch = [(1u32, udp_frame(1, 53)), (1, udp_frame(1, 80))]
+            .into_iter()
+            .collect();
+        let mut out = run_batch(&mut dp, &mut batch, 0);
+        let before: Vec<_> = (0..2).map(|i| out.outputs_of(i).to_vec()).collect();
+
+        let flood = [Action::output(port_no::FLOOD)];
+        dp.packet_out(port_no::CONTROLLER, &flood, udp_frame(9, 9), 1, &mut out);
+        assert_eq!(out.len(), 3, "exactly one FrameResult appended");
+        for (i, want) in before.iter().enumerate() {
+            assert_eq!(out.outputs_of(i), &want[..], "frame {i} untouched");
+        }
+        assert!(out.frame(1).dropped && !out.frame(2).dropped);
+        let ports: Vec<u32> = out.outputs_of(2).iter().map(|(p, _)| *p).collect();
+        assert_eq!(ports, [1, 2, 3, 4]);
+        assert!(out.packet_ins_of(2).is_empty());
+        assert_eq!(out.total_outputs(), 1 + 4);
     }
 
     /// Rewrite a frame's TTL (and fix the checksum) for expiry tests.
@@ -1932,10 +1984,10 @@ mod tests {
     #[test]
     fn ttl_expiry_answers_icmp_and_never_caches() {
         let mut dp = routed_dp();
-        let r = dp.process(1, with_ttl(&udp_frame(1, 53), 1), 0);
-        assert!(r.dropped, "expired packets are dropped");
-        assert_eq!(r.outputs.len(), 1, "…but answered");
-        let (port, reply) = &r.outputs[0];
+        let r = run_one(&mut dp, 1, with_ttl(&udp_frame(1, 53), 1), 0);
+        assert!(r.frame(0).dropped, "expired packets are dropped");
+        assert_eq!(r.outputs_of(0).len(), 1, "…but answered");
+        let (port, reply) = &r.outputs_of(0)[0];
         assert_eq!(*port, 1, "time-exceeded goes back out the ingress port");
         let view = netpkt::vlan::VlanView::parse(reply).unwrap();
         let ip = Ipv4Packet::new_checked(&reply[view.payload_offset..]).unwrap();
@@ -1954,19 +2006,22 @@ mod tests {
     fn ttl_expiry_on_a_cached_path_matches_slow_path() {
         let mut dp = routed_dp();
         // Healthy packet caches the routed path...
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.outputs[0].0, 2);
-        let out_ip = Ipv4Packet::new_checked(&r.outputs[0].1[14..]).unwrap();
+        let r = run_one(&mut dp, 1, udp_frame(1, 53), 0);
+        assert_eq!(r.outputs_of(0)[0].0, 2);
+        let out_ip = Ipv4Packet::new_checked(&r.outputs_of(0)[0].1[14..]).unwrap();
         assert_eq!(out_ip.ttl(), 63, "forwarded copy lost one hop");
         assert!(out_ip.verify_checksum());
         // ...and a TTL-1 packet of the same flow replays through the
         // cache, where the per-packet TTL check still catches it.
-        let r2 = dp.process(1, with_ttl(&udp_frame(1, 53), 1), 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
-        assert!(r2.dropped);
-        assert_eq!(r2.outputs.len(), 1);
-        let view = netpkt::vlan::VlanView::parse(&r2.outputs[0].1).unwrap();
-        let ip = Ipv4Packet::new_checked(&r2.outputs[0].1[view.payload_offset..]).unwrap();
+        let r2 = run_one(&mut dp, 1, with_ttl(&udp_frame(1, 53), 1), 1);
+        assert!(matches!(
+            r2.frame(0).trace.unwrap().path,
+            LookupPath::MicroHit
+        ));
+        assert!(r2.frame(0).dropped);
+        assert_eq!(r2.outputs_of(0).len(), 1);
+        let view = netpkt::vlan::VlanView::parse(&r2.outputs_of(0)[0].1).unwrap();
+        let ip = Ipv4Packet::new_checked(&r2.outputs_of(0)[0].1[view.payload_offset..]).unwrap();
         assert_eq!(ip.proto(), IpProto::ICMP);
         assert_eq!(dp.stats().ttl_expired, 1);
     }
@@ -2000,9 +2055,12 @@ mod tests {
     fn nat_offloads_established_connections_to_the_caches() {
         let (mut dp, ext) = nat_dp();
         // First packet of the connection: slow path, allocates state.
-        let r = dp.process(1, udp_frame(1, 9000), 0);
-        assert!(matches!(r.trace.unwrap().path, LookupPath::SlowPath { .. }));
-        let out = &r.outputs[0].1;
+        let r = run_one(&mut dp, 1, udp_frame(1, 9000), 0);
+        assert!(matches!(
+            r.frame(0).trace.unwrap().path,
+            LookupPath::SlowPath { .. }
+        ));
+        let out = &r.outputs_of(0)[0].1;
         let k = FlowKey::extract(2, out).unwrap();
         assert_eq!(k.ipv4_src, u32::from(ext), "source translated");
         let ext_id = k.udp_src;
@@ -2011,10 +2069,13 @@ mod tests {
         // Second packet: pure cache hit, same translation, and the
         // connection's idle timer was refreshed through NatTouch.
         let micro_before = dp.micro_cache().hits();
-        let r2 = dp.process(1, udp_frame(1, 9000), 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
+        let r2 = run_one(&mut dp, 1, udp_frame(1, 9000), 1);
+        assert!(matches!(
+            r2.frame(0).trace.unwrap().path,
+            LookupPath::MicroHit
+        ));
         assert_eq!(dp.micro_cache().hits(), micro_before + 1);
-        let k2 = FlowKey::extract(2, &r2.outputs[0].1).unwrap();
+        let k2 = FlowKey::extract(2, &r2.outputs_of(0)[0].1).unwrap();
         assert_eq!((k2.ipv4_src, k2.udp_src), (u32::from(ext), ext_id));
         assert_eq!(dp.nat().live_conns(), 1, "no second connection");
 
@@ -2028,15 +2089,21 @@ mod tests {
             ext_id,
             b"pong",
         );
-        let r3 = dp.process(2, reply.clone(), 2);
-        assert_eq!(r3.outputs[0].0, 1);
-        let k3 = FlowKey::extract(1, &r3.outputs[0].1).unwrap();
+        let r3 = run_one(&mut dp, 2, reply.clone(), 2);
+        assert_eq!(r3.outputs_of(0)[0].0, 1);
+        let k3 = FlowKey::extract(1, &r3.outputs_of(0)[0].1).unwrap();
         assert_eq!(k3.ipv4_dst, u32::from(Ipv4Addr::new(10, 0, 0, 1)));
         assert_eq!(k3.udp_dst, 1000, "reverse translation restores the port");
         // Replies hit the cache too.
-        let r4 = dp.process(2, reply, 3);
-        assert!(matches!(r4.trace.unwrap().path, LookupPath::MicroHit));
-        assert_eq!(FlowKey::extract(1, &r4.outputs[0].1).unwrap().udp_dst, 1000);
+        let r4 = run_one(&mut dp, 2, reply, 3);
+        assert!(matches!(
+            r4.frame(0).trace.unwrap().path,
+            LookupPath::MicroHit
+        ));
+        assert_eq!(
+            FlowKey::extract(1, &r4.outputs_of(0)[0].1).unwrap().udp_dst,
+            1000
+        );
     }
 
     #[test]
@@ -2051,9 +2118,9 @@ mod tests {
             50000,
             b"scan",
         );
-        let r = dp.process(2, stray.clone(), 0);
-        assert!(r.dropped, "no live connection: refused");
-        assert!(r.outputs.is_empty());
+        let r = run_one(&mut dp, 2, stray.clone(), 0);
+        assert!(r.frame(0).dropped, "no live connection: refused");
+        assert!(r.outputs_of(0).is_empty());
         assert_eq!(dp.stats().nat_dropped, 1);
         assert!(dp.micro_cache().is_empty(), "the refusal must not cache");
         // Outbound traffic establishes mappings (external ids are
@@ -2069,13 +2136,13 @@ mod tests {
                 9000,
                 b"out",
             );
-            dp.process(1, f, u64::from(p));
+            run_one(&mut dp, 1, f, u64::from(p));
         }
         // The very same stray packet now has a live connection behind
         // it — a cached refusal would blackhole it.
-        let r2 = dp.process(2, stray, 99);
-        assert!(!r2.dropped, "mapping exists now, must translate");
-        assert_eq!(r2.outputs[0].0, 1);
+        let r2 = run_one(&mut dp, 2, stray, 99);
+        assert!(!r2.frame(0).dropped, "mapping exists now, must translate");
+        assert_eq!(r2.outputs_of(0)[0].0, 1);
     }
 
     #[test]
@@ -2097,18 +2164,18 @@ mod tests {
             0,
         )
         .unwrap();
-        dp.process(1, udp_frame(1, 9000), 0);
-        dp.process(1, udp_frame(1, 9000), 1);
+        run_one(&mut dp, 1, udp_frame(1, 9000), 0);
+        run_one(&mut dp, 1, udp_frame(1, 9000), 1);
         assert_eq!(dp.micro_cache().hits(), 1, "conn A cached");
         let epoch = dp.epoch();
         // Conn B steals the only external id: A's cached rewrite is
         // stale and the epoch bump must invalidate it.
-        dp.process(1, udp_frame(2, 9000), 2);
+        run_one(&mut dp, 1, udp_frame(2, 9000), 2);
         assert!(dp.epoch() > epoch, "eviction must flush the caches");
         assert_eq!(dp.nat().evicted_lru(), 1);
-        let r = dp.process(1, udp_frame(1, 9000), 3);
+        let r = run_one(&mut dp, 1, udp_frame(1, 9000), 3);
         assert!(
-            matches!(r.trace.unwrap().path, LookupPath::SlowPath { .. }),
+            matches!(r.frame(0).trace.unwrap().path, LookupPath::SlowPath { .. }),
             "A re-resolves through the slow path, not a stale cache"
         );
     }
@@ -2116,7 +2183,7 @@ mod tests {
     #[test]
     fn nat_sweep_reclaims_idle_connections_and_flushes() {
         let (mut dp, _) = nat_dp();
-        dp.process(1, udp_frame(1, 9000), 0);
+        run_one(&mut dp, 1, udp_frame(1, 9000), 0);
         assert_eq!(dp.nat().live_conns(), 1);
         let epoch = dp.epoch();
         assert_eq!(dp.sweep_nat(1_000), 0, "default timeout is 60 s");
@@ -2130,8 +2197,8 @@ mod tests {
     fn port_stats_account_rx_and_tx() {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
-        dp.process(1, udp_frame(1, 53), 0);
-        dp.process(1, udp_frame(1, 53), 1);
+        run_one(&mut dp, 1, udp_frame(1, 53), 0);
+        run_one(&mut dp, 1, udp_frame(1, 53), 1);
         let stats = dp.port_stats();
         let p1 = stats.iter().find(|s| s.port_no == 1).unwrap();
         let p2 = stats.iter().find(|s| s.port_no == 2).unwrap();

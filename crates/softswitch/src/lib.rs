@@ -13,9 +13,10 @@
 //!   [`actions::CAction`] programs that caches record, and the one
 //!   stepper that executes them;
 //! * [`batch`] — the [`batch::FrameBatch`]/[`batch::BatchResult`]
-//!   containers and per-batch lookup memo behind the burst-processing
-//!   fast path,
-//!   [`Datapath::process_batch_into`](datapath::Datapath::process_batch_into);
+//!   containers and the lookup memo behind
+//!   [`Datapath::process_batch_into`](datapath::Datapath::process_batch_into),
+//!   the one way a frame enters a datapath (a lone frame is a batch of
+//!   one) and the one result arena it leaves in;
 //! * [`trace`] — the [`trace::ProcessingTrace`] every lookup produces and
 //!   the [`trace::CostModel`] that converts it to nanoseconds;
 //! * [`cache`] — exact-match microflow cache and masked megaflow cache
@@ -47,7 +48,7 @@ pub mod route;
 pub mod trace;
 
 pub use batch::{BatchResult, FrameBatch};
-pub use datapath::{Datapath, DatapathStats, DpConfig, DpResult, PipelineMode};
+pub use datapath::{Datapath, DatapathStats, DpConfig, PipelineMode};
 pub use nat::{NatConfig, NatProto, NatTable};
 pub use node::{FailMode, SoftSwitchNode};
 pub use route::LpmTable;

@@ -8,8 +8,8 @@
 //! into one service period and runs them through
 //! [`Datapath::process_batch_into`], so repeated flows in the burst pay
 //! the cheaper `BatchHit` cost instead of a full cache probe each. Under
-//! light load every frame still gets its own service period and the
-//! behaviour is identical to scalar processing. The drain buffer and
+//! light load every frame gets a service period, and a batch, of its
+//! own. The drain buffer and
 //! the result arena are owned by the node and recycled across service
 //! periods, so steady-state service allocates nothing.
 //!
@@ -30,7 +30,6 @@ use std::collections::HashMap;
 use netsim::service::{ServiceQueue, Submit};
 use netsim::{Node, NodeCtx, NodeId, PortId, SimTime};
 use openflow::message::FlowMod;
-use openflow::table::flow_flags;
 use openflow::Action;
 
 use crate::agent::OfAgent;
@@ -597,15 +596,10 @@ impl Node for SoftSwitchNode {
             return;
         }
         if token == TOKEN_EXPIRE {
-            let removed = self.dp.expire_flows(ctx.now().as_nanos());
+            let notices = self.agent.expire_flows(&mut self.dp, ctx.now().as_nanos());
             if let Some(c) = self.controller() {
-                for (table_id, entry, reason) in removed {
-                    if entry.flags & flow_flags::SEND_FLOW_REM != 0 {
-                        let msg =
-                            self.agent
-                                .flow_removed(table_id, &entry, reason, ctx.now().as_nanos());
-                        ctx.ctrl_send(c, msg);
-                    }
+                for msg in notices {
+                    ctx.ctrl_send(c, msg);
                 }
             }
             // Idle NAT connections age out on the same cadence; the
@@ -818,7 +812,7 @@ mod tests {
         // Batched: the burst becomes one service period; the 7 repeats
         // of the flow hit the per-batch memo.
         assert_eq!(run(16), (8, 7));
-        // Batch size 1 degenerates to scalar service: no memo in play.
+        // Batch size 1 is eight one-frame batches: no memo in play.
         assert_eq!(run(1), (8, 0));
     }
 

@@ -13,14 +13,20 @@
 //! vector of the bridge pass. Anything above that is a regression in
 //! `Shard`, `ServiceQueue` or `SoftSwitchNode`.
 //!
+//! A second test sends the same traffic across a `CotsSwitchNode`: the
+//! hardware model has no caches, so every frame walks its table, and
+//! that walk is all a hop may cost beyond the frame itself — the frame
+//! goes in through a recycled one-frame batch and comes out of a
+//! recycled arena.
+//!
 //! The allocator is per-binary, so this suite is a test binary of its
-//! own with a single test.
+//! own; `bytes::buffer_allocs` is process-wide, so its tests take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::buffer_allocs;
-use legacy_switch::LegacySwitchNode;
+use legacy_switch::{CotsConfig, CotsSwitchNode, LegacySwitchNode};
 use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
 use netsim::{LinkSpec, Network, PortId, SimTime};
 use openflow::message::FlowMod;
@@ -81,8 +87,13 @@ fn blocks_during(f: impl FnOnce()) -> u64 {
     BLOCKS.with(Cell::get) - before
 }
 
+/// Serialises the tests: both take deltas of the process-wide
+/// `buffer_allocs` counter.
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn steady_state_hop_allocates_only_frame_buffers_and_the_bridge_output_vector() {
+    let _turn = TURN.lock().unwrap();
     let mut net = Network::new(5);
 
     let mut legacy = LegacySwitchNode::new("legacy", 2);
@@ -154,4 +165,59 @@ fn steady_state_hop_allocates_only_frame_buffers_and_the_bridge_output_vector() 
     // Generator timer, three `Deliver`s, the bridge's delayed `Emit` and
     // the soft switch's service timer: no link ever schedules a wake-up.
     assert_eq!(events, 6 * frames, "events per frame");
+}
+
+#[test]
+fn cots_hop_allocates_its_table_walk_and_no_result_vectors() {
+    let _turn = TURN.lock().unwrap();
+    let mut net = Network::new(5);
+    let mut cots = CotsSwitchNode::new("cots", 2, CotsConfig::default());
+    cots.datapath_mut()
+        .apply_flow_mod(
+            &FlowMod::add(0)
+                .priority(1)
+                .match_(Match::new().in_port(1))
+                .apply(vec![Action::output(2)]),
+            0,
+        )
+        .unwrap();
+    let gen = net.add_node(Generator::new(
+        "gen",
+        PortId(0),
+        Pattern::Cbr { pps: 20_000.0 },
+        vec![FlowSpec::simple(1, 2, 128)],
+        SimTime::ZERO,
+        SimTime::MAX,
+    ));
+    let cots = net.add_node(cots);
+    let sink = net.add_node(Sink::new("sink"));
+    let link = LinkSpec::ten_gigabit();
+    net.connect(gen, PortId(0), cots, PortId(1), link);
+    net.connect(cots, PortId(2), sink, PortId(0), link);
+
+    net.run_for(SimTime::from_millis(100));
+    let received = |net: &Network| net.node_ref::<Sink>(sink).received();
+    let (rx0, buffers0) = (received(&net), buffer_allocs());
+    assert!(rx0 > 1_000, "warm-up traffic flows: {rx0}");
+
+    // 200 ms: clear of the switch's 500 ms expiry sweep.
+    let blocks = blocks_during(|| net.run_for(SimTime::from_millis(200)));
+
+    let frames = received(&net) - rx0;
+    let buffers = buffer_allocs() - buffers0;
+    assert_eq!(frames, 4_000);
+    // The generator builds the frame; the ASIC forwards it as it is.
+    assert_eq!(buffers, frames, "frame buffers per frame");
+    // The uncached walk: the matched entry's instruction list and the
+    // action list inside it cloned, the recorded program and the table
+    // hits (a block each, and one more where `CachedPath::new` trims
+    // them), and the `CachedPath` itself — which nothing keeps: a
+    // one-frame batch bypasses the memo and the model has no caches.
+    const WALK: u64 = 7;
+    assert_eq!(
+        blocks,
+        (2 + WALK) * frames,
+        "heap blocks beyond the frame buffer (two) and the table walk ({WALK}): \
+         {blocks} blocks for {frames} frames — a result vector per frame is back?"
+    );
 }

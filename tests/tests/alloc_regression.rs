@@ -14,6 +14,7 @@
 //! assertions out of other binaries.
 
 use bytes::{buffer_allocs, Bytes};
+use harmless_tests::run_one;
 use netpkt::{builder, MacAddr};
 use openflow::message::FlowMod;
 use openflow::{port_no, Action, Match};
@@ -64,19 +65,23 @@ fn cached_flood_to_32_ports_allocates_at_most_one_buffer() {
     assert_eq!(frame.len(), 1500);
     // Warm the caches: the first frame takes the slow path (recording,
     // cache install) and may allocate.
-    let warm = dp.process(1, frame.clone(), 0);
-    assert_eq!(warm.outputs.len(), 32, "flood fans out to every other port");
+    let warm = run_one(&mut dp, 1, frame.clone(), 0);
+    assert_eq!(
+        warm.outputs_of(0).len(),
+        32,
+        "flood fans out to every other port"
+    );
 
     let before = buffer_allocs();
-    let r = dp.process(1, frame.clone(), 1);
+    let r = run_one(&mut dp, 1, frame.clone(), 1);
     let allocs = buffer_allocs() - before;
-    assert_eq!(r.outputs.len(), 32);
+    assert_eq!(r.outputs_of(0).len(), 32);
     assert!(
         allocs <= 1,
         "cached flood must be refcount bumps, got {allocs} buffer allocations for 32 outputs"
     );
     // Every flood copy shares the ingress frame's backing storage.
-    for (_port, out) in &r.outputs {
+    for (_port, out) in r.outputs_of(0) {
         assert_eq!(out.as_slice().as_ptr(), frame.as_slice().as_ptr());
     }
 }
@@ -97,7 +102,7 @@ fn cached_path_batch_allocates_no_buffers() {
     )
     .unwrap();
     let frame = udp_frame(b"payload");
-    dp.process(1, frame.clone(), 0); // warm: slow path + cache install
+    run_one(&mut dp, 1, frame.clone(), 0); // warm: slow path + cache install
 
     const N: usize = 64;
     let mut batch = FrameBatch::with_capacity(N);
@@ -114,6 +119,61 @@ fn cached_path_batch_allocates_no_buffers() {
         allocs, 0,
         "{N} cached pure-forward frames allocated {allocs} buffers; expected zero"
     );
+}
+
+/// The way every caller submits a lone frame: a one-frame batch into an
+/// arena it lends again and again. On a warmed datapath that costs no
+/// frame buffer, and the arena keeps the storage its first use sized —
+/// every call finds it cleared, none makes it grow or move.
+#[test]
+fn one_frame_batches_through_a_lent_arena_allocate_nothing_and_never_grow_it() {
+    let _g = COUNTER_LOCK.lock().unwrap();
+    let mut dp = dp_with_ports(2);
+    // An output and a packet-in per frame: all three arena vectors work.
+    dp.apply_flow_mod(
+        &FlowMod::add(0)
+            .priority(1)
+            .match_(Match::new().in_port(1))
+            .apply(vec![Action::output(2), Action::to_controller()]),
+        0,
+    )
+    .unwrap();
+    let frame = udp_frame(b"payload");
+    let mut batch = FrameBatch::with_capacity(1);
+    let mut result = BatchResult::default();
+    let storage = |r: &BatchResult| {
+        (
+            r.frames().as_ptr(),
+            r.all_outputs().as_ptr(),
+            r.all_packet_ins().as_ptr(),
+        )
+    };
+    // Warm: slow path and cache install; the arena takes its size.
+    batch.push(1, frame.clone());
+    dp.process_batch_into(&mut batch, 0, &mut result);
+    let sized = storage(&result);
+
+    let before = buffer_allocs();
+    for t in 1..=1_000 {
+        batch.push(1, frame.clone());
+        dp.process_batch_into(&mut batch, t, &mut result);
+        assert_eq!(
+            (
+                result.len(),
+                result.total_outputs(),
+                result.all_packet_ins().len()
+            ),
+            (1, 1, 1),
+            "call {t}: the arena holds this frame's results and no older ones"
+        );
+        assert_eq!(storage(&result), sized, "call {t}: arena storage moved");
+    }
+    assert_eq!(
+        buffer_allocs() - before,
+        0,
+        "frame buffers over 1 000 calls"
+    );
+    assert_eq!(dp.batch_memo_hits(), 0, "one-frame batches bypass the memo");
 }
 
 /// Copy-on-write ceiling: a cached flow whose actions rewrite the frame
@@ -137,13 +197,13 @@ fn cow_rewrite_allocates_exactly_one_buffer_per_frame() {
     )
     .unwrap();
     let frame = udp_frame(b"rewrite-me");
-    dp.process(1, frame.clone(), 0); // warm
+    run_one(&mut dp, 1, frame.clone(), 0); // warm
 
     const N: u64 = 16;
     let before = buffer_allocs();
     for i in 0..N {
-        let r = dp.process(1, frame.clone(), 1 + i);
-        assert_eq!(r.outputs.len(), 1);
+        let r = run_one(&mut dp, 1, frame.clone(), 1 + i);
+        assert_eq!(r.outputs_of(0).len(), 1);
     }
     let allocs = buffer_allocs() - before;
     assert_eq!(
@@ -179,17 +239,17 @@ fn all_group_allocates_one_buffer_per_rewriting_bucket() {
     )
     .unwrap();
     let frame = udp_frame(b"fan-out");
-    dp.process(1, frame.clone(), 0); // warm
+    run_one(&mut dp, 1, frame.clone(), 0); // warm
 
     let before = buffer_allocs();
-    let r = dp.process(1, frame.clone(), 1);
+    let r = run_one(&mut dp, 1, frame.clone(), 1);
     let allocs = buffer_allocs() - before;
-    assert_eq!(r.outputs.len(), 4);
+    assert_eq!(r.outputs_of(0).len(), 4);
     assert_eq!(allocs, 2, "two rewriting buckets, two copies");
     // The plain bucket and the trailing output share the ingress buffer.
     for i in [1, 3] {
         assert_eq!(
-            r.outputs[i].1.as_slice().as_ptr(),
+            r.outputs_of(0)[i].1.as_slice().as_ptr(),
             frame.as_slice().as_ptr()
         );
     }
@@ -242,6 +302,12 @@ fn translator_dp() -> Datapath {
     dp
 }
 
+/// The first output of a one-frame run, the arena let go of: whoever
+/// takes it is its sole holder, as the next hop of a pod is.
+fn first_output(r: BatchResult) -> (u32, Bytes) {
+    r.outputs_of(0)[0].clone()
+}
+
 /// Buffers allocated while `f` runs.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = buffer_allocs();
@@ -267,13 +333,13 @@ fn translator_down_rule_pops_in_place_or_copies_once() {
     for (i, what) in ["slow path", "cached replay"].into_iter().enumerate() {
         let frame = tagged();
         let ptr = frame.as_slice().as_ptr();
-        let (allocs, r) = allocs_during(|| dp.process(1, frame, i as u64));
+        let (allocs, r) = allocs_during(|| run_one(&mut dp, 1, frame, i as u64));
         assert_eq!(allocs, 0, "{what}: sole holder, popped in place");
-        assert_eq!(r.outputs.len(), 1);
-        assert_eq!(r.outputs[0].0, patch_port(2));
-        assert_eq!(r.outputs[0].1, bare);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        assert_eq!(r.outputs_of(0)[0].0, patch_port(2));
+        assert_eq!(r.outputs_of(0)[0].1, bare);
         assert_eq!(
-            r.outputs[0].1.as_slice().as_ptr(),
+            r.outputs_of(0)[0].1.as_slice().as_ptr(),
             ptr.wrapping_add(4),
             "{what}: same storage, view advanced past the tag"
         );
@@ -290,11 +356,11 @@ fn translator_down_rule_pops_in_place_or_copies_once() {
     let held: Vec<Bytes> = (0..N).map(|_| tagged()).collect();
     let (allocs, outs) = allocs_during(|| {
         held.iter()
-            .map(|f| dp.process(1, f.clone(), 3).outputs)
+            .map(|f| first_output(run_one(&mut dp, 1, f.clone(), 3)))
             .collect::<Vec<_>>()
     });
     assert_eq!(allocs, N as u64, "one copy per frame somebody else holds");
-    assert!(outs.iter().all(|o| o[0].1 == bare));
+    assert!(outs.iter().all(|o| o.1 == bare));
     assert!(held.iter().all(|f| *f == tagged()), "the sender's frames");
 }
 
@@ -319,8 +385,8 @@ fn translator_up_rule_pushes_into_the_popped_room_or_copies_once() {
         let frame = push_vlan(&bare, tag).unwrap();
         let ptr = frame.as_slice().as_ptr();
         let (allocs, up) = allocs_during(|| {
-            let down = dp.process(1, frame, i).outputs.remove(0);
-            dp.process(down.0, down.1, i).outputs.remove(0)
+            let down = first_output(run_one(&mut dp, 1, frame, i));
+            first_output(run_one(&mut dp, down.0, down.1, i))
         });
         assert_eq!(allocs, 0, "round trip {i}: pop and push in place");
         assert_eq!(up.0, 1, "back out of the trunk");
@@ -333,19 +399,19 @@ fn translator_up_rule_pushes_into_the_popped_room_or_copies_once() {
     const N: u64 = 16;
     let (allocs, ups) = allocs_during(|| {
         (0..N)
-            .map(|i| dp.process(patch_port(3), bare.clone(), 10 + i).outputs)
+            .map(|i| first_output(run_one(&mut dp, patch_port(3), bare.clone(), 10 + i)))
             .collect::<Vec<_>>()
     });
     assert_eq!(allocs, N, "one copy per shared frame");
-    assert!(ups.iter().all(|o| o[0].1 == tagged));
-    assert_eq!(outer_tag(&ups[0][0].1), Some(tag));
+    assert!(ups.iter().all(|o| o.1 == tagged));
+    assert_eq!(outer_tag(&ups[0].1), Some(tag));
 
     // Nobody else holds it, but nothing precedes the view either: the
     // same single copy.
     let fresh = udp_frame(&[0xcd; 1458]);
-    let (allocs, r) = allocs_during(|| dp.process(patch_port(3), fresh, 30));
+    let (allocs, r) = allocs_during(|| run_one(&mut dp, patch_port(3), fresh, 30));
     assert_eq!(allocs, 1, "no room in front");
-    assert_eq!(r.outputs[0].1, tagged);
+    assert_eq!(r.outputs_of(0)[0].1, tagged);
 }
 
 /// Set-field and NAT rewrites change bytes where they lie when the
@@ -372,7 +438,7 @@ fn header_rewrites_are_in_place_for_a_sole_holder_and_one_copy_otherwise() {
     )
     .unwrap();
     let wire = udp_frame(b"translate-me").to_vec();
-    dp.process(1, Bytes::from(wire.clone()), 0); // warm: binding + caches
+    run_one(&mut dp, 1, Bytes::from(wire.clone()), 0); // warm: binding + caches
 
     const N: u64 = 16;
     let unique: Vec<Bytes> = (0..N).map(|_| Bytes::from(wire.clone())).collect();
@@ -380,7 +446,7 @@ fn header_rewrites_are_in_place_for_a_sole_holder_and_one_copy_otherwise() {
     let (allocs, outs) = allocs_during(|| {
         unique
             .into_iter()
-            .map(|f| dp.process(1, f, 1).outputs.remove(0).1)
+            .map(|f| first_output(run_one(&mut dp, 1, f, 1)).1)
             .collect::<Vec<_>>()
     });
     assert_eq!(
@@ -395,7 +461,7 @@ fn header_rewrites_are_in_place_for_a_sole_holder_and_one_copy_otherwise() {
     let held = Bytes::from(wire.clone());
     let (allocs, shared) = allocs_during(|| {
         (0..N)
-            .map(|_| dp.process(1, held.clone(), 2).outputs.remove(0).1)
+            .map(|_| first_output(run_one(&mut dp, 1, held.clone(), 2)).1)
             .collect::<Vec<_>>()
     });
     assert_eq!(allocs, N, "a held frame: one copy for all its rewrites");

@@ -27,7 +27,8 @@ const FRESH_EVERY: u64 = 256;
 /// A flow-mod (ACL entry added, then deleted, in turn) this often.
 const BUMP_EVERY: u64 = 8192;
 const BATCHED_FRAMES: u64 = 1 << 16;
-const SCALAR_FRAMES: u64 = 1 << 14;
+/// Then this many as batches of one frame each.
+const SINGLE_FRAMES: u64 = 1 << 14;
 
 /// What the script observed, in the order the constants list it.
 #[derive(Debug, PartialEq, Eq)]
@@ -155,7 +156,7 @@ fn run_script(cfg: DpConfig) -> Observed {
     let mut batch = FrameBatch::with_capacity(GROUP);
     let mut out = BatchResult::default();
     let (mut fresh, mut bumps) = (0u64, 0u64);
-    for n in 0..BATCHED_FRAMES + SCALAR_FRAMES {
+    for n in 0..BATCHED_FRAMES + SINGLE_FRAMES {
         let now = n * 1_000;
         if n % BUMP_EVERY == BUMP_EVERY - 1 {
             let fm = if bumps % 2 == 0 {
@@ -177,13 +178,8 @@ fn run_script(cfg: DpConfig) -> Observed {
         } else {
             f.clone()
         };
-        if n >= BATCHED_FRAMES {
-            let r = dp.process(*a, f, now);
-            fold.frame(r.trace, r.dropped, &r.outputs);
-            continue;
-        }
         batch.push(*a, f);
-        if batch.len() == GROUP {
+        if n >= BATCHED_FRAMES || batch.len() == GROUP {
             dp.process_batch_into(&mut batch, now, &mut out);
             for i in 0..out.len() {
                 fold.frame(out.frame(i).trace, out.frame(i).dropped, out.outputs_of(i));

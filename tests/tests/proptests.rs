@@ -8,6 +8,7 @@
 //!   bijectivity, flow-table priority order).
 
 use bytes::Bytes;
+use harmless_tests::run_one;
 use proptest::prelude::*;
 
 use netpkt::vlan::{pop_vlan, push_vlan, VlanTag};
@@ -311,9 +312,9 @@ proptest! {
             dp
         };
         // What a cache level must not change about one frame's service.
-        let observe = |r: softswitch::DpResult| {
-            let t = r.trace.expect("datapath traces every frame");
-            (r.outputs, r.packet_ins, r.dropped,
+        let observe = |r: BatchResult| {
+            let t = r.frame(0).trace.expect("datapath traces every frame");
+            (r.outputs_of(0).to_vec(), r.packet_ins_of(0).to_vec(), r.frame(0).dropped,
              (t.vlan_ops, t.set_fields, t.outputs, t.packet_in))
         };
         let mut slow = build(PipelineMode::linear());
@@ -330,21 +331,21 @@ proptest! {
             );
             let frame = if tagged { push_vlan(&frame, VlanTag::new(7)).unwrap() } else { frame };
             let now = i as u64;
-            let reference = observe(slow.process(1, frame.clone(), now));
-            prop_assert_eq!(&observe(slow.process(1, frame.clone(), now)), &reference,
+            let reference = observe(run_one(&mut slow, 1, frame.clone(), now));
+            prop_assert_eq!(&observe(run_one(&mut slow, 1, frame.clone(), now)), &reference,
                 "packet {}: linear, repeated", i);
-            prop_assert_eq!(&observe(fast.process(1, frame.clone(), now)), &reference,
+            prop_assert_eq!(&observe(run_one(&mut fast, 1, frame.clone(), now)), &reference,
                 "packet {}: full, first", i);
-            prop_assert_eq!(&observe(fast.process(1, frame, now)), &reference,
+            prop_assert_eq!(&observe(run_one(&mut fast, 1, frame, now)), &reference,
                 "packet {}: full, repeated", i);
         }
     }
 
     /// The batched fast path must be semantically invisible: for any mix
-    /// of rules, pipeline mode and packet sequence, one
-    /// `process_batch_into` call produces exactly the outputs, packet-ins
-    /// and drop decisions of N sequential `process` calls, in the same
-    /// per-frame order.
+    /// of rules, pipeline mode and packet sequence, one batch of N
+    /// frames produces exactly the outputs, packet-ins and drop
+    /// decisions of N batches of one frame each, in the same per-frame
+    /// order.
     #[test]
     fn process_batch_equals_sequential_process(
         rules in proptest::collection::vec((0u16..16, 1u32..4), 1..16),
@@ -395,16 +396,18 @@ proptest! {
         let mut seq_dp = build();
         let sequential: Vec<_> = packets
             .iter()
-            .map(|p| seq_dp.process(1, frame(p), now))
+            .map(|p| run_one(&mut seq_dp, 1, frame(p), now))
             .collect();
         let mut batch_dp = build();
         let mut batch: FrameBatch = packets.iter().map(|p| (1u32, frame(p))).collect();
-        let batched = run_batch(&mut batch_dp, &mut batch, now).per_frame();
+        let batched = run_batch(&mut batch_dp, &mut batch, now);
         prop_assert_eq!(batched.len(), sequential.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            prop_assert_eq!(&s.outputs, &b.outputs, "outputs of packet {}", i);
-            prop_assert_eq!(&s.packet_ins, &b.packet_ins, "packet-ins of packet {}", i);
-            prop_assert_eq!(s.dropped, b.dropped, "drop decision of packet {}", i);
+        for (i, s) in sequential.iter().enumerate() {
+            prop_assert_eq!(s.outputs_of(0), batched.outputs_of(i), "outputs of packet {}", i);
+            prop_assert_eq!(s.packet_ins_of(0), batched.packet_ins_of(i),
+                "packet-ins of packet {}", i);
+            prop_assert_eq!(s.frame(0).dropped, batched.frame(i).dropped,
+                "drop decision of packet {}", i);
         }
         // Aggregate state agrees too: every frame was processed and flow
         // counters saw identical traffic.
@@ -417,7 +420,7 @@ proptest! {
 
     /// Copy-on-write equivalence for frame-rewriting actions: batched
     /// service of interleaved VLAN-push, VLAN-pop and pure-forward flows
-    /// produces byte-identical frames to scalar service, and a flow's
+    /// produces byte-identical frames to one-frame batches, and a flow's
     /// rewrite never leaks into a neighbouring frame that shares the
     /// same backing storage (the CoW copy must be private).
     #[test]
@@ -479,16 +482,18 @@ proptest! {
         let mut seq_dp = build();
         let sequential: Vec<_> = packets
             .iter()
-            .map(|p| seq_dp.process(1, frame(p), now))
+            .map(|p| run_one(&mut seq_dp, 1, frame(p), now))
             .collect();
         let mut batch_dp = build();
         let originals: Vec<Bytes> = packets.iter().map(frame).collect();
         let mut batch: FrameBatch = originals.iter().map(|f| (1u32, f.clone())).collect();
-        let batched = run_batch(&mut batch_dp, &mut batch, now).per_frame();
+        let batched = run_batch(&mut batch_dp, &mut batch, now);
         prop_assert_eq!(batched.len(), sequential.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            prop_assert_eq!(&s.outputs, &b.outputs, "rewritten frames of packet {}", i);
-            prop_assert_eq!(s.dropped, b.dropped, "drop decision of packet {}", i);
+        for (i, s) in sequential.iter().enumerate() {
+            prop_assert_eq!(s.outputs_of(0), batched.outputs_of(i),
+                "rewritten frames of packet {}", i);
+            prop_assert_eq!(s.frame(0).dropped, batched.frame(i).dropped,
+                "drop decision of packet {}", i);
         }
         // CoW isolation: the ingress frames the batch shared storage
         // with are bit-for-bit what was submitted.
@@ -526,15 +531,15 @@ proptest! {
         );
         // Down: trunk → patch(port), untagged.
         let tagged = push_vlan(&frame, VlanTag::new(vlan)).unwrap();
-        let down = dp.process(1, tagged, 0);
-        prop_assert_eq!(down.outputs.len(), 1);
-        prop_assert_eq!(down.outputs[0].0, harmless::translator::patch_port(port));
-        prop_assert_eq!(&down.outputs[0].1[..], &frame[..]);
+        let down = run_one(&mut dp, 1, tagged, 0);
+        prop_assert_eq!(down.outputs_of(0).len(), 1);
+        prop_assert_eq!(down.outputs_of(0)[0].0, harmless::translator::patch_port(port));
+        prop_assert_eq!(&down.outputs_of(0)[0].1[..], &frame[..]);
         // Up: patch(port) → trunk, tagged with the same VLAN.
-        let up = dp.process(harmless::translator::patch_port(port), frame, 1);
-        prop_assert_eq!(up.outputs.len(), 1);
-        prop_assert_eq!(up.outputs[0].0, 1);
-        let key = FlowKey::extract(1, &up.outputs[0].1).unwrap();
+        let up = run_one(&mut dp, harmless::translator::patch_port(port), frame, 1);
+        prop_assert_eq!(up.outputs_of(0).len(), 1);
+        prop_assert_eq!(up.outputs_of(0)[0].0, 1);
+        let key = FlowKey::extract(1, &up.outputs_of(0)[0].1).unwrap();
         prop_assert_eq!(key.vlan_vid, 0x1000 | vlan);
     }
 
@@ -961,11 +966,11 @@ proptest! {
     }
 
     /// The edge-router pipeline (classifier → NAT → LPM routes) must
-    /// behave identically whether frames take the scalar slow path or
-    /// the batched/cached fast path: same rewritten bytes, same drops,
-    /// same TTL expiries, same NAT connection state.
+    /// behave identically whether frames arrive one per batch or as one
+    /// batch through the memo: same rewritten bytes, same drops, same
+    /// TTL expiries, same NAT connection state.
     #[test]
-    fn routed_nat_pipeline_batch_equals_scalar(
+    fn routed_nat_pipeline_batch_equals_one_frame_batches(
         packets in proptest::collection::vec((0u8..4, 0u8..3, 0u16..8, any::<bool>()), 1..60),
         mode_sel in 0usize..4,
     ) {
@@ -1050,15 +1055,19 @@ proptest! {
         };
         let now = 7u64;
         let mut seq_dp = build();
-        let sequential: Vec<_> = packets.iter().map(|p| seq_dp.process(1, frame(p), now)).collect();
+        let sequential: Vec<_> =
+            packets.iter().map(|p| run_one(&mut seq_dp, 1, frame(p), now)).collect();
         let mut batch_dp = build();
         let mut batch: FrameBatch = packets.iter().map(|p| (1u32, frame(p))).collect();
-        let batched = run_batch(&mut batch_dp, &mut batch, now).per_frame();
+        let batched = run_batch(&mut batch_dp, &mut batch, now);
         prop_assert_eq!(batched.len(), sequential.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            prop_assert_eq!(&s.outputs, &b.outputs, "rewritten frames of packet {}", i);
-            prop_assert_eq!(s.dropped, b.dropped, "drop decision of packet {}", i);
-            prop_assert_eq!(&s.packet_ins, &b.packet_ins, "packet-ins of packet {}", i);
+        for (i, s) in sequential.iter().enumerate() {
+            prop_assert_eq!(s.outputs_of(0), batched.outputs_of(i),
+                "rewritten frames of packet {}", i);
+            prop_assert_eq!(s.frame(0).dropped, batched.frame(i).dropped,
+                "drop decision of packet {}", i);
+            prop_assert_eq!(s.packet_ins_of(0), batched.packet_ins_of(i),
+                "packet-ins of packet {}", i);
         }
         prop_assert_eq!(seq_dp.stats().ttl_expired, batch_dp.stats().ttl_expired);
         prop_assert_eq!(seq_dp.stats().nat_dropped, batch_dp.stats().nat_dropped);
@@ -1674,9 +1683,9 @@ impl Ledger {
         self.0.push((frame.clone(), frame.to_vec()));
     }
 
-    fn hold_emitted(&mut self, r: &softswitch::DpResult) {
-        r.outputs.iter().for_each(|(_, f)| self.hold(f));
-        r.packet_ins.iter().for_each(|(_, _, f)| self.hold(f));
+    fn hold_emitted(&mut self, r: &BatchResult) {
+        r.all_outputs().iter().for_each(|(_, f)| self.hold(f));
+        r.all_packet_ins().iter().for_each(|(_, _, f)| self.hold(f));
     }
 
     /// Position of the first held frame whose bytes moved, if any.
@@ -1696,20 +1705,34 @@ type Seen = (
     (u32, u32, u32, bool),
 );
 
-fn see(r: &softswitch::DpResult) -> Seen {
-    let t = r.trace.expect("datapath traces every frame");
+fn see(r: &BatchResult, i: usize) -> Seen {
+    let t = r.frame(i).trace.expect("datapath traces every frame");
     (
-        r.outputs.iter().map(|(p, f)| (*p, f.to_vec())).collect(),
-        r.packet_ins.iter().map(|(_, _, f)| f.to_vec()).collect(),
-        r.dropped,
+        r.outputs_of(i)
+            .iter()
+            .map(|(p, f)| (*p, f.to_vec()))
+            .collect(),
+        r.packet_ins_of(i)
+            .iter()
+            .map(|(_, _, f)| f.to_vec())
+            .collect(),
+        r.frame(i).dropped,
         (t.vlan_ops, t.set_fields, t.outputs, t.packet_in),
     )
 }
 
-/// Serve `inputs` one `process` call each, or as one batch. Under
-/// [`Handover::Retained`] the ledger holds a clone of every input from
-/// before the call; when `hold_emitted`, of every emitted frame from as
-/// soon as the engine returns it.
+/// Every frame of every arena, in service order.
+fn see_all(arenas: &[BatchResult]) -> impl Iterator<Item = Seen> + '_ {
+    arenas
+        .iter()
+        .flat_map(|r| (0..r.len()).map(move |i| see(r, i)))
+}
+
+/// Serve `inputs` as one batch, or as a batch of one frame each;
+/// returns the arena of every call. Under [`Handover::Retained`] the
+/// ledger holds a clone of every input from before the call; when
+/// `hold_emitted`, of every emitted frame from as soon as the engine
+/// returns it.
 fn serve(
     dp: &mut Datapath,
     batched: bool,
@@ -1717,11 +1740,11 @@ fn serve(
     inputs: Vec<(u32, Bytes)>,
     hold_emitted: bool,
     ledger: &mut Ledger,
-) -> Vec<softswitch::DpResult> {
+) -> Vec<BatchResult> {
     if handover == Handover::Retained {
         inputs.iter().for_each(|(_, f)| ledger.hold(f));
     }
-    let keep = |r: softswitch::DpResult, ledger: &mut Ledger| {
+    let mut keep = |r: BatchResult| {
         if hold_emitted {
             ledger.hold_emitted(&r);
         }
@@ -1729,12 +1752,11 @@ fn serve(
     };
     if batched {
         let mut batch: FrameBatch = inputs.into_iter().collect();
-        let results = run_batch(dp, &mut batch, 0).per_frame();
-        results.into_iter().map(|r| keep(r, ledger)).collect()
+        vec![keep(run_batch(dp, &mut batch, 0))]
     } else {
         inputs
             .into_iter()
-            .map(|(port, f)| keep(dp.process(port, f, 0), ledger))
+            .map(|(port, f)| keep(run_one(dp, port, f, 0)))
             .collect()
     }
 }
@@ -1745,8 +1767,8 @@ proptest! {
     /// The ownership rule behind in-place rewrites: whoever else holds a
     /// frame — the sender's clone, a flood sibling, a frame emitted
     /// earlier — never sees it change, and what a datapath emits does
-    /// not depend on whether it was the frame's only holder. Scalar and
-    /// batched, cached (`full`) and uncached (`linear`), with frames
+    /// not depend on whether it was the frame's only holder. One frame
+    /// per batch and batched, cached (`full`) and uncached (`linear`), with frames
     /// handed over uniquely or with a clone retained, all emit the same
     /// bytes over three rounds: fresh frames (slow path), the same
     /// frames again (cache and memo replay), and what the first round
@@ -1812,23 +1834,26 @@ proptest! {
             let mut ledger = Ledger::default();
             let retained = handover == Handover::Retained;
             let first = serve(&mut dp, batched, handover, fresh(), retained, &mut ledger);
-            let mut seen: Vec<Seen> = first.iter().map(see).collect();
+            let mut seen: Vec<Seen> = see_all(&first).collect();
             let again = serve(&mut dp, batched, handover, fresh(), true, &mut ledger);
-            seen.extend(again.iter().map(see));
+            seen.extend(see_all(&again));
             // Frames that went out with two tags or more stay out: a
             // flow key names the outer tag only, so a cache (rightly)
             // cannot tell ingress tag depths apart that the parser can.
             let fed_back: Vec<(u32, Bytes)> = first
-                .into_iter()
-                .flat_map(|r| r.outputs)
+                .iter()
+                .flat_map(|r| r.all_outputs().iter().cloned())
                 .filter(|(_, f)| netpkt::vlan::VlanView::parse(f).is_ok_and(|v| v.inner.is_none()))
                 .collect();
+            // The arenas let go: under `Unique` each fed-back frame is
+            // down to one holder again.
+            drop(first);
             let back = serve(&mut dp, batched, handover, fed_back, true, &mut ledger);
-            seen.extend(back.iter().map(see));
+            seen.extend(see_all(&back));
             (seen, ledger.first_changed())
         };
         let (reference, changed) = run(PipelineMode::linear(), false, Handover::Retained);
-        prop_assert_eq!(changed, None, "linear, scalar, retained: a held frame changed");
+        prop_assert_eq!(changed, None, "linear, single, retained: a held frame changed");
         for batched in [false, true] {
             for handover in [Handover::Unique, Handover::Retained] {
                 let (seen, changed) = run(PipelineMode::full(), batched, handover);
@@ -1838,15 +1863,15 @@ proptest! {
             }
         }
         let (seen, changed) = run(PipelineMode::linear(), false, Handover::Unique);
-        prop_assert_eq!(changed, None, "linear, scalar, unique: a held frame changed");
-        prop_assert_eq!(&seen, &reference, "linear, scalar, unique");
+        prop_assert_eq!(changed, None, "linear, single, unique: a held frame changed");
+        prop_assert_eq!(&seen, &reference, "linear, single, unique");
     }
 }
 
 /// A frame too short for the rewrite its rule carries leaves as it came
 /// (the dataplane is total: `FlowKey::extract_lossy` gives a runt a
 /// zero key with the real `in_port`, so a port-only match is enough to
-/// reach the action). Slow path and cached replay, scalar and batched.
+/// reach the action). Slow path and cached replay, alone and batched.
 #[test]
 fn runt_frames_pass_tag_actions_untouched() {
     const VID: u16 = 101;
@@ -1911,20 +1936,21 @@ fn runt_frames_pass_tag_actions_untouched() {
                 let what = format!("{program:?} on {len} bytes");
 
                 let mut dp = build();
-                let slow = see(&dp.process(1, frame(), 0));
+                let slow = see(&run_one(&mut dp, 1, frame(), 0), 0);
                 assert_eq!(slow.0, vec![(2, expected.clone())], "{what}");
                 assert!(!slow.2, "{what}");
-                assert_eq!(see(&dp.process(1, frame(), 1)), slow, "cached, {what}");
+                assert_eq!(
+                    see(&run_one(&mut dp, 1, frame(), 1), 0),
+                    slow,
+                    "cached, {what}"
+                );
 
                 let mut dp = build();
                 for round in 0..2 {
                     let mut batch: FrameBatch = (0..3).map(|_| (1, frame())).collect();
-                    for (i, r) in run_batch(&mut dp, &mut batch, round)
-                        .per_frame()
-                        .iter()
-                        .enumerate()
-                    {
-                        assert_eq!(see(r), slow, "batch {round} frame {i}, {what}");
+                    let r = run_batch(&mut dp, &mut batch, round);
+                    for i in 0..r.len() {
+                        assert_eq!(see(&r, i), slow, "batch {round} frame {i}, {what}");
                     }
                 }
             }
