@@ -1,15 +1,13 @@
 //! Flow-hash microbenchmarks: the OVS-style custom mix of
-//! `netpkt::flowhash` against the standard library's SipHash-1-3, both
-//! as raw hashes over a [`FlowKey`] and as end-to-end `HashMap` probes —
-//! the operation ROADMAP.md flagged at ~120 ns as the microflow
-//! bottleneck.
+//! `netpkt::flowhash` against the standard library's SipHash-1-3, as raw
+//! hashes over a [`FlowKey`] — the operation ROADMAP.md flagged at
+//! ~120 ns as the microflow bottleneck. (What a probe built on that hash
+//! costs is `benches/tables.rs`, `caches/*`.)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::time::Duration;
 
-use netpkt::flowhash::FlowHashBuilder;
 use netpkt::{builder, FlowKey, MacAddr};
 
 fn key(src: u32, dst_port: u16) -> FlowKey {
@@ -33,38 +31,8 @@ fn bench_raw_hash(c: &mut Criterion) {
     g.bench_function("siphash", |b| {
         b.iter(|| std::hint::black_box(sip.hash_one(std::hint::black_box(&k))))
     });
-    let ovs = FlowHashBuilder::default();
-    g.bench_function("ovs_mix_hasher", |b| {
-        b.iter(|| std::hint::black_box(ovs.hash_one(std::hint::black_box(&k))))
-    });
     g.bench_function("ovs_mix_direct", |b| {
         b.iter(|| std::hint::black_box(std::hint::black_box(&k).flow_hash(0)))
-    });
-    g.finish();
-}
-
-fn bench_map_probe(c: &mut Criterion) {
-    let mut g = c.benchmark_group("flowhash_map_probe_1k");
-    g.throughput(Throughput::Elements(1));
-    let mut sip: HashMap<FlowKey, u32> = HashMap::new();
-    let mut ovs: HashMap<FlowKey, u32, FlowHashBuilder> = HashMap::default();
-    for s in 0..1000u32 {
-        sip.insert(key(s, 53), s);
-        ovs.insert(key(s, 53), s);
-    }
-    let k = key(500, 53);
-    g.bench_function("siphash_hit", |b| {
-        b.iter(|| std::hint::black_box(sip.contains_key(std::hint::black_box(&k))))
-    });
-    g.bench_function("ovs_mix_hit", |b| {
-        b.iter(|| std::hint::black_box(ovs.contains_key(std::hint::black_box(&k))))
-    });
-    let miss = key(5000, 54);
-    g.bench_function("siphash_miss", |b| {
-        b.iter(|| std::hint::black_box(sip.contains_key(std::hint::black_box(&miss))))
-    });
-    g.bench_function("ovs_mix_miss", |b| {
-        b.iter(|| std::hint::black_box(ovs.contains_key(std::hint::black_box(&miss))))
     });
     g.finish();
 }
@@ -79,6 +47,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_raw_hash, bench_map_probe
+    targets = bench_raw_hash
 }
 criterion_main!(benches);

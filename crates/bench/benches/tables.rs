@@ -196,23 +196,34 @@ fn bench_caches(rep: &mut Report) {
         vec![(0, 0)],
         1,
     ));
-    let mut micro = MicroflowCache::new(65536);
-    for s in 0..1000u32 {
-        micro.insert(key(s, 53), path.clone());
-    }
-    let k = key(500, 53);
-    steady(rep, "caches/microflow_hit", || {
-        black_box(micro.lookup(&k, 1).is_some());
-    });
+    // A datapath's microflow layer with `keys` admitted, under 64
+    // megaflows of four fields — about what a leaf's routes come to.
+    let mut route_mask = FlowKey::empty_mask();
+    route_mask.in_port = u32::MAX;
+    route_mask.eth_type = u16::MAX;
+    route_mask.ipv4_dst = u32::MAX;
+    route_mask.ipv4_src = 0x3f;
+    let warm = |keys: &[FlowKey]| {
+        let (mut micro, mut mega) = (MicroflowCache::new(65536), MegaflowCache::new(8192));
+        for k in keys {
+            let id = mega.insert(k, route_mask, path.clone());
+            micro.insert_hashed(k.flow_hash(0), id, &mega);
+        }
+        (micro, mega)
+    };
+    let hit = |(micro, mega): &mut (MicroflowCache, MegaflowCache), k: &FlowKey| {
+        black_box(micro.lookup_hashed(k.flow_hash(0), k, 1, mega).is_some());
+    };
+
+    let keys: Vec<FlowKey> = (0..1000).map(|s| key(s, 53)).collect();
+    let mut caches = warm(&keys);
+    steady(rep, "caches/microflow_hit", || hit(&mut caches, &keys[500]));
 
     // The churn working set (2048 resident flows + the never-seen
     // tuples of one epoch), visited in random order: what a microflow
     // probe costs when neither the key nor its slot is the hot one.
     let resident: Vec<FlowKey> = (0..2304).map(|s| key(s, 53)).collect();
-    let mut micro = MicroflowCache::new(65536);
-    for k in &resident {
-        micro.insert(*k, path.clone());
-    }
+    let mut caches = warm(&resident);
     let mut lcg = 0x2545_f491_4f6c_dd1du64;
     let mut order = move |n: usize| -> Vec<usize> {
         (0..4096)
@@ -225,7 +236,18 @@ fn bench_caches(rep: &mut Report) {
     let (visits, mut i) = (order(resident.len()), 0);
     steady(rep, "caches/microflow_hit_2k", || {
         i = (i + 1) % visits.len();
-        black_box(micro.lookup(&resident[visits[i]], 1).is_some());
+        hit(&mut caches, &resident[visits[i]]);
+    });
+
+    // The fabric's regime: 33 datapaths of 1024 flows each, one probe
+    // per datapath per turn, so no table is warm when its turn comes.
+    let keys: Vec<FlowKey> = (0..33 * 1024).map(|s| key(s, 53)).collect();
+    let mut fabric: Vec<_> = keys.chunks(1024).map(warm).collect();
+    let (visits, mut turn) = (order(1024), 0);
+    steady(rep, "caches/microflow_hit_33x1k", || {
+        turn += 1;
+        let (dp, flow) = (turn % 33, visits[turn / 33 % visits.len()]);
+        hit(&mut fabric[dp], &keys[dp * 1024 + flow]);
     });
 
     // The batch memo, full: a resident key and an absent one. Both are

@@ -10,19 +10,12 @@
 //! attacker-controlled bytes by a parser that canonicalises them, and the
 //! caches they index flush wholesale under churn, so OVS uses a short
 //! multiply–rotate mix instead. This module reproduces that trade:
-//!
-//! * [`FlowKey::flow_hash`] — direct 32-bit hash of a key, for callers
-//!   that want a bucket index or an RSS-style hash without the `Hasher`
-//!   plumbing;
-//! * [`FlowHasher`] / [`FlowHashBuilder`] — a [`core::hash::Hasher`]
-//!   implementation of the same mix, so any `HashMap` keyed by `FlowKey`
-//!   (the microflow and megaflow caches in `softswitch`) can swap SipHash
-//!   out with one type parameter.
+//! [`FlowKey::flow_hash`] is a direct 32-bit hash of a key — the
+//! fingerprint every flow-cache probe in `softswitch::cache` runs on, a
+//! bucket index, an RSS-style hash.
 //!
 //! The `flowhash` criterion group in `crates/bench/benches/flowhash.rs`
-//! compares both against SipHash on real extracted keys.
-
-use core::hash::{BuildHasherDefault, Hasher};
+//! compares it against SipHash on real extracted keys.
 
 use crate::FlowKey;
 
@@ -201,89 +194,11 @@ pub fn rss_hash(frame: &[u8]) -> u32 {
     })
 }
 
-/// A [`Hasher`] running the OVS mix over whatever the key's `Hash` impl
-/// writes. Drop-in replacement for SipHash in flow-keyed maps:
-///
-/// ```
-/// use std::collections::HashMap;
-/// use netpkt::flowhash::FlowHashBuilder;
-/// use netpkt::FlowKey;
-///
-/// let mut cache: HashMap<FlowKey, u64, FlowHashBuilder> = HashMap::default();
-/// cache.insert(FlowKey::default(), 7);
-/// assert_eq!(cache[&FlowKey::default()], 7);
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct FlowHasher {
-    state: u32,
-}
-
-impl Hasher for FlowHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Spread the 32-bit hash over both halves so HashMap's
-        // high-bit control bytes and low-bit bucket index both see
-        // mixed entropy.
-        let h = finish(self.state);
-        u64::from(h) << 32 | u64::from(h)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(4);
-        for c in &mut chunks {
-            self.state = mix(self.state, u32::from_ne_bytes([c[0], c[1], c[2], c[3]]));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 4];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.state = mix(self.state, u32::from_ne_bytes(tail));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.state = mix(self.state, u32::from(i));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.state = mix(self.state, u32::from(i));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.state = mix(self.state, i);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.state = mix(self.state, i as u32);
-        self.state = mix(self.state, (i >> 32) as u32);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.write_u64(i as u64);
-        self.write_u64((i >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        // Length prefixes from slice hashing; one round suffices.
-        self.state = mix(self.state, i as u32);
-    }
-}
-
-/// `BuildHasher` plugging [`FlowHasher`] into `HashMap`.
-pub type FlowHashBuilder = BuildHasherDefault<FlowHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{builder, MacAddr};
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashSet;
     use std::net::Ipv4Addr;
 
     fn key(src: u32, dport: u16) -> FlowKey {
@@ -430,17 +345,5 @@ mod tests {
         // Runts don't panic.
         assert_eq!(rss_hash(&[]), rss_hash(&[]));
         assert_eq!(rss_hash(&[1, 2, 3]), rss_hash(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn hasher_agrees_with_map_semantics() {
-        let mut map: HashMap<FlowKey, u32, FlowHashBuilder> = HashMap::default();
-        for src in 0..100u32 {
-            map.insert(key(src, 53), src);
-        }
-        for src in 0..100u32 {
-            assert_eq!(map.get(&key(src, 53)), Some(&src));
-        }
-        assert_eq!(map.get(&key(5, 54)), None);
     }
 }

@@ -285,6 +285,120 @@ impl FlowKey {
     }
 }
 
+/// A [`FieldMask`] compiled for the one question a flow cache asks of it
+/// on every hit: does `key.masked(mask) == masked` hold? Which *lanes* of
+/// fields the mask names at all is worked out once, here; the check then
+/// folds `(key & mask) ^ masked` over those lanes only, with no branch
+/// per field and no masked key built (the HARMLESS translator's masks
+/// name two link-layer fields, an `eth_dst` route's a handful — neither
+/// need look at an address or a port).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompiledMask {
+    mask: FieldMask,
+    lanes: u8,
+}
+
+impl CompiledMask {
+    const LINK: u8 = 1;
+    const IPV4: u8 = 2;
+    const IPV6: u8 = 4;
+    const L4: u8 = 8;
+    const ARP: u8 = 16;
+
+    /// Compile `mask`.
+    pub fn new(mask: FieldMask) -> CompiledMask {
+        // Exhaustive destructure (no `..`): a new field fails to compile
+        // here until it is given a lane — and then joins
+        // [`CompiledMask::covers`] below.
+        let FlowKey {
+            in_port,
+            eth_dst,
+            eth_src,
+            eth_type,
+            vlan_vid,
+            vlan_pcp,
+            ip_proto,
+            ip_dscp,
+            ipv4_src,
+            ipv4_dst,
+            ipv6_src,
+            ipv6_dst,
+            tcp_src,
+            tcp_dst,
+            udp_src,
+            udp_dst,
+            icmp_type,
+            icmp_code,
+            arp_op,
+            arp_spa,
+            arp_tpa,
+            metadata,
+        } = mask;
+        let link = in_port != 0
+            || eth_dst != MacAddr::ZERO
+            || eth_src != MacAddr::ZERO
+            || eth_type | vlan_vid != 0
+            || vlan_pcp != 0
+            || metadata != 0;
+        let ipv4 = ip_proto | ip_dscp != 0 || ipv4_src | ipv4_dst != 0;
+        let ipv6 = ipv6_src | ipv6_dst != 0;
+        let l4 = tcp_src | tcp_dst | udp_src | udp_dst != 0 || icmp_type | icmp_code != 0;
+        let arp = arp_op != 0 || arp_spa | arp_tpa != 0;
+        let lane = |named: bool, bit: u8| if named { bit } else { 0 };
+        let lanes = lane(link, Self::LINK)
+            | lane(ipv4, Self::IPV4)
+            | lane(ipv6, Self::IPV6)
+            | lane(l4, Self::L4)
+            | lane(arp, Self::ARP);
+        CompiledMask { mask, lanes }
+    }
+
+    /// The mask itself.
+    #[inline]
+    pub fn mask(&self) -> &FieldMask {
+        &self.mask
+    }
+
+    /// `key.masked(self.mask()) == *masked`, for a `masked` that was
+    /// itself produced under this mask (so it is zero wherever the mask
+    /// is).
+    #[inline]
+    pub fn covers(&self, key: &FlowKey, masked: &FlowKey) -> bool {
+        let mask = &self.mask;
+        macro_rules! diff {
+            ($($f:ident),*) => { 0u64 $(| u64::from((key.$f & mask.$f) ^ masked.$f))* };
+        }
+        // A MAC as two native-endian words: two loads, where a 48-bit
+        // big-endian assembly is six.
+        let mac = |m: MacAddr| {
+            let [a, b, c, d, e, f] = m.0;
+            u64::from(u32::from_ne_bytes([a, b, c, d])) << 16
+                | u64::from(u16::from_ne_bytes([e, f]))
+        };
+        let mut d = 0;
+        if self.lanes & Self::LINK != 0 {
+            d |= diff!(in_port, eth_type, vlan_vid, vlan_pcp, metadata)
+                | ((mac(key.eth_dst) & mac(mask.eth_dst)) ^ mac(masked.eth_dst))
+                | ((mac(key.eth_src) & mac(mask.eth_src)) ^ mac(masked.eth_src));
+        }
+        if self.lanes & Self::IPV4 != 0 {
+            d |= diff!(ip_proto, ip_dscp, ipv4_src, ipv4_dst);
+        }
+        if self.lanes & Self::IPV6 != 0 {
+            let wide = ((key.ipv6_src & mask.ipv6_src) ^ masked.ipv6_src)
+                | ((key.ipv6_dst & mask.ipv6_dst) ^ masked.ipv6_dst);
+            d |= (wide | wide >> 64) as u64;
+        }
+        if self.lanes & Self::L4 != 0 {
+            d |= diff!(tcp_src, tcp_dst, udp_src, udp_dst, icmp_type, icmp_code);
+        }
+        if self.lanes & Self::ARP != 0 {
+            d |= diff!(arp_op, arp_spa, arp_tpa);
+        }
+        d == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +476,58 @@ mod tests {
         assert_eq!(m.udp_dst, 53);
         assert_eq!(m.in_port, 0);
         assert_eq!(m.eth_src, MacAddr::ZERO);
+    }
+
+    #[test]
+    fn compiled_mask_covers_what_masking_then_comparing_does() {
+        let key = FlowKey::extract(3, &udp_frame()).unwrap();
+        let exact = FlowKey::exact_mask();
+        assert!(CompiledMask::new(exact).covers(&key, &key));
+        assert!(CompiledMask::new(FlowKey::empty_mask()).covers(&key, &FlowKey::default()));
+        // Flip a bit of each field in turn. A mask of that one bit (its
+        // lane alone compiled in) must tell the two keys apart, as the
+        // exact mask must; the exact mask less that bit must not.
+        let flips: [fn(&mut FlowKey); 22] = [
+            |k| k.in_port ^= 1,
+            |k| k.eth_dst.0[0] ^= 1,
+            |k| k.eth_src.0[5] ^= 1,
+            |k| k.eth_type ^= 1,
+            |k| k.vlan_vid ^= 1,
+            |k| k.vlan_pcp ^= 1,
+            |k| k.ip_proto ^= 1,
+            |k| k.ip_dscp ^= 1,
+            |k| k.ipv4_src ^= 1,
+            |k| k.ipv4_dst ^= 1,
+            |k| k.ipv6_src ^= 1 << 100,
+            |k| k.ipv6_dst ^= 1,
+            |k| k.tcp_src ^= 1,
+            |k| k.tcp_dst ^= 1,
+            |k| k.udp_src ^= 1,
+            |k| k.udp_dst ^= 1,
+            |k| k.icmp_type ^= 1,
+            |k| k.icmp_code ^= 1,
+            |k| k.arp_op ^= 1,
+            |k| k.arp_spa ^= 1,
+            |k| k.arp_tpa ^= 1,
+            |k| k.metadata ^= 1 << 40,
+        ];
+        for (i, flip) in flips.iter().enumerate() {
+            let (mut other, mut bit, mut rest) = (key, FlowKey::empty_mask(), exact);
+            flip(&mut other);
+            flip(&mut bit);
+            flip(&mut rest);
+            for (mask, same) in [(exact, false), (bit, false), (rest, true)] {
+                let compiled = CompiledMask::new(mask);
+                assert_eq!(compiled.mask(), &mask);
+                assert!(compiled.covers(&key, &key.masked(&mask)), "field {i}");
+                assert_eq!(
+                    compiled.covers(&other, &key.masked(&mask)),
+                    same,
+                    "field {i}"
+                );
+                assert_eq!(other.masked(&mask) == key.masked(&mask), same, "field {i}");
+            }
+        }
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod vlan;
 
 pub use arp::{ArpOp, ArpPacket, ArpRepr};
 pub use ethertype::EtherType;
-pub use flowhash::{FlowHashBuilder, FlowHasher};
 pub use flowkey::{FieldMask, FlowKey, VlanKey};
 pub use frame::{EthernetFrame, EthernetRepr};
 pub use framebuf::FrameBuf;

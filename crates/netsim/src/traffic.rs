@@ -47,17 +47,24 @@ impl Stamp {
 
     /// Extract the stamp of a generated frame (Ethernet/[802.1Q]/IPv4/UDP).
     pub fn from_frame(frame: &[u8]) -> Option<Stamp> {
-        let view = netpkt::vlan::VlanView::parse(frame).ok()?;
-        if view.inner_ethertype != EtherType::IPV4 {
-            return None;
-        }
-        let ip = Ipv4Packet::new_checked(&frame[view.payload_offset..]).ok()?;
-        if ip.proto() != netpkt::IpProto::UDP {
-            return None;
-        }
-        let udp = UdpPacket::new_checked(ip.payload()).ok()?;
-        Stamp::read(udp.payload())
+        udp_port_and_stamp(frame)?.1
     }
+}
+
+/// The UDP destination port and the stamp (if the payload holds one) of
+/// an Ethernet/[802.1Q]/IPv4/UDP frame — one header walk for everything
+/// a [`Sink`] reads off an arrival.
+fn udp_port_and_stamp(frame: &[u8]) -> Option<(u16, Option<Stamp>)> {
+    let view = netpkt::vlan::VlanView::parse(frame).ok()?;
+    if view.inner_ethertype != EtherType::IPV4 {
+        return None;
+    }
+    let ip = Ipv4Packet::new_checked(&frame[view.payload_offset..]).ok()?;
+    if ip.proto() != netpkt::IpProto::UDP {
+        return None;
+    }
+    let udp = UdpPacket::new_checked(ip.payload()).ok()?;
+    Some((udp.dst_port(), Stamp::read(udp.payload())))
 }
 
 /// One L2/L3/L4 flow a generator can emit.
@@ -514,7 +521,8 @@ impl Sink {
         }
     }
 
-    /// Per-UDP-destination-port receive counts.
+    /// Per-UDP-destination-port receive counts (UDP over IPv4, port 0
+    /// not counted).
     pub fn by_dst_port(&self) -> &std::collections::HashMap<u16, u64> {
         &self.by_dst_port
     }
@@ -538,7 +546,8 @@ impl Node for Sink {
         if let Some(slo) = self.slo.as_mut() {
             slo.observe(now.as_nanos());
         }
-        match Stamp::from_frame(&frame) {
+        let (port, stamp) = udp_port_and_stamp(&frame).unwrap_or((0, None));
+        match stamp {
             Some(stamp) => {
                 let lat = now.as_nanos().saturating_sub(stamp.sent_ns);
                 self.latency.record(lat);
@@ -546,10 +555,8 @@ impl Node for Sink {
             }
             None => self.unstamped.inc(),
         }
-        if let Ok(key) = netpkt::FlowKey::extract(0, &frame) {
-            if key.udp_dst != 0 {
-                *self.by_dst_port.entry(key.udp_dst).or_insert(0) += 1;
-            }
+        if port != 0 {
+            *self.by_dst_port.entry(port).or_insert(0) += 1;
         }
     }
 

@@ -1,31 +1,38 @@
-//! Flow caches in front of the pipeline, OVS-style.
+//! Flow caches in front of the pipeline, OVS-style: a megaflow store,
+//! a signature index over it, and one probe loop under both.
 //!
-//! * [`ExactTable`]: exact [`FlowKey`] → recorded actions, an
-//!   open-addressed index of 32-bit fingerprints over `(key, path)`
-//!   entries. One probe, but every distinct microflow occupies an
-//!   entry. The [`MicroflowCache`] is one; the batch memo (`batch.rs`)
-//!   holds another under its own admission rule.
 //! * [`MegaflowCache`]: `(mask, masked key)` → recorded actions, where the
 //!   mask is the *unwildcarded* set of fields the slow path actually
 //!   consulted. One entry covers an entire rule region, so the cache stays
-//!   small under flow churn.
+//!   small under flow churn. The entries live in one addressable store,
+//!   append-only between flushes; each mask's wildcard subtable holds
+//!   ids into it, not keys.
+//! * [`MicroflowCache`] (a [`SignatureIndex`]): exact 5-tuple → megaflow,
+//!   as one `(full-key fingerprint, store id)` slot — eight bytes, no
+//!   key. A fingerprint match is verified against the megaflow it names
+//!   (`(key & mask) == masked`, compiled per mask: [`CompiledMask`]),
+//!   data every 5-tuple of that megaflow shares and so keeps hot; a hit
+//!   is exact, never probabilistic.
+//! * [`ExactTable`]: the batch memo's (`batch.rs`) own 128 `(key, path)`
+//!   entries — the only per-5-tuple key copies there are.
 //!
-//! Both are tagged with the datapath's mutation epoch; any
-//! table/group/meter change bumps the epoch, implicitly flushing them.
+//! All three verify fingerprint matches of one open-addressed probe
+//! loop (`Index`). Everything is tagged with the datapath's mutation
+//! epoch: any table/group/meter change bumps it, implicitly flushing
+//! the store — and the signature index empties whenever the store it
+//! points into has flushed, by epoch or by capacity.
 //!
-//! Both hash with the OVS-style mix ([`FlowKey::flow_hash`],
-//! [`FlowHashBuilder`]) instead of the standard library's SipHash: a
-//! SipHash probe over the 96-byte [`FlowKey`] (`size_of`; 91 bytes of
-//! fields) costs about as much as an entire memoised replay (see
-//! EXPERIMENTS.md's `flowhash` group). The datapath hashes a frame's
-//! key once per pass and hands that hash to every exact-match probe and
-//! insert (the `*_hashed` forms).
+//! The fingerprint is [`FlowKey::flow_hash`], the OVS-style mix, not
+//! SipHash (which over the 96-byte [`FlowKey`] costs about as much as
+//! an entire memoised replay; EXPERIMENTS.md, `flowhash`). The datapath
+//! hashes a frame's key once per pass for the memo and the signature
+//! index (the `*_hashed` forms); a wildcard subtable hashes the key as
+//! masked.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use netpkt::flowkey::FieldMask;
-use netpkt::{FlowHashBuilder, FlowKey};
+use netpkt::flowkey::{CompiledMask, FieldMask};
+use netpkt::FlowKey;
 
 use openflow::oxm::OxmField;
 
@@ -139,35 +146,93 @@ impl CachedPath {
     }
 }
 
-/// The exact-match table: `(key, path)` entries stored once, in
-/// insertion order, under an open-addressed index of 32-bit
-/// fingerprints (power-of-two slots, linear probing, at most half
-/// full, doubled on demand from 16 and never pre-sized to the cap). A
-/// probe walks 8-byte slots and reads a key only on a fingerprint
-/// match, so a miss costs what a hit does. Nothing is removed singly:
-/// the table empties wholesale (epoch move, or full), keeping its
-/// allocations.
+/// The one probe loop: open-addressed `(32-bit fingerprint, id)` slots
+/// over somebody else's storage (power-of-two slots, linear probing, at
+/// most half full, doubled on demand from 16 and never pre-sized to a
+/// cap). A probe walks 8-byte slots and asks its caller to verify an id
+/// only on a fingerprint match, so a miss costs what a hit does.
+/// Nothing is removed singly: an index empties wholesale, keeping its
+/// allocation.
 ///
 /// The fingerprint is the caller's — [`FlowKey::flow_hash`]`(0)` in the
 /// datapath, anything in tests; a key must simply arrive with the same
-/// hash every time. [`ExactTable::find`] / [`ExactTable::put`] are the
-/// bare table (the batch memo's side); `lookup` / `insert` / `contains`
-/// add the microflow cache's policy: epoch-validated on every call,
-/// flushed when full, hits and misses counted.
+/// hash every time.
+#[derive(Debug, Default)]
+struct Index {
+    /// `(fingerprint, id + 1)`; 0 = vacant.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl Index {
+    /// Walk `hash`'s probe sequence to the first slot that carries the
+    /// fingerprint and whose id passes `verify`: `Ok(id)`, or
+    /// `Err(vacant slot)` where the chain ends (`Err(0)` on an index
+    /// not allocated yet). A fingerprint match that fails verification
+    /// probes on.
+    #[inline]
+    fn probe(&self, hash: u32, mut verify: impl FnMut(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut s = hash as usize & mask;
+        while let Some(&(fp, id)) = self.slots.get(s) {
+            if id == 0 {
+                break;
+            }
+            let i = id as usize - 1;
+            if fp == hash && verify(i) {
+                return Ok(i);
+            }
+            s = (s + 1) & mask;
+        }
+        Err(s)
+    }
+
+    /// Make room for one more slot: call before the [`Index::probe`]
+    /// whose vacant slot [`Index::set`] is to fill.
+    fn reserve(&mut self) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            // Double, re-placing every slot by its fingerprint (nothing
+            // behind an id is read).
+            let n = (self.slots.len() * 2).max(16);
+            let old = std::mem::replace(&mut self.slots, vec![(0, 0); n]);
+            for slot in old.into_iter().filter(|s| s.1 != 0) {
+                let mut s = slot.0 as usize & (n - 1);
+                while self.slots[s].1 != 0 {
+                    s = (s + 1) & (n - 1);
+                }
+                self.slots[s] = slot;
+            }
+        }
+    }
+
+    /// Fill the vacant slot `s` a probe for `hash` ended at.
+    fn set(&mut self, s: usize, hash: u32, id: usize) {
+        self.len += 1;
+        let id = u32::try_from(id + 1).expect("memory bounds the ids");
+        self.slots[s] = (hash, id);
+    }
+
+    fn clear(&mut self) {
+        // An empty index is already vacant: a flow-mod burst bumps the
+        // epoch many times between frames.
+        if self.len != 0 {
+            self.slots.fill((0, 0));
+            self.len = 0;
+        }
+    }
+}
+
+/// The batch memo's exact-match table (`batch.rs`): `(key, path)`
+/// entries stored once, in insertion order, under an `Index` verified
+/// by comparing the whole key. The only place a 5-tuple's key is kept:
+/// at most 128 of them, so the table sits in the first-level cache.
 #[derive(Debug, Default)]
 pub struct ExactTable {
     entries: Vec<(FlowKey, Arc<CachedPath>)>,
-    /// `(fingerprint, entry position + 1)`; 0 = vacant.
-    slots: Vec<(u32, u32)>,
+    index: Index,
     epoch: u64,
     cap: usize,
-    hits: u64,
-    misses: u64,
 }
-
-/// Exact-match cache: an [`ExactTable`] bounded to its capacity by full
-/// flush, like the kernel datapath's emergency flush.
-pub type MicroflowCache = ExactTable;
 
 impl ExactTable {
     /// An empty table that is [`ExactTable::is_full`] at `cap` entries.
@@ -178,30 +243,11 @@ impl ExactTable {
         }
     }
 
-    /// Walk `key`'s probe sequence: `Ok(entry position)` if present,
-    /// `Err(vacant slot)` where it would go (`Err(0)` on an index not
-    /// allocated yet).
-    fn probe(&self, hash: u32, key: &FlowKey) -> Result<usize, usize> {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut s = hash as usize & mask;
-        while let Some(&(fp, entry)) = self.slots.get(s) {
-            if entry == 0 {
-                break;
-            }
-            let i = entry as usize - 1;
-            if fp == hash && self.entries[i].0 == *key {
-                return Ok(i);
-            }
-            s = (s + 1) & mask;
-        }
-        Err(s)
-    }
-
     /// Position of `key`'s entry, good for [`ExactTable::entry`] until
-    /// the next flush. No epoch check, no counter.
+    /// the next flush.
     #[inline]
     pub fn find(&self, hash: u32, key: &FlowKey) -> Option<usize> {
-        self.probe(hash, key).ok()
+        self.index.probe(hash, |i| self.entries[i].0 == *key).ok()
     }
 
     /// The entry at position `i`.
@@ -213,34 +259,17 @@ impl ExactTable {
     /// Record `path` for `key` (replacing the path of an equal key) and
     /// return the entry's position. No epoch check, no flush.
     pub fn put(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) -> usize {
-        if (self.entries.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        match self.probe(hash, &key) {
+        self.index.reserve();
+        match self.index.probe(hash, |i| self.entries[i].0 == key) {
             Ok(i) => {
                 self.entries[i].1 = path;
                 i
             }
             Err(s) => {
                 self.entries.push((key, path));
-                let n = u32::try_from(self.entries.len()).expect("memory bounds the entries");
-                self.slots[s] = (hash, n);
+                self.index.set(s, hash, self.entries.len() - 1);
                 self.entries.len() - 1
             }
-        }
-    }
-
-    /// Double the index, re-placing every slot by its fingerprint (no
-    /// key is read).
-    fn grow(&mut self) {
-        let n = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); n]);
-        for slot in old.into_iter().filter(|s| s.1 != 0) {
-            let mut s = slot.0 as usize & (n - 1);
-            while self.slots[s].1 != 0 {
-                s = (s + 1) & (n - 1);
-            }
-            self.slots[s] = slot;
         }
     }
 
@@ -250,17 +279,9 @@ impl ExactTable {
     #[inline]
     pub fn ensure_epoch(&mut self, epoch: u64) {
         if self.epoch != epoch {
-            self.clear();
-            self.epoch = epoch;
-        }
-    }
-
-    fn clear(&mut self) {
-        // An empty table's index is already vacant: a flow-mod burst
-        // bumps the epoch many times between frames.
-        if !self.entries.is_empty() {
             self.entries.clear();
-            self.slots.fill((0, 0));
+            self.index.clear();
+            self.epoch = epoch;
         }
     }
 
@@ -269,66 +290,172 @@ impl ExactTable {
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.cap
     }
+}
 
-    /// Look up an exact key at `epoch`. Cloning the returned handle is
-    /// a refcount bump.
-    pub fn lookup(&mut self, key: &FlowKey, epoch: u64) -> Option<&Arc<CachedPath>> {
-        self.lookup_hashed(key.flow_hash(0), key, epoch)
+/// One cached megaflow: a masked key and the path every key it covers
+/// takes.
+#[derive(Debug)]
+struct Megaflow {
+    /// Position of the mask's subtable in [`MegaflowCache::masks`].
+    mask: usize,
+    masked: FlowKey,
+    path: Arc<CachedPath>,
+}
+
+/// One mask's wildcard subtable: the ids of its megaflows, indexed by
+/// the hash of their masked keys.
+#[derive(Debug)]
+struct Subtable {
+    mask: CompiledMask,
+    index: Index,
+}
+
+/// Masked cache: one addressable store of megaflows, append-only
+/// between flushes, under a list of per-mask subtables. An id
+/// ([`MegaflowCache::lookup`], [`MegaflowCache::insert`]) is good for
+/// [`MegaflowCache::path`] until the next flush; the microflow layer
+/// holds nothing else.
+#[derive(Debug, Default)]
+pub struct MegaflowCache {
+    store: Vec<Megaflow>,
+    masks: Vec<Subtable>,
+    epoch: u64,
+    /// Flushes so far: what a [`SignatureIndex`] remembers to know
+    /// whether its ids still mean anything.
+    generation: u64,
+    capacity: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl MegaflowCache {
+    /// A cache bounded to `capacity` total entries.
+    pub fn new(capacity: usize) -> MegaflowCache {
+        MegaflowCache {
+            capacity,
+            ..MegaflowCache::default()
+        }
     }
 
-    /// [`ExactTable::lookup`] with the key's hash already in hand.
+    fn flush(&mut self) {
+        self.store.clear();
+        self.masks.clear();
+        self.generation += 1;
+    }
+
+    /// Validate against the datapath epoch: megaflows recorded under
+    /// another epoch are dropped wholesale.
     #[inline]
-    pub fn lookup_hashed(
-        &mut self,
-        hash: u32,
-        key: &FlowKey,
-        epoch: u64,
-    ) -> Option<&Arc<CachedPath>> {
+    fn ensure_epoch(&mut self, epoch: u64) {
+        if self.epoch != epoch {
+            self.flush();
+            self.epoch = epoch;
+        }
+    }
+
+    /// Does the megaflow `id` cover `key`? Exact: a signature match that
+    /// passes cannot be a false positive.
+    #[inline]
+    fn covers(&self, id: usize, key: &FlowKey) -> bool {
+        let flow = &self.store[id];
+        self.masks[flow.mask].mask.covers(key, &flow.masked)
+    }
+
+    /// The id of the first megaflow covering `key`, subtables in
+    /// insertion order, and the number of them probed.
+    fn find(&self, key: &FlowKey) -> (Option<usize>, u32) {
+        let mut probes = 0;
+        for table in &self.masks {
+            probes += 1;
+            let masked = key.masked(table.mask.mask());
+            let verify = |i: usize| self.store[i].masked == masked;
+            if let Ok(id) = table.index.probe(masked.flow_hash(0), verify) {
+                return (Some(id), probes);
+            }
+        }
+        (None, probes)
+    }
+
+    /// Look up `key`; returns the covering megaflow's id and the number
+    /// of masks probed.
+    pub fn lookup(&mut self, key: &FlowKey, epoch: u64) -> (Option<usize>, u32) {
         self.ensure_epoch(epoch);
-        let found = self.probe(hash, key).ok();
+        let (found, probes) = self.find(key);
         match found {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
-        found.map(|i| &self.entries[i].1)
+        (found, probes)
     }
 
-    /// Record a path for `key`, flushing first if the table is full.
-    pub fn insert(&mut self, key: FlowKey, path: Arc<CachedPath>) {
-        self.insert_hashed(key.flow_hash(0), key, path);
+    /// The path of megaflow `id`. Cloning the handle is a refcount bump.
+    #[inline]
+    pub fn path(&self, id: usize) -> &Arc<CachedPath> {
+        &self.store[id].path
     }
 
-    /// [`ExactTable::insert`] with the key's hash already in hand.
-    pub fn insert_hashed(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) {
+    /// Record a path for `key` under `mask` (the unwildcarded field
+    /// set), flushing first if the cache is full; returns the
+    /// megaflow's id. An equal masked key keeps its id and takes the
+    /// new path.
+    pub fn insert(&mut self, key: &FlowKey, mask: FieldMask, path: Arc<CachedPath>) -> usize {
         self.ensure_epoch(path.epoch);
-        if self.is_full() {
-            self.clear(); // emergency flush
+        if self.store.len() >= self.capacity {
+            self.flush();
         }
-        self.put(hash, key, path);
+        let t = match self.masks.iter().position(|t| *t.mask.mask() == mask) {
+            Some(t) => t,
+            None => {
+                self.masks.push(Subtable {
+                    mask: CompiledMask::new(mask),
+                    index: Index::default(),
+                });
+                self.masks.len() - 1
+            }
+        };
+        let table = &mut self.masks[t];
+        let masked = key.masked(&mask);
+        let hash = masked.flow_hash(0);
+        table.index.reserve();
+        match table.index.probe(hash, |i| self.store[i].masked == masked) {
+            Ok(id) => {
+                self.store[id].path = path;
+                id
+            }
+            Err(s) => {
+                self.store.push(Megaflow {
+                    mask: t,
+                    masked,
+                    path,
+                });
+                table.index.set(s, hash, self.store.len() - 1);
+                self.store.len() - 1
+            }
+        }
     }
 
     /// Non-mutating residency probe: would `key` hit at `epoch` right
-    /// now? Unlike [`ExactTable::lookup`] this neither flushes a stale
-    /// cache (a stale epoch simply answers `false`) nor moves the
+    /// now? Unlike [`MegaflowCache::lookup`] this neither flushes a
+    /// stale cache (a stale epoch simply answers `false`) nor moves the
     /// hit/miss counters — the flow-level engine polls it without
     /// disturbing the statistics the promotion decision itself reads.
     pub fn contains(&self, key: &FlowKey, epoch: u64) -> bool {
-        self.contains_hashed(key.flow_hash(0), key, epoch)
+        self.epoch == epoch && self.find(key).0.is_some()
     }
 
-    /// [`ExactTable::contains`] with the key's hash already in hand.
-    pub fn contains_hashed(&self, hash: u32, key: &FlowKey, epoch: u64) -> bool {
-        self.epoch == epoch && self.probe(hash, key).is_ok()
-    }
-
-    /// Entries currently cached.
+    /// Total cached entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.store.len()
     }
 
-    /// True if no entries are cached.
+    /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.store.is_empty()
+    }
+
+    /// Distinct masks.
+    pub fn mask_count(&self) -> usize {
+        self.masks.len()
     }
 
     /// Hit count.
@@ -342,109 +469,93 @@ impl ExactTable {
     }
 }
 
-/// One mask's exact map of masked keys to shared paths.
-type MaskGroup = (
-    FieldMask,
-    HashMap<FlowKey, Arc<CachedPath>, FlowHashBuilder>,
-);
-
-/// Masked cache: a list of masks, each with an exact map of masked keys.
+/// The microflow layer: per 5-tuple, one `(full-key fingerprint,
+/// megaflow id)` slot into a [`MegaflowCache`], verified against the
+/// megaflow it names, so a hit is exact; two 5-tuples with one
+/// fingerprint under one megaflow share a slot and both hit.
+///
+/// Every call names the store the ids live in. The index empties when
+/// it holds `cap` slots (like the kernel datapath's emergency flush)
+/// and whenever that store has flushed since, so no slot outlives the
+/// megaflow it points at.
 #[derive(Debug, Default)]
-pub struct MegaflowCache {
-    groups: Vec<MaskGroup>,
-    epoch: u64,
-    capacity: usize,
-    len: usize,
+pub struct SignatureIndex {
+    index: Index,
+    /// The store's flush count the slots were admitted under.
+    generation: u64,
+    cap: usize,
     hits: u64,
     misses: u64,
 }
 
-impl MegaflowCache {
-    /// A cache bounded to `capacity` total entries.
-    pub fn new(capacity: usize) -> MegaflowCache {
-        MegaflowCache {
-            groups: Vec::new(),
-            epoch: 0,
-            capacity,
-            len: 0,
-            hits: 0,
-            misses: 0,
+/// Exact-match cache: a [`SignatureIndex`] over the megaflow store.
+pub type MicroflowCache = SignatureIndex;
+
+impl SignatureIndex {
+    /// An empty index that flushes at `cap` slots.
+    pub fn new(cap: usize) -> SignatureIndex {
+        SignatureIndex {
+            cap,
+            ..SignatureIndex::default()
         }
     }
 
-    fn flush(&mut self) {
-        self.groups.clear();
-        self.len = 0;
+    /// Drop every slot if `store` flushed since they were admitted.
+    #[inline]
+    fn sync(&mut self, store: &MegaflowCache) {
+        if self.generation != store.generation {
+            self.index.clear();
+            self.generation = store.generation;
+        }
     }
 
-    /// Look up `key`; returns the path and the number of masks probed.
-    pub fn lookup(&mut self, key: &FlowKey, epoch: u64) -> (Option<&Arc<CachedPath>>, u32) {
-        if self.epoch != epoch {
-            self.flush();
-            self.epoch = epoch;
-        }
-        let mut probes = 0u32;
-        let mut found = None;
-        for (mask, map) in &self.groups {
-            probes += 1;
-            found = map.get(&key.masked(mask));
-            if found.is_some() {
-                break;
-            }
-        }
+    /// Look up an exact key at `epoch` (moving `store` to that epoch
+    /// first): the id of a megaflow in `store` that covers it, if this
+    /// 5-tuple — or one sharing its fingerprint and megaflow — was
+    /// admitted. `hash` is the key's fingerprint.
+    #[inline]
+    pub fn lookup_hashed(
+        &mut self,
+        hash: u32,
+        key: &FlowKey,
+        epoch: u64,
+        store: &mut MegaflowCache,
+    ) -> Option<usize> {
+        store.ensure_epoch(epoch);
+        self.sync(store);
+        let found = self.index.probe(hash, |id| store.covers(id, key)).ok();
         match found {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
-        (found, probes)
+        found
     }
 
-    /// Record a path for `key` under `mask` (the unwildcarded field set).
-    pub fn insert(&mut self, key: &FlowKey, mask: FieldMask, path: Arc<CachedPath>) {
-        if self.epoch != path.epoch {
-            self.flush();
-            self.epoch = path.epoch;
+    /// Admit the 5-tuple with fingerprint `hash` as served by megaflow
+    /// `id` of `store` (an id `store` just handed out for it), flushing
+    /// first if the index is full. Call after a miss: a 5-tuple admitted
+    /// twice holds two slots.
+    pub fn insert_hashed(&mut self, hash: u32, id: usize, store: &MegaflowCache) {
+        self.sync(store);
+        if self.index.len >= self.cap {
+            self.index.clear(); // emergency flush
         }
-        if self.len >= self.capacity {
-            self.flush();
-        }
-        let masked = key.masked(&mask);
-        let group = match self.groups.iter_mut().position(|(m, _)| *m == mask) {
-            Some(i) => &mut self.groups[i].1,
-            None => {
-                self.groups.push((mask, HashMap::default()));
-                &mut self.groups.last_mut().unwrap().1
-            }
-        };
-        if group.insert(masked, path).is_none() {
-            self.len += 1;
-        }
+        self.index.reserve();
+        let s = self
+            .index
+            .probe(hash, |_| false)
+            .expect_err("nothing verifies: the walk ends at the vacant slot");
+        self.index.set(s, hash, id);
     }
 
-    /// Non-mutating residency probe: would `key` hit at `epoch` right
-    /// now? Stale epochs answer `false` without flushing; no counters
-    /// move (see [`ExactTable::contains`]).
-    pub fn contains(&self, key: &FlowKey, epoch: u64) -> bool {
-        self.epoch == epoch
-            && self
-                .groups
-                .iter()
-                .any(|(mask, map)| map.contains_key(&key.masked(mask)))
-    }
-
-    /// Total cached entries.
+    /// Slots currently admitted.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len
     }
 
-    /// True if nothing is cached.
+    /// True if no slot is admitted.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Distinct masks.
-    pub fn mask_count(&self) -> usize {
-        self.groups.len()
+        self.index.len == 0
     }
 
     /// Hit count.
@@ -485,30 +596,74 @@ mod tests {
         ))
     }
 
+    /// Admit `key` into `store` under `mask`, then into `c`.
+    fn admit(c: &mut MicroflowCache, store: &mut MegaflowCache, key: FlowKey, mask: FieldMask) {
+        let id = store.insert(&key, mask, path(1));
+        c.insert_hashed(key.flow_hash(0), id, store);
+    }
+
+    fn hit(c: &mut MicroflowCache, store: &mut MegaflowCache, key: FlowKey, epoch: u64) -> bool {
+        c.lookup_hashed(key.flow_hash(0), &key, epoch, store)
+            .is_some()
+    }
+
     #[test]
     fn microflow_hit_and_epoch_flush() {
-        let mut c = MicroflowCache::new(100);
-        c.insert(key(1, 53), path(1));
-        assert!(c.lookup(&key(1, 53), 1).is_some());
+        let (mut c, mut store) = (MicroflowCache::new(100), MegaflowCache::new(100));
+        admit(&mut c, &mut store, key(1, 53), FlowKey::exact_mask());
+        assert!(hit(&mut c, &mut store, key(1, 53), 1));
         assert!(
-            c.lookup(&key(2, 53), 1).is_none(),
+            !hit(&mut c, &mut store, key(2, 53), 1),
             "different src = different microflow"
         );
-        // Epoch bump flushes.
-        assert!(c.lookup(&key(1, 53), 2).is_none());
-        assert_eq!(c.len(), 0);
+        // Epoch bump flushes the store, and the index with it.
+        assert!(!hit(&mut c, &mut store, key(1, 53), 2));
+        assert_eq!((c.len(), store.len()), (0, 0));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 2);
     }
 
     #[test]
     fn microflow_capacity_flush() {
-        let mut c = MicroflowCache::new(2);
-        c.insert(key(1, 1), path(1));
-        c.insert(key(2, 1), path(1));
-        c.insert(key(3, 1), path(1)); // triggers flush then insert
-        assert_eq!(c.len(), 1);
-        assert!(c.lookup(&key(3, 1), 1).is_some());
+        let (mut c, mut store) = (MicroflowCache::new(2), MegaflowCache::new(100));
+        for src in 1..=3 {
+            admit(&mut c, &mut store, key(src, 1), FlowKey::exact_mask()); // third flushes first
+        }
+        assert_eq!((c.len(), store.len()), (1, 3));
+        assert!(hit(&mut c, &mut store, key(3, 1), 1));
+        assert!(!hit(&mut c, &mut store, key(1, 1), 1), "its megaflow stays");
+        assert!(store.contains(&key(1, 1), 1));
+    }
+
+    #[test]
+    fn store_flush_empties_the_index_that_points_into_it() {
+        let (mut c, mut store) = (MicroflowCache::new(100), MegaflowCache::new(2));
+        for src in 1..=3 {
+            admit(&mut c, &mut store, key(src, 1), FlowKey::exact_mask()); // third flushes the store
+        }
+        assert_eq!((c.len(), store.len()), (1, 1));
+        assert!(hit(&mut c, &mut store, key(3, 1), 1));
+        assert!(!hit(&mut c, &mut store, key(1, 1), 1));
+    }
+
+    #[test]
+    fn microflow_hit_is_verified_against_the_megaflow() {
+        let (mut c, mut store) = (MicroflowCache::new(100), MegaflowCache::new(100));
+        let mut mask = FlowKey::empty_mask();
+        mask.udp_dst = u16::MAX;
+        admit(&mut c, &mut store, key(1, 53), mask);
+        // Only an admitted 5-tuple hits, whatever its megaflow covers …
+        assert!(!hit(&mut c, &mut store, key(2, 53), 1));
+        // … and one fingerprint over two megaflows serves each its own.
+        let (a, b) = (key(1, 53), key(1, 80));
+        let ib = store.insert(&b, mask, path(1));
+        let ia = store.lookup(&a, 1).0.unwrap();
+        assert_ne!(ia, ib);
+        c.insert_hashed(7, ia, &store);
+        c.insert_hashed(7, ib, &store);
+        assert_eq!(c.lookup_hashed(7, &a, 1, &mut store), Some(ia));
+        assert_eq!(c.lookup_hashed(7, &b, 1, &mut store), Some(ib));
+        assert_eq!(c.lookup_hashed(7, &key(1, 81), 1, &mut store), None);
     }
 
     #[test]
@@ -521,7 +676,7 @@ mod tests {
         // Every src hits the same megaflow.
         for src in 1..50 {
             let (hit, probes) = c.lookup(&key(src, 53), 1);
-            assert!(hit.is_some(), "src {src} must hit");
+            assert_eq!(hit, Some(0), "src {src} must hit");
             assert_eq!(probes, 1);
         }
         let (miss, _) = c.lookup(&key(1, 80), 1);

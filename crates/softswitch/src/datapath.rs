@@ -156,7 +156,8 @@ pub struct DpConfig {
     pub n_tables: u8,
     /// Lookup machinery.
     pub mode: PipelineMode,
-    /// Microflow cache capacity.
+    /// Microflow cache capacity (8-byte slots; also bounds the path
+    /// store of a mode without the megaflow layer).
     pub micro_capacity: usize,
     /// Megaflow cache capacity.
     pub mega_capacity: usize,
@@ -241,6 +242,24 @@ struct Caches {
     mega: MegaflowCache,
 }
 
+impl Caches {
+    fn new(config: &DpConfig) -> Caches {
+        // Without the wildcard layer every stored path is one microflow
+        // (all-ones mask), so the store is bounded like the layer it
+        // stands in for.
+        let store_capacity = if config.mode.megaflow {
+            config.mega_capacity
+        } else {
+            config.micro_capacity
+        };
+        Caches {
+            memo: BatchMemo::default(),
+            micro: MicroflowCache::new(config.micro_capacity),
+            mega: MegaflowCache::new(store_capacity),
+        }
+    }
+}
+
 /// Slow-path state of one frame: the stepper executing it, plus what
 /// only the lowering knows.
 struct Lowering<'a> {
@@ -317,11 +336,7 @@ impl Datapath {
             .map(|i| FlowTable::with_capacity(TableId(i as u8), config.table_capacity))
             .collect();
         Datapath {
-            caches: Caches {
-                memo: BatchMemo::default(),
-                micro: MicroflowCache::new(config.micro_capacity),
-                mega: MegaflowCache::new(config.mega_capacity),
-            },
+            caches: Caches::new(&config),
             config,
             ports: BTreeMap::new(),
             tables,
@@ -365,8 +380,7 @@ impl Datapath {
             .collect();
         self.groups = GroupTable::new();
         self.meters = MeterTable::new();
-        self.caches.micro = MicroflowCache::new(self.config.micro_capacity);
-        self.caches.mega = MegaflowCache::new(self.config.mega_capacity);
+        self.caches = Caches::new(&self.config);
         self.epoch += 1;
     }
 
@@ -537,10 +551,9 @@ impl Datapath {
         let Ok(key) = FlowKey::extract(in_port, frame) else {
             return Some(false);
         };
-        let Caches { micro, mega, .. } = &self.caches;
-        let in_micro = self.config.mode.microflow && micro.contains(&key, self.epoch);
-        let in_mega = self.config.mode.megaflow && mega.contains(&key, self.epoch);
-        Some(in_micro || in_mega)
+        // One probe: every microflow slot is covered by a megaflow of
+        // the same epoch.
+        Some(self.caches.mega.contains(&key, self.epoch))
     }
 
     /// Monotonic disturbance counter for the hybrid flow-level engine:
@@ -827,24 +840,24 @@ impl Datapath {
         // Whoever resolves the key below admits it here, room permitting.
         let memo = Some(memo).filter(|m| use_memo && m.has_room());
 
-        // 1. Microflow cache, then 2. megaflow cache (promoting its hits
-        //    into the microflow cache). Every layer shares one
+        // 1. Microflow layer (a signature into the megaflow store), then
+        //    2. the store's own wildcard lookup (admitting its hits into
+        //    the microflow layer). Every layer shares one
         //    `Arc<CachedPath>` per resolved path; a hit is borrowed.
         let mut cached = None;
         if mode.microflow {
-            if let Some(path) = micro.lookup_hashed(hash, key, self.epoch) {
+            cached = micro.lookup_hashed(hash, key, self.epoch, mega);
+            if cached.is_some() {
                 trace.path = LookupPath::MicroHit;
-                cached = Some(path);
             }
         }
         if cached.is_none() && mode.megaflow {
             let (hit, probes) = mega.lookup(key, self.epoch);
-            if let Some(path) = hit {
+            if let Some(id) = hit {
                 trace.path = LookupPath::MegaHit { probes };
                 if mode.microflow {
-                    micro.insert_hashed(hash, *key, path.clone());
+                    micro.insert_hashed(hash, id, mega);
                 }
-                cached = Some(path);
             } else {
                 // carry the wasted probes into the slow-path accounting
                 trace.path = LookupPath::SlowPath {
@@ -853,8 +866,10 @@ impl Datapath {
                     tss_probes: probes,
                 };
             }
+            cached = hit;
         }
-        if let Some(path) = cached {
+        if let Some(id) = cached {
+            let path = mega.path(id);
             if let Some(m) = memo {
                 m.insert_hashed(hash, *key, path.clone());
             }
@@ -862,18 +877,25 @@ impl Datapath {
         }
 
         // 3. Slow path; what it recorded goes into every layer (one
-        //    `Arc` per resolved path: insertion is a refcount bump).
+        //    `Arc` per resolved path: insertion is a refcount bump). An
+        //    exact layer without the wildcard one keeps its paths in the
+        //    same store, under the all-ones mask.
         let Some((path, unwild)) = self.slow_path(frame, *key, now_ns, trace, out) else {
             return;
         };
         if let Some(m) = memo {
             m.insert_hashed(hash, *key, path.clone());
         }
-        if mode.megaflow {
-            mega.insert(key, unwild, path.clone());
-        }
-        if mode.microflow {
-            micro.insert_hashed(hash, *key, path);
+        if mode.microflow || mode.megaflow {
+            let mask = if mode.megaflow {
+                unwild
+            } else {
+                FlowKey::exact_mask()
+            };
+            let id = mega.insert(key, mask, path);
+            if mode.microflow {
+                micro.insert_hashed(hash, id, mega);
+            }
         }
     }
 
