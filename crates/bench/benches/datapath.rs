@@ -191,9 +191,9 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     // Cached-flow workload: every flow is warm in the full cache
     // hierarchy. One iteration = 32 frames, so the per-element numbers
     // of `scalar` (32 batches of one frame) and `batch32` are directly
-    // comparable; the burst wins by replaying the memo (no per-frame
-    // hash probe, epoch check or path clone) and amortizing per-call
-    // setup.
+    // comparable; every frame pays its own microflow probe either way,
+    // so what the burst wins is the per-call setup (and, for a packet
+    // train, the parse and the hash).
     let mut g = c.benchmark_group("batched_vs_scalar_cached");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();
@@ -236,8 +236,7 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     g.finish();
 
     // Cache-less (TSS) workload: without micro/megaflow caches every
-    // frame that arrives alone pays a full pipeline walk; the batch
-    // memo pays it once per flow per burst.
+    // frame pays a full pipeline walk, in a batch or alone.
     let mut g = c.benchmark_group("batched_vs_scalar_tss");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();

@@ -148,9 +148,8 @@ fn bench_cached_stage(c: &mut Criterion) {
 }
 
 /// The uncached tail: a full TSS pipeline walk per frame (no micro or
-/// megaflow caches), the cost every first-of-flow frame pays. Frames
-/// go in one per batch — a larger batch consults the persistent memo,
-/// which would absorb the walk after the first iteration.
+/// megaflow caches), the cost every first-of-flow frame pays, one frame
+/// per batch.
 fn bench_slow_stage(c: &mut Criterion) {
     let mut one = OneFrame::default();
     let mut g = c.benchmark_group("pipeline");

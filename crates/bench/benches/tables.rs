@@ -18,7 +18,6 @@ use mgmt::{mibs, MibStore};
 use netpkt::{builder, FlowKey, MacAddr};
 use openflow::table::{FlowEntry, FlowTable, TableId};
 use openflow::{group_no, port_no, Action, Instruction, Match};
-use softswitch::batch::BatchMemo;
 use softswitch::cache::{CachedPath, MegaflowCache, MicroflowCache};
 
 /// Run `round` — which returns the time it measured and the operations
@@ -250,26 +249,15 @@ fn bench_caches(rep: &mut Report) {
         hit(&mut fabric[dp], &keys[dp * 1024 + flow]);
     });
 
-    // The batch memo, full: a resident key and an absent one. Both are
-    // one fingerprint probe; neither repeats the previous key, so the
-    // last-key fast path stays out of it.
-    let mut memo = BatchMemo::default();
-    let mut held = 0;
-    while memo.has_room() {
-        let key = resident[held];
-        memo.insert_hashed(key.flow_hash(0), key, path.clone());
-        held += 1;
-    }
-    let visits = order(held);
-    steady(rep, &format!("caches/memo_hit_{held}"), || {
+    // A working set the size of `pod_warm`'s (128 keys), in random
+    // order: the probe a warm pod's frames pay, slot and megaflow both
+    // in the first-level cache but never the previous frame's.
+    let pod = &resident[..128];
+    let mut caches = warm(pod);
+    let visits = order(pod.len());
+    steady(rep, "caches/microflow_hit_128", || {
         i = (i + 1) % visits.len();
-        black_box(memo.lookup(&resident[visits[i]]).is_ok());
-    });
-    let absent = &resident[held..];
-    let visits = order(absent.len());
-    steady(rep, &format!("caches/memo_miss_{held}"), || {
-        i = (i + 1) % visits.len();
-        black_box(memo.lookup(&absent[visits[i]]).is_ok());
+        hit(&mut caches, &pod[visits[i]]);
     });
 
     let mut mega = MegaflowCache::new(8192);

@@ -3,7 +3,7 @@
 //!
 //! Packet-level fidelity is wasted on converged traffic: once every hop
 //! serves a flow from its micro/megaflow cache, each frame replays a
-//! memoised recipe and the event count is pure overhead. The hybrid
+//! cached recipe and the event count is pure overhead. The hybrid
 //! engine ([`netsim::flowsim`]) promotes station bundles out of the
 //! packet engine once their whole path is cache-resident and quiet,
 //! advances them as conservative-window rate/volume credits, and

@@ -88,23 +88,6 @@ fn main() {
             )
         );
     }
-    // Batch ablation: the batched datapath fast path only engages once
-    // the RX queue backs up, which is exactly the regime the lossless
-    // search probes — bigger bursts mean more per-batch memo hits and a
-    // higher CPU ceiling.
-    let mut rows = Vec::new();
-    for n in [1usize, 8, 32] {
-        let pps = max_lossless_pps(System::SoftwareBatched(n), 60, LinkSpec::ten_gigabit());
-        rows.push(vec![format!("{n}"), fmt_mpps(pps)]);
-    }
-    println!(
-        "{}",
-        render_table(
-            "software datapath service-batch ablation (64B frames, 10G access)",
-            &["batch", "max lossless Mpps"],
-            &rows,
-        )
-    );
     // Steering ablation: RSS flow-hash partitioning of RX across N
     // datapath instances. On this single-CPU simulator extra cores model
     // parallel service capacity; the interesting checks are N=1 parity
@@ -128,12 +111,9 @@ fn main() {
          paper's no-performance-penalty claim. At 10G the hardware planes\n\
          (legacy, cots) stay at line rate while the software planes hit\n\
          the single-core CPU ceiling; HARMLESS pays the translator's\n\
-         second pass on SS_1. The batch ablation shows the batched\n\
-         datapath raising that software ceiling: repeated flows in a\n\
-         drained burst replay the per-batch memo instead of re-probing\n\
-         the caches. The steering ablation shows N-core RSS steering\n\
-         costs nothing on one CPU (N=1 parity holds exactly); the\n\
-         per-core rings are where Mpps scales once the service model\n\
-         grants real parallel capacity."
+         second pass on SS_1. The steering ablation shows N-core RSS\n\
+         steering costs nothing on one CPU (N=1 parity holds exactly);\n\
+         the per-core rings are where Mpps scales once the service\n\
+         model grants real parallel capacity."
     );
 }

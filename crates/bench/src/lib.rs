@@ -41,8 +41,8 @@ pub enum System {
     Software,
     /// Software switch with an explicit pipeline mode.
     SoftwareWith(PipelineMode),
-    /// Software switch with an explicit service batch size (the batched
-    /// datapath ablation; `Software` uses the node's default burst).
+    /// Software switch with an explicit service batch size (`Software`
+    /// uses the node's default burst; 1 shows the queueing of E2).
     SoftwareBatched(usize),
     /// Software switch with RSS flow steering across N datapath cores
     /// (`SoftSwitchNode::with_datapath_cores`); N=1 is bit-identical to

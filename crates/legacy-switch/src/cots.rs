@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use netsim::{Node, NodeCtx, NodeId, PortId, SimTime};
 use openflow::message::Message;
 use openflow::oxm::OxmField;
-use softswitch::agent::OfAgent;
+use softswitch::agent::{AgentOutput, OfAgent};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use softswitch::{BatchResult, FrameBatch};
 
@@ -221,8 +221,9 @@ impl Node for CotsSwitchNode {
                     if matches!(msg, Message::FlowMod(_)) {
                         self.flow_mods_applied += 1;
                     }
-                    let wire = msg.encode(xid);
-                    let out = self.agent.handle(&mut self.dp, &wire, ctx.now().as_nanos());
+                    let mut out = AgentOutput::default();
+                    let now_ns = ctx.now().as_nanos();
+                    self.agent.apply(&mut self.dp, xid, msg, now_ns, &mut out);
                     for reply in out.replies {
                         ctx.ctrl_send(from, reply);
                     }
@@ -243,9 +244,9 @@ impl Node for CotsSwitchNode {
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
         // Decode eagerly; unsupported features bounce immediately, the
         // rest crawls through the management CPU's queue.
-        let mut buf = bytes::BytesMut::from(&data[..]);
-        let Ok(msgs) = openflow::message::decode_stream(&mut buf) else {
-            return;
+        let msgs = match self.agent.decode(&data) {
+            Ok(msgs) => msgs,
+            Err(error) => return ctx.ctrl_send(from, error),
         };
         for (xid, msg) in msgs {
             if !Self::hardware_supports(&msg) {
@@ -474,6 +475,45 @@ mod tests {
             })
             .collect();
         assert_eq!(removed, [0xa]);
+    }
+
+    /// The control channel is a byte stream, reassembled by the agent's
+    /// session as on the soft switch: a message split across two
+    /// deliveries still arrives, and an undecodable stream is answered
+    /// with the error the soft switch's agent answers it with.
+    #[test]
+    fn split_flow_mod_installs_and_garbage_is_answered() {
+        let fm = FlowMod::add(0)
+            .priority(1)
+            .match_(Match::new().in_port(1))
+            .apply(vec![Action::output(2)]);
+        let wire = Message::FlowMod(fm).encode(2);
+        // A complete frame of no known version.
+        let garbage = Bytes::from_static(&[0x7f, 9, 0, 8, 0, 0, 0, 3]);
+        let mut net = Network::new(5);
+        let ctrl = net.add_node(ScriptedController {
+            to_send: vec![
+                Message::Hello.encode(1),
+                wire.slice(..11),
+                wire.slice(11..),
+                garbage.clone(),
+            ],
+            received: Vec::new(),
+            target: None,
+        });
+        let mut sw = CotsSwitchNode::new("cots", 4, CotsConfig::default());
+        sw.connect_controller(ctrl);
+        let s = net.add_node(sw);
+        net.run_until(SimTime::from_millis(50));
+        let sw = net.node_ref::<CotsSwitchNode>(s);
+        assert_eq!(sw.flow_mods_applied(), 1);
+        assert_eq!(sw.datapath().table(0).unwrap().len(), 1);
+
+        let mut dp = Datapath::new(DpConfig::software(1));
+        let soft = OfAgent::new("soft").handle(&mut dp, &garbage, 0);
+        let (_, want, _) = Message::decode(&soft.replies[0]).unwrap();
+        let received = &net.node_ref::<ScriptedController>(ctrl).received;
+        assert!(received.contains(&want), "{received:?} lacks {want:?}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The standard library's `HashMap` defaults to SipHash-1-3, which is a
 //! keyed PRF: on the ~130-byte [`FlowKey`] one probe costs on the order
-//! of 120 ns — more than an entire memoised datapath replay (see the
+//! of 120 ns — more than an entire cached datapath replay (see the
 //! `Notes for perf PRs` section of EXPERIMENTS.md). Software switches do
 //! not need a PRF on this path: flow keys are already extracted from
 //! attacker-controlled bytes by a parser that canonicalises them, and the

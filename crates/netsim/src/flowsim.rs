@@ -2,7 +2,7 @@
 //! packet engine, advance them analytically, demote on any disturbance.
 //!
 //! At HARMLESS fabric scale (millions of host flows), steady-state
-//! traffic is almost all cache-resident: every frame replays a memoised
+//! traffic is almost all cache-resident: every frame replays a cached
 //! fast-path recipe at each soft switch and the event count is pure
 //! overhead. This module exploits that. A [`FlowBundleSpec`] names one
 //! CBR round-robin [`Generator`]→[`Sink`] station pair (carrying many

@@ -2,8 +2,10 @@
 //!
 //! [`OfAgent`] consumes raw channel bytes (possibly containing several
 //! coalesced or split messages), applies them to a [`Datapath`] and emits
-//! reply frames. It is transport-agnostic; the node layer moves the bytes
-//! over the simulator's control plane.
+//! reply frames — in one step ([`OfAgent::handle`]), or decoded now and
+//! applied when the switch gets to it ([`OfAgent::decode`],
+//! [`OfAgent::apply`]). It is transport-agnostic; the node layer moves
+//! the bytes over the simulator's control plane.
 
 use bytes::Bytes;
 
@@ -164,30 +166,37 @@ impl OfAgent {
     /// Feed controller→switch bytes; apply them to `dp`.
     pub fn handle(&mut self, dp: &mut Datapath, data: &[u8], now_ns: u64) -> AgentOutput {
         let mut out = AgentOutput::default();
-        let msgs = match self.session.feed(data) {
-            Ok(m) => m,
-            Err(_) => {
-                // Undecodable stream (the session dropped it): report
-                // one error.
-                let x = self.xid();
-                out.replies.push(
-                    Message::Error {
-                        ty: 0,
-                        code: 0,
-                        data: Bytes::new(),
-                    }
-                    .encode(x),
-                );
-                return out;
+        match self.decode(data) {
+            Ok(msgs) => {
+                for (xid, msg) in msgs {
+                    self.apply(dp, xid, msg, now_ns, &mut out);
+                }
             }
-        };
-        for (xid, msg) in msgs {
-            self.dispatch(dp, xid, msg, now_ns, &mut out);
+            Err(error) => out.replies.push(error),
         }
         out
     }
 
-    fn dispatch(
+    /// Feed controller→switch bytes through the channel's [`Session`]
+    /// and hand back the messages they complete, for a switch that
+    /// [applies](OfAgent::apply) them later (a management CPU's queue).
+    /// `Err` is the error frame to answer an undecodable stream with
+    /// (the session dropped what it had buffered).
+    pub fn decode(&mut self, data: &[u8]) -> Result<Vec<(Xid, Message)>, Bytes> {
+        self.session.feed(data).map_err(|_| {
+            let x = self.xid();
+            Message::Error {
+                ty: 0,
+                code: 0,
+                data: Bytes::new(),
+            }
+            .encode(x)
+        })
+    }
+
+    /// Apply one message [`OfAgent::decode`] returned to `dp`, appending
+    /// what it answers and releases to `out`.
+    pub fn apply(
         &mut self,
         dp: &mut Datapath,
         xid: Xid,

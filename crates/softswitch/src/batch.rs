@@ -1,15 +1,15 @@
-//! Batched frame processing: the containers and the per-batch lookup
-//! memo behind [`Datapath::process_batch_into`].
+//! Batched frame processing: the containers behind
+//! [`Datapath::process_batch_into`].
 //!
 //! A [`FrameBatch`] collects `(ingress port, frame)` pairs; the datapath
-//! drains it in one call, parsing every frame up front and resolving
-//! each distinct [`FlowKey`] through the cache hierarchy only once per
-//! epoch. Repeated keys replay the memoised [`CachedPath`] directly —
-//! without the per-packet epoch check of a cache hit and, for
-//! consecutive frames of one flow, without hashing the key at all —
-//! which is where a burst earns its throughput margin over one-frame
-//! batches (see `benches/datapath.rs`, the `batched_vs_scalar_*`
-//! series).
+//! drains it in one call. A batch changes what the call costs, never
+//! what a frame gets: each frame resolves microflow → megaflow → slow
+//! path exactly as it would as a batch of its own — same outputs, same
+//! counters, same [`ProcessingTrace`]. What a batch earns is one call's
+//! fixed cost (detaching caches and scratch, the caller's queue and TX
+//! walk) spread over N frames, and one parse and one hash per packet
+//! train: a frame bit-identical to its predecessor copies both (see
+//! `benches/datapath.rs`, the `batched_vs_scalar_*` series).
 //!
 //! [`BatchResult`] is a *flat arena*: all output frames and packet-ins
 //! of a batch live in two contiguous vectors, with each frame owning a
@@ -20,22 +20,11 @@
 //! [`BatchResult::outputs_of`], [`BatchResult::packet_ins_of`] and
 //! [`BatchResult::frame`].
 //!
-//! The memo persists across batches while the datapath epoch is
-//! unchanged, so a steady-state service loop serves every frame of a
-//! warm flow from the memo — the cache hierarchy is only consulted the
-//! first time a flow appears after an epoch bump. Any flow-mod (or NAT
-//! binding install) bumps the epoch, and the next batch starts from an
-//! empty memo, exactly as the microflow/megaflow caches invalidate.
-//!
 //! [`Datapath::process_batch_into`]: crate::Datapath::process_batch_into
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use netpkt::FlowKey;
-
-use crate::cache::{CachedPath, ExactTable};
 use crate::trace::ProcessingTrace;
 use openflow::message::PacketInReason;
 
@@ -268,121 +257,11 @@ impl BatchResult {
     }
 }
 
-/// Hard bound on memoised keys per epoch: past this, further distinct
-/// keys simply fall through to the regular caches (still correct, just
-/// unamortised). Keeps the memo inside the first-level data cache.
-const MEMO_CAP: usize = 128;
-
-/// Batch lookup memo: each distinct [`FlowKey`] resolves its
-/// [`CachedPath`] once per datapath epoch; repeated keys replay it by
-/// reference (via the precompiled plan on the path itself when it has
-/// one — see [`CachedPath::plan`]).
-///
-/// An [`ExactTable`] of at most `MEMO_CAP` (128) entries that admits
-/// while there is room and never evicts inside an epoch, behind a
-/// one-entry "last key" fast path that serves packet trains
-/// (consecutive frames of one flow) with a single compare and no hash
-/// at all. Everything else is one fingerprint probe, hit or miss — and
-/// a miss hands the hash it computed back to the caller, so the
-/// microflow probe and any install that follow do not hash the key
-/// again.
-///
-/// Reusable across batches: [`BatchMemo::ensure_epoch`] drops all
-/// entries when the datapath epoch moved (flow-mod, NAT binding) and
-/// keeps them warm otherwise, so steady-state batches never re-probe
-/// the cache hierarchy. Public so `benches/tables.rs` can time a probe.
-#[derive(Debug)]
-pub struct BatchMemo {
-    table: ExactTable,
-    /// Position of the entry that served or was admitted last (after a
-    /// flush it names whatever lands there next, or nothing).
-    last: usize,
-    hits: u64,
-}
-
-impl Default for BatchMemo {
-    fn default() -> BatchMemo {
-        BatchMemo {
-            table: ExactTable::new(MEMO_CAP),
-            last: 0,
-            hits: 0,
-        }
-    }
-}
-
-impl BatchMemo {
-    /// Look up `key`: `Ok` is an index usable with [`BatchMemo::path`],
-    /// `Err` the key's [`FlowKey::flow_hash`]`(0)` — on a miss the hash
-    /// has been computed, and the caller's next probes want it.
-    #[inline]
-    pub fn lookup(&mut self, key: &FlowKey) -> Result<usize, u32> {
-        if !self.table.entry(self.last).is_some_and(|(k, _)| k == key) {
-            let hash = key.flow_hash(0);
-            self.last = self.table.find(hash, key).ok_or(hash)?;
-        }
-        self.hits += 1;
-        Ok(self.last)
-    }
-
-    /// True while the memo can take another entry.
-    pub fn has_room(&self) -> bool {
-        !self.table.is_full()
-    }
-
-    /// The memoised path at `i` (clone = refcount bump).
-    pub fn path(&self, i: usize) -> &Arc<CachedPath> {
-        &self.table.entry(i).expect("index from lookup").1
-    }
-
-    /// Record `path` for `key` under the hash a missed
-    /// [`BatchMemo::lookup`] returned (the replay plan lives on the
-    /// path itself — see [`CachedPath::plan`]). Call only while
-    /// [`BatchMemo::has_room`].
-    pub fn insert_hashed(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) {
-        debug_assert!(self.has_room(), "memo insert past MEMO_CAP");
-        self.last = self.table.put(hash, key, path);
-    }
-
-    /// Memo hits served since the last call, resetting the counter.
-    pub fn take_hits(&mut self) -> u64 {
-        std::mem::take(&mut self.hits)
-    }
-
-    /// Validate the memo against the datapath epoch: entries recorded
-    /// under an older epoch are dropped wholesale (their paths may
-    /// reference reordered table entries), entries from the current
-    /// epoch stay warm for the next batch. The hit counter survives.
-    pub fn ensure_epoch(&mut self, epoch: u64) {
-        self.table.ensure_epoch(epoch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actions::CAction;
-
-    fn key(port: u16) -> FlowKey {
-        let f = netpkt::builder::udp_packet(
-            netpkt::MacAddr::host(1),
-            netpkt::MacAddr::host(2),
-            std::net::Ipv4Addr::new(10, 0, 0, 1),
-            std::net::Ipv4Addr::new(10, 0, 0, 2),
-            1000,
-            port,
-            b"x",
-        );
-        FlowKey::extract(1, &f).unwrap()
-    }
-
-    fn path(out: u32) -> Arc<CachedPath> {
-        Arc::new(CachedPath::new(vec![CAction::Output(out)], vec![(0, 0)], 1))
-    }
-
-    /// Admit `key` under the hash a missed lookup would have returned.
-    fn admit(m: &mut BatchMemo, key: FlowKey, path: Arc<CachedPath>) {
-        m.insert_hashed(key.flow_hash(0), key, path);
-    }
+    use crate::cache::CachedPath;
 
     #[test]
     fn frame_batch_fills_and_clears() {
@@ -407,61 +286,6 @@ mod tests {
         assert!(
             b.frames.capacity() >= 8,
             "drained batch must keep its allocation"
-        );
-    }
-
-    #[test]
-    fn memo_last_key_fast_path_and_indexed_fallback() {
-        let mut m = BatchMemo::default();
-        assert_eq!(m.lookup(&key(53)), Err(key(53).flow_hash(0)));
-        admit(&mut m, key(53), path(2));
-        admit(&mut m, key(80), path(3));
-        // `last` now points at the port-80 entry; a port-53 lookup falls
-        // back to the index probe and repoints `last`.
-        assert_eq!(m.lookup(&key(80)), Ok(1));
-        assert_eq!(m.lookup(&key(53)), Ok(0));
-        assert_eq!(m.lookup(&key(53)), Ok(0)); // last-key fast path
-        assert_eq!(m.take_hits(), 3);
-        assert_eq!(m.take_hits(), 0, "take_hits drains the counter");
-        assert_eq!(m.path(0).actions, vec![CAction::Output(2)]);
-        // An epoch move forgets entries; a matching epoch keeps them.
-        m.ensure_epoch(0);
-        assert_eq!(m.lookup(&key(53)), Ok(0), "same epoch keeps entries");
-        m.ensure_epoch(7);
-        assert!(m.lookup(&key(53)).is_err(), "epoch bump drops entries");
-        admit(&mut m, key(80), path(3));
-        assert_eq!(m.lookup(&key(80)), Ok(0), "and the last-key slot with them");
-    }
-
-    #[test]
-    fn memo_caps_out_but_keeps_serving() {
-        let mut m = BatchMemo::default();
-        let mut stored = 0;
-        for p in 0..200u16 {
-            if m.has_room() {
-                admit(&mut m, key(p), path(2));
-                stored += 1;
-            }
-        }
-        assert_eq!(stored, super::MEMO_CAP);
-        assert!(!m.has_room());
-        // Everything stored is still found; overflow keys simply miss.
-        for p in 0..super::MEMO_CAP as u16 {
-            assert_eq!(m.lookup(&key(p)), Ok(usize::from(p)));
-        }
-        assert!(m.lookup(&key(199)).is_err());
-    }
-
-    #[test]
-    fn memo_path_clones_are_refcount_bumps() {
-        let mut m = BatchMemo::default();
-        let p = path(2);
-        admit(&mut m, key(53), p.clone());
-        let i = m.lookup(&key(53)).unwrap();
-        let replayed = m.path(i).clone();
-        assert!(
-            Arc::ptr_eq(&replayed, &p),
-            "memoised path must share storage with the cached one"
         );
     }
 

@@ -13,21 +13,21 @@
 //!   (`(key & mask) == masked`, compiled per mask: [`CompiledMask`]),
 //!   data every 5-tuple of that megaflow shares and so keeps hot; a hit
 //!   is exact, never probabilistic.
-//! * [`ExactTable`]: the batch memo's (`batch.rs`) own 128 `(key, path)`
-//!   entries — the only per-5-tuple key copies there are.
 //!
-//! All three verify fingerprint matches of one open-addressed probe
-//! loop (`Index`). Everything is tagged with the datapath's mutation
-//! epoch: any table/group/meter change bumps it, implicitly flushing
-//! the store — and the signature index empties whenever the store it
-//! points into has flushed, by epoch or by capacity.
+//! No 5-tuple's key is kept anywhere: the only keys stored are the
+//! masked ones of the megaflows. Both layers verify fingerprint matches
+//! of one open-addressed probe loop (`Index`), and nothing sits in
+//! front of them — a batch probes per frame exactly as a lone frame
+//! does. Everything is tagged with the datapath's mutation epoch: any
+//! table/group/meter change bumps it, implicitly flushing the store —
+//! and the signature index empties whenever the store it points into
+//! has flushed, by epoch or by capacity.
 //!
 //! The fingerprint is [`FlowKey::flow_hash`], the OVS-style mix, not
-//! SipHash (which over the 96-byte [`FlowKey`] costs about as much as
-//! an entire memoised replay; EXPERIMENTS.md, `flowhash`). The datapath
-//! hashes a frame's key once per pass for the memo and the signature
-//! index (the `*_hashed` forms); a wildcard subtable hashes the key as
-//! masked.
+//! SipHash (which over the 96-byte [`FlowKey`] costs more than the
+//! probe it feeds; EXPERIMENTS.md, `flowhash`). The datapath hashes a
+//! frame's key once, where it parses it, for the signature index (the
+//! `*_hashed` forms); a wildcard subtable hashes the key as masked.
 
 use std::sync::Arc;
 
@@ -101,9 +101,8 @@ impl Plan {
 
 /// A cached, fully resolved processing recipe.
 ///
-/// Stored behind an [`Arc`] everywhere (both caches, the per-batch
-/// memo): resolving a hit hands out a reference-count bump, never a
-/// deep copy of the recorded action list. A path is immutable once
+/// Stored behind an [`Arc`] in the megaflow store: a hit is borrowed
+/// from there, never a deep copy of the recorded action list. A path is immutable once
 /// recorded, so sharing is safe by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPath {
@@ -126,8 +125,8 @@ impl CachedPath {
     /// Record a path, compiling its replay plan (one action scan, paid
     /// once per resolved path).
     pub fn new(mut actions: Vec<CAction>, mut hits: Vec<(usize, usize)>, epoch: u64) -> CachedPath {
-        // A path lives for an epoch in up to three caches: drop the
-        // growth slack of the recording it was built from.
+        // A path lives in the store for an epoch: drop the growth slack
+        // of the recording it was built from.
         actions.shrink_to_fit();
         hits.shrink_to_fit();
         let plan = Plan::compile(&actions);
@@ -219,76 +218,6 @@ impl Index {
             self.slots.fill((0, 0));
             self.len = 0;
         }
-    }
-}
-
-/// The batch memo's exact-match table (`batch.rs`): `(key, path)`
-/// entries stored once, in insertion order, under an `Index` verified
-/// by comparing the whole key. The only place a 5-tuple's key is kept:
-/// at most 128 of them, so the table sits in the first-level cache.
-#[derive(Debug, Default)]
-pub struct ExactTable {
-    entries: Vec<(FlowKey, Arc<CachedPath>)>,
-    index: Index,
-    epoch: u64,
-    cap: usize,
-}
-
-impl ExactTable {
-    /// An empty table that is [`ExactTable::is_full`] at `cap` entries.
-    pub fn new(cap: usize) -> ExactTable {
-        ExactTable {
-            cap,
-            ..ExactTable::default()
-        }
-    }
-
-    /// Position of `key`'s entry, good for [`ExactTable::entry`] until
-    /// the next flush.
-    #[inline]
-    pub fn find(&self, hash: u32, key: &FlowKey) -> Option<usize> {
-        self.index.probe(hash, |i| self.entries[i].0 == *key).ok()
-    }
-
-    /// The entry at position `i`.
-    #[inline]
-    pub fn entry(&self, i: usize) -> Option<&(FlowKey, Arc<CachedPath>)> {
-        self.entries.get(i)
-    }
-
-    /// Record `path` for `key` (replacing the path of an equal key) and
-    /// return the entry's position. No epoch check, no flush.
-    pub fn put(&mut self, hash: u32, key: FlowKey, path: Arc<CachedPath>) -> usize {
-        self.index.reserve();
-        match self.index.probe(hash, |i| self.entries[i].0 == key) {
-            Ok(i) => {
-                self.entries[i].1 = path;
-                i
-            }
-            Err(s) => {
-                self.entries.push((key, path));
-                self.index.set(s, hash, self.entries.len() - 1);
-                self.entries.len() - 1
-            }
-        }
-    }
-
-    /// Validate against the datapath epoch: entries recorded under
-    /// another epoch are dropped wholesale (their paths may reference
-    /// reordered table entries).
-    #[inline]
-    pub fn ensure_epoch(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.entries.clear();
-            self.index.clear();
-            self.epoch = epoch;
-        }
-    }
-
-    /// True once `cap` entries are held.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.cap
     }
 }
 

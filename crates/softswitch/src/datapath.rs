@@ -6,16 +6,18 @@
 //! outputs / packet-ins / [`ProcessingTrace`]s comes out. Each batch
 //! runs through staged processing:
 //!
-//! 1. **Parse** — every frame's [`FlowKey`] is extracted up front into
-//!    per-batch scratch (reused across batches, no per-batch Vec
-//!    churn); consecutive identical frames — packet trains — share one
-//!    parse.
+//! 1. **Parse** — every frame's [`FlowKey`] is extracted, and hashed
+//!    if the mode has an exact-match layer, up front into per-batch
+//!    scratch (reused across batches, no per-batch Vec churn);
+//!    consecutive identical frames — packet trains — share one parse
+//!    and one hash.
 //! 2. **Probe + execute, run-to-completion per frame** — each frame
-//!    resolves through memo → microflow → megaflow → slow path and
-//!    runs its actions immediately, emitting into the result arena.
-//!    Frames are *not* pre-resolved as a separate stage: an action can
-//!    mutate datapath state mid-batch (a NAT eviction bumps the epoch),
-//!    so later frames must observe it.
+//!    resolves through microflow → megaflow → slow path, checking the
+//!    epoch itself, and runs its actions immediately, emitting into the
+//!    result arena. Frames are *not* pre-resolved as a separate stage,
+//!    and nothing resolved for one frame is held for the next outside
+//!    the caches: an action can mutate datapath state mid-batch (a NAT
+//!    eviction bumps the epoch), so later frames must observe it.
 //! 3. **Emit** — results land in the flat arena in input order, ready
 //!    for the node's TX stage to walk without re-grouping.
 //!
@@ -56,7 +58,7 @@ use openflow::{
 };
 
 use crate::actions::{pushed_tci, CAction, Halt, Stepper};
-use crate::batch::{BatchMemo, BatchResult, FrameBatch, FrameMark};
+use crate::batch::{BatchResult, FrameBatch, FrameMark};
 use crate::cache::{CachedPath, MegaflowCache, MicroflowCache, Plan, TagOp};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
@@ -126,8 +128,6 @@ pub struct DatapathStats {
     /// Packets processed (including those credited by the flow-level
     /// engine).
     pub packets: u64,
-    /// Lookups served by the per-batch memo.
-    pub memo_hits: u64,
     /// Microflow cache hits.
     pub micro_hits: u64,
     /// Microflow cache misses.
@@ -215,7 +215,6 @@ pub struct Datapath {
     /// unregistered ports carry `port_no == u32::MAX`.
     port_stats: Vec<PortStatsEntry>,
     packets_processed: u64,
-    batch_memo_hits: u64,
     /// Router identity `(interface IP, MAC)` — the source of ICMP
     /// time-exceeded replies. `None` = pure L2 device, expired packets
     /// drop silently.
@@ -223,21 +222,20 @@ pub struct Datapath {
     nat: NatTable,
     ttl_expired_total: u64,
     nat_dropped_total: u64,
-    /// Per-batch scratch (the parsed keys), reused across batches so
-    /// steady-state service periods allocate nothing.
-    keys: Vec<FlowKey>,
+    /// Per-batch scratch (the parsed keys and their hashes), reused
+    /// across batches so steady-state service periods allocate nothing.
+    keys: Vec<(FlowKey, u32)>,
 }
 
 /// Recursion bound for group chains.
 const MAX_GROUP_DEPTH: u32 = 4;
 
-/// The lookup layers in front of the tables. Taken out of the datapath
-/// for the duration of one batch and put back after, so a
-/// hit's path is *borrowed* from its cache across the replay (which
-/// needs `&mut self`): an `Arc` is cloned only for a second owner.
+/// The two lookup layers in front of the tables. Taken out of the
+/// datapath for the duration of one batch and put back after, so a
+/// hit's path is *borrowed* from the store across the replay (which
+/// needs `&mut self`), never cloned.
 #[derive(Default)]
 struct Caches {
-    memo: BatchMemo,
     micro: MicroflowCache,
     mega: MegaflowCache,
 }
@@ -253,7 +251,6 @@ impl Caches {
             config.micro_capacity
         };
         Caches {
-            memo: BatchMemo::default(),
             micro: MicroflowCache::new(config.micro_capacity),
             mega: MegaflowCache::new(store_capacity),
         }
@@ -345,7 +342,6 @@ impl Datapath {
             epoch: 1,
             port_stats: Vec::new(),
             packets_processed: 0,
-            batch_memo_hits: 0,
             router: None,
             nat: NatTable::new(),
             ttl_expired_total: 0,
@@ -389,11 +385,10 @@ impl Datapath {
         self.packets_processed
     }
 
-    /// Lookups served by the per-batch memo across all
-    /// [`Datapath::process_batch_into`] calls (repeated keys within a
-    /// batch).
+    /// Always 0: there is no batch memo. Kept only because the frozen
+    /// `hbench/` reads it; goes with ROADMAP 1(b).
     pub fn batch_memo_hits(&self) -> u64 {
-        self.batch_memo_hits
+        0
     }
 
     /// Credit `frames` packets that the flow-level engine advanced
@@ -439,7 +434,6 @@ impl Datapath {
     pub fn stats(&self) -> DatapathStats {
         DatapathStats {
             packets: self.packets_processed,
-            memo_hits: self.batch_memo_hits,
             micro_hits: self.caches.micro.hits(),
             micro_misses: self.caches.micro.misses(),
             mega_hits: self.caches.mega.hits(),
@@ -725,25 +719,21 @@ impl Datapath {
     ///
     /// Staged, DPDK burst style:
     ///
-    /// 1. **Parse** — every frame's [`FlowKey`] is extracted up front
-    ///    into per-batch scratch; a frame bit-identical to its
-    ///    predecessor (a packet train) reuses the previous key instead
-    ///    of re-parsing;
+    /// 1. **Parse** — every frame's [`FlowKey`] is extracted (and hashed,
+    ///    if the mode has an exact-match layer) up front into per-batch
+    ///    scratch; a frame bit-identical to its predecessor (a packet
+    ///    train) copies the previous key and hash instead;
     /// 2. **Probe + execute** — each frame runs to completion: its key
-    ///    resolves through the per-batch memo, then the cache hierarchy
-    ///    (or the slow path), and its actions replay immediately into
-    ///    the arena. Repeated keys hit the memo and skip the epoch
-    ///    check of a cache hit — and, for packet trains, the hash
-    ///    (their traces read [`LookupPath::BatchHit`]);
+    ///    resolves through the cache hierarchy (or the slow path), and
+    ///    its actions replay immediately into the arena;
     /// 3. **Emit** — per-frame results land in `out` in input order
     ///    (group them with [`BatchResult::outputs_by_port`]).
     ///
-    /// Outputs, packet-ins and drop decisions are identical to
-    /// submitting each frame as a batch of its own, in order, with the
-    /// same `now_ns`: paths are only memoised when they are cacheable
-    /// (matched, meter-free), so rate-dependent flows still consult
-    /// meters frame by frame. `tests/tests/proptests.rs` pins this
-    /// equivalence property down.
+    /// Outputs, packet-ins, drop decisions, counters and traces are
+    /// identical to submitting each frame as a batch of its own, in
+    /// order, with the same `now_ns`: nothing is resolved per batch, so
+    /// the batch only spreads the call's fixed cost and a train's parse.
+    /// `tests/tests/proptests.rs` pins this equivalence property down.
     pub fn process_batch_into(
         &mut self,
         batch: &mut FrameBatch,
@@ -758,11 +748,13 @@ impl Datapath {
 
         // Stage 1: parse all frames before any lookup. Consecutive
         // bit-identical frames on the same port (packet trains) share
-        // one parse — the memcmp is far cheaper than a key extraction.
+        // one parse and one hash — the memcmp is far cheaper than a key
+        // extraction. Only the microflow probe reads the hash.
+        let hashed = self.config.mode.microflow;
         keys.clear();
         let mut prev: Option<(u32, &Bytes)> = None;
         for (port, frame) in batch.iter() {
-            let key = match prev {
+            let keyed = match prev {
                 // Same backing storage (a refcount clone of the same
                 // frame) short-circuits the memcmp entirely.
                 Some((p, f))
@@ -772,45 +764,37 @@ impl Datapath {
                 {
                     *keys.last().expect("prev implies a pushed key")
                 }
-                _ => FlowKey::extract_lossy(*port, frame),
+                _ => {
+                    let key = FlowKey::extract_lossy(*port, frame);
+                    (key, if hashed { key.flow_hash(0) } else { 0 })
+                }
             };
-            keys.push(key);
+            keys.push(keyed);
             prev = Some((*port, frame));
         }
 
         // Stage 2+3: run each frame to completion, emitting into `out`.
-        // Epoch-validate instead of clearing: a warm memo carries
-        // resolved paths across service periods until a flow-mod (or
-        // NAT binding install) bumps the epoch.
-        caches.memo.ensure_epoch(self.epoch);
-        // The memo does persist across batches, so a one-frame batch
-        // could be served from it; the gate stays because the
-        // benchmark's `pod_scalar` workload is defined as one-frame
-        // batches that never touch the memo (its memo hit ratio is
-        // pinned at 0.0). Lifting it is ROADMAP direction 3(a).
-        let use_memo = batch.len() > 1;
-        for ((_, frame), key) in batch.drain().zip(&keys) {
-            self.process_keyed(frame, key, now_ns, &mut caches, use_memo, out);
+        for ((_, frame), (key, hash)) in batch.drain().zip(&keys) {
+            self.process_keyed(frame, key, *hash, now_ns, &mut caches, out);
         }
-        self.batch_memo_hits += caches.memo.take_hits();
         self.caches = caches;
         self.keys = keys;
     }
 
     /// The per-frame engine behind [`Datapath::process_batch_into`]:
-    /// memo → microflow → megaflow → slow path, emitting one frame's
-    /// results into `out`; `caches` are this datapath's, detached by
-    /// the caller. The key is hashed at most once, after the memo's
-    /// last-key compare failed: that hash serves the memo probe, the
-    /// microflow probe, a megaflow hit's promotion and whatever is
-    /// installed afterwards.
+    /// microflow → megaflow → slow path, emitting one frame's results
+    /// into `out`; `caches` are this datapath's, detached by the caller.
+    /// `hash` is the key's [`FlowKey::flow_hash`]`(0)` when the mode has
+    /// a microflow layer (never read otherwise): it serves the microflow
+    /// probe, a megaflow hit's promotion and whatever is installed
+    /// afterwards.
     fn process_keyed(
         &mut self,
         frame: Bytes,
         key: &FlowKey,
+        hash: u32,
         now_ns: u64,
         caches: &mut Caches,
-        use_memo: bool,
         out: &mut BatchResult,
     ) {
         self.packets_processed += 1;
@@ -819,31 +803,13 @@ impl Datapath {
             s.rx_bytes += frame.len() as u64;
         }
         let mut trace = ProcessingTrace::new(frame.len());
-        let Caches { memo, micro, mega } = caches;
+        let Caches { micro, mega } = caches;
         let mode = self.config.mode;
-
-        // 0. Per-batch memo: a key already resolved in this epoch
-        //    replays its path without touching the caches again.
-        let hash = if use_memo {
-            match memo.lookup(key) {
-                Ok(i) => {
-                    trace.path = LookupPath::BatchHit;
-                    return self.replay_path(memo.path(i), frame, key, now_ns, trace, out);
-                }
-                Err(hash) => hash,
-            }
-        } else if mode.microflow {
-            key.flow_hash(0)
-        } else {
-            0 // no exact-match layer in play: never read
-        };
-        // Whoever resolves the key below admits it here, room permitting.
-        let memo = Some(memo).filter(|m| use_memo && m.has_room());
 
         // 1. Microflow layer (a signature into the megaflow store), then
         //    2. the store's own wildcard lookup (admitting its hits into
-        //    the microflow layer). Every layer shares one
-        //    `Arc<CachedPath>` per resolved path; a hit is borrowed.
+        //    the microflow layer). A hit's path is borrowed from the
+        //    store.
         let mut cached = None;
         if mode.microflow {
             cached = micro.lookup_hashed(hash, key, self.epoch, mega);
@@ -869,23 +835,16 @@ impl Datapath {
             cached = hit;
         }
         if let Some(id) = cached {
-            let path = mega.path(id);
-            if let Some(m) = memo {
-                m.insert_hashed(hash, *key, path.clone());
-            }
-            return self.replay_path(path, frame, key, now_ns, trace, out);
+            return self.replay_path(mega.path(id), frame, key, now_ns, trace, out);
         }
 
-        // 3. Slow path; what it recorded goes into every layer (one
-        //    `Arc` per resolved path: insertion is a refcount bump). An
-        //    exact layer without the wildcard one keeps its paths in the
-        //    same store, under the all-ones mask.
+        // 3. Slow path; what it recorded goes into the store, and its
+        //    5-tuple into the microflow layer. An exact layer without
+        //    the wildcard one keeps its paths in the same store, under
+        //    the all-ones mask.
         let Some((path, unwild)) = self.slow_path(frame, *key, now_ns, trace, out) else {
             return;
         };
-        if let Some(m) = memo {
-            m.insert_hashed(hash, *key, path.clone());
-        }
         if mode.microflow || mode.megaflow {
             let mask = if mode.megaflow {
                 unwild
@@ -899,9 +858,8 @@ impl Datapath {
         }
     }
 
-    /// Serve `frame` from a resolved [`CachedPath`] (from a cache or the
-    /// batch memo): bump the flow counters the recording walk bumped,
-    /// then step the recorded program.
+    /// Serve `frame` from a cached [`CachedPath`]: bump the flow counters
+    /// the recording walk bumped, then step the recorded program.
     fn replay_path(
         &mut self,
         path: &CachedPath,
@@ -1702,15 +1660,16 @@ pub(crate) mod tests {
                 "{type_:?}: megaflow hit"
             );
             assert_eq!(&r.outputs_of(0)[0].1[0..6], &MacAddr::host(50).octets());
-            // Frames 2..N of one batch replay from the memo.
+            // Every frame of a batch replays from the microflow layer.
             let mut batch: FrameBatch = (0..4).map(|_| (1u32, frame.clone())).collect();
             let r = run_batch(&mut dp, &mut batch, 3);
             for i in 0..r.len() {
                 assert_eq!(r.outputs_of(i), &want[..], "{type_:?}: batch frame {i}");
             }
-            assert!(r.frames()[1..]
+            assert!(r
+                .frames()
                 .iter()
-                .all(|f| matches!(f.trace.unwrap().path, LookupPath::BatchHit)));
+                .all(|f| matches!(f.trace.unwrap().path, LookupPath::MicroHit)));
         }
     }
 
@@ -1820,39 +1779,8 @@ pub(crate) mod tests {
         assert_eq!(dp.packets_processed(), 0);
     }
 
-    #[test]
-    fn batch_memo_amortizes_repeated_keys_without_caches() {
-        // TSS mode has no caches: only the per-batch memo can amortize.
-        let mut dp = dp(PipelineMode::tss());
-        add_forward_rule(&mut dp, 53, 2);
-        add_forward_rule(&mut dp, 80, 3);
-        let mut batch: FrameBatch = [
-            (1u32, udp_frame(1, 53)),
-            (1, udp_frame(1, 53)),
-            (1, udp_frame(2, 80)),
-            (1, udp_frame(1, 53)),
-            (1, udp_frame(2, 80)),
-        ]
-        .into_iter()
-        .collect();
-        let r = run_batch(&mut dp, &mut batch, 0);
-        assert!(batch.is_empty(), "processing drains the batch");
-        assert_eq!(r.len(), 5);
-        let ports: Vec<u32> = (0..r.len()).map(|i| r.outputs_of(i)[0].0).collect();
-        assert_eq!(ports, vec![2, 2, 3, 2, 3]);
-        // First frame of each key walks the pipeline; repeats replay.
-        assert_eq!(dp.batch_memo_hits(), 3);
-        let paths: Vec<bool> = r
-            .frames()
-            .iter()
-            .map(|f| matches!(f.trace.unwrap().path, LookupPath::BatchHit))
-            .collect();
-        assert_eq!(paths, vec![false, true, false, true, true]);
-        let by_port = r.outputs_by_port();
-        assert_eq!(by_port[&2].len(), 3);
-        assert_eq!(by_port[&3].len(), 2);
-    }
-
+    /// (Named for the memo that used to serve the repeats; they are
+    /// microflow hits now, like any other frame of the flow.)
     #[test]
     fn batch_memo_serves_repeats_of_a_microflow_hit() {
         let mut dp = dp(PipelineMode::full());
@@ -1862,11 +1790,15 @@ pub(crate) mod tests {
         let micro_hits = dp.micro_cache().hits();
         let mut batch: FrameBatch = (0..4).map(|_| (1u32, udp_frame(1, 53))).collect();
         let r = run_batch(&mut dp, &mut batch, 1);
-        // One micro probe resolves the key for the whole batch.
-        assert_eq!(dp.micro_cache().hits(), micro_hits + 1);
-        assert_eq!(dp.batch_memo_hits(), 3);
+        assert!(batch.is_empty(), "processing drains the batch");
+        // Every frame probes for itself: nothing is resolved per batch.
+        assert_eq!(dp.micro_cache().hits(), micro_hits + 4);
+        assert!(r
+            .frames()
+            .iter()
+            .all(|f| matches!(f.trace.unwrap().path, LookupPath::MicroHit)));
         assert!((0..r.len()).all(|i| r.outputs_of(i) == [(2, udp_frame(1, 53))]));
-        // Flow counters account every frame, memo hit or not.
+        // Flow counters account every frame.
         assert_eq!(dp.table(0).unwrap().entries()[0].packets, 5);
     }
 
@@ -1918,13 +1850,11 @@ pub(crate) mod tests {
         let r = run_batch(&mut dp, &mut batch, 0);
         let dropped: Vec<bool> = r.frames().iter().map(|f| f.dropped).collect();
         assert_eq!(dropped, vec![false, true, true]);
-        assert_eq!(dp.batch_memo_hits(), 0, "metered paths must not memoize");
     }
 
-    /// A one-frame batch (the memo is gated off) and the same frame
-    /// leading a larger batch whose memo is cold — one-frame batches
-    /// admit nothing to it — resolve identically, down to the trace:
-    /// slow path first, microflow hits after.
+    /// A one-frame batch and the same frame leading a larger batch
+    /// resolve identically, down to the trace: slow path first,
+    /// microflow hits after.
     #[test]
     fn single_frame_batch_equals_the_frame_in_a_larger_batch_with_a_cold_memo() {
         let warmed = |singles: u64| {
@@ -1949,7 +1879,6 @@ pub(crate) mod tests {
                 larger.frame(0).trace,
                 "even traces agree"
             );
-            assert_eq!(b.batch_memo_hits(), 0);
         }
     }
 
@@ -2167,14 +2096,14 @@ pub(crate) mod tests {
         assert_eq!(r2.outputs_of(0)[0].0, 1);
     }
 
-    #[test]
-    fn nat_eviction_bumps_the_epoch_to_flush_cached_rewrites() {
-        let ext = Ipv4Addr::new(198, 18, 0, 254);
+    /// An egress NAT with a pool of exactly one external id: a second
+    /// connection evicts the first.
+    fn one_id_nat_dp() -> Datapath {
         let mut dp = dp(PipelineMode::full());
         dp.configure_nat(NatConfig {
-            external_ip: ext,
+            external_ip: Ipv4Addr::new(198, 18, 0, 254),
             port_lo: 49152,
-            port_hi: 49152, // pool of exactly one
+            port_hi: 49152,
             idle_timeout_ns: u64::MAX,
             max_conns: 64,
         });
@@ -2186,6 +2115,12 @@ pub(crate) mod tests {
             0,
         )
         .unwrap();
+        dp
+    }
+
+    #[test]
+    fn nat_eviction_bumps_the_epoch_to_flush_cached_rewrites() {
+        let mut dp = one_id_nat_dp();
         run_one(&mut dp, 1, udp_frame(1, 9000), 0);
         run_one(&mut dp, 1, udp_frame(1, 9000), 1);
         assert_eq!(dp.micro_cache().hits(), 1, "conn A cached");
@@ -2200,6 +2135,33 @@ pub(crate) mod tests {
             matches!(r.frame(0).trace.unwrap().path, LookupPath::SlowPath { .. }),
             "A re-resolves through the slow path, not a stale cache"
         );
+    }
+
+    /// The epoch bump of an eviction reaches the rest of the batch it
+    /// happens in: in `A, A, B, A` B takes the only id from A, so the
+    /// last frame must re-resolve (evicting B in turn), not replay the
+    /// rewrite A recorded when the id was its own.
+    #[test]
+    fn a_nat_eviction_mid_batch_is_seen_by_the_frames_behind_it() {
+        let (a, b) = (udp_frame(1, 9000), udp_frame(2, 9000));
+        let frames = [a.clone(), a.clone(), b, a];
+        let mut batched = one_id_nat_dp();
+        let mut batch: FrameBatch = frames.iter().map(|f| (1u32, f.clone())).collect();
+        let r = run_batch(&mut batched, &mut batch, 0);
+        assert!(
+            matches!(r.frame(3).trace.unwrap().path, LookupPath::SlowPath { .. }),
+            "got {:?}",
+            r.frame(3).trace.unwrap().path
+        );
+        assert_eq!(batched.nat().evicted_lru(), 2);
+        // And all of it as four one-frame batches would have it.
+        let mut single = one_id_nat_dp();
+        for (i, f) in frames.iter().enumerate() {
+            let one = run_one(&mut single, 1, f.clone(), 0);
+            assert_eq!(r.outputs_of(i), one.outputs_of(0), "frame {i}");
+            assert_eq!(r.frame(i).trace, one.frame(0).trace, "frame {i}");
+        }
+        assert_eq!(single.nat().evicted_lru(), 2);
     }
 
     #[test]

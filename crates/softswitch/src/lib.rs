@@ -13,7 +13,7 @@
 //!   [`actions::CAction`] programs that caches record, and the one
 //!   stepper that executes them;
 //! * [`batch`] — the [`batch::FrameBatch`]/[`batch::BatchResult`]
-//!   containers and the lookup memo behind
+//!   containers behind
 //!   [`Datapath::process_batch_into`](datapath::Datapath::process_batch_into),
 //!   the one way a frame enters a datapath (a lone frame is a batch of
 //!   one) and the one result arena it leaves in;

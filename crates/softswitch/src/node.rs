@@ -6,12 +6,13 @@
 //! a same-instant burst or an RX queue that filled while a core was
 //! busy — a worker drains up to [`SoftSwitchNode::batch_size`] of them
 //! into one service period and runs them through
-//! [`Datapath::process_batch_into`], so repeated flows in the burst pay
-//! the cheaper `BatchHit` cost instead of a full cache probe each. Under
+//! [`Datapath::process_batch_into`]. A frame's service time is the same
+//! in a batch as alone (every frame pays its own cache probe); the
+//! period lasts the sum of them and its outputs leave together. Under
 //! light load every frame gets a service period, and a batch, of its
-//! own. The drain buffer and
-//! the result arena are owned by the node and recycled across service
-//! periods, so steady-state service allocates nothing.
+//! own. The drain buffer and the result arena are owned by the node and
+//! recycled across service periods, so steady-state service allocates
+//! nothing.
 //!
 //! With [`SoftSwitchNode::with_datapath_cores`] the RX path switches
 //! from shared-queue work conservation to RSS-style flow steering:
@@ -799,21 +800,24 @@ mod tests {
                 )
                 .unwrap();
             let s = net.add_node(sw);
+            let sink = net.add_node(Sink::new("sink"));
+            net.connect(s, PortId(2), sink, PortId(0), LinkSpec::gigabit());
             for _ in 0..8 {
                 net.inject(s, PortId(1), frame.clone());
             }
             net.run_until(SimTime::from_millis(1));
-            let sw = net.node_ref::<SoftSwitchNode>(s);
-            (
-                sw.datapath().packets_processed(),
-                sw.datapath().batch_memo_hits(),
-            )
+            let stats = net.node_ref::<SoftSwitchNode>(s).datapath().stats();
+            let first_rx = net.node_ref::<Sink>(sink).first_rx().unwrap();
+            ((stats.packets, stats.micro_hits), first_rx)
         };
-        // Batched: the burst becomes one service period; the 7 repeats
-        // of the flow hit the per-batch memo.
-        assert_eq!(run(16), (8, 7));
-        // Batch size 1 is eight one-frame batches: no memo in play.
-        assert_eq!(run(1), (8, 0));
+        // The lookups are the same either way — one walk, then the 7
+        // repeats of the flow hit the microflow cache —
+        let (batched, unbatched) = (run(16), run(1));
+        assert_eq!(batched.0, (8, 7));
+        assert_eq!(unbatched.0, (8, 7));
+        // but the batched burst is one service period: its first frame
+        // leaves with its last, behind all eight service times.
+        assert!(batched.1 > unbatched.1, "{batched:?} vs {unbatched:?}");
     }
 
     /// One steered core must be bit-identical to the default shared
@@ -856,13 +860,7 @@ mod tests {
             let rx = net.node_ref::<Sink>(sink).received();
             let p50 = net.node_ref::<Sink>(sink).latency().p50();
             let sw = net.node_ref::<SoftSwitchNode>(s);
-            (
-                rx,
-                p50,
-                sw.datapath().packets_processed(),
-                sw.datapath().batch_memo_hits(),
-                sw.rx_dropped(),
-            )
+            (rx, p50, sw.datapath().stats(), sw.rx_dropped())
         };
         let unsteered = run(None);
         assert_eq!(unsteered, run(Some(1)), "N=1 steering must be invisible");

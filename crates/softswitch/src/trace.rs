@@ -10,9 +10,6 @@
 /// Which path a packet took through the dataplane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupPath {
-    /// Repeated key within one batch: replayed from the per-batch memo
-    /// without a cache probe (see `Datapath::process_batch_into`).
-    BatchHit,
     /// Exact-match microflow cache hit.
     MicroHit,
     /// Megaflow cache hit after probing `probes` masks.
@@ -77,9 +74,6 @@ impl ProcessingTrace {
 pub struct CostModel {
     /// Fixed cost: RX, parse, flow-key extraction.
     pub parse: f64,
-    /// Per-batch memo replay (repeated key in a burst): no hash probe,
-    /// no epoch check, no path clone.
-    pub batch_hit: f64,
     /// Microflow cache probe + hit.
     pub micro_hit: f64,
     /// Megaflow probe (per mask tried).
@@ -112,7 +106,6 @@ impl Default for CostModel {
     fn default() -> CostModel {
         CostModel {
             parse: 45.0,
-            batch_hit: 20.0,
             micro_hit: 35.0,
             mega_probe: 55.0,
             table_visit: 40.0,
@@ -136,7 +129,6 @@ impl CostModel {
         let d = CostModel::default();
         CostModel {
             parse: d.parse * factor,
-            batch_hit: d.batch_hit * factor,
             micro_hit: d.micro_hit * factor,
             mega_probe: d.mega_probe * factor,
             table_visit: d.table_visit * factor,
@@ -157,7 +149,6 @@ impl CostModel {
     pub fn cost_ns(&self, t: &ProcessingTrace) -> u64 {
         let mut ns = self.parse + self.per_byte * f64::from(t.frame_len);
         ns += match t.path {
-            LookupPath::BatchHit => self.batch_hit,
             LookupPath::MicroHit => self.micro_hit,
             LookupPath::MegaHit { probes } => self.mega_probe * f64::from(probes.max(1)),
             LookupPath::SlowPath {
@@ -210,14 +201,6 @@ mod tests {
         let m = CostModel::default();
         let pps = m.pps(&fwd_trace(LookupPath::MicroHit));
         assert!((6e6..14e6).contains(&pps), "micro path = {pps:.0} pps");
-    }
-
-    #[test]
-    fn batch_hit_is_cheapest_cached_path() {
-        let m = CostModel::default();
-        let batch = m.cost_ns(&fwd_trace(LookupPath::BatchHit));
-        let micro = m.cost_ns(&fwd_trace(LookupPath::MicroHit));
-        assert!(batch < micro, "{batch} < {micro}");
     }
 
     #[test]

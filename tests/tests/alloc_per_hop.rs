@@ -211,8 +211,8 @@ fn cots_hop_allocates_its_table_walk_and_no_result_vectors() {
     // The uncached walk: the matched entry's instruction list and the
     // action list inside it cloned, the recorded program and the table
     // hits (a block each, and one more where `CachedPath::new` trims
-    // them), and the `CachedPath` itself — which nothing keeps: a
-    // one-frame batch bypasses the memo and the model has no caches.
+    // them), and the `CachedPath` itself — which nothing keeps: the
+    // model has no caches.
     const WALK: u64 = 7;
     assert_eq!(
         blocks,

@@ -4,7 +4,7 @@
 //! id)` slots — together with the megaflow store it points into,
 //! operation by operation against a model whose hit rule is "some
 //! admitted slot with this fingerprint points at a stored megaflow that
-//! covers the key"; and the batch memo's exact table.
+//! covers the key".
 //!
 //! The hash is the caller's, so the tests choose it: every key on one
 //! slot, every key on one full 32-bit fingerprint (a fingerprint match
@@ -19,7 +19,7 @@ use netpkt::flowkey::FieldMask;
 use netpkt::{builder, FlowKey, MacAddr};
 use proptest::prelude::*;
 use softswitch::actions::CAction;
-use softswitch::cache::{CachedPath, ExactTable, MegaflowCache, MicroflowCache};
+use softswitch::cache::{CachedPath, MegaflowCache, MicroflowCache};
 
 fn key(i: u32) -> FlowKey {
     let f = builder::udp_packet(
@@ -316,30 +316,4 @@ fn one_fingerprint_is_told_apart_by_the_megaflow_not_by_a_key() {
     assert_eq!(c.len(), 3);
     // Under another fingerprint the shared megaflow is not a microflow hit.
     assert_eq!(c.lookup_hashed(FP + 1, &key(22), 1, &mut store), None);
-}
-
-/// The bare table, as the batch memo drives it: positions are insertion
-/// order, an equal key is replaced in place, `is_full` is advice.
-#[test]
-fn exact_table_positions_are_insertion_order() {
-    for mode in 0..5 {
-        let mut t = ExactTable::new(3);
-        assert_eq!(t.find(hash(mode, 0), &key(0)), None, "no index yet");
-        for k in 0..5 {
-            assert_eq!(t.is_full(), k >= 3);
-            assert_eq!(t.put(hash(mode, k), key(k), path(k, 0)), k as usize);
-        }
-        assert_eq!(t.put(hash(mode, 1), key(1), path(77, 0)), 1);
-        let (k1, p1) = t.entry(1).unwrap();
-        assert_eq!((*k1, id_of(p1)), (key(1), 77));
-        assert!(t.entry(5).is_none());
-        assert_eq!(t.find(hash(mode, 4), &key(4)), Some(4));
-        assert_eq!(t.find(hash(mode, 9), &key(9)), None);
-        t.ensure_epoch(0);
-        assert!(t.entry(4).is_some(), "same epoch keeps entries");
-        t.ensure_epoch(5);
-        assert!(t.entry(0).is_none());
-        assert_eq!(t.find(hash(mode, 4), &key(4)), None);
-        assert_eq!(t.put(hash(mode, 4), key(4), path(4, 5)), 0);
-    }
 }

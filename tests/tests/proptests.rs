@@ -343,8 +343,8 @@ proptest! {
 
     /// The batched fast path must be semantically invisible: for any mix
     /// of rules, pipeline mode and packet sequence, one batch of N
-    /// frames produces exactly the outputs, packet-ins and drop
-    /// decisions of N batches of one frame each, in the same per-frame
+    /// frames produces exactly the outputs, packet-ins, drop decisions
+    /// and traces of N batches of one frame each, in the same per-frame
     /// order.
     #[test]
     fn process_batch_equals_sequential_process(
@@ -408,10 +408,11 @@ proptest! {
                 "packet-ins of packet {}", i);
             prop_assert_eq!(s.frame(0).dropped, batched.frame(i).dropped,
                 "drop decision of packet {}", i);
+            prop_assert_eq!(s.frame(0).trace, batched.frame(i).trace, "trace of packet {}", i);
         }
-        // Aggregate state agrees too: every frame was processed and flow
-        // counters saw identical traffic.
-        prop_assert_eq!(seq_dp.packets_processed(), batch_dp.packets_processed());
+        // Aggregate state agrees too: every frame was processed, every
+        // cache layer and flow counter saw identical traffic.
+        prop_assert_eq!(seq_dp.stats(), batch_dp.stats());
         prop_assert_eq!(
             seq_dp.table(0).unwrap().entries().iter().map(|e| e.packets).collect::<Vec<_>>(),
             batch_dp.table(0).unwrap().entries().iter().map(|e| e.packets).collect::<Vec<_>>()
@@ -494,13 +495,14 @@ proptest! {
                 "rewritten frames of packet {}", i);
             prop_assert_eq!(s.frame(0).dropped, batched.frame(i).dropped,
                 "drop decision of packet {}", i);
+            prop_assert_eq!(s.frame(0).trace, batched.frame(i).trace, "trace of packet {}", i);
         }
         // CoW isolation: the ingress frames the batch shared storage
         // with are bit-for-bit what was submitted.
         for (i, (orig, p)) in originals.iter().zip(&packets).enumerate() {
             prop_assert_eq!(orig, &frame(p), "ingress frame {} was mutated in place", i);
         }
-        prop_assert_eq!(seq_dp.packets_processed(), batch_dp.packets_processed());
+        prop_assert_eq!(seq_dp.stats(), batch_dp.stats());
     }
 
     /// Translator invariant: any packet entering tagged with a mapped
@@ -967,12 +969,15 @@ proptest! {
 
     /// The edge-router pipeline (classifier → NAT → LPM routes) must
     /// behave identically whether frames arrive one per batch or as one
-    /// batch through the memo: same rewritten bytes, same drops, same
-    /// TTL expiries, same NAT connection state.
+    /// batch: same rewritten bytes, same drops, same traces, same TTL
+    /// expiries, same NAT connection state — also when the pool is small
+    /// enough that connections evict each other (and bump the epoch)
+    /// in the middle of the batch.
     #[test]
     fn routed_nat_pipeline_batch_equals_one_frame_batches(
         packets in proptest::collection::vec((0u8..4, 0u8..3, 0u16..8, any::<bool>()), 1..60),
         mode_sel in 0usize..4,
+        small_pool in any::<bool>(),
     ) {
         use openflow::{Instruction, NatDir};
         let mode = [
@@ -989,7 +994,11 @@ proptest! {
                 dp.add_port(p, format!("p{p}"), 1_000_000);
             }
             dp.set_router(std::net::Ipv4Addr::new(10, 0, 255, 254), router_mac);
-            dp.configure_nat(softswitch::NatConfig::new(ext));
+            let mut nat = softswitch::NatConfig::new(ext);
+            if small_pool {
+                nat.port_hi = nat.port_lo + 1;
+            }
+            dp.configure_nat(nat);
             // Table 0: IPv4 classifier. Table 1: reverse NAT for the
             // external address, else fall through. Table 2: LPM routes.
             dp.apply_flow_mod(
@@ -1068,12 +1077,12 @@ proptest! {
                 "drop decision of packet {}", i);
             prop_assert_eq!(s.packet_ins_of(0), batched.packet_ins_of(i),
                 "packet-ins of packet {}", i);
+            prop_assert_eq!(s.frame(0).trace, batched.frame(i).trace, "trace of packet {}", i);
         }
-        prop_assert_eq!(seq_dp.stats().ttl_expired, batch_dp.stats().ttl_expired);
-        prop_assert_eq!(seq_dp.stats().nat_dropped, batch_dp.stats().nat_dropped);
+        prop_assert_eq!(seq_dp.stats(), batch_dp.stats());
         prop_assert_eq!(seq_dp.nat().created(), batch_dp.nat().created());
+        prop_assert_eq!(seq_dp.nat().evicted_lru(), batch_dp.nat().evicted_lru());
         prop_assert_eq!(seq_dp.nat().live_conns(), batch_dp.nat().live_conns());
-        prop_assert_eq!(seq_dp.packets_processed(), batch_dp.packets_processed());
     }
 
     /// The routing stage's incremental TTL/checksum patch produces, at
@@ -1771,7 +1780,7 @@ proptest! {
     /// per batch and batched, cached (`full`) and uncached (`linear`), with frames
     /// handed over uniquely or with a clone retained, all emit the same
     /// bytes over three rounds: fresh frames (slow path), the same
-    /// frames again (cache and memo replay), and what the first round
+    /// frames again (cache replay), and what the first round
     /// emitted fed back in — moved, under `Unique`, so a pop's output
     /// meets the push that re-tags it as its sole holder.
     #[test]
@@ -1865,6 +1874,50 @@ proptest! {
         let (seen, changed) = run(PipelineMode::linear(), false, Handover::Unique);
         prop_assert_eq!(changed, None, "linear, single, unique: a held frame changed");
         prop_assert_eq!(&seen, &reference, "linear, single, unique");
+    }
+}
+
+/// The cache-less modes are cache-less in a batch too: repeats of a key
+/// walk the tables every time (nothing resolved for one frame serves
+/// the next), which is what makes `linear()` the oracle of the
+/// properties above and the baseline of E11's ablation.
+#[test]
+fn cacheless_modes_walk_the_tables_for_every_frame_of_a_batch() {
+    use softswitch::trace::LookupPath;
+    let frame = |src: u32, dport: u16| {
+        let (a, b) = (MacAddr::host(src), MacAddr::host(2));
+        let ip = |h: u8| std::net::Ipv4Addr::new(10, 0, 0, h);
+        builder::udp_packet(a, b, ip(src as u8), ip(2), 1000, dport, b"x")
+    };
+    for mode in [PipelineMode::linear(), PipelineMode::tss()] {
+        let mut dp = Datapath::new(DpConfig::software(1).with_mode(mode));
+        for p in 1..=3 {
+            dp.add_port(p, format!("p{p}"), 1_000_000);
+        }
+        for (dport, out) in [(53, 2), (80, 3)] {
+            let m = Match::new().eth_type(0x0800).ip_proto(17).udp_dst(dport);
+            let fm = FlowMod::add(0).priority(10).match_(m);
+            dp.apply_flow_mod(&fm.apply(vec![Action::output(out)]), 0)
+                .unwrap();
+        }
+        let mut batch: FrameBatch = [(1, 53), (1, 53), (2, 80), (1, 53), (2, 80)]
+            .into_iter()
+            .map(|(src, dport)| (1u32, frame(src, dport)))
+            .collect();
+        let r = run_batch(&mut dp, &mut batch, 0);
+        assert!(batch.is_empty(), "processing drains the batch");
+        let ports: Vec<u32> = (0..r.len()).map(|i| r.outputs_of(i)[0].0).collect();
+        assert_eq!(ports, [2, 2, 3, 2, 3], "{mode:?}");
+        let by_port = r.outputs_by_port();
+        assert_eq!((by_port[&2].len(), by_port[&3].len()), (3, 2));
+        for f in r.frames() {
+            let path = f.trace.unwrap().path;
+            assert!(
+                matches!(path, LookupPath::SlowPath { tables: 1, .. }),
+                "{mode:?}: {path:?}"
+            );
+        }
+        assert_eq!(dp.table(0).unwrap().lookups(), 5, "{mode:?}");
     }
 }
 
