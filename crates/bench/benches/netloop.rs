@@ -14,6 +14,12 @@
 //! factors of a frame's cost in the simulator — events per delivered
 //! frame (control-plane events of the ping storm included) and host ns
 //! per event.
+//!
+//! `netloop/queue/*` isolates the event queue: nodes that only re-arm
+//! timers, so an event is one queue pop, one dispatch and one push.
+//! `one_in_flight_over_200_parked` is the steady fabric's regime (200
+//! timers far in the future, one event due next); `4096_in_flight` the
+//! opposite (every pending event is near, at scattered times).
 
 use criterion::{criterion_group, Criterion, Throughput};
 
@@ -23,7 +29,7 @@ use controller::ControllerNode;
 use harmless::fabric::{FabricSpec, Interconnect};
 use harmless::instance::HarmlessSpec;
 use netsim::host::Host;
-use netsim::{Network, NodeId, SimTime};
+use netsim::{Network, Node, NodeCtx, NodeId, PortId, SimTime};
 
 const PODS: u16 = 4;
 const HOSTS: u16 = 16;
@@ -84,6 +90,68 @@ fn fabric_ping_storm(threads: Option<usize>) -> (u64, u64) {
     (net.events_processed(), net.delivered_frames())
 }
 
+/// A node that keeps `timers` timers pending: each one, when it fires,
+/// is re-armed `delay(token)` later.
+struct Rearm {
+    timers: u64,
+    delay: fn(u64) -> SimTime,
+}
+
+impl Node for Rearm {
+    fn on_start(&mut self, ctx: &mut NodeCtx) {
+        for token in 0..self.timers {
+            ctx.schedule((self.delay)(token), token);
+        }
+    }
+    fn on_packet(&mut self, _: PortId, _: bytes::Bytes, _: &mut NodeCtx) {}
+    fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx) {
+        // An LCG step, so that successive delays of one timer differ.
+        let next = token
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ctx.schedule((self.delay)(next), next);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+const QUEUE_EVENTS: u64 = 1_000_000;
+
+/// Run a queue workload to `QUEUE_EVENTS` events; returns the events
+/// processed.
+fn queue_run(parked: u64, in_flight: u64, delay: fn(u64) -> SimTime) -> u64 {
+    let mut net = Network::new(5);
+    net.add_node(Rearm {
+        timers: parked,
+        delay: |token| SimTime::from_secs(1_000) + SimTime::from_micros(token * 7919 % 1_000),
+    });
+    net.add_node(Rearm {
+        timers: in_flight,
+        delay,
+    });
+    while net.events_processed() < QUEUE_EVENTS {
+        net.run_for(SimTime::from_millis(1));
+    }
+    net.events_processed()
+}
+
+type QueueWorkload = (&'static str, u64, u64, fn(u64) -> SimTime);
+
+fn queue_workloads() -> [QueueWorkload; 2] {
+    [
+        ("one_in_flight_over_200_parked", 200, 1, |_| {
+            SimTime::from_micros(1)
+        }),
+        ("4096_in_flight", 0, 4096, |token| {
+            SimTime::from_nanos(1 + (token >> 50))
+        }),
+    ]
+}
+
 fn engines() -> Vec<(&'static str, Option<usize>)> {
     vec![
         ("single_queue", None),
@@ -112,6 +180,14 @@ fn bench_netloop(c: &mut Criterion) {
         g.bench_function(label, |b| b.iter(|| fabric_ping_storm(threads)));
     }
     g.finish();
+
+    let mut g = c.benchmark_group("netloop/queue");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(QUEUE_EVENTS));
+    for (label, parked, in_flight, delay) in queue_workloads() {
+        g.bench_function(label, |b| b.iter(|| queue_run(parked, in_flight, delay)));
+    }
+    g.finish();
 }
 
 criterion_group!(benches, bench_netloop);
@@ -132,6 +208,19 @@ fn main() {
                 ("wall_s", wall),
                 ("events_per_sec", events as f64 / wall),
                 ("events_per_frame", events as f64 / frames as f64),
+                ("ns_per_event", wall * 1e9 / events as f64),
+            ],
+        );
+    }
+    for (label, parked, in_flight, delay) in queue_workloads() {
+        let t0 = std::time::Instant::now();
+        let events = queue_run(parked, in_flight, delay);
+        let wall = t0.elapsed().as_secs_f64();
+        rep.record(
+            &format!("netloop/queue/{label}"),
+            &[
+                ("events", events as f64),
+                ("wall_s", wall),
                 ("ns_per_event", wall * 1e9 / events as f64),
             ],
         );

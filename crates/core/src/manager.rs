@@ -598,7 +598,7 @@ mod tests {
         let legacy = net.node_ref::<LegacySwitchNode>(hx.legacy);
         assert_eq!(legacy.bridge().pvid(1), 101);
         assert!(
-            legacy.bridge().vlans()[&104].egress.contains(&5),
+            legacy.bridge().vlan(104).unwrap().egress.contains(5),
             "trunk is a member"
         );
     }
@@ -678,7 +678,7 @@ mod tests {
         }
         for vid in 101..=104 {
             assert!(
-                !legacy.bridge().vlans().contains_key(&vid),
+                legacy.bridge().vlan(vid).is_none(),
                 "VLAN {vid} must be gone"
             );
         }

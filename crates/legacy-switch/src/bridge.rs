@@ -8,7 +8,7 @@
 //! HARMLESS Manager writes.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use netpkt::vlan::{self, VlanTag, VlanView};
@@ -29,13 +29,85 @@ pub struct PortCounters {
     pub rx_filtered: u64,
 }
 
+/// A set of port numbers as a bitmap — what a Q-BRIDGE `PortList`
+/// encodes. It is as long as its highest member ever needed (a bridge's
+/// sets: `n_ports` bits) and answers `false` for any port beyond that.
+#[derive(Clone, Default)]
+pub struct PortSet {
+    /// Bit `p % 64` of word `p / 64` is port `p`.
+    words: Vec<u64>,
+}
+
+impl PortSet {
+    /// True if `port` is a member.
+    pub fn contains(&self, port: u16) -> bool {
+        self.words
+            .get(usize::from(port / 64))
+            .is_some_and(|w| w >> (port % 64) & 1 == 1)
+    }
+
+    /// Add `port`.
+    pub fn insert(&mut self, port: u16) {
+        let word = usize::from(port / 64);
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (port % 64);
+    }
+
+    /// Remove `port`.
+    pub fn remove(&mut self, port: u16) {
+        if let Some(w) = self.words.get_mut(usize::from(port / 64)) {
+            *w &= !(1 << (port % 64));
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True if no port is a member.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    (i * 64) as u16 + bit as u16
+                })
+            })
+        })
+    }
+}
+
+impl FromIterator<u16> for PortSet {
+    fn from_iter<I: IntoIterator<Item = u16>>(ports: I) -> PortSet {
+        let mut set = PortSet::default();
+        ports.into_iter().for_each(|p| set.insert(p));
+        set
+    }
+}
+
+impl core::fmt::Debug for PortSet {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// One VLAN's membership.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct VlanEntry {
     /// Ports that carry this VLAN at all.
-    pub egress: BTreeSet<u16>,
+    pub egress: PortSet,
     /// Subset of `egress` that send it untagged.
-    pub untagged: BTreeSet<u16>,
+    pub untagged: PortSet,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -117,7 +189,12 @@ pub struct Forwarded {
 #[derive(Debug)]
 pub struct Bridge {
     n_ports: u16,
-    vlans: BTreeMap<u16, VlanEntry>,
+    /// The static VLAN table, ascending by VLAN id.
+    vlans: Vec<(u16, VlanEntry)>,
+    /// Position in `vlans` of each VLAN id up to the highest ever
+    /// created ([`NO_VLAN`]: not in the table), so that the frame path
+    /// finds a frame's VLAN without a search.
+    vlan_index: Vec<u16>,
     /// PVID of each port, by [`slot`].
     pvid: Vec<u16>,
     fdb: HashMap<u64, FdbEntry, BuildHasherDefault<FdbHasher>>,
@@ -127,6 +204,10 @@ pub struct Bridge {
     flood_frames: u64,
 }
 
+/// [`Bridge::vlan_index`] of a VLAN id that is not in the table; past
+/// the end of any table, since VLAN ids number fewer.
+const NO_VLAN: u16 = u16::MAX;
+
 /// Default MAC aging time (302 s, the 802.1D default is 300 s ± margin).
 pub const DEFAULT_AGING_NS: u64 = 300 * 1_000_000_000;
 
@@ -134,18 +215,15 @@ impl Bridge {
     /// Factory-default bridge: all ports untagged members of VLAN 1 with
     /// PVID 1 — the "dumb switch" the paper starts from.
     pub fn new(n_ports: u16) -> Bridge {
-        let mut vlans = BTreeMap::new();
-        let all: BTreeSet<u16> = (1..=n_ports).collect();
-        vlans.insert(
-            1,
-            VlanEntry {
-                egress: all.clone(),
-                untagged: all,
-            },
-        );
+        let all: PortSet = (1..=n_ports).collect();
+        let default_vlan = VlanEntry {
+            egress: all.clone(),
+            untagged: all,
+        };
         Bridge {
             n_ports,
-            vlans,
+            vlans: vec![(1, default_vlan)],
+            vlan_index: vec![NO_VLAN, 0],
             pvid: vec![1; usize::from(n_ports)],
             fdb: HashMap::default(),
             aging_ns: DEFAULT_AGING_NS,
@@ -159,9 +237,32 @@ impl Bridge {
         self.n_ports
     }
 
-    /// The VLAN table (MIB reads).
-    pub fn vlans(&self) -> &BTreeMap<u16, VlanEntry> {
+    /// The VLAN table, ascending by VLAN id (MIB walks).
+    pub fn vlans(&self) -> &[(u16, VlanEntry)] {
         &self.vlans
+    }
+
+    /// One VLAN's membership, if the VLAN exists.
+    pub fn vlan(&self, vid: u16) -> Option<&VlanEntry> {
+        self.vlan_at(vid).map(|at| &self.vlans[at].1)
+    }
+
+    /// Position of VLAN `vid` in the table.
+    fn vlan_at(&self, vid: u16) -> Option<usize> {
+        let at = usize::from(*self.vlan_index.get(usize::from(vid))?);
+        (at < self.vlans.len()).then_some(at)
+    }
+
+    fn vlan_mut(&mut self, vid: u16) -> Result<&mut VlanEntry, BridgeConfigError> {
+        let at = self.vlan_at(vid).ok_or(BridgeConfigError::NoSuchVlan)?;
+        Ok(&mut self.vlans[at].1)
+    }
+
+    /// Point `vlan_index` at the table's entries from position `from` on.
+    fn reindex_vlans(&mut self, from: usize) {
+        for (at, (vid, _)) in self.vlans.iter().enumerate().skip(from) {
+            self.vlan_index[usize::from(*vid)] = at as u16;
+        }
     }
 
     /// A port's PVID (1 if unset).
@@ -206,15 +307,23 @@ impl Bridge {
         if !VlanTag::vid_is_valid(vid) {
             return Err(BridgeConfigError::BadVlanId);
         }
-        self.vlans.entry(vid).or_default();
+        if self.vlan_at(vid).is_none() {
+            let at = self.vlans.partition_point(|(v, _)| *v < vid);
+            self.vlans.insert(at, (vid, VlanEntry::default()));
+            if self.vlan_index.len() <= usize::from(vid) {
+                self.vlan_index.resize(usize::from(vid) + 1, NO_VLAN);
+            }
+            self.reindex_vlans(at);
+        }
         Ok(())
     }
 
     /// Destroy a VLAN and flush its FDB entries.
     pub fn destroy_vlan(&mut self, vid: u16) -> Result<(), BridgeConfigError> {
-        if self.vlans.remove(&vid).is_none() {
-            return Err(BridgeConfigError::NoSuchVlan);
-        }
+        let at = self.vlan_at(vid).ok_or(BridgeConfigError::NoSuchVlan)?;
+        self.vlans.remove(at);
+        self.vlan_index[usize::from(vid)] = NO_VLAN;
+        self.reindex_vlans(at);
         self.fdb.retain(|k, _| k >> 48 != u64::from(vid));
         Ok(())
     }
@@ -224,12 +333,13 @@ impl Bridge {
         for &p in ports {
             self.check_port(p)?;
         }
-        let e = self
-            .vlans
-            .get_mut(&vid)
-            .ok_or(BridgeConfigError::NoSuchVlan)?;
+        let e = self.vlan_mut(vid)?;
         e.egress = ports.iter().copied().collect();
-        e.untagged = e.untagged.intersection(&e.egress).copied().collect();
+        e.untagged = e
+            .untagged
+            .iter()
+            .filter(|&p| e.egress.contains(p))
+            .collect();
         Ok(())
     }
 
@@ -239,14 +349,11 @@ impl Bridge {
         for &p in ports {
             self.check_port(p)?;
         }
-        let e = self
-            .vlans
-            .get_mut(&vid)
-            .ok_or(BridgeConfigError::NoSuchVlan)?;
+        let e = self.vlan_mut(vid)?;
         e.untagged = ports
             .iter()
             .copied()
-            .filter(|p| e.egress.contains(p))
+            .filter(|&p| e.egress.contains(p))
             .collect();
         Ok(())
     }
@@ -254,9 +361,7 @@ impl Bridge {
     /// Set a port's PVID. The VLAN must exist.
     pub fn set_pvid(&mut self, port: u16, vid: u16) -> Result<(), BridgeConfigError> {
         self.check_port(port)?;
-        if !self.vlans.contains_key(&vid) {
-            return Err(BridgeConfigError::NoSuchVlan);
-        }
+        self.vlan_at(vid).ok_or(BridgeConfigError::NoSuchVlan)?;
         self.pvid[slot(port)] = vid;
         Ok(())
     }
@@ -266,7 +371,7 @@ impl Bridge {
     pub fn make_access_port(&mut self, port: u16, vid: u16) -> Result<(), BridgeConfigError> {
         self.check_port(port)?;
         self.create_vlan(vid)?;
-        let e = self.vlans.get_mut(&vid).unwrap();
+        let e = self.vlan_mut(vid)?;
         e.egress.insert(port);
         e.untagged.insert(port);
         self.set_pvid(port, vid)
@@ -278,9 +383,9 @@ impl Bridge {
         self.check_port(port)?;
         for &vid in vids {
             self.create_vlan(vid)?;
-            let e = self.vlans.get_mut(&vid).unwrap();
+            let e = self.vlan_mut(vid)?;
             e.egress.insert(port);
-            e.untagged.remove(&port);
+            e.untagged.remove(port);
         }
         Ok(())
     }
@@ -306,10 +411,12 @@ impl Bridge {
             vlan,
             filtered: true,
         };
-        if let Some(c) = self.counters.get_mut(slot(in_port)) {
-            c.rx_frames += 1;
-            c.rx_octets += frame.len() as u64;
-        }
+        // A port this bridge does not have receives nothing.
+        let Some(rx) = self.counters.get_mut(slot(in_port)) else {
+            return dropped(0);
+        };
+        rx.rx_frames += 1;
+        rx.rx_octets += frame.len() as u64;
         let Ok(view) = VlanView::parse(frame) else {
             return dropped(0);
         };
@@ -317,13 +424,11 @@ impl Bridge {
         // on a member port of its VLAN, an untagged one needs its PVID's
         // VLAN to exist.
         let arrived_tagged = view.outer.is_some();
-        let vid = view.outer.map_or_else(|| self.pvid(in_port), |tag| tag.vid);
-        let entry = match self.vlans.get(&vid) {
-            Some(e) if !arrived_tagged || e.egress.contains(&in_port) => e,
+        let vid = view.outer.map_or(self.pvid[slot(in_port)], |tag| tag.vid);
+        let entry = match self.vlan_at(vid).map(|at| &self.vlans[at].1) {
+            Some(e) if !arrived_tagged || e.egress.contains(in_port) => e,
             _ => {
-                if let Some(c) = self.counters.get_mut(slot(in_port)) {
-                    c.rx_filtered += 1;
-                }
+                self.counters[slot(in_port)].rx_filtered += 1;
                 return dropped(vid);
             }
         };
@@ -349,7 +454,7 @@ impl Bridge {
             .then(|| self.fdb.get(&fdb_key(vid, dst)))
             .flatten();
         let target = match learned {
-            Some(e) if e.port != in_port && entry.egress.contains(&e.port) => Some(e.port),
+            Some(e) if e.port != in_port && entry.egress.contains(e.port) => Some(e.port),
             // The destination is behind the ingress port.
             Some(_) => {
                 return Forwarded {
@@ -366,7 +471,7 @@ impl Bridge {
         let (mut tagged, mut untagged) = (None, None);
         let counters = &mut self.counters;
         let mut send = |p: u16| {
-            let f: &Bytes = if entry.untagged.contains(&p) {
+            let f: &Bytes = if entry.untagged.contains(p) {
                 untagged.get_or_insert_with(|| {
                     if arrived_tagged {
                         vlan::pop_vlan(frame).unwrap_or_else(|_| frame.clone())
@@ -393,11 +498,7 @@ impl Bridge {
             Some(p) => send(p),
             None => {
                 self.flood_frames += 1;
-                entry
-                    .egress
-                    .iter()
-                    .filter(|&&p| p != in_port)
-                    .for_each(|&p| send(p));
+                entry.egress.iter().filter(|&p| p != in_port).for_each(send);
             }
         }
         Forwarded {
@@ -411,8 +512,14 @@ impl Bridge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mib::{BridgeMib, SysInfo};
+    use mgmt::oid::Oid;
+    use mgmt::pdu::Value;
+    use mgmt::{mibs, MibStore};
     use netpkt::builder;
     use netpkt::EtherType;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::net::Ipv4Addr;
 
     fn frame(src: u32, dst: u32) -> Bytes {
@@ -552,6 +659,19 @@ mod tests {
     }
 
     #[test]
+    fn a_port_the_bridge_does_not_have_receives_nothing() {
+        let mut b = Bridge::new(2);
+        for port in [0, 3, u16::MAX] {
+            let out = b.forward(port, &frame(1, 2), 0);
+            assert!(out.filtered, "port {port}");
+            assert!(out.outputs.is_empty(), "port {port} floods nothing");
+        }
+        assert_eq!(b.fdb_len(), 0, "nothing learned behind such a port");
+        assert_eq!(b.flood_frames(), 0);
+        assert_eq!(b.counters(1).tx_frames + b.counters(2).tx_frames, 0);
+    }
+
+    #[test]
     fn ingress_filtering_drops_foreign_tags() {
         let mut b = Bridge::new(4);
         b.make_access_port(1, 10).unwrap();
@@ -630,12 +750,12 @@ mod tests {
         b.set_egress(10, &[1, 2]).unwrap();
         b.set_untagged(10, &[1, 3]).unwrap(); // 3 is not a member
         assert_eq!(
-            b.vlans()[&10].untagged.iter().copied().collect::<Vec<_>>(),
+            b.vlan(10).unwrap().untagged.iter().collect::<Vec<_>>(),
             vec![1]
         );
         // Shrinking egress shrinks untagged too.
         b.set_egress(10, &[2]).unwrap();
-        assert!(b.vlans()[&10].untagged.is_empty());
+        assert!(b.vlan(10).unwrap().untagged.is_empty());
     }
 
     #[test]
@@ -645,5 +765,204 @@ mod tests {
         b.forward(1, &f, 0);
         assert_eq!(b.counters(1).rx_octets, f.len() as u64);
         assert_eq!(b.counters(2).tx_frames, 1);
+    }
+
+    /// The bridge written with ordered sets and an ordered VLAN table —
+    /// the model the bitmaps and the VLAN index are checked against.
+    struct Model {
+        n_ports: u16,
+        vlans: BTreeMap<u16, (BTreeSet<u16>, BTreeSet<u16>)>,
+        pvid: Vec<u16>,
+        fdb: HashMap<(u16, MacAddr), u16>,
+    }
+
+    impl Model {
+        fn new(n_ports: u16) -> Model {
+            let all: BTreeSet<u16> = (1..=n_ports).collect();
+            Model {
+                n_ports,
+                vlans: BTreeMap::from([(1, (all.clone(), all))]),
+                pvid: vec![1; usize::from(n_ports)],
+                fdb: HashMap::new(),
+            }
+        }
+
+        fn ports_ok(&self, ports: &[u16]) -> Result<(), BridgeConfigError> {
+            let ok = ports.iter().all(|p| (1..=self.n_ports).contains(p));
+            ok.then_some(()).ok_or(BridgeConfigError::BadPort)
+        }
+
+        fn vlan(
+            &mut self,
+            vid: u16,
+        ) -> Result<&mut (BTreeSet<u16>, BTreeSet<u16>), BridgeConfigError> {
+            self.vlans
+                .get_mut(&vid)
+                .ok_or(BridgeConfigError::NoSuchVlan)
+        }
+
+        fn create_vlan(&mut self, vid: u16) -> Result<(), BridgeConfigError> {
+            if !(1..=4094).contains(&vid) {
+                return Err(BridgeConfigError::BadVlanId);
+            }
+            self.vlans.entry(vid).or_default();
+            Ok(())
+        }
+
+        fn destroy_vlan(&mut self, vid: u16) -> Result<(), BridgeConfigError> {
+            self.vlans
+                .remove(&vid)
+                .ok_or(BridgeConfigError::NoSuchVlan)?;
+            self.fdb.retain(|(v, _), _| *v != vid);
+            Ok(())
+        }
+
+        fn set_egress(&mut self, vid: u16, ports: &[u16]) -> Result<(), BridgeConfigError> {
+            self.ports_ok(ports)?;
+            let (egress, untagged) = self.vlan(vid)?;
+            *egress = ports.iter().copied().collect();
+            untagged.retain(|p| egress.contains(p));
+            Ok(())
+        }
+
+        fn set_untagged(&mut self, vid: u16, ports: &[u16]) -> Result<(), BridgeConfigError> {
+            self.ports_ok(ports)?;
+            let (egress, untagged) = self.vlan(vid)?;
+            *untagged = ports
+                .iter()
+                .copied()
+                .filter(|p| egress.contains(p))
+                .collect();
+            Ok(())
+        }
+
+        fn make_access_port(&mut self, port: u16, vid: u16) -> Result<(), BridgeConfigError> {
+            self.ports_ok(&[port])?;
+            self.create_vlan(vid)?;
+            let (egress, untagged) = self.vlan(vid)?;
+            egress.insert(port);
+            untagged.insert(port);
+            self.pvid[slot(port)] = vid;
+            Ok(())
+        }
+
+        fn make_trunk_port(&mut self, port: u16, vids: &[u16]) -> Result<(), BridgeConfigError> {
+            self.ports_ok(&[port])?;
+            for &vid in vids {
+                self.create_vlan(vid)?;
+                let (egress, untagged) = self.vlan(vid)?;
+                egress.insert(port);
+                untagged.remove(&port);
+            }
+            Ok(())
+        }
+
+        fn forward(&mut self, in_port: u16, frame: &Bytes) -> Forwarded {
+            let mut out = Forwarded {
+                outputs: Vec::new(),
+                vlan: 0,
+                filtered: true,
+            };
+            if self.ports_ok(&[in_port]).is_err() {
+                return out;
+            }
+            let tag = vlan::outer_tag(frame);
+            out.vlan = tag.map_or(self.pvid[slot(in_port)], |t| t.vid);
+            let Some((egress, untagged)) = self.vlans.get(&out.vlan) else {
+                return out;
+            };
+            if tag.is_some() && !egress.contains(&in_port) {
+                return out;
+            }
+            out.filtered = false;
+            let eth = EthernetFrame::new_unchecked(&frame[..]);
+            self.fdb.insert((out.vlan, eth.src()), in_port);
+            let to: Vec<u16> = match self.fdb.get(&(out.vlan, eth.dst())) {
+                Some(&p) if p != in_port && egress.contains(&p) => vec![p],
+                Some(_) => vec![],
+                None => egress.iter().copied().filter(|&p| p != in_port).collect(),
+            };
+            for p in to {
+                let f = match (untagged.contains(&p), tag.is_some()) {
+                    (true, true) => vlan::pop_vlan(frame).unwrap(),
+                    (false, false) => vlan::push_vlan(frame, VlanTag::new(out.vlan)).unwrap(),
+                    _ => frame.clone(),
+                };
+                out.outputs.push((p, f));
+            }
+            out
+        }
+
+        /// The three static-VLAN-table columns as a walk returns them.
+        fn vlan_rows(&self) -> Vec<(Oid, Value)> {
+            let list = |ports: &BTreeSet<u16>| {
+                let ports: Vec<u16> = ports.iter().copied().collect();
+                Value::OctetString(mibs::encode_portlist(&ports, self.n_ports))
+            };
+            let mut rows = Vec::new();
+            for (&vid, (egress, _)) in &self.vlans {
+                rows.push((mibs::vlan_static_egress_ports(vid), list(egress)));
+            }
+            for (&vid, (_, untagged)) in &self.vlans {
+                rows.push((mibs::vlan_static_untagged_ports(vid), list(untagged)));
+            }
+            for &vid in self.vlans.keys() {
+                let active = Value::Integer(mibs::ROW_ACTIVE);
+                rows.push((mibs::vlan_static_row_status(vid), active));
+            }
+            rows
+        }
+    }
+
+    proptest! {
+        /// Random reconfigurations and frames through the bridge and the
+        /// ordered-set model: every call answers the same, every frame
+        /// leaves on the same ports in the same order with the same
+        /// bytes, and after every step the static VLAN table walks the
+        /// same. Ports 0 and `n_ports + 1` and VLAN 0 are in range of
+        /// the generators.
+        #[test]
+        fn bitmap_bridge_agrees_with_the_ordered_set_model(
+            n_ports in 1u16..70,
+            ops in proptest::collection::vec((0u8..12, 0u16..72, 0u16..9, any::<u64>()), 1..80),
+        ) {
+            let (mut b, mut m) = (Bridge::new(n_ports), Model::new(n_ports));
+            let sys = SysInfo::default();
+            for (op, port, vid, bits) in ops {
+                let port = port % (n_ports + 2);
+                // Mostly valid ports, now and then one beyond the last.
+                let ports: Vec<u16> = (1..=n_ports + 1)
+                    .filter(|p| bits >> (p % 64) & 1 == 1 && (*p <= n_ports || bits % 16 == 0))
+                    .collect();
+                match op {
+                    0 => prop_assert_eq!(b.set_egress(vid, &ports), m.set_egress(vid, &ports)),
+                    1 => prop_assert_eq!(b.set_untagged(vid, &ports), m.set_untagged(vid, &ports)),
+                    2 => prop_assert_eq!(b.make_access_port(port, vid), m.make_access_port(port, vid)),
+                    3 => {
+                        let vids = [vid, (bits % 9) as u16];
+                        prop_assert_eq!(b.make_trunk_port(port, &vids), m.make_trunk_port(port, &vids));
+                    }
+                    4 => prop_assert_eq!(b.destroy_vlan(vid), m.destroy_vlan(vid)),
+                    5 => prop_assert_eq!(b.create_vlan(vid), m.create_vlan(vid)),
+                    _ => {
+                        let (src, dst) = ((bits % 5) as u32, (bits >> 8) as u32 % 5);
+                        let mut f = if dst == 0 { bcast(src) } else { frame(src, dst) };
+                        if op % 2 == 0 {
+                            f = vlan::push_vlan(&f, VlanTag::new(vid)).unwrap();
+                        }
+                        prop_assert_eq!(b.forward(port, &f, 0), m.forward(port, &f));
+                    }
+                }
+                let mib = BridgeMib { bridge: &mut b, sys: &sys, uptime_cs: 0 };
+                let table = mibs::vlan_static_table();
+                let mut walked = Vec::new();
+                let mut cur = table.clone();
+                while let Some(row) = mib.next(&cur).filter(|(oid, _)| table.contains(oid)) {
+                    cur = row.0.clone();
+                    walked.push(row);
+                }
+                prop_assert_eq!(walked, m.vlan_rows());
+            }
+        }
     }
 }

@@ -6,13 +6,11 @@
 //! Each request is answered from the bridge itself — an OID splits into
 //! a column of `COLUMNS` and one index arc — not from a built table.
 
-use std::collections::BTreeSet;
-
 use mgmt::oid::Oid;
 use mgmt::pdu::{ErrorStatus, Value};
 use mgmt::{mibs, MibStore};
 
-use crate::bridge::Bridge;
+use crate::bridge::{Bridge, PortSet};
 
 /// Identity strings advertised by the agent.
 #[derive(Debug, Clone)]
@@ -120,7 +118,7 @@ impl BridgeMib<'_> {
         let b = &*self.bridge;
         let n = b.n_ports();
         let id = u16::try_from(instance).ok()?;
-        let vlan = || b.vlans().get(&id);
+        let vlan = || b.vlan(id);
         let exists = match column.index() {
             Index::Scalar => id == 0,
             Index::Port => (1..=n).contains(&id),
@@ -130,8 +128,8 @@ impl BridgeMib<'_> {
             return None;
         }
         let text = |s: &str| Value::OctetString(s.as_bytes().to_vec());
-        let portlist = |ports: &BTreeSet<u16>| {
-            let ports: Vec<u16> = ports.iter().copied().collect();
+        let portlist = |ports: &PortSet| {
+            let ports: Vec<u16> = ports.iter().collect();
             Value::OctetString(mibs::encode_portlist(&ports, n))
         };
         Some(match column {
@@ -165,8 +163,9 @@ impl BridgeMib<'_> {
             }
             Index::Vlan => {
                 let from = u16::try_from(from).ok()?;
-                let (&vid, _) = self.bridge.vlans().range(from..).next()?;
-                Some(u32::from(vid))
+                let table = self.bridge.vlans();
+                let (vid, _) = table.get(table.partition_point(|(vid, _)| *vid < from))?;
+                Some(u32::from(*vid))
             }
         }
     }
@@ -274,9 +273,9 @@ mod tests {
                 Value::Counter32(c.tx_octets as u32),
             ));
         }
-        for (&vid, entry) in b.vlans() {
-            let egress: Vec<u16> = entry.egress.iter().copied().collect();
-            let untagged: Vec<u16> = entry.untagged.iter().copied().collect();
+        for &(vid, ref entry) in b.vlans() {
+            let egress: Vec<u16> = entry.egress.iter().collect();
+            let untagged: Vec<u16> = entry.untagged.iter().collect();
             out.push((
                 mibs::vlan_static_egress_ports(vid),
                 Value::OctetString(mibs::encode_portlist(&egress, n)),
@@ -506,9 +505,9 @@ mod tests {
             mib.set(&mibs::pvid(1), &Value::Gauge32(101)).unwrap();
         });
         assert_eq!(b.pvid(1), 101);
-        let v = &b.vlans()[&101];
-        assert_eq!(v.egress.iter().copied().collect::<Vec<_>>(), vec![1, 5]);
-        assert_eq!(v.untagged.iter().copied().collect::<Vec<_>>(), vec![1]);
+        let v = b.vlan(101).unwrap();
+        assert_eq!(v.egress.iter().collect::<Vec<_>>(), vec![1, 5]);
+        assert_eq!(v.untagged.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -522,7 +521,7 @@ mod tests {
             )
             .unwrap();
         });
-        assert!(!b.vlans().contains_key(&102));
+        assert!(b.vlan(102).is_none());
     }
 
     #[test]

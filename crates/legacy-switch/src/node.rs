@@ -317,7 +317,7 @@ mod tests {
         assert_eq!(reply.pdu.error_status, mgmt::ErrorStatus::NoError);
         let b = net.node_ref::<LegacySwitchNode>(sw).bridge();
         assert_eq!(b.pvid(1), 101);
-        assert!(b.vlans()[&101].egress.contains(&4));
+        assert!(b.vlan(101).unwrap().egress.contains(4));
     }
 
     #[test]

@@ -144,30 +144,54 @@ impl LinkDir {
         self.down = false;
     }
 
-    /// Try to enqueue a frame; returns false on tail drop.
-    pub fn enqueue(&mut self, frame: Bytes) -> bool {
-        let len = frame.len();
+    /// True when a frame offered at `now` would start at once: the
+    /// direction is up, nothing waits and the serializer is free.
+    pub fn idle(&self, now: SimTime) -> bool {
+        !self.down && self.queue.is_empty() && now >= self.busy_until
+    }
+
+    /// Decide whether a frame of `len` bytes offered to the egress
+    /// queue gets in — it is blackholed on a downed direction and
+    /// tail-dropped over `queue_bytes` — and count it either way.
+    pub fn admit(&mut self, len: usize) -> bool {
         if self.down {
             self.stats.blackholed_frames += 1;
             return false;
         }
-        if self.queued_bytes + len > self.spec.queue_bytes {
+        let occupancy = self.queued_bytes + len;
+        if occupancy > self.spec.queue_bytes {
             self.stats.dropped_frames += 1;
             return false;
         }
-        self.queued_bytes += len;
-        self.queue.push_back(frame);
-        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queued_bytes);
+        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(occupancy);
         true
+    }
+
+    /// Try to enqueue a frame; returns false on tail drop.
+    pub fn enqueue(&mut self, frame: Bytes) -> bool {
+        let admitted = self.admit(frame.len());
+        if admitted {
+            self.queued_bytes += frame.len();
+            self.queue.push_back(frame);
+        }
+        admitted
     }
 
     /// Pop the next frame for serialization, if any.
     pub fn dequeue(&mut self) -> Option<Bytes> {
         let f = self.queue.pop_front()?;
         self.queued_bytes -= f.len();
-        self.stats.tx_frames += 1;
-        self.stats.tx_bytes += f.len() as u64;
         Some(f)
+    }
+
+    /// Put a frame of `len` bytes on the wire at `now`: the serializer
+    /// is busy for its serialization time, and the frame reaches the
+    /// far end at the returned instant.
+    pub fn start_tx(&mut self, now: SimTime, len: usize) -> SimTime {
+        self.stats.tx_frames += 1;
+        self.stats.tx_bytes += len as u64;
+        self.busy_until = now + self.spec.ser_time(len);
+        self.busy_until + self.spec.delay
     }
 }
 
@@ -198,10 +222,14 @@ mod tests {
         dir.enqueue(Bytes::from(vec![0u8; 100]));
         let f = dir.dequeue().unwrap();
         assert_eq!(f.len(), 100);
-        assert_eq!(dir.stats.tx_frames, 1);
-        assert_eq!(dir.stats.tx_bytes, 100);
         assert_eq!(dir.queued_bytes, 0);
         assert!(dir.dequeue().is_none());
+        // 124 bytes on the wire at 1 Gbit/s, then 1 us of cable.
+        let arrive = dir.start_tx(SimTime::from_micros(5), f.len());
+        assert_eq!(arrive, SimTime::from_nanos(5_000 + 992 + 1_000));
+        assert_eq!(dir.busy_until, SimTime::from_nanos(5_992));
+        assert_eq!(dir.stats.tx_frames, 1);
+        assert_eq!(dir.stats.tx_bytes, 100);
     }
 
     #[test]

@@ -1372,6 +1372,41 @@ mod tests {
         assert_eq!(net.node_ref::<Pinger>(p).arrivals.len(), 2);
     }
 
+    /// More pending timers than the event queue's near run holds, so
+    /// that repartitioning drains both of its tiers: the new shard must
+    /// fire them in `(time, scheduling order)` order.
+    #[test]
+    fn set_shards_hands_over_both_tiers_of_the_event_queue_in_order() {
+        struct Timers(Vec<u64>);
+        impl Node for Timers {
+            fn on_start(&mut self, ctx: &mut NodeCtx) {
+                for token in 0..40 {
+                    ctx.schedule(SimTime::from_micros(100 - 10 * (token % 7)), token);
+                }
+            }
+            fn on_packet(&mut self, _: PortId, _: Bytes, _: &mut NodeCtx) {}
+            fn on_timer(&mut self, token: u64, _: &mut NodeCtx) {
+                self.0.push(token);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut net = Network::new(5);
+        let t = net.add_node(Timers(Vec::new()));
+        net.run_until(SimTime::from_micros(1));
+        let mut map = ShardMap::new(2);
+        map.assign(t, 1);
+        net.set_shards(&map);
+        net.run_until_idle();
+        let mut want: Vec<u64> = (0..40).collect();
+        want.sort_by_key(|token| (100 - 10 * (token % 7), *token));
+        assert_eq!(net.node_ref::<Timers>(t).0, want);
+    }
+
     #[test]
     #[should_panic(expected = "only has 1 nodes")]
     fn stale_shard_map_panics() {

@@ -48,13 +48,44 @@
 //! keeps the single-shard configuration bit-compatible with the
 //! pre-shard simulator.
 //!
+//! ## The event queue
+//!
+//! A shard's pending events are one `EventQueue`. Its invariant is the
+//! order events leave it in: ascending `(at, seq)`, where `seq` counts
+//! the events the shard has scheduled — a total order, so nothing a run
+//! computes depends on how the queue is built.
+//!
+//! It is built in two tiers: a *near run* of at most `NEAR_RUN` events,
+//! kept sorted, in front of a binary heap. An event due before the
+//! heap's earliest goes into the run, at the place a scan from the
+//! run's end finds (events are mostly scheduled in the order they fall
+//! due). A full run takes it only if it is due before the run's last
+//! event, which moves to the heap. Every other event goes to the heap,
+//! and a pop takes the earlier of the two tiers' heads.
+//!
+//! Why a run: a converged fabric (`hbench`'s `fabric_steady`) keeps
+//! about 196 timers parked milliseconds ahead — generators, expiry,
+//! keepalive and ageing ticks — while one frame is in flight. In a lone
+//! heap each of that frame's sixteen events sifted up past those timers
+//! when pushed and sifted one of them back down when popped; in the run
+//! it costs a compare with the heap's head. When thousands of events
+//! are in flight at one instant (a control-plane burst) the run is full,
+//! or later than the heap's head, and the heap does what it did alone.
+//!
 //! ## The link serializer
 //!
 //! A frame hop over an uncontended link costs one queue event, its
-//! `Deliver`. `Shard::kick` starts the head-of-line frame of an egress
-//! channel whenever `now >= busy_until` and records the new
-//! `busy_until`; it schedules a `TxDone` wake-up at `busy_until` only
-//! while frames wait behind the one being serialized. The invariant:
+//! `Deliver`, and never touches the egress queue. The idle-start rule:
+//! `Shard::emit` on a direction that is up, has nothing waiting and
+//! whose serializer is free (`LinkDir::idle`) admits the frame
+//! (`LinkDir::admit`, the tail-drop and high-water accounting every
+//! enqueue goes through) and starts it (`LinkDir::start_tx`) — exactly
+//! what enqueueing it and dequeueing it at once would have done.
+//! Otherwise the frame is enqueued, and `Shard::kick` starts the
+//! head-of-line frame of the channel, through the same `start_tx`,
+//! whenever `now >= busy_until`; it schedules a `TxDone` wake-up at the
+//! new `busy_until` only while frames wait behind the one being
+//! serialized. The invariant:
 //! `tx_in_flight` ⇔ exactly one `TxDone` for the channel is queued, and
 //! an idle link (nothing waiting) owns no event. Frame `i` offered at
 //! `t_i` therefore starts at `max(t_i, done_{i-1})`, is done one
@@ -69,7 +100,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::fault::CtrlProfile;
@@ -221,9 +252,16 @@ pub(crate) struct Sched {
     pub ev: Ev,
 }
 
+impl Sched {
+    /// The total order events pop in.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl PartialEq for Sched {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for Sched {}
@@ -235,7 +273,103 @@ impl PartialOrd for Sched {
 impl Ord for Sched {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so earliest (time, seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
+    }
+}
+
+/// Capacity of an [`EventQueue`]'s near run.
+const NEAR_RUN: usize = 16;
+
+/// A shard's pending events; see the module docs for the invariant.
+pub(crate) struct EventQueue {
+    /// At most [`NEAR_RUN`] events in ascending `(at, seq)` order.
+    near: VecDeque<Sched>,
+    far: BinaryHeap<Sched>,
+}
+
+impl EventQueue {
+    pub fn new() -> EventQueue {
+        EventQueue {
+            near: VecDeque::with_capacity(NEAR_RUN),
+            far: BinaryHeap::new(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.near.is_empty() && self.far.is_empty()
+    }
+
+    pub fn push(&mut self, s: Sched) {
+        let key = s.key();
+        if self.far.peek().is_some_and(|top| top.key() < key) || !self.make_room(key) {
+            self.far.push(s);
+            return;
+        }
+        // Events are mostly pushed in the order they fall due.
+        let at = self.near.iter().rposition(|e| e.key() < key);
+        self.near.insert(at.map_or(0, |i| i + 1), s);
+    }
+
+    /// True if the run has room for an event due at `key`. A full run
+    /// makes room, by moving its last event to the heap, only for an
+    /// event due before that one: timers that went into the run while
+    /// the heap was empty then give way to the events in flight.
+    fn make_room(&mut self, key: (SimTime, u64)) -> bool {
+        if self.near.len() < NEAR_RUN {
+            return true;
+        }
+        if self.near.back().is_some_and(|last| last.key() < key) {
+            return false;
+        }
+        let last = self.near.pop_back().expect("a full run has a last event");
+        self.far.push(last);
+        true
+    }
+
+    /// True when the event due next is the run's head.
+    fn near_is_next(&self) -> bool {
+        match (self.near.front(), self.far.peek()) {
+            (Some(n), Some(f)) => n.key() < f.key(),
+            (n, _) => n.is_some(),
+        }
+    }
+
+    pub fn peek(&self) -> Option<&Sched> {
+        if self.near_is_next() {
+            self.near.front()
+        } else {
+            self.far.peek()
+        }
+    }
+
+    pub fn pop(&mut self) -> Option<Sched> {
+        self.pop_if(|_| true)
+    }
+
+    /// Pop the event due next if `due` says its time has come.
+    pub fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<Sched> {
+        let near = self.near_is_next();
+        let next = if near {
+            self.near.front()
+        } else {
+            self.far.peek()
+        };
+        if !due(next?.at) {
+            return None;
+        }
+        if near {
+            self.near.pop_front()
+        } else {
+            self.far.pop()
+        }
+    }
+
+    /// Empty the queue, in `(at, seq)` order.
+    pub fn drain_sorted(&mut self) -> Vec<Sched> {
+        let mut evs = std::mem::take(&mut self.far).into_vec();
+        evs.extend(self.near.drain(..));
+        evs.sort_by_key(Sched::key);
+        evs
     }
 }
 
@@ -297,7 +431,7 @@ pub(crate) struct Shard {
     pub id: u32,
     pub now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Sched>,
+    queue: EventQueue,
     pub nodes: Vec<Box<dyn Node>>,
     /// Global id of each local node (parallel to `nodes`).
     pub gids: Vec<NodeId>,
@@ -343,7 +477,7 @@ impl Shard {
             id,
             now: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             gids: Vec::new(),
             started: Vec::new(),
@@ -451,9 +585,7 @@ impl Shard {
 
     /// Drain the queue in `(time, seq)` order (used when repartitioning).
     pub fn drain_events(&mut self) -> Vec<Sched> {
-        let mut evs = std::mem::take(&mut self.queue).into_vec();
-        evs.sort_by_key(|s| (s.at, s.seq));
-        evs
+        self.queue.drain_sorted()
     }
 
     /// Resolve and enqueue one cross-shard event. Callers must feed
@@ -490,11 +622,7 @@ impl Shard {
     /// `limit`. Cross-shard events generated along the way accumulate in
     /// [`Shard::outbox`].
     pub fn burn(&mut self, horizon: SimTime, limit: SimTime, env: &Env) {
-        while let Some(top) = self.queue.peek() {
-            if top.at >= horizon || top.at > limit {
-                break;
-            }
-            let sched = self.queue.pop().expect("peeked event exists");
+        while let Some(sched) = self.queue.pop_if(|at| at < horizon && at <= limit) {
             self.now = sched.at;
             self.events_processed += 1;
             self.handle(sched.ev, env);
@@ -506,11 +634,7 @@ impl Shard {
     /// one shard, or from the sequential fallback that exchanges after
     /// every shard).
     pub fn burn_all(&mut self, limit: SimTime, env: &Env) {
-        while let Some(top) = self.queue.peek() {
-            if top.at > limit {
-                break;
-            }
-            let sched = self.queue.pop().expect("peeked event exists");
+        while let Some(sched) = self.queue.pop_if(|at| at <= limit) {
             self.now = sched.at;
             self.events_processed += 1;
             self.handle(sched.ev, env);
@@ -732,6 +856,19 @@ impl Shard {
             self.unconnected_drops += 1;
             return;
         };
+        let now = self.now;
+        let dir = &mut self.chans[chan as usize].dir;
+        if !dir.idle(now) {
+            return self.emit_queued(chan, frame);
+        }
+        if dir.admit(frame.len()) {
+            let arrive = dir.start_tx(now, frame.len());
+            self.send_to_peer(chan, arrive, frame);
+        }
+    }
+
+    /// Offer a frame to `chan` through its egress queue.
+    fn emit_queued(&mut self, chan: u32, frame: Bytes) {
         // A frame whose serialization starts at this instant leaves the
         // queue before the newcomer is measured against it, even if its
         // wake-up sits behind this event in the queue.
@@ -748,49 +885,51 @@ impl Shard {
     /// behind a busy serializer and none is pending.
     fn kick(&mut self, chan: u32) {
         let now = self.now;
-        let c = &mut self.chans[chan as usize];
-        if c.dir.down {
+        let dir = &mut self.chans[chan as usize].dir;
+        if dir.down {
             return;
         }
-        let started = if now >= c.dir.busy_until {
-            c.dir.dequeue()
+        let started = if now >= dir.busy_until {
+            dir.dequeue()
         } else {
             None
         };
-        if let Some(frame) = &started {
-            c.dir.busy_until = now + c.dir.spec.ser_time(frame.len());
-        }
-        let busy_until = c.dir.busy_until;
-        let wake = !c.dir.tx_in_flight && !c.dir.queue.is_empty();
-        c.dir.tx_in_flight |= wake;
-        let arrive = busy_until + c.dir.spec.delay;
-        let (peer, peer_port, peer_shard, peer_idx) =
-            (c.peer, c.peer_port, c.peer_shard, c.peer_idx);
+        let started = started.map(|frame| (dir.start_tx(now, frame.len()), frame));
+        let busy_until = dir.busy_until;
+        let wake = !dir.tx_in_flight && !dir.queue.is_empty();
+        dir.tx_in_flight |= wake;
         if wake {
             self.push(busy_until, Ev::TxDone { chan });
         }
-        let Some(frame) = started else { return };
-        if peer_shard == self.id {
-            self.push(
-                arrive,
-                Ev::Deliver {
-                    node: peer_idx,
-                    port: peer_port,
-                    frame,
-                },
-            );
+        if let Some((arrive, frame)) = started {
+            self.send_to_peer(chan, arrive, frame);
+        }
+    }
+
+    /// Schedule `frame`, serialized on `chan`, to reach the far end at
+    /// `arrive`.
+    fn send_to_peer(&mut self, chan: u32, arrive: SimTime, frame: Bytes) {
+        let c = &self.chans[chan as usize];
+        if c.peer_shard == self.id {
+            let ev = Ev::Deliver {
+                node: c.peer_idx,
+                port: c.peer_port,
+                frame,
+            };
+            self.push(arrive, ev);
         } else {
+            let ev = REv::Deliver {
+                node: c.peer,
+                port: c.peer_port,
+                frame,
+            };
             let src_seq = self.seq;
             self.seq += 1;
             self.outbox.push(Remote {
                 at: arrive,
                 src_shard: self.id,
                 src_seq,
-                ev: REv::Deliver {
-                    node: peer,
-                    port: peer_port,
-                    frame,
-                },
+                ev,
             });
         }
     }
@@ -799,3 +938,201 @@ impl Shard {
 // The worker-thread machinery (commands, replies, the worker loop and
 // the persistent pool that owns them) lives in [`crate::runtime`]; this
 // module only defines the shard state those workers execute.
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::{LinkSpec, LinkStats};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+
+    fn timer(at: u64, seq: u64) -> Sched {
+        Sched {
+            at: SimTime(at),
+            seq,
+            ev: Ev::Timer {
+                node: 0,
+                token: seq,
+            },
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of push, burst, pop, peek, conditional
+        /// pop and drain against a plain min-heap of keys. Timestamps
+        /// come from a small range, so equal ones are common; a burst
+        /// overflows the run at one instant; the low end of the range
+        /// is earlier than everything queued.
+        #[test]
+        fn event_queue_pops_in_key_order_like_a_heap(
+            ops in proptest::collection::vec((0u8..12, 0u64..48), 1..400),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model = BinaryHeap::<Reverse<(SimTime, u64)>>::new();
+            let mut seq = 0;
+            let mut push = |q: &mut EventQueue, model: &mut BinaryHeap<_>, at: u64| {
+                q.push(timer(at, seq));
+                model.push(Reverse((SimTime(at), seq)));
+                seq += 1;
+            };
+            for (op, arg) in ops {
+                match op {
+                    0..=4 => push(&mut q, &mut model, 1_000 + arg),
+                    5 => (0..NEAR_RUN as u64 + 1 + arg).for_each(|_| push(&mut q, &mut model, 1_000 + arg)),
+                    6 => push(&mut q, &mut model, arg),
+                    7 | 8 => {
+                        let got = q.pop().map(|s| (s.key(), matches!(s.ev, Ev::Timer { token, .. } if token == s.seq)));
+                        prop_assert_eq!(got, model.pop().map(|Reverse(key)| (key, true)));
+                    }
+                    9 => {
+                        let limit = SimTime(1_000 + arg);
+                        let due = model.peek().is_some_and(|Reverse((at, _))| *at <= limit);
+                        let want = if due { model.pop().map(|Reverse(key)| key) } else { None };
+                        prop_assert_eq!(q.pop_if(|at| at <= limit).map(|s| s.key()), want);
+                    }
+                    10 => {
+                        let all: Vec<_> = q.drain_sorted().iter().map(Sched::key).collect();
+                        let want: Vec<_> = std::mem::take(&mut model).into_sorted_vec().into_iter().rev().map(|Reverse(key)| key).collect();
+                        prop_assert_eq!(all, want);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(q.peek().map(Sched::key), model.peek().map(|Reverse(key)| *key));
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert!(q.near.len() <= NEAR_RUN);
+            }
+        }
+    }
+
+    #[test]
+    fn draining_hands_back_both_tiers_in_key_order() {
+        let mut q = EventQueue::new();
+        // Later events first, so that the run fills and then spills.
+        for seq in 0..40 {
+            q.push(timer(1_000 - 10 * (seq % 7), seq));
+        }
+        assert_eq!(q.near.len(), NEAR_RUN);
+        assert_eq!(q.far.len(), 40 - NEAR_RUN);
+        let keys: Vec<_> = q.drain_sorted().iter().map(Sched::key).collect();
+        assert_eq!(keys.len(), 40);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_timer_parked_in_the_run_makes_way_for_an_event_in_flight() {
+        let mut q = EventQueue::new();
+        for seq in 0..NEAR_RUN as u64 {
+            q.push(timer(1_000_000 + seq, seq));
+        }
+        assert!(q.far.is_empty());
+        q.push(timer(5, 99));
+        assert_eq!(q.near.front().map(Sched::key), Some((SimTime(5), 99)));
+        assert_eq!(q.far.len(), 1);
+    }
+
+    /// A shard with one egress channel whose far end is in another
+    /// shard, so that every `Deliver` lands in the outbox with its
+    /// arrival time and sequence number.
+    fn one_link(spec: LinkSpec) -> Shard {
+        let mut sh = Shard::new(0, Shard::rng_stream(1, 0));
+        sh.ports.push(vec![Some(0)]);
+        sh.chans.push(Chan {
+            dir: LinkDir::new(spec),
+            peer: NodeId(1),
+            peer_port: PortId(0),
+            peer_shard: 1,
+            peer_idx: 0,
+        });
+        sh
+    }
+
+    type Sent = Vec<(SimTime, u64, usize)>;
+
+    fn observe(sh: &Shard) -> (Sent, LinkStats, SimTime, u64) {
+        let sent = sh
+            .outbox
+            .iter()
+            .map(|r| match &r.ev {
+                REv::Deliver { frame, .. } => (r.at, r.src_seq, frame.len()),
+                REv::Ctrl { .. } => unreachable!("no control traffic here"),
+            })
+            .collect();
+        let dir = &sh.chans[0].dir;
+        (sent, dir.stats, dir.busy_until, sh.seq)
+    }
+
+    proptest! {
+        /// `emit` (which starts a frame on an idle link without touching
+        /// its queue) against `emit_queued` for every frame (enqueue,
+        /// then `kick`): same arrivals and sequence numbers, same link
+        /// counters, over a link that backs up, idles, tail-drops, goes
+        /// down, comes back and is finally torn out.
+        #[test]
+        fn starting_on_an_idle_link_is_enqueue_then_kick(
+            ops in proptest::collection::vec((0u8..16, 0u64..3_000, 1usize..1_600), 1..120),
+            queue_bytes in 0usize..4_000,
+        ) {
+            let env = Env {
+                loc: Arc::new(Vec::new()),
+                ctrl_delay: SimTime::ZERO,
+                ctrl_profile: CtrlProfile::default(),
+            };
+            let spec = LinkSpec::gigabit().with_queue_bytes(queue_bytes);
+            let (mut direct, mut queued) = (one_link(spec), one_link(spec));
+            let n_ops = ops.len();
+            for (i, (op, dt, len)) in ops.into_iter().enumerate() {
+                // Short gaps back the link up, long ones let it idle.
+                let now = direct.now + SimTime(if op % 2 == 0 { dt / 8 } else { dt });
+                for sh in [&mut direct, &mut queued] {
+                    sh.burn_all(now, &env);
+                    sh.now = now;
+                }
+                let frame = Bytes::from(vec![0u8; len]);
+                match op {
+                    14 => {
+                        direct.handle(Ev::Fault(FaultEv::LinkDown { chan: 0 }), &env);
+                        queued.handle(Ev::Fault(FaultEv::LinkDown { chan: 0 }), &env);
+                    }
+                    15 => {
+                        direct.handle(Ev::Fault(FaultEv::LinkUp { chan: 0 }), &env);
+                        queued.handle(Ev::Fault(FaultEv::LinkUp { chan: 0 }), &env);
+                    }
+                    _ => {
+                        direct.emit(0, PortId(0), frame.clone());
+                        queued.emit_queued(0, frame);
+                    }
+                }
+                if i + 1 == n_ops {
+                    // Torn out, as `Network::disconnect` does it.
+                    for sh in [&mut direct, &mut queued] {
+                        sh.chans[0].dir.take_down();
+                        sh.chans[0].dir.dead = true;
+                    }
+                    direct.emit(0, PortId(0), Bytes::from(vec![0u8; len]));
+                    queued.emit_queued(0, Bytes::from(vec![0u8; len]));
+                }
+                prop_assert_eq!(observe(&direct), observe(&queued));
+            }
+            for sh in [&mut direct, &mut queued] {
+                sh.burn_all(SimTime::MAX, &env);
+            }
+            prop_assert_eq!(observe(&direct), observe(&queued));
+            prop_assert_eq!(direct.events_processed, queued.events_processed);
+        }
+    }
+
+    #[test]
+    fn an_idle_link_tail_drops_a_frame_larger_than_its_queue_and_never_allocates_one() {
+        let mut sh = one_link(LinkSpec::gigabit().with_queue_bytes(100));
+        sh.emit(0, PortId(0), Bytes::from(vec![0u8; 101]));
+        sh.emit(0, PortId(0), Bytes::from(vec![0u8; 100]));
+        let dir = &sh.chans[0].dir;
+        assert_eq!(dir.stats.dropped_frames, 1);
+        assert_eq!(dir.stats.tx_frames, 1);
+        assert_eq!(dir.stats.max_queue_bytes, 100);
+        assert_eq!(dir.queue.capacity(), 0);
+        // 124 bytes on the wire, 1 us of cable.
+        assert_eq!(observe(&sh).0, vec![(SimTime(992 + 1_000), 0, 100)]);
+    }
+}

@@ -66,8 +66,12 @@ impl SimTime {
         if rate_bps == 0 {
             return SimTime::ZERO;
         }
-        let ns = (bytes as u128 * 8 * 1_000_000_000) / rate_bps as u128;
-        SimTime(ns as u64)
+        // Bit-nanoseconds fit a u64 for anything up to 2.3 GB: every frame.
+        const BIT_NS: u64 = 8 * 1_000_000_000;
+        match (bytes as u64).checked_mul(BIT_NS) {
+            Some(bit_ns) => SimTime(bit_ns / rate_bps),
+            None => SimTime((bytes as u128 * BIT_NS as u128 / rate_bps as u128) as u64),
+        }
     }
 }
 
@@ -129,6 +133,21 @@ mod tests {
             SimTime::tx_time(64, 10_000_000_000),
             SimTime::from_nanos(51)
         );
+    }
+
+    #[test]
+    fn tx_time_is_the_same_on_both_sides_of_the_u64_boundary() {
+        let last_u64 = (u64::MAX / 8_000_000_000) as usize;
+        for bytes in [60, 1514, last_u64 - 1, last_u64, last_u64 + 1, usize::MAX] {
+            for rate in [1, 7, 1_000_000_000, 10_000_000_000, u64::MAX] {
+                let wide = bytes as u128 * 8_000_000_000 / rate as u128;
+                assert_eq!(
+                    SimTime::tx_time(bytes, rate),
+                    SimTime(wide as u64),
+                    "{bytes} B at {rate} bit/s"
+                );
+            }
+        }
     }
 
     #[test]

@@ -393,7 +393,7 @@ pub struct Sink {
     last_rx: Option<SimTime>,
     /// Received per UDP destination port — used by the LB experiment to
     /// count per-backend shares when multiple flows land on one sink.
-    by_dst_port: std::collections::HashMap<u16, u64>,
+    by_dst_port: std::collections::BTreeMap<u16, u64>,
     /// One-way latency of the most recent stamped arrival.
     last_latency_ns: Option<u64>,
     /// Optional SLO meter fed with every arrival (see [`Sink::with_slo`]).
@@ -411,7 +411,7 @@ impl Sink {
             latency: Histogram::new(),
             first_rx: None,
             last_rx: None,
-            by_dst_port: std::collections::HashMap::new(),
+            by_dst_port: std::collections::BTreeMap::new(),
             last_latency_ns: None,
             slo: None,
         }
@@ -523,7 +523,7 @@ impl Sink {
 
     /// Per-UDP-destination-port receive counts (UDP over IPv4, port 0
     /// not counted).
-    pub fn by_dst_port(&self) -> &std::collections::HashMap<u16, u64> {
+    pub fn by_dst_port(&self) -> &std::collections::BTreeMap<u16, u64> {
         &self.by_dst_port
     }
 

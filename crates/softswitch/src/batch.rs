@@ -164,6 +164,16 @@ impl BatchResult {
         &self.outputs[f.out_start as usize..f.out_end as usize]
     }
 
+    /// Move the `i`-th input frame's outputs out of the arena, leaving
+    /// empty frames behind: the caller becomes the holder of each buffer
+    /// without a reference-count round trip, so a sole holder stays one.
+    pub(crate) fn take_outputs_of(&mut self, i: usize) -> impl Iterator<Item = (u32, Bytes)> + '_ {
+        let f = &self.frames[i];
+        self.outputs[f.out_start as usize..f.out_end as usize]
+            .iter_mut()
+            .map(|(port, frame)| (*port, std::mem::take(frame)))
+    }
+
     /// The `(reason, in_port, frame)` packet-ins the `i`-th input frame
     /// produced.
     pub fn packet_ins_of(&self, i: usize) -> &[(PacketInReason, u32, Bytes)] {

@@ -506,8 +506,8 @@ impl SoftSwitchNode {
 
     fn emit_result(&mut self, mut result: BatchResult, ctx: &mut NodeCtx) {
         for i in 0..result.len() {
-            for (port, frame) in result.outputs_of(i) {
-                ctx.transmit(PortId(*port as u16), frame.clone());
+            for (port, frame) in result.take_outputs_of(i) {
+                ctx.transmit(PortId(port as u16), frame);
             }
             if result.packet_ins_of(i).is_empty() {
                 continue;
