@@ -1,8 +1,9 @@
 //! OpenFlow 1.3 actions (§7.2.5).
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::oxm::OxmField;
+use crate::wire::{put_tlv, Cursor};
 use crate::{Error, Result};
 
 /// Default `max_len` for controller output actions.
@@ -79,139 +80,64 @@ impl Action {
         ))
     }
 
-    /// Encoded length, padded to 8 bytes.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            Action::Output { .. } => 16,
-            Action::Group(_) | Action::SetQueue(_) => 8,
-            Action::PushVlan(_) | Action::PopVlan | Action::DecNwTtl => 8,
-            Action::SetField(f) => (4 + f.encoded_len()).div_ceil(8) * 8,
-            Action::Nat(_) => 16,
-        }
-    }
-
     /// Append the wire form to `out`.
     pub fn encode(&self, out: &mut BytesMut) {
         match *self {
-            Action::Output { port, max_len } => {
-                out.put_u16(0); // OFPAT_OUTPUT
-                out.put_u16(16);
+            Action::Output { port, max_len } => put_tlv(out, 0, |out| {
+                // OFPAT_OUTPUT
                 out.put_u32(port);
                 out.put_u16(max_len);
-                out.put_bytes(0, 6);
-            }
-            Action::Group(id) => {
-                out.put_u16(22); // OFPAT_GROUP
-                out.put_u16(8);
-                out.put_u32(id);
-            }
-            Action::SetQueue(id) => {
-                out.put_u16(21); // OFPAT_SET_QUEUE
-                out.put_u16(8);
-                out.put_u32(id);
-            }
-            Action::PushVlan(tpid) => {
-                out.put_u16(17); // OFPAT_PUSH_VLAN
-                out.put_u16(8);
-                out.put_u16(tpid);
-                out.put_bytes(0, 2);
-            }
-            Action::PopVlan => {
-                out.put_u16(18); // OFPAT_POP_VLAN
-                out.put_u16(8);
-                out.put_bytes(0, 4);
-            }
-            Action::SetField(ref f) => {
-                let len = self.encoded_len();
-                out.put_u16(25); // OFPAT_SET_FIELD
-                out.put_u16(len as u16);
-                let before = out.len();
-                f.encode(out);
-                let written = out.len() - before;
-                out.put_bytes(0, len - 4 - written);
-            }
-            Action::DecNwTtl => {
-                out.put_u16(24); // OFPAT_DEC_NW_TTL
-                out.put_u16(8);
-                out.put_bytes(0, 4);
-            }
-            Action::Nat(dir) => {
-                out.put_u16(0xffff); // OFPAT_EXPERIMENTER
-                out.put_u16(16);
+            }),
+            Action::Group(id) => put_tlv(out, 22, |out| out.put_u32(id)), // OFPAT_GROUP
+            Action::SetQueue(id) => put_tlv(out, 21, |out| out.put_u32(id)), // OFPAT_SET_QUEUE
+            Action::PushVlan(tpid) => put_tlv(out, 17, |out| out.put_u16(tpid)), // OFPAT_PUSH_VLAN
+            Action::PopVlan => put_tlv(out, 18, |_| {}),                  // OFPAT_POP_VLAN
+            Action::SetField(ref f) => put_tlv(out, 25, |out| f.encode(out)), // OFPAT_SET_FIELD
+            Action::DecNwTtl => put_tlv(out, 24, |_| {}),                 // OFPAT_DEC_NW_TTL
+            Action::Nat(dir) => put_tlv(out, 0xffff, |out| {
+                // OFPAT_EXPERIMENTER
                 out.put_u32(HARMLESS_EXPERIMENTER);
                 out.put_u16(match dir {
                     NatDir::Egress => 0,
                     NatDir::Ingress => 1,
                 });
-                out.put_bytes(0, 6);
-            }
+            }),
         }
     }
 
     /// Decode one action from the front of `buf`.
     pub fn decode(buf: &mut &[u8]) -> Result<Action> {
-        if buf.len() < 4 {
-            return Err(Error::Truncated);
-        }
-        let ty = buf.get_u16();
-        let len = usize::from(buf.get_u16());
+        let ty = buf.u16()?;
+        let len = usize::from(buf.u16()?);
         if len < 8 || len % 8 != 0 {
             return Err(Error::Malformed(
                 "action length must be a positive multiple of 8",
             ));
         }
-        let body_len = len - 4;
-        if buf.len() < body_len {
-            return Err(Error::Truncated);
-        }
-        let mut body = &buf[..body_len];
-        let action = match ty {
-            0 => {
-                if body.len() < 12 {
-                    return Err(Error::Truncated);
-                }
-                let port = body.get_u32();
-                let max_len = body.get_u16();
-                Action::Output { port, max_len }
-            }
-            22 => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                Action::Group(body.get_u32())
-            }
-            21 => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                Action::SetQueue(body.get_u32())
-            }
-            17 => {
-                if body.len() < 2 {
-                    return Err(Error::Truncated);
-                }
-                Action::PushVlan(body.get_u16())
-            }
+        let mut body = buf.take(len - 4)?;
+        Ok(match ty {
+            0 => Action::Output {
+                port: body.u32()?,
+                max_len: body.u16()?,
+            },
+            22 => Action::Group(body.u32()?),
+            21 => Action::SetQueue(body.u32()?),
+            17 => Action::PushVlan(body.u16()?),
             18 => Action::PopVlan,
             24 => Action::DecNwTtl,
             25 => Action::SetField(OxmField::decode(&mut body)?),
             0xffff => {
-                if body.len() < 6 {
-                    return Err(Error::Truncated);
-                }
-                if body.get_u32() != HARMLESS_EXPERIMENTER {
+                if body.u32()? != HARMLESS_EXPERIMENTER {
                     return Err(Error::Malformed("unknown experimenter action"));
                 }
-                match body.get_u16() {
+                match body.u16()? {
                     0 => Action::Nat(NatDir::Egress),
                     1 => Action::Nat(NatDir::Ingress),
                     _ => return Err(Error::Malformed("unknown NAT subtype")),
                 }
             }
             _ => return Err(Error::Malformed("unknown action type")),
-        };
-        buf.advance(body_len);
-        Ok(action)
+        })
     }
 
     /// Encode a list of actions.
@@ -221,23 +147,9 @@ impl Action {
         }
     }
 
-    /// Total encoded length of a list.
-    pub fn list_len(actions: &[Action]) -> usize {
-        actions.iter().map(Action::encoded_len).sum()
-    }
-
     /// Decode exactly `len` bytes of actions.
     pub fn decode_list(buf: &mut &[u8], len: usize) -> Result<Vec<Action>> {
-        if buf.len() < len {
-            return Err(Error::Truncated);
-        }
-        let mut body = &buf[..len];
-        let mut out = Vec::new();
-        while !body.is_empty() {
-            out.push(Action::decode(&mut body)?);
-        }
-        buf.advance(len);
-        Ok(out)
+        buf.take(len)?.items(Action::decode)
     }
 }
 
@@ -249,7 +161,6 @@ mod tests {
     fn round_trip(a: &Action) -> Action {
         let mut buf = BytesMut::new();
         a.encode(&mut buf);
-        assert_eq!(buf.len(), a.encoded_len());
         assert_eq!(buf.len() % 8, 0, "actions must be 8-byte aligned");
         let mut s = &buf[..];
         let out = Action::decode(&mut s).unwrap();
@@ -298,7 +209,6 @@ mod tests {
         ];
         let mut buf = BytesMut::new();
         Action::encode_list(&list, &mut buf);
-        assert_eq!(buf.len(), Action::list_len(&list));
         let mut s = &buf[..];
         let got = Action::decode_list(&mut s, buf.len()).unwrap();
         assert_eq!(got, list);

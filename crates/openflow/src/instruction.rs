@@ -1,8 +1,9 @@
 //! OpenFlow 1.3 instructions (§7.2.4).
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::action::Action;
+use crate::wire::{put_tlv, Cursor};
 use crate::{Error, Result};
 
 /// An instruction attached to a flow entry.
@@ -29,96 +30,48 @@ pub enum Instruction {
 }
 
 impl Instruction {
-    /// Encoded length (already 8-byte aligned).
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            Instruction::GotoTable(_) => 8,
-            Instruction::WriteMetadata { .. } => 24,
-            Instruction::WriteActions(a) | Instruction::ApplyActions(a) => 8 + Action::list_len(a),
-            Instruction::ClearActions => 8,
-            Instruction::Meter(_) => 8,
-        }
-    }
-
     /// Append the wire form to `out`.
     pub fn encode(&self, out: &mut BytesMut) {
         match self {
-            Instruction::GotoTable(t) => {
-                out.put_u16(1);
-                out.put_u16(8);
-                out.put_u8(*t);
-                out.put_bytes(0, 3);
-            }
-            Instruction::WriteMetadata { metadata, mask } => {
-                out.put_u16(2);
-                out.put_u16(24);
+            Instruction::GotoTable(t) => put_tlv(out, 1, |out| out.put_u8(*t)),
+            Instruction::WriteMetadata { metadata, mask } => put_tlv(out, 2, |out| {
                 out.put_bytes(0, 4);
                 out.put_u64(*metadata);
                 out.put_u64(*mask);
-            }
-            Instruction::WriteActions(actions) => {
-                out.put_u16(3);
-                out.put_u16(self.encoded_len() as u16);
+            }),
+            Instruction::WriteActions(actions) => put_tlv(out, 3, |out| {
                 out.put_bytes(0, 4);
                 Action::encode_list(actions, out);
-            }
-            Instruction::ApplyActions(actions) => {
-                out.put_u16(4);
-                out.put_u16(self.encoded_len() as u16);
+            }),
+            Instruction::ApplyActions(actions) => put_tlv(out, 4, |out| {
                 out.put_bytes(0, 4);
                 Action::encode_list(actions, out);
-            }
-            Instruction::ClearActions => {
-                out.put_u16(5);
-                out.put_u16(8);
-                out.put_bytes(0, 4);
-            }
-            Instruction::Meter(id) => {
-                out.put_u16(6);
-                out.put_u16(8);
-                out.put_u32(*id);
-            }
+            }),
+            Instruction::ClearActions => put_tlv(out, 5, |out| out.put_bytes(0, 4)),
+            Instruction::Meter(id) => put_tlv(out, 6, |out| out.put_u32(*id)),
         }
     }
 
     /// Decode one instruction from the front of `buf`.
     pub fn decode(buf: &mut &[u8]) -> Result<Instruction> {
-        if buf.len() < 4 {
-            return Err(Error::Truncated);
-        }
-        let ty = buf.get_u16();
-        let len = usize::from(buf.get_u16());
+        let ty = buf.u16()?;
+        let len = usize::from(buf.u16()?);
         if len < 8 {
             return Err(Error::Malformed("instruction too short"));
         }
-        let body_len = len - 4;
-        if buf.len() < body_len {
-            return Err(Error::Truncated);
-        }
-        let mut body = &buf[..body_len];
-        let insn = match ty {
-            1 => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                Instruction::GotoTable(body.get_u8())
-            }
+        let mut body = buf.take(len - 4)?;
+        Ok(match ty {
+            1 => Instruction::GotoTable(body.u8()?),
             2 => {
-                if body.len() < 20 {
-                    return Err(Error::Truncated);
+                body.skip(4)?;
+                Instruction::WriteMetadata {
+                    metadata: body.u64()?,
+                    mask: body.u64()?,
                 }
-                body.advance(4);
-                let metadata = body.get_u64();
-                let mask = body.get_u64();
-                Instruction::WriteMetadata { metadata, mask }
             }
             3 | 4 => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                body.advance(4);
-                let actions_len = body.len();
-                let actions = Action::decode_list(&mut body, actions_len)?;
+                body.skip(4)?;
+                let actions = body.items(Action::decode)?;
                 if ty == 3 {
                     Instruction::WriteActions(actions)
                 } else {
@@ -126,16 +79,9 @@ impl Instruction {
                 }
             }
             5 => Instruction::ClearActions,
-            6 => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                Instruction::Meter(body.get_u32())
-            }
+            6 => Instruction::Meter(body.u32()?),
             _ => return Err(Error::Malformed("unknown instruction type")),
-        };
-        buf.advance(body_len);
-        Ok(insn)
+        })
     }
 
     /// Encode a list of instructions.
@@ -145,23 +91,9 @@ impl Instruction {
         }
     }
 
-    /// Total encoded length of a list.
-    pub fn list_len(insns: &[Instruction]) -> usize {
-        insns.iter().map(Instruction::encoded_len).sum()
-    }
-
     /// Decode exactly `len` bytes of instructions.
     pub fn decode_list(buf: &mut &[u8], len: usize) -> Result<Vec<Instruction>> {
-        if buf.len() < len {
-            return Err(Error::Truncated);
-        }
-        let mut body = &buf[..len];
-        let mut out = Vec::new();
-        while !body.is_empty() {
-            out.push(Instruction::decode(&mut body)?);
-        }
-        buf.advance(len);
-        Ok(out)
+        buf.take(len)?.items(Instruction::decode)
     }
 
     /// Convenience: a single apply-actions instruction.
@@ -177,7 +109,6 @@ mod tests {
     fn round_trip(i: &Instruction) -> Instruction {
         let mut buf = BytesMut::new();
         i.encode(&mut buf);
-        assert_eq!(buf.len(), i.encoded_len());
         let mut s = &buf[..];
         let out = Instruction::decode(&mut s).unwrap();
         assert!(s.is_empty());

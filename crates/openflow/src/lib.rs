@@ -8,7 +8,14 @@
 //!    subset a production L2/L3 deployment needs — handshake, echo,
 //!    `FLOW_MOD`/`GROUP_MOD`/`METER_MOD`, `PACKET_IN`/`PACKET_OUT`,
 //!    `FLOW_REMOVED`, `PORT_STATUS`, barriers, errors and the common
-//!    multipart statistics.
+//!    multipart statistics. Each structure states its layout once. Every
+//!    read goes through a checked cursor: there are no length prechecks,
+//!    and a structure behind a length field is read from a sub-cursor
+//!    that ends where that field says. Every length written on the wire
+//!    is patched in from the bytes actually written; nothing predicts it.
+//!    [`Error::Truncated`] means only "this frame has not fully arrived".
+//!    A complete frame whose body runs short is [`Error::Malformed`],
+//!    because no more bytes are coming for it.
 //! 2. **Match model** ([`Match`], [`OxmField`]): OXM TLVs with masks,
 //!    prerequisite validation, and lossless conversion to the
 //!    [`netpkt::FlowKey`]/[`netpkt::flowkey::FieldMask`] pair the
@@ -27,14 +34,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The wire codec reads hostile bytes: no indexing or slicing that can
+// panic outside tests, every read goes through `wire::Cursor`.
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod action;
 pub mod group;
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod instruction;
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod message;
 pub mod meter;
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod oxm;
 pub mod session;
 pub mod table;
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
+mod wire;
 
 pub use action::{Action, NatDir};
 pub use group::{Bucket, Group, GroupTable, GroupType};

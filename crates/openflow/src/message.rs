@@ -14,6 +14,7 @@ use crate::instruction::Instruction;
 use crate::meter::{MeterBand, MeterModCommand};
 use crate::oxm::Match;
 use crate::table::FlowModCommand;
+use crate::wire::{self, Cursor};
 use crate::{Error, Result, NO_BUFFER, OFP_VERSION};
 
 /// Transaction id carried in every message header.
@@ -137,18 +138,12 @@ pub struct PortDesc {
 }
 
 impl PortDesc {
-    /// Byte length on the wire.
-    pub const WIRE_LEN: usize = 64;
-
     fn encode(&self, out: &mut BytesMut) {
         out.put_u32(self.port_no);
         out.put_bytes(0, 4);
         out.put_slice(&self.hw_addr.octets());
         out.put_bytes(0, 2);
-        let mut name = [0u8; 16];
-        let n = self.name.len().min(15);
-        name[..n].copy_from_slice(&self.name.as_bytes()[..n]);
-        out.put_slice(&name);
+        put_str(out, &self.name, 16);
         out.put_u32(self.config);
         out.put_u32(self.state);
         out.put_bytes(0, 16); // curr/advertised/supported/peer features
@@ -157,33 +152,39 @@ impl PortDesc {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<PortDesc> {
-        if buf.len() < Self::WIRE_LEN {
-            return Err(Error::Truncated);
-        }
-        let port_no = buf.get_u32();
-        buf.advance(4);
-        let mut mac = [0u8; 6];
-        buf.copy_to_slice(&mut mac);
-        buf.advance(2);
-        let mut name = [0u8; 16];
-        buf.copy_to_slice(&mut name);
-        let end = name.iter().position(|&b| b == 0).unwrap_or(16);
-        let name = String::from_utf8_lossy(&name[..end]).into_owned();
-        let config = buf.get_u32();
-        let state = buf.get_u32();
-        buf.advance(16);
-        let curr_speed = buf.get_u32();
-        let max_speed = buf.get_u32();
+        let port_no = buf.u32()?;
+        buf.skip(4)?;
+        let hw_addr = netpkt::MacAddr(buf.array()?);
+        buf.skip(2)?;
+        let name = get_str(buf, 16)?;
+        let config = buf.u32()?;
+        let state = buf.u32()?;
+        buf.skip(16)?;
         Ok(PortDesc {
             port_no,
-            hw_addr: netpkt::MacAddr(mac),
+            hw_addr,
             name,
             config,
             state,
-            curr_speed,
-            max_speed,
+            curr_speed: buf.u32()?,
+            max_speed: buf.u32()?,
         })
     }
+}
+
+/// A NUL-padded string field `width` bytes wide, keeping at most
+/// `width - 1` bytes of `s`.
+fn put_str(out: &mut BytesMut, s: &str, width: usize) {
+    let kept = s.len().min(width - 1);
+    out.extend(s.bytes().take(kept));
+    out.put_bytes(0, width - kept);
+}
+
+/// The string in a NUL-padded field `width` bytes wide.
+fn get_str(buf: &mut &[u8], width: usize) -> Result<String> {
+    let field = buf.take(width)?;
+    let text = field.split(|&b| b == 0).next().unwrap_or_default();
+    Ok(String::from_utf8_lossy(text).into_owned())
 }
 
 /// The `FLOW_MOD` payload.
@@ -633,14 +634,13 @@ impl Message {
 
     /// Encode with full header; `xid` is the transaction id.
     pub fn encode(&self, xid: Xid) -> Bytes {
-        let mut body = BytesMut::new();
-        self.encode_body(&mut body);
-        let mut out = BytesMut::with_capacity(8 + body.len());
+        let mut out = BytesMut::with_capacity(ENCODE_CAPACITY);
         out.put_u8(OFP_VERSION);
         out.put_u8(self.type_byte());
-        out.put_u16((8 + body.len()) as u16);
+        let len = wire::reserve_u16(&mut out);
         out.put_u32(xid);
-        out.put_slice(&body);
+        self.encode_body(&mut out);
+        wire::patch_u16(&mut out, len, 0);
         out.freeze()
     }
 
@@ -749,9 +749,11 @@ impl Message {
             } => {
                 out.put_u32(*buffer_id);
                 out.put_u32(*in_port);
-                out.put_u16(Action::list_len(actions) as u16);
+                let actions_len = wire::reserve_u16(out);
                 out.put_bytes(0, 6);
+                let actions_start = out.len();
                 Action::encode_list(actions, out);
+                wire::patch_u16(out, actions_len, actions_start);
                 out.put_slice(data);
             }
             Message::FlowMod(fm) => {
@@ -781,13 +783,13 @@ impl Message {
                 out.put_u8(0);
                 out.put_u32(*group_id);
                 for b in buckets {
-                    let blen = 16 + Action::list_len(&b.actions);
-                    out.put_u16(blen as u16);
+                    let len = wire::reserve_u16(out); // counts itself
                     out.put_u16(b.weight);
                     out.put_u32(crate::port_no::ANY); // watch_port
                     out.put_u32(crate::group_no::ANY); // watch_group
                     out.put_bytes(0, 4);
                     Action::encode_list(&b.actions, out);
+                    wire::patch_u16(out, len, len);
                 }
             }
             Message::MeterMod {
@@ -802,181 +804,162 @@ impl Message {
                 out.put_u16(flags);
                 out.put_u32(*meter_id);
                 if let Some(b) = band {
-                    out.put_u16(1); // OFPMBT_DROP
-                    out.put_u16(16);
-                    out.put_u32(b.rate);
-                    out.put_u32(b.burst);
-                    out.put_bytes(0, 4);
+                    // OFPMBT_DROP
+                    wire::put_tlv(out, 1, |out| {
+                        out.put_u32(b.rate);
+                        out.put_u32(b.burst);
+                    });
                 }
             }
-            Message::MultipartRequest(req) => {
-                let (ty, body): (u16, BytesMut) = match req {
-                    MultipartReq::Desc => (mp_type::DESC, BytesMut::new()),
-                    MultipartReq::Flow {
-                        table_id,
-                        out_port,
-                        out_group,
-                        cookie,
-                        cookie_mask,
-                        match_,
-                    }
-                    | MultipartReq::Aggregate {
-                        table_id,
-                        out_port,
-                        out_group,
-                        cookie,
-                        cookie_mask,
-                        match_,
-                    } => {
-                        let mut b = BytesMut::new();
-                        b.put_u8(*table_id);
-                        b.put_bytes(0, 3);
-                        b.put_u32(*out_port);
-                        b.put_u32(*out_group);
-                        b.put_bytes(0, 4);
-                        b.put_u64(*cookie);
-                        b.put_u64(*cookie_mask);
-                        match_.encode(&mut b);
-                        let ty = if matches!(req, MultipartReq::Flow { .. }) {
+            Message::MultipartRequest(req) => match req {
+                MultipartReq::Desc => put_mp_header(out, mp_type::DESC),
+                MultipartReq::Flow {
+                    table_id,
+                    out_port,
+                    out_group,
+                    cookie,
+                    cookie_mask,
+                    match_,
+                }
+                | MultipartReq::Aggregate {
+                    table_id,
+                    out_port,
+                    out_group,
+                    cookie,
+                    cookie_mask,
+                    match_,
+                } => {
+                    let flow = matches!(req, MultipartReq::Flow { .. });
+                    put_mp_header(
+                        out,
+                        if flow {
                             mp_type::FLOW
                         } else {
                             mp_type::AGGREGATE
-                        };
-                        (ty, b)
+                        },
+                    );
+                    out.put_u8(*table_id);
+                    out.put_bytes(0, 3);
+                    out.put_u32(*out_port);
+                    out.put_u32(*out_group);
+                    out.put_bytes(0, 4);
+                    out.put_u64(*cookie);
+                    out.put_u64(*cookie_mask);
+                    match_.encode(out);
+                }
+                MultipartReq::Table => put_mp_header(out, mp_type::TABLE),
+                MultipartReq::PortStats { port_no } => {
+                    put_mp_header(out, mp_type::PORT_STATS);
+                    out.put_u32(*port_no);
+                    out.put_bytes(0, 4);
+                }
+                MultipartReq::PortDesc => put_mp_header(out, mp_type::PORT_DESC),
+            },
+            Message::MultipartReply(res) => match res {
+                MultipartRes::Desc {
+                    mfr,
+                    hw,
+                    sw,
+                    serial,
+                    dp,
+                } => {
+                    put_mp_header(out, mp_type::DESC);
+                    for (s, width) in [(mfr, 256), (hw, 256), (sw, 256), (serial, 32), (dp, 256)] {
+                        put_str(out, s, width);
                     }
-                    MultipartReq::Table => (mp_type::TABLE, BytesMut::new()),
-                    MultipartReq::PortStats { port_no } => {
-                        let mut b = BytesMut::new();
-                        b.put_u32(*port_no);
-                        b.put_bytes(0, 4);
-                        (mp_type::PORT_STATS, b)
+                }
+                MultipartRes::Flow(entries) => {
+                    put_mp_header(out, mp_type::FLOW);
+                    for e in entries {
+                        let len = wire::reserve_u16(out); // counts itself
+                        out.put_u8(e.table_id);
+                        out.put_u8(0);
+                        out.put_u32(e.duration_sec);
+                        out.put_u32(0); // duration_nsec
+                        out.put_u16(e.priority);
+                        out.put_u16(e.idle_timeout);
+                        out.put_u16(e.hard_timeout);
+                        out.put_u16(e.flags);
+                        out.put_bytes(0, 4);
+                        out.put_u64(e.cookie);
+                        out.put_u64(e.packet_count);
+                        out.put_u64(e.byte_count);
+                        e.match_.encode(out);
+                        Instruction::encode_list(&e.instructions, out);
+                        wire::patch_u16(out, len, len);
                     }
-                    MultipartReq::PortDesc => (mp_type::PORT_DESC, BytesMut::new()),
-                };
-                out.put_u16(ty);
-                out.put_u16(0); // flags
-                out.put_bytes(0, 4);
-                out.put_slice(&body);
-            }
-            Message::MultipartReply(res) => {
-                let (ty, body): (u16, BytesMut) = match res {
-                    MultipartRes::Desc {
-                        mfr,
-                        hw,
-                        sw,
-                        serial,
-                        dp,
-                    } => {
-                        let mut b = BytesMut::new();
-                        for (s, len) in [(mfr, 256), (hw, 256), (sw, 256), (serial, 32), (dp, 256)]
-                        {
-                            let mut field = vec![0u8; len];
-                            let n = s.len().min(len - 1);
-                            field[..n].copy_from_slice(&s.as_bytes()[..n]);
-                            b.put_slice(&field);
-                        }
-                        (mp_type::DESC, b)
+                }
+                MultipartRes::Aggregate {
+                    packet_count,
+                    byte_count,
+                    flow_count,
+                } => {
+                    put_mp_header(out, mp_type::AGGREGATE);
+                    out.put_u64(*packet_count);
+                    out.put_u64(*byte_count);
+                    out.put_u32(*flow_count);
+                    out.put_bytes(0, 4);
+                }
+                MultipartRes::Table(entries) => {
+                    put_mp_header(out, mp_type::TABLE);
+                    for e in entries {
+                        out.put_u8(e.table_id);
+                        out.put_bytes(0, 3);
+                        out.put_u32(e.active_count);
+                        out.put_u64(e.lookup_count);
+                        out.put_u64(e.matched_count);
                     }
-                    MultipartRes::Flow(entries) => {
-                        let mut b = BytesMut::new();
-                        for e in entries {
-                            let mlen = e.match_.encoded_len();
-                            let ilen = Instruction::list_len(&e.instructions);
-                            b.put_u16((48 + mlen + ilen) as u16);
-                            b.put_u8(e.table_id);
-                            b.put_u8(0);
-                            b.put_u32(e.duration_sec);
-                            b.put_u32(0); // duration_nsec
-                            b.put_u16(e.priority);
-                            b.put_u16(e.idle_timeout);
-                            b.put_u16(e.hard_timeout);
-                            b.put_u16(e.flags);
-                            b.put_bytes(0, 4);
-                            b.put_u64(e.cookie);
-                            b.put_u64(e.packet_count);
-                            b.put_u64(e.byte_count);
-                            e.match_.encode(&mut b);
-                            Instruction::encode_list(&e.instructions, &mut b);
-                        }
-                        (mp_type::FLOW, b)
+                }
+                MultipartRes::PortStats(entries) => {
+                    put_mp_header(out, mp_type::PORT_STATS);
+                    for e in entries {
+                        out.put_u32(e.port_no);
+                        out.put_bytes(0, 4);
+                        out.put_u64(e.rx_packets);
+                        out.put_u64(e.tx_packets);
+                        out.put_u64(e.rx_bytes);
+                        out.put_u64(e.tx_bytes);
+                        out.put_u64(e.rx_dropped);
+                        out.put_u64(e.tx_dropped);
+                        out.put_bytes(0, 48); // errors, collisions
+                        out.put_u32(0); // duration_sec
+                        out.put_u32(0); // duration_nsec
                     }
-                    MultipartRes::Aggregate {
-                        packet_count,
-                        byte_count,
-                        flow_count,
-                    } => {
-                        let mut b = BytesMut::new();
-                        b.put_u64(*packet_count);
-                        b.put_u64(*byte_count);
-                        b.put_u32(*flow_count);
-                        b.put_bytes(0, 4);
-                        (mp_type::AGGREGATE, b)
+                }
+                MultipartRes::PortDesc(ports) => {
+                    put_mp_header(out, mp_type::PORT_DESC);
+                    for p in ports {
+                        p.encode(out);
                     }
-                    MultipartRes::Table(entries) => {
-                        let mut b = BytesMut::new();
-                        for e in entries {
-                            b.put_u8(e.table_id);
-                            b.put_bytes(0, 3);
-                            b.put_u32(e.active_count);
-                            b.put_u64(e.lookup_count);
-                            b.put_u64(e.matched_count);
-                        }
-                        (mp_type::TABLE, b)
-                    }
-                    MultipartRes::PortStats(entries) => {
-                        let mut b = BytesMut::new();
-                        for e in entries {
-                            b.put_u32(e.port_no);
-                            b.put_bytes(0, 4);
-                            b.put_u64(e.rx_packets);
-                            b.put_u64(e.tx_packets);
-                            b.put_u64(e.rx_bytes);
-                            b.put_u64(e.tx_bytes);
-                            b.put_u64(e.rx_dropped);
-                            b.put_u64(e.tx_dropped);
-                            b.put_bytes(0, 48); // errors, collisions
-                            b.put_u32(0); // duration_sec
-                            b.put_u32(0); // duration_nsec
-                        }
-                        (mp_type::PORT_STATS, b)
-                    }
-                    MultipartRes::PortDesc(ports) => {
-                        let mut b = BytesMut::new();
-                        for p in ports {
-                            p.encode(&mut b);
-                        }
-                        (mp_type::PORT_DESC, b)
-                    }
-                };
-                out.put_u16(ty);
-                out.put_u16(0);
-                out.put_bytes(0, 4);
-                out.put_slice(&body);
-            }
+                }
+            },
         }
     }
 
     /// Decode a single framed message from the front of `buf`. Returns the
     /// xid, the message and how many bytes were consumed.
+    ///
+    /// [`Error::Truncated`] means only that the frame has not fully
+    /// arrived: `buf` ends inside the header, or before the length the
+    /// header gives. A complete frame whose body runs out inside one of
+    /// its structures is [`Error::Malformed`].
     pub fn decode(buf: &[u8]) -> Result<(Xid, Message, usize)> {
-        if buf.len() < 8 {
-            return Err(Error::Truncated);
-        }
-        let version = buf[0];
-        let ty = buf[1];
-        let len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
-        let xid = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]);
+        let mut rest = buf;
+        let version = rest.u8()?;
+        let ty = rest.u8()?;
+        let len = usize::from(rest.u16()?);
+        let xid = rest.u32()?;
         if len < 8 {
             return Err(Error::Malformed("header length below 8"));
         }
-        if buf.len() < len {
-            return Err(Error::Truncated);
-        }
+        let mut body = rest.take(len - 8)?;
         if version != OFP_VERSION && ty != msg_type::HELLO {
             return Err(Error::BadVersion(version));
         }
-        let mut body = &buf[8..len];
-        let msg = Self::decode_body(ty, &mut body)?;
+        let msg = Self::decode_body(ty, &mut body).map_err(|e| match e {
+            Error::Truncated => Error::Malformed("body ends inside a structure"),
+            e => e,
+        })?;
         Ok((xid, msg, len))
     }
 
@@ -984,27 +967,17 @@ impl Message {
         use msg_type::*;
         Ok(match ty {
             HELLO => Message::Hello,
-            ERROR => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                let ty = body.get_u16();
-                let code = body.get_u16();
-                Message::Error {
-                    ty,
-                    code,
-                    data: Bytes::copy_from_slice(body),
-                }
-            }
+            ERROR => Message::Error {
+                ty: body.u16()?,
+                code: body.u16()?,
+                data: Bytes::copy_from_slice(body),
+            },
             ECHO_REQUEST => Message::EchoRequest(Bytes::copy_from_slice(body)),
             ECHO_REPLY => Message::EchoReply(Bytes::copy_from_slice(body)),
             ROLE_REQUEST | ROLE_REPLY => {
-                if body.len() < 16 {
-                    return Err(Error::Truncated);
-                }
-                let role = ControllerRole::from_value(body.get_u32())?;
-                body.advance(4);
-                let generation_id = body.get_u64();
+                let role = ControllerRole::from_value(body.u32()?)?;
+                body.skip(4)?;
+                let generation_id = body.u64()?;
                 if ty == ROLE_REQUEST {
                     Message::RoleRequest {
                         role,
@@ -1019,14 +992,12 @@ impl Message {
             }
             FEATURES_REQUEST => Message::FeaturesRequest,
             FEATURES_REPLY => {
-                if body.len() < 24 {
-                    return Err(Error::Truncated);
-                }
-                let datapath_id = body.get_u64();
-                let n_buffers = body.get_u32();
-                let n_tables = body.get_u8();
-                body.advance(3);
-                let capabilities = body.get_u32();
+                let datapath_id = body.u64()?;
+                let n_buffers = body.u32()?;
+                let n_tables = body.u8()?;
+                body.skip(3)?; // auxiliary_id, pad
+                let capabilities = body.u32()?;
+                body.skip(4)?; // reserved
                 Message::FeaturesReply {
                     datapath_id,
                     n_buffers,
@@ -1036,11 +1007,8 @@ impl Message {
             }
             GET_CONFIG_REQUEST => Message::GetConfigRequest,
             GET_CONFIG_REPLY | SET_CONFIG => {
-                if body.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                let flags = body.get_u16();
-                let miss_send_len = body.get_u16();
+                let flags = body.u16()?;
+                let miss_send_len = body.u16()?;
                 if ty == GET_CONFIG_REPLY {
                     Message::GetConfigReply {
                         flags,
@@ -1054,19 +1022,13 @@ impl Message {
                 }
             }
             PACKET_IN => {
-                if body.len() < 16 {
-                    return Err(Error::Truncated);
-                }
-                let buffer_id = body.get_u32();
-                let total_len = body.get_u16();
-                let reason = PacketInReason::from_value(body.get_u8())?;
-                let table_id = body.get_u8();
-                let cookie = body.get_u64();
+                let buffer_id = body.u32()?;
+                let total_len = body.u16()?;
+                let reason = PacketInReason::from_value(body.u8()?)?;
+                let table_id = body.u8()?;
+                let cookie = body.u64()?;
                 let match_ = Match::decode(body)?;
-                if body.len() < 2 {
-                    return Err(Error::Truncated);
-                }
-                body.advance(2);
+                body.skip(2)?;
                 Message::PacketIn {
                     buffer_id,
                     total_len,
@@ -1078,77 +1040,56 @@ impl Message {
                 }
             }
             FLOW_REMOVED => {
-                if body.len() < 40 {
-                    return Err(Error::Truncated);
-                }
-                let cookie = body.get_u64();
-                let priority = body.get_u16();
-                let reason = body.get_u8();
-                let table_id = body.get_u8();
-                let duration_sec = body.get_u32();
-                let _duration_nsec = body.get_u32();
-                let idle_timeout = body.get_u16();
-                let hard_timeout = body.get_u16();
-                let packet_count = body.get_u64();
-                let byte_count = body.get_u64();
-                let match_ = Match::decode(body)?;
+                let cookie = body.u64()?;
+                let priority = body.u16()?;
+                let reason = body.u8()?;
+                let table_id = body.u8()?;
+                let duration_sec = body.u32()?;
+                body.skip(4)?; // duration_nsec
                 Message::FlowRemoved {
                     cookie,
                     priority,
                     reason,
                     table_id,
                     duration_sec,
-                    idle_timeout,
-                    hard_timeout,
-                    packet_count,
-                    byte_count,
-                    match_,
+                    idle_timeout: body.u16()?,
+                    hard_timeout: body.u16()?,
+                    packet_count: body.u64()?,
+                    byte_count: body.u64()?,
+                    match_: Match::decode(body)?,
                 }
             }
             PORT_STATUS => {
-                if body.len() < 8 + PortDesc::WIRE_LEN {
-                    return Err(Error::Truncated);
-                }
-                let reason = body.get_u8();
-                body.advance(7);
+                let reason = body.u8()?;
+                body.skip(7)?;
                 let desc = PortDesc::decode(body)?;
                 Message::PortStatus { reason, desc }
             }
             PACKET_OUT => {
-                if body.len() < 16 {
-                    return Err(Error::Truncated);
-                }
-                let buffer_id = body.get_u32();
-                let in_port = body.get_u32();
-                let actions_len = usize::from(body.get_u16());
-                body.advance(6);
-                let actions = Action::decode_list(body, actions_len)?;
+                let buffer_id = body.u32()?;
+                let in_port = body.u32()?;
+                let actions_len = usize::from(body.u16()?);
+                body.skip(6)?;
                 Message::PacketOut {
                     buffer_id,
                     in_port,
-                    actions,
+                    actions: Action::decode_list(body, actions_len)?,
                     data: Bytes::copy_from_slice(body),
                 }
             }
             FLOW_MOD => {
-                if body.len() < 40 {
-                    return Err(Error::Truncated);
-                }
-                let cookie = body.get_u64();
-                let cookie_mask = body.get_u64();
-                let table_id = body.get_u8();
-                let command = FlowModCommand::from_value(body.get_u8())?;
-                let idle_timeout = body.get_u16();
-                let hard_timeout = body.get_u16();
-                let priority = body.get_u16();
-                let buffer_id = body.get_u32();
-                let out_port = body.get_u32();
-                let out_group = body.get_u32();
-                let flags = body.get_u16();
-                body.advance(2);
-                let match_ = Match::decode(body)?;
-                let ilen = body.len();
-                let instructions = Instruction::decode_list(body, ilen)?;
+                let cookie = body.u64()?;
+                let cookie_mask = body.u64()?;
+                let table_id = body.u8()?;
+                let command = FlowModCommand::from_value(body.u8()?)?;
+                let idle_timeout = body.u16()?;
+                let hard_timeout = body.u16()?;
+                let priority = body.u16()?;
+                let buffer_id = body.u32()?;
+                let out_port = body.u32()?;
+                let out_group = body.u32()?;
+                let flags = body.u16()?;
+                body.skip(2)?;
                 Message::FlowMod(FlowMod {
                     cookie,
                     cookie_mask,
@@ -1161,33 +1102,26 @@ impl Message {
                     out_port,
                     out_group,
                     flags,
-                    match_,
-                    instructions,
+                    match_: Match::decode(body)?,
+                    instructions: body.items(Instruction::decode)?,
                 })
             }
             GROUP_MOD => {
-                if body.len() < 8 {
-                    return Err(Error::Truncated);
-                }
-                let command = GroupModCommand::from_value(body.get_u16())?;
-                let type_ = GroupType::from_value(body.get_u8())?;
-                body.advance(1);
-                let group_id = body.get_u32();
-                let mut buckets = Vec::new();
-                while !body.is_empty() {
-                    if body.len() < 16 {
-                        return Err(Error::Truncated);
-                    }
-                    let blen = usize::from(body.get_u16());
-                    if blen < 16 {
+                let command = GroupModCommand::from_value(body.u16()?)?;
+                let type_ = GroupType::from_value(body.u8()?)?;
+                body.skip(1)?;
+                let group_id = body.u32()?;
+                let buckets = body.items(|body| {
+                    let len = usize::from(body.u16()?); // counts itself
+                    if len < 16 {
                         return Err(Error::Malformed("bucket too short"));
                     }
-                    let weight = body.get_u16();
-                    body.advance(12); // watch_port, watch_group, pad
-                    let alen = blen - 16;
-                    let actions = Action::decode_list(body, alen)?;
-                    buckets.push(Bucket { weight, actions });
-                }
+                    let mut bucket = body.take(len - 2)?;
+                    let weight = bucket.u16()?;
+                    bucket.skip(12)?; // watch_port, watch_group, pad
+                    let actions = bucket.items(Action::decode)?;
+                    Ok(Bucket { weight, actions })
+                })?;
                 Message::GroupMod {
                     command,
                     type_,
@@ -1196,56 +1130,43 @@ impl Message {
                 }
             }
             METER_MOD => {
-                if body.len() < 8 {
-                    return Err(Error::Truncated);
-                }
-                let command = MeterModCommand::from_value(body.get_u16())?;
-                let flags = body.get_u16();
-                let meter_id = body.get_u32();
-                let pktps = flags & 0x2 != 0;
+                let command = MeterModCommand::from_value(body.u16()?)?;
+                let flags = body.u16()?;
+                let meter_id = body.u32()?;
                 let band = if body.is_empty() {
                     None
                 } else {
-                    if body.len() < 16 {
-                        return Err(Error::Truncated);
-                    }
-                    let bty = body.get_u16();
-                    let blen = body.get_u16();
-                    if bty != 1 || blen != 16 {
+                    let (band_type, band_len) = (body.u16()?, body.u16()?);
+                    if band_type != 1 || band_len != 16 {
                         return Err(Error::Malformed("only 16-byte drop bands supported"));
                     }
-                    let rate = body.get_u32();
-                    let burst = body.get_u32();
-                    body.advance(4);
-                    Some(MeterBand { rate, burst })
+                    let band = MeterBand {
+                        rate: body.u32()?,
+                        burst: body.u32()?,
+                    };
+                    body.skip(4)?;
+                    Some(band)
                 };
                 Message::MeterMod {
                     command,
                     meter_id,
-                    pktps,
+                    pktps: flags & 0x2 != 0,
                     band,
                 }
             }
             MULTIPART_REQUEST => {
-                if body.len() < 8 {
-                    return Err(Error::Truncated);
-                }
-                let mpty = body.get_u16();
-                let _flags = body.get_u16();
-                body.advance(4);
-                let req = match mpty {
+                let mpty = body.u16()?;
+                body.skip(6)?; // flags, pad
+                Message::MultipartRequest(match mpty {
                     mp_type::DESC => MultipartReq::Desc,
                     mp_type::FLOW | mp_type::AGGREGATE => {
-                        if body.len() < 32 {
-                            return Err(Error::Truncated);
-                        }
-                        let table_id = body.get_u8();
-                        body.advance(3);
-                        let out_port = body.get_u32();
-                        let out_group = body.get_u32();
-                        body.advance(4);
-                        let cookie = body.get_u64();
-                        let cookie_mask = body.get_u64();
+                        let table_id = body.u8()?;
+                        body.skip(3)?;
+                        let out_port = body.u32()?;
+                        let out_group = body.u32()?;
+                        body.skip(4)?;
+                        let cookie = body.u64()?;
+                        let cookie_mask = body.u64()?;
                         let match_ = Match::decode(body)?;
                         if mpty == mp_type::FLOW {
                             MultipartReq::Flow {
@@ -1269,158 +1190,91 @@ impl Message {
                     }
                     mp_type::TABLE => MultipartReq::Table,
                     mp_type::PORT_STATS => {
-                        if body.len() < 8 {
-                            return Err(Error::Truncated);
-                        }
-                        let port_no = body.get_u32();
-                        body.advance(4);
+                        let port_no = body.u32()?;
+                        body.skip(4)?;
                         MultipartReq::PortStats { port_no }
                     }
                     mp_type::PORT_DESC => MultipartReq::PortDesc,
                     _ => return Err(Error::Malformed("unsupported multipart type")),
-                };
-                Message::MultipartRequest(req)
+                })
             }
             MULTIPART_REPLY => {
-                if body.len() < 8 {
-                    return Err(Error::Truncated);
-                }
-                let mpty = body.get_u16();
-                let _flags = body.get_u16();
-                body.advance(4);
-                let res = match mpty {
-                    mp_type::DESC => {
-                        if body.len() < 1056 {
-                            return Err(Error::Truncated);
+                let mpty = body.u16()?;
+                body.skip(6)?; // flags, pad
+                Message::MultipartReply(match mpty {
+                    mp_type::DESC => MultipartRes::Desc {
+                        mfr: get_str(body, 256)?,
+                        hw: get_str(body, 256)?,
+                        sw: get_str(body, 256)?,
+                        serial: get_str(body, 32)?,
+                        dp: get_str(body, 256)?,
+                    },
+                    mp_type::FLOW => MultipartRes::Flow(body.items(|body| {
+                        let len = usize::from(body.u16()?); // counts itself
+                        if len < 48 {
+                            return Err(Error::Malformed("flow stats entry too short"));
                         }
-                        let mut read = |len: usize| {
-                            let raw = &body[..len];
-                            let end = raw.iter().position(|&b| b == 0).unwrap_or(len);
-                            let s = String::from_utf8_lossy(&raw[..end]).into_owned();
-                            body.advance(len);
-                            s
-                        };
-                        let mfr = read(256);
-                        let hw = read(256);
-                        let sw = read(256);
-                        let serial = read(32);
-                        let dp = read(256);
-                        MultipartRes::Desc {
-                            mfr,
-                            hw,
-                            sw,
-                            serial,
-                            dp,
-                        }
-                    }
-                    mp_type::FLOW => {
-                        let mut entries = Vec::new();
-                        while !body.is_empty() {
-                            if body.len() < 48 {
-                                return Err(Error::Truncated);
-                            }
-                            let elen = usize::from(body.get_u16());
-                            if elen < 48 {
-                                return Err(Error::Malformed("flow stats entry too short"));
-                            }
-                            let table_id = body.get_u8();
-                            body.advance(1);
-                            let duration_sec = body.get_u32();
-                            let _duration_nsec = body.get_u32();
-                            let priority = body.get_u16();
-                            let idle_timeout = body.get_u16();
-                            let hard_timeout = body.get_u16();
-                            let flags = body.get_u16();
-                            body.advance(4);
-                            let cookie = body.get_u64();
-                            let packet_count = body.get_u64();
-                            let byte_count = body.get_u64();
-                            let before = body.len();
-                            let match_ = Match::decode(body)?;
-                            let consumed_match = before - body.len();
-                            let ilen = elen - 48 - consumed_match;
-                            let instructions = Instruction::decode_list(body, ilen)?;
-                            entries.push(FlowStatsEntry {
-                                table_id,
-                                duration_sec,
-                                priority,
-                                idle_timeout,
-                                hard_timeout,
-                                flags,
-                                cookie,
-                                packet_count,
-                                byte_count,
-                                match_,
-                                instructions,
-                            });
-                        }
-                        MultipartRes::Flow(entries)
-                    }
+                        let mut e = body.take(len - 2)?;
+                        let table_id = e.u8()?;
+                        e.skip(1)?;
+                        let duration_sec = e.u32()?;
+                        e.skip(4)?; // duration_nsec
+                        let priority = e.u16()?;
+                        let idle_timeout = e.u16()?;
+                        let hard_timeout = e.u16()?;
+                        let flags = e.u16()?;
+                        e.skip(4)?;
+                        Ok(FlowStatsEntry {
+                            table_id,
+                            duration_sec,
+                            priority,
+                            idle_timeout,
+                            hard_timeout,
+                            flags,
+                            cookie: e.u64()?,
+                            packet_count: e.u64()?,
+                            byte_count: e.u64()?,
+                            match_: Match::decode(&mut e)?,
+                            instructions: e.items(Instruction::decode)?,
+                        })
+                    })?),
                     mp_type::AGGREGATE => {
-                        if body.len() < 24 {
-                            return Err(Error::Truncated);
-                        }
-                        let packet_count = body.get_u64();
-                        let byte_count = body.get_u64();
-                        let flow_count = body.get_u32();
-                        body.advance(4);
-                        MultipartRes::Aggregate {
-                            packet_count,
-                            byte_count,
-                            flow_count,
-                        }
+                        let res = MultipartRes::Aggregate {
+                            packet_count: body.u64()?,
+                            byte_count: body.u64()?,
+                            flow_count: body.u32()?,
+                        };
+                        body.skip(4)?;
+                        res
                     }
-                    mp_type::TABLE => {
-                        let mut entries = Vec::new();
-                        while body.len() >= 24 {
-                            let table_id = body.get_u8();
-                            body.advance(3);
-                            let active_count = body.get_u32();
-                            let lookup_count = body.get_u64();
-                            let matched_count = body.get_u64();
-                            entries.push(TableStatsEntry {
-                                table_id,
-                                active_count,
-                                lookup_count,
-                                matched_count,
-                            });
-                        }
-                        MultipartRes::Table(entries)
-                    }
-                    mp_type::PORT_STATS => {
-                        let mut entries = Vec::new();
-                        while body.len() >= 112 {
-                            let port_no = body.get_u32();
-                            body.advance(4);
-                            let rx_packets = body.get_u64();
-                            let tx_packets = body.get_u64();
-                            let rx_bytes = body.get_u64();
-                            let tx_bytes = body.get_u64();
-                            let rx_dropped = body.get_u64();
-                            let tx_dropped = body.get_u64();
-                            body.advance(56);
-                            entries.push(PortStatsEntry {
-                                port_no,
-                                rx_packets,
-                                tx_packets,
-                                rx_bytes,
-                                tx_bytes,
-                                rx_dropped,
-                                tx_dropped,
-                            });
-                        }
-                        MultipartRes::PortStats(entries)
-                    }
-                    mp_type::PORT_DESC => {
-                        let mut ports = Vec::new();
-                        while body.len() >= PortDesc::WIRE_LEN {
-                            ports.push(PortDesc::decode(body)?);
-                        }
-                        MultipartRes::PortDesc(ports)
-                    }
+                    mp_type::TABLE => MultipartRes::Table(body.items(|e| {
+                        let table_id = e.u8()?;
+                        e.skip(3)?;
+                        Ok(TableStatsEntry {
+                            table_id,
+                            active_count: e.u32()?,
+                            lookup_count: e.u64()?,
+                            matched_count: e.u64()?,
+                        })
+                    })?),
+                    mp_type::PORT_STATS => MultipartRes::PortStats(body.items(|e| {
+                        let port_no = e.u32()?;
+                        e.skip(4)?;
+                        let entry = PortStatsEntry {
+                            port_no,
+                            rx_packets: e.u64()?,
+                            tx_packets: e.u64()?,
+                            rx_bytes: e.u64()?,
+                            tx_bytes: e.u64()?,
+                            rx_dropped: e.u64()?,
+                            tx_dropped: e.u64()?,
+                        };
+                        e.skip(56)?; // errors, collisions, duration
+                        Ok(entry)
+                    })?),
+                    mp_type::PORT_DESC => MultipartRes::PortDesc(body.items(PortDesc::decode)?),
                     _ => return Err(Error::Malformed("unsupported multipart type")),
-                };
-                Message::MultipartReply(res)
+                })
             }
             BARRIER_REQUEST => Message::BarrierRequest,
             BARRIER_REPLY => Message::BarrierReply,
@@ -1429,18 +1283,26 @@ impl Message {
     }
 }
 
+/// Room reserved up front in [`Message::encode`]'s buffer: most messages
+/// fit, a longer one grows the buffer as it is written.
+const ENCODE_CAPACITY: usize = 128;
+
+/// The multipart header after the message header: kind, no flags, pad.
+fn put_mp_header(out: &mut BytesMut, ty: u16) {
+    out.put_u16(ty);
+    out.put_bytes(0, 6);
+}
+
 /// Drain every complete message from `stream`; bytes of an incomplete
-/// trailing message remain in the buffer.
+/// trailing message remain in the buffer. A complete message that does
+/// not decode is an error — never a wait.
 pub fn decode_stream(stream: &mut BytesMut) -> Result<Vec<(Xid, Message)>> {
     let mut out = Vec::new();
-    loop {
-        match Message::decode(&stream[..]) {
+    while !stream.is_empty() {
+        match Message::decode(stream) {
             Ok((xid, msg, used)) => {
                 stream.advance(used);
                 out.push((xid, msg));
-                if stream.is_empty() {
-                    break;
-                }
             }
             Err(Error::Truncated) => break,
             Err(e) => return Err(e),
@@ -1778,6 +1640,36 @@ mod tests {
             Message::decode(&bad).unwrap_err(),
             Error::Malformed(_)
         ));
+    }
+
+    /// A flow-stats entry whose length covers its fixed part but not its
+    /// match used to underflow `elen - 48 - consumed_match` (a debug
+    /// panic, a wrapped length in release). The entry is decoded from
+    /// its own length-bounded cursor now: the match runs out inside it.
+    #[test]
+    fn flow_stats_entry_shorter_than_its_match_is_malformed() {
+        let entry = FlowStatsEntry {
+            table_id: 0,
+            duration_sec: 1,
+            priority: 5,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            flags: 0,
+            cookie: 3,
+            packet_count: 1,
+            byte_count: 64,
+            match_: sample_match(),
+            instructions: Instruction::apply(vec![Action::output(2)]),
+        };
+        let wire = Message::MultipartReply(MultipartRes::Flow(vec![entry])).encode(1);
+        for elen in 48u16..56 {
+            let mut bad = BytesMut::from(&wire[..]);
+            bad[16..18].copy_from_slice(&elen.to_be_bytes());
+            assert!(
+                matches!(Message::decode(&bad), Err(Error::Malformed(_))),
+                "entry length {elen}"
+            );
+        }
     }
 
     #[test]

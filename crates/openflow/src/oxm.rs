@@ -5,12 +5,13 @@
 //! (the `HM` bit), and [`Match`] converts losslessly to the
 //! `(FlowKey, FieldMask)` pair used by every dataplane in the workspace.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use std::net::Ipv4Addr;
 
 use netpkt::flowkey::{FieldMask, OFPVID_PRESENT};
 use netpkt::{FlowKey, MacAddr};
 
+use crate::wire::{self, Cursor};
 use crate::{Error, Result};
 
 /// `OFPXMC_OPENFLOW_BASIC`.
@@ -137,33 +138,12 @@ impl OxmField {
         }
     }
 
-    fn value_len(&self) -> usize {
-        match self {
-            OxmField::InPort(_) => 4,
-            OxmField::Metadata(..) => 8,
-            OxmField::EthDst(..) | OxmField::EthSrc(..) => 6,
-            OxmField::EthType(_) | OxmField::VlanVid(..) => 2,
-            OxmField::VlanPcp(_) | OxmField::IpDscp(_) | OxmField::IpProto(_) => 1,
-            OxmField::Ipv4Src(..) | OxmField::Ipv4Dst(..) => 4,
-            OxmField::TcpSrc(_) | OxmField::TcpDst(_) => 2,
-            OxmField::UdpSrc(_) | OxmField::UdpDst(_) => 2,
-            OxmField::Icmpv4Type(_) | OxmField::Icmpv4Code(_) => 1,
-            OxmField::ArpOp(_) => 2,
-            OxmField::ArpSpa(..) | OxmField::ArpTpa(..) => 4,
-            OxmField::Ipv6Src(..) | OxmField::Ipv6Dst(..) => 16,
-        }
-    }
-
-    /// Encoded length including the 4-byte TLV header.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.value_len() * if self.has_mask() { 2 } else { 1 }
-    }
-
     /// Append the TLV to `out`.
     pub fn encode(&self, out: &mut BytesMut) {
         out.put_u16(OXM_CLASS_BASIC);
         out.put_u8((self.number() << 1) | u8::from(self.has_mask()));
-        out.put_u8((self.value_len() * if self.has_mask() { 2 } else { 1 }) as u8);
+        let len = out.len();
+        out.put_u8(0);
         match *self {
             OxmField::InPort(v) => out.put_u32(v),
             OxmField::Metadata(v, m) => {
@@ -211,143 +191,93 @@ impl OxmField {
                 }
             }
         }
+        let value_len = out.len() - len - 1;
+        if let Some(field) = out.get_mut(len) {
+            *field = value_len as u8;
+        }
     }
 
     /// Decode one TLV from the front of `buf`.
     pub fn decode(buf: &mut &[u8]) -> Result<OxmField> {
-        if buf.len() < 4 {
-            return Err(Error::Truncated);
-        }
-        let class = buf.get_u16();
-        let fh = buf.get_u8();
-        let len = usize::from(buf.get_u8());
+        let class = buf.u16()?;
+        let header = buf.u8()?;
+        let len = usize::from(buf.u8()?);
         if class != OXM_CLASS_BASIC {
             return Err(Error::Malformed("unsupported OXM class"));
         }
-        if buf.len() < len {
-            return Err(Error::Truncated);
+        let mut value = buf.take(len)?;
+        let hm = header & 1 == 1;
+        let field = Self::decode_value(header >> 1, hm, &mut value)?;
+        if !value.is_empty() {
+            return Err(Error::Malformed("bad OXM length"));
         }
-        let field = fh >> 1;
-        let hm = fh & 1 == 1;
-        let check = |want: usize| -> Result<()> {
-            let expect = want * if hm { 2 } else { 1 };
-            if len == expect {
-                Ok(())
-            } else {
-                Err(Error::Malformed("bad OXM length"))
-            }
-        };
+        if field.has_mask() != hm {
+            return Err(Error::Malformed("OXM field cannot be masked"));
+        }
+        Ok(field)
+    }
+
+    fn decode_value(number: u8, hm: bool, v: &mut &[u8]) -> Result<OxmField> {
         use field_num::*;
-        let out = match field {
-            IN_PORT => {
-                check(4)?;
-                if hm {
-                    return Err(Error::Malformed("IN_PORT cannot be masked"));
-                }
-                OxmField::InPort(buf.get_u32())
-            }
+        Ok(match number {
+            IN_PORT => OxmField::InPort(v.u32()?),
             METADATA => {
-                check(8)?;
-                let v = buf.get_u64();
-                let m = if hm { Some(buf.get_u64()) } else { None };
-                OxmField::Metadata(v, m)
+                let (x, m) = masked(v, hm, |c| c.u64())?;
+                OxmField::Metadata(x, m)
             }
             ETH_DST | ETH_SRC => {
-                check(6)?;
-                let mut v = [0u8; 6];
-                buf.copy_to_slice(&mut v);
-                let m = if hm {
-                    let mut m = [0u8; 6];
-                    buf.copy_to_slice(&mut m);
-                    Some(MacAddr(m))
+                let (x, m) = masked(v, hm, |c| c.array().map(MacAddr))?;
+                if number == ETH_DST {
+                    OxmField::EthDst(x, m)
                 } else {
-                    None
-                };
-                if field == ETH_DST {
-                    OxmField::EthDst(MacAddr(v), m)
-                } else {
-                    OxmField::EthSrc(MacAddr(v), m)
+                    OxmField::EthSrc(x, m)
                 }
             }
-            ETH_TYPE => {
-                check(2)?;
-                OxmField::EthType(buf.get_u16())
-            }
+            ETH_TYPE => OxmField::EthType(v.u16()?),
             VLAN_VID => {
-                check(2)?;
-                let v = buf.get_u16();
-                let m = if hm { Some(buf.get_u16()) } else { None };
-                OxmField::VlanVid(v, m)
+                let (x, m) = masked(v, hm, |c| c.u16())?;
+                OxmField::VlanVid(x, m)
             }
-            VLAN_PCP => {
-                check(1)?;
-                OxmField::VlanPcp(buf.get_u8())
-            }
-            IP_DSCP => {
-                check(1)?;
-                OxmField::IpDscp(buf.get_u8())
-            }
-            IP_PROTO => {
-                check(1)?;
-                OxmField::IpProto(buf.get_u8())
-            }
+            VLAN_PCP => OxmField::VlanPcp(v.u8()?),
+            IP_DSCP => OxmField::IpDscp(v.u8()?),
+            IP_PROTO => OxmField::IpProto(v.u8()?),
             IPV4_SRC | IPV4_DST | ARP_SPA | ARP_TPA => {
-                check(4)?;
-                let v = Ipv4Addr::from(buf.get_u32());
-                let m = if hm {
-                    Some(Ipv4Addr::from(buf.get_u32()))
-                } else {
-                    None
-                };
-                match field {
-                    IPV4_SRC => OxmField::Ipv4Src(v, m),
-                    IPV4_DST => OxmField::Ipv4Dst(v, m),
-                    ARP_SPA => OxmField::ArpSpa(v, m),
-                    _ => OxmField::ArpTpa(v, m),
+                let (x, m) = masked(v, hm, |c| c.u32().map(Ipv4Addr::from))?;
+                match number {
+                    IPV4_SRC => OxmField::Ipv4Src(x, m),
+                    IPV4_DST => OxmField::Ipv4Dst(x, m),
+                    ARP_SPA => OxmField::ArpSpa(x, m),
+                    _ => OxmField::ArpTpa(x, m),
                 }
             }
-            TCP_SRC => {
-                check(2)?;
-                OxmField::TcpSrc(buf.get_u16())
-            }
-            TCP_DST => {
-                check(2)?;
-                OxmField::TcpDst(buf.get_u16())
-            }
-            UDP_SRC => {
-                check(2)?;
-                OxmField::UdpSrc(buf.get_u16())
-            }
-            UDP_DST => {
-                check(2)?;
-                OxmField::UdpDst(buf.get_u16())
-            }
-            ICMPV4_TYPE => {
-                check(1)?;
-                OxmField::Icmpv4Type(buf.get_u8())
-            }
-            ICMPV4_CODE => {
-                check(1)?;
-                OxmField::Icmpv4Code(buf.get_u8())
-            }
-            ARP_OP => {
-                check(2)?;
-                OxmField::ArpOp(buf.get_u16())
-            }
+            TCP_SRC => OxmField::TcpSrc(v.u16()?),
+            TCP_DST => OxmField::TcpDst(v.u16()?),
+            UDP_SRC => OxmField::UdpSrc(v.u16()?),
+            UDP_DST => OxmField::UdpDst(v.u16()?),
+            ICMPV4_TYPE => OxmField::Icmpv4Type(v.u8()?),
+            ICMPV4_CODE => OxmField::Icmpv4Code(v.u8()?),
+            ARP_OP => OxmField::ArpOp(v.u16()?),
             IPV6_SRC | IPV6_DST => {
-                check(16)?;
-                let v = buf.get_u128();
-                let m = if hm { Some(buf.get_u128()) } else { None };
-                if field == IPV6_SRC {
-                    OxmField::Ipv6Src(v, m)
+                let (x, m) = masked(v, hm, |c| c.u128())?;
+                if number == IPV6_SRC {
+                    OxmField::Ipv6Src(x, m)
                 } else {
-                    OxmField::Ipv6Dst(v, m)
+                    OxmField::Ipv6Dst(x, m)
                 }
             }
             _ => return Err(Error::Malformed("unknown OXM field")),
-        };
-        Ok(out)
+        })
     }
+}
+
+/// A field value, and its mask when the HM bit says one follows.
+fn masked<T>(
+    v: &mut &[u8],
+    hm: bool,
+    read: impl Fn(&mut &[u8]) -> Result<T>,
+) -> Result<(T, Option<T>)> {
+    let value = read(v)?;
+    Ok((value, if hm { Some(read(v)?) } else { None }))
 }
 
 /// An ordered set of OXM fields: the `ofp_match` of flow mods, packet-ins
@@ -446,14 +376,14 @@ impl Match {
 
     /// Validate OF 1.3 prerequisites (§7.2.3.8) and duplicate fields.
     pub fn validate(&self) -> Result<()> {
-        let mut seen = [false; 40];
+        let mut seen = 0u64;
         let has = |fields: &[OxmField], pred: &dyn Fn(&OxmField) -> bool| fields.iter().any(pred);
         for f in &self.fields {
-            let n = usize::from(f.number());
-            if seen[n] {
+            let bit = 1u64 << f.number();
+            if seen & bit != 0 {
                 return Err(Error::BadMatch("duplicate field"));
             }
-            seen[n] = true;
+            seen |= bit;
             match f {
                 OxmField::VlanPcp(_) => {
                     let tagged = has(
@@ -624,52 +554,30 @@ impl Match {
         pkt.masked(&mask) == key
     }
 
-    /// Encoded length of the `ofp_match` including padding to 8 bytes.
-    pub fn encoded_len(&self) -> usize {
-        let body: usize = 4 + self.fields.iter().map(OxmField::encoded_len).sum::<usize>();
-        body.div_ceil(8) * 8
-    }
-
     /// Encode as `ofp_match` (type=1/OXM, padded to 8 bytes).
     pub fn encode(&self, out: &mut BytesMut) {
-        let body: usize = 4 + self.fields.iter().map(OxmField::encoded_len).sum::<usize>();
+        let start = out.len();
         out.put_u16(1); // OFPMT_OXM
-        out.put_u16(body as u16);
+        let len = wire::reserve_u16(out);
         for f in &self.fields {
             f.encode(out);
         }
-        let pad = (8 - body % 8) % 8;
-        out.put_bytes(0, pad);
+        wire::patch_u16(out, len, start);
+        wire::pad8(out, start);
     }
 
     /// Decode an `ofp_match` from the front of `buf`, consuming padding.
     pub fn decode(buf: &mut &[u8]) -> Result<Match> {
-        if buf.len() < 4 {
-            return Err(Error::Truncated);
-        }
-        let ty = buf.get_u16();
-        let len = usize::from(buf.get_u16());
+        let ty = buf.u16()?;
+        let len = usize::from(buf.u16()?);
         if ty != 1 {
             return Err(Error::Malformed("only OXM matches supported"));
         }
         if len < 4 {
             return Err(Error::Malformed("match length below header"));
         }
-        let body_len = len - 4;
-        if buf.len() < body_len {
-            return Err(Error::Truncated);
-        }
-        let mut body = &buf[..body_len];
-        let mut fields = Vec::new();
-        while !body.is_empty() {
-            fields.push(OxmField::decode(&mut body)?);
-        }
-        buf.advance(body_len);
-        let pad = (8 - len % 8) % 8;
-        if buf.len() < pad {
-            return Err(Error::Truncated);
-        }
-        buf.advance(pad);
+        let fields = buf.take(len - 4)?.items(OxmField::decode)?;
+        buf.skip((8 - len % 8) % 8)?;
         Ok(Match { fields })
     }
 }
@@ -681,7 +589,9 @@ trait MaskedMac {
 
 impl MaskedMac for MacAddr {
     fn masked_with(&self, m: &MacAddr) -> MacAddr {
-        MacAddr(std::array::from_fn(|i| self.0[i] & m.0[i]))
+        let mut out = self.0;
+        out.iter_mut().zip(m.0).for_each(|(b, m)| *b &= m);
+        MacAddr(out)
     }
 }
 
@@ -693,7 +603,6 @@ mod tests {
     fn round_trip(m: &Match) -> Match {
         let mut buf = BytesMut::new();
         m.encode(&mut buf);
-        assert_eq!(buf.len(), m.encoded_len(), "encoded_len must match reality");
         assert_eq!(buf.len() % 8, 0, "ofp_match must be 8-byte aligned");
         let mut slice = &buf[..];
         let out = Match::decode(&mut slice).unwrap();
@@ -705,7 +614,6 @@ mod tests {
     fn empty_match_round_trip() {
         let m = Match::any();
         assert_eq!(round_trip(&m), m);
-        assert_eq!(m.encoded_len(), 8); // 4-byte header padded to 8
     }
 
     #[test]

@@ -147,6 +147,39 @@ mod tests {
         }
     }
 
+    /// A frame whose header says it is complete (length 18) but whose
+    /// body holds 10 of the 24 bytes a `FEATURES_REPLY` needs is an
+    /// error, never a wait: waiting would hold up every later message
+    /// until keepalive declared the peer dead.
+    #[test]
+    fn a_complete_frame_with_a_short_body_is_an_error_not_a_wait() {
+        let mut short = Message::FeaturesReply {
+            datapath_id: 1,
+            n_buffers: 0,
+            n_tables: 4,
+            capabilities: 0,
+        }
+        .encode(7)
+        .to_vec();
+        short.truncate(18);
+        short[2..4].copy_from_slice(&18u16.to_be_bytes());
+        let mut stream = BytesMut::from(&short[..]);
+        stream.extend_from_slice(&Message::Hello.encode(8));
+        assert!(matches!(
+            decode_stream(&mut stream),
+            Err(crate::Error::Malformed(_))
+        ));
+
+        let mut s = Session::default();
+        assert!(s.feed(&stream).is_err());
+        let echo = Message::EchoRequest(Bytes::new()).encode(9);
+        assert_eq!(
+            s.feed(&echo).unwrap(),
+            vec![(9, Message::EchoRequest(Bytes::new()))],
+            "the session dropped the bad frame and reads on"
+        );
+    }
+
     #[test]
     fn garbage_and_teardown_leave_nothing_to_misframe_the_next_message() {
         let mut s = Session::default();

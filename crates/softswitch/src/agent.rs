@@ -183,14 +183,9 @@ impl OfAgent {
     /// `Err` is the error frame to answer an undecodable stream with
     /// (the session dropped what it had buffered).
     pub fn decode(&mut self, data: &[u8]) -> Result<Vec<(Xid, Message)>, Bytes> {
-        self.session.feed(data).map_err(|_| {
+        self.session.feed(data).map_err(|e| {
             let x = self.xid();
-            Message::Error {
-                ty: 0,
-                code: 0,
-                data: Bytes::new(),
-            }
-            .encode(x)
+            self.error_for(&e, x)
         })
     }
 
@@ -329,13 +324,15 @@ impl OfAgent {
     fn error_for(&mut self, e: &Error, xid: Xid) -> Bytes {
         // (type, code) pairs per OF 1.3 §7.4.
         let (ty, code) = match e {
-            Error::Overlap => (5, 1),      // FLOW_MOD_FAILED / OVERLAP
-            Error::TableFull => (5, 2),    // FLOW_MOD_FAILED / TABLE_FULL
-            Error::BadTable(_) => (5, 3),  // FLOW_MOD_FAILED / BAD_TABLE_ID
-            Error::BadMatch(_) => (4, 0),  // BAD_MATCH
-            Error::BadGroup(_) => (6, 0),  // GROUP_MOD_FAILED
-            Error::BadMeter(_) => (12, 0), // METER_MOD_FAILED
-            _ => (1, 0),                   // BAD_REQUEST
+            Error::Overlap => (5, 1),            // FLOW_MOD_FAILED / OVERLAP
+            Error::TableFull => (5, 2),          // FLOW_MOD_FAILED / TABLE_FULL
+            Error::BadTable(_) => (5, 3),        // FLOW_MOD_FAILED / BAD_TABLE_ID
+            Error::BadMatch(_) => (4, 0),        // BAD_MATCH
+            Error::BadGroup(_) => (6, 0),        // GROUP_MOD_FAILED
+            Error::BadMeter(_) => (12, 0),       // METER_MOD_FAILED
+            Error::BadVersion(_) => (1, 0),      // BAD_REQUEST / BAD_VERSION
+            Error::UnsupportedType(_) => (1, 1), // BAD_REQUEST / BAD_TYPE
+            Error::Truncated | Error::Malformed(_) => (1, 6), // BAD_REQUEST / BAD_LEN
         };
         Message::Error {
             ty,
@@ -549,6 +546,38 @@ mod tests {
                 assert_eq!(code, 3); // BAD_TABLE_ID
             }
             other => panic!("expected Error, got {other:?}"),
+        }
+    }
+
+    /// Undecodable input is answered with BAD_REQUEST (OF 1.3 §7.4.4)
+    /// and a code naming what was wrong; the stream is dropped and the
+    /// next message decodes.
+    #[test]
+    fn undecodable_input_is_answered_with_bad_request() {
+        let mut dp = dp();
+        let mut agent = OfAgent::new("test");
+        let features = Message::FeaturesReply {
+            datapath_id: 1,
+            n_buffers: 0,
+            n_tables: 4,
+            capabilities: 0,
+        }
+        .encode(3);
+        let mut short_body = features[..18].to_vec();
+        short_body[3] = 18;
+        for (wire, code) in [
+            (vec![0x7f, 9, 0, 8, 0, 0, 0, 1], 0),  // BAD_VERSION
+            (vec![0x04, 77, 0, 8, 0, 0, 0, 2], 1), // BAD_TYPE
+            (short_body, 6),                       // BAD_LEN
+        ] {
+            let out = agent.handle(&mut dp, &wire, 0);
+            let (_, msg, _) = Message::decode(&out.replies[0]).unwrap();
+            match msg {
+                Message::Error { ty, code: got, .. } => assert_eq!((ty, got), (1, code)),
+                other => panic!("expected Error, got {other:?}"),
+            }
+            let echo = agent.handle(&mut dp, &Message::EchoRequest(Bytes::new()).encode(4), 0);
+            assert_eq!(echo.replies.len(), 1);
         }
     }
 
