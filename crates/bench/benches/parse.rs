@@ -7,7 +7,12 @@
 //! rows (the switch is the frame's only holder: twelve bytes moved in
 //! place) should not depend on the frame size and allocate nothing,
 //! the *shared* rows (somebody else holds the frame too) are one
-//! allocation and one copy each.
+//! allocation and one copy each. So are the legacy bridge's two passes
+//! of a HARMLESS pod, access → trunk then trunk → access
+//! (`parse/bridge_{owned,borrowed}_{60,1514}`): a frame handed over by
+//! value (`Bridge::forward_into`, the simulator's way) is re-tagged in
+//! place both times, one lent by reference (`Bridge::forward`, the pod
+//! rig's) is copied both times.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -15,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use bench::report::{self, Report};
 use bytes::{buffer_allocs, Bytes, BytesMut};
+use legacy_switch::Bridge;
 use netpkt::vlan::{pop_vlan, push_vlan, VlanTag};
 use netpkt::{builder, FlowKey, FrameBuf, MacAddr};
 
@@ -130,26 +136,26 @@ fn config() -> Criterion {
 /// measured, running `undo` over them untimed after every round (an
 /// in-place tag operation uses up what it works on); print the mean and
 /// record it with the buffers allocated per operation.
-fn tag_rounds(
+fn tag_rounds<T>(
     rep: &mut Report,
     name: &str,
-    bufs: &mut [FrameBuf],
-    op: impl Fn(&mut FrameBuf),
-    undo: impl Fn(&mut FrameBuf),
+    bufs: &mut [T],
+    mut op: impl FnMut(&mut T),
+    mut undo: impl FnMut(&mut T),
 ) {
     let (mut total, mut ops, mut allocs) = (Duration::ZERO, 0u64, 0u64);
     let mut warm = true;
     while total < Duration::from_millis(300) {
         let before = buffer_allocs();
         let t = Instant::now();
-        bufs.iter_mut().for_each(&op);
+        bufs.iter_mut().for_each(&mut op);
         let elapsed = t.elapsed();
         if !std::mem::take(&mut warm) {
             total += elapsed;
             ops += bufs.len() as u64;
             allocs += buffer_allocs() - before;
         }
-        bufs.iter_mut().for_each(&undo);
+        bufs.iter_mut().for_each(&mut undo);
         black_box(&mut *bufs);
     }
     let ns = total.as_nanos() as f64 / ops as f64;
@@ -220,10 +226,65 @@ fn vlan_ledger() {
             push,
             reset,
         );
+
+        bridge_rounds(&mut rep, size);
     }
     if let Err(e) = rep.save(report::bench_file()) {
         eprintln!("(could not write {}: {e})", report::BENCH_FILE);
     }
+}
+
+/// A pod's legacy switch (access port 1 in VLAN 101, the trunk on
+/// port 2) and a frame from the host behind port 1, built as a
+/// generator builds it. The far host never speaks, so both passes take
+/// the flood arm to the VLAN's one other member, as every bridge pass
+/// of `fabric_steady` does.
+fn pod_bridge(size: usize) -> (Bridge, impl Fn() -> Bytes) {
+    let mut bridge = Bridge::new(2);
+    bridge.make_access_port(1, 101).unwrap();
+    bridge.make_trunk_port(2, &[101]).unwrap();
+    let frame = move || {
+        builder::sized_udp_packet(
+            MacAddr::host(1),
+            MacAddr::host(2),
+            "10.0.0.1".parse().unwrap(),
+            "10.0.0.2".parse().unwrap(),
+            1000,
+            53,
+            size,
+        )
+    };
+    (bridge, frame)
+}
+
+/// `parse/bridge_{owned,borrowed}_{size}`: one access → trunk and one
+/// trunk → access pass per operation.
+fn bridge_rounds(rep: &mut Report, size: usize) {
+    const ROUND: usize = 64;
+    // By value: each frame is a buffer of its own, handed through both
+    // passes and back into its slot — tagged in the room in front of
+    // it, untagged where it lies, so a round leaves nothing to undo.
+    let (mut bridge, frame) = pod_bridge(size);
+    let mut frames: Vec<Bytes> = (0..ROUND).map(|_| frame()).collect();
+    let mut out = Vec::new();
+    let round_trip = |f: &mut Bytes| {
+        bridge.forward_into(1, std::mem::take(f), 0, &mut out);
+        let (_, tagged) = out.pop().expect("one trunk output");
+        bridge.forward_into(2, tagged, 0, &mut out);
+        *f = out.pop().expect("one access output").1;
+    };
+    let name = format!("bridge_owned_{size}");
+    tag_rounds(rep, &name, &mut frames, round_trip, |_| {});
+
+    // Borrowed: the caller keeps the frame, so each pass copies.
+    let (mut bridge, frame) = pod_bridge(size);
+    let mut frames: Vec<Bytes> = (0..ROUND).map(|_| frame()).collect();
+    let round_trip = |f: &mut Bytes| {
+        let up = bridge.forward(1, f, 0);
+        black_box(bridge.forward(2, &up.outputs[0].1, 0));
+    };
+    let name = format!("bridge_borrowed_{size}");
+    tag_rounds(rep, &name, &mut frames, round_trip, |_| {});
 }
 
 criterion_group! {

@@ -190,11 +190,11 @@ fn bench_snmp_get(rep: &mut Report) {
 }
 
 fn bench_caches(rep: &mut Report) {
-    let path = std::sync::Arc::new(CachedPath::new(
+    let path = CachedPath::new(
         vec![softswitch::actions::CAction::Output(2)],
         vec![(0, 0)],
         1,
-    ));
+    );
     // A datapath's microflow layer with `keys` admitted, under 64
     // megaflows of four fields — about what a leaf's routes come to.
     let mut route_mask = FlowKey::empty_mask();

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use netpkt::vlan::{self, VlanTag, VlanView};
-use netpkt::{EthernetFrame, MacAddr};
+use netpkt::{EtherType, EthernetFrame, FrameBuf, MacAddr};
 
 /// Per-port traffic counters (feeds `ifInOctets`/`ifOutOctets`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -174,7 +174,16 @@ impl core::fmt::Display for BridgeConfigError {
 
 impl std::error::Error for BridgeConfigError {}
 
-/// What the forwarding process decided for one frame.
+/// How the forwarding process classified one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    /// The VLAN the frame was classified into.
+    pub vlan: u16,
+    /// True if ingress filtering dropped it.
+    pub filtered: bool,
+}
+
+/// What [`Bridge::forward`] decided for one borrowed frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Forwarded {
     /// `(egress port, frame as it leaves that port)`.
@@ -183,6 +192,62 @@ pub struct Forwarded {
     pub vlan: u16,
     /// True if ingress filtering dropped it.
     pub filtered: bool,
+}
+
+/// What egress tagging does to a frame on its way out of one port.
+#[derive(Debug, Clone, Copy)]
+enum Retag {
+    /// It leaves in the form it arrived in.
+    Keep,
+    /// Tagged in, untagged out.
+    Pop,
+    /// Untagged in, tagged out with this VLAN.
+    Push(u16),
+}
+
+/// How the forwarding engine holds the frame it forwards: by value
+/// ([`Bytes`]: a frame nobody else holds is re-tagged where it lies,
+/// through [`FrameBuf`]) or borrowed (`&Bytes`: the caller keeps it, so
+/// a re-tag is a copy — and no uniqueness check is paid to learn that).
+trait Held {
+    /// The frame, to read and to share.
+    fn bytes(&self) -> &Bytes;
+    /// The frame as it leaves a port that `op` describes. A frame the
+    /// operation cannot edit leaves as it is (parsing a VLAN view has
+    /// already ruled that out).
+    fn retag(self, op: Retag) -> Bytes;
+}
+
+impl Held for Bytes {
+    fn bytes(&self) -> &Bytes {
+        self
+    }
+
+    fn retag(self, op: Retag) -> Bytes {
+        let mut buf = FrameBuf::from_bytes(self);
+        let _ = match op {
+            Retag::Keep => Ok(()),
+            Retag::Pop => buf.pop_vlan(),
+            Retag::Push(vid) => buf.push_vlan(EtherType::VLAN.0, VlanTag::new(vid).to_tci()),
+        };
+        buf.into_bytes()
+    }
+}
+
+impl Held for &Bytes {
+    fn bytes(&self) -> &Bytes {
+        self
+    }
+
+    fn retag(self, op: Retag) -> Bytes {
+        match op {
+            Retag::Keep => self.clone(),
+            Retag::Pop => vlan::pop_vlan(self).unwrap_or_else(|_| self.clone()),
+            Retag::Push(vid) => {
+                vlan::push_vlan(self, VlanTag::new(vid)).unwrap_or_else(|_| self.clone())
+            }
+        }
+    }
 }
 
 /// A VLAN-aware learning bridge with `n_ports` ports (1-based).
@@ -399,15 +464,55 @@ impl Bridge {
         before - self.fdb.len()
     }
 
-    /// The 802.1Q forwarding process for one received frame.
+    /// The 802.1Q forwarding process for one received frame, which the
+    /// bridge takes over: `(egress port, frame as it leaves that port)`
+    /// pairs are appended to `out`, a buffer the caller lends pass after
+    /// pass.
     ///
     /// A frame leaves in the form it arrived in wherever the egress port
     /// wants that form (tagged in → tagged out keeps the received tag,
-    /// PCP and DEI included); the other form is built at most once, and
-    /// only if some egress port needs it.
+    /// PCP and DEI included). A pass with one egress port — a learned
+    /// destination, or a flood in a VLAN of two members, which is every
+    /// HARMLESS access VLAN — sends the received frame itself, re-tagged
+    /// in place if nobody else holds it. A flood to several ports builds
+    /// the other form at most once, and only if some port needs it, and
+    /// shares each form among the ports that want it.
+    pub fn forward_into(
+        &mut self,
+        in_port: u16,
+        frame: Bytes,
+        now_ns: u64,
+        out: &mut Vec<(u16, Bytes)>,
+    ) -> Verdict {
+        self.pass(in_port, frame, now_ns, out)
+    }
+
+    /// [`Bridge::forward_into`] of a frame the caller keeps, into a
+    /// vector of its own: every re-tag is a copy, as it is for any
+    /// frame somebody else holds. The borrowed entry of the `hbench` pod
+    /// rig and of tests; it goes once the rig moves its frames (ROADMAP
+    /// 1(b)).
     pub fn forward(&mut self, in_port: u16, frame: &Bytes, now_ns: u64) -> Forwarded {
-        let dropped = |vlan| Forwarded {
-            outputs: Vec::new(),
+        let mut outputs = Vec::new();
+        let Verdict { vlan, filtered } = self.pass(in_port, frame, now_ns, &mut outputs);
+        Forwarded {
+            outputs,
+            vlan,
+            filtered,
+        }
+    }
+
+    /// The one engine behind [`Bridge::forward_into`] and
+    /// [`Bridge::forward`]; the two differ only in what a re-tag of the
+    /// frame costs ([`Held`]).
+    fn pass(
+        &mut self,
+        in_port: u16,
+        frame: impl Held,
+        now_ns: u64,
+        out: &mut Vec<(u16, Bytes)>,
+    ) -> Verdict {
+        let dropped = |vlan| Verdict {
             vlan,
             filtered: true,
         };
@@ -416,8 +521,8 @@ impl Bridge {
             return dropped(0);
         };
         rx.rx_frames += 1;
-        rx.rx_octets += frame.len() as u64;
-        let Ok(view) = VlanView::parse(frame) else {
+        rx.rx_octets += frame.bytes().len() as u64;
+        let Ok(view) = VlanView::parse(frame.bytes()) else {
             return dropped(0);
         };
         // Ingress classification + filtering: a tagged frame must arrive
@@ -434,7 +539,7 @@ impl Bridge {
         };
 
         // The addresses sit before any tag.
-        let eth = EthernetFrame::new_unchecked(&frame[..]);
+        let eth = EthernetFrame::new_unchecked(&frame.bytes()[..]);
         let (src, dst) = (eth.src(), eth.dst());
 
         // Learning.
@@ -453,59 +558,64 @@ impl Bridge {
             .is_unicast()
             .then(|| self.fdb.get(&fdb_key(vid, dst)))
             .flatten();
+        let verdict = Verdict {
+            vlan: vid,
+            filtered: false,
+        };
         let target = match learned {
             Some(e) if e.port != in_port && entry.egress.contains(e.port) => Some(e.port),
             // The destination is behind the ingress port.
-            Some(_) => {
-                return Forwarded {
-                    outputs: Vec::new(),
-                    vlan: vid,
-                    filtered: false,
-                }
-            }
+            Some(_) => return verdict,
             None => None,
         };
 
         // Egress tagging.
-        let mut outputs = Vec::with_capacity(target.map_or(entry.egress.len(), |_| 1));
-        let (mut tagged, mut untagged) = (None, None);
+        let egress_op = |p: u16| match (arrived_tagged, entry.untagged.contains(p)) {
+            (true, true) => Retag::Pop,
+            (false, false) => Retag::Push(vid),
+            _ => Retag::Keep,
+        };
+        let flood = || entry.egress.iter().filter(move |&p| p != in_port);
+        let sole = match target {
+            Some(p) => Some(p),
+            None => {
+                self.flood_frames += 1;
+                let mut ports = flood();
+                ports.next().filter(|_| ports.next().is_none())
+            }
+        };
+        out.reserve(if sole.is_some() {
+            1
+        } else {
+            entry.egress.len()
+        });
         let counters = &mut self.counters;
-        let mut send = |p: u16| {
-            let f: &Bytes = if entry.untagged.contains(p) {
-                untagged.get_or_insert_with(|| {
-                    if arrived_tagged {
-                        vlan::pop_vlan(frame).unwrap_or_else(|_| frame.clone())
-                    } else {
-                        frame.clone()
-                    }
-                })
-            } else {
-                tagged.get_or_insert_with(|| {
-                    if arrived_tagged {
-                        frame.clone()
-                    } else {
-                        vlan::push_vlan(frame, VlanTag::new(vid)).unwrap_or_else(|_| frame.clone())
-                    }
-                })
-            };
+        let mut send = |p: u16, f: Bytes| {
             if let Some(c) = counters.get_mut(slot(p)) {
                 c.tx_frames += 1;
                 c.tx_octets += f.len() as u64;
             }
-            outputs.push((p, f.clone()));
+            out.push((p, f));
         };
-        match target {
-            Some(p) => send(p),
-            None => {
-                self.flood_frames += 1;
-                entry.egress.iter().filter(|&p| p != in_port).for_each(send);
-            }
+        if let Some(p) = sole {
+            send(p, frame.retag(egress_op(p)));
+            return verdict;
         }
-        Forwarded {
-            outputs,
-            vlan: vid,
-            filtered: false,
+        let frame = frame.bytes();
+        let (mut tagged, mut untagged) = (None, None);
+        for p in flood() {
+            let form: &mut Option<Bytes> = if entry.untagged.contains(p) {
+                &mut untagged
+            } else {
+                &mut tagged
+            };
+            send(
+                p,
+                form.get_or_insert_with(|| frame.retag(egress_op(p)))
+                    .clone(),
+            );
         }
+        verdict
     }
 }
 
@@ -914,54 +1024,123 @@ mod tests {
         }
     }
 
+    /// The whole FDB, in key order.
+    fn fdb(b: &Bridge) -> Vec<(u64, u16, u64)> {
+        let mut rows: Vec<_> = b
+            .fdb
+            .iter()
+            .map(|(&k, e)| (k, e.port, e.learned_ns))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// The static VLAN table as an SNMP walk returns it.
+    fn vlan_walk(bridge: &mut Bridge) -> Vec<(Oid, Value)> {
+        let sys = SysInfo::default();
+        let mib = BridgeMib {
+            bridge,
+            sys: &sys,
+            uptime_cs: 0,
+        };
+        let table = mibs::vlan_static_table();
+        let mut walked = Vec::new();
+        let mut cur = table.clone();
+        while let Some(row) = mib.next(&cur).filter(|(oid, _)| table.contains(oid)) {
+            cur = row.0.clone();
+            walked.push(row);
+        }
+        walked
+    }
+
     proptest! {
-        /// Random reconfigurations and frames through the bridge and the
-        /// ordered-set model: every call answers the same, every frame
+        /// Random reconfigurations and frames through three bridges: the
+        /// bitmap bridge driven by value (`forward_into`) with frames it
+        /// is the sole holder of — now and then one somebody else keeps
+        /// too — its twin driven through the borrowed `forward`, and the
+        /// ordered-set model. Every call answers the same, every frame
         /// leaves on the same ports in the same order with the same
-        /// bytes, and after every step the static VLAN table walks the
-        /// same. Ports 0 and `n_ports + 1` and VLAN 0 are in range of
-        /// the generators.
+        /// bytes, and after every step the twins hold the same counters,
+        /// FDB and flood count and all three walk the same static VLAN
+        /// table. A pass of a sole holder with one egress port sends the
+        /// received storage itself, re-tagged in place: never a copy.
+        /// Ports 0 and `n_ports + 1` and VLAN 0 are in range of the
+        /// generators.
         #[test]
         fn bitmap_bridge_agrees_with_the_ordered_set_model(
             n_ports in 1u16..70,
             ops in proptest::collection::vec((0u8..12, 0u16..72, 0u16..9, any::<u64>()), 1..80),
         ) {
             let (mut b, mut m) = (Bridge::new(n_ports), Model::new(n_ports));
-            let sys = SysInfo::default();
+            let mut owned = Bridge::new(n_ports);
+            let mut out = Vec::new();
             for (op, port, vid, bits) in ops {
                 let port = port % (n_ports + 2);
                 // Mostly valid ports, now and then one beyond the last.
                 let ports: Vec<u16> = (1..=n_ports + 1)
                     .filter(|p| bits >> (p % 64) & 1 == 1 && (*p <= n_ports || bits % 16 == 0))
                     .collect();
-                match op {
-                    0 => prop_assert_eq!(b.set_egress(vid, &ports), m.set_egress(vid, &ports)),
-                    1 => prop_assert_eq!(b.set_untagged(vid, &ports), m.set_untagged(vid, &ports)),
-                    2 => prop_assert_eq!(b.make_access_port(port, vid), m.make_access_port(port, vid)),
-                    3 => {
-                        let vids = [vid, (bits % 9) as u16];
-                        prop_assert_eq!(b.make_trunk_port(port, &vids), m.make_trunk_port(port, &vids));
-                    }
-                    4 => prop_assert_eq!(b.destroy_vlan(vid), m.destroy_vlan(vid)),
-                    5 => prop_assert_eq!(b.create_vlan(vid), m.create_vlan(vid)),
-                    _ => {
-                        let (src, dst) = ((bits % 5) as u32, (bits >> 8) as u32 % 5);
-                        let mut f = if dst == 0 { bcast(src) } else { frame(src, dst) };
-                        if op % 2 == 0 {
-                            f = vlan::push_vlan(&f, VlanTag::new(vid)).unwrap();
+                let vids = [vid, (bits % 9) as u16];
+                macro_rules! configure {
+                    ($x:expr) => {
+                        match op {
+                            0 => $x.set_egress(vid, &ports),
+                            1 => $x.set_untagged(vid, &ports),
+                            2 => $x.make_access_port(port, vid),
+                            3 => $x.make_trunk_port(port, &vids),
+                            4 => $x.destroy_vlan(vid),
+                            _ => $x.create_vlan(vid),
                         }
-                        prop_assert_eq!(b.forward(port, &f, 0), m.forward(port, &f));
+                    };
+                }
+                if op < 6 {
+                    let want = configure!(m);
+                    prop_assert_eq!(configure!(b), want);
+                    prop_assert_eq!(configure!(owned), want);
+                } else {
+                    let (src, dst) = ((bits % 5) as u32, (bits >> 8) as u32 % 5);
+                    // Built afresh for each bridge, as a generator builds
+                    // it (tagged, if at all, in the room it was built
+                    // with), so that the by-value bridge is the sole
+                    // holder of its copy.
+                    let make = || {
+                        let f = if dst == 0 { bcast(src) } else { frame(src, dst) };
+                        let mut buf = FrameBuf::from_bytes(f);
+                        if op % 2 == 0 {
+                            buf.push_vlan(0x8100, VlanTag::new(vid).to_tci()).unwrap();
+                        }
+                        buf.into_bytes()
+                    };
+                    let f = make();
+                    let want = m.forward(port, &f);
+                    prop_assert_eq!(&b.forward(port, &f, 0), &want);
+
+                    let mine = make();
+                    let (ptr, len) = (mine.as_ptr(), mine.len());
+                    let held = (bits % 3 == 0).then(|| mine.clone());
+                    out.clear();
+                    let verdict = owned.forward_into(port, mine, 0, &mut out);
+                    prop_assert_eq!(verdict, Verdict { vlan: want.vlan, filtered: want.filtered });
+                    prop_assert_eq!(&out, &want.outputs);
+                    match (&held, &out[..]) {
+                        (Some(held), _) => prop_assert_eq!(held, &f, "a kept frame never changes"),
+                        (None, [(p, sent)]) => {
+                            // A pop moves the view's start up by a tag, a
+                            // push down into the room in front.
+                            let at = ptr.wrapping_offset(len as isize - sent.len() as isize);
+                            prop_assert!(sent.as_ptr() == at, "port {} got a copy", p);
+                        }
+                        _ => {}
                     }
                 }
-                let mib = BridgeMib { bridge: &mut b, sys: &sys, uptime_cs: 0 };
-                let table = mibs::vlan_static_table();
-                let mut walked = Vec::new();
-                let mut cur = table.clone();
-                while let Some(row) = mib.next(&cur).filter(|(oid, _)| table.contains(oid)) {
-                    cur = row.0.clone();
-                    walked.push(row);
-                }
-                prop_assert_eq!(walked, m.vlan_rows());
+                let ports = 0..=n_ports + 1;
+                let counters = |x: &Bridge| ports.clone().map(|p| x.counters(p)).collect::<Vec<_>>();
+                prop_assert_eq!(counters(&owned), counters(&b));
+                prop_assert_eq!(fdb(&owned), fdb(&b));
+                prop_assert_eq!(owned.flood_frames(), b.flood_frames());
+                let rows = m.vlan_rows();
+                prop_assert_eq!(vlan_walk(&mut b), rows.clone());
+                prop_assert_eq!(vlan_walk(&mut owned), rows);
             }
         }
     }

@@ -31,6 +31,10 @@ pub struct LegacySwitchNode {
     /// is how an SNMP manager detects the reboot.
     boot_at: SimTime,
     reboots: u64,
+    /// The outputs of the pass in progress: lent to the bridge and
+    /// drained onto the ports, frame after frame, so a pass allocates
+    /// no vector.
+    outputs: Vec<(u16, Bytes)>,
 }
 
 impl LegacySwitchNode {
@@ -48,6 +52,7 @@ impl LegacySwitchNode {
             snmp_requests: 0,
             boot_at: SimTime::ZERO,
             reboots: 0,
+            outputs: Vec::new(),
         }
     }
 
@@ -91,8 +96,10 @@ impl Node for LegacySwitchNode {
     }
 
     fn on_packet(&mut self, port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
-        let out = self.bridge.forward(port.0, &frame, ctx.now().as_nanos());
-        for (p, f) in out.outputs {
+        let now_ns = ctx.now().as_nanos();
+        self.bridge
+            .forward_into(port.0, frame, now_ns, &mut self.outputs);
+        for (p, f) in self.outputs.drain(..) {
             ctx.transmit_after(DEFAULT_LATENCY, PortId(p), f);
         }
     }

@@ -2,22 +2,45 @@
 //!
 //! These are what traffic generators, examples and tests use; the hot path
 //! never allocates through here.
+//!
+//! Every frame is built with one tag's worth of spare bytes in front of
+//! it, as a NIC driver leaves room in front of a packet: the first tag
+//! the frame is given (an access port's, on its way onto a trunk) lands
+//! there, in place, if nobody else holds the frame by then
+//! ([`FrameBuf::push_vlan`](crate::FrameBuf::push_vlan)). A frame built
+//! here is therefore allocated once however it is tagged and untagged
+//! on its way.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
 use crate::frame::{self, HEADER_LEN};
+use crate::vlan::TAG_LEN;
 use crate::{arp, icmp, ipv4, tcp, udp};
 use crate::{ArpRepr, EtherType, Icmpv4Type, IpProto, MacAddr};
 
+/// Spare bytes in front of every built frame: room for one tag.
+const HEADROOM: usize = TAG_LEN;
+
+/// A `len`-byte frame, zeroed and then written by `fill`, in a buffer
+/// of its own with [`HEADROOM`] in front of it.
+fn with_headroom(len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+    let mut buf = BytesMut::with_capacity(HEADROOM + len);
+    buf.resize(HEADROOM + len, 0);
+    fill(&mut buf[HEADROOM..]);
+    let mut frame = buf.freeze();
+    frame.advance(HEADROOM);
+    frame
+}
+
 /// Build a raw Ethernet II frame around an opaque payload.
 pub fn ethernet(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&dst.octets());
-    buf.extend_from_slice(&src.octets());
-    buf.extend_from_slice(&ethertype.0.to_be_bytes());
-    buf.extend_from_slice(payload);
-    buf.freeze()
+    with_headroom(HEADER_LEN + payload.len(), |f| {
+        f[..6].copy_from_slice(&dst.octets());
+        f[6..12].copy_from_slice(&src.octets());
+        f[12..HEADER_LEN].copy_from_slice(&ethertype.0.to_be_bytes());
+        f[HEADER_LEN..].copy_from_slice(payload);
+    })
 }
 
 /// Build an Ethernet/IPv4/UDP frame with valid checksums.
@@ -223,29 +246,28 @@ fn ipv4_frame_with(
     fill_l4: impl FnOnce(&mut [u8]),
 ) -> Bytes {
     const L4: usize = HEADER_LEN + ipv4::HEADER_LEN;
-    let mut buf = BytesMut::with_capacity(L4 + l4_len);
-    buf.resize(L4 + l4_len, 0);
-    frame::EthernetRepr {
-        dst: dst_mac,
-        src: src_mac,
-        ethertype: EtherType::IPV4,
-    }
-    .emit(&mut frame::EthernetFrame::new_unchecked(
-        &mut buf[..HEADER_LEN],
-    ));
-    let repr = ipv4::Ipv4Repr {
-        src: src_ip,
-        dst: dst_ip,
-        proto,
-        payload_len: l4_len,
-        ttl: 64,
-        dscp: 0,
-    };
-    repr.emit(&mut ipv4::Ipv4Packet::new_unchecked(
-        &mut buf[HEADER_LEN..L4],
-    ));
-    fill_l4(&mut buf[L4..]);
-    buf.freeze()
+    with_headroom(L4 + l4_len, |buf| {
+        frame::EthernetRepr {
+            dst: dst_mac,
+            src: src_mac,
+            ethertype: EtherType::IPV4,
+        }
+        .emit(&mut frame::EthernetFrame::new_unchecked(
+            &mut buf[..HEADER_LEN],
+        ));
+        let repr = ipv4::Ipv4Repr {
+            src: src_ip,
+            dst: dst_ip,
+            proto,
+            payload_len: l4_len,
+            ttl: 64,
+            dscp: 0,
+        };
+        repr.emit(&mut ipv4::Ipv4Packet::new_unchecked(
+            &mut buf[HEADER_LEN..L4],
+        ));
+        fill_l4(&mut buf[L4..]);
+    })
 }
 
 /// Build a broadcast ARP who-has request.
@@ -395,6 +417,28 @@ mod tests {
         let quoted = Ipv4Packet::new_unchecked(icmp.payload());
         assert_eq!(quoted.src(), Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(quoted.dst(), Ipv4Addr::new(10, 3, 0, 1));
+    }
+
+    #[test]
+    fn a_built_frame_takes_its_first_tag_in_its_own_storage() {
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let udp = udp_packet(MacAddr::host(1), MacAddr::host(2), a, b, 1, 2, b"payload");
+        for frame in [udp, arp_request(MacAddr::host(1), a, b)] {
+            let wire = frame.to_vec();
+            let ptr = frame.as_ptr();
+            let mut buf = crate::FrameBuf::from_bytes(frame);
+            buf.push_vlan(0x8100, 101).unwrap();
+            assert_eq!(buf.as_ptr(), ptr.wrapping_sub(TAG_LEN), "pushed in place");
+            let tag = crate::vlan::outer_tag(&buf);
+            assert_eq!(tag, Some(crate::VlanTag::new(101)));
+            assert_eq!(&buf[..12], &wire[..12]);
+            assert_eq!(&buf[16..], &wire[12..]);
+            // One tag's room: a second push has nowhere to go.
+            buf.push_vlan(0x88a8, 7).unwrap();
+            assert!(
+                !(ptr.wrapping_sub(TAG_LEN)..ptr.wrapping_add(wire.len())).contains(&buf.as_ptr())
+            );
+        }
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //! frame's key once, where it parses it, for the signature index (the
 //! `*_hashed` forms); a wildcard subtable hashes the key as masked.
 
-use std::sync::Arc;
-
 use netpkt::flowkey::{CompiledMask, FieldMask};
 use netpkt::FlowKey;
 
@@ -101,9 +99,8 @@ impl Plan {
 
 /// A cached, fully resolved processing recipe.
 ///
-/// Stored behind an [`Arc`] in the megaflow store: a hit is borrowed
-/// from there, never a deep copy of the recorded action list. A path is immutable once
-/// recorded, so sharing is safe by construction.
+/// Owned by the megaflow store, which lends it to every hit: a replay
+/// never copies the recorded action list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPath {
     /// The lowered action program, as the slow path stepped it.
@@ -228,7 +225,7 @@ struct Megaflow {
     /// Position of the mask's subtable in [`MegaflowCache::masks`].
     mask: usize,
     masked: FlowKey,
-    path: Arc<CachedPath>,
+    path: CachedPath,
 }
 
 /// One mask's wildcard subtable: the ids of its megaflows, indexed by
@@ -317,9 +314,9 @@ impl MegaflowCache {
         (found, probes)
     }
 
-    /// The path of megaflow `id`. Cloning the handle is a refcount bump.
+    /// The path of megaflow `id`, lent.
     #[inline]
-    pub fn path(&self, id: usize) -> &Arc<CachedPath> {
+    pub fn path(&self, id: usize) -> &CachedPath {
         &self.store[id].path
     }
 
@@ -327,7 +324,7 @@ impl MegaflowCache {
     /// set), flushing first if the cache is full; returns the
     /// megaflow's id. An equal masked key keeps its id and takes the
     /// new path.
-    pub fn insert(&mut self, key: &FlowKey, mask: FieldMask, path: Arc<CachedPath>) -> usize {
+    pub fn insert(&mut self, key: &FlowKey, mask: FieldMask, path: CachedPath) -> usize {
         self.ensure_epoch(path.epoch);
         if self.store.len() >= self.capacity {
             self.flush();
@@ -517,12 +514,8 @@ mod tests {
         FlowKey::extract(1, &f).unwrap()
     }
 
-    fn path(epoch: u64) -> Arc<CachedPath> {
-        Arc::new(CachedPath::new(
-            vec![CAction::Output(1)],
-            vec![(0, 0)],
-            epoch,
-        ))
+    fn path(epoch: u64) -> CachedPath {
+        CachedPath::new(vec![CAction::Output(1)], vec![(0, 0)], epoch)
     }
 
     /// Admit `key` into `store` under `mask`, then into `c`.

@@ -44,7 +44,6 @@
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use netpkt::flowkey::FieldMask;
 use netpkt::icmp::Icmpv4Packet;
@@ -845,16 +844,14 @@ impl Datapath {
         let Some((path, unwild)) = self.slow_path(frame, *key, now_ns, trace, out) else {
             return;
         };
-        if mode.microflow || mode.megaflow {
-            let mask = if mode.megaflow {
-                unwild
-            } else {
-                FlowKey::exact_mask()
-            };
-            let id = mega.insert(key, mask, path);
-            if mode.microflow {
-                micro.insert_hashed(hash, id, mega);
-            }
+        let mask = if mode.megaflow {
+            unwild
+        } else {
+            FlowKey::exact_mask()
+        };
+        let id = mega.insert(key, mask, path);
+        if mode.microflow {
+            micro.insert_hashed(hash, id, mega);
         }
     }
 
@@ -1011,7 +1008,8 @@ impl Datapath {
     /// Walk the tables for a frame no cache resolved, lowering each
     /// instruction to [`CAction`]s that the frame's stepper executes on
     /// the spot. Returns the recording and the fields the walk
-    /// consulted (the megaflow mask) when the caller should cache it.
+    /// consulted (the megaflow mask) when the caller should cache it —
+    /// never in a mode without caches, where nothing would keep it.
     fn slow_path(
         &mut self,
         frame: Bytes,
@@ -1019,7 +1017,7 @@ impl Datapath {
         now_ns: u64,
         trace: ProcessingTrace,
         out: &mut BatchResult,
-    ) -> Option<(Arc<CachedPath>, FieldMask)> {
+    ) -> Option<(CachedPath, FieldMask)> {
         let (mut tables_visited, mut scanned, mut tss_probes) = match trace.path {
             LookupPath::SlowPath {
                 tables,
@@ -1114,10 +1112,12 @@ impl Datapath {
         // paths are rate-dependent and recycle through the slow path,
         // and TTL-expired / NAT-refused packets record a truncated path
         // that healthy packets must not replay.
+        let mode = self.config.mode;
         let has_meter = ctx.recorded.iter().any(|a| matches!(a, CAction::Meter(_)));
-        let install = (!hits.is_empty() && ctx.fr.halt.is_none() && !has_meter).then(|| {
+        let cacheable = !hits.is_empty() && ctx.fr.halt.is_none() && !has_meter;
+        let install = (cacheable && (mode.microflow || mode.megaflow)).then(|| {
             let path = CachedPath::new(std::mem::take(&mut ctx.recorded), hits, self.epoch);
-            (Arc::new(path), ctx.unwild)
+            (path, ctx.unwild)
         });
         self.finish(ctx.fr, mark, ctx.out);
         install

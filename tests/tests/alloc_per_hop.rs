@@ -7,11 +7,13 @@
 //! traffic: generator → `LegacySwitchNode` (access port → trunk, tag
 //! pushed) → `SoftSwitchNode` (cached flow) → sink, every link idle when
 //! a frame reaches it. In steady state the event loop, the service queue
-//! and the node glue recycle their buffers, so what is left per frame is
-//! payload — each `bytes::buffer_allocs()` tick is two heap blocks, the
-//! byte vector and its reference count — plus the one `Forwarded::outputs`
-//! vector of the bridge pass. Anything above that is a regression in
-//! `Shard`, `ServiceQueue` or `SoftSwitchNode`.
+//! and the node glue recycle their buffers, the bridge writes its outputs
+//! into a vector its node lends it, and the tag lands in the room the
+//! generator's frame was built with, so what is left per frame is the
+//! frame itself — one `bytes::buffer_allocs()` tick, two heap blocks: the
+//! byte vector and its reference count. Anything above that is a
+//! regression in `Shard`, `ServiceQueue`, `LegacySwitchNode` or
+//! `SoftSwitchNode`.
 //!
 //! A second test sends the same traffic across a `CotsSwitchNode`: the
 //! hardware model has no caches, so every frame walks its table, and
@@ -92,7 +94,7 @@ fn blocks_during(f: impl FnOnce()) -> u64 {
 static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
-fn steady_state_hop_allocates_only_frame_buffers_and_the_bridge_output_vector() {
+fn steady_state_hop_allocates_only_the_frame_buffer() {
     let _turn = TURN.lock().unwrap();
     let mut net = Network::new(5);
 
@@ -153,14 +155,14 @@ fn steady_state_hop_allocates_only_frame_buffers_and_the_bridge_output_vector() 
     let events = net.events_processed() - events0;
     assert_eq!(frames, 4_000);
     assert_eq!(net.node_ref::<SoftSwitchNode>(soft).rx_dropped(), 0);
-    // One buffer where the generator builds the frame, one where the
-    // bridge pushes the trunk tag.
-    assert_eq!(buffers, 2 * frames, "frame buffers per frame");
+    // One buffer where the generator builds the frame; the bridge pushes
+    // the trunk tag into the room in front of it.
+    assert_eq!(buffers, frames, "frame buffers per frame");
     assert_eq!(
         blocks,
-        2 * buffers + frames,
-        "heap blocks beyond frame buffers (two each) and the bridge's one \
-         output vector per pass: {blocks} blocks for {frames} frames"
+        2 * buffers,
+        "heap blocks beyond the frame buffer (two each): {blocks} blocks \
+         for {frames} frames — an output vector per bridge pass is back?"
     );
     // Generator timer, three `Deliver`s, the bridge's delayed `Emit` and
     // the soft switch's service timer: no link ever schedules a wake-up.
@@ -210,10 +212,9 @@ fn cots_hop_allocates_its_table_walk_and_no_result_vectors() {
     assert_eq!(buffers, frames, "frame buffers per frame");
     // The uncached walk: the matched entry's instruction list and the
     // action list inside it cloned, the recorded program and the table
-    // hits (a block each, and one more where `CachedPath::new` trims
-    // them), and the `CachedPath` itself — which nothing keeps: the
-    // model has no caches.
-    const WALK: u64 = 7;
+    // hits. No `CachedPath` is built from them: the model has no caches
+    // to keep one.
+    const WALK: u64 = 4;
     assert_eq!(
         blocks,
         (2 + WALK) * frames,

@@ -285,6 +285,66 @@ fn bridge_trunk_to_trunk_keeps_the_tag_and_allocates_no_buffer() {
     );
 }
 
+/// A HARMLESS access VLAN (access port 1, trunk port 2): a frame handed
+/// to the bridge by value crosses it either way without a buffer — its
+/// tag pushed into the room the builder left, or popped where it lies —
+/// whether its destination is flooded to the one other member or
+/// learned; through the borrowed `forward` every re-tag is one copy.
+#[test]
+fn bridge_retags_a_handed_over_frame_in_place_and_copies_a_borrowed_one() {
+    use netpkt::vlan::{outer_tag, VlanTag};
+    use netpkt::FrameBuf;
+
+    let _g = COUNTER_LOCK.lock().unwrap();
+    let mut bridge = legacy_switch::Bridge::new(2);
+    bridge.make_access_port(1, 101).unwrap();
+    bridge.make_trunk_port(2, &[101]).unwrap();
+    // Host 2 answers host 1 from behind the trunk, tagged as SS_1 tags
+    // it: in the room its frame was built with.
+    let answer = || {
+        let f = builder::udp_packet(
+            MacAddr::host(2),
+            MacAddr::host(1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(10, 0, 0, 1),
+            53,
+            1000,
+            b"answer",
+        );
+        let mut buf = FrameBuf::from_bytes(f);
+        buf.push_vlan(0x8100, 101).unwrap();
+        buf.into_bytes()
+    };
+    let mut out = Vec::new();
+    for (now, flooded) in [(0, 1), (1, 1)] {
+        let up = udp_frame(b"ask");
+        let ptr = up.as_slice().as_ptr();
+        let (allocs, _) = allocs_during(|| bridge.forward_into(1, up, now, &mut out));
+        assert_eq!(allocs, 0, "at {now}: access → trunk pushes in place");
+        let (port, sent) = out.pop().expect("one output");
+        assert_eq!((port, out.len()), (2, 0));
+        assert_eq!(outer_tag(&sent), Some(VlanTag::new(101)));
+        assert_eq!(sent.as_slice().as_ptr(), ptr.wrapping_sub(4));
+
+        let down = answer();
+        let ptr = down.as_slice().as_ptr();
+        let (allocs, _) = allocs_during(|| bridge.forward_into(2, down, now, &mut out));
+        assert_eq!(allocs, 0, "at {now}: trunk → access pops in place");
+        let (port, sent) = out.pop().expect("one output");
+        assert_eq!((port, out.len()), (1, 0));
+        assert_eq!(outer_tag(&sent), None);
+        assert_eq!(sent.as_slice().as_ptr(), ptr.wrapping_add(4));
+        // Only the first ask finds its destination unknown.
+        assert_eq!(bridge.flood_frames(), flooded);
+    }
+
+    let (up, down) = (udp_frame(b"borrowed"), answer());
+    let (allocs, _) = allocs_during(|| bridge.forward(1, &up, 2));
+    assert_eq!(allocs, 1, "the caller keeps the frame: the tag is a copy");
+    let (allocs, _) = allocs_during(|| bridge.forward(2, &down, 2));
+    assert_eq!(allocs, 1, "and so is the pop");
+}
+
 /// SS_1 as `harmless::translator` programs it: trunk on port 1, four
 /// access ports behind patch ports.
 fn translator_dp() -> Datapath {
@@ -365,8 +425,9 @@ fn translator_down_rule_pops_in_place_or_copies_once() {
 
 /// The translator's up rule (`push_vlan, set vid, output`) writes one
 /// folded 4-byte tag: into the room in front of a buffer the down rule
-/// just popped (nothing allocated, the frame is back where it started),
-/// or as part of the single copy a shared or room-less frame takes.
+/// just popped (nothing allocated, the frame is back where it started)
+/// or that `netpkt::builder` left, or as part of the single copy a
+/// shared or room-less frame takes.
 #[test]
 fn translator_up_rule_pushes_into_the_popped_room_or_copies_once() {
     use harmless::translator::patch_port;
@@ -405,10 +466,22 @@ fn translator_up_rule_pushes_into_the_popped_room_or_copies_once() {
     assert!(ups.iter().all(|o| o.1 == tagged));
     assert_eq!(outer_tag(&ups[0].1), Some(tag));
 
-    // Nobody else holds it, but nothing precedes the view either: the
-    // same single copy.
+    // A frame as the builder makes it, handed over: the tag takes the
+    // room the builder left in front of it.
     let fresh = udp_frame(&[0xcd; 1458]);
-    let (allocs, r) = allocs_during(|| run_one(&mut dp, patch_port(3), fresh, 30));
+    let ptr = fresh.as_slice().as_ptr();
+    let (allocs, up) = allocs_during(|| first_output(run_one(&mut dp, patch_port(3), fresh, 30)));
+    assert_eq!(
+        allocs, 0,
+        "a freshly built frame takes its first tag in place"
+    );
+    assert_eq!(up.1, tagged);
+    assert_eq!(up.1.as_slice().as_ptr(), ptr.wrapping_sub(4));
+
+    // Nobody else holds it, but nothing precedes the view either (a
+    // frame in a bare vector of its own): the same single copy.
+    let bare_vec = Bytes::from(udp_frame(&[0xcd; 1458]).to_vec());
+    let (allocs, r) = allocs_during(|| run_one(&mut dp, patch_port(3), bare_vec, 31));
     assert_eq!(allocs, 1, "no room in front");
     assert_eq!(r.outputs_of(0)[0].1, tagged);
 }

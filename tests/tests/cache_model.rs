@@ -13,8 +13,6 @@
 //! slot arithmetic is mask-and-wrap and must hold without overflow
 //! checks.
 
-use std::sync::Arc;
-
 use netpkt::flowkey::FieldMask;
 use netpkt::{builder, FlowKey, MacAddr};
 use proptest::prelude::*;
@@ -64,8 +62,8 @@ fn hash(mode: u8, i: u32) -> u32 {
     }
 }
 
-fn path(id: u32, epoch: u64) -> Arc<CachedPath> {
-    Arc::new(CachedPath::new(vec![CAction::Output(id)], vec![], epoch))
+fn path(id: u32, epoch: u64) -> CachedPath {
+    CachedPath::new(vec![CAction::Output(id)], vec![], epoch)
 }
 
 fn id_of(p: &CachedPath) -> u32 {
