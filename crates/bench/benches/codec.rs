@@ -1,15 +1,50 @@
 //! Wire-codec microbenchmarks: OpenFlow 1.3 message encode/decode and
 //! SNMP BER encode/decode — the per-operation control-plane costs behind
-//! E3a and E6.
+//! E3a and E6 — and a channel endpoint draining a chunk of messages.
+//!
+//! Each benchmark prints a harness-style line and records a `codec/*`
+//! row into `BENCH_netsim.json`. The
+//! `codec/openflow/decode_stream/{1,512,4096}_flow_mods` rows feed one
+//! chunk of that many flow-mods through `Session::feed` and read in ns
+//! per message. The buffer is drained once per chunk, so the channel
+//! adds nothing that grows with the chunk: each row should read as its
+//! `decode_into_vec` twin, the same messages decoded into a vector with
+//! no channel. Both still grow with n, because a chunk's decoded
+//! messages are all alive at once and stop fitting in cache.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bench::report::{self, Report};
+use bytes::{Bytes, BytesMut};
 use mgmt::pdu::{Pdu, PduType, SnmpMessage, Value};
 use mgmt::{mibs, Oid};
 use openflow::message::{FlowMod, Message};
-use openflow::{Action, Match};
+use openflow::{Action, Match, Session};
+
+/// Run `f`, which does `ops` operations per call, for 100 ms to warm up
+/// and then until 500 ms have been measured; print the mean per
+/// operation and record it as `codec/{name}`, with `extra` fields.
+fn timed(rep: &mut Report, name: &str, ops: u32, extra: &[(&str, f64)], mut f: impl FnMut()) {
+    let mut run = |budget: Duration| {
+        let (start, mut calls) = (Instant::now(), 0u32);
+        while start.elapsed() < budget {
+            for _ in 0..16 {
+                f();
+            }
+            calls += 16;
+        }
+        start.elapsed().as_nanos() as f64 / f64::from(calls * ops)
+    };
+    run(Duration::from_millis(100));
+    let ns = run(Duration::from_millis(500));
+    println!("{name:<50} time: {ns:>12.1} ns/iter");
+    let fields: Vec<(&str, f64)> = [("ns_per_iter", ns)]
+        .into_iter()
+        .chain(extra.iter().copied())
+        .collect();
+    rep.record(&format!("codec/{name}"), &fields);
+}
 
 fn sample_flow_mod() -> Message {
     Message::FlowMod(
@@ -41,26 +76,55 @@ fn sample_packet_in() -> Message {
     }
 }
 
-fn bench_openflow(c: &mut Criterion) {
-    let mut g = c.benchmark_group("openflow_codec");
-    g.throughput(Throughput::Elements(1));
+fn bench_openflow(rep: &mut Report) {
     let fm = sample_flow_mod();
-    g.bench_function("flow_mod_encode", |b| {
-        b.iter(|| std::hint::black_box(fm.encode(42)))
+    timed(rep, "openflow/flow_mod_encode", 1, &[], || {
+        black_box(fm.encode(42));
     });
     let wire = fm.encode(42);
-    g.bench_function("flow_mod_decode", |b| {
-        b.iter(|| std::hint::black_box(Message::decode(&wire).unwrap()))
+    timed(rep, "openflow/flow_mod_decode", 1, &[], || {
+        black_box(Message::decode(&wire).unwrap());
     });
     let pi = sample_packet_in();
-    g.bench_function("packet_in_encode", |b| {
-        b.iter(|| std::hint::black_box(pi.encode(43)))
+    timed(rep, "openflow/packet_in_encode", 1, &[], || {
+        black_box(pi.encode(43));
     });
     let wire = pi.encode(43);
-    g.bench_function("packet_in_decode", |b| {
-        b.iter(|| std::hint::black_box(Message::decode(&wire).unwrap()))
+    timed(rep, "openflow/packet_in_decode", 1, &[], || {
+        black_box(Message::decode(&wire).unwrap());
     });
-    g.finish();
+    // A chunk as the transport hands it over: a controller's burst of
+    // flow-mods, whole.
+    for n in [1u32, 512, 4096] {
+        let chunk: Vec<u8> = (0..n).flat_map(|xid| fm.encode(xid).to_vec()).collect();
+        let mut session = Session::default();
+        let name = format!("openflow/decode_stream/{n}_flow_mods");
+        timed(
+            rep,
+            &name,
+            n,
+            &[("chunk_bytes", chunk.len() as f64)],
+            || {
+                black_box(session.feed(&chunk).unwrap());
+            },
+        );
+        // The same messages decoded one by one into a vector, with no
+        // channel buffer: what holding n decoded messages costs.
+        timed(
+            rep,
+            &format!("openflow/decode_into_vec/{n}_flow_mods"),
+            n,
+            &[],
+            || {
+                let (mut rest, mut msgs) = (&chunk[..], Vec::new());
+                while let Ok((xid, msg, used)) = Message::decode(rest) {
+                    msgs.push((xid, msg));
+                    rest = &rest[used..];
+                }
+                black_box(msgs);
+            },
+        );
+    }
 }
 
 fn sample_snmp_set() -> SnmpMessage {
@@ -84,38 +148,28 @@ fn sample_snmp_set() -> SnmpMessage {
     )
 }
 
-fn bench_snmp(c: &mut Criterion) {
-    let mut g = c.benchmark_group("snmp_codec");
-    g.throughput(Throughput::Elements(1));
+fn bench_snmp(rep: &mut Report) {
     let msg = sample_snmp_set();
-    g.bench_function("set_encode", |b| {
-        b.iter(|| std::hint::black_box(msg.encode()))
+    timed(rep, "snmp/set_encode", 1, &[], || {
+        black_box(msg.encode());
     });
     let wire = msg.encode();
-    g.bench_function("set_decode", |b| {
-        b.iter(|| std::hint::black_box(SnmpMessage::decode(&wire).unwrap()))
+    timed(rep, "snmp/set_decode", 1, &[], || {
+        black_box(SnmpMessage::decode(&wire).unwrap());
     });
     let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.5.101".parse().unwrap();
-    g.bench_function("oid_encode", |b| {
-        b.iter(|| {
-            let mut out = bytes::BytesMut::new();
-            mgmt::ber::put_oid(&mut out, &oid);
-            std::hint::black_box(out)
-        })
+    timed(rep, "snmp/oid_encode", 1, &[], || {
+        let mut out = BytesMut::new();
+        mgmt::ber::put_oid(&mut out, &oid);
+        black_box(out);
     });
-    g.finish();
 }
 
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .sample_size(30)
+fn main() {
+    let mut rep = Report::load(report::bench_file());
+    bench_openflow(&mut rep);
+    bench_snmp(&mut rep);
+    if let Err(e) = rep.save(report::bench_file()) {
+        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
+    }
 }
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_openflow, bench_snmp
-}
-criterion_main!(benches);

@@ -6,7 +6,10 @@
 //! use the criterion harness: every benchmark is a *round* that times a
 //! fixed number of operations and then restores its table untimed. Each
 //! prints a harness-style line and records a `tables/*` row into
-//! `BENCH_netsim.json`.
+//! `BENCH_netsim.json`. A delete round restores the entries it deleted
+//! at the tail of the table order, so the flow-mod rounds track that
+//! order and spread their victims over it as it stands: every round
+//! deletes from the middle of the table, as a controller does.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -124,8 +127,20 @@ fn bench_flow_mod(rep: &mut Report) {
         for host in 0..n {
             t.add(route(host, 1)).unwrap();
         }
-        // Victims spread over the table, not its tail.
-        let spread = |i: u32| i * (n / BATCH);
+        // The hosts in table order: one priority, so install order. A
+        // delete round re-adds its victims at the tail, so every round
+        // spreads its victims over the order as it is now, not over
+        // host numbers.
+        let mut order: Vec<u32> = (0..n).collect();
+        let spread = |order: &[u32]| -> Vec<u32> {
+            let step = order.len() / BATCH as usize;
+            order
+                .iter()
+                .copied()
+                .step_by(step)
+                .take(BATCH as usize)
+                .collect()
+        };
         timed(rep, &format!("flow_mod/add/{n}"), || {
             let fresh: Vec<FlowEntry> = (n..n + BATCH).map(|h| route(h, 1)).collect();
             let start = Instant::now();
@@ -139,7 +154,7 @@ fn bench_flow_mod(rep: &mut Report) {
             (took, BATCH as usize)
         });
         timed(rep, &format!("flow_mod/replace/{n}"), || {
-            let again: Vec<FlowEntry> = (0..BATCH).map(|i| route(spread(i), 2)).collect();
+            let again: Vec<FlowEntry> = spread(&order).into_iter().map(|h| route(h, 2)).collect();
             let start = Instant::now();
             for e in again {
                 t.add(e).unwrap();
@@ -148,15 +163,20 @@ fn bench_flow_mod(rep: &mut Report) {
         });
         for (name, strict) in [("delete_nonstrict_eq_mask", false), ("delete_strict", true)] {
             timed(rep, &format!("flow_mod/{name}/{n}"), || {
+                let victims = spread(&order);
                 let start = Instant::now();
-                for i in 0..BATCH {
-                    let gone = t.delete(&route_match(spread(i)), 100, strict, any.0, any.1);
+                for &h in &victims {
+                    let gone = t.delete(&route_match(h), 100, strict, any.0, any.1);
                     assert_eq!(gone.len(), 1);
                 }
                 let took = start.elapsed();
-                for i in 0..BATCH {
-                    t.add(route(spread(i), 1)).unwrap();
+                for &h in &victims {
+                    t.add(route(h, 1)).unwrap();
                 }
+                // The victims are a subsequence of the order.
+                let mut gone = victims.iter().peekable();
+                order.retain(|h| gone.next_if_eq(&h).is_none());
+                order.extend(victims);
                 (took, BATCH as usize)
             });
         }

@@ -1295,20 +1295,31 @@ fn put_mp_header(out: &mut BytesMut, ty: u16) {
 
 /// Drain every complete message from `stream`; bytes of an incomplete
 /// trailing message remain in the buffer. A complete message that does
-/// not decode is an error — never a wait.
+/// not decode is an error — never a wait — and the messages before it
+/// are drained with it.
+///
+/// Messages are decoded through an offset and the buffer is advanced
+/// once per call: `BytesMut::advance` moves every byte behind the cut,
+/// so advancing per message would cost a chunk of n messages O(n²).
 pub fn decode_stream(stream: &mut BytesMut) -> Result<Vec<(Xid, Message)>> {
     let mut out = Vec::new();
-    while !stream.is_empty() {
-        match Message::decode(stream) {
-            Ok((xid, msg, used)) => {
-                stream.advance(used);
+    let mut used = 0;
+    let end = loop {
+        let rest = stream.get(used..).unwrap_or_default();
+        if rest.is_empty() {
+            break Ok(out);
+        }
+        match Message::decode(rest) {
+            Ok((xid, msg, len)) => {
+                used += len;
                 out.push((xid, msg));
             }
-            Err(Error::Truncated) => break,
-            Err(e) => return Err(e),
+            Err(Error::Truncated) => break Ok(out),
+            Err(e) => break Err(e),
         }
-    }
-    Ok(out)
+    };
+    stream.advance(used);
+    end
 }
 
 #[cfg(test)]
@@ -1619,6 +1630,19 @@ mod tests {
         let msgs = decode_stream(&mut stream).unwrap();
         assert_eq!(msgs, vec![(3, Message::BarrierRequest)]);
         assert!(stream.is_empty());
+    }
+
+    #[test]
+    fn a_bad_frame_drains_the_messages_before_it() {
+        let mut stream = BytesMut::new();
+        stream.extend_from_slice(&Message::Hello.encode(1));
+        stream.extend_from_slice(&[OFP_VERSION, 0, 0, 4, 0, 0, 0, 0]); // length below 8
+        stream.extend_from_slice(&Message::Hello.encode(2));
+        assert!(matches!(
+            decode_stream(&mut stream),
+            Err(Error::Malformed(_))
+        ));
+        assert_eq!(stream.len(), 16, "the bad frame and what follows stay");
     }
 
     #[test]

@@ -2,13 +2,24 @@
 //! ordering, overlap checking, strict/non-strict modify/delete, idle and
 //! hard timeouts, and per-entry counters.
 //!
+//! Entries live in a slab with no order: an entry's index (its *slot*)
+//! is where it was pushed, and a delete moves the last entry into the
+//! vacated slot — one entry moves, whatever the table's size. Table
+//! order (priority descending, then FIFO) is a separate list of slots
+//! sorted by each entry's *rank*; the linear lookup, `FLOW_REMOVED`
+//! order and sequence-number renumbering walk it. Ranks sit in an array
+//! of their own beside the slab, so a binary search of table order
+//! reads eight bytes per step, not an entry.
+//!
 //! The table owns a tuple-space index, kept current by every mutation:
 //! entries are grouped by mask, and each group maps a fingerprint of
-//! (masked key, priority) to the entry's *rank*, its sort key in the
-//! priority/FIFO-ordered entry vector. Flow-mods that name a match are
-//! a hash probe and a binary search; [`FlowTable::lookup_indexed`]
+//! (masked key, priority) straight to the entry's slot. Flow-mods that
+//! name a match are one hash probe; [`FlowTable::lookup_indexed`]
 //! probes the same groups, one per distinct mask — a table of one rule
 //! shape is a single probe, the specialisation ESwitch builds on.
+//!
+//! An index returned by a lookup names a slot, and is valid until the
+//! table's next mutation ([`FlowTable::version`] moves with every one).
 
 use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
 use std::collections::HashMap;
@@ -130,8 +141,6 @@ pub struct FlowEntry {
     pub installed_ns: u64,
     /// Last hit time (ns).
     pub last_used_ns: u64,
-    /// Sort key in the table, assigned at install: see [`rank`].
-    rank: u64,
 }
 
 /// Install sequence numbers occupy the low bits of a rank.
@@ -166,7 +175,6 @@ impl FlowEntry {
             bytes: 0,
             installed_ns: now_ns,
             last_used_ns: now_ns,
-            rank: 0,
         }
     }
 
@@ -243,6 +251,9 @@ impl FlowEntry {
 /// proptests run on whole fingerprints.
 const FINGERPRINT_BITS: u64 = if cfg!(test) { 0 } else { u64::MAX };
 
+/// An entry's index in [`FlowTable`]'s slab.
+type Slot = u32;
+
 /// The entries sharing one mask — the "tuple" of tuple-space search.
 #[derive(Debug, Default)]
 struct MaskGroup {
@@ -252,11 +263,11 @@ struct MaskGroup {
     first: u64,
     /// Distinct priorities present, highest first, with entry counts.
     prios: Vec<(u16, u32)>,
-    /// Fingerprint of (key, priority) → rank. The key itself is not
+    /// Fingerprint of (key, priority) → slot. The key itself is not
     /// stored a second time: a probe is verified on the entry it names.
-    slots: HashMap<u64, u64>,
-    /// Ranks of entries whose fingerprint was already another entry's.
-    spill: Vec<u64>,
+    slots: HashMap<u64, Slot>,
+    /// Slots of entries whose fingerprint was already another entry's.
+    spill: Vec<Slot>,
 }
 
 /// A single flow table: entries ordered by priority (descending), FIFO
@@ -264,8 +275,13 @@ struct MaskGroup {
 #[derive(Debug)]
 pub struct FlowTable {
     id: TableId,
-    /// Ascending by `rank`.
+    /// The slab, in no order: a delete moves the last entry into the
+    /// vacated slot.
     entries: Vec<FlowEntry>,
+    /// The rank of the entry in each slot: see [`rank`].
+    ranks: Vec<u64>,
+    /// Every slot, ascending by rank: table order.
+    order: Vec<Slot>,
     /// Non-empty mask groups, ascending by `first`.
     groups: Vec<MaskGroup>,
     /// Keys fingerprints: matches arrive from the wire, so std's
@@ -289,6 +305,8 @@ impl FlowTable {
         FlowTable {
             id,
             entries: Vec::new(),
+            ranks: Vec::new(),
+            order: Vec::new(),
             groups: Vec::new(),
             hasher: RandomState::new(),
             next_seq: 0,
@@ -330,9 +348,15 @@ impl FlowTable {
         self.hits
     }
 
-    /// All entries, highest priority first.
+    /// All entries, in no defined order; [`FlowTable::ranked`] walks
+    /// them in table order.
     pub fn entries(&self) -> &[FlowEntry] {
         &self.entries
+    }
+
+    /// All entries, highest priority first, FIFO within a priority.
+    pub fn ranked(&self) -> impl Iterator<Item = &FlowEntry> {
+        self.order.iter().map(|&s| self.at(s))
     }
 
     /// Union of every entry's mask: the fields a lookup here can depend
@@ -343,8 +367,17 @@ impl FlowTable {
             .fold(FieldMask::default(), |m, g| m.mask_union(&g.mask))
     }
 
+    fn at(&self, slot: Slot) -> &FlowEntry {
+        &self.entries[slot as usize]
+    }
+
+    fn rank_of(&self, slot: Slot) -> u64 {
+        self.ranks[slot as usize]
+    }
+
+    /// Where in table order the entry ranked `rank` is, or would go.
     fn position(&self, rank: u64) -> usize {
-        self.entries.partition_point(|e| e.rank < rank)
+        self.order.partition_point(|&s| self.rank_of(s) < rank)
     }
 
     fn key_hasher(&self, key: &FlowKey) -> DefaultHasher {
@@ -359,7 +392,7 @@ impl FlowTable {
         h.finish() & FINGERPRINT_BITS
     }
 
-    /// Position of `g`'s entry with exactly this key and priority.
+    /// Slot of `g`'s entry with exactly this key and priority.
     /// Fingerprints can collide, so the slot's entry is checked and the
     /// spill list is the fallback.
     fn find(
@@ -368,11 +401,10 @@ impl FlowTable {
         hashed_key: &DefaultHasher,
         key: &FlowKey,
         priority: u16,
-    ) -> Option<usize> {
-        let is_it = |&rank: &u64| {
-            let pos = self.position(rank);
-            let e = &self.entries[pos];
-            (e.priority == priority && e.key == *key).then_some(pos)
+    ) -> Option<Slot> {
+        let is_it = |&slot: &Slot| {
+            let e = self.at(slot);
+            (e.priority == priority && e.key == *key).then_some(slot)
         };
         g.slots
             .get(&Self::fingerprint(hashed_key, priority))
@@ -380,8 +412,23 @@ impl FlowTable {
             .or_else(|| g.spill.iter().find_map(is_it))
     }
 
-    /// Enter a (ranked) entry into its mask group.
-    fn index(&mut self, hashed_key: &DefaultHasher, mask: &FieldMask, priority: u16, rank: u64) {
+    /// The group of entries masked by `mask`.
+    fn group_mut(&mut self, mask: &FieldMask) -> &mut MaskGroup {
+        self.groups
+            .iter_mut()
+            .find(|g| g.mask == *mask)
+            .expect("an installed entry is in a group")
+    }
+
+    /// Enter the entry ranked `rank` in `slot` into its mask group.
+    fn index(
+        &mut self,
+        hashed_key: &DefaultHasher,
+        mask: &FieldMask,
+        priority: u16,
+        rank: u64,
+        slot: Slot,
+    ) {
         let fp = Self::fingerprint(hashed_key, priority);
         let gi = self
             .groups
@@ -401,10 +448,10 @@ impl FlowTable {
             Err(i) => g.prios.insert(i, (priority, 1)),
         }
         match g.slots.entry(fp) {
-            Entry::Vacant(slot) => {
-                slot.insert(rank);
+            Entry::Vacant(vacant) => {
+                vacant.insert(slot);
             }
-            Entry::Occupied(_) => g.spill.push(rank),
+            Entry::Occupied(_) => g.spill.push(slot),
         }
         if rank < g.first {
             g.first = rank;
@@ -412,21 +459,17 @@ impl FlowTable {
         }
     }
 
-    /// Take the entry at `pos` out of its mask group; returns the mask
+    /// Take the entry in `slot` out of its mask group; returns the mask
     /// if it was the group's first entry.
-    fn unindex(&mut self, pos: usize) -> Option<FieldMask> {
-        let e = &self.entries[pos];
-        let (mask, priority, rank) = (e.mask, e.priority, e.rank);
+    fn unindex(&mut self, slot: Slot) -> Option<FieldMask> {
+        let e = self.at(slot);
+        let (mask, priority, rank) = (e.mask, e.priority, self.rank_of(slot));
         let fp = Self::fingerprint(&self.key_hasher(&e.key), priority);
-        let g = self
-            .groups
-            .iter_mut()
-            .find(|g| g.mask == mask)
-            .expect("an installed entry is in a group");
-        if g.slots.get(&fp) == Some(&rank) {
+        let g = self.group_mut(&mask);
+        if g.slots.get(&fp) == Some(&slot) {
             g.slots.remove(&fp);
         } else {
-            g.spill.retain(|r| *r != rank);
+            g.spill.retain(|s| *s != slot);
         }
         let i = g
             .prios
@@ -439,41 +482,73 @@ impl FlowTable {
         (g.first == rank).then_some(mask)
     }
 
-    /// Remove the entries at `sel` (ascending positions) and return
+    /// Take the entry in `slot`, already out of the index and of table
+    /// order, out of the slab; returns it with its rank. The last entry
+    /// moves into `slot`, and its places in table order and in the
+    /// index are relabelled.
+    fn swap_out(&mut self, slot: Slot) -> (u64, FlowEntry) {
+        let last = (self.entries.len() - 1) as Slot;
+        if slot != last {
+            let pos = self.position(self.rank_of(last));
+            self.order[pos] = slot;
+            let e = self.at(last);
+            let (mask, fp) = (
+                e.mask,
+                Self::fingerprint(&self.key_hasher(&e.key), e.priority),
+            );
+            let g = self.group_mut(&mask);
+            match g.slots.get_mut(&fp) {
+                Some(s) if *s == last => *s = slot,
+                _ => {
+                    let spilled = g.spill.iter_mut().find(|s| **s == last);
+                    *spilled.expect("an indexed entry is in its slot or the spill") = slot;
+                }
+            }
+        }
+        (
+            self.ranks.swap_remove(slot as usize),
+            self.entries.swap_remove(slot as usize),
+        )
+    }
+
+    /// Remove the entries in `sel` (slots, in table order) and return
     /// them in table order.
-    fn remove_at(&mut self, sel: &[usize]) -> Vec<FlowEntry> {
-        let Some(&start) = sel.first() else {
+    fn remove_at(&mut self, sel: &[Slot]) -> Vec<FlowEntry> {
+        let Some(&head) = sel.first() else {
             return Vec::new();
         };
         // Masks of the groups that lose their first entry.
-        let headless: Vec<FieldMask> = sel.iter().filter_map(|&p| self.unindex(p)).collect();
-        let removed = if sel.len() == 1 {
-            // One memmove; `extract_if` shifts entry by entry.
-            vec![self.entries.remove(start)]
-        } else {
-            let mut pos = start;
-            let mut sel = sel.iter().copied().peekable();
-            let selected = |_: &mut FlowEntry| {
-                pos += 1;
-                sel.next_if_eq(&(pos - 1)).is_some()
-            };
-            self.entries.extract_if(start.., selected).collect()
-        };
+        let headless: Vec<FieldMask> = sel.iter().filter_map(|&s| self.unindex(s)).collect();
+        // Both lists are in table order: stop at the last one selected,
+        // and the tail behind it moves once.
+        let start = self.position(self.rank_of(head));
+        let mut sel_iter = sel.iter().peekable();
+        self.order
+            .extract_if(start.., |s| sel_iter.next_if_eq(&&*s).is_some())
+            .take(sel.len())
+            .for_each(drop);
+        // Highest slot first: the entry that moves into a vacated slot
+        // is never one still to go.
+        let mut by_slot = sel.to_vec();
+        by_slot.sort_unstable_by(|a, b| b.cmp(a));
+        let mut removed: Vec<(u64, FlowEntry)> =
+            by_slot.into_iter().map(|s| self.swap_out(s)).collect();
+        removed.sort_unstable_by_key(|(rank, _)| *rank);
         self.groups.retain(|g| !g.prios.is_empty());
-        for g in self
-            .groups
-            .iter_mut()
-            .filter(|g| headless.contains(&g.mask))
-        {
+        for mask in headless {
+            let Some(gi) = self.groups.iter().position(|g| g.mask == mask) else {
+                continue;
+            };
             // The next entry of the group is the first one of its mask
             // at or after where the one that went was.
-            let from = self.entries.partition_point(|e| e.rank < g.first);
-            let next = self.entries[from..].iter().find(|e| e.mask == g.mask);
-            g.first = next.expect("a non-empty group has an entry").rank;
+            let from = self.position(self.groups[gi].first);
+            let mut rest = self.order[from..].iter();
+            let next = rest.find(|&&s| self.at(s).mask == mask);
+            self.groups[gi].first = self.rank_of(*next.expect("a non-empty group has an entry"));
         }
         self.groups.sort_by_key(|g| g.first);
         self.version += 1;
-        removed
+        removed.into_iter().map(|(_, e)| e).collect()
     }
 
     /// The next install sequence number. When the 2^48 are spent, the
@@ -481,28 +556,30 @@ impl FlowTable {
     fn take_seq(&mut self) -> u64 {
         if self.next_seq >> SEQ_BITS != 0 {
             self.groups.clear();
-            for i in 0..self.entries.len() {
-                let e = &mut self.entries[i];
-                e.rank = rank(e.priority, i as u64);
-                let (key, mask, priority, rank) = (e.key, e.mask, e.priority, e.rank);
-                self.index(&self.key_hasher(&key), &mask, priority, rank);
+            for i in 0..self.order.len() {
+                let slot = self.order[i];
+                let e = self.at(slot);
+                let (key, mask, priority) = (e.key, e.mask, e.priority);
+                let rank = rank(priority, i as u64);
+                self.ranks[slot as usize] = rank;
+                self.index(&self.key_hasher(&key), &mask, priority, rank, slot);
             }
-            self.next_seq = self.entries.len() as u64;
+            self.next_seq = self.order.len() as u64;
         }
         self.next_seq += 1;
         self.next_seq - 1
     }
 
     /// Install an entry per OF `ADD` semantics.
-    pub fn add(&mut self, mut entry: FlowEntry) -> Result<()> {
+    pub fn add(&mut self, entry: FlowEntry) -> Result<()> {
         if entry.flags & flow_flags::CHECK_OVERLAP != 0 {
-            let lo = self
-                .entries
-                .partition_point(|e| e.priority > entry.priority);
-            let hi = self
-                .entries
-                .partition_point(|e| e.priority >= entry.priority);
-            if self.entries[lo..hi].iter().any(|e| e.overlaps(&entry)) {
+            let p = entry.priority;
+            let lo = self.order.partition_point(|&s| self.at(s).priority > p);
+            let hi = self.order.partition_point(|&s| self.at(s).priority >= p);
+            if self.order[lo..hi]
+                .iter()
+                .any(|&s| self.at(s).overlaps(&entry))
+            {
                 return Err(Error::Overlap);
             }
         }
@@ -512,27 +589,29 @@ impl FlowTable {
             .iter()
             .find(|g| g.mask == entry.mask)
             .and_then(|g| self.find(g, &hashed_key, &entry.key, entry.priority));
-        if let Some(pos) = installed {
+        if let Some(slot) = installed {
             // Identical match + priority: replace in place (counters reset).
-            entry.rank = self.entries[pos].rank;
-            self.entries[pos] = entry;
+            self.entries[slot as usize] = entry;
         } else {
             if self.entries.len() >= self.capacity {
                 return Err(Error::TableFull);
             }
             // Ranked after every entry of its priority (stable order).
-            entry.rank = rank(entry.priority, self.take_seq());
-            self.index(&hashed_key, &entry.mask, entry.priority, entry.rank);
-            self.entries.insert(self.position(entry.rank), entry);
+            let rank = rank(entry.priority, self.take_seq());
+            let slot = Slot::try_from(self.entries.len()).expect("fewer than 2^32 entries");
+            self.index(&hashed_key, &entry.mask, entry.priority, rank, slot);
+            self.order.insert(self.position(rank), slot);
+            self.ranks.push(rank);
+            self.entries.push(entry);
         }
         self.version += 1;
         Ok(())
     }
 
-    /// Positions, ascending, of the entries a modify/delete selects:
+    /// Slots, in table order, of the entries a modify/delete selects:
     /// strict, the one with exactly this match and priority; non-strict,
     /// every entry within the match's region.
-    fn select(&self, match_: &Match, priority: u16, strict: bool) -> Vec<usize> {
+    fn select(&self, match_: &Match, priority: u16, strict: bool) -> Vec<Slot> {
         let (fkey, fmask) = match_.to_key_mask();
         let hashed_key = self.key_hasher(&fkey);
         let mut sel = Vec::new();
@@ -548,17 +627,13 @@ impl FlowTable {
                 );
             } else if !strict && g.mask.mask_union(&fmask) == g.mask {
                 // Entries narrower than the filter: walk the group.
-                let ranks = g.slots.values().chain(&g.spill);
-                sel.extend(
-                    ranks
-                        .map(|r| self.position(*r))
-                        .filter(|pos| self.entries[*pos].key.masked(&fmask) == fkey),
-                );
+                let slots = g.slots.values().chain(&g.spill).copied();
+                sel.extend(slots.filter(|&s| self.at(s).key.masked(&fmask) == fkey));
             }
         }
         // Hash-map order differs from run to run; what is removed, in
         // which order, feeds `FLOW_REMOVED`.
-        sel.sort_unstable();
+        sel.sort_unstable_by_key(|&s| self.rank_of(s));
         sel
     }
 
@@ -571,8 +646,8 @@ impl FlowTable {
         instructions: &[Instruction],
     ) -> usize {
         let sel = self.select(match_, priority, strict);
-        for &pos in &sel {
-            self.entries[pos].instructions = instructions.to_vec();
+        for &slot in &sel {
+            self.entries[slot as usize].instructions = instructions.to_vec();
         }
         if !sel.is_empty() {
             self.version += 1;
@@ -581,8 +656,8 @@ impl FlowTable {
     }
 
     /// Delete matching entries, honouring `out_port`/`out_group` filters.
-    /// Returns the removed entries (with reason `Delete`) so the caller can
-    /// emit `FLOW_REMOVED` for those that asked.
+    /// Returns the removed entries in table order (with reason `Delete`)
+    /// so the caller can emit `FLOW_REMOVED` for those that asked.
     pub fn delete(
         &mut self,
         match_: &Match,
@@ -592,8 +667,8 @@ impl FlowTable {
         out_group: u32,
     ) -> Vec<FlowEntry> {
         let mut sel = self.select(match_, priority, strict);
-        sel.retain(|&pos| {
-            let e = &self.entries[pos];
+        sel.retain(|&s| {
+            let e = self.at(s);
             e.outputs_to(out_port) && e.outputs_to_group(out_group)
         });
         self.remove_at(&sel)
@@ -611,14 +686,13 @@ impl FlowTable {
     /// the hit, for cost modelling.
     pub fn lookup_counting(&mut self, pkt: &FlowKey) -> (Option<usize>, usize) {
         self.lookups += 1;
-        // Entries are priority-sorted, so the first match wins.
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.matches(pkt) {
-                self.hits += 1;
-                return (Some(i), i + 1);
-            }
+        // Table order is priority order, so the first match wins.
+        let scan = self.order.iter().position(|&s| self.at(s).matches(pkt));
+        self.hits += u64::from(scan.is_some());
+        match scan {
+            Some(i) => (Some(self.order[i] as usize), i + 1),
+            None => (None, self.order.len()),
         }
-        (None, self.entries.len())
     }
 
     /// The entry [`FlowTable::lookup`] finds, by tuple-space search: one
@@ -627,24 +701,27 @@ impl FlowTable {
     /// for cost modelling.
     pub fn lookup_indexed(&mut self, pkt: &FlowKey) -> (Option<usize>, u32) {
         self.lookups += 1;
-        let mut best: Option<usize> = None;
+        // The hit so far, as (rank, slot).
+        let mut best: Option<(u64, Slot)> = None;
         let mut probes = 0;
         for g in &self.groups {
             // Nothing in this group or a later one precedes `g.first`.
-            if best.is_some_and(|b| self.entries[b].rank < g.first) {
+            if best.is_some_and(|(rank, _)| rank < g.first) {
                 break;
             }
             probes += 1;
             let key = pkt.masked(&g.mask);
             let hashed_key = self.key_hasher(&key);
             let mut prios = g.prios.iter();
-            let hit = prios.find_map(|p| self.find(g, &hashed_key, &key, p.0));
-            if let Some(pos) = hit {
-                best = Some(best.map_or(pos, |b| b.min(pos)));
+            if let Some(slot) = prios.find_map(|p| self.find(g, &hashed_key, &key, p.0)) {
+                let rank = self.rank_of(slot);
+                if best.is_none_or(|(r, _)| rank < r) {
+                    best = Some((rank, slot));
+                }
             }
         }
         self.hits += u64::from(best.is_some());
-        (best, probes)
+        (best.map(|(_, s)| s as usize), probes)
     }
 
     /// Record a hit on entry `idx`.
@@ -660,20 +737,21 @@ impl FlowTable {
         &self.entries[idx]
     }
 
-    /// Remove timed-out entries; returns them with their reasons.
+    /// Remove timed-out entries; returns them, in table order, with
+    /// their reasons.
     pub fn expire(&mut self, now_ns: u64) -> Vec<(FlowEntry, RemovedReason)> {
         let due = |timeout: u16, since_ns: u64| {
             timeout > 0 && now_ns >= since_ns + u64::from(timeout) * 1_000_000_000
         };
-        let (sel, reasons): (Vec<usize>, Vec<RemovedReason>) = self
-            .entries
+        let (sel, reasons): (Vec<Slot>, Vec<RemovedReason>) = self
+            .order
             .iter()
-            .enumerate()
-            .filter_map(|(pos, e)| {
+            .filter_map(|&slot| {
+                let e = self.at(slot);
                 if due(e.hard_timeout, e.installed_ns) {
-                    Some((pos, RemovedReason::HardTimeout))
+                    Some((slot, RemovedReason::HardTimeout))
                 } else if due(e.idle_timeout, e.last_used_ns) {
-                    Some((pos, RemovedReason::IdleTimeout))
+                    Some((slot, RemovedReason::IdleTimeout))
                 } else {
                     None
                 }
@@ -969,6 +1047,37 @@ mod tests {
     }
 
     #[test]
+    fn a_delete_moves_only_the_last_entry_and_relabels_it() {
+        let any = (crate::port_no::ANY, crate::group_no::ANY);
+        let outs = |t: &FlowTable| -> Vec<bool> {
+            [1, 2, 3, 9]
+                .iter()
+                .map(|&o| t.entries()[0].outputs_to(o))
+                .collect()
+        };
+        let mut t = FlowTable::new(TableId(0));
+        // Slot 0 holds the group's map slot, 1 and 2 spill (every
+        // fingerprint is equal here); slot 3 is the catch-all's group.
+        for (port, out) in [(53, 1), (80, 2), (443, 3)] {
+            t.add(entry(5, udp_match(port), out)).unwrap();
+        }
+        t.add(entry(1, Match::any(), 9)).unwrap();
+        // The catch-all moves into slot 0 and keeps its group's map slot.
+        assert_eq!(t.delete(&udp_match(53), 5, true, any.0, any.1).len(), 1);
+        assert_eq!(outs(&t), [false, false, false, true]);
+        assert_hits(&mut t, 53, Some(9));
+        assert_hits(&mut t, 80, Some(2));
+        // The spilled 443 moves into slot 0 and keeps its spill entry.
+        assert_eq!(t.delete(&Match::any(), 1, true, any.0, any.1).len(), 1);
+        assert_eq!(outs(&t), [false, false, true, false]);
+        assert_hits(&mut t, 443, Some(3));
+        assert_hits(&mut t, 80, Some(2));
+        assert_hits(&mut t, 53, None);
+        let order: Vec<bool> = t.ranked().map(|e| e.outputs_to(2)).collect();
+        assert_eq!(order, [true, false], "table order is install order");
+    }
+
+    #[test]
     fn spent_sequence_space_renumbers_in_table_order() {
         let mut t = FlowTable::new(TableId(0));
         t.next_seq = (1 << SEQ_BITS) - 2;
@@ -979,10 +1088,11 @@ mod tests {
         t.add(entry(9, Match::any(), 4)).unwrap();
         assert_eq!(t.next_seq, 4);
         let outs = [2, 4, 1, 3];
-        for (e, out) in t.entries().iter().zip(outs) {
+        for (e, out) in t.ranked().zip(outs) {
             assert!(e.outputs_to(out), "priority, then FIFO, order kept");
         }
-        assert!(t.entries().windows(2).all(|w| w[0].rank < w[1].rank));
+        let ranks: Vec<u64> = t.order.iter().map(|&s| t.rank_of(s)).collect();
+        assert_eq!(ranks, [rank(9, 0), rank(9, 3), rank(5, 1), rank(5, 2)]);
         // The rebuilt index still names every entry.
         assert_hits(&mut t, 2, Some(2));
         assert_hits(&mut t, 1, Some(4));

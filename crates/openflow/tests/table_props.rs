@@ -350,9 +350,10 @@ proptest! {
 
     /// Random operation sequences on a small table: the indexed table
     /// and the scan model agree on every result (removed lists in
-    /// order), on `entries()`, `version()` and the table counters, and
-    /// indexed lookup returns the linear lookup's entry with the probe
-    /// count of a freshly built index.
+    /// order), on the entries in table order, `version()` and the table
+    /// counters, and indexed lookup returns the linear lookup's entry
+    /// with the probe count of a freshly built index. The table's slab
+    /// has no order, so entries and hits are compared as views.
     #[test]
     fn indexed_table_agrees_with_scan_model(
         capacity in 3usize..12,
@@ -428,32 +429,51 @@ proptest! {
                 _ => {
                     let key = &probes[usize::from(v) % probes.len()];
                     let hit = table.lookup_indexed(key).0;
-                    prop_assert_eq!(hit, model.lookup(key), "hit, step {}", step);
+                    let want = model.lookup(key);
+                    prop_assert_eq!(
+                        hit.map(|i| view(table.entry(i))),
+                        want.map(|i| view(&model.entries[i])),
+                        "hit, step {}", step
+                    );
                     lookups += 1;
-                    if let Some(idx) = hit {
+                    if let (Some(idx), Some(want)) = (hit, want) {
                         hits += 1;
                         table.hit(idx, 64, now_ns);
-                        let e = &mut model.entries[idx];
+                        let e = &mut model.entries[want];
                         e.packets += 1;
                         e.last_used_ns = now_ns;
                     }
                 }
             }
             prop_assert_eq!(
-                table.entries().iter().map(view).collect::<Vec<_>>(),
+                table.ranked().map(view).collect::<Vec<_>>(),
                 model.entries.iter().map(view).collect::<Vec<_>>(),
-                "entries, step {}", step
+                "entries in table order, step {}", step
             );
+            // Table order names every entry of the slab once.
+            let mut slab: Vec<u64> = table.entries().iter().map(|e| e.cookie).collect();
+            let mut ranked: Vec<u64> = table.ranked().map(|e| e.cookie).collect();
+            slab.sort_unstable();
+            ranked.sort_unstable();
+            prop_assert_eq!(slab, ranked, "slab, step {}", step);
             prop_assert_eq!(table.version(), model.version, "version, step {}", step);
+            let model_view = |i: Option<usize>| i.map(|i| view(&model.entries[i]));
             for key in &probes {
                 let want = model.lookup(key);
-                prop_assert_eq!(table.lookup(key), want, "linear, step {}", step);
+                let linear = table.lookup(key);
                 prop_assert_eq!(
-                    table.lookup_indexed(key),
-                    model.lookup_tss(key),
+                    linear.map(|i| view(table.entry(i))),
+                    model_view(want),
+                    "linear, step {}", step
+                );
+                let (indexed, probed) = table.lookup_indexed(key);
+                let (tss, tss_probed) = model.lookup_tss(key);
+                prop_assert_eq!(
+                    (indexed.map(|i| view(table.entry(i))), probed),
+                    (model_view(tss), tss_probed),
                     "indexed, step {}", step
                 );
-                prop_assert_eq!(model.lookup_tss(key).0, want, "the model's own index");
+                prop_assert_eq!(tss, want, "the model's own index");
                 lookups += 2;
                 hits += 2 * u64::from(want.is_some());
             }

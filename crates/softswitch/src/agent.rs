@@ -365,7 +365,7 @@ impl OfAgent {
                         continue;
                     }
                     let table = dp.table(t).unwrap();
-                    for e in table.entries() {
+                    for e in table.ranked() {
                         if e.within_filter(&fkey, &fmask)
                             && e.outputs_to(out_port)
                             && e.outputs_to_group(out_group)

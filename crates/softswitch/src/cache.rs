@@ -105,7 +105,9 @@ impl Plan {
 pub struct CachedPath {
     /// The lowered action program, as the slow path stepped it.
     pub actions: Vec<CAction>,
-    /// `(table, entry index)` pairs whose counters this path bumps.
+    /// `(table, entry index)` pairs whose counters this path bumps. An
+    /// entry index is valid until its table's next mutation, and every
+    /// mutation bumps the epoch that retires this path.
     pub hits: Vec<(usize, usize)>,
     /// Datapath epoch this was recorded at.
     pub epoch: u64,

@@ -1259,6 +1259,67 @@ fn of_decoder_is_total_under_mutation() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A channel endpoint reassembles whatever chunking the transport
+    /// chose. Random samples, each under its own xid, are concatenated
+    /// and cut at random points. Fed chunk by chunk through
+    /// `Session::feed`, they come out as the list that decoding each
+    /// message alone gives. After every chunk, exactly the messages that
+    /// have fully arrived are out: a partial trailing one waits. A bad
+    /// frame in the middle (complete, of an unknown type) is an error at
+    /// the chunk that completes it, and the session reads on afterwards.
+    #[test]
+    fn session_reassembles_any_chunking_of_a_message_stream(
+        picks in proptest::collection::vec(0usize..1024, 1..40),
+        cuts in proptest::collection::vec(any::<u16>(), 0..16),
+        bad_at in 0usize..80,
+    ) {
+        let samples = of_samples();
+        // The stream, and each frame's end in it with the message it
+        // decodes to alone (`None` for the bad frame).
+        let (mut stream, mut frames) = (Vec::new(), Vec::new());
+        for (i, p) in picks.iter().enumerate() {
+            if i == bad_at {
+                stream.extend_from_slice(&[openflow::OFP_VERSION, 77, 0, 8, 0, 0, 0, 0]);
+                frames.push((stream.len(), None));
+            }
+            let wire = samples[p % samples.len()].1.encode(i as u32);
+            let (xid, alone, _) = Message::decode(&wire).unwrap();
+            stream.extend_from_slice(&wire);
+            frames.push((stream.len(), Some((xid, alone))));
+        }
+        let mut ends: Vec<usize> = cuts
+            .iter()
+            .map(|&c| usize::from(c) % (stream.len() + 1))
+            .chain([stream.len()])
+            .collect();
+        ends.sort_unstable();
+        let mut session = openflow::Session::default();
+        let (mut got, mut fed) = (Vec::new(), 0);
+        for end in ends {
+            let res = session.feed(&stream[fed..end]);
+            fed = end;
+            let arrived = frames.iter().take_while(|(at, _)| *at <= fed);
+            let want: Option<Vec<_>> = arrived.map(|(_, m)| m.clone()).collect();
+            let Some(want) = want else {
+                prop_assert!(res.is_err(), "the chunk that completes the bad frame errs");
+                let echo = Message::EchoRequest(Bytes::new());
+                prop_assert_eq!(
+                    session.feed(&echo.encode(9)).map_err(|_| ()),
+                    Ok(vec![(9, echo)]),
+                    "the session reads on after the error"
+                );
+                return Ok(());
+            };
+            got.extend(res.map_err(|e| TestCaseError::fail(format!("{e}")))?);
+            prop_assert_eq!(&got, &want, "after {} of {} bytes", fed, stream.len());
+        }
+        prop_assert!(bad_at >= picks.len(), "no bad frame was fed");
+    }
+}
+
 // ---------------------------------------------------------------------
 // L3 pipeline properties (routing, NAT, TTL/checksum) — the oracle
 // suites pinning the edge-router datapath of the `exp_l3` scenarios.
