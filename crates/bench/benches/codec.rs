@@ -4,13 +4,16 @@
 //!
 //! Each benchmark prints a harness-style line and records a `codec/*`
 //! row into `BENCH_netsim.json`. The
-//! `codec/openflow/decode_stream/{1,512,4096}_flow_mods` rows feed one
-//! chunk of that many flow-mods through `Session::feed` and read in ns
-//! per message. The buffer is drained once per chunk, so the channel
-//! adds nothing that grows with the chunk: each row should read as its
-//! `decode_into_vec` twin, the same messages decoded into a vector with
-//! no channel. Both still grow with n, because a chunk's decoded
-//! messages are all alive at once and stop fitting in cache.
+//! `codec/openflow/decode_stream/{1,512,4096}_flow_mods` rows push one
+//! chunk of that many flow-mods into a `Session` and take each message
+//! as it decodes, in ns per message. The buffer is cut once per chunk
+//! and only one decoded message is alive at a time, so nothing grows
+//! with the chunk. Their `decode_into_vec` twins decode the same
+//! messages into a vector with no channel: those grow with n, because
+//! all of a chunk's messages are alive at once and stop fitting in
+//! cache. The `codec/openflow/encode_into/{1,512}_flow_mods` rows append
+//! n flow-mods to one send buffer, in ns per message, beside the
+//! buffer-per-message `flow_mod_encode`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -81,6 +84,18 @@ fn bench_openflow(rep: &mut Report) {
     timed(rep, "openflow/flow_mod_encode", 1, &[], || {
         black_box(fm.encode(42));
     });
+    // A controller's flush: n flow-mods appended to one send buffer,
+    // which is then frozen for the channel.
+    for n in [1u32, 512] {
+        let name = format!("openflow/encode_into/{n}_flow_mods");
+        timed(rep, &name, n, &[], || {
+            let mut buf = BytesMut::new();
+            for xid in 0..n {
+                fm.encode_into(&mut buf, xid);
+            }
+            black_box(buf.freeze());
+        });
+    }
     let wire = fm.encode(42);
     timed(rep, "openflow/flow_mod_decode", 1, &[], || {
         black_box(Message::decode(&wire).unwrap());
@@ -105,7 +120,10 @@ fn bench_openflow(rep: &mut Report) {
             n,
             &[("chunk_bytes", chunk.len() as f64)],
             || {
-                black_box(session.feed(&chunk).unwrap());
+                session.push(&chunk);
+                while let Some(next) = session.next_message() {
+                    black_box(next.unwrap());
+                }
             },
         );
         // The same messages decoded one by one into a vector, with no

@@ -65,20 +65,19 @@ struct RuleLoader {
 impl Node for RuleLoader {
     fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
-        let mut buf = bytes::BytesMut::from(&data[..]);
-        let Ok(msgs) = openflow::message::decode_stream(&mut buf) else {
-            return;
-        };
-        for (_, m) in msgs {
+        // Every chunk holds whole messages: decode them in place.
+        let mut rest = &data[..];
+        while let Ok((_, m, len)) = Message::decode(rest) {
+            rest = rest.get(len..).unwrap_or_default();
             match m {
                 Message::Hello if !self.started => {
                     self.started = true;
                     let mut blob = bytes::BytesMut::new();
-                    blob.extend_from_slice(&Message::Hello.encode(1));
+                    Message::Hello.encode_into(&mut blob, 1);
                     for i in 0..self.n_rules {
-                        blob.extend_from_slice(&Message::FlowMod(acl_rule(i)).encode(i + 2));
+                        Message::FlowMod(acl_rule(i)).encode_into(&mut blob, i + 2);
                     }
-                    blob.extend_from_slice(&Message::BarrierRequest.encode(self.n_rules + 2));
+                    Message::BarrierRequest.encode_into(&mut blob, self.n_rules + 2);
                     ctx.ctrl_send(from, blob.freeze());
                 }
                 Message::BarrierReply => self.done_at = Some(ctx.now()),

@@ -323,12 +323,13 @@ mod tests {
         }
     }
 
-    /// Decode a queue of encoded messages into `(command, match)` pairs
-    /// for the flow-mods, in order.
-    fn flow_mods(queue: &[bytes::Bytes]) -> Vec<(FlowModCommand, Match)> {
-        queue
-            .iter()
-            .filter_map(|b| match Message::decode(b).expect("well-formed").1 {
+    /// Decode a send buffer into `(command, match)` pairs for the
+    /// flow-mods, in order.
+    fn flow_mods(buf: &[u8]) -> Vec<(FlowModCommand, Match)> {
+        let mut rx = openflow::Session::default();
+        rx.push(buf);
+        std::iter::from_fn(|| rx.next_message())
+            .filter_map(|m| match m.expect("well-formed").1 {
                 Message::FlowMod(fm) => Some((fm.command, fm.match_)),
                 _ => None,
             })
@@ -361,7 +362,7 @@ mod tests {
         });
         let mut q52 = Outbox::default();
         p.sync_switch(&mut test_handle(0x52, &mut q52));
-        assert_eq!(flow_mods(&q52.queue).len(), 1);
+        assert_eq!(flow_mods(&q52.buf).len(), 1);
         assert_eq!(p.routes_retracted(), 0);
 
         // The host moves: same identity, new location.
@@ -371,9 +372,9 @@ mod tests {
             ports: vec![(0x53, 2), (0x52, 7)],
             guards: Vec::new(),
         });
-        q52.queue.clear();
+        q52.buf.clear();
         p.sync_switch(&mut test_handle(0x52, &mut q52));
-        let mods = flow_mods(&q52.queue);
+        let mods = flow_mods(&q52.buf);
         // Delete of the old rule first, then the add of the new route —
         // the reverse order would delete the fresh rule.
         assert_eq!(mods[0].0, FlowModCommand::Delete);
@@ -383,14 +384,14 @@ mod tests {
         // 0x53 held a route *and* a guard, swept by the one delete.
         let mut q53 = Outbox::default();
         p.sync_switch(&mut test_handle(0x53, &mut q53));
-        let mods = flow_mods(&q53.queue);
+        let mods = flow_mods(&q53.buf);
         assert_eq!(mods[0].0, FlowModCommand::Delete);
         assert_eq!(mods.len(), 2);
         assert_eq!(p.routes_retracted(), 2);
         // Syncing again is a no-op: both watermarks caught up.
-        q52.queue.clear();
+        q52.buf.clear();
         p.sync_switch(&mut test_handle(0x52, &mut q52));
-        assert!(q52.queue.is_empty());
+        assert!(q52.buf.is_empty());
     }
 
     #[test]
@@ -403,9 +404,9 @@ mod tests {
         assert!(!p.remove_host(Ipv4Addr::new(10, 0, 0, 1)), "already gone");
         assert_eq!(p.lookup(Ipv4Addr::new(10, 0, 0, 1)), None);
         assert_eq!(p.hosts_known(), 0);
-        q.queue.clear();
+        q.buf.clear();
         p.sync_switch(&mut test_handle(0x52, &mut q));
-        let mods = flow_mods(&q.queue);
+        let mods = flow_mods(&q.buf);
         assert_eq!(mods.len(), 1);
         assert_eq!(mods[0].0, FlowModCommand::Delete);
     }
@@ -421,9 +422,9 @@ mod tests {
         // The datapath reboots before the tick that would retract: its
         // tables are empty, so the handshake must re-install host 1 and
         // not bother deleting rules that no longer exist.
-        q.queue.clear();
+        q.buf.clear();
         p.on_switch_ready(&mut test_handle(0x52, &mut q));
-        let mods = flow_mods(&q.queue);
+        let mods = flow_mods(&q.buf);
         assert!(
             mods.iter().all(|(c, _)| *c == FlowModCommand::Add),
             "no deletes into a fresh table: {mods:?}"

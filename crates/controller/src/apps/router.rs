@@ -315,10 +315,11 @@ mod tests {
     use openflow::message::Message;
     use openflow::{FlowModCommand, Instruction};
 
-    fn decode(queue: &[bytes::Bytes]) -> Vec<FlowMod> {
-        queue
-            .iter()
-            .filter_map(|b| match Message::decode(b).expect("well-formed").1 {
+    fn decode(buf: &[u8]) -> Vec<FlowMod> {
+        let mut rx = openflow::Session::default();
+        rx.push(buf);
+        std::iter::from_fn(|| rx.next_message())
+            .filter_map(|m| match m.expect("well-formed").1 {
                 Message::FlowMod(fm) => Some(fm),
                 _ => None,
             })
@@ -362,7 +363,7 @@ mod tests {
         r.set_config(0x52, pod_config());
         let mut q = Outbox::default();
         r.sync_switch(&mut test_handle(0x52, &mut q));
-        let mods = decode(&q.queue);
+        let mods = decode(&q.buf);
         // Classifier + NAT miss + 3 routes, all adds.
         assert_eq!(mods.len(), 5);
         assert!(mods.iter().all(|m| m.command == FlowModCommand::Add));
@@ -397,9 +398,9 @@ mod tests {
         assert_eq!(acts[1], Action::Nat(NatDir::Egress));
         assert!(matches!(acts.last(), Some(Action::Output { port: 9, .. })));
         // Re-sync is a no-op: the watermark caught up.
-        q.queue.clear();
+        q.buf.clear();
         r.sync_switch(&mut test_handle(0x52, &mut q));
-        assert!(q.queue.is_empty());
+        assert!(q.buf.is_empty());
     }
 
     #[test]
@@ -410,7 +411,7 @@ mod tests {
         r.set_config(0x52, c);
         let mut q = Outbox::default();
         r.sync_switch(&mut test_handle(0x52, &mut q));
-        let mods = decode(&q.queue);
+        let mods = decode(&q.buf);
         assert_eq!(mods.len(), 6);
         assert_eq!(mods[1].table_id, NAT_TABLE);
         assert_eq!(mods[1].priority, NAT_INGRESS_PRIORITY);
@@ -433,9 +434,9 @@ mod tests {
         let mut c = pod_config();
         c.routes.truncate(2);
         r.set_config(0x52, c);
-        q.queue.clear();
+        q.buf.clear();
         r.sync_switch(&mut test_handle(0x52, &mut q));
-        let mods = decode(&q.queue);
+        let mods = decode(&q.buf);
         // Three deletes (shared table by classifier match, own tables
         // wholesale) strictly before any add.
         assert_eq!(mods.len(), 3 + 4);
@@ -457,7 +458,7 @@ mod tests {
         r.set_config(0x52, c.clone());
         let mut q = Outbox::default();
         r.sync_switch(&mut test_handle(0x52, &mut q));
-        let mods = decode(&q.queue);
+        let mods = decode(&q.buf);
         assert_eq!(mods.len(), 7);
         assert_eq!(r.rules_for(0x52), 7);
         // Accept (to the router's own MAC) outranks the drop.
@@ -481,9 +482,9 @@ mod tests {
         );
         // Re-setting the identical config does not churn the rules.
         r.set_config(0x52, c);
-        q.queue.clear();
+        q.buf.clear();
         r.sync_switch(&mut test_handle(0x52, &mut q));
-        assert!(q.queue.is_empty(), "identical config must be a no-op");
+        assert!(q.buf.is_empty(), "identical config must be a no-op");
     }
 
     #[test]
@@ -492,9 +493,9 @@ mod tests {
         r.set_config(0x52, pod_config());
         let mut q = Outbox::default();
         r.sync_switch(&mut test_handle(0x52, &mut q));
-        q.queue.clear();
+        q.buf.clear();
         r.on_switch_ready(&mut test_handle(0x52, &mut q));
-        let mods = decode(&q.queue);
+        let mods = decode(&q.buf);
         assert_eq!(mods.len(), 5);
         assert!(
             mods.iter().all(|m| m.command == FlowModCommand::Add),
@@ -503,7 +504,7 @@ mod tests {
         // An unconfigured datapath gets nothing.
         let mut q2 = Outbox::default();
         r.on_switch_ready(&mut test_handle(0x99, &mut q2));
-        assert!(q2.queue.is_empty());
+        assert!(q2.buf.is_empty());
         assert_eq!(r.rules_for(0x99), 0);
     }
 }

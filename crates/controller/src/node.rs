@@ -1,8 +1,9 @@
 //! The controller core: channel management and app dispatch.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use netpkt::FlowKey;
 use netsim::{Node, NodeCtx, NodeId, PortId};
@@ -52,9 +53,9 @@ pub struct SwitchState {
     /// Stream reassembly and the keepalive probes awaiting their reply.
     session: Session,
     /// Flow-mods sent but not yet covered by a BARRIER_REPLY, tagged
-    /// with the covering barrier's xid. The periodic tick re-sends
-    /// whatever lingers here, so rule pushes survive a lossy control
-    /// channel.
+    /// with the covering barrier's xid: each a slice of the buffer it
+    /// was sent in. The periodic tick re-sends whatever lingers here, so
+    /// rule pushes survive a lossy control channel.
     inflight: Vec<(Xid, Bytes)>,
 }
 
@@ -79,26 +80,28 @@ impl SwitchState {
     /// state-mutating, append a barrier and track those frames until its
     /// reply confirms delivery.
     fn flush(&mut self, node: NodeId, out: &mut Outbox, ctx: &mut NodeCtx) {
-        if !out.durable.is_empty() {
-            let b = out.send(Message::BarrierRequest);
-            self.inflight.extend(out.durable.drain(..).map(|f| (b, f)));
+        let barrier = (!out.durable.is_empty()).then(|| out.send(Message::BarrierRequest));
+        let sent = out.transmit(node, ctx);
+        if let Some(b) = barrier {
+            self.inflight
+                .extend(out.durable.drain(..).map(|at| (b, sent.slice(at))));
         }
-        out.transmit(node, ctx);
     }
 }
 
 /// The controller's send side: the xid counter every message draws from
-/// (one across all switches) and the frames queued for the switch being
+/// (one across all switches) and the send buffer of the switch being
 /// served. Apps reach it through a [`SwitchHandle`].
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
     xid: Xid,
     flow_mods_sent: u64,
-    /// Frames for the switch being served, in send order.
-    pub(crate) queue: Vec<Bytes>,
-    /// The state-mutating frames among `queue`, to be tracked until a
-    /// barrier reply confirms the switch applied them.
-    durable: Vec<Bytes>,
+    /// Messages for the switch being served, encoded back to back in
+    /// send order: the next channel write.
+    pub(crate) buf: BytesMut,
+    /// Where in `buf` the state-mutating messages lie, to be tracked
+    /// until a barrier reply confirms the switch applied them.
+    durable: Vec<Range<usize>>,
 }
 
 impl Outbox {
@@ -110,27 +113,22 @@ impl Outbox {
     /// Queue `msg` under a fresh xid, which is returned.
     fn send(&mut self, msg: Message) -> Xid {
         let x = self.next_xid();
-        self.queue.push(msg.encode(x));
+        msg.encode_into(&mut self.buf, x);
         x
     }
 
-    /// Put the queue on the channel to `node` as one coalesced message.
+    /// Put the buffer on the channel to `node` as one coalesced message,
+    /// and return what was sent (empty if nothing was queued).
     /// Fate sharing is load-bearing on lossy channels: the trailing
     /// barrier of a flush must be dropped or delivered *together with*
     /// the state it confirms — sent separately, a dropped flow mod whose
     /// barrier survived would confirm state the switch never applied.
-    fn transmit(&mut self, node: NodeId, ctx: &mut NodeCtx) {
-        match self.queue.len() {
-            0 => {}
-            1 => ctx.ctrl_send(node, self.queue.pop().expect("len checked")),
-            _ => {
-                let mut buf = Vec::with_capacity(self.queue.iter().map(Bytes::len).sum());
-                for f in self.queue.drain(..) {
-                    buf.extend_from_slice(&f);
-                }
-                ctx.ctrl_send(node, Bytes::from(buf));
-            }
+    fn transmit(&mut self, node: NodeId, ctx: &mut NodeCtx) -> Bytes {
+        let sent = std::mem::take(&mut self.buf).freeze();
+        if !sent.is_empty() {
+            ctx.ctrl_send(node, sent.clone());
         }
+        sent
     }
 }
 
@@ -155,9 +153,9 @@ impl SwitchHandle<'_> {
     /// controller tick otherwise.
     pub fn flow_mod(&mut self, fm: FlowMod) {
         self.out.flow_mods_sent += 1;
-        let frame = Message::FlowMod(fm).encode(self.out.next_xid());
-        self.out.queue.push(frame.clone());
-        self.out.durable.push(frame);
+        let start = self.out.buf.len();
+        self.out.send(Message::FlowMod(fm));
+        self.out.durable.push(start..self.out.buf.len());
     }
 
     /// Emit a frame out of a specific port (or FLOOD).
@@ -192,7 +190,7 @@ impl SwitchHandle<'_> {
 
 /// A free-standing [`SwitchHandle`] over a caller-owned outbox, for app
 /// unit tests that drive callbacks without a running network and read
-/// back `out.queue`.
+/// back `out.buf`.
 #[cfg(test)]
 pub(crate) fn test_handle(dpid: u64, out: &mut Outbox) -> SwitchHandle<'_> {
     SwitchHandle {
@@ -415,13 +413,13 @@ impl ControllerNode {
         for st in self.switches.values().filter(|st| st.ready) {
             f(&mut self.apps, &mut st.handle(&mut self.out));
             queued.push((
-                std::mem::take(&mut self.out.queue),
+                std::mem::take(&mut self.out.buf),
                 std::mem::take(&mut self.out.durable),
             ));
         }
         let ready = self.switches.iter_mut().filter(|(_, st)| st.ready);
-        for ((&node, st), (queue, durable)) in ready.zip(queued) {
-            self.out.queue = queue;
+        for ((&node, st), (buf, durable)) in ready.zip(queued) {
+            self.out.buf = buf;
             self.out.durable = durable;
             st.flush(node, &mut self.out, ctx);
         }
@@ -478,7 +476,9 @@ impl Node for ControllerNode {
                 // lost) is re-sent under a fresh barrier. Flow mods are
                 // idempotent, so a spurious re-send converges to the same
                 // tables.
-                out.queue.extend(st.inflight.iter().map(|e| e.1.clone()));
+                for (_, frame) in &st.inflight {
+                    out.buf.extend_from_slice(frame);
+                }
                 self.retransmits += st.inflight.len() as u64;
                 let b = out.send(Message::BarrierRequest);
                 st.inflight.iter_mut().for_each(|e| e.0 = b);
@@ -503,11 +503,11 @@ impl Node for ControllerNode {
 
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
         let st = self.switches.entry(from).or_default();
-        let Ok(msgs) = st.session.feed(&data) else {
-            return;
-        };
+        st.session.push(&data);
         let out = &mut self.out;
-        for (xid, msg) in msgs {
+        // Each message is handled as it decodes; an undecodable frame
+        // ends the chunk (the session drops it and what follows).
+        while let Some(Ok((xid, msg))) = st.session.next_message() {
             let event = match msg {
                 Message::Hello => {
                     // A HELLO on an existing session is a reconnect: the
@@ -528,7 +528,7 @@ impl Node for ControllerNode {
                     // Echo replies must mirror the request xid — the
                     // switch matches them against its outstanding probes
                     // and discards replies with unknown xids as stale.
-                    out.queue.push(Message::EchoReply(d).encode(xid));
+                    Message::EchoReply(d).encode_into(&mut out.buf, xid);
                     None
                 }
                 Message::EchoReply(_) => {
@@ -626,8 +626,7 @@ impl Node for ControllerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-    use openflow::message::{decode_stream, PacketInReason};
+    use openflow::message::PacketInReason;
 
     /// First app in the chain: returns a configured verdict.
     struct Gate {
@@ -737,11 +736,13 @@ mod tests {
             );
         });
         net.run_until(netsim::SimTime::from_millis(1));
-        let mut rx = BytesMut::new();
+        let mut rx = Session::default();
         for f in &net.node_ref::<Recorder>(sw).frames {
-            rx.extend_from_slice(f);
+            rx.push(f);
         }
-        let msgs = decode_stream(&mut rx).expect("well-formed replies");
+        let msgs: Vec<_> = std::iter::from_fn(|| rx.next_message())
+            .map(|m| m.expect("well-formed replies"))
+            .collect();
         assert!(
             msgs.iter()
                 .any(|(xid, m)| *xid == 77 && *m == Message::EchoReply(Bytes::from_static(b"ping"))),

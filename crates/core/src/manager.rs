@@ -327,13 +327,13 @@ impl HarmlessManager {
         // rules, barrier — all in one channel write.
         let mut blob = BytesMut::new();
         let mut xid = 1u32;
-        blob.extend_from_slice(&Message::Hello.encode(xid));
+        Message::Hello.encode_into(&mut blob, xid);
         for fm in translator::translator_rules(&self.config.map, self.config.n_trunks) {
             xid += 1;
             self.flow_mods_sent += 1;
-            blob.extend_from_slice(&Message::FlowMod(fm).encode(xid));
+            Message::FlowMod(fm).encode_into(&mut blob, xid);
         }
-        blob.extend_from_slice(&Message::BarrierRequest.encode(xid + 1));
+        Message::BarrierRequest.encode_into(&mut blob, xid + 1);
         let ss1 = self.config.ss1;
         self.send_tracked(ss1, blob.freeze(), Await::BarrierReply, ctx);
     }
@@ -445,11 +445,11 @@ impl HarmlessManager {
     }
 
     fn handle_of(&mut self, data: &Bytes, ctx: &mut NodeCtx) {
-        let mut buf = BytesMut::from(&data[..]);
-        let Ok(msgs) = openflow::message::decode_stream(&mut buf) else {
-            return;
-        };
-        for (_, msg) in msgs {
+        // Every chunk holds whole replies: each is decoded in place and
+        // handled before the next, up to the first that does not decode.
+        let mut rest = &data[..];
+        while let Ok((_, msg, len)) = Message::decode(rest) {
+            rest = rest.get(len..).unwrap_or_default();
             match (&self.phase, &msg) {
                 (ManagerPhase::InstallingTranslator, Message::BarrierReply) => {
                     self.awaiting = Await::None;

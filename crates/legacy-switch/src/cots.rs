@@ -244,13 +244,10 @@ impl Node for CotsSwitchNode {
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
         // Decode eagerly; unsupported features bounce immediately, the
         // rest crawls through the management CPU's queue.
-        let msgs = match self.agent.decode(&data) {
-            Ok(msgs) => msgs,
-            Err(error) => return ctx.ctrl_send(from, error),
-        };
-        for (xid, msg) in msgs {
-            if !Self::hardware_supports(&msg) {
-                ctx.ctrl_send(
+        self.agent.push(&data);
+        while let Some(next) = self.agent.next_message() {
+            match next {
+                Ok((xid, msg)) if !Self::hardware_supports(&msg) => ctx.ctrl_send(
                     from,
                     Message::Error {
                         ty: 4,
@@ -258,10 +255,10 @@ impl Node for CotsSwitchNode {
                         data: Bytes::new(),
                     }
                     .encode(xid),
-                );
-                continue;
+                ),
+                Ok((xid, msg)) => self.install_queue.push_back((from, xid, msg)),
+                Err(error) => ctx.ctrl_send(from, error),
             }
-            self.install_queue.push_back((from, xid, msg));
         }
         self.schedule_next_install(ctx);
     }
@@ -296,9 +293,10 @@ mod tests {
     impl Node for ScriptedController {
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
         fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
-            let mut buf = bytes::BytesMut::from(&data[..]);
-            for (_, m) in openflow::message::decode_stream(&mut buf).unwrap() {
-                self.received.push(m);
+            let mut rx = openflow::Session::default();
+            rx.push(&data);
+            while let Some(next) = rx.next_message() {
+                self.received.push(next.expect("well-formed").1);
             }
             if self.target.is_none() {
                 self.target = Some(from);

@@ -1,6 +1,11 @@
 //! A BER (Basic Encoding Rules) subset sufficient for SNMPv2c: definite
 //! lengths only, the SMI universal/application types, and context-tagged
 //! PDUs.
+//!
+//! Everything is written into one buffer. A constructed TLV whose length
+//! is not known up front is [opened](open) with a one-byte length field
+//! and [closed](close) once its contents are written; closing widens the
+//! field in place when the contents need the long form.
 
 use bytes::{BufMut, BytesMut};
 
@@ -25,20 +30,48 @@ pub mod tag {
     pub const END_OF_MIB_VIEW: u8 = 0x82;
 }
 
+/// A BER length (definite form): the bytes, and how many of them it
+/// takes.
+fn len_form(len: usize) -> ([u8; 5], usize) {
+    let [b0, b1, b2, b3] = (len as u32).to_be_bytes();
+    if len < 0x80 {
+        ([b3, 0, 0, 0, 0], 1)
+    } else if len <= 0xff {
+        ([0x81, b3, 0, 0, 0], 2)
+    } else if len <= 0xffff {
+        ([0x82, b2, b3, 0, 0], 3)
+    } else {
+        ([0x84, b0, b1, b2, b3], 5)
+    }
+}
+
 /// Append a BER length (definite form).
 pub fn put_len(out: &mut BytesMut, len: usize) {
-    if len < 0x80 {
-        out.put_u8(len as u8);
-    } else if len <= 0xff {
-        out.put_u8(0x81);
-        out.put_u8(len as u8);
-    } else if len <= 0xffff {
-        out.put_u8(0x82);
-        out.put_u16(len as u16);
-    } else {
-        out.put_u8(0x84);
-        out.put_u32(len as u32);
+    let (form, n) = len_form(len);
+    out.put_slice(&form[..n]);
+}
+
+/// Start a constructed TLV `t` whose contents follow: writes the tag and
+/// a one-byte length field, and returns where the contents start, for
+/// [`close`].
+pub fn open(out: &mut BytesMut, t: u8) -> usize {
+    out.put_u8(t);
+    out.put_u8(0);
+    out.len()
+}
+
+/// End the TLV whose contents [`open`] said start at `start`: set its
+/// length to the bytes written since. A length that needs the long form
+/// widens the field in place, moving the contents behind it.
+pub fn close(out: &mut BytesMut, start: usize) {
+    let len = out.len() - start;
+    let (form, n) = len_form(len);
+    let wider = n - 1;
+    if wider > 0 {
+        out.resize(out.len() + wider, 0);
+        out.copy_within(start..start + len, start + wider);
     }
+    out[start - 1..start + wider].copy_from_slice(&form[..n]);
 }
 
 /// Read a BER length from the front of `buf`.
@@ -126,12 +159,13 @@ pub fn parse_integer(value: &[u8]) -> Result<i64> {
 pub fn put_unsigned(out: &mut BytesMut, t: u8, v: u64) {
     let be = v.to_be_bytes();
     let first = be.iter().position(|&b| b != 0).unwrap_or(7);
-    let mut body = Vec::with_capacity(10 - first);
-    if be[first] & 0x80 != 0 {
-        body.push(0);
+    let guard = be[first] & 0x80 != 0;
+    out.put_u8(t);
+    put_len(out, usize::from(guard) + be.len() - first);
+    if guard {
+        out.put_u8(0);
     }
-    body.extend_from_slice(&be[first..]);
-    put_tlv(out, t, &body);
+    out.put_slice(&be[first..]);
 }
 
 /// Decode an unsigned value from a TLV value.
@@ -150,40 +184,38 @@ pub fn parse_unsigned(value: &[u8]) -> Result<u64> {
 /// continuation for the rest).
 pub fn put_oid(out: &mut BytesMut, oid: &Oid) {
     let arcs = oid.arcs();
-    let mut body = Vec::new();
+    let start = open(out, tag::OID);
     match arcs.len() {
-        0 => body.push(0),
-        1 => put_base128(&mut body, arcs[0] * 40),
+        0 => out.put_u8(0),
+        1 => put_base128(out, arcs[0] * 40),
         _ => {
             // The first two arcs pack into one (base-128) sub-identifier;
             // arc2 may exceed 39 only when arc1 == 2.
-            put_base128(&mut body, arcs[0] * 40 + arcs[1]);
+            put_base128(out, arcs[0] * 40 + arcs[1]);
             for &arc in &arcs[2..] {
-                put_base128(&mut body, arc);
+                put_base128(out, arc);
             }
         }
     }
-    put_tlv(out, tag::OID, &body);
+    close(out, start);
 }
 
-fn put_base128(out: &mut Vec<u8>, mut v: u32) {
+fn put_base128(out: &mut BytesMut, mut v: u32) {
+    // Seven bits a byte, most significant first; every byte but the
+    // last has its top bit set. A u32 takes at most five.
     let mut tmp = [0u8; 5];
-    let mut n = 0;
+    let mut i = tmp.len();
+    let mut more = 0;
     loop {
-        tmp[n] = (v & 0x7f) as u8;
+        i -= 1;
+        tmp[i] = (v & 0x7f) as u8 | more;
         v >>= 7;
-        n += 1;
+        more = 0x80;
         if v == 0 {
             break;
         }
     }
-    for i in (0..n).rev() {
-        let mut b = tmp[i];
-        if i != 0 {
-            b |= 0x80;
-        }
-        out.push(b);
-    }
+    out.put_slice(&tmp[i..]);
 }
 
 /// Decode an OID from a TLV value.
@@ -231,6 +263,33 @@ mod tests {
             let mut s = &out[..];
             assert_eq!(get_len(&mut s).unwrap(), len);
             assert!(s.is_empty());
+        }
+    }
+
+    /// A TLV opened and closed in place is byte-identical to one written
+    /// from a finished buffer, at every length form and nested inside
+    /// another that widens too.
+    #[test]
+    fn closing_in_place_widens_the_length_as_put_tlv_writes_it() {
+        for len in [0usize, 1, 0x7f, 0x80, 0xff, 0x100, 0xffff, 0x10000] {
+            let content: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut inner = BytesMut::new();
+            put_tlv(&mut inner, tag::OCTET_STRING, &content);
+            let mut want = BytesMut::from(&[0xee][..]);
+            put_tlv(
+                &mut want,
+                tag::SEQUENCE,
+                &[&[0x05, 0x00], &inner[..]].concat(),
+            );
+
+            let mut got = BytesMut::from(&[0xee][..]);
+            let outer = open(&mut got, tag::SEQUENCE);
+            got.put_slice(&[0x05, 0x00]);
+            let at = open(&mut got, tag::OCTET_STRING);
+            got.put_slice(&content);
+            close(&mut got, at);
+            close(&mut got, outer);
+            assert!(got == want, "content of {len} bytes");
         }
     }
 

@@ -251,6 +251,11 @@ pub struct SnmpMessage {
 /// SNMP version field for v2c.
 pub const VERSION_2C: i64 = 1;
 
+/// Room reserved up front in [`SnmpMessage::encode`]'s buffer: a request
+/// or a row write fits, a longer message grows the buffer as it is
+/// written.
+const ENCODE_CAPACITY: usize = 128;
+
 impl SnmpMessage {
     /// Wrap a PDU with a community.
     pub fn new(community: impl Into<String>, pdu: Pdu) -> SnmpMessage {
@@ -262,27 +267,26 @@ impl SnmpMessage {
 
     /// Encode to BER bytes.
     pub fn encode(&self) -> Bytes {
-        let mut varbinds = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(ENCODE_CAPACITY);
+        let out = &mut buf;
+        let msg = ber::open(out, tag::SEQUENCE);
+        ber::put_integer(out, tag::INTEGER, VERSION_2C);
+        ber::put_tlv(out, tag::OCTET_STRING, self.community.as_bytes());
+        let pdu = ber::open(out, self.pdu.ty.tag());
+        ber::put_integer(out, tag::INTEGER, self.pdu.request_id);
+        ber::put_integer(out, tag::INTEGER, self.pdu.error_status.value());
+        ber::put_integer(out, tag::INTEGER, self.pdu.error_index);
+        let varbinds = ber::open(out, tag::SEQUENCE);
         for (oid, val) in &self.pdu.bindings {
-            let mut vb = BytesMut::new();
-            ber::put_oid(&mut vb, oid);
-            val.encode(&mut vb);
-            ber::put_tlv(&mut varbinds, tag::SEQUENCE, &vb);
+            let vb = ber::open(out, tag::SEQUENCE);
+            ber::put_oid(out, oid);
+            val.encode(out);
+            ber::close(out, vb);
         }
-        let mut pdu_body = BytesMut::new();
-        ber::put_integer(&mut pdu_body, tag::INTEGER, self.pdu.request_id);
-        ber::put_integer(&mut pdu_body, tag::INTEGER, self.pdu.error_status.value());
-        ber::put_integer(&mut pdu_body, tag::INTEGER, self.pdu.error_index);
-        ber::put_tlv(&mut pdu_body, tag::SEQUENCE, &varbinds);
-
-        let mut msg_body = BytesMut::new();
-        ber::put_integer(&mut msg_body, tag::INTEGER, VERSION_2C);
-        ber::put_tlv(&mut msg_body, tag::OCTET_STRING, self.community.as_bytes());
-        ber::put_tlv(&mut msg_body, self.pdu.ty.tag(), &pdu_body);
-
-        let mut out = BytesMut::new();
-        ber::put_tlv(&mut out, tag::SEQUENCE, &msg_body);
-        out.freeze()
+        ber::close(out, varbinds);
+        ber::close(out, pdu);
+        ber::close(out, msg);
+        buf.freeze()
     }
 
     /// Decode from BER bytes.

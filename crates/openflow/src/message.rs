@@ -2,11 +2,12 @@
 //!
 //! Every message is encoded byte-exactly per the 1.3 wire spec (header:
 //! version, type, length, xid). [`Message::encode`] produces a framed
-//! message; [`Message::decode`] consumes one from a buffer;
-//! [`decode_stream`] drains a byte stream that may carry several messages —
-//! which is how the control channel delivers them.
+//! message and [`Message::encode_into`] appends one to a send buffer;
+//! [`Message::decode`] consumes one from the front of a buffer. The
+//! control channel's byte stream, which may split a message or carry
+//! several, is reassembled by [`crate::Session`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::action::Action;
 use crate::group::{Bucket, GroupModCommand, GroupType};
@@ -632,16 +633,24 @@ impl Message {
         }
     }
 
-    /// Encode with full header; `xid` is the transaction id.
+    /// Encode with full header into a buffer of its own; `xid` is the
+    /// transaction id.
     pub fn encode(&self, xid: Xid) -> Bytes {
         let mut out = BytesMut::with_capacity(ENCODE_CAPACITY);
+        self.encode_into(&mut out, xid);
+        out.freeze()
+    }
+
+    /// Append the message, with full header, to `out`: a send buffer
+    /// that coalesces several messages into one channel write.
+    pub fn encode_into(&self, out: &mut BytesMut, xid: Xid) {
+        let start = out.len();
         out.put_u8(OFP_VERSION);
         out.put_u8(self.type_byte());
-        let len = wire::reserve_u16(&mut out);
+        let len = wire::reserve_u16(out);
         out.put_u32(xid);
-        self.encode_body(&mut out);
-        wire::patch_u16(&mut out, len, 0);
-        out.freeze()
+        self.encode_body(out);
+        wire::patch_u16(out, len, start);
     }
 
     fn encode_body(&self, out: &mut BytesMut) {
@@ -1293,35 +1302,6 @@ fn put_mp_header(out: &mut BytesMut, ty: u16) {
     out.put_bytes(0, 6);
 }
 
-/// Drain every complete message from `stream`; bytes of an incomplete
-/// trailing message remain in the buffer. A complete message that does
-/// not decode is an error — never a wait — and the messages before it
-/// are drained with it.
-///
-/// Messages are decoded through an offset and the buffer is advanced
-/// once per call: `BytesMut::advance` moves every byte behind the cut,
-/// so advancing per message would cost a chunk of n messages O(n²).
-pub fn decode_stream(stream: &mut BytesMut) -> Result<Vec<(Xid, Message)>> {
-    let mut out = Vec::new();
-    let mut used = 0;
-    let end = loop {
-        let rest = stream.get(used..).unwrap_or_default();
-        if rest.is_empty() {
-            break Ok(out);
-        }
-        match Message::decode(rest) {
-            Ok((xid, msg, len)) => {
-                used += len;
-                out.push((xid, msg));
-            }
-            Err(Error::Truncated) => break Ok(out),
-            Err(e) => break Err(e),
-        }
-    };
-    stream.advance(used);
-    end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1611,38 +1591,6 @@ mod tests {
             let m = Message::MultipartReply(r);
             assert_eq!(round_trip(&m), m);
         }
-    }
-
-    #[test]
-    fn stream_decoding_handles_coalescing_and_splits() {
-        let m1 = Message::Hello.encode(1);
-        let m2 = Message::EchoRequest(Bytes::from_static(b"x")).encode(2);
-        let m3 = Message::BarrierRequest.encode(3);
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(&m1);
-        stream.extend_from_slice(&m2);
-        stream.extend_from_slice(&m3[..4]); // partial third message
-        let msgs = decode_stream(&mut stream).unwrap();
-        assert_eq!(msgs.len(), 2);
-        assert_eq!(msgs[0], (1, Message::Hello));
-        assert_eq!(stream.len(), 4, "partial message must remain buffered");
-        stream.extend_from_slice(&m3[4..]);
-        let msgs = decode_stream(&mut stream).unwrap();
-        assert_eq!(msgs, vec![(3, Message::BarrierRequest)]);
-        assert!(stream.is_empty());
-    }
-
-    #[test]
-    fn a_bad_frame_drains_the_messages_before_it() {
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(&Message::Hello.encode(1));
-        stream.extend_from_slice(&[OFP_VERSION, 0, 0, 4, 0, 0, 0, 0]); // length below 8
-        stream.extend_from_slice(&Message::Hello.encode(2));
-        assert!(matches!(
-            decode_stream(&mut stream),
-            Err(Error::Malformed(_))
-        ));
-        assert_eq!(stream.len(), 16, "the bad frame and what follows stay");
     }
 
     #[test]

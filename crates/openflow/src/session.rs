@@ -5,9 +5,13 @@
 //! [`Session`] is the only copy of either:
 //!
 //! * **Framing.** The transport hands over byte chunks that may split a
-//!   message or coalesce several; [`Session::feed`] reassembles them. A
-//!   stream that stops decoding is dropped whole: after a framing error
-//!   no later length field can be trusted.
+//!   message or coalesce several; [`Session::push`] takes each chunk and
+//!   [`Session::next_message`] hands out the messages it completes, one
+//!   at a time and owned, so the caller can act on each — and on the
+//!   session — before the next is decoded. A stream that stops decoding
+//!   is dropped from the bad frame on: the messages before it are handed
+//!   out, but after a framing error no later length field can be
+//!   trusted.
 //! * **Keepalive.** The xids of echo probes awaiting their reply, under
 //!   four rules: a reply acknowledges its probe *and every older one*
 //!   (it proves the channel is alive); a reply matching no outstanding
@@ -20,38 +24,62 @@
 //! controller shares one counter across all its switches. So are the
 //! send path, the handshake and what to do about a dead peer.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
-use crate::message::{decode_stream, Message, Xid};
-use crate::Result;
+use crate::message::{Message, Xid};
+use crate::{Error, Result};
 
 /// Reassembly buffer and keepalive probe list of one channel endpoint;
 /// the default has nothing buffered and nothing outstanding.
 #[derive(Debug, Default)]
 pub struct Session {
     rx: BytesMut,
+    /// Bytes at the front of `rx` already handed out as messages. Decoding
+    /// reads through this offset and the buffer is cut once the pushed
+    /// bytes are used up: `BytesMut::advance` moves every byte behind the
+    /// cut, so a cut per message would cost a chunk of n messages O(n²).
+    used: usize,
     /// Probes sent and not yet acknowledged, oldest first.
     probes: Vec<Xid>,
     stale_replies: u64,
 }
 
 impl Session {
-    /// Append channel bytes and drain every complete message; the bytes
-    /// of an incomplete trailing message wait for the next call. On an
-    /// undecodable stream everything buffered is discarded.
-    pub fn feed(&mut self, data: &[u8]) -> Result<Vec<(Xid, Message)>> {
+    /// Append channel bytes; [`Self::next_message`] hands out the
+    /// messages they complete.
+    pub fn push(&mut self, data: &[u8]) {
         self.rx.extend_from_slice(data);
-        let msgs = decode_stream(&mut self.rx);
-        if msgs.is_err() {
-            self.rx.clear();
+    }
+
+    /// The next complete message of the bytes pushed so far, or `None`
+    /// when they hold no more: the bytes of an incomplete trailing
+    /// message wait for the next push. A complete frame that does not
+    /// decode is an error, never a wait, and everything buffered from it
+    /// on is discarded.
+    pub fn next_message(&mut self) -> Option<Result<(Xid, Message)>> {
+        let rest = self.rx.get(self.used..).unwrap_or_default();
+        match Message::decode(rest) {
+            Ok((xid, msg, len)) => {
+                self.used += len;
+                Some(Ok((xid, msg)))
+            }
+            Err(Error::Truncated) => {
+                self.rx.advance(self.used);
+                self.used = 0;
+                None
+            }
+            Err(e) => {
+                self.clear_input();
+                Some(Err(e))
+            }
         }
-        msgs
     }
 
     /// Drop a half-received message: the transport under this session
     /// was torn down and whatever arrives next starts a new stream.
     pub fn clear_input(&mut self) {
         self.rx.clear();
+        self.used = 0;
     }
 
     /// Build a keepalive probe under `xid` and track it until
@@ -99,6 +127,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OFP_VERSION;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -147,6 +176,12 @@ mod tests {
         }
     }
 
+    /// Push `data` and drain what it completes.
+    fn feed(s: &mut Session, data: &[u8]) -> Vec<Result<(Xid, Message)>> {
+        s.push(data);
+        std::iter::from_fn(|| s.next_message()).collect()
+    }
+
     /// A frame whose header says it is complete (length 18) but whose
     /// body holds 10 of the 24 bytes a `FEATURES_REPLY` needs is an
     /// error, never a wait: waiting would hold up every later message
@@ -163,19 +198,15 @@ mod tests {
         .to_vec();
         short.truncate(18);
         short[2..4].copy_from_slice(&18u16.to_be_bytes());
-        let mut stream = BytesMut::from(&short[..]);
-        stream.extend_from_slice(&Message::Hello.encode(8));
-        assert!(matches!(
-            decode_stream(&mut stream),
-            Err(crate::Error::Malformed(_))
-        ));
+        short.extend_from_slice(&Message::Hello.encode(8));
 
         let mut s = Session::default();
-        assert!(s.feed(&stream).is_err());
+        let got = feed(&mut s, &short);
+        assert!(matches!(got[..], [Err(Error::Malformed(_))]), "{got:?}");
         let echo = Message::EchoRequest(Bytes::new()).encode(9);
         assert_eq!(
-            s.feed(&echo).unwrap(),
-            vec![(9, Message::EchoRequest(Bytes::new()))],
+            feed(&mut s, &echo),
+            vec![Ok((9, Message::EchoRequest(Bytes::new())))],
             "the session dropped the bad frame and reads on"
         );
     }
@@ -186,12 +217,51 @@ mod tests {
         let echo = Message::EchoRequest(Bytes::from_static(b"abc")).encode(9);
         let mut bad = echo.to_vec();
         bad[0] = 0x09; // not OpenFlow 1.3
-        assert!(s.feed(&bad).is_err());
-        assert_eq!(s.feed(&echo).unwrap().len(), 1);
+        assert_eq!(feed(&mut s, &bad), vec![Err(Error::BadVersion(9))]);
+        assert_eq!(feed(&mut s, &echo).len(), 1);
         // Half a message waits for its other half, unless the transport
         // goes away in between.
-        assert_eq!(s.feed(&echo[..5]).unwrap(), vec![]);
+        assert_eq!(feed(&mut s, &echo[..5]), vec![]);
         s.clear_input();
-        assert_eq!(s.feed(&echo).unwrap().len(), 1);
+        assert_eq!(feed(&mut s, &echo).len(), 1);
+    }
+
+    #[test]
+    fn stream_decoding_handles_coalescing_and_splits() {
+        let m1 = Message::Hello.encode(1);
+        let m2 = Message::EchoRequest(Bytes::from_static(b"x")).encode(2);
+        let m3 = Message::BarrierRequest.encode(3);
+        let mut s = Session::default();
+        let mut stream = BytesMut::new();
+        stream.extend_from_slice(&m1);
+        stream.extend_from_slice(&m2);
+        stream.extend_from_slice(&m3[..4]); // partial third message
+        let msgs = feed(&mut s, &stream);
+        assert_eq!(msgs.len(), 2);
+        assert_eq!(msgs[0], Ok((1, Message::Hello)));
+        assert_eq!(s.rx.len(), 4, "partial message must remain buffered");
+        assert_eq!(
+            feed(&mut s, &m3[4..]),
+            vec![Ok((3, Message::BarrierRequest))]
+        );
+        assert!(s.rx.is_empty());
+    }
+
+    /// The messages ahead of a bad frame in a chunk are handed out before
+    /// its error, whatever chunk they came in; what follows the bad frame
+    /// is dropped with it.
+    #[test]
+    fn a_bad_frame_drains_the_messages_before_it() {
+        let mut stream = BytesMut::new();
+        stream.extend_from_slice(&Message::Hello.encode(1));
+        stream.extend_from_slice(&[OFP_VERSION, 0, 0, 4, 0, 0, 0, 0]); // length below 8
+        stream.extend_from_slice(&Message::Hello.encode(2));
+        let mut s = Session::default();
+        let got = feed(&mut s, &stream);
+        assert!(
+            matches!(got[..], [Ok((1, Message::Hello)), Err(Error::Malformed(_))]),
+            "{got:?}"
+        );
+        assert!(s.rx.is_empty(), "the bad frame and what follows go");
     }
 }

@@ -23,7 +23,7 @@
 
 use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use netpkt::flowkey::FieldMask;
 use netpkt::FlowKey;
@@ -251,6 +251,88 @@ impl FlowEntry {
 /// proptests run on whole fingerprints.
 const FINGERPRINT_BITS: u64 = if cfg!(test) { 0 } else { u64::MAX };
 
+/// Bytes in a [`key_image`]: every [`FlowKey`] field at its full width.
+const KEY_IMAGE_LEN: usize = 91;
+
+/// `key`'s fields laid end to end at fixed widths. Two keys have the same
+/// image only if they are equal, so hashing the image in one `write`
+/// fingerprints the key as the derived `Hash`'s ~22 field writes do.
+fn key_image(key: &FlowKey) -> [u8; KEY_IMAGE_LEN] {
+    // Exhaustive destructure (no `..`): a field added to `FlowKey` fails
+    // to compile here until it is packed.
+    let FlowKey {
+        in_port,
+        eth_dst,
+        eth_src,
+        eth_type,
+        vlan_vid,
+        vlan_pcp,
+        ip_proto,
+        ip_dscp,
+        ipv4_src,
+        ipv4_dst,
+        ipv6_src,
+        ipv6_dst,
+        tcp_src,
+        tcp_dst,
+        udp_src,
+        udp_dst,
+        icmp_type,
+        icmp_code,
+        arp_op,
+        arp_spa,
+        arp_tpa,
+        metadata,
+    } = *key;
+    let mut image = [0; KEY_IMAGE_LEN];
+    let mut at = 0;
+    for field in [
+        &in_port.to_le_bytes()[..],
+        &eth_dst.0,
+        &eth_src.0,
+        &eth_type.to_le_bytes(),
+        &vlan_vid.to_le_bytes(),
+        &[vlan_pcp, ip_proto, ip_dscp],
+        &ipv4_src.to_le_bytes(),
+        &ipv4_dst.to_le_bytes(),
+        &ipv6_src.to_le_bytes(),
+        &ipv6_dst.to_le_bytes(),
+        &tcp_src.to_le_bytes(),
+        &tcp_dst.to_le_bytes(),
+        &udp_src.to_le_bytes(),
+        &udp_dst.to_le_bytes(),
+        &[icmp_type, icmp_code],
+        &arp_op.to_le_bytes(),
+        &arp_spa.to_le_bytes(),
+        &arp_tpa.to_le_bytes(),
+        &metadata.to_le_bytes(),
+    ] {
+        image[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    debug_assert_eq!(at, KEY_IMAGE_LEN, "every byte of the image is a field's");
+    image
+}
+
+/// The hasher of [`MaskGroup::slots`]: a fingerprint is already the
+/// output of the table's keyed hasher, so it is its own hash.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint maps hash u64 keys only")
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+}
+
 /// An entry's index in [`FlowTable`]'s slab.
 type Slot = u32;
 
@@ -265,7 +347,7 @@ struct MaskGroup {
     prios: Vec<(u16, u32)>,
     /// Fingerprint of (key, priority) → slot. The key itself is not
     /// stored a second time: a probe is verified on the entry it names.
-    slots: HashMap<u64, Slot>,
+    slots: HashMap<u64, Slot, BuildHasherDefault<PassThrough>>,
     /// Slots of entries whose fingerprint was already another entry's.
     spill: Vec<Slot>,
 }
@@ -382,7 +464,7 @@ impl FlowTable {
 
     fn key_hasher(&self, key: &FlowKey) -> DefaultHasher {
         let mut h = self.hasher.build_hasher();
-        key.hash(&mut h);
+        h.write(&key_image(key));
         h
     }
 
@@ -1100,6 +1182,54 @@ mod tests {
         assert_eq!(t.len(), 4, "replaced, not duplicated");
         let any = (crate::port_no::ANY, crate::group_no::ANY);
         assert_eq!(t.delete(&udp_match(3), 5, true, any.0, any.1).len(), 1);
+    }
+
+    /// Setting any one field of a zero key to all ones sets that field's
+    /// bytes of the image and no others; across the fields, those bytes
+    /// tile the image. So each field has bytes of its own, at its full
+    /// width, and the image is injective.
+    #[test]
+    fn key_image_gives_every_field_its_own_bytes() {
+        let (zero, ones) = (FlowKey::default(), FlowKey::exact_mask());
+        let flips: [fn(&mut FlowKey, &FlowKey); 22] = [
+            |k, o| k.in_port = o.in_port,
+            |k, o| k.eth_dst = o.eth_dst,
+            |k, o| k.eth_src = o.eth_src,
+            |k, o| k.eth_type = o.eth_type,
+            |k, o| k.vlan_vid = o.vlan_vid,
+            |k, o| k.vlan_pcp = o.vlan_pcp,
+            |k, o| k.ip_proto = o.ip_proto,
+            |k, o| k.ip_dscp = o.ip_dscp,
+            |k, o| k.ipv4_src = o.ipv4_src,
+            |k, o| k.ipv4_dst = o.ipv4_dst,
+            |k, o| k.ipv6_src = o.ipv6_src,
+            |k, o| k.ipv6_dst = o.ipv6_dst,
+            |k, o| k.tcp_src = o.tcp_src,
+            |k, o| k.tcp_dst = o.tcp_dst,
+            |k, o| k.udp_src = o.udp_src,
+            |k, o| k.udp_dst = o.udp_dst,
+            |k, o| k.icmp_type = o.icmp_type,
+            |k, o| k.icmp_code = o.icmp_code,
+            |k, o| k.arp_op = o.arp_op,
+            |k, o| k.arp_spa = o.arp_spa,
+            |k, o| k.arp_tpa = o.arp_tpa,
+            |k, o| k.metadata = o.metadata,
+        ];
+        assert_eq!(key_image(&zero), [0; KEY_IMAGE_LEN]);
+        let mut owner = [None; KEY_IMAGE_LEN];
+        for (i, flip) in flips.iter().enumerate() {
+            let mut key = zero;
+            flip(&mut key, &ones);
+            let image = key_image(&key);
+            assert!(image.iter().any(|&b| b != 0), "field {i} is not packed");
+            for (byte, _) in image.iter().enumerate().filter(|(_, &b)| b != 0) {
+                assert_eq!(image[byte], 0xff, "field {i} is packed narrower");
+                assert_eq!(owner[byte], None, "fields share byte {byte}");
+                owner[byte] = Some(i);
+            }
+        }
+        assert!(owner.iter().all(Option::is_some), "bytes no field owns");
+        assert_eq!(key_image(&ones), [0xff; KEY_IMAGE_LEN]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! [`OfAgent`] consumes raw channel bytes (possibly containing several
 //! coalesced or split messages), applies them to a [`Datapath`] and emits
-//! reply frames — in one step ([`OfAgent::handle`]), or decoded now and
-//! applied when the switch gets to it ([`OfAgent::decode`],
-//! [`OfAgent::apply`]). It is transport-agnostic; the node layer moves
-//! the bytes over the simulator's control plane.
+//! reply frames — each message as it decodes ([`OfAgent::handle`]), or
+//! decoded now and applied when the switch gets to it
+//! ([`OfAgent::push`], [`OfAgent::next_message`], [`OfAgent::apply`]).
+//! It is transport-agnostic; the node layer moves the bytes over the
+//! simulator's control plane.
 
 use bytes::Bytes;
 
@@ -163,34 +164,41 @@ impl OfAgent {
             .collect()
     }
 
-    /// Feed controller→switch bytes; apply them to `dp`.
+    /// Feed controller→switch bytes; apply each message to `dp` as it
+    /// decodes.
     pub fn handle(&mut self, dp: &mut Datapath, data: &[u8], now_ns: u64) -> AgentOutput {
         let mut out = AgentOutput::default();
-        match self.decode(data) {
-            Ok(msgs) => {
-                for (xid, msg) in msgs {
-                    self.apply(dp, xid, msg, now_ns, &mut out);
-                }
+        self.push(data);
+        while let Some(next) = self.next_message() {
+            match next {
+                Ok((xid, msg)) => self.apply(dp, xid, msg, now_ns, &mut out),
+                Err(error) => out.replies.push(error),
             }
-            Err(error) => out.replies.push(error),
         }
         out
     }
 
-    /// Feed controller→switch bytes through the channel's [`Session`]
-    /// and hand back the messages they complete, for a switch that
-    /// [applies](OfAgent::apply) them later (a management CPU's queue).
-    /// `Err` is the error frame to answer an undecodable stream with
-    /// (the session dropped what it had buffered).
-    pub fn decode(&mut self, data: &[u8]) -> Result<Vec<(Xid, Message)>, Bytes> {
-        self.session.feed(data).map_err(|e| {
-            let x = self.xid();
-            self.error_for(&e, x)
-        })
+    /// Feed controller→switch bytes into the channel's [`Session`], for
+    /// a switch that takes the messages they complete one at a time
+    /// ([`OfAgent::next_message`]) and [applies](OfAgent::apply) them
+    /// later (a management CPU's queue).
+    pub fn push(&mut self, data: &[u8]) {
+        self.session.push(data);
     }
 
-    /// Apply one message [`OfAgent::decode`] returned to `dp`, appending
-    /// what it answers and releases to `out`.
+    /// The next message the pushed bytes complete, if any. `Err` is the
+    /// error frame to answer an undecodable frame with; the session
+    /// dropped it and everything behind it.
+    pub fn next_message(&mut self) -> Option<Result<(Xid, Message), Bytes>> {
+        let next = self.session.next_message()?;
+        Some(next.map_err(|e| {
+            let x = self.xid();
+            self.error_for(&e, x)
+        }))
+    }
+
+    /// Apply one message [`OfAgent::next_message`] returned to `dp`,
+    /// appending what it answers and releases to `out`.
     pub fn apply(
         &mut self,
         dp: &mut Datapath,
@@ -579,6 +587,30 @@ mod tests {
             let echo = agent.handle(&mut dp, &Message::EchoRequest(Bytes::new()).encode(4), 0);
             assert_eq!(echo.replies.len(), 1);
         }
+    }
+
+    /// A flow-mod that shares its chunk with a bad frame behind it is
+    /// applied as it would be in a chunk of its own; then the bad frame
+    /// is answered.
+    #[test]
+    fn a_flow_mod_ahead_of_a_bad_frame_in_its_chunk_installs() {
+        let mut dp = dp();
+        let mut agent = OfAgent::new("test");
+        let fm = FlowMod::add(0)
+            .priority(5)
+            .match_(Match::new().eth_type(0x0800))
+            .apply(vec![Action::output(2)]);
+        let mut chunk = BytesMut::new();
+        chunk.extend_from_slice(&Message::FlowMod(fm).encode(7));
+        chunk.extend_from_slice(&[0x04, 77, 0, 8, 0, 0, 0, 8]); // BAD_TYPE
+        let out = agent.handle(&mut dp, &chunk, 0);
+        assert_eq!(dp.table(0).unwrap().len(), 1, "the flow-mod installed");
+        assert_eq!(out.replies.len(), 1);
+        let (_, msg, _) = Message::decode(&out.replies[0]).unwrap();
+        assert!(
+            matches!(msg, Message::Error { ty: 1, code: 1, .. }),
+            "{msg:?}"
+        );
     }
 
     #[test]

@@ -978,8 +978,10 @@ mod tests {
     impl Node for MiniController {
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _ctx: &mut NodeCtx) {}
         fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
-            let mut buf = bytes::BytesMut::from(&data[..]);
-            for (xid, m) in openflow::message::decode_stream(&mut buf).unwrap() {
+            let mut rx = openflow::Session::default();
+            rx.push(&data);
+            while let Some(next) = rx.next_message() {
+                let (xid, m) = next.expect("well-formed");
                 if self.live {
                     match &m {
                         openflow::Message::Hello => {

@@ -5,10 +5,10 @@
 
 use std::any::Any;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use controller::ControllerNode;
 use netsim::{Network, Node, NodeCtx, NodeId, PortId, SimTime};
-use openflow::message::{decode_stream, FlowMod, Message, MultipartReq, Xid};
+use openflow::message::{FlowMod, Message, MultipartReq, Xid};
 use openflow::{Action, Match};
 use softswitch::agent::OfAgent;
 use softswitch::datapath::{Datapath, DpConfig};
@@ -33,10 +33,13 @@ fn concat(frames: &[Bytes]) -> Vec<u8> {
     frames.iter().flat_map(|f| f.iter().copied()).collect()
 }
 
-fn decode_all(bytes: &[u8]) -> Vec<(Xid, Message)> {
-    let mut rx = BytesMut::from(bytes);
-    let msgs = decode_stream(&mut rx).expect("well-formed");
-    assert!(rx.is_empty(), "no partial message left over");
+fn decode_all(mut bytes: &[u8]) -> Vec<(Xid, Message)> {
+    let mut msgs = Vec::new();
+    while !bytes.is_empty() {
+        let (xid, msg, len) = Message::decode(bytes).expect("whole, well-formed messages");
+        msgs.push((xid, msg));
+        bytes = &bytes[len..];
+    }
     msgs
 }
 

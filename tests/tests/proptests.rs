@@ -789,8 +789,8 @@ proptest! {
 
 use openflow::group::GroupModCommand;
 use openflow::message::{
-    decode_stream, ControllerRole, FlowStatsEntry, MultipartReq, MultipartRes, PacketInReason,
-    PortDesc, PortStatsEntry, TableStatsEntry,
+    ControllerRole, FlowStatsEntry, MultipartReq, MultipartRes, PacketInReason, PortDesc,
+    PortStatsEntry, TableStatsEntry,
 };
 use openflow::meter::MeterModCommand;
 use openflow::{Bucket, GroupType, Instruction, MeterBand, NatDir};
@@ -1201,12 +1201,13 @@ fn of_encoding_matches_golden_bytes() {
 /// the 256 values, and each cut with the header length patched to it.
 /// Nothing panics; a frame whose header says it has fully arrived is
 /// never `Truncated` (the channel would wait for bytes that are not
-/// coming); and a stream of such a frame and a `HELLO` either decodes
-/// whole or fails — it never stalls with bytes left over.
+/// coming); and a session fed such a frame and a `HELLO` never stalls:
+/// once drained, the next message pushed is the next one out.
 #[test]
 fn of_decoder_is_total_under_mutation() {
     let hello = Message::Hello.encode(1);
-    let mut stream = bytes::BytesMut::new();
+    let echo = Message::EchoRequest(Bytes::new());
+    let mut session = openflow::Session::default();
     let mut check = |frame: &[u8], what: &dyn Fn() -> String| {
         let truncated = |frame| Message::decode(frame).err() == Some(openflow::Error::Truncated);
         if frame.len() < 8 {
@@ -1219,18 +1220,18 @@ fn of_decoder_is_total_under_mutation() {
         }
         let claimed = usize::from(u16::from_be_bytes([frame[2], frame[3]]));
         if claimed == frame.len() {
-            // The stream's first decode is the frame's own.
-            stream.clear();
-            stream.extend_from_slice(frame);
-            stream.extend_from_slice(&hello);
-            if decode_stream(&mut stream).is_ok() {
-                assert!(
-                    stream.is_empty(),
-                    "{}: {} bytes stall",
-                    what(),
-                    stream.len()
-                );
-            }
+            // The session's first decode is the frame's own.
+            session.push(frame);
+            session.push(&hello);
+            while session.next_message().is_some() {}
+            session.push(&echo.encode(9));
+            assert_eq!(
+                session.next_message(),
+                Some(Ok((9, echo.clone()))),
+                "{}: bytes stall",
+                what()
+            );
+            assert_eq!(session.next_message(), None);
         } else if claimed < frame.len() {
             assert!(
                 !truncated(frame),
@@ -1264,12 +1265,14 @@ proptest! {
 
     /// A channel endpoint reassembles whatever chunking the transport
     /// chose. Random samples, each under its own xid, are concatenated
-    /// and cut at random points. Fed chunk by chunk through
-    /// `Session::feed`, they come out as the list that decoding each
-    /// message alone gives. After every chunk, exactly the messages that
-    /// have fully arrived are out: a partial trailing one waits. A bad
-    /// frame in the middle (complete, of an unknown type) is an error at
-    /// the chunk that completes it, and the session reads on afterwards.
+    /// and cut at random points. Pushed chunk by chunk into a `Session`
+    /// and drained, they come out as the list that decoding each message
+    /// alone gives. After every chunk, exactly the messages that have
+    /// fully arrived are out: a partial trailing one waits. A bad frame
+    /// in the middle (complete, of an unknown type) comes out as an error
+    /// at the chunk that completes it, after every message ahead of it —
+    /// however many of them share its chunk — and the session reads on
+    /// afterwards.
     #[test]
     fn session_reassembles_any_chunking_of_a_message_stream(
         picks in proptest::collection::vec(0usize..1024, 1..40),
@@ -1299,24 +1302,171 @@ proptest! {
         let mut session = openflow::Session::default();
         let (mut got, mut fed) = (Vec::new(), 0);
         for end in ends {
-            let res = session.feed(&stream[fed..end]);
+            session.push(&stream[fed..end]);
             fed = end;
+            got.extend(std::iter::from_fn(|| session.next_message()).map(|m| m.map_err(drop)));
+            // What has fully arrived, up to and including the bad frame:
+            // what follows it in its chunk is dropped with it.
             let arrived = frames.iter().take_while(|(at, _)| *at <= fed);
-            let want: Option<Vec<_>> = arrived.map(|(_, m)| m.clone()).collect();
-            let Some(want) = want else {
-                prop_assert!(res.is_err(), "the chunk that completes the bad frame errs");
+            let mut want: Vec<_> = arrived.map(|(_, m)| m.clone().ok_or(())).collect();
+            let bad = want.iter().position(Result::is_err);
+            want.truncate(bad.map_or(want.len(), |i| i + 1));
+            prop_assert_eq!(&got, &want, "after {} of {} bytes", fed, stream.len());
+            if bad.is_some() {
                 let echo = Message::EchoRequest(Bytes::new());
+                session.push(&echo.encode(9));
                 prop_assert_eq!(
-                    session.feed(&echo.encode(9)).map_err(|_| ()),
-                    Ok(vec![(9, echo)]),
+                    session.next_message().map(|m| m.map_err(drop)),
+                    Some(Ok((9, echo))),
                     "the session reads on after the error"
                 );
                 return Ok(());
-            };
-            got.extend(res.map_err(|e| TestCaseError::fail(format!("{e}")))?);
-            prop_assert_eq!(&got, &want, "after {} of {} bytes", fed, stream.len());
+            }
         }
         prop_assert!(bad_at >= picks.len(), "no bad frame was fed");
+    }
+}
+
+// ---------------------------------------------------------------------
+// SNMP wire codec: the bytes every message encodes to.
+// ---------------------------------------------------------------------
+
+use mgmt::pdu::{ErrorStatus, Pdu, PduType, SnmpMessage, Value};
+
+/// One message of every PDU type, every `Value` variant, the short and
+/// both long BER length forms (`0x81`, `0x82`) at every nesting level,
+/// and OID arcs of one to five base-128 bytes.
+fn snmp_samples() -> Vec<(&'static str, SnmpMessage)> {
+    let oid = |s: &str| -> mgmt::Oid { s.parse().expect("dotted OID") };
+    let request = |ty, id, bindings| SnmpMessage::new("public", Pdu::request(ty, id, bindings));
+    let every_value = vec![
+        (oid("1.3.6.1.2.1.1.1.0"), Value::Integer(-129)),
+        (oid("1.3.6.1.2.1.1.2.0"), Value::Integer(i64::MAX)),
+        (
+            oid("1.3.6.1.2.1.1.5.0"),
+            Value::OctetString(b"pod-7".to_vec()),
+        ),
+        (oid("1.3.6.1.2.1.1.6.0"), Value::Null),
+        (
+            oid("1.3.6.1.2.1.1.2.0"),
+            Value::Oid(oid("1.3.6.1.4.1.8072.3.2.10")),
+        ),
+        (oid("1.3.6.1.2.1.4.20.1.1"), Value::IpAddress([10, 0, 0, 1])),
+        (oid("1.3.6.1.2.1.2.2.1.10.1"), Value::Counter32(0x8000_0000)),
+        (oid("1.3.6.1.2.1.2.2.1.5.1"), Value::Gauge32(1_000_000_000)),
+        (oid("1.3.6.1.2.1.1.3.0"), Value::TimeTicks(8_640_000)),
+        (oid("1.3.6.1.2.1.31.1.1.1.6.1"), Value::Counter64(u64::MAX)),
+        (oid("1.3.6.1.2.1.1.9.0"), Value::NoSuchObject),
+        (oid("1.3.6.1.2.1.1.9.1"), Value::NoSuchInstance),
+        (oid("1.3.6.1.2.1.99"), Value::EndOfMibView),
+    ];
+    // A dot1qVlanStaticTable row write, as the manager's plan issues it.
+    let vlan_row = |vid: u32| {
+        let row = oid("1.3.6.1.2.1.17.7.1.4.3.1");
+        vec![
+            (
+                row.extend(&[1, vid]),
+                Value::OctetString(format!("v{vid}").into_bytes()),
+            ),
+            (row.extend(&[2, vid]), Value::OctetString(vec![0xf0, 0x00])),
+            (row.extend(&[4, vid]), Value::OctetString(vec![0x80, 0x00])),
+            (row.extend(&[5, vid]), Value::Integer(4)),
+        ]
+    };
+    vec![
+        (
+            "get",
+            request(
+                PduType::Get,
+                1,
+                vec![
+                    (oid("1.3.6.1.2.1.1.1.0"), Value::Null),
+                    (oid("1.3.6.1.2.1.1.5.0"), Value::Null),
+                    (oid("1.3.6.1.2.1.2.1.0"), Value::Null),
+                ],
+            ),
+        ),
+        (
+            "get_next",
+            request(
+                PduType::GetNext,
+                2,
+                vec![(oid("1.3.6.1.2.1.17"), Value::Null)],
+            ),
+        ),
+        ("set_vlan_row", request(PduType::Set, 300, vlan_row(101))),
+        (
+            "response_every_value",
+            SnmpMessage::new(
+                "private",
+                Pdu {
+                    ty: PduType::Response,
+                    request_id: -7,
+                    error_status: ErrorStatus::NoError,
+                    error_index: 0,
+                    bindings: every_value,
+                },
+            ),
+        ),
+        (
+            "response_error",
+            SnmpMessage::new(
+                "public",
+                Pdu::request(PduType::Set, 9, vlan_row(102))
+                    .error_response(ErrorStatus::NotWritable, 2),
+            ),
+        ),
+        (
+            "oid_arcs_of_every_width",
+            request(
+                PduType::Get,
+                0x7fff_ffff,
+                vec![
+                    (oid("1.3.6.1.4.1.127.128.16383.16384"), Value::Null),
+                    (oid("2.999.2097151.2097152.4294967295"), Value::Null),
+                ],
+            ),
+        ),
+        // 128..256 bytes: the message's own length takes the 0x81 form.
+        (
+            "set_two_rows",
+            request(PduType::Set, 4, [vlan_row(103), vlan_row(104)].concat()),
+        ),
+        // 256 bytes and more: 0x82 at the message, the PDU, the binding
+        // list and the binding, 0x81 inside.
+        (
+            "response_long_string",
+            SnmpMessage::new(
+                "public",
+                Pdu::request(PduType::Get, 5, vec![]).response(vec![(
+                    oid("1.3.6.1.2.1.1.1.0"),
+                    Value::OctetString(vec![b'x'; 300]),
+                )]),
+            ),
+        ),
+    ]
+}
+
+/// Every sample encodes to the bytes recorded in `data/snmp_golden.txt`
+/// (one `name hex` line per sample, written by the codec that nested a
+/// fresh buffer per constructed TLV), and decodes back to itself.
+#[test]
+fn snmp_encoding_matches_golden_bytes() {
+    let golden: Vec<_> = include_str!("data/snmp_golden.txt")
+        .lines()
+        .map(|l| l.split_once(' ').expect("`name hex` lines"))
+        .collect();
+    let samples = snmp_samples();
+    assert_eq!(golden.len(), samples.len());
+    for ((want_name, want_hex), (name, msg)) in golden.into_iter().zip(samples) {
+        assert_eq!(want_name, name);
+        let wire = msg.encode();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex, want_hex,
+            "{name}: bytes differ from the recorded encoding"
+        );
+        assert_eq!(SnmpMessage::decode(&wire).unwrap(), msg, "{name}");
     }
 }
 
