@@ -1,14 +1,27 @@
-//! Flow-hash microbenchmarks: the OVS-style custom mix of
-//! `netpkt::flowhash` against the standard library's SipHash-1-3, as raw
-//! hashes over a [`FlowKey`] — the operation ROADMAP.md flagged at
-//! ~120 ns as the microflow bottleneck. (What a probe built on that hash
-//! costs is `benches/tables.rs`, `caches/*`.)
+//! Flow-key hash microbenchmarks: `FlowKey::flow_hash`, the fingerprint
+//! every flow-cache probe runs on, against std's SipHash-1-3 over the
+//! derived `Hash` as a reference. (What a probe built on the
+//! fingerprint costs is `benches/tables.rs`, `caches/*`.)
+//!
+//! Each row is ns per hash, printed harness-style and recorded as
+//! `flowhash/{hash}/{regime}` in `BENCH_netsim.json`:
+//!
+//! - `throughput`: 64 distinct keys hashed one after another, every
+//!   result independent, so consecutive hashes overlap;
+//! - `latency`: each hash picks the next key, so every hash waits on
+//!   the one before (and on one load of a key in the first-level
+//!   cache). In the datapath the fingerprint feeds the probe that
+//!   follows it, so this is the row a frame pays.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hash::{BuildHasher, RandomState};
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
+use bench::report::{self, Report};
 use netpkt::{builder, FlowKey, MacAddr};
+
+/// Hashes per call of a timed routine.
+const KEYS: u32 = 64;
 
 fn key(src: u32, dst_port: u16) -> FlowKey {
     let f = builder::udp_packet(
@@ -23,30 +36,49 @@ fn key(src: u32, dst_port: u16) -> FlowKey {
     FlowKey::extract(1, &f).unwrap()
 }
 
-fn bench_raw_hash(c: &mut Criterion) {
-    let mut g = c.benchmark_group("flowhash_raw");
-    g.throughput(Throughput::Elements(1));
-    let k = key(500, 53);
+/// Run `f`, which hashes [`KEYS`] times per call, for 100 ms to warm up
+/// and then until 500 ms have been measured; print the mean per hash
+/// and record it as `flowhash/{name}`.
+fn timed(rep: &mut Report, name: &str, mut f: impl FnMut()) {
+    let mut run = |budget: Duration| {
+        let (start, mut calls) = (Instant::now(), 0u32);
+        while start.elapsed() < budget {
+            for _ in 0..16 {
+                f();
+            }
+            calls += 16;
+        }
+        start.elapsed().as_nanos() as f64 / f64::from(calls * KEYS)
+    };
+    run(Duration::from_millis(100));
+    let ns = run(Duration::from_millis(500));
+    println!("{name:<50} time: {ns:>12.1} ns/iter");
+    rep.record(&format!("flowhash/{name}"), &[("ns_per_iter", ns)]);
+}
+
+/// Time `hash` over the keys in both regimes.
+fn bench_hash(rep: &mut Report, name: &str, keys: &[FlowKey], hash: impl Fn(&FlowKey) -> u32) {
+    timed(rep, &format!("{name}/throughput"), || {
+        for k in keys {
+            black_box(hash(black_box(k)));
+        }
+    });
+    let mut h = 0;
+    timed(rep, &format!("{name}/latency"), || {
+        for _ in 0..KEYS {
+            h = hash(&keys[h as usize % KEYS as usize]);
+        }
+        black_box(h);
+    });
+}
+
+fn main() {
+    let mut rep = Report::load(report::bench_file());
+    let keys: Vec<FlowKey> = (0..KEYS).map(|src| key(src, 53)).collect();
+    bench_hash(&mut rep, "flow_hash", &keys, |k| k.flow_hash(0));
     let sip = RandomState::new();
-    g.bench_function("siphash", |b| {
-        b.iter(|| std::hint::black_box(sip.hash_one(std::hint::black_box(&k))))
-    });
-    g.bench_function("ovs_mix_direct", |b| {
-        b.iter(|| std::hint::black_box(std::hint::black_box(&k).flow_hash(0)))
-    });
-    g.finish();
+    bench_hash(&mut rep, "siphash13", &keys, |k| sip.hash_one(k) as u32);
+    if let Err(e) = rep.save(report::bench_file()) {
+        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
+    }
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .sample_size(30)
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_raw_hash
-}
-criterion_main!(benches);

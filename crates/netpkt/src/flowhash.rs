@@ -1,21 +1,37 @@
-//! A hand-rolled flow hash for [`FlowKey`], in the style of OVS's
-//! `lib/hash.h` (`mhash_add`/`mhash_finish`, i.e. the MurmurHash3 mixing
-//! rounds over 32-bit words).
+//! Hashes over flows: the fingerprint of a [`FlowKey`] that the flow
+//! caches and the flow table index by, and the steering hash of a raw
+//! frame.
 //!
-//! The standard library's `HashMap` defaults to SipHash-1-3, which is a
-//! keyed PRF: on the ~130-byte [`FlowKey`] one probe costs on the order
-//! of 120 ns — more than an entire cached datapath replay (see the
-//! `Notes for perf PRs` section of EXPERIMENTS.md). Software switches do
-//! not need a PRF on this path: flow keys are already extracted from
-//! attacker-controlled bytes by a parser that canonicalises them, and the
-//! caches they index flush wholesale under churn, so OVS uses a short
-//! multiply–rotate mix instead. This module reproduces that trade:
-//! [`FlowKey::flow_hash`] is a direct 32-bit hash of a key — the
-//! fingerprint every flow-cache probe in `softswitch::cache` runs on, a
-//! bucket index, an RSS-style hash.
+//! [`FlowKey::flow_hash64`] packs the key's fields into 64-bit words
+//! and multiplies each word, XORed with a constant of its own and the
+//! seed, by that constant: a full 64×64→128-bit product folded back to
+//! 64 bits (wyhash's "mum", with a constant as the second operand). The
+//! products do not depend on each other, so the processor overlaps
+//! them, and XOR combines them: an IPv4 key is seven multiplies side by
+//! side, then one xorshift-multiply finaliser, not a chain of rounds
+//! each waiting on the last. The IPv6 words and the metadata word are
+//! skipped when zero, as OVS hashes only the populated words of a
+//! miniflow. No two key words are multiplied by each other: a zero
+//! operand would erase the other word.
 //!
-//! The `flowhash` criterion group in `crates/bench/benches/flowhash.rs`
-//! compares it against SipHash on real extracted keys.
+//! It is not a PRF, and need not be: keys come out of a canonicalising
+//! parser, the caches flush wholesale under churn, and every
+//! fingerprint match is verified against a stored key, so a collision
+//! costs a probe, never a wrong hit. SipHash-1-3 over the 96-byte
+//! [`FlowKey`] costs many times as much (ledger rows `flowhash/*`,
+//! written by `crates/bench/benches/flowhash.rs`).
+//!
+//! The datapath's fingerprint, [`FlowKey::flow_hash`]`(0)`, is unseeded
+//! and part of the simulated model: two 5-tuples that share it under one
+//! megaflow share a microflow slot and both hit (`softswitch::cache`),
+//! which sets a frame's lookup path and so its simulated service time.
+//! A seed that differed from run to run would make the simulator
+//! non-deterministic. `openflow::FlowTable` seeds
+//! [`FlowKey::flow_hash64`] once per table.
+//!
+//! [`rss_hash`] keeps OVS's `mhash` (MurmurHash3) rounds: steering picks
+//! the core that serves a flow, so its values are simulated numbers, and
+//! a golden test pins them.
 
 use crate::FlowKey;
 
@@ -25,7 +41,7 @@ const C2: u32 = 0x1b87_3593;
 
 /// One OVS `mhash_add` round: fold a 32-bit word into the running hash.
 #[inline]
-pub fn mix(hash: u32, data: u32) -> u32 {
+fn mix(hash: u32, data: u32) -> u32 {
     let mut d = data.wrapping_mul(C1);
     d = d.rotate_left(15);
     d = d.wrapping_mul(C2);
@@ -35,7 +51,7 @@ pub fn mix(hash: u32, data: u32) -> u32 {
 
 /// OVS `mhash_finish`: the avalanche finaliser.
 #[inline]
-pub fn finish(hash: u32) -> u32 {
+fn finish(hash: u32) -> u32 {
     let mut h = hash;
     h ^= h >> 16;
     h = h.wrapping_mul(0x85eb_ca6b);
@@ -44,21 +60,49 @@ pub fn finish(hash: u32) -> u32 {
     h ^ (h >> 16)
 }
 
+/// Words in a packed key: seven that every key fills, the four of the
+/// two IPv6 addresses, and the metadata word.
+const WORDS: usize = 12;
+
+/// Word `i` is XORed with `K[i]` and the seed, then multiplied by
+/// `K[i]`: odd splitmix64 outputs with about half their bits set.
+const K: [u64; WORDS] = [
+    0xe220_a839_7b1d_cdaf,
+    0x6e78_9e6a_a1b9_65f5,
+    0xf88b_b8a8_724c_81ed,
+    0x1b39_896a_51a8_749b,
+    0x53cb_9f0c_747e_a2eb,
+    0x2c82_9abe_1f45_32e1,
+    0xc584_133a_c916_ab3d,
+    0x3ee5_7890_41c9_8ac3,
+    0xf3b8_488c_368c_b0a7,
+    0x657e_ecdd_3cb1_3d09,
+    0xc2d3_26e0_055b_def7,
+    0x8621_a03f_e0bb_db7b,
+];
+
+/// The finaliser's multiplier (2^64 / φ, odd).
+const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 128-bit product of `x` and `k`, its halves XORed.
+#[inline(always)]
+fn mum(x: u64, k: u64) -> u64 {
+    let p = u128::from(x) * u128::from(k);
+    p as u64 ^ (p >> 64) as u64
+}
+
 impl FlowKey {
-    /// Hash the key with the OVS-style multiply–rotate mix, seeded with
-    /// `basis` (use 0 unless you need distinct hash universes, e.g. for
-    /// per-bucket RSS).
-    ///
-    /// Every field of the key participates, so two keys compare equal iff
-    /// collisions aside they hash equal — the property the microflow
-    /// cache needs. This is *not* a keyed/cryptographic hash; see the
-    /// module docs for why that is the right trade here.
-    #[inline]
-    pub fn flow_hash(&self, basis: u32) -> u32 {
-        // Exhaustive destructure (no `..`): adding a field to `FlowKey`
-        // fails to compile here until the new field joins the mix — the
-        // derived `Hash` path picks fields up automatically, and this
-        // hand-walked path must never drift behind it.
+    /// The key's fields side by side in 64-bit words, every field bit
+    /// on a word bit of its own: words 0–5 are full, word 6 holds
+    /// `ip_dscp`, `icmp_type` and `icmp_code`, words 7–10 the IPv6
+    /// addresses and word 11 the metadata. The packing only places
+    /// bits, so it is injective. Fields sit in the order rustc lays
+    /// them out today, so most words are one load; nothing but speed
+    /// depends on that.
+    #[inline(always)]
+    fn words(&self) -> [u64; WORDS] {
+        // Exhaustive destructure (no `..`): a field added to `FlowKey`
+        // fails to compile here until it is packed.
         let FlowKey {
             in_port,
             eth_dst,
@@ -83,52 +127,73 @@ impl FlowKey {
             arp_tpa,
             metadata,
         } = *self;
-        let mut h = basis;
-        h = mix(h, in_port);
-        // The two MACs pack into three 32-bit words.
-        let d = eth_dst.0;
-        let s = eth_src.0;
-        h = mix(h, u32::from_be_bytes([d[0], d[1], d[2], d[3]]));
-        h = mix(h, u32::from_be_bytes([d[4], d[5], s[0], s[1]]));
-        h = mix(h, u32::from_be_bytes([s[2], s[3], s[4], s[5]]));
-        h = mix(h, u32::from(eth_type) << 16 | u32::from(vlan_vid));
-        h = mix(
-            h,
-            u32::from(vlan_pcp) << 24 | u32::from(ip_proto) << 16 | u32::from(ip_dscp) << 8,
-        );
-        h = mix(h, ipv4_src);
-        h = mix(h, ipv4_dst);
-        // IPv6 addresses are zero for the dominant v4 traffic; skip the
-        // eight extra rounds entirely in that case (OVS similarly hashes
-        // the miniflow, i.e. only the populated words).
-        if ipv6_src != 0 || ipv6_dst != 0 {
-            for word in [ipv6_src, ipv6_dst] {
-                h = mix(h, word as u32);
-                h = mix(h, (word >> 32) as u32);
-                h = mix(h, (word >> 64) as u32);
-                h = mix(h, (word >> 96) as u32);
-            }
+        let [d0, d1, d2, d3, d4, d5] = eth_dst.0;
+        let [s0, s1, s2, s3, s4, s5] = eth_src.0;
+        // Built as a `u32` of its own, this is one load.
+        let op_pcp_proto =
+            u32::from(arp_op) | u32::from(vlan_pcp) << 16 | u32::from(ip_proto) << 24;
+        [
+            u64::from(in_port) | u64::from(op_pcp_proto) << 32,
+            u64::from_le_bytes([d0, d1, d2, d3, d4, d5, s0, s1]),
+            u64::from(u32::from_le_bytes([s2, s3, s4, s5]))
+                | u64::from(eth_type) << 32
+                | u64::from(vlan_vid) << 48,
+            u64::from(ipv4_src) | u64::from(ipv4_dst) << 32,
+            u64::from(tcp_src)
+                | u64::from(tcp_dst) << 16
+                | u64::from(udp_src) << 32
+                | u64::from(udp_dst) << 48,
+            u64::from(arp_spa) | u64::from(arp_tpa) << 32,
+            u64::from(ip_dscp) | u64::from(icmp_type) << 8 | u64::from(icmp_code) << 16,
+            ipv6_src as u64,
+            (ipv6_src >> 64) as u64,
+            ipv6_dst as u64,
+            (ipv6_dst >> 64) as u64,
+            metadata,
+        ]
+    }
+
+    /// The key's 64-bit fingerprint under `seed`, which enters every
+    /// word hashed. Equal keys hash equal; a single flipped bit of any
+    /// field changes the hash. Not a keyed hash in the cryptographic
+    /// sense: see the module docs.
+    #[inline]
+    pub fn flow_hash64(&self, seed: u64) -> u64 {
+        let w = self.words();
+        let term = |i: usize| mum(w[i] ^ K[i] ^ seed, K[i]);
+        let mut h = term(0) ^ term(1) ^ term(2) ^ term(3) ^ term(4) ^ term(5) ^ term(6);
+        if self.ipv6_src | self.ipv6_dst != 0 {
+            h ^= term(7) ^ term(8) ^ term(9) ^ term(10);
         }
-        h = mix(h, u32::from(tcp_src) << 16 | u32::from(tcp_dst));
-        h = mix(h, u32::from(udp_src) << 16 | u32::from(udp_dst));
-        h = mix(
-            h,
-            u32::from(icmp_type) << 24 | u32::from(icmp_code) << 16 | u32::from(arp_op),
-        );
-        h = mix(h, arp_spa);
-        h = mix(h, arp_tpa);
-        if metadata != 0 {
-            h = mix(h, metadata as u32);
-            h = mix(h, (metadata >> 32) as u32);
+        if self.metadata != 0 {
+            h ^= term(11);
         }
-        finish(h)
+        // A product by a constant keeps structure: a field in a word's
+        // top bits hardly moves the product's top bits, and one in its
+        // low bits moves them by multiples of the constant. One
+        // xorshift-multiply-xorshift spreads every bit over all 64 —
+        // the low byte the caches slot by and the top seven bits
+        // hashbrown tags with included. Each step is a bijection, so
+        // keys collide only where their products' XOR does.
+        h ^= h >> 32;
+        h = h.wrapping_mul(SPREAD);
+        h ^ h >> 29
+    }
+
+    /// [`FlowKey::flow_hash64`] folded to 32 bits, seeded with `basis`
+    /// (use 0 unless you need distinct hash universes). The datapath's
+    /// flow caches index by `flow_hash(0)`.
+    #[inline]
+    pub fn flow_hash(&self, basis: u32) -> u32 {
+        let h = self.flow_hash64(u64::from(basis));
+        (h ^ h >> 32) as u32
     }
 }
 
 /// RSS-style steering hash over a *raw* frame: a single cheap pass that
 /// reads only the bytes a NIC's receive-side-scaling engine would — the
 /// IPv4 5-tuple when present, the MAC/EtherType words otherwise — and
-/// mixes them with the same MurmurHash3 rounds as [`FlowKey::flow_hash`].
+/// mixes them with OVS's MurmurHash3 `mhash` rounds.
 ///
 /// This deliberately does *not* run the full [`FlowKey`] parser: the
 /// steering stage sits in front of the datapath and must cost a fraction
@@ -197,7 +262,8 @@ pub fn rss_hash(frame: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{builder, MacAddr};
+    use crate::vlan::{push_vlan, push_vlan_tpid};
+    use crate::{builder, EtherType, MacAddr, VlanTag};
     use std::collections::HashSet;
     use std::net::Ipv4Addr;
 
@@ -214,20 +280,135 @@ mod tests {
         FlowKey::extract(1, &f).unwrap()
     }
 
+    /// A zero seed and one that is not.
+    const SEEDS: [u64; 2] = [0, 0x5eed_0fca_11ab_1e57];
+
+    /// Flips bit `b` of one field.
+    type Flip = fn(&mut FlowKey, u32);
+
+    /// Every field of a key: its width in bits, and how to flip one of
+    /// its bits.
+    const FIELDS: [(u32, Flip); 22] = [
+        (32, |k, b| k.in_port ^= 1 << b),
+        (48, |k, b| k.eth_dst.0[b as usize / 8] ^= 1 << (b % 8)),
+        (48, |k, b| k.eth_src.0[b as usize / 8] ^= 1 << (b % 8)),
+        (16, |k, b| k.eth_type ^= 1 << b),
+        (16, |k, b| k.vlan_vid ^= 1 << b),
+        (8, |k, b| k.vlan_pcp ^= 1 << b),
+        (8, |k, b| k.ip_proto ^= 1 << b),
+        (8, |k, b| k.ip_dscp ^= 1 << b),
+        (32, |k, b| k.ipv4_src ^= 1 << b),
+        (32, |k, b| k.ipv4_dst ^= 1 << b),
+        (128, |k, b| k.ipv6_src ^= 1 << b),
+        (128, |k, b| k.ipv6_dst ^= 1 << b),
+        (16, |k, b| k.tcp_src ^= 1 << b),
+        (16, |k, b| k.tcp_dst ^= 1 << b),
+        (16, |k, b| k.udp_src ^= 1 << b),
+        (16, |k, b| k.udp_dst ^= 1 << b),
+        (8, |k, b| k.icmp_type ^= 1 << b),
+        (8, |k, b| k.icmp_code ^= 1 << b),
+        (16, |k, b| k.arp_op ^= 1 << b),
+        (32, |k, b| k.arp_spa ^= 1 << b),
+        (32, |k, b| k.arp_tpa ^= 1 << b),
+        (64, |k, b| k.metadata ^= 1 << b),
+    ];
+
+    /// Every `(field, bit)` of a key.
+    fn field_bits() -> impl Iterator<Item = (usize, u32)> {
+        FIELDS
+            .iter()
+            .enumerate()
+            .flat_map(|(f, &(width, _))| (0..width).map(move |b| (f, b)))
+    }
+
+    /// `key` with bit `b` of field `f` flipped.
+    fn flipped(key: FlowKey, f: usize, b: u32) -> FlowKey {
+        let mut k = key;
+        FIELDS[f].1(&mut k, b);
+        k
+    }
+
+    /// Each of a key's 728 field bits sets one word bit, and no two set
+    /// the same one; the widths above are the fields' own, since all
+    /// ones in every field sets exactly those bits. The packing only
+    /// places bits (a key's words are the XOR of its set bits' words),
+    /// so no two keys pack alike.
+    #[test]
+    fn word_packing_is_injective() {
+        let zero = FlowKey::default();
+        assert_eq!(zero.words(), [0; WORDS]);
+        let mut taken = [0u64; WORDS];
+        for (f, b) in field_bits() {
+            let words = flipped(zero, f, b).words();
+            let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(set, 1, "field {f} bit {b} sets {set} word bits");
+            for (t, w) in taken.iter_mut().zip(words) {
+                assert_eq!(*t & w, 0, "field {f} bit {b} shares a word bit");
+                *t |= w;
+            }
+        }
+        assert_eq!(field_bits().count(), 91 * 8);
+        assert_eq!(FlowKey::exact_mask().words(), taken);
+    }
+
+    /// The key whose packed words equal the constants they are XORed
+    /// with, in every bit a field owns (all of words 0–5 and 7–11, the
+    /// low 24 bits of word 6): at seed 0 each of those words multiplies
+    /// as zero.
+    fn key_on_the_constants() -> FlowKey {
+        let zero = FlowKey::default();
+        let on = |f, b| {
+            let words = flipped(zero, f, b).words();
+            words.iter().zip(K).any(|(w, k)| w & k != 0)
+        };
+        field_bits()
+            .filter(|&(f, b)| on(f, b))
+            .fold(zero, |key, (f, b)| flipped(key, f, b))
+    }
+
+    #[test]
+    fn flipping_any_bit_of_any_field_changes_the_wide_hash() {
+        let on_constants = key_on_the_constants();
+        let owned = FlowKey::exact_mask().words();
+        for (i, w) in on_constants.words().into_iter().enumerate() {
+            assert_eq!(w, K[i] & owned[i], "word {i}");
+        }
+        for base in [FlowKey::default(), on_constants] {
+            for seed in SEEDS {
+                let h = base.flow_hash64(seed);
+                for (f, b) in field_bits() {
+                    assert_ne!(
+                        flipped(base, f, b).flow_hash64(seed),
+                        h,
+                        "field {f} bit {b}, seed {seed:#x}, base {base:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn equal_keys_hash_equal() {
         assert_eq!(key(7, 53).flow_hash(0), key(7, 53).flow_hash(0));
         assert_eq!(key(7, 53).flow_hash(9), key(7, 53).flow_hash(9));
+        assert_eq!(
+            key(7, 53).flow_hash64(SEEDS[1]),
+            key(7, 53).flow_hash64(SEEDS[1])
+        );
     }
 
     #[test]
     fn basis_separates_universes() {
         assert_ne!(key(7, 53).flow_hash(0), key(7, 53).flow_hash(1));
+        assert_ne!(
+            key(7, 53).flow_hash64(SEEDS[0]),
+            key(7, 53).flow_hash64(SEEDS[1])
+        );
     }
 
     #[test]
     fn distinct_microflows_spread() {
-        // 4096 distinct flows must not collapse: the mix has to put
+        // 4096 distinct flows must not collapse: the hash has to put
         // nearly all of them in distinct 32-bit slots (a couple of
         // birthday collisions would be ~one in a million here).
         let mut seen = HashSet::new();
@@ -241,52 +422,41 @@ mod tests {
 
     #[test]
     fn low_bits_spread_for_bucketing() {
-        // HashMap uses the low bits for the bucket index; sequential
-        // sources must not all land in a few buckets.
-        let mut buckets = HashSet::new();
-        for src in 0..256u32 {
-            buckets.insert(key(src, 53).flow_hash(0) & 0xff);
+        // The flow caches take a slot from the fingerprint's low bits.
+        // `FlowTable` hands its wide hash straight to hashbrown, which
+        // takes a bucket from the low bits and a control byte from the
+        // top 7. Sequential keys must not land on a few of either.
+        let distinct = |hashes: Vec<u64>| hashes.into_iter().collect::<HashSet<_>>().len();
+        let families: [fn(u32) -> FlowKey; 2] = [|i| key(i, 53), |i| key(1, i as u16)];
+        for (n, family) in families.into_iter().enumerate() {
+            let keys: Vec<FlowKey> = (0..256).map(family).collect();
+            let low = distinct(
+                keys.iter()
+                    .map(|k| u64::from(k.flow_hash(0) & 0xff))
+                    .collect(),
+            );
+            assert!(low > 128, "family {n}: only {low} low-byte values");
+            for seed in SEEDS {
+                let wide = keys.iter().map(|k| k.flow_hash64(seed));
+                let low = distinct(wide.clone().map(|h| h & 0xff).collect());
+                let top = distinct(wide.map(|h| h >> 57).collect());
+                assert!(low > 128, "family {n}, seed {seed:#x}: {low} low bytes");
+                assert!(top > 96, "family {n}, seed {seed:#x}: {top} top-7 values");
+            }
         }
-        assert!(
-            buckets.len() > 128,
-            "only {} low-byte values",
-            buckets.len()
-        );
     }
 
     #[test]
     fn every_field_is_significant() {
+        // The lowest and the highest bit of each of the 22 fields, on a
+        // real key, through the datapath's 32-bit fingerprint.
         let base = key(1, 53);
         let h0 = base.flow_hash(0);
-        let mutations: Vec<FlowKey> = vec![
-            FlowKey { in_port: 2, ..base },
-            FlowKey {
-                eth_src: MacAddr::host(99),
-                ..base
-            },
-            FlowKey {
-                vlan_vid: 0x1000 | 101,
-                ..base
-            },
-            FlowKey {
-                ipv4_dst: base.ipv4_dst ^ 1,
-                ..base
-            },
-            FlowKey {
-                udp_src: 1001,
-                ..base
-            },
-            FlowKey {
-                metadata: 3,
-                ..base
-            },
-            FlowKey {
-                ipv6_src: 1,
-                ..base
-            },
-        ];
-        for (i, m) in mutations.iter().enumerate() {
-            assert_ne!(m.flow_hash(0), h0, "mutation {i} did not change the hash");
+        for (f, &(width, _)) in FIELDS.iter().enumerate() {
+            for b in [0, width - 1] {
+                let h = flipped(base, f, b).flow_hash(0);
+                assert_ne!(h, h0, "field {f} bit {b} did not change the hash");
+            }
         }
     }
 
@@ -314,7 +484,7 @@ mod tests {
         assert_eq!(rss_hash(&f1), rss_hash(&f2));
 
         // A VLAN tag must not change where the flow steers.
-        let tagged = crate::vlan::push_vlan(&f1, crate::VlanTag::new(101)).expect("taggable");
+        let tagged = push_vlan(&f1, VlanTag::new(101)).expect("taggable");
         assert_eq!(rss_hash(&f1), rss_hash(&tagged));
 
         // Distinct flows spread across hash space.
@@ -345,5 +515,61 @@ mod tests {
         // Runts don't panic.
         assert_eq!(rss_hash(&[]), rss_hash(&[]));
         assert_eq!(rss_hash(&[1, 2, 3]), rss_hash(&[1, 2, 3]));
+    }
+
+    /// Steering picks the core that serves a flow, so `rss_hash` values
+    /// are simulated numbers: these were recorded from the `mhash`
+    /// rounds as they stood when the flow-key fingerprint stopped
+    /// sharing them, and must not move.
+    #[test]
+    fn rss_hash_matches_golden_values() {
+        let udp = builder::udp_packet(
+            MacAddr::host(1),
+            MacAddr::host(2),
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            5000,
+            53,
+            b"payload",
+        );
+        let tcp = builder::tcp_packet(
+            MacAddr::host(3),
+            MacAddr::host(4),
+            Ipv4Addr::new(10, 0, 1, 3),
+            Ipv4Addr::new(10, 0, 2, 4),
+            40000,
+            80,
+            0x02,
+            b"",
+        );
+        let icmp = builder::icmp_echo_request(
+            MacAddr::host(5),
+            MacAddr::host(6),
+            Ipv4Addr::new(10, 0, 0, 5),
+            Ipv4Addr::new(10, 0, 0, 6),
+            7,
+            1,
+            b"ping",
+        );
+        let tagged = push_vlan(&udp, VlanTag::new(101)).unwrap();
+        let qinq = push_vlan_tpid(&tagged, VlanTag::new(300), EtherType::QINQ).unwrap();
+        let arp = builder::arp_request(
+            MacAddr::host(1),
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+        );
+        let golden: [(&str, &[u8], u32); 8] = [
+            ("udp", &udp, 0xf100_bc3b),
+            ("tcp", &tcp, 0x3c2a_9d7c),
+            ("icmp", &icmp, 0x9ea3_3331),
+            ("one tag", &tagged, 0xf100_bc3b),
+            ("qinq", &qinq, 0xf100_bc3b),
+            ("arp", &arp, 0xc2bb_e85a),
+            ("runt", &udp[..20], 0x735c_5f22),
+            ("empty", &[], 0x1768_42cd),
+        ];
+        for (name, frame, want) in golden {
+            assert_eq!(rss_hash(frame), want, "{name}");
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! An index returned by a lookup names a slot, and is valid until the
 //! table's next mutation ([`FlowTable::version`] moves with every one).
 
-use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
@@ -251,71 +251,11 @@ impl FlowEntry {
 /// proptests run on whole fingerprints.
 const FINGERPRINT_BITS: u64 = if cfg!(test) { 0 } else { u64::MAX };
 
-/// Bytes in a [`key_image`]: every [`FlowKey`] field at its full width.
-const KEY_IMAGE_LEN: usize = 91;
+/// Spreads a rule's priority over a fingerprint's 64 bits (2^64 / φ).
+const PRIORITY_SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// `key`'s fields laid end to end at fixed widths. Two keys have the same
-/// image only if they are equal, so hashing the image in one `write`
-/// fingerprints the key as the derived `Hash`'s ~22 field writes do.
-fn key_image(key: &FlowKey) -> [u8; KEY_IMAGE_LEN] {
-    // Exhaustive destructure (no `..`): a field added to `FlowKey` fails
-    // to compile here until it is packed.
-    let FlowKey {
-        in_port,
-        eth_dst,
-        eth_src,
-        eth_type,
-        vlan_vid,
-        vlan_pcp,
-        ip_proto,
-        ip_dscp,
-        ipv4_src,
-        ipv4_dst,
-        ipv6_src,
-        ipv6_dst,
-        tcp_src,
-        tcp_dst,
-        udp_src,
-        udp_dst,
-        icmp_type,
-        icmp_code,
-        arp_op,
-        arp_spa,
-        arp_tpa,
-        metadata,
-    } = *key;
-    let mut image = [0; KEY_IMAGE_LEN];
-    let mut at = 0;
-    for field in [
-        &in_port.to_le_bytes()[..],
-        &eth_dst.0,
-        &eth_src.0,
-        &eth_type.to_le_bytes(),
-        &vlan_vid.to_le_bytes(),
-        &[vlan_pcp, ip_proto, ip_dscp],
-        &ipv4_src.to_le_bytes(),
-        &ipv4_dst.to_le_bytes(),
-        &ipv6_src.to_le_bytes(),
-        &ipv6_dst.to_le_bytes(),
-        &tcp_src.to_le_bytes(),
-        &tcp_dst.to_le_bytes(),
-        &udp_src.to_le_bytes(),
-        &udp_dst.to_le_bytes(),
-        &[icmp_type, icmp_code],
-        &arp_op.to_le_bytes(),
-        &arp_spa.to_le_bytes(),
-        &arp_tpa.to_le_bytes(),
-        &metadata.to_le_bytes(),
-    ] {
-        image[at..at + field.len()].copy_from_slice(field);
-        at += field.len();
-    }
-    debug_assert_eq!(at, KEY_IMAGE_LEN, "every byte of the image is a field's");
-    image
-}
-
-/// The hasher of [`MaskGroup::slots`]: a fingerprint is already the
-/// output of the table's keyed hasher, so it is its own hash.
+/// The hasher of [`MaskGroup::slots`]: a fingerprint is already a
+/// seeded [`FlowKey::flow_hash64`], so it is its own hash.
 #[derive(Default)]
 struct PassThrough(u64);
 
@@ -366,9 +306,14 @@ pub struct FlowTable {
     order: Vec<Slot>,
     /// Non-empty mask groups, ascending by `first`.
     groups: Vec<MaskGroup>,
-    /// Keys fingerprints: matches arrive from the wire, so std's
-    /// randomly keyed hasher.
-    hasher: RandomState,
+    /// Seeds [`FlowKey::flow_hash64`] for this table's fingerprints,
+    /// drawn once from std's `RandomState`. It moves which keys share a
+    /// fingerprint from table to table and run to run, so no fixed set
+    /// of matches spills in every table. It does not make the hash a
+    /// PRF, and need not: the controller, which authors every key, is
+    /// trusted, and a shared fingerprint costs a walk of the spill
+    /// list, never a wrong entry.
+    seed: u64,
     next_seq: u64,
     capacity: usize,
     version: u64,
@@ -390,7 +335,7 @@ impl FlowTable {
             ranks: Vec::new(),
             order: Vec::new(),
             groups: Vec::new(),
-            hasher: RandomState::new(),
+            seed: RandomState::new().build_hasher().finish(),
             next_seq: 0,
             capacity,
             version: 0,
@@ -462,34 +407,24 @@ impl FlowTable {
         self.order.partition_point(|&s| self.rank_of(s) < rank)
     }
 
-    fn key_hasher(&self, key: &FlowKey) -> DefaultHasher {
-        let mut h = self.hasher.build_hasher();
-        h.write(&key_image(key));
-        h
+    fn key_hash(&self, key: &FlowKey) -> u64 {
+        key.flow_hash64(self.seed)
     }
 
-    fn fingerprint(hashed_key: &DefaultHasher, priority: u16) -> u64 {
-        let mut h = hashed_key.clone();
-        h.write_u16(priority);
-        h.finish() & FINGERPRINT_BITS
+    fn fingerprint(key_hash: u64, priority: u16) -> u64 {
+        (key_hash ^ u64::from(priority).wrapping_mul(PRIORITY_SPREAD)) & FINGERPRINT_BITS
     }
 
     /// Slot of `g`'s entry with exactly this key and priority.
     /// Fingerprints can collide, so the slot's entry is checked and the
     /// spill list is the fallback.
-    fn find(
-        &self,
-        g: &MaskGroup,
-        hashed_key: &DefaultHasher,
-        key: &FlowKey,
-        priority: u16,
-    ) -> Option<Slot> {
+    fn find(&self, g: &MaskGroup, key_hash: u64, key: &FlowKey, priority: u16) -> Option<Slot> {
         let is_it = |&slot: &Slot| {
             let e = self.at(slot);
             (e.priority == priority && e.key == *key).then_some(slot)
         };
         g.slots
-            .get(&Self::fingerprint(hashed_key, priority))
+            .get(&Self::fingerprint(key_hash, priority))
             .and_then(is_it)
             .or_else(|| g.spill.iter().find_map(is_it))
     }
@@ -503,15 +438,8 @@ impl FlowTable {
     }
 
     /// Enter the entry ranked `rank` in `slot` into its mask group.
-    fn index(
-        &mut self,
-        hashed_key: &DefaultHasher,
-        mask: &FieldMask,
-        priority: u16,
-        rank: u64,
-        slot: Slot,
-    ) {
-        let fp = Self::fingerprint(hashed_key, priority);
+    fn index(&mut self, key_hash: u64, mask: &FieldMask, priority: u16, rank: u64, slot: Slot) {
+        let fp = Self::fingerprint(key_hash, priority);
         let gi = self
             .groups
             .iter()
@@ -546,7 +474,7 @@ impl FlowTable {
     fn unindex(&mut self, slot: Slot) -> Option<FieldMask> {
         let e = self.at(slot);
         let (mask, priority, rank) = (e.mask, e.priority, self.rank_of(slot));
-        let fp = Self::fingerprint(&self.key_hasher(&e.key), priority);
+        let fp = Self::fingerprint(self.key_hash(&e.key), priority);
         let g = self.group_mut(&mask);
         if g.slots.get(&fp) == Some(&slot) {
             g.slots.remove(&fp);
@@ -574,10 +502,7 @@ impl FlowTable {
             let pos = self.position(self.rank_of(last));
             self.order[pos] = slot;
             let e = self.at(last);
-            let (mask, fp) = (
-                e.mask,
-                Self::fingerprint(&self.key_hasher(&e.key), e.priority),
-            );
+            let (mask, fp) = (e.mask, Self::fingerprint(self.key_hash(&e.key), e.priority));
             let g = self.group_mut(&mask);
             match g.slots.get_mut(&fp) {
                 Some(s) if *s == last => *s = slot,
@@ -644,7 +569,7 @@ impl FlowTable {
                 let (key, mask, priority) = (e.key, e.mask, e.priority);
                 let rank = rank(priority, i as u64);
                 self.ranks[slot as usize] = rank;
-                self.index(&self.key_hasher(&key), &mask, priority, rank, slot);
+                self.index(self.key_hash(&key), &mask, priority, rank, slot);
             }
             self.next_seq = self.order.len() as u64;
         }
@@ -665,12 +590,12 @@ impl FlowTable {
                 return Err(Error::Overlap);
             }
         }
-        let hashed_key = self.key_hasher(&entry.key);
+        let key_hash = self.key_hash(&entry.key);
         let installed = self
             .groups
             .iter()
             .find(|g| g.mask == entry.mask)
-            .and_then(|g| self.find(g, &hashed_key, &entry.key, entry.priority));
+            .and_then(|g| self.find(g, key_hash, &entry.key, entry.priority));
         if let Some(slot) = installed {
             // Identical match + priority: replace in place (counters reset).
             self.entries[slot as usize] = entry;
@@ -681,7 +606,7 @@ impl FlowTable {
             // Ranked after every entry of its priority (stable order).
             let rank = rank(entry.priority, self.take_seq());
             let slot = Slot::try_from(self.entries.len()).expect("fewer than 2^32 entries");
-            self.index(&hashed_key, &entry.mask, entry.priority, rank, slot);
+            self.index(key_hash, &entry.mask, entry.priority, rank, slot);
             self.order.insert(self.position(rank), slot);
             self.ranks.push(rank);
             self.entries.push(entry);
@@ -695,7 +620,7 @@ impl FlowTable {
     /// every entry within the match's region.
     fn select(&self, match_: &Match, priority: u16, strict: bool) -> Vec<Slot> {
         let (fkey, fmask) = match_.to_key_mask();
-        let hashed_key = self.key_hasher(&fkey);
+        let key_hash = self.key_hash(&fkey);
         let mut sel = Vec::new();
         for g in &self.groups {
             if g.mask == fmask {
@@ -705,7 +630,7 @@ impl FlowTable {
                 sel.extend(
                     prios
                         .filter(|p| !strict || *p == priority)
-                        .filter_map(|p| self.find(g, &hashed_key, &fkey, p)),
+                        .filter_map(|p| self.find(g, key_hash, &fkey, p)),
                 );
             } else if !strict && g.mask.mask_union(&fmask) == g.mask {
                 // Entries narrower than the filter: walk the group.
@@ -793,9 +718,9 @@ impl FlowTable {
             }
             probes += 1;
             let key = pkt.masked(&g.mask);
-            let hashed_key = self.key_hasher(&key);
+            let key_hash = self.key_hash(&key);
             let mut prios = g.prios.iter();
-            if let Some(slot) = prios.find_map(|p| self.find(g, &hashed_key, &key, p.0)) {
+            if let Some(slot) = prios.find_map(|p| self.find(g, key_hash, &key, p.0)) {
                 let rank = self.rank_of(slot);
                 if best.is_none_or(|(r, _)| rank < r) {
                     best = Some((rank, slot));
@@ -1182,54 +1107,6 @@ mod tests {
         assert_eq!(t.len(), 4, "replaced, not duplicated");
         let any = (crate::port_no::ANY, crate::group_no::ANY);
         assert_eq!(t.delete(&udp_match(3), 5, true, any.0, any.1).len(), 1);
-    }
-
-    /// Setting any one field of a zero key to all ones sets that field's
-    /// bytes of the image and no others; across the fields, those bytes
-    /// tile the image. So each field has bytes of its own, at its full
-    /// width, and the image is injective.
-    #[test]
-    fn key_image_gives_every_field_its_own_bytes() {
-        let (zero, ones) = (FlowKey::default(), FlowKey::exact_mask());
-        let flips: [fn(&mut FlowKey, &FlowKey); 22] = [
-            |k, o| k.in_port = o.in_port,
-            |k, o| k.eth_dst = o.eth_dst,
-            |k, o| k.eth_src = o.eth_src,
-            |k, o| k.eth_type = o.eth_type,
-            |k, o| k.vlan_vid = o.vlan_vid,
-            |k, o| k.vlan_pcp = o.vlan_pcp,
-            |k, o| k.ip_proto = o.ip_proto,
-            |k, o| k.ip_dscp = o.ip_dscp,
-            |k, o| k.ipv4_src = o.ipv4_src,
-            |k, o| k.ipv4_dst = o.ipv4_dst,
-            |k, o| k.ipv6_src = o.ipv6_src,
-            |k, o| k.ipv6_dst = o.ipv6_dst,
-            |k, o| k.tcp_src = o.tcp_src,
-            |k, o| k.tcp_dst = o.tcp_dst,
-            |k, o| k.udp_src = o.udp_src,
-            |k, o| k.udp_dst = o.udp_dst,
-            |k, o| k.icmp_type = o.icmp_type,
-            |k, o| k.icmp_code = o.icmp_code,
-            |k, o| k.arp_op = o.arp_op,
-            |k, o| k.arp_spa = o.arp_spa,
-            |k, o| k.arp_tpa = o.arp_tpa,
-            |k, o| k.metadata = o.metadata,
-        ];
-        assert_eq!(key_image(&zero), [0; KEY_IMAGE_LEN]);
-        let mut owner = [None; KEY_IMAGE_LEN];
-        for (i, flip) in flips.iter().enumerate() {
-            let mut key = zero;
-            flip(&mut key, &ones);
-            let image = key_image(&key);
-            assert!(image.iter().any(|&b| b != 0), "field {i} is not packed");
-            for (byte, _) in image.iter().enumerate().filter(|(_, &b)| b != 0) {
-                assert_eq!(image[byte], 0xff, "field {i} is packed narrower");
-                assert_eq!(owner[byte], None, "fields share byte {byte}");
-                owner[byte] = Some(i);
-            }
-        }
-        assert!(owner.iter().all(Option::is_some), "bytes no field owns");
-        assert_eq!(key_image(&ones), [0xff; KEY_IMAGE_LEN]);
     }
 
     #[test]

@@ -23,11 +23,14 @@
 //! and the signature index empties whenever the store it points into
 //! has flushed, by epoch or by capacity.
 //!
-//! The fingerprint is [`FlowKey::flow_hash`], the OVS-style mix, not
-//! SipHash (which over the 96-byte [`FlowKey`] costs more than the
-//! probe it feeds; EXPERIMENTS.md, `flowhash`). The datapath hashes a
-//! frame's key once, where it parses it, for the signature index (the
-//! `*_hashed` forms); a wildcard subtable hashes the key as masked.
+//! The fingerprint is [`FlowKey::flow_hash`]`(0)`: a few independent
+//! multiplies, not SipHash (which over the 96-byte [`FlowKey`] costs
+//! more than the probe it feeds; ledger rows `flowhash/*`). It is
+//! unseeded, and must stay so: which 5-tuples share a slot decides
+//! which level serves a frame, and so its simulated cost. The datapath
+//! hashes a frame's key once, where it parses it, for the signature
+//! index (the `*_hashed` forms); a wildcard subtable hashes the key as
+//! masked.
 
 use netpkt::flowkey::{CompiledMask, FieldMask};
 use netpkt::FlowKey;
