@@ -1,7 +1,11 @@
 //! Packet-parsing microbenchmarks: flow-key extraction and VLAN
 //! manipulation — the two operations on every HARMLESS hot path.
 //!
-//! The criterion groups print as always. The tag operations of
+//! The criterion groups print as always. Flow-key extraction, the
+//! hot path's parse (`FlowKey::extract_lossy`, as the datapath calls
+//! it), is also timed by its own loop and recorded to `BENCH_netsim.json`
+//! (`parse/flowkey_extract/{udp_60,udp_1514,tcp_syn,udp_tagged,arp}`,
+//! ns per frame). The tag operations of
 //! [`FrameBuf`] are also recorded to `BENCH_netsim.json`
 //! (`parse/vlan_{push,pop}_{shared,unique}_{60,1514}`): the *unique*
 //! rows (the switch is the frame's only holder: twelve bytes moved in
@@ -134,8 +138,9 @@ fn config() -> Criterion {
 
 /// Time `op` over rounds of `bufs.len()` frames until 300 ms have been
 /// measured, running `undo` over them untimed after every round (an
-/// in-place tag operation uses up what it works on); print the mean and
-/// record it with the buffers allocated per operation.
+/// in-place tag operation uses up what it works on; a parse nothing);
+/// print the mean and record it with the buffers allocated per
+/// operation.
 fn tag_rounds<T>(
     rep: &mut Report,
     name: &str,
@@ -167,10 +172,18 @@ fn tag_rounds<T>(
     );
 }
 
-fn vlan_ledger() {
+fn ledger() {
     const ROUND: usize = 64;
     const TCI: u16 = 101;
     let mut rep = Report::load(report::bench_file());
+    for (name, frame) in frames() {
+        let mut bufs = vec![frame; ROUND];
+        let extract = |f: &mut Bytes| {
+            black_box(FlowKey::extract_lossy(1, black_box(f)));
+        };
+        let name = format!("flowkey_extract/{name}");
+        tag_rounds(&mut rep, &name, &mut bufs, extract, |_| {});
+    }
     for size in [60usize, 1514] {
         let bare = builder::sized_udp_packet(
             MacAddr::host(1),
@@ -292,4 +305,4 @@ criterion_group! {
     config = config();
     targets = bench_flowkey, bench_vlan_ops, bench_masking
 }
-criterion_main!(benches, vlan_ledger);
+criterion_main!(benches, ledger);

@@ -35,9 +35,7 @@ impl PacketInEvent {
         if self.key.eth_type != 0x0806 || self.key.arp_op != netpkt::ArpOp::Request.value() {
             return None;
         }
-        let eth = netpkt::EthernetFrame::new_unchecked(&self.data[..]);
-        let arp = netpkt::ArpPacket::new_checked(eth.payload()).ok()?;
-        netpkt::ArpRepr::parse(&arp).ok()
+        netpkt::Layers::parse(&self.data).ok()?.arp()
     }
 }
 

@@ -11,8 +11,8 @@ use bytes::Bytes;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use netpkt::vlan::{self, VlanTag, VlanView};
-use netpkt::{EtherType, EthernetFrame, FrameBuf, MacAddr};
+use netpkt::vlan::{self, VlanTag};
+use netpkt::{frame, EtherType, FrameBuf, MacAddr};
 
 /// Per-port traffic counters (feeds `ifInOctets`/`ifOutOctets`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -522,14 +522,14 @@ impl Bridge {
         };
         rx.rx_frames += 1;
         rx.rx_octets += frame.bytes().len() as u64;
-        let Ok(view) = VlanView::parse(frame.bytes()) else {
+        let Ok(eth) = frame::Header::parse(&mut &frame.bytes()[..]) else {
             return dropped(0);
         };
         // Ingress classification + filtering: a tagged frame must arrive
         // on a member port of its VLAN, an untagged one needs its PVID's
         // VLAN to exist.
-        let arrived_tagged = view.outer.is_some();
-        let vid = view.outer.map_or(self.pvid[slot(in_port)], |tag| tag.vid);
+        let arrived_tagged = eth.outer.is_some();
+        let vid = eth.outer.map_or(self.pvid[slot(in_port)], |tag| tag.vid);
         let entry = match self.vlan_at(vid).map(|at| &self.vlans[at].1) {
             Some(e) if !arrived_tagged || e.egress.contains(in_port) => e,
             _ => {
@@ -538,9 +538,7 @@ impl Bridge {
             }
         };
 
-        // The addresses sit before any tag.
-        let eth = EthernetFrame::new_unchecked(&frame.bytes()[..]);
-        let (src, dst) = (eth.src(), eth.dst());
+        let (src, dst) = (eth.src, eth.dst);
 
         // Learning.
         if src.is_unicast() {
@@ -976,7 +974,10 @@ mod tests {
             if self.ports_ok(&[in_port]).is_err() {
                 return out;
             }
-            let tag = vlan::outer_tag(frame);
+            let Ok(eth) = frame::Header::parse(&mut &frame[..]) else {
+                return out;
+            };
+            let tag = eth.outer;
             out.vlan = tag.map_or(self.pvid[slot(in_port)], |t| t.vid);
             let Some((egress, untagged)) = self.vlans.get(&out.vlan) else {
                 return out;
@@ -985,9 +986,8 @@ mod tests {
                 return out;
             }
             out.filtered = false;
-            let eth = EthernetFrame::new_unchecked(&frame[..]);
-            self.fdb.insert((out.vlan, eth.src()), in_port);
-            let to: Vec<u16> = match self.fdb.get(&(out.vlan, eth.dst())) {
+            self.fdb.insert((out.vlan, eth.src), in_port);
+            let to: Vec<u16> = match self.fdb.get(&(out.vlan, eth.dst)) {
                 Some(&p) if p != in_port && egress.contains(&p) => vec![p],
                 Some(_) => vec![],
                 None => egress.iter().copied().filter(|&p| p != in_port).collect(),

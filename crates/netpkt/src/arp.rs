@@ -2,10 +2,15 @@
 
 use std::net::Ipv4Addr;
 
+use crate::wire::{Cursor, CursorMut};
 use crate::{Error, MacAddr, Result};
 
 /// Byte length of an Ethernet/IPv4 ARP packet.
 pub const PACKET_LEN: usize = 28;
+
+/// The fixed prefix of every Ethernet/IPv4 ARP packet: hardware type 1
+/// (Ethernet), protocol type 0x0800, address lengths 6 and 4.
+const ETHERNET_IPV4: [u8; 6] = [0, 1, 0x08, 0x00, 6, 4];
 
 /// ARP operation code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,56 +43,7 @@ impl ArpOp {
     }
 }
 
-/// View over an Ethernet/IPv4 ARP packet.
-#[derive(Debug, Clone)]
-pub struct ArpPacket<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> ArpPacket<T> {
-    /// Wrap, validating length and the hardware/protocol type fields.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        let b = buffer.as_ref();
-        if b.len() < PACKET_LEN {
-            return Err(Error::Truncated);
-        }
-        // htype=1 (Ethernet), ptype=0x0800, hlen=6, plen=4
-        if b[0..2] != [0, 1] || b[2..4] != [0x08, 0x00] || b[4] != 6 || b[5] != 4 {
-            return Err(Error::Malformed);
-        }
-        Ok(ArpPacket { buffer })
-    }
-
-    /// Operation code.
-    pub fn op(&self) -> ArpOp {
-        let b = self.buffer.as_ref();
-        ArpOp::from_value(u16::from_be_bytes([b[6], b[7]]))
-    }
-
-    /// Sender hardware address.
-    pub fn sender_mac(&self) -> MacAddr {
-        MacAddr::from_slice(&self.buffer.as_ref()[8..14])
-    }
-
-    /// Sender protocol address.
-    pub fn sender_ip(&self) -> Ipv4Addr {
-        let b = self.buffer.as_ref();
-        Ipv4Addr::new(b[14], b[15], b[16], b[17])
-    }
-
-    /// Target hardware address.
-    pub fn target_mac(&self) -> MacAddr {
-        MacAddr::from_slice(&self.buffer.as_ref()[18..24])
-    }
-
-    /// Target protocol address.
-    pub fn target_ip(&self) -> Ipv4Addr {
-        let b = self.buffer.as_ref();
-        Ipv4Addr::new(b[24], b[25], b[26], b[27])
-    }
-}
-
-/// Owned summary of an ARP packet.
+/// An Ethernet/IPv4 ARP packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArpRepr {
     /// Operation.
@@ -103,33 +59,32 @@ pub struct ArpRepr {
 }
 
 impl ArpRepr {
-    /// Parse from a checked view.
-    pub fn parse<T: AsRef<[u8]>>(p: &ArpPacket<T>) -> Result<Self> {
+    /// Read a packet: [`Error::Truncated`] short of [`PACKET_LEN`] bytes,
+    /// [`Error::Malformed`] for any hardware or protocol but Ethernet and
+    /// IPv4.
+    #[inline(always)]
+    pub fn parse(c: &mut &[u8]) -> Result<Self> {
+        let mut p = c.take(PACKET_LEN)?;
+        if p.array()? != ETHERNET_IPV4 {
+            return Err(Error::Malformed);
+        }
         Ok(ArpRepr {
-            op: p.op(),
-            sender_mac: p.sender_mac(),
-            sender_ip: p.sender_ip(),
-            target_mac: p.target_mac(),
-            target_ip: p.target_ip(),
+            op: ArpOp::from_value(p.u16()?),
+            sender_mac: MacAddr(p.array()?),
+            sender_ip: Ipv4Addr::from(p.array::<4>()?),
+            target_mac: MacAddr(p.array()?),
+            target_ip: Ipv4Addr::from(p.array::<4>()?),
         })
     }
 
-    /// Bytes `emit` writes.
-    pub const fn buffer_len(&self) -> usize {
-        PACKET_LEN
-    }
-
-    /// Emit into a buffer of at least [`PACKET_LEN`] bytes.
-    pub fn emit(&self, buf: &mut [u8]) {
-        buf[0..2].copy_from_slice(&[0, 1]);
-        buf[2..4].copy_from_slice(&[0x08, 0x00]);
-        buf[4] = 6;
-        buf[5] = 4;
-        buf[6..8].copy_from_slice(&self.op.value().to_be_bytes());
-        buf[8..14].copy_from_slice(&self.sender_mac.octets());
-        buf[14..18].copy_from_slice(&self.sender_ip.octets());
-        buf[18..24].copy_from_slice(&self.target_mac.octets());
-        buf[24..28].copy_from_slice(&self.target_ip.octets());
+    /// Write the packet's [`PACKET_LEN`] bytes.
+    pub fn write(&self, out: &mut &mut [u8]) -> Result<()> {
+        out.put(&ETHERNET_IPV4)?;
+        out.put_u16(self.op.value())?;
+        out.put(&self.sender_mac.octets())?;
+        out.put(&self.sender_ip.octets())?;
+        out.put(&self.target_mac.octets())?;
+        out.put(&self.target_ip.octets())
     }
 
     /// Build a who-has request.
@@ -166,10 +121,11 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),
         );
-        let mut buf = [0u8; PACKET_LEN];
-        r.emit(&mut buf);
-        let parsed = ArpRepr::parse(&ArpPacket::new_checked(&buf[..]).unwrap()).unwrap();
-        assert_eq!(parsed, r);
+        let mut buf = [0u8; PACKET_LEN + 2];
+        r.write(&mut &mut buf[..]).unwrap();
+        let mut c = &buf[..];
+        assert_eq!(ArpRepr::parse(&mut c).unwrap(), r);
+        assert_eq!(c.len(), 2, "the cursor stops behind the packet");
     }
 
     #[test]
@@ -191,16 +147,13 @@ mod tests {
     fn rejects_non_ethernet_arp() {
         let mut buf = [0u8; PACKET_LEN];
         buf[1] = 6; // htype = IEEE 802
-        assert_eq!(
-            ArpPacket::new_checked(&buf[..]).unwrap_err(),
-            Error::Malformed
-        );
+        assert_eq!(ArpRepr::parse(&mut &buf[..]).unwrap_err(), Error::Malformed);
     }
 
     #[test]
     fn rejects_truncated() {
         assert_eq!(
-            ArpPacket::new_checked(&[0u8; 27][..]).unwrap_err(),
+            ArpRepr::parse(&mut &[0u8; 27][..]).unwrap_err(),
             Error::Truncated
         );
     }

@@ -1,7 +1,8 @@
 //! Convenience constructors for complete, checksummed frames.
 //!
 //! These are what traffic generators, examples and tests use; the hot path
-//! never allocates through here.
+//! never allocates through here. Each writes its headers with their own
+//! `write`, then fills in the checksums over the bytes written.
 //!
 //! Every frame is built with one tag's worth of spare bytes in front of
 //! it, as a NIC driver leaves room in front of a packet: the first tag
@@ -16,18 +17,24 @@ use std::net::Ipv4Addr;
 
 use crate::frame::{self, HEADER_LEN};
 use crate::vlan::TAG_LEN;
+use crate::wire::CursorMut;
 use crate::{arp, icmp, ipv4, tcp, udp};
-use crate::{ArpRepr, EtherType, Icmpv4Type, IpProto, MacAddr};
+use crate::{ArpRepr, Error, EtherType, Icmpv4Type, IpProto, MacAddr, Result};
 
 /// Spare bytes in front of every built frame: room for one tag.
 const HEADROOM: usize = TAG_LEN;
 
 /// A `len`-byte frame, zeroed and then written by `fill`, in a buffer
 /// of its own with [`HEADROOM`] in front of it.
-fn with_headroom(len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+///
+/// # Panics
+/// If `fill` writes past `len` bytes: each builder here sizes its frame
+/// for what it writes.
+fn with_headroom(len: usize, fill: impl FnOnce(&mut [u8]) -> Result<()>) -> Bytes {
     let mut buf = BytesMut::with_capacity(HEADROOM + len);
     buf.resize(HEADROOM + len, 0);
-    fill(&mut buf[HEADROOM..]);
+    fill(buf.get_mut(HEADROOM..).unwrap_or_default())
+        .expect("a built frame holds what it is sized for");
     let mut frame = buf.freeze();
     frame.advance(HEADROOM);
     frame
@@ -35,11 +42,9 @@ fn with_headroom(len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
 
 /// Build a raw Ethernet II frame around an opaque payload.
 pub fn ethernet(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Bytes {
-    with_headroom(HEADER_LEN + payload.len(), |f| {
-        f[..6].copy_from_slice(&dst.octets());
-        f[6..12].copy_from_slice(&src.octets());
-        f[12..HEADER_LEN].copy_from_slice(&ethertype.0.to_be_bytes());
-        f[HEADER_LEN..].copy_from_slice(payload);
+    with_headroom(HEADER_LEN + payload.len(), |mut f| {
+        frame::Header::new(dst, src, ethertype).write(&mut f)?;
+        f.put(payload)
     })
 }
 
@@ -81,7 +86,13 @@ pub fn udp_packet_with(
     fill: impl FnOnce(&mut [u8]),
 ) -> Bytes {
     let udp_len = udp::HEADER_LEN + payload_len;
-    ipv4_frame_with(
+    let header = udp::Header {
+        src_port,
+        dst_port,
+        len: udp_len as u16,
+        checksum: 0,
+    };
+    ipv4_frame(
         src_mac,
         dst_mac,
         src_ip,
@@ -89,12 +100,11 @@ pub fn udp_packet_with(
         IpProto::UDP,
         udp_len,
         |l4| {
-            fill(&mut l4[udp::HEADER_LEN..]);
-            let mut u = udp::UdpPacket::new_unchecked(l4);
-            u.set_src_port(src_port);
-            u.set_dst_port(dst_port);
-            u.set_len_field(udp_len as u16);
-            u.fill_checksum_v4(src_ip, dst_ip);
+            let mut w = &mut *l4;
+            header.write(&mut w)?;
+            fill(w);
+            udp::fill_checksum_v4(l4, src_ip, dst_ip);
+            Ok(())
         },
     )
 }
@@ -111,19 +121,23 @@ pub fn tcp_packet(
     tcp_flags: u8,
     payload: &[u8],
 ) -> Bytes {
-    let tcp_len = tcp::HEADER_LEN + payload.len();
-    let mut l4 = vec![0u8; tcp_len];
-    l4[tcp::HEADER_LEN..].copy_from_slice(payload);
-    let mut t = tcp::TcpPacket::new_unchecked(&mut l4[..]);
-    t.set_src_port(src_port);
-    t.set_dst_port(dst_port);
-    t.set_seq(0);
-    t.set_ack(0);
-    t.set_header_len(tcp::HEADER_LEN);
-    t.set_flags(tcp_flags);
-    t.set_window(65535);
-    t.fill_checksum_v4(src_ip, dst_ip);
-    ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProto::TCP, &l4)
+    let header = tcp::Header {
+        src_port,
+        dst_port,
+        seq: 0,
+        ack: 0,
+        header_len: tcp::HEADER_LEN,
+        flags: tcp_flags,
+        window: 65535,
+    };
+    let len = tcp::HEADER_LEN + payload.len();
+    ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProto::TCP, len, |l4| {
+        let mut w = &mut *l4;
+        header.write(&mut w)?;
+        w.put(payload)?;
+        tcp::fill_checksum_v4(l4, src_ip, dst_ip);
+        Ok(())
+    })
 }
 
 /// Build an Ethernet/IPv4/ICMP echo-request frame.
@@ -136,16 +150,8 @@ pub fn icmp_echo_request(
     seq: u16,
     payload: &[u8],
 ) -> Bytes {
-    icmp_echo(
-        src_mac,
-        dst_mac,
-        src_ip,
-        dst_ip,
-        Icmpv4Type::EchoRequest,
-        ident,
-        seq,
-        payload,
-    )
+    let header = icmp_header(Icmpv4Type::EchoRequest, ident, seq);
+    icmp_frame(src_mac, dst_mac, src_ip, dst_ip, header, payload)
 }
 
 /// Build an Ethernet/IPv4/ICMP echo-reply frame.
@@ -158,39 +164,8 @@ pub fn icmp_echo_reply(
     seq: u16,
     payload: &[u8],
 ) -> Bytes {
-    icmp_echo(
-        src_mac,
-        dst_mac,
-        src_ip,
-        dst_ip,
-        Icmpv4Type::EchoReply,
-        ident,
-        seq,
-        payload,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn icmp_echo(
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
-    src_ip: Ipv4Addr,
-    dst_ip: Ipv4Addr,
-    ty: Icmpv4Type,
-    ident: u16,
-    seq: u16,
-    payload: &[u8],
-) -> Bytes {
-    let len = icmp::HEADER_LEN + payload.len();
-    let mut l4 = vec![0u8; len];
-    l4[icmp::HEADER_LEN..].copy_from_slice(payload);
-    let mut i = icmp::Icmpv4Packet::new_unchecked(&mut l4[..]);
-    i.set_msg_type(ty);
-    i.set_code(0);
-    i.set_echo_ident(ident);
-    i.set_echo_seq(seq);
-    i.fill_checksum();
-    ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProto::ICMP, &l4)
+    let header = icmp_header(Icmpv4Type::EchoReply, ident, seq);
+    icmp_frame(src_mac, dst_mac, src_ip, dst_ip, header, payload)
 }
 
 /// Build the ICMP time-exceeded (type 11, code 0 "TTL exceeded in
@@ -205,85 +180,96 @@ pub fn icmp_time_exceeded(
     dst_ip: Ipv4Addr,
     orig_ip: &[u8],
 ) -> Bytes {
-    let quoted = orig_ip.len().min(ipv4::HEADER_LEN + 8);
-    let len = icmp::HEADER_LEN + quoted;
-    let mut l4 = vec![0u8; len];
-    l4[icmp::HEADER_LEN..].copy_from_slice(&orig_ip[..quoted]);
-    let mut i = icmp::Icmpv4Packet::new_unchecked(&mut l4[..]);
-    i.set_msg_type(Icmpv4Type::TimeExceeded);
-    i.set_code(0);
-    // The "rest of header" word is unused for time-exceeded; the echo
-    // accessors write exactly those 4 bytes.
-    i.set_echo_ident(0);
-    i.set_echo_seq(0);
-    i.fill_checksum();
-    ipv4_frame(router_mac, dst_mac, router_ip, dst_ip, IpProto::ICMP, &l4)
+    // The rest-of-header word is unused: ident and sequence zero.
+    let header = icmp_header(Icmpv4Type::TimeExceeded, 0, 0);
+    let quoted = orig_ip.get(..ipv4::HEADER_LEN + 8).unwrap_or(orig_ip);
+    icmp_frame(router_mac, dst_mac, router_ip, dst_ip, header, quoted)
 }
 
-/// Build an Ethernet/IPv4 frame around a ready-made L4 payload.
-pub fn ipv4_frame(
+fn icmp_header(msg_type: Icmpv4Type, ident: u16, seq: u16) -> icmp::Header {
+    icmp::Header {
+        msg_type,
+        code: 0,
+        checksum: 0,
+        ident,
+        seq,
+    }
+}
+
+/// An Ethernet/IPv4/ICMP frame of `header` and `payload`.
+fn icmp_frame(
     src_mac: MacAddr,
     dst_mac: MacAddr,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
-    proto: IpProto,
-    l4: &[u8],
+    header: icmp::Header,
+    payload: &[u8],
 ) -> Bytes {
-    ipv4_frame_with(src_mac, dst_mac, src_ip, dst_ip, proto, l4.len(), |b| {
-        b.copy_from_slice(l4)
+    let len = icmp::HEADER_LEN + payload.len();
+    ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProto::ICMP, len, |l4| {
+        let mut w = &mut *l4;
+        header.write(&mut w)?;
+        w.put(payload)?;
+        icmp::fill_checksum(l4);
+        Ok(())
     })
 }
 
 /// Build an Ethernet/IPv4 frame in one buffer; `fill_l4` writes the
 /// `l4_len` zeroed bytes after the IPv4 header.
-fn ipv4_frame_with(
+fn ipv4_frame(
     src_mac: MacAddr,
     dst_mac: MacAddr,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     proto: IpProto,
     l4_len: usize,
-    fill_l4: impl FnOnce(&mut [u8]),
+    fill_l4: impl FnOnce(&mut [u8]) -> Result<()>,
 ) -> Bytes {
-    const L4: usize = HEADER_LEN + ipv4::HEADER_LEN;
-    with_headroom(L4 + l4_len, |buf| {
-        frame::EthernetRepr {
-            dst: dst_mac,
-            src: src_mac,
-            ethertype: EtherType::IPV4,
-        }
-        .emit(&mut frame::EthernetFrame::new_unchecked(
-            &mut buf[..HEADER_LEN],
-        ));
-        let repr = ipv4::Ipv4Repr {
-            src: src_ip,
-            dst: dst_ip,
-            proto,
-            payload_len: l4_len,
-            ttl: 64,
-            dscp: 0,
-        };
-        repr.emit(&mut ipv4::Ipv4Packet::new_unchecked(
-            &mut buf[HEADER_LEN..L4],
-        ));
-        fill_l4(&mut buf[L4..]);
+    let ip = ipv4::Header {
+        header_len: ipv4::HEADER_LEN,
+        dscp: 0,
+        ecn: 0,
+        total_len: (ipv4::HEADER_LEN + l4_len) as u16,
+        ident: 0,
+        frag: ipv4::DONT_FRAGMENT,
+        ttl: 64,
+        proto,
+        checksum: 0,
+        src: src_ip,
+        dst: dst_ip,
+    };
+    with_headroom(HEADER_LEN + ipv4::HEADER_LEN + l4_len, |mut f| {
+        frame::Header::new(dst_mac, src_mac, EtherType::IPV4).write(&mut f)?;
+        let (header, l4) = f
+            .split_at_mut_checked(ipv4::HEADER_LEN)
+            .ok_or(Error::Truncated)?;
+        ip.write(&mut &mut *header)?;
+        ipv4::fill_checksum(header);
+        fill_l4(l4)
     })
 }
 
 /// Build a broadcast ARP who-has request.
 pub fn arp_request(src_mac: MacAddr, src_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Bytes {
-    let repr = ArpRepr::request(src_mac, src_ip, target_ip);
-    let mut body = [0u8; arp::PACKET_LEN];
-    repr.emit(&mut body);
-    ethernet(MacAddr::BROADCAST, src_mac, EtherType::ARP, &body)
+    arp_frame(
+        MacAddr::BROADCAST,
+        &ArpRepr::request(src_mac, src_ip, target_ip),
+    )
 }
 
 /// Build a unicast ARP reply answering `req` (which must be an ARP frame).
 pub fn arp_reply(req_repr: &ArpRepr, my_mac: MacAddr) -> Bytes {
     let rep = req_repr.reply_to(my_mac);
-    let mut body = [0u8; arp::PACKET_LEN];
-    rep.emit(&mut body);
-    ethernet(rep.target_mac, my_mac, EtherType::ARP, &body)
+    arp_frame(rep.target_mac, &rep)
+}
+
+/// An Ethernet frame from the ARP sender to `dst` carrying `packet`.
+fn arp_frame(dst: MacAddr, packet: &ArpRepr) -> Bytes {
+    with_headroom(HEADER_LEN + arp::PACKET_LEN, |mut f| {
+        frame::Header::new(dst, packet.sender_mac, EtherType::ARP).write(&mut f)?;
+        packet.write(&mut f)
+    })
 }
 
 /// Pad or size a UDP test frame so the final Ethernet frame is exactly
@@ -299,8 +285,7 @@ pub fn sized_udp_packet(
     frame_len: usize,
 ) -> Bytes {
     let overhead = HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
-    let payload_len = frame_len.saturating_sub(overhead);
-    let payload = vec![0u8; payload_len];
+    let payload = vec![0u8; frame_len.saturating_sub(overhead)];
     udp_packet(
         src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, &payload,
     )
@@ -309,7 +294,18 @@ pub fn sized_udp_packet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArpPacket, EthernetFrame, FlowKey, Ipv4Packet, TcpPacket, UdpPacket};
+    use crate::checksum;
+    use crate::layers::{Ipv4, Layers};
+    use crate::FlowKey;
+
+    /// The IPv4 packet of a built frame, its header checksum verified.
+    fn ipv4_of(f: &[u8]) -> Ipv4<'_> {
+        let walk = Layers::parse(f).unwrap();
+        assert_eq!(walk.eth.ethertype, EtherType::IPV4);
+        let v4 = walk.ipv4().unwrap();
+        assert!(checksum::verify(&f[walk.l3_at..v4.l4_at]));
+        v4
+    }
 
     #[test]
     fn udp_packet_is_well_formed() {
@@ -322,13 +318,11 @@ mod tests {
             2000,
             b"payload",
         );
-        let eth = EthernetFrame::new_checked(&f[..]).unwrap();
-        assert_eq!(eth.ethertype(), EtherType::IPV4);
-        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        assert!(ip.verify_checksum());
-        let u = UdpPacket::new_checked(ip.payload()).unwrap();
-        assert!(u.verify_checksum_v4(ip.src(), ip.dst()));
-        assert_eq!(u.payload(), b"payload");
+        let Ipv4 { ip, mut l4, .. } = ipv4_of(&f);
+        assert!(udp::verify_checksum_v4(l4, ip.src, ip.dst));
+        let u = udp::Header::parse(&mut l4).unwrap();
+        assert_eq!((u.src_port, u.dst_port), (1000, 2000));
+        assert_eq!(l4, b"payload");
     }
 
     #[test]
@@ -343,11 +337,11 @@ mod tests {
             tcp::flags::SYN,
             b"",
         );
-        let eth = EthernetFrame::new_checked(&f[..]).unwrap();
-        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        let t = TcpPacket::new_checked(ip.payload()).unwrap();
+        let Ipv4 { ip, l4, .. } = ipv4_of(&f);
+        let t = tcp::Header::parse(&mut &l4[..]).unwrap();
         assert!(t.is_syn());
-        assert!(t.verify_checksum_v4(ip.src(), ip.dst()));
+        assert_eq!((t.seq, t.ack, t.window), (0, 0, 65535));
+        assert!(tcp::verify_checksum_v4(l4, ip.src, ip.dst));
     }
 
     #[test]
@@ -357,13 +351,11 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),
         );
-        let eth = EthernetFrame::new_checked(&req[..]).unwrap();
-        assert_eq!(eth.dst(), MacAddr::BROADCAST);
-        let a = ArpPacket::new_checked(eth.payload()).unwrap();
-        let repr = ArpRepr::parse(&a).unwrap();
+        let walk = Layers::parse(&req).unwrap();
+        assert_eq!(walk.eth.dst, MacAddr::BROADCAST);
+        let repr = walk.arp().expect("an ARP frame");
         let rep = arp_reply(&repr, MacAddr::host(2));
-        let eth2 = EthernetFrame::new_checked(&rep[..]).unwrap();
-        assert_eq!(eth2.dst(), MacAddr::host(1));
+        assert_eq!(Layers::parse(&rep).unwrap().eth.dst, MacAddr::host(1));
     }
 
     #[test]
@@ -396,27 +388,25 @@ mod tests {
             2000,
             b"a long payload that must not be quoted in full",
         );
-        let eth = EthernetFrame::new_checked(&dropped[..]).unwrap();
         let te = icmp_time_exceeded(
             MacAddr::host(0xff),
             MacAddr::host(1),
             Ipv4Addr::new(10, 1, 255, 254),
             Ipv4Addr::new(10, 0, 0, 1),
-            eth.payload(),
+            &dropped[HEADER_LEN..],
         );
         let key = FlowKey::extract(1, &te).unwrap();
         assert_eq!(key.ip_proto, 1);
         assert_eq!(key.icmp_type, 11);
-        let teth = EthernetFrame::new_checked(&te[..]).unwrap();
-        let tip = Ipv4Packet::new_checked(teth.payload()).unwrap();
-        assert!(tip.verify_checksum());
-        let icmp = crate::Icmpv4Packet::new_checked(tip.payload()).unwrap();
-        assert!(icmp.verify_checksum());
+        let Ipv4 { mut l4, .. } = ipv4_of(&te);
+        assert!(checksum::verify(l4));
+        let icmp = icmp::Header::parse(&mut l4).unwrap();
+        assert_eq!(icmp.msg_type, Icmpv4Type::TimeExceeded);
         // Quoted: original IP header + 8 bytes = src/dst ports + len + ck.
-        assert_eq!(icmp.payload().len(), ipv4::HEADER_LEN + 8);
-        let quoted = Ipv4Packet::new_unchecked(icmp.payload());
-        assert_eq!(quoted.src(), Ipv4Addr::new(10, 0, 0, 1));
-        assert_eq!(quoted.dst(), Ipv4Addr::new(10, 3, 0, 1));
+        assert_eq!(l4.len(), ipv4::HEADER_LEN + 8);
+        let quoted = ipv4::Header::parse(&mut l4).unwrap();
+        assert_eq!(quoted.src, Ipv4Addr::new(10, 0, 0, 1));
+        assert_eq!(quoted.dst, Ipv4Addr::new(10, 3, 0, 1));
     }
 
     #[test]
@@ -455,5 +445,8 @@ mod tests {
         let key = FlowKey::extract(1, &f).unwrap();
         assert_eq!(key.ip_proto, 1);
         assert_eq!(key.icmp_type, 8);
+        let Ipv4 { mut l4, .. } = ipv4_of(&f);
+        let icmp = icmp::Header::parse(&mut l4).unwrap();
+        assert_eq!((icmp.ident, icmp.seq, l4), (77, 3, &b"abc"[..]));
     }
 }

@@ -5,11 +5,11 @@
 /// Incremental ones-complement sum over a byte slice, continuing from
 /// `acc`. Pass `0` to start a fresh sum.
 pub fn sum(mut acc: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    let (words, rest) = data.as_chunks::<2>();
+    for w in words {
+        acc += u32::from(u16::from_be_bytes(*w));
     }
-    if let [last] = chunks.remainder() {
+    if let [last] = rest {
         acc += u32::from(u16::from_be_bytes([*last, 0]));
     }
     acc
@@ -33,6 +33,18 @@ pub fn checksum(data: &[u8]) -> u16 {
 /// buffers sum to `0xffff` before inversion, i.e. `finish` yields 0.
 pub fn verify(data: &[u8]) -> bool {
     finish(sum(0, data)) == 0
+}
+
+/// Store in the 16-bit field at `at` the checksum of `data`, continuing
+/// from `acc` (a pseudo-header sum, or 0), with the field itself summed
+/// as zero. Returns the value stored; `None`, and `data` untouched, if
+/// the field lies outside `data`.
+#[inline]
+pub fn fill(data: &mut [u8], at: usize, acc: u32) -> Option<u16> {
+    data.get_mut(at..at + 2)?.fill(0);
+    let ck = finish(sum(acc, data));
+    data.get_mut(at..at + 2)?.copy_from_slice(&ck.to_be_bytes());
+    Some(ck)
 }
 
 /// RFC 1624 incremental checksum update: the stored checksum after one

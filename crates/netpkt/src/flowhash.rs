@@ -33,7 +33,8 @@
 //! the core that serves a flow, so its values are simulated numbers, and
 //! a golden test pins them.
 
-use crate::FlowKey;
+use crate::wire::Cursor;
+use crate::{EtherType, FlowKey};
 
 // MurmurHash3 mixing constants, as used by OVS's mhash.
 const C1: u32 = 0xcc9e_2d51;
@@ -159,14 +160,21 @@ impl FlowKey {
     /// sense: see the module docs.
     #[inline]
     pub fn flow_hash64(&self, seed: u64) -> u64 {
-        let w = self.words();
-        let term = |i: usize| mum(w[i] ^ K[i] ^ seed, K[i]);
-        let mut h = term(0) ^ term(1) ^ term(2) ^ term(3) ^ term(4) ^ term(5) ^ term(6);
+        let [w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11] = self.words();
+        let [k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11] = K;
+        let term = |w: u64, k: u64| mum(w ^ k ^ seed, k);
+        let mut h = term(w0, k0)
+            ^ term(w1, k1)
+            ^ term(w2, k2)
+            ^ term(w3, k3)
+            ^ term(w4, k4)
+            ^ term(w5, k5)
+            ^ term(w6, k6);
         if self.ipv6_src | self.ipv6_dst != 0 {
-            h ^= term(7) ^ term(8) ^ term(9) ^ term(10);
+            h ^= term(w7, k7) ^ term(w8, k8) ^ term(w9, k9) ^ term(w10, k10);
         }
         if self.metadata != 0 {
-            h ^= term(11);
+            h ^= term(w11, k11);
         }
         // A product by a constant keeps structure: a field in a word's
         // top bits hardly moves the product's top bits, and one in its
@@ -204,42 +212,30 @@ impl FlowKey {
 /// hashing the inner IP header, so tagged and untagged frames of the
 /// same flow steer together.
 pub fn rss_hash(frame: &[u8]) -> u32 {
-    const VLAN: u16 = 0x8100;
-    const QINQ: u16 = 0x88a8;
-    const IPV4: u16 = 0x0800;
-    let rd16 = |off: usize| -> Option<u16> {
-        Some(u16::from_be_bytes([*frame.get(off)?, *frame.get(off + 1)?]))
-    };
-    let rd32 = |off: usize| -> Option<u32> {
-        Some(u32::from_be_bytes([
-            *frame.get(off)?,
-            *frame.get(off + 1)?,
-            *frame.get(off + 2)?,
-            *frame.get(off + 3)?,
-        ]))
-    };
+    // A word at `off` in the frame, if the frame reaches that far.
+    let at = |off: usize| frame.get(off..).unwrap_or_default();
     let five_tuple = || -> Option<u32> {
         // Skip any stack of VLAN tags to the inner EtherType.
-        let mut off = 12;
-        let mut ety = rd16(off)?;
-        while ety == VLAN || ety == QINQ {
-            off += 4;
-            ety = rd16(off)?;
+        let mut c = at(12);
+        let mut ety = EtherType(c.u16().ok()?);
+        while ety.is_vlan() {
+            c.skip(2).ok()?;
+            ety = EtherType(c.u16().ok()?);
         }
-        if ety != IPV4 {
+        if ety != EtherType::IPV4 {
             return None;
         }
-        let ip = off + 2;
-        let ihl = (*frame.get(ip)? & 0x0f) as usize * 4;
-        let proto = *frame.get(ip + 9)?;
-        let src = rd32(ip + 12)?;
-        let dst = rd32(ip + 16)?;
+        let ip = c;
+        let ihl = usize::from(c.u8().ok()? & 0x0f) * 4;
+        c.skip(8).ok()?;
+        let proto = c.u8().ok()?;
+        c.skip(2).ok()?;
+        let (src, dst) = (c.u32().ok()?, c.u32().ok()?);
         // TCP=6 / UDP=17 start with src/dst ports; everything else
         // steers on the 3-tuple alone.
-        let ports = if proto == 6 || proto == 17 {
-            rd32(ip + ihl).unwrap_or(0)
-        } else {
-            0
+        let ports = match proto {
+            6 | 17 => ip.get(ihl..).and_then(|mut l4| l4.u32().ok()).unwrap_or(0),
+            _ => 0,
         };
         let mut h = mix(0, src);
         h = mix(h, dst);
@@ -252,9 +248,9 @@ pub fn rss_hash(frame: &[u8]) -> u32 {
         // so the flow — such as it is — still lands on one core.
         let mut h = 0;
         for off in (0..12).step_by(4) {
-            h = mix(h, rd32(off).unwrap_or(0));
+            h = mix(h, at(off).u32().unwrap_or(0));
         }
-        h = mix(h, u32::from(rd16(12).unwrap_or(0)));
+        h = mix(h, u32::from(at(12).u16().unwrap_or(0)));
         finish(h)
     })
 }

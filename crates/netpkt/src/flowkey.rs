@@ -6,8 +6,9 @@
 //! ([`FieldMask`]). `key.masked(&mask)` is a field-wise AND — exactly the
 //! operation OVS-style megaflow caches and OXM masked matches need.
 
-use crate::{arp, icmp, ipv4, ipv6, tcp, udp, vlan};
-use crate::{EtherType, IpProto, MacAddr, Result};
+use crate::layers::{Ipv4, Layers};
+use crate::{icmp, tcp, udp, vlan};
+use crate::{IpProto, MacAddr, Result};
 
 /// OpenFlow 1.3 `OFPVID_PRESENT`: set in [`FlowKey::vlan_vid`] when the
 /// frame carries an 802.1Q tag.
@@ -96,6 +97,24 @@ pub struct FlowKey {
     pub metadata: u64,
 }
 
+/// The key whose every field is `$e` of that field of `$a` and of `$b`
+/// (a MAC as its `u64`). The struct literal names every field, so a new
+/// one fails to compile here until it is listed.
+macro_rules! fieldwise {
+    (|$x:ident, $y:ident| $e:expr; $a:expr, $b:expr) => {
+        fieldwise!(@ |$x, $y| $e; $a, $b; eth_dst eth_src; in_port eth_type vlan_vid vlan_pcp
+            ip_proto ip_dscp ipv4_src ipv4_dst ipv6_src ipv6_dst tcp_src tcp_dst udp_src
+            udp_dst icmp_type icmp_code arp_op arp_spa arp_tpa metadata)
+    };
+    (@ |$x:ident, $y:ident| $e:expr; $a:expr, $b:expr; $($m:ident)*; $($f:ident)*) => {{
+        let (a, b) = ($a, $b);
+        FlowKey {
+            $($m: MacAddr::from_u64({ let ($x, $y) = (a.$m.to_u64(), b.$m.to_u64()); $e }),)*
+            $($f: { let ($x, $y) = (a.$f, b.$f); $e },)*
+        }
+    }};
+}
+
 /// A wildcard mask over [`FlowKey`]: each field is a bitmask ANDed with the
 /// corresponding key field. All-ones = exact match on that field, zero =
 /// wildcarded.
@@ -104,30 +123,7 @@ pub type FieldMask = FlowKey;
 impl FlowKey {
     /// A mask matching every field exactly.
     pub fn exact_mask() -> FieldMask {
-        FlowKey {
-            in_port: u32::MAX,
-            eth_dst: MacAddr([0xff; 6]),
-            eth_src: MacAddr([0xff; 6]),
-            eth_type: u16::MAX,
-            vlan_vid: u16::MAX,
-            vlan_pcp: u8::MAX,
-            ip_proto: u8::MAX,
-            ip_dscp: u8::MAX,
-            ipv4_src: u32::MAX,
-            ipv4_dst: u32::MAX,
-            ipv6_src: u128::MAX,
-            ipv6_dst: u128::MAX,
-            tcp_src: u16::MAX,
-            tcp_dst: u16::MAX,
-            udp_src: u16::MAX,
-            udp_dst: u16::MAX,
-            icmp_type: u8::MAX,
-            icmp_code: u8::MAX,
-            arp_op: u16::MAX,
-            arp_spa: u32::MAX,
-            arp_tpa: u32::MAX,
-            metadata: u64::MAX,
-        }
+        fieldwise!(|_x, _y| !0; FlowKey::default(), FlowKey::default())
     }
 
     /// A mask that wildcards everything (matches any packet).
@@ -137,61 +133,13 @@ impl FlowKey {
 
     /// Field-wise AND with a mask.
     pub fn masked(&self, m: &FieldMask) -> FlowKey {
-        let and6 = |a: MacAddr, b: MacAddr| MacAddr(std::array::from_fn(|i| a.0[i] & b.0[i]));
-        FlowKey {
-            in_port: self.in_port & m.in_port,
-            eth_dst: and6(self.eth_dst, m.eth_dst),
-            eth_src: and6(self.eth_src, m.eth_src),
-            eth_type: self.eth_type & m.eth_type,
-            vlan_vid: self.vlan_vid & m.vlan_vid,
-            vlan_pcp: self.vlan_pcp & m.vlan_pcp,
-            ip_proto: self.ip_proto & m.ip_proto,
-            ip_dscp: self.ip_dscp & m.ip_dscp,
-            ipv4_src: self.ipv4_src & m.ipv4_src,
-            ipv4_dst: self.ipv4_dst & m.ipv4_dst,
-            ipv6_src: self.ipv6_src & m.ipv6_src,
-            ipv6_dst: self.ipv6_dst & m.ipv6_dst,
-            tcp_src: self.tcp_src & m.tcp_src,
-            tcp_dst: self.tcp_dst & m.tcp_dst,
-            udp_src: self.udp_src & m.udp_src,
-            udp_dst: self.udp_dst & m.udp_dst,
-            icmp_type: self.icmp_type & m.icmp_type,
-            icmp_code: self.icmp_code & m.icmp_code,
-            arp_op: self.arp_op & m.arp_op,
-            arp_spa: self.arp_spa & m.arp_spa,
-            arp_tpa: self.arp_tpa & m.arp_tpa,
-            metadata: self.metadata & m.metadata,
-        }
+        fieldwise!(|x, y| x & y; self, m)
     }
 
     /// Union of two masks (bit-wise OR per field). Used when a megaflow
     /// entry must become *more* specific.
     pub fn mask_union(&self, m: &FieldMask) -> FieldMask {
-        let or6 = |a: MacAddr, b: MacAddr| MacAddr(std::array::from_fn(|i| a.0[i] | b.0[i]));
-        FlowKey {
-            in_port: self.in_port | m.in_port,
-            eth_dst: or6(self.eth_dst, m.eth_dst),
-            eth_src: or6(self.eth_src, m.eth_src),
-            eth_type: self.eth_type | m.eth_type,
-            vlan_vid: self.vlan_vid | m.vlan_vid,
-            vlan_pcp: self.vlan_pcp | m.vlan_pcp,
-            ip_proto: self.ip_proto | m.ip_proto,
-            ip_dscp: self.ip_dscp | m.ip_dscp,
-            ipv4_src: self.ipv4_src | m.ipv4_src,
-            ipv4_dst: self.ipv4_dst | m.ipv4_dst,
-            ipv6_src: self.ipv6_src | m.ipv6_src,
-            ipv6_dst: self.ipv6_dst | m.ipv6_dst,
-            tcp_src: self.tcp_src | m.tcp_src,
-            tcp_dst: self.tcp_dst | m.tcp_dst,
-            udp_src: self.udp_src | m.udp_src,
-            udp_dst: self.udp_dst | m.udp_dst,
-            icmp_type: self.icmp_type | m.icmp_type,
-            icmp_code: self.icmp_code | m.icmp_code,
-            arp_op: self.arp_op | m.arp_op,
-            arp_spa: self.arp_spa | m.arp_spa,
-            arp_tpa: self.arp_tpa | m.arp_tpa,
-            metadata: self.metadata | m.metadata,
-        }
+        fieldwise!(|x, y| x | y; self, m)
     }
 
     /// The VLAN tag state as a [`VlanKey`].
@@ -205,83 +153,82 @@ impl FlowKey {
     /// malformed IP header simply leaves the IP fields zero, as a hardware
     /// parser would treat a runt).
     pub fn extract(in_port: u32, frame: &[u8]) -> Result<FlowKey> {
-        let eth = crate::EthernetFrame::new_checked(frame)?;
-        let view = vlan::VlanView::parse(frame)?;
-        let mut key = FlowKey {
-            in_port,
-            eth_dst: eth.dst(),
-            eth_src: eth.src(),
-            eth_type: view.inner_ethertype.0,
-            ..FlowKey::default()
-        };
-        if let Some(tag) = view.outer {
-            key.vlan_vid = OFPVID_PRESENT | tag.vid;
-            key.vlan_pcp = tag.pcp;
-        }
-        let payload = &frame[view.payload_offset..];
-        match view.inner_ethertype {
-            EtherType::IPV4 => {
-                if let Ok(ip) = ipv4::Ipv4Packet::new_checked(payload) {
-                    key.ip_proto = ip.proto().0;
-                    key.ip_dscp = ip.dscp();
-                    key.ipv4_src = u32::from(ip.src());
-                    key.ipv4_dst = u32::from(ip.dst());
-                    Self::extract_l4(&mut key, ip.proto(), ip.payload());
-                }
-            }
-            EtherType::IPV6 => {
-                if let Ok(ip) = ipv6::Ipv6Packet::new_checked(payload) {
-                    key.ip_proto = ip.next_header().0;
-                    key.ip_dscp = ip.traffic_class() >> 2;
-                    key.ipv6_src = u128::from(ip.src());
-                    key.ipv6_dst = u128::from(ip.dst());
-                    Self::extract_l4(&mut key, ip.next_header(), ip.payload());
-                }
-            }
-            EtherType::ARP => {
-                if let Ok(a) = arp::ArpPacket::new_checked(payload) {
-                    key.arp_op = a.op().value();
-                    key.arp_spa = u32::from(a.sender_ip());
-                    key.arp_tpa = u32::from(a.target_ip());
-                }
-            }
-            _ => {}
-        }
-        Ok(key)
-    }
-
-    fn extract_l4(key: &mut FlowKey, proto: IpProto, payload: &[u8]) {
-        match proto {
-            IpProto::TCP => {
-                if let Ok(t) = tcp::TcpPacket::new_checked(payload) {
-                    key.tcp_src = t.src_port();
-                    key.tcp_dst = t.dst_port();
-                }
-            }
-            IpProto::UDP => {
-                if let Ok(u) = udp::UdpPacket::new_checked(payload) {
-                    key.udp_src = u.src_port();
-                    key.udp_dst = u.dst_port();
-                }
-            }
-            IpProto::ICMP => {
-                if let Ok(i) = icmp::Icmpv4Packet::new_checked(payload) {
-                    key.icmp_type = i.msg_type().value();
-                    key.icmp_code = i.code();
-                }
-            }
-            _ => {}
-        }
+        Ok(Self::walked(in_port, &Layers::parse(frame)?))
     }
 
     /// Extraction that fails only on frames shorter than an Ethernet
     /// header, mapping truncation to a zero key — used
     /// by dataplanes that must never drop on parse errors.
     pub fn extract_lossy(in_port: u32, frame: &[u8]) -> FlowKey {
-        Self::extract(in_port, frame).unwrap_or(FlowKey {
+        match Layers::parse(frame) {
+            Ok(walk) => Self::walked(in_port, &walk),
+            Err(_) => FlowKey {
+                in_port,
+                ..FlowKey::default()
+            },
+        }
+    }
+
+    /// The key of a frame whose link layer `walk` read. Inlined into
+    /// both extractions, so the hot one writes its key where it returns
+    /// it rather than through a `Result`.
+    #[inline(always)]
+    fn walked(in_port: u32, walk: &Layers<'_>) -> FlowKey {
+        let eth = walk.eth;
+        let mut key = FlowKey {
             in_port,
+            eth_dst: eth.dst,
+            eth_src: eth.src,
+            eth_type: eth.ethertype.0,
             ..FlowKey::default()
-        })
+        };
+        if let Some(tag) = eth.outer {
+            key.vlan_vid = OFPVID_PRESENT | tag.vid;
+            key.vlan_pcp = tag.pcp;
+        }
+        if let Some(Ipv4 { ip, l4, .. }) = walk.ipv4() {
+            key.ip_proto = ip.proto.0;
+            key.ip_dscp = ip.dscp;
+            key.ipv4_src = u32::from(ip.src);
+            key.ipv4_dst = u32::from(ip.dst);
+            Self::extract_l4(&mut key, ip.proto, l4);
+        } else if let Some((ip, l4)) = walk.ipv6() {
+            key.ip_proto = ip.next_header.0;
+            key.ip_dscp = ip.traffic_class >> 2;
+            key.ipv6_src = u128::from(ip.src);
+            key.ipv6_dst = u128::from(ip.dst);
+            Self::extract_l4(&mut key, ip.next_header, l4);
+        } else if let Some(a) = walk.arp() {
+            key.arp_op = a.op.value();
+            key.arp_spa = u32::from(a.sender_ip);
+            key.arp_tpa = u32::from(a.target_ip);
+        }
+        key
+    }
+
+    #[inline(always)]
+    fn extract_l4(key: &mut FlowKey, proto: IpProto, mut l4: &[u8]) {
+        match proto {
+            IpProto::TCP => {
+                if let Ok(t) = tcp::Header::parse(&mut l4) {
+                    key.tcp_src = t.src_port;
+                    key.tcp_dst = t.dst_port;
+                }
+            }
+            IpProto::UDP => {
+                if let Ok(u) = udp::Header::parse(&mut l4) {
+                    key.udp_src = u.src_port;
+                    key.udp_dst = u.dst_port;
+                }
+            }
+            IpProto::ICMP => {
+                if let Ok(i) = icmp::Header::parse(&mut l4) {
+                    key.icmp_type = i.msg_type.value();
+                    key.icmp_code = i.code;
+                }
+            }
+            _ => {}
+        }
     }
 }
 

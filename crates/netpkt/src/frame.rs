@@ -1,137 +1,102 @@
-//! Ethernet II frame view and representation.
+//! The Ethernet II header and the 802.1Q tags behind its addresses.
 
-use crate::{Error, EtherType, MacAddr, Result};
+use crate::vlan::TAG_LEN;
+use crate::wire::{Cursor, CursorMut};
+use crate::{Error, EtherType, MacAddr, Result, VlanTag};
 
 /// Length of an untagged Ethernet II header (dst + src + ethertype).
 pub const HEADER_LEN: usize = 14;
-/// Minimum payload of a classic Ethernet frame (frames are padded to this).
-pub const MIN_PAYLOAD: usize = 46;
-/// Minimum frame length excluding FCS.
-pub const MIN_FRAME_LEN: usize = HEADER_LEN + MIN_PAYLOAD;
+/// Minimum frame length excluding FCS: the header and 46 bytes of
+/// payload, to which shorter frames are padded.
+pub const MIN_FRAME_LEN: usize = 60;
 
-mod field {
-    use core::ops::{Range, RangeFrom};
-    pub const DST: Range<usize> = 0..6;
-    pub const SRC: Range<usize> = 6..12;
-    pub const ETHERTYPE: Range<usize> = 12..14;
-    pub const PAYLOAD: RangeFrom<usize> = 14..;
-}
-
-/// A read (and optionally write) view over an Ethernet II frame.
+/// The link layer of a frame: its addresses, up to two VLAN tags, and
+/// the EtherType behind them.
 ///
-/// The view does **not** include the 4-byte FCS; like most software
+/// A frame here does **not** include the 4-byte FCS; like most software
 /// dataplanes we assume the NIC strips/appends it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthernetFrame<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> EthernetFrame<T> {
-    /// Wrap a buffer without length checking. Accessors may panic if the
-    /// buffer is shorter than [`HEADER_LEN`].
-    pub const fn new_unchecked(buffer: T) -> Self {
-        EthernetFrame { buffer }
-    }
-
-    /// Wrap a buffer, ensuring it is long enough for the header.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        if buffer.as_ref().len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        Ok(EthernetFrame { buffer })
-    }
-
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
-    /// Destination MAC address.
-    pub fn dst(&self) -> MacAddr {
-        MacAddr::from_slice(&self.buffer.as_ref()[field::DST])
-    }
-
-    /// Source MAC address.
-    pub fn src(&self) -> MacAddr {
-        MacAddr::from_slice(&self.buffer.as_ref()[field::SRC])
-    }
-
-    /// The EtherType field at offset 12. For VLAN-tagged frames this is the
-    /// TPID (0x8100 / 0x88a8), not the encapsulated protocol; see
-    /// [`crate::vlan::VlanView`] for tag-aware parsing.
-    pub fn ethertype(&self) -> EtherType {
-        let b = self.buffer.as_ref();
-        EtherType(u16::from_be_bytes([
-            b[field::ETHERTYPE.start],
-            b[field::ETHERTYPE.start + 1],
-        ]))
-    }
-
-    /// Payload following the (untagged) header.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[field::PAYLOAD]
-    }
-
-    /// Total frame length (header + payload, no FCS).
-    pub fn len(&self) -> usize {
-        self.buffer.as_ref().len()
-    }
-
-    /// True if the buffer holds nothing beyond the header.
-    pub fn is_empty(&self) -> bool {
-        self.len() <= HEADER_LEN
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
-    /// Set the destination MAC address.
-    pub fn set_dst(&mut self, addr: MacAddr) {
-        self.buffer.as_mut()[field::DST].copy_from_slice(&addr.octets());
-    }
-
-    /// Set the source MAC address.
-    pub fn set_src(&mut self, addr: MacAddr) {
-        self.buffer.as_mut()[field::SRC].copy_from_slice(&addr.octets());
-    }
-
-    /// Set the EtherType/TPID field.
-    pub fn set_ethertype(&mut self, ty: EtherType) {
-        self.buffer.as_mut()[field::ETHERTYPE].copy_from_slice(&ty.0.to_be_bytes());
-    }
-}
-
-/// Owned, validated summary of an Ethernet header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EthernetRepr {
+pub struct Header {
     /// Destination address.
     pub dst: MacAddr,
     /// Source address.
     pub src: MacAddr,
-    /// EtherType of the payload (TPID for tagged frames).
+    /// Outermost tag, if any.
+    pub outer: Option<VlanTag>,
+    /// Second tag of a QinQ frame.
+    pub inner: Option<VlanTag>,
+    /// EtherType of the payload, behind all tags.
     pub ethertype: EtherType,
 }
 
-impl EthernetRepr {
-    /// Parse the header of `frame`.
-    pub fn parse<T: AsRef<[u8]>>(frame: &EthernetFrame<T>) -> Result<Self> {
-        Ok(EthernetRepr {
-            dst: frame.dst(),
-            src: frame.src(),
-            ethertype: frame.ethertype(),
+impl Header {
+    /// An untagged header.
+    pub const fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> Header {
+        Header {
+            dst,
+            src,
+            outer: None,
+            inner: None,
+            ethertype,
+        }
+    }
+
+    /// Read the addresses and the tag stack. A third tag is
+    /// [`Error::Malformed`]: more than two is outside any profile we
+    /// model.
+    #[inline(always)]
+    pub fn parse(c: &mut &[u8]) -> Result<Header> {
+        let mut h = c.take(HEADER_LEN)?;
+        let [d0, d1, d2, d3, d4, d5, s0, s1, s2, s3, s4, s5] = h.array()?;
+        let (dst, src) = (
+            MacAddr([d0, d1, d2, d3, d4, d5]),
+            MacAddr([s0, s1, s2, s3, s4, s5]),
+        );
+        let mut ethertype = EtherType(h.u16()?);
+        let outer = tci(c, &mut ethertype)?;
+        let inner = tci(c, &mut ethertype)?;
+        if ethertype.is_vlan() {
+            return Err(Error::Malformed);
+        }
+        Ok(Header {
+            dst,
+            src,
+            outer: outer.map(VlanTag::from_tci),
+            inner: inner.map(VlanTag::from_tci),
+            ethertype,
         })
     }
 
-    /// Number of octets `emit` writes.
-    pub const fn buffer_len(&self) -> usize {
+    /// Bytes [`parse`](Header::parse) reads and [`write`](Header::write)
+    /// writes: 14, and 4 per tag.
+    pub fn header_len(&self) -> usize {
         HEADER_LEN
+            + TAG_LEN * (usize::from(self.outer.is_some()) + usize::from(self.inner.is_some()))
     }
 
-    /// Write this header into `frame`.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, frame: &mut EthernetFrame<T>) {
-        frame.set_dst(self.dst);
-        frame.set_src(self.src);
-        frame.set_ethertype(self.ethertype);
+    /// Write the header, each tag as an 802.1Q C-tag (TPID 0x8100).
+    #[inline]
+    pub fn write(&self, out: &mut &mut [u8]) -> Result<()> {
+        out.put(&self.dst.octets())?;
+        out.put(&self.src.octets())?;
+        for tag in [self.outer, self.inner].into_iter().flatten() {
+            out.put_u16(EtherType::VLAN.0)?;
+            out.put_u16(tag.to_tci())?;
+        }
+        out.put_u16(self.ethertype.0)
     }
+}
+
+/// The TCI of the tag `ethertype` announces, if it announces one;
+/// `ethertype` becomes the EtherType behind it.
+#[inline(always)]
+fn tci(c: &mut &[u8], ethertype: &mut EtherType) -> Result<Option<u16>> {
+    if !ethertype.is_vlan() {
+        return Ok(None);
+    }
+    let tci = c.u16()?;
+    *ethertype = EtherType(c.u16()?);
+    Ok(Some(tci))
 }
 
 #[cfg(test)]
@@ -149,44 +114,65 @@ mod tests {
 
     #[test]
     fn parse_fields() {
-        let frame = EthernetFrame::new_checked(sample()).unwrap();
-        assert_eq!(frame.dst(), MacAddr::BROADCAST);
-        assert_eq!(frame.src(), MacAddr::host(1));
-        assert_eq!(frame.ethertype(), EtherType::IPV4);
-        assert_eq!(frame.payload(), &[0xde, 0xad, 0xbe, 0xef]);
+        let frame = sample();
+        let mut c = &frame[..];
+        let eth = Header::parse(&mut c).unwrap();
+        assert_eq!(eth.dst, MacAddr::BROADCAST);
+        assert_eq!(eth.src, MacAddr::host(1));
+        assert_eq!(eth.ethertype, EtherType::IPV4);
+        assert_eq!((eth.outer, eth.inner), (None, None));
+        assert_eq!(
+            c,
+            &[0xde, 0xad, 0xbe, 0xef],
+            "the cursor stops at the payload"
+        );
     }
 
     #[test]
     fn checked_rejects_short_buffers() {
         assert_eq!(
-            EthernetFrame::new_checked(&[0u8; 13][..]).unwrap_err(),
+            Header::parse(&mut &[0u8; 13][..]).unwrap_err(),
             Error::Truncated
         );
-        assert!(EthernetFrame::new_checked(&[0u8; 14][..]).is_ok());
+        assert!(Header::parse(&mut &[0u8; 14][..]).is_ok());
+        // A tag needs its TCI and the EtherType behind it.
+        let mut tagged = sample();
+        tagged[12..14].copy_from_slice(&0x8100u16.to_be_bytes());
+        assert_eq!(
+            Header::parse(&mut &tagged[..17]).unwrap_err(),
+            Error::Truncated
+        );
+        assert!(Header::parse(&mut &tagged[..18]).is_ok());
     }
 
     #[test]
     fn mutators_round_trip() {
-        let mut frame = EthernetFrame::new_checked(sample()).unwrap();
-        frame.set_dst(MacAddr::host(9));
-        frame.set_src(MacAddr::host(8));
-        frame.set_ethertype(EtherType::ARP);
-        assert_eq!(frame.dst(), MacAddr::host(9));
-        assert_eq!(frame.src(), MacAddr::host(8));
-        assert_eq!(frame.ethertype(), EtherType::ARP);
+        // A rewrite is a parse, a change and a write over the same bytes.
+        let mut frame = sample();
+        let mut eth = Header::parse(&mut &frame[..]).unwrap();
+        eth.dst = MacAddr::host(9);
+        eth.src = MacAddr::host(8);
+        eth.ethertype = EtherType::ARP;
+        eth.write(&mut &mut frame[..]).unwrap();
+        assert_eq!(Header::parse(&mut &frame[..]).unwrap(), eth);
+        assert_eq!(&frame[14..], &[0xde, 0xad, 0xbe, 0xef], "payload untouched");
     }
 
     #[test]
     fn repr_emit_parse_round_trip() {
-        let repr = EthernetRepr {
-            dst: MacAddr::host(3),
-            src: MacAddr::host(4),
-            ethertype: EtherType::IPV6,
+        let header = Header {
+            outer: Some(VlanTag::new(7)),
+            inner: Some(VlanTag::from_tci(0xb065)),
+            ..Header::new(MacAddr::host(3), MacAddr::host(4), EtherType::IPV6)
         };
-        let mut buf = [0u8; HEADER_LEN];
-        let mut frame = EthernetFrame::new_unchecked(&mut buf[..]);
-        repr.emit(&mut frame);
-        let parsed = EthernetRepr::parse(&EthernetFrame::new_checked(&buf[..]).unwrap()).unwrap();
-        assert_eq!(parsed, repr);
+        let mut buf = [0u8; HEADER_LEN + 2 * TAG_LEN];
+        header.write(&mut &mut buf[..]).unwrap();
+        assert_eq!(header.header_len(), buf.len());
+        assert_eq!(Header::parse(&mut &buf[..]).unwrap(), header);
+        assert_eq!(
+            header.write(&mut &mut buf[..HEADER_LEN]),
+            Err(Error::Truncated),
+            "a write checks its room"
+        );
     }
 }

@@ -20,10 +20,9 @@
 //! No holder of another handle can therefore observe a rewrite, and a
 //! frame that nobody else holds is never copied. Emitting calls
 //! [`snapshot`]: a clone, which by the same rule makes the next rewrite
-//! copy for as long as the emitted frame lives. Header *views* stay
-//! zero-copy throughout: every parser in this crate works over
-//! `AsRef<[u8]>`, so `EthernetFrame::new_checked(&buf)` reads straight
-//! out of the shared storage.
+//! copy for as long as the emitted frame lives. Parsing stays zero-copy
+//! throughout: every parser in this crate reads a `&[u8]` cursor, so
+//! `Layers::parse(&buf)` reads straight out of the shared storage.
 //!
 //! [`push_vlan`](FrameBuf::push_vlan) and [`pop_vlan`](FrameBuf::pop_vlan)
 //! (and the copying forms `vlan::push_vlan` / `vlan::pop_vlan` build on
@@ -38,6 +37,7 @@ use std::ops::Deref;
 
 use crate::frame::HEADER_LEN;
 use crate::vlan::TAG_LEN;
+use crate::wire::Cursor;
 use crate::{Error, EtherType, Result};
 
 /// Destination and source MAC: what a tag operation moves.
@@ -51,68 +51,61 @@ pub struct FrameBuf {
 
 /// `frame` with a tag inserted after the addresses, as one fresh buffer.
 pub(crate) fn copy_tagged(frame: &[u8], tpid: u16, tci: u16) -> Result<Bytes> {
-    check_header(frame)?;
-    Ok(with_tag(frame, tpid, tci))
+    let (addrs, rest) = split_addrs(frame)?;
+    Ok(joined(addrs, &tag_bytes(tpid, tci), rest))
 }
 
 /// `frame` without its outermost tag, as one fresh buffer.
 pub(crate) fn copy_untagged(frame: &[u8]) -> Result<Bytes> {
-    check_tagged(frame)?;
-    Ok(without_tag(frame))
+    let (addrs, rest) = split_tagged(frame)?;
+    Ok(joined(addrs, &[], rest))
 }
 
-/// [`copy_tagged`] of a frame that passed [`check_header`].
-fn with_tag(frame: &[u8], tpid: u16, tci: u16) -> Bytes {
-    let mut out = BytesMut::with_capacity(frame.len() + TAG_LEN);
-    out.extend_from_slice(&frame[..ADDRS_LEN]);
-    out.extend_from_slice(&tpid.to_be_bytes());
-    out.extend_from_slice(&tci.to_be_bytes());
-    out.extend_from_slice(&frame[ADDRS_LEN..]);
+/// `addrs`, `tag` and `rest` in one fresh buffer, sized for them.
+fn joined(addrs: &[u8], tag: &[u8], rest: &[u8]) -> Bytes {
+    let mut out = BytesMut::with_capacity(addrs.len() + tag.len() + rest.len());
+    out.extend_from_slice(addrs);
+    out.extend_from_slice(tag);
+    out.extend_from_slice(rest);
     out.freeze()
 }
 
-/// [`copy_untagged`] of a frame that passed [`check_tagged`].
-fn without_tag(frame: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(frame.len() - TAG_LEN);
-    out.extend_from_slice(&frame[..ADDRS_LEN]);
-    out.extend_from_slice(&frame[ADDRS_LEN + TAG_LEN..]);
-    out.freeze()
+/// A tag's four bytes: TPID, then TCI.
+fn tag_bytes(tpid: u16, tci: u16) -> [u8; TAG_LEN] {
+    let ([a, b], [c, d]) = (tpid.to_be_bytes(), tci.to_be_bytes());
+    [a, b, c, d]
 }
 
-/// [`Error::Truncated`] if `frame` is shorter than an Ethernet header.
-fn check_header(frame: &[u8]) -> Result<()> {
+/// The addresses of `frame` and what follows them; [`Error::Truncated`]
+/// if it is shorter than an Ethernet header.
+fn split_addrs(frame: &[u8]) -> Result<(&[u8], &[u8])> {
     if frame.len() < HEADER_LEN {
         return Err(Error::Truncated);
     }
-    Ok(())
+    let mut rest = frame;
+    Ok((rest.take(ADDRS_LEN)?, rest))
 }
 
-/// [`Error::Truncated`] if `frame` cannot hold a tag, [`Error::Malformed`]
-/// if it carries none.
-fn check_tagged(frame: &[u8]) -> Result<()> {
+/// The addresses of `frame` and what follows its outermost tag;
+/// [`Error::Truncated`] if it cannot hold a tag, [`Error::Malformed`] if
+/// it carries none.
+fn split_tagged(frame: &[u8]) -> Result<(&[u8], &[u8])> {
     if frame.len() < HEADER_LEN + TAG_LEN {
         return Err(Error::Truncated);
     }
-    if !EtherType(u16::from_be_bytes([frame[12], frame[13]])).is_vlan() {
+    let mut rest = frame;
+    let addrs = rest.take(ADDRS_LEN)?;
+    if !EtherType(rest.u16()?).is_vlan() {
         return Err(Error::Malformed);
     }
-    Ok(())
+    rest.skip(2)?; // the TCI
+    Ok((addrs, rest))
 }
 
 impl FrameBuf {
     /// Wraps a refcounted frame; no copy.
     pub fn from_bytes(frame: Bytes) -> FrameBuf {
         FrameBuf { frame }
-    }
-
-    /// Frame length in bytes.
-    pub fn len(&self) -> usize {
-        self.frame.len()
-    }
-
-    /// True if the frame is empty.
-    pub fn is_empty(&self) -> bool {
-        self.frame.is_empty()
     }
 
     /// The frame contents.
@@ -139,14 +132,15 @@ impl FrameBuf {
     /// the frame is tagged already). A frame shorter than an Ethernet
     /// header is left as it is ([`Error::Truncated`]).
     pub fn push_vlan(&mut self, tpid: u16, tci: u16) -> Result<()> {
-        check_header(&self.frame)?;
+        split_addrs(&self.frame)?;
         match self.frame.unique_mut(TAG_LEN) {
             Some(f) => {
                 f.copy_within(TAG_LEN..TAG_LEN + ADDRS_LEN, 0);
-                f[12..14].copy_from_slice(&tpid.to_be_bytes());
-                f[14..16].copy_from_slice(&tci.to_be_bytes());
+                if let Some(tag) = f.get_mut(ADDRS_LEN..ADDRS_LEN + TAG_LEN) {
+                    tag.copy_from_slice(&tag_bytes(tpid, tci));
+                }
             }
-            None => self.frame = with_tag(&self.frame, tpid, tci),
+            None => self.frame = copy_tagged(&self.frame, tpid, tci)?,
         }
         Ok(())
     }
@@ -155,13 +149,13 @@ impl FrameBuf {
     /// ([`Error::Truncated`]) or carrying none ([`Error::Malformed`]) is
     /// left as it is.
     pub fn pop_vlan(&mut self) -> Result<()> {
-        check_tagged(&self.frame)?;
+        split_tagged(&self.frame)?;
         match self.frame.unique_mut(0) {
             Some(f) => {
                 f.copy_within(..ADDRS_LEN, TAG_LEN);
                 self.frame.advance(TAG_LEN);
             }
-            None => self.frame = without_tag(&self.frame),
+            None => self.frame = copy_untagged(&self.frame)?,
         }
         Ok(())
     }
@@ -186,12 +180,6 @@ impl Deref for FrameBuf {
     }
 }
 
-impl AsRef<[u8]> for FrameBuf {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 impl From<Bytes> for FrameBuf {
     fn from(b: Bytes) -> FrameBuf {
         FrameBuf::from_bytes(b)
@@ -210,7 +198,7 @@ impl fmt::Debug for FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vlan::{VlanTag, VlanView};
+    use crate::vlan::{outer_tag, VlanTag};
     use crate::MacAddr;
 
     // Zero-copy properties are asserted by storage-pointer identity
@@ -289,8 +277,12 @@ mod tests {
             b"payload",
         );
         let buf = FrameBuf::from_bytes(frame);
-        let eth = crate::EthernetFrame::new_checked(&buf).unwrap();
-        assert_eq!(eth.dst(), crate::MacAddr::host(2));
+        let walk = crate::layers::Layers::parse(&buf).unwrap();
+        assert_eq!(walk.eth.dst, crate::MacAddr::host(2));
+        assert_eq!(
+            walk.ipv4().unwrap().l4.as_ptr_range(),
+            buf[34..].as_ptr_range()
+        );
         let key = crate::FlowKey::extract(1, &buf).unwrap();
         assert_eq!(key.udp_dst, 53);
     }
@@ -332,10 +324,7 @@ mod tests {
         buf.push_vlan(0x8100, TCI).unwrap();
         assert_eq!(buf.as_slice().as_ptr(), ptr, "push returns to the room");
         assert_eq!(&buf[..], &wire[..], "addresses, PCP/DEI and payload intact");
-        assert_eq!(
-            VlanView::parse(&buf).unwrap().outer,
-            Some(VlanTag::from_tci(TCI))
-        );
+        assert_eq!(outer_tag(&buf), Some(VlanTag::from_tci(TCI)));
     }
 
     #[test]
@@ -396,9 +385,9 @@ mod tests {
             ptr,
             "nowhere to move the addresses"
         );
-        let view = VlanView::parse(&buf).unwrap();
-        assert_eq!(view.outer, Some(VlanTag::new(200)));
-        assert_eq!(view.inner, Some(VlanTag::from_tci(TCI)));
+        let eth = crate::frame::Header::parse(&mut &buf[..]).unwrap();
+        assert_eq!(eth.outer, Some(VlanTag::new(200)));
+        assert_eq!(eth.inner, Some(VlanTag::from_tci(TCI)));
         assert_eq!(&buf[16..], &wire[12..]);
         // Popping the S-tag again is in place, as is re-pushing it.
         let ptr = buf.as_slice().as_ptr();

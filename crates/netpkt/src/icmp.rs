@@ -1,11 +1,14 @@
-//! ICMPv4 view (RFC 792) — echo request/reply and unreachable, which is all
-//! the examples and tests need.
+//! The ICMPv4 header (RFC 792) — echo request/reply and time exceeded,
+//! which is all the examples and tests need.
 
 use crate::checksum;
-use crate::{Error, Result};
+use crate::wire::{Cursor, CursorMut};
+use crate::Result;
 
 /// ICMP header length (type, code, checksum + 4 bytes rest-of-header).
 pub const HEADER_LEN: usize = 8;
+/// Where the checksum lies in the header.
+const CHECKSUM_AT: usize = 2;
 
 /// ICMPv4 message type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,121 +49,102 @@ impl Icmpv4Type {
     }
 }
 
-/// View over an ICMPv4 message.
-#[derive(Debug, Clone)]
-pub struct Icmpv4Packet<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> Icmpv4Packet<T> {
-    /// Wrap without validation.
-    pub const fn new_unchecked(buffer: T) -> Self {
-        Icmpv4Packet { buffer }
-    }
-
-    /// Wrap, validating the minimum length.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        if buffer.as_ref().len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        Ok(Icmpv4Packet { buffer })
-    }
-
+/// An ICMPv4 header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
     /// Message type.
-    pub fn msg_type(&self) -> Icmpv4Type {
-        Icmpv4Type::from_value(self.buffer.as_ref()[0])
-    }
-
+    pub msg_type: Icmpv4Type,
     /// Message code.
-    pub fn code(&self) -> u8 {
-        self.buffer.as_ref()[1]
+    pub code: u8,
+    /// Checksum over the message, as stored.
+    pub checksum: u16,
+    /// Echo identifier: the first half of the rest-of-header word
+    /// (unused, zero, in a time-exceeded message).
+    pub ident: u16,
+    /// Echo sequence number: its second half.
+    pub seq: u16,
+}
+
+impl Header {
+    /// Read a header.
+    #[inline(always)]
+    pub fn parse(c: &mut &[u8]) -> Result<Header> {
+        let mut h = c.take(HEADER_LEN)?;
+        Ok(Header {
+            msg_type: Icmpv4Type::from_value(h.u8()?),
+            code: h.u8()?,
+            checksum: h.u16()?,
+            ident: h.u16()?,
+            seq: h.u16()?,
+        })
     }
 
-    /// Echo identifier (bytes 4..6 for echo messages).
-    pub fn echo_ident(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[4], b[5]])
+    /// True for an echo request or reply.
+    pub fn is_echo(&self) -> bool {
+        matches!(
+            self.msg_type,
+            Icmpv4Type::EchoRequest | Icmpv4Type::EchoReply
+        )
     }
 
-    /// Echo sequence number (bytes 6..8).
-    pub fn echo_seq(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[6], b[7]])
-    }
-
-    /// Payload after the 8-byte header.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[HEADER_LEN..]
-    }
-
-    /// Verify the message checksum.
-    pub fn verify_checksum(&self) -> bool {
-        checksum::verify(self.buffer.as_ref())
+    /// Write the header's 8 bytes.
+    pub fn write(&self, out: &mut &mut [u8]) -> Result<()> {
+        out.put_u8(self.msg_type.value())?;
+        out.put_u8(self.code)?;
+        out.put_u16(self.checksum)?;
+        out.put_u16(self.ident)?;
+        out.put_u16(self.seq)
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> Icmpv4Packet<T> {
-    /// Set the message type.
-    pub fn set_msg_type(&mut self, t: Icmpv4Type) {
-        self.buffer.as_mut()[0] = t.value();
-    }
-
-    /// Set the message code.
-    pub fn set_code(&mut self, c: u8) {
-        self.buffer.as_mut()[1] = c;
-    }
-
-    /// Set the echo identifier.
-    pub fn set_echo_ident(&mut self, v: u16) {
-        self.buffer.as_mut()[4..6].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the echo sequence number.
-    pub fn set_echo_seq(&mut self, v: u16) {
-        self.buffer.as_mut()[6..8].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Compute and store the checksum.
-    pub fn fill_checksum(&mut self) {
-        self.buffer.as_mut()[2..4].copy_from_slice(&[0, 0]);
-        let ck = checksum::checksum(self.buffer.as_ref());
-        self.buffer.as_mut()[2..4].copy_from_slice(&ck.to_be_bytes());
-    }
+/// Recompute and store the checksum of `msg`: header and payload,
+/// nothing behind it.
+pub fn fill_checksum(msg: &mut [u8]) {
+    checksum::fill(msg, CHECKSUM_AT, 0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn echo(ident: u16, seq: u16) -> Header {
+        Header {
+            msg_type: Icmpv4Type::EchoRequest,
+            code: 0,
+            checksum: 0,
+            ident,
+            seq,
+        }
+    }
+
     #[test]
     fn echo_round_trip() {
         let mut buf = [0u8; HEADER_LEN + 4];
         buf[HEADER_LEN..].copy_from_slice(b"ping");
-        let mut icmp = Icmpv4Packet::new_unchecked(&mut buf[..]);
-        icmp.set_msg_type(Icmpv4Type::EchoRequest);
-        icmp.set_code(0);
-        icmp.set_echo_ident(7);
-        icmp.set_echo_seq(3);
-        icmp.fill_checksum();
+        echo(7, 3).write(&mut &mut buf[..]).unwrap();
+        fill_checksum(&mut buf);
 
-        let icmp = Icmpv4Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(icmp.msg_type(), Icmpv4Type::EchoRequest);
-        assert_eq!(icmp.echo_ident(), 7);
-        assert_eq!(icmp.echo_seq(), 3);
-        assert_eq!(icmp.payload(), b"ping");
-        assert!(icmp.verify_checksum());
+        let mut c = &buf[..];
+        let icmp = Header::parse(&mut c).unwrap();
+        assert_eq!(icmp.msg_type, Icmpv4Type::EchoRequest);
+        assert!(icmp.is_echo());
+        assert_eq!((icmp.ident, icmp.seq), (7, 3));
+        assert_eq!(c, b"ping");
+        assert!(checksum::verify(&buf));
     }
 
     #[test]
     fn corruption_detected() {
         let mut buf = [0u8; HEADER_LEN];
-        let mut icmp = Icmpv4Packet::new_unchecked(&mut buf[..]);
-        icmp.set_msg_type(Icmpv4Type::EchoReply);
-        icmp.fill_checksum();
+        Header {
+            msg_type: Icmpv4Type::EchoReply,
+            ..echo(0, 0)
+        }
+        .write(&mut &mut buf[..])
+        .unwrap();
+        fill_checksum(&mut buf);
         buf[7] ^= 1;
-        assert!(!Icmpv4Packet::new_checked(&buf[..])
-            .unwrap()
-            .verify_checksum());
+        assert!(!checksum::verify(&buf));
     }
 
     #[test]

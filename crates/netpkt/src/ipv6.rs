@@ -1,133 +1,116 @@
-//! Minimal IPv6 view — address/proto extraction only, sufficient for
+//! The fixed IPv6 header — address/proto extraction only, sufficient for
 //! flow-key matching. HARMLESS itself is L2; IPv6 support exists so the
 //! pipeline does not misclassify v6 traffic.
 
 pub use std::net::Ipv6Addr;
 
+use crate::wire::{Cursor, CursorMut};
 use crate::{Error, IpProto, Result};
 
 /// Fixed IPv6 header length.
 pub const HEADER_LEN: usize = 40;
 
-/// View over an IPv6 packet (fixed header only; extension headers are not
-/// walked — `next_header` reports the first one verbatim).
-#[derive(Debug, Clone)]
-pub struct Ipv6Packet<T: AsRef<[u8]>> {
-    buffer: T,
+/// The fixed IPv6 header. Extension headers are not walked:
+/// `next_header` reports the first one verbatim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Traffic class.
+    pub traffic_class: u8,
+    /// Flow label (20 bits).
+    pub flow_label: u32,
+    /// Payload length, extension headers included.
+    pub payload_len: u16,
+    /// Next-header field.
+    pub next_header: IpProto,
+    /// Hop limit.
+    pub hop_limit: u8,
+    /// Source address.
+    pub src: Ipv6Addr,
+    /// Destination address.
+    pub dst: Ipv6Addr,
 }
 
-impl<T: AsRef<[u8]>> Ipv6Packet<T> {
-    /// Wrap, validating version and length.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        if b[0] >> 4 != 6 {
+impl Header {
+    /// Read a header; a version other than 6 is [`Error::Malformed`].
+    #[inline(always)]
+    pub fn parse(c: &mut &[u8]) -> Result<Header> {
+        let mut h = c.take(HEADER_LEN)?;
+        let first = h.u32()?;
+        if first >> 28 != 6 {
             return Err(Error::Malformed);
         }
-        let payload_len = usize::from(u16::from_be_bytes([b[4], b[5]]));
-        if b.len() < HEADER_LEN + payload_len {
-            return Err(Error::Truncated);
-        }
-        Ok(Ipv6Packet { buffer })
+        Ok(Header {
+            traffic_class: (first >> 20) as u8,
+            flow_label: first & 0x000f_ffff,
+            payload_len: h.u16()?,
+            next_header: IpProto(h.u8()?),
+            hop_limit: h.u8()?,
+            src: Ipv6Addr::from(h.array::<16>()?),
+            dst: Ipv6Addr::from(h.array::<16>()?),
+        })
     }
 
-    /// Traffic class.
-    pub fn traffic_class(&self) -> u8 {
-        let b = self.buffer.as_ref();
-        (b[0] << 4) | (b[1] >> 4)
+    /// Write the header's 40 bytes.
+    pub fn write(&self, out: &mut &mut [u8]) -> Result<()> {
+        out.put_u32(6 << 28 | u32::from(self.traffic_class) << 20 | self.flow_label & 0x000f_ffff)?;
+        out.put_u16(self.payload_len)?;
+        out.put_u8(self.next_header.0)?;
+        out.put_u8(self.hop_limit)?;
+        out.put(&self.src.octets())?;
+        out.put(&self.dst.octets())
     }
-
-    /// Next-header field of the fixed header.
-    pub fn next_header(&self) -> IpProto {
-        IpProto(self.buffer.as_ref()[6])
-    }
-
-    /// Hop limit.
-    pub fn hop_limit(&self) -> u8 {
-        self.buffer.as_ref()[7]
-    }
-
-    /// Source address.
-    pub fn src(&self) -> Ipv6Addr {
-        let mut o = [0u8; 16];
-        o.copy_from_slice(&self.buffer.as_ref()[8..24]);
-        Ipv6Addr::from(o)
-    }
-
-    /// Destination address.
-    pub fn dst(&self) -> Ipv6Addr {
-        let mut o = [0u8; 16];
-        o.copy_from_slice(&self.buffer.as_ref()[24..40]);
-        Ipv6Addr::from(o)
-    }
-
-    /// Payload bytes (after the fixed header).
-    pub fn payload(&self) -> &[u8] {
-        let b = self.buffer.as_ref();
-        let len = usize::from(u16::from_be_bytes([b[4], b[5]]));
-        &b[HEADER_LEN..HEADER_LEN + len]
-    }
-}
-
-/// Emit a minimal IPv6 header into `buf` (which must be at least
-/// [`HEADER_LEN`] + payload long).
-pub fn emit_header(
-    buf: &mut [u8],
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    next_header: IpProto,
-    payload_len: u16,
-    hop_limit: u8,
-) {
-    buf[0] = 0x60;
-    buf[1] = 0;
-    buf[2] = 0;
-    buf[3] = 0;
-    buf[4..6].copy_from_slice(&payload_len.to_be_bytes());
-    buf[6] = next_header.0;
-    buf[7] = hop_limit;
-    buf[8..24].copy_from_slice(&src.octets());
-    buf[24..40].copy_from_slice(&dst.octets());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn header(payload_len: u16) -> Header {
+        Header {
+            traffic_class: 0xb8,
+            flow_label: 0x1_2345,
+            payload_len,
+            next_header: IpProto::UDP,
+            hop_limit: 64,
+            src: "fd00::1".parse().unwrap(),
+            dst: "fd00::2".parse().unwrap(),
+        }
+    }
+
     #[test]
     fn emit_parse_round_trip() {
-        let src: Ipv6Addr = "fd00::1".parse().unwrap();
-        let dst: Ipv6Addr = "fd00::2".parse().unwrap();
-        let mut buf = vec![0u8; HEADER_LEN + 4];
-        emit_header(&mut buf, src, dst, IpProto::UDP, 4, 64);
+        let mut buf = [0u8; HEADER_LEN + 4];
+        header(4).write(&mut &mut buf[..]).unwrap();
         buf[HEADER_LEN..].copy_from_slice(b"data");
-        let pkt = Ipv6Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(pkt.src(), src);
-        assert_eq!(pkt.dst(), dst);
-        assert_eq!(pkt.next_header(), IpProto::UDP);
-        assert_eq!(pkt.hop_limit(), 64);
-        assert_eq!(pkt.payload(), b"data");
+        let mut c = &buf[..];
+        assert_eq!(Header::parse(&mut c).unwrap(), header(4));
+        assert_eq!(c, b"data");
     }
 
     #[test]
     fn rejects_v4() {
         let buf = [0x45u8; HEADER_LEN];
-        assert_eq!(
-            Ipv6Packet::new_checked(&buf[..]).unwrap_err(),
-            Error::Malformed
-        );
+        assert_eq!(Header::parse(&mut &buf[..]).unwrap_err(), Error::Malformed);
     }
 
     #[test]
     fn rejects_truncated_payload() {
+        // The header parses; the frame walk cannot take the 10 bytes of
+        // payload it claims.
         let mut buf = [0u8; HEADER_LEN];
-        buf[0] = 0x60;
-        buf[4..6].copy_from_slice(&10u16.to_be_bytes());
+        header(10).write(&mut &mut buf[..]).unwrap();
+        assert!(Header::parse(&mut &buf[..]).is_ok());
         assert_eq!(
-            Ipv6Packet::new_checked(&buf[..]).unwrap_err(),
+            Header::parse(&mut &buf[..HEADER_LEN - 1]).unwrap_err(),
             Error::Truncated
         );
+        let frame = crate::builder::ethernet(
+            crate::MacAddr::host(2),
+            crate::MacAddr::host(1),
+            crate::EtherType::IPV6,
+            &buf,
+        );
+        let walk = crate::layers::Layers::parse(&frame).unwrap();
+        assert_eq!(walk.ipv6(), None);
     }
 }

@@ -1,23 +1,23 @@
 //! # netpkt — packet formats for the HARMLESS workspace
 //!
-//! Zero-copy wire-format views and high-level representations for the
-//! protocols HARMLESS touches on its dataplane:
+//! The wire formats HARMLESS touches on its dataplane, each a plain
+//! header struct with a `parse` and a `write`:
 //!
-//! * Ethernet II frames ([`EthernetFrame`] / [`EthernetRepr`])
-//! * IEEE 802.1Q VLAN tags ([`VlanTag`] / [`vlan::push_vlan`] / [`vlan::pop_vlan`])
-//! * ARP ([`ArpPacket`] / [`ArpRepr`])
-//! * IPv4 ([`Ipv4Packet`] / [`Ipv4Repr`]) and a minimal IPv6 ([`Ipv6Packet`])
-//! * UDP ([`UdpPacket`]), TCP ([`TcpPacket`]), ICMPv4 ([`Icmpv4Packet`])
+//! * Ethernet II and its 802.1Q tags ([`frame::Header`], [`VlanTag`],
+//!   [`vlan::push_vlan`] / [`vlan::pop_vlan`])
+//! * ARP ([`ArpRepr`])
+//! * IPv4 ([`ipv4::Header`]) and the fixed IPv6 header ([`ipv6::Header`])
+//! * UDP ([`udp::Header`]), TCP ([`tcp::Header`]), ICMPv4 ([`icmp::Header`])
 //!
-//! The design follows the smoltcp idiom: a *view* type wraps any
-//! `AsRef<[u8]>` buffer and exposes typed accessors over the raw octets
-//! without copying; a *repr* type is an owned, validated summary that can be
-//! `emit`-ted back into a buffer. Views over `AsMut<[u8]>` additionally
-//! allow in-place mutation, which the HARMLESS translator uses to rewrite
-//! VLAN tags on the hot path.
-//!
-//! On top of the raw formats, [`FlowKey`] ([`flowkey`]) extracts the
-//! OpenFlow 1.3 match tuple from a frame in a single pass — this is the
+//! The rule is the cursor's ([`wire`]): a `parse` reads its fields in
+//! order from a `&mut &[u8]`, each read checked, and a `write` writes
+//! the same fields in the same order to a `&mut &mut [u8]`. So each
+//! header states its layout once, any bytes at all parse to a header or
+//! an error, never a panic, and nothing here indexes a buffer
+//! (`clippy::indexing_slicing` is denied outside tests). [`Layers`] is
+//! the one walk through a frame, to the transport bytes the IPv4 total
+//! length bounds; in-place rewrites patch the offsets it returns.
+//! [`FlowKey::extract`] builds the OpenFlow 1.3 match tuple on it — the
 //! entry point of every software-switch lookup in the workspace.
 //!
 //! ## Example
@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 pub mod arp;
 pub mod builder;
@@ -53,22 +54,21 @@ pub mod framebuf;
 pub mod icmp;
 pub mod ipv4;
 pub mod ipv6;
+pub mod layers;
 pub mod mac;
 pub mod tcp;
 pub mod udp;
 pub mod vlan;
+pub mod wire;
 
-pub use arp::{ArpOp, ArpPacket, ArpRepr};
+pub use arp::{ArpOp, ArpRepr};
 pub use ethertype::EtherType;
 pub use flowkey::{FieldMask, FlowKey, VlanKey};
-pub use frame::{EthernetFrame, EthernetRepr};
 pub use framebuf::FrameBuf;
-pub use icmp::{Icmpv4Packet, Icmpv4Type};
-pub use ipv4::{IpProto, Ipv4Addr, Ipv4Packet, Ipv4Repr};
-pub use ipv6::Ipv6Packet;
+pub use icmp::Icmpv4Type;
+pub use ipv4::{IpProto, Ipv4Addr};
+pub use layers::Layers;
 pub use mac::MacAddr;
-pub use tcp::TcpPacket;
-pub use udp::UdpPacket;
 pub use vlan::{VlanTag, VID_MASK};
 
 /// Errors produced while parsing or emitting packet formats.

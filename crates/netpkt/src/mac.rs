@@ -33,16 +33,6 @@ impl MacAddr {
         self.0
     }
 
-    /// Parse from a 6-byte slice.
-    ///
-    /// # Panics
-    /// Panics if `slice.len() != 6`.
-    pub fn from_slice(slice: &[u8]) -> Self {
-        let mut o = [0u8; 6];
-        o.copy_from_slice(slice);
-        MacAddr(o)
-    }
-
     /// True for `ff:ff:ff:ff:ff:ff`.
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
@@ -67,25 +57,14 @@ impl MacAddr {
     /// The address as a `u64` with the two high octets zero. Handy as a map
     /// key or for OXM encoding.
     pub fn to_u64(&self) -> u64 {
-        let o = self.0;
-        (u64::from(o[0]) << 40)
-            | (u64::from(o[1]) << 32)
-            | (u64::from(o[2]) << 24)
-            | (u64::from(o[3]) << 16)
-            | (u64::from(o[4]) << 8)
-            | u64::from(o[5])
+        let [a, b, c, d, e, f] = self.0;
+        u64::from_be_bytes([0, 0, a, b, c, d, e, f])
     }
 
     /// Inverse of [`MacAddr::to_u64`]; the top 16 bits are ignored.
     pub fn from_u64(v: u64) -> Self {
-        MacAddr([
-            (v >> 40) as u8,
-            (v >> 32) as u8,
-            (v >> 24) as u8,
-            (v >> 16) as u8,
-            (v >> 8) as u8,
-            v as u8,
-        ])
+        let [_, _, a, b, c, d, e, f] = v.to_be_bytes();
+        MacAddr([a, b, c, d, e, f])
     }
 }
 
@@ -118,15 +97,12 @@ impl FromStr for MacAddr {
     /// Accepts `aa:bb:cc:dd:ee:ff` and `aa-bb-cc-dd-ee-ff`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut out = [0u8; 6];
-        let mut n = 0;
-        for part in s.split([':', '-']) {
-            if n == 6 || part.len() != 2 {
-                return Err(ParseMacError);
-            }
-            out[n] = u8::from_str_radix(part, 16).map_err(|_| ParseMacError)?;
-            n += 1;
+        let mut parts = s.split([':', '-']);
+        for octet in &mut out {
+            let part = parts.next().filter(|p| p.len() == 2).ok_or(ParseMacError)?;
+            *octet = u8::from_str_radix(part, 16).map_err(|_| ParseMacError)?;
         }
-        if n != 6 {
+        if parts.next().is_some() {
             return Err(ParseMacError);
         }
         Ok(MacAddr(out))

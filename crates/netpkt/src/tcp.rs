@@ -1,13 +1,16 @@
-//! TCP segment view (RFC 793) — enough for switching, ACLs and the
+//! The TCP header (RFC 793) — enough for switching, ACLs and the
 //! parental-control use case; no reassembly or state machine.
 
 use std::net::Ipv4Addr;
 
 use crate::checksum;
+use crate::wire::{Cursor, CursorMut};
 use crate::{Error, IpProto, Result};
 
 /// Minimum TCP header length (no options).
 pub const HEADER_LEN: usize = 20;
+/// Where the checksum lies in the header.
+const CHECKSUM_AT: usize = 16;
 
 /// TCP flag bits as stored in byte 13.
 pub mod flags {
@@ -25,145 +28,106 @@ pub mod flags {
     pub const URG: u8 = 0x20;
 }
 
-/// View over a TCP segment.
-#[derive(Debug, Clone)]
-pub struct TcpPacket<T: AsRef<[u8]>> {
-    buffer: T,
+/// A TCP header, options not kept. The checksum is the segment's, so it
+/// is filled in over the segment ([`fill_checksum_v4`]), not carried
+/// here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgement number.
+    pub ack: u32,
+    /// Header length in bytes (data offset × 4), options included.
+    pub header_len: usize,
+    /// The flag byte ([`flags`]).
+    pub flags: u8,
+    /// Window size.
+    pub window: u16,
 }
 
-impl<T: AsRef<[u8]>> TcpPacket<T> {
-    /// Wrap without validation.
-    pub const fn new_unchecked(buffer: T) -> Self {
-        TcpPacket { buffer }
-    }
-
-    /// Wrap, validating the data-offset field.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let doff = usize::from(b[12] >> 4) * 4;
-        if doff < HEADER_LEN {
+impl Header {
+    /// Read a header and step over its options: a data offset under 5
+    /// is [`Error::Malformed`].
+    #[inline(always)]
+    pub fn parse(c: &mut &[u8]) -> Result<Header> {
+        let mut h = c.take(HEADER_LEN)?;
+        let header = Header {
+            src_port: h.u16()?,
+            dst_port: h.u16()?,
+            seq: h.u32()?,
+            ack: h.u32()?,
+            header_len: usize::from(h.u8()? >> 4) * 4,
+            flags: h.u8()?,
+            window: h.u16()?,
+        }; // then the checksum and the urgent pointer
+        if header.header_len < HEADER_LEN {
             return Err(Error::Malformed);
         }
-        if b.len() < doff {
-            return Err(Error::Truncated);
-        }
-        Ok(TcpPacket { buffer })
-    }
-
-    /// Source port.
-    pub fn src_port(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[0], b[1]])
-    }
-
-    /// Destination port.
-    pub fn dst_port(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[2], b[3]])
-    }
-
-    /// Sequence number.
-    pub fn seq(&self) -> u32 {
-        let b = self.buffer.as_ref();
-        u32::from_be_bytes([b[4], b[5], b[6], b[7]])
-    }
-
-    /// Acknowledgement number.
-    pub fn ack(&self) -> u32 {
-        let b = self.buffer.as_ref();
-        u32::from_be_bytes([b[8], b[9], b[10], b[11]])
-    }
-
-    /// Header length in bytes.
-    pub fn header_len(&self) -> usize {
-        usize::from(self.buffer.as_ref()[12] >> 4) * 4
-    }
-
-    /// Raw flag byte.
-    pub fn flags(&self) -> u8 {
-        self.buffer.as_ref()[13]
+        c.skip(header.header_len - HEADER_LEN)?;
+        Ok(header)
     }
 
     /// True if SYN set and ACK clear.
     pub fn is_syn(&self) -> bool {
-        self.flags() & (flags::SYN | flags::ACK) == flags::SYN
+        self.flags & (flags::SYN | flags::ACK) == flags::SYN
     }
 
-    /// Window size.
-    pub fn window(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[14], b[15]])
-    }
-
-    /// Payload after header+options.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[self.header_len()..]
-    }
-
-    /// Verify the checksum over the IPv4 pseudo-header.
-    pub fn verify_checksum_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-        let b = self.buffer.as_ref();
-        let mut acc =
-            checksum::pseudo_header_v4(src.octets(), dst.octets(), IpProto::TCP.0, b.len() as u16);
-        acc = checksum::sum(acc, b);
-        checksum::finish(acc) == 0
+    /// Write the 20 bytes of an option-less header, checksum and urgent
+    /// pointer zero.
+    pub fn write(&self, out: &mut &mut [u8]) -> Result<()> {
+        out.put_u16(self.src_port)?;
+        out.put_u16(self.dst_port)?;
+        out.put_u32(self.seq)?;
+        out.put_u32(self.ack)?;
+        out.put_u8(((self.header_len / 4) as u8) << 4)?;
+        out.put_u8(self.flags)?;
+        out.put_u16(self.window)?;
+        out.put(&[0; 4])
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpPacket<T> {
-    /// Set the source port.
-    pub fn set_src_port(&mut self, p: u16) {
-        self.buffer.as_mut()[0..2].copy_from_slice(&p.to_be_bytes());
+/// Recompute and store the checksum of `segment` (header and payload,
+/// nothing behind it) over the IPv4 pseudo-header. A segment whose
+/// header does not parse is left as it is.
+pub fn fill_checksum_v4(segment: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+    if Header::parse(&mut &segment[..]).is_err() {
+        return;
     }
+    let acc = checksum::pseudo_header_v4(
+        src.octets(),
+        dst.octets(),
+        IpProto::TCP.0,
+        segment.len() as u16,
+    );
+    checksum::fill(segment, CHECKSUM_AT, acc);
+}
 
-    /// Set the destination port.
-    pub fn set_dst_port(&mut self, p: u16) {
-        self.buffer.as_mut()[2..4].copy_from_slice(&p.to_be_bytes());
-    }
-
-    /// Set the sequence number.
-    pub fn set_seq(&mut self, v: u32) {
-        self.buffer.as_mut()[4..8].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the acknowledgement number.
-    pub fn set_ack(&mut self, v: u32) {
-        self.buffer.as_mut()[8..12].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the data offset (header length in bytes).
-    pub fn set_header_len(&mut self, len: usize) {
-        self.buffer.as_mut()[12] = ((len / 4) as u8) << 4;
-    }
-
-    /// Set the flag byte.
-    pub fn set_flags(&mut self, f: u8) {
-        self.buffer.as_mut()[13] = f;
-    }
-
-    /// Set the window size.
-    pub fn set_window(&mut self, w: u16) {
-        self.buffer.as_mut()[14..16].copy_from_slice(&w.to_be_bytes());
-    }
-
-    /// Compute and store the checksum over the IPv4 pseudo-header.
-    pub fn fill_checksum_v4(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        self.buffer.as_mut()[16..18].copy_from_slice(&[0, 0]);
-        let len = self.buffer.as_ref().len();
-        let mut acc =
-            checksum::pseudo_header_v4(src.octets(), dst.octets(), IpProto::TCP.0, len as u16);
-        acc = checksum::sum(acc, self.buffer.as_ref());
-        let ck = checksum::finish(acc);
-        self.buffer.as_mut()[16..18].copy_from_slice(&ck.to_be_bytes());
-    }
+/// Whether the checksum of `segment` holds over the IPv4 pseudo-header.
+pub fn verify_checksum_v4(segment: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> bool {
+    let len = segment.len() as u16;
+    let acc = checksum::pseudo_header_v4(src.octets(), dst.octets(), IpProto::TCP.0, len);
+    checksum::finish(checksum::sum(acc, segment)) == 0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn header(flags: u8) -> Header {
+        Header {
+            src_port: 40000,
+            dst_port: 80,
+            seq: 1,
+            ack: 0,
+            header_len: HEADER_LEN,
+            flags,
+            window: 65535,
+        }
+    }
 
     #[test]
     fn build_verify_round_trip() {
@@ -171,47 +135,34 @@ mod tests {
         let dst = Ipv4Addr::new(10, 1, 0, 2);
         let mut buf = [0u8; HEADER_LEN + 3];
         buf[HEADER_LEN..].copy_from_slice(b"GET");
-        let mut tcp = TcpPacket::new_unchecked(&mut buf[..]);
-        tcp.set_src_port(40000);
-        tcp.set_dst_port(80);
-        tcp.set_seq(1);
-        tcp.set_ack(0);
-        tcp.set_header_len(HEADER_LEN);
-        tcp.set_flags(flags::PSH | flags::ACK);
-        tcp.set_window(65535);
-        tcp.fill_checksum_v4(src, dst);
+        let tcp = header(flags::PSH | flags::ACK);
+        tcp.write(&mut &mut buf[..]).unwrap();
+        fill_checksum_v4(&mut buf, src, dst);
 
-        let tcp = TcpPacket::new_checked(&buf[..]).unwrap();
-        assert_eq!(tcp.dst_port(), 80);
-        assert_eq!(tcp.payload(), b"GET");
+        let mut c = &buf[..];
+        assert_eq!(Header::parse(&mut c).unwrap(), tcp);
+        assert_eq!(c, b"GET");
         assert!(!tcp.is_syn());
-        assert!(tcp.verify_checksum_v4(src, dst));
+        assert!(verify_checksum_v4(&buf, src, dst));
         // A different address (not a src/dst swap, which is sum-invariant)
         // must fail verification.
-        assert!(!tcp.verify_checksum_v4(src, Ipv4Addr::new(10, 1, 0, 9)));
+        assert!(!verify_checksum_v4(&buf, src, Ipv4Addr::new(10, 1, 0, 9)));
     }
 
     #[test]
     fn syn_detection() {
         let mut buf = [0u8; HEADER_LEN];
-        let mut tcp = TcpPacket::new_unchecked(&mut buf[..]);
-        tcp.set_header_len(HEADER_LEN);
-        tcp.set_flags(flags::SYN);
-        assert!(TcpPacket::new_checked(&buf[..]).unwrap().is_syn());
+        header(flags::SYN).write(&mut &mut buf[..]).unwrap();
+        assert!(Header::parse(&mut &buf[..]).unwrap().is_syn());
+        assert!(!header(flags::SYN | flags::ACK).is_syn());
     }
 
     #[test]
     fn rejects_bad_data_offset() {
         let mut buf = [0u8; HEADER_LEN];
         buf[12] = 0x30; // doff = 12 bytes < 20
-        assert_eq!(
-            TcpPacket::new_checked(&buf[..]).unwrap_err(),
-            Error::Malformed
-        );
+        assert_eq!(Header::parse(&mut &buf[..]).unwrap_err(), Error::Malformed);
         buf[12] = 0xf0; // doff = 60 bytes > buffer
-        assert_eq!(
-            TcpPacket::new_checked(&buf[..]).unwrap_err(),
-            Error::Truncated
-        );
+        assert_eq!(Header::parse(&mut &buf[..]).unwrap_err(), Error::Truncated);
     }
 }

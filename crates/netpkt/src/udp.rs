@@ -1,112 +1,93 @@
-//! UDP datagram view (RFC 768).
+//! The UDP header (RFC 768).
 
 use std::net::Ipv4Addr;
 
 use crate::checksum;
+use crate::wire::{Cursor, CursorMut};
 use crate::{Error, IpProto, Result};
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
+/// Where the checksum lies in the header.
+const CHECKSUM_AT: usize = 6;
 
-/// View over a UDP datagram.
-#[derive(Debug, Clone)]
-pub struct UdpPacket<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> UdpPacket<T> {
-    /// Wrap without validation.
-    pub const fn new_unchecked(buffer: T) -> Self {
-        UdpPacket { buffer }
-    }
-
-    /// Wrap, validating the length fields.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let len = usize::from(u16::from_be_bytes([b[4], b[5]]));
-        if len < HEADER_LEN || b.len() < len {
-            return Err(Error::Truncated);
-        }
-        Ok(UdpPacket { buffer })
-    }
-
+/// A UDP header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
     /// Source port.
-    pub fn src_port(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[0], b[1]])
-    }
-
+    pub src_port: u16,
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[2], b[3]])
-    }
+    pub dst_port: u16,
+    /// Datagram length: header and payload.
+    pub len: u16,
+    /// Checksum, as stored (0 = not computed).
+    pub checksum: u16,
+}
 
-    /// Datagram length (header + payload).
-    pub fn len_field(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[4], b[5]])
-    }
-
-    /// Stored checksum (0 = not computed).
-    pub fn checksum_field(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[6], b[7]])
-    }
-
-    /// Payload bytes.
-    pub fn payload(&self) -> &[u8] {
-        let end = usize::from(self.len_field()).min(self.buffer.as_ref().len());
-        &self.buffer.as_ref()[HEADER_LEN..end]
-    }
-
-    /// Verify the checksum against the IPv4 pseudo-header. A zero stored
-    /// checksum means "not computed" and verifies trivially.
-    pub fn verify_checksum_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-        if self.checksum_field() == 0 {
-            return true;
+impl Header {
+    /// Read a header whose length field is at least the header and at
+    /// most the header and what follows it in `c`; anything else is
+    /// [`Error::Truncated`]. The payload is the next
+    /// [`payload_len`](Header::payload_len) bytes of `c`.
+    #[inline(always)]
+    pub fn parse(c: &mut &[u8]) -> Result<Header> {
+        let mut h = c.take(HEADER_LEN)?;
+        let header = Header {
+            src_port: h.u16()?,
+            dst_port: h.u16()?,
+            len: h.u16()?,
+            checksum: h.u16()?,
+        };
+        let len = usize::from(header.len);
+        if len < HEADER_LEN || c.len() < len - HEADER_LEN {
+            return Err(Error::Truncated);
         }
-        let b = self.buffer.as_ref();
-        let len = usize::from(self.len_field());
-        let mut acc =
-            checksum::pseudo_header_v4(src.octets(), dst.octets(), IpProto::UDP.0, len as u16);
-        acc = checksum::sum(acc, &b[..len]);
-        checksum::finish(acc) == 0
+        Ok(header)
+    }
+
+    /// Payload bytes, by the length field.
+    pub fn payload_len(&self) -> usize {
+        usize::from(self.len).saturating_sub(HEADER_LEN)
+    }
+
+    /// Write the header's 8 bytes.
+    #[inline]
+    pub fn write(&self, out: &mut &mut [u8]) -> Result<()> {
+        out.put_u16(self.src_port)?;
+        out.put_u16(self.dst_port)?;
+        out.put_u16(self.len)?;
+        out.put_u16(self.checksum)
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpPacket<T> {
-    /// Set the source port.
-    pub fn set_src_port(&mut self, p: u16) {
-        self.buffer.as_mut()[0..2].copy_from_slice(&p.to_be_bytes());
-    }
-
-    /// Set the destination port.
-    pub fn set_dst_port(&mut self, p: u16) {
-        self.buffer.as_mut()[2..4].copy_from_slice(&p.to_be_bytes());
-    }
-
-    /// Set the length field.
-    pub fn set_len_field(&mut self, len: u16) {
-        self.buffer.as_mut()[4..6].copy_from_slice(&len.to_be_bytes());
-    }
-
-    /// Compute and store the checksum over the IPv4 pseudo-header.
-    pub fn fill_checksum_v4(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        self.buffer.as_mut()[6..8].copy_from_slice(&[0, 0]);
-        let len = usize::from(self.len_field());
-        let mut acc =
-            checksum::pseudo_header_v4(src.octets(), dst.octets(), IpProto::UDP.0, len as u16);
-        acc = checksum::sum(acc, &self.buffer.as_ref()[..len]);
-        let mut ck = checksum::finish(acc);
-        if ck == 0 {
-            ck = 0xffff; // RFC 768: transmitted zero means "no checksum"
+/// Recompute and store the checksum of `dgram` over the IPv4
+/// pseudo-header: of its first length-field bytes, the datagram's own
+/// (a computed zero is sent as `0xffff`, RFC 768).
+#[inline]
+pub fn fill_checksum_v4(dgram: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+    let Ok(header) = Header::parse(&mut &dgram[..]) else {
+        return;
+    };
+    let Some(dgram) = dgram.get_mut(..usize::from(header.len)) else {
+        return;
+    };
+    let acc = checksum::pseudo_header_v4(src.octets(), dst.octets(), IpProto::UDP.0, header.len);
+    if checksum::fill(dgram, CHECKSUM_AT, acc) == Some(0) {
+        if let Some(ck) = dgram.get_mut(CHECKSUM_AT..CHECKSUM_AT + 2) {
+            ck.copy_from_slice(&[0xff, 0xff]);
         }
-        self.buffer.as_mut()[6..8].copy_from_slice(&ck.to_be_bytes());
     }
+}
+
+/// Whether the checksum of `dgram` holds over the IPv4 pseudo-header.
+/// A zero stored checksum means "not computed" and holds trivially.
+pub fn verify_checksum_v4(dgram: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> bool {
+    let Ok(header) = Header::parse(&mut &dgram[..]) else {
+        return false;
+    };
+    let acc = checksum::pseudo_header_v4(src.octets(), dst.octets(), IpProto::UDP.0, header.len);
+    let summed = dgram.get(..usize::from(header.len)).unwrap_or_default();
+    header.checksum == 0 || checksum::finish(checksum::sum(acc, summed)) == 0
 }
 
 #[cfg(test)]
@@ -117,39 +98,53 @@ mod tests {
     fn build_verify_round_trip() {
         let src = Ipv4Addr::new(192, 168, 0, 1);
         let dst = Ipv4Addr::new(192, 168, 0, 2);
-        let mut buf = [0u8; HEADER_LEN + 5];
-        buf[HEADER_LEN..].copy_from_slice(b"hello");
-        let mut udp = UdpPacket::new_unchecked(&mut buf[..]);
-        udp.set_src_port(1234);
-        udp.set_dst_port(53);
-        udp.set_len_field(13);
-        udp.fill_checksum_v4(src, dst);
-        let udp = UdpPacket::new_checked(&buf[..]).unwrap();
-        assert_eq!(udp.src_port(), 1234);
-        assert_eq!(udp.dst_port(), 53);
-        assert_eq!(udp.payload(), b"hello");
-        assert!(udp.verify_checksum_v4(src, dst));
+        let mut buf = [0u8; HEADER_LEN + 5 + 3]; // 3 bytes of trailer
+        buf[HEADER_LEN..HEADER_LEN + 5].copy_from_slice(b"hello");
+        let udp = Header {
+            src_port: 1234,
+            dst_port: 53,
+            len: 13,
+            checksum: 0,
+        };
+        udp.write(&mut &mut buf[..]).unwrap();
+        fill_checksum_v4(&mut buf, src, dst);
+        let mut c = &buf[..];
+        let parsed = Header::parse(&mut c).unwrap();
+        assert_eq!((parsed.src_port, parsed.dst_port), (1234, 53));
+        assert_eq!(c.get(..parsed.payload_len()), Some(&b"hello"[..]));
+        assert!(verify_checksum_v4(&buf, src, dst));
         // A different address (not a src/dst swap, which is sum-invariant)
         // must fail verification.
-        assert!(!udp.verify_checksum_v4(src, Ipv4Addr::new(192, 168, 0, 3)));
+        assert!(!verify_checksum_v4(
+            &buf,
+            src,
+            Ipv4Addr::new(192, 168, 0, 3)
+        ));
     }
 
     #[test]
     fn zero_checksum_always_verifies() {
         let mut buf = [0u8; HEADER_LEN];
-        let mut udp = UdpPacket::new_unchecked(&mut buf[..]);
-        udp.set_len_field(8);
-        let udp = UdpPacket::new_checked(&buf[..]).unwrap();
-        assert!(udp.verify_checksum_v4(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED));
+        let udp = Header {
+            src_port: 0,
+            dst_port: 0,
+            len: 8,
+            checksum: 0,
+        };
+        udp.write(&mut &mut buf[..]).unwrap();
+        assert!(verify_checksum_v4(
+            &buf,
+            Ipv4Addr::UNSPECIFIED,
+            Ipv4Addr::UNSPECIFIED
+        ));
     }
 
     #[test]
     fn rejects_len_field_below_header() {
         let mut buf = [0u8; HEADER_LEN];
         buf[4..6].copy_from_slice(&4u16.to_be_bytes());
-        assert_eq!(
-            UdpPacket::new_checked(&buf[..]).unwrap_err(),
-            Error::Truncated
-        );
+        assert_eq!(Header::parse(&mut &buf[..]).unwrap_err(), Error::Truncated);
+        buf[4..6].copy_from_slice(&9u16.to_be_bytes()); // one byte past the end
+        assert_eq!(Header::parse(&mut &buf[..]).unwrap_err(), Error::Truncated);
     }
 }

@@ -1,4 +1,4 @@
-//! IEEE 802.1Q VLAN tags: views, TCI manipulation, and the push/pop frame
+//! IEEE 802.1Q VLAN tags: TCI manipulation, and the push/pop frame
 //! rewrites the HARMLESS translator performs on every packet.
 //!
 //! A tagged Ethernet frame looks like:
@@ -7,12 +7,14 @@
 //! | dst (6) | src (6) | TPID 0x8100 (2) | TCI (2) | ethertype (2) | payload |
 //! ```
 //!
-//! TCI = PCP (3 bits) | DEI (1 bit) | VID (12 bits).
+//! TCI = PCP (3 bits) | DEI (1 bit) | VID (12 bits). The tag stack is
+//! parsed with the addresses in front of it, by [`frame::Header`].
 
-use bytes::{Bytes, BytesMut};
+use core::ops::Range;
 
-use crate::frame::HEADER_LEN;
-use crate::{framebuf, Error, EtherType, Result};
+use bytes::Bytes;
+
+use crate::{frame, framebuf, Error, EtherType, Result};
 
 /// Mask of the 12-bit VLAN identifier within the TCI.
 pub const VID_MASK: u16 = 0x0fff;
@@ -20,6 +22,8 @@ pub const VID_MASK: u16 = 0x0fff;
 pub const MAX_VID: u16 = 4094;
 /// Byte length of one 802.1Q tag (TPID + TCI).
 pub const TAG_LEN: usize = 4;
+/// Where the outermost tag's TCI lies in a tagged frame.
+pub const OUTER_TCI: Range<usize> = 14..16;
 
 /// A decoded 802.1Q tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,63 +66,6 @@ impl VlanTag {
     }
 }
 
-/// Tag-aware view of an Ethernet frame: resolves the (possibly stacked)
-/// VLAN tags and locates the *inner* EtherType and payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VlanView {
-    /// Outermost tag, if any.
-    pub outer: Option<VlanTag>,
-    /// Second tag for QinQ frames.
-    pub inner: Option<VlanTag>,
-    /// The EtherType of the encapsulated protocol (after all tags).
-    pub inner_ethertype: EtherType,
-    /// Byte offset of the inner payload from the start of the frame.
-    pub payload_offset: usize,
-}
-
-impl VlanView {
-    /// Parse the tag stack of `frame`. Untagged frames yield
-    /// `outer == None` and `payload_offset == 14`.
-    pub fn parse(frame: &[u8]) -> Result<VlanView> {
-        if frame.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let mut off = 12; // first ethertype/TPID position
-        let mut outer = None;
-        let mut inner = None;
-        let mut ethertype = read_u16(frame, off)?;
-        if EtherType(ethertype).is_vlan() {
-            let tci = read_u16(frame, off + 2)?;
-            outer = Some(VlanTag::from_tci(tci));
-            off += TAG_LEN;
-            ethertype = read_u16(frame, off)?;
-            if EtherType(ethertype).is_vlan() {
-                let tci = read_u16(frame, off + 2)?;
-                inner = Some(VlanTag::from_tci(tci));
-                off += TAG_LEN;
-                ethertype = read_u16(frame, off)?;
-                if EtherType(ethertype).is_vlan() {
-                    // More than two tags is outside any profile we model.
-                    return Err(Error::Malformed);
-                }
-            }
-        }
-        Ok(VlanView {
-            outer,
-            inner,
-            inner_ethertype: EtherType(ethertype),
-            payload_offset: off + 2,
-        })
-    }
-}
-
-fn read_u16(buf: &[u8], off: usize) -> Result<u16> {
-    if buf.len() < off + 2 {
-        return Err(Error::Truncated);
-    }
-    Ok(u16::from_be_bytes([buf[off], buf[off + 1]]))
-}
-
 /// Insert an 802.1Q tag (TPID 0x8100) directly after the source MAC,
 /// returning the re-allocated frame. Works for already-tagged frames too,
 /// producing a QinQ stack with the new tag outermost. The caller keeps
@@ -140,30 +87,28 @@ pub fn pop_vlan(frame: &Bytes) -> Result<Bytes> {
 }
 
 /// Rewrite the VID of the outermost tag in place (no reallocation).
-/// Returns the previous tag. Fails if the frame is untagged.
-pub fn set_vlan_vid(frame: &mut BytesMut, vid: u16) -> Result<VlanTag> {
-    if frame.len() < HEADER_LEN + TAG_LEN {
-        return Err(Error::Truncated);
-    }
-    let tpid = u16::from_be_bytes([frame[12], frame[13]]);
-    if !EtherType(tpid).is_vlan() {
-        return Err(Error::Malformed);
-    }
-    let old = VlanTag::from_tci(u16::from_be_bytes([frame[14], frame[15]]));
-    let new = VlanTag { vid, ..old };
-    frame[14..16].copy_from_slice(&new.to_tci().to_be_bytes());
+/// Returns the previous tag. Fails if the frame carries no tag.
+pub fn set_vlan_vid(frame: &mut [u8], vid: u16) -> Result<VlanTag> {
+    let old = outer_tag(frame).ok_or(Error::Malformed)?;
+    let tci = frame.get_mut(OUTER_TCI).ok_or(Error::Truncated)?;
+    tci.copy_from_slice(&VlanTag { vid, ..old }.to_tci().to_be_bytes());
     Ok(old)
 }
 
 /// Read the outermost tag of a frame, if present.
 pub fn outer_tag(frame: &[u8]) -> Option<VlanTag> {
-    VlanView::parse(frame).ok()?.outer
+    frame::Header::parse(&mut &frame[..]).ok()?.outer
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EthernetFrame, MacAddr};
+    use crate::frame::{Header, HEADER_LEN};
+    use crate::MacAddr;
+
+    fn parse(frame: &[u8]) -> Result<Header> {
+        Header::parse(&mut &frame[..])
+    }
 
     fn untagged() -> Bytes {
         let mut f = vec![0u8; HEADER_LEN + 8];
@@ -196,15 +141,14 @@ mod tests {
     fn push_then_parse() {
         let tagged = push_vlan(&untagged(), VlanTag::new(101)).unwrap();
         assert_eq!(tagged.len(), untagged().len() + TAG_LEN);
-        let view = VlanView::parse(&tagged).unwrap();
-        assert_eq!(view.outer, Some(VlanTag::new(101)));
-        assert_eq!(view.inner, None);
-        assert_eq!(view.inner_ethertype, EtherType::IPV4);
-        assert_eq!(view.payload_offset, 18);
+        let eth = parse(&tagged).unwrap();
+        assert_eq!(eth.outer, Some(VlanTag::new(101)));
+        assert_eq!(eth.inner, None);
+        assert_eq!(eth.ethertype, EtherType::IPV4);
+        assert_eq!(eth.header_len(), 18);
         // Addresses untouched.
-        let eth = EthernetFrame::new_checked(&tagged[..]).unwrap();
-        assert_eq!(eth.src(), MacAddr::host(1));
-        assert_eq!(eth.dst(), MacAddr::host(2));
+        assert_eq!(eth.src, MacAddr::host(1));
+        assert_eq!(eth.dst, MacAddr::host(2));
     }
 
     #[test]
@@ -224,11 +168,11 @@ mod tests {
     fn qinq_stack() {
         let t1 = push_vlan(&untagged(), VlanTag::new(10)).unwrap();
         let t2 = push_vlan_tpid(&t1, VlanTag::new(200), EtherType::QINQ).unwrap();
-        let view = VlanView::parse(&t2).unwrap();
-        assert_eq!(view.outer, Some(VlanTag::new(200)));
-        assert_eq!(view.inner, Some(VlanTag::new(10)));
-        assert_eq!(view.inner_ethertype, EtherType::IPV4);
-        assert_eq!(view.payload_offset, 22);
+        let eth = parse(&t2).unwrap();
+        assert_eq!(eth.outer, Some(VlanTag::new(200)));
+        assert_eq!(eth.inner, Some(VlanTag::new(10)));
+        assert_eq!(eth.ethertype, EtherType::IPV4);
+        assert_eq!(eth.header_len(), 22);
     }
 
     #[test]
@@ -242,27 +186,30 @@ mod tests {
             },
         )
         .unwrap();
-        let mut buf = BytesMut::from(&tagged[..]);
+        let mut buf = tagged.to_vec();
         let old = set_vlan_vid(&mut buf, 102).unwrap();
         assert_eq!(old.vid, 101);
-        let view = VlanView::parse(&buf).unwrap();
         // PCP must be preserved across the rewrite.
         assert_eq!(
-            view.outer,
+            outer_tag(&buf),
             Some(VlanTag {
                 vid: 102,
                 pcp: 3,
                 dei: false
             })
         );
+        assert_eq!(
+            set_vlan_vid(&mut untagged().to_vec(), 5),
+            Err(Error::Malformed)
+        );
     }
 
     #[test]
     fn untagged_view() {
-        let view = VlanView::parse(&untagged()).unwrap();
-        assert_eq!(view.outer, None);
-        assert_eq!(view.payload_offset, HEADER_LEN);
-        assert_eq!(view.inner_ethertype, EtherType::IPV4);
+        let eth = parse(&untagged()).unwrap();
+        assert_eq!(eth.outer, None);
+        assert_eq!(eth.header_len(), HEADER_LEN);
+        assert_eq!(eth.ethertype, EtherType::IPV4);
     }
 
     #[test]
@@ -270,6 +217,7 @@ mod tests {
         let t1 = push_vlan(&untagged(), VlanTag::new(1)).unwrap();
         let t2 = push_vlan(&t1, VlanTag::new(2)).unwrap();
         let t3 = push_vlan(&t2, VlanTag::new(3)).unwrap();
-        assert_eq!(VlanView::parse(&t3).unwrap_err(), Error::Malformed);
+        assert_eq!(parse(&t3).unwrap_err(), Error::Malformed);
+        assert_eq!(outer_tag(&t3), None);
     }
 }

@@ -4,11 +4,10 @@
 
 use proptest::prelude::*;
 
+use netpkt::layers::{Ipv4, Layers};
 use netpkt::vlan::{self, VlanTag};
-use netpkt::{
-    builder, ArpPacket, ArpRepr, EthernetFrame, EthernetRepr, FlowKey, Icmpv4Packet, Ipv4Packet,
-    MacAddr, TcpPacket, UdpPacket,
-};
+use netpkt::{builder, checksum, frame, icmp, ipv4, ipv6, tcp, udp};
+use netpkt::{ArpRepr, EtherType, FlowKey, MacAddr};
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
     any::<[u8; 6]>().prop_map(MacAddr)
@@ -16,6 +15,17 @@ fn arb_mac() -> impl Strategy<Value = MacAddr> {
 
 fn arb_ip() -> impl Strategy<Value = std::net::Ipv4Addr> {
     any::<u32>().prop_map(std::net::Ipv4Addr::from)
+}
+
+/// The walk of a built IPv4 frame, its header checksum verified.
+fn ipv4_of(f: &[u8]) -> (Layers<'_>, Ipv4<'_>) {
+    let walk = Layers::parse(f).unwrap();
+    let v4 = walk.ipv4().unwrap();
+    assert!(
+        checksum::verify(&f[walk.l3_at..v4.l4_at]),
+        "IPv4 header checksum"
+    );
+    (walk, v4)
 }
 
 proptest! {
@@ -32,18 +42,16 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..1400),
     ) {
         let f = builder::udp_packet(src_mac, dst_mac, src_ip, dst_ip, sport, dport, &payload);
-        let eth = EthernetFrame::new_checked(&f[..]).unwrap();
-        prop_assert_eq!(eth.src(), src_mac);
-        prop_assert_eq!(eth.dst(), dst_mac);
-        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        prop_assert!(ip.verify_checksum());
-        prop_assert_eq!(ip.src(), src_ip);
-        prop_assert_eq!(ip.dst(), dst_ip);
-        let udp = UdpPacket::new_checked(ip.payload()).unwrap();
-        prop_assert!(udp.verify_checksum_v4(src_ip, dst_ip));
-        prop_assert_eq!(udp.src_port(), sport);
-        prop_assert_eq!(udp.dst_port(), dport);
-        prop_assert_eq!(udp.payload(), &payload[..]);
+        let (walk, Ipv4 { ip, mut l4, .. }) = ipv4_of(&f);
+        prop_assert_eq!(walk.eth.src, src_mac);
+        prop_assert_eq!(walk.eth.dst, dst_mac);
+        prop_assert_eq!(ip.src, src_ip);
+        prop_assert_eq!(ip.dst, dst_ip);
+        prop_assert!(udp::verify_checksum_v4(l4, src_ip, dst_ip));
+        let udp = udp::Header::parse(&mut l4).unwrap();
+        prop_assert_eq!(udp.src_port, sport);
+        prop_assert_eq!(udp.dst_port, dport);
+        prop_assert_eq!(l4, &payload[..]);
         // And the flow key agrees with the construction parameters.
         let key = FlowKey::extract(5, &f).unwrap();
         prop_assert_eq!(key.in_port, 5);
@@ -65,23 +73,33 @@ proptest! {
         let f = builder::tcp_packet(
             MacAddr::host(1), MacAddr::host(2), src_ip, dst_ip, sport, dport, flags, &payload,
         );
-        let eth = EthernetFrame::new_checked(&f[..]).unwrap();
-        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        prop_assert!(ip.verify_checksum());
-        let tcp = TcpPacket::new_checked(ip.payload()).unwrap();
-        prop_assert!(tcp.verify_checksum_v4(src_ip, dst_ip));
-        prop_assert_eq!(tcp.flags(), flags);
-        prop_assert_eq!(tcp.payload(), &payload[..]);
+        let (_, Ipv4 { mut l4, .. }) = ipv4_of(&f);
+        prop_assert!(tcp::verify_checksum_v4(l4, src_ip, dst_ip));
+        let tcp = tcp::Header::parse(&mut l4).unwrap();
+        prop_assert_eq!(tcp.flags, flags);
+        prop_assert_eq!(l4, &payload[..]);
     }
 
     #[test]
-    fn ethernet_repr_round_trips(dst in arb_mac(), src in arb_mac(), ty in any::<u16>()) {
-        let repr = EthernetRepr { dst, src, ethertype: netpkt::EtherType(ty) };
-        let mut buf = [0u8; 14];
-        let mut frame = EthernetFrame::new_unchecked(&mut buf[..]);
-        repr.emit(&mut frame);
-        let parsed = EthernetRepr::parse(&EthernetFrame::new_checked(&buf[..]).unwrap()).unwrap();
-        prop_assert_eq!(parsed, repr);
+    fn ethernet_repr_round_trips(
+        dst in arb_mac(),
+        src in arb_mac(),
+        ty in any::<u16>(),
+        tcis in proptest::collection::vec(any::<u16>(), 0..3),
+    ) {
+        // A TPID behind the tags would announce a tag that is not there.
+        prop_assume!(!EtherType(ty).is_vlan());
+        let tags: Vec<_> = tcis.iter().map(|&t| VlanTag::from_tci(t)).collect();
+        let header = frame::Header {
+            outer: tags.first().copied(),
+            inner: tags.get(1).copied(),
+            ..frame::Header::new(dst, src, EtherType(ty))
+        };
+        let mut buf = [0u8; 22];
+        header.write(&mut &mut buf[..]).unwrap();
+        let mut c = &buf[..];
+        prop_assert_eq!(frame::Header::parse(&mut c).unwrap(), header);
+        prop_assert_eq!(header.header_len(), buf.len() - c.len());
     }
 
     #[test]
@@ -100,9 +118,8 @@ proptest! {
             target_ip: tip,
         };
         let mut buf = [0u8; netpkt::arp::PACKET_LEN];
-        repr.emit(&mut buf);
-        let parsed = ArpRepr::parse(&ArpPacket::new_checked(&buf[..]).unwrap()).unwrap();
-        prop_assert_eq!(parsed, repr);
+        repr.write(&mut &mut buf[..]).unwrap();
+        prop_assert_eq!(ArpRepr::parse(&mut &buf[..]).unwrap(), repr);
     }
 
     #[test]
@@ -118,9 +135,9 @@ proptest! {
         );
         let t1 = vlan::push_vlan(&base, VlanTag { vid: vid1, pcp, dei: false }).unwrap();
         let t2 = vlan::push_vlan_tpid(&t1, VlanTag::new(vid2), netpkt::EtherType::QINQ).unwrap();
-        let view = vlan::VlanView::parse(&t2).unwrap();
-        prop_assert_eq!(view.outer, Some(VlanTag::new(vid2)));
-        prop_assert_eq!(view.inner, Some(VlanTag { vid: vid1, pcp, dei: false }));
+        let eth = frame::Header::parse(&mut &t2[..]).unwrap();
+        prop_assert_eq!(eth.outer, Some(VlanTag::new(vid2)));
+        prop_assert_eq!(eth.inner, Some(VlanTag { vid: vid1, pcp, dei: false }));
         // Pop twice restores the original.
         let p1 = vlan::pop_vlan(&t2).unwrap();
         let p2 = vlan::pop_vlan(&p1).unwrap();
@@ -129,13 +146,14 @@ proptest! {
 
     #[test]
     fn parsers_never_panic_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = EthernetFrame::new_checked(&data[..]);
-        let _ = Ipv4Packet::new_checked(&data[..]);
-        let _ = UdpPacket::new_checked(&data[..]);
-        let _ = TcpPacket::new_checked(&data[..]);
-        let _ = Icmpv4Packet::new_checked(&data[..]);
-        let _ = ArpPacket::new_checked(&data[..]);
-        let _ = vlan::VlanView::parse(&data[..]);
+        let _ = frame::Header::parse(&mut &data[..]);
+        let _ = ipv4::Header::parse(&mut &data[..]);
+        let _ = ipv6::Header::parse(&mut &data[..]);
+        let _ = udp::Header::parse(&mut &data[..]);
+        let _ = tcp::Header::parse(&mut &data[..]);
+        let _ = icmp::Header::parse(&mut &data[..]);
+        let _ = ArpRepr::parse(&mut &data[..]);
+        let _ = Layers::parse(&data);
         let _ = FlowKey::extract_lossy(0, &data);
     }
 

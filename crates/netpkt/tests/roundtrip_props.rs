@@ -1,18 +1,35 @@
-//! Property tests complementing `proptests.rs`: header-repr round trips
-//! (`Ipv4Repr`), corruption detection for the IPv4/TCP/UDP checksums,
+//! Property tests complementing `proptests.rs`: header round trips
+//! (`ipv4::Header`), corruption detection for the IPv4/TCP/UDP checksums,
 //! ICMP echo builder↔parser agreement, RFC 1071 algebra, and flow-key
 //! masking identities.
 
 use proptest::prelude::*;
 
-use netpkt::ipv4::IpProto;
-use netpkt::{
-    builder, checksum, EthernetFrame, FlowKey, Icmpv4Packet, Icmpv4Type, Ipv4Packet, Ipv4Repr,
-    MacAddr, TcpPacket, UdpPacket,
-};
+use netpkt::ipv4::{self, IpProto};
+use netpkt::layers::{Ipv4, Layers};
+use netpkt::{builder, checksum, icmp, tcp, udp, FlowKey, Icmpv4Type, MacAddr};
 
 fn arb_ip() -> impl Strategy<Value = std::net::Ipv4Addr> {
     any::<u32>().prop_map(std::net::Ipv4Addr::from)
+}
+
+/// The IPv4 packet of a built frame, its header checksum verified.
+fn ipv4_of(f: &[u8]) -> Ipv4<'_> {
+    let walk = Layers::parse(f).unwrap();
+    let v4 = walk.ipv4().unwrap();
+    assert!(
+        checksum::verify(&f[walk.l3_at..v4.l4_at]),
+        "IPv4 header checksum"
+    );
+    v4
+}
+
+/// A 20-byte header written with its checksum filled in.
+fn written(h: &ipv4::Header) -> Vec<u8> {
+    let mut buf = vec![0u8; ipv4::HEADER_LEN];
+    h.write(&mut &mut buf[..]).unwrap();
+    ipv4::fill_checksum(&mut buf);
+    buf
 }
 
 fn arb_proto() -> impl Strategy<Value = IpProto> {
@@ -27,24 +44,38 @@ fn arb_proto() -> impl Strategy<Value = IpProto> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `Ipv4Repr::emit` followed by `Ipv4Repr::parse` is the identity,
-    /// and the emitted header always carries a valid checksum.
+    /// `ipv4::Header::write` followed by `ipv4::Header::parse` is the
+    /// identity on every field, and `fill_checksum` makes the header
+    /// verify.
     #[test]
     fn ipv4_repr_round_trips(
         src in arb_ip(),
         dst in arb_ip(),
         proto in arb_proto(),
-        payload_len in 0usize..1400,
-        ttl in 1u8..=255,
-        dscp in 0u8..64,
+        payload_len in 0u16..1400,
+        ttl in any::<u8>(),
+        tos in any::<u8>(),
+        ident in any::<u16>(),
+        frag in any::<u16>(),
     ) {
-        let repr = Ipv4Repr { src, dst, proto, payload_len, ttl, dscp };
-        let mut buf = vec![0u8; repr.buffer_len() + payload_len];
-        let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        let pkt = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        prop_assert!(pkt.verify_checksum());
-        prop_assert_eq!(Ipv4Repr::parse(&pkt).unwrap(), repr);
+        let mut header = ipv4::Header {
+            header_len: ipv4::HEADER_LEN,
+            dscp: tos >> 2,
+            ecn: tos & 3,
+            total_len: ipv4::HEADER_LEN as u16 + payload_len,
+            ident,
+            frag,
+            ttl,
+            proto,
+            checksum: 0,
+            src,
+            dst,
+        };
+        let buf = written(&header);
+        prop_assert!(checksum::verify(&buf));
+        let parsed = ipv4::Header::parse(&mut &buf[..]).unwrap();
+        header.checksum = parsed.checksum;
+        prop_assert_eq!(parsed, header);
     }
 
     /// Any single-bit corruption of the emitted IPv4 header is caught by
@@ -55,22 +86,24 @@ proptest! {
         dst in arb_ip(),
         bit in 0usize..(netpkt::ipv4::HEADER_LEN * 8),
     ) {
-        let repr = Ipv4Repr {
+        let mut buf = written(&ipv4::Header {
+            header_len: ipv4::HEADER_LEN,
+            dscp: 0,
+            ecn: 0,
+            total_len: ipv4::HEADER_LEN as u16,
+            ident: 0,
+            frag: ipv4::DONT_FRAGMENT,
+            ttl: 64,
+            proto: IpProto::UDP,
+            checksum: 0,
             src,
             dst,
-            proto: IpProto::UDP,
-            payload_len: 0,
-            ttl: 64,
-            dscp: 0,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
+        });
         buf[bit / 8] ^= 1 << (bit % 8);
         // Flipping the version/IHL nibble may make the header unparsable
         // outright; everything parsable must fail checksum verification.
-        if let Ok(pkt) = Ipv4Packet::new_checked(&buf[..]) {
-            prop_assert!(!pkt.verify_checksum(), "corrupted bit {} went undetected", bit);
+        if ipv4::Header::parse(&mut &buf[..]).is_ok() {
+            prop_assert!(!checksum::verify(&buf), "corrupted bit {} went undetected", bit);
         }
     }
 
@@ -88,22 +121,18 @@ proptest! {
         let f = builder::udp_packet(
             MacAddr::host(1), MacAddr::host(2), src_ip, dst_ip, sport, dport, &payload,
         );
-        let eth = EthernetFrame::new_checked(&f[..]).unwrap();
-        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        let udp = UdpPacket::new_checked(ip.payload()).unwrap();
-        prop_assert!(udp.verify_checksum_v4(src_ip, dst_ip));
+        let dgram = ipv4_of(&f).l4;
+        prop_assert!(udp::verify_checksum_v4(dgram, src_ip, dst_ip));
         // Corrupt one payload bit.
-        let mut dgram = ip.payload().to_vec();
-        let byte = netpkt::udp::HEADER_LEN + usize::from(flip.0) % payload.len();
-        dgram[byte] ^= 1 << (flip.1 % 8);
-        let bad = UdpPacket::new_checked(&dgram[..]).unwrap();
-        prop_assert!(!bad.verify_checksum_v4(src_ip, dst_ip));
+        let mut bad = dgram.to_vec();
+        let byte = udp::HEADER_LEN + usize::from(flip.0) % payload.len();
+        bad[byte] ^= 1 << (flip.1 % 8);
+        prop_assert!(!udp::verify_checksum_v4(&bad, src_ip, dst_ip));
         // A rewritten source address invalidates the pseudo-header sum
         // (unless the rewrite is a ones'-complement alias of the original,
         // e.g. 0.0.0.0 vs 255.255.255.255 contribute identical sums).
         let other = std::net::Ipv4Addr::from(u32::from(src_ip) ^ 1);
-        let ok = UdpPacket::new_checked(ip.payload()).unwrap();
-        prop_assert!(!ok.verify_checksum_v4(other, dst_ip));
+        prop_assert!(!udp::verify_checksum_v4(dgram, other, dst_ip));
     }
 
     /// TCP header fields written by the builder survive a parse, and the
@@ -121,21 +150,20 @@ proptest! {
         let f = builder::tcp_packet(
             MacAddr::host(1), MacAddr::host(2), src_ip, dst_ip, sport, dport, flags, &payload,
         );
-        let eth = EthernetFrame::new_checked(&f[..]).unwrap();
-        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        prop_assert_eq!(ip.proto(), IpProto::TCP);
-        let tcp = TcpPacket::new_checked(ip.payload()).unwrap();
-        prop_assert_eq!(tcp.src_port(), sport);
-        prop_assert_eq!(tcp.dst_port(), dport);
-        prop_assert_eq!(tcp.flags(), flags);
-        prop_assert_eq!(tcp.header_len(), netpkt::tcp::HEADER_LEN);
-        prop_assert_eq!(tcp.payload(), &payload[..]);
-        prop_assert!(tcp.verify_checksum_v4(src_ip, dst_ip));
-        let mut seg = ip.payload().to_vec();
-        let byte = netpkt::tcp::HEADER_LEN + usize::from(flip) % payload.len();
-        seg[byte] ^= 0x01;
-        let bad = TcpPacket::new_checked(&seg[..]).unwrap();
-        prop_assert!(!bad.verify_checksum_v4(src_ip, dst_ip));
+        let Ipv4 { ip, l4: seg, .. } = ipv4_of(&f);
+        prop_assert_eq!(ip.proto, IpProto::TCP);
+        let mut rest = seg;
+        let tcp = tcp::Header::parse(&mut rest).unwrap();
+        prop_assert_eq!(tcp.src_port, sport);
+        prop_assert_eq!(tcp.dst_port, dport);
+        prop_assert_eq!(tcp.flags, flags);
+        prop_assert_eq!(tcp.header_len, tcp::HEADER_LEN);
+        prop_assert_eq!(rest, &payload[..]);
+        prop_assert!(tcp::verify_checksum_v4(seg, src_ip, dst_ip));
+        let mut bad = seg.to_vec();
+        let byte = tcp::HEADER_LEN + usize::from(flip) % payload.len();
+        bad[byte] ^= 0x01;
+        prop_assert!(!tcp::verify_checksum_v4(&bad, src_ip, dst_ip));
     }
 
     /// The ICMP echo builders emit frames the parsers fully agree with,
@@ -149,12 +177,12 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let parse = |f: &[u8]| -> (Icmpv4Type, u16, u16, Vec<u8>) {
-            let eth = EthernetFrame::new_checked(f).unwrap();
-            let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-            assert_eq!(ip.proto(), IpProto::ICMP);
-            let icmp = Icmpv4Packet::new_checked(ip.payload()).unwrap();
-            assert!(icmp.verify_checksum());
-            (icmp.msg_type(), icmp.echo_ident(), icmp.echo_seq(), icmp.payload().to_vec())
+            let Ipv4 { ip, l4, .. } = ipv4_of(f);
+            assert_eq!(ip.proto, IpProto::ICMP);
+            assert!(checksum::verify(l4));
+            let mut rest = l4;
+            let icmp = icmp::Header::parse(&mut rest).unwrap();
+            (icmp.msg_type, icmp.ident, icmp.seq, rest.to_vec())
         };
         let req = builder::icmp_echo_request(
             MacAddr::host(1), MacAddr::host(2), src_ip, dst_ip, ident, seq, &payload,

@@ -10,10 +10,9 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use netpkt::{
-    builder, ArpOp, ArpPacket, ArpRepr, EtherType, EthernetFrame, FlowKey, Icmpv4Type, IpProto,
-    Ipv4Packet, MacAddr, TcpPacket, UdpPacket,
-};
+use netpkt::layers::Ipv4;
+use netpkt::wire::Cursor;
+use netpkt::{builder, icmp, tcp, udp, ArpOp, ArpRepr, Icmpv4Type, IpProto, Layers, MacAddr};
 
 use crate::node::{Node, NodeCtx, PortId};
 use crate::time::SimTime;
@@ -263,14 +262,7 @@ impl Host {
         }
     }
 
-    fn handle_arp(&mut self, frame: &[u8], ctx: &mut NodeCtx) {
-        let eth = EthernetFrame::new_unchecked(frame);
-        let Ok(arp) = ArpPacket::new_checked(eth.payload()) else {
-            return;
-        };
-        let Ok(repr) = ArpRepr::parse(&arp) else {
-            return;
-        };
+    fn handle_arp(&mut self, repr: ArpRepr, ctx: &mut NodeCtx) {
         // Learn the sender either way.
         self.arp_table.insert(repr.sender_ip, repr.sender_mac);
         match repr.op {
@@ -284,30 +276,21 @@ impl Host {
         self.flush_pending(ctx, false);
     }
 
-    fn handle_ipv4(&mut self, frame: &Bytes, ctx: &mut NodeCtx) {
-        let eth = EthernetFrame::new_unchecked(frame);
-        let Ok(ip) = Ipv4Packet::new_checked(eth.payload()) else {
-            return;
-        };
-        if ip.dst() != self.ip {
+    fn handle_ipv4(&mut self, frame: &Bytes, src_mac: MacAddr, v4: Ipv4<'_>, ctx: &mut NodeCtx) {
+        let Ipv4 { ip, mut l4, .. } = v4;
+        if ip.dst != self.ip {
             return; // promiscuous traffic (e.g. flooded); not for us
         }
-        match ip.proto() {
+        match ip.proto {
             IpProto::ICMP => {
-                let Ok(icmp) = netpkt::Icmpv4Packet::new_checked(ip.payload()) else {
+                let Ok(icmp) = icmp::Header::parse(&mut l4) else {
                     return;
                 };
-                match icmp.msg_type() {
+                match icmp.msg_type {
                     Icmpv4Type::EchoRequest => {
                         self.echo_requests_answered += 1;
                         let reply = builder::icmp_echo_reply(
-                            self.mac,
-                            eth.src(),
-                            self.ip,
-                            ip.src(),
-                            icmp.echo_ident(),
-                            icmp.echo_seq(),
-                            icmp.payload(),
+                            self.mac, src_mac, self.ip, ip.src, icmp.ident, icmp.seq, l4,
                         );
                         ctx.transmit(NIC, reply);
                     }
@@ -318,38 +301,40 @@ impl Host {
                 }
             }
             IpProto::UDP => {
-                let Ok(udp) = UdpPacket::new_checked(ip.payload()) else {
+                let Ok(udp) = udp::Header::parse(&mut l4) else {
+                    return;
+                };
+                let Ok(payload) = l4.take(udp.payload_len()) else {
                     return;
                 };
                 self.mailbox.push(Datagram {
                     at: ctx.now(),
-                    src_ip: ip.src(),
-                    src_port: udp.src_port(),
-                    dst_port: udp.dst_port(),
-                    payload: frame.slice_ref(udp.payload()),
+                    src_ip: ip.src,
+                    src_port: udp.src_port,
+                    dst_port: udp.dst_port,
+                    payload: frame.slice_ref(payload),
                 });
             }
             IpProto::TCP => {
-                let Ok(tcp) = TcpPacket::new_checked(ip.payload()) else {
+                let Ok(tcp) = tcp::Header::parse(&mut l4) else {
                     return;
                 };
+                let syn_ack = tcp::flags::SYN | tcp::flags::ACK;
                 if tcp.is_syn() {
                     self.syns_received += 1;
                     // Answer SYN+ACK so the initiator can count success.
                     let f = builder::tcp_packet(
                         self.mac,
-                        eth.src(),
+                        src_mac,
                         self.ip,
-                        ip.src(),
-                        tcp.dst_port(),
-                        tcp.src_port(),
-                        netpkt::tcp::flags::SYN | netpkt::tcp::flags::ACK,
+                        ip.src,
+                        tcp.dst_port,
+                        tcp.src_port,
+                        syn_ack,
                         b"",
                     );
                     ctx.transmit(NIC, f);
-                } else if tcp.flags() & netpkt::tcp::flags::SYN != 0
-                    && tcp.flags() & netpkt::tcp::flags::ACK != 0
-                {
+                } else if tcp.flags & syn_ack == syn_ack {
                     self.syn_acks_received += 1;
                 }
             }
@@ -365,18 +350,18 @@ impl Node for Host {
 
     fn on_packet(&mut self, _port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
         self.rx_frames += 1;
-        let Ok(key) = FlowKey::extract(0, &frame) else {
+        let Ok(walk) = Layers::parse(&frame) else {
             return;
         };
         // Hosts are access devices: a VLAN tag reaching a host means the
         // switch misdelivered; count it by ignoring.
-        if key.vlan_vid != 0 {
+        if walk.eth.outer.is_some() {
             return;
         }
-        match EtherType(key.eth_type) {
-            EtherType::ARP => self.handle_arp(&frame, ctx),
-            EtherType::IPV4 => self.handle_ipv4(&frame, ctx),
-            _ => {}
+        if let Some(repr) = walk.arp() {
+            self.handle_arp(repr, ctx);
+        } else if let Some(v4) = walk.ipv4() {
+            self.handle_ipv4(&frame, walk.eth.src, v4, ctx);
         }
     }
 

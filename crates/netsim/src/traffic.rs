@@ -9,7 +9,8 @@ use rand::Rng;
 use std::any::Any;
 use std::net::Ipv4Addr;
 
-use netpkt::{builder, EtherType, Ipv4Packet, MacAddr, UdpPacket};
+use netpkt::wire::Cursor;
+use netpkt::{builder, udp, IpProto, Layers, MacAddr};
 
 use crate::node::{Node, NodeCtx, PortId};
 use crate::stats::{Counter, Histogram, SloMeter};
@@ -55,16 +56,10 @@ impl Stamp {
 /// an Ethernet/[802.1Q]/IPv4/UDP frame — one header walk for everything
 /// a [`Sink`] reads off an arrival.
 fn udp_port_and_stamp(frame: &[u8]) -> Option<(u16, Option<Stamp>)> {
-    let view = netpkt::vlan::VlanView::parse(frame).ok()?;
-    if view.inner_ethertype != EtherType::IPV4 {
-        return None;
-    }
-    let ip = Ipv4Packet::new_checked(&frame[view.payload_offset..]).ok()?;
-    if ip.proto() != netpkt::IpProto::UDP {
-        return None;
-    }
-    let udp = UdpPacket::new_checked(ip.payload()).ok()?;
-    Some((udp.dst_port(), Stamp::read(udp.payload())))
+    let walk = Layers::parse(frame).ok()?;
+    let mut l4 = walk.ipv4().filter(|v4| v4.ip.proto == IpProto::UDP)?.l4;
+    let udp = udp::Header::parse(&mut l4).ok()?;
+    Some((udp.dst_port, Stamp::read(l4.take(udp.payload_len()).ok()?)))
 }
 
 /// One L2/L3/L4 flow a generator can emit.

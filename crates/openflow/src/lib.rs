@@ -140,5 +140,16 @@ impl core::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+impl From<netpkt::Error> for Error {
+    /// A read past the end of a cursor, the only way `netpkt`'s reads
+    /// fail.
+    fn from(e: netpkt::Error) -> Self {
+        match e {
+            netpkt::Error::Truncated => Error::Truncated,
+            netpkt::Error::Malformed | netpkt::Error::Checksum => Error::Malformed("frame"),
+        }
+    }
+}
+
 /// Codec result alias.
 pub type Result<T> = core::result::Result<T, Error>;

@@ -1256,7 +1256,7 @@ impl Message {
                         body.skip(4)?;
                         res
                     }
-                    mp_type::TABLE => MultipartRes::Table(body.items(|e| {
+                    mp_type::TABLE => MultipartRes::Table(body.items(|e| -> Result<_> {
                         let table_id = e.u8()?;
                         e.skip(3)?;
                         Ok(TableStatsEntry {
@@ -1266,21 +1266,23 @@ impl Message {
                             matched_count: e.u64()?,
                         })
                     })?),
-                    mp_type::PORT_STATS => MultipartRes::PortStats(body.items(|e| {
-                        let port_no = e.u32()?;
-                        e.skip(4)?;
-                        let entry = PortStatsEntry {
-                            port_no,
-                            rx_packets: e.u64()?,
-                            tx_packets: e.u64()?,
-                            rx_bytes: e.u64()?,
-                            tx_bytes: e.u64()?,
-                            rx_dropped: e.u64()?,
-                            tx_dropped: e.u64()?,
-                        };
-                        e.skip(56)?; // errors, collisions, duration
-                        Ok(entry)
-                    })?),
+                    mp_type::PORT_STATS => {
+                        MultipartRes::PortStats(body.items(|e| -> Result<_> {
+                            let port_no = e.u32()?;
+                            e.skip(4)?;
+                            let entry = PortStatsEntry {
+                                port_no,
+                                rx_packets: e.u64()?,
+                                tx_packets: e.u64()?,
+                                rx_bytes: e.u64()?,
+                                tx_bytes: e.u64()?,
+                                rx_dropped: e.u64()?,
+                                tx_dropped: e.u64()?,
+                            };
+                            e.skip(56)?; // errors, collisions, duration
+                            Ok(entry)
+                        })?)
+                    }
                     mp_type::PORT_DESC => MultipartRes::PortDesc(body.items(PortDesc::decode)?),
                     _ => return Err(Error::Malformed("unsupported multipart type")),
                 })

@@ -274,7 +274,7 @@ impl OxmField {
 fn masked<T>(
     v: &mut &[u8],
     hm: bool,
-    read: impl Fn(&mut &[u8]) -> Result<T>,
+    read: impl Fn(&mut &[u8]) -> netpkt::Result<T>,
 ) -> Result<(T, Option<T>)> {
     let value = read(v)?;
     Ok((value, if hm { Some(read(v)?) } else { None }))

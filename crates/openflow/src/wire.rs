@@ -1,84 +1,19 @@
 //! The codec's two primitives, so that every structure states its wire
 //! layout once.
 //!
-//! * **Reading** goes through [`Cursor`], which `&[u8]` implements:
-//!   every read is checked and fails with [`Error::Truncated`] where the
-//!   bytes run out, and [`Cursor::take`] splits off the sub-cursor of a
-//!   structure whose length field says how far it reaches. A decoder
-//!   reads its fields in order and needs no length precheck and no
-//!   arithmetic on the bytes it consumed.
+//! * **Reading** goes through [`Cursor`], the frame parsers' own
+//!   ([`netpkt::wire`] states the rule): every read is checked, a read
+//!   past the end is [`Error::Truncated`], and [`Cursor::take`] splits
+//!   off the sub-cursor of a structure whose length field says how far
+//!   it reaches. A decoder reads its fields in order and needs no length
+//!   precheck and no arithmetic on the bytes it consumed.
 //! * **Writing** never predicts a length: a length field is reserved
 //!   ([`reserve_u16`]), the structure written, and the field patched
 //!   from the bytes actually written ([`patch_u16`]).
 
 use bytes::{BufMut, BytesMut};
 
-use crate::{Error, Result};
-
-/// Checked big-endian reads from the front of a byte slice, advancing it.
-pub(crate) trait Cursor<'a>: Sized {
-    /// The next `n` bytes, as a cursor of their own.
-    fn take(&mut self, n: usize) -> Result<&'a [u8]>;
-
-    /// The next `N` bytes.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]>;
-
-    /// Decode items with `item` until the cursor is used up: the
-    /// structures behind a length field, or a multipart body.
-    fn items<T>(self, item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>>;
-
-    /// Step over `n` bytes (padding, fields this subset ignores).
-    fn skip(&mut self, n: usize) -> Result<()> {
-        self.take(n).map(drop)
-    }
-
-    /// One byte.
-    fn u8(&mut self) -> Result<u8> {
-        self.array().map(u8::from_be_bytes)
-    }
-
-    /// A big-endian `u16`.
-    fn u16(&mut self) -> Result<u16> {
-        self.array().map(u16::from_be_bytes)
-    }
-
-    /// A big-endian `u32`.
-    fn u32(&mut self) -> Result<u32> {
-        self.array().map(u32::from_be_bytes)
-    }
-
-    /// A big-endian `u64`.
-    fn u64(&mut self) -> Result<u64> {
-        self.array().map(u64::from_be_bytes)
-    }
-
-    /// A big-endian `u128`.
-    fn u128(&mut self) -> Result<u128> {
-        self.array().map(u128::from_be_bytes)
-    }
-}
-
-impl<'a> Cursor<'a> for &'a [u8] {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let (head, rest) = self.split_at_checked(n).ok_or(Error::Truncated)?;
-        *self = rest;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let (head, rest) = self.split_first_chunk().ok_or(Error::Truncated)?;
-        *self = rest;
-        Ok(*head)
-    }
-
-    fn items<T>(mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
-        let mut out = Vec::new();
-        while !self.is_empty() {
-            out.push(item(&mut self)?);
-        }
-        Ok(out)
-    }
-}
+pub(crate) use netpkt::wire::Cursor;
 
 /// Append a zero `u16` length field and return where it sits, for
 /// [`patch_u16`] once the structure it measures is written.
@@ -119,16 +54,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reads_are_checked_and_take_bounds_a_sub_cursor() {
-        let mut c: &[u8] = &[0, 1, 2, 3, 4, 5, 6];
-        assert_eq!(c.u16(), Ok(1));
-        let mut sub = c.take(3).unwrap();
-        assert_eq!(sub.u16(), Ok(0x0203));
-        assert_eq!(sub.u16(), Err(Error::Truncated));
-        assert_eq!(c.u32(), Err(Error::Truncated));
-        assert_eq!(c.skip(2), Ok(()));
-        assert!(c.is_empty());
-        assert_eq!(c.take(1), Err(Error::Truncated));
+    fn a_short_read_is_the_codec_s_truncated() {
+        let decode = |mut c: &[u8]| -> crate::Result<u32> { Ok(c.u32()?) };
+        assert_eq!(decode(&[0, 0, 0, 7]), Ok(7));
+        assert_eq!(decode(&[0, 0, 7]), Err(crate::Error::Truncated));
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! updated) and keeps the in-flight [`FlowKey`] in sync so later tables
 //! match on the rewritten packet, as §5.10 of the spec requires.
 
+use core::ops::Range;
+
 use bytes::Bytes;
 
 use netpkt::flowkey::OFPVID_PRESENT;
-use netpkt::icmp::{Icmpv4Packet, Icmpv4Type};
-use netpkt::vlan::VlanView;
-use netpkt::{EtherType, FlowKey, FrameBuf, IpProto, Ipv4Packet, TcpPacket, UdpPacket};
+use netpkt::layers::{Ipv4, Layers};
+use netpkt::{icmp, ipv4, tcp, udp, vlan, FlowKey, FrameBuf, IpProto};
 use openflow::message::PacketInReason;
 use openflow::oxm::OxmField;
 
@@ -75,17 +76,14 @@ pub enum TtlResult {
 /// Decrement the IPv4 TTL of `frame` (through any VLAN tags), patching
 /// the header checksum incrementally.
 pub fn dec_ttl(frame: &mut [u8]) -> TtlResult {
-    let Some(off) = ip_offset(frame) else {
+    let Some((at, Ipv4 { mut ip, .. })) = ipv4_in(frame) else {
         return TtlResult::NotIpv4;
     };
-    let buf = &mut frame[off..];
-    let Ok(mut ip) = Ipv4Packet::new_checked(&mut buf[..]) else {
-        return TtlResult::NotIpv4;
-    };
-    if ip.ttl() <= 1 {
+    if ip.ttl <= 1 {
         return TtlResult::Expired;
     }
     ip.dec_ttl();
+    put_ipv4(frame, at, &ip, false);
     TtlResult::Decremented
 }
 
@@ -93,29 +91,24 @@ pub fn dec_ttl(frame: &mut [u8]) -> TtlResult {
 /// repair the ICMP checksum. Returns `false` (frame untouched) for
 /// anything that is not an IPv4 echo message.
 pub fn set_icmp_id(frame: &mut [u8], id: u16) -> bool {
-    let Some(off) = ip_offset(frame) else {
+    let Some((_, v4)) = ipv4_in(frame).filter(|(_, v4)| v4.ip.proto == IpProto::ICMP) else {
         return false;
     };
-    let l4 = {
-        let Ok(ip) = Ipv4Packet::new_checked(&frame[off..]) else {
-            return false;
-        };
-        if ip.proto() != IpProto::ICMP {
-            return false;
-        }
-        off + ip.header_len()
-    };
-    let Ok(mut icmp) = Icmpv4Packet::new_checked(&mut frame[l4..]) else {
+    let (mut l4, range) = (v4.l4, v4.l4_range());
+    let Ok(mut icmp) = icmp::Header::parse(&mut l4) else {
         return false;
     };
-    if !matches!(
-        icmp.msg_type(),
-        Icmpv4Type::EchoRequest | Icmpv4Type::EchoReply
-    ) {
+    if !icmp.is_echo() {
         return false;
     }
-    icmp.set_echo_ident(id);
-    icmp.fill_checksum();
+    icmp.ident = id;
+    let Some(msg) = frame.get_mut(range) else {
+        return false;
+    };
+    if icmp.write(&mut &mut *msg).is_err() {
+        return false;
+    }
+    icmp::fill_checksum(msg);
     true
 }
 
@@ -152,20 +145,18 @@ pub fn set_field(frame: &mut [u8], key: &mut FlowKey, field: &OxmField) -> bool 
         }
         OxmField::VlanVid(v, _) => {
             let vid = v & 0x0fff;
-            if key.vlan_vid & OFPVID_PRESENT == 0 {
+            let tci = (u16::from(key.vlan_pcp) << 13) | vid;
+            if !set_outer_tci(frame, key, tci) {
                 return false; // no tag to rewrite
             }
-            let tci = (u16::from(key.vlan_pcp) << 13) | vid;
-            frame[14..16].copy_from_slice(&tci.to_be_bytes());
             key.vlan_vid = OFPVID_PRESENT | vid;
             true
         }
         OxmField::VlanPcp(p) => {
-            if key.vlan_vid & OFPVID_PRESENT == 0 {
+            let tci = (u16::from(p) << 13) | (key.vlan_vid & 0x0fff);
+            if !set_outer_tci(frame, key, tci) {
                 return false;
             }
-            let tci = (u16::from(p) << 13) | (key.vlan_vid & 0x0fff);
-            frame[14..16].copy_from_slice(&tci.to_be_bytes());
             key.vlan_pcp = p;
             true
         }
@@ -185,12 +176,33 @@ pub fn set_field(frame: &mut [u8], key: &mut FlowKey, field: &OxmField) -> bool 
     }
 }
 
-fn ip_offset(frame: &[u8]) -> Option<usize> {
-    let view = VlanView::parse(frame).ok()?;
-    if view.inner_ethertype != EtherType::IPV4 {
-        return None;
+/// Overwrite the outermost tag's TCI, if `key` says the frame has one.
+fn set_outer_tci(frame: &mut [u8], key: &FlowKey, tci: u16) -> bool {
+    if key.vlan_vid & OFPVID_PRESENT == 0 {
+        return false;
     }
-    Some(view.payload_offset)
+    let Some(field) = frame.get_mut(vlan::OUTER_TCI) else {
+        return false;
+    };
+    field.copy_from_slice(&tci.to_be_bytes());
+    true
+}
+
+/// The IPv4 packet of `frame` and where its header starts.
+fn ipv4_in(frame: &[u8]) -> Option<(usize, Ipv4<'_>)> {
+    let walk = Layers::parse(frame).ok()?;
+    Some((walk.l3_at, walk.ipv4()?))
+}
+
+/// Write `ip`'s fixed header back over the one at `at`; with `refill`,
+/// recompute its checksum over the header as it lies, options included.
+fn put_ipv4(frame: &mut [u8], at: usize, ip: &ipv4::Header, refill: bool) {
+    let Some(header) = frame.get_mut(at..at + ip.header_len) else {
+        return;
+    };
+    if ip.write(&mut &mut *header).is_ok() && refill {
+        ipv4::fill_checksum(header);
+    }
 }
 
 fn rewrite_ipv4(
@@ -199,36 +211,29 @@ fn rewrite_ipv4(
     src: Option<std::net::Ipv4Addr>,
     dst: Option<std::net::Ipv4Addr>,
 ) -> bool {
-    let Some(off) = ip_offset(frame) else {
+    let Some((at, v4)) = ipv4_in(frame) else {
         return false;
     };
-    let buf = &mut frame[off..];
-    let Ok(mut ip) = Ipv4Packet::new_checked(&mut buf[..]) else {
-        return false;
-    };
+    let (mut ip, l4) = (v4.ip, v4.l4_range());
     if let Some(a) = src {
-        ip.set_src(a);
+        ip.src = a;
         key.ipv4_src = u32::from(a);
     }
     if let Some(a) = dst {
-        ip.set_dst(a);
+        ip.dst = a;
         key.ipv4_dst = u32::from(a);
     }
-    ip.fill_checksum();
-    fix_l4_checksum(frame, off);
+    put_ipv4(frame, at, &ip, true);
+    fix_l4_checksum(frame, &ip, l4);
     true
 }
 
 fn rewrite_dscp(frame: &mut [u8], key: &mut FlowKey, dscp: u8) -> bool {
-    let Some(off) = ip_offset(frame) else {
+    let Some((at, Ipv4 { mut ip, .. })) = ipv4_in(frame) else {
         return false;
     };
-    let buf = &mut frame[off..];
-    let Ok(mut ip) = Ipv4Packet::new_checked(&mut buf[..]) else {
-        return false;
-    };
-    ip.set_dscp(dscp);
-    ip.fill_checksum();
+    ip.dscp = dscp;
+    put_ipv4(frame, at, &ip, true);
     key.ip_dscp = dscp;
     true
 }
@@ -240,59 +245,45 @@ fn rewrite_l4_port(
     src_side: bool,
     port: u16,
 ) -> bool {
-    let Some(off) = ip_offset(frame) else {
-        return false;
-    };
     let want = if tcp { IpProto::TCP } else { IpProto::UDP };
-    {
-        let Ok(ip) = Ipv4Packet::new_checked(&frame[off..]) else {
-            return false;
-        };
-        if ip.proto() != want {
-            return false;
-        }
-    }
-    let hl = usize::from(frame[off] & 0x0f) * 4;
-    let l4_off = off + hl;
-    if frame.len() < l4_off + 4 {
+    let Some((_, v4)) = ipv4_in(frame).filter(|(_, v4)| v4.ip.proto == want) else {
         return false;
-    }
-    let range = if src_side {
-        l4_off..l4_off + 2
-    } else {
-        l4_off + 2..l4_off + 4
     };
-    frame[range].copy_from_slice(&port.to_be_bytes());
+    // Only a transport header that parses has ports to rewrite: the
+    // frames the flow key reads them from, so the key and the bytes
+    // agree on what a later stage (a select group) hashes.
+    let mut header = v4.l4;
+    let parses = if tcp {
+        tcp::Header::parse(&mut header).is_ok()
+    } else {
+        udp::Header::parse(&mut header).is_ok()
+    };
+    let (ip, l4) = (v4.ip, v4.l4_range());
+    // The port pair leads a TCP and a UDP header alike.
+    let at = l4.start + if src_side { 0 } else { 2 };
+    let Some(field) = frame.get_mut(at..at + 2).filter(|_| parses) else {
+        return false;
+    };
+    field.copy_from_slice(&port.to_be_bytes());
     match (tcp, src_side) {
         (true, true) => key.tcp_src = port,
         (true, false) => key.tcp_dst = port,
         (false, true) => key.udp_src = port,
         (false, false) => key.udp_dst = port,
     }
-    fix_l4_checksum(frame, off);
+    fix_l4_checksum(frame, &ip, l4);
     true
 }
 
-/// Recompute the TCP/UDP checksum of an IPv4 packet at `off`.
-fn fix_l4_checksum(frame: &mut [u8], off: usize) {
-    let (src, dst, proto, hl) = {
-        let Ok(ip) = Ipv4Packet::new_checked(&frame[off..]) else {
-            return;
-        };
-        (ip.src(), ip.dst(), ip.proto(), ip.header_len())
+/// Recompute the TCP/UDP checksum of the transport bytes at `l4` (as the
+/// walk bounds them: no Ethernet padding) under `ip`'s addresses.
+fn fix_l4_checksum(frame: &mut [u8], ip: &ipv4::Header, l4: Range<usize>) {
+    let Some(segment) = frame.get_mut(l4) else {
+        return;
     };
-    let l4 = off + hl;
-    match proto {
-        IpProto::TCP => {
-            if let Ok(mut t) = TcpPacket::new_checked(&mut frame[l4..]) {
-                t.fill_checksum_v4(src, dst);
-            }
-        }
-        IpProto::UDP => {
-            if let Ok(mut u) = UdpPacket::new_checked(&mut frame[l4..]) {
-                u.fill_checksum_v4(src, dst);
-            }
-        }
+    match ip.proto {
+        IpProto::TCP => tcp::fill_checksum_v4(segment, ip.src, ip.dst),
+        IpProto::UDP => udp::fill_checksum_v4(segment, ip.src, ip.dst),
         _ => {}
     }
 }
@@ -374,7 +365,7 @@ impl Stepper {
                 self.trace.vlan_ops += 1;
                 if self.buf.pop_vlan().is_ok() {
                     // There may be an inner tag (QinQ).
-                    let tag = VlanView::parse(&self.buf).ok().and_then(|v| v.outer);
+                    let tag = vlan::outer_tag(&self.buf);
                     self.key.vlan_vid = tag.map_or(0, |t| OFPVID_PRESENT | t.vid);
                     self.key.vlan_pcp = tag.map_or(0, |t| t.pcp);
                 }
@@ -441,22 +432,20 @@ mod tests {
     }
 
     fn assert_checksums_ok(frame: &[u8]) {
-        let view = VlanView::parse(frame).unwrap();
-        let ip = Ipv4Packet::new_checked(&frame[view.payload_offset..]).unwrap();
-        assert!(ip.verify_checksum(), "IP checksum must hold");
-        if ip.proto() == IpProto::UDP {
-            let u = UdpPacket::new_checked(ip.payload()).unwrap();
-            assert!(
-                u.verify_checksum_v4(ip.src(), ip.dst()),
+        let (at, Ipv4 { ip, l4, l4_at }) = ipv4_in(frame).unwrap();
+        let ok = netpkt::checksum::verify;
+        assert!(ok(&frame[at..l4_at]), "IP checksum must hold");
+        match ip.proto {
+            IpProto::UDP => assert!(
+                udp::verify_checksum_v4(l4, ip.src, ip.dst),
                 "UDP checksum must hold"
-            );
-        }
-        if ip.proto() == IpProto::TCP {
-            let t = TcpPacket::new_checked(ip.payload()).unwrap();
-            assert!(
-                t.verify_checksum_v4(ip.src(), ip.dst()),
+            ),
+            IpProto::TCP => assert!(
+                tcp::verify_checksum_v4(l4, ip.src, ip.dst),
                 "TCP checksum must hold"
-            );
+            ),
+            IpProto::ICMP => assert!(ok(l4), "ICMP checksum must hold"),
+            _ => {}
         }
     }
 
@@ -706,13 +695,114 @@ mod tests {
         );
         let mut buf = BytesMut::from(&f[..]);
         assert!(set_icmp_id(&mut buf, 0x4000));
-        let view = VlanView::parse(&buf).unwrap();
-        let ip = Ipv4Packet::new_checked(&buf[view.payload_offset..]).unwrap();
-        let icmp = Icmpv4Packet::new_checked(ip.payload()).unwrap();
-        assert_eq!(icmp.echo_ident(), 0x4000);
-        assert!(icmp.verify_checksum());
+        let (_, v4) = ipv4_in(&buf).unwrap();
+        assert_eq!(icmp::Header::parse(&mut { v4.l4 }).unwrap().ident, 0x4000);
+        assert_checksums_ok(&buf);
         // Not an echo message: refused.
         let (mut udp, _) = frame_and_key();
         assert!(!set_icmp_id(&mut udp, 7));
+    }
+
+    /// Every L4 rewrite of a frame padded to the Ethernet minimum keeps
+    /// a checksum that holds over the segment the IPv4 total length
+    /// bounds, and leaves the padding alone: a checksum summed over the
+    /// trailer too would hold over neither.
+    #[test]
+    fn a_padded_segment_keeps_a_valid_checksum_through_every_l4_rewrite() {
+        let (inside, outside) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(8, 8, 8, 8));
+        let ext = Ipv4Addr::new(198, 18, 0, 254);
+        let (a, b) = (MacAddr::host(1), MacAddr::host(2));
+        let tcp = builder::tcp_packet(a, b, inside, outside, 1000, 80, tcp::flags::SYN, b"");
+        let udp = builder::udp_packet(a, b, inside, outside, 1000, 53, b"q");
+        let icmp = builder::icmp_echo_request(a, b, inside, outside, 7, 1, b"");
+        type Rewrite = fn(&mut BytesMut, &mut FlowKey, bool, Ipv4Addr) -> bool;
+        let set = |f: &mut BytesMut, k: &mut FlowKey, field| set_field(f, k, &field);
+        // Each rewrite, on a TCP (`true`) or UDP frame; ICMP's port is
+        // its echo ident. NAT egress rewrites the source address and
+        // port, ingress the destination's.
+        let rewrites: [(&str, Rewrite); 5] = [
+            ("src port", |f, k, tcp, _| {
+                let p = 40000;
+                set_field(
+                    f,
+                    k,
+                    &if tcp {
+                        OxmField::TcpSrc(p)
+                    } else {
+                        OxmField::UdpSrc(p)
+                    },
+                )
+            }),
+            ("dst port", |f, k, tcp, _| {
+                let p = 8080;
+                set_field(
+                    f,
+                    k,
+                    &if tcp {
+                        OxmField::TcpDst(p)
+                    } else {
+                        OxmField::UdpDst(p)
+                    },
+                )
+            }),
+            ("address", |f, k, _, ext| {
+                set_field(f, k, &OxmField::Ipv4Dst(ext, None))
+            }),
+            ("NAT egress", |f, k, tcp, ext| {
+                let p = 49152;
+                set_field(f, k, &OxmField::Ipv4Src(ext, None))
+                    && set_field(
+                        f,
+                        k,
+                        &if tcp {
+                            OxmField::TcpSrc(p)
+                        } else {
+                            OxmField::UdpSrc(p)
+                        },
+                    )
+            }),
+            ("NAT ingress", |f, k, tcp, _| {
+                let (p, to) = (1000, Ipv4Addr::new(10, 0, 0, 9));
+                set_field(f, k, &OxmField::Ipv4Dst(to, None))
+                    && set_field(
+                        f,
+                        k,
+                        &if tcp {
+                            OxmField::TcpDst(p)
+                        } else {
+                            OxmField::UdpDst(p)
+                        },
+                    )
+            }),
+        ];
+        for trailer in [0x00, 0xa5] {
+            let padded = |f: &Bytes| {
+                let mut f = BytesMut::from(&f[..]);
+                f.resize(netpkt::frame::MIN_FRAME_LEN, trailer);
+                f
+            };
+            for (frame, is_tcp) in [(&tcp, true), (&udp, false)] {
+                for (what, rewrite) in &rewrites {
+                    let mut f = padded(frame);
+                    let mut key = FlowKey::extract(1, &f).unwrap();
+                    assert!(rewrite(&mut f, &mut key, is_tcp, ext), "{what}");
+                    assert_checksums_ok(&f);
+                    assert_eq!(key, FlowKey::extract(1, &f).unwrap(), "{what}");
+                    assert!(f[frame.len()..].iter().all(|&t| t == trailer), "{what}");
+                }
+            }
+            for egress in [true, false] {
+                let mut f = padded(&icmp);
+                let mut key = FlowKey::extract(1, &f).unwrap();
+                let addr = if egress {
+                    OxmField::Ipv4Src(ext, None)
+                } else {
+                    OxmField::Ipv4Dst(inside, None)
+                };
+                assert!(set(&mut f, &mut key, addr) && set_icmp_id(&mut f, 0xc000));
+                assert_checksums_ok(&f);
+                assert!(f[icmp.len()..].iter().all(|&t| t == trailer));
+            }
+        }
     }
 }

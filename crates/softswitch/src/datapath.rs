@@ -46,9 +46,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use netpkt::flowkey::FieldMask;
-use netpkt::icmp::Icmpv4Packet;
-use netpkt::vlan::VlanView;
-use netpkt::{builder, EtherType, FlowKey, FrameBuf, IpProto, Ipv4Packet, MacAddr};
+use netpkt::{builder, icmp, EtherType, FlowKey, FrameBuf, IpProto, Layers, MacAddr};
 use openflow::message::{FlowMod, PacketInReason, PortDesc, PortStatsEntry};
 use openflow::table::{FlowEntry, FlowModCommand, RemovedReason, TableId};
 use openflow::{
@@ -972,28 +970,17 @@ impl Datapath {
     /// answer errors with errors).
     fn time_exceeded_reply(&self, in_port: u32, buf: &[u8]) -> Option<(u32, Bytes)> {
         let (router_ip, router_mac) = self.router?;
-        let view = VlanView::parse(buf).ok()?;
-        if view.inner_ethertype != EtherType::IPV4 {
+        let walk = Layers::parse(buf).ok()?;
+        let v4 = walk.ipv4()?;
+        if v4.ip.proto == IpProto::ICMP && !icmp::Header::parse(&mut { v4.l4 }).ok()?.is_echo() {
             return None;
         }
-        let ip_off = view.payload_offset;
-        let ip = Ipv4Packet::new_checked(&buf[ip_off..]).ok()?;
-        if ip.proto() == IpProto::ICMP {
-            let icmp = Icmpv4Packet::new_checked(ip.payload()).ok()?;
-            if !matches!(
-                icmp.msg_type(),
-                netpkt::icmp::Icmpv4Type::EchoRequest | netpkt::icmp::Icmpv4Type::EchoReply
-            ) {
-                return None;
-            }
-        }
-        let orig_src_mac = MacAddr(buf[6..12].try_into().expect("6 bytes"));
         let reply = builder::icmp_time_exceeded(
             router_mac,
-            orig_src_mac,
+            walk.eth.src,
             router_ip,
-            ip.src(),
-            &buf[ip_off..],
+            v4.ip.src,
+            buf.get(walk.l3_at..)?,
         );
         Some((in_port, reply))
     }
@@ -1247,15 +1234,9 @@ impl Datapath {
 
     /// The ICMP echo identifier of the (possibly VLAN-tagged) frame.
     fn frame_echo_ident(&self, buf: &[u8]) -> Option<u16> {
-        let view = VlanView::parse(buf).ok()?;
-        if view.inner_ethertype != EtherType::IPV4 {
-            return None;
-        }
-        let ip = Ipv4Packet::new_checked(&buf[view.payload_offset..]).ok()?;
-        if ip.proto() != IpProto::ICMP {
-            return None;
-        }
-        Some(Icmpv4Packet::new_checked(ip.payload()).ok()?.echo_ident())
+        let walk = Layers::parse(buf).ok()?;
+        let v4 = walk.ipv4().filter(|v4| v4.ip.proto == IpProto::ICMP)?;
+        Some(icmp::Header::parse(&mut { v4.l4 }).ok()?.ident)
     }
 
     fn lower_group(&mut self, gid: u32, ctx: &mut Lowering, depth: u32) {
@@ -1908,10 +1889,19 @@ pub(crate) mod tests {
     /// Rewrite a frame's TTL (and fix the checksum) for expiry tests.
     fn with_ttl(frame: &Bytes, ttl: u8) -> Bytes {
         let mut buf = bytes::BytesMut::from(&frame[..]);
-        let mut ip = Ipv4Packet::new_checked(&mut buf[14..]).unwrap();
-        ip.set_ttl(ttl);
-        ip.fill_checksum();
+        let mut ip = netpkt::ipv4::Header::parse(&mut &buf[14..]).unwrap();
+        ip.ttl = ttl;
+        ip.write(&mut &mut buf[14..]).unwrap();
+        netpkt::ipv4::fill_checksum(&mut buf[14..34]);
         buf.freeze()
+    }
+
+    /// The IPv4 header and transport bytes of an emitted frame.
+    fn ipv4_of(frame: &[u8]) -> (netpkt::ipv4::Header, &[u8]) {
+        let walk = Layers::parse(frame).unwrap();
+        let v4 = walk.ipv4().unwrap();
+        assert!(netpkt::checksum::verify(&frame[walk.l3_at..v4.l4_at]));
+        (v4.ip, v4.l4)
     }
 
     fn routed_dp() -> Datapath {
@@ -1940,12 +1930,11 @@ pub(crate) mod tests {
         assert_eq!(r.outputs_of(0).len(), 1, "…but answered");
         let (port, reply) = &r.outputs_of(0)[0];
         assert_eq!(*port, 1, "time-exceeded goes back out the ingress port");
-        let view = netpkt::vlan::VlanView::parse(reply).unwrap();
-        let ip = Ipv4Packet::new_checked(&reply[view.payload_offset..]).unwrap();
-        assert_eq!(ip.proto(), IpProto::ICMP);
-        assert_eq!(ip.src(), Ipv4Addr::new(10, 0, 255, 254));
-        let icmp = netpkt::icmp::Icmpv4Packet::new_checked(ip.payload()).unwrap();
-        assert_eq!(icmp.msg_type(), netpkt::icmp::Icmpv4Type::TimeExceeded);
+        let (ip, mut l4) = ipv4_of(reply);
+        assert_eq!(ip.proto, IpProto::ICMP);
+        assert_eq!(ip.src, Ipv4Addr::new(10, 0, 255, 254));
+        let icmp = icmp::Header::parse(&mut l4).unwrap();
+        assert_eq!(icmp.msg_type, netpkt::icmp::Icmpv4Type::TimeExceeded);
         assert!(
             dp.micro_cache().is_empty(),
             "truncated expiry path must not be cached"
@@ -1959,9 +1948,8 @@ pub(crate) mod tests {
         // Healthy packet caches the routed path...
         let r = run_one(&mut dp, 1, udp_frame(1, 53), 0);
         assert_eq!(r.outputs_of(0)[0].0, 2);
-        let out_ip = Ipv4Packet::new_checked(&r.outputs_of(0)[0].1[14..]).unwrap();
-        assert_eq!(out_ip.ttl(), 63, "forwarded copy lost one hop");
-        assert!(out_ip.verify_checksum());
+        let (out_ip, _) = ipv4_of(&r.outputs_of(0)[0].1);
+        assert_eq!(out_ip.ttl, 63, "forwarded copy lost one hop");
         // ...and a TTL-1 packet of the same flow replays through the
         // cache, where the per-packet TTL check still catches it.
         let r2 = run_one(&mut dp, 1, with_ttl(&udp_frame(1, 53), 1), 1);
@@ -1971,9 +1959,8 @@ pub(crate) mod tests {
         ));
         assert!(r2.frame(0).dropped);
         assert_eq!(r2.outputs_of(0).len(), 1);
-        let view = netpkt::vlan::VlanView::parse(&r2.outputs_of(0)[0].1).unwrap();
-        let ip = Ipv4Packet::new_checked(&r2.outputs_of(0)[0].1[view.payload_offset..]).unwrap();
-        assert_eq!(ip.proto(), IpProto::ICMP);
+        let (ip, _) = ipv4_of(&r2.outputs_of(0)[0].1);
+        assert_eq!(ip.proto, IpProto::ICMP);
         assert_eq!(dp.stats().ttl_expired, 1);
     }
 

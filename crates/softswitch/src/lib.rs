@@ -37,6 +37,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+// Actions rewrite frames from any host in place: no indexing or slicing
+// that can panic outside tests, every offset comes from the frame walk
+// (`netpkt::layers`) and every write is a checked `get_mut`.
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod actions;
 pub mod agent;
 pub mod batch;
