@@ -153,14 +153,17 @@ fn sample_snmp_set() -> SnmpMessage {
             1,
             vec![
                 (
-                    mibs::vlan_static_egress_ports(101),
+                    Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, 101),
                     Value::OctetString(mibs::encode_portlist(&[1, 49], 49)),
                 ),
                 (
-                    mibs::vlan_static_untagged_ports(101),
+                    Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, 101),
                     Value::OctetString(mibs::encode_portlist(&[1], 49)),
                 ),
-                (mibs::vlan_static_row_status(101), Value::Integer(4)),
+                (
+                    Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101),
+                    Value::Integer(4),
+                ),
             ],
         ),
     )

@@ -66,7 +66,6 @@ fn bench_pipeline_modes(c: &mut Criterion) {
     for (name, mode) in [
         ("linear", PipelineMode::linear()),
         ("tss", PipelineMode::tss()),
-        ("microflow", PipelineMode::microflow()),
         ("full", PipelineMode::full()),
     ] {
         let mut dp = acl_dp(mode, 1024);

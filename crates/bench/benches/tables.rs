@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use bench::report::{self, Report};
 use legacy_switch::bridge::Bridge;
 use legacy_switch::mib::{BridgeMib, SysInfo};
-use mgmt::{mibs, MibStore};
+use mgmt::{mibs, MibStore, Oid};
 use netpkt::{builder, FlowKey, MacAddr};
 use openflow::table::{FlowEntry, FlowTable, TableId};
 use openflow::{group_no, port_no, Action, Instruction, Match};
@@ -198,8 +198,8 @@ fn bench_snmp_get(rep: &mut Report) {
         };
         // The Manager's verification reads: one PVID, one VLAN row.
         let oids = [
-            mibs::pvid(u32::from(n)),
-            mibs::vlan_static_egress_ports(100 + n),
+            Oid::instance(mibs::PVID, n.into()),
+            Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, u32::from(100 + n)),
         ];
         let mut i = 0;
         steady(rep, &format!("snmp_get/{n}_ports"), || {

@@ -65,7 +65,6 @@ fn main() {
     for (name, mode) in [
         ("linear", PipelineMode::linear()),
         ("tss", PipelineMode::tss()),
-        ("micro", PipelineMode::microflow()),
         ("full", PipelineMode::full()),
     ] {
         let sys = System::HarmlessWith(Variant::TwoSwitch, mode);

@@ -67,8 +67,6 @@ impl System {
                     "linear"
                 } else if *m == PipelineMode::full() {
                     "full"
-                } else if *m == PipelineMode::microflow() {
-                    "micro"
                 } else {
                     "tss"
                 }

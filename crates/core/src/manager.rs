@@ -25,7 +25,7 @@ use bytes::{Bytes, BytesMut};
 use std::any::Any;
 
 use mgmt::driver::{detect_dialect, DesiredVlanConfig, Driver, SnmpOp, VlanDef};
-use mgmt::{mibs, SnmpClient, Value};
+use mgmt::{mibs, Oid, SnmpClient, Value};
 use netsim::{Node, NodeCtx, NodeId, PortId, SimTime};
 use openflow::message::Message;
 use softswitch::node::admin_set_controller;
@@ -216,9 +216,11 @@ impl HarmlessManager {
 
     fn start_discovery(&mut self, ctx: &mut NodeCtx) {
         self.enter(ManagerPhase::Discovering, ctx);
-        let req = self
-            .snmp
-            .get(&[mibs::sys_descr(), mibs::sys_name(), mibs::if_number()]);
+        let req = self.snmp.get(&[
+            Oid::instance(mibs::SYS_DESCR, 0),
+            Oid::instance(mibs::SYS_NAME, 0),
+            Oid::instance(mibs::IF_NUMBER, 0),
+        ]);
         let legacy = self.config.legacy;
         self.send_tracked(legacy, req, Await::SnmpResponse, ctx);
     }
@@ -353,7 +355,7 @@ impl HarmlessManager {
     /// Issue a sysUpTime read; the response (or its timeout) drives the
     /// reboot monitor.
     fn poll_uptime(&mut self, ctx: &mut NodeCtx) {
-        let req = self.snmp.get(&[mibs::sys_uptime()]);
+        let req = self.snmp.get(&[Oid::instance(mibs::SYS_UPTIME, 0)]);
         let legacy = self.config.legacy;
         self.send_tracked(legacy, req, Await::UptimePoll, ctx);
     }

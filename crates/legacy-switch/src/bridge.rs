@@ -1011,14 +1011,23 @@ mod tests {
             };
             let mut rows = Vec::new();
             for (&vid, (egress, _)) in &self.vlans {
-                rows.push((mibs::vlan_static_egress_ports(vid), list(egress)));
+                rows.push((
+                    Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, vid.into()),
+                    list(egress),
+                ));
             }
             for (&vid, (_, untagged)) in &self.vlans {
-                rows.push((mibs::vlan_static_untagged_ports(vid), list(untagged)));
+                rows.push((
+                    Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, vid.into()),
+                    list(untagged),
+                ));
             }
             for &vid in self.vlans.keys() {
                 let active = Value::Integer(mibs::ROW_ACTIVE);
-                rows.push((mibs::vlan_static_row_status(vid), active));
+                rows.push((
+                    Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, vid.into()),
+                    active,
+                ));
             }
             rows
         }
@@ -1043,7 +1052,7 @@ mod tests {
             sys: &sys,
             uptime_cs: 0,
         };
-        let table = mibs::vlan_static_table();
+        let table = Oid::new(mibs::VLAN_STATIC_ENTRY);
         let mut walked = Vec::new();
         let mut cur = table.clone();
         while let Some(row) = mib.next(&cur).filter(|(oid, _)| table.contains(oid)) {

@@ -81,27 +81,18 @@ impl Column {
 /// The columns served, in OID order; none is a prefix of another. An
 /// instance is a column's OID plus its one index arc.
 const COLUMNS: [(&[u32], Column); 12] = [
-    (&[1, 3, 6, 1, 2, 1, 1, 1], Column::SysDescr),
-    (&[1, 3, 6, 1, 2, 1, 1, 3], Column::SysUpTime),
-    (&[1, 3, 6, 1, 2, 1, 1, 5], Column::SysName),
-    (&[1, 3, 6, 1, 2, 1, 2, 1], Column::IfNumber),
-    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 2], Column::IfDescr),
-    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 8], Column::IfOperStatus),
-    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 10], Column::IfInOctets),
-    (&[1, 3, 6, 1, 2, 1, 2, 2, 1, 16], Column::IfOutOctets),
-    (
-        &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 2],
-        Column::VlanEgress,
-    ),
-    (
-        &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 4],
-        Column::VlanUntagged,
-    ),
-    (
-        &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 5],
-        Column::VlanRowStatus,
-    ),
-    (&[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 5, 1, 1], Column::Pvid),
+    (mibs::SYS_DESCR, Column::SysDescr),
+    (mibs::SYS_UPTIME, Column::SysUpTime),
+    (mibs::SYS_NAME, Column::SysName),
+    (mibs::IF_NUMBER, Column::IfNumber),
+    (mibs::IF_DESCR, Column::IfDescr),
+    (mibs::IF_OPER_STATUS, Column::IfOperStatus),
+    (mibs::IF_IN_OCTETS, Column::IfInOctets),
+    (mibs::IF_OUT_OCTETS, Column::IfOutOctets),
+    (mibs::VLAN_STATIC_EGRESS_PORTS, Column::VlanEgress),
+    (mibs::VLAN_STATIC_UNTAGGED_PORTS, Column::VlanUntagged),
+    (mibs::VLAN_STATIC_ROW_STATUS, Column::VlanRowStatus),
+    (mibs::PVID, Column::Pvid),
 ];
 
 impl BridgeMib<'_> {
@@ -193,7 +184,7 @@ impl MibStore for BridgeMib<'_> {
             };
             let instance = self.next_instance(column, after)?;
             let value = self.value(column, instance)?;
-            Some((Oid([prefix, &[instance]].concat()), value))
+            Some((Oid::instance(prefix, instance), value))
         })
     }
 
@@ -210,7 +201,7 @@ impl MibStore for BridgeMib<'_> {
         match column {
             Column::VlanEgress | Column::VlanUntagged => {
                 let bytes = value.as_bytes().ok_or(ErrorStatus::WrongType)?;
-                let ports = mibs::decode_portlist(bytes);
+                let ports = mibs::decode_portlist(bytes).ok_or(ErrorStatus::WrongValue)?;
                 self.bridge.create_vlan(index).map_err(wrong)?;
                 if column == Column::VlanEgress {
                     self.bridge.set_egress(index, &ports).map_err(wrong)
@@ -247,29 +238,38 @@ mod tests {
         let n = b.n_ports();
         let mut out: Vec<(Oid, Value)> = vec![
             (
-                mibs::sys_descr(),
+                Oid::instance(mibs::SYS_DESCR, 0),
                 Value::OctetString(mib.sys.descr.clone().into_bytes()),
             ),
-            (mibs::sys_uptime(), Value::TimeTicks(mib.uptime_cs)),
             (
-                mibs::sys_name(),
+                Oid::instance(mibs::SYS_UPTIME, 0),
+                Value::TimeTicks(mib.uptime_cs),
+            ),
+            (
+                Oid::instance(mibs::SYS_NAME, 0),
                 Value::OctetString(mib.sys.name.clone().into_bytes()),
             ),
-            (mibs::if_number(), Value::Integer(i64::from(n))),
+            (
+                Oid::instance(mibs::IF_NUMBER, 0),
+                Value::Integer(i64::from(n)),
+            ),
         ];
         for p in 1..=n {
             let c = b.counters(p);
             out.push((
-                mibs::if_descr(u32::from(p)),
+                Oid::instance(mibs::IF_DESCR, p.into()),
                 Value::OctetString(format!("port{p}").into_bytes()),
             ));
-            out.push((mibs::if_oper_status(u32::from(p)), Value::Integer(1)));
             out.push((
-                mibs::if_in_octets(u32::from(p)),
+                Oid::instance(mibs::IF_OPER_STATUS, p.into()),
+                Value::Integer(1),
+            ));
+            out.push((
+                Oid::instance(mibs::IF_IN_OCTETS, p.into()),
                 Value::Counter32(c.rx_octets as u32),
             ));
             out.push((
-                mibs::if_out_octets(u32::from(p)),
+                Oid::instance(mibs::IF_OUT_OCTETS, p.into()),
                 Value::Counter32(c.tx_octets as u32),
             ));
         }
@@ -277,21 +277,21 @@ mod tests {
             let egress: Vec<u16> = entry.egress.iter().collect();
             let untagged: Vec<u16> = entry.untagged.iter().collect();
             out.push((
-                mibs::vlan_static_egress_ports(vid),
+                Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, vid.into()),
                 Value::OctetString(mibs::encode_portlist(&egress, n)),
             ));
             out.push((
-                mibs::vlan_static_untagged_ports(vid),
+                Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, vid.into()),
                 Value::OctetString(mibs::encode_portlist(&untagged, n)),
             ));
             out.push((
-                mibs::vlan_static_row_status(vid),
+                Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, vid.into()),
                 Value::Integer(mibs::ROW_ACTIVE),
             ));
         }
         for p in 1..=n {
             out.push((
-                mibs::pvid(u32::from(p)),
+                Oid::instance(mibs::PVID, p.into()),
                 Value::Gauge32(u32::from(b.pvid(p))),
             ));
         }
@@ -309,24 +309,12 @@ mod tests {
 
     #[test]
     fn columns_are_the_mibs_oids_in_getnext_order() {
-        let named = [
-            mibs::sys_descr(),
-            mibs::sys_uptime(),
-            mibs::sys_name(),
-            mibs::if_number(),
-            mibs::if_descr(0),
-            mibs::if_oper_status(0),
-            mibs::if_in_octets(0),
-            mibs::if_out_octets(0),
-            mibs::vlan_static_egress_ports(0),
-            mibs::vlan_static_untagged_ports(0),
-            mibs::vlan_static_row_status(0),
-            mibs::pvid(0),
-        ];
-        for ((prefix, _), oid) in COLUMNS.iter().zip(&named) {
-            assert_eq!(oid.arcs().split_last().unwrap().1, *prefix);
+        // Sorted, and none a prefix of the next (so of any later one): an
+        // instance names one column, and a walk visits them in order.
+        for w in COLUMNS.windows(2) {
+            let [(a, _), (b, _)] = [w[0], w[1]];
+            assert!(a < b && !b.starts_with(a), "{a:?} before {b:?}");
         }
-        assert!(COLUMNS.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
@@ -442,12 +430,30 @@ mod tests {
     }
 
     #[test]
+    fn portlist_bits_beyond_a_port_number_do_not_alias_a_port() {
+        let mut b = Bridge::new(4);
+        b.make_access_port(1, 5).unwrap();
+        let before = format!("{:?}", b.vlans());
+        with_mib(&mut b, |mib| {
+            // Port 65537 = 65536 + 1: the top bit of octet 8192.
+            let mut ports = vec![0u8; 8192];
+            ports.push(0x80);
+            let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.2.5".parse().unwrap();
+            assert_eq!(
+                mib.set(&oid, &Value::OctetString(ports)),
+                Err(ErrorStatus::WrongValue)
+            );
+        });
+        assert_eq!(format!("{:?}", b.vlans()), before, "VLAN 5 untouched");
+    }
+
+    #[test]
     fn pvid_arcs_beyond_a_port_number_do_not_alias_a_port() {
         let mut b = Bridge::new(4);
         b.create_vlan(7).unwrap();
         with_mib(&mut b, |mib| {
             // 65537 = 65536 + 1.
-            let oid = mibs::pvid(65537);
+            let oid = Oid::instance(mibs::PVID, 65537);
             assert_eq!(
                 mib.set(&oid, &Value::Gauge32(7)),
                 Err(ErrorStatus::WrongValue)
@@ -472,13 +478,17 @@ mod tests {
         let mut b = Bridge::new(4);
         b.make_access_port(1, 101).unwrap();
         with_mib(&mut b, |mib| {
-            let v = mib.get(&mibs::pvid(1)).unwrap();
+            let v = mib.get(&Oid::instance(mibs::PVID, 1)).unwrap();
             assert_eq!(v, Value::Gauge32(101));
-            let v = mib.get(&mibs::vlan_static_row_status(101)).unwrap();
+            let v = mib
+                .get(&Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101))
+                .unwrap();
             assert_eq!(v, Value::Integer(mibs::ROW_ACTIVE));
-            let v = mib.get(&mibs::if_number()).unwrap();
+            let v = mib.get(&Oid::instance(mibs::IF_NUMBER, 0)).unwrap();
             assert_eq!(v, Value::Integer(4));
-            assert!(mib.get(&mibs::vlan_static_row_status(999)).is_none());
+            assert!(mib
+                .get(&Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 999))
+                .is_none());
         });
     }
 
@@ -488,21 +498,22 @@ mod tests {
         with_mib(&mut b, |mib| {
             // The QBridgeDialect plan for VLAN 101, egress {1,5}, untagged {1}.
             mib.set(
-                &mibs::vlan_static_egress_ports(101),
+                &Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, 101),
                 &Value::OctetString(mibs::encode_portlist(&[1, 5], 5)),
             )
             .unwrap();
             mib.set(
-                &mibs::vlan_static_untagged_ports(101),
+                &Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, 101),
                 &Value::OctetString(mibs::encode_portlist(&[1], 5)),
             )
             .unwrap();
             mib.set(
-                &mibs::vlan_static_row_status(101),
+                &Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101),
                 &Value::Integer(mibs::ROW_CREATE_AND_GO),
             )
             .unwrap();
-            mib.set(&mibs::pvid(1), &Value::Gauge32(101)).unwrap();
+            mib.set(&Oid::instance(mibs::PVID, 1), &Value::Gauge32(101))
+                .unwrap();
         });
         assert_eq!(b.pvid(1), 101);
         let v = b.vlan(101).unwrap();
@@ -516,7 +527,7 @@ mod tests {
         b.make_access_port(2, 102).unwrap();
         with_mib(&mut b, |mib| {
             mib.set(
-                &mibs::vlan_static_row_status(102),
+                &Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 102),
                 &Value::Integer(mibs::ROW_DESTROY),
             )
             .unwrap();
@@ -530,17 +541,20 @@ mod tests {
         with_mib(&mut b, |mib| {
             // PVID to a nonexistent VLAN.
             assert_eq!(
-                mib.set(&mibs::pvid(1), &Value::Gauge32(999)),
+                mib.set(&Oid::instance(mibs::PVID, 1), &Value::Gauge32(999)),
                 Err(ErrorStatus::WrongValue)
             );
             // Wrong type.
             assert_eq!(
-                mib.set(&mibs::pvid(1), &Value::OctetString(vec![1])),
+                mib.set(&Oid::instance(mibs::PVID, 1), &Value::OctetString(vec![1])),
                 Err(ErrorStatus::WrongType)
             );
             // Read-only scalar.
             assert_eq!(
-                mib.set(&mibs::sys_descr(), &Value::OctetString(b"nope".to_vec())),
+                mib.set(
+                    &Oid::instance(mibs::SYS_DESCR, 0),
+                    &Value::OctetString(b"nope".to_vec())
+                ),
                 Err(ErrorStatus::NotWritable)
             );
         });

@@ -279,7 +279,11 @@ mod tests {
         let sw = net.add_node(LegacySwitchNode::new("sw1", 8));
         let req = SnmpMessage::new(
             "public",
-            Pdu::request(PduType::Get, 42, vec![(mibs::if_number(), Value::Null)]),
+            Pdu::request(
+                PduType::Get,
+                42,
+                vec![(Oid::instance(mibs::IF_NUMBER, 0), Value::Null)],
+            ),
         )
         .encode();
         let mgr = net.add_node(OneShotSnmp {
@@ -300,18 +304,18 @@ mod tests {
         let sw = net.add_node(LegacySwitchNode::new("sw1", 4));
         let bindings = vec![
             (
-                mibs::vlan_static_egress_ports(101),
+                Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, 101),
                 Value::OctetString(mibs::encode_portlist(&[1, 4], 4)),
             ),
             (
-                mibs::vlan_static_untagged_ports(101),
+                Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, 101),
                 Value::OctetString(mibs::encode_portlist(&[1], 4)),
             ),
             (
-                mibs::vlan_static_row_status(101),
+                Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101),
                 Value::Integer(mibs::ROW_CREATE_AND_GO),
             ),
-            (mibs::pvid(1), Value::Gauge32(101)),
+            (Oid::instance(mibs::PVID, 1), Value::Gauge32(101)),
         ];
         let req = SnmpMessage::new("public", Pdu::request(PduType::Set, 7, bindings)).encode();
         let mgr = net.add_node(OneShotSnmp {
@@ -333,7 +337,11 @@ mod tests {
         let sw = net.add_node(LegacySwitchNode::new("sw1", 4).with_community("secret"));
         let req = SnmpMessage::new(
             "public",
-            Pdu::request(PduType::Get, 1, vec![(mibs::sys_descr(), Value::Null)]),
+            Pdu::request(
+                PduType::Get,
+                1,
+                vec![(Oid::instance(mibs::SYS_DESCR, 0), Value::Null)],
+            ),
         )
         .encode();
         let mgr = net.add_node(OneShotSnmp {

@@ -6,8 +6,16 @@
 //! is not known up front is [opened](open) with a one-byte length field
 //! and [closed](close) once its contents are written; closing widens the
 //! field in place when the contents need the long form.
+//!
+//! Everything is read through [`netpkt::wire::Cursor`]: [`get_tlv`]
+//! hands out a TLV's contents as a cursor that ends where its length
+//! says. Each reader accepts only the bytes its writer produces for
+//! the value it returns — lengths in the form [`put_len`] picks, integers
+//! and OID arcs in their shortest form — so what decodes re-encodes to
+//! the bytes it was read from.
 
 use bytes::{BufMut, BytesMut};
+use netpkt::wire::Cursor;
 
 use crate::oid::Oid;
 use crate::{Error, Result};
@@ -30,11 +38,12 @@ pub mod tag {
     pub const END_OF_MIB_VIEW: u8 = 0x82;
 }
 
-/// A BER length (definite form): the bytes, and how many of them it
-/// takes.
-fn len_form(len: usize) -> ([u8; 5], usize) {
+/// The bytes of a BER length in the definite form written here: one
+/// byte below 0x80, else 0x81, 0x82 or 0x84 and that many big-endian
+/// bytes.
+fn len_form(len: usize) -> impl ExactSizeIterator<Item = u8> {
     let [b0, b1, b2, b3] = (len as u32).to_be_bytes();
-    if len < 0x80 {
+    let (form, n) = if len < 0x80 {
         ([b3, 0, 0, 0, 0], 1)
     } else if len <= 0xff {
         ([0x81, b3, 0, 0, 0], 2)
@@ -42,13 +51,15 @@ fn len_form(len: usize) -> ([u8; 5], usize) {
         ([0x82, b2, b3, 0, 0], 3)
     } else {
         ([0x84, b0, b1, b2, b3], 5)
-    }
+    };
+    form.into_iter().take(n)
 }
 
 /// Append a BER length (definite form).
 pub fn put_len(out: &mut BytesMut, len: usize) {
-    let (form, n) = len_form(len);
-    out.put_slice(&form[..n]);
+    for b in len_form(len) {
+        out.put_u8(b);
+    }
 }
 
 /// Start a constructed TLV `t` whose contents follow: writes the tag and
@@ -65,37 +76,31 @@ pub fn open(out: &mut BytesMut, t: u8) -> usize {
 /// widens the field in place, moving the contents behind it.
 pub fn close(out: &mut BytesMut, start: usize) {
     let len = out.len() - start;
-    let (form, n) = len_form(len);
-    let wider = n - 1;
+    let form = len_form(len);
+    let wider = form.len() - 1;
     if wider > 0 {
         out.resize(out.len() + wider, 0);
         out.copy_within(start..start + len, start + wider);
     }
-    out[start - 1..start + wider].copy_from_slice(&form[..n]);
+    for (field, b) in out.iter_mut().skip(start - 1).zip(form) {
+        *field = b;
+    }
 }
 
-/// Read a BER length from the front of `buf`.
-pub fn get_len(buf: &mut &[u8]) -> Result<usize> {
-    if buf.is_empty() {
-        return Err(Error::Truncated);
+/// Read a BER length from the front of `c`, only in the form
+/// [`put_len`] writes it.
+pub fn get_len(c: &mut &[u8]) -> Result<usize> {
+    let first = c.u8()?;
+    let len = match first {
+        0..=0x7f => return Ok(usize::from(first)),
+        0x81 => usize::from(c.u8()?),
+        0x82 => usize::from(c.u16()?),
+        0x84 => c.u32()? as usize,
+        _ => return Err(Error::Malformed("indefinite or oversized BER length")),
+    };
+    if len_form(len).len() != 1 + usize::from(first & 0x7f) {
+        return Err(Error::Malformed("BER length in a longer form than needed"));
     }
-    let first = buf[0];
-    *buf = &buf[1..];
-    if first < 0x80 {
-        return Ok(usize::from(first));
-    }
-    let n = usize::from(first & 0x7f);
-    if n == 0 || n > 4 {
-        return Err(Error::Malformed("indefinite or oversized BER length"));
-    }
-    if buf.len() < n {
-        return Err(Error::Truncated);
-    }
-    let mut len = 0usize;
-    for i in 0..n {
-        len = (len << 8) | usize::from(buf[i]);
-    }
-    *buf = &buf[n..];
     Ok(len)
 }
 
@@ -106,93 +111,70 @@ pub fn put_tlv(out: &mut BytesMut, t: u8, value: &[u8]) {
     out.put_slice(value);
 }
 
-/// Read one TLV header, returning `(tag, value-slice)` and advancing `buf`
-/// past the whole TLV.
-pub fn get_tlv<'a>(buf: &mut &'a [u8]) -> Result<(u8, &'a [u8])> {
-    if buf.is_empty() {
-        return Err(Error::Truncated);
-    }
-    let t = buf[0];
-    *buf = &buf[1..];
-    let len = get_len(buf)?;
-    if buf.len() < len {
-        return Err(Error::Truncated);
-    }
-    let value = &buf[..len];
-    *buf = &buf[len..];
-    Ok((t, value))
+/// Read one TLV: its tag, and its contents as a cursor of their own.
+pub fn get_tlv<'a>(c: &mut &'a [u8]) -> Result<(u8, &'a [u8])> {
+    let t = c.u8()?;
+    let len = get_len(c)?;
+    Ok((t, c.take(len)?))
 }
 
-/// Encode a signed integer in minimal two's-complement form.
-pub fn put_integer(out: &mut BytesMut, t: u8, v: i64) {
-    let bytes = v.to_be_bytes();
-    // Find the minimal representation: strip redundant leading bytes.
-    let mut start = 0;
-    while start < 7 {
-        let b = bytes[start];
-        let next_msb = bytes[start + 1] & 0x80;
-        if (b == 0x00 && next_msb == 0) || (b == 0xff && next_msb != 0) {
-            start += 1;
-        } else {
-            break;
-        }
+/// Read one TLV that must be tagged `t`, returning its contents; any
+/// other tag is `Malformed(what)`.
+pub fn expect<'a>(c: &mut &'a [u8], t: u8, what: &'static str) -> Result<&'a [u8]> {
+    match get_tlv(c)? {
+        (got, contents) if got == t => Ok(contents),
+        _ => Err(Error::Malformed(what)),
     }
-    put_tlv(out, t, &bytes[start..]);
 }
 
-/// Decode a signed integer from a TLV value.
-pub fn parse_integer(value: &[u8]) -> Result<i64> {
-    if value.is_empty() || value.len() > 8 {
-        return Err(Error::Malformed("bad integer length"));
-    }
-    let negative = value[0] & 0x80 != 0;
-    let mut v: i64 = if negative { -1 } else { 0 };
-    for &b in value {
-        v = (v << 8) | i64::from(b);
-    }
-    Ok(v)
-}
-
-/// Encode an unsigned value (Counter/Gauge/TimeTicks) — BER still treats it
-/// as an integer, so a guard zero byte is prepended when the MSB of the
-/// minimal representation is set.
-pub fn put_unsigned(out: &mut BytesMut, t: u8, v: u64) {
-    let be = v.to_be_bytes();
-    let first = be.iter().position(|&b| b != 0).unwrap_or(7);
-    let guard = be[first] & 0x80 != 0;
+/// Append an integer TLV tagged `t`. INTEGER, Counter32, Gauge32,
+/// TimeTicks and Counter64 are all the same minimal two's-complement
+/// integer on the wire; only the tag and the range differ.
+pub fn put_integer(out: &mut BytesMut, t: u8, v: i128) {
+    let sign_run = if v < 0 {
+        v.leading_ones()
+    } else {
+        v.leading_zeros()
+    };
+    // The bits below the run of sign bits, and one sign bit.
+    let n = (129 - sign_run).div_ceil(8) as usize;
     out.put_u8(t);
-    put_len(out, usize::from(guard) + be.len() - first);
-    if guard {
-        out.put_u8(0);
+    put_len(out, n);
+    for b in v.to_be_bytes().into_iter().skip(16 - n) {
+        out.put_u8(b);
     }
-    out.put_slice(&be[first..]);
 }
 
-/// Decode an unsigned value from a TLV value.
-pub fn parse_unsigned(value: &[u8]) -> Result<u64> {
-    if value.is_empty() || value.len() > 9 || (value.len() == 9 && value[0] != 0) {
-        return Err(Error::Malformed("bad unsigned length"));
-    }
-    let mut v: u64 = 0;
-    for &b in value {
-        v = (v << 8) | u64::from(b);
-    }
-    Ok(v)
+/// Decode the contents of an integer TLV and narrow it to the range of
+/// its type: `i64` for INTEGER, `u32` for Counter32, Gauge32 and
+/// TimeTicks, `u64` for Counter64. Only the shortest two's-complement
+/// form is read, so the value re-encodes to these bytes.
+pub fn parse_integer<T: TryFrom<i128>>(value: &[u8]) -> Result<T> {
+    let first = match value {
+        [a @ (0x00 | 0xff), b, ..] if (a ^ b) & 0x80 == 0 => {
+            return Err(Error::Malformed("integer not in its shortest form"))
+        }
+        [first, ..] if value.len() <= 16 => *first,
+        [] => return Err(Error::Malformed("empty integer")),
+        _ => return Err(Error::Malformed("integer out of range")),
+    };
+    let sign = i128::from(first as i8 >> 7);
+    let v = value.iter().fold(sign, |v, &b| v << 8 | i128::from(b));
+    T::try_from(v).map_err(|_| Error::Malformed("integer out of range"))
 }
 
 /// Encode an OID value (X.690 §8.19: first two arcs packed, base-128
 /// continuation for the rest).
 pub fn put_oid(out: &mut BytesMut, oid: &Oid) {
-    let arcs = oid.arcs();
     let start = open(out, tag::OID);
-    match arcs.len() {
-        0 => out.put_u8(0),
-        1 => put_base128(out, arcs[0] * 40),
-        _ => {
-            // The first two arcs pack into one (base-128) sub-identifier;
-            // arc2 may exceed 39 only when arc1 == 2.
-            put_base128(out, arcs[0] * 40 + arcs[1]);
-            for &arc in &arcs[2..] {
+    match oid.arcs() {
+        [] => out.put_u8(0),
+        [arc1] => put_base128(out, arc1 * 40),
+        // The first two arcs pack into one sub-identifier; arc2 may
+        // exceed 39 only when arc1 == 2.
+        [arc1, arc2, rest @ ..] => {
+            put_base128(out, arc1 * 40 + arc2);
+            for &arc in rest {
                 put_base128(out, arc);
             }
         }
@@ -200,53 +182,50 @@ pub fn put_oid(out: &mut BytesMut, oid: &Oid) {
     close(out, start);
 }
 
-fn put_base128(out: &mut BytesMut, mut v: u32) {
-    // Seven bits a byte, most significant first; every byte but the
-    // last has its top bit set. A u32 takes at most five.
-    let mut tmp = [0u8; 5];
-    let mut i = tmp.len();
-    let mut more = 0;
-    loop {
-        i -= 1;
-        tmp[i] = (v & 0x7f) as u8 | more;
-        v >>= 7;
-        more = 0x80;
-        if v == 0 {
-            break;
-        }
+/// Seven bits a byte, most significant first; every byte but the last
+/// has its top bit set. A u32 takes at most five.
+fn put_base128(out: &mut BytesMut, v: u32) {
+    let groups = (32 - v.leading_zeros()).div_ceil(7).max(1);
+    for g in (1..groups).rev() {
+        out.put_u8((v >> (7 * g)) as u8 | 0x80);
     }
-    out.put_slice(&tmp[i..]);
+    out.put_u8(v as u8 & 0x7f);
+}
+
+/// Read one base-128 arc as [`put_base128`] writes it: no leading
+/// `0x80`, at most 32 bits.
+fn get_arc(c: &mut &[u8]) -> Result<u32> {
+    let unterminated = |_| Error::Malformed("unterminated base-128 arc");
+    let mut b = c.u8().map_err(unterminated)?;
+    if b == 0x80 {
+        return Err(Error::Malformed("OID arc not in its shortest form"));
+    }
+    let mut v: u32 = 0;
+    loop {
+        if v >> 25 != 0 {
+            return Err(Error::Malformed("OID arc wider than 32 bits"));
+        }
+        v = v << 7 | u32::from(b & 0x7f);
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        b = c.u8().map_err(unterminated)?;
+    }
 }
 
 /// Decode an OID from a TLV value.
-pub fn parse_oid(value: &[u8]) -> Result<Oid> {
-    if value.is_empty() {
+pub fn parse_oid(mut c: &[u8]) -> Result<Oid> {
+    if c.is_empty() {
         return Err(Error::Malformed("empty OID"));
     }
-    fn read_arc(value: &[u8], i: &mut usize) -> Result<u32> {
-        let mut v: u32 = 0;
-        loop {
-            if *i >= value.len() {
-                return Err(Error::Malformed("unterminated base-128 arc"));
-            }
-            let b = value[*i];
-            *i += 1;
-            v = (v << 7) | u32::from(b & 0x7f);
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-    }
-    let mut i = 0;
-    let first = read_arc(value, &mut i)?;
-    let mut arcs = Vec::new();
+    let first = get_arc(&mut c)?;
     // X.690 §8.19.4: arc1 is 0, 1 or 2; arc2 = first − 40·arc1.
     let arc1 = (first / 40).min(2);
-    arcs.push(arc1);
-    arcs.push(first - 40 * arc1);
-    while i < value.len() {
-        let v = read_arc(value, &mut i)?;
-        arcs.push(v);
+    // Every later arc takes at least one byte.
+    let mut arcs = Vec::with_capacity(2 + c.len());
+    arcs.extend([arc1, first - 40 * arc1]);
+    while !c.is_empty() {
+        arcs.push(get_arc(&mut c)?);
     }
     Ok(Oid(arcs))
 }
@@ -264,6 +243,17 @@ mod tests {
             assert_eq!(get_len(&mut s).unwrap(), len);
             assert!(s.is_empty());
         }
+        // A length only reads back in the form it is written in.
+        for longer in [
+            &[0x81, 0x7f][..],
+            &[0x82, 0, 0xff],
+            &[0x84, 0, 0, 0xff, 0xff],
+        ] {
+            let mut s = longer;
+            assert!(matches!(get_len(&mut s), Err(Error::Malformed(_))));
+        }
+        let mut s = &[0x83, 1, 0, 0][..];
+        assert!(matches!(get_len(&mut s), Err(Error::Malformed(_))));
     }
 
     /// A TLV opened and closed in place is byte-identical to one written
@@ -311,11 +301,11 @@ mod tests {
             i64::MIN,
         ] {
             let mut out = BytesMut::new();
-            put_integer(&mut out, tag::INTEGER, v);
+            put_integer(&mut out, tag::INTEGER, v.into());
             let mut s = &out[..];
             let (t, val) = get_tlv(&mut s).unwrap();
             assert_eq!(t, tag::INTEGER);
-            assert_eq!(parse_integer(val).unwrap(), v, "value {v}");
+            assert_eq!(parse_integer::<i64>(val).unwrap(), v, "value {v}");
         }
         // Check minimality: 127 fits in one byte, 128 needs two.
         let mut out = BytesMut::new();
@@ -324,22 +314,31 @@ mod tests {
         let mut out = BytesMut::new();
         put_integer(&mut out, tag::INTEGER, 128);
         assert_eq!(&out[..], &[0x02, 0x02, 0x00, 0x80]);
+        // A redundant leading byte is not read.
+        for padded in [&[0x00, 0x7f][..], &[0xff, 0x80]] {
+            assert!(parse_integer::<i64>(padded).is_err());
+        }
     }
 
+    /// The unsigned SMI types are the same integers: a value whose top
+    /// bit is set carries a zero sign byte, and each type is narrowed
+    /// to its range when read.
     #[test]
     fn unsigned_round_trip() {
         for v in [0u64, 1, 127, 128, 255, 0xffff_ffff, u64::MAX] {
             let mut out = BytesMut::new();
-            put_unsigned(&mut out, tag::COUNTER64, v);
+            put_integer(&mut out, tag::COUNTER64, v.into());
             let mut s = &out[..];
             let (t, val) = get_tlv(&mut s).unwrap();
             assert_eq!(t, tag::COUNTER64);
-            assert_eq!(parse_unsigned(val).unwrap(), v, "value {v}");
+            assert_eq!(parse_integer::<u64>(val).unwrap(), v, "value {v}");
+            assert_eq!(parse_integer::<u32>(val).ok(), u32::try_from(v).ok());
         }
         // 0x80000000 must carry a leading zero byte (it is positive).
         let mut out = BytesMut::new();
-        put_unsigned(&mut out, tag::GAUGE32, 0x8000_0000);
+        put_integer(&mut out, tag::GAUGE32, 0x8000_0000);
         assert_eq!(&out[..], &[0x42, 0x05, 0x00, 0x80, 0x00, 0x00, 0x00]);
+        assert!(parse_integer::<u32>(&[0xff]).is_err(), "negative");
     }
 
     #[test]

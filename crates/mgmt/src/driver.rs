@@ -82,35 +82,35 @@ impl VendorDialect for QBridgeDialect {
             // One atomic row create with all columns.
             ops.push(SnmpOp::Set(vec![
                 (
-                    mibs::vlan_static_egress_ports(v.vid),
+                    Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, v.vid.into()),
                     Value::OctetString(mibs::encode_portlist(&v.egress, cfg.n_ports)),
                 ),
                 (
-                    mibs::vlan_static_untagged_ports(v.vid),
+                    Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, v.vid.into()),
                     Value::OctetString(mibs::encode_portlist(&v.untagged, cfg.n_ports)),
                 ),
                 (
-                    mibs::vlan_static_row_status(v.vid),
+                    Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, v.vid.into()),
                     Value::Integer(mibs::ROW_CREATE_AND_GO),
                 ),
             ]));
         }
         for &(port, pvid) in &cfg.pvids {
             ops.push(SnmpOp::Set(vec![(
-                mibs::pvid(u32::from(port)),
+                Oid::instance(mibs::PVID, port.into()),
                 Value::Gauge32(u32::from(pvid)),
             )]));
         }
         // Verification reads: row status of each VLAN and each PVID.
         for v in &cfg.vlans {
             ops.push(SnmpOp::Verify(
-                mibs::vlan_static_row_status(v.vid),
+                Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, v.vid.into()),
                 Value::Integer(mibs::ROW_ACTIVE),
             ));
         }
         for &(port, pvid) in &cfg.pvids {
             ops.push(SnmpOp::Verify(
-                mibs::pvid(u32::from(port)),
+                Oid::instance(mibs::PVID, port.into()),
                 Value::Gauge32(u32::from(pvid)),
             ));
         }
@@ -122,13 +122,13 @@ impl VendorDialect for QBridgeDialect {
         // Reset PVIDs to the default VLAN first, then destroy rows.
         for &(port, _) in &cfg.pvids {
             ops.push(SnmpOp::Set(vec![(
-                mibs::pvid(u32::from(port)),
+                Oid::instance(mibs::PVID, port.into()),
                 Value::Gauge32(1),
             )]));
         }
         for v in &cfg.vlans {
             ops.push(SnmpOp::Set(vec![(
-                mibs::vlan_static_row_status(v.vid),
+                Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, v.vid.into()),
                 Value::Integer(mibs::ROW_DESTROY),
             )]));
         }
@@ -156,29 +156,29 @@ impl VendorDialect for LegacyCliDialect {
         let mut ops = Vec::new();
         for v in &cfg.vlans {
             ops.push(SnmpOp::Set(vec![(
-                mibs::vlan_static_row_status(v.vid),
+                Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, v.vid.into()),
                 Value::Integer(mibs::ROW_CREATE_AND_GO),
             )]));
             ops.push(SnmpOp::Set(vec![(
-                mibs::vlan_static_egress_ports(v.vid),
+                Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, v.vid.into()),
                 Value::OctetString(mibs::encode_portlist(&v.egress, cfg.n_ports)),
             )]));
             ops.push(SnmpOp::Set(vec![(
-                mibs::vlan_static_untagged_ports(v.vid),
+                Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, v.vid.into()),
                 Value::OctetString(mibs::encode_portlist(&v.untagged, cfg.n_ports)),
             )]));
             ops.push(SnmpOp::Verify(
-                mibs::vlan_static_row_status(v.vid),
+                Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, v.vid.into()),
                 Value::Integer(mibs::ROW_ACTIVE),
             ));
         }
         for &(port, pvid) in &cfg.pvids {
             ops.push(SnmpOp::Set(vec![(
-                mibs::pvid(u32::from(port)),
+                Oid::instance(mibs::PVID, port.into()),
                 Value::Gauge32(u32::from(pvid)),
             )]));
             ops.push(SnmpOp::Verify(
-                mibs::pvid(u32::from(port)),
+                Oid::instance(mibs::PVID, port.into()),
                 Value::Gauge32(u32::from(pvid)),
             ));
         }
@@ -315,7 +315,10 @@ mod tests {
             panic!()
         };
         // VLAN 101: egress = {1, 5}, untagged = {1}.
-        assert_eq!(bindings[0].0, mibs::vlan_static_egress_ports(101));
+        assert_eq!(
+            bindings[0].0,
+            Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, 101)
+        );
         assert_eq!(
             bindings[0].1,
             Value::OctetString(mibs::encode_portlist(&[1, 5], 5))

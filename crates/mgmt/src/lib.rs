@@ -16,10 +16,23 @@
 //!
 //! The simulated legacy switch implements [`MibStore`] over its live
 //! configuration, so every management operation in the workspace crosses a
-//! real encode → transport → decode → MIB boundary.
+//! real encode → transport → decode → MIB boundary. Each MIB column it
+//! serves is named once, by its arcs, in [`mibs`].
+//!
+//! Received bytes are read only through [`netpkt::wire::Cursor`], the
+//! checked cursor the frame parsers and the OpenFlow codec read with:
+//! a TLV's contents are a sub-cursor that ends where its length says,
+//! and nothing indexes (`clippy::indexing_slicing` is denied outside
+//! tests). Decoding is exact: a message, its PDU and each binding are
+//! read to their end, lengths, integers and OID arcs only in the form
+//! the encoder writes, so whatever [`SnmpMessage::decode`] accepts
+//! [`encode`](SnmpMessage::encode)s to the bytes it was read from. The
+//! one exception is an error-status outside [`ErrorStatus`]'s subset,
+//! which reads as `genErr`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 pub mod ber;
 pub mod client;
@@ -53,6 +66,16 @@ impl core::fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl From<netpkt::Error> for Error {
+    /// A cursor fails only where its bytes run out.
+    fn from(e: netpkt::Error) -> Self {
+        match e {
+            netpkt::Error::Truncated => Error::Truncated,
+            netpkt::Error::Malformed | netpkt::Error::Checksum => Error::Malformed("BER"),
+        }
+    }
+}
 
 /// Result alias.
 pub type Result<T> = core::result::Result<T, Error>;

@@ -1,77 +1,35 @@
-//! Well-known OIDs (MIB-II and Q-BRIDGE-MIB subset) and the `PortList`
-//! bitmap encoding used by 802.1Q VLAN tables.
+//! Well-known MIB columns (MIB-II and a Q-BRIDGE-MIB subset), each
+//! named once by its arcs, and the `PortList` bitmap encoding used by
+//! 802.1Q VLAN tables. An instance is a column's arcs and one index arc
+//! ([`Oid::instance`](crate::Oid::instance)): 0 for a scalar, else a
+//! port number or a VLAN id.
 
-use crate::oid::Oid;
-
-/// `sysDescr.0`.
-pub fn sys_descr() -> Oid {
-    "1.3.6.1.2.1.1.1.0".parse().unwrap()
-}
-
-/// `sysUpTime.0`.
-pub fn sys_uptime() -> Oid {
-    "1.3.6.1.2.1.1.3.0".parse().unwrap()
-}
-
-/// `sysName.0`.
-pub fn sys_name() -> Oid {
-    "1.3.6.1.2.1.1.5.0".parse().unwrap()
-}
-
-/// `ifNumber.0`.
-pub fn if_number() -> Oid {
-    "1.3.6.1.2.1.2.1.0".parse().unwrap()
-}
-
+/// `sysDescr` (scalar).
+pub const SYS_DESCR: &[u32] = &[1, 3, 6, 1, 2, 1, 1, 1];
+/// `sysUpTime` (scalar, TimeTicks).
+pub const SYS_UPTIME: &[u32] = &[1, 3, 6, 1, 2, 1, 1, 3];
+/// `sysName` (scalar).
+pub const SYS_NAME: &[u32] = &[1, 3, 6, 1, 2, 1, 1, 5];
+/// `ifNumber` (scalar).
+pub const IF_NUMBER: &[u32] = &[1, 3, 6, 1, 2, 1, 2, 1];
 /// `ifDescr.<ifIndex>`.
-pub fn if_descr(if_index: u32) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 2, if_index])
-}
-
+pub const IF_DESCR: &[u32] = &[1, 3, 6, 1, 2, 1, 2, 2, 1, 2];
 /// `ifOperStatus.<ifIndex>` (1 = up, 2 = down).
-pub fn if_oper_status(if_index: u32) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 8, if_index])
-}
-
+pub const IF_OPER_STATUS: &[u32] = &[1, 3, 6, 1, 2, 1, 2, 2, 1, 8];
 /// `ifInOctets.<ifIndex>`.
-pub fn if_in_octets(if_index: u32) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 10, if_index])
-}
-
+pub const IF_IN_OCTETS: &[u32] = &[1, 3, 6, 1, 2, 1, 2, 2, 1, 10];
 /// `ifOutOctets.<ifIndex>`.
-pub fn if_out_octets(if_index: u32) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 16, if_index])
-}
-
-/// The `ifTable` entry column subtree (`1.3.6.1.2.1.2.2.1`).
-pub fn if_table() -> Oid {
-    "1.3.6.1.2.1.2.2.1".parse().unwrap()
-}
-
+pub const IF_OUT_OCTETS: &[u32] = &[1, 3, 6, 1, 2, 1, 2, 2, 1, 16];
+/// `dot1qVlanStaticEntry`: the static VLAN table, whose columns follow.
+pub const VLAN_STATIC_ENTRY: &[u32] = &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1];
 /// `dot1qVlanStaticEgressPorts.<vid>` — PortList of member ports.
-pub fn vlan_static_egress_ports(vid: u16) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 2, u32::from(vid)])
-}
-
+pub const VLAN_STATIC_EGRESS_PORTS: &[u32] = &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 2];
 /// `dot1qVlanStaticUntaggedPorts.<vid>` — PortList of untagged members.
-pub fn vlan_static_untagged_ports(vid: u16) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 4, u32::from(vid)])
-}
-
+pub const VLAN_STATIC_UNTAGGED_PORTS: &[u32] = &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 4];
 /// `dot1qVlanStaticRowStatus.<vid>` — 4 = createAndGo, 6 = destroy.
-pub fn vlan_static_row_status(vid: u16) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 5, u32::from(vid)])
-}
-
-/// The static VLAN table subtree.
-pub fn vlan_static_table() -> Oid {
-    "1.3.6.1.2.1.17.7.1.4.3.1".parse().unwrap()
-}
-
+pub const VLAN_STATIC_ROW_STATUS: &[u32] = &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 3, 1, 5];
 /// `dot1qPvid.<basePort>`.
-pub fn pvid(base_port: u32) -> Oid {
-    Oid::new(&[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 5, 1, 1, base_port])
-}
+pub const PVID: &[u32] = &[1, 3, 6, 1, 2, 1, 17, 7, 1, 4, 5, 1, 1];
 
 /// RowStatus `createAndGo`.
 pub const ROW_CREATE_AND_GO: i64 = 4;
@@ -83,30 +41,28 @@ pub const ROW_DESTROY: i64 = 6;
 /// Encode a Q-BRIDGE `PortList`: bit for port N is bit `(8 - N % 8)` of
 /// octet `(N-1)/8`, i.e. port 1 is the MSB of the first octet.
 pub fn encode_portlist(ports: &[u16], n_ports: u16) -> Vec<u8> {
-    let len = usize::from(n_ports).div_ceil(8);
-    let mut out = vec![0u8; len];
-    for &p in ports {
-        if p == 0 || p > n_ports {
-            continue;
+    let mut out = vec![0u8; usize::from(n_ports).div_ceil(8)];
+    for &p in ports.iter().filter(|&&p| (1..=n_ports).contains(&p)) {
+        let i = usize::from(p - 1);
+        if let Some(octet) = out.get_mut(i / 8) {
+            *octet |= 0x80 >> (i % 8);
         }
-        let idx = usize::from(p - 1) / 8;
-        let bit = 7 - (usize::from(p - 1) % 8);
-        out[idx] |= 1 << bit;
     }
     out
 }
 
-/// Decode a Q-BRIDGE `PortList` back to port numbers.
-pub fn decode_portlist(bytes: &[u8]) -> Vec<u16> {
+/// Decode a Q-BRIDGE `PortList` back to port numbers; `None` if it
+/// names a port beyond `u16`.
+pub fn decode_portlist(bytes: &[u8]) -> Option<Vec<u16>> {
     let mut out = Vec::new();
     for (i, &b) in bytes.iter().enumerate() {
         for bit in 0..8 {
-            if b & (1 << (7 - bit)) != 0 {
-                out.push((i * 8 + bit + 1) as u16);
+            if b & (0x80 >> bit) != 0 {
+                out.push(u16::try_from(i * 8 + bit + 1).ok()?);
             }
         }
     }
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -118,7 +74,13 @@ mod tests {
         let ports = vec![1, 3, 8, 9, 24];
         let enc = encode_portlist(&ports, 24);
         assert_eq!(enc.len(), 3);
-        assert_eq!(decode_portlist(&enc), ports);
+        assert_eq!(decode_portlist(&enc), Some(ports));
+        // Port 65535, the last a u16 names, is bit 6 of octet 8191.
+        let mut long = vec![0u8; 8192];
+        long[8191] = 0x02;
+        assert_eq!(decode_portlist(&long), Some(vec![65535]));
+        long[8191] = 0x01;
+        assert_eq!(decode_portlist(&long), None);
     }
 
     #[test]
@@ -136,12 +98,17 @@ mod tests {
 
     #[test]
     fn oid_shapes() {
-        assert_eq!(pvid(3).to_string(), "1.3.6.1.2.1.17.7.1.4.5.1.1.3");
+        use crate::Oid;
         assert_eq!(
-            vlan_static_row_status(101).to_string(),
+            Oid::instance(PVID, 3).to_string(),
+            "1.3.6.1.2.1.17.7.1.4.5.1.1.3"
+        );
+        assert_eq!(
+            Oid::instance(VLAN_STATIC_ROW_STATUS, 101).to_string(),
             "1.3.6.1.2.1.17.7.1.4.3.1.5.101"
         );
-        assert!(vlan_static_table().contains(&vlan_static_egress_ports(5)));
-        assert!(if_table().contains(&if_oper_status(2)));
+        let entry = Oid::new(VLAN_STATIC_ENTRY);
+        assert!(entry.contains(&Oid::instance(VLAN_STATIC_EGRESS_PORTS, 5)));
+        assert!(entry.contains(&Oid::instance(VLAN_STATIC_ROW_STATUS, 5)));
     }
 }

@@ -21,6 +21,15 @@ impl Oid {
         &self.0
     }
 
+    /// The instance of a MIB column (see [`crate::mibs`]) at index arc
+    /// `index`: 0 for a scalar, else a table row.
+    pub fn instance(column: &[u32], index: u32) -> Oid {
+        let mut arcs = Vec::with_capacity(column.len() + 1);
+        arcs.extend_from_slice(column);
+        arcs.push(index);
+        Oid(arcs)
+    }
+
     /// Append one arc (e.g. a table index).
     pub fn child(&self, arc: u32) -> Oid {
         let mut v = self.0.clone();
@@ -38,7 +47,7 @@ impl Oid {
     /// True if `self` is a prefix of (or equal to) `other` — i.e. `other`
     /// lies in the subtree rooted at `self`.
     pub fn contains(&self, other: &Oid) -> bool {
-        other.0.len() >= self.0.len() && other.0[..self.0.len()] == self.0[..]
+        other.0.starts_with(&self.0)
     }
 }
 

@@ -1,6 +1,7 @@
 //! SNMPv2c messages and PDUs.
 
 use bytes::{Bytes, BytesMut};
+use netpkt::wire::Cursor;
 
 use crate::ber::{self, tag};
 use crate::oid::Oid;
@@ -64,15 +65,15 @@ impl Value {
 
     fn encode(&self, out: &mut BytesMut) {
         match self {
-            Value::Integer(v) => ber::put_integer(out, tag::INTEGER, *v),
+            Value::Integer(v) => ber::put_integer(out, tag::INTEGER, (*v).into()),
             Value::OctetString(v) => ber::put_tlv(out, tag::OCTET_STRING, v),
             Value::Null => ber::put_tlv(out, tag::NULL, &[]),
             Value::Oid(o) => ber::put_oid(out, o),
             Value::IpAddress(a) => ber::put_tlv(out, tag::IP_ADDRESS, a),
-            Value::Counter32(v) => ber::put_unsigned(out, tag::COUNTER32, u64::from(*v)),
-            Value::Gauge32(v) => ber::put_unsigned(out, tag::GAUGE32, u64::from(*v)),
-            Value::TimeTicks(v) => ber::put_unsigned(out, tag::TIMETICKS, u64::from(*v)),
-            Value::Counter64(v) => ber::put_unsigned(out, tag::COUNTER64, *v),
+            Value::Counter32(v) => ber::put_integer(out, tag::COUNTER32, (*v).into()),
+            Value::Gauge32(v) => ber::put_integer(out, tag::GAUGE32, (*v).into()),
+            Value::TimeTicks(v) => ber::put_integer(out, tag::TIMETICKS, (*v).into()),
+            Value::Counter64(v) => ber::put_integer(out, tag::COUNTER64, (*v).into()),
             Value::NoSuchObject => ber::put_tlv(out, tag::NO_SUCH_OBJECT, &[]),
             Value::NoSuchInstance => ber::put_tlv(out, tag::NO_SUCH_INSTANCE, &[]),
             Value::EndOfMibView => ber::put_tlv(out, tag::END_OF_MIB_VIEW, &[]),
@@ -80,111 +81,104 @@ impl Value {
     }
 
     fn decode(t: u8, value: &[u8]) -> Result<Value> {
+        let empty = |v| match value {
+            [] => Ok(v),
+            _ => Err(Error::Malformed("NULL or exception with contents")),
+        };
         Ok(match t {
             tag::INTEGER => Value::Integer(ber::parse_integer(value)?),
             tag::OCTET_STRING => Value::OctetString(value.to_vec()),
-            tag::NULL => Value::Null,
+            tag::NULL => empty(Value::Null)?,
             tag::OID => Value::Oid(ber::parse_oid(value)?),
-            tag::IP_ADDRESS => {
-                if value.len() != 4 {
-                    return Err(Error::Malformed("IpAddress must be 4 bytes"));
-                }
-                Value::IpAddress([value[0], value[1], value[2], value[3]])
-            }
-            tag::COUNTER32 => Value::Counter32(ber::parse_unsigned(value)? as u32),
-            tag::GAUGE32 => Value::Gauge32(ber::parse_unsigned(value)? as u32),
-            tag::TIMETICKS => Value::TimeTicks(ber::parse_unsigned(value)? as u32),
-            tag::COUNTER64 => Value::Counter64(ber::parse_unsigned(value)?),
-            tag::NO_SUCH_OBJECT => Value::NoSuchObject,
-            tag::NO_SUCH_INSTANCE => Value::NoSuchInstance,
-            tag::END_OF_MIB_VIEW => Value::EndOfMibView,
+            tag::IP_ADDRESS => Value::IpAddress(
+                value
+                    .try_into()
+                    .map_err(|_| Error::Malformed("IpAddress must be 4 bytes"))?,
+            ),
+            tag::COUNTER32 => Value::Counter32(ber::parse_integer(value)?),
+            tag::GAUGE32 => Value::Gauge32(ber::parse_integer(value)?),
+            tag::TIMETICKS => Value::TimeTicks(ber::parse_integer(value)?),
+            tag::COUNTER64 => Value::Counter64(ber::parse_integer(value)?),
+            tag::NO_SUCH_OBJECT => empty(Value::NoSuchObject)?,
+            tag::NO_SUCH_INSTANCE => empty(Value::NoSuchInstance)?,
+            tag::END_OF_MIB_VIEW => empty(Value::EndOfMibView)?,
             _ => return Err(Error::Malformed("unknown value tag")),
         })
     }
 }
 
-/// PDU kind (the context tag).
+/// PDU kind; the discriminant is its context tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum PduType {
-    /// GetRequest (0xa0).
-    Get,
-    /// GetNextRequest (0xa1).
-    GetNext,
-    /// Response (0xa2).
-    Response,
-    /// SetRequest (0xa3).
-    Set,
+    /// GetRequest.
+    Get = 0xa0,
+    /// GetNextRequest.
+    GetNext = 0xa1,
+    /// Response.
+    Response = 0xa2,
+    /// SetRequest.
+    Set = 0xa3,
 }
 
 impl PduType {
-    fn tag(&self) -> u8 {
-        match self {
-            PduType::Get => 0xa0,
-            PduType::GetNext => 0xa1,
-            PduType::Response => 0xa2,
-            PduType::Set => 0xa3,
-        }
-    }
-
     fn from_tag(t: u8) -> Result<PduType> {
-        Ok(match t {
-            0xa0 => PduType::Get,
-            0xa1 => PduType::GetNext,
-            0xa2 => PduType::Response,
-            0xa3 => PduType::Set,
-            _ => return Err(Error::Malformed("unknown PDU tag")),
-        })
+        [
+            PduType::Get,
+            PduType::GetNext,
+            PduType::Response,
+            PduType::Set,
+        ]
+        .into_iter()
+        .find(|&ty| ty as u8 == t)
+        .ok_or(Error::Malformed("unknown PDU tag"))
     }
 }
 
-/// SNMPv2 error-status codes (subset).
+/// SNMPv2 error-status codes (subset); the discriminant is the code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(i64)]
 pub enum ErrorStatus {
     /// Success.
-    NoError,
+    NoError = 0,
     /// Response would not fit.
-    TooBig,
+    TooBig = 1,
     /// Value cannot be set to that.
-    BadValue,
+    BadValue = 3,
     /// General failure.
-    GenErr,
-    /// Object cannot be created.
-    NoCreation,
+    GenErr = 5,
     /// Wrong type for a set.
-    WrongType,
+    WrongType = 7,
     /// Wrong value for a set.
-    WrongValue,
+    WrongValue = 10,
+    /// Object cannot be created.
+    NoCreation = 11,
     /// Object is read-only.
-    NotWritable,
+    NotWritable = 17,
 }
 
 impl ErrorStatus {
     /// Wire value.
     pub fn value(&self) -> i64 {
-        match self {
-            ErrorStatus::NoError => 0,
-            ErrorStatus::TooBig => 1,
-            ErrorStatus::BadValue => 3,
-            ErrorStatus::GenErr => 5,
-            ErrorStatus::NoCreation => 11,
-            ErrorStatus::WrongType => 7,
-            ErrorStatus::WrongValue => 10,
-            ErrorStatus::NotWritable => 17,
-        }
+        *self as i64
     }
 
     /// From wire value (unknown codes map to `GenErr`).
     pub fn from_value(v: i64) -> ErrorStatus {
-        match v {
-            0 => ErrorStatus::NoError,
-            1 => ErrorStatus::TooBig,
-            3 => ErrorStatus::BadValue,
-            7 => ErrorStatus::WrongType,
-            10 => ErrorStatus::WrongValue,
-            11 => ErrorStatus::NoCreation,
-            17 => ErrorStatus::NotWritable,
-            _ => ErrorStatus::GenErr,
-        }
+        use ErrorStatus::*;
+        [
+            NoError,
+            TooBig,
+            BadValue,
+            GenErr,
+            WrongType,
+            WrongValue,
+            NoCreation,
+            NotWritable,
+        ]
+        .into_iter()
+        .find(|s| s.value() == v)
+        .unwrap_or(GenErr)
     }
 }
 
@@ -270,12 +264,12 @@ impl SnmpMessage {
         let mut buf = BytesMut::with_capacity(ENCODE_CAPACITY);
         let out = &mut buf;
         let msg = ber::open(out, tag::SEQUENCE);
-        ber::put_integer(out, tag::INTEGER, VERSION_2C);
+        ber::put_integer(out, tag::INTEGER, VERSION_2C.into());
         ber::put_tlv(out, tag::OCTET_STRING, self.community.as_bytes());
-        let pdu = ber::open(out, self.pdu.ty.tag());
-        ber::put_integer(out, tag::INTEGER, self.pdu.request_id);
-        ber::put_integer(out, tag::INTEGER, self.pdu.error_status.value());
-        ber::put_integer(out, tag::INTEGER, self.pdu.error_index);
+        let pdu = ber::open(out, self.pdu.ty as u8);
+        ber::put_integer(out, tag::INTEGER, self.pdu.request_id.into());
+        ber::put_integer(out, tag::INTEGER, self.pdu.error_status.value().into());
+        ber::put_integer(out, tag::INTEGER, self.pdu.error_index.into());
         let varbinds = ber::open(out, tag::SEQUENCE);
         for (oid, val) in &self.pdu.bindings {
             let vb = ber::open(out, tag::SEQUENCE);
@@ -289,51 +283,32 @@ impl SnmpMessage {
         buf.freeze()
     }
 
-    /// Decode from BER bytes.
+    /// Decode from BER bytes: exactly one message, each TLV read to its
+    /// end and in the form [`encode`](SnmpMessage::encode) writes it.
     pub fn decode(data: &[u8]) -> Result<SnmpMessage> {
-        let mut s = data;
-        let (t, mut body) = ber::get_tlv(&mut s)?;
-        if t != tag::SEQUENCE {
-            return Err(Error::Malformed("message must be a SEQUENCE"));
-        }
-        let (t, v) = ber::get_tlv(&mut body)?;
-        if t != tag::INTEGER || ber::parse_integer(v)? != VERSION_2C {
+        let mut rest = data;
+        let mut msg = ber::expect(&mut rest, tag::SEQUENCE, "message must be a SEQUENCE")?;
+        end(rest, "bytes after the message")?;
+        if integer(&mut msg, "only SNMPv2c supported")? != VERSION_2C {
             return Err(Error::Malformed("only SNMPv2c supported"));
         }
-        let (t, v) = ber::get_tlv(&mut body)?;
-        if t != tag::OCTET_STRING {
-            return Err(Error::Malformed("community must be an OCTET STRING"));
-        }
-        let community = String::from_utf8_lossy(v).into_owned();
-        let (ptag, mut pdu_body) = ber::get_tlv(&mut body)?;
+        let community = ber::expect(
+            &mut msg,
+            tag::OCTET_STRING,
+            "community must be an OCTET STRING",
+        )?;
+        let community = String::from_utf8(community.to_vec())
+            .map_err(|_| Error::Malformed("community must be UTF-8"))?;
+        let (ptag, mut pdu) = ber::get_tlv(&mut msg)?;
+        end(msg, "bytes after the PDU")?;
         let ty = PduType::from_tag(ptag)?;
-        let (t, v) = ber::get_tlv(&mut pdu_body)?;
-        if t != tag::INTEGER {
-            return Err(Error::Malformed("request-id must be INTEGER"));
-        }
-        let request_id = ber::parse_integer(v)?;
-        let (_, v) = ber::get_tlv(&mut pdu_body)?;
-        let error_status = ErrorStatus::from_value(ber::parse_integer(v)?);
-        let (_, v) = ber::get_tlv(&mut pdu_body)?;
-        let error_index = ber::parse_integer(v)?;
-        let (t, mut vbs) = ber::get_tlv(&mut pdu_body)?;
-        if t != tag::SEQUENCE {
-            return Err(Error::Malformed("varbind list must be a SEQUENCE"));
-        }
-        let mut bindings = Vec::new();
-        while !vbs.is_empty() {
-            let (t, mut vb) = ber::get_tlv(&mut vbs)?;
-            if t != tag::SEQUENCE {
-                return Err(Error::Malformed("varbind must be a SEQUENCE"));
-            }
-            let (t, v) = ber::get_tlv(&mut vb)?;
-            if t != tag::OID {
-                return Err(Error::Malformed("varbind name must be an OID"));
-            }
-            let oid = ber::parse_oid(v)?;
-            let (t, v) = ber::get_tlv(&mut vb)?;
-            bindings.push((oid, Value::decode(t, v)?));
-        }
+        let request_id = integer(&mut pdu, "request-id must be INTEGER")?;
+        let error_status =
+            ErrorStatus::from_value(integer(&mut pdu, "error-status must be INTEGER")?);
+        let error_index = integer(&mut pdu, "error-index must be INTEGER")?;
+        let varbinds = ber::expect(&mut pdu, tag::SEQUENCE, "varbind list must be a SEQUENCE")?;
+        end(pdu, "bytes after the varbind list")?;
+        let bindings = varbinds.items(binding)?;
         Ok(SnmpMessage {
             community,
             pdu: Pdu {
@@ -344,6 +319,28 @@ impl SnmpMessage {
                 bindings,
             },
         })
+    }
+}
+
+/// Read one variable binding.
+fn binding(c: &mut &[u8]) -> Result<(Oid, Value)> {
+    let mut vb = ber::expect(c, tag::SEQUENCE, "varbind must be a SEQUENCE")?;
+    let name = ber::expect(&mut vb, tag::OID, "varbind name must be an OID")?;
+    let (t, value) = ber::get_tlv(&mut vb)?;
+    end(vb, "bytes after a varbind's value")?;
+    Ok((ber::parse_oid(name)?, Value::decode(t, value)?))
+}
+
+/// Read an INTEGER TLV; any other tag is `Malformed(what)`.
+fn integer(c: &mut &[u8], what: &'static str) -> Result<i64> {
+    ber::parse_integer(ber::expect(c, tag::INTEGER, what)?)
+}
+
+/// Check that a TLV's contents were read to their end.
+fn end(rest: &[u8], what: &'static str) -> Result<()> {
+    match rest {
+        [] => Ok(()),
+        _ => Err(Error::Malformed(what)),
     }
 }
 
@@ -460,5 +457,78 @@ mod tests {
         );
         assert!(Value::EndOfMibView.is_exception());
         assert!(!Value::Null.is_exception());
+    }
+
+    /// A response of one binding, written field by field so that a field
+    /// can be what no encoder writes: `status` and `index` are the
+    /// error-status and error-index TLVs, `name` the binding's OID
+    /// contents and `value` its value TLV.
+    fn raw(status: &[u8], index: &[u8], name: &[u8], value: &[u8]) -> Vec<u8> {
+        use bytes::BufMut;
+        let mut out = BytesMut::new();
+        let msg = ber::open(&mut out, tag::SEQUENCE);
+        out.put_slice(&[tag::INTEGER, 1, 1]);
+        ber::put_tlv(&mut out, tag::OCTET_STRING, b"public");
+        let pdu = ber::open(&mut out, 0xa2);
+        out.put_slice(&[tag::INTEGER, 1, 7]);
+        out.put_slice(status);
+        out.put_slice(index);
+        let list = ber::open(&mut out, tag::SEQUENCE);
+        let vb = ber::open(&mut out, tag::SEQUENCE);
+        ber::put_tlv(&mut out, tag::OID, name);
+        out.put_slice(value);
+        ber::close(&mut out, vb);
+        ber::close(&mut out, list);
+        ber::close(&mut out, pdu);
+        ber::close(&mut out, msg);
+        out.to_vec()
+    }
+
+    const ZERO: &[u8] = &[tag::INTEGER, 1, 0];
+    const NULL: &[u8] = &[tag::NULL, 0];
+    /// `sysUpTime.0`.
+    const SYS_UPTIME_0: &[u8] = &[0x2b, 6, 1, 2, 1, 1, 3, 0];
+
+    fn malformed(wire: &[u8]) -> bool {
+        matches!(SnmpMessage::decode(wire), Err(Error::Malformed(_)))
+    }
+
+    #[test]
+    fn unsigned_32_bit_values_wider_than_32_bits_are_malformed() {
+        for t in [tag::COUNTER32, tag::GAUGE32, tag::TIMETICKS] {
+            let widest = [t, 5, 0x00, 0xff, 0xff, 0xff, 0xff];
+            assert!(SnmpMessage::decode(&raw(ZERO, ZERO, SYS_UPTIME_0, &widest)).is_ok());
+            let wider = [t, 5, 0x01, 0x00, 0x00, 0x00, 0x00];
+            assert!(
+                malformed(&raw(ZERO, ZERO, SYS_UPTIME_0, &wider)),
+                "tag {t:#04x}: 2^32"
+            );
+        }
+    }
+
+    #[test]
+    fn oid_arcs_wider_than_32_bits_or_padded_are_malformed() {
+        // 1.3.(2^32 − 1) reads; 1.3.(2^32 + 5), and 1.3.5 with a 0x80
+        // pad byte, do not.
+        let widest = [0x2b, 0x8f, 0xff, 0xff, 0xff, 0x7f];
+        assert!(SnmpMessage::decode(&raw(ZERO, ZERO, &widest, NULL)).is_ok());
+        let wider = [0x2b, 0x90, 0x80, 0x80, 0x80, 0x05];
+        assert!(malformed(&raw(ZERO, ZERO, &wider, NULL)), "2^32 + 5");
+        let padded = [0x2b, 0x80, 0x05];
+        assert!(malformed(&raw(ZERO, ZERO, &padded, NULL)), "0x80 0x05");
+    }
+
+    #[test]
+    fn error_status_and_index_must_be_integers() {
+        let text = &[tag::OCTET_STRING, 1, 0];
+        assert!(SnmpMessage::decode(&raw(ZERO, ZERO, SYS_UPTIME_0, NULL)).is_ok());
+        assert!(
+            malformed(&raw(text, ZERO, SYS_UPTIME_0, NULL)),
+            "error-status"
+        );
+        assert!(
+            malformed(&raw(ZERO, text, SYS_UPTIME_0, NULL)),
+            "error-index"
+        );
     }
 }

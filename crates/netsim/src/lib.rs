@@ -65,5 +65,5 @@ pub use net::{Network, NodeId};
 pub use node::{Node, NodeCtx, PortId};
 pub use runtime::RuntimeStats;
 pub use shard::ShardMap;
-pub use stats::{Counter, CtrlStats, Histogram, Rollup, SloMeter};
+pub use stats::{CtrlStats, Histogram, Rollup, SloMeter};
 pub use time::SimTime;

@@ -1,32 +1,5 @@
-//! Measurement primitives: counters and a log-linear histogram.
-
-/// A named monotonic counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
+//! Measurement primitives: a log-linear histogram and the rollups and
+//! meters built on it.
 
 /// Number of linear sub-buckets per power-of-two bucket. 32 gives ~3%
 /// relative error, plenty for latency percentiles.
@@ -402,14 +375,6 @@ mod tests {
         total.merge(&pod);
         assert_eq!(total.frames, 6);
         assert_eq!(total.latency.count(), 4);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use netpkt::wire::Cursor;
 use netpkt::{builder, udp, IpProto, Layers, MacAddr};
 
 use crate::node::{Node, NodeCtx, PortId};
-use crate::stats::{Counter, Histogram, SloMeter};
+use crate::stats::{Histogram, SloMeter};
 use crate::time::SimTime;
 
 /// Size of the measurement stamp embedded in generated payloads.
@@ -36,13 +36,10 @@ impl Stamp {
     }
 
     /// Recover a stamp from a payload, if long enough.
-    pub fn read(buf: &[u8]) -> Option<Stamp> {
-        if buf.len() < STAMP_LEN {
-            return None;
-        }
+    pub fn read(mut buf: &[u8]) -> Option<Stamp> {
         Some(Stamp {
-            seq: u64::from_be_bytes(buf[0..8].try_into().unwrap()),
-            sent_ns: u64::from_be_bytes(buf[8..16].try_into().unwrap()),
+            seq: buf.u64().ok()?,
+            sent_ns: buf.u64().ok()?,
         })
     }
 
@@ -168,8 +165,8 @@ pub struct Generator {
     stop: SimTime,
     next_flow: usize,
     seq: u64,
-    sent: Counter,
-    sent_bytes: Counter,
+    sent: u64,
+    sent_bytes: u64,
     running: bool,
 }
 
@@ -195,8 +192,8 @@ impl Generator {
             stop,
             next_flow: 0,
             seq: 0,
-            sent: Counter::new(),
-            sent_bytes: Counter::new(),
+            sent: 0,
+            sent_bytes: 0,
             running: false,
         }
     }
@@ -209,12 +206,12 @@ impl Generator {
 
     /// Frames sent so far.
     pub fn sent(&self) -> u64 {
-        self.sent.get()
+        self.sent
     }
 
     /// Bytes sent so far (frame bytes, no wire overhead).
     pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes.get()
+        self.sent_bytes
     }
 
     /// The configured inter-departure pattern.
@@ -300,8 +297,8 @@ impl Generator {
     /// transmitted.
     pub fn credit_modeled(&mut self, frames: u64, bytes: u64) {
         self.seq += frames;
-        self.sent.add(frames);
-        self.sent_bytes.add(bytes);
+        self.sent += frames;
+        self.sent_bytes += bytes;
         let n = self.flows.len();
         self.next_flow = (self.next_flow + (frames % n as u64) as usize) % n;
     }
@@ -353,8 +350,8 @@ impl Node for Generator {
         }
         let now = ctx.now();
         let frame = self.build_frame(now, ctx.rng());
-        self.sent.inc();
-        self.sent_bytes.add(frame.len() as u64);
+        self.sent += 1;
+        self.sent_bytes += frame.len() as u64;
         ctx.transmit(self.port, frame);
         let gap = self.pattern.next_gap(ctx.rng());
         ctx.schedule(gap, TOKEN_SEND);
@@ -380,9 +377,9 @@ impl Node for Generator {
 /// A measuring sink: counts everything, recovers stamps for latency.
 pub struct Sink {
     name: String,
-    received: Counter,
-    rx_bytes: Counter,
-    unstamped: Counter,
+    received: u64,
+    rx_bytes: u64,
+    unstamped: u64,
     latency: Histogram,
     first_rx: Option<SimTime>,
     last_rx: Option<SimTime>,
@@ -400,9 +397,9 @@ impl Sink {
     pub fn new(name: impl Into<String>) -> Sink {
         Sink {
             name: name.into(),
-            received: Counter::new(),
-            rx_bytes: Counter::new(),
-            unstamped: Counter::new(),
+            received: 0,
+            rx_bytes: 0,
+            unstamped: 0,
             latency: Histogram::new(),
             first_rx: None,
             last_rx: None,
@@ -433,17 +430,17 @@ impl Sink {
 
     /// Frames received.
     pub fn received(&self) -> u64 {
-        self.received.get()
+        self.received
     }
 
     /// Bytes received.
     pub fn rx_bytes(&self) -> u64 {
-        self.rx_bytes.get()
+        self.rx_bytes
     }
 
     /// Frames that carried no recoverable stamp.
     pub fn unstamped(&self) -> u64 {
-        self.unstamped.get()
+        self.unstamped
     }
 
     /// Time of the first arrival, if any — the service-establishment
@@ -478,8 +475,8 @@ impl Sink {
         if total == 0 {
             return;
         }
-        self.received.add(total);
-        self.rx_bytes.add(total * frame_len);
+        self.received += total;
+        self.rx_bytes += total * frame_len;
         self.latency.record_n(latency_ns, total);
         self.last_latency_ns = Some(latency_ns);
         if self.first_rx.is_none() {
@@ -510,7 +507,7 @@ impl Sink {
     pub fn rx_pps(&self) -> f64 {
         match (self.first_rx, self.last_rx) {
             (Some(a), Some(b)) if b > a => {
-                (self.received.get().saturating_sub(1)) as f64 / (b - a).as_secs_f64()
+                self.received.saturating_sub(1) as f64 / (b - a).as_secs_f64()
             }
             _ => 0.0,
         }
@@ -525,14 +522,14 @@ impl Sink {
     /// Fold this sink's counters into a [`crate::stats::Rollup`]
     /// (per-pod/per-group aggregation in multi-pod experiments).
     pub fn roll_into(&self, rollup: &mut crate::stats::Rollup) {
-        rollup.absorb(self.received.get(), self.rx_bytes.get(), &self.latency);
+        rollup.absorb(self.received, self.rx_bytes, &self.latency);
     }
 }
 
 impl Node for Sink {
     fn on_packet(&mut self, _port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
-        self.received.inc();
-        self.rx_bytes.add(frame.len() as u64);
+        self.received += 1;
+        self.rx_bytes += frame.len() as u64;
         let now = ctx.now();
         if self.first_rx.is_none() {
             self.first_rx = Some(now);
@@ -548,7 +545,7 @@ impl Node for Sink {
                 self.latency.record(lat);
                 self.last_latency_ns = Some(lat);
             }
-            None => self.unstamped.inc(),
+            None => self.unstamped += 1,
         }
         if port != 0 {
             *self.by_dst_port.entry(port).or_insert(0) += 1;

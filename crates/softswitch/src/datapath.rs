@@ -60,18 +60,15 @@ use crate::cache::{CachedPath, MegaflowCache, MicroflowCache, Plan, TagOp};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
 
-/// Which lookup machinery is active — the ablation axis. The four
-/// constructors are the only values: each adds one layer to the one
-/// before.
+/// Which lookup machinery is active — the ablation axis. The three
+/// constructors are the only values: each adds to the one before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineMode {
     /// Use the tables' tuple-space index on the slow path (vs. linear
     /// scan).
     tss: bool,
-    /// Use the exact-match microflow cache.
-    microflow: bool,
-    /// Use the masked megaflow cache.
-    megaflow: bool,
+    /// Put the microflow and megaflow caches in front of the tables.
+    caches: bool,
 }
 
 impl PipelineMode {
@@ -79,8 +76,7 @@ impl PipelineMode {
     pub fn linear() -> Self {
         PipelineMode {
             tss: false,
-            microflow: false,
-            megaflow: false,
+            caches: false,
         }
     }
 
@@ -89,17 +85,7 @@ impl PipelineMode {
     pub fn tss() -> Self {
         PipelineMode {
             tss: true,
-            microflow: false,
-            megaflow: false,
-        }
-    }
-
-    /// Microflow cache over a TSS pipeline.
-    pub fn microflow() -> Self {
-        PipelineMode {
-            tss: true,
-            microflow: true,
-            megaflow: false,
+            caches: false,
         }
     }
 
@@ -107,8 +93,7 @@ impl PipelineMode {
     pub fn full() -> Self {
         PipelineMode {
             tss: true,
-            microflow: true,
-            megaflow: true,
+            caches: true,
         }
     }
 }
@@ -239,17 +224,9 @@ struct Caches {
 
 impl Caches {
     fn new(config: &DpConfig) -> Caches {
-        // Without the wildcard layer every stored path is one microflow
-        // (all-ones mask), so the store is bounded like the layer it
-        // stands in for.
-        let store_capacity = if config.mode.megaflow {
-            config.mega_capacity
-        } else {
-            config.micro_capacity
-        };
         Caches {
             micro: MicroflowCache::new(config.micro_capacity),
-            mega: MegaflowCache::new(store_capacity),
+            mega: MegaflowCache::new(config.mega_capacity),
         }
     }
 }
@@ -536,7 +513,7 @@ impl Datapath {
     /// tables, so residency is not a meaningful signal there) and
     /// `Some(false)` for frames no [`FlowKey`] can be extracted from.
     pub fn flow_resident(&self, in_port: u32, frame: &[u8]) -> Option<bool> {
-        if !self.config.mode.microflow && !self.config.mode.megaflow {
+        if !self.config.mode.caches {
             return None;
         }
         let Ok(key) = FlowKey::extract(in_port, frame) else {
@@ -563,10 +540,8 @@ impl Datapath {
     /// layer), which would keep a perfectly converged fabric "noisy".
     pub fn quiescence(&self) -> u64 {
         let s = self.stats();
-        let slow_path = if self.config.mode.megaflow {
+        let slow_path = if self.config.mode.caches {
             s.mega_misses
-        } else if self.config.mode.microflow {
-            s.micro_misses
         } else {
             0
         };
@@ -747,7 +722,7 @@ impl Datapath {
         // bit-identical frames on the same port (packet trains) share
         // one parse and one hash — the memcmp is far cheaper than a key
         // extraction. Only the microflow probe reads the hash.
-        let hashed = self.config.mode.microflow;
+        let hashed = self.config.mode.caches;
         keys.clear();
         let mut prev: Option<(u32, &Bytes)> = None;
         for (port, frame) in batch.iter() {
@@ -801,26 +776,23 @@ impl Datapath {
         }
         let mut trace = ProcessingTrace::new(frame.len());
         let Caches { micro, mega } = caches;
-        let mode = self.config.mode;
 
         // 1. Microflow layer (a signature into the megaflow store), then
         //    2. the store's own wildcard lookup (admitting its hits into
         //    the microflow layer). A hit's path is borrowed from the
         //    store.
         let mut cached = None;
-        if mode.microflow {
+        if self.config.mode.caches {
             cached = micro.lookup_hashed(hash, key, self.epoch, mega);
             if cached.is_some() {
                 trace.path = LookupPath::MicroHit;
             }
         }
-        if cached.is_none() && mode.megaflow {
+        if cached.is_none() && self.config.mode.caches {
             let (hit, probes) = mega.lookup(key, self.epoch);
             if let Some(id) = hit {
                 trace.path = LookupPath::MegaHit { probes };
-                if mode.microflow {
-                    micro.insert_hashed(hash, id, mega);
-                }
+                micro.insert_hashed(hash, id, mega);
             } else {
                 // carry the wasted probes into the slow-path accounting
                 trace.path = LookupPath::SlowPath {
@@ -836,21 +808,12 @@ impl Datapath {
         }
 
         // 3. Slow path; what it recorded goes into the store, and its
-        //    5-tuple into the microflow layer. An exact layer without
-        //    the wildcard one keeps its paths in the same store, under
-        //    the all-ones mask.
+        //    5-tuple into the microflow layer.
         let Some((path, unwild)) = self.slow_path(frame, *key, now_ns, trace, out) else {
             return;
         };
-        let mask = if mode.megaflow {
-            unwild
-        } else {
-            FlowKey::exact_mask()
-        };
-        let id = mega.insert(key, mask, path);
-        if mode.microflow {
-            micro.insert_hashed(hash, id, mega);
-        }
+        let id = mega.insert(key, unwild, path);
+        micro.insert_hashed(hash, id, mega);
     }
 
     /// Serve `frame` from a cached [`CachedPath`]: bump the flow counters
@@ -1102,7 +1065,7 @@ impl Datapath {
         let mode = self.config.mode;
         let has_meter = ctx.recorded.iter().any(|a| matches!(a, CAction::Meter(_)));
         let cacheable = !hits.is_empty() && ctx.fr.halt.is_none() && !has_meter;
-        let install = (cacheable && (mode.microflow || mode.megaflow)).then(|| {
+        let install = (cacheable && mode.caches).then(|| {
             let path = CachedPath::new(std::mem::take(&mut ctx.recorded), hits, self.epoch);
             (path, ctx.unwild)
         });
@@ -1364,7 +1327,6 @@ pub(crate) mod tests {
         for mode in [
             PipelineMode::linear(),
             PipelineMode::tss(),
-            PipelineMode::microflow(),
             PipelineMode::full(),
         ] {
             let mut dp = dp(mode);

@@ -28,6 +28,8 @@ use bytes::Bytes;
 use std::any::Any;
 use std::collections::HashMap;
 
+use netpkt::wire::Cursor;
+use netpkt::{frame, MacAddr};
 use netsim::service::{ServiceQueue, Submit};
 use netsim::{Node, NodeCtx, NodeId, PortId, SimTime};
 use openflow::message::FlowMod;
@@ -147,7 +149,7 @@ pub struct SoftSwitchNode {
     standalone_frames: u64,
     secure_dropped: u64,
     /// MAC-learning table of the fail-standalone fallback bridge.
-    fallback_macs: HashMap<[u8; 6], u32>,
+    fallback_macs: HashMap<MacAddr, u32>,
     sq: ServiceQueue<Work>,
     in_service: Vec<Option<Finished>>,
     batch_size: usize,
@@ -480,17 +482,13 @@ impl SoftSwitchNode {
     /// source MAC, forward to the learned port or flood. Only reachable in
     /// fail-standalone mode with the controller unreachable.
     fn fallback_forward(&mut self, in_port: u32, frame: &Bytes, ctx: &mut NodeCtx) {
-        if frame.len() < 12 {
+        let Ok(eth) = frame::Header::parse(&mut &frame[..]) else {
             return;
-        }
+        };
         self.standalone_frames += 1;
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&frame[0..6]);
-        src.copy_from_slice(&frame[6..12]);
-        self.fallback_macs.insert(src, in_port);
-        if dst[0] & 1 == 0 {
-            if let Some(&p) = self.fallback_macs.get(&dst) {
+        self.fallback_macs.insert(eth.src, in_port);
+        if eth.dst.is_unicast() {
+            if let Some(&p) = self.fallback_macs.get(&eth.dst) {
                 if p != in_port {
                     ctx.transmit(PortId(p as u16), frame.clone());
                 }
@@ -654,9 +652,9 @@ impl Node for SoftSwitchNode {
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
         // Local administration (set-controller) arrives on the same
         // management plane with a magic prefix.
-        if data.len() >= 17 && &data[..8] == ADMIN_MAGIC {
-            if data[8] == ADMIN_SET_CONTROLLER {
-                let id = u64::from_be_bytes(data[9..17].try_into().expect("length checked"));
+        let mut admin = &data[..];
+        if admin.array() == Ok(*ADMIN_MAGIC) {
+            if let (Ok(ADMIN_SET_CONTROLLER), Ok(id)) = (admin.u8(), admin.u64()) {
                 self.connect_controller(NodeId(id as usize));
                 self.start_connect(ctx);
             }
