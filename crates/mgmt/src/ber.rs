@@ -56,6 +56,7 @@ fn len_form(len: usize) -> impl ExactSizeIterator<Item = u8> {
 }
 
 /// Append a BER length (definite form).
+#[inline]
 pub fn put_len(out: &mut BytesMut, len: usize) {
     for b in len_form(len) {
         out.put_u8(b);
@@ -65,6 +66,7 @@ pub fn put_len(out: &mut BytesMut, len: usize) {
 /// Start a constructed TLV `t` whose contents follow: writes the tag and
 /// a one-byte length field, and returns where the contents start, for
 /// [`close`].
+#[inline]
 pub fn open(out: &mut BytesMut, t: u8) -> usize {
     out.put_u8(t);
     out.put_u8(0);
@@ -74,6 +76,7 @@ pub fn open(out: &mut BytesMut, t: u8) -> usize {
 /// End the TLV whose contents [`open`] said start at `start`: set its
 /// length to the bytes written since. A length that needs the long form
 /// widens the field in place, moving the contents behind it.
+#[inline]
 pub fn close(out: &mut BytesMut, start: usize) {
     let len = out.len() - start;
     let form = len_form(len);
@@ -105,6 +108,7 @@ pub fn get_len(c: &mut &[u8]) -> Result<usize> {
 }
 
 /// Append a full TLV.
+#[inline]
 pub fn put_tlv(out: &mut BytesMut, t: u8, value: &[u8]) {
     out.put_u8(t);
     put_len(out, value.len());
@@ -130,6 +134,7 @@ pub fn expect<'a>(c: &mut &'a [u8], t: u8, what: &'static str) -> Result<&'a [u8
 /// Append an integer TLV tagged `t`. INTEGER, Counter32, Gauge32,
 /// TimeTicks and Counter64 are all the same minimal two's-complement
 /// integer on the wire; only the tag and the range differ.
+#[inline]
 pub fn put_integer(out: &mut BytesMut, t: u8, v: i128) {
     let sign_run = if v < 0 {
         v.leading_ones()

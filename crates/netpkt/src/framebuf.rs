@@ -104,11 +104,13 @@ fn split_tagged(frame: &[u8]) -> Result<(&[u8], &[u8])> {
 
 impl FrameBuf {
     /// Wraps a refcounted frame; no copy.
+    #[inline]
     pub fn from_bytes(frame: Bytes) -> FrameBuf {
         FrameBuf { frame }
     }
 
     /// The frame contents.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.frame
     }
@@ -163,11 +165,13 @@ impl FrameBuf {
     /// An immutable handle to the current contents, for emitting to a
     /// port or the controller: a refcount clone. While it lives, a
     /// rewrite of this buffer copies rather than alias what was emitted.
+    #[inline]
     pub fn snapshot(&self) -> Bytes {
         self.frame.clone()
     }
 
     /// Consumes the buffer, yielding the frame; never copies.
+    #[inline]
     pub fn into_bytes(self) -> Bytes {
         self.frame
     }
@@ -175,6 +179,7 @@ impl FrameBuf {
 
 impl Deref for FrameBuf {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }

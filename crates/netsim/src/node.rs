@@ -56,29 +56,34 @@ pub struct NodeCtx<'a> {
 
 impl<'a> NodeCtx<'a> {
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// The id of the node whose callback is running.
+    #[inline]
     pub fn self_id(&self) -> NodeId {
         self.node
     }
 
     /// Transmit `frame` on `port` immediately. If the port is not connected
     /// the frame is silently dropped (and counted by the network).
+    #[inline]
     pub fn transmit(&mut self, port: PortId, frame: Bytes) {
         self.actions.push(Action::Transmit { port, frame });
     }
 
     /// Transmit after an internal processing `delay` (models pipeline
     /// latency without device-side timer bookkeeping).
+    #[inline]
     pub fn transmit_after(&mut self, delay: SimTime, port: PortId, frame: Bytes) {
         self.actions
             .push(Action::TransmitAfter { delay, port, frame });
     }
 
     /// Schedule `on_timer(token)` to fire `delay` from now.
+    #[inline]
     pub fn schedule(&mut self, delay: SimTime, token: u64) {
         self.actions.push(Action::Timer {
             at: self.now + delay,
@@ -88,6 +93,7 @@ impl<'a> NodeCtx<'a> {
 
     /// Send an out-of-band control message (OpenFlow, SNMP, ...) to another
     /// node; it arrives at `on_ctrl` after the network's control delay.
+    #[inline]
     pub fn ctrl_send(&mut self, to: NodeId, data: Bytes) {
         self.actions.push(Action::Ctrl { to, data });
     }
@@ -96,6 +102,7 @@ impl<'a> NodeCtx<'a> {
     /// has a single stream; a sharded one keeps one stream per shard so
     /// device randomness never depends on global event interleaving (or
     /// the thread count).
+    #[inline]
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }

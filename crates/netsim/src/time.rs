@@ -17,36 +17,43 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// From whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> SimTime {
         SimTime(s * 1_000_000_000)
     }
 
     /// From milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> SimTime {
         SimTime(ms * 1_000_000)
     }
 
     /// From microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> SimTime {
         SimTime(us * 1_000)
     }
 
     /// From nanoseconds.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> SimTime {
         SimTime(ns)
     }
 
     /// Nanosecond count.
+    #[inline]
     pub const fn as_nanos(&self) -> u64 {
         self.0
     }
 
     /// Microseconds, truncating.
+    #[inline]
     pub const fn as_micros(&self) -> u64 {
         self.0 / 1_000
     }
 
     /// Milliseconds, truncating.
+    #[inline]
     pub const fn as_millis(&self) -> u64 {
         self.0 / 1_000_000
     }
@@ -57,6 +64,7 @@ impl SimTime {
     }
 
     /// Saturating difference.
+    #[inline]
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
@@ -77,12 +85,14 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         self.0 = self.0.saturating_add(rhs.0);
     }
@@ -90,6 +100,7 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }

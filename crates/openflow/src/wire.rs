@@ -17,6 +17,7 @@ pub(crate) use netpkt::wire::Cursor;
 
 /// Append a zero `u16` length field and return where it sits, for
 /// [`patch_u16`] once the structure it measures is written.
+#[inline]
 pub(crate) fn reserve_u16(out: &mut BytesMut) -> usize {
     let at = out.len();
     out.put_u16(0);
@@ -25,6 +26,7 @@ pub(crate) fn reserve_u16(out: &mut BytesMut) -> usize {
 
 /// Set the length field reserved at `at` to the bytes written since
 /// offset `from`.
+#[inline]
 pub(crate) fn patch_u16(out: &mut BytesMut, at: usize, from: usize) {
     let len = (out.len() - from) as u16;
     if let Some(field) = out.get_mut(at..at + 2) {
@@ -33,6 +35,7 @@ pub(crate) fn patch_u16(out: &mut BytesMut, at: usize, from: usize) {
 }
 
 /// Zeros up to the next multiple of 8 bytes counted from offset `from`.
+#[inline]
 pub(crate) fn pad8(out: &mut BytesMut, from: usize) {
     out.put_bytes(0, (8 - (out.len() - from) % 8) % 8);
 }
@@ -40,6 +43,7 @@ pub(crate) fn pad8(out: &mut BytesMut, from: usize) {
 /// The 8-byte aligned type-length-value shape of actions, instructions
 /// and meter bands: `ty`, a `u16` length of the whole structure, what
 /// `body` writes, zeros to the next multiple of 8.
+#[inline]
 pub(crate) fn put_tlv(out: &mut BytesMut, ty: u16, body: impl FnOnce(&mut BytesMut)) {
     let start = out.len();
     out.put_u16(ty);

@@ -473,6 +473,7 @@ mod tests {
     use bytes::BytesMut;
     use netpkt::{builder, MacAddr};
     use openflow::message::FlowMod;
+    use openflow::table::FlowModCommand;
     use openflow::Match;
     use std::net::Ipv4Addr;
 
@@ -555,6 +556,39 @@ mod tests {
             }
             other => panic!("expected Error, got {other:?}"),
         }
+    }
+
+    /// OFPTT_ALL (table 0xff) is valid only in a delete: an ADD or a
+    /// MODIFY for it is refused with BAD_TABLE_ID, and a delete for it
+    /// still clears every table.
+    #[test]
+    fn flow_mod_for_all_tables_outside_a_delete_is_bad_table() {
+        let mut dp = dp();
+        let mut agent = OfAgent::new("test");
+        let add = FlowMod::add(0xff)
+            .priority(5)
+            .apply(vec![Action::output(2)]);
+        let modify = FlowMod {
+            command: FlowModCommand::Modify,
+            ..add.clone()
+        };
+        for (xid, fm) in [(3, add), (4, modify)] {
+            let out = agent.handle(&mut dp, &Message::FlowMod(fm).encode(xid), 0);
+            assert_eq!(out.replies.len(), 1);
+            match Message::decode(&out.replies[0]).unwrap() {
+                (x, Message::Error { ty: 5, code: 3, .. }, _) => assert_eq!(x, xid),
+                other => panic!("expected FLOW_MOD_FAILED/BAD_TABLE_ID, got {other:?}"),
+            }
+        }
+        let install = FlowMod::add(0).priority(5).apply(vec![Action::output(2)]);
+        agent.handle(&mut dp, &Message::FlowMod(install).encode(5), 0);
+        let out = agent.handle(
+            &mut dp,
+            &Message::FlowMod(FlowMod::delete(0xff)).encode(6),
+            0,
+        );
+        assert!(out.replies.is_empty());
+        assert!(run_one(&mut dp, 1, frame(), 0).outputs_of(0).is_empty());
     }
 
     /// Undecodable input is answered with BAD_REQUEST (OF 1.3 §7.4.4)

@@ -53,26 +53,31 @@ impl FrameBatch {
     }
 
     /// Append a frame received on `in_port`.
+    #[inline]
     pub fn push(&mut self, in_port: u32, frame: Bytes) {
         self.frames.push((in_port, frame));
     }
 
     /// Number of frames currently batched.
+    #[inline]
     pub fn len(&self) -> usize {
         self.frames.len()
     }
 
     /// True if no frames are batched.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
 
     /// Drop all batched frames, keeping the allocation.
+    #[inline]
     pub fn clear(&mut self) {
         self.frames.clear();
     }
 
     /// Iterate over the batched `(port, frame)` pairs.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &(u32, Bytes)> {
         self.frames.iter()
     }
@@ -139,26 +144,31 @@ pub struct BatchResult {
 
 impl BatchResult {
     /// Number of frames processed into this result.
+    #[inline]
     pub fn len(&self) -> usize {
         self.frames.len()
     }
 
     /// True if no frames were processed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
 
     /// The per-frame summaries, in input order.
+    #[inline]
     pub fn frames(&self) -> &[FrameResult] {
         &self.frames
     }
 
     /// The `i`-th frame's summary (input order).
+    #[inline]
     pub fn frame(&self, i: usize) -> &FrameResult {
         &self.frames[i]
     }
 
     /// The `(port, frame)` outputs the `i`-th input frame produced.
+    #[inline]
     pub fn outputs_of(&self, i: usize) -> &[(u32, Bytes)] {
         let f = &self.frames[i];
         &self.outputs[f.out_start as usize..f.out_end as usize]
@@ -176,17 +186,20 @@ impl BatchResult {
 
     /// The `(reason, in_port, frame)` packet-ins the `i`-th input frame
     /// produced.
+    #[inline]
     pub fn packet_ins_of(&self, i: usize) -> &[(PacketInReason, u32, Bytes)] {
         let f = &self.frames[i];
         &self.packet_ins[f.pi_start as usize..f.pi_end as usize]
     }
 
     /// All outputs of the batch, in emission order.
+    #[inline]
     pub fn all_outputs(&self) -> &[(u32, Bytes)] {
         &self.outputs
     }
 
     /// All packet-ins of the batch, in emission order.
+    #[inline]
     pub fn all_packet_ins(&self) -> &[(PacketInReason, u32, Bytes)] {
         &self.packet_ins
     }
@@ -203,6 +216,7 @@ impl BatchResult {
     }
 
     /// Total output frames emitted across the batch.
+    #[inline]
     pub fn total_outputs(&self) -> usize {
         self.outputs.len()
     }
@@ -213,6 +227,7 @@ impl BatchResult {
     }
 
     /// Empty the arenas, keeping their allocations for the next batch.
+    #[inline]
     pub fn clear(&mut self) {
         self.outputs.clear();
         self.packet_ins.clear();

@@ -553,7 +553,13 @@ impl Datapath {
     pub fn apply_flow_mod(&mut self, fm: &FlowMod, now_ns: u64) -> Result<Vec<(u8, FlowEntry)>> {
         fm.match_.validate()?;
         let tid = usize::from(fm.table_id);
-        let all_tables = fm.table_id == 0xff;
+        // OFPTT_ALL names every table only in a delete; an add or a
+        // modify for it is a bad table like any other out of range.
+        let all_tables = fm.table_id == 0xff
+            && matches!(
+                fm.command,
+                FlowModCommand::Delete | FlowModCommand::DeleteStrict
+            );
         if !all_tables && tid >= self.tables.len() {
             return Err(Error::BadTable(fm.table_id));
         }
@@ -1710,6 +1716,31 @@ pub(crate) mod tests {
             )
             .unwrap_err();
         assert_eq!(err, Error::BadTable(9));
+    }
+
+    #[test]
+    fn all_tables_is_a_bad_table_outside_a_delete() {
+        let mut dp = dp(PipelineMode::full());
+        let e0 = dp.epoch();
+        let add = FlowMod::add(0xff)
+            .priority(1)
+            .apply(vec![Action::output(1)]);
+        for command in [
+            FlowModCommand::Add,
+            FlowModCommand::Modify,
+            FlowModCommand::ModifyStrict,
+        ] {
+            let fm = FlowMod {
+                command,
+                ..add.clone()
+            };
+            assert_eq!(
+                dp.apply_flow_mod(&fm, 0).unwrap_err(),
+                Error::BadTable(0xff)
+            );
+        }
+        assert_eq!(dp.epoch(), e0, "a rejected flow-mod changes nothing");
+        assert!(dp.apply_flow_mod(&FlowMod::delete(0xff), 0).is_ok());
     }
 
     #[test]

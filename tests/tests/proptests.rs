@@ -1201,7 +1201,10 @@ fn of_encoding_matches_golden_bytes() {
 /// Nothing panics; a frame whose header says it has fully arrived is
 /// never `Truncated` (the channel would wait for bytes that are not
 /// coming); and a session fed such a frame and a `HELLO` never stalls:
-/// once drained, the next message pushed is the next one out.
+/// once drained, the next message pushed is the next one out. Every
+/// complete frame is then handed to an `OfAgent` over a datapath with
+/// a few ports (a fresh pair per mutated byte, and per sample for the
+/// cuts): nothing panics there either, and every reply decodes.
 #[test]
 fn of_decoder_is_total_under_mutation() {
     let hello = Message::Hello.encode(1);
@@ -1239,23 +1242,66 @@ fn of_decoder_is_total_under_mutation() {
             );
         }
     };
+    // The agent sees every value in release, a stride of them in debug.
+    let stride = if cfg!(debug_assertions) { 3 } else { 1 };
     for (name, msg) in of_samples() {
         let mut wire = msg.encode(SAMPLE_XID).to_vec();
         for i in 0..wire.len() {
             let orig = wire[i];
+            let mut switch = mutant_switch();
             for v in 0..=u8::MAX {
                 wire[i] = v;
-                check(&wire, &|| format!("{name}: byte {i} = {v:#04x}"));
+                let what = || format!("{name}: byte {i} = {v:#04x}");
+                check(&wire, &what);
+                if v % stride == 0 {
+                    through_agent(&mut switch, &wire, &what);
+                }
             }
             wire[i] = orig;
         }
+        let mut switch = mutant_switch();
         for cut in 0..wire.len() {
             let mut short = wire[..cut].to_vec();
             if cut >= 8 {
                 short[2..4].copy_from_slice(&(cut as u16).to_be_bytes());
             }
-            check(&short, &|| format!("{name}: cut at {cut}"));
+            let what = || format!("{name}: cut at {cut}");
+            check(&short, &what);
+            through_agent(&mut switch, &short, &what);
         }
+    }
+}
+
+/// The switch a mutant is applied to: an agent over a four-port
+/// datapath.
+fn mutant_switch() -> (softswitch::agent::OfAgent, Datapath) {
+    let mut dp = Datapath::new(DpConfig::software(0x5a).with_mode(PipelineMode::full()));
+    for port in 1..=4 {
+        dp.add_port(port, format!("p{port}"), 1_000_000);
+    }
+    (softswitch::agent::OfAgent::new("mutant"), dp)
+}
+
+/// A frame whose header says it has fully arrived, handed to the
+/// agent: it applies the message without panicking, and every reply
+/// (an error, if the frame does not decode) decodes.
+fn through_agent(
+    (agent, dp): &mut (softswitch::agent::OfAgent, Datapath),
+    frame: &[u8],
+    what: &dyn Fn() -> String,
+) {
+    if frame.len() < 8 || usize::from(u16::from_be_bytes([frame[2], frame[3]])) != frame.len() {
+        return;
+    }
+    let handled =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| agent.handle(dp, frame, 0)));
+    let out = handled.unwrap_or_else(|_| panic!("{}: the agent panics", what()));
+    for reply in &out.replies {
+        assert!(
+            Message::decode(reply).is_ok(),
+            "{}: the agent's reply does not decode",
+            what()
+        );
     }
 }
 
