@@ -111,7 +111,7 @@ fn bench_openflow(rep: &mut Report) {
     // A chunk as the transport hands it over: a controller's burst of
     // flow-mods, whole.
     for n in [1u32, 512, 4096] {
-        let chunk: Vec<u8> = (0..n).flat_map(|xid| fm.encode(xid).to_vec()).collect();
+        let chunk: Bytes = (0..n).flat_map(|xid| fm.encode(xid).to_vec()).collect();
         let mut session = Session::default();
         let name = format!("openflow/decode_stream/{n}_flow_mods");
         timed(
@@ -120,7 +120,7 @@ fn bench_openflow(rep: &mut Report) {
             n,
             &[("chunk_bytes", chunk.len() as f64)],
             || {
-                session.push(&chunk);
+                session.push(chunk.clone());
                 while let Some(next) = session.next_message() {
                     black_box(next.unwrap());
                 }

@@ -327,7 +327,7 @@ mod tests {
     /// flow-mods, in order.
     fn flow_mods(buf: &[u8]) -> Vec<(FlowModCommand, Match)> {
         let mut rx = openflow::Session::default();
-        rx.push(buf);
+        rx.push(bytes::Bytes::copy_from_slice(buf));
         std::iter::from_fn(|| rx.next_message())
             .filter_map(|m| match m.expect("well-formed").1 {
                 Message::FlowMod(fm) => Some((fm.command, fm.match_)),

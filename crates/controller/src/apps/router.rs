@@ -317,7 +317,7 @@ mod tests {
 
     fn decode(buf: &[u8]) -> Vec<FlowMod> {
         let mut rx = openflow::Session::default();
-        rx.push(buf);
+        rx.push(bytes::Bytes::copy_from_slice(buf));
         std::iter::from_fn(|| rx.next_message())
             .filter_map(|m| match m.expect("well-formed").1 {
                 Message::FlowMod(fm) => Some(fm),

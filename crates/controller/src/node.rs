@@ -501,7 +501,7 @@ impl Node for ControllerNode {
 
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
         let st = self.switches.entry(from).or_default();
-        st.session.push(&data);
+        st.session.push(data);
         let out = &mut self.out;
         // Each message is handled as it decodes; an undecodable frame
         // ends the chunk (the session drops it and what follows).
@@ -736,7 +736,7 @@ mod tests {
         net.run_until(netsim::SimTime::from_millis(1));
         let mut rx = Session::default();
         for f in &net.node_ref::<Recorder>(sw).frames {
-            rx.push(f);
+            rx.push(f.clone());
         }
         let msgs: Vec<_> = std::iter::from_fn(|| rx.next_message())
             .map(|m| m.expect("well-formed replies"))

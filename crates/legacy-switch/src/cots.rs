@@ -244,7 +244,7 @@ impl Node for CotsSwitchNode {
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
         // Decode eagerly; unsupported features bounce immediately, the
         // rest crawls through the management CPU's queue.
-        self.agent.push(&data);
+        self.agent.push(data);
         while let Some(next) = self.agent.next_message() {
             match next {
                 Ok((xid, msg)) if !Self::hardware_supports(&msg) => ctx.ctrl_send(
@@ -294,7 +294,7 @@ mod tests {
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
         fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
             let mut rx = openflow::Session::default();
-            rx.push(&data);
+            rx.push(data);
             while let Some(next) = rx.next_message() {
                 self.received.push(next.expect("well-formed").1);
             }
@@ -508,7 +508,7 @@ mod tests {
         assert_eq!(sw.datapath().table(0).unwrap().len(), 1);
 
         let mut dp = Datapath::new(DpConfig::software(1));
-        let soft = OfAgent::new("soft").handle(&mut dp, &garbage, 0);
+        let soft = OfAgent::new("soft").handle(&mut dp, garbage, 0);
         let (_, want, _) = Message::decode(&soft.replies[0]).unwrap();
         let received = &net.node_ref::<ScriptedController>(ctrl).received;
         assert!(received.contains(&want), "{received:?} lacks {want:?}");

@@ -4,12 +4,34 @@
 
 /// Incremental ones-complement sum over a byte slice, continuing from
 /// `acc`. Pass `0` to start a fresh sum.
-pub fn sum(mut acc: u32, data: &[u8]) -> u32 {
-    let (words, rest) = data.as_chunks::<2>();
-    for w in words {
+///
+/// The result is congruent modulo `0xffff` to `acc` plus every
+/// big-endian 16-bit word of `data` (an odd last byte padded with
+/// zero), and zero only if that sum is, so [`finish`] gives the same
+/// checksum; it is not that sum itself.
+pub fn sum(acc: u32, data: &[u8]) -> u32 {
+    // RFC 1071 §2: deferred carries. The 32-bit halves of each 8-byte
+    // word are added into two 64-bit accumulators, whose high bits
+    // collect the carries, and the total is folded to 16 bits once. The
+    // sum does not depend on byte order, so words are read in native
+    // order and the folded sum is put in network order; the last few
+    // bytes go word by word.
+    let (words, rest) = data.as_chunks::<8>();
+    let (hi, lo) = words.iter().fold((0u64, 0u64), |(hi, lo), word| {
+        let w = u64::from_ne_bytes(*word);
+        (hi + (w >> 32), lo + (w & 0xffff_ffff))
+    });
+    let mut wide = hi + lo;
+    wide = (wide >> 32) + (wide & 0xffff_ffff);
+    for _ in 0..3 {
+        wide = (wide >> 16) + (wide & 0xffff);
+    }
+    let mut acc = acc + u32::from(u16::from_be(wide as u16));
+    let (pairs, odd) = rest.as_chunks::<2>();
+    for w in pairs {
         acc += u32::from(u16::from_be_bytes(*w));
     }
-    if let [last] = rest {
+    if let [last] = odd {
         acc += u32::from(u16::from_be_bytes([*last, 0]));
     }
     acc
@@ -72,6 +94,7 @@ pub fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], proto: u8, len: u16) -> u32 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn rfc1071_example() {
@@ -123,6 +146,50 @@ mod tests {
             patched[10..12].copy_from_slice(&[0, 0]);
             let full = checksum(&patched);
             assert_eq!(inc, full, "word offset {word}");
+        }
+    }
+
+    /// The 2-byte loop [`sum`] replaced: every big-endian word added
+    /// to the accumulator as it is.
+    fn sum_by_words(mut acc: u32, data: &[u8]) -> u32 {
+        let (words, rest) = data.as_chunks::<2>();
+        for w in words {
+            acc += u32::from(u16::from_be_bytes(*w));
+        }
+        if let [last] = rest {
+            acc += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+        acc
+    }
+
+    proptest! {
+        /// Every length up to a full frame, random bytes and a starting
+        /// accumulator (a pseudo-header's, at most): the same checksum as
+        /// the word-by-word loop, and the same ones-complement value.
+        #[test]
+        fn wide_sum_equals_the_word_loop(
+            bytes in proptest::collection::vec(any::<u8>(), 1601..1602),
+            acc in 1u32..0x4_0000,
+        ) {
+            for len in 0..=1600 {
+                let data = &bytes[..len];
+                let (wide, words) = (sum(acc, data), sum_by_words(acc, data));
+                prop_assert_eq!(finish(wide), finish(words), "length {}", len);
+                prop_assert_eq!(wide % 0xffff, words % 0xffff, "length {}", len);
+            }
+        }
+    }
+
+    #[test]
+    fn all_ones_and_zeros_keep_their_representation() {
+        for len in 0..64 {
+            assert_eq!(checksum(&vec![0; len]), 0xffff, "length {len}");
+            let ones = vec![0xff; len];
+            assert_eq!(
+                checksum(&ones),
+                finish(sum_by_words(0, &ones)),
+                "length {len}"
+            );
         }
     }
 

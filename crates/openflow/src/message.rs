@@ -603,6 +603,16 @@ pub enum Message {
     },
 }
 
+/// Bytes of the header every message starts with.
+pub(crate) const HEADER_LEN: usize = 8;
+
+/// The frame length the header at the front of `buf` gives, once its
+/// length field has arrived.
+pub(crate) fn frame_len(mut buf: &[u8]) -> Option<usize> {
+    buf.skip(2).ok()?;
+    buf.u16().ok().map(usize::from)
+}
+
 impl Message {
     /// The `ofp_type` byte of this message.
     pub fn type_byte(&self) -> u8 {
@@ -958,10 +968,10 @@ impl Message {
         let ty = rest.u8()?;
         let len = usize::from(rest.u16()?);
         let xid = rest.u32()?;
-        if len < 8 {
+        if len < HEADER_LEN {
             return Err(Error::Malformed("header length below 8"));
         }
-        let mut body = rest.take(len - 8)?;
+        let mut body = rest.take(len - HEADER_LEN)?;
         if version != OFP_VERSION && ty != msg_type::HELLO {
             return Err(Error::BadVersion(version));
         }

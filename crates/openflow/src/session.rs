@@ -24,20 +24,29 @@
 //! controller shares one counter across all its switches. So are the
 //! send path, the handshake and what to do about a dead peer.
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::message::{Message, Xid};
+use crate::message::{frame_len, Message, Xid, HEADER_LEN};
 use crate::{Error, Result};
 
-/// Reassembly buffer and keepalive probe list of one channel endpoint;
+/// Reassembly state and keepalive probe list of one channel endpoint;
 /// the default has nothing buffered and nothing outstanding.
+///
+/// The bytes still to decode are `tail` followed by `chunk[used..]`.
+/// Messages are decoded where the transport delivered them, in
+/// `chunk`; only a message split across chunks is copied, into `tail`,
+/// and only as far as its header says it reaches. A session that has
+/// handed out every whole message it was given keeps nothing of the
+/// chunk, and its tail holds no more than a partial message.
 #[derive(Debug, Default)]
 pub struct Session {
-    rx: BytesMut,
-    /// Bytes at the front of `rx` already handed out as messages. Decoding
-    /// reads through this offset and the buffer is cut once the pushed
-    /// bytes are used up: `BytesMut::advance` moves every byte behind the
-    /// cut, so a cut per message would cost a chunk of n messages O(n²).
+    /// The head of the stream: bytes of earlier chunks not yet decoded.
+    /// Empty (and unallocated) but while a message spans chunks.
+    tail: Vec<u8>,
+    /// The chunk being read; dropped once its last whole message is out.
+    chunk: Bytes,
+    /// Bytes at the front of `chunk` already handed out or moved to
+    /// `tail`.
     used: usize,
     /// Probes sent and not yet acknowledged, oldest first.
     probes: Vec<Xid>,
@@ -45,10 +54,16 @@ pub struct Session {
 }
 
 impl Session {
-    /// Append channel bytes; [`Self::next_message`] hands out the
-    /// messages they complete.
-    pub fn push(&mut self, data: &[u8]) {
-        self.rx.extend_from_slice(data);
+    /// Take a chunk of channel bytes; [`Self::next_message`] hands out
+    /// the messages they complete.
+    pub fn push(&mut self, data: Bytes) {
+        // A chunk pushed before the last one was drained queues behind
+        // its unread bytes.
+        if let Some(unread) = self.chunk.get(self.used..).filter(|u| !u.is_empty()) {
+            self.tail.extend_from_slice(unread);
+        }
+        self.chunk = data;
+        self.used = 0;
     }
 
     /// The next complete message of the bytes pushed so far, or `None`
@@ -57,14 +72,35 @@ impl Session {
     /// decode is an error, never a wait, and everything buffered from it
     /// on is discarded.
     pub fn next_message(&mut self) -> Option<Result<(Xid, Message)>> {
-        let rest = self.rx.get(self.used..).unwrap_or_default();
+        // A message split across chunks is completed in the tail first;
+        // the rest are read where the chunk holds them.
+        let in_tail = !self.tail.is_empty();
+        if in_tail {
+            self.fill_tail();
+        }
+        let rest = if in_tail {
+            &self.tail[..]
+        } else {
+            self.chunk.get(self.used..).unwrap_or_default()
+        };
         match Message::decode(rest) {
             Ok((xid, msg, len)) => {
-                self.used += len;
+                if !in_tail {
+                    self.used += len;
+                } else if self.tail.len() > len {
+                    self.tail.drain(..len);
+                } else {
+                    self.tail = Vec::new();
+                }
                 Some(Ok((xid, msg)))
             }
             Err(Error::Truncated) => {
-                self.rx.advance(self.used);
+                // Nothing whole is left: keep the partial message, not
+                // the chunk.
+                if !in_tail {
+                    self.tail = rest.to_vec();
+                }
+                self.chunk = Bytes::new();
                 self.used = 0;
                 None
             }
@@ -75,11 +111,37 @@ impl Session {
         }
     }
 
+    /// Move bytes from the chunk into the tail until the tail holds its
+    /// first message whole, as far as the header's length says, or the
+    /// chunk runs out.
+    fn fill_tail(&mut self) {
+        let mut want = HEADER_LEN;
+        loop {
+            let rest = self.chunk.get(self.used..).unwrap_or_default();
+            let take = want.saturating_sub(self.tail.len()).min(rest.len());
+            self.tail
+                .extend_from_slice(rest.get(..take).unwrap_or_default());
+            self.used += take;
+            match frame_len(&self.tail) {
+                Some(len) if len > want => want = len,
+                _ => return,
+            }
+        }
+    }
+
     /// Drop a half-received message: the transport under this session
     /// was torn down and whatever arrives next starts a new stream.
     pub fn clear_input(&mut self) {
-        self.rx.clear();
+        self.tail = Vec::new();
+        self.chunk = Bytes::new();
         self.used = 0;
+    }
+
+    /// Bytes this session holds for the stream: the undecoded tail and
+    /// the chunk it still references, whole.
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> usize {
+        self.tail.capacity() + self.chunk.len()
     }
 
     /// Build a keepalive probe under `xid` and track it until
@@ -178,7 +240,7 @@ mod tests {
 
     /// Push `data` and drain what it completes.
     fn feed(s: &mut Session, data: &[u8]) -> Vec<Result<(Xid, Message)>> {
-        s.push(data);
+        s.push(Bytes::copy_from_slice(data));
         std::iter::from_fn(|| s.next_message()).collect()
     }
 
@@ -232,19 +294,16 @@ mod tests {
         let m2 = Message::EchoRequest(Bytes::from_static(b"x")).encode(2);
         let m3 = Message::BarrierRequest.encode(3);
         let mut s = Session::default();
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(&m1);
-        stream.extend_from_slice(&m2);
-        stream.extend_from_slice(&m3[..4]); // partial third message
+        let stream = [&m1[..], &m2[..], &m3[..4]].concat(); // partial third message
         let msgs = feed(&mut s, &stream);
         assert_eq!(msgs.len(), 2);
         assert_eq!(msgs[0], Ok((1, Message::Hello)));
-        assert_eq!(s.rx.len(), 4, "partial message must remain buffered");
+        assert_eq!(s.buffered(), 4, "only the partial message stays");
         assert_eq!(
             feed(&mut s, &m3[4..]),
             vec![Ok((3, Message::BarrierRequest))]
         );
-        assert!(s.rx.is_empty());
+        assert_eq!(s.buffered(), 0);
     }
 
     /// The messages ahead of a bad frame in a chunk are handed out before
@@ -252,16 +311,48 @@ mod tests {
     /// is dropped with it.
     #[test]
     fn a_bad_frame_drains_the_messages_before_it() {
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(&Message::Hello.encode(1));
-        stream.extend_from_slice(&[OFP_VERSION, 0, 0, 4, 0, 0, 0, 0]); // length below 8
-        stream.extend_from_slice(&Message::Hello.encode(2));
+        let stream = [
+            &Message::Hello.encode(1)[..],
+            &[OFP_VERSION, 0, 0, 4, 0, 0, 0, 0], // length below 8
+            &Message::Hello.encode(2),
+        ]
+        .concat();
         let mut s = Session::default();
         let got = feed(&mut s, &stream);
         assert!(
             matches!(got[..], [Ok((1, Message::Hello)), Err(Error::Malformed(_))]),
             "{got:?}"
         );
-        assert!(s.rx.is_empty(), "the bad frame and what follows go");
+        assert_eq!(s.buffered(), 0, "the bad frame and what follows go");
+    }
+
+    /// Messages are decoded where the chunk lies: once its last whole
+    /// message is out the session lets go of it, and a message split
+    /// across chunks is the only thing it copies — as far as its header
+    /// says it reaches, whatever follows it in the next chunk.
+    #[test]
+    fn a_drained_session_holds_no_bytes() {
+        let flow_mod = |xid| {
+            let fm = crate::message::FlowMod::add(0)
+                .priority(7)
+                .match_(crate::Match::new().eth_type(0x0800))
+                .apply(vec![crate::Action::output(2)]);
+            Message::FlowMod(fm).encode(xid)
+        };
+        let chunk: Vec<u8> = (0..64).flat_map(|x| flow_mod(x).to_vec()).collect();
+        let mut s = Session::default();
+        assert_eq!(feed(&mut s, &chunk).len(), 64);
+        assert_eq!(s.buffered(), 0, "a drained chunk is released");
+
+        let one = flow_mod(64);
+        let cut = one.len() - 3;
+        let next = [&one[cut..], &chunk[..]].concat();
+        assert_eq!(feed(&mut s, &one[..cut]), vec![]);
+        assert_eq!(s.buffered(), cut, "the split message's head, copied once");
+        s.push(Bytes::from(next));
+        assert!(matches!(s.next_message(), Some(Ok((64, _)))));
+        assert_eq!(s.tail.capacity(), 0, "its tail is released when it decodes");
+        assert_eq!(std::iter::from_fn(|| s.next_message()).count(), 64);
+        assert_eq!(s.buffered(), 0);
     }
 }

@@ -18,6 +18,11 @@
 //! probes the same groups, one per distinct mask — a table of one rule
 //! shape is a single probe, the specialisation ESwitch builds on.
 //!
+//! A mask is held once, by its group: each slot names its entry's
+//! group by a small id in a third array beside the slab, and everything
+//! that needs an entry's mask takes it from there. A group no entry
+//! uses any more is emptied, and a new mask reuses its id.
+//!
 //! An index returned by a lookup names a slot, and is valid until the
 //! table's next mutation ([`FlowTable::version`] moves with every one).
 
@@ -119,10 +124,9 @@ pub struct FlowEntry {
     pub priority: u16,
     /// The authored match (kept for stats encoding).
     pub match_: Match,
-    /// Precomputed lookup key (masked value).
+    /// Lookup key (the masked value), computed from the match by
+    /// [`FlowTable::add`]; its mask is held by the table.
     pub key: FlowKey,
-    /// Precomputed lookup mask.
-    pub mask: FieldMask,
     /// The instruction list executed on a hit.
     pub instructions: Vec<Instruction>,
     /// Controller-chosen opaque id.
@@ -153,19 +157,18 @@ fn rank(priority: u16, seq: u64) -> u64 {
 }
 
 impl FlowEntry {
-    /// Build an entry from a flow-mod's pieces at time `now_ns`.
+    /// Build an entry from a flow-mod's pieces at time `now_ns`; its
+    /// lookup key is filled in when a table installs it.
     pub fn new(
         priority: u16,
         match_: Match,
         instructions: Vec<Instruction>,
         now_ns: u64,
     ) -> FlowEntry {
-        let (key, mask) = match_.to_key_mask();
         FlowEntry {
             priority,
             match_,
-            key,
-            mask,
+            key: FlowKey::default(),
             instructions,
             cookie: 0,
             idle_timeout: 0,
@@ -195,27 +198,6 @@ impl FlowEntry {
     pub fn with_flags(mut self, f: u16) -> Self {
         self.flags = f;
         self
-    }
-
-    /// True if `pkt` satisfies this entry's match.
-    pub fn matches(&self, pkt: &FlowKey) -> bool {
-        pkt.masked(&self.mask) == self.key
-    }
-
-    /// True if two entries can both match some packet (used for
-    /// `CHECK_OVERLAP`).
-    pub fn overlaps(&self, other: &FlowEntry) -> bool {
-        // Values must agree on the intersection of the masks. Keys are
-        // already normalized (masked), so cross-masking compares exactly
-        // the shared bits.
-        self.key.masked(&other.mask) == other.key.masked(&self.mask)
-    }
-
-    /// True if this entry falls inside the filter region of a non-strict
-    /// delete/modify: every packet this entry matches also matches
-    /// `(fkey, fmask)`.
-    pub fn within_filter(&self, fkey: &FlowKey, fmask: &FieldMask) -> bool {
-        self.mask.mask_union(fmask) == self.mask && self.key.masked(fmask) == *fkey
     }
 
     /// True if the entry outputs to `port` (for delete filters);
@@ -276,11 +258,25 @@ impl Hasher for PassThrough {
 /// An entry's index in [`FlowTable`]'s slab.
 type Slot = u32;
 
-/// The entries sharing one mask — the "tuple" of tuple-space search.
+/// An entry's mask: the index of its group in [`FlowTable`]'s groups.
+type MaskId = u32;
+
+/// True if some packet matches both `(a, a_mask)` and `(b, b_mask)`.
+/// Values must agree on the intersection of the masks. Keys are already
+/// normalized (masked), so cross-masking compares exactly the shared
+/// bits.
+fn overlap(a: &FlowKey, a_mask: &FieldMask, b: &FlowKey, b_mask: &FieldMask) -> bool {
+    a.masked(b_mask) == b.masked(a_mask)
+}
+
+/// The entries sharing one mask — the "tuple" of tuple-space search —
+/// and the one copy of that mask. A group with no priorities is vacant:
+/// it holds the default of every field, allocates nothing, and waits
+/// for a new mask to reuse its id.
 #[derive(Debug, Default)]
 struct MaskGroup {
     mask: FieldMask,
-    /// Rank of the group's first entry in table order. Groups are kept
+    /// Rank of the group's first entry in table order. Probe order is
     /// sorted by it, so it bounds every later group's entries too.
     first: u64,
     /// Distinct priorities present, highest first, with entry counts.
@@ -290,6 +286,12 @@ struct MaskGroup {
     slots: HashMap<u64, Slot, BuildHasherDefault<PassThrough>>,
     /// Slots of entries whose fingerprint was already another entry's.
     spill: Vec<Slot>,
+}
+
+impl MaskGroup {
+    fn is_vacant(&self) -> bool {
+        self.prios.is_empty()
+    }
 }
 
 /// A single flow table: entries ordered by priority (descending), FIFO
@@ -302,10 +304,15 @@ pub struct FlowTable {
     entries: Vec<FlowEntry>,
     /// The rank of the entry in each slot: see [`rank`].
     ranks: Vec<u64>,
+    /// The group of the entry in each slot, which holds its mask.
+    masks: Vec<MaskId>,
     /// Every slot, ascending by rank: table order.
     order: Vec<Slot>,
-    /// Non-empty mask groups, ascending by `first`.
+    /// Mask groups by [`MaskId`]: every distinct mask of the installed
+    /// entries once, and vacant ids.
     groups: Vec<MaskGroup>,
+    /// The ids of the non-vacant groups, ascending by `first`.
+    probe_order: Vec<MaskId>,
     /// Seeds [`FlowKey::flow_hash64`] for this table's fingerprints,
     /// drawn once from std's `RandomState`. It moves which keys share a
     /// fingerprint from table to table and run to run, so no fixed set
@@ -333,8 +340,10 @@ impl FlowTable {
             id,
             entries: Vec::new(),
             ranks: Vec::new(),
+            masks: Vec::new(),
             order: Vec::new(),
             groups: Vec::new(),
+            probe_order: Vec::new(),
             seed: RandomState::new().build_hasher().finish(),
             next_seq: 0,
             capacity,
@@ -386,9 +395,20 @@ impl FlowTable {
         self.order.iter().map(|&s| self.at(s))
     }
 
+    /// The entries inside `match_`'s region — every packet such an
+    /// entry matches also matches `match_` — in table order: what a
+    /// non-strict modify or delete selects, and what a flow-stats
+    /// request reports.
+    pub fn within(&self, match_: &Match) -> impl Iterator<Item = &FlowEntry> {
+        self.select(match_, 0, false)
+            .into_iter()
+            .map(|s| self.at(s))
+    }
+
     /// Union of every entry's mask: the fields a lookup here can depend
     /// on.
     pub fn aggregate_mask(&self) -> FieldMask {
+        // A vacant group's mask is the default, which adds nothing.
         self.groups
             .iter()
             .fold(FieldMask::default(), |m, g| m.mask_union(&g.mask))
@@ -396,6 +416,20 @@ impl FlowTable {
 
     fn at(&self, slot: Slot) -> &FlowEntry {
         &self.entries[slot as usize]
+    }
+
+    fn group(&self, id: MaskId) -> &MaskGroup {
+        &self.groups[id as usize]
+    }
+
+    /// The mask of the entry in `slot`.
+    fn mask_of(&self, slot: Slot) -> &FieldMask {
+        &self.group(self.masks[slot as usize]).mask
+    }
+
+    /// True if `pkt` satisfies the match of the entry in `slot`.
+    fn matches(&self, slot: Slot, pkt: &FlowKey) -> bool {
+        pkt.masked(self.mask_of(slot)) == self.at(slot).key
     }
 
     fn rank_of(&self, slot: Slot) -> u64 {
@@ -429,30 +463,33 @@ impl FlowTable {
             .or_else(|| g.spill.iter().find_map(is_it))
     }
 
-    /// The group of entries masked by `mask`.
-    fn group_mut(&mut self, mask: &FieldMask) -> &mut MaskGroup {
-        self.groups
-            .iter_mut()
-            .find(|g| g.mask == *mask)
-            .expect("an installed entry is in a group")
+    /// The id of the non-vacant group masked by `mask`.
+    fn group_of(&self, mask: &FieldMask) -> Option<MaskId> {
+        self.probe_order
+            .iter()
+            .copied()
+            .find(|&id| self.group(id).mask == *mask)
     }
 
-    /// Enter the entry ranked `rank` in `slot` into its mask group.
-    fn index(&mut self, key_hash: u64, mask: &FieldMask, priority: u16, rank: u64, slot: Slot) {
-        let fp = Self::fingerprint(key_hash, priority);
-        let gi = self
+    /// A vacant group (a new one if there is none), given `mask`.
+    fn vacant_group(&mut self, mask: &FieldMask) -> MaskId {
+        let id = self
             .groups
             .iter()
-            .position(|g| g.mask == *mask)
+            .position(MaskGroup::is_vacant)
             .unwrap_or_else(|| {
-                self.groups.push(MaskGroup {
-                    mask: *mask,
-                    first: u64::MAX,
-                    ..MaskGroup::default()
-                });
+                self.groups.push(MaskGroup::default());
                 self.groups.len() - 1
             });
-        let g = &mut self.groups[gi];
+        self.groups[id].mask = *mask;
+        MaskId::try_from(id).expect("fewer than 2^32 masks")
+    }
+
+    /// Enter the entry ranked `rank` in `slot` into group `id`.
+    fn index(&mut self, key_hash: u64, id: MaskId, priority: u16, rank: u64, slot: Slot) {
+        let fp = Self::fingerprint(key_hash, priority);
+        let g = &mut self.groups[id as usize];
+        let was_vacant = g.is_vacant();
         match g.prios.binary_search_by(|p| priority.cmp(&p.0)) {
             Ok(i) => g.prios[i].1 += 1,
             Err(i) => g.prios.insert(i, (priority, 1)),
@@ -463,19 +500,29 @@ impl FlowTable {
             }
             Entry::Occupied(_) => g.spill.push(slot),
         }
-        if rank < g.first {
+        if was_vacant || rank < g.first {
             g.first = rank;
-            self.groups.sort_by_key(|g| g.first);
+            if was_vacant {
+                self.probe_order.push(id);
+            }
+            self.sort_probes();
         }
     }
 
-    /// Take the entry in `slot` out of its mask group; returns the mask
-    /// if it was the group's first entry.
-    fn unindex(&mut self, slot: Slot) -> Option<FieldMask> {
+    fn sort_probes(&mut self) {
+        let groups = &self.groups;
+        self.probe_order
+            .sort_by_key(|&id| groups[id as usize].first);
+    }
+
+    /// Take the entry in `slot` out of its mask group; returns the
+    /// group's id if the entry was its first and others remain. A group
+    /// left with no entry is vacated.
+    fn unindex(&mut self, slot: Slot) -> Option<MaskId> {
         let e = self.at(slot);
-        let (mask, priority, rank) = (e.mask, e.priority, self.rank_of(slot));
+        let (id, priority, rank) = (self.masks[slot as usize], e.priority, self.rank_of(slot));
         let fp = Self::fingerprint(self.key_hash(&e.key), priority);
-        let g = self.group_mut(&mask);
+        let g = &mut self.groups[id as usize];
         if g.slots.get(&fp) == Some(&slot) {
             g.slots.remove(&fp);
         } else {
@@ -489,7 +536,11 @@ impl FlowTable {
         if g.prios[i].1 == 0 {
             g.prios.remove(i);
         }
-        (g.first == rank).then_some(mask)
+        if g.is_vacant() {
+            *g = MaskGroup::default();
+            return None;
+        }
+        (g.first == rank).then_some(id)
     }
 
     /// Take the entry in `slot`, already out of the index and of table
@@ -502,8 +553,9 @@ impl FlowTable {
             let pos = self.position(self.rank_of(last));
             self.order[pos] = slot;
             let e = self.at(last);
-            let (mask, fp) = (e.mask, Self::fingerprint(self.key_hash(&e.key), e.priority));
-            let g = self.group_mut(&mask);
+            let id = self.masks[last as usize];
+            let fp = Self::fingerprint(self.key_hash(&e.key), e.priority);
+            let g = &mut self.groups[id as usize];
             match g.slots.get_mut(&fp) {
                 Some(s) if *s == last => *s = slot,
                 _ => {
@@ -512,6 +564,7 @@ impl FlowTable {
                 }
             }
         }
+        self.masks.swap_remove(slot as usize);
         (
             self.ranks.swap_remove(slot as usize),
             self.entries.swap_remove(slot as usize),
@@ -524,8 +577,8 @@ impl FlowTable {
         let Some(&head) = sel.first() else {
             return Vec::new();
         };
-        // Masks of the groups that lose their first entry.
-        let headless: Vec<FieldMask> = sel.iter().filter_map(|&s| self.unindex(s)).collect();
+        // Groups that lose their first entry.
+        let headless: Vec<MaskId> = sel.iter().filter_map(|&s| self.unindex(s)).collect();
         // Both lists are in table order: stop at the last one selected,
         // and the tail behind it moves once.
         let start = self.position(self.rank_of(head));
@@ -541,35 +594,47 @@ impl FlowTable {
         let mut removed: Vec<(u64, FlowEntry)> =
             by_slot.into_iter().map(|s| self.swap_out(s)).collect();
         removed.sort_unstable_by_key(|(rank, _)| *rank);
-        self.groups.retain(|g| !g.prios.is_empty());
-        for mask in headless {
-            let Some(gi) = self.groups.iter().position(|g| g.mask == mask) else {
+        let groups = &self.groups;
+        self.probe_order
+            .retain(|&id| !groups[id as usize].is_vacant());
+        for id in headless {
+            // A later removal of the same pass may have vacated it.
+            if self.group(id).is_vacant() {
                 continue;
-            };
-            // The next entry of the group is the first one of its mask
-            // at or after where the one that went was.
-            let from = self.position(self.groups[gi].first);
+            }
+            // The next entry of the group is the first one of its id at
+            // or after where the one that went was.
+            let from = self.position(self.group(id).first);
             let mut rest = self.order[from..].iter();
-            let next = rest.find(|&&s| self.at(s).mask == mask);
-            self.groups[gi].first = self.rank_of(*next.expect("a non-empty group has an entry"));
+            let next = rest.find(|&&s| self.masks[s as usize] == id);
+            self.groups[id as usize].first =
+                self.rank_of(*next.expect("a non-empty group has an entry"));
         }
-        self.groups.sort_by_key(|g| g.first);
+        self.sort_probes();
         self.version += 1;
         removed.into_iter().map(|(_, e)| e).collect()
     }
 
     /// The next install sequence number. When the 2^48 are spent, the
-    /// installed entries are renumbered from zero in table order.
+    /// installed entries are renumbered from zero in table order; each
+    /// keeps its group.
     fn take_seq(&mut self) -> u64 {
         if self.next_seq >> SEQ_BITS != 0 {
-            self.groups.clear();
+            for g in &mut self.groups {
+                *g = MaskGroup {
+                    mask: g.mask,
+                    ..MaskGroup::default()
+                };
+            }
+            self.probe_order.clear();
             for i in 0..self.order.len() {
                 let slot = self.order[i];
                 let e = self.at(slot);
-                let (key, mask, priority) = (e.key, e.mask, e.priority);
+                let (key_hash, priority) = (self.key_hash(&e.key), e.priority);
+                let id = self.masks[slot as usize];
                 let rank = rank(priority, i as u64);
                 self.ranks[slot as usize] = rank;
-                self.index(self.key_hash(&key), &mask, priority, rank, slot);
+                self.index(key_hash, id, priority, rank, slot);
             }
             self.next_seq = self.order.len() as u64;
         }
@@ -578,24 +643,24 @@ impl FlowTable {
     }
 
     /// Install an entry per OF `ADD` semantics.
-    pub fn add(&mut self, entry: FlowEntry) -> Result<()> {
+    pub fn add(&mut self, mut entry: FlowEntry) -> Result<()> {
+        let mask;
+        (entry.key, mask) = entry.match_.to_key_mask();
         if entry.flags & flow_flags::CHECK_OVERLAP != 0 {
             let p = entry.priority;
             let lo = self.order.partition_point(|&s| self.at(s).priority > p);
             let hi = self.order.partition_point(|&s| self.at(s).priority >= p);
             if self.order[lo..hi]
                 .iter()
-                .any(|&s| self.at(s).overlaps(&entry))
+                .any(|&s| overlap(&self.at(s).key, self.mask_of(s), &entry.key, &mask))
             {
                 return Err(Error::Overlap);
             }
         }
         let key_hash = self.key_hash(&entry.key);
-        let installed = self
-            .groups
-            .iter()
-            .find(|g| g.mask == entry.mask)
-            .and_then(|g| self.find(g, key_hash, &entry.key, entry.priority));
+        let group = self.group_of(&mask);
+        let installed =
+            group.and_then(|id| self.find(self.group(id), key_hash, &entry.key, entry.priority));
         if let Some(slot) = installed {
             // Identical match + priority: replace in place (counters reset).
             self.entries[slot as usize] = entry;
@@ -606,9 +671,11 @@ impl FlowTable {
             // Ranked after every entry of its priority (stable order).
             let rank = rank(entry.priority, self.take_seq());
             let slot = Slot::try_from(self.entries.len()).expect("fewer than 2^32 entries");
-            self.index(key_hash, &entry.mask, entry.priority, rank, slot);
+            let id = group.unwrap_or_else(|| self.vacant_group(&mask));
+            self.index(key_hash, id, entry.priority, rank, slot);
             self.order.insert(self.position(rank), slot);
             self.ranks.push(rank);
+            self.masks.push(id);
             self.entries.push(entry);
         }
         self.version += 1;
@@ -622,6 +689,7 @@ impl FlowTable {
         let (fkey, fmask) = match_.to_key_mask();
         let key_hash = self.key_hash(&fkey);
         let mut sel = Vec::new();
+        // A vacant group has no entries to add.
         for g in &self.groups {
             if g.mask == fmask {
                 // Within a filter of the group's own mask means an equal
@@ -694,7 +762,7 @@ impl FlowTable {
     pub fn lookup_counting(&mut self, pkt: &FlowKey) -> (Option<usize>, usize) {
         self.lookups += 1;
         // Table order is priority order, so the first match wins.
-        let scan = self.order.iter().position(|&s| self.at(s).matches(pkt));
+        let scan = self.order.iter().position(|&s| self.matches(s, pkt));
         self.hits += u64::from(scan.is_some());
         match scan {
             Some(i) => (Some(self.order[i] as usize), i + 1),
@@ -711,7 +779,8 @@ impl FlowTable {
         // The hit so far, as (rank, slot).
         let mut best: Option<(u64, Slot)> = None;
         let mut probes = 0;
-        for g in &self.groups {
+        for &id in &self.probe_order {
+            let g = self.group(id);
             // Nothing in this group or a later one precedes `g.first`.
             if best.is_some_and(|(rank, _)| rank < g.first) {
                 break;
@@ -1107,6 +1176,41 @@ mod tests {
         assert_eq!(t.len(), 4, "replaced, not duplicated");
         let any = (crate::port_no::ANY, crate::group_no::ANY);
         assert_eq!(t.delete(&udp_match(3), 5, true, any.0, any.1).len(), 1);
+    }
+
+    /// An entry holds no mask (its slot names its group, which holds the
+    /// mask once): the slab's slots times this size is most of what a
+    /// resident rule costs, and the mask was 96 of 288 bytes.
+    #[test]
+    fn an_entry_holds_no_mask() {
+        let size = std::mem::size_of::<FlowEntry>();
+        assert!(size <= 200, "FlowEntry is {size} bytes");
+    }
+
+    #[test]
+    fn a_mask_no_entry_uses_is_released_and_its_id_reused() {
+        let any = (crate::port_no::ANY, crate::group_no::ANY);
+        let mut t = FlowTable::new(TableId(0));
+        t.add(entry(5, udp_match(53), 1)).unwrap();
+        t.add(entry(5, udp_match(80), 2)).unwrap();
+        t.add(entry(1, Match::any(), 9)).unwrap();
+        assert_eq!(t.groups.len(), 2, "one group per distinct mask");
+        let udp = t.masks[0];
+        assert_eq!(t.masks[1], udp);
+        let all_udp = Match::new().eth_type(0x0800).ip_proto(17);
+        assert_eq!(t.delete(&all_udp, 0, false, any.0, any.1).len(), 2);
+        let vacated = &t.groups[udp as usize];
+        assert!(vacated.is_vacant() && vacated.slots.capacity() == 0);
+        assert_eq!(vacated.mask, FieldMask::default());
+        assert_eq!(t.probe_order.len(), 1);
+        assert_eq!(t.aggregate_mask(), FieldMask::default());
+        // A new mask takes the vacant id.
+        t.add(entry(7, Match::new().eth_type(0x0806), 3)).unwrap();
+        assert_eq!(t.groups.len(), 2);
+        let arp = t.order[0];
+        assert!(t.at(arp).outputs_to(3));
+        assert_eq!(t.masks[arp as usize], udp);
+        assert_hits(&mut t, 53, Some(9));
     }
 
     #[test]

@@ -26,6 +26,20 @@ fn arb_rule_match() -> impl Strategy<Value = Match> {
     ]
 }
 
+/// True if every packet `e` matches also matches `(fkey, fmask)`: the
+/// non-strict filter relation, from the entry's own match.
+fn within_filter(e: &FlowEntry, fkey: &FlowKey, fmask: &FieldMask) -> bool {
+    let (key, mask) = e.match_.to_key_mask();
+    mask.mask_union(fmask) == mask && key.masked(fmask) == *fkey
+}
+
+/// True if some packet matches both entries: their keys agree on the
+/// bits both masks cover.
+fn overlaps(a: &FlowEntry, b: &FlowEntry) -> bool {
+    let ((ak, am), (bk, bm)) = (a.match_.to_key_mask(), b.match_.to_key_mask());
+    ak.masked(&bm) == bk.masked(&am)
+}
+
 fn packet_key(in_port: u32, src_low: u32, dport: u16) -> FlowKey {
     let f = builder::udp_packet(
         MacAddr::host(src_low),
@@ -103,7 +117,7 @@ proptest! {
         let should_go: usize = table
             .entries()
             .iter()
-            .filter(|e| e.within_filter(&fkey, &fmask))
+            .filter(|e| within_filter(e, &fkey, &fmask))
             .count();
         let removed = table.delete(
             &filter,
@@ -116,25 +130,38 @@ proptest! {
         prop_assert_eq!(table.len(), before - should_go);
         // Survivors must not be within the filter.
         for e in table.entries() {
-            prop_assert!(!e.within_filter(&fkey, &fmask));
+            prop_assert!(!within_filter(e, &fkey, &fmask));
         }
     }
 
-    /// Overlap is symmetric, and a witness packet matching both entries
-    /// implies overlap (soundness direction).
+    /// The table's `CHECK_OVERLAP` test is symmetric, and a witness
+    /// packet matching both entries makes it refuse (soundness
+    /// direction).
     #[test]
     fn overlap_symmetric_and_sound(
         m1 in arb_rule_match(),
         m2 in arb_rule_match(),
         probes in proptest::collection::vec((1u32..5, 0u32..64, 0u16..8), 0..20),
     ) {
-        let e1 = FlowEntry::new(1, m1, Instruction::apply(vec![]), 0);
-        let e2 = FlowEntry::new(1, m2, Instruction::apply(vec![]), 0);
-        prop_assert_eq!(e1.overlaps(&e2), e2.overlaps(&e1), "overlap must be symmetric");
+        // Whether a table holding `a` refuses `b` for overlapping it.
+        let refuses = |a: &Match, b: &Match| {
+            let entry = |m: &Match| FlowEntry::new(1, m.clone(), Instruction::apply(vec![]), 0);
+            let mut table = FlowTable::new(TableId(0));
+            table.add(entry(a)).unwrap();
+            match table.add(entry(b).with_flags(flow_flags::CHECK_OVERLAP)) {
+                Err(Error::Overlap) => true,
+                other => {
+                    assert_eq!(other, Ok(()));
+                    false
+                }
+            }
+        };
+        let overlap = refuses(&m1, &m2);
+        prop_assert_eq!(overlap, refuses(&m2, &m1), "overlap must be symmetric");
         for (in_port, src, dport) in probes {
             let key = packet_key(in_port, src, dport);
-            if e1.matches(&key) && e2.matches(&key) {
-                prop_assert!(e1.overlaps(&e2), "witness packet but overlaps() said no");
+            if m1.matches(&key) && m2.matches(&key) {
+                prop_assert!(overlap, "witness packet but the add was not refused");
             }
         }
     }
@@ -182,13 +209,13 @@ impl ScanTable {
                 .entries
                 .iter()
                 .filter(same_prio)
-                .any(|e| e.overlaps(&entry))
+                .any(|e| overlaps(e, &entry))
         {
             return Err(Error::Overlap);
         }
-        let identical = |e: &FlowEntry| {
-            e.priority == entry.priority && e.key == entry.key && e.mask == entry.mask
-        };
+        let key_mask = entry.match_.to_key_mask();
+        let identical =
+            |e: &FlowEntry| e.priority == entry.priority && e.match_.to_key_mask() == key_mask;
         if let Some(pos) = self.entries.iter().position(identical) {
             self.entries[pos] = entry;
         } else {
@@ -209,9 +236,9 @@ impl ScanTable {
     fn selects(e: &FlowEntry, m: &Match, priority: u16, strict: bool) -> bool {
         let (fkey, fmask) = m.to_key_mask();
         if strict {
-            e.priority == priority && e.key == fkey && e.mask == fmask
+            e.priority == priority && e.match_.to_key_mask() == (fkey, fmask)
         } else {
-            e.within_filter(&fkey, &fmask)
+            within_filter(e, &fkey, &fmask)
         }
     }
 
@@ -261,7 +288,7 @@ impl ScanTable {
     }
 
     fn lookup(&self, pkt: &FlowKey) -> Option<usize> {
-        self.entries.iter().position(|e| e.matches(pkt))
+        self.entries.iter().position(|e| e.match_.matches(pkt))
     }
 
     /// Tuple-space search over an index built from scratch: one group
@@ -277,19 +304,20 @@ impl ScanTable {
         }
         let mut groups: Vec<Group> = Vec::new();
         for (idx, e) in self.entries.iter().enumerate() {
+            let (key, mask) = e.match_.to_key_mask();
             let gi = groups
                 .iter()
-                .position(|g| g.mask == e.mask)
+                .position(|g| g.mask == mask)
                 .unwrap_or_else(|| {
                     groups.push(Group {
-                        mask: e.mask,
+                        mask,
                         first: idx,
                         best_by_key: Vec::new(),
                     });
                     groups.len() - 1
                 });
-            if !groups[gi].best_by_key.iter().any(|(k, _)| *k == e.key) {
-                groups[gi].best_by_key.push((e.key, idx));
+            if !groups[gi].best_by_key.iter().any(|(k, _)| *k == key) {
+                groups[gi].best_by_key.push((key, idx));
             }
         }
         let (mut best, mut probes) = (None::<usize>, 0);
@@ -333,13 +361,14 @@ fn model_match(shape: u8, v: u8) -> Match {
 
 /// What identifies an entry and its state in a comparison: cookies are
 /// unique per add, so equal views mean the same entry in the same
-/// state.
-fn view(e: &FlowEntry) -> (u16, u64, FlowKey, FieldMask, Vec<Instruction>, u64) {
+/// state. The model's entries are never installed, so their lookup key
+/// is the match's.
+fn view(e: &FlowEntry) -> (u16, u64, FlowKey, Match, Vec<Instruction>, u64) {
     (
         e.priority,
         e.cookie,
-        e.key,
-        e.mask,
+        e.match_.to_key_mask().0,
+        e.match_.clone(),
         e.instructions.clone(),
         e.packets,
     )
@@ -456,6 +485,9 @@ proptest! {
             slab.sort_unstable();
             ranked.sort_unstable();
             prop_assert_eq!(slab, ranked, "slab, step {}", step);
+            for e in table.entries() {
+                prop_assert_eq!(e.key, e.match_.to_key_mask().0, "installed key, step {}", step);
+            }
             prop_assert_eq!(table.version(), model.version, "version, step {}", step);
             let model_view = |i: Option<usize>| i.map(|i| view(&model.entries[i]));
             for key in &probes {

@@ -166,7 +166,7 @@ impl OfAgent {
 
     /// Feed controller→switch bytes; apply each message to `dp` as it
     /// decodes.
-    pub fn handle(&mut self, dp: &mut Datapath, data: &[u8], now_ns: u64) -> AgentOutput {
+    pub fn handle(&mut self, dp: &mut Datapath, data: Bytes, now_ns: u64) -> AgentOutput {
         let mut out = AgentOutput::default();
         self.push(data);
         while let Some(next) = self.next_message() {
@@ -182,7 +182,7 @@ impl OfAgent {
     /// a switch that takes the messages they complete one at a time
     /// ([`OfAgent::next_message`]) and [applies](OfAgent::apply) them
     /// later (a management CPU's queue).
-    pub fn push(&mut self, data: &[u8]) {
+    pub fn push(&mut self, data: Bytes) {
         self.session.push(data);
     }
 
@@ -366,18 +366,14 @@ impl OfAgent {
                 match_,
                 ..
             } => {
-                let (fkey, fmask) = match_.to_key_mask();
                 let mut entries = Vec::new();
                 for t in 0..dp.n_tables() {
                     if table_id != 0xff && table_id != t {
                         continue;
                     }
                     let table = dp.table(t).unwrap();
-                    for e in table.ranked() {
-                        if e.within_filter(&fkey, &fmask)
-                            && e.outputs_to(out_port)
-                            && e.outputs_to_group(out_group)
-                        {
+                    for e in table.within(&match_) {
+                        if e.outputs_to(out_port) && e.outputs_to_group(out_group) {
                             entries.push(FlowStatsEntry {
                                 table_id: t,
                                 duration_sec: ((now_ns.saturating_sub(e.installed_ns))
@@ -405,17 +401,13 @@ impl OfAgent {
                 match_,
                 ..
             } => {
-                let (fkey, fmask) = match_.to_key_mask();
                 let (mut p, mut b, mut n) = (0u64, 0u64, 0u32);
                 for t in 0..dp.n_tables() {
                     if table_id != 0xff && table_id != t {
                         continue;
                     }
-                    for e in dp.table(t).unwrap().entries() {
-                        if e.within_filter(&fkey, &fmask)
-                            && e.outputs_to(out_port)
-                            && e.outputs_to_group(out_group)
-                        {
+                    for e in dp.table(t).unwrap().within(&match_) {
+                        if e.outputs_to(out_port) && e.outputs_to_group(out_group) {
                             p += e.packets;
                             b += e.bytes;
                             n += 1;
@@ -503,7 +495,7 @@ mod tests {
         let mut stream = BytesMut::new();
         stream.extend_from_slice(&Message::Hello.encode(1));
         stream.extend_from_slice(&Message::FeaturesRequest.encode(2));
-        let out = agent.handle(&mut dp, &stream, 0);
+        let out = agent.handle(&mut dp, stream.freeze(), 0);
         assert!(agent.handshaken());
         assert_eq!(out.replies.len(), 1);
         let (xid, msg, _) = Message::decode(&out.replies[0]).unwrap();
@@ -532,7 +524,7 @@ mod tests {
         let mut stream = BytesMut::new();
         stream.extend_from_slice(&Message::FlowMod(fm).encode(7));
         stream.extend_from_slice(&Message::BarrierRequest.encode(8));
-        let out = agent.handle(&mut dp, &stream, 0);
+        let out = agent.handle(&mut dp, stream.freeze(), 0);
         assert_eq!(out.replies.len(), 1);
         let (xid, msg, _) = Message::decode(&out.replies[0]).unwrap();
         assert_eq!((xid, msg), (8, Message::BarrierReply));
@@ -546,7 +538,7 @@ mod tests {
         let mut dp = dp();
         let mut agent = OfAgent::new("test");
         let fm = FlowMod::add(99).priority(5).apply(vec![Action::output(2)]);
-        let out = agent.handle(&mut dp, &Message::FlowMod(fm).encode(3), 0);
+        let out = agent.handle(&mut dp, Message::FlowMod(fm).encode(3), 0);
         let (xid, msg, _) = Message::decode(&out.replies[0]).unwrap();
         assert_eq!(xid, 3);
         match msg {
@@ -573,7 +565,7 @@ mod tests {
             ..add.clone()
         };
         for (xid, fm) in [(3, add), (4, modify)] {
-            let out = agent.handle(&mut dp, &Message::FlowMod(fm).encode(xid), 0);
+            let out = agent.handle(&mut dp, Message::FlowMod(fm).encode(xid), 0);
             assert_eq!(out.replies.len(), 1);
             match Message::decode(&out.replies[0]).unwrap() {
                 (x, Message::Error { ty: 5, code: 3, .. }, _) => assert_eq!(x, xid),
@@ -581,10 +573,10 @@ mod tests {
             }
         }
         let install = FlowMod::add(0).priority(5).apply(vec![Action::output(2)]);
-        agent.handle(&mut dp, &Message::FlowMod(install).encode(5), 0);
+        agent.handle(&mut dp, Message::FlowMod(install).encode(5), 0);
         let out = agent.handle(
             &mut dp,
-            &Message::FlowMod(FlowMod::delete(0xff)).encode(6),
+            Message::FlowMod(FlowMod::delete(0xff)).encode(6),
             0,
         );
         assert!(out.replies.is_empty());
@@ -612,13 +604,13 @@ mod tests {
             (vec![0x04, 77, 0, 8, 0, 0, 0, 2], 1), // BAD_TYPE
             (short_body, 6),                       // BAD_LEN
         ] {
-            let out = agent.handle(&mut dp, &wire, 0);
+            let out = agent.handle(&mut dp, wire.into(), 0);
             let (_, msg, _) = Message::decode(&out.replies[0]).unwrap();
             match msg {
                 Message::Error { ty, code: got, .. } => assert_eq!((ty, got), (1, code)),
                 other => panic!("expected Error, got {other:?}"),
             }
-            let echo = agent.handle(&mut dp, &Message::EchoRequest(Bytes::new()).encode(4), 0);
+            let echo = agent.handle(&mut dp, Message::EchoRequest(Bytes::new()).encode(4), 0);
             assert_eq!(echo.replies.len(), 1);
         }
     }
@@ -637,7 +629,7 @@ mod tests {
         let mut chunk = BytesMut::new();
         chunk.extend_from_slice(&Message::FlowMod(fm).encode(7));
         chunk.extend_from_slice(&[0x04, 77, 0, 8, 0, 0, 0, 8]); // BAD_TYPE
-        let out = agent.handle(&mut dp, &chunk, 0);
+        let out = agent.handle(&mut dp, chunk.freeze(), 0);
         assert_eq!(dp.table(0).unwrap().len(), 1, "the flow-mod installed");
         assert_eq!(out.replies.len(), 1);
         let (_, msg, _) = Message::decode(&out.replies[0]).unwrap();
@@ -651,7 +643,7 @@ mod tests {
     fn packet_out_transmits() {
         let mut dp = dp();
         let mut agent = OfAgent::new("test");
-        let out = agent.handle(&mut dp, &packet_out_msg(1, 2, frame()), 0);
+        let out = agent.handle(&mut dp, packet_out_msg(1, 2, frame()), 0);
         assert_eq!(out.transmits.len(), 1);
         assert_eq!(out.transmits[0].0, 2);
     }
@@ -662,9 +654,9 @@ mod tests {
         let mut agent = OfAgent::new("test");
         let echo = Message::EchoRequest(Bytes::from_static(b"abc")).encode(9);
         // Deliver in two fragments.
-        let out1 = agent.handle(&mut dp, &echo[..5], 0);
+        let out1 = agent.handle(&mut dp, echo.slice(..5), 0);
         assert!(out1.replies.is_empty());
-        let out2 = agent.handle(&mut dp, &echo[5..], 0);
+        let out2 = agent.handle(&mut dp, echo.slice(5..), 0);
         assert_eq!(out2.replies.len(), 1);
         let (_, msg, _) = Message::decode(&out2.replies[0]).unwrap();
         assert_eq!(msg, Message::EchoReply(Bytes::from_static(b"abc")));
@@ -679,7 +671,7 @@ mod tests {
             .match_(Match::new().eth_type(0x0800))
             .apply(vec![Action::output(2)])
             .cookie(0x77);
-        agent.handle(&mut dp, &Message::FlowMod(fm).encode(1), 0);
+        agent.handle(&mut dp, Message::FlowMod(fm).encode(1), 0);
         run_one(&mut dp, 1, frame(), 0);
         run_one(&mut dp, 1, frame(), 0);
         let req = Message::MultipartRequest(MultipartReq::Flow {
@@ -691,7 +683,7 @@ mod tests {
             match_: Match::any(),
         })
         .encode(5);
-        let out = agent.handle(&mut dp, &req, 2_000_000_000);
+        let out = agent.handle(&mut dp, req, 2_000_000_000);
         let (_, msg, _) = Message::decode(&out.replies[0]).unwrap();
         match msg {
             Message::MultipartReply(MultipartRes::Flow(entries)) => {
@@ -713,14 +705,14 @@ mod tests {
         assert_eq!(agent.echoes_outstanding(), 1);
 
         // A reply with the wrong xid is stale: ignored, probe still pending.
-        agent.handle(&mut dp, &Message::EchoReply(Bytes::new()).encode(999), 0);
+        agent.handle(&mut dp, Message::EchoReply(Bytes::new()).encode(999), 0);
         assert_eq!(agent.echoes_outstanding(), 1);
         assert_eq!(agent.stale_echo_replies(), 1);
 
         // The mirrored xid clears it.
         agent.handle(
             &mut dp,
-            &Message::EchoReply(Bytes::new()).encode(probe_xid),
+            Message::EchoReply(Bytes::new()).encode(probe_xid),
             0,
         );
         assert_eq!(agent.echoes_outstanding(), 0);
@@ -737,7 +729,7 @@ mod tests {
         assert_eq!(agent.echoes_outstanding(), 3);
         let (x3, _, _) = Message::decode(&p3).unwrap();
         // Answering the newest probe proves liveness for the older ones too.
-        agent.handle(&mut dp, &Message::EchoReply(Bytes::new()).encode(x3), 0);
+        agent.handle(&mut dp, Message::EchoReply(Bytes::new()).encode(x3), 0);
         assert_eq!(agent.echoes_outstanding(), 0);
 
         // After a reconnect, replies to pre-reset probes are stale.
@@ -746,7 +738,7 @@ mod tests {
         agent.reset_connection();
         assert!(!agent.handshaken());
         assert_eq!(agent.echoes_outstanding(), 0);
-        agent.handle(&mut dp, &Message::EchoReply(Bytes::new()).encode(x4), 0);
+        agent.handle(&mut dp, Message::EchoReply(Bytes::new()).encode(x4), 0);
         assert_eq!(agent.stale_echo_replies(), 1);
         // And new probes never reuse an old xid.
         let p5 = agent.echo_probe();
@@ -764,7 +756,7 @@ mod tests {
             role: ControllerRole::Master,
             generation_id: 5,
         };
-        let out = agent.handle(&mut dp, &req.encode(10), 0);
+        let out = agent.handle(&mut dp, req.encode(10), 0);
         let (xid, msg, _) = Message::decode(&out.replies[0]).unwrap();
         assert_eq!(xid, 10);
         assert_eq!(
@@ -782,7 +774,7 @@ mod tests {
             role: ControllerRole::Master,
             generation_id: 4,
         };
-        let out = agent.handle(&mut dp, &stale.encode(11), 0);
+        let out = agent.handle(&mut dp, stale.encode(11), 0);
         let (xid, msg, _) = Message::decode(&out.replies[0]).unwrap();
         assert_eq!(xid, 11);
         match msg {
@@ -795,7 +787,7 @@ mod tests {
             role: ControllerRole::NoChange,
             generation_id: 0,
         };
-        let out = agent.handle(&mut dp, &query.encode(12), 0);
+        let out = agent.handle(&mut dp, query.encode(12), 0);
         let (_, msg, _) = Message::decode(&out.replies[0]).unwrap();
         assert_eq!(
             msg,
@@ -812,7 +804,7 @@ mod tests {
         let mut agent = OfAgent::new("test");
         agent.handle(
             &mut dp,
-            &Message::SetConfig {
+            Message::SetConfig {
                 flags: 0,
                 miss_send_len: 32,
             }

@@ -1067,10 +1067,16 @@ impl Datapath {
         // Cacheable only for clean, meter-free completions: metered
         // paths are rate-dependent and recycle through the slow path,
         // and TTL-expired / NAT-refused packets record a truncated path
-        // that healthy packets must not replay.
+        // that healthy packets must not replay. NAT translates an ICMP
+        // echo by its identifier, which the flow key does not carry: a
+        // cached translation would hand the next echo of the 5-tuple
+        // the identifier of the one that made it.
         let mode = self.config.mode;
-        let has_meter = ctx.recorded.iter().any(|a| matches!(a, CAction::Meter(_)));
-        let cacheable = !hits.is_empty() && ctx.fr.halt.is_none() && !has_meter;
+        let per_frame = ctx
+            .recorded
+            .iter()
+            .any(|a| matches!(a, CAction::Meter(_) | CAction::SetIcmpId(_)));
+        let cacheable = !hits.is_empty() && ctx.fr.halt.is_none() && !per_frame;
         let install = (cacheable && mode.caches).then(|| {
             let path = CachedPath::new(std::mem::take(&mut ctx.recorded), hits, self.epoch);
             (path, ctx.unwild)
@@ -2035,6 +2041,58 @@ pub(crate) mod tests {
             FlowKey::extract(1, &r4.outputs_of(0)[0].1).unwrap().udp_dst,
             1000
         );
+    }
+
+    /// Echoes of one 5-tuple with different identifiers are different
+    /// NAT connections, and each leaves with its own identifier.
+    #[test]
+    fn nat_echoes_of_one_five_tuple_keep_their_own_identifiers() {
+        let (mut dp, ext) = nat_dp();
+        let inside = Ipv4Addr::new(10, 0, 0, 1);
+        let far = Ipv4Addr::new(198, 18, 0, 9);
+        let echo = |ident| {
+            builder::icmp_echo_request(
+                MacAddr::host(1),
+                MacAddr::host(0x4e),
+                inside,
+                far,
+                ident,
+                1,
+                b"ping",
+            )
+        };
+        let ident_of = |r: &BatchResult| {
+            let (_, mut l4) = ipv4_of(&r.outputs_of(0)[0].1);
+            icmp::Header::parse(&mut l4).unwrap().ident
+        };
+        let first = ident_of(&run_one(&mut dp, 1, echo(1), 0));
+        let second = ident_of(&run_one(&mut dp, 1, echo(2), 1));
+        assert_ne!(
+            first, second,
+            "the second echo left with the first's identifier"
+        );
+        assert_eq!(dp.nat().live_conns(), 2);
+        let again = run_one(&mut dp, 1, echo(2), 2);
+        assert_eq!(ident_of(&again), second);
+        assert!(matches!(
+            again.frame(0).trace.unwrap().path,
+            LookupPath::SlowPath { .. }
+        ));
+        // Each reply finds its own echo's identifier again.
+        for (ext_id, ident) in [(second, 2), (first, 1)] {
+            let reply = builder::icmp_echo_reply(
+                MacAddr::host(99),
+                MacAddr::host(0x4e),
+                far,
+                ext,
+                ext_id,
+                1,
+                b"pong",
+            );
+            let r = run_one(&mut dp, 2, reply, 3);
+            assert_eq!(r.outputs_of(0)[0].0, 1);
+            assert_eq!(ident_of(&r), ident);
+        }
     }
 
     #[test]

@@ -663,7 +663,7 @@ impl Node for SoftSwitchNode {
         // Only the attached controller (or a manager acting as one) is
         // honoured; OpenFlow has no in-band peer auth in this model.
         let was_handshaken = self.agent.handshaken();
-        let out = self.agent.handle(&mut self.dp, &data, ctx.now().as_nanos());
+        let out = self.agent.handle(&mut self.dp, data, ctx.now().as_nanos());
         if !was_handshaken && self.agent.handshaken() {
             self.link_established(ctx);
         }
@@ -977,7 +977,7 @@ mod tests {
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _ctx: &mut NodeCtx) {}
         fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
             let mut rx = openflow::Session::default();
-            rx.push(&data);
+            rx.push(data);
             while let Some(next) = rx.next_message() {
                 let (xid, m) = next.expect("well-formed");
                 if self.live {

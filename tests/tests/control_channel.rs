@@ -52,6 +52,7 @@ fn through_agent(chunks: &[&[u8]]) -> (Vec<(Xid, Message)>, usize) {
     let mut agent = OfAgent::new("sw");
     let mut replies = Vec::new();
     for chunk in chunks {
+        let chunk = Bytes::copy_from_slice(chunk);
         replies.extend(agent.handle(&mut dp, chunk, 0).replies);
     }
     assert!(agent.handshaken());
