@@ -52,11 +52,6 @@ pub trait Cursor<'a>: Sized {
     fn u64(&mut self) -> Result<u64> {
         self.array().map(u64::from_be_bytes)
     }
-
-    /// A big-endian `u128`.
-    fn u128(&mut self) -> Result<u128> {
-        self.array().map(u128::from_be_bytes)
-    }
 }
 
 impl<'a> Cursor<'a> for &'a [u8] {

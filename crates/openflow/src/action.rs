@@ -54,6 +54,9 @@ pub enum Action {
     Nat(NatDir),
 }
 
+// A set-field action is its field: no wider than an `OxmField`.
+const _: () = assert!(std::mem::size_of::<Action>() == 40);
+
 impl Action {
     /// Shorthand for a plain output action.
     pub fn output(port: u32) -> Action {

@@ -6,7 +6,7 @@
 //! `(FlowKey, FieldMask)` pair used by every dataplane in the workspace.
 
 use bytes::{BufMut, BytesMut};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 use netpkt::flowkey::{FieldMask, OFPVID_PRESENT};
 use netpkt::{FlowKey, MacAddr};
@@ -45,7 +45,9 @@ pub mod field_num {
 }
 
 /// One OXM match field. Fields with an `Option` second element support
-/// masks (`None` = exact match).
+/// masks (`None` = exact match). Addresses are std's byte-aligned
+/// `Ipv4Addr` / `Ipv6Addr`, so the widest variant, an IPv6 address and
+/// its mask, sets the size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OxmField {
     /// Ingress port.
@@ -89,10 +91,15 @@ pub enum OxmField {
     /// ARP target protocol address with optional mask.
     ArpTpa(Ipv4Addr, Option<Ipv4Addr>),
     /// IPv6 source with optional mask.
-    Ipv6Src(u128, Option<u128>),
+    Ipv6Src(Ipv6Addr, Option<Ipv6Addr>),
     /// IPv6 destination with optional mask.
-    Ipv6Dst(u128, Option<u128>),
+    Ipv6Dst(Ipv6Addr, Option<Ipv6Addr>),
 }
+
+// Every rule's match and action blocks, every recorded megaflow program
+// and every decoded flow-mod is a run of these: a wider variant should
+// fail the build, not widen them all.
+const _: () = assert!(std::mem::size_of::<OxmField>() == 40);
 
 impl OxmField {
     /// The OXM field number.
@@ -185,9 +192,9 @@ impl OxmField {
                 }
             }
             OxmField::Ipv6Src(v, m) | OxmField::Ipv6Dst(v, m) => {
-                out.put_u128(v);
+                out.put_slice(&v.octets());
                 if let Some(m) = m {
-                    out.put_u128(m);
+                    out.put_slice(&m.octets());
                 }
             }
         }
@@ -258,7 +265,7 @@ impl OxmField {
             ICMPV4_CODE => OxmField::Icmpv4Code(v.u8()?),
             ARP_OP => OxmField::ArpOp(v.u16()?),
             IPV6_SRC | IPV6_DST => {
-                let (x, m) = masked(v, hm, |c| c.u128())?;
+                let (x, m) = masked(v, hm, |c| c.array::<16>().map(Ipv6Addr::from))?;
                 if number == IPV6_SRC {
                     OxmField::Ipv6Src(x, m)
                 } else {
@@ -534,13 +541,13 @@ impl Match {
                     mask.arp_tpa = m;
                 }
                 OxmField::Ipv6Src(v, m) => {
-                    let m = m.unwrap_or(u128::MAX);
-                    key.ipv6_src = v & m;
+                    let m = m.map(u128::from).unwrap_or(u128::MAX);
+                    key.ipv6_src = u128::from(v) & m;
                     mask.ipv6_src = m;
                 }
                 OxmField::Ipv6Dst(v, m) => {
-                    let m = m.unwrap_or(u128::MAX);
-                    key.ipv6_dst = v & m;
+                    let m = m.map(u128::from).unwrap_or(u128::MAX);
+                    key.ipv6_dst = u128::from(v) & m;
                     mask.ipv6_dst = m;
                 }
             }
@@ -706,7 +713,10 @@ mod tests {
                 Some(MacAddr([0xff, 0xff, 0, 0, 0, 0])),
             ))
             .with(OxmField::Metadata(0xdead_beef, Some(0xffff_ffff)))
-            .with(OxmField::Ipv6Dst(0x1234, Some(u128::MAX)));
+            .with(OxmField::Ipv6Dst(
+                Ipv6Addr::from(0x1234u128),
+                Some(Ipv6Addr::from(u128::MAX)),
+            ));
         assert_eq!(round_trip(&m), m);
     }
 

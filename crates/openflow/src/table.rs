@@ -147,6 +147,11 @@ pub struct FlowEntry {
     pub last_used_ns: u64,
 }
 
+// The slab's slots times this size is most of what a resident rule
+// costs (an entry holds no mask: that was 96 of 288 bytes). A wider
+// field in an entry should fail the build, not widen every rule.
+const _: () = assert!(std::mem::size_of::<FlowEntry>() == 192);
+
 /// Install sequence numbers occupy the low bits of a rank.
 const SEQ_BITS: u32 = 48;
 
@@ -668,6 +673,7 @@ impl FlowTable {
             if self.entries.len() >= self.capacity {
                 return Err(Error::TableFull);
             }
+            self.reserve_slot();
             // Ranked after every entry of its priority (stable order).
             let rank = rank(entry.priority, self.take_seq());
             let slot = Slot::try_from(self.entries.len()).expect("fewer than 2^32 entries");
@@ -680,6 +686,24 @@ impl FlowTable {
         }
         self.version += 1;
         Ok(())
+    }
+
+    /// Make room for one more entry in each per-slot vector. A full
+    /// vector grows by an eighth of the table plus 16 slots, never past
+    /// the table's capacity: doubling would leave a table one rule past
+    /// a power of two holding nearly twice its rules in slots.
+    fn reserve_slot(&mut self) {
+        let len = self.entries.len();
+        let room = (len / 8 + 16).min(self.capacity - len);
+        fn grow<T>(v: &mut Vec<T>, room: usize) {
+            if v.len() == v.capacity() {
+                v.reserve_exact(room);
+            }
+        }
+        grow(&mut self.entries, room);
+        grow(&mut self.ranks, room);
+        grow(&mut self.masks, room);
+        grow(&mut self.order, room);
     }
 
     /// Slots, in table order, of the entries a modify/delete selects:
@@ -1178,13 +1202,59 @@ mod tests {
         assert_eq!(t.delete(&udp_match(3), 5, true, any.0, any.1).len(), 1);
     }
 
-    /// An entry holds no mask (its slot names its group, which holds the
-    /// mask once): the slab's slots times this size is most of what a
-    /// resident rule costs, and the mask was 96 of 288 bytes.
+    fn slot_capacities(t: &FlowTable) -> [usize; 4] {
+        [
+            t.entries.capacity(),
+            t.ranks.capacity(),
+            t.masks.capacity(),
+            t.order.capacity(),
+        ]
+    }
+
+    /// Every per-slot vector's capacity is within the bound the growth
+    /// helper keeps: the rules plus an eighth plus 16.
+    fn assert_slack(t: &FlowTable) {
+        let len = t.len();
+        let bound = len + len / 8 + 16;
+        let caps = slot_capacities(t);
+        assert!(
+            caps.iter().all(|&c| c <= bound),
+            "{len} rules in slots {caps:?}, bound {bound}"
+        );
+    }
+
+    /// One rule past a doubling (2 049) holds at most 2 321 slots, not
+    /// 4 096, and stays inside the bound through deletes and re-adds.
     #[test]
-    fn an_entry_holds_no_mask() {
-        let size = std::mem::size_of::<FlowEntry>();
-        assert!(size <= 200, "FlowEntry is {size} bytes");
+    fn slots_grow_by_an_eighth_not_a_doubling() {
+        let any = (crate::port_no::ANY, crate::group_no::ANY);
+        let mut t = FlowTable::new(TableId(0));
+        for port in 0..2049 {
+            t.add(entry(5, udp_match(port), 1)).unwrap();
+            assert_slack(&t);
+        }
+        // Every 64th rule goes, then comes back with 300 new ones.
+        let victims = (0..2049).step_by(64);
+        for port in victims.clone() {
+            assert_eq!(t.delete(&udp_match(port), 5, true, any.0, any.1).len(), 1);
+            assert_slack(&t);
+        }
+        for port in victims.chain(2049..2349) {
+            t.add(entry(5, udp_match(port), 1)).unwrap();
+            assert_slack(&t);
+        }
+        assert_eq!(t.len(), 2349);
+    }
+
+    #[test]
+    fn a_bounded_table_never_reserves_past_its_capacity() {
+        let mut t = FlowTable::with_capacity(TableId(0), 40);
+        for port in 0..40 {
+            t.add(entry(5, udp_match(port), 1)).unwrap();
+            assert_slack(&t);
+        }
+        assert_eq!(t.add(entry(5, udp_match(40), 1)), Err(Error::TableFull));
+        assert_eq!(slot_capacities(&t), [40; 4]);
     }
 
     #[test]

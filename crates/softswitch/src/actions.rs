@@ -61,6 +61,9 @@ pub enum CAction {
     BucketEnd,
 }
 
+// Every megaflow's recorded program is a run of these.
+const _: () = assert!(std::mem::size_of::<CAction>() == 40);
+
 /// Outcome of [`dec_ttl`] on a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TtlResult {

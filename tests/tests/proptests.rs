@@ -10,6 +10,7 @@
 use bytes::Bytes;
 use harmless_tests::run_one;
 use proptest::prelude::*;
+use std::net::Ipv6Addr;
 
 use netpkt::vlan::{pop_vlan, push_vlan, VlanTag};
 use netpkt::{builder, FlowKey, MacAddr};
@@ -53,7 +54,7 @@ fn arb_oxm_field() -> impl Strategy<Value = OxmField> {
         (any::<u16>()).prop_map(OxmField::ArpOp),
         (arb_ipv4(), proptest::option::of(arb_ipv4())).prop_map(|(v, m)| OxmField::ArpSpa(v, m)),
         (any::<u128>(), proptest::option::of(any::<u128>()))
-            .prop_map(|(v, m)| OxmField::Ipv6Src(v, m)),
+            .prop_map(|(v, m)| OxmField::Ipv6Src(v.into(), m.map(Ipv6Addr::from))),
     ]
 }
 
@@ -832,8 +833,11 @@ fn of_samples() -> Vec<(&'static str, Message)> {
             Some(Ipv4Addr::new(255, 0, 0, 0)),
         ),
         OxmField::ArpTpa(Ipv4Addr::new(10, 0, 0, 2), None),
-        OxmField::Ipv6Src(0x2001_0db8 << 96, Some(u128::MAX << 64)),
-        OxmField::Ipv6Dst(2, None),
+        OxmField::Ipv6Src(
+            Ipv6Addr::from(0x2001_0db8u128 << 96),
+            Some(Ipv6Addr::from(u128::MAX << 64)),
+        ),
+        OxmField::Ipv6Dst(Ipv6Addr::from(2u128), None),
     ];
     let every_match = every_field.into_iter().fold(Match::new(), Match::with);
     let every_action = vec![
@@ -847,7 +851,7 @@ fn of_samples() -> Vec<(&'static str, Message)> {
         Action::SetField(OxmField::VlanPcp(5)),
         Action::SetField(OxmField::EthDst(MacAddr::host(9), None)),
         Action::SetField(OxmField::Ipv4Dst(Ipv4Addr::new(10, 0, 0, 9), None)),
-        Action::SetField(OxmField::Ipv6Dst(7, None)),
+        Action::SetField(OxmField::Ipv6Dst(Ipv6Addr::from(7u128), None)),
         Action::DecNwTtl,
         Action::Nat(NatDir::Egress),
         Action::Nat(NatDir::Ingress),
@@ -1553,6 +1557,63 @@ fn snmp_encoding_matches_golden_bytes() {
             "{name}: bytes differ from the recorded encoding"
         );
         assert_eq!(SnmpMessage::decode(&wire).unwrap(), msg, "{name}");
+    }
+}
+
+/// A UDP datagram (40000 → 53, no payload) from `src` to `fd00::2`.
+fn ipv6_udp(src: Ipv6Addr) -> Bytes {
+    use netpkt::{ipv6, EtherType, IpProto};
+    let mut v6 = [0u8; ipv6::HEADER_LEN + 8];
+    let header = ipv6::Header {
+        traffic_class: 0,
+        flow_label: 0,
+        payload_len: 8,
+        next_header: IpProto::UDP,
+        hop_limit: 64,
+        src,
+        dst: "fd00::2".parse().unwrap(),
+    };
+    header.write(&mut &mut v6[..]).unwrap();
+    v6[ipv6::HEADER_LEN..].copy_from_slice(&[0x9c, 0x40, 0, 53, 0, 8, 0, 0]);
+    builder::ethernet(MacAddr::host(2), MacAddr::host(1), EtherType::IPV6, &v6)
+}
+
+/// An IPv6 source prefix rule takes the frames whose leading octets it
+/// names, in every pipeline mode: the OXM field holds the address as
+/// octets, the flow key as a big-endian word, and `Match::to_key_mask`
+/// must carry the one into the other. The address outside the /64
+/// shares the inside one's low 64 bits, so a mask or value that landed
+/// on the wrong half would let it hit.
+#[test]
+fn an_ipv6_prefix_rule_matches_its_leading_octets() {
+    let inside: Ipv6Addr = "fd00::1".parse().unwrap();
+    let outside: Ipv6Addr = "fd00:0:0:1::1".parse().unwrap();
+    let slash_64 = Ipv6Addr::from(u128::MAX << 64);
+    let rule = Match::new()
+        .eth_type(0x86dd)
+        .with(OxmField::Ipv6Src(inside, Some(slash_64)));
+    for mode in [
+        PipelineMode::linear(),
+        PipelineMode::tss(),
+        PipelineMode::full(),
+    ] {
+        let mut dp = Datapath::new(DpConfig::software(1).with_mode(mode));
+        for p in 1..=2 {
+            dp.add_port(p, format!("p{p}"), 1_000_000);
+        }
+        let fm = FlowMod::add(0)
+            .priority(10)
+            .match_(rule.clone())
+            .apply(vec![Action::output(2)]);
+        dp.apply_flow_mod(&fm, 0).unwrap();
+        // Twice each, so the cached modes also answer from their caches.
+        let frames = [(inside, true), (outside, false)].repeat(2);
+        for (now, (src, hits)) in frames.into_iter().enumerate() {
+            let out = run_one(&mut dp, 1, ipv6_udp(src), now as u64);
+            let ports: Vec<u32> = out.outputs_of(0).iter().map(|o| o.0).collect();
+            let want = if hits { vec![2] } else { vec![] };
+            assert_eq!(ports, want, "{mode:?}: frame {now} from {src}");
+        }
     }
 }
 
@@ -2897,7 +2958,7 @@ fn runt_frames_pass_tag_actions_untouched() {
 /// headers are swept and all of it is cut.
 #[test]
 fn frame_path_is_total_under_mutation() {
-    use netpkt::{frame, ipv4, ipv6, EtherType, IpProto};
+    use netpkt::{frame, ipv4, EtherType};
     use openflow::group::GroupModCommand;
     use openflow::{Bucket, GroupType, Instruction, NatDir};
     let ip = std::net::Ipv4Addr::new;
@@ -2921,19 +2982,6 @@ fn frame_path_is_total_under_mutation() {
     let syn = netpkt::tcp::flags::SYN;
     let tcp = builder::tcp_packet(h1, h2, inside, outside, 40001, 80, syn, b"");
     let icmp = builder::icmp_echo_request(h1, h2, inside, outside, 7, 1, b"ping");
-    let mut v6 = [0u8; ipv6::HEADER_LEN + 8];
-    let src = "fd00::1".parse().unwrap();
-    let header = ipv6::Header {
-        traffic_class: 0,
-        flow_label: 0,
-        payload_len: 8,
-        next_header: IpProto::UDP,
-        hop_limit: 64,
-        src,
-        dst: "fd00::2".parse().unwrap(),
-    };
-    header.write(&mut &mut v6[..]).unwrap();
-    v6[ipv6::HEADER_LEN..].copy_from_slice(&[0x9c, 0x40, 0, 53, 0, 8, 0, 0]);
     let one_tag = push_vlan(&udp, VlanTag::new(101)).unwrap();
     let qinq = EtherType::QINQ;
     let two_tags = netpkt::vlan::push_vlan_tpid(&one_tag, VlanTag::new(7), qinq).unwrap();
@@ -2942,7 +2990,7 @@ fn frame_path_is_total_under_mutation() {
         ("udp_options", with_options(&udp)),
         ("tcp_options", with_options(&tcp)),
         ("icmp_options", with_options(&icmp)),
-        ("ipv6", builder::ethernet(h2, h1, EtherType::IPV6, &v6)),
+        ("ipv6", ipv6_udp("fd00::1".parse().unwrap())),
         ("one_tag", one_tag),
         ("two_tags", two_tags),
         ("runt", udp.slice(..10)),
