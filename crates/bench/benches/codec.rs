@@ -2,8 +2,8 @@
 //! SNMP BER encode/decode — the per-operation control-plane costs behind
 //! E3a and E6 — and a channel endpoint draining a chunk of messages.
 //!
-//! Each benchmark prints a harness-style line and records a `codec/*`
-//! row into `BENCH_netsim.json`. The
+//! Each benchmark is timed by `bench::timing` and recorded as a `codec/*`
+//! row of `BENCH_netsim.json`. The
 //! `codec/openflow/decode_stream/{1,512,4096}_flow_mods` rows push one
 //! chunk of that many flow-mods into a `Session` and take each message
 //! as it decodes, in ns per message. The buffer is cut once per chunk
@@ -16,38 +16,13 @@
 //! buffer-per-message `flow_mod_encode`.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
-use bench::report::{self, Report};
+use bench::timing::Ledger;
 use bytes::{Bytes, BytesMut};
 use mgmt::pdu::{Pdu, PduType, SnmpMessage, Value};
 use mgmt::{mibs, Oid};
 use openflow::message::{FlowMod, Message};
 use openflow::{Action, Match, Session};
-
-/// Run `f`, which does `ops` operations per call, for 100 ms to warm up
-/// and then until 500 ms have been measured; print the mean per
-/// operation and record it as `codec/{name}`, with `extra` fields.
-fn timed(rep: &mut Report, name: &str, ops: u32, extra: &[(&str, f64)], mut f: impl FnMut()) {
-    let mut run = |budget: Duration| {
-        let (start, mut calls) = (Instant::now(), 0u32);
-        while start.elapsed() < budget {
-            for _ in 0..16 {
-                f();
-            }
-            calls += 16;
-        }
-        start.elapsed().as_nanos() as f64 / f64::from(calls * ops)
-    };
-    run(Duration::from_millis(100));
-    let ns = run(Duration::from_millis(500));
-    println!("{name:<50} time: {ns:>12.1} ns/iter");
-    let fields: Vec<(&str, f64)> = [("ns_per_iter", ns)]
-        .into_iter()
-        .chain(extra.iter().copied())
-        .collect();
-    rep.record(&format!("codec/{name}"), &fields);
-}
 
 fn sample_flow_mod() -> Message {
     Message::FlowMod(
@@ -79,16 +54,16 @@ fn sample_packet_in() -> Message {
     }
 }
 
-fn bench_openflow(rep: &mut Report) {
+fn bench_openflow(rep: &mut Ledger) {
     let fm = sample_flow_mod();
-    timed(rep, "openflow/flow_mod_encode", 1, &[], || {
+    rep.calls("openflow/flow_mod_encode", 1, || {
         black_box(fm.encode(42));
     });
     // A controller's flush: n flow-mods appended to one send buffer,
     // which is then frozen for the channel.
     for n in [1u32, 512] {
         let name = format!("openflow/encode_into/{n}_flow_mods");
-        timed(rep, &name, n, &[], || {
+        rep.calls(&name, n.into(), || {
             let mut buf = BytesMut::new();
             for xid in 0..n {
                 fm.encode_into(&mut buf, xid);
@@ -97,15 +72,15 @@ fn bench_openflow(rep: &mut Report) {
         });
     }
     let wire = fm.encode(42);
-    timed(rep, "openflow/flow_mod_decode", 1, &[], || {
+    rep.calls("openflow/flow_mod_decode", 1, || {
         black_box(Message::decode(&wire).unwrap());
     });
     let pi = sample_packet_in();
-    timed(rep, "openflow/packet_in_encode", 1, &[], || {
+    rep.calls("openflow/packet_in_encode", 1, || {
         black_box(pi.encode(43));
     });
     let wire = pi.encode(43);
-    timed(rep, "openflow/packet_in_decode", 1, &[], || {
+    rep.calls("openflow/packet_in_decode", 1, || {
         black_box(Message::decode(&wire).unwrap());
     });
     // A chunk as the transport hands it over: a controller's burst of
@@ -114,34 +89,24 @@ fn bench_openflow(rep: &mut Report) {
         let chunk: Bytes = (0..n).flat_map(|xid| fm.encode(xid).to_vec()).collect();
         let mut session = Session::default();
         let name = format!("openflow/decode_stream/{n}_flow_mods");
-        timed(
-            rep,
-            &name,
-            n,
-            &[("chunk_bytes", chunk.len() as f64)],
-            || {
-                session.push(chunk.clone());
-                while let Some(next) = session.next_message() {
-                    black_box(next.unwrap());
-                }
-            },
-        );
+        rep.calls(&name, n.into(), || {
+            session.push(chunk.clone());
+            while let Some(next) = session.next_message() {
+                black_box(next.unwrap());
+            }
+        })
+        .with(&[("chunk_bytes", chunk.len() as f64)]);
         // The same messages decoded one by one into a vector, with no
         // channel buffer: what holding n decoded messages costs.
-        timed(
-            rep,
-            &format!("openflow/decode_into_vec/{n}_flow_mods"),
-            n,
-            &[],
-            || {
-                let (mut rest, mut msgs) = (&chunk[..], Vec::new());
-                while let Ok((xid, msg, used)) = Message::decode(rest) {
-                    msgs.push((xid, msg));
-                    rest = &rest[used..];
-                }
-                black_box(msgs);
-            },
-        );
+        let name = format!("openflow/decode_into_vec/{n}_flow_mods");
+        rep.calls(&name, n.into(), || {
+            let (mut rest, mut msgs) = (&chunk[..], Vec::new());
+            while let Ok((xid, msg, used)) = Message::decode(rest) {
+                msgs.push((xid, msg));
+                rest = &rest[used..];
+            }
+            black_box(msgs);
+        });
     }
 }
 
@@ -169,17 +134,17 @@ fn sample_snmp_set() -> SnmpMessage {
     )
 }
 
-fn bench_snmp(rep: &mut Report) {
+fn bench_snmp(rep: &mut Ledger) {
     let msg = sample_snmp_set();
-    timed(rep, "snmp/set_encode", 1, &[], || {
+    rep.calls("snmp/set_encode", 1, || {
         black_box(msg.encode());
     });
     let wire = msg.encode();
-    timed(rep, "snmp/set_decode", 1, &[], || {
+    rep.calls("snmp/set_decode", 1, || {
         black_box(SnmpMessage::decode(&wire).unwrap());
     });
     let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.5.101".parse().unwrap();
-    timed(rep, "snmp/oid_encode", 1, &[], || {
+    rep.calls("snmp/oid_encode", 1, || {
         let mut out = BytesMut::new();
         mgmt::ber::put_oid(&mut out, &oid);
         black_box(out);
@@ -187,10 +152,8 @@ fn bench_snmp(rep: &mut Report) {
 }
 
 fn main() {
-    let mut rep = Report::load(report::bench_file());
+    let mut rep = Ledger::open("codec", "ns_per_iter");
     bench_openflow(&mut rep);
     bench_snmp(&mut rep);
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
+    rep.save();
 }

@@ -3,7 +3,7 @@
 //! derived `Hash` as a reference. (What a probe built on the
 //! fingerprint costs is `benches/tables.rs`, `caches/*`.)
 //!
-//! Each row is ns per hash, printed harness-style and recorded as
+//! Each row is ns per hash, timed by `bench::timing` and recorded as
 //! `flowhash/{hash}/{regime}` in `BENCH_netsim.json`:
 //!
 //! - `throughput`: 64 distinct keys hashed one after another, every
@@ -15,9 +15,8 @@
 
 use std::hash::{BuildHasher, RandomState};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
-use bench::report::{self, Report};
+use bench::timing::Ledger;
 use netpkt::{builder, FlowKey, MacAddr};
 
 /// Hashes per call of a timed routine.
@@ -36,35 +35,15 @@ fn key(src: u32, dst_port: u16) -> FlowKey {
     FlowKey::extract(1, &f).unwrap()
 }
 
-/// Run `f`, which hashes [`KEYS`] times per call, for 100 ms to warm up
-/// and then until 500 ms have been measured; print the mean per hash
-/// and record it as `flowhash/{name}`.
-fn timed(rep: &mut Report, name: &str, mut f: impl FnMut()) {
-    let mut run = |budget: Duration| {
-        let (start, mut calls) = (Instant::now(), 0u32);
-        while start.elapsed() < budget {
-            for _ in 0..16 {
-                f();
-            }
-            calls += 16;
-        }
-        start.elapsed().as_nanos() as f64 / f64::from(calls * KEYS)
-    };
-    run(Duration::from_millis(100));
-    let ns = run(Duration::from_millis(500));
-    println!("{name:<50} time: {ns:>12.1} ns/iter");
-    rep.record(&format!("flowhash/{name}"), &[("ns_per_iter", ns)]);
-}
-
 /// Time `hash` over the keys in both regimes.
-fn bench_hash(rep: &mut Report, name: &str, keys: &[FlowKey], hash: impl Fn(&FlowKey) -> u32) {
-    timed(rep, &format!("{name}/throughput"), || {
+fn bench_hash(rep: &mut Ledger, name: &str, keys: &[FlowKey], hash: impl Fn(&FlowKey) -> u32) {
+    rep.calls(&format!("{name}/throughput"), KEYS.into(), || {
         for k in keys {
             black_box(hash(black_box(k)));
         }
     });
     let mut h = 0;
-    timed(rep, &format!("{name}/latency"), || {
+    rep.calls(&format!("{name}/latency"), KEYS.into(), || {
         for _ in 0..KEYS {
             h = hash(&keys[h as usize % KEYS as usize]);
         }
@@ -73,12 +52,10 @@ fn bench_hash(rep: &mut Report, name: &str, keys: &[FlowKey], hash: impl Fn(&Flo
 }
 
 fn main() {
-    let mut rep = Report::load(report::bench_file());
+    let mut rep = Ledger::open("flowhash", "ns_per_iter");
     let keys: Vec<FlowKey> = (0..KEYS).map(|src| key(src, 53)).collect();
     bench_hash(&mut rep, "flow_hash", &keys, |k| k.flow_hash(0));
     let sip = RandomState::new();
     bench_hash(&mut rep, "siphash13", &keys, |k| sip.hash_one(k) as u32);
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
+    rep.save();
 }

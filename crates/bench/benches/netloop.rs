@@ -8,12 +8,13 @@
 //! All engines process the exact same deterministic event stream, so
 //! events/second is directly comparable.
 //!
-//! Besides the criterion output, a single calibrated run per engine is
-//! recorded to `BENCH_netsim.json` so the performance trajectory is
-//! machine-readable across PRs: events and events/second, and the two
-//! factors of a frame's cost in the simulator — events per delivered
-//! frame (control-plane events of the ping storm included) and host ns
-//! per event.
+//! Every row is timed by `bench::timing`: a round builds the fabric
+//! untimed and times the two ping rounds. `netloop/fabric_4x16/{engine}`
+//! records host ns per event (the median over rounds) and
+//! events/second, the events of one run, the median run's wall time,
+//! the threads the engine ran on (0 for the single queue; auto-detection
+//! records the count it chose) and events per delivered frame
+//! (control-plane events of the ping storm included).
 //!
 //! `netloop/queue/*` isolates the event queue: nodes that only re-arm
 //! timers, so an event is one queue pop, one dispatch and one push.
@@ -21,12 +22,12 @@
 //! timers far in the future, one event due next); `4096_in_flight` the
 //! opposite (every pending event is near, at scattered times).
 
-use criterion::{criterion_group, Criterion, Throughput};
+use std::time::Instant;
 
-use bench::report;
+use bench::timing::Ledger;
 use controller::apps::LearningSwitch;
 use controller::ControllerNode;
-use harmless::fabric::{FabricSpec, Interconnect};
+use harmless::fabric::{Fabric, FabricSpec, Interconnect};
 use harmless::instance::HarmlessSpec;
 use netsim::host::Host;
 use netsim::{Network, Node, NodeCtx, NodeId, PortId, SimTime};
@@ -34,9 +35,17 @@ use netsim::{Network, Node, NodeCtx, NodeId, PortId, SimTime};
 const PODS: u16 = 4;
 const HOSTS: u16 = 16;
 
-/// Build the fabric, run both ping rounds, return total events processed
-/// and frames delivered.
-fn fabric_ping_storm(threads: Option<usize>) -> (u64, u64) {
+/// A converged-to-be fabric: the network, its fabric and each pod's
+/// hosts.
+struct Storm {
+    net: Network,
+    fx: Fabric,
+    hosts: Vec<Vec<NodeId>>,
+}
+
+/// Build the fabric on the engine `threads` names (`None`: the single
+/// queue).
+fn fabric(threads: Option<usize>) -> Storm {
     let mut net = Network::new(5);
     let ctrl = net.add_node(ControllerNode::new(
         "ctrl",
@@ -62,32 +71,41 @@ fn fabric_ping_storm(threads: Option<usize>) -> (u64, u64) {
         net.set_shards(&fx.shard_map());
         net.set_threads(t);
     }
-    net.run_until(SimTime::from_millis(100));
-    for _round in 0..2 {
-        for i in 1..=HOSTS {
-            for (p, pod_hosts) in hosts.iter().enumerate() {
-                let target = fx.host_ip((p + 1) % usize::from(PODS), i);
-                let h = pod_hosts[usize::from(i) - 1];
-                net.with_node_ctx::<Host, _>(h, move |h, ctx| {
-                    h.ping(b"netloop", target);
-                    h.flush(ctx);
-                });
+    Storm { net, fx, hosts }
+}
+
+impl Storm {
+    /// Run both ping rounds; returns the events processed and the
+    /// frames delivered.
+    fn run(&mut self) -> (u64, u64) {
+        let Storm { net, fx, hosts } = self;
+        net.run_until(SimTime::from_millis(100));
+        for _round in 0..2 {
+            for i in 1..=HOSTS {
+                for (p, pod_hosts) in hosts.iter().enumerate() {
+                    let target = fx.host_ip((p + 1) % usize::from(PODS), i);
+                    let h = pod_hosts[usize::from(i) - 1];
+                    net.with_node_ctx::<Host, _>(h, move |h, ctx| {
+                        h.ping(b"netloop", target);
+                        h.flush(ctx);
+                    });
+                }
+                net.run_for(SimTime::from_micros(400));
             }
-            net.run_for(SimTime::from_micros(400));
+            net.run_for(SimTime::from_millis(500));
         }
-        net.run_for(SimTime::from_millis(500));
+        let replies: u64 = hosts
+            .iter()
+            .flatten()
+            .map(|&h| net.node_ref::<Host>(h).echo_replies_received())
+            .sum();
+        assert_eq!(
+            replies,
+            2 * u64::from(PODS) * u64::from(HOSTS),
+            "workload must fully converge"
+        );
+        (net.events_processed(), net.delivered_frames())
     }
-    let replies: u64 = hosts
-        .iter()
-        .flatten()
-        .map(|&h| net.node_ref::<Host>(h).echo_replies_received())
-        .sum();
-    assert_eq!(
-        replies,
-        2 * u64::from(PODS) * u64::from(HOSTS),
-        "workload must fully converge"
-    );
-    (net.events_processed(), net.delivered_frames())
 }
 
 /// A node that keeps `timers` timers pending: each one, when it fires,
@@ -121,9 +139,9 @@ impl Node for Rearm {
 
 const QUEUE_EVENTS: u64 = 1_000_000;
 
-/// Run a queue workload to `QUEUE_EVENTS` events; returns the events
-/// processed.
-fn queue_run(parked: u64, in_flight: u64, delay: fn(u64) -> SimTime) -> u64 {
+/// A queue workload: `parked` far-future timers beside `in_flight`
+/// timers re-armed `delay` later.
+fn queue_net(parked: u64, in_flight: u64, delay: fn(u64) -> SimTime) -> Network {
     let mut net = Network::new(5);
     net.add_node(Rearm {
         timers: parked,
@@ -133,6 +151,12 @@ fn queue_run(parked: u64, in_flight: u64, delay: fn(u64) -> SimTime) -> u64 {
         timers: in_flight,
         delay,
     });
+    net
+}
+
+/// Run a queue workload to `QUEUE_EVENTS` events; returns the events
+/// processed.
+fn queue_run(net: &mut Network) -> u64 {
     while net.events_processed() < QUEUE_EVENTS {
         net.run_for(SimTime::from_millis(1));
     }
@@ -164,68 +188,46 @@ fn engines() -> Vec<(&'static str, Option<usize>)> {
     ]
 }
 
-fn bench_netloop(c: &mut Criterion) {
-    // The event stream is deterministic and engine-independent; run once
-    // to size the throughput denominator (and sanity-check equivalence).
-    let (events, frames) = fabric_ping_storm(None);
+fn main() {
+    // The event stream is deterministic and engine-independent.
+    let (events, frames) = fabric(None).run();
     assert_eq!(
         (events, frames),
-        fabric_ping_storm(Some(2)),
+        fabric(Some(2)).run(),
         "engines must agree"
     );
-    let mut g = c.benchmark_group("netloop");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(events));
+    let mut rep = Ledger::open("netloop", "ns_per_event");
     for (label, threads) in engines() {
-        g.bench_function(label, |b| b.iter(|| fabric_ping_storm(threads)));
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("netloop/queue");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(QUEUE_EVENTS));
-    for (label, parked, in_flight, delay) in queue_workloads() {
-        g.bench_function(label, |b| b.iter(|| queue_run(parked, in_flight, delay)));
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_netloop);
-
-fn main() {
-    benches();
-    // One calibrated run per engine into the machine-readable trajectory.
-    let mut rep = report::Report::load(report::bench_file());
-    for (label, threads) in engines() {
-        let t0 = std::time::Instant::now();
-        let (events, frames) = fabric_ping_storm(threads);
-        let wall = t0.elapsed().as_secs_f64();
-        rep.record(
-            &format!("netloop/fabric_{PODS}x{HOSTS}/{label}"),
-            &[
-                ("threads", threads.unwrap_or(0) as f64),
-                ("events", events as f64),
-                ("wall_s", wall),
-                ("events_per_sec", events as f64 / wall),
-                ("events_per_frame", events as f64 / frames as f64),
-                ("ns_per_event", wall * 1e9 / events as f64),
-            ],
-        );
+        let mut ran_on = 0;
+        let row = rep.rounds(&format!("fabric_{PODS}x{HOSTS}/{label}"), || {
+            let mut storm = fabric(threads);
+            ran_on = threads.map_or(0, |_| storm.net.threads());
+            let t = Instant::now();
+            let (n, _) = storm.run();
+            (t.elapsed(), n)
+        });
+        let ns = row.timing.median;
+        row.with(&[
+            ("threads", ran_on as f64),
+            ("events", events as f64),
+            ("wall_s", ns * events as f64 / 1e9),
+            ("events_per_sec", 1e9 / ns),
+            ("events_per_frame", events as f64 / frames as f64),
+        ]);
     }
     for (label, parked, in_flight, delay) in queue_workloads() {
-        let t0 = std::time::Instant::now();
-        let events = queue_run(parked, in_flight, delay);
-        let wall = t0.elapsed().as_secs_f64();
-        rep.record(
-            &format!("netloop/queue/{label}"),
-            &[
-                ("events", events as f64),
-                ("wall_s", wall),
-                ("ns_per_event", wall * 1e9 / events as f64),
-            ],
-        );
+        let mut events = 0;
+        let row = rep.rounds(&format!("queue/{label}"), || {
+            let mut net = queue_net(parked, in_flight, delay);
+            let t = Instant::now();
+            events = queue_run(&mut net);
+            (t.elapsed(), events)
+        });
+        let ns = row.timing.median;
+        row.with(&[
+            ("events", events as f64),
+            ("wall_s", ns * events as f64 / 1e9),
+        ]);
     }
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
+    rep.save();
 }

@@ -1,27 +1,60 @@
-//! Stage-by-stage cost of the run-to-completion datapath pipeline.
+//! The software datapath's per-frame cost, stage by stage and end to end
+//! — the native face of E11 (`exp_ablation`).
 //!
-//! Each group isolates one stage of the staged batch path — parse,
-//! RSS steering, cached probe+replay, slow path — so a regression in
-//! any stage is visible on its own, not just in the end-to-end number.
-//! One iteration processes the standard 32-frame burst (8 flows × 4
-//! frames), matching `batched_vs_scalar_cached` in the `datapath`
-//! bench, so per-element numbers are directly comparable across files.
+//! Every row is timed by `bench::timing` and recorded as a `datapath/*`
+//! row of `BENCH_netsim.json`:
+//!
+//! - `datapath/pipeline/*`: one iteration is the standard 32-frame burst
+//!   (8 flows × 4 frames, TCP-ish trains) against a 1k-rule ACL, with
+//!   `ns_per_frame` and `mpps` beside it. Each stage of the batch path
+//!   stands alone — parse (`parse_key_32`), RSS steering
+//!   (`steer_rss_32`) — then the cached path as one burst
+//!   (`cached_batch32`, the headline zero-copy number) and as 32 batches
+//!   of one frame (`cached_scalar_32`), and the uncached tail, a full
+//!   TSS walk per frame, the same two ways (`slow_path_tss_batch32`,
+//!   `slow_path_tss_32`). Every frame pays its own microflow probe in a
+//!   burst or alone, so what a burst wins is the per-call setup and,
+//!   for a train, the parse and the hash.
+//! - the ablation axes, one frame per iteration: lookup machinery at 1k
+//!   rules (`pipeline_mode_1k_rules/{linear,tss,full}`), rule-set size
+//!   with the flow on the last rule (`{linear_scan,tss}_vs_rules/{16,
+//!   256,4096}`), SS_1's two translator rule shapes
+//!   (`translator/{downstream_pop_dispatch,upstream_push_tag}`) and the
+//!   frame size through the full pipeline
+//!   (`frame_size_full_pipeline/{60,512,1514}`).
 
-use criterion::{criterion_group, Criterion, Throughput};
-use std::time::Duration;
+use std::hint::black_box;
 
-use bench::report;
-
+use bench::timing::Ledger;
 use bytes::Bytes;
 use netpkt::flowhash::rss_hash;
+use netpkt::vlan::{push_vlan, VlanTag};
 use netpkt::{builder, FlowKey, MacAddr};
 use openflow::message::FlowMod;
 use openflow::{Action, Match};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use softswitch::{BatchResult, FrameBatch};
 
-mod common;
-use common::OneFrame;
+/// One frame per call, the way a node with nothing queued submits it: a
+/// batch of one through a batch buffer and a result arena recycled
+/// across calls.
+#[derive(Default)]
+struct OneFrame {
+    batch: FrameBatch,
+    out: BatchResult,
+    now_ns: u64,
+}
+
+impl OneFrame {
+    /// Run `frame` through `dp` one simulated nanosecond after the last
+    /// call; returns the outputs it produced.
+    fn run(&mut self, dp: &mut Datapath, in_port: u32, frame: Bytes) -> usize {
+        self.now_ns += 1;
+        self.batch.push(in_port, frame);
+        dp.process_batch_into(&mut self.batch, self.now_ns, &mut self.out);
+        self.out.total_outputs()
+    }
+}
 
 fn udp_frame(src: u32, dst_port: u16, len: usize) -> Bytes {
     let overhead = 14 + 20 + 8;
@@ -69,191 +102,155 @@ fn acl_dp(mode: PipelineMode, n_rules: u32) -> Datapath {
     dp
 }
 
-/// Stage 1 in isolation: flow-key extraction over the burst.
-fn bench_parse_stage(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pipeline");
-    g.throughput(Throughput::Elements(32));
+/// Record `datapath/pipeline/{name}`: `f` handles the 32-frame burst.
+fn burst(rep: &mut Ledger, name: &str, f: impl FnMut()) {
+    let row = rep.calls(&format!("pipeline/{name}"), 1, f);
+    let ns = row.timing.median;
+    row.with(&[("ns_per_frame", ns / 32.0), ("mpps", 32_000.0 / ns)]);
+}
+
+fn bench_stages(rep: &mut Ledger) {
     let frames = burst_frames();
-    g.bench_function("parse_key_32", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for f in &frames {
-                let key = FlowKey::extract_lossy(1, f);
-                acc = acc.wrapping_add(u64::from(key.udp_dst));
-            }
-            std::hint::black_box(acc)
-        })
+    burst(rep, "parse_key_32", || {
+        let mut acc = 0u64;
+        for f in &frames {
+            acc = acc.wrapping_add(u64::from(FlowKey::extract_lossy(1, f).udp_dst));
+        }
+        black_box(acc);
+    });
+    // The RSS hash plus the slot reduction, exactly what
+    // `SoftSwitchNode::submit_rx` computes per frame.
+    burst(rep, "steer_rss_32", || {
+        let mut acc = 0usize;
+        for f in &frames {
+            acc += rss_hash(f) as usize % 4;
+        }
+        black_box(acc);
     });
 
-    // RX steering stage: the RSS hash plus the slot reduction, exactly
-    // what `SoftSwitchNode::submit_rx` computes per frame.
-    g.bench_function("steer_rss_32", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for f in &frames {
-                acc += rss_hash(f) as usize % 4;
-            }
-            std::hint::black_box(acc)
-        })
-    });
-    g.finish();
-}
-
-/// The full cached path, as one burst and as 32 batches of one frame
-/// (the `scalar` series), with the result arena reused across
-/// iterations the way `SoftSwitchNode` reuses it across service
-/// periods. This is the headline zero-copy number.
-fn bench_cached_stage(c: &mut Criterion) {
-    let mut one = OneFrame::default();
-    let mut g = c.benchmark_group("pipeline");
-    g.throughput(Throughput::Elements(32));
-    let frames = burst_frames();
-    {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
+    // The result arena is reused across iterations the way
+    // `SoftSwitchNode` reuses it across service periods; the cached rows
+    // start with every flow warm in the cache hierarchy.
+    for (batch32, scalar_32, mode) in [
+        ("cached_batch32", "cached_scalar_32", PipelineMode::full()),
+        (
+            "slow_path_tss_batch32",
+            "slow_path_tss_32",
+            PipelineMode::tss(),
+        ),
+    ] {
+        let mut one = OneFrame::default();
+        let mut dp = acl_dp(mode, 1024);
         for f in &frames {
-            one.run(&mut dp, 1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone());
         }
-        let mut t = 0u64;
-        let mut batch = FrameBatch::with_capacity(frames.len());
-        let mut out = BatchResult::default();
-        g.bench_function("cached_batch32", |b| {
-            b.iter(|| {
-                t += 1;
-                for f in &frames {
-                    batch.push(1, f.clone());
-                }
-                dp.process_batch_into(&mut batch, t, &mut out);
-                std::hint::black_box(out.total_outputs())
-            })
-        });
-    }
-    {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
-        for f in &frames {
-            one.run(&mut dp, 1, f.clone(), 0);
-        }
-        let mut t = 0u64;
-        g.bench_function("cached_scalar_32", |b| {
-            b.iter(|| {
-                t += 1;
-                let mut outs = 0usize;
-                for f in &frames {
-                    outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
-                }
-                std::hint::black_box(outs)
-            })
-        });
-    }
-    g.finish();
-}
-
-/// The uncached tail: a full TSS pipeline walk per frame (no micro or
-/// megaflow caches), the cost every first-of-flow frame pays, one frame
-/// per batch.
-fn bench_slow_stage(c: &mut Criterion) {
-    let mut one = OneFrame::default();
-    let mut g = c.benchmark_group("pipeline");
-    g.throughput(Throughput::Elements(32));
-    let frames = burst_frames();
-    let mut dp = acl_dp(PipelineMode::tss(), 1024);
-    let mut t = 0u64;
-    g.bench_function("slow_path_tss_32", |b| {
-        b.iter(|| {
-            t += 1;
-            let mut outs = 0usize;
-            for f in &frames {
-                outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
-            }
-            std::hint::black_box(outs)
-        })
-    });
-    g.finish();
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .sample_size(30)
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_parse_stage, bench_cached_stage, bench_slow_stage
-}
-
-/// A single calibrated measurement (mean ns/iteration) for the
-/// machine-readable trajectory, matching the `netloop` bench's idiom.
-fn ns_per_iter(mut f: impl FnMut()) -> f64 {
-    for _ in 0..5_000 {
-        f();
-    }
-    const ITERS: u32 = 100_000;
-    let t0 = std::time::Instant::now();
-    for _ in 0..ITERS {
-        f();
-    }
-    t0.elapsed().as_nanos() as f64 / f64::from(ITERS)
-}
-
-fn main() {
-    benches();
-    let mut one = OneFrame::default();
-    // Record the headline batch-vs-scalar cached numbers into
-    // BENCH_netsim.json so perf PRs can diff them without parsing
-    // criterion output.
-    let frames = burst_frames();
-    let mut rep = report::Report::load(report::bench_file());
-    {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
-        for f in &frames {
-            one.run(&mut dp, 1, f.clone(), 0);
-        }
-        let mut t = 0u64;
-        let mut batch = FrameBatch::with_capacity(frames.len());
-        let mut out = BatchResult::default();
-        let ns = ns_per_iter(|| {
+        let (mut batch, mut out, mut t) = (FrameBatch::default(), BatchResult::default(), 0);
+        burst(rep, batch32, || {
             t += 1;
             for f in &frames {
                 batch.push(1, f.clone());
             }
             dp.process_batch_into(&mut batch, t, &mut out);
-            std::hint::black_box(out.total_outputs());
+            black_box(out.total_outputs());
         });
-        rep.record(
-            "datapath/pipeline/cached_batch32",
-            &[
-                ("ns_per_iter", ns),
-                ("ns_per_frame", ns / 32.0),
-                ("mpps", 32_000.0 / ns),
-            ],
-        );
-    }
-    {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
+        let mut dp = acl_dp(mode, 1024);
         for f in &frames {
-            one.run(&mut dp, 1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone());
         }
-        let mut t = 0u64;
-        let ns = ns_per_iter(|| {
-            t += 1;
-            let mut outs = 0usize;
-            for f in &frames {
-                outs += one.run(&mut dp, 1, f.clone(), t).total_outputs();
-            }
-            std::hint::black_box(outs);
+        burst(rep, scalar_32, || {
+            let outs: usize = frames.iter().map(|f| one.run(&mut dp, 1, f.clone())).sum();
+            black_box(outs);
         });
-        rep.record(
-            "datapath/pipeline/cached_scalar_32",
-            &[
-                ("ns_per_iter", ns),
-                ("ns_per_frame", ns / 32.0),
-                ("mpps", 32_000.0 / ns),
-            ],
+    }
+}
+
+/// Record `datapath/{name}`: `frame` through `dp` on `in_port`, one
+/// frame per iteration.
+fn per_frame(rep: &mut Ledger, name: &str, dp: &mut Datapath, in_port: u32, frame: &Bytes) {
+    let mut one = OneFrame::default();
+    one.run(dp, in_port, frame.clone());
+    rep.calls(name, 1, || {
+        black_box(one.run(dp, in_port, frame.clone()));
+    });
+}
+
+fn bench_ablation(rep: &mut Ledger) {
+    let frame = udp_frame(1, 512, 60);
+    for (name, mode) in [
+        ("linear", PipelineMode::linear()),
+        ("tss", PipelineMode::tss()),
+        ("full", PipelineMode::full()),
+    ] {
+        let mut dp = acl_dp(mode, 1024);
+        per_frame(
+            rep,
+            &format!("pipeline_mode_1k_rules/{name}"),
+            &mut dp,
+            1,
+            &frame,
         );
     }
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
+    for (name, mode) in [
+        ("linear_scan", PipelineMode::linear()),
+        ("tss", PipelineMode::tss()),
+    ] {
+        for n in [16u32, 256, 4096] {
+            let mut dp = acl_dp(mode, n);
+            let frame = udp_frame(1, (n - 1) as u16, 60);
+            per_frame(rep, &format!("{name}_vs_rules/{n}"), &mut dp, 1, &frame);
+        }
     }
+    for len in [60usize, 512, 1514] {
+        let mut dp = acl_dp(PipelineMode::full(), 256);
+        let frame = udp_frame(1, 128, len);
+        per_frame(
+            rep,
+            &format!("frame_size_full_pipeline/{len}"),
+            &mut dp,
+            1,
+            &frame,
+        );
+    }
+}
+
+/// SS_1's two rule shapes, as installed by the HARMLESS manager.
+fn bench_translator(rep: &mut Ledger) {
+    let map = harmless::PortMap::with_defaults(48).unwrap();
+    let mut dp = Datapath::new(DpConfig::software(0x51));
+    dp.add_port(1, "trunk", 10_000_000);
+    for p in 1..=48u16 {
+        dp.add_port(
+            harmless::translator::patch_port(p),
+            format!("patch{p}"),
+            10_000_000,
+        );
+    }
+    for fm in harmless::translator::translator_rules(&map, 1) {
+        dp.apply_flow_mod(&fm, 0).unwrap();
+    }
+    let tagged = push_vlan(&udp_frame(1, 53, 60), VlanTag::new(117)).unwrap();
+    per_frame(
+        rep,
+        "translator/downstream_pop_dispatch",
+        &mut dp,
+        1,
+        &tagged,
+    );
+    let port = harmless::translator::patch_port(17);
+    let untagged = udp_frame(1, 53, 60);
+    per_frame(
+        rep,
+        "translator/upstream_push_tag",
+        &mut dp,
+        port,
+        &untagged,
+    );
+}
+
+fn main() {
+    let mut rep = Ledger::open("datapath", "ns_per_iter");
+    bench_stages(&mut rep);
+    bench_ablation(&mut rep);
+    bench_translator(&mut rep);
+    rep.save();
 }

@@ -1,20 +1,21 @@
 //! Flow-table, cache and MIB microbenchmarks: the raw lookup and update
 //! structures under the datapath and the SNMP agent (complements
-//! `datapath.rs`, which measures the composed pipeline).
+//! `pipeline.rs`, whose `datapath/*` rows measure the composed pipeline).
 //!
-//! Flow-mods change the table they are timed on, so this group does not
-//! use the criterion harness: every benchmark is a *round* that times a
-//! fixed number of operations and then restores its table untimed. Each
-//! prints a harness-style line and records a `tables/*` row into
-//! `BENCH_netsim.json`. A delete round restores the entries it deleted
+//! Every benchmark is timed by `bench::timing` and recorded as a
+//! `tables/*` row of `BENCH_netsim.json`. Flow-mods change the table
+//! they are timed on, so a flow-mod benchmark is a *round* that times a
+//! fixed number of operations and then restores its table untimed; the
+//! lookups and probes leave their structure as they found it and are
+//! timed call by call. A delete round restores the entries it deleted
 //! at the tail of the table order, so the flow-mod rounds track that
 //! order and spread their victims over it as it stands: every round
 //! deletes from the middle of the table, as a controller does.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use bench::report::{self, Report};
+use bench::timing::Ledger;
 use legacy_switch::bridge::Bridge;
 use legacy_switch::mib::{BridgeMib, SysInfo};
 use mgmt::{mibs, MibStore, Oid};
@@ -22,33 +23,6 @@ use netpkt::{builder, FlowKey, MacAddr};
 use openflow::table::{FlowEntry, FlowTable, TableId};
 use openflow::{group_no, port_no, Action, Instruction, Match};
 use softswitch::cache::{CachedPath, MegaflowCache, MicroflowCache};
-
-/// Run `round` — which returns the time it measured and the operations
-/// that took — once to warm up, then until 300 ms have been measured;
-/// print and record the mean.
-fn timed(rep: &mut Report, name: &str, mut round: impl FnMut() -> (Duration, usize)) {
-    round();
-    let (mut total, mut ops) = (Duration::ZERO, 0usize);
-    while total < Duration::from_millis(300) {
-        let (t, n) = round();
-        total += t;
-        ops += n;
-    }
-    let ns = total.as_nanos() as f64 / ops as f64;
-    println!("{name:<50} time: {ns:>12.1} ns/iter");
-    rep.record(&format!("tables/{name}"), &[("ns_per_iter", ns)]);
-}
-
-/// A routine that leaves its structure as it found it: rounds of 1000.
-fn steady(rep: &mut Report, name: &str, mut f: impl FnMut()) {
-    timed(rep, name, || {
-        let t = Instant::now();
-        for _ in 0..1000 {
-            f();
-        }
-        (t.elapsed(), 1000)
-    });
-}
 
 fn key(src: u32, dst_port: u16) -> FlowKey {
     let f = builder::udp_packet(
@@ -83,14 +57,14 @@ fn table_with(n: u32) -> FlowTable {
     t
 }
 
-fn bench_lookup(rep: &mut Report) {
+fn bench_lookup(rep: &mut Ledger) {
     for n in [16u32, 256, 4096] {
         let mut t = table_with(n);
         let k = key(1, (n - 1) as u16); // worst case: last rule
-        steady(rep, &format!("flowtable_linear_lookup/{n}"), || {
+        rep.calls(&format!("flowtable_linear_lookup/{n}"), 1, || {
             black_box(t.lookup(&k));
         });
-        steady(rep, &format!("indexed_lookup/{n}"), || {
+        rep.calls(&format!("indexed_lookup/{n}"), 1, || {
             black_box(t.lookup_indexed(&k));
         });
     }
@@ -98,7 +72,7 @@ fn bench_lookup(rep: &mut Report) {
     // maintained by the flow-mod, not rebuilt by the lookup.
     let mut t = table_with(4096);
     let k = key(1, 4095);
-    steady(rep, "lookup_after_flow_mod/4096", || {
+    rep.calls("lookup_after_flow_mod/4096", 1, || {
         t.add(acl(7)).unwrap();
         black_box(t.lookup_indexed(&k));
     });
@@ -122,7 +96,7 @@ fn route_parts(host: u32, out: u32) -> (Match, Vec<Instruction>) {
     (route_match(host), insns)
 }
 
-fn bench_flow_mod(rep: &mut Report) {
+fn bench_flow_mod(rep: &mut Ledger) {
     /// Operations per round; the table grows or shrinks by at most this.
     const BATCH: u32 = 256;
     let any = (port_no::ANY, group_no::ANY);
@@ -145,7 +119,7 @@ fn bench_flow_mod(rep: &mut Report) {
                 .take(BATCH as usize)
                 .collect()
         };
-        timed(rep, &format!("flow_mod/add/{n}"), || {
+        rep.rounds(&format!("flow_mod/add/{n}"), || {
             let fresh: Vec<_> = (n..n + BATCH).map(|h| route_parts(h, 1)).collect();
             let start = Instant::now();
             for (m, insns) in fresh {
@@ -155,9 +129,9 @@ fn bench_flow_mod(rep: &mut Report) {
             for host in n..n + BATCH {
                 t.delete(&route_match(host), 100, true, any.0, any.1);
             }
-            (took, BATCH as usize)
+            (took, BATCH.into())
         });
-        timed(rep, &format!("flow_mod/replace/{n}"), || {
+        rep.rounds(&format!("flow_mod/replace/{n}"), || {
             let again: Vec<_> = spread(&order)
                 .into_iter()
                 .map(|h| route_parts(h, 2))
@@ -166,10 +140,10 @@ fn bench_flow_mod(rep: &mut Report) {
             for (m, insns) in again {
                 t.add(FlowEntry::new(100, m, insns, 0)).unwrap();
             }
-            (start.elapsed(), BATCH as usize)
+            (start.elapsed(), BATCH.into())
         });
         for (name, strict) in [("delete_nonstrict_eq_mask", false), ("delete_strict", true)] {
-            timed(rep, &format!("flow_mod/{name}/{n}"), || {
+            rep.rounds(&format!("flow_mod/{name}/{n}"), || {
                 let victims = spread(&order);
                 let start = Instant::now();
                 for &h in &victims {
@@ -184,13 +158,13 @@ fn bench_flow_mod(rep: &mut Report) {
                 let mut gone = victims.iter().peekable();
                 order.retain(|h| gone.next_if_eq(&h).is_none());
                 order.extend(victims);
-                (took, BATCH as usize)
+                (took, BATCH.into())
             });
         }
     }
 }
 
-fn bench_snmp_get(rep: &mut Report) {
+fn bench_snmp_get(rep: &mut Ledger) {
     // A migrated legacy switch: every port an access port of its own VLAN.
     for n in [48u16, 144] {
         let mut bridge = Bridge::new(n);
@@ -209,14 +183,14 @@ fn bench_snmp_get(rep: &mut Report) {
             Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, u32::from(100 + n)),
         ];
         let mut i = 0;
-        steady(rep, &format!("snmp_get/{n}_ports"), || {
+        rep.calls(&format!("snmp_get/{n}_ports"), 1, || {
             i ^= 1;
             black_box(mib.get(&oids[i]));
         });
     }
 }
 
-fn bench_caches(rep: &mut Report) {
+fn bench_caches(rep: &mut Ledger) {
     let path = CachedPath::new(
         vec![softswitch::actions::CAction::Output(2)],
         vec![(0, 0)],
@@ -243,7 +217,7 @@ fn bench_caches(rep: &mut Report) {
 
     let keys: Vec<FlowKey> = (0..1000).map(|s| key(s, 53)).collect();
     let mut caches = warm(&keys);
-    steady(rep, "caches/microflow_hit", || hit(&mut caches, &keys[500]));
+    rep.calls("caches/microflow_hit", 1, || hit(&mut caches, &keys[500]));
 
     // The churn working set (2048 resident flows + the never-seen
     // tuples of one epoch), visited in random order: what a microflow
@@ -260,7 +234,7 @@ fn bench_caches(rep: &mut Report) {
             .collect()
     };
     let (visits, mut i) = (order(resident.len()), 0);
-    steady(rep, "caches/microflow_hit_2k", || {
+    rep.calls("caches/microflow_hit_2k", 1, || {
         i = (i + 1) % visits.len();
         hit(&mut caches, &resident[visits[i]]);
     });
@@ -270,7 +244,7 @@ fn bench_caches(rep: &mut Report) {
     let keys: Vec<FlowKey> = (0..33 * 1024).map(|s| key(s, 53)).collect();
     let mut fabric: Vec<_> = keys.chunks(1024).map(warm).collect();
     let (visits, mut turn) = (order(1024), 0);
-    steady(rep, "caches/microflow_hit_33x1k", || {
+    rep.calls("caches/microflow_hit_33x1k", 1, || {
         turn += 1;
         let (dp, flow) = (turn % 33, visits[turn / 33 % visits.len()]);
         hit(&mut fabric[dp], &keys[dp * 1024 + flow]);
@@ -282,7 +256,7 @@ fn bench_caches(rep: &mut Report) {
     let pod = &resident[..128];
     let mut caches = warm(pod);
     let visits = order(pod.len());
-    steady(rep, "caches/microflow_hit_128", || {
+    rep.calls("caches/microflow_hit_128", 1, || {
         i = (i + 1) % visits.len();
         hit(&mut caches, &pod[visits[i]]);
     });
@@ -303,18 +277,16 @@ fn bench_caches(rep: &mut Report) {
     }
     let mut probe = key(77, 53);
     probe.udp_dst = 9999;
-    steady(rep, "caches/megaflow_hit_4_masks", || {
+    rep.calls("caches/megaflow_hit_4_masks", 1, || {
         black_box(mega.lookup(&probe, 1).0.is_some());
     });
 }
 
 fn main() {
-    let mut rep = Report::load(report::bench_file());
+    let mut rep = Ledger::open("tables", "ns_per_iter");
     bench_lookup(&mut rep);
     bench_flow_mod(&mut rep);
     bench_snmp_get(&mut rep);
     bench_caches(&mut rep);
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
+    rep.save();
 }

@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 
 pub mod report;
+pub mod timing;
 
 use harmless::fabric::FabricSpec;
 use harmless::instance::{HarmlessSpec, Variant};

@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "netloop/fabric_4x64/sharded_t2": {"events": 814218.0, "events_per_sec": 5220130.0, "threads": 2.0, "wall_s": 0.156},
+//!   "flowhash/flow_hash/latency": {"ns_iqr": 0.2, "ns_per_iter": 15.6, "rounds": 50.0},
 //!   "scaling/fabric_4x512/single_queue": {"events": 9361472.0, "wall_s": 7.8}
 //! }
 //! ```
@@ -93,6 +93,19 @@ impl Report {
             .map(|(k, v)| (k.to_string(), *v))
             .collect::<BTreeMap<_, _>>();
         self.entries.insert(scenario.to_string(), row);
+    }
+
+    /// Set one field of a scenario row, creating the row if need be.
+    pub fn set(&mut self, scenario: &str, field: &str, value: f64) {
+        self.entries
+            .entry(scenario.to_string())
+            .or_default()
+            .insert(field.to_string(), value);
+    }
+
+    /// The recorded scenario names, in order.
+    pub fn scenarios(&self) -> impl Iterator<Item = &str> {
+        self.entries.keys().map(String::as_str)
     }
 
     /// One field of one scenario, if recorded.

@@ -9,7 +9,7 @@
 //! fixed cost (detaching caches and scratch, the caller's queue and TX
 //! walk) spread over N frames, and one parse and one hash per packet
 //! train: a frame bit-identical to its predecessor copies both (see
-//! `benches/datapath.rs`, the `batched_vs_scalar_*` series).
+//! `benches/pipeline.rs`, the `datapath/pipeline/cached_*` rows).
 //!
 //! [`BatchResult`] is a *flat arena*: all output frames and packet-ins
 //! of a batch live in two contiguous vectors, with each frame owning a
