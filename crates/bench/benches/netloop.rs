@@ -129,12 +129,6 @@ impl Node for Rearm {
             .wrapping_add(1442695040888963407);
         ctx.schedule((self.delay)(next), next);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 const QUEUE_EVENTS: u64 = 1_000_000;

@@ -23,19 +23,19 @@
 //! ```text
 //! cargo run --release -p bench --bin exp_flowsim -- \
 //!     [pods] [hosts-per-pod] [--engine hybrid|packet] [--epoch SECS] \
-//!     [--threads N] [--quick] [--bench]
+//!     [--threads N] [--quick]
 //! ```
 //!
 //! Defaults: 64 pods × 16384 hosts (8 bundles × 2048 flows per pod),
 //! hybrid engine, 300 s epoch. `--threads 0` auto-detects the worker
 //! count and is meant for multi-core hosts (the ledger's
 //! `netloop/fabric_4x16` rows: 1.58 M events/s at `sharded_t1`, 0.27 M
-//! at `sharded_tauto` on a two-vCPU box). `--quick` is the CI smoke (4
-//! pods × 64 hosts, both engines, equivalence + speedup asserted);
-//! `--bench` records packet-vs-hybrid events-per-delivered-byte on
-//! 16 × 512 into `BENCH_netsim.json`.
+//! at `sharded_tauto` on a two-vCPU box). `--quick` is the small run
+//! the golden-file test pins (4 pods × 64 hosts, both engines,
+//! equivalence + speedup asserted). EXPERIMENTS.md's 16 × 512 pair is
+//! `16 512 --epoch 150 --engine packet` and `--engine hybrid`.
 
-use bench::{render_table, report};
+use bench::render_table;
 use controller::apps::{ArpProxy, LearningSwitch};
 use controller::ControllerNode;
 use harmless::fabric::{FabricSpec, Interconnect};
@@ -326,52 +326,6 @@ fn quick() {
     );
 }
 
-/// Record packet-vs-hybrid events-per-delivered-byte on 16 × 512 into
-/// `BENCH_netsim.json`. "Delivered" means payload bytes observed at the
-/// sinks — identical between the engines by the equivalence contract —
-/// not engine Deliver events (modeled frames ride none by design).
-fn bench_rows(threads: Option<usize>) {
-    let epoch = SimTime::from_secs(150);
-    let packet = run_epoch(16, 8, 64, false, threads, epoch);
-    print_epoch("packet engine, 16 pods x 512 hosts", &packet, epoch);
-    let hybrid = run_epoch(16, 8, 64, true, threads, epoch);
-    print_epoch("hybrid engine, 16 pods x 512 hosts", &hybrid, epoch);
-    let mut rep = report::Report::load(report::bench_file());
-    rep.record(
-        "flowsim/fabric_16x512/packet",
-        &[
-            ("events", packet.events as f64),
-            (
-                "ev_per_delivered_byte",
-                packet.events as f64 / packet.rx_bytes.max(1) as f64,
-            ),
-            ("wall_s", packet.wall.as_secs_f64()),
-        ],
-    );
-    rep.record(
-        "flowsim/fabric_16x512/hybrid",
-        &[
-            ("events", hybrid.events as f64),
-            (
-                "ev_per_delivered_byte",
-                hybrid.events as f64 / hybrid.rx_bytes.max(1) as f64,
-            ),
-            ("frames_modeled", hybrid.stats.frames_modeled as f64),
-            ("promotions", hybrid.stats.promotions as f64),
-            (
-                "speedup_vs_packet",
-                packet.events as f64 / hybrid.events.max(1) as f64,
-            ),
-            ("wall_s", hybrid.wall.as_secs_f64()),
-        ],
-    );
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    } else {
-        println!("\nrecorded flowsim rows to {}", report::BENCH_FILE);
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut threads: Option<usize> = None;
@@ -409,11 +363,6 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--quick") {
         args.remove(i);
         quick();
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench") {
-        args.remove(i);
-        bench_rows(threads);
         return;
     }
     let parse = |i: usize, default: u32| -> u32 {

@@ -20,9 +20,8 @@
 //! — no argument runs all three; `fabric 2 16` is the CI smoke size.
 
 use bytes::Bytes;
-use std::any::Any;
 
-use bench::{fmt_mpps, render_table, report};
+use bench::{fmt_mpps, render_table};
 use controller::apps::{ArpProxy, LearningSwitch};
 use controller::{App, ControllerNode};
 use harmless::fabric::{FabricSpec, Interconnect};
@@ -85,12 +84,6 @@ impl Node for RuleLoader {
                 _ => {}
             }
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -422,8 +415,7 @@ fn fabric_convergence(
         )
     );
     // Host wall-clock varies run to run; keep stdout byte-identical
-    // (the repo's determinism check diffs it) and report on stderr +
-    // BENCH_netsim.json.
+    // (the golden-file test diffs it) and report on stderr.
     let wall_s = wall_round1.as_secs_f64() + wall_round2.as_secs_f64() + wall_extra.as_secs_f64();
     let events = net.events_processed();
     eprintln!(
@@ -432,36 +424,6 @@ fn fabric_convergence(
         wall_round2.as_secs_f64(),
         events as f64 / wall_s
     );
-    let mut scenario = format!(
-        "scaling/fabric_{n_pods}x{hosts_per_pod}/{}",
-        match threads {
-            None => "single_queue".to_string(),
-            Some(_) => format!("sharded_t{}", net.threads()),
-        }
-    );
-    if arp_proxy {
-        scenario.push_str("_arpproxy");
-    }
-    if rounds != 2 {
-        scenario.push_str(&format!("_r{rounds}"));
-    }
-    let mut rep = report::Report::load(report::bench_file());
-    rep.record(
-        &scenario,
-        &[
-            (
-                "threads",
-                threads.map(|_| net.threads()).unwrap_or(0) as f64,
-            ),
-            ("events", events as f64),
-            ("wall_s", wall_s),
-            ("events_per_sec", events as f64 / wall_s),
-            ("sim_s", net.now().as_secs_f64()),
-        ],
-    );
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
     assert_eq!(replies, total_pings, "round 1 must fully converge");
     assert_eq!(replies2 - replies, total_pings, "round 2 must be lossless");
     assert_eq!(

@@ -1,14 +1,15 @@
 //! Machine-readable benchmark trajectory: `BENCH_netsim.json`.
 //!
-//! Experiment binaries and benches record `(scenario, numeric fields)`
-//! rows so future PRs can diff performance without parsing stdout
-//! tables. The file is plain JSON — one object whose keys are scenario
-//! ids and whose values are flat objects of `f64` fields:
+//! The benches record `(scenario, numeric fields)` rows through
+//! [`crate::timing`] so that performance can be diffed without parsing
+//! stdout tables; the `exp_*` binaries write nothing but stdout. The
+//! file is plain JSON — one object whose keys are scenario ids and
+//! whose values are flat objects of `f64` fields:
 //!
 //! ```json
 //! {
 //!   "flowhash/flow_hash/latency": {"ns_iqr": 0.2, "ns_per_iter": 15.6, "rounds": 50.0},
-//!   "scaling/fabric_4x512/single_queue": {"events": 9361472.0, "wall_s": 7.8}
+//!   "netloop/fabric_4x16/single_queue": {"events": 28328.0, "ns_iqr": 26.1, "ns_per_event": 327.9, "rounds": 30.0}
 //! }
 //! ```
 //!

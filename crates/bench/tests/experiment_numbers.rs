@@ -1,7 +1,7 @@
 //! Every `exp_*` binary claims its experiment number(s) in `//! E<n> —`
 //! lines of its header. A number is claimed once across the binaries,
-//! EXPERIMENTS.md has a `## E<n>` section for each, and `run_all`
-//! launches every binary.
+//! EXPERIMENTS.md has a `## E<n>` section for each, `run_all`
+//! launches every binary and `tests/golden.rs` pins a run of each.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -27,6 +27,7 @@ fn experiment_numbers_are_unique_recorded_and_run() {
         .filter_map(|l| number_after(l, "## "))
         .collect();
     let run_all = fs::read_to_string(root.join("src/bin/run_all.rs")).unwrap();
+    let golden = fs::read_to_string(root.join("tests/golden.rs")).unwrap();
 
     let mut owner: BTreeMap<u32, String> = BTreeMap::new();
     let mut bins = 0;
@@ -54,6 +55,11 @@ fn experiment_numbers_are_unique_recorded_and_run() {
         assert!(
             run_all.contains(&format!("\"{name}\"")),
             "run_all does not launch {name}"
+        );
+        assert!(
+            golden.contains(&format!("golden(\"{name}\")"))
+                || golden.contains(&format!("golden(\"{name} ")),
+            "tests/golden.rs runs no `{name}` invocation"
         );
     }
     assert!(bins >= 11, "only {bins} exp_* binaries found");

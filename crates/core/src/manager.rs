@@ -22,7 +22,6 @@
 //! timeline and the SNMP/OpenFlow operation counts off this node.
 
 use bytes::{Bytes, BytesMut};
-use std::any::Any;
 
 use mgmt::driver::{detect_dialect, DesiredVlanConfig, Driver, SnmpOp, VlanDef};
 use mgmt::{mibs, Oid, SnmpClient, Value};
@@ -528,14 +527,6 @@ impl Node for HarmlessManager {
 
     fn name(&self) -> &str {
         "harmless-manager"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

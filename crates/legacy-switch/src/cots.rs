@@ -17,7 +17,6 @@
 //!   complaints.
 
 use bytes::Bytes;
-use std::any::Any;
 use std::collections::VecDeque;
 
 use netsim::{Node, NodeCtx, NodeId, PortId, SimTime};
@@ -266,14 +265,6 @@ impl Node for CotsSwitchNode {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -304,12 +295,6 @@ mod tests {
                     ctx.ctrl_send(from, m);
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -2,7 +2,6 @@
 //! timing, periodic FDB aging, and an SNMP agent on the control plane.
 
 use bytes::Bytes;
-use std::any::Any;
 
 use mgmt::pdu::SnmpMessage;
 use mgmt::store::agent_respond;
@@ -144,14 +143,6 @@ impl Node for LegacySwitchNode {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -264,12 +255,6 @@ mod tests {
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
         fn on_ctrl(&mut self, _from: NodeId, data: Bytes, _ctx: &mut NodeCtx) {
             self.reply = Some(SnmpMessage::decode(&data).unwrap());
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -397,12 +382,6 @@ mod tests {
                     }
                     _ => self.done = true,
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut net = Network::new(2);

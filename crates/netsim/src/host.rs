@@ -6,7 +6,6 @@
 //! switches under test see realistic traffic.
 
 use bytes::Bytes;
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -371,14 +370,6 @@ impl Node for Host {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

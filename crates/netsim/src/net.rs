@@ -10,6 +10,7 @@
 //! synchronization protocol.
 
 use bytes::Bytes;
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::fault::{CtrlProfile, Fault, FaultPlan};
@@ -573,11 +574,7 @@ impl Network {
     /// # Panics
     /// Panics if the node is not of type `T`.
     pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize]
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("node type mismatch")
+        self.try_node_ref(id).expect("node type mismatch")
     }
 
     /// Typed exclusive access to a node.
@@ -585,29 +582,24 @@ impl Network {
     /// # Panics
     /// Panics if the node is not of type `T`.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize]
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("node type mismatch")
+        let node: &mut dyn Any = self.node_dyn_mut(id);
+        node.downcast_mut().expect("node type mismatch")
     }
 
     /// Typed shared access to a node, or `None` if it is of another
     /// type (the probing sibling of [`Network::node_ref`]).
     pub fn try_node_ref<T: Node>(&self, id: NodeId) -> Option<&T> {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize]
-            .as_any()
-            .downcast_ref::<T>()
+        let node: &dyn Any = self.node_dyn(id);
+        node.downcast_ref()
     }
 
-    /// Untyped shared access to a node (flow-level engine plumbing).
+    /// Untyped shared access to a node.
     pub(crate) fn node_dyn(&self, id: NodeId) -> &dyn Node {
         let l = self.loc[id.0];
         self.shards[l.shard as usize].nodes[l.idx as usize].as_ref()
     }
 
-    /// Untyped exclusive access to a node (flow-level engine plumbing).
+    /// Untyped exclusive access to a node.
     pub(crate) fn node_dyn_mut(&mut self, id: NodeId) -> &mut dyn Node {
         let l = self.loc[id.0];
         self.shards[l.shard as usize].nodes[l.idx as usize].as_mut()
@@ -644,10 +636,8 @@ impl Network {
         let r = {
             let shard = &mut self.shards[l.shard as usize];
             shard.now = now;
-            let node = shard.nodes[l.idx as usize]
-                .as_any_mut()
-                .downcast_mut::<T>()
-                .expect("node type mismatch");
+            let node: &mut dyn Any = &mut *shard.nodes[l.idx as usize];
+            let node = node.downcast_mut::<T>().expect("node type mismatch");
             let mut ctx = NodeCtx {
                 now,
                 node: id,
@@ -831,7 +821,6 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::any::Any;
 
     /// Echoes every frame back out the port it came in on, after `delay`.
     struct Echo {
@@ -846,12 +835,6 @@ mod tests {
         }
         fn name(&self) -> &str {
             "echo"
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -880,12 +863,6 @@ mod tests {
         }
         fn name(&self) -> &str {
             "pinger"
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -948,12 +925,6 @@ mod tests {
             ctx.transmit(PortId(0), Bytes::from(vec![0u8; 100]));
         }
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// `n` frames from a [`Sender`] into a silent `Pinger` over a gigabit
@@ -1011,12 +982,6 @@ mod tests {
             fn on_ctrl(&mut self, _from: NodeId, _d: Bytes, ctx: &mut NodeCtx) {
                 self.got_at = Some(ctx.now());
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct CtrlSender {
             to: NodeId,
@@ -1026,12 +991,6 @@ mod tests {
                 ctx.ctrl_send(self.to, Bytes::from_static(b"hi"));
             }
             fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut net = Network::new(1);
         net.set_ctrl_delay(SimTime::from_micros(123));
@@ -1073,12 +1032,6 @@ mod tests {
             }
             fn on_frames(&mut self, frames: Vec<(PortId, Bytes)>, _ctx: &mut NodeCtx) {
                 self.bursts.push(frames.iter().map(|(p, _)| p.0).collect());
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut net = Network::new(1);
@@ -1309,12 +1262,6 @@ mod tests {
             fn on_ctrl(&mut self, from: NodeId, _d: Bytes, ctx: &mut NodeCtx) {
                 self.got.push((from, ctx.now()));
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct CtrlSender {
             to: NodeId,
@@ -1324,12 +1271,6 @@ mod tests {
                 ctx.ctrl_send(self.to, Bytes::from_static(b"hi"));
             }
             fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut net = Network::new(1);
         let r = net.add_node(CtrlEcho { got: Vec::new() });
@@ -1388,12 +1329,6 @@ mod tests {
             fn on_timer(&mut self, token: u64, _: &mut NodeCtx) {
                 self.0.push(token);
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut net = Network::new(5);
         let t = net.add_node(Timers(Vec::new()));
@@ -1437,12 +1372,6 @@ mod tests {
                 self.fired.push(ctx.now());
             }
             fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let near = SimTime::from_nanos(u64::MAX - 10);
         let mut net = Network::new(1);
@@ -1566,12 +1495,6 @@ mod tests {
                 self.resets += 1;
                 self.at.push(ctx.now());
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut net = Network::new(1);
         let r = net.add_node(Resettable {
@@ -1666,12 +1589,6 @@ mod tests {
             self.received.push((from, ctx.now()));
         }
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn chatter(to: NodeId, interval: SimTime, n: u32) -> CtrlChatter {

@@ -185,9 +185,23 @@ pub trait Node: Any + Send {
         "node"
     }
 
-    /// Downcast support (`&dyn Node → &T`).
-    fn as_any(&self) -> &dyn Any;
+    /// `self` as `&dyn Any`. [`crate::Network`] downcasts a node through
+    /// trait upcasting (`Node: Any`) and never calls this; it exists only
+    /// so that implementations that still define it (the frozen
+    /// `hbench/src/probes.rs`'s `Echo`) compile, and goes with ROADMAP
+    /// 1(b).
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 
-    /// Downcast support (`&mut dyn Node → &mut T`).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// `self` as `&mut dyn Any`; see [`Node::as_any`].
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }

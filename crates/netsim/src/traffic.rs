@@ -6,7 +6,6 @@
 
 use bytes::Bytes;
 use rand::Rng;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use netpkt::wire::Cursor;
@@ -364,14 +363,6 @@ impl Node for Generator {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A measuring sink: counts everything, recovers stamps for latency.
@@ -554,14 +545,6 @@ impl Node for Sink {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

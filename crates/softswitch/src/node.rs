@@ -25,7 +25,6 @@
 //! OF port `n`), which keeps the wiring in experiment topologies legible.
 
 use bytes::Bytes;
-use std::any::Any;
 use std::collections::HashMap;
 
 use netpkt::wire::Cursor;
@@ -165,7 +164,6 @@ pub struct SoftSwitchNode {
     spare: Vec<BatchResult>,
     /// Slots a burst started, recycled across [`Node::on_frames`] calls.
     started: Vec<usize>,
-    rx_dropped: u64,
     packet_ins_sent: u64,
     /// Bumped by every reset; stale service-completion timers carry the
     /// old generation and are ignored.
@@ -216,7 +214,6 @@ impl SoftSwitchNode {
             batch: FrameBatch::new(),
             spare: Vec::new(),
             started: Vec::new(),
-            rx_dropped: 0,
             packet_ins_sent: 0,
             svc_gen: 0,
             resets: 0,
@@ -347,7 +344,7 @@ impl SoftSwitchNode {
 
     /// Frames tail-dropped at the RX queue (CPU overload).
     pub fn rx_dropped(&self) -> u64 {
-        self.rx_dropped
+        self.sq.drops()
     }
 
     /// Packet-in messages sent to the controller so far. Part of the
@@ -561,8 +558,7 @@ impl Node for SoftSwitchNode {
     fn on_packet(&mut self, port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
         match self.submit_rx(u32::from(port.0), frame) {
             Submit::Start(slot) => self.start_service(slot, ctx),
-            Submit::Queued => {}
-            Submit::Dropped => self.rx_dropped += 1,
+            Submit::Queued | Submit::Dropped => {}
         }
     }
 
@@ -575,8 +571,7 @@ impl Node for SoftSwitchNode {
         for (port, frame) in frames {
             match self.submit_rx(u32::from(port.0), frame) {
                 Submit::Start(slot) => started.push(slot),
-                Submit::Queued => {}
-                Submit::Dropped => self.rx_dropped += 1,
+                Submit::Queued | Submit::Dropped => {}
             }
         }
         for slot in started.drain(..) {
@@ -686,7 +681,7 @@ impl Node for SoftSwitchNode {
         // convergence evidence in cache-less pipeline modes.
         Some(
             self.dp.quiescence()
-                + self.rx_dropped
+                + self.sq.drops()
                 + self.resets
                 + self.packet_ins_sent
                 + self.ctrl_failures
@@ -702,14 +697,6 @@ impl Node for SoftSwitchNode {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1002,12 +989,6 @@ mod tests {
                     ctx.ctrl_send(from, m);
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

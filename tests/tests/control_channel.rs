@@ -3,8 +3,6 @@
 //! (`openflow::Session`), and however the transport cuts the byte stream,
 //! each end must see the same messages and answer the same way.
 
-use std::any::Any;
-
 use bytes::Bytes;
 use controller::ControllerNode;
 use netsim::{Network, Node, NodeCtx, NodeId, PortId, SimTime};
@@ -20,12 +18,6 @@ impl Node for Recorder {
     fn on_packet(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut NodeCtx) {}
     fn on_ctrl(&mut self, _from: NodeId, data: Bytes, _ctx: &mut NodeCtx) {
         self.0.push(data);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

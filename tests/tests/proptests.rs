@@ -2434,7 +2434,6 @@ proptest! {
 mod link_oracle {
     use bytes::Bytes;
     use netsim::{Node, NodeCtx, PortId, SimTime};
-    use std::any::Any;
 
     pub struct Sender {
         /// `(offer time, frame length)` in offer order.
@@ -2453,12 +2452,6 @@ mod link_oracle {
             ctx.transmit(PortId(0), Bytes::from(frame));
         }
         fn on_packet(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut NodeCtx) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[derive(Default)]
@@ -2471,12 +2464,6 @@ mod link_oracle {
         fn on_packet(&mut self, _port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
             let idx = u32::from_be_bytes(frame[..4].try_into().expect("four bytes"));
             self.arrivals.push((ctx.now().as_nanos(), idx));
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 }
