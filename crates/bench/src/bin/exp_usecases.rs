@@ -19,6 +19,7 @@ use harmless::instance::HarmlessSpec;
 use netsim::host::Host;
 use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
 use netsim::{Network, NodeId, PortId, SimTime};
+use std::any::Any;
 
 use bench::{jain_index, render_table};
 
@@ -209,7 +210,7 @@ fn pc() {
         c.for_each_switch(ctx, |apps, handle| {
             let pc = apps
                 .iter_mut()
-                .find_map(|a| a.as_any_mut().downcast_mut::<ParentalControl>())
+                .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<ParentalControl>())
                 .expect("app registered");
             pc.block(handle, ip(1), ip(3));
         });
@@ -223,7 +224,7 @@ fn pc() {
         c.for_each_switch(ctx, |apps, handle| {
             let pc = apps
                 .iter_mut()
-                .find_map(|a| a.as_any_mut().downcast_mut::<ParentalControl>())
+                .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<ParentalControl>())
                 .expect("app registered");
             pc.unblock(handle, ip(1), ip(3));
         });

@@ -47,7 +47,6 @@
 //! attachment table, and `FabricSpec`'s `arp_proxy` flag wires the
 //! whole thing up.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -300,10 +299,6 @@ impl App for ArpProxy {
         self.answered += 1;
         sw.packet_out(ev.in_port, builder::arp_reply(&repr, mac));
         PacketInVerdict::Consumed
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

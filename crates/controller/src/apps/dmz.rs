@@ -6,8 +6,7 @@
 //! stage in table 1, ARP is allowed (hosts must resolve each other), and
 //! all remaining IP traffic drops.
 
-use std::any::Any;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use openflow::message::FlowMod;
@@ -17,8 +16,9 @@ use crate::node::{App, SwitchHandle};
 
 /// The DMZ policy app.
 pub struct Dmz {
-    /// Bidirectionally permitted `(a, b)` pairs.
-    allowed: HashSet<(Ipv4Addr, Ipv4Addr)>,
+    /// Bidirectionally permitted `(a, b)` pairs. Ordered: the handshake
+    /// installs them in iteration order, which must not vary between runs.
+    allowed: BTreeSet<(Ipv4Addr, Ipv4Addr)>,
     /// True once the base rules are installed (used to apply runtime
     /// changes incrementally).
     installed: bool,
@@ -27,7 +27,7 @@ pub struct Dmz {
 impl Dmz {
     /// Build a policy from allowed (bidirectional) pairs.
     pub fn new(pairs: &[(Ipv4Addr, Ipv4Addr)]) -> Dmz {
-        let mut allowed = HashSet::new();
+        let mut allowed = BTreeSet::new();
         for &(a, b) in pairs {
             allowed.insert((a, b));
             allowed.insert((b, a));
@@ -97,10 +97,6 @@ impl App for Dmz {
         sw.barrier();
         self.installed = true;
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Render the policy as the flow-table rows shown in Fig. 1 (for the demo
@@ -115,4 +111,24 @@ pub fn render_policy(dmz: &Dmz) -> Vec<String> {
     rows.push("prio=50  arp -> goto L2".into());
     rows.push("prio=10  ip  -> drop (default deny)".into());
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{test_handle, Outbox};
+
+    #[test]
+    fn handshake_rules_do_not_depend_on_insertion_order() {
+        let pairs: Vec<_> = (1..=12)
+            .map(|i| (Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 0, 1, 13 - i)))
+            .collect();
+        let reversed: Vec<_> = pairs.iter().rev().copied().collect();
+        let handshake = |pairs: &[(Ipv4Addr, Ipv4Addr)]| {
+            let mut q = Outbox::default();
+            Dmz::new(pairs).on_switch_ready(&mut test_handle(1, &mut q));
+            q.buf
+        };
+        assert_eq!(handshake(&pairs), handshake(&reversed));
+    }
 }

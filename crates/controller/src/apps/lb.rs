@@ -9,7 +9,6 @@
 //! Each bucket's rule rewrites the destination MAC/IP to one backend and
 //! forwards to its port; return traffic is rewritten back to the VIP.
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use netpkt::{builder, MacAddr};
@@ -151,9 +150,5 @@ impl App for LoadBalancer {
         // the same punt to learn the requester's port, exactly as before
         // the verdict chain existed.
         PacketInVerdict::Continue
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -1,7 +1,6 @@
 //! Reactive L2 learning switch — the canonical OpenFlow app, and the
 //! forwarding stage the policy apps chain to.
 
-use std::any::Any;
 use std::collections::HashMap;
 
 use netpkt::MacAddr;
@@ -104,9 +103,5 @@ impl App for LearningSwitch {
         // Learning is a terminal forwarding stage, but policy apps may
         // still want to observe the event — leave the chain open.
         PacketInVerdict::Continue
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

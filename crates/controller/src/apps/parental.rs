@@ -6,8 +6,7 @@
 //! goto-learning default, so they apply instantly and can be added or
 //! removed mid-run without touching the forwarding state.
 
-use std::any::Any;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use openflow::message::FlowMod;
@@ -17,8 +16,10 @@ use crate::node::{App, SwitchHandle};
 
 /// The parental-control app.
 pub struct ParentalControl {
-    /// Active `(user, blocked destination)` rules.
-    blocked: HashSet<(Ipv4Addr, Ipv4Addr)>,
+    /// Active `(user, blocked destination)` rules. Ordered: the
+    /// handshake installs them in iteration order, which must not vary
+    /// between runs.
+    blocked: BTreeSet<(Ipv4Addr, Ipv4Addr)>,
     installed: bool,
     blocks_installed: u64,
     unblocks_installed: u64,
@@ -90,8 +91,24 @@ impl App for ParentalControl {
         sw.barrier();
         self.installed = true;
     }
+}
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{test_handle, Outbox};
+
+    #[test]
+    fn handshake_rules_do_not_depend_on_insertion_order() {
+        let pairs: Vec<_> = (1..=12)
+            .map(|i| (Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 0, 1, 13 - i)))
+            .collect();
+        let reversed: Vec<_> = pairs.iter().rev().copied().collect();
+        let handshake = |pairs: &[(Ipv4Addr, Ipv4Addr)]| {
+            let mut q = Outbox::default();
+            ParentalControl::new(pairs).on_switch_ready(&mut test_handle(1, &mut q));
+            q.buf
+        };
+        assert_eq!(handshake(&pairs), handshake(&reversed));
     }
 }

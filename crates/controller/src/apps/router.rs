@@ -35,7 +35,6 @@
 //! deletes before adds, handshake rewinds the push watermark and skips
 //! deletes into a fresh table.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -301,10 +300,6 @@ impl App for Router {
         // Configs set (or replaced) after a datapath's handshake catch
         // up here.
         self.sync_switch(sw);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

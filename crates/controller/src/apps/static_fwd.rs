@@ -2,8 +2,6 @@
 //! handshake time. The throughput/latency experiments use this so the
 //! controller never sits in the steady-state path.
 
-use std::any::Any;
-
 use openflow::message::FlowMod;
 use openflow::{Action, Match};
 
@@ -42,10 +40,6 @@ impl App for StaticForwarder {
             );
         }
         sw.barrier();
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

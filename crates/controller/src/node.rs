@@ -219,8 +219,9 @@ pub enum PacketInVerdict {
 ///
 /// Apps must be [`Send`] because the controller node (like every
 /// [`netsim::Node`]) can be moved onto a worker thread by the sharded
-/// simulator; only one thread ever touches an app at a time.
-pub trait App: 'static + Send {
+/// simulator; only one thread ever touches an app at a time. They are
+/// [`Any`] so that [`ControllerNode::app_mut`] can downcast them.
+pub trait App: Any + Send {
     /// Name for diagnostics.
     fn name(&self) -> &str;
 
@@ -247,9 +248,6 @@ pub trait App: 'static + Send {
     /// Periodic tick from the controller (1 s period), for apps that need
     /// to reissue rules or poll stats.
     fn on_tick(&mut self, _sw: &mut SwitchHandle) {}
-
-    /// Downcast support for tests and experiment drivers.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A switch message the apps get to see, as the [`App`] callback it
@@ -395,7 +393,7 @@ impl ControllerNode {
     pub fn app_mut<T: App>(&mut self) -> Option<&mut T> {
         self.apps
             .iter_mut()
-            .find_map(|a| a.as_any_mut().downcast_mut::<T>())
+            .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// Run `f` against every connected, ready switch — used with
@@ -631,9 +629,6 @@ mod tests {
             self.seen += 1;
             self.verdict
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Second app in the chain: counts what reaches it.
@@ -647,9 +642,6 @@ mod tests {
         fn on_packet_in(&mut self, _sw: &mut SwitchHandle, _ev: &PacketInEvent) -> PacketInVerdict {
             self.seen += 1;
             PacketInVerdict::Continue
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

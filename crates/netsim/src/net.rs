@@ -224,13 +224,14 @@ impl Network {
     /// Run shards on `n` worker threads. `n == 0` auto-detects via
     /// [`std::thread::available_parallelism`] and is meant for
     /// multi-core hosts: it takes every CPU it is shown whether or not
-    /// the windows hold enough events to pay for the barriers (ledger,
-    /// `netloop/fabric_4x16` on a two-vCPU box: 1.58 M events/s at
-    /// `sharded_t1`, 0.27 M at `sharded_tauto`); pass 1 where in
-    /// doubt. The thread count never changes simulation results — only
-    /// wall-clock time. With a resolved count of 1 the shards run
-    /// interleaved on the calling thread, windows and barriers
-    /// included, so `--threads 1` and `--threads 8` are bit-identical.
+    /// the windows hold enough events to pay for the barriers (compare
+    /// the ledger rows `netloop/fabric_4x16/sharded_t1` and
+    /// `netloop/fabric_4x16/sharded_tauto` of a two-vCPU box); pass 1
+    /// where in doubt. The thread count never changes simulation
+    /// results — only wall-clock time. With a resolved count of 1 the
+    /// shards run interleaved on the calling thread, windows and
+    /// barriers included, so `--threads 1` and `--threads 8` are
+    /// bit-identical.
     ///
     /// For counts above 1 this is where the persistent worker pool is
     /// (re)created: workers spawn here, park between runs and windows,
@@ -1019,35 +1020,6 @@ mod tests {
         let c = net.add_node(pinger(0, SimTime::ZERO));
         net.connect(a, PortId(0), b, PortId(0), LinkSpec::gigabit());
         net.connect(a, PortId(0), c, PortId(0), LinkSpec::gigabit());
-    }
-
-    #[test]
-    fn same_instant_frames_coalesce_into_one_burst() {
-        struct Burst {
-            bursts: Vec<Vec<u16>>,
-        }
-        impl Node for Burst {
-            fn on_packet(&mut self, port: PortId, _f: Bytes, _ctx: &mut NodeCtx) {
-                self.bursts.push(vec![port.0]);
-            }
-            fn on_frames(&mut self, frames: Vec<(PortId, Bytes)>, _ctx: &mut NodeCtx) {
-                self.bursts.push(frames.iter().map(|(p, _)| p.0).collect());
-            }
-        }
-        let mut net = Network::new(1);
-        let b = net.add_node(Burst { bursts: Vec::new() });
-        for port in [3u16, 1, 2] {
-            net.inject(b, PortId(port), Bytes::from_static(b"x"));
-        }
-        net.run_until_idle();
-        // All three same-instant frames arrive as one burst, in
-        // submission order.
-        assert_eq!(net.node_ref::<Burst>(b).bursts, vec![vec![3, 1, 2]]);
-        assert_eq!(net.events_processed(), 3, "coalesced events still count");
-        // A frame at a later instant arrives alone, via on_packet.
-        net.inject(b, PortId(9), Bytes::from_static(b"y"));
-        net.run_until_idle();
-        assert_eq!(net.node_ref::<Burst>(b).bursts.last().unwrap(), &vec![9]);
     }
 
     #[test]

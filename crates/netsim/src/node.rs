@@ -119,18 +119,6 @@ pub trait Node: Any + Send {
     /// A frame arrived on `port`.
     fn on_packet(&mut self, port: PortId, frame: Bytes, ctx: &mut NodeCtx);
 
-    /// A burst of frames arrived back-to-back (same simulated instant,
-    /// possibly on different ports). The default forwards each frame to
-    /// [`Node::on_packet`] in arrival order, which is exactly what the
-    /// per-frame delivery used to do; devices with a batch-capable fast
-    /// path (the software switch) override this to hand the whole burst
-    /// to their datapath at once.
-    fn on_frames(&mut self, frames: Vec<(PortId, Bytes)>, ctx: &mut NodeCtx) {
-        for (port, frame) in frames {
-            self.on_packet(port, frame, ctx);
-        }
-    }
-
     /// A timer scheduled with [`NodeCtx::schedule`] fired.
     fn on_timer(&mut self, _token: u64, _ctx: &mut NodeCtx) {}
 

@@ -48,9 +48,9 @@ pub enum Submit {
 ///   waits in that slot's private ring. Per-flow FIFO order is then
 ///   guaranteed, since one flow only ever visits one slot.
 ///
-/// When a slot refills ([`absorb_queued`](ServiceQueue::absorb_queued)
-/// / [`start_queued_batch`](ServiceQueue::start_queued_batch)) it
-/// drains its private ring before the shared queue, so both
+/// A slot refilled by
+/// [`start_queued_batch`](ServiceQueue::start_queued_batch) drains
+/// its private ring before the shared queue, so both
 /// disciplines can be mixed. With one server and only `submit_to(0,
 /// ..)` submissions, behaviour is identical to `submit` — the ring is
 /// just the shared queue under another name.
@@ -62,12 +62,8 @@ pub struct ServiceQueue<T> {
     queue: VecDeque<T>,
     /// Per-slot steering rings for `submit_to`.
     rings: Vec<VecDeque<T>>,
-    /// Items waiting in `queue` and all `rings` together.
-    waiting: usize,
     capacity: usize,
     drops: u64,
-    completed: u64,
-    max_queue_len: usize,
 }
 
 impl<T> ServiceQueue<T> {
@@ -78,11 +74,8 @@ impl<T> ServiceQueue<T> {
             slots: (0..servers).map(|_| Vec::new()).collect(),
             queue: VecDeque::new(),
             rings: (0..servers).map(|_| VecDeque::new()).collect(),
-            waiting: 0,
             capacity,
             drops: 0,
-            completed: 0,
-            max_queue_len: 0,
         }
     }
 
@@ -93,9 +86,9 @@ impl<T> ServiceQueue<T> {
 
     /// Drop everything in flight: the waiting queues (shared and
     /// per-slot) and every in-service batch (a device power cycle).
-    /// Counters survive — they model the observer, not the device.
-    /// Completion timers for the flushed batches may still fire;
-    /// callers must treat a completion on an idle slot as stale.
+    /// The drop counter survives — it models the observer, not the
+    /// device. Completion timers for the flushed batches may still
+    /// fire; callers must recognise them as stale.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
             s.clear();
@@ -104,7 +97,6 @@ impl<T> ServiceQueue<T> {
             r.clear();
         }
         self.queue.clear();
-        self.waiting = 0;
     }
 
     /// Offer an item for service.
@@ -118,7 +110,6 @@ impl<T> ServiceQueue<T> {
             return Submit::Dropped;
         }
         self.queue.push_back(item);
-        self.note_waiting();
         Submit::Queued
     }
 
@@ -137,25 +128,7 @@ impl<T> ServiceQueue<T> {
             return Submit::Dropped;
         }
         self.rings[slot].push_back(item);
-        self.note_waiting();
         Submit::Queued
-    }
-
-    /// One more item waits; track the high-water mark.
-    fn note_waiting(&mut self) {
-        self.waiting += 1;
-        self.max_queue_len = self.max_queue_len.max(self.waiting);
-    }
-
-    /// Move up to `max` waiting items into `slot` — its own steering
-    /// ring first, then the shared queue. Returns how many moved.
-    fn pull(&mut self, slot: usize, max: usize) -> usize {
-        let from_ring = max.min(self.rings[slot].len());
-        self.slots[slot].extend(self.rings[slot].drain(..from_ring));
-        let from_shared = (max - from_ring).min(self.queue.len());
-        self.slots[slot].extend(self.queue.drain(..from_shared));
-        self.waiting -= from_ring + from_shared;
-        from_ring + from_shared
     }
 
     /// The whole batch currently served in `slot` (empty slice = idle).
@@ -170,18 +143,6 @@ impl<T> ServiceQueue<T> {
         &mut self.slots[slot]
     }
 
-    /// Move up to `extra` queued items into the batch already started in
-    /// `slot` (before its completion timer is scheduled) — the slot's
-    /// own steering ring first, then the shared queue. Returns how
-    /// many items were absorbed.
-    ///
-    /// # Panics
-    /// Panics if the slot is idle — there is no service period to join.
-    pub fn absorb_queued(&mut self, slot: usize, extra: usize) -> usize {
-        assert!(!self.slots[slot].is_empty(), "absorb into idle slot");
-        self.pull(slot, extra)
-    }
-
     /// Finish the batch in `slot`: its items are dropped in place and the
     /// slot becomes idle. Read them with [`ServiceQueue::batch`] first.
     ///
@@ -190,7 +151,6 @@ impl<T> ServiceQueue<T> {
     pub fn finish(&mut self, slot: usize) {
         let items = &mut self.slots[slot];
         assert!(!items.is_empty(), "finish on idle slot");
-        self.completed += items.len() as u64;
         items.clear();
     }
 
@@ -203,42 +163,16 @@ impl<T> ServiceQueue<T> {
         if !self.slots[slot].is_empty() {
             return 0;
         }
-        self.pull(slot, max)
-    }
-
-    /// Credit `n` items as served without passing through the queue.
-    ///
-    /// The flow-level engine calls this when a cache-resident flow's
-    /// frames are advanced analytically: the device never sees them, but
-    /// its throughput counters should read as if it had.
-    pub fn credit_modeled(&mut self, n: u64) {
-        self.completed += n;
+        let from_ring = max.min(self.rings[slot].len());
+        self.slots[slot].extend(self.rings[slot].drain(..from_ring));
+        let from_shared = (max - from_ring).min(self.queue.len());
+        self.slots[slot].extend(self.queue.drain(..from_shared));
+        from_ring + from_shared
     }
 
     /// Items dropped because the waiting room was full.
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Items that completed service.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// High-water mark of the waiting room.
-    pub fn max_queue_len(&self) -> usize {
-        self.max_queue_len
-    }
-
-    /// Items currently waiting (not in service), across the shared
-    /// queue and all steering rings.
-    pub fn queue_len(&self) -> usize {
-        self.waiting
-    }
-
-    /// Number of busy servers.
-    pub fn busy(&self) -> usize {
-        self.slots.iter().filter(|s| !s.is_empty()).count()
     }
 }
 
@@ -269,8 +203,7 @@ mod tests {
         assert_eq!(sq.start_queued_batch(0, 1), 1);
         assert_eq!(take(&mut sq, 0), vec![3]);
         assert_eq!(sq.start_queued_batch(0, 1), 0);
-        assert_eq!(sq.completed(), 3);
-        assert_eq!(sq.max_queue_len(), 2);
+        assert_eq!(sq.drops(), 1);
     }
 
     #[test]
@@ -279,10 +212,10 @@ mod tests {
         assert_eq!(sq.submit(1), Submit::Start(0));
         assert_eq!(sq.submit(2), Submit::Start(1));
         assert_eq!(sq.submit(3), Submit::Start(2));
-        assert_eq!(sq.busy(), 3);
         assert_eq!(sq.submit(4), Submit::Dropped);
-        take(&mut sq, 1);
+        assert_eq!(take(&mut sq, 1), vec![2]);
         assert_eq!(sq.submit(5), Submit::Start(1));
+        assert_eq!([sq.batch(0), sq.batch(1), sq.batch(2)], [&[1], &[5], &[3]]);
     }
 
     #[test]
@@ -301,22 +234,7 @@ mod tests {
         assert_eq!(take(&mut sq, 0), vec![2, 3, 4, 5]);
         assert_eq!(sq.start_queued_batch(0, 100), 4);
         assert_eq!(take(&mut sq, 0), vec![6, 7, 8, 9]);
-        assert_eq!(sq.completed(), 9);
-    }
-
-    #[test]
-    fn absorb_extends_a_started_batch() {
-        let mut sq: ServiceQueue<u32> = ServiceQueue::new(1, 16);
-        assert_eq!(sq.submit(1), Submit::Start(0));
-        assert_eq!(sq.submit(2), Submit::Queued);
-        assert_eq!(sq.submit(3), Submit::Queued);
-        assert_eq!(sq.submit(4), Submit::Queued);
-        assert_eq!(sq.absorb_queued(0, 2), 2);
-        assert_eq!(sq.batch(0), &[1, 2, 3]);
-        assert_eq!(sq.queue_len(), 1);
-        // Absorbing more than is queued takes what exists.
-        assert_eq!(sq.absorb_queued(0, 10), 1);
-        assert_eq!(take(&mut sq, 0), vec![1, 2, 3, 4]);
+        assert_eq!(sq.start_queued_batch(0, 100), 0);
     }
 
     #[test]
@@ -335,8 +253,8 @@ mod tests {
             "refill order must match"
         );
         assert_eq!(take(&mut a, 0), take(&mut b, 0));
-        assert_eq!(a.queue_len(), b.queue_len());
-        assert_eq!(a.max_queue_len(), b.max_queue_len());
+        assert_eq!(a.start_queued_batch(0, 8), 0);
+        assert_eq!(b.start_queued_batch(0, 8), 0);
     }
 
     #[test]
@@ -348,7 +266,6 @@ mod tests {
         assert_eq!(sq.submit_to(0, 11), Submit::Queued);
         assert_eq!(sq.submit_to(1, 21), Submit::Queued);
         assert_eq!(sq.submit_to(0, 12), Submit::Queued);
-        assert_eq!(sq.queue_len(), 3);
         // Slot 0 finishes: its refill sees only its own flow, in order.
         assert_eq!(take(&mut sq, 0), vec![10]);
         assert_eq!(sq.start_queued_batch(0, 8), 2);
@@ -366,10 +283,12 @@ mod tests {
         assert_eq!(sq.submit_to(0, 2), Submit::Queued);
         assert_eq!(sq.submit_to(0, 3), Submit::Queued);
         assert_eq!(sq.submit_to(0, 4), Submit::Dropped, "ring bounded");
+        assert_eq!(sq.drops(), 1);
         // A shared-queue item waits behind the steered ones.
         assert_eq!(sq.submit(99), Submit::Queued);
-        assert_eq!(sq.absorb_queued(0, 10), 3);
-        assert_eq!(take(&mut sq, 0), vec![1, 2, 3, 99]);
+        assert_eq!(take(&mut sq, 0), vec![1]);
+        assert_eq!(sq.start_queued_batch(0, 10), 3);
+        assert_eq!(take(&mut sq, 0), vec![2, 3, 99]);
         // An idle slot whose ring holds items must not let a newcomer
         // jump the line.
         assert_eq!(sq.submit_to(0, 5), Submit::Start(0));
@@ -387,9 +306,12 @@ mod tests {
         sq.submit_to(0, 2);
         sq.submit_to(1, 3);
         sq.clear();
-        assert_eq!(sq.queue_len(), 0);
-        assert_eq!(sq.busy(), 0);
         assert_eq!(sq.servers(), 2);
+        for slot in 0..2 {
+            assert!(sq.batch(slot).is_empty(), "slot {slot} idle");
+            assert_eq!(sq.start_queued_batch(slot, 8), 0, "ring {slot} empty");
+        }
+        assert_eq!(sq.submit_to(0, 4), Submit::Start(0));
     }
 
     #[test]
@@ -397,12 +319,5 @@ mod tests {
     fn finish_idle_slot_panics() {
         let mut sq: ServiceQueue<u32> = ServiceQueue::new(1, 1);
         sq.finish(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "idle slot")]
-    fn absorb_into_idle_slot_panics() {
-        let mut sq: ServiceQueue<u32> = ServiceQueue::new(1, 1);
-        sq.absorb_queued(0, 1);
     }
 }

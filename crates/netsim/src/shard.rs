@@ -342,10 +342,6 @@ impl EventQueue {
         }
     }
 
-    pub fn pop(&mut self) -> Option<Sched> {
-        self.pop_if(|_| true)
-    }
-
     /// Pop the event due next if `due` says its time has come.
     pub fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<Sched> {
         let near = self.near_is_next();
@@ -444,7 +440,7 @@ pub(crate) struct Shard {
     pub rng: StdRng,
     pub unconnected_drops: u64,
     pub events_processed: u64,
-    /// Frames actually handed to a node's `on_packet`/`on_frames` — the
+    /// Frames actually handed to a node's `on_packet` — the
     /// packet-level delivery volume the flow-level engine compares its
     /// modeled volume against.
     pub delivered_frames: u64,
@@ -641,56 +637,6 @@ impl Shard {
         }
     }
 
-    /// Deliver a frame plus any immediately following same-instant
-    /// deliveries for the same node as one burst. Coalescing only merges
-    /// events that would have been processed back-to-back anyway (they
-    /// are adjacent in `(time, seq)` order), so per-port FIFO order,
-    /// action ordering and determinism are untouched; nodes that do not
-    /// override [`Node::on_frames`] see the exact per-frame callbacks
-    /// they always did. Same-instant events never straddle a window
-    /// horizon, so coalescing is also shard-safe.
-    fn deliver_burst(&mut self, node: u32, port: PortId, frame: Bytes, env: &Env) {
-        if !self.deliver_follows(node) {
-            self.delivered_frames += 1;
-            self.delivered_bytes += frame.len() as u64;
-            self.dispatch(node, env, |n, ctx| n.on_packet(port, frame, ctx));
-            return;
-        }
-        let mut frames = vec![(port, frame)];
-        while self.deliver_follows(node) {
-            let Some(Sched {
-                ev: Ev::Deliver { port, frame, .. },
-                ..
-            }) = self.queue.pop()
-            else {
-                unreachable!("peeked event was a Deliver");
-            };
-            self.events_processed += 1;
-            if self.ingress_down(node, port) {
-                self.blackholed_in_flight += 1;
-                continue;
-            }
-            frames.push((port, frame));
-        }
-        self.delivered_frames += frames.len() as u64;
-        self.delivered_bytes += frames.iter().map(|(_, f)| f.len() as u64).sum::<u64>();
-        if frames.len() == 1 {
-            let (port, frame) = frames.pop().expect("exactly one frame");
-            self.dispatch(node, env, |n, ctx| n.on_packet(port, frame, ctx));
-        } else {
-            self.dispatch(node, env, |n, ctx| n.on_frames(frames, ctx));
-        }
-    }
-
-    /// True when the next queued event is a same-instant `Deliver` for
-    /// `node`.
-    fn deliver_follows(&self, node: u32) -> bool {
-        matches!(
-            self.queue.peek(),
-            Some(Sched { at, ev: Ev::Deliver { node: n, .. }, .. }) if *at == self.now && *n == node
-        )
-    }
-
     /// True when the link into `(node, port)` is down on arrival. The
     /// transmitting direction is owned by the sender's shard, so the
     /// check uses the receiver's *own* egress channel on the same port —
@@ -708,7 +654,9 @@ impl Shard {
                     self.blackholed_in_flight += 1;
                     return;
                 }
-                self.deliver_burst(node, port, frame, env);
+                self.delivered_frames += 1;
+                self.delivered_bytes += frame.len() as u64;
+                self.dispatch(node, env, |n, ctx| n.on_packet(port, frame, ctx));
             }
             Ev::Timer { node, token } => {
                 self.dispatch(node, env, |n, ctx| n.on_timer(token, ctx));
@@ -981,7 +929,7 @@ mod tests {
                     5 => (0..NEAR_RUN as u64 + 1 + arg).for_each(|_| push(&mut q, &mut model, 1_000 + arg)),
                     6 => push(&mut q, &mut model, arg),
                     7 | 8 => {
-                        let got = q.pop().map(|s| (s.key(), matches!(s.ev, Ev::Timer { token, .. } if token == s.seq)));
+                        let got = q.pop_if(|_| true).map(|s| (s.key(), matches!(s.ev, Ev::Timer { token, .. } if token == s.seq)));
                         prop_assert_eq!(got, model.pop().map(|Reverse(key)| (key, true)));
                     }
                     9 => {

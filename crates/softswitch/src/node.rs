@@ -2,17 +2,19 @@
 //! queue in front of the pipeline, an [`OfAgent`] on the control plane,
 //! and periodic flow expiry.
 //!
-//! Packet service is batched: when frames back up behind the workers —
-//! a same-instant burst or an RX queue that filled while a core was
-//! busy — a worker drains up to [`SoftSwitchNode::batch_size`] of them
-//! into one service period and runs them through
-//! [`Datapath::process_batch_into`]. A frame's service time is the same
-//! in a batch as alone (every frame pays its own cache probe); the
-//! period lasts the sum of them and its outputs leave together. Under
-//! light load every frame gets a service period, and a batch, of its
-//! own. The drain buffer and the result arena are owned by the node and
-//! recycled across service periods, so steady-state service allocates
-//! nothing.
+//! Packet service is batched the way a poll-mode core batches: a frame
+//! that finds its core idle starts a service period of its own; frames
+//! that arrive while the core is busy wait in the RX ring, and when the
+//! period ends the core drains up to [`SoftSwitchNode::batch_size`] of
+//! them into the next one and runs them through
+//! [`Datapath::process_batch_into`]. Frames that land at one instant on
+//! an idle core are therefore served as the first alone, then the rest
+//! as one batch. A frame's service time is the same in a batch as alone
+//! (every frame pays its own cache probe); the period lasts the sum of
+//! them and its outputs leave together. Under light load every frame
+//! gets a service period, and a batch, of its own. The drain buffer and
+//! each slot's result arena are owned by the node and recycled across
+//! service periods, so steady-state service allocates nothing.
 //!
 //! With [`SoftSwitchNode::with_datapath_cores`] the RX path switches
 //! from shared-queue work conservation to RSS-style flow steering:
@@ -118,10 +120,6 @@ struct Work {
     frame: Bytes,
 }
 
-struct Finished {
-    result: BatchResult,
-}
-
 /// A software switch attached to the simulator.
 pub struct SoftSwitchNode {
     name: String,
@@ -150,7 +148,9 @@ pub struct SoftSwitchNode {
     /// MAC-learning table of the fail-standalone fallback bridge.
     fallback_macs: HashMap<MacAddr, u32>,
     sq: ServiceQueue<Work>,
-    in_service: Vec<Option<Finished>>,
+    /// Each service slot's result arena: the outputs of the batch it
+    /// serves, held until the period's completion timer fires.
+    results: Vec<BatchResult>,
     batch_size: usize,
     /// RX ring depth, kept so [`Self::with_datapath_cores`] can rebuild
     /// the service queue with the same tail-drop bound.
@@ -160,10 +160,6 @@ pub struct SoftSwitchNode {
     steered: bool,
     /// Drain buffer reused across service periods.
     batch: FrameBatch,
-    /// Emitted result arenas recycled across service periods.
-    spare: Vec<BatchResult>,
-    /// Slots a burst started, recycled across [`Node::on_frames`] calls.
-    started: Vec<usize>,
     packet_ins_sent: u64,
     /// Bumped by every reset; stale service-completion timers carry the
     /// old generation and are ignored.
@@ -207,13 +203,11 @@ impl SoftSwitchNode {
             secure_dropped: 0,
             fallback_macs: HashMap::new(),
             sq: ServiceQueue::new(cores, rx_queue),
-            in_service: (0..cores).map(|_| None).collect(),
+            results: (0..cores).map(|_| BatchResult::default()).collect(),
             batch_size: DEFAULT_BATCH_SIZE,
             rx_queue,
             steered: false,
             batch: FrameBatch::new(),
-            spare: Vec::new(),
-            started: Vec::new(),
             packet_ins_sent: 0,
             svc_gen: 0,
             resets: 0,
@@ -245,7 +239,7 @@ impl SoftSwitchNode {
     pub fn with_datapath_cores(mut self, n: usize) -> Self {
         let n = n.max(1);
         self.sq = ServiceQueue::new(n, self.rx_queue);
-        self.in_service = (0..n).map(|_| None).collect();
+        self.results = (0..n).map(|_| BatchResult::default()).collect();
         self.steered = true;
         self
     }
@@ -357,8 +351,9 @@ impl SoftSwitchNode {
     fn start_service(&mut self, slot: usize, ctx: &mut NodeCtx) {
         // Process the whole drained batch immediately to learn its cost,
         // hold the results until the (summed) service time elapses. The
-        // drain buffer and the result arena are recycled from previous
-        // periods — a steady-state period performs no allocations here.
+        // drain buffer and the slot's result arena are recycled from
+        // previous periods — a steady-state period performs no
+        // allocations here.
         // The frames are moved out of the slot, not cloned: the slot
         // only counts its items from here on, and a datapath that is
         // the frame's sole holder may rewrite it in place.
@@ -366,9 +361,9 @@ impl SoftSwitchNode {
         for w in self.sq.batch_mut(slot) {
             self.batch.push(w.in_port, std::mem::take(&mut w.frame));
         }
-        let mut result = self.spare.pop().unwrap_or_default();
+        let result = &mut self.results[slot];
         self.dp
-            .process_batch_into(&mut self.batch, ctx.now().as_nanos(), &mut result);
+            .process_batch_into(&mut self.batch, ctx.now().as_nanos(), result);
         let svc_ns: u64 = result
             .frames()
             .iter()
@@ -379,7 +374,6 @@ impl SoftSwitchNode {
                     .unwrap_or(100)
             })
             .sum();
-        self.in_service[slot] = Some(Finished { result });
         ctx.schedule(
             SimTime::from_nanos(svc_ns),
             TOKEN_SVC + (self.svc_gen << 16) + slot as u64,
@@ -499,7 +493,9 @@ impl SoftSwitchNode {
         }
     }
 
-    fn emit_result(&mut self, mut result: BatchResult, ctx: &mut NodeCtx) {
+    /// Emit the outputs and punts of the batch `slot` just finished.
+    fn emit_result(&mut self, slot: usize, ctx: &mut NodeCtx) {
+        let mut result = std::mem::take(&mut self.results[slot]);
         for i in 0..result.len() {
             for (port, frame) in result.take_outputs_of(i) {
                 ctx.transmit(PortId(port as u16), frame);
@@ -530,9 +526,9 @@ impl SoftSwitchNode {
                 }
             }
         }
-        // Recycle the arena for the next service period.
+        // Keep the arena for the slot's next service period.
         result.clear();
-        self.spare.push(result);
+        self.results[slot] = result;
     }
 
     /// Pick the service slot for a frame: its RSS flow hash when
@@ -562,26 +558,6 @@ impl Node for SoftSwitchNode {
         }
     }
 
-    fn on_frames(&mut self, frames: Vec<(PortId, Bytes)>, ctx: &mut NodeCtx) {
-        // Submit the whole burst first, then let each worker that came
-        // free absorb queued frames into its service period, so a
-        // same-instant burst is processed as one batch instead of N
-        // single-frame periods.
-        let mut started = std::mem::take(&mut self.started);
-        for (port, frame) in frames {
-            match self.submit_rx(u32::from(port.0), frame) {
-                Submit::Start(slot) => started.push(slot),
-                Submit::Queued | Submit::Dropped => {}
-            }
-        }
-        for slot in started.drain(..) {
-            let room = self.batch_size.saturating_sub(self.sq.batch(slot).len());
-            self.sq.absorb_queued(slot, room);
-            self.start_service(slot, ctx);
-        }
-        self.started = started;
-    }
-
     fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx) {
         if token >= TOKEN_CTRL {
             if token - TOKEN_CTRL == self.ctrl_gen {
@@ -606,15 +582,14 @@ impl Node for SoftSwitchNode {
             let v = token - TOKEN_SVC;
             // A completion from before the last reset is stale: its
             // batch was flushed by the power cycle and the slot may
-            // already serve post-reset work.
+            // already serve post-reset work. A current one always finds
+            // its slot busy.
             if (v >> 16) != self.svc_gen {
                 return;
             }
             let slot = (v & 0xFFFF) as usize;
-            if let Some(fin) = self.in_service[slot].take() {
-                self.sq.finish(slot);
-                self.emit_result(fin.result, ctx);
-            }
+            self.sq.finish(slot);
+            self.emit_result(slot, ctx);
             // Drain whatever backed up while this core was busy, as one
             // batched service period.
             if self.sq.start_queued_batch(slot, self.batch_size) > 0 {
@@ -632,9 +607,6 @@ impl Node for SoftSwitchNode {
         self.svc_gen += 1;
         self.dp.reset_tables();
         self.sq.clear();
-        for slot in &mut self.in_service {
-            *slot = None;
-        }
         self.agent = OfAgent::new(self.name.clone());
         self.link = LinkState::Idle;
         self.backoff = self.backoff_base;
@@ -691,7 +663,6 @@ impl Node for SoftSwitchNode {
     }
 
     fn credit_modeled(&mut self, frames: u64, _bytes: u64) {
-        self.sq.credit_modeled(frames);
         self.dp.credit_modeled(frames);
     }
 
@@ -761,8 +732,12 @@ mod tests {
         );
     }
 
+    /// A poll-mode core batches only its backlog: k frames that land at
+    /// one instant on an idle one-core switch are served as the first
+    /// alone, then the other k − 1 as one batch. Without batching they
+    /// take k service periods.
     #[test]
-    fn same_instant_burst_is_served_as_one_batch() {
+    fn same_instant_frames_are_served_alone_then_as_one_backlog_batch() {
         let frame = netpkt::builder::udp_packet(
             MacAddr::host(1),
             MacAddr::host(2),
@@ -772,7 +747,9 @@ mod tests {
             53,
             b"x",
         );
-        let run = |batch_size: usize| {
+        // Returns the frames the first service period carried and the
+        // number of service periods in all.
+        let run = |k: u64, batch_size: usize| {
             let mut net = Network::new(1);
             let mut sw = switch().with_batch_size(batch_size);
             sw.datapath_mut()
@@ -784,25 +761,23 @@ mod tests {
                     0,
                 )
                 .unwrap();
+            // Port 2 is left unconnected, so the only events besides
+            // the k deliveries are the completion timers, one per
+            // service period.
             let s = net.add_node(sw);
-            let sink = net.add_node(Sink::new("sink"));
-            net.connect(s, PortId(2), sink, PortId(0), LinkSpec::gigabit());
-            for _ in 0..8 {
+            for _ in 0..k {
                 net.inject(s, PortId(1), frame.clone());
             }
+            net.run_until(SimTime::ZERO);
+            let first = net.node_ref::<SoftSwitchNode>(s).datapath().stats().packets;
             net.run_until(SimTime::from_millis(1));
-            let stats = net.node_ref::<SoftSwitchNode>(s).datapath().stats();
-            let first_rx = net.node_ref::<Sink>(sink).first_rx().unwrap();
-            ((stats.packets, stats.micro_hits), first_rx)
+            assert_eq!(net.unconnected_drops(), k, "every frame was forwarded");
+            (first, net.events_processed() - k)
         };
-        // The lookups are the same either way — one walk, then the 7
-        // repeats of the flow hit the microflow cache —
-        let (batched, unbatched) = (run(16), run(1));
-        assert_eq!(batched.0, (8, 7));
-        assert_eq!(unbatched.0, (8, 7));
-        // but the batched burst is one service period: its first frame
-        // leaves with its last, behind all eight service times.
-        assert!(batched.1 > unbatched.1, "{batched:?} vs {unbatched:?}");
+        for k in [2, 8, 32] {
+            assert_eq!(run(k, DEFAULT_BATCH_SIZE), (1, 2), "k = {k}");
+            assert_eq!(run(k, 1), (1, k), "k = {k}, unbatched");
+        }
     }
 
     /// One steered core must be bit-identical to the default shared

@@ -14,6 +14,7 @@ use harmless::fabric::FabricSpec;
 use harmless::instance::HarmlessSpec;
 use netsim::host::Host;
 use netsim::{Network, NodeId, SimTime};
+use std::any::Any;
 use std::net::Ipv4Addr;
 
 fn ip(i: u16) -> Ipv4Addr {
@@ -83,7 +84,7 @@ fn main() {
         c.for_each_switch(ctx, |apps, handle| {
             let dmz = apps
                 .iter_mut()
-                .find_map(|a| a.as_any_mut().downcast_mut::<Dmz>())
+                .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<Dmz>())
                 .expect("dmz app");
             dmz.permit(handle, ip(5), ip(6));
             dmz.revoke(handle, ip(1), ip(2));

@@ -14,6 +14,7 @@ use harmless::fabric::FabricSpec;
 use harmless::instance::HarmlessSpec;
 use netsim::host::Host;
 use netsim::{Network, NodeId, SimTime};
+use std::any::Any;
 use std::net::Ipv4Addr;
 
 fn ip(i: u16) -> Ipv4Addr {
@@ -68,7 +69,7 @@ fn main() {
         c.for_each_switch(ctx, |apps, handle| {
             let pc = apps
                 .iter_mut()
-                .find_map(|a| a.as_any_mut().downcast_mut::<ParentalControl>())
+                .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<ParentalControl>())
                 .expect("parental-control app");
             pc.block(handle, ip(1), ip(3));
         });
@@ -86,7 +87,7 @@ fn main() {
         c.for_each_switch(ctx, |apps, handle| {
             let pc = apps
                 .iter_mut()
-                .find_map(|a| a.as_any_mut().downcast_mut::<ParentalControl>())
+                .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<ParentalControl>())
                 .expect("parental-control app");
             pc.unblock(handle, ip(1), ip(3));
         });

@@ -10,6 +10,7 @@ use netsim::host::Host;
 use netsim::{Network, NodeId, SimTime};
 use softswitch::node::admin_set_controller;
 use softswitch::SoftSwitchNode;
+use std::any::Any;
 use std::net::Ipv4Addr;
 
 fn ip(i: u16) -> Ipv4Addr {
@@ -116,7 +117,7 @@ fn dmz_runtime_policy_updates() {
         c.for_each_switch(ctx, |apps, handle| {
             let dmz = apps
                 .iter_mut()
-                .find_map(|a| a.as_any_mut().downcast_mut::<Dmz>())
+                .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<Dmz>())
                 .unwrap();
             dmz.permit(handle, ip(1), ip(3));
             dmz.revoke(handle, ip(1), ip(2));
@@ -159,7 +160,7 @@ fn parental_control_block_cycle() {
         c.for_each_switch(ctx, |apps, handle| {
             let pc = apps
                 .iter_mut()
-                .find_map(|a| a.as_any_mut().downcast_mut::<ParentalControl>())
+                .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<ParentalControl>())
                 .unwrap();
             pc.unblock(handle, ip(1), ip(4));
         });
