@@ -291,12 +291,10 @@ impl HarmlessInstance {
         u32::from(self.spec.n_access_ports + k)
     }
 
-    /// The legacy-switch trunk port that is VLAN `vlan`'s home. Each VLAN
-    /// lives on exactly one trunk (`vlan % n_trunks`), matching the
-    /// translator's upstream rule — two parallel trunks carrying the same
-    /// VLAN would form an L2 loop through the software switches.
+    /// The legacy-switch port of VLAN `vlan`'s
+    /// [`translator::home_trunk`].
     pub fn home_trunk_for(&self, vlan: u16) -> u16 {
-        self.spec.n_access_ports + 1 + (vlan % self.spec.n_trunks)
+        self.spec.n_access_ports + translator::home_trunk(vlan, self.spec.n_trunks)
     }
 
     /// Configure the legacy switch's VLANs directly (bypassing the SNMP
@@ -371,7 +369,7 @@ impl HarmlessInstance {
     /// VLAN-aware and HARMLESS-specific.
     pub fn merged_wiring_rule(&self, in_access: u16, out_access: u16) -> FlowMod {
         let out_vlan = self.map.vlan_of(out_access).expect("valid access port");
-        let trunk = 1 + (u32::from(out_vlan) % u32::from(self.spec.n_trunks));
+        let trunk = u32::from(translator::home_trunk(out_vlan, self.spec.n_trunks));
         FlowMod::add(1)
             .priority(10)
             .match_(Match::new().with(openflow::OxmField::Metadata(

@@ -231,11 +231,8 @@ impl HarmlessManager {
             .map
             .iter()
             .map(|(port, vid)| {
-                // Each VLAN lives on exactly one trunk (its "home"), the
-                // same one the translator's upstream rule picks — putting
-                // a VLAN on two trunks would form an L2 loop through the
-                // software switches.
-                let home_trunk = self.config.map.n_ports() + 1 + (vid % self.config.n_trunks);
+                let home_trunk =
+                    self.config.map.n_ports() + translator::home_trunk(vid, self.config.n_trunks);
                 VlanDef {
                     vid,
                     egress: vec![port, home_trunk],

@@ -23,9 +23,17 @@ pub fn patch_port(access_port: u16) -> u32 {
     PATCH_BASE + u32::from(access_port)
 }
 
+/// The trunk, numbered `1..=n_trunks`, that is VLAN `vlan`'s home:
+/// `1 + vlan % n_trunks`, which spreads VLANs over the trunks. Every
+/// VLAN lives on exactly one trunk — SS_1's upstream rule sends it there
+/// and the legacy switch carries it only there — because a VLAN on two
+/// parallel trunks would form an L2 loop through the software switches.
+pub fn home_trunk(vlan: u16, n_trunks: u16) -> u16 {
+    1 + vlan % n_trunks
+}
+
 /// Generate SS_1's complete flow table for `map`, with `n_trunks` trunk
-/// links (trunk selection for upstream traffic is `vlan % n_trunks` to
-/// spread load).
+/// links (upstream traffic of a VLAN leaves on its [`home_trunk`]).
 ///
 /// Two rule families, exactly the "Flow table of SS_1" in Fig. 1:
 /// * downstream (`trunk → patch`): match the access VLAN, pop the tag,
@@ -36,7 +44,7 @@ pub fn translator_rules(map: &PortMap, n_trunks: u16) -> Vec<FlowMod> {
     assert!(n_trunks >= 1, "need at least one trunk");
     let mut rules = Vec::with_capacity(2 * usize::from(map.n_ports()));
     for (port, vlan) in map.iter() {
-        let trunk = 1 + (u32::from(vlan) % u32::from(n_trunks));
+        let trunk = u32::from(home_trunk(vlan, n_trunks));
         // Downstream: tagged frames from any trunk to the patch port.
         for t in 1..=n_trunks {
             rules.push(

@@ -10,7 +10,9 @@ use mgmt::oid::Oid;
 use mgmt::pdu::{ErrorStatus, Value};
 use mgmt::{mibs, MibStore};
 
-use crate::bridge::{Bridge, PortSet};
+use netpkt::vlan::VlanTag;
+
+use crate::bridge::{Bridge, BridgeConfigError, PortSet};
 
 /// Identity strings advertised by the agent.
 #[derive(Debug, Clone)]
@@ -188,38 +190,117 @@ impl MibStore for BridgeMib<'_> {
         })
     }
 
-    fn set(&mut self, oid: &Oid, value: &Value) -> Result<(), ErrorStatus> {
+    fn set(&mut self, bindings: &[(Oid, Value)]) -> Result<(), (usize, ErrorStatus)> {
+        // Every binding is checked before any is written, against the
+        // bridge as the bindings before it would leave it — which differs
+        // from the bridge only in which VLANs exist.
+        let mut changes: Vec<Change> = Vec::with_capacity(bindings.len());
+        for (i, (oid, value)) in bindings.iter().enumerate() {
+            let change = Change::decode(oid, value).map_err(|status| (i, status))?;
+            let exists = |vid| {
+                let earlier = changes.iter().rev().find_map(|c| c.row(vid));
+                earlier.unwrap_or_else(|| self.bridge.vlan(vid).is_some())
+            };
+            if !change.accepted(self.bridge.n_ports(), exists) {
+                return Err((i, ErrorStatus::WrongValue));
+            }
+            changes.push(change);
+        }
+        for change in changes {
+            change
+                .apply(self.bridge)
+                .expect("every change was checked before any was written");
+        }
+        Ok(())
+    }
+}
+
+/// One SET binding, decoded: the change it asks of the bridge.
+enum Change {
+    /// A VLAN's egress ports, creating the VLAN if it does not exist.
+    Egress(u16, Vec<u16>),
+    /// A VLAN's untagged ports, likewise.
+    Untagged(u16, Vec<u16>),
+    /// `createAndGo` of a VLAN.
+    Create(u16),
+    /// `destroy` of a VLAN.
+    Destroy(u16),
+    /// `(port, vid)`: a port's PVID.
+    Pvid(u16, u16),
+}
+
+impl Change {
+    /// Decode one binding. Only the VLAN table and PVIDs are writable;
+    /// everything else, sysName included, keeps its identity.
+    fn decode(oid: &Oid, value: &Value) -> Result<Change, ErrorStatus> {
         fn wrong<E>(_: E) -> ErrorStatus {
             ErrorStatus::WrongValue
         }
-        // Only the VLAN table and PVIDs are writable; everything else,
-        // sysName included, keeps its identity.
-        let (column, instance) = Self::decompose(oid)
+        let (column, instance) = BridgeMib::decompose(oid)
             .filter(|(c, _)| *c == Column::Pvid || c.index() == Index::Vlan)
             .ok_or(ErrorStatus::NotWritable)?;
         let index = u16::try_from(instance).map_err(wrong)?;
-        match column {
+        Ok(match column {
             Column::VlanEgress | Column::VlanUntagged => {
                 let bytes = value.as_bytes().ok_or(ErrorStatus::WrongType)?;
                 let ports = mibs::decode_portlist(bytes).ok_or(ErrorStatus::WrongValue)?;
-                self.bridge.create_vlan(index).map_err(wrong)?;
                 if column == Column::VlanEgress {
-                    self.bridge.set_egress(index, &ports).map_err(wrong)
+                    Change::Egress(index, ports)
                 } else {
-                    self.bridge.set_untagged(index, &ports).map_err(wrong)
+                    Change::Untagged(index, ports)
                 }
             }
             Column::VlanRowStatus => match value.as_int() {
-                Some(mibs::ROW_CREATE_AND_GO) => self.bridge.create_vlan(index).map_err(wrong),
-                Some(mibs::ROW_DESTROY) => self.bridge.destroy_vlan(index).map_err(wrong),
-                Some(_) => Err(ErrorStatus::WrongValue),
-                None => Err(ErrorStatus::WrongType),
+                Some(mibs::ROW_CREATE_AND_GO) => Change::Create(index),
+                Some(mibs::ROW_DESTROY) => Change::Destroy(index),
+                Some(_) => return Err(ErrorStatus::WrongValue),
+                None => return Err(ErrorStatus::WrongType),
             },
             _ => {
                 let vid = value.as_int().ok_or(ErrorStatus::WrongType)?;
-                let vid = u16::try_from(vid).map_err(wrong)?;
-                self.bridge.set_pvid(index, vid).map_err(wrong)
+                Change::Pvid(index, u16::try_from(vid).map_err(wrong)?)
             }
+        })
+    }
+
+    /// Whether VLAN `vid` exists after this change, if the change
+    /// decides it.
+    fn row(&self, vid: u16) -> Option<bool> {
+        match *self {
+            Change::Egress(v, _) | Change::Untagged(v, _) | Change::Create(v) => {
+                (v == vid).then_some(true)
+            }
+            Change::Destroy(v) => (v == vid).then_some(false),
+            Change::Pvid(..) => None,
+        }
+    }
+
+    /// Whether a bridge of `n_ports` ports, with the VLANs `exists`
+    /// names, takes the change: [`Bridge`]'s own rules, which ask only
+    /// for valid VLAN ids, ports it has and VLANs that exist.
+    fn accepted(&self, n_ports: u16, exists: impl Fn(u16) -> bool) -> bool {
+        let port = |p: &u16| (1..=n_ports).contains(p);
+        match self {
+            Change::Egress(vid, ports) | Change::Untagged(vid, ports) => {
+                VlanTag::vid_is_valid(*vid) && ports.iter().all(port)
+            }
+            Change::Create(vid) => VlanTag::vid_is_valid(*vid),
+            Change::Destroy(vid) => exists(*vid),
+            Change::Pvid(p, vid) => port(p) && exists(*vid),
+        }
+    }
+
+    fn apply(self, bridge: &mut Bridge) -> Result<(), BridgeConfigError> {
+        match self {
+            Change::Egress(vid, ports) => bridge
+                .create_vlan(vid)
+                .and_then(|()| bridge.set_egress(vid, &ports)),
+            Change::Untagged(vid, ports) => bridge
+                .create_vlan(vid)
+                .and_then(|()| bridge.set_untagged(vid, &ports)),
+            Change::Create(vid) => bridge.create_vlan(vid),
+            Change::Destroy(vid) => bridge.destroy_vlan(vid),
+            Change::Pvid(port, vid) => bridge.set_pvid(port, vid),
         }
     }
 }
@@ -408,7 +489,7 @@ mod tests {
             // 65541 = 65536 + 5.
             let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.2.65541".parse().unwrap();
             let ports = Value::OctetString(mibs::encode_portlist(&[2, 3], 4));
-            assert_eq!(mib.set(&oid, &ports), Err(ErrorStatus::WrongValue));
+            assert_eq!(set1(mib, &oid, &ports), Err(ErrorStatus::WrongValue));
             assert_eq!(mib.get(&oid), None);
         });
         assert_eq!(format!("{:?}", b.vlans()), before, "VLAN 5 untouched");
@@ -423,7 +504,7 @@ mod tests {
             // 258 = 256 + 2, dot1qVlanStaticEgressPorts.
             let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.258.5".parse().unwrap();
             let ports = Value::OctetString(mibs::encode_portlist(&[2, 3], 4));
-            assert_eq!(mib.set(&oid, &ports), Err(ErrorStatus::NotWritable));
+            assert_eq!(set1(mib, &oid, &ports), Err(ErrorStatus::NotWritable));
             assert_eq!(mib.get(&oid), None);
         });
         assert_eq!(format!("{:?}", b.vlans()), before, "VLAN 5 untouched");
@@ -440,7 +521,7 @@ mod tests {
             ports.push(0x80);
             let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.2.5".parse().unwrap();
             assert_eq!(
-                mib.set(&oid, &Value::OctetString(ports)),
+                set1(mib, &oid, &Value::OctetString(ports)),
                 Err(ErrorStatus::WrongValue)
             );
         });
@@ -455,12 +536,18 @@ mod tests {
             // 65537 = 65536 + 1.
             let oid = Oid::instance(mibs::PVID, 65537);
             assert_eq!(
-                mib.set(&oid, &Value::Gauge32(7)),
+                set1(mib, &oid, &Value::Gauge32(7)),
                 Err(ErrorStatus::WrongValue)
             );
             assert_eq!(mib.get(&oid), None);
         });
         assert_eq!(b.pvid(1), 1, "port 1 untouched");
+    }
+
+    /// One binding through the store's all-or-nothing `set`.
+    fn set1(mib: &mut BridgeMib, oid: &Oid, value: &Value) -> Result<(), ErrorStatus> {
+        mib.set(&[(oid.clone(), value.clone())])
+            .map_err(|(_, status)| status)
     }
 
     fn with_mib<R>(bridge: &mut Bridge, f: impl FnOnce(&mut BridgeMib) -> R) -> R {
@@ -497,23 +584,25 @@ mod tests {
         let mut b = Bridge::new(5);
         with_mib(&mut b, |mib| {
             // The QBridgeDialect plan for VLAN 101, egress {1,5}, untagged {1}.
-            mib.set(
+            set1(
+                mib,
                 &Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, 101),
                 &Value::OctetString(mibs::encode_portlist(&[1, 5], 5)),
             )
             .unwrap();
-            mib.set(
+            set1(
+                mib,
                 &Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, 101),
                 &Value::OctetString(mibs::encode_portlist(&[1], 5)),
             )
             .unwrap();
-            mib.set(
+            set1(
+                mib,
                 &Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101),
                 &Value::Integer(mibs::ROW_CREATE_AND_GO),
             )
             .unwrap();
-            mib.set(&Oid::instance(mibs::PVID, 1), &Value::Gauge32(101))
-                .unwrap();
+            set1(mib, &Oid::instance(mibs::PVID, 1), &Value::Gauge32(101)).unwrap();
         });
         assert_eq!(b.pvid(1), 101);
         let v = b.vlan(101).unwrap();
@@ -526,7 +615,8 @@ mod tests {
         let mut b = Bridge::new(4);
         b.make_access_port(2, 102).unwrap();
         with_mib(&mut b, |mib| {
-            mib.set(
+            set1(
+                mib,
                 &Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 102),
                 &Value::Integer(mibs::ROW_DESTROY),
             )
@@ -541,23 +631,83 @@ mod tests {
         with_mib(&mut b, |mib| {
             // PVID to a nonexistent VLAN.
             assert_eq!(
-                mib.set(&Oid::instance(mibs::PVID, 1), &Value::Gauge32(999)),
+                set1(mib, &Oid::instance(mibs::PVID, 1), &Value::Gauge32(999)),
                 Err(ErrorStatus::WrongValue)
             );
             // Wrong type.
             assert_eq!(
-                mib.set(&Oid::instance(mibs::PVID, 1), &Value::OctetString(vec![1])),
+                set1(
+                    mib,
+                    &Oid::instance(mibs::PVID, 1),
+                    &Value::OctetString(vec![1])
+                ),
                 Err(ErrorStatus::WrongType)
             );
             // Read-only scalar.
             assert_eq!(
-                mib.set(
+                set1(
+                    mib,
                     &Oid::instance(mibs::SYS_DESCR, 0),
                     &Value::OctetString(b"nope".to_vec())
                 ),
                 Err(ErrorStatus::NotWritable)
             );
         });
+    }
+
+    /// RFC 3416 §4.2.5: a SET is all or nothing. A rejected binding
+    /// leaves the bridge as it was, whatever bindings before it, or the
+    /// rejected one itself, would have written.
+    #[test]
+    fn a_rejected_set_leaves_the_bridge_unchanged() {
+        let mut b = Bridge::new(4);
+        b.make_access_port(2, 102).unwrap();
+        let before = (format!("{:?}", b.vlans()), b.pvid(1));
+        let sys = SysInfo::default();
+        let mut mib = BridgeMib {
+            bridge: &mut b,
+            sys: &sys,
+            uptime_cs: 1,
+        };
+        let requests = [
+            // The row is created first; the PVID names a VLAN that does
+            // not exist.
+            vec![
+                (
+                    Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101),
+                    Value::Integer(mibs::ROW_CREATE_AND_GO),
+                ),
+                (Oid::instance(mibs::PVID, 1), Value::Gauge32(999)),
+            ],
+            // A VLAN destroyed, then a write to a read-only scalar.
+            vec![
+                (
+                    Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 102),
+                    Value::Integer(mibs::ROW_DESTROY),
+                ),
+                (
+                    Oid::instance(mibs::SYS_NAME, 0),
+                    Value::OctetString(b"renamed".to_vec()),
+                ),
+            ],
+        ];
+        for (id, bindings) in (1..).zip(requests) {
+            let req = SnmpMessage::new("public", Pdu::request(PduType::Set, id, bindings));
+            let resp = agent_respond(&mut mib, "public", &req).unwrap();
+            assert_ne!(resp.pdu.error_status, ErrorStatus::NoError);
+            assert_eq!(resp.pdu.error_index, 2, "the second binding is named");
+        }
+        // One binding that creates its row before it fails on a port the
+        // bridge does not have.
+        assert_eq!(
+            set1(
+                &mut mib,
+                &Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, 103),
+                &Value::OctetString(mibs::encode_portlist(&[1, 9], 9)),
+            ),
+            Err(ErrorStatus::WrongValue)
+        );
+        assert_eq!((format!("{:?}", b.vlans()), b.pvid(1)), before);
     }
 
     #[test]

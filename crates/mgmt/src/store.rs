@@ -9,8 +9,9 @@ use crate::pdu::{ErrorStatus, PduType, SnmpMessage, Value};
 
 /// The view a device exposes to its SNMP agent.
 ///
-/// `get`/`next` serve reads; `set` applies writes to live configuration.
-/// Implementations decide which OIDs exist and which are writable.
+/// `get`/`next` serve reads; `set` applies one request's writes to live
+/// configuration, all or none. Implementations decide which OIDs exist
+/// and which are writable.
 pub trait MibStore {
     /// Exact-instance read.
     fn get(&self, oid: &Oid) -> Option<Value>;
@@ -19,8 +20,10 @@ pub trait MibStore {
     /// (lexicographic OID order).
     fn next(&self, oid: &Oid) -> Option<(Oid, Value)>;
 
-    /// Write; `Ok` commits the change to device state.
-    fn set(&mut self, oid: &Oid, value: &Value) -> Result<(), ErrorStatus>;
+    /// Write every binding, in order, as one change to device state
+    /// (RFC 3416 §4.2.5): `Err((i, status))` says binding `i` was
+    /// rejected, and then nothing is written.
+    fn set(&mut self, bindings: &[(Oid, Value)]) -> Result<(), (usize, ErrorStatus)>;
 }
 
 /// Process one SNMP request against `store`, producing the response
@@ -58,18 +61,10 @@ pub fn agent_respond(
                 .collect();
             pdu.response(bindings)
         }
-        PduType::Set => {
-            // Validate-then-commit: all bindings must be acceptable.
-            for (i, (oid, value)) in pdu.bindings.iter().enumerate() {
-                if let Err(status) = store.set(oid, value) {
-                    return Some(SnmpMessage::new(
-                        community,
-                        pdu.error_response(status, (i + 1) as i64),
-                    ));
-                }
-            }
-            pdu.response(pdu.bindings.clone())
-        }
+        PduType::Set => match store.set(&pdu.bindings) {
+            Ok(()) => pdu.response(pdu.bindings.clone()),
+            Err((i, status)) => pdu.error_response(status, (i + 1) as i64),
+        },
         PduType::Response => return None, // agents do not answer responses
     };
     Some(SnmpMessage::new(community, response))
@@ -118,11 +113,14 @@ impl MibStore for MemoryMib {
             .map(|(k, v)| (k.clone(), v.clone()))
     }
 
-    fn set(&mut self, oid: &Oid, value: &Value) -> Result<(), ErrorStatus> {
-        if !self.writable.iter().any(|p| p.contains(oid)) {
-            return Err(ErrorStatus::NotWritable);
+    fn set(&mut self, bindings: &[(Oid, Value)]) -> Result<(), (usize, ErrorStatus)> {
+        let writable = |oid: &Oid| self.writable.iter().any(|p| p.contains(oid));
+        if let Some(i) = bindings.iter().position(|(oid, _)| !writable(oid)) {
+            return Err((i, ErrorStatus::NotWritable));
         }
-        self.entries.insert(oid.clone(), value.clone());
+        for (oid, value) in bindings {
+            self.entries.insert(oid.clone(), value.clone());
+        }
         Ok(())
     }
 }
@@ -236,6 +234,33 @@ mod tests {
         let resp = agent_respond(&mut s, "public", &bad).unwrap();
         assert_eq!(resp.pdu.error_status, ErrorStatus::NotWritable);
         assert_eq!(resp.pdu.error_index, 1);
+    }
+
+    #[test]
+    fn a_set_with_one_read_only_binding_writes_nothing() {
+        let mut s = store();
+        let req = SnmpMessage::new(
+            "public",
+            Pdu::request(
+                PduType::Set,
+                4,
+                vec![
+                    (
+                        oid("1.3.6.1.2.1.1.5.0"),
+                        Value::OctetString(b"renamed".to_vec()),
+                    ),
+                    (oid("1.3.6.1.2.1.2.1.0"), Value::Integer(9)),
+                ],
+            ),
+        );
+        let resp = agent_respond(&mut s, "public", &req).unwrap();
+        assert_eq!(resp.pdu.error_status, ErrorStatus::NotWritable);
+        assert_eq!(resp.pdu.error_index, 2);
+        assert_eq!(
+            s.get(&oid("1.3.6.1.2.1.1.5.0")),
+            Some(Value::OctetString(b"sw1".to_vec())),
+            "the writable binding ahead of the rejected one is not written"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::fault::{CtrlProfile, Fault, FaultPlan};
 use crate::link::{LinkDir, LinkSpec, LinkStats};
 use crate::node::{Node, NodeCtx, PortId};
 use crate::runtime::{Runtime, RuntimeStats};
-use crate::shard::{Chan, Env, Ev, FaultEv, Loc, Remote, Shard, ShardMap};
+use crate::shard::{Chan, Env, Ev, FaultEv, Loc, Shard, ShardMap};
 use crate::stats::CtrlStats;
 use crate::time::SimTime;
 
@@ -45,8 +45,8 @@ pub struct Network {
     loc: Arc<Vec<Loc>>,
     ctrl_delay: SimTime,
     ctrl_profile: CtrlProfile,
-    /// The persistent worker pool and mailbox buffer pools (see
-    /// [`crate::runtime`]).
+    /// The shard workers and the inboxes, barrier and next times they
+    /// share (see [`crate::runtime`]).
     runtime: Runtime,
 }
 
@@ -215,29 +215,30 @@ impl Network {
         self.shards.len()
     }
 
-    /// Worker threads used to run a sharded network (default 1; already
-    /// resolved if `set_threads(0)` asked for auto-detection).
+    /// The thread count set for a sharded network (default 1; already
+    /// resolved if `set_threads(0)` asked for auto-detection). At most
+    /// one thread per shard runs.
     pub fn threads(&self) -> usize {
         self.runtime.threads()
     }
 
-    /// Run shards on `n` worker threads. `n == 0` auto-detects via
+    /// Run shards on `n` threads. `n == 0` auto-detects via
     /// [`std::thread::available_parallelism`] and is meant for
     /// multi-core hosts: it takes every CPU it is shown whether or not
     /// the windows hold enough events to pay for the barriers (compare
     /// the ledger rows `netloop/fabric_4x16/sharded_t1` and
     /// `netloop/fabric_4x16/sharded_tauto` of a two-vCPU box); pass 1
     /// where in doubt. The thread count never changes simulation
-    /// results — only wall-clock time. With a resolved count of 1 the
-    /// shards run interleaved on the calling thread, windows and
-    /// barriers included, so `--threads 1` and `--threads 8` are
-    /// bit-identical.
+    /// results — only wall-clock time: every thread runs the same
+    /// window loop over its own block of shards, so `--threads 1` and
+    /// `--threads 8` are bit-identical.
     ///
-    /// For counts above 1 this is where the persistent worker pool is
-    /// (re)created: workers spawn here, park between runs and windows,
-    /// and are joined only when the network drops or the count changes —
-    /// `run_until`/`run_for` never spawn threads (see
-    /// [`crate::runtime`]).
+    /// The calling thread is the first of the `n`; this is where the
+    /// other `min(n, shards) - 1` persistent workers are (re)created
+    /// ([`Network::set_shards`] re-applies the count to the new shards).
+    /// They park between runs and are joined only when the network
+    /// drops or the count changes — `run_until`/`run_for` never spawn
+    /// threads (see [`crate::runtime`]).
     pub fn set_threads(&mut self, n: usize) {
         let n = if n == 0 {
             std::thread::available_parallelism()
@@ -246,11 +247,11 @@ impl Network {
         } else {
             n
         };
-        self.runtime.configure(n);
+        self.runtime.configure(n, self.shards.len());
     }
 
     /// Resource counters of the execution runtime (worker spawns,
-    /// mailbox-buffer allocations, windows executed).
+    /// windows executed).
     pub fn runtime_stats(&self) -> RuntimeStats {
         self.runtime.stats()
     }
@@ -263,7 +264,7 @@ impl Network {
     ///
     /// Pending events move to their target's shard; shard 0 keeps the
     /// current RNG stream and counters. Nodes added later default to
-    /// shard 0.
+    /// shard 0. A thread count set earlier applies to the new shards.
     ///
     /// # Panics
     /// Panics if the network is already sharded, or if `map` assigns a
@@ -419,6 +420,7 @@ impl Network {
 
         self.shards = shards;
         self.loc = Arc::new(loc);
+        self.runtime.configure(self.runtime.threads(), n);
     }
 
     /// Egress statistics of the link attached to `(node, port)`, if
@@ -648,29 +650,8 @@ impl Network {
             f(node, &mut ctx)
         };
         self.shards[l.shard as usize].apply(l.idx, &mut actions, &env);
-        self.exchange_all(&env);
+        self.runtime.exchange(&mut self.shards, &env);
         r
-    }
-
-    /// Collect every shard's outbox and merge it into the destination
-    /// queues in deterministic `(time, source shard, source seq)` order.
-    /// Only valid at a barrier (all shards at a common fence time). The
-    /// scratch buffer is recycled through the runtime's pool.
-    fn exchange_all(&mut self, env: &Env) -> bool {
-        let mut mail: Vec<Remote> = self.runtime.pool.get();
-        for s in &mut self.shards {
-            mail.append(&mut s.outbox);
-        }
-        let any = !mail.is_empty();
-        if any {
-            mail.sort_by_key(Remote::key);
-            for r in mail.drain(..) {
-                let l = env.loc[r.dest().0];
-                self.shards[l.shard as usize].insert_remote(r, env);
-            }
-        }
-        self.runtime.pool.put(mail);
-        any
     }
 
     /// Run until the event queue is exhausted or `limit` is reached,
@@ -681,7 +662,7 @@ impl Network {
         for s in &mut self.shards {
             s.start_pending(now, &env);
         }
-        self.exchange_all(&env);
+        self.runtime.exchange(&mut self.shards, &env);
         if self.shards.len() == 1 {
             self.shards[0].burn_all(limit, &env);
         } else {
@@ -691,16 +672,9 @@ impl Network {
                 "sharded run needs a positive lookahead: every cross-shard \
                  link delay and the ctrl delay must be > 0"
             );
-            if self.runtime.threads().min(self.shards.len()) <= 1 {
-                self.run_windows_inline(limit, lookahead, &env);
-            } else {
-                // The persistent worker pool: shards move into the
-                // already-running workers and come back at the end of
-                // the call — no threads are spawned here.
-                self.runtime
-                    .run_windows(&mut self.shards, limit, lookahead, &env);
-                self.drain_saturated(limit, &env);
-            }
+            self.runtime
+                .run_windows(&mut self.shards, limit, lookahead, &env);
+            self.drain_saturated(limit, &env);
         }
         // Advance and re-align the clocks. Like the classic loop, the
         // clock ends at `limit` when one is given, and at the last
@@ -755,29 +729,6 @@ impl Network {
             .unwrap_or(SimTime::MAX)
     }
 
-    /// The window loop on the calling thread: identical window/barrier
-    /// sequence to the parallel path, so results match any thread count.
-    /// Returns through [`Network::drain_saturated`] so events within a
-    /// lookahead of the end of time are still processed causally.
-    fn run_windows_inline(&mut self, limit: SimTime, lookahead: SimTime, env: &Env) {
-        loop {
-            let next = self.min_next_time();
-            if next > limit || next == SimTime::MAX {
-                break;
-            }
-            let horizon = next + lookahead;
-            if horizon == SimTime::MAX {
-                break;
-            }
-            self.runtime.count_window();
-            for s in &mut self.shards {
-                s.burn(horizon, limit, env);
-            }
-            self.exchange_all(env);
-        }
-        self.drain_saturated(limit, env);
-    }
-
     /// Degenerate tail: event times so close to [`SimTime::MAX`] that a
     /// window horizon saturates (a no-op in every other case). Steps one
     /// *instant* at a time — `lookahead > 0` guarantees a cross-shard
@@ -794,7 +745,7 @@ impl Network {
             for s in &mut self.shards {
                 s.burn(horizon, limit, env);
             }
-            self.exchange_all(env);
+            self.runtime.exchange(&mut self.shards, env);
         }
         // Anything still queued sits exactly at SimTime::MAX (with
         // limit == MAX): cross-shard arrivals saturate to that same
@@ -809,7 +760,7 @@ impl Network {
                         self.shards[i].burn_all(limit, env);
                         progressed = true;
                     }
-                    self.exchange_all(env);
+                    self.runtime.exchange(&mut self.shards, env);
                 }
                 if !progressed {
                     break;
@@ -1149,10 +1100,8 @@ mod tests {
         assert_eq!(sliced_scenario(Some(2), 7), base);
     }
 
-    /// Satellite contract: `set_threads` is the only place worker
-    /// threads are created; `run_until`/`run_for` reuse the parked pool.
-    #[test]
-    fn workers_spawn_once_per_set_threads_not_per_run() {
+    /// A pinger and its echo, not yet sharded.
+    fn two_node_net() -> Network {
         let mut net = Network::new(9);
         let p = net.add_node(pinger(500, SimTime::from_micros(4)));
         let e = net.add_node(Echo {
@@ -1160,61 +1109,61 @@ mod tests {
             seen: 0,
         });
         net.connect(p, PortId(0), e, PortId(0), LinkSpec::gigabit());
-        let mut map = ShardMap::new(2);
-        map.assign(e, 1);
+        net
+    }
+
+    /// Split `net` into `shards` shards, the echo on shard 1.
+    fn shard_echo(net: &mut Network, shards: usize) {
+        let mut map = ShardMap::new(shards);
+        map.assign(NodeId(1), 1);
         net.set_shards(&map);
+    }
+
+    /// `set_threads` is the only place worker threads are created;
+    /// `run_until`/`run_for` reuse the parked workers. The calling
+    /// thread is the first of the threads.
+    #[test]
+    fn workers_spawn_once_per_set_threads_not_per_run() {
+        let mut net = two_node_net();
+        shard_echo(&mut net, 3);
         assert_eq!(net.runtime_stats().workers_spawned, 0);
         net.set_threads(2);
-        assert_eq!(net.runtime_stats().workers_spawned, 2);
+        assert_eq!(net.runtime_stats().workers_spawned, 1);
         for _ in 0..50 {
             net.run_for(SimTime::from_micros(20));
         }
         let stats = net.runtime_stats();
         assert_eq!(
-            stats.workers_spawned, 2,
+            stats.workers_spawned, 1,
             "50 run_for calls must not spawn any threads"
         );
         assert!(stats.windows > 50, "the runs actually executed windows");
         // Reconfiguring to the same count is a no-op; a new count joins
-        // the old pool and spawns a fresh one.
+        // the old workers and spawns fresh ones.
         net.set_threads(2);
-        assert_eq!(net.runtime_stats().workers_spawned, 2);
+        assert_eq!(net.runtime_stats().workers_spawned, 1);
         net.set_threads(3);
-        assert_eq!(net.runtime_stats().workers_spawned, 5);
+        assert_eq!(net.runtime_stats().workers_spawned, 3);
         net.run_for(SimTime::from_micros(20));
-        assert_eq!(net.runtime_stats().workers_spawned, 5);
+        assert_eq!(net.runtime_stats().workers_spawned, 3);
     }
 
-    /// Satellite contract: per-window mailbox buffers come from the
-    /// free-list — after a warm-up, steady-state windows allocate
-    /// nothing.
+    /// A worker that could get no shard is never spawned, whichever of
+    /// `set_threads` and `set_shards` comes first.
     #[test]
-    fn mailbox_buffers_recycle_through_the_pool() {
-        let mut net = Network::new(9);
-        // Cross-shard pinger ↔ echo so every window carries remote mail.
-        let p = net.add_node(pinger(2000, SimTime::from_micros(4)));
-        let e = net.add_node(Echo {
-            delay: SimTime::from_micros(1),
-            seen: 0,
-        });
-        net.connect(p, PortId(0), e, PortId(0), LinkSpec::gigabit());
-        let mut map = ShardMap::new(2);
-        map.assign(e, 1);
-        net.set_shards(&map);
-        net.set_threads(2);
-        for _ in 0..10 {
-            net.run_for(SimTime::from_micros(40));
-        }
-        let before = net.runtime_stats();
-        for _ in 0..40 {
-            net.run_for(SimTime::from_micros(40));
-        }
-        let after = net.runtime_stats();
-        assert!(after.windows > before.windows + 40, "windows kept running");
-        assert_eq!(
-            after.mailbox_allocs, before.mailbox_allocs,
-            "steady-state windows must draw every mailbox buffer from the pool"
-        );
+    fn workers_never_outnumber_the_shards() {
+        let mut net = two_node_net();
+        shard_echo(&mut net, 3);
+        net.set_threads(16);
+        assert_eq!(net.threads(), 16);
+        assert_eq!(net.runtime_stats().workers_spawned, 2);
+        net.run_for(SimTime::from_micros(200));
+
+        let mut net = two_node_net();
+        net.set_threads(16);
+        assert_eq!(net.runtime_stats().workers_spawned, 0, "one shard");
+        shard_echo(&mut net, 2);
+        assert_eq!(net.runtime_stats().workers_spawned, 1);
     }
 
     #[test]

@@ -1,49 +1,19 @@
-//! The persistent shard-worker runtime: a long-lived worker pool and
-//! recycled mailbox buffers for the sharded engine.
+//! The shard-worker runtime: one window loop for every thread count.
 //!
-//! Before this module existed, every `run_until` call on a sharded
-//! [`crate::Network`] spawned its worker threads, ran its windows, and
-//! joined the threads again — and every window allocated fresh
-//! `Vec<Remote>` mailbox buffers. Staggered experiment drivers call
-//! `run_for` hundreds of times per round, so a single experiment paid
-//! thousands of thread spawns and tens of thousands of allocations for
-//! constants that have nothing to do with the simulated workload.
-//!
-//! The `Runtime` owns both constants:
-//!
-//! * **Workers are created once**, in [`crate::Network::set_threads`],
-//!   and live until the network is dropped or the thread count is
-//!   reconfigured. Between runs (and between the `Adopt`/`Release`
-//!   handshakes of one run) each worker parks in `mpsc::Receiver::recv`
-//!   — a condvar block, not a spin — and is unparked by the next
-//!   command. `run_until`/`run_for` never touch `std::thread::spawn`.
-//! * **Mailbox buffers are recycled** through a `BufPool` free-list:
-//!   the per-window routing buckets, the per-worker outboxes, and the
-//!   pending-mail scratch all draw from the pool and return to it, so a
-//!   steady-state window performs no mailbox allocations at all.
-//!
-//! The window protocol itself is unchanged from the original spawn-join
-//! engine: the coordinator routes cross-shard mail in total
-//! `(time, source shard, source seq)` order and computes horizons, the
-//! workers burn windows — so results remain **bit-identical for any
-//! thread count**, persistent pool or not. [`RuntimeStats`] exposes the
-//! spawn and allocation counters the regression tests assert on.
-//!
-//! ## One run of a sharded network (threads > 1)
-//!
-//! ```text
-//! set_threads(N):   spawn N workers          (workers_spawned += N)
-//!                      each parks in recv()
-//! run_until:        Adopt{shards, env} ──►   workers own their shards
-//!   window loop:    Window{horizon, mail, outbox} ──► burn, fill outbox
-//!                      ◄── Reply::Window{next, outbox, spent mail}
-//!                      (all buffers return to the pool)
-//!   run ends:       Release ──►  ◄── Reply::Done{shards}
-//!                      workers park again, still alive
-//! drop / set_threads(M): channels close, workers exit, threads joined
-//! ```
+//! The calling thread is worker 0 of `min(threads, shards)`; the other
+//! workers persist until the thread or shard count changes. Each runs
+//! `run_block` over its own contiguous block of shards, so one thread
+//! and eight run the same windows and merge the same mail in the same
+//! order: results are bit-identical by construction. The inboxes, next
+//! times and arrival count outlive windows and runs, so a warm window
+//! allocates nothing. Between runs the workers sleep at a `Barrier`; a
+//! run wakes them with their blocks and a `Job`, and takes the blocks
+//! back when it ends.
 
-use std::sync::mpsc;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::shard::{Env, Remote, Shard};
@@ -53,158 +23,151 @@ use crate::time::SimTime;
 /// diagnostics. Obtain a snapshot with [`crate::Network::runtime_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Worker threads spawned over the network's lifetime. Grows only in
-    /// `set_threads` (once per reconfiguration), never in `run_until`.
+    /// Worker threads spawned over the network's lifetime. Grows only
+    /// when the thread or shard count changes, never in `run_until`.
     pub workers_spawned: u64,
-    /// Mailbox buffers allocated because the free-list was empty. Flat
-    /// at steady state: once the pool is warm, windows recycle.
-    pub mailbox_allocs: u64,
-    /// Synchronization windows executed (inline or parallel).
+    /// Synchronization windows executed.
     pub windows: u64,
 }
 
-/// Free-list of `Vec<Remote>` mailbox buffers. Buffers keep their
-/// capacity across reuse, so a warmed-up pool serves every window
-/// allocation-free; only pool misses allocate (and are counted).
-pub(crate) struct BufPool {
-    free: Vec<Vec<Remote>>,
-    allocs: u64,
+/// One run's parameters, read by every worker after the start barrier.
+#[derive(Clone)]
+struct Job {
+    env: Env,
+    limit: SimTime,
+    lookahead: SimTime,
 }
 
-impl BufPool {
-    fn new() -> BufPool {
-        BufPool {
-            free: Vec::new(),
-            allocs: 0,
+/// What the calling thread and the workers share across windows and
+/// runs.
+struct Shared {
+    /// Where the workers sleep between runs: passed at the start of a
+    /// run and at shutdown.
+    barrier: Barrier,
+    /// The run the workers execute next; `None` tells them to exit.
+    job: Mutex<Option<Job>>,
+    /// Each worker's block of shards during a run (worker 0's stays
+    /// empty: the calling thread runs its block in place).
+    blocks: Vec<Mutex<Vec<Shard>>>,
+    /// Cross-shard events bound for each shard, posted during a window
+    /// and merged after the window's first `sync`.
+    inboxes: Vec<Mutex<Vec<Remote>>>,
+    /// Earliest pending event of each worker's block, in nanoseconds.
+    /// Written before a `sync` and read after it, which orders them.
+    next: Vec<AtomicU64>,
+    /// Arrivals at `sync` over the runtime's life; one wait's `n` end at
+    /// a multiple of `n`. Its release and acquire order each thread's
+    /// writes before arriving before the others' reads after.
+    arrived: AtomicUsize,
+}
+
+impl Shared {
+    fn new(threads: usize, shards: usize) -> Shared {
+        Shared {
+            barrier: Barrier::new(threads),
+            job: Mutex::new(None),
+            blocks: (0..threads).map(|_| Mutex::default()).collect(),
+            inboxes: (0..shards).map(|_| Mutex::default()).collect(),
+            next: (0..threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            arrived: AtomicUsize::new(0),
         }
     }
 
-    pub fn get(&mut self) -> Vec<Remote> {
-        self.free.pop().unwrap_or_else(|| {
-            self.allocs += 1;
-            Vec::new()
-        })
-    }
-
-    pub fn put(&mut self, mut buf: Vec<Remote>) {
-        buf.clear();
-        self.free.push(buf);
-    }
-}
-
-/// Commands from the coordinator to a parked worker.
-enum Cmd {
-    /// Take ownership of `shards` for the duration of one `run_*` call.
-    Adopt { shards: Vec<(u32, Shard)>, env: Env },
-    /// Run one window: merge `mail` (pre-sorted per shard), burn every
-    /// owned shard to `horizon`, collect cross-shard events into
-    /// `outbox`.
-    Window {
-        horizon: SimTime,
-        limit: SimTime,
-        mail: Vec<(u32, Vec<Remote>)>,
-        outbox: Vec<Remote>,
-    },
-    /// Hand the shards back to the coordinator; park until the next
-    /// `Adopt` (the thread stays alive).
-    Release,
-}
-
-/// Worker-to-coordinator replies.
-enum Reply {
-    /// One window finished on this worker.
-    Window {
-        worker: usize,
-        /// Earliest pending event across the worker's shards.
-        next: SimTime,
-        /// Cross-shard events generated this window.
-        outbox: Vec<Remote>,
-        /// The drained mail buffers, returned for recycling.
-        spent: Vec<(u32, Vec<Remote>)>,
-    },
-    /// The worker's shards, handed back on [`Cmd::Release`].
-    Done { shards: Vec<(u32, Shard)> },
-}
-
-/// Body of one persistent worker thread. Parks in `recv()` between
-/// commands; owns a set of shards between `Adopt` and `Release`; exits
-/// when the command channel closes (runtime drop or reconfigure).
-/// Communication is pure `std::sync::mpsc`; the worker never touches
-/// another shard's state.
-fn worker_loop(worker: usize, rx: mpsc::Receiver<Cmd>, tx: mpsc::Sender<Reply>) {
-    let mut shards: Vec<(u32, Shard)> = Vec::new();
-    let mut env: Option<Env> = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Adopt { shards: s, env: e } => {
-                shards = s;
-                env = Some(e);
-            }
-            Cmd::Window {
-                horizon,
-                limit,
-                mut mail,
-                mut outbox,
-            } => {
-                let env = env.as_ref().expect("Adopt precedes Window");
-                for (id, batch) in &mut mail {
-                    let (_, shard) = shards
-                        .iter_mut()
-                        .find(|(sid, _)| sid == id)
-                        .expect("mail routed to an owned shard");
-                    for r in batch.drain(..) {
-                        shard.insert_remote(r, env);
-                    }
-                }
-                let mut next = SimTime::MAX;
-                for (_, shard) in &mut shards {
-                    shard.burn(horizon, limit, env);
-                    outbox.append(&mut shard.outbox);
-                    next = next.min(shard.next_time());
-                }
-                if tx
-                    .send(Reply::Window {
-                        worker,
-                        next,
-                        outbox,
-                        spent: mail,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Cmd::Release => {
-                env = None;
-                if tx
-                    .send(Reply::Done {
-                        shards: std::mem::take(&mut shards),
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
+    /// Wait for the other threads of the run. A window is often shorter
+    /// than a sleeping thread takes to wake (with a `Barrier` here, the
+    /// `netloop` bench's fabric ran 2.4 times slower on two threads of a
+    /// two-vCPU box), so a waiter yields its CPU until the last arrives.
+    fn sync(&self) {
+        let n = self.next.len();
+        let all = (self.arrived.fetch_add(1, AcqRel) / n + 1) * n;
+        while self.arrived.load(Acquire) < all {
+            std::thread::yield_now();
         }
     }
 }
 
-/// One worker thread's handle: its command channel and join handle.
-struct Worker {
-    tx: mpsc::Sender<Cmd>,
-    join: Option<JoinHandle<()>>,
+/// Lock a mutex of the runtime.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a thread panicking under a runtime lock aborts")
 }
 
-/// The persistent execution backend of a sharded [`crate::Network`]:
-/// worker threads, their channels, and the mailbox buffer pools.
+/// Run `f`, ending the process (after the message) if it panics: a thread
+/// unwinding out of a run would leave the others at the barrier for good.
+fn or_abort<R>(f: impl FnOnce() -> R) -> R {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| std::process::abort())
+}
+
+/// Move every event of `outbox` into its destination shard's inbox.
+fn post(inboxes: &[Mutex<Vec<Remote>>], env: &Env, outbox: &mut Vec<Remote>) {
+    for r in outbox.drain(..) {
+        lock(&inboxes[env.loc[r.dest().0].shard as usize]).push(r);
+    }
+}
+
+/// Insert `shard`'s inbox into its queue in `Remote::key` order — the
+/// same order whichever threads posted it. Keys are unique, so an
+/// unstable sort is exact.
+fn deliver(inboxes: &[Mutex<Vec<Remote>>], shard: &mut Shard, env: &Env) {
+    let mut inbox = lock(&inboxes[shard.id as usize]);
+    inbox.sort_unstable_by_key(Remote::key);
+    for r in inbox.drain(..) {
+        shard.insert_remote(r, env);
+    }
+}
+
+/// The window loop of worker `w` over its block of shards. Every worker
+/// reads the same global next time after the same `sync`, so all leave
+/// in the same window. Returns the windows run.
+fn run_block(shared: &Shared, w: usize, shards: &mut [Shard], job: &Job) -> u64 {
+    let mut windows = 0;
+    loop {
+        let next = shards.iter().map(Shard::next_time).min();
+        shared.next[w].store(next.unwrap_or(SimTime::MAX).as_nanos(), Relaxed);
+        shared.sync();
+        let next = shared.next.iter().map(|n| n.load(Relaxed)).min();
+        let next = SimTime::from_nanos(next.unwrap_or(u64::MAX));
+        if next > job.limit || next == SimTime::MAX {
+            return windows;
+        }
+        let horizon = next + job.lookahead;
+        if horizon == SimTime::MAX {
+            return windows;
+        }
+        windows += 1;
+        for s in shards.iter_mut() {
+            s.burn(horizon, job.limit, &job.env);
+            post(&shared.inboxes, &job.env, &mut s.outbox);
+        }
+        shared.sync();
+        for s in shards.iter_mut() {
+            deliver(&shared.inboxes, s, &job.env);
+        }
+    }
+}
+
+/// Body of worker `w`: parks at the start barrier between runs, runs
+/// its block through [`run_block`], exits when the job is `None`.
+fn worker(shared: &Shared, w: usize) {
+    loop {
+        shared.barrier.wait();
+        let Some(job) = lock(&shared.job).clone() else {
+            return;
+        };
+        // Held until the run ends: the caller takes the block back by
+        // locking it, which waits for this worker to leave the loop.
+        let mut block = lock(&shared.blocks[w]);
+        run_block(shared, w, &mut block, &job);
+    }
+}
+
+/// The execution backend of a sharded [`crate::Network`]: the workers
+/// and what they share with the calling thread.
 pub(crate) struct Runtime {
-    /// Configured worker-thread count (resolved; always ≥ 1).
+    /// Configured thread count (resolved; always ≥ 1).
     threads: usize,
-    workers: Vec<Worker>,
-    reply_rx: Option<mpsc::Receiver<Reply>>,
-    pub pool: BufPool,
-    /// Free-list for the per-worker `(shard, batch)` mail holders.
-    mail_pool: Vec<Vec<(u32, Vec<Remote>)>>,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
     workers_spawned: u64,
     windows: u64,
 }
@@ -213,16 +176,14 @@ impl Runtime {
     pub fn new() -> Runtime {
         Runtime {
             threads: 1,
+            shared: Arc::new(Shared::new(1, 1)),
             workers: Vec::new(),
-            reply_rx: None,
-            pool: BufPool::new(),
-            mail_pool: Vec::new(),
             workers_spawned: 0,
             windows: 0,
         }
     }
 
-    /// Resolved worker-thread count.
+    /// Resolved thread count, as configured.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -230,67 +191,54 @@ impl Runtime {
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
             workers_spawned: self.workers_spawned,
-            mailbox_allocs: self.pool.allocs,
             windows: self.windows,
         }
     }
 
-    /// Count one synchronization window (also called by the inline
-    /// window loop so `windows` means the same thing at any thread
-    /// count).
-    pub fn count_window(&mut self) {
-        self.windows += 1;
+    /// Merge every shard's outbox into the destination queues, in
+    /// `Remote::key` order; only when all shards share one clock.
+    pub fn exchange(&self, shards: &mut [Shard], env: &Env) {
+        for s in shards.iter_mut() {
+            post(&self.shared.inboxes, env, &mut s.outbox);
+        }
+        for s in shards {
+            deliver(&self.shared.inboxes, s, env);
+        }
     }
 
-    /// (Re)configure the pool to `threads` workers. A no-op when the
-    /// count is unchanged; otherwise existing workers are joined and a
-    /// fresh pool is spawned — the only two places threads are ever
-    /// created or destroyed are here and `drop`.
-    pub fn configure(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads == self.threads && (threads == 1 || !self.workers.is_empty()) {
+    /// Configure `threads` threads over `shards` shards: the calling
+    /// thread and `min(threads, shards) - 1` workers, so none lacks a
+    /// shard. Unless either count changes, the workers stay; this and
+    /// `drop` are the only places threads are created or joined.
+    pub fn configure(&mut self, threads: usize, shards: usize) {
+        self.threads = threads.max(1);
+        let n = self.threads.min(shards);
+        if n == self.workers.len() + 1 && shards == self.shared.inboxes.len() {
             return;
         }
         self.shutdown();
-        self.threads = threads;
-        if threads == 1 {
-            return;
-        }
-        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-        self.reply_rx = Some(reply_rx);
-        for w in 0..threads {
-            let (tx, rx) = mpsc::channel::<Cmd>();
-            let reply_tx = reply_tx.clone();
-            let join = std::thread::spawn(move || worker_loop(w, rx, reply_tx));
-            self.workers.push(Worker {
-                tx,
-                join: Some(join),
-            });
+        self.shared = Arc::new(Shared::new(n, shards));
+        for w in 1..n {
+            let shared = Arc::clone(&self.shared);
+            self.workers
+                .push(std::thread::spawn(move || or_abort(|| worker(&shared, w))));
             self.workers_spawned += 1;
         }
-        // The original reply sender drops here: once every worker has
-        // exited, `recv` errors instead of blocking forever.
     }
 
-    /// Join all workers (hang up their command channels first).
+    /// Tell the workers to exit and join them.
     fn shutdown(&mut self) {
-        let workers = std::mem::take(&mut self.workers);
-        for mut w in workers {
-            drop(w.tx);
-            if let Some(join) = w.join.take() {
-                // A worker that panicked already reported via the test
-                // harness; don't double-panic in drop paths.
-                let _ = join.join();
-            }
+        *lock(&self.shared.job) = None;
+        self.shared.barrier.wait();
+        for join in self.workers.drain(..) {
+            // Cannot fail: a worker ends the process rather than unwind.
+            let _ = join.join();
         }
-        self.reply_rx = None;
     }
 
-    /// The window loop across the persistent workers. Shards move into
-    /// the workers for the duration of the call (`Adopt`) and come back
-    /// at the end (`Release`); the coordinator only routes mailboxes and
-    /// computes horizons. Identical window/barrier/merge sequence to the
-    /// inline loop, so results match any thread count.
+    /// Run the windows of one `run_until` call: worker `w` of `n` takes
+    /// the shards from `w * len / n` on, and every block comes back in
+    /// order at the end.
     pub fn run_windows(
         &mut self,
         shards: &mut Vec<Shard>,
@@ -298,128 +246,27 @@ impl Runtime {
         lookahead: SimTime,
         env: &Env,
     ) {
-        let n = shards.len();
-        let t = self.threads.min(n);
-        debug_assert!(t > 1, "inline loop handles t <= 1");
-        let mut worker_next: Vec<SimTime> = vec![SimTime::MAX; t];
-        for (i, s) in shards.iter().enumerate() {
-            worker_next[i % t] = worker_next[i % t].min(s.next_time());
+        let shared = &*self.shared;
+        let n = self.workers.len() + 1;
+        let len = shards.len();
+        for w in (1..n).rev() {
+            lock(&shared.blocks[w]).extend(shards.drain(w * len / n..));
         }
-
-        // Move the shards into their workers (round-robin by shard id).
-        let mut buckets: Vec<Vec<(u32, Shard)>> = (0..t).map(|_| Vec::new()).collect();
-        for (i, s) in std::mem::take(shards).into_iter().enumerate() {
-            buckets[i % t].push((i as u32, s));
+        let job = Job {
+            env: env.clone(),
+            limit,
+            lookahead,
+        };
+        self.windows += if n == 1 {
+            run_block(shared, 0, shards, &job)
+        } else {
+            *lock(&shared.job) = Some(job.clone());
+            shared.barrier.wait();
+            or_abort(|| run_block(shared, 0, shards, &job))
+        };
+        for block in &shared.blocks[1..] {
+            shards.append(&mut lock(block));
         }
-        for (w, bucket) in buckets.into_iter().enumerate() {
-            self.workers[w]
-                .tx
-                .send(Cmd::Adopt {
-                    shards: bucket,
-                    env: env.clone(),
-                })
-                .expect("worker alive");
-        }
-
-        let mut pending: Vec<Remote> = self.pool.get();
-        loop {
-            let mut next = worker_next.iter().copied().min().unwrap_or(SimTime::MAX);
-            for r in &pending {
-                next = next.min(r.at);
-            }
-            if next > limit || next == SimTime::MAX {
-                break;
-            }
-            let horizon = next + lookahead;
-            if horizon == SimTime::MAX {
-                break;
-            }
-            self.windows += 1;
-            // Route the pending mail: global deterministic order, then
-            // grouped per destination shard, then per owning worker —
-            // all through pooled buffers.
-            pending.sort_by_key(Remote::key);
-            let mut by_shard: Vec<Vec<Remote>> = (0..n).map(|_| self.pool.get()).collect();
-            for r in pending.drain(..) {
-                by_shard[env.loc[r.dest().0].shard as usize].push(r);
-            }
-            let mut mails: Vec<Vec<(u32, Vec<Remote>)>> = (0..t)
-                .map(|_| self.mail_pool.pop().unwrap_or_default())
-                .collect();
-            for (sid, batch) in by_shard.into_iter().enumerate() {
-                if batch.is_empty() {
-                    self.pool.put(batch);
-                } else {
-                    mails[sid % t].push((sid as u32, batch));
-                }
-            }
-            for (w, mail) in mails.into_iter().enumerate() {
-                let outbox = self.pool.get();
-                self.workers[w]
-                    .tx
-                    .send(Cmd::Window {
-                        horizon,
-                        limit,
-                        mail,
-                        outbox,
-                    })
-                    .expect("worker alive");
-            }
-            let reply_rx = self.reply_rx.as_ref().expect("pool is configured");
-            for _ in 0..t {
-                match reply_rx.recv().expect("worker alive") {
-                    Reply::Window {
-                        worker,
-                        next,
-                        mut outbox,
-                        mut spent,
-                    } => {
-                        worker_next[worker] = next;
-                        pending.append(&mut outbox);
-                        self.pool.put(outbox);
-                        for (_, batch) in spent.drain(..) {
-                            self.pool.put(batch);
-                        }
-                        self.mail_pool.push(spent);
-                    }
-                    Reply::Done { .. } => unreachable!("no Release sent yet"),
-                }
-            }
-        }
-
-        // Retrieve the shards and re-assemble them in id order.
-        for w in 0..t {
-            self.workers[w].tx.send(Cmd::Release).expect("worker alive");
-        }
-        let mut returned: Vec<Option<Shard>> = (0..n).map(|_| None).collect();
-        let reply_rx = self.reply_rx.as_ref().expect("pool is configured");
-        let mut done = 0;
-        while done < t {
-            match reply_rx.recv().expect("worker alive") {
-                Reply::Done { shards } => {
-                    for (id, s) in shards {
-                        returned[id as usize] = Some(s);
-                    }
-                    done += 1;
-                }
-                Reply::Window { .. } => unreachable!("all windows were joined"),
-            }
-        }
-        *shards = returned
-            .into_iter()
-            .map(|s| s.expect("every shard returned"))
-            .collect();
-
-        // Mail beyond the limit (or from the last window) still has to
-        // reach its destination queue for future runs.
-        if !pending.is_empty() {
-            pending.sort_by_key(Remote::key);
-            for r in pending.drain(..) {
-                let l = env.loc[r.dest().0];
-                shards[l.shard as usize].insert_remote(r, env);
-            }
-        }
-        self.pool.put(pending);
     }
 }
 

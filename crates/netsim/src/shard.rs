@@ -883,9 +883,9 @@ impl Shard {
     }
 }
 
-// The worker-thread machinery (commands, replies, the worker loop and
-// the persistent pool that owns them) lives in [`crate::runtime`]; this
-// module only defines the shard state those workers execute.
+// The window loop, the workers that run it and the inboxes and barrier
+// they share live in [`crate::runtime`]; this module only defines the
+// shard state that loop executes.
 
 #[cfg(test)]
 mod tests {

@@ -21,6 +21,11 @@
 //! goes in through a recycled one-frame batch and comes out of a
 //! recycled arena.
 //!
+//! A third test sends CBR traffic from one shard to another through the
+//! sharded engine's window loop, on the calling thread: outboxes, inboxes
+//! and the barrier keep their storage across windows, so a frame costs
+//! its own two blocks and nothing else.
+//!
 //! The allocator is per-binary, so this suite is a test binary of its
 //! own; `bytes::buffer_allocs` is process-wide, so its tests take turns.
 
@@ -30,7 +35,7 @@ use std::cell::Cell;
 use bytes::buffer_allocs;
 use legacy_switch::{CotsConfig, CotsSwitchNode, LegacySwitchNode};
 use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
-use netsim::{LinkSpec, Network, PortId, SimTime};
+use netsim::{LinkSpec, Network, PortId, ShardMap, SimTime};
 use openflow::message::FlowMod;
 use openflow::{Action, Match};
 use softswitch::datapath::{DpConfig, PipelineMode};
@@ -220,5 +225,47 @@ fn cots_hop_allocates_its_table_walk_and_no_result_vectors() {
         (2 + WALK) * frames,
         "heap blocks beyond the frame buffer (two) and the table walk ({WALK}): \
          {blocks} blocks for {frames} frames — a result vector per frame is back?"
+    );
+}
+
+#[test]
+fn cross_shard_hop_allocates_only_the_frame_buffer() {
+    let _turn = TURN.lock().unwrap();
+    let mut net = Network::new(5);
+    let gen = net.add_node(Generator::new(
+        "gen",
+        PortId(0),
+        Pattern::Cbr { pps: 20_000.0 },
+        vec![FlowSpec::simple(1, 2, 128)],
+        SimTime::ZERO,
+        SimTime::MAX,
+    ));
+    let sink = net.add_node(Sink::new("sink"));
+    net.connect(gen, PortId(0), sink, PortId(0), LinkSpec::ten_gigabit());
+    let mut map = ShardMap::new(2);
+    map.assign(sink, 1);
+    net.set_shards(&map);
+    net.set_threads(1);
+
+    net.run_for(SimTime::from_millis(100));
+    let received = |net: &Network| net.node_ref::<Sink>(sink).received();
+    let (rx0, buffers0, windows0) = (received(&net), buffer_allocs(), net.runtime_stats().windows);
+    assert!(rx0 > 1_000, "warm-up traffic flows: {rx0}");
+
+    let blocks = blocks_during(|| net.run_for(SimTime::from_millis(200)));
+
+    let frames = received(&net) - rx0;
+    let buffers = buffer_allocs() - buffers0;
+    assert_eq!(frames, 4_000);
+    assert!(
+        net.runtime_stats().windows - windows0 >= frames,
+        "every frame crossed a window barrier"
+    );
+    assert_eq!(buffers, frames, "frame buffers per frame");
+    assert_eq!(
+        blocks,
+        2 * buffers,
+        "heap blocks beyond the frame buffer (two each): {blocks} blocks \
+         for {frames} frames — a mailbox or inbox allocated per window?"
     );
 }
