@@ -44,7 +44,7 @@ fn acl(dst_port: u32) -> FlowEntry {
             .eth_type(0x0800)
             .ip_proto(17)
             .udp_dst((dst_port % 30000) as u16),
-        Instruction::apply(vec![Action::output(2)]),
+        &Instruction::apply(vec![Action::output(2)]),
         0,
     )
 }
@@ -85,7 +85,7 @@ fn route_match(host: u32) -> Match {
 
 fn route(host: u32, out: u32) -> FlowEntry {
     let (m, insns) = route_parts(host, out);
-    FlowEntry::new(100, m, insns, 0)
+    FlowEntry::new(100, m, &insns, 0)
 }
 
 /// A route's match and instructions, built (and allocated) ahead of a
@@ -123,7 +123,7 @@ fn bench_flow_mod(rep: &mut Ledger) {
             let fresh: Vec<_> = (n..n + BATCH).map(|h| route_parts(h, 1)).collect();
             let start = Instant::now();
             for (m, insns) in fresh {
-                t.add(FlowEntry::new(100, m, insns, 0)).unwrap();
+                t.add(FlowEntry::new(100, m, &insns, 0)).unwrap();
             }
             let took = start.elapsed();
             for host in n..n + BATCH {
@@ -138,7 +138,7 @@ fn bench_flow_mod(rep: &mut Ledger) {
                 .collect();
             let start = Instant::now();
             for (m, insns) in again {
-                t.add(FlowEntry::new(100, m, insns, 0)).unwrap();
+                t.add(FlowEntry::new(100, m, &insns, 0)).unwrap();
             }
             (start.elapsed(), BATCH.into())
         });

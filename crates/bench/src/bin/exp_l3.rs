@@ -254,7 +254,7 @@ fn migration(pods: u16) -> Vec<String> {
             // The old home pod must steer up the fabric, not at the
             // vacated access port.
             let out_is_access = for_moved[0].instructions.iter().any(|i| {
-                matches!(i, openflow::Instruction::ApplyActions(acts)
+                matches!(i, openflow::InstructionRef::ApplyActions(acts)
                     if acts.iter().any(|a| matches!(a, openflow::Action::Output { port, .. } if *port == 1)))
             });
             if out_is_access {

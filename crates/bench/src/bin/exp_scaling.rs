@@ -225,10 +225,10 @@ fn fabric_convergence(
         net.set_shards(&fx.shard_map());
         net.set_threads(t);
     }
-    // Resolved after set_threads so `--threads 0` reports the detected
-    // count. The engine choice goes to stderr: stdout must stay
-    // byte-identical for every engine/thread configuration (the
-    // determinism contract).
+    // Read after set_threads: the threads that run, at most one per
+    // shard, whatever `--threads` asked for (0 auto-detects). The
+    // engine choice goes to stderr: stdout must stay byte-identical for
+    // every engine/thread configuration (the determinism contract).
     let engine = match threads {
         None => "single-queue".to_string(),
         Some(_) => format!(

@@ -839,7 +839,7 @@ mod tests {
                 .collect();
             assert_eq!(routes.len(), 1, "{what}: one live route, no stale ones");
             assert_eq!(
-                routes[0].instructions,
+                routes[0].instructions.to_vec(),
                 vec![Instruction::ApplyActions(vec![Action::output(
                     expected_out
                 )])],
@@ -1229,9 +1229,9 @@ mod tests {
             assert_eq!(found.len(), 1, "pod {p}: exactly one /32 for b");
             assert!(
                 matches!(
-                    found[0].instructions.first(),
-                    Some(openflow::Instruction::ApplyActions(acts))
-                        if matches!(acts.last(), Some(openflow::Action::Output { port, .. }) if *port == want_port)
+                    found[0].instructions.iter().next(),
+                    Some(openflow::InstructionRef::ApplyActions(acts))
+                        if matches!(acts.iter().next_back(), Some(openflow::Action::Output { port, .. }) if *port == want_port)
                 ),
                 "pod {p}: /32 must steer out port {want_port}"
             );

@@ -710,6 +710,128 @@ mod tests {
         assert_eq!((format!("{:?}", b.vlans()), b.pvid(1)), before);
     }
 
+    /// The oracle of an all-or-nothing SET: `Change::accepted` restates
+    /// `Bridge`'s rules, and `set` writes only what it accepted. Two
+    /// bridges are built from one seed (a `Bridge` has no `Clone`). One
+    /// takes a random request's changes one at a time through `Bridge`'s
+    /// own setters, up to the first it refuses, and `accepted` must have
+    /// called every one before it was tried. The other takes the whole
+    /// request through `set`: the same state if every change was taken,
+    /// its own state and the refused binding's index if one was not. A
+    /// rule added to `Bridge` and not to `accepted` fails here, not in a
+    /// SET's `expect`.
+    #[test]
+    fn a_set_is_accepted_exactly_when_the_bridge_takes_every_change() {
+        fn xorshift(mut state: u64) -> impl FnMut(u64) -> u64 {
+            move |n| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            }
+        }
+        // VLAN ids around both ends of the valid range, few enough that
+        // rows are created, destroyed and named again within a request.
+        const VIDS: [u16; 8] = [0, 1, 2, 3, 5, 4094, 4095, 4096];
+        let bridge = |seed: u64| {
+            let mut rand = xorshift(seed | 1);
+            let mut b = Bridge::new(1 + rand(6) as u16);
+            for _ in 0..rand(6) {
+                let port = 1 + rand(u64::from(b.n_ports())) as u16;
+                let vid = VIDS[1 + rand(5) as usize];
+                // Refusals leave the shape random too.
+                let _ = match rand(4) {
+                    0 => b.make_access_port(port, vid),
+                    1 => b.make_trunk_port(port, &[vid, VIDS[1 + rand(5) as usize]]),
+                    2 => b.create_vlan(vid),
+                    _ => b.destroy_vlan(vid),
+                };
+            }
+            b
+        };
+        let state = |b: &Bridge| {
+            let pvids: Vec<u16> = (1..=b.n_ports()).map(|p| b.pvid(p)).collect();
+            format!("{:?} {pvids:?}", b.vlans())
+        };
+        let mut rand = xorshift(0x2545_f491_4f6c_dd1d);
+        let sys = SysInfo::default();
+        let (mut taken_all, mut refused_some) = (0, 0);
+        for case in 0..4_000 {
+            let seed = rand(u64::MAX);
+            let (mut a, mut b) = (bridge(seed), bridge(seed));
+            let n = b.n_ports();
+            // Ports one past the bridge's either way; only writable,
+            // well-typed bindings, so every one decodes.
+            let bindings: Vec<(Oid, Value)> = (0..1 + rand(4))
+                .map(|_| {
+                    let vid = VIDS[rand(8) as usize];
+                    let ports: Vec<u16> = (1..=n + 1).filter(|_| rand(3) == 0).collect();
+                    let portlist = Value::OctetString(mibs::encode_portlist(&ports, n + 1));
+                    match rand(5) {
+                        0 => (
+                            Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, vid.into()),
+                            portlist,
+                        ),
+                        1 => (
+                            Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, vid.into()),
+                            portlist,
+                        ),
+                        2 => (
+                            Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, vid.into()),
+                            Value::Integer(mibs::ROW_CREATE_AND_GO),
+                        ),
+                        3 => (
+                            Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, vid.into()),
+                            Value::Integer(mibs::ROW_DESTROY),
+                        ),
+                        _ => (
+                            Oid::instance(mibs::PVID, rand(u64::from(n) + 2) as u32),
+                            Value::Gauge32(vid.into()),
+                        ),
+                    }
+                })
+                .collect();
+            let mut refused = None;
+            for (i, (oid, value)) in bindings.iter().enumerate() {
+                let change = Change::decode(oid, value).expect("a writable, well-typed binding");
+                let accepted = change.accepted(n, |vid| b.vlan(vid).is_some());
+                let taken = change.apply(&mut b).is_ok();
+                assert_eq!(
+                    accepted, taken,
+                    "case {case}, binding {i}: {oid} = {value:?}"
+                );
+                if !taken {
+                    refused = Some(i);
+                    break;
+                }
+            }
+            let before = state(&a);
+            let mut mib = BridgeMib {
+                bridge: &mut a,
+                sys: &sys,
+                uptime_cs: 1,
+            };
+            let result = mib.set(&bindings);
+            match refused {
+                None => {
+                    assert_eq!(result, Ok(()), "case {case}");
+                    assert_eq!(state(&a), state(&b), "case {case}");
+                    taken_all += 1;
+                }
+                Some(i) => {
+                    assert_eq!(result, Err((i, ErrorStatus::WrongValue)), "case {case}");
+                    assert_eq!(state(&a), before, "case {case}");
+                    refused_some += 1;
+                }
+            }
+        }
+        // Both outcomes are common, so neither side goes untested.
+        assert!(
+            taken_all > 500 && refused_some > 500,
+            "{taken_all} / {refused_some}"
+        );
+    }
+
     #[test]
     fn full_walk_via_agent() {
         let mut b = Bridge::new(2);

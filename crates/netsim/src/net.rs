@@ -215,11 +215,12 @@ impl Network {
         self.shards.len()
     }
 
-    /// The thread count set for a sharded network (default 1; already
-    /// resolved if `set_threads(0)` asked for auto-detection). At most
-    /// one thread per shard runs.
+    /// The threads a run uses: `min(n, shards)` of the `n` asked for by
+    /// [`Network::set_threads`] (resolved, if `set_threads(0)` asked for
+    /// auto-detection), since at most one thread per shard runs. 1 until
+    /// the network is sharded; [`Network::set_shards`] re-applies `n`.
     pub fn threads(&self) -> usize {
-        self.runtime.threads()
+        self.runtime.running()
     }
 
     /// Run shards on `n` threads. `n == 0` auto-detects via
@@ -1155,7 +1156,7 @@ mod tests {
         let mut net = two_node_net();
         shard_echo(&mut net, 3);
         net.set_threads(16);
-        assert_eq!(net.threads(), 16);
+        assert_eq!(net.threads(), 3, "one thread per shard runs");
         assert_eq!(net.runtime_stats().workers_spawned, 2);
         net.run_for(SimTime::from_micros(200));
 
@@ -1164,6 +1165,21 @@ mod tests {
         assert_eq!(net.runtime_stats().workers_spawned, 0, "one shard");
         shard_echo(&mut net, 2);
         assert_eq!(net.runtime_stats().workers_spawned, 1);
+    }
+
+    /// `threads` reports the threads that run, not the count asked for;
+    /// a count set before the network is sharded applies once it is.
+    #[test]
+    fn threads_reports_the_running_count() {
+        let mut net = two_node_net();
+        net.set_threads(4);
+        assert_eq!(net.threads(), 1, "one shard, one thread");
+        shard_echo(&mut net, 6);
+        assert_eq!(net.threads(), 4, "re-applied to the new shards");
+        net.set_threads(16);
+        assert_eq!(net.threads(), 6, "capped at the shards");
+        net.set_threads(1);
+        assert_eq!(net.threads(), 1);
     }
 
     #[test]

@@ -188,6 +188,11 @@ impl Runtime {
         self.threads
     }
 
+    /// Threads a run uses: the calling thread and the workers.
+    pub fn running(&self) -> usize {
+        self.workers.len() + 1
+    }
+
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
             workers_spawned: self.workers_spawned,

@@ -53,7 +53,7 @@ mod wire;
 
 pub use action::{Action, NatDir};
 pub use group::{Bucket, Group, GroupTable, GroupType};
-pub use instruction::Instruction;
+pub use instruction::{Instruction, InstructionRef, Program};
 pub use message::{ControllerRole, Message, PacketInReason, PortDesc, Xid};
 pub use meter::{Meter, MeterBand, MeterTable};
 pub use oxm::{Match, OxmField};

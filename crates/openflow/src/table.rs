@@ -13,8 +13,9 @@
 //!
 //! The table owns a tuple-space index, kept current by every mutation:
 //! entries are grouped by mask, and each group maps a fingerprint of
-//! (masked key, priority) straight to the entry's slot. Flow-mods that
-//! name a match are one hash probe; [`FlowTable::lookup_indexed`]
+//! (masked key, priority) straight to the entry's slot, in an
+//! open-addressed array of 8-byte buckets. Flow-mods that name a match
+//! are one hash probe; [`FlowTable::lookup_indexed`]
 //! probes the same groups, one per distinct mask — a table of one rule
 //! shape is a single probe, the specialisation ESwitch builds on.
 //!
@@ -26,14 +27,13 @@
 //! An index returned by a lookup names a slot, and is valid until the
 //! table's next mutation ([`FlowTable::version`] moves with every one).
 
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 use netpkt::flowkey::FieldMask;
 use netpkt::FlowKey;
 
-use crate::instruction::Instruction;
+use crate::instruction::{Instruction, InstructionRef, Program};
 use crate::oxm::Match;
 use crate::{Error, Result};
 
@@ -127,8 +127,8 @@ pub struct FlowEntry {
     /// Lookup key (the masked value), computed from the match by
     /// [`FlowTable::add`]; its mask is held by the table.
     pub key: FlowKey,
-    /// The instruction list executed on a hit.
-    pub instructions: Vec<Instruction>,
+    /// The instruction list executed on a hit, in one exact-size block.
+    pub instructions: Program,
     /// Controller-chosen opaque id.
     pub cookie: u64,
     /// Seconds of inactivity before removal (0 = never).
@@ -150,7 +150,7 @@ pub struct FlowEntry {
 // The slab's slots times this size is most of what a resident rule
 // costs (an entry holds no mask: that was 96 of 288 bytes). A wider
 // field in an entry should fail the build, not widen every rule.
-const _: () = assert!(std::mem::size_of::<FlowEntry>() == 192);
+const _: () = assert!(std::mem::size_of::<FlowEntry>() <= 192);
 
 /// Install sequence numbers occupy the low bits of a rank.
 const SEQ_BITS: u32 = 48;
@@ -163,18 +163,19 @@ fn rank(priority: u16, seq: u64) -> u64 {
 
 impl FlowEntry {
     /// Build an entry from a flow-mod's pieces at time `now_ns`; its
-    /// lookup key is filled in when a table installs it.
+    /// program is allocated here, once, from the borrowed instructions,
+    /// and its lookup key is filled in when a table installs it.
     pub fn new(
         priority: u16,
         match_: Match,
-        instructions: Vec<Instruction>,
+        instructions: &[Instruction],
         now_ns: u64,
     ) -> FlowEntry {
         FlowEntry {
             priority,
             match_,
             key: FlowKey::default(),
-            instructions,
+            instructions: Program::new(instructions),
             cookie: 0,
             idle_timeout: 0,
             hard_timeout: 0,
@@ -208,26 +209,21 @@ impl FlowEntry {
     /// True if the entry outputs to `port` (for delete filters);
     /// `port_no::ANY` matches everything.
     pub fn outputs_to(&self, port: u32) -> bool {
-        if port == crate::port_no::ANY {
-            return true;
-        }
-        self.instructions.iter().any(|i| match i {
-            Instruction::WriteActions(a) | Instruction::ApplyActions(a) => a
-                .iter()
-                .any(|x| matches!(x, crate::Action::Output { port: p, .. } if *p == port)),
-            _ => false,
-        })
+        port == crate::port_no::ANY
+            || self.any_action(|a| matches!(a, crate::Action::Output { port: p, .. } if *p == port))
     }
 
     /// True if the entry forwards to `group`; `group_no::ANY` matches all.
     pub fn outputs_to_group(&self, group: u32) -> bool {
-        if group == crate::group_no::ANY {
-            return true;
-        }
+        group == crate::group_no::ANY
+            || self.any_action(|a| matches!(a, crate::Action::Group(g) if *g == group))
+    }
+
+    /// True if an action of a write- or apply-actions instruction
+    /// satisfies `f`.
+    fn any_action(&self, f: impl Fn(&crate::Action) -> bool) -> bool {
         self.instructions.iter().any(|i| match i {
-            Instruction::WriteActions(a) | Instruction::ApplyActions(a) => a
-                .iter()
-                .any(|x| matches!(x, crate::Action::Group(g) if *g == group)),
+            InstructionRef::WriteActions(a) | InstructionRef::ApplyActions(a) => a.iter().any(&f),
             _ => false,
         })
     }
@@ -241,27 +237,143 @@ const FINGERPRINT_BITS: u64 = if cfg!(test) { 0 } else { u64::MAX };
 /// Spreads a rule's priority over a fingerprint's 64 bits (2^64 / φ).
 const PRIORITY_SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The hasher of [`MaskGroup::slots`]: a fingerprint is already a
-/// seeded [`FlowKey::flow_hash64`], so it is its own hash.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("fingerprint maps hash u64 keys only")
-    }
-
-    fn write_u64(&mut self, fingerprint: u64) {
-        self.0 = fingerprint;
-    }
-}
-
 /// An entry's index in [`FlowTable`]'s slab.
 type Slot = u32;
+
+/// The slot an empty bucket of a [`FingerprintIndex`] holds.
+const VACANT: Slot = Slot::MAX;
+
+/// Vacant buckets behind the last home bucket of a [`FingerprintIndex`],
+/// where a run that reaches the end goes on: nothing wraps around.
+const TAIL: usize = 8;
+
+/// A mask group's map from tag — the high half of an entry's
+/// fingerprint — to its slot: one array of 8-byte `(tag, slot)`
+/// buckets, its home buckets at most three quarters full. A tag's home
+/// is the tag scaled to the home buckets, so a greater tag never has an
+/// earlier home, and the occupied buckets are kept in ascending tag
+/// order (linear probing with ordered runs, Amble and Knuth's ordered
+/// hash table). An entry sits at its home or behind it in a run of
+/// occupied buckets: a probe stops at a vacant bucket or a greater tag,
+/// an insert moves the rest of its run up one bucket and a removal moves
+/// it back, and the array regrows in one pass that probes nothing. It
+/// holds one entry per tag; what a tag names is verified on the entry.
+#[derive(Debug, Default)]
+struct FingerprintIndex {
+    buckets: Vec<(u32, Slot)>,
+    /// The buckets a tag can call home: all but the tail.
+    homes: usize,
+    len: usize,
+}
+
+impl FingerprintIndex {
+    fn home(&self, tag: u32) -> usize {
+        ((u64::from(tag) * self.homes as u64) >> 32) as usize
+    }
+
+    /// The bucket holding `tag`, or else the bucket it would go to.
+    fn seek(&self, tag: u32) -> std::result::Result<usize, usize> {
+        let mut i = self.home(tag);
+        while let Some(&(t, slot)) = self.buckets.get(i) {
+            if slot == VACANT || t > tag {
+                return Err(i);
+            }
+            if t == tag {
+                return Ok(i);
+            }
+            i += 1;
+        }
+        Err(i)
+    }
+
+    fn get(&self, tag: u32) -> Option<Slot> {
+        self.seek(tag).ok().map(|i| self.buckets[i].1)
+    }
+
+    /// Index `slot` under `tag`; false if another entry holds the tag.
+    fn insert(&mut self, tag: u32, slot: Slot) -> bool {
+        let Err(mut at) = self.seek(tag) else {
+            return false;
+        };
+        if (self.len + 1) * 4 > self.homes * 3 {
+            self.grow();
+            at = self.seek(tag).expect_err("one entry per tag");
+        }
+        // The run from `at` on moves up into the vacant bucket ending it.
+        let end = match self.buckets[at..].iter().position(|b| b.1 == VACANT) {
+            Some(n) => at + n,
+            None => self.push_vacant(),
+        };
+        self.buckets.copy_within(at..end, at + 1);
+        self.buckets[at] = (tag, slot);
+        self.len += 1;
+        true
+    }
+
+    /// A vacant bucket after the last, for a run that reached it.
+    fn push_vacant(&mut self) -> usize {
+        self.buckets.reserve_exact(TAIL);
+        self.buckets.push((0, VACANT));
+        self.buckets.len() - 1
+    }
+
+    /// Grow by an eighth plus 16 home buckets, as the slab does:
+    /// doubling would leave a group one rule past a power of two with
+    /// nearly twice the buckets its load needs. The entries keep their
+    /// order, so each goes to its new home or right behind the one
+    /// before it.
+    fn grow(&mut self) {
+        self.homes += self.homes / 8 + 16;
+        let old = std::mem::replace(&mut self.buckets, vec![(0, VACANT); self.homes + TAIL]);
+        let mut next = 0;
+        // A vacant bucket is `(0, VACANT)`: it is written over the
+        // vacant bucket at `next` and takes no room, which keeps the
+        // loop free of a branch on vacancy (it halves a regrowth).
+        for (tag, slot) in old {
+            let at = self.home(tag).max(next);
+            if at == self.buckets.len() {
+                self.push_vacant();
+            }
+            self.buckets[at] = (tag, slot);
+            next = if slot == VACANT { next } else { at + 1 };
+        }
+    }
+
+    /// Take `slot` out if it is what `tag` names; false if it is not.
+    fn remove(&mut self, tag: u32, slot: Slot) -> bool {
+        let Some(at) = self.seek(tag).ok().filter(|&i| self.buckets[i].1 == slot) else {
+            return false;
+        };
+        self.len -= 1;
+        // The entries behind it in its run move down one, up to the
+        // first that is at its home.
+        let mut end = at + 1;
+        while let Some(&(t, s)) = self.buckets.get(end) {
+            if s == VACANT || self.home(t) == end {
+                break;
+            }
+            end += 1;
+        }
+        self.buckets.copy_within(at + 1..end, at);
+        self.buckets[end - 1] = (0, VACANT);
+        true
+    }
+
+    /// Point `tag` at `to` if it names `from`; false if it does not.
+    fn relabel(&mut self, tag: u32, from: Slot, to: Slot) -> bool {
+        match self.seek(tag) {
+            Ok(i) if self.buckets[i].1 == from => {
+                self.buckets[i].1 = to;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.buckets.iter().map(|b| b.1).filter(|&s| s != VACANT)
+    }
+}
 
 /// An entry's mask: the index of its group in [`FlowTable`]'s groups.
 type MaskId = u32;
@@ -286,10 +398,10 @@ struct MaskGroup {
     first: u64,
     /// Distinct priorities present, highest first, with entry counts.
     prios: Vec<(u16, u32)>,
-    /// Fingerprint of (key, priority) → slot. The key itself is not
-    /// stored a second time: a probe is verified on the entry it names.
-    slots: HashMap<u64, Slot, BuildHasherDefault<PassThrough>>,
-    /// Slots of entries whose fingerprint was already another entry's.
+    /// Tag of (key, priority) → slot. The key itself is not stored a
+    /// second time: a probe is verified on the entry it names.
+    index: FingerprintIndex,
+    /// Slots of entries whose tag was already another entry's.
     spill: Vec<Slot>,
 }
 
@@ -450,22 +562,26 @@ impl FlowTable {
         key.flow_hash64(self.seed)
     }
 
-    fn fingerprint(key_hash: u64, priority: u16) -> u64 {
-        (key_hash ^ u64::from(priority).wrapping_mul(PRIORITY_SPREAD)) & FINGERPRINT_BITS
+    /// The index tag of (key, priority): the high half of its
+    /// fingerprint.
+    fn tag(key_hash: u64, priority: u16) -> u32 {
+        let fingerprint =
+            (key_hash ^ u64::from(priority).wrapping_mul(PRIORITY_SPREAD)) & FINGERPRINT_BITS;
+        (fingerprint >> 32) as u32
     }
 
-    /// Slot of `g`'s entry with exactly this key and priority.
-    /// Fingerprints can collide, so the slot's entry is checked and the
-    /// spill list is the fallback.
+    /// Slot of `g`'s entry with exactly this key and priority. Tags can
+    /// collide, so the slot's entry is checked and the spill list is
+    /// the fallback.
     fn find(&self, g: &MaskGroup, key_hash: u64, key: &FlowKey, priority: u16) -> Option<Slot> {
-        let is_it = |&slot: &Slot| {
+        let is_it = |slot: Slot| {
             let e = self.at(slot);
             (e.priority == priority && e.key == *key).then_some(slot)
         };
-        g.slots
-            .get(&Self::fingerprint(key_hash, priority))
+        g.index
+            .get(Self::tag(key_hash, priority))
             .and_then(is_it)
-            .or_else(|| g.spill.iter().find_map(is_it))
+            .or_else(|| g.spill.iter().find_map(|&s| is_it(s)))
     }
 
     /// The id of the non-vacant group masked by `mask`.
@@ -492,18 +608,14 @@ impl FlowTable {
 
     /// Enter the entry ranked `rank` in `slot` into group `id`.
     fn index(&mut self, key_hash: u64, id: MaskId, priority: u16, rank: u64, slot: Slot) {
-        let fp = Self::fingerprint(key_hash, priority);
         let g = &mut self.groups[id as usize];
         let was_vacant = g.is_vacant();
         match g.prios.binary_search_by(|p| priority.cmp(&p.0)) {
             Ok(i) => g.prios[i].1 += 1,
             Err(i) => g.prios.insert(i, (priority, 1)),
         }
-        match g.slots.entry(fp) {
-            Entry::Vacant(vacant) => {
-                vacant.insert(slot);
-            }
-            Entry::Occupied(_) => g.spill.push(slot),
+        if !g.index.insert(Self::tag(key_hash, priority), slot) {
+            g.spill.push(slot);
         }
         if was_vacant || rank < g.first {
             g.first = rank;
@@ -526,11 +638,9 @@ impl FlowTable {
     fn unindex(&mut self, slot: Slot) -> Option<MaskId> {
         let e = self.at(slot);
         let (id, priority, rank) = (self.masks[slot as usize], e.priority, self.rank_of(slot));
-        let fp = Self::fingerprint(self.key_hash(&e.key), priority);
+        let tag = Self::tag(self.key_hash(&e.key), priority);
         let g = &mut self.groups[id as usize];
-        if g.slots.get(&fp) == Some(&slot) {
-            g.slots.remove(&fp);
-        } else {
+        if !g.index.remove(tag, slot) {
             g.spill.retain(|s| *s != slot);
         }
         let i = g
@@ -559,14 +669,11 @@ impl FlowTable {
             self.order[pos] = slot;
             let e = self.at(last);
             let id = self.masks[last as usize];
-            let fp = Self::fingerprint(self.key_hash(&e.key), e.priority);
+            let tag = Self::tag(self.key_hash(&e.key), e.priority);
             let g = &mut self.groups[id as usize];
-            match g.slots.get_mut(&fp) {
-                Some(s) if *s == last => *s = slot,
-                _ => {
-                    let spilled = g.spill.iter_mut().find(|s| **s == last);
-                    *spilled.expect("an indexed entry is in its slot or the spill") = slot;
-                }
+            if !g.index.relabel(tag, last, slot) {
+                let spilled = g.spill.iter_mut().find(|s| **s == last);
+                *spilled.expect("an indexed entry is in its bucket or the spill") = slot;
             }
         }
         self.masks.swap_remove(slot as usize);
@@ -676,7 +783,10 @@ impl FlowTable {
             self.reserve_slot();
             // Ranked after every entry of its priority (stable order).
             let rank = rank(entry.priority, self.take_seq());
-            let slot = Slot::try_from(self.entries.len()).expect("fewer than 2^32 entries");
+            let slot = Slot::try_from(self.entries.len())
+                .ok()
+                .filter(|&s| s != VACANT)
+                .expect("fewer than 2^32 - 1 entries");
             let id = group.unwrap_or_else(|| self.vacant_group(&mask));
             self.index(key_hash, id, entry.priority, rank, slot);
             self.order.insert(self.position(rank), slot);
@@ -726,12 +836,12 @@ impl FlowTable {
                 );
             } else if !strict && g.mask.mask_union(&fmask) == g.mask {
                 // Entries narrower than the filter: walk the group.
-                let slots = g.slots.values().chain(&g.spill).copied();
+                let slots = g.index.slots().chain(g.spill.iter().copied());
                 sel.extend(slots.filter(|&s| self.at(s).key.masked(&fmask) == fkey));
             }
         }
-        // Hash-map order differs from run to run; what is removed, in
-        // which order, feeds `FLOW_REMOVED`.
+        // Bucket order differs from run to run (the seed moves it); what
+        // is removed, in which order, feeds `FLOW_REMOVED`.
         sel.sort_unstable_by_key(|&s| self.rank_of(s));
         sel
     }
@@ -746,7 +856,7 @@ impl FlowTable {
     ) -> usize {
         let sel = self.select(match_, priority, strict);
         for &slot in &sel {
-            self.entries[slot as usize].instructions = instructions.to_vec();
+            self.entries[slot as usize].instructions = Program::new(instructions);
         }
         if !sel.is_empty() {
             self.version += 1;
@@ -885,7 +995,7 @@ mod tests {
         FlowEntry::new(
             priority,
             m,
-            Instruction::apply(vec![Action::output(out)]),
+            &Instruction::apply(vec![Action::output(out)]),
             0,
         )
     }
@@ -1119,9 +1229,9 @@ mod tests {
         for (port, out) in [(53, 1), (80, 2), (443, 3)] {
             t.add(entry(5, udp_match(port), out)).unwrap();
         }
-        // One slot, two spilled entries (`FINGERPRINT_BITS` is 0 here);
-        // each is replaced on its own.
-        assert_eq!((t.groups[0].slots.len(), t.groups[0].spill.len()), (1, 2));
+        // One indexed, two spilled entries (`FINGERPRINT_BITS` is 0
+        // here); each is replaced on its own.
+        assert_eq!((t.groups[0].index.len, t.groups[0].spill.len()), (1, 2));
         t.add(entry(5, udp_match(80), 9)).unwrap();
         assert_eq!(t.len(), 3);
         for (port, out) in [(53, 1), (80, 9), (443, 3)] {
@@ -1156,13 +1266,13 @@ mod tests {
                 .collect()
         };
         let mut t = FlowTable::new(TableId(0));
-        // Slot 0 holds the group's map slot, 1 and 2 spill (every
+        // Slot 0 holds the group's index bucket, 1 and 2 spill (every
         // fingerprint is equal here); slot 3 is the catch-all's group.
         for (port, out) in [(53, 1), (80, 2), (443, 3)] {
             t.add(entry(5, udp_match(port), out)).unwrap();
         }
         t.add(entry(1, Match::any(), 9)).unwrap();
-        // The catch-all moves into slot 0 and keeps its group's map slot.
+        // The catch-all moves into slot 0 and keeps its group's bucket.
         assert_eq!(t.delete(&udp_match(53), 5, true, any.0, any.1).len(), 1);
         assert_eq!(outs(&t), [false, false, false, true]);
         assert_hits(&mut t, 53, Some(9));
@@ -1270,7 +1380,7 @@ mod tests {
         let all_udp = Match::new().eth_type(0x0800).ip_proto(17);
         assert_eq!(t.delete(&all_udp, 0, false, any.0, any.1).len(), 2);
         let vacated = &t.groups[udp as usize];
-        assert!(vacated.is_vacant() && vacated.slots.capacity() == 0);
+        assert!(vacated.is_vacant() && vacated.index.buckets.capacity() == 0);
         assert_eq!(vacated.mask, FieldMask::default());
         assert_eq!(t.probe_order.len(), 1);
         assert_eq!(t.aggregate_mask(), FieldMask::default());
@@ -1283,6 +1393,126 @@ mod tests {
         assert_hits(&mut t, 53, Some(9));
     }
 
+    /// xorshift: the same tags from run to run.
+    fn tags(mut state: u64) -> impl FnMut() -> u32 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u32
+        }
+    }
+
+    /// One entry past a doubling (2 049) takes 2 880 home buckets and
+    /// the tail, not a `HashMap`'s 4 096: never past three quarters
+    /// full, and never more than half again its entries plus 16, the
+    /// slack growth by an eighth leaves right after a growth.
+    #[test]
+    fn the_index_grows_by_an_eighth_not_a_doubling() {
+        let mut next = tags(0x9e37_79b9_7f4a_7c15);
+        let mut index = FingerprintIndex::default();
+        for slot in 0..2049 {
+            assert!(index.insert(next(), slot), "distinct tags");
+            let (len, homes) = (index.len, index.homes);
+            assert!(len * 4 <= homes * 3, "{len} entries in {homes} homes");
+            assert!(homes <= len * 3 / 2 + 16, "{len} entries in {homes} homes");
+        }
+        assert_eq!(index.homes, 2880);
+        assert_eq!(index.buckets.len(), 2880 + TAIL, "no run left the tail");
+        assert_eq!(
+            index.buckets.capacity(),
+            2880 + TAIL,
+            "allocated at its size"
+        );
+        assert_ordered(&index);
+    }
+
+    /// Ascending tags, each at its home or behind it in a run of
+    /// occupied buckets.
+    fn assert_ordered(index: &FingerprintIndex) {
+        let occupied = |i: usize| index.buckets[i].1 != VACANT;
+        let mut last = None;
+        for i in (0..index.buckets.len()).filter(|&i| occupied(i)) {
+            let tag = index.buckets[i].0;
+            assert!(
+                last < Some(tag),
+                "tag {tag:#x} in bucket {i} after {last:x?}"
+            );
+            let home = index.home(tag);
+            assert!(
+                home <= i,
+                "tag {tag:#x} in bucket {i} before its home {home}"
+            );
+            assert!((home..i).all(occupied), "bucket {i} is off its run");
+            last = Some(tag);
+        }
+    }
+
+    /// The index against a map, over tags crowded into the first and
+    /// the last few home buckets, so runs grow long, reach past the
+    /// tail and close up behind a removal.
+    #[test]
+    fn the_index_agrees_with_a_map_through_inserts_removals_and_relabels() {
+        let mut rand = tags(0x2545_f491_4f6c_dd1d);
+        let mut index = FingerprintIndex::default();
+        let mut model: std::collections::HashMap<u32, Slot> = Default::default();
+        // The 12 greatest tags share the last home: their run goes on
+        // past the tail.
+        for (slot, tag) in (0..12).map(|k| (k, u32::MAX - k)) {
+            assert!(index.insert(tag, slot));
+            model.insert(tag, slot);
+        }
+        assert!(
+            index.buckets.len() > index.homes + TAIL,
+            "a run left the tail"
+        );
+        assert_ordered(&index);
+        for step in 0..20_000u32 {
+            // 56 tags: 12 that share the first home, 12 the last, and
+            // 32 spread evenly, a home or two apart, so runs meet.
+            let r = rand();
+            let tag = match r % 4 {
+                0 => r % 12,
+                1 => u32::MAX - r % 12,
+                _ => (r % 32) << 27,
+            };
+            let slot = rand() % 64;
+            match rand() % 3 {
+                0 => {
+                    let fresh = !model.contains_key(&tag);
+                    assert_eq!(index.insert(tag, slot), fresh, "step {step}");
+                    model.entry(tag).or_insert(slot);
+                }
+                1 => {
+                    let named = model.get(&tag) == Some(&slot);
+                    assert_eq!(index.remove(tag, slot), named, "step {step}");
+                    if named {
+                        model.remove(&tag);
+                    }
+                }
+                _ => {
+                    let from = model.get(&tag).copied().unwrap_or(slot);
+                    let named = model.contains_key(&tag);
+                    assert_eq!(index.relabel(tag, from, slot), named, "step {step}");
+                    if named {
+                        model.insert(tag, slot);
+                    }
+                }
+            }
+            assert_eq!(index.get(tag), model.get(&tag).copied(), "step {step}");
+            assert_eq!(index.len, model.len());
+            assert_ordered(&index);
+        }
+        for (&tag, &slot) in &model {
+            assert_eq!(index.get(tag), Some(slot));
+        }
+        let mut slots: Vec<Slot> = index.slots().collect();
+        let mut want: Vec<Slot> = model.values().copied().collect();
+        slots.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(slots, want);
+    }
+
     #[test]
     fn table_miss_entry_catches_all() {
         let mut t = FlowTable::new(TableId(0));
@@ -1290,7 +1520,7 @@ mod tests {
         t.add(FlowEntry::new(
             0,
             Match::any(),
-            Instruction::apply(vec![Action::to_controller()]),
+            &Instruction::apply(vec![Action::to_controller()]),
             0,
         ))
         .unwrap();

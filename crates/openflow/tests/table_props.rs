@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use netpkt::flowkey::FieldMask;
 use netpkt::{builder, FlowKey, MacAddr};
 use openflow::table::{flow_flags, FlowEntry, FlowTable, RemovedReason, TableId};
-use openflow::{group_no, port_no, Action, Error, Instruction, Match};
+use openflow::{group_no, port_no, Action, Error, Instruction, Match, Program};
 
 /// A small universe of match shapes so collisions actually happen.
 fn arb_rule_match() -> impl Strategy<Value = Match> {
@@ -71,7 +71,7 @@ proptest! {
             let e = FlowEntry::new(
                 *prio,
                 m.clone(),
-                Instruction::apply(vec![Action::output(i as u32 + 1)]),
+                &Instruction::apply(vec![Action::output(i as u32 + 1)]),
                 0,
             );
             // `add` replaces identical (match, priority); mirror that.
@@ -108,7 +108,7 @@ proptest! {
             let _ = table.add(FlowEntry::new(
                 *prio,
                 m.clone(),
-                Instruction::apply(vec![Action::output(i as u32 + 1)]),
+                &Instruction::apply(vec![Action::output(i as u32 + 1)]),
                 0,
             ));
         }
@@ -145,7 +145,7 @@ proptest! {
     ) {
         // Whether a table holding `a` refuses `b` for overlapping it.
         let refuses = |a: &Match, b: &Match| {
-            let entry = |m: &Match| FlowEntry::new(1, m.clone(), Instruction::apply(vec![]), 0);
+            let entry = |m: &Match| FlowEntry::new(1, m.clone(), &Instruction::apply(vec![]), 0);
             let mut table = FlowTable::new(TableId(0));
             table.add(entry(a)).unwrap();
             match table.add(entry(b).with_flags(flow_flags::CHECK_OVERLAP)) {
@@ -177,7 +177,7 @@ proptest! {
         let mut table = FlowTable::new(TableId(0));
         table
             .add(
-                FlowEntry::new(1, Match::any(), Instruction::apply(vec![]), 0)
+                FlowEntry::new(1, Match::any(), &Instruction::apply(vec![]), 0)
                     .with_timeouts(idle, hard),
             )
             .unwrap();
@@ -246,7 +246,7 @@ impl ScanTable {
         let mut changed = 0;
         for e in &mut self.entries {
             if Self::selects(e, m, priority, strict) {
-                e.instructions = insns.to_vec();
+                e.instructions = Program::new(insns);
                 changed += 1;
             }
         }
@@ -369,7 +369,7 @@ fn view(e: &FlowEntry) -> (u16, u64, FlowKey, Match, Vec<Instruction>, u64) {
         e.cookie,
         e.match_.to_key_mask().0,
         e.match_.clone(),
-        e.instructions.clone(),
+        e.instructions.to_vec(),
         e.packets,
     )
 }
@@ -419,7 +419,7 @@ proptest! {
                 // Adds dominate so the table fills, replaces and overflows.
                 0..=5 => {
                     let flags = if aux & 12 == 12 { flow_flags::CHECK_OVERLAP } else { 0 };
-                    let e = FlowEntry::new(priority, m, insns, now_ns)
+                    let e = FlowEntry::new(priority, m, &insns, now_ns)
                         .with_cookie(step as u64)
                         .with_flags(flags)
                         .with_timeouts(u16::from(aux >> 4 & 3) * 4, u16::from(aux >> 2 & 3) * 6);

@@ -387,7 +387,7 @@ impl OfAgent {
                                 packet_count: e.packets,
                                 byte_count: e.bytes,
                                 match_: e.match_.clone(),
-                                instructions: e.instructions.clone(),
+                                instructions: e.instructions.to_vec(),
                             });
                         }
                     }

@@ -50,7 +50,7 @@ use netpkt::{builder, icmp, EtherType, FlowKey, FrameBuf, IpProto, Layers, MacAd
 use openflow::message::{FlowMod, PacketInReason, PortDesc, PortStatsEntry};
 use openflow::table::{FlowEntry, FlowModCommand, RemovedReason, TableId};
 use openflow::{
-    port_no, Action, Error, FlowTable, GroupTable, Instruction, MeterTable, NatDir, OxmField,
+    port_no, Action, Error, FlowTable, GroupTable, InstructionRef, MeterTable, NatDir, OxmField,
     Result,
 };
 
@@ -268,7 +268,7 @@ struct ActionSet {
 }
 
 impl ActionSet {
-    fn write(&mut self, actions: &[Action]) {
+    fn write<'a>(&mut self, actions: impl IntoIterator<Item = &'a Action>) {
         for a in actions {
             match a {
                 Action::PopVlan => self.pop_vlan = true,
@@ -566,15 +566,11 @@ impl Datapath {
         let mut removed = Vec::new();
         match fm.command {
             FlowModCommand::Add => {
-                let entry = FlowEntry::new(
-                    fm.priority,
-                    fm.match_.clone(),
-                    fm.instructions.clone(),
-                    now_ns,
-                )
-                .with_cookie(fm.cookie)
-                .with_timeouts(fm.idle_timeout, fm.hard_timeout)
-                .with_flags(fm.flags);
+                let entry =
+                    FlowEntry::new(fm.priority, fm.match_.clone(), &fm.instructions, now_ns)
+                        .with_cookie(fm.cookie)
+                        .with_timeouts(fm.idle_timeout, fm.hard_timeout)
+                        .with_flags(fm.flags);
                 self.tables[tid].add(entry)?;
             }
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
@@ -1017,26 +1013,29 @@ impl Datapath {
             };
             self.tables[table].hit(entry_idx, ctx.fr.buf.len() as u64, now_ns);
             hits.push((table, entry_idx));
-            let entry = self.tables[table].entry(entry_idx);
-            let instructions = entry.instructions.clone();
+            // Lowering needs the datapath but never its tables: they
+            // step aside while the entry's program is read in place.
+            let tables = std::mem::take(&mut self.tables);
+            let entry = tables[table].entry(entry_idx);
             let is_miss_entry = entry.priority == 0 && entry.match_.fields().is_empty();
 
             let mut goto: Option<u8> = None;
-            for insn in &instructions {
+            for insn in &entry.instructions {
                 match insn {
-                    Instruction::Meter(id) => self.emit(&mut ctx, CAction::Meter(*id)),
-                    Instruction::ApplyActions(list) => {
+                    InstructionRef::Meter(id) => self.emit(&mut ctx, CAction::Meter(id)),
+                    InstructionRef::ApplyActions(list) => {
                         self.lower_actions(list, &mut ctx, is_miss_entry, 0);
                     }
-                    Instruction::ClearActions => action_set.clear(),
-                    Instruction::WriteActions(list) => action_set.write(list),
-                    Instruction::WriteMetadata { metadata, mask } => {
+                    InstructionRef::ClearActions => action_set.clear(),
+                    InstructionRef::WriteActions(list) => action_set.write(list),
+                    InstructionRef::WriteMetadata { metadata, mask } => {
                         let k = &mut ctx.fr.key;
                         k.metadata = (k.metadata & !mask) | (metadata & mask);
                     }
-                    Instruction::GotoTable(t) => goto = Some(*t),
+                    InstructionRef::GotoTable(t) => goto = Some(t),
                 }
             }
+            self.tables = tables;
             // A halted frame ignored whatever followed the halt; it
             // neither continues down the pipeline nor runs its action set.
             if ctx.fr.halt.is_some() {
@@ -1108,7 +1107,13 @@ impl Datapath {
 
     /// Lower an OpenFlow action list: reserved ports to concrete ones,
     /// groups to their buckets, NAT to the set-fields it resolves to.
-    fn lower_actions(&mut self, list: &[Action], ctx: &mut Lowering, miss_entry: bool, depth: u32) {
+    fn lower_actions<'a>(
+        &mut self,
+        list: impl IntoIterator<Item = &'a Action>,
+        ctx: &mut Lowering,
+        miss_entry: bool,
+        depth: u32,
+    ) {
         for a in list {
             if ctx.fr.halt.is_some() {
                 return;
@@ -1283,7 +1288,7 @@ impl Datapath {
 pub(crate) mod tests {
     use super::*;
     use netpkt::{builder, MacAddr};
-    use openflow::Match;
+    use openflow::{Instruction, Match};
     use std::net::Ipv4Addr;
 
     fn udp_frame(src: u32, dst_port: u16) -> Bytes {

@@ -26,6 +26,11 @@
 //! and the barrier keep their storage across windows, so a frame costs
 //! its own two blocks and nothing else.
 //!
+//! A fourth test pins what an installed rule keeps on the heap: 2 048
+//! host routes (`eth_dst → output`, as the ARP proxy installs them)
+//! into a datapath leave two live blocks each, the match and the
+//! program, and no vector per instruction.
+//!
 //! The allocator is per-binary, so this suite is a test binary of its
 //! own; `bytes::buffer_allocs` is process-wide, so its tests take turns.
 
@@ -34,16 +39,20 @@ use std::cell::Cell;
 
 use bytes::buffer_allocs;
 use legacy_switch::{CotsConfig, CotsSwitchNode, LegacySwitchNode};
+use netpkt::MacAddr;
 use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
 use netsim::{LinkSpec, Network, PortId, ShardMap, SimTime};
 use openflow::message::FlowMod;
 use openflow::{Action, Match};
-use softswitch::datapath::{DpConfig, PipelineMode};
+use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use softswitch::{CostModel, SoftSwitchNode};
 
 thread_local! {
     /// Heap blocks requested by this thread while `COUNTING` is set.
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks allocated minus blocks freed by this thread while
+    /// `COUNTING` is set; a `realloc` moves a block and counts neither.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -53,10 +62,16 @@ struct Counting;
 
 fn note_block() {
     // `try_with`: the allocator also runs while a thread is torn down.
-    // Neither cell has a destructor or a lazy initialiser, so reading
-    // them never allocates.
+    // No cell has a destructor or a lazy initialiser, so reading them
+    // never allocates.
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+    }
+}
+
+fn note_live(delta: i64) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
     }
 }
 
@@ -66,11 +81,13 @@ fn note_block() {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_block();
+        note_live(1);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-1);
         // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -92,6 +109,15 @@ fn blocks_during(f: impl FnOnce()) -> u64 {
     f();
     COUNTING.with(|c| c.set(false));
     BLOCKS.with(Cell::get) - before
+}
+
+/// Run `f` and return the heap blocks it left allocated on this thread.
+fn live_after(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    LIVE.with(Cell::get) - before
 }
 
 /// Serialises the tests: both take deltas of the process-wide
@@ -215,11 +241,10 @@ fn cots_hop_allocates_its_table_walk_and_no_result_vectors() {
     assert_eq!(frames, 4_000);
     // The generator builds the frame; the ASIC forwards it as it is.
     assert_eq!(buffers, frames, "frame buffers per frame");
-    // The uncached walk: the matched entry's instruction list and the
-    // action list inside it cloned, the recorded program and the table
-    // hits. No `CachedPath` is built from them: the model has no caches
-    // to keep one.
-    const WALK: u64 = 4;
+    // The uncached walk: the recorded program and the table hits; the
+    // matched entry's program is read in place. No `CachedPath` is
+    // built from them: the model has no caches to keep one.
+    const WALK: u64 = 2;
     assert_eq!(
         blocks,
         (2 + WALK) * frames,
@@ -267,5 +292,39 @@ fn cross_shard_hop_allocates_only_the_frame_buffer() {
         2 * buffers,
         "heap blocks beyond the frame buffer (two each): {blocks} blocks \
          for {frames} frames — a mailbox or inbox allocated per window?"
+    );
+}
+
+#[test]
+fn an_installed_route_keeps_two_heap_blocks() {
+    let _turn = TURN.lock().unwrap();
+    const RULES: u32 = 2_048;
+    let mut dp = Datapath::new(DpConfig::software(1));
+    for p in 1..=4 {
+        dp.add_port(p, format!("p{p}"), 1_000_000);
+    }
+    // The flow-mods outlive the count: what is left is the table's.
+    let mods: Vec<FlowMod> = (0..RULES)
+        .map(|h| {
+            FlowMod::add(0)
+                .priority(100)
+                .match_(Match::new().eth_dst(MacAddr::host(h)))
+                .apply(vec![Action::output(1 + h % 4)])
+        })
+        .collect();
+    let live = live_after(|| {
+        for fm in &mods {
+            dp.apply_flow_mod(fm, 0).unwrap();
+        }
+    });
+    assert_eq!(dp.table(0).unwrap().len(), RULES as usize);
+    // Per rule, its match's fields and its program (the instruction's
+    // one action, with the instruction's head beside it in the entry);
+    // the constant is the table's slab, per-slot vectors, mask group
+    // and index.
+    let per_rule = 2 * i64::from(RULES);
+    assert!(
+        (per_rule..=per_rule + 16).contains(&live),
+        "{live} live heap blocks for {RULES} route rules, want 2 per rule + at most 16"
     );
 }

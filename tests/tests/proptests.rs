@@ -1418,6 +1418,119 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// A flow entry's program: the instruction list it replaced, read back.
+// ---------------------------------------------------------------------
+
+use openflow::table::FlowEntry;
+use openflow::{group_no, port_no, InstructionRef};
+
+/// Every instruction kind, in any order and any number: more than a
+/// flow-mod should carry, so the program holds any list a decoder
+/// yields.
+fn arb_instruction() -> impl Strategy<Value = Instruction> {
+    prop_oneof![
+        any::<u8>().prop_map(Instruction::GotoTable),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(metadata, mask)| Instruction::WriteMetadata { metadata, mask }),
+        proptest::collection::vec(arb_action(), 0..4).prop_map(Instruction::WriteActions),
+        arb_program().prop_map(Instruction::ApplyActions),
+        Just(Instruction::ApplyActions(vec![])),
+        Just(Instruction::ClearActions),
+        any::<u32>().prop_map(Instruction::Meter),
+    ]
+}
+
+/// An entry built from `insns` holds them: read back through the view
+/// they are the list, they print as the list, and the delete filters
+/// select by the list's actions.
+fn assert_program_is(insns: &[Instruction], port: u32, group: u32) {
+    let e = FlowEntry::new(1, Match::any(), insns, 0);
+    assert_eq!(e.instructions.to_vec(), insns);
+    assert_eq!(e.instructions.iter().count(), insns.len());
+    assert_eq!(format!("{:?}", e.instructions), format!("{insns:?}"));
+    assert_eq!(format!("{:#?}", e.instructions), format!("{insns:#?}"));
+    for (view, insn) in e.instructions.iter().zip(insns) {
+        assert_eq!(format!("{view:?}"), format!("{insn:?}"));
+        assert_eq!(&view.to_instruction(), insn);
+    }
+    let any_action = |f: &dyn Fn(&Action) -> bool| {
+        insns.iter().any(|i| match i {
+            Instruction::WriteActions(a) | Instruction::ApplyActions(a) => a.iter().any(f),
+            _ => false,
+        })
+    };
+    let to_port = |a: &Action| matches!(a, Action::Output { port: p, .. } if *p == port);
+    let to_group = |a: &Action| matches!(a, Action::Group(g) if *g == group);
+    assert_eq!(
+        e.outputs_to(port),
+        port == port_no::ANY || any_action(&to_port),
+        "outputs_to({port}) of {insns:?}"
+    );
+    assert_eq!(
+        e.outputs_to_group(group),
+        group == group_no::ANY || any_action(&to_group),
+        "outputs_to_group({group}) of {insns:?}"
+    );
+    // An action list is borrowed in place, and reads the same from
+    // either end.
+    for (view, insn) in e.instructions.iter().zip(insns) {
+        if let (
+            InstructionRef::ApplyActions(a) | InstructionRef::WriteActions(a),
+            Instruction::ApplyActions(want) | Instruction::WriteActions(want),
+        ) = (view, insn)
+        {
+            assert_eq!(a.iter().len(), want.len());
+            assert!(a.iter().rev().eq(want.iter().rev()));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn a_program_is_the_instruction_list_it_replaced(
+        insns in proptest::collection::vec(arb_instruction(), 0..7),
+        port in prop_oneof![1u32..6, Just(port_no::CONTROLLER), Just(port_no::ANY)],
+        group in prop_oneof![0u32..4, Just(group_no::ANY)],
+    ) {
+        assert_program_is(&insns, port, group);
+    }
+}
+
+/// The instruction lists of the wire samples, `every_instruction`
+/// among them, and the lists the cache property installs.
+#[test]
+fn a_program_is_every_sample_instruction_list() {
+    let mut lists: Vec<Vec<Instruction>> = Vec::new();
+    for (_, msg) in of_samples() {
+        match msg {
+            Message::FlowMod(fm) => lists.push(fm.instructions),
+            Message::MultipartReply(MultipartRes::Flow(entries)) => {
+                lists.extend(entries.into_iter().map(|e| e.instructions));
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        lists.iter().any(|l| l.len() == 6),
+        "the sample with every instruction is among them"
+    );
+    lists.push(vec![
+        Instruction::ApplyActions(vec![Action::PopVlan, Action::output(2)]),
+        Instruction::WriteActions(vec![Action::Group(1)]),
+        Instruction::GotoTable(1),
+    ]);
+    lists.push(Vec::new());
+    for insns in &lists {
+        for port in [1, 2, 7, port_no::CONTROLLER, port_no::ANY] {
+            assert_program_is(insns, port, 42);
+            assert_program_is(insns, port, group_no::ANY);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // SNMP wire codec: the bytes every message encodes to.
 // ---------------------------------------------------------------------
 
