@@ -13,7 +13,13 @@
 //! all of a chunk's messages are alive at once and stop fitting in
 //! cache. The `codec/openflow/encode_into/{1,512}_flow_mods` rows append
 //! n flow-mods to one send buffer, in ns per message, beside the
-//! buffer-per-message `flow_mod_encode`.
+//! buffer-per-message `flow_mod_encode`. `codec/openflow/flow_mod_view`
+//! reads the flow-mod `flow_mod_decode` decodes as the switch does,
+//! as a view of its frame, and
+//! `codec/openflow/agent_handle/512_route_flow_mods` pushes a chunk of
+//! 512 host-route flow-mods through a switch's `OfAgent` into its
+//! datapath, in ns per flow-mod: after the first call each one
+//! replaces its own route, so the table stays at 512 rules.
 
 use std::hint::black_box;
 
@@ -21,8 +27,11 @@ use bench::timing::Ledger;
 use bytes::{Bytes, BytesMut};
 use mgmt::pdu::{Pdu, PduType, SnmpMessage, Value};
 use mgmt::{mibs, Oid};
+use netpkt::MacAddr;
 use openflow::message::{FlowMod, Message};
 use openflow::{Action, Match, Session};
+use softswitch::agent::OfAgent;
+use softswitch::datapath::{Datapath, DpConfig};
 
 fn sample_flow_mod() -> Message {
     Message::FlowMod(
@@ -75,6 +84,10 @@ fn bench_openflow(rep: &mut Ledger) {
     rep.calls("openflow/flow_mod_decode", 1, || {
         black_box(Message::decode(&wire).unwrap());
     });
+    rep.calls("openflow/flow_mod_view", 1, || {
+        black_box(Message::decode_ref(&wire).unwrap());
+    });
+    bench_agent(rep);
     let pi = sample_packet_in();
     rep.calls("openflow/packet_in_encode", 1, || {
         black_box(pi.encode(43));
@@ -108,6 +121,32 @@ fn bench_openflow(rep: &mut Ledger) {
             black_box(msgs);
         });
     }
+}
+
+/// A switch's agent taking a controller's burst of host routes
+/// (`eth_dst → output`, as the ARP proxy installs them) in one chunk.
+fn bench_agent(rep: &mut Ledger) {
+    const ROUTES: u32 = 512;
+    let mut dp = Datapath::new(DpConfig::software(1));
+    for p in 1..=4 {
+        dp.add_port(p, format!("p{p}"), 1_000_000);
+    }
+    let mut agent = OfAgent::new("ss2");
+    let mut chunk = BytesMut::new();
+    for h in 0..ROUTES {
+        let route = FlowMod::add(0)
+            .priority(100)
+            .match_(Match::new().eth_dst(MacAddr::host(h)))
+            .apply(vec![Action::output(1 + h % 4)]);
+        Message::FlowMod(route).encode_into(&mut chunk, h);
+    }
+    let chunk = chunk.freeze();
+    let name = format!("openflow/agent_handle/{ROUTES}_route_flow_mods");
+    rep.calls(&name, ROUTES.into(), || {
+        let out = agent.handle(&mut dp, chunk.clone(), 0);
+        black_box(out);
+    });
+    assert_eq!(dp.table(0).map(|t| t.len()), Some(ROUTES as usize));
 }
 
 fn sample_snmp_set() -> SnmpMessage {

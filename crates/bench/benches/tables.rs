@@ -20,8 +20,8 @@ use legacy_switch::bridge::Bridge;
 use legacy_switch::mib::{BridgeMib, SysInfo};
 use mgmt::{mibs, MibStore, Oid};
 use netpkt::{builder, FlowKey, MacAddr};
-use openflow::table::{FlowEntry, FlowTable, TableId};
-use openflow::{group_no, port_no, Action, Instruction, Match};
+use openflow::table::{FlowEntry, FlowTable, Selector, TableId};
+use openflow::{Action, Instruction, Match, Program};
 use softswitch::cache::{CachedPath, MegaflowCache, MicroflowCache};
 
 fn key(src: u32, dst_port: u16) -> FlowKey {
@@ -44,15 +44,22 @@ fn acl(dst_port: u32) -> FlowEntry {
             .eth_type(0x0800)
             .ip_proto(17)
             .udp_dst((dst_port % 30000) as u16),
-        &Instruction::apply(vec![Action::output(2)]),
+        Program::new(&Instruction::apply(vec![Action::output(2)])),
         0,
     )
+}
+
+/// Install `e` under its match's key and mask, computed here as a
+/// flow-mod's are.
+fn install(t: &mut FlowTable, e: FlowEntry) {
+    let (key, mask) = e.match_.to_key_mask();
+    t.add(e, key, mask).unwrap();
 }
 
 fn table_with(n: u32) -> FlowTable {
     let mut t = FlowTable::new(TableId(0));
     for i in 0..n {
-        t.add(acl(i)).unwrap();
+        install(&mut t, acl(i));
     }
     t
 }
@@ -73,7 +80,7 @@ fn bench_lookup(rep: &mut Ledger) {
     let mut t = table_with(4096);
     let k = key(1, 4095);
     rep.calls("lookup_after_flow_mod/4096", 1, || {
-        t.add(acl(7)).unwrap();
+        install(&mut t, acl(7));
         black_box(t.lookup_indexed(&k));
     });
 }
@@ -85,12 +92,13 @@ fn route_match(host: u32) -> Match {
 
 fn route(host: u32, out: u32) -> FlowEntry {
     let (m, insns) = route_parts(host, out);
-    FlowEntry::new(100, m, &insns, 0)
+    FlowEntry::new(100, m, Program::new(&insns), 0)
 }
 
 /// A route's match and instructions, built (and allocated) ahead of a
-/// timed round, which then times the entry built from them and its
-/// install: the lookup key is computed from the match on the way in.
+/// timed round, which then times the entry built from them (its
+/// program is allocated there) and its install under the key and mask
+/// computed from the match.
 fn route_parts(host: u32, out: u32) -> (Match, Vec<Instruction>) {
     let insns = Instruction::apply(vec![Action::output(out)]);
     (route_match(host), insns)
@@ -99,11 +107,10 @@ fn route_parts(host: u32, out: u32) -> (Match, Vec<Instruction>) {
 fn bench_flow_mod(rep: &mut Ledger) {
     /// Operations per round; the table grows or shrinks by at most this.
     const BATCH: u32 = 256;
-    let any = (port_no::ANY, group_no::ANY);
     for n in [256u32, 4096] {
         let mut t = FlowTable::new(TableId(0));
         for host in 0..n {
-            t.add(route(host, 1)).unwrap();
+            install(&mut t, route(host, 1));
         }
         // The hosts in table order: one priority, so install order. A
         // delete round re-adds its victims at the tail, so every round
@@ -123,11 +130,11 @@ fn bench_flow_mod(rep: &mut Ledger) {
             let fresh: Vec<_> = (n..n + BATCH).map(|h| route_parts(h, 1)).collect();
             let start = Instant::now();
             for (m, insns) in fresh {
-                t.add(FlowEntry::new(100, m, &insns, 0)).unwrap();
+                install(&mut t, FlowEntry::new(100, m, Program::new(&insns), 0));
             }
             let took = start.elapsed();
             for host in n..n + BATCH {
-                t.delete(&route_match(host), 100, true, any.0, any.1);
+                t.delete(&Selector::strict(&route_match(host), 100));
             }
             (took, BATCH.into())
         });
@@ -138,7 +145,7 @@ fn bench_flow_mod(rep: &mut Ledger) {
                 .collect();
             let start = Instant::now();
             for (m, insns) in again {
-                t.add(FlowEntry::new(100, m, &insns, 0)).unwrap();
+                install(&mut t, FlowEntry::new(100, m, Program::new(&insns), 0));
             }
             (start.elapsed(), BATCH.into())
         });
@@ -147,12 +154,18 @@ fn bench_flow_mod(rep: &mut Ledger) {
                 let victims = spread(&order);
                 let start = Instant::now();
                 for &h in &victims {
-                    let gone = t.delete(&route_match(h), 100, strict, any.0, any.1);
+                    let m = route_match(h);
+                    let sel = if strict {
+                        Selector::strict(&m, 100)
+                    } else {
+                        Selector::within(&m)
+                    };
+                    let gone = t.delete(&sel);
                     assert_eq!(gone.len(), 1);
                 }
                 let took = start.elapsed();
                 for &h in &victims {
-                    t.add(route(h, 1)).unwrap();
+                    install(&mut t, route(h, 1));
                 }
                 // The victims are a subsequence of the order.
                 let mut gone = victims.iter().peekable();

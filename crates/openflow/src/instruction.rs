@@ -56,33 +56,13 @@ impl Instruction {
 
     /// Decode one instruction from the front of `buf`.
     pub fn decode(buf: &mut &[u8]) -> Result<Instruction> {
-        let ty = buf.u16()?;
-        let len = usize::from(buf.u16()?);
-        if len < 8 {
-            return Err(Error::Malformed("instruction too short"));
-        }
-        let mut body = buf.take(len - 4)?;
-        Ok(match ty {
-            1 => Instruction::GotoTable(body.u8()?),
-            2 => {
-                body.skip(4)?;
-                Instruction::WriteMetadata {
-                    metadata: body.u64()?,
-                    mask: body.u64()?,
-                }
-            }
-            3 | 4 => {
-                body.skip(4)?;
-                let actions = body.items(Action::decode)?;
-                if ty == 3 {
-                    Instruction::WriteActions(actions)
-                } else {
-                    Instruction::ApplyActions(actions)
-                }
-            }
-            5 => Instruction::ClearActions,
-            6 => Instruction::Meter(body.u32()?),
-            _ => return Err(Error::Malformed("unknown instruction type")),
+        Ok(match Tlv::read(buf)? {
+            Tlv::GotoTable(t) => Instruction::GotoTable(t),
+            Tlv::WriteMetadata { metadata, mask } => Instruction::WriteMetadata { metadata, mask },
+            Tlv::WriteActions(a) => Instruction::WriteActions(a.items(Action::decode)?),
+            Tlv::ApplyActions(a) => Instruction::ApplyActions(a.items(Action::decode)?),
+            Tlv::ClearActions => Instruction::ClearActions,
+            Tlv::Meter(id) => Instruction::Meter(id),
         })
     }
 
@@ -102,6 +82,114 @@ impl Instruction {
     pub fn apply(actions: Vec<Action>) -> Vec<Instruction> {
         vec![Instruction::ApplyActions(actions)]
     }
+}
+
+/// One instruction TLV as a received message holds it, its actions
+/// still wire bytes: what every reader of an instruction reads first.
+#[derive(Debug, Clone, Copy)]
+enum Tlv<'a> {
+    GotoTable(u8),
+    WriteMetadata { metadata: u64, mask: u64 },
+    WriteActions(&'a [u8]),
+    ApplyActions(&'a [u8]),
+    ClearActions,
+    Meter(u32),
+}
+
+impl<'a> Tlv<'a> {
+    /// Read one instruction's TLV from the front of `buf`; its actions
+    /// are not read.
+    fn read(buf: &mut &'a [u8]) -> Result<Tlv<'a>> {
+        let ty = buf.u16()?;
+        let len = usize::from(buf.u16()?);
+        if len < 8 {
+            return Err(Error::Malformed("instruction too short"));
+        }
+        let mut body = buf.take(len - 4)?;
+        Ok(match ty {
+            1 => Tlv::GotoTable(body.u8()?),
+            2 => {
+                body.skip(4)?;
+                Tlv::WriteMetadata {
+                    metadata: body.u64()?,
+                    mask: body.u64()?,
+                }
+            }
+            3 | 4 => {
+                body.skip(4)?;
+                if ty == 3 {
+                    Tlv::WriteActions(body)
+                } else {
+                    Tlv::ApplyActions(body)
+                }
+            }
+            5 => Tlv::ClearActions,
+            6 => Tlv::Meter(body.u32()?),
+            _ => return Err(Error::Malformed("unknown instruction type")),
+        })
+    }
+}
+
+/// The instruction list of a received flow-mod where the message holds
+/// it, checked when it is parsed: every instruction and action is one
+/// [`Instruction::decode`] reads, so reading them again cannot fail.
+#[derive(Debug, Clone, Copy)]
+pub struct WireInstructions<'a> {
+    bytes: &'a [u8],
+    /// How many instructions they hold.
+    len: usize,
+    /// The ops of the [`Program`] they make.
+    ops: usize,
+}
+
+impl<'a> WireInstructions<'a> {
+    /// Check the instructions that fill `bytes`, in order: each TLV,
+    /// then its actions, failing where [`Instruction::decode`] fails.
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<WireInstructions<'a>> {
+        let (mut rest, mut insns, mut operands) = (bytes, 0usize, 0);
+        while !rest.is_empty() {
+            insns += 1;
+            operands += match Tlv::read(&mut rest)? {
+                Tlv::WriteActions(mut a) | Tlv::ApplyActions(mut a) => {
+                    let mut n = 0;
+                    while !a.is_empty() {
+                        Action::decode(&mut a)?;
+                        n += 1;
+                    }
+                    n
+                }
+                Tlv::WriteMetadata { .. } => 1,
+                Tlv::GotoTable(_) | Tlv::ClearActions | Tlv::Meter(_) => 0,
+            };
+        }
+        // Every instruction after the first is a head op.
+        let ops = operands + insns.saturating_sub(1);
+        Ok(WireInstructions {
+            bytes,
+            len: insns,
+            ops,
+        })
+    }
+
+    fn tlvs(&self) -> impl Iterator<Item = Tlv<'a>> {
+        let mut rest = self.bytes;
+        std::iter::from_fn(move || (!rest.is_empty()).then(|| Tlv::read(&mut rest).ok())?)
+    }
+
+    /// The owned instruction list.
+    pub fn to_vec(&self) -> Vec<Instruction> {
+        let mut rest = self.bytes;
+        let mut insns = Vec::with_capacity(self.len);
+        insns.extend(std::iter::from_fn(|| {
+            (!rest.is_empty()).then(|| Instruction::decode(&mut rest).ok())?
+        }));
+        insns
+    }
+}
+
+/// The actions in `bytes`, checked already, in order.
+fn actions(mut bytes: &[u8]) -> impl Iterator<Item = Action> + '_ {
+    std::iter::from_fn(move || (!bytes.is_empty()).then(|| Action::decode(&mut bytes).ok())?)
 }
 
 /// An instruction list as a flow entry keeps it: one exact-size block
@@ -191,6 +279,48 @@ impl Program {
         }
         Program {
             first: insns.first().map(Head::of),
+            ops: ops.into_boxed_slice(),
+        }
+    }
+
+    /// The program of a received flow-mod's instructions, read where
+    /// the message holds them and allocated once at its exact size:
+    /// [`Program::new`] of their decoded list, with no list between.
+    pub fn from_wire(insns: &WireInstructions<'_>) -> Program {
+        let mut ops = Vec::with_capacity(insns.ops);
+        let mut first = None;
+        for tlv in insns.tlvs() {
+            // A later instruction's head goes in front of its operands,
+            // once they are counted.
+            let at = ops.len();
+            if first.is_some() {
+                ops.push(Op::Head(Head::ClearActions));
+            }
+            let mut push_actions = |a| {
+                let before = ops.len();
+                ops.extend(actions(a).map(Op::Action));
+                u32::try_from(ops.len() - before)
+                    .expect("fewer than 2^32 actions in an instruction")
+            };
+            let head = match tlv {
+                Tlv::GotoTable(t) => Head::GotoTable(t),
+                Tlv::WriteMetadata { metadata, mask } => {
+                    ops.push(Op::Metadata { metadata, mask });
+                    Head::WriteMetadata
+                }
+                Tlv::WriteActions(a) => Head::WriteActions(push_actions(a)),
+                Tlv::ApplyActions(a) => Head::ApplyActions(push_actions(a)),
+                Tlv::ClearActions => Head::ClearActions,
+                Tlv::Meter(id) => Head::Meter(id),
+            };
+            if first.is_none() {
+                first = Some(head);
+            } else if let Some(op) = ops.get_mut(at) {
+                *op = Op::Head(head);
+            }
+        }
+        Program {
+            first,
             ops: ops.into_boxed_slice(),
         }
     }

@@ -6,14 +6,24 @@
 //! [`Message::decode`] consumes one from the front of a buffer. The
 //! control channel's byte stream, which may split a message or carry
 //! several, is reassembled by [`crate::Session`].
+//!
+//! A flow-mod has one parser, and its product is a view:
+//! [`Message::decode_ref`] reads a `FLOW_MOD` as a [`FlowModRef`] that
+//! borrows the match and the instructions where the frame holds them,
+//! checked as it is built. A switch applies the view; the owned
+//! [`FlowMod`] that [`Message::decode`] returns is the view's
+//! [`FlowModRef::to_owned`].
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use netpkt::flowkey::FieldMask;
+use netpkt::FlowKey;
+
 use crate::action::Action;
 use crate::group::{Bucket, GroupModCommand, GroupType};
-use crate::instruction::Instruction;
+use crate::instruction::{Instruction, Program, WireInstructions};
 use crate::meter::{MeterBand, MeterModCommand};
-use crate::oxm::Match;
+use crate::oxm::{Match, WireMatch};
 use crate::table::FlowModCommand;
 use crate::wire::{self, Cursor};
 use crate::{Error, Result, NO_BUFFER, OFP_VERSION};
@@ -294,6 +304,194 @@ impl FlowMod {
     pub fn flags(mut self, f: u16) -> Self {
         self.flags = f;
         self
+    }
+}
+
+/// The fixed fields of a `FLOW_MOD`: everything in front of its match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowModHeader {
+    /// Opaque controller cookie.
+    pub cookie: u64,
+    /// Cookie mask for modify/delete filtering.
+    pub cookie_mask: u64,
+    /// Target table.
+    pub table_id: u8,
+    /// Add/modify/delete.
+    pub command: FlowModCommand,
+    /// Idle timeout, seconds.
+    pub idle_timeout: u16,
+    /// Hard timeout, seconds.
+    pub hard_timeout: u16,
+    /// Priority.
+    pub priority: u16,
+    /// Buffered packet to release, or [`NO_BUFFER`].
+    pub buffer_id: u32,
+    /// Delete filter: output port.
+    pub out_port: u32,
+    /// Delete filter: output group.
+    pub out_group: u32,
+    /// `flow_flags` bits.
+    pub flags: u16,
+}
+
+impl FlowModHeader {
+    fn encode(&self, out: &mut BytesMut) {
+        out.put_u64(self.cookie);
+        out.put_u64(self.cookie_mask);
+        out.put_u8(self.table_id);
+        out.put_u8(self.command.value());
+        out.put_u16(self.idle_timeout);
+        out.put_u16(self.hard_timeout);
+        out.put_u16(self.priority);
+        out.put_u32(self.buffer_id);
+        out.put_u32(self.out_port);
+        out.put_u32(self.out_group);
+        out.put_u16(self.flags);
+        out.put_bytes(0, 2);
+    }
+
+    fn decode(body: &mut &[u8]) -> Result<FlowModHeader> {
+        let cookie = body.u64()?;
+        let cookie_mask = body.u64()?;
+        let table_id = body.u8()?;
+        let command = FlowModCommand::from_value(body.u8()?)?;
+        let header = FlowModHeader {
+            cookie,
+            cookie_mask,
+            table_id,
+            command,
+            idle_timeout: body.u16()?,
+            hard_timeout: body.u16()?,
+            priority: body.u16()?,
+            buffer_id: body.u32()?,
+            out_port: body.u32()?,
+            out_group: body.u32()?,
+            flags: body.u16()?,
+        };
+        body.skip(2)?;
+        Ok(header)
+    }
+}
+
+/// A received `FLOW_MOD`, read where its frame holds it: the fixed
+/// fields, and the match and instructions as checked wire bytes. Every
+/// byte was checked when the view was built, failing exactly where the
+/// owned decode fails, so nothing read from it later can fail; a switch
+/// turns it into a rule's key, mask, match and [`Program`] with no
+/// decoded list in between.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowModRef<'a> {
+    /// The fixed fields.
+    pub header: FlowModHeader,
+    /// The match.
+    pub match_: WireMatch<'a>,
+    /// The instruction list.
+    pub instructions: WireInstructions<'a>,
+}
+
+impl<'a> FlowModRef<'a> {
+    /// Read a flow-mod's body, which fills `body`.
+    fn decode(body: &mut &'a [u8]) -> Result<FlowModRef<'a>> {
+        let header = FlowModHeader::decode(body)?;
+        let match_ = WireMatch::parse(body)?;
+        let instructions = WireInstructions::parse(std::mem::take(body))?;
+        Ok(FlowModRef {
+            header,
+            match_,
+            instructions,
+        })
+    }
+
+    /// The owned flow-mod: what [`Message::decode`] returns for it.
+    pub fn to_owned(self) -> FlowMod {
+        let h = self.header;
+        FlowMod {
+            cookie: h.cookie,
+            cookie_mask: h.cookie_mask,
+            table_id: h.table_id,
+            command: h.command,
+            idle_timeout: h.idle_timeout,
+            hard_timeout: h.hard_timeout,
+            priority: h.priority,
+            buffer_id: h.buffer_id,
+            out_port: h.out_port,
+            out_group: h.out_group,
+            flags: h.flags,
+            match_: self.match_.to_owned(),
+            instructions: self.instructions.to_vec(),
+        }
+    }
+}
+
+/// What a switch reads of a flow-mod to apply it. The owned [`FlowMod`]
+/// and the view [`FlowModRef`] both provide it, so one routine applies
+/// either.
+pub trait FlowModSource {
+    /// The fixed fields.
+    fn header(&self) -> FlowModHeader;
+    /// Check the match's prerequisites ([`Match::validate`]).
+    fn validate(&self) -> Result<()>;
+    /// The match's lookup key and mask ([`Match::to_key_mask`]).
+    fn to_key_mask(&self) -> (FlowKey, FieldMask);
+    /// The match, owned, its fields in one exact-size block.
+    fn to_match(&self) -> Match;
+    /// The instructions as a rule keeps them.
+    fn to_program(&self) -> Program;
+}
+
+impl FlowModSource for FlowMod {
+    fn header(&self) -> FlowModHeader {
+        FlowModHeader {
+            cookie: self.cookie,
+            cookie_mask: self.cookie_mask,
+            table_id: self.table_id,
+            command: self.command,
+            idle_timeout: self.idle_timeout,
+            hard_timeout: self.hard_timeout,
+            priority: self.priority,
+            buffer_id: self.buffer_id,
+            out_port: self.out_port,
+            out_group: self.out_group,
+            flags: self.flags,
+        }
+    }
+
+    fn validate(&self) -> Result<()> {
+        self.match_.validate()
+    }
+
+    fn to_key_mask(&self) -> (FlowKey, FieldMask) {
+        self.match_.to_key_mask()
+    }
+
+    fn to_match(&self) -> Match {
+        self.match_.clone()
+    }
+
+    fn to_program(&self) -> Program {
+        Program::new(&self.instructions)
+    }
+}
+
+impl FlowModSource for FlowModRef<'_> {
+    fn header(&self) -> FlowModHeader {
+        self.header
+    }
+
+    fn validate(&self) -> Result<()> {
+        self.match_.validate()
+    }
+
+    fn to_key_mask(&self) -> (FlowKey, FieldMask) {
+        self.match_.to_key_mask()
+    }
+
+    fn to_match(&self) -> Match {
+        self.match_.to_owned()
+    }
+
+    fn to_program(&self) -> Program {
+        Program::from_wire(&self.instructions)
     }
 }
 
@@ -603,6 +801,26 @@ pub enum Message {
     },
 }
 
+/// A decoded message whose flow-mod, if it is one, is left where the
+/// frame holds it.
+#[derive(Debug)]
+pub enum MessageRef<'a> {
+    /// A `FLOW_MOD`, as a view of its frame.
+    FlowMod(FlowModRef<'a>),
+    /// Any other message, decoded.
+    Owned(Message),
+}
+
+impl MessageRef<'_> {
+    /// The owned message.
+    pub fn into_owned(self) -> Message {
+        match self {
+            MessageRef::FlowMod(fm) => Message::FlowMod(fm.to_owned()),
+            MessageRef::Owned(msg) => msg,
+        }
+    }
+}
+
 /// Bytes of the header every message starts with.
 pub(crate) const HEADER_LEN: usize = 8;
 
@@ -611,6 +829,20 @@ pub(crate) const HEADER_LEN: usize = 8;
 pub(crate) fn frame_len(mut buf: &[u8]) -> Option<usize> {
     buf.skip(2).ok()?;
     buf.u16().ok().map(usize::from)
+}
+
+/// The length of the frame at the front of `buf`, once all of it has
+/// arrived: [`Error::Truncated`] until then, and [`Error::Malformed`]
+/// for a header whose length cannot hold the header itself.
+pub(crate) fn whole_frame_len(buf: &[u8]) -> Result<usize> {
+    let mut rest = buf;
+    rest.skip(HEADER_LEN)?;
+    let len = frame_len(buf).ok_or(Error::Truncated)?;
+    if len < HEADER_LEN {
+        return Err(Error::Malformed("header length below 8"));
+    }
+    rest.skip(len - HEADER_LEN)?;
+    Ok(len)
 }
 
 impl Message {
@@ -776,18 +1008,7 @@ impl Message {
                 out.put_slice(data);
             }
             Message::FlowMod(fm) => {
-                out.put_u64(fm.cookie);
-                out.put_u64(fm.cookie_mask);
-                out.put_u8(fm.table_id);
-                out.put_u8(fm.command.value());
-                out.put_u16(fm.idle_timeout);
-                out.put_u16(fm.hard_timeout);
-                out.put_u16(fm.priority);
-                out.put_u32(fm.buffer_id);
-                out.put_u32(fm.out_port);
-                out.put_u32(fm.out_group);
-                out.put_u16(fm.flags);
-                out.put_bytes(0, 2);
+                fm.header().encode(out);
                 fm.match_.encode(out);
                 Instruction::encode_list(&fm.instructions, out);
             }
@@ -963,25 +1184,37 @@ impl Message {
     /// header gives. A complete frame whose body runs out inside one of
     /// its structures is [`Error::Malformed`].
     pub fn decode(buf: &[u8]) -> Result<(Xid, Message, usize)> {
-        let mut rest = buf;
-        let version = rest.u8()?;
-        let ty = rest.u8()?;
-        let len = usize::from(rest.u16()?);
-        let xid = rest.u32()?;
-        if len < HEADER_LEN {
-            return Err(Error::Malformed("header length below 8"));
-        }
-        let mut body = rest.take(len - HEADER_LEN)?;
+        let (xid, msg, len) = Self::decode_ref(buf)?;
+        Ok((xid, msg.into_owned(), len))
+    }
+
+    /// [`Message::decode`], but a flow-mod is left where `buf` holds it,
+    /// as a [`FlowModRef`]: the one parser of a flow-mod.
+    pub fn decode_ref(buf: &[u8]) -> Result<(Xid, MessageRef<'_>, usize)> {
+        let len = whole_frame_len(buf)?;
+        let mut frame = buf;
+        let mut body = frame.take(len)?;
+        let version = body.u8()?;
+        let ty = body.u8()?;
+        body.skip(2)?;
+        let xid = body.u32()?;
         if version != OFP_VERSION && ty != msg_type::HELLO {
             return Err(Error::BadVersion(version));
         }
-        let msg = Self::decode_body(ty, &mut body).map_err(|e| match e {
+        let msg = if ty == msg_type::FLOW_MOD {
+            FlowModRef::decode(&mut body).map(MessageRef::FlowMod)
+        } else {
+            Self::decode_body(ty, &mut body).map(MessageRef::Owned)
+        };
+        let msg = msg.map_err(|e| match e {
             Error::Truncated => Error::Malformed("body ends inside a structure"),
             e => e,
         })?;
         Ok((xid, msg, len))
     }
 
+    /// The body of a message of type `ty`, which fills `body`: every
+    /// type but `FLOW_MOD`, which [`FlowModRef`] reads.
     fn decode_body(ty: u8, body: &mut &[u8]) -> Result<Message> {
         use msg_type::*;
         Ok(match ty {
@@ -1095,35 +1328,6 @@ impl Message {
                     actions: Action::decode_list(body, actions_len)?,
                     data: Bytes::copy_from_slice(body),
                 }
-            }
-            FLOW_MOD => {
-                let cookie = body.u64()?;
-                let cookie_mask = body.u64()?;
-                let table_id = body.u8()?;
-                let command = FlowModCommand::from_value(body.u8()?)?;
-                let idle_timeout = body.u16()?;
-                let hard_timeout = body.u16()?;
-                let priority = body.u16()?;
-                let buffer_id = body.u32()?;
-                let out_port = body.u32()?;
-                let out_group = body.u32()?;
-                let flags = body.u16()?;
-                body.skip(2)?;
-                Message::FlowMod(FlowMod {
-                    cookie,
-                    cookie_mask,
-                    table_id,
-                    command,
-                    idle_timeout,
-                    hard_timeout,
-                    priority,
-                    buffer_id,
-                    out_port,
-                    out_group,
-                    flags,
-                    match_: Match::decode(body)?,
-                    instructions: body.items(Instruction::decode)?,
-                })
             }
             GROUP_MOD => {
                 let command = GroupModCommand::from_value(body.u16()?)?;

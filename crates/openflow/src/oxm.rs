@@ -383,176 +383,12 @@ impl Match {
 
     /// Validate OF 1.3 prerequisites (§7.2.3.8) and duplicate fields.
     pub fn validate(&self) -> Result<()> {
-        let mut seen = 0u64;
-        let has = |fields: &[OxmField], pred: &dyn Fn(&OxmField) -> bool| fields.iter().any(pred);
-        for f in &self.fields {
-            let bit = 1u64 << f.number();
-            if seen & bit != 0 {
-                return Err(Error::BadMatch("duplicate field"));
-            }
-            seen |= bit;
-            match f {
-                OxmField::VlanPcp(_) => {
-                    let tagged = has(
-                        &self.fields,
-                        &|g| matches!(g, OxmField::VlanVid(v, _) if v & OFPVID_PRESENT != 0),
-                    );
-                    if !tagged {
-                        return Err(Error::BadMatch("VLAN_PCP requires tagged VLAN_VID"));
-                    }
-                }
-                OxmField::IpProto(_) | OxmField::IpDscp(_) => {
-                    let ip = has(&self.fields, &|g| {
-                        matches!(g, OxmField::EthType(0x0800) | OxmField::EthType(0x86dd))
-                    });
-                    if !ip {
-                        return Err(Error::BadMatch("IP field requires ETH_TYPE ip"));
-                    }
-                }
-                OxmField::Ipv4Src(..) | OxmField::Ipv4Dst(..)
-                    if !has(&self.fields, &|g| matches!(g, OxmField::EthType(0x0800))) =>
-                {
-                    return Err(Error::BadMatch("IPv4 field requires ETH_TYPE 0x0800"));
-                }
-                OxmField::Ipv6Src(..) | OxmField::Ipv6Dst(..)
-                    if !has(&self.fields, &|g| matches!(g, OxmField::EthType(0x86dd))) =>
-                {
-                    return Err(Error::BadMatch("IPv6 field requires ETH_TYPE 0x86dd"));
-                }
-                OxmField::TcpSrc(_) | OxmField::TcpDst(_)
-                    if !has(&self.fields, &|g| matches!(g, OxmField::IpProto(6))) =>
-                {
-                    return Err(Error::BadMatch("TCP field requires IP_PROTO 6"));
-                }
-                OxmField::UdpSrc(_) | OxmField::UdpDst(_)
-                    if !has(&self.fields, &|g| matches!(g, OxmField::IpProto(17))) =>
-                {
-                    return Err(Error::BadMatch("UDP field requires IP_PROTO 17"));
-                }
-                OxmField::Icmpv4Type(_) | OxmField::Icmpv4Code(_)
-                    if !has(&self.fields, &|g| matches!(g, OxmField::IpProto(1))) =>
-                {
-                    return Err(Error::BadMatch("ICMP field requires IP_PROTO 1"));
-                }
-                OxmField::ArpOp(_) | OxmField::ArpSpa(..) | OxmField::ArpTpa(..)
-                    if !has(&self.fields, &|g| matches!(g, OxmField::EthType(0x0806))) =>
-                {
-                    return Err(Error::BadMatch("ARP field requires ETH_TYPE 0x0806"));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
+        validate(self.fields.iter().copied())
     }
 
     /// Convert to the `(value, mask)` pair used for dataplane lookup.
     pub fn to_key_mask(&self) -> (FlowKey, FieldMask) {
-        let mut key = FlowKey::default();
-        let mut mask = FieldMask::default();
-        let full_mac = MacAddr([0xff; 6]);
-        for f in &self.fields {
-            match *f {
-                OxmField::InPort(v) => {
-                    key.in_port = v;
-                    mask.in_port = u32::MAX;
-                }
-                OxmField::Metadata(v, m) => {
-                    let m = m.unwrap_or(u64::MAX);
-                    key.metadata = v & m;
-                    mask.metadata = m;
-                }
-                OxmField::EthDst(v, m) => {
-                    let m = m.unwrap_or(full_mac);
-                    key.eth_dst = v.masked_with(&m);
-                    mask.eth_dst = m;
-                }
-                OxmField::EthSrc(v, m) => {
-                    let m = m.unwrap_or(full_mac);
-                    key.eth_src = v.masked_with(&m);
-                    mask.eth_src = m;
-                }
-                OxmField::EthType(v) => {
-                    key.eth_type = v;
-                    mask.eth_type = u16::MAX;
-                }
-                OxmField::VlanVid(v, m) => {
-                    let m = m.unwrap_or(OFPVID_PRESENT | netpkt::VID_MASK);
-                    key.vlan_vid = v & m;
-                    mask.vlan_vid = m;
-                }
-                OxmField::VlanPcp(v) => {
-                    key.vlan_pcp = v;
-                    mask.vlan_pcp = u8::MAX;
-                }
-                OxmField::IpDscp(v) => {
-                    key.ip_dscp = v;
-                    mask.ip_dscp = u8::MAX;
-                }
-                OxmField::IpProto(v) => {
-                    key.ip_proto = v;
-                    mask.ip_proto = u8::MAX;
-                }
-                OxmField::Ipv4Src(v, m) => {
-                    let m = m.map(u32::from).unwrap_or(u32::MAX);
-                    key.ipv4_src = u32::from(v) & m;
-                    mask.ipv4_src = m;
-                }
-                OxmField::Ipv4Dst(v, m) => {
-                    let m = m.map(u32::from).unwrap_or(u32::MAX);
-                    key.ipv4_dst = u32::from(v) & m;
-                    mask.ipv4_dst = m;
-                }
-                OxmField::TcpSrc(v) => {
-                    key.tcp_src = v;
-                    mask.tcp_src = u16::MAX;
-                }
-                OxmField::TcpDst(v) => {
-                    key.tcp_dst = v;
-                    mask.tcp_dst = u16::MAX;
-                }
-                OxmField::UdpSrc(v) => {
-                    key.udp_src = v;
-                    mask.udp_src = u16::MAX;
-                }
-                OxmField::UdpDst(v) => {
-                    key.udp_dst = v;
-                    mask.udp_dst = u16::MAX;
-                }
-                OxmField::Icmpv4Type(v) => {
-                    key.icmp_type = v;
-                    mask.icmp_type = u8::MAX;
-                }
-                OxmField::Icmpv4Code(v) => {
-                    key.icmp_code = v;
-                    mask.icmp_code = u8::MAX;
-                }
-                OxmField::ArpOp(v) => {
-                    key.arp_op = v;
-                    mask.arp_op = u16::MAX;
-                }
-                OxmField::ArpSpa(v, m) => {
-                    let m = m.map(u32::from).unwrap_or(u32::MAX);
-                    key.arp_spa = u32::from(v) & m;
-                    mask.arp_spa = m;
-                }
-                OxmField::ArpTpa(v, m) => {
-                    let m = m.map(u32::from).unwrap_or(u32::MAX);
-                    key.arp_tpa = u32::from(v) & m;
-                    mask.arp_tpa = m;
-                }
-                OxmField::Ipv6Src(v, m) => {
-                    let m = m.map(u128::from).unwrap_or(u128::MAX);
-                    key.ipv6_src = u128::from(v) & m;
-                    mask.ipv6_src = m;
-                }
-                OxmField::Ipv6Dst(v, m) => {
-                    let m = m.map(u128::from).unwrap_or(u128::MAX);
-                    key.ipv6_dst = u128::from(v) & m;
-                    mask.ipv6_dst = m;
-                }
-            }
-        }
-        (key, mask)
+        key_mask(self.fields.iter().copied())
     }
 
     /// True if `pkt` (an extracted flow key) satisfies this match.
@@ -575,6 +411,33 @@ impl Match {
 
     /// Decode an `ofp_match` from the front of `buf`, consuming padding.
     pub fn decode(buf: &mut &[u8]) -> Result<Match> {
+        let mut fields = Vec::new();
+        WireMatch::read(buf, |f| fields.push(f))?;
+        Ok(Match { fields })
+    }
+}
+
+/// The OXM fields of an `ofp_match` where a received message holds
+/// them, checked when it is parsed: every field is one
+/// [`OxmField::decode`] reads, so reading them again cannot fail.
+#[derive(Debug, Clone, Copy)]
+pub struct WireMatch<'a> {
+    /// The OXM TLVs, without the match header and padding.
+    tlvs: &'a [u8],
+    /// How many fields they hold.
+    len: usize,
+}
+
+impl<'a> WireMatch<'a> {
+    /// Parse an `ofp_match` (type 1/OXM, padded to 8 bytes) from the
+    /// front of `buf`, consuming padding.
+    pub(crate) fn parse(buf: &mut &'a [u8]) -> Result<WireMatch<'a>> {
+        Self::read(buf, drop)
+    }
+
+    /// [`Self::parse`], handing each field to `field` as it decodes:
+    /// the one parser of a match, which [`Match::decode`] collects from.
+    fn read(buf: &mut &'a [u8], mut field: impl FnMut(OxmField)) -> Result<WireMatch<'a>> {
         let ty = buf.u16()?;
         let len = usize::from(buf.u16()?);
         if ty != 1 {
@@ -583,10 +446,217 @@ impl Match {
         if len < 4 {
             return Err(Error::Malformed("match length below header"));
         }
-        let fields = buf.take(len - 4)?.items(OxmField::decode)?;
+        let tlvs = buf.take(len - 4)?;
+        let (mut rest, mut fields) = (tlvs, 0);
+        while !rest.is_empty() {
+            field(OxmField::decode(&mut rest)?);
+            fields += 1;
+        }
         buf.skip((8 - len % 8) % 8)?;
-        Ok(Match { fields })
+        Ok(WireMatch { tlvs, len: fields })
     }
+
+    /// The fields, in author order, decoded as they are read.
+    pub fn fields(&self) -> Fields<'a> {
+        Fields(self.tlvs)
+    }
+
+    /// See [`Match::validate`].
+    pub fn validate(&self) -> Result<()> {
+        validate(self.fields())
+    }
+
+    /// See [`Match::to_key_mask`].
+    pub fn to_key_mask(&self) -> (FlowKey, FieldMask) {
+        key_mask(self.fields())
+    }
+
+    /// The owned match, its fields in one block of exactly their
+    /// number.
+    pub fn to_owned(self) -> Match {
+        let mut fields = Vec::with_capacity(self.len);
+        fields.extend(self.fields());
+        Match { fields }
+    }
+}
+
+/// The fields of a [`WireMatch`], in order.
+#[derive(Debug, Clone)]
+pub struct Fields<'a>(&'a [u8]);
+
+impl Iterator for Fields<'_> {
+    type Item = OxmField;
+
+    fn next(&mut self) -> Option<OxmField> {
+        // Checked when the match was parsed: a field that stopped
+        // decoding would end the walk, and none does.
+        (!self.0.is_empty())
+            .then(|| OxmField::decode(&mut self.0).ok())
+            .flatten()
+    }
+}
+
+/// OF 1.3 prerequisites (§7.2.3.8) and duplicate fields of a match's
+/// fields: the first field, in author order, that repeats one before
+/// it or misses a field it requires is the error. A prerequisite may
+/// follow the field that needs it, so what the fields provide is
+/// gathered first.
+fn validate(fields: impl Iterator<Item = OxmField> + Clone) -> Result<()> {
+    let (mut tagged, mut ipv4, mut ipv6, mut arp) = (false, false, false, false);
+    let (mut tcp, mut udp, mut icmp) = (false, false, false);
+    for f in fields.clone() {
+        match f {
+            OxmField::VlanVid(v, _) if v & OFPVID_PRESENT != 0 => tagged = true,
+            OxmField::EthType(0x0800) => ipv4 = true,
+            OxmField::EthType(0x86dd) => ipv6 = true,
+            OxmField::EthType(0x0806) => arp = true,
+            OxmField::IpProto(6) => tcp = true,
+            OxmField::IpProto(17) => udp = true,
+            OxmField::IpProto(1) => icmp = true,
+            _ => {}
+        }
+    }
+    let mut seen = 0u64;
+    for f in fields {
+        let bit = 1u64 << f.number();
+        if seen & bit != 0 {
+            return Err(Error::BadMatch("duplicate field"));
+        }
+        seen |= bit;
+        let missing = match f {
+            OxmField::VlanPcp(_) if !tagged => "VLAN_PCP requires tagged VLAN_VID",
+            OxmField::IpProto(_) | OxmField::IpDscp(_) if !(ipv4 || ipv6) => {
+                "IP field requires ETH_TYPE ip"
+            }
+            OxmField::Ipv4Src(..) | OxmField::Ipv4Dst(..) if !ipv4 => {
+                "IPv4 field requires ETH_TYPE 0x0800"
+            }
+            OxmField::Ipv6Src(..) | OxmField::Ipv6Dst(..) if !ipv6 => {
+                "IPv6 field requires ETH_TYPE 0x86dd"
+            }
+            OxmField::TcpSrc(_) | OxmField::TcpDst(_) if !tcp => "TCP field requires IP_PROTO 6",
+            OxmField::UdpSrc(_) | OxmField::UdpDst(_) if !udp => "UDP field requires IP_PROTO 17",
+            OxmField::Icmpv4Type(_) | OxmField::Icmpv4Code(_) if !icmp => {
+                "ICMP field requires IP_PROTO 1"
+            }
+            OxmField::ArpOp(_) | OxmField::ArpSpa(..) | OxmField::ArpTpa(..) if !arp => {
+                "ARP field requires ETH_TYPE 0x0806"
+            }
+            _ => continue,
+        };
+        return Err(Error::BadMatch(missing));
+    }
+    Ok(())
+}
+
+/// The `(value, mask)` pair of a match's fields.
+fn key_mask(fields: impl Iterator<Item = OxmField>) -> (FlowKey, FieldMask) {
+    let mut key = FlowKey::default();
+    let mut mask = FieldMask::default();
+    let full_mac = MacAddr([0xff; 6]);
+    for f in fields {
+        match f {
+            OxmField::InPort(v) => {
+                key.in_port = v;
+                mask.in_port = u32::MAX;
+            }
+            OxmField::Metadata(v, m) => {
+                let m = m.unwrap_or(u64::MAX);
+                key.metadata = v & m;
+                mask.metadata = m;
+            }
+            OxmField::EthDst(v, m) => {
+                let m = m.unwrap_or(full_mac);
+                key.eth_dst = v.masked_with(&m);
+                mask.eth_dst = m;
+            }
+            OxmField::EthSrc(v, m) => {
+                let m = m.unwrap_or(full_mac);
+                key.eth_src = v.masked_with(&m);
+                mask.eth_src = m;
+            }
+            OxmField::EthType(v) => {
+                key.eth_type = v;
+                mask.eth_type = u16::MAX;
+            }
+            OxmField::VlanVid(v, m) => {
+                let m = m.unwrap_or(OFPVID_PRESENT | netpkt::VID_MASK);
+                key.vlan_vid = v & m;
+                mask.vlan_vid = m;
+            }
+            OxmField::VlanPcp(v) => {
+                key.vlan_pcp = v;
+                mask.vlan_pcp = u8::MAX;
+            }
+            OxmField::IpDscp(v) => {
+                key.ip_dscp = v;
+                mask.ip_dscp = u8::MAX;
+            }
+            OxmField::IpProto(v) => {
+                key.ip_proto = v;
+                mask.ip_proto = u8::MAX;
+            }
+            OxmField::Ipv4Src(v, m) => {
+                let m = m.map(u32::from).unwrap_or(u32::MAX);
+                key.ipv4_src = u32::from(v) & m;
+                mask.ipv4_src = m;
+            }
+            OxmField::Ipv4Dst(v, m) => {
+                let m = m.map(u32::from).unwrap_or(u32::MAX);
+                key.ipv4_dst = u32::from(v) & m;
+                mask.ipv4_dst = m;
+            }
+            OxmField::TcpSrc(v) => {
+                key.tcp_src = v;
+                mask.tcp_src = u16::MAX;
+            }
+            OxmField::TcpDst(v) => {
+                key.tcp_dst = v;
+                mask.tcp_dst = u16::MAX;
+            }
+            OxmField::UdpSrc(v) => {
+                key.udp_src = v;
+                mask.udp_src = u16::MAX;
+            }
+            OxmField::UdpDst(v) => {
+                key.udp_dst = v;
+                mask.udp_dst = u16::MAX;
+            }
+            OxmField::Icmpv4Type(v) => {
+                key.icmp_type = v;
+                mask.icmp_type = u8::MAX;
+            }
+            OxmField::Icmpv4Code(v) => {
+                key.icmp_code = v;
+                mask.icmp_code = u8::MAX;
+            }
+            OxmField::ArpOp(v) => {
+                key.arp_op = v;
+                mask.arp_op = u16::MAX;
+            }
+            OxmField::ArpSpa(v, m) => {
+                let m = m.map(u32::from).unwrap_or(u32::MAX);
+                key.arp_spa = u32::from(v) & m;
+                mask.arp_spa = m;
+            }
+            OxmField::ArpTpa(v, m) => {
+                let m = m.map(u32::from).unwrap_or(u32::MAX);
+                key.arp_tpa = u32::from(v) & m;
+                mask.arp_tpa = m;
+            }
+            OxmField::Ipv6Src(v, m) => {
+                let m = m.map(u128::from).unwrap_or(u128::MAX);
+                key.ipv6_src = u128::from(v) & m;
+                mask.ipv6_src = m;
+            }
+            OxmField::Ipv6Dst(v, m) => {
+                let m = m.map(u128::from).unwrap_or(u128::MAX);
+                key.ipv6_dst = u128::from(v) & m;
+                mask.ipv6_dst = m;
+            }
+        }
+    }
+    (key, mask)
 }
 
 /// Mask helper for [`MacAddr`] used by `to_key_mask`.

@@ -6,12 +6,17 @@
 //!
 //! * **Framing.** The transport hands over byte chunks that may split a
 //!   message or coalesce several; [`Session::push`] takes each chunk and
-//!   [`Session::next_message`] hands out the messages it completes, one
-//!   at a time and owned, so the caller can act on each — and on the
-//!   session — before the next is decoded. A stream that stops decoding
-//!   is dropped from the bad frame on: the messages before it are handed
-//!   out, but after a framing error no later length field can be
-//!   trusted.
+//!   [`Session::next_frame`] hands out the frames it completes, one at a
+//!   time, each a zero-copy slice of the chunk that holds it (a frame
+//!   split across chunks is copied once, as it is completed). The caller
+//!   decodes each — a switch reads a flow-mod where the frame holds it
+//!   ([`crate::Message::decode_ref`]) — and acts on it, and on the
+//!   session, before the next. [`Session::next_message`] is a frame and
+//!   its owned decode, for a caller that keeps messages. A stream that
+//!   stops decoding is dropped from the bad frame on: the messages
+//!   before it are handed out, but after a framing error no later length
+//!   field can be trusted, so a caller that cannot decode a frame drops
+//!   the rest with [`Session::clear_input`].
 //! * **Keepalive.** The xids of echo probes awaiting their reply, under
 //!   four rules: a reply acknowledges its probe *and every older one*
 //!   (it proves the channel is alive); a reply matching no outstanding
@@ -26,17 +31,17 @@
 
 use bytes::Bytes;
 
-use crate::message::{frame_len, Message, Xid, HEADER_LEN};
+use crate::message::{frame_len, whole_frame_len, Message, Xid, HEADER_LEN};
 use crate::{Error, Result};
 
 /// Reassembly state and keepalive probe list of one channel endpoint;
 /// the default has nothing buffered and nothing outstanding.
 ///
-/// The bytes still to decode are `tail` followed by `chunk[used..]`.
-/// Messages are decoded where the transport delivered them, in
-/// `chunk`; only a message split across chunks is copied, into `tail`,
-/// and only as far as its header says it reaches. A session that has
-/// handed out every whole message it was given keeps nothing of the
+/// The bytes still to hand out are `tail` followed by `chunk[used..]`.
+/// Frames are handed out as slices of the chunk the transport
+/// delivered; only a message split across chunks is copied, into
+/// `tail`, and only as far as its header says it reaches. A session that
+/// has handed out every whole frame it was given keeps nothing of the
 /// chunk, and its tail holds no more than a partial message.
 #[derive(Debug, Default)]
 pub struct Session {
@@ -66,14 +71,14 @@ impl Session {
         self.used = 0;
     }
 
-    /// The next complete message of the bytes pushed so far, or `None`
-    /// when they hold no more: the bytes of an incomplete trailing
-    /// message wait for the next push. A complete frame that does not
-    /// decode is an error, never a wait, and everything buffered from it
-    /// on is discarded.
-    pub fn next_message(&mut self) -> Option<Result<(Xid, Message)>> {
+    /// The next complete frame of the bytes pushed so far, header
+    /// included, or `None` when they hold no more: the bytes of an
+    /// incomplete trailing message wait for the next push. A header
+    /// whose length cannot hold the header is an error, never a wait,
+    /// and everything buffered from it on is discarded.
+    pub fn next_frame(&mut self) -> Option<Result<Bytes>> {
         // A message split across chunks is completed in the tail first;
-        // the rest are read where the chunk holds them.
+        // the rest are sliced from the chunk that holds them.
         let in_tail = !self.tail.is_empty();
         if in_tail {
             self.fill_tail();
@@ -83,17 +88,18 @@ impl Session {
         } else {
             self.chunk.get(self.used..).unwrap_or_default()
         };
-        match Message::decode(rest) {
-            Ok((xid, msg, len)) => {
-                if !in_tail {
-                    self.used += len;
-                } else if self.tail.len() > len {
-                    self.tail.drain(..len);
-                } else {
-                    self.tail = Vec::new();
-                }
-                Some(Ok((xid, msg)))
+        match whole_frame_len(rest) {
+            Ok(len) if !in_tail => {
+                let frame = self.chunk.slice(self.used..self.used + len);
+                self.used += len;
+                Some(Ok(frame))
             }
+            Ok(len) if self.tail.len() > len => {
+                let frame = Bytes::copy_from_slice(&self.tail[..len]);
+                self.tail.drain(..len);
+                Some(Ok(frame))
+            }
+            Ok(_) => Some(Ok(Bytes::from(std::mem::take(&mut self.tail)))),
             Err(Error::Truncated) => {
                 // Nothing whole is left: keep the partial message, not
                 // the chunk.
@@ -109,6 +115,21 @@ impl Session {
                 Some(Err(e))
             }
         }
+    }
+
+    /// The next complete message of the bytes pushed so far, decoded and
+    /// owned: [`Self::next_frame`] and [`Message::decode`]. A frame that
+    /// does not decode is an error, and everything buffered behind it is
+    /// discarded.
+    pub fn next_message(&mut self) -> Option<Result<(Xid, Message)>> {
+        let next = self.next_frame()?.and_then(|frame| {
+            let (xid, msg, _) = Message::decode(&frame)?;
+            Ok((xid, msg))
+        });
+        if next.is_err() {
+            self.clear_input();
+        }
+        Some(next)
     }
 
     /// Move bytes from the chunk into the tail until the tail holds its

@@ -33,7 +33,7 @@ use std::hash::{BuildHasher, Hasher};
 use netpkt::flowkey::FieldMask;
 use netpkt::FlowKey;
 
-use crate::instruction::{Instruction, InstructionRef, Program};
+use crate::instruction::{InstructionRef, Program};
 use crate::oxm::Match;
 use crate::{Error, Result};
 
@@ -124,7 +124,7 @@ pub struct FlowEntry {
     pub priority: u16,
     /// The authored match (kept for stats encoding).
     pub match_: Match,
-    /// Lookup key (the masked value), computed from the match by
+    /// Lookup key (the masked value) of the match, set by
     /// [`FlowTable::add`]; its mask is held by the table.
     pub key: FlowKey,
     /// The instruction list executed on a hit, in one exact-size block.
@@ -162,20 +162,14 @@ fn rank(priority: u16, seq: u64) -> u64 {
 }
 
 impl FlowEntry {
-    /// Build an entry from a flow-mod's pieces at time `now_ns`; its
-    /// program is allocated here, once, from the borrowed instructions,
-    /// and its lookup key is filled in when a table installs it.
-    pub fn new(
-        priority: u16,
-        match_: Match,
-        instructions: &[Instruction],
-        now_ns: u64,
-    ) -> FlowEntry {
+    /// Build an entry from a flow-mod's match and program at time
+    /// `now_ns`; its lookup key is filled in when a table installs it.
+    pub fn new(priority: u16, match_: Match, instructions: Program, now_ns: u64) -> FlowEntry {
         FlowEntry {
             priority,
             match_,
             key: FlowKey::default(),
-            instructions: Program::new(instructions),
+            instructions,
             cookie: 0,
             idle_timeout: 0,
             hard_timeout: 0,
@@ -226,6 +220,67 @@ impl FlowEntry {
             InstructionRef::WriteActions(a) | InstructionRef::ApplyActions(a) => a.iter().any(&f),
             _ => false,
         })
+    }
+}
+
+/// Which entries a modify, a delete or a flow-stats request selects
+/// (OF 1.3 §6.4, §7.3.5.2). Non-strict, every entry inside the match's
+/// region — every packet it matches also matches `(key, mask)`;
+/// strict, the one with exactly this match and `priority`. Of those,
+/// only the entries whose cookie agrees with `cookie` on the bits of
+/// `cookie_mask` (a zero mask filters nothing), and that output to
+/// `out_port` and `out_group` (`ANY` filters nothing; a modify ignores
+/// both).
+#[derive(Debug, Clone, Copy)]
+pub struct Selector {
+    /// The match's lookup key.
+    pub key: FlowKey,
+    /// The match's mask.
+    pub mask: FieldMask,
+    /// Priority, for a strict selection.
+    pub priority: u16,
+    /// Exactly this match and priority, or everything within the match.
+    pub strict: bool,
+    /// Cookie the selected entries agree with on `cookie_mask`'s bits.
+    pub cookie: u64,
+    /// Which cookie bits must agree.
+    pub cookie_mask: u64,
+    /// Output-port filter.
+    pub out_port: u32,
+    /// Output-group filter.
+    pub out_group: u32,
+}
+
+impl Selector {
+    /// Every entry within `match_`, whatever its cookie and outputs.
+    pub fn within(match_: &Match) -> Selector {
+        let (key, mask) = match_.to_key_mask();
+        Selector {
+            key,
+            mask,
+            priority: 0,
+            strict: false,
+            cookie: 0,
+            cookie_mask: 0,
+            out_port: crate::port_no::ANY,
+            out_group: crate::group_no::ANY,
+        }
+    }
+
+    /// The entry with exactly `match_` and `priority`.
+    pub fn strict(match_: &Match, priority: u16) -> Selector {
+        Selector {
+            priority,
+            strict: true,
+            ..Selector::within(match_)
+        }
+    }
+
+    /// True if `e`'s cookie and outputs pass the filters.
+    fn passes(&self, e: &FlowEntry) -> bool {
+        e.cookie & self.cookie_mask == self.cookie & self.cookie_mask
+            && e.outputs_to(self.out_port)
+            && e.outputs_to_group(self.out_group)
     }
 }
 
@@ -512,14 +567,10 @@ impl FlowTable {
         self.order.iter().map(|&s| self.at(s))
     }
 
-    /// The entries inside `match_`'s region — every packet such an
-    /// entry matches also matches `match_` — in table order: what a
-    /// non-strict modify or delete selects, and what a flow-stats
+    /// The entries `sel` selects, in table order: what a flow-stats
     /// request reports.
-    pub fn within(&self, match_: &Match) -> impl Iterator<Item = &FlowEntry> {
-        self.select(match_, 0, false)
-            .into_iter()
-            .map(|s| self.at(s))
+    pub fn select(&self, sel: &Selector) -> impl Iterator<Item = &FlowEntry> {
+        self.selected(sel).into_iter().map(|s| self.at(s))
     }
 
     /// Union of every entry's mask: the fields a lookup here can depend
@@ -754,10 +805,11 @@ impl FlowTable {
         self.next_seq - 1
     }
 
-    /// Install an entry per OF `ADD` semantics.
-    pub fn add(&mut self, mut entry: FlowEntry) -> Result<()> {
-        let mask;
-        (entry.key, mask) = entry.match_.to_key_mask();
+    /// Install an entry per OF `ADD` semantics, under its match's lookup
+    /// key and mask ([`Match::to_key_mask`]), which the caller computed
+    /// once for the flow-mod.
+    pub fn add(&mut self, mut entry: FlowEntry, key: FlowKey, mask: FieldMask) -> Result<()> {
+        entry.key = key;
         if entry.flags & flow_flags::CHECK_OVERLAP != 0 {
             let p = entry.priority;
             let lo = self.order.partition_point(|&s| self.at(s).priority > p);
@@ -816,71 +868,59 @@ impl FlowTable {
         grow(&mut self.order, room);
     }
 
-    /// Slots, in table order, of the entries a modify/delete selects:
-    /// strict, the one with exactly this match and priority; non-strict,
-    /// every entry within the match's region.
-    fn select(&self, match_: &Match, priority: u16, strict: bool) -> Vec<Slot> {
-        let (fkey, fmask) = match_.to_key_mask();
-        let key_hash = self.key_hash(&fkey);
-        let mut sel = Vec::new();
+    /// Slots, in table order, of the entries `sel` selects.
+    fn selected(&self, sel: &Selector) -> Vec<Slot> {
+        let (fkey, fmask, priority, strict) = (&sel.key, &sel.mask, sel.priority, sel.strict);
+        let key_hash = self.key_hash(fkey);
+        let mut slots = Vec::new();
         // A vacant group has no entries to add.
         for g in &self.groups {
-            if g.mask == fmask {
+            if g.mask == *fmask {
                 // Within a filter of the group's own mask means an equal
                 // key: one probe per priority.
                 let prios = g.prios.iter().map(|p| p.0);
-                sel.extend(
+                slots.extend(
                     prios
                         .filter(|p| !strict || *p == priority)
-                        .filter_map(|p| self.find(g, key_hash, &fkey, p)),
+                        .filter_map(|p| self.find(g, key_hash, fkey, p)),
                 );
-            } else if !strict && g.mask.mask_union(&fmask) == g.mask {
+            } else if !strict && g.mask.mask_union(fmask) == g.mask {
                 // Entries narrower than the filter: walk the group.
-                let slots = g.index.slots().chain(g.spill.iter().copied());
-                sel.extend(slots.filter(|&s| self.at(s).key.masked(&fmask) == fkey));
+                let group = g.index.slots().chain(g.spill.iter().copied());
+                slots.extend(group.filter(|&s| self.at(s).key.masked(fmask) == *fkey));
             }
         }
+        slots.retain(|&s| sel.passes(self.at(s)));
         // Bucket order differs from run to run (the seed moves it); what
         // is removed, in which order, feeds `FLOW_REMOVED`.
-        sel.sort_unstable_by_key(|&s| self.rank_of(s));
-        sel
+        slots.sort_unstable_by_key(|&s| self.rank_of(s));
+        slots
     }
 
-    /// Modify instructions of matching entries; returns how many changed.
-    pub fn modify(
-        &mut self,
-        match_: &Match,
-        priority: u16,
-        strict: bool,
-        instructions: &[Instruction],
-    ) -> usize {
-        let sel = self.select(match_, priority, strict);
-        for &slot in &sel {
-            self.entries[slot as usize].instructions = Program::new(instructions);
+    /// Give the entries `sel` selects, whatever they output to, `program`
+    /// as their instructions; returns how many changed.
+    pub fn modify(&mut self, sel: &Selector, program: &Program) -> usize {
+        let any_output = Selector {
+            out_port: crate::port_no::ANY,
+            out_group: crate::group_no::ANY,
+            ..*sel
+        };
+        let slots = self.selected(&any_output);
+        for &slot in &slots {
+            self.entries[slot as usize].instructions = program.clone();
         }
-        if !sel.is_empty() {
+        if !slots.is_empty() {
             self.version += 1;
         }
-        sel.len()
+        slots.len()
     }
 
-    /// Delete matching entries, honouring `out_port`/`out_group` filters.
-    /// Returns the removed entries in table order (with reason `Delete`)
-    /// so the caller can emit `FLOW_REMOVED` for those that asked.
-    pub fn delete(
-        &mut self,
-        match_: &Match,
-        priority: u16,
-        strict: bool,
-        out_port: u32,
-        out_group: u32,
-    ) -> Vec<FlowEntry> {
-        let mut sel = self.select(match_, priority, strict);
-        sel.retain(|&s| {
-            let e = self.at(s);
-            e.outputs_to(out_port) && e.outputs_to_group(out_group)
-        });
-        self.remove_at(&sel)
+    /// Delete the entries `sel` selects. Returns the removed entries in
+    /// table order (with reason `Delete`) so the caller can emit
+    /// `FLOW_REMOVED` for those that asked.
+    pub fn delete(&mut self, sel: &Selector) -> Vec<FlowEntry> {
+        let slots = self.selected(sel);
+        self.remove_at(&slots)
     }
 
     /// Highest-priority entry matching `pkt`, if any, by linear scan —
@@ -974,7 +1014,7 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Action;
+    use crate::{Action, Instruction};
     use netpkt::{builder, MacAddr};
     use std::net::Ipv4Addr;
 
@@ -992,12 +1032,37 @@ mod tests {
     }
 
     fn entry(priority: u16, m: Match, out: u32) -> FlowEntry {
-        FlowEntry::new(
-            priority,
-            m,
-            &Instruction::apply(vec![Action::output(out)]),
-            0,
-        )
+        let insns = Instruction::apply(vec![Action::output(out)]);
+        FlowEntry::new(priority, m, Program::new(&insns), 0)
+    }
+
+    impl FlowTable {
+        /// `add` under the entry's own match's key and mask.
+        fn install(&mut self, e: FlowEntry) -> Result<()> {
+            let (key, mask) = e.match_.to_key_mask();
+            self.add(e, key, mask)
+        }
+
+        /// `delete` of what `m` selects, filtered by outputs only.
+        fn delete_match(
+            &mut self,
+            m: &Match,
+            priority: u16,
+            strict: bool,
+            out_port: u32,
+            out_group: u32,
+        ) -> Vec<FlowEntry> {
+            let sel = if strict {
+                Selector::strict(m, priority)
+            } else {
+                Selector::within(m)
+            };
+            self.delete(&Selector {
+                out_port,
+                out_group,
+                ..sel
+            })
+        }
     }
 
     fn udp_match(port: u16) -> Match {
@@ -1007,8 +1072,8 @@ mod tests {
     #[test]
     fn priority_order_wins() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(10, Match::any(), 1)).unwrap();
-        t.add(entry(100, udp_match(53), 2)).unwrap();
+        t.install(entry(10, Match::any(), 1)).unwrap();
+        t.install(entry(100, udp_match(53), 2)).unwrap();
         let idx = t.lookup(&udp_key(53)).unwrap();
         assert_eq!(t.entry(idx).priority, 100);
         let idx = t.lookup(&udp_key(80)).unwrap();
@@ -1020,8 +1085,8 @@ mod tests {
     #[test]
     fn equal_priority_is_fifo() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(50, udp_match(53), 1)).unwrap();
-        t.add(entry(50, Match::new().eth_type(0x0800).ip_proto(17), 2))
+        t.install(entry(50, udp_match(53), 1)).unwrap();
+        t.install(entry(50, Match::new().eth_type(0x0800).ip_proto(17), 2))
             .unwrap();
         // Both match; the first-installed must win.
         let idx = t.lookup(&udp_key(53)).unwrap();
@@ -1031,8 +1096,8 @@ mod tests {
     #[test]
     fn add_replaces_identical_match_priority() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1)).unwrap();
-        t.add(entry(5, udp_match(53), 9)).unwrap();
+        t.install(entry(5, udp_match(53), 1)).unwrap();
+        t.install(entry(5, udp_match(53), 9)).unwrap();
         assert_eq!(t.len(), 1);
         let idx = t.lookup(&udp_key(53)).unwrap();
         assert!(t.entry(idx).outputs_to(9));
@@ -1041,41 +1106,42 @@ mod tests {
     #[test]
     fn check_overlap_rejects() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1)).unwrap();
+        t.install(entry(5, udp_match(53), 1)).unwrap();
         // Overlapping at same priority (any UDP includes dst 53).
         let e = entry(5, Match::new().eth_type(0x0800).ip_proto(17), 2)
             .with_flags(flow_flags::CHECK_OVERLAP);
-        assert_eq!(t.add(e).unwrap_err(), Error::Overlap);
+        assert_eq!(t.install(e).unwrap_err(), Error::Overlap);
         // Same match at different priority is fine.
         let e = entry(6, Match::new().eth_type(0x0800).ip_proto(17), 2)
             .with_flags(flow_flags::CHECK_OVERLAP);
-        t.add(e).unwrap();
+        t.install(e).unwrap();
         // Disjoint matches at same priority are fine.
         let e = entry(5, udp_match(54), 3).with_flags(flow_flags::CHECK_OVERLAP);
-        t.add(e).unwrap();
+        t.install(e).unwrap();
     }
 
     #[test]
     fn capacity_enforced() {
         let mut t = FlowTable::with_capacity(TableId(0), 2);
-        t.add(entry(1, udp_match(1), 1)).unwrap();
-        t.add(entry(1, udp_match(2), 1)).unwrap();
+        t.install(entry(1, udp_match(1), 1)).unwrap();
+        t.install(entry(1, udp_match(2), 1)).unwrap();
         assert_eq!(
-            t.add(entry(1, udp_match(3), 1)).unwrap_err(),
+            t.install(entry(1, udp_match(3), 1)).unwrap_err(),
             Error::TableFull
         );
         // Replacement still allowed at capacity.
-        t.add(entry(1, udp_match(2), 9)).unwrap();
+        t.install(entry(1, udp_match(2), 9)).unwrap();
     }
 
     #[test]
     fn nonstrict_delete_uses_subset_semantics() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1)).unwrap();
-        t.add(entry(5, udp_match(80), 1)).unwrap();
-        t.add(entry(5, Match::new().eth_type(0x0806), 1)).unwrap();
+        t.install(entry(5, udp_match(53), 1)).unwrap();
+        t.install(entry(5, udp_match(80), 1)).unwrap();
+        t.install(entry(5, Match::new().eth_type(0x0806), 1))
+            .unwrap();
         // Filter: all UDP — removes both UDP entries, leaves ARP.
-        let removed = t.delete(
+        let removed = t.delete_match(
             &Match::new().eth_type(0x0800).ip_proto(17),
             0,
             false,
@@ -1085,7 +1151,7 @@ mod tests {
         assert_eq!(removed.len(), 2);
         assert_eq!(t.len(), 1);
         // Empty filter removes everything.
-        let removed = t.delete(
+        let removed = t.delete_match(
             &Match::any(),
             0,
             false,
@@ -1099,8 +1165,8 @@ mod tests {
     #[test]
     fn strict_delete_needs_exact_match_and_priority() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1)).unwrap();
-        let removed = t.delete(
+        t.install(entry(5, udp_match(53), 1)).unwrap();
+        let removed = t.delete_match(
             &udp_match(53),
             6,
             true,
@@ -1108,7 +1174,7 @@ mod tests {
             crate::group_no::ANY,
         );
         assert!(removed.is_empty());
-        let removed = t.delete(
+        let removed = t.delete_match(
             &udp_match(53),
             5,
             true,
@@ -1121,9 +1187,9 @@ mod tests {
     #[test]
     fn delete_out_port_filter() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1)).unwrap();
-        t.add(entry(5, udp_match(80), 2)).unwrap();
-        let removed = t.delete(&Match::any(), 0, false, 2, crate::group_no::ANY);
+        t.install(entry(5, udp_match(53), 1)).unwrap();
+        t.install(entry(5, udp_match(80), 2)).unwrap();
+        let removed = t.delete_match(&Match::any(), 0, false, 2, crate::group_no::ANY);
         assert_eq!(removed.len(), 1);
         assert!(removed[0].outputs_to(2));
         assert_eq!(t.len(), 1);
@@ -1132,15 +1198,11 @@ mod tests {
     #[test]
     fn modify_rewrites_instructions_keeps_counters() {
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1)).unwrap();
+        t.install(entry(5, udp_match(53), 1)).unwrap();
         let idx = t.lookup(&udp_key(53)).unwrap();
         t.hit(idx, 100, 1);
-        let n = t.modify(
-            &udp_match(53),
-            5,
-            true,
-            &Instruction::apply(vec![Action::output(7)]),
-        );
+        let program = Program::new(&Instruction::apply(vec![Action::output(7)]));
+        let n = t.modify(&Selector::strict(&udp_match(53), 5), &program);
         assert_eq!(n, 1);
         let idx = t.lookup(&udp_key(53)).unwrap();
         assert!(t.entry(idx).outputs_to(7));
@@ -1151,9 +1213,9 @@ mod tests {
     fn timeouts_expire() {
         let sec = 1_000_000_000u64;
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1).with_timeouts(0, 10))
+        t.install(entry(5, udp_match(53), 1).with_timeouts(0, 10))
             .unwrap();
-        t.add(entry(5, udp_match(80), 1).with_timeouts(3, 0))
+        t.install(entry(5, udp_match(80), 1).with_timeouts(3, 0))
             .unwrap();
         assert!(t.expire(2 * sec).is_empty());
         // Keep the idle entry alive by hitting it at t=2s.
@@ -1174,12 +1236,12 @@ mod tests {
     fn version_bumps_on_mutation_only() {
         let mut t = FlowTable::new(TableId(0));
         let v0 = t.version();
-        t.add(entry(5, udp_match(53), 1)).unwrap();
+        t.install(entry(5, udp_match(53), 1)).unwrap();
         let v1 = t.version();
         assert!(v1 > v0);
         t.lookup(&udp_key(53));
         assert_eq!(t.version(), v1, "lookups must not invalidate caches");
-        t.delete(
+        t.delete_match(
             &Match::any(),
             0,
             false,
@@ -1204,13 +1266,14 @@ mod tests {
     fn indexed_lookup_probes_one_group_per_mask_and_stops_early() {
         let mut t = FlowTable::new(TableId(0));
         for port in 1..100u16 {
-            t.add(entry(10, udp_match(port), u32::from(port))).unwrap();
+            t.install(entry(10, udp_match(port), u32::from(port)))
+                .unwrap();
         }
         // One rule shape = one group: the ESwitch template case.
         let (hit, probes) = t.lookup_indexed(&udp_key(42));
         assert!(t.entry(hit.unwrap()).outputs_to(42));
         assert_eq!(probes, 1);
-        t.add(entry(1, Match::any(), 999)).unwrap();
+        t.install(entry(1, Match::any(), 999)).unwrap();
         assert_eq!(
             t.lookup_indexed(&udp_key(42)).1,
             1,
@@ -1227,28 +1290,28 @@ mod tests {
         let any = (crate::port_no::ANY, crate::group_no::ANY);
         let mut t = FlowTable::new(TableId(0));
         for (port, out) in [(53, 1), (80, 2), (443, 3)] {
-            t.add(entry(5, udp_match(port), out)).unwrap();
+            t.install(entry(5, udp_match(port), out)).unwrap();
         }
         // One indexed, two spilled entries (`FINGERPRINT_BITS` is 0
         // here); each is replaced on its own.
         assert_eq!((t.groups[0].index.len, t.groups[0].spill.len()), (1, 2));
-        t.add(entry(5, udp_match(80), 9)).unwrap();
+        t.install(entry(5, udp_match(80), 9)).unwrap();
         assert_eq!(t.len(), 3);
         for (port, out) in [(53, 1), (80, 9), (443, 3)] {
             assert_hits(&mut t, port, Some(out));
         }
         // Deleting the slot's holder leaves the spilled ones reachable,
         // and the vacated slot is not mistaken for them.
-        let removed = t.delete(&udp_match(53), 5, true, any.0, any.1);
+        let removed = t.delete_match(&udp_match(53), 5, true, any.0, any.1);
         assert_eq!(removed.len(), 1);
         assert!(removed[0].outputs_to(1));
         assert_hits(&mut t, 53, None);
         assert_hits(&mut t, 80, Some(9));
-        let insns = Instruction::apply(vec![Action::output(7)]);
-        assert_eq!(t.modify(&udp_match(443), 5, true, &insns), 1);
+        let program = Program::new(&Instruction::apply(vec![Action::output(7)]));
+        assert_eq!(t.modify(&Selector::strict(&udp_match(443), 5), &program), 1);
         assert_hits(&mut t, 443, Some(7));
-        t.add(entry(5, udp_match(53), 4)).unwrap();
-        let removed = t.delete(&udp_match(80), 0, false, any.0, any.1);
+        t.install(entry(5, udp_match(53), 4)).unwrap();
+        let removed = t.delete_match(&udp_match(80), 0, false, any.0, any.1);
         assert_eq!(removed.len(), 1);
         assert!(removed[0].outputs_to(9));
         assert_hits(&mut t, 80, None);
@@ -1269,16 +1332,22 @@ mod tests {
         // Slot 0 holds the group's index bucket, 1 and 2 spill (every
         // fingerprint is equal here); slot 3 is the catch-all's group.
         for (port, out) in [(53, 1), (80, 2), (443, 3)] {
-            t.add(entry(5, udp_match(port), out)).unwrap();
+            t.install(entry(5, udp_match(port), out)).unwrap();
         }
-        t.add(entry(1, Match::any(), 9)).unwrap();
+        t.install(entry(1, Match::any(), 9)).unwrap();
         // The catch-all moves into slot 0 and keeps its group's bucket.
-        assert_eq!(t.delete(&udp_match(53), 5, true, any.0, any.1).len(), 1);
+        assert_eq!(
+            t.delete_match(&udp_match(53), 5, true, any.0, any.1).len(),
+            1
+        );
         assert_eq!(outs(&t), [false, false, false, true]);
         assert_hits(&mut t, 53, Some(9));
         assert_hits(&mut t, 80, Some(2));
         // The spilled 443 moves into slot 0 and keeps its spill entry.
-        assert_eq!(t.delete(&Match::any(), 1, true, any.0, any.1).len(), 1);
+        assert_eq!(
+            t.delete_match(&Match::any(), 1, true, any.0, any.1).len(),
+            1
+        );
         assert_eq!(outs(&t), [false, false, true, false]);
         assert_hits(&mut t, 443, Some(3));
         assert_hits(&mut t, 80, Some(2));
@@ -1291,11 +1360,11 @@ mod tests {
     fn spent_sequence_space_renumbers_in_table_order() {
         let mut t = FlowTable::new(TableId(0));
         t.next_seq = (1 << SEQ_BITS) - 2;
-        t.add(entry(5, udp_match(1), 1)).unwrap();
-        t.add(entry(9, udp_match(2), 2)).unwrap();
+        t.install(entry(5, udp_match(1), 1)).unwrap();
+        t.install(entry(9, udp_match(2), 2)).unwrap();
         // The 2^48th install: survivors take sequence numbers 0 and 1.
-        t.add(entry(5, udp_match(3), 3)).unwrap();
-        t.add(entry(9, Match::any(), 4)).unwrap();
+        t.install(entry(5, udp_match(3), 3)).unwrap();
+        t.install(entry(9, Match::any(), 4)).unwrap();
         assert_eq!(t.next_seq, 4);
         let outs = [2, 4, 1, 3];
         for (e, out) in t.ranked().zip(outs) {
@@ -1306,10 +1375,13 @@ mod tests {
         // The rebuilt index still names every entry.
         assert_hits(&mut t, 2, Some(2));
         assert_hits(&mut t, 1, Some(4));
-        t.add(entry(5, udp_match(1), 8)).unwrap();
+        t.install(entry(5, udp_match(1), 8)).unwrap();
         assert_eq!(t.len(), 4, "replaced, not duplicated");
         let any = (crate::port_no::ANY, crate::group_no::ANY);
-        assert_eq!(t.delete(&udp_match(3), 5, true, any.0, any.1).len(), 1);
+        assert_eq!(
+            t.delete_match(&udp_match(3), 5, true, any.0, any.1).len(),
+            1
+        );
     }
 
     fn slot_capacities(t: &FlowTable) -> [usize; 4] {
@@ -1340,17 +1412,21 @@ mod tests {
         let any = (crate::port_no::ANY, crate::group_no::ANY);
         let mut t = FlowTable::new(TableId(0));
         for port in 0..2049 {
-            t.add(entry(5, udp_match(port), 1)).unwrap();
+            t.install(entry(5, udp_match(port), 1)).unwrap();
             assert_slack(&t);
         }
         // Every 64th rule goes, then comes back with 300 new ones.
         let victims = (0..2049).step_by(64);
         for port in victims.clone() {
-            assert_eq!(t.delete(&udp_match(port), 5, true, any.0, any.1).len(), 1);
+            assert_eq!(
+                t.delete_match(&udp_match(port), 5, true, any.0, any.1)
+                    .len(),
+                1
+            );
             assert_slack(&t);
         }
         for port in victims.chain(2049..2349) {
-            t.add(entry(5, udp_match(port), 1)).unwrap();
+            t.install(entry(5, udp_match(port), 1)).unwrap();
             assert_slack(&t);
         }
         assert_eq!(t.len(), 2349);
@@ -1360,10 +1436,10 @@ mod tests {
     fn a_bounded_table_never_reserves_past_its_capacity() {
         let mut t = FlowTable::with_capacity(TableId(0), 40);
         for port in 0..40 {
-            t.add(entry(5, udp_match(port), 1)).unwrap();
+            t.install(entry(5, udp_match(port), 1)).unwrap();
             assert_slack(&t);
         }
-        assert_eq!(t.add(entry(5, udp_match(40), 1)), Err(Error::TableFull));
+        assert_eq!(t.install(entry(5, udp_match(40), 1)), Err(Error::TableFull));
         assert_eq!(slot_capacities(&t), [40; 4]);
     }
 
@@ -1371,21 +1447,22 @@ mod tests {
     fn a_mask_no_entry_uses_is_released_and_its_id_reused() {
         let any = (crate::port_no::ANY, crate::group_no::ANY);
         let mut t = FlowTable::new(TableId(0));
-        t.add(entry(5, udp_match(53), 1)).unwrap();
-        t.add(entry(5, udp_match(80), 2)).unwrap();
-        t.add(entry(1, Match::any(), 9)).unwrap();
+        t.install(entry(5, udp_match(53), 1)).unwrap();
+        t.install(entry(5, udp_match(80), 2)).unwrap();
+        t.install(entry(1, Match::any(), 9)).unwrap();
         assert_eq!(t.groups.len(), 2, "one group per distinct mask");
         let udp = t.masks[0];
         assert_eq!(t.masks[1], udp);
         let all_udp = Match::new().eth_type(0x0800).ip_proto(17);
-        assert_eq!(t.delete(&all_udp, 0, false, any.0, any.1).len(), 2);
+        assert_eq!(t.delete_match(&all_udp, 0, false, any.0, any.1).len(), 2);
         let vacated = &t.groups[udp as usize];
         assert!(vacated.is_vacant() && vacated.index.buckets.capacity() == 0);
         assert_eq!(vacated.mask, FieldMask::default());
         assert_eq!(t.probe_order.len(), 1);
         assert_eq!(t.aggregate_mask(), FieldMask::default());
         // A new mask takes the vacant id.
-        t.add(entry(7, Match::new().eth_type(0x0806), 3)).unwrap();
+        t.install(entry(7, Match::new().eth_type(0x0806), 3))
+            .unwrap();
         assert_eq!(t.groups.len(), 2);
         let arp = t.order[0];
         assert!(t.at(arp).outputs_to(3));
@@ -1517,10 +1594,10 @@ mod tests {
     fn table_miss_entry_catches_all() {
         let mut t = FlowTable::new(TableId(0));
         // Priority-0 any match = the OF 1.3 table-miss entry.
-        t.add(FlowEntry::new(
+        t.install(FlowEntry::new(
             0,
             Match::any(),
-            &Instruction::apply(vec![Action::to_controller()]),
+            Program::new(&Instruction::apply(vec![Action::to_controller()])),
             0,
         ))
         .unwrap();

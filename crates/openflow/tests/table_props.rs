@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use netpkt::flowkey::FieldMask;
 use netpkt::{builder, FlowKey, MacAddr};
-use openflow::table::{flow_flags, FlowEntry, FlowTable, RemovedReason, TableId};
+use openflow::table::{flow_flags, FlowEntry, FlowTable, RemovedReason, Selector, TableId};
 use openflow::{group_no, port_no, Action, Error, Instruction, Match, Program};
 
 /// A small universe of match shapes so collisions actually happen.
@@ -53,6 +53,18 @@ fn packet_key(in_port: u32, src_low: u32, dport: u16) -> FlowKey {
     FlowKey::extract(in_port, &f).unwrap()
 }
 
+/// `add` under the entry's own match's key and mask.
+trait Install {
+    fn install(&mut self, e: FlowEntry) -> Result<(), Error>;
+}
+
+impl Install for FlowTable {
+    fn install(&mut self, e: FlowEntry) -> Result<(), Error> {
+        let (key, mask) = e.match_.to_key_mask();
+        self.add(e, key, mask)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -71,7 +83,7 @@ proptest! {
             let e = FlowEntry::new(
                 *prio,
                 m.clone(),
-                &Instruction::apply(vec![Action::output(i as u32 + 1)]),
+                Program::new(&Instruction::apply(vec![Action::output(i as u32 + 1)])),
                 0,
             );
             // `add` replaces identical (match, priority); mirror that.
@@ -80,7 +92,7 @@ proptest! {
                 let (ok, omask) = om.to_key_mask();
                 !(*p == *prio && ok == key && omask == mask)
             });
-            table.add(e).unwrap();
+            table.install(e).unwrap();
             oracle.push((*prio, m.clone(), i + 1));
         }
         for (in_port, src, dport) in probes {
@@ -105,10 +117,10 @@ proptest! {
     ) {
         let mut table = FlowTable::new(TableId(0));
         for (i, (m, prio)) in rules.iter().enumerate() {
-            let _ = table.add(FlowEntry::new(
+            let _ = table.install(FlowEntry::new(
                 *prio,
                 m.clone(),
-                &Instruction::apply(vec![Action::output(i as u32 + 1)]),
+                Program::new(&Instruction::apply(vec![Action::output(i as u32 + 1)])),
                 0,
             ));
         }
@@ -119,13 +131,7 @@ proptest! {
             .iter()
             .filter(|e| within_filter(e, &fkey, &fmask))
             .count();
-        let removed = table.delete(
-            &filter,
-            0,
-            false,
-            openflow::port_no::ANY,
-            openflow::group_no::ANY,
-        );
+        let removed = table.delete(&Selector::within(&filter));
         prop_assert_eq!(removed.len(), should_go);
         prop_assert_eq!(table.len(), before - should_go);
         // Survivors must not be within the filter.
@@ -145,10 +151,10 @@ proptest! {
     ) {
         // Whether a table holding `a` refuses `b` for overlapping it.
         let refuses = |a: &Match, b: &Match| {
-            let entry = |m: &Match| FlowEntry::new(1, m.clone(), &Instruction::apply(vec![]), 0);
+            let entry = |m: &Match| FlowEntry::new(1, m.clone(), Program::new(&[]), 0);
             let mut table = FlowTable::new(TableId(0));
-            table.add(entry(a)).unwrap();
-            match table.add(entry(b).with_flags(flow_flags::CHECK_OVERLAP)) {
+            table.install(entry(a)).unwrap();
+            match table.install(entry(b).with_flags(flow_flags::CHECK_OVERLAP)) {
                 Err(Error::Overlap) => true,
                 other => {
                     assert_eq!(other, Ok(()));
@@ -176,8 +182,8 @@ proptest! {
     ) {
         let mut table = FlowTable::new(TableId(0));
         table
-            .add(
-                FlowEntry::new(1, Match::any(), &Instruction::apply(vec![]), 0)
+            .install(
+                FlowEntry::new(1, Match::any(), Program::new(&[]), 0)
                     .with_timeouts(idle, hard),
             )
             .unwrap();
@@ -233,19 +239,30 @@ impl ScanTable {
         Ok(())
     }
 
-    fn selects(e: &FlowEntry, m: &Match, priority: u16, strict: bool) -> bool {
+    /// The match and cookie half of a selection, from the entry's own
+    /// match: the outputs are the caller's.
+    fn selects(e: &FlowEntry, m: &Match, priority: u16, strict: bool, cookie: (u64, u64)) -> bool {
         let (fkey, fmask) = m.to_key_mask();
-        if strict {
+        let (value, mask) = cookie;
+        let region = if strict {
             e.priority == priority && e.match_.to_key_mask() == (fkey, fmask)
         } else {
             within_filter(e, &fkey, &fmask)
-        }
+        };
+        region && e.cookie & mask == value & mask
     }
 
-    fn modify(&mut self, m: &Match, priority: u16, strict: bool, insns: &[Instruction]) -> usize {
+    fn modify(
+        &mut self,
+        m: &Match,
+        priority: u16,
+        strict: bool,
+        cookie: (u64, u64),
+        insns: &[Instruction],
+    ) -> usize {
         let mut changed = 0;
         for e in &mut self.entries {
-            if Self::selects(e, m, priority, strict) {
+            if Self::selects(e, m, priority, strict, cookie) {
                 e.instructions = Program::new(insns);
                 changed += 1;
             }
@@ -381,8 +398,10 @@ proptest! {
     /// and the scan model agree on every result (removed lists in
     /// order), on the entries in table order, `version()` and the table
     /// counters, and indexed lookup returns the linear lookup's entry
-    /// with the probe count of a freshly built index. The table's slab
-    /// has no order, so entries and hits are compared as views.
+    /// with the probe count of a freshly built index. Modifies and
+    /// deletes filter by cookie under a mask (or not) and by outputs,
+    /// which a modify ignores. The table's slab has no order, so
+    /// entries and hits are compared as views.
     #[test]
     fn indexed_table_agrees_with_scan_model(
         capacity in 3usize..12,
@@ -415,27 +434,45 @@ proptest! {
                 Action::output(u32::from(aux >> 6))
             };
             let insns = Instruction::apply(vec![action]);
+            // Cookies are add steps: filter by a step's low bits, or not.
+            let cookie = match v >> 6 {
+                0 | 1 => (0, 0),
+                2 => (u64::from(v & 3), 3),
+                _ => (u64::from(v & 1), 1),
+            };
+            let out_port = if aux & 12 == 4 { u32::from(aux >> 6) } else { port_no::ANY };
+            let out_group = if aux & 12 == 8 { u32::from(aux >> 6) } else { group_no::ANY };
+            let (key, mask) = m.to_key_mask();
+            let sel = Selector {
+                key,
+                mask,
+                priority,
+                strict,
+                cookie: cookie.0,
+                cookie_mask: cookie.1,
+                out_port,
+                out_group,
+            };
             match op {
                 // Adds dominate so the table fills, replaces and overflows.
                 0..=5 => {
                     let flags = if aux & 12 == 12 { flow_flags::CHECK_OVERLAP } else { 0 };
-                    let e = FlowEntry::new(priority, m, &insns, now_ns)
+                    let e = FlowEntry::new(priority, m.clone(), Program::new(&insns), now_ns)
                         .with_cookie(step as u64)
                         .with_flags(flags)
                         .with_timeouts(u16::from(aux >> 4 & 3) * 4, u16::from(aux >> 2 & 3) * 6);
-                    prop_assert_eq!(table.add(e.clone()), model.add(e), "add, step {}", step);
+                    prop_assert_eq!(table.install(e.clone()), model.add(e), "add, step {}", step);
                 }
+                // A modify ignores the output filters.
                 6 => prop_assert_eq!(
-                    table.modify(&m, priority, strict, &insns),
-                    model.modify(&m, priority, strict, &insns),
+                    table.modify(&sel, &Program::new(&insns)),
+                    model.modify(&m, priority, strict, cookie, &insns),
                     "modify, step {}", step
                 ),
                 7..=9 => {
-                    let out_port = if aux & 12 == 4 { u32::from(aux >> 6) } else { port_no::ANY };
-                    let out_group = if aux & 12 == 8 { u32::from(aux >> 6) } else { group_no::ANY };
-                    let got = table.delete(&m, priority, strict, out_port, out_group);
+                    let got = table.delete(&sel);
                     let want = model.remove(|e| {
-                        ScanTable::selects(e, &m, priority, strict)
+                        ScanTable::selects(e, &m, priority, strict, cookie)
                             && e.outputs_to(out_port)
                             && e.outputs_to_group(out_group)
                     });

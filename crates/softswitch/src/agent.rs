@@ -2,8 +2,9 @@
 //!
 //! [`OfAgent`] consumes raw channel bytes (possibly containing several
 //! coalesced or split messages), applies them to a [`Datapath`] and emits
-//! reply frames — each message as it decodes ([`OfAgent::handle`]), or
-//! decoded now and applied when the switch gets to it
+//! reply frames — each message as its frame completes
+//! ([`OfAgent::handle`], which applies a flow-mod where the frame holds
+//! it), or decoded now and applied when the switch gets to it
 //! ([`OfAgent::push`], [`OfAgent::next_message`], [`OfAgent::apply`]).
 //! It is transport-agnostic; the node layer moves the bytes over the
 //! simulator's control plane.
@@ -11,10 +12,10 @@
 use bytes::Bytes;
 
 use openflow::message::{
-    ControllerRole, FlowStatsEntry, Message, MultipartReq, MultipartRes, PacketInReason,
-    TableStatsEntry, Xid,
+    ControllerRole, FlowModSource, FlowStatsEntry, Message, MessageRef, MultipartReq, MultipartRes,
+    PacketInReason, TableStatsEntry, Xid,
 };
-use openflow::table::{flow_flags, FlowEntry, RemovedReason};
+use openflow::table::{flow_flags, FlowEntry, RemovedReason, Selector};
 use openflow::{Action, Error, Session, NO_BUFFER};
 
 use crate::batch::BatchResult;
@@ -164,15 +165,27 @@ impl OfAgent {
             .collect()
     }
 
-    /// Feed controller→switch bytes; apply each message to `dp` as it
-    /// decodes.
+    /// Feed controller→switch bytes; apply each message to `dp` as its
+    /// frame completes. A flow-mod is applied where the frame holds it:
+    /// what it allocates is what its rule keeps.
     pub fn handle(&mut self, dp: &mut Datapath, data: Bytes, now_ns: u64) -> AgentOutput {
         let mut out = AgentOutput::default();
         self.push(data);
-        while let Some(next) = self.next_message() {
-            match next {
-                Ok((xid, msg)) => self.apply(dp, xid, msg, now_ns, &mut out),
-                Err(error) => out.replies.push(error),
+        while let Some(frame) = self.session.next_frame() {
+            let decoded = frame.and_then(|frame| match Message::decode_ref(&frame)? {
+                (xid, MessageRef::FlowMod(fm), _) => {
+                    self.apply_flow_mod(dp, xid, &fm, now_ns, &mut out);
+                    Ok(())
+                }
+                (xid, MessageRef::Owned(msg), _) => {
+                    self.apply(dp, xid, msg, now_ns, &mut out);
+                    Ok(())
+                }
+            });
+            if let Err(e) = decoded {
+                // Nothing behind a frame that does not decode is trusted.
+                self.session.clear_input();
+                out.replies.push(self.undecodable(&e));
             }
         }
         out
@@ -191,10 +204,14 @@ impl OfAgent {
     /// dropped it and everything behind it.
     pub fn next_message(&mut self) -> Option<Result<(Xid, Message), Bytes>> {
         let next = self.session.next_message()?;
-        Some(next.map_err(|e| {
-            let x = self.xid();
-            self.error_for(&e, x)
-        }))
+        Some(next.map_err(|e| self.undecodable(&e)))
+    }
+
+    /// The error frame answering a frame that did not decode, under a
+    /// fresh switch xid: the frame's own cannot be trusted.
+    fn undecodable(&mut self, e: &Error) -> Bytes {
+        let x = self.xid();
+        self.error_for(e, x)
     }
 
     /// Apply one message [`OfAgent::next_message`] returned to `dp`,
@@ -269,17 +286,7 @@ impl OfAgent {
             Message::SetConfig { miss_send_len, .. } => {
                 self.miss_send_len = miss_send_len;
             }
-            Message::FlowMod(fm) => match dp.apply_flow_mod(&fm, now_ns) {
-                Ok(removed) => {
-                    for (table_id, e) in removed {
-                        if e.flags & flow_flags::SEND_FLOW_REM != 0 {
-                            let m = self.flow_removed(table_id, &e, RemovedReason::Delete, now_ns);
-                            out.replies.push(m);
-                        }
-                    }
-                }
-                Err(e) => out.replies.push(self.error_for(&e, xid)),
-            },
+            Message::FlowMod(fm) => self.apply_flow_mod(dp, xid, &fm, now_ns, out),
             Message::GroupMod {
                 command,
                 type_,
@@ -329,6 +336,30 @@ impl OfAgent {
         }
     }
 
+    /// Apply a flow-mod, owned or viewed, answering a failure with an
+    /// error and a deletion with the `FLOW_REMOVED`s its entries asked
+    /// for.
+    fn apply_flow_mod(
+        &mut self,
+        dp: &mut Datapath,
+        xid: Xid,
+        fm: &impl FlowModSource,
+        now_ns: u64,
+        out: &mut AgentOutput,
+    ) {
+        match dp.apply_flow_mod(fm, now_ns) {
+            Ok(removed) => {
+                for (table_id, e) in removed {
+                    if e.flags & flow_flags::SEND_FLOW_REM != 0 {
+                        let m = self.flow_removed(table_id, &e, RemovedReason::Delete, now_ns);
+                        out.replies.push(m);
+                    }
+                }
+            }
+            Err(e) => out.replies.push(self.error_for(&e, xid)),
+        }
+    }
+
     fn error_for(&mut self, e: &Error, xid: Xid) -> Bytes {
         // (type, code) pairs per OF 1.3 §7.4.
         let (ty, code) = match e {
@@ -363,33 +394,37 @@ impl OfAgent {
                 table_id,
                 out_port,
                 out_group,
+                cookie,
+                cookie_mask,
                 match_,
-                ..
             } => {
+                let sel = Selector {
+                    cookie,
+                    cookie_mask,
+                    out_port,
+                    out_group,
+                    ..Selector::within(&match_)
+                };
                 let mut entries = Vec::new();
                 for t in 0..dp.n_tables() {
                     if table_id != 0xff && table_id != t {
                         continue;
                     }
-                    let table = dp.table(t).unwrap();
-                    for e in table.within(&match_) {
-                        if e.outputs_to(out_port) && e.outputs_to_group(out_group) {
-                            entries.push(FlowStatsEntry {
-                                table_id: t,
-                                duration_sec: ((now_ns.saturating_sub(e.installed_ns))
-                                    / 1_000_000_000)
-                                    as u32,
-                                priority: e.priority,
-                                idle_timeout: e.idle_timeout,
-                                hard_timeout: e.hard_timeout,
-                                flags: e.flags,
-                                cookie: e.cookie,
-                                packet_count: e.packets,
-                                byte_count: e.bytes,
-                                match_: e.match_.clone(),
-                                instructions: e.instructions.to_vec(),
-                            });
-                        }
+                    for e in dp.table(t).unwrap().select(&sel) {
+                        entries.push(FlowStatsEntry {
+                            table_id: t,
+                            duration_sec: ((now_ns.saturating_sub(e.installed_ns)) / 1_000_000_000)
+                                as u32,
+                            priority: e.priority,
+                            idle_timeout: e.idle_timeout,
+                            hard_timeout: e.hard_timeout,
+                            flags: e.flags,
+                            cookie: e.cookie,
+                            packet_count: e.packets,
+                            byte_count: e.bytes,
+                            match_: e.match_.clone(),
+                            instructions: e.instructions.to_vec(),
+                        });
                     }
                 }
                 MultipartRes::Flow(entries)
@@ -398,20 +433,26 @@ impl OfAgent {
                 table_id,
                 out_port,
                 out_group,
+                cookie,
+                cookie_mask,
                 match_,
-                ..
             } => {
+                let sel = Selector {
+                    cookie,
+                    cookie_mask,
+                    out_port,
+                    out_group,
+                    ..Selector::within(&match_)
+                };
                 let (mut p, mut b, mut n) = (0u64, 0u64, 0u32);
                 for t in 0..dp.n_tables() {
                     if table_id != 0xff && table_id != t {
                         continue;
                     }
-                    for e in dp.table(t).unwrap().within(&match_) {
-                        if e.outputs_to(out_port) && e.outputs_to_group(out_group) {
-                            p += e.packets;
-                            b += e.bytes;
-                            n += 1;
-                        }
+                    for e in dp.table(t).unwrap().select(&sel) {
+                        p += e.packets;
+                        b += e.bytes;
+                        n += 1;
                     }
                 }
                 MultipartRes::Aggregate {
@@ -694,6 +735,136 @@ mod tests {
             }
             other => panic!("expected flow stats, got {other:?}"),
         }
+    }
+
+    /// Three rules, cookies 0x10, 0x11 and 0x20, the first two on
+    /// UDP and the third on ARP, each matched by a frame of its own.
+    fn cookie_rules(agent: &mut OfAgent, dp: &mut Datapath) {
+        let rules = [
+            (0x10, Match::new().eth_type(0x0800).ip_proto(17).udp_dst(53)),
+            (0x11, Match::new().eth_type(0x0800).ip_proto(17).udp_dst(54)),
+            (0x20, Match::new().eth_type(0x0806)),
+        ];
+        for (cookie, m) in rules {
+            let fm = FlowMod::add(0)
+                .priority(5)
+                .cookie(cookie)
+                .match_(m)
+                .apply(vec![Action::output(2)]);
+            assert!(agent
+                .handle(dp, Message::FlowMod(fm).encode(1), 0)
+                .replies
+                .is_empty());
+        }
+    }
+
+    /// The cookies of the entries a flow-stats request with this cookie
+    /// filter reports, and the flow count of its aggregate twin.
+    fn stats_cookies(
+        agent: &mut OfAgent,
+        dp: &mut Datapath,
+        cookie: u64,
+        mask: u64,
+    ) -> (Vec<u64>, u32) {
+        let filter = |aggregate| {
+            let (table_id, out_port, out_group) =
+                (0xff, openflow::port_no::ANY, openflow::group_no::ANY);
+            let (cookie_mask, match_) = (mask, Match::any());
+            Message::MultipartRequest(if aggregate {
+                MultipartReq::Aggregate {
+                    table_id,
+                    out_port,
+                    out_group,
+                    cookie,
+                    cookie_mask,
+                    match_,
+                }
+            } else {
+                MultipartReq::Flow {
+                    table_id,
+                    out_port,
+                    out_group,
+                    cookie,
+                    cookie_mask,
+                    match_,
+                }
+            })
+            .encode(9)
+        };
+        let reply = |agent: &mut OfAgent, dp: &mut Datapath, req| {
+            let out = agent.handle(dp, req, 0);
+            Message::decode(&out.replies[0]).unwrap().1
+        };
+        let cookies = match reply(agent, dp, filter(false)) {
+            Message::MultipartReply(MultipartRes::Flow(entries)) => {
+                entries.iter().map(|e| e.cookie).collect()
+            }
+            other => panic!("expected flow stats, got {other:?}"),
+        };
+        match reply(agent, dp, filter(true)) {
+            Message::MultipartReply(MultipartRes::Aggregate { flow_count, .. }) => {
+                (cookies, flow_count)
+            }
+            other => panic!("expected aggregate stats, got {other:?}"),
+        }
+    }
+
+    /// OF 1.3 §7.3.5.2: a flow-stats or aggregate request with a
+    /// non-zero cookie mask reports only the entries whose cookie agrees
+    /// with the request's on the mask's bits; a zero mask filters
+    /// nothing.
+    #[test]
+    fn stats_requests_filter_by_the_masked_cookie() {
+        let (mut dp, mut agent) = (dp(), OfAgent::new("test"));
+        cookie_rules(&mut agent, &mut dp);
+        let mut stats = |cookie, mask| stats_cookies(&mut agent, &mut dp, cookie, mask);
+        assert_eq!(stats(0xff, 0), (vec![0x10, 0x11, 0x20], 3));
+        assert_eq!(stats(0x10, 0xf0), (vec![0x10, 0x11], 2));
+        assert_eq!(stats(0x11, u64::MAX), (vec![0x11], 1));
+        assert_eq!(stats(0x01, 0x0f), (vec![0x11], 1));
+        assert_eq!(stats(0x02, 0x0f), (vec![], 0));
+    }
+
+    /// OF 1.3 §6.4: a modify or delete with a non-zero cookie mask
+    /// changes only the entries whose cookie agrees with the flow-mod's
+    /// on the mask's bits, whatever else its match selects.
+    #[test]
+    fn modify_and_delete_filter_by_the_masked_cookie() {
+        let (mut dp, mut agent) = (dp(), OfAgent::new("test"));
+        cookie_rules(&mut agent, &mut dp);
+        let modify = FlowMod {
+            command: FlowModCommand::Modify,
+            cookie: 0x10,
+            cookie_mask: 0xf0,
+            ..FlowMod::add(0).apply(vec![Action::output(1)])
+        };
+        assert!(agent
+            .handle(&mut dp, Message::FlowMod(modify).encode(2), 0)
+            .replies
+            .is_empty());
+        let outputs = |dp: &Datapath| -> Vec<(u64, bool)> {
+            let t = dp.table(0).unwrap();
+            t.ranked().map(|e| (e.cookie, e.outputs_to(1))).collect()
+        };
+        assert_eq!(
+            outputs(&dp),
+            vec![(0x10, true), (0x11, true), (0x20, false)]
+        );
+        let delete = FlowMod {
+            cookie: 0x11,
+            cookie_mask: u64::MAX,
+            ..FlowMod::delete(0)
+        };
+        assert!(agent
+            .handle(&mut dp, Message::FlowMod(delete).encode(3), 0)
+            .replies
+            .is_empty());
+        assert_eq!(outputs(&dp), vec![(0x10, true), (0x20, false)]);
+        agent.handle(&mut dp, Message::FlowMod(FlowMod::delete(0)).encode(4), 0);
+        assert!(
+            dp.table(0).unwrap().is_empty(),
+            "a zero mask filters nothing"
+        );
     }
 
     #[test]

@@ -47,8 +47,8 @@ use std::net::Ipv4Addr;
 
 use netpkt::flowkey::FieldMask;
 use netpkt::{builder, icmp, EtherType, FlowKey, FrameBuf, IpProto, Layers, MacAddr};
-use openflow::message::{FlowMod, PacketInReason, PortDesc, PortStatsEntry};
-use openflow::table::{FlowEntry, FlowModCommand, RemovedReason, TableId};
+use openflow::message::{FlowModSource, PacketInReason, PortDesc, PortStatsEntry};
+use openflow::table::{FlowEntry, FlowModCommand, RemovedReason, Selector, TableId};
 use openflow::{
     port_no, Action, Error, FlowTable, GroupTable, InstructionRef, MeterTable, NatDir, OxmField,
     Result,
@@ -548,50 +548,63 @@ impl Datapath {
         s.epoch + slow_path + s.nat_dropped + s.ttl_expired
     }
 
-    /// Apply a flow-mod; returns entries removed by delete commands (for
-    /// `FLOW_REMOVED` generation).
-    pub fn apply_flow_mod(&mut self, fm: &FlowMod, now_ns: u64) -> Result<Vec<(u8, FlowEntry)>> {
-        fm.match_.validate()?;
-        let tid = usize::from(fm.table_id);
+    /// Apply a flow-mod, owned ([`openflow::message::FlowMod`]) or read
+    /// where its frame holds it ([`openflow::message::FlowModRef`]);
+    /// returns entries removed by delete commands (for `FLOW_REMOVED`
+    /// generation). The match's key and mask are computed once, here;
+    /// an add allocates the rule's match and program and nothing else.
+    pub fn apply_flow_mod(
+        &mut self,
+        fm: &impl FlowModSource,
+        now_ns: u64,
+    ) -> Result<Vec<(u8, FlowEntry)>> {
+        fm.validate()?;
+        let h = fm.header();
+        let tid = usize::from(h.table_id);
         // OFPTT_ALL names every table only in a delete; an add or a
         // modify for it is a bad table like any other out of range.
-        let all_tables = fm.table_id == 0xff
+        let all_tables = h.table_id == 0xff
             && matches!(
-                fm.command,
+                h.command,
                 FlowModCommand::Delete | FlowModCommand::DeleteStrict
             );
         if !all_tables && tid >= self.tables.len() {
-            return Err(Error::BadTable(fm.table_id));
+            return Err(Error::BadTable(h.table_id));
         }
+        let (key, mask) = fm.to_key_mask();
+        let sel = Selector {
+            key,
+            mask,
+            priority: h.priority,
+            strict: matches!(
+                h.command,
+                FlowModCommand::ModifyStrict | FlowModCommand::DeleteStrict
+            ),
+            cookie: h.cookie,
+            cookie_mask: h.cookie_mask,
+            out_port: h.out_port,
+            out_group: h.out_group,
+        };
         let mut removed = Vec::new();
-        match fm.command {
+        match h.command {
             FlowModCommand::Add => {
-                let entry =
-                    FlowEntry::new(fm.priority, fm.match_.clone(), &fm.instructions, now_ns)
-                        .with_cookie(fm.cookie)
-                        .with_timeouts(fm.idle_timeout, fm.hard_timeout)
-                        .with_flags(fm.flags);
-                self.tables[tid].add(entry)?;
+                let entry = FlowEntry::new(h.priority, fm.to_match(), fm.to_program(), now_ns)
+                    .with_cookie(h.cookie)
+                    .with_timeouts(h.idle_timeout, h.hard_timeout)
+                    .with_flags(h.flags);
+                self.tables[tid].add(entry, key, mask)?;
             }
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-                let strict = fm.command == FlowModCommand::ModifyStrict;
-                self.tables[tid].modify(&fm.match_, fm.priority, strict, &fm.instructions);
+                self.tables[tid].modify(&sel, &fm.to_program());
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
-                let strict = fm.command == FlowModCommand::DeleteStrict;
                 let range = if all_tables {
                     0..self.tables.len()
                 } else {
                     tid..tid + 1
                 };
                 for t in range {
-                    for e in self.tables[t].delete(
-                        &fm.match_,
-                        fm.priority,
-                        strict,
-                        fm.out_port,
-                        fm.out_group,
-                    ) {
+                    for e in self.tables[t].delete(&sel) {
                         removed.push((t as u8, e));
                     }
                 }
@@ -1288,6 +1301,7 @@ impl Datapath {
 pub(crate) mod tests {
     use super::*;
     use netpkt::{builder, MacAddr};
+    use openflow::message::FlowMod;
     use openflow::{Instruction, Match};
     use std::net::Ipv4Addr;
 

@@ -29,7 +29,16 @@
 //! A fourth test pins what an installed rule keeps on the heap: 2 048
 //! host routes (`eth_dst → output`, as the ARP proxy installs them)
 //! into a datapath leave two live blocks each, the match and the
-//! program, and no vector per instruction.
+//! program, and no vector per instruction. A fifth sends one route
+//! flow-mod's bytes through the switch's agent: it is read where the
+//! channel delivered it, and applying it allocates exactly those two
+//! blocks and nothing transient.
+//!
+//! A sixth builds, runs and drops a small fabric control scenario — a
+//! migration wave under a master controller with a standby, host moves
+//! and a master crash — three times: the third leaves no byte more
+//! live than the second did, so what stays behind a run is one-time
+//! state, not a leak that grows with the runs.
 //!
 //! The allocator is per-binary, so this suite is a test binary of its
 //! own; `bytes::buffer_allocs` is process-wide, so its tests take turns.
@@ -38,12 +47,19 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::buffer_allocs;
+use bytes::Bytes;
+use controller::apps::{ArpProxy, LearningSwitch};
+use controller::ControllerNode;
+use harmless::fabric::{FabricSpec, Interconnect};
+use harmless::instance::HarmlessSpec;
 use legacy_switch::{CotsConfig, CotsSwitchNode, LegacySwitchNode};
 use netpkt::MacAddr;
 use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
 use netsim::{LinkSpec, Network, PortId, ShardMap, SimTime};
-use openflow::message::FlowMod;
-use openflow::{Action, Match};
+use openflow::message::{FlowMod, Message};
+use openflow::table::Selector;
+use openflow::{Action, ControllerRole, Match};
+use softswitch::agent::OfAgent;
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use softswitch::{CostModel, SoftSwitchNode};
 
@@ -53,6 +69,9 @@ thread_local! {
     /// Blocks allocated minus blocks freed by this thread while
     /// `COUNTING` is set; a `realloc` moves a block and counts neither.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by this thread while
+    /// `COUNTING` is set; a `realloc` counts its change in size.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -69,10 +88,16 @@ fn note_block() {
     }
 }
 
-fn note_live(delta: i64) {
+fn note_live(blocks: i64, bytes: i64) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+        let _ = LIVE.try_with(|l| l.set(l.get() + blocks));
+        let _ = LIVE_BYTES.try_with(|l| l.set(l.get() + bytes));
     }
+}
+
+/// A size as a signed byte count.
+fn bytes(size: usize) -> i64 {
+    i64::try_from(size).expect("an allocation below 2^63 bytes")
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -81,19 +106,20 @@ fn note_live(delta: i64) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_block();
-        note_live(1);
+        note_live(1, bytes(layout.size()));
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note_live(-1);
+        note_live(-1, -bytes(layout.size()));
         // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_block();
+        note_live(0, bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr` came from `System`; the rest is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -118,6 +144,15 @@ fn live_after(f: impl FnOnce()) -> i64 {
     f();
     COUNTING.with(|c| c.set(false));
     LIVE.with(Cell::get) - before
+}
+
+/// Run `f` and return the heap bytes it left allocated on this thread.
+fn live_bytes_after(f: impl FnOnce()) -> i64 {
+    let before = LIVE_BYTES.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    LIVE_BYTES.with(Cell::get) - before
 }
 
 /// Serialises the tests: both take deltas of the process-wide
@@ -326,5 +361,143 @@ fn an_installed_route_keeps_two_heap_blocks() {
     assert!(
         (per_rule..=per_rule + 16).contains(&live),
         "{live} live heap blocks for {RULES} route rules, want 2 per rule + at most 16"
+    );
+}
+
+/// One route `ADD` (`eth_dst → output`), its bytes as the channel
+/// delivers them, through `OfAgent::handle` into a datapath whose table
+/// has room for it: the agent reads the flow-mod where the chunk holds
+/// it, and the only blocks it allocates are the two the rule keeps, its
+/// match and its program. There is no decoded message, no instruction
+/// or action list, and no copy of the match.
+#[test]
+fn a_route_flow_mod_through_the_agent_allocates_only_what_its_rule_keeps() {
+    let _turn = TURN.lock().unwrap();
+    let mut dp = Datapath::new(DpConfig::software(1));
+    for p in 1..=4 {
+        dp.add_port(p, format!("p{p}"), 1_000_000);
+    }
+    let route = |h: u32| {
+        FlowMod::add(0)
+            .priority(100)
+            .match_(Match::new().eth_dst(MacAddr::host(h)))
+            .apply(vec![Action::output(1 + h % 4)])
+    };
+    let mut agent = OfAgent::new("ss2");
+    let hello = agent.handle(&mut dp, Message::Hello.encode(1), 0);
+    assert!(hello.replies.is_empty());
+    for h in 0..64 {
+        agent.handle(&mut dp, Message::FlowMod(route(h)).encode(2), 0);
+    }
+    // Take one route out again: the slab, the index and the priority
+    // list keep their room, so the add below grows nothing.
+    let victim = route(7);
+    let gone = dp.table(0).unwrap().len();
+    dp.apply_flow_mod(
+        &FlowMod {
+            command: openflow::FlowModCommand::DeleteStrict,
+            ..victim.clone()
+        },
+        0,
+    )
+    .unwrap();
+    assert_eq!(dp.table(0).unwrap().len(), gone - 1);
+    let wire: Bytes = Message::FlowMod(victim).encode(3);
+
+    // The test keeps its handle on the chunk, so the session letting go
+    // of it frees nothing inside the count.
+    let (mut replies, mut live) = (usize::MAX, 0);
+    let blocks = blocks_during(|| {
+        live = live_after(|| replies = agent.handle(&mut dp, wire.clone(), 0).replies.len());
+    });
+    assert_eq!(replies, 0);
+    assert_eq!(dp.table(0).unwrap().len(), gone, "the route is back");
+    let sel = Selector::strict(&Match::new().eth_dst(MacAddr::host(7)), 100);
+    assert!(dp
+        .table(0)
+        .unwrap()
+        .select(&sel)
+        .next()
+        .is_some_and(|e| e.outputs_to(4)));
+    assert_eq!(
+        (blocks, live),
+        (2, 2),
+        "heap blocks allocated and left live by one route flow-mod: want its match and its \
+         program, nothing transient"
+    );
+}
+
+/// A fabric control scenario like the benchmark's `fabric_ctrl` at a
+/// small scale: two pods under a master controller with a standby, the
+/// migration wave, host moves and a master crash, then everything is
+/// dropped.
+fn fabric_control_run() {
+    const PODS: u16 = 2;
+    const HOSTS: u16 = 4;
+    let apps = || -> Vec<Box<dyn controller::App>> {
+        vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())]
+    };
+    let mut net = Network::new(7);
+    let primary =
+        net.add_node(ControllerNode::new("ctrl", apps()).with_role(ControllerRole::Master, 1));
+    let backup =
+        net.add_node(ControllerNode::new("backup", apps()).with_role(ControllerRole::Slave, 2));
+    let mut fx = FabricSpec::new(PODS, HarmlessSpec::new(HOSTS + 1))
+        .with_interconnect(Interconnect::SpineSoft)
+        .with_arp_proxy(true)
+        .build(&mut net)
+        .expect("valid fabric spec");
+    for pod in 0..usize::from(PODS) {
+        for port in 1..=HOSTS {
+            fx.attach_host(&mut net, pod, port).expect("free port");
+        }
+    }
+    fx.register_controller(&mut net, primary);
+    let pods: Vec<usize> = (0..fx.n_pods()).collect();
+    let managers = fx
+        .run_migration_wave(&mut net, &pods, primary)
+        .expect("two-switch pods");
+    let mut waited = 0;
+    while !fx.wave_done(&net, &managers) {
+        net.run_for(SimTime::from_millis(10));
+        waited += 1;
+        assert!(waited < 2_000, "the wave completes");
+    }
+    fx.connect_backup_controller(&mut net, backup);
+    net.run_for(SimTime::from_millis(100));
+    for (from, to) in [((0, 1), (1, HOSTS + 1)), ((1, 2), (0, HOSTS + 1))] {
+        fx.migrate_host(&mut net, from, to).expect("valid move");
+        net.run_for(SimTime::from_millis(20));
+    }
+    let crash = net.now() + SimTime::from_millis(20);
+    net.schedule_ctrl_down(crash, primary);
+    // Every switch declares the master dead and dials the standby,
+    // which promotes itself and rebuilds every datapath's rules.
+    let resynced = |net: &Network| {
+        let b = net.node_ref::<ControllerNode>(backup);
+        b.promotions() >= 1 && b.ready_switches() == fx.n_pods() + 1
+    };
+    let mut waited = 0;
+    while !resynced(&net) {
+        net.run_for(SimTime::from_millis(10));
+        waited += 1;
+        assert!(waited < 2_000, "the standby takes over");
+    }
+}
+
+/// The scenario leaks nothing: built, run and dropped three times in
+/// one process, the third run leaves exactly the live bytes the second
+/// did. (The first may leave one-time state behind, such as a lazily
+/// built table.) So the growth of `fabric_ctrl`'s peak RSS with run
+/// length is not the system's.
+#[test]
+fn a_fabric_control_run_leaves_no_bytes_behind() {
+    let _turn = TURN.lock().unwrap();
+    let runs: Vec<i64> = (0..3)
+        .map(|_| live_bytes_after(fabric_control_run))
+        .collect();
+    assert_eq!(
+        runs[2], 0,
+        "live heap bytes each run left behind: {runs:?}; the third must leave none"
     );
 }

@@ -1208,7 +1208,10 @@ fn of_encoding_matches_golden_bytes() {
 /// once drained, the next message pushed is the next one out. Every
 /// complete frame is then handed to an `OfAgent` over a datapath with
 /// a few ports (a fresh pair per mutated byte, and per sample for the
-/// cuts): nothing panics there either, and every reply decodes.
+/// cuts): nothing panics there either, and every reply decodes. Every
+/// mutant the agent sees is also read as a flow-mod view
+/// (`view_agrees`): it rejects exactly what the owned decode rejects,
+/// with the same error, and reads as the owned flow-mod.
 #[test]
 fn of_decoder_is_total_under_mutation() {
     let hello = Message::Hello.encode(1);
@@ -1258,6 +1261,7 @@ fn of_decoder_is_total_under_mutation() {
                 let what = || format!("{name}: byte {i} = {v:#04x}");
                 check(&wire, &what);
                 if v % stride == 0 {
+                    view_agrees(&wire, &what);
                     through_agent(&mut switch, &wire, &what);
                 }
             }
@@ -1271,8 +1275,45 @@ fn of_decoder_is_total_under_mutation() {
             }
             let what = || format!("{name}: cut at {cut}");
             check(&short, &what);
+            view_agrees(&short, &what);
             through_agent(&mut switch, &short, &what);
         }
+    }
+}
+
+/// A mutant read as the switch reads it: a flow-mod's view rejects
+/// exactly what the owned decode rejects, with the same error, and one
+/// it accepts gives the owned flow-mod's program, key, mask and verdict.
+/// (Every other type decodes owned either way.)
+fn view_agrees(frame: &[u8], what: &dyn Fn() -> String) {
+    if frame.get(1) != Some(&openflow::message::msg_type::FLOW_MOD) {
+        return;
+    }
+    let owned = Message::decode(frame);
+    match (Message::decode_ref(frame), &owned) {
+        (
+            Ok((xid, MessageRef::FlowMod(view), n)),
+            Ok((owned_xid, Message::FlowMod(fm), owned_n)),
+        ) => {
+            assert_eq!((xid, n), (*owned_xid, *owned_n), "{}", what());
+            assert_eq!(&view.to_owned(), fm, "{}: the view reads otherwise", what());
+            let program = openflow::Program::from_wire(&view.instructions);
+            assert_eq!(program.to_vec(), fm.instructions, "{}: program", what());
+            assert_eq!(
+                view.to_key_mask(),
+                fm.match_.to_key_mask(),
+                "{}: key",
+                what()
+            );
+            let verdict = FlowModSource::validate(&view);
+            assert_eq!(verdict, fm.match_.validate(), "{}: prerequisites", what());
+        }
+        (viewed, _) => assert_eq!(
+            viewed.map(|(xid, m, n)| (xid, m.into_owned(), n)),
+            owned,
+            "{}: the view and the owned decode differ",
+            what()
+        ),
     }
 }
 
@@ -1444,7 +1485,7 @@ fn arb_instruction() -> impl Strategy<Value = Instruction> {
 /// they are the list, they print as the list, and the delete filters
 /// select by the list's actions.
 fn assert_program_is(insns: &[Instruction], port: u32, group: u32) {
-    let e = FlowEntry::new(1, Match::any(), insns, 0);
+    let e = FlowEntry::new(1, Match::any(), openflow::Program::new(insns), 0);
     assert_eq!(e.instructions.to_vec(), insns);
     assert_eq!(e.instructions.iter().count(), insns.len());
     assert_eq!(format!("{:?}", e.instructions), format!("{insns:?}"));
@@ -1528,6 +1569,76 @@ fn a_program_is_every_sample_instruction_list() {
             assert_program_is(insns, port, group_no::ANY);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// A flow-mod read where it lies: the view is the owned decode.
+// ---------------------------------------------------------------------
+
+use openflow::message::{FlowModRef, FlowModSource, MessageRef};
+
+/// `wire` read as a flow-mod view, if it decodes as one.
+fn flow_mod_view(wire: &[u8]) -> Option<FlowModRef<'_>> {
+    match Message::decode_ref(wire) {
+        Ok((_, MessageRef::FlowMod(view), _)) => Some(view),
+        _ => None,
+    }
+}
+
+/// What a switch reads of a flow-mod, from the view and from the owned
+/// flow-mod it decodes to, agree: the owned decode, the match and its
+/// key, mask and verdict, and the program (compared by `Debug`, which
+/// is the instruction list's).
+fn assert_view_is(view: FlowModRef<'_>, fm: &FlowMod) {
+    assert_eq!(&view.to_owned(), fm);
+    assert_eq!(view.header, fm.header());
+    assert_eq!(view.to_match(), fm.match_);
+    assert_eq!(view.match_.fields().collect::<Vec<_>>(), fm.match_.fields());
+    assert_eq!(view.to_key_mask(), fm.match_.to_key_mask());
+    assert_eq!(FlowModSource::validate(&view), fm.match_.validate());
+    assert_eq!(view.instructions.to_vec(), fm.instructions);
+    assert_eq!(
+        format!("{:?}", openflow::Program::from_wire(&view.instructions)),
+        format!("{:?}", openflow::Program::new(&fm.instructions)),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any match and instruction list, encoded and read back as a view:
+    /// the view is the flow-mod, and `Message::decode` is its owned
+    /// form.
+    #[test]
+    fn a_flow_mod_view_is_the_owned_decode(
+        m in arb_match(),
+        insns in proptest::collection::vec(arb_instruction(), 0..7),
+        cookie in any::<u64>(),
+        priority in any::<u16>(),
+    ) {
+        let fm = FlowMod::add(1).priority(priority).cookie(cookie).match_(m).instructions(insns);
+        let wire = Message::FlowMod(fm.clone()).encode(7);
+        let view = flow_mod_view(&wire).expect("a flow-mod decodes as a view");
+        assert_view_is(view, &fm);
+        prop_assert_eq!(Message::decode(&wire), Ok((7, Message::FlowMod(fm), wire.len())));
+    }
+}
+
+/// Every sample flow-mod, `flow_mod_every_tlv` among them.
+#[test]
+fn every_sample_flow_mod_reads_the_same_as_a_view() {
+    let mut seen = 0;
+    for (name, msg) in of_samples() {
+        let wire = msg.encode(SAMPLE_XID);
+        if let Message::FlowMod(fm) = msg {
+            let view = flow_mod_view(&wire).unwrap_or_else(|| panic!("{name}"));
+            assert_view_is(view, &fm);
+            seen += 1;
+        } else {
+            assert!(flow_mod_view(&wire).is_none(), "{name}");
+        }
+    }
+    assert_eq!(seen, 3);
 }
 
 // ---------------------------------------------------------------------
