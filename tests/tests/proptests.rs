@@ -1212,8 +1212,22 @@ fn of_encoding_matches_golden_bytes() {
 /// mutant the agent sees is also read as a flow-mod view
 /// (`view_agrees`): it rejects exactly what the owned decode rejects,
 /// with the same error, and reads as the owned flow-mod.
+///
+/// The decoder's verdict on every mutant and every cut, in order — the
+/// `Debug` of `Message::decode`'s whole result, the message with its
+/// xid and length or the error — is folded into one digest and
+/// compared with the value recorded before the codec's layouts were
+/// stated once: a codec change that keeps the bytes keeps every accept
+/// and every error exactly.
 #[test]
 fn of_decoder_is_total_under_mutation() {
+    let (mut verdicts, mut text) = (Fold::default(), String::new());
+    let mut verdict = |frame: &[u8]| {
+        use std::fmt::Write;
+        text.clear();
+        write!(text, "{:?}", Message::decode(frame)).expect("formatting cannot fail");
+        verdicts.add(text.as_bytes());
+    };
     let hello = Message::Hello.encode(1);
     let echo = Message::EchoRequest(Bytes::new());
     let mut session = openflow::Session::default();
@@ -1260,6 +1274,7 @@ fn of_decoder_is_total_under_mutation() {
                 wire[i] = v;
                 let what = || format!("{name}: byte {i} = {v:#04x}");
                 check(&wire, &what);
+                verdict(&wire);
                 if v % stride == 0 {
                     view_agrees(&wire, &what);
                     through_agent(&mut switch, &wire, &what);
@@ -1275,9 +1290,40 @@ fn of_decoder_is_total_under_mutation() {
             }
             let what = || format!("{name}: cut at {cut}");
             check(&short, &what);
+            verdict(&short);
             view_agrees(&short, &what);
             through_agent(&mut switch, &short, &what);
         }
+    }
+    assert_eq!(
+        verdicts.0, OF_VERDICT_DIGEST,
+        "the decoder accepts or rejects some mutant otherwise"
+    );
+}
+
+/// [`of_decoder_is_total_under_mutation`]'s verdict digest.
+const OF_VERDICT_DIGEST: u64 = 0x7263_aa63_1996_00da;
+
+/// A 64-bit FNV-1a-style fold of byte strings, eight bytes at a time
+/// (a debug build formats and folds every mutant), each string ended
+/// by its length.
+struct Fold(u64);
+
+impl Default for Fold {
+    fn default() -> Fold {
+        Fold(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fold {
+    fn add(&mut self, bytes: &[u8]) {
+        let mut mix = |word: u64| self.0 = (self.0 ^ word).wrapping_mul(0x0100_0000_01b3);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            mix(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        words.remainder().iter().for_each(|&b| mix(u64::from(b)));
+        mix(bytes.len() as u64);
     }
 }
 
