@@ -325,7 +325,7 @@ mod tests {
         rx.push(bytes::Bytes::copy_from_slice(buf));
         std::iter::from_fn(|| rx.next_message())
             .filter_map(|m| match m.expect("well-formed").1 {
-                Message::FlowMod(fm) => Some((fm.command, fm.match_)),
+                Message::FlowMod(fm) => Some((fm.header.command, fm.match_)),
                 _ => None,
             })
             .collect()

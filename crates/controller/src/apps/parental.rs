@@ -66,10 +66,10 @@ impl ParentalControl {
     pub fn unblock(&mut self, sw: &mut SwitchHandle, user: Ipv4Addr, dst: Ipv4Addr) {
         if self.blocked.remove(&(user, dst)) && self.installed {
             self.unblocks_installed += 1;
-            let mut fm = FlowMod::delete(0);
-            fm.priority = 200;
-            fm.match_ = Match::new().eth_type(0x0800).ipv4_src(user).ipv4_dst(dst);
-            fm.command = openflow::table::FlowModCommand::DeleteStrict;
+            let fm = FlowMod::delete(0)
+                .command(openflow::table::FlowModCommand::DeleteStrict)
+                .priority(200)
+                .match_(Match::new().eth_type(0x0800).ipv4_src(user).ipv4_dst(dst));
             sw.flow_mod(fm);
             sw.barrier();
         }

@@ -361,21 +361,21 @@ mod tests {
         let mods = decode(&q.buf);
         // Classifier + NAT miss + 3 routes, all adds.
         assert_eq!(mods.len(), 5);
-        assert!(mods.iter().all(|m| m.command == FlowModCommand::Add));
+        assert!(mods.iter().all(|m| m.header.command == FlowModCommand::Add));
         assert_eq!(r.rules_for(0x52), 5);
-        assert_eq!(mods[0].table_id, 0);
-        assert_eq!(mods[0].priority, CLASSIFY_PRIORITY);
+        assert_eq!(mods[0].header.table_id, 0);
+        assert_eq!(mods[0].header.priority, CLASSIFY_PRIORITY);
         assert_eq!(
             mods[0].instructions,
             vec![Instruction::GotoTable(NAT_TABLE)]
         );
-        assert_eq!(mods[1].table_id, NAT_TABLE);
+        assert_eq!(mods[1].header.table_id, NAT_TABLE);
         assert_eq!(
             mods[1].instructions,
             vec![Instruction::GotoTable(ROUTE_TABLE)]
         );
         // Route priorities rank by prefix length: /16 < /32, default lowest.
-        let prios: Vec<u16> = mods[2..].iter().map(|m| m.priority).collect();
+        let prios: Vec<u16> = mods[2..].iter().map(|m| m.header.priority).collect();
         assert_eq!(
             prios,
             vec![
@@ -384,7 +384,7 @@ mod tests {
                 ROUTE_PRIORITY_BASE
             ]
         );
-        assert!(mods[2..].iter().all(|m| m.table_id == ROUTE_TABLE));
+        assert!(mods[2..].iter().all(|m| m.header.table_id == ROUTE_TABLE));
         // The default route NATs on the way out.
         let Instruction::ApplyActions(acts) = &mods[4].instructions[0] else {
             panic!("default route must apply actions");
@@ -408,8 +408,8 @@ mod tests {
         r.sync_switch(&mut test_handle(0x52, &mut q));
         let mods = decode(&q.buf);
         assert_eq!(mods.len(), 6);
-        assert_eq!(mods[1].table_id, NAT_TABLE);
-        assert_eq!(mods[1].priority, NAT_INGRESS_PRIORITY);
+        assert_eq!(mods[1].header.table_id, NAT_TABLE);
+        assert_eq!(mods[1].header.priority, NAT_INGRESS_PRIORITY);
         assert_eq!(
             mods[1].instructions,
             vec![
@@ -437,11 +437,13 @@ mod tests {
         assert_eq!(mods.len(), 3 + 4);
         assert!(mods[..3]
             .iter()
-            .all(|m| m.command == FlowModCommand::Delete));
+            .all(|m| m.header.command == FlowModCommand::Delete));
         assert_eq!(mods[0].match_, Match::new().eth_type(EtherType::IPV4.0));
-        assert_eq!(mods[1].table_id, NAT_TABLE);
-        assert_eq!(mods[2].table_id, ROUTE_TABLE);
-        assert!(mods[3..].iter().all(|m| m.command == FlowModCommand::Add));
+        assert_eq!(mods[1].header.table_id, NAT_TABLE);
+        assert_eq!(mods[2].header.table_id, ROUTE_TABLE);
+        assert!(mods[3..]
+            .iter()
+            .all(|m| m.header.command == FlowModCommand::Add));
         assert_eq!(r.routes_retracted(), 3);
     }
 
@@ -457,7 +459,7 @@ mod tests {
         assert_eq!(mods.len(), 7);
         assert_eq!(r.rules_for(0x52), 7);
         // Accept (to the router's own MAC) outranks the drop.
-        assert_eq!(mods[1].priority, GUARD_ACCEPT_PRIORITY);
+        assert_eq!(mods[1].header.priority, GUARD_ACCEPT_PRIORITY);
         assert_eq!(
             mods[1].match_,
             Match::new()
@@ -469,7 +471,7 @@ mod tests {
             mods[1].instructions,
             vec![Instruction::GotoTable(NAT_TABLE)]
         );
-        assert_eq!(mods[2].priority, GUARD_DROP_PRIORITY);
+        assert_eq!(mods[2].header.priority, GUARD_DROP_PRIORITY);
         assert_eq!(
             mods[2].instructions,
             vec![Instruction::ApplyActions(vec![])],
@@ -493,7 +495,7 @@ mod tests {
         let mods = decode(&q.buf);
         assert_eq!(mods.len(), 5);
         assert!(
-            mods.iter().all(|m| m.command == FlowModCommand::Add),
+            mods.iter().all(|m| m.header.command == FlowModCommand::Add),
             "no deletes into a fresh table"
         );
         // An unconfigured datapath gets nothing.

@@ -1,9 +1,9 @@
 //! OpenFlow 1.3 actions (§7.2.5).
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 
 use crate::oxm::OxmField;
-use crate::wire::{put_tlv, Cursor};
+use crate::wire::{self, wire_enum, wire_union, Wire};
 use crate::{Error, Result};
 
 /// Default `max_len` for controller output actions.
@@ -13,16 +13,18 @@ pub const DEFAULT_MAX_LEN: u16 = 0xffe5; // OFPCML_MAX
 /// stateful-NAT action below). Spells "HARM" in ASCII.
 pub const HARMLESS_EXPERIMENTER: u32 = 0x4841_524d;
 
-/// Which way the stateful NAT stage translates (see
-/// [`Action::Nat`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NatDir {
-    /// Outbound: source-translate to the datapath's external address,
-    /// allocating per-connection state on first packet.
-    Egress,
-    /// Inbound: reverse-translate the destination back to the internal
-    /// host; packets with no live connection state are dropped.
-    Ingress,
+wire_enum! {
+    /// Which way the stateful NAT stage translates (see
+    /// [`Action::Nat`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum NatDir: u16 {
+        /// Outbound: source-translate to the datapath's external address,
+        /// allocating per-connection state on first packet.
+        Egress = 0,
+        /// Inbound: reverse-translate the destination back to the internal
+        /// host; packets with no live connection state are dropped.
+        Ingress = 1,
+    } else Error::Malformed("unknown NAT subtype")
 }
 
 /// An OpenFlow action.
@@ -82,77 +84,60 @@ impl Action {
             None,
         ))
     }
+}
 
-    /// Append the wire form to `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
-        match *self {
-            Action::Output { port, max_len } => put_tlv(out, 0, |out| {
-                // OFPAT_OUTPUT
-                out.put_u32(port);
-                out.put_u16(max_len);
-            }),
-            Action::Group(id) => put_tlv(out, 22, |out| out.put_u32(id)), // OFPAT_GROUP
-            Action::SetQueue(id) => put_tlv(out, 21, |out| out.put_u32(id)), // OFPAT_SET_QUEUE
-            Action::PushVlan(tpid) => put_tlv(out, 17, |out| out.put_u16(tpid)), // OFPAT_PUSH_VLAN
-            Action::PopVlan => put_tlv(out, 18, |_| {}),                  // OFPAT_POP_VLAN
-            Action::SetField(ref f) => put_tlv(out, 25, |out| f.encode(out)), // OFPAT_SET_FIELD
-            Action::DecNwTtl => put_tlv(out, 24, |_| {}),                 // OFPAT_DEC_NW_TTL
-            Action::Nat(dir) => put_tlv(out, 0xffff, |out| {
-                // OFPAT_EXPERIMENTER
-                out.put_u32(HARMLESS_EXPERIMENTER);
-                out.put_u16(match dir {
-                    NatDir::Egress => 0,
-                    NatDir::Ingress => 1,
-                });
-            }),
-        }
+/// Action type codes (`ofp_action_type`).
+mod ty {
+    pub const OUTPUT: u16 = 0;
+    pub const PUSH_VLAN: u16 = 17;
+    pub const POP_VLAN: u16 = 18;
+    pub const SET_QUEUE: u16 = 21;
+    pub const GROUP: u16 = 22;
+    pub const DEC_NW_TTL: u16 = 24;
+    pub const SET_FIELD: u16 = 25;
+    pub const EXPERIMENTER: u16 = 0xffff;
+}
+
+wire_union! {
+    impl<'a> Action, kind: u16, unknown _ => Error::Malformed("unknown action type");
+    ty::OUTPUT => Output { port: u32, max_len: u16 },
+    ty::GROUP => Group(u32),
+    ty::SET_QUEUE => SetQueue(u32),
+    ty::PUSH_VLAN => PushVlan(u16),
+    ty::POP_VLAN => PopVlan,
+    ty::DEC_NW_TTL => DecNwTtl,
+    ty::SET_FIELD => SetField(OxmField),
+    ty::EXPERIMENTER => Nat(Harmless),
+}
+
+impl Wire<'_> for Action {
+    fn put(a: &Action, out: &mut BytesMut) {
+        wire::put_tlv(out, a.kind(), |out| a.put_body(out));
     }
-
-    /// Decode one action from the front of `buf`.
-    pub fn decode(buf: &mut &[u8]) -> Result<Action> {
-        let ty = buf.u16()?;
-        let len = usize::from(buf.u16()?);
-        if len < 8 || len % 8 != 0 {
-            return Err(Error::Malformed(
-                "action length must be a positive multiple of 8",
-            ));
-        }
-        let mut body = buf.take(len - 4)?;
-        Ok(match ty {
-            0 => Action::Output {
-                port: body.u32()?,
-                max_len: body.u16()?,
-            },
-            22 => Action::Group(body.u32()?),
-            21 => Action::SetQueue(body.u32()?),
-            17 => Action::PushVlan(body.u16()?),
-            18 => Action::PopVlan,
-            24 => Action::DecNwTtl,
-            25 => Action::SetField(OxmField::decode(&mut body)?),
-            0xffff => {
-                if body.u32()? != HARMLESS_EXPERIMENTER {
-                    return Err(Error::Malformed("unknown experimenter action"));
-                }
-                match body.u16()? {
-                    0 => Action::Nat(NatDir::Egress),
-                    1 => Action::Nat(NatDir::Ingress),
-                    _ => return Err(Error::Malformed("unknown NAT subtype")),
-                }
-            }
-            _ => return Err(Error::Malformed("unknown action type")),
-        })
+    fn get(buf: &mut &[u8]) -> Result<Action> {
+        let (kind, mut body) = wire::get_tlv(
+            buf,
+            |len| len >= 8 && len % 8 == 0,
+            "action length must be a positive multiple of 8",
+        )?;
+        Action::get_body(kind, &mut body)
     }
+}
 
-    /// Encode a list of actions.
-    pub fn encode_list(actions: &[Action], out: &mut BytesMut) {
-        for a in actions {
-            a.encode(out);
-        }
+/// The body of this stack's one experimenter action: its experimenter
+/// id, then the NAT direction.
+struct Harmless;
+
+impl Wire<'_, NatDir> for Harmless {
+    fn put(dir: &NatDir, out: &mut BytesMut) {
+        u32::put(&HARMLESS_EXPERIMENTER, out);
+        NatDir::put(dir, out);
     }
-
-    /// Decode exactly `len` bytes of actions.
-    pub fn decode_list(buf: &mut &[u8], len: usize) -> Result<Vec<Action>> {
-        buf.take(len)?.items(Action::decode)
+    fn get(buf: &mut &[u8]) -> Result<NatDir> {
+        if u32::get(buf)? != HARMLESS_EXPERIMENTER {
+            return Err(Error::Malformed("unknown experimenter action"));
+        }
+        NatDir::get(buf)
     }
 }
 
@@ -161,12 +146,14 @@ mod tests {
     use super::*;
     use netpkt::MacAddr;
 
+    use bytes::BufMut;
+
     fn round_trip(a: &Action) -> Action {
         let mut buf = BytesMut::new();
-        a.encode(&mut buf);
+        Action::put(a, &mut buf);
         assert_eq!(buf.len() % 8, 0, "actions must be 8-byte aligned");
         let mut s = &buf[..];
-        let out = Action::decode(&mut s).unwrap();
+        let out = Action::get(&mut s).unwrap();
         assert!(s.is_empty());
         out
     }
@@ -200,7 +187,7 @@ mod tests {
         buf.put_u16(0);
         buf.put_bytes(0, 6);
         let mut s = &buf[..];
-        assert!(Action::decode(&mut s).is_err());
+        assert!(Action::get(&mut s).is_err());
     }
 
     #[test]
@@ -211,9 +198,9 @@ mod tests {
             Action::PopVlan,
         ];
         let mut buf = BytesMut::new();
-        Action::encode_list(&list, &mut buf);
+        <Vec<Action>>::put(&list, &mut buf);
         let mut s = &buf[..];
-        let got = Action::decode_list(&mut s, buf.len()).unwrap();
+        let got = <Vec<Action>>::get(&mut s).unwrap();
         assert_eq!(got, list);
     }
 
@@ -221,10 +208,10 @@ mod tests {
     fn decode_rejects_bad_lengths() {
         // length not multiple of 8
         let mut s = &[0u8, 0, 0, 12, 0, 0, 0, 1, 0, 0, 0, 0][..];
-        assert!(Action::decode(&mut s).is_err());
+        assert!(Action::get(&mut s).is_err());
         // truncated
         let mut s = &[0u8, 0, 0, 16, 0, 0][..];
-        assert_eq!(Action::decode(&mut s).unwrap_err(), Error::Truncated);
+        assert_eq!(Action::get(&mut s).unwrap_err(), Error::Truncated);
     }
 
     #[test]
@@ -234,6 +221,6 @@ mod tests {
         buf.put_u16(8);
         buf.put_u32(0);
         let mut s = &buf[..];
-        assert!(Action::decode(&mut s).is_err());
+        assert!(Action::get(&mut s).is_err());
     }
 }

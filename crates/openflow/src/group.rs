@@ -11,38 +11,20 @@ use std::hash::{Hash, Hasher};
 use netpkt::FlowKey;
 
 use crate::action::Action;
-use crate::{Error, Result};
+use crate::wire::{layout, wire_enum};
+use crate::{group_no, port_no, Error, Result};
 
-/// `ofp_group_type` subset (fast-failover is out of scope).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GroupType {
-    /// Execute every bucket (multicast).
-    All,
-    /// Execute one bucket chosen by flow hash (load balancing).
-    Select,
-    /// Single-bucket indirection.
-    Indirect,
-}
-
-impl GroupType {
-    /// Wire value.
-    pub fn value(&self) -> u8 {
-        match self {
-            GroupType::All => 0,
-            GroupType::Select => 1,
-            GroupType::Indirect => 2,
-        }
-    }
-
-    /// From wire value.
-    pub fn from_value(v: u8) -> Result<GroupType> {
-        Ok(match v {
-            0 => GroupType::All,
-            1 => GroupType::Select,
-            2 => GroupType::Indirect,
-            _ => return Err(Error::BadGroup("unsupported group type")),
-        })
-    }
+wire_enum! {
+    /// `ofp_group_type` subset (fast-failover is out of scope).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum GroupType: u8 {
+        /// Execute every bucket (multicast).
+        All = 0,
+        /// Execute one bucket chosen by flow hash (load balancing).
+        Select = 1,
+        /// Single-bucket indirection.
+        Indirect = 2,
+    } else Error::BadGroup("unsupported group type")
 }
 
 /// One action bucket.
@@ -53,6 +35,11 @@ pub struct Bucket {
     /// Actions executed when the bucket fires.
     pub actions: Vec<Action>,
 }
+
+// The length counts itself; this subset watches no port or group.
+layout! { Bucket {
+    weight: u16, _: u32 = port_no::ANY, _: u32 = group_no::ANY, pad 4, actions: Vec<Action>,
+} sized 2, |len| len >= 16, "bucket too short" }
 
 impl Bucket {
     /// A weight-1 bucket.
@@ -130,36 +117,17 @@ impl Group {
     }
 }
 
-/// `ofp_group_mod_command`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GroupModCommand {
-    /// Create a new group.
-    Add,
-    /// Replace the buckets of an existing group.
-    Modify,
-    /// Remove a group (or all with `group_no::ALL`).
-    Delete,
-}
-
-impl GroupModCommand {
-    /// Wire value.
-    pub fn value(&self) -> u16 {
-        match self {
-            GroupModCommand::Add => 0,
-            GroupModCommand::Modify => 1,
-            GroupModCommand::Delete => 2,
-        }
-    }
-
-    /// From wire value.
-    pub fn from_value(v: u16) -> Result<GroupModCommand> {
-        Ok(match v {
-            0 => GroupModCommand::Add,
-            1 => GroupModCommand::Modify,
-            2 => GroupModCommand::Delete,
-            _ => return Err(Error::Malformed("bad group-mod command")),
-        })
-    }
+wire_enum! {
+    /// `ofp_group_mod_command`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum GroupModCommand: u16 {
+        /// Create a new group.
+        Add = 0,
+        /// Replace the buckets of an existing group.
+        Modify = 1,
+        /// Remove a group (or all with `group_no::ALL`).
+        Delete = 2,
+    } else Error::Malformed("bad group-mod command")
 }
 
 /// The group table of one switch.

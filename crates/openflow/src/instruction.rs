@@ -2,15 +2,17 @@
 
 use std::fmt;
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 
 use crate::action::Action;
-use crate::wire::{put_tlv, Cursor};
+use crate::wire::{self, wire_union, Wire};
 use crate::{Error, Result};
 
-/// An instruction attached to a flow entry.
+/// An instruction attached to a flow entry, its action lists held as
+/// `A`: owned in an [`Instruction`], as wire bytes where a received
+/// flow-mod holds them. One layout reads and writes both.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Instruction {
+pub enum Insn<A> {
     /// Continue matching in a later table.
     GotoTable(u8),
     /// Update the pipeline metadata register:
@@ -22,117 +24,62 @@ pub enum Instruction {
         mask: u64,
     },
     /// Merge actions into the action set.
-    WriteActions(Vec<Action>),
+    WriteActions(A),
     /// Execute actions immediately, in order.
-    ApplyActions(Vec<Action>),
+    ApplyActions(A),
     /// Empty the action set.
     ClearActions,
     /// Send the packet through a meter first.
     Meter(u32),
 }
 
+/// An instruction attached to a flow entry.
+pub type Instruction = Insn<Vec<Action>>;
+
+/// One instruction as a received message holds it, its actions still
+/// wire bytes: what every reader of a received instruction reads first.
+type Tlv<'a> = Insn<&'a [u8]>;
+
+/// Instruction type codes (`ofp_instruction_type`).
+mod ty {
+    pub const GOTO_TABLE: u16 = 1;
+    pub const WRITE_METADATA: u16 = 2;
+    pub const WRITE_ACTIONS: u16 = 3;
+    pub const APPLY_ACTIONS: u16 = 4;
+    pub const CLEAR_ACTIONS: u16 = 5;
+    pub const METER: u16 = 6;
+}
+
+wire_union! {
+    impl<'a, A: Wire<'a>> Insn<A>, kind: u16, unknown _ => Error::Malformed("unknown instruction type");
+    ty::GOTO_TABLE => GotoTable(u8),
+    ty::WRITE_METADATA => WriteMetadata { pad 4, metadata: u64, mask: u64 },
+    ty::WRITE_ACTIONS => WriteActions(pad 4, A),
+    ty::APPLY_ACTIONS => ApplyActions(pad 4, A),
+    ty::CLEAR_ACTIONS => ClearActions { pad 4 },
+    ty::METER => Meter(u32),
+}
+
+impl<'a, A: Wire<'a>> Wire<'a> for Insn<A> {
+    fn put(insn: &Insn<A>, out: &mut BytesMut) {
+        wire::put_tlv(out, insn.kind(), |out| insn.put_body(out));
+    }
+    fn get(buf: &mut &'a [u8]) -> Result<Insn<A>> {
+        let (kind, mut body) = wire::get_tlv(buf, |len| len >= 8, "instruction too short")?;
+        Insn::get_body(kind, &mut body)
+    }
+}
+
 impl Instruction {
-    /// Append the wire form to `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
-        match self {
-            Instruction::GotoTable(t) => put_tlv(out, 1, |out| out.put_u8(*t)),
-            Instruction::WriteMetadata { metadata, mask } => put_tlv(out, 2, |out| {
-                out.put_bytes(0, 4);
-                out.put_u64(*metadata);
-                out.put_u64(*mask);
-            }),
-            Instruction::WriteActions(actions) => put_tlv(out, 3, |out| {
-                out.put_bytes(0, 4);
-                Action::encode_list(actions, out);
-            }),
-            Instruction::ApplyActions(actions) => put_tlv(out, 4, |out| {
-                out.put_bytes(0, 4);
-                Action::encode_list(actions, out);
-            }),
-            Instruction::ClearActions => put_tlv(out, 5, |out| out.put_bytes(0, 4)),
-            Instruction::Meter(id) => put_tlv(out, 6, |out| out.put_u32(*id)),
-        }
-    }
-
-    /// Decode one instruction from the front of `buf`.
-    pub fn decode(buf: &mut &[u8]) -> Result<Instruction> {
-        Ok(match Tlv::read(buf)? {
-            Tlv::GotoTable(t) => Instruction::GotoTable(t),
-            Tlv::WriteMetadata { metadata, mask } => Instruction::WriteMetadata { metadata, mask },
-            Tlv::WriteActions(a) => Instruction::WriteActions(a.items(Action::decode)?),
-            Tlv::ApplyActions(a) => Instruction::ApplyActions(a.items(Action::decode)?),
-            Tlv::ClearActions => Instruction::ClearActions,
-            Tlv::Meter(id) => Instruction::Meter(id),
-        })
-    }
-
-    /// Encode a list of instructions.
-    pub fn encode_list(insns: &[Instruction], out: &mut BytesMut) {
-        for i in insns {
-            i.encode(out);
-        }
-    }
-
-    /// Decode exactly `len` bytes of instructions.
-    pub fn decode_list(buf: &mut &[u8], len: usize) -> Result<Vec<Instruction>> {
-        buf.take(len)?.items(Instruction::decode)
-    }
-
     /// Convenience: a single apply-actions instruction.
     pub fn apply(actions: Vec<Action>) -> Vec<Instruction> {
         vec![Instruction::ApplyActions(actions)]
     }
 }
 
-/// One instruction TLV as a received message holds it, its actions
-/// still wire bytes: what every reader of an instruction reads first.
-#[derive(Debug, Clone, Copy)]
-enum Tlv<'a> {
-    GotoTable(u8),
-    WriteMetadata { metadata: u64, mask: u64 },
-    WriteActions(&'a [u8]),
-    ApplyActions(&'a [u8]),
-    ClearActions,
-    Meter(u32),
-}
-
-impl<'a> Tlv<'a> {
-    /// Read one instruction's TLV from the front of `buf`; its actions
-    /// are not read.
-    fn read(buf: &mut &'a [u8]) -> Result<Tlv<'a>> {
-        let ty = buf.u16()?;
-        let len = usize::from(buf.u16()?);
-        if len < 8 {
-            return Err(Error::Malformed("instruction too short"));
-        }
-        let mut body = buf.take(len - 4)?;
-        Ok(match ty {
-            1 => Tlv::GotoTable(body.u8()?),
-            2 => {
-                body.skip(4)?;
-                Tlv::WriteMetadata {
-                    metadata: body.u64()?,
-                    mask: body.u64()?,
-                }
-            }
-            3 | 4 => {
-                body.skip(4)?;
-                if ty == 3 {
-                    Tlv::WriteActions(body)
-                } else {
-                    Tlv::ApplyActions(body)
-                }
-            }
-            5 => Tlv::ClearActions,
-            6 => Tlv::Meter(body.u32()?),
-            _ => return Err(Error::Malformed("unknown instruction type")),
-        })
-    }
-}
-
 /// The instruction list of a received flow-mod where the message holds
 /// it, checked when it is parsed: every instruction and action is one
-/// [`Instruction::decode`] reads, so reading them again cannot fail.
+/// the owned decode reads, so reading them again cannot fail.
 #[derive(Debug, Clone, Copy)]
 pub struct WireInstructions<'a> {
     bytes: &'a [u8],
@@ -144,22 +91,22 @@ pub struct WireInstructions<'a> {
 
 impl<'a> WireInstructions<'a> {
     /// Check the instructions that fill `bytes`, in order: each TLV,
-    /// then its actions, failing where [`Instruction::decode`] fails.
+    /// then its actions, failing where the owned decode fails.
     pub(crate) fn parse(bytes: &'a [u8]) -> Result<WireInstructions<'a>> {
         let (mut rest, mut insns, mut operands) = (bytes, 0usize, 0);
         while !rest.is_empty() {
             insns += 1;
-            operands += match Tlv::read(&mut rest)? {
-                Tlv::WriteActions(mut a) | Tlv::ApplyActions(mut a) => {
+            operands += match Tlv::get(&mut rest)? {
+                Insn::WriteActions(mut a) | Insn::ApplyActions(mut a) => {
                     let mut n = 0;
                     while !a.is_empty() {
-                        Action::decode(&mut a)?;
+                        Action::get(&mut a)?;
                         n += 1;
                     }
                     n
                 }
-                Tlv::WriteMetadata { .. } => 1,
-                Tlv::GotoTable(_) | Tlv::ClearActions | Tlv::Meter(_) => 0,
+                Insn::WriteMetadata { .. } => 1,
+                Insn::GotoTable(_) | Insn::ClearActions | Insn::Meter(_) => 0,
             };
         }
         // Every instruction after the first is a head op.
@@ -173,7 +120,7 @@ impl<'a> WireInstructions<'a> {
 
     fn tlvs(&self) -> impl Iterator<Item = Tlv<'a>> {
         let mut rest = self.bytes;
-        std::iter::from_fn(move || (!rest.is_empty()).then(|| Tlv::read(&mut rest).ok())?)
+        std::iter::from_fn(move || (!rest.is_empty()).then(|| Tlv::get(&mut rest).ok())?)
     }
 
     /// The owned instruction list.
@@ -181,7 +128,7 @@ impl<'a> WireInstructions<'a> {
         let mut rest = self.bytes;
         let mut insns = Vec::with_capacity(self.len);
         insns.extend(std::iter::from_fn(|| {
-            (!rest.is_empty()).then(|| Instruction::decode(&mut rest).ok())?
+            (!rest.is_empty()).then(|| Instruction::get(&mut rest).ok())?
         }));
         insns
     }
@@ -189,7 +136,7 @@ impl<'a> WireInstructions<'a> {
 
 /// The actions in `bytes`, checked already, in order.
 fn actions(mut bytes: &[u8]) -> impl Iterator<Item = Action> + '_ {
-    std::iter::from_fn(move || (!bytes.is_empty()).then(|| Action::decode(&mut bytes).ok())?)
+    std::iter::from_fn(move || (!bytes.is_empty()).then(|| Action::get(&mut bytes).ok())?)
 }
 
 /// An instruction list as a flow entry keeps it: one exact-size block
@@ -303,15 +250,15 @@ impl Program {
                     .expect("fewer than 2^32 actions in an instruction")
             };
             let head = match tlv {
-                Tlv::GotoTable(t) => Head::GotoTable(t),
-                Tlv::WriteMetadata { metadata, mask } => {
+                Insn::GotoTable(t) => Head::GotoTable(t),
+                Insn::WriteMetadata { metadata, mask } => {
                     ops.push(Op::Metadata { metadata, mask });
                     Head::WriteMetadata
                 }
-                Tlv::WriteActions(a) => Head::WriteActions(push_actions(a)),
-                Tlv::ApplyActions(a) => Head::ApplyActions(push_actions(a)),
-                Tlv::ClearActions => Head::ClearActions,
-                Tlv::Meter(id) => Head::Meter(id),
+                Insn::WriteActions(a) => Head::WriteActions(push_actions(a)),
+                Insn::ApplyActions(a) => Head::ApplyActions(push_actions(a)),
+                Insn::ClearActions => Head::ClearActions,
+                Insn::Meter(id) => Head::Meter(id),
             };
             if first.is_none() {
                 first = Some(head);
@@ -491,11 +438,13 @@ impl fmt::Debug for Actions<'_> {
 mod tests {
     use super::*;
 
+    use bytes::BufMut;
+
     fn round_trip(i: &Instruction) -> Instruction {
         let mut buf = BytesMut::new();
-        i.encode(&mut buf);
+        Instruction::put(i, &mut buf);
         let mut s = &buf[..];
-        let out = Instruction::decode(&mut s).unwrap();
+        let out = Instruction::get(&mut s).unwrap();
         assert!(s.is_empty());
         out
     }
@@ -525,9 +474,9 @@ mod tests {
             Instruction::GotoTable(1),
         ];
         let mut buf = BytesMut::new();
-        Instruction::encode_list(&list, &mut buf);
+        <Vec<Instruction>>::put(&list, &mut buf);
         let mut s = &buf[..];
-        assert_eq!(Instruction::decode_list(&mut s, buf.len()).unwrap(), list);
+        assert_eq!(<Vec<Instruction>>::get(&mut s).unwrap(), list);
     }
 
     /// A one-instruction program is its actions; every later
@@ -565,12 +514,12 @@ mod tests {
         buf.put_u16(8);
         buf.put_u32(0);
         let mut s = &buf[..];
-        assert!(Instruction::decode(&mut s).is_err());
+        assert!(Instruction::get(&mut s).is_err());
     }
 
     #[test]
     fn truncated_rejected() {
         let mut s = &[0u8, 2, 0, 24, 0][..];
-        assert_eq!(Instruction::decode(&mut s).unwrap_err(), Error::Truncated);
+        assert_eq!(Instruction::get(&mut s).unwrap_err(), Error::Truncated);
     }
 }

@@ -8,11 +8,17 @@
 //!    subset a production L2/L3 deployment needs — handshake, echo,
 //!    `FLOW_MOD`/`GROUP_MOD`/`METER_MOD`, `PACKET_IN`/`PACKET_OUT`,
 //!    `FLOW_REMOVED`, `PORT_STATUS`, barriers, errors and the common
-//!    multipart statistics. Each structure states its layout once. Every
-//!    read goes through a checked cursor: there are no length prechecks,
-//!    and a structure behind a length field is read from a sub-cursor
-//!    that ends where that field says. Every length written on the wire
-//!    is patched in from the bytes actually written; nothing predicts it.
+//!    multipart statistics. Each structure states its layout once, as an
+//!    ordered field list (`datapath_id: u64, n_buffers: u32, n_tables:
+//!    u8, pad 3, …`) that one walk writes and reads: the encoder puts
+//!    the fields in order, the decoder gets them in the same order, each
+//!    through its type's one codec, and the wire enums and OXM fields
+//!    are one table each. Every read goes through a checked cursor:
+//!    there are no length prechecks, and a structure behind a length
+//!    field is read from a sub-cursor that ends where that field says.
+//!    Every length written on the wire is patched in from the bytes
+//!    actually written; nothing predicts it. Checks that are not layout
+//!    (an unknown type, a length below its header) sit beside the walk.
 //!    [`Error::Truncated`] means only "this frame has not fully arrived".
 //!    A complete frame whose body runs short is [`Error::Malformed`],
 //!    because no more bytes are coming for it.

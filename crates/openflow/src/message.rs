@@ -7,12 +7,23 @@
 //! control channel's byte stream, which may split a message or carry
 //! several, is reassembled by [`crate::Session`].
 //!
-//! A flow-mod has one parser, and its product is a view:
+//! Each body is stated once, as an ordered field list: the table of
+//! [`Message`]'s bodies below, the multipart kinds' and the entries
+//! they carry. The encoder writes a list's items in order and the
+//! decoder reads them in the same order, each field through its type's
+//! one codec (how is in the crate's `wire` module). What is not layout
+//! is one check beside the walk: the version, an unknown message or
+//! multipart type, a bucket or a flow-stats entry shorter than its
+//! header, the meter band's type and length.
+//!
+//! A switch applies a flow-mod where its frame holds it:
 //! [`Message::decode_ref`] reads a `FLOW_MOD` as a [`FlowModRef`] that
-//! borrows the match and the instructions where the frame holds them,
-//! checked as it is built. A switch applies the view; the owned
-//! [`FlowMod`] that [`Message::decode`] returns is the view's
-//! [`FlowModRef::to_owned`].
+//! borrows the match and the instructions, checked as it is built.
+//! [`Message::decode`] builds the owned [`FlowMod`] in one walk through
+//! the same readers, collecting what the view checks, so both fail at
+//! the same byte with the same error.
+
+use std::fmt;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -25,8 +36,10 @@ use crate::instruction::{Instruction, Program, WireInstructions};
 use crate::meter::{MeterBand, MeterModCommand};
 use crate::oxm::{Match, WireMatch};
 use crate::table::FlowModCommand;
-use crate::wire::{self, Cursor};
+use crate::wire::{self, layout, wire_enum, wire_union, Cursor, Str, Wire};
 use crate::{Error, Result, NO_BUFFER, OFP_VERSION};
+
+use msg_type::*;
 
 /// Transaction id carried in every message header.
 pub type Xid = u32;
@@ -58,75 +71,35 @@ pub mod msg_type {
     pub const METER_MOD: u8 = 29;
 }
 
-/// Why a packet was punted to the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PacketInReason {
-    /// Table-miss flow entry.
-    NoMatch,
-    /// An explicit output-to-controller action.
-    Action,
-    /// TTL exceeded.
-    InvalidTtl,
+wire_enum! {
+    /// Why a packet was punted to the controller.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum PacketInReason: u8 {
+        /// Table-miss flow entry.
+        NoMatch = 0,
+        /// An explicit output-to-controller action.
+        Action = 1,
+        /// TTL exceeded.
+        InvalidTtl = 2,
+    } else Error::Malformed("bad packet-in reason")
 }
 
-impl PacketInReason {
-    /// Wire value.
-    pub fn value(&self) -> u8 {
-        match self {
-            PacketInReason::NoMatch => 0,
-            PacketInReason::Action => 1,
-            PacketInReason::InvalidTtl => 2,
-        }
-    }
-
-    /// From wire value.
-    pub fn from_value(v: u8) -> Result<Self> {
-        Ok(match v {
-            0 => PacketInReason::NoMatch,
-            1 => PacketInReason::Action,
-            2 => PacketInReason::InvalidTtl,
-            _ => return Err(Error::Malformed("bad packet-in reason")),
-        })
-    }
-}
-
-/// `ofp_controller_role` (OF 1.3 §7.3.9): what a controller connection
-/// is allowed to do. A `Master` receives asynchronous messages and may
-/// modify state; a `Slave` is read-only standby; `Equal` is full access
-/// without exclusivity; `NoChange` queries the current role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControllerRole {
-    /// Don't change the role; report the current one.
-    NoChange,
-    /// Full access, no exclusivity.
-    Equal,
-    /// Full access; demotes the previous master to slave.
-    Master,
-    /// Read-only standby: no async messages, no mutations.
-    Slave,
-}
-
-impl ControllerRole {
-    /// Wire value.
-    pub fn value(&self) -> u32 {
-        match self {
-            ControllerRole::NoChange => 0,
-            ControllerRole::Equal => 1,
-            ControllerRole::Master => 2,
-            ControllerRole::Slave => 3,
-        }
-    }
-
-    /// From wire value.
-    pub fn from_value(v: u32) -> Result<Self> {
-        Ok(match v {
-            0 => ControllerRole::NoChange,
-            1 => ControllerRole::Equal,
-            2 => ControllerRole::Master,
-            3 => ControllerRole::Slave,
-            _ => return Err(Error::Malformed("bad controller role")),
-        })
-    }
+wire_enum! {
+    /// `ofp_controller_role` (OF 1.3 §7.3.9): what a controller connection
+    /// is allowed to do. A `Master` receives asynchronous messages and may
+    /// modify state; a `Slave` is read-only standby; `Equal` is full access
+    /// without exclusivity; `NoChange` queries the current role.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ControllerRole: u32 {
+        /// Don't change the role; report the current one.
+        NoChange = 0,
+        /// Full access, no exclusivity.
+        Equal = 1,
+        /// Full access; demotes the previous master to slave.
+        Master = 2,
+        /// Read-only standby: no async messages, no mutations.
+        Slave = 3,
+    } else Error::Malformed("bad controller role")
 }
 
 /// `ofp_port`: description of one switch port (64 bytes on the wire).
@@ -148,102 +121,67 @@ pub struct PortDesc {
     pub max_speed: u32,
 }
 
-impl PortDesc {
-    fn encode(&self, out: &mut BytesMut) {
-        out.put_u32(self.port_no);
-        out.put_bytes(0, 4);
-        out.put_slice(&self.hw_addr.octets());
-        out.put_bytes(0, 2);
-        put_str(out, &self.name, 16);
-        out.put_u32(self.config);
-        out.put_u32(self.state);
-        out.put_bytes(0, 16); // curr/advertised/supported/peer features
-        out.put_u32(self.curr_speed);
-        out.put_u32(self.max_speed);
-    }
+// The 16 bytes after `state` are the curr/advertised/supported/peer
+// feature bits, which this subset leaves zero.
+layout! { PortDesc {
+    port_no: u32, pad 4, hw_addr: netpkt::MacAddr, pad 2, name: Str<16>, config: u32, state: u32,
+    pad 16, curr_speed: u32, max_speed: u32,
+} }
 
-    fn decode(buf: &mut &[u8]) -> Result<PortDesc> {
-        let port_no = buf.u32()?;
-        buf.skip(4)?;
-        let hw_addr = netpkt::MacAddr(buf.array()?);
-        buf.skip(2)?;
-        let name = get_str(buf, 16)?;
-        let config = buf.u32()?;
-        let state = buf.u32()?;
-        buf.skip(16)?;
-        Ok(PortDesc {
-            port_no,
-            hw_addr,
-            name,
-            config,
-            state,
-            curr_speed: buf.u32()?,
-            max_speed: buf.u32()?,
-        })
-    }
-}
-
-/// A NUL-padded string field `width` bytes wide, keeping at most
-/// `width - 1` bytes of `s`.
-fn put_str(out: &mut BytesMut, s: &str, width: usize) {
-    let kept = s.len().min(width - 1);
-    out.extend(s.bytes().take(kept));
-    out.put_bytes(0, width - kept);
-}
-
-/// The string in a NUL-padded field `width` bytes wide.
-fn get_str(buf: &mut &[u8], width: usize) -> Result<String> {
-    let field = buf.take(width)?;
-    let text = field.split(|&b| b == 0).next().unwrap_or_default();
-    Ok(String::from_utf8_lossy(text).into_owned())
-}
-
-/// The `FLOW_MOD` payload.
-#[derive(Debug, Clone, PartialEq)]
+/// The `FLOW_MOD` payload: its fixed fields, its match, its
+/// instructions.
+#[derive(Clone, PartialEq)]
 pub struct FlowMod {
-    /// Opaque controller cookie.
-    pub cookie: u64,
-    /// Cookie mask for modify/delete filtering.
-    pub cookie_mask: u64,
-    /// Target table.
-    pub table_id: u8,
-    /// Add/modify/delete.
-    pub command: FlowModCommand,
-    /// Idle timeout, seconds.
-    pub idle_timeout: u16,
-    /// Hard timeout, seconds.
-    pub hard_timeout: u16,
-    /// Priority.
-    pub priority: u16,
-    /// Buffered packet to release, or [`NO_BUFFER`].
-    pub buffer_id: u32,
-    /// Delete filter: output port.
-    pub out_port: u32,
-    /// Delete filter: output group.
-    pub out_group: u32,
-    /// `flow_flags` bits.
-    pub flags: u16,
+    /// The fixed fields.
+    pub header: FlowModHeader,
     /// The match.
     pub match_: Match,
     /// The instruction list.
     pub instructions: Vec<Instruction>,
 }
 
+layout! { FlowMod { header: FlowModHeader, match_: Match, instructions: Vec<Instruction> } }
+
+/// Prints its fields in wire order as one flat struct, as it did before
+/// the fixed ones were gathered into a [`FlowModHeader`].
+impl fmt::Debug for FlowMod {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let h = &self.header;
+        f.debug_struct("FlowMod")
+            .field("cookie", &h.cookie)
+            .field("cookie_mask", &h.cookie_mask)
+            .field("table_id", &h.table_id)
+            .field("command", &h.command)
+            .field("idle_timeout", &h.idle_timeout)
+            .field("hard_timeout", &h.hard_timeout)
+            .field("priority", &h.priority)
+            .field("buffer_id", &h.buffer_id)
+            .field("out_port", &h.out_port)
+            .field("out_group", &h.out_group)
+            .field("flags", &h.flags)
+            .field("match_", &self.match_)
+            .field("instructions", &self.instructions)
+            .finish()
+    }
+}
+
 impl FlowMod {
     /// Start an `ADD` flow-mod for `table_id` (builder style).
     pub fn add(table_id: u8) -> FlowMod {
         FlowMod {
-            cookie: 0,
-            cookie_mask: 0,
-            table_id,
-            command: FlowModCommand::Add,
-            idle_timeout: 0,
-            hard_timeout: 0,
-            priority: 0,
-            buffer_id: NO_BUFFER,
-            out_port: crate::port_no::ANY,
-            out_group: crate::group_no::ANY,
-            flags: 0,
+            header: FlowModHeader {
+                cookie: 0,
+                cookie_mask: 0,
+                table_id,
+                command: FlowModCommand::Add,
+                idle_timeout: 0,
+                hard_timeout: 0,
+                priority: 0,
+                buffer_id: NO_BUFFER,
+                out_port: crate::port_no::ANY,
+                out_group: crate::group_no::ANY,
+                flags: 0,
+            },
             match_: Match::any(),
             instructions: Vec::new(),
         }
@@ -251,15 +189,18 @@ impl FlowMod {
 
     /// Start a non-strict `DELETE` for `table_id`.
     pub fn delete(table_id: u8) -> FlowMod {
-        FlowMod {
-            command: FlowModCommand::Delete,
-            ..FlowMod::add(table_id)
-        }
+        FlowMod::add(table_id).command(FlowModCommand::Delete)
+    }
+
+    /// Builder: command.
+    pub fn command(mut self, c: FlowModCommand) -> Self {
+        self.header.command = c;
+        self
     }
 
     /// Builder: priority.
     pub fn priority(mut self, p: u16) -> Self {
-        self.priority = p;
+        self.header.priority = p;
         self
     }
 
@@ -289,20 +230,20 @@ impl FlowMod {
 
     /// Builder: timeouts.
     pub fn timeouts(mut self, idle: u16, hard: u16) -> Self {
-        self.idle_timeout = idle;
-        self.hard_timeout = hard;
+        self.header.idle_timeout = idle;
+        self.header.hard_timeout = hard;
         self
     }
 
     /// Builder: cookie.
     pub fn cookie(mut self, c: u64) -> Self {
-        self.cookie = c;
+        self.header.cookie = c;
         self
     }
 
     /// Builder: flags.
     pub fn flags(mut self, f: u16) -> Self {
-        self.flags = f;
+        self.header.flags = f;
         self
     }
 }
@@ -334,44 +275,11 @@ pub struct FlowModHeader {
     pub flags: u16,
 }
 
-impl FlowModHeader {
-    fn encode(&self, out: &mut BytesMut) {
-        out.put_u64(self.cookie);
-        out.put_u64(self.cookie_mask);
-        out.put_u8(self.table_id);
-        out.put_u8(self.command.value());
-        out.put_u16(self.idle_timeout);
-        out.put_u16(self.hard_timeout);
-        out.put_u16(self.priority);
-        out.put_u32(self.buffer_id);
-        out.put_u32(self.out_port);
-        out.put_u32(self.out_group);
-        out.put_u16(self.flags);
-        out.put_bytes(0, 2);
-    }
-
-    fn decode(body: &mut &[u8]) -> Result<FlowModHeader> {
-        let cookie = body.u64()?;
-        let cookie_mask = body.u64()?;
-        let table_id = body.u8()?;
-        let command = FlowModCommand::from_value(body.u8()?)?;
-        let header = FlowModHeader {
-            cookie,
-            cookie_mask,
-            table_id,
-            command,
-            idle_timeout: body.u16()?,
-            hard_timeout: body.u16()?,
-            priority: body.u16()?,
-            buffer_id: body.u32()?,
-            out_port: body.u32()?,
-            out_group: body.u32()?,
-            flags: body.u16()?,
-        };
-        body.skip(2)?;
-        Ok(header)
-    }
-}
+layout! { FlowModHeader {
+    cookie: u64, cookie_mask: u64, table_id: u8, command: FlowModCommand, idle_timeout: u16,
+    hard_timeout: u16, priority: u16, buffer_id: u32, out_port: u32, out_group: u32, flags: u16,
+    pad 2,
+} }
 
 /// A received `FLOW_MOD`, read where its frame holds it: the fixed
 /// fields, and the match and instructions as checked wire bytes. Every
@@ -390,33 +298,20 @@ pub struct FlowModRef<'a> {
 }
 
 impl<'a> FlowModRef<'a> {
-    /// Read a flow-mod's body, which fills `body`.
+    /// Read a flow-mod's body, which fills `body`: [`FlowMod`]'s layout,
+    /// its match and instructions checked but left in place.
     fn decode(body: &mut &'a [u8]) -> Result<FlowModRef<'a>> {
-        let header = FlowModHeader::decode(body)?;
-        let match_ = WireMatch::parse(body)?;
-        let instructions = WireInstructions::parse(std::mem::take(body))?;
         Ok(FlowModRef {
-            header,
-            match_,
-            instructions,
+            header: FlowModHeader::get(body)?,
+            match_: WireMatch::parse(body)?,
+            instructions: WireInstructions::parse(std::mem::take(body))?,
         })
     }
 
     /// The owned flow-mod: what [`Message::decode`] returns for it.
     pub fn to_owned(self) -> FlowMod {
-        let h = self.header;
         FlowMod {
-            cookie: h.cookie,
-            cookie_mask: h.cookie_mask,
-            table_id: h.table_id,
-            command: h.command,
-            idle_timeout: h.idle_timeout,
-            hard_timeout: h.hard_timeout,
-            priority: h.priority,
-            buffer_id: h.buffer_id,
-            out_port: h.out_port,
-            out_group: h.out_group,
-            flags: h.flags,
+            header: self.header,
             match_: self.match_.to_owned(),
             instructions: self.instructions.to_vec(),
         }
@@ -441,19 +336,7 @@ pub trait FlowModSource {
 
 impl FlowModSource for FlowMod {
     fn header(&self) -> FlowModHeader {
-        FlowModHeader {
-            cookie: self.cookie,
-            cookie_mask: self.cookie_mask,
-            table_id: self.table_id,
-            command: self.command,
-            idle_timeout: self.idle_timeout,
-            hard_timeout: self.hard_timeout,
-            priority: self.priority,
-            buffer_id: self.buffer_id,
-            out_port: self.out_port,
-            out_group: self.out_group,
-            flags: self.flags,
-        }
+        self.header
     }
 
     fn validate(&self) -> Result<()> {
@@ -541,6 +424,22 @@ pub enum MultipartReq {
     PortDesc,
 }
 
+wire_union! {
+    impl<'a> MultipartReq, kind: u16, unknown _ => Error::Malformed("unsupported multipart type");
+    mp_type::DESC => Desc,
+    mp_type::FLOW => Flow {
+        table_id: u8, pad 3, out_port: u32, out_group: u32, pad 4, cookie: u64, cookie_mask: u64,
+        match_: Match,
+    },
+    mp_type::AGGREGATE => Aggregate {
+        table_id: u8, pad 3, out_port: u32, out_group: u32, pad 4, cookie: u64, cookie_mask: u64,
+        match_: Match,
+    },
+    mp_type::TABLE => Table,
+    mp_type::PORT_STATS => PortStats { port_no: u32, pad 4 },
+    mp_type::PORT_DESC => PortDesc,
+}
+
 /// One flow entry in a `Flow` multipart reply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowStatsEntry {
@@ -568,6 +467,14 @@ pub struct FlowStatsEntry {
     pub instructions: Vec<Instruction>,
 }
 
+// The length counts itself; the 4 bytes after `duration_sec` are its
+// nanoseconds.
+layout! { FlowStatsEntry {
+    table_id: u8, pad 1, duration_sec: u32, pad 4, priority: u16, idle_timeout: u16,
+    hard_timeout: u16, flags: u16, pad 4, cookie: u64, packet_count: u64, byte_count: u64,
+    match_: Match, instructions: Vec<Instruction>,
+} sized 2, |len| len >= 48, "flow stats entry too short" }
+
 /// One table in a `Table` multipart reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableStatsEntry {
@@ -580,6 +487,10 @@ pub struct TableStatsEntry {
     /// Lookups that matched.
     pub matched_count: u64,
 }
+
+layout! { TableStatsEntry {
+    table_id: u8, pad 3, active_count: u32, lookup_count: u64, matched_count: u64,
+} }
 
 /// One port in a `PortStats` multipart reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -599,6 +510,13 @@ pub struct PortStatsEntry {
     /// Transmit drops.
     pub tx_dropped: u64,
 }
+
+// The last 56 bytes are the error and collision counters and the
+// duration, which this subset leaves zero.
+layout! { PortStatsEntry {
+    port_no: u32, pad 4, rx_packets: u64, tx_packets: u64, rx_bytes: u64, tx_bytes: u64,
+    rx_dropped: u64, tx_dropped: u64, pad 56,
+} }
 
 /// Multipart reply bodies.
 #[derive(Debug, Clone, PartialEq)]
@@ -634,6 +552,38 @@ pub enum MultipartRes {
     /// Port descriptions.
     PortDesc(Vec<PortDesc>),
 }
+
+wire_union! {
+    impl<'a> MultipartRes, kind: u16, unknown _ => Error::Malformed("unsupported multipart type");
+    mp_type::DESC => Desc {
+        mfr: Str<256>, hw: Str<256>, sw: Str<256>, serial: Str<32>, dp: Str<256>,
+    },
+    mp_type::FLOW => Flow(Vec<FlowStatsEntry>),
+    mp_type::AGGREGATE => Aggregate { packet_count: u64, byte_count: u64, flow_count: u32, pad 4 },
+    mp_type::TABLE => Table(Vec<TableStatsEntry>),
+    mp_type::PORT_STATS => PortStats(Vec<PortStatsEntry>),
+    mp_type::PORT_DESC => PortDesc(Vec<PortDesc>),
+}
+
+/// A multipart body: its kind, no flags, pad, the kind's body.
+macro_rules! multipart {
+    ($($ty:ident),*) => {$(
+        impl Wire<'_> for $ty {
+            fn put(m: &$ty, out: &mut BytesMut) {
+                out.put_u16(m.kind());
+                out.put_bytes(0, 6);
+                m.put_body(out);
+            }
+            fn get(buf: &mut &[u8]) -> Result<$ty> {
+                let kind = buf.u16()?;
+                buf.skip(6)?;
+                $ty::get_body(kind, buf)
+            }
+        }
+    )*};
+}
+
+multipart!(MultipartReq, MultipartRes);
 
 /// Multipart type codes.
 mod mp_type {
@@ -801,6 +751,91 @@ pub enum Message {
     },
 }
 
+// Every body, in wire order. `FeaturesReply`'s pads are its auxiliary
+// id and pad, then a reserved word; `FlowRemoved`'s is its duration's
+// nanoseconds.
+wire_union! {
+    impl<'a> Message, kind: u8, unknown ty => Error::UnsupportedType(ty);
+    HELLO => Hello,
+    ERROR => Error { ty: u16, code: u16, data: Bytes },
+    ECHO_REQUEST => EchoRequest(Bytes),
+    ECHO_REPLY => EchoReply(Bytes),
+    FEATURES_REQUEST => FeaturesRequest,
+    FEATURES_REPLY => FeaturesReply {
+        datapath_id: u64, n_buffers: u32, n_tables: u8, pad 3, capabilities: u32, pad 4,
+    },
+    GET_CONFIG_REQUEST => GetConfigRequest,
+    GET_CONFIG_REPLY => GetConfigReply { flags: u16, miss_send_len: u16 },
+    SET_CONFIG => SetConfig { flags: u16, miss_send_len: u16 },
+    PACKET_IN => PacketIn {
+        buffer_id: u32, total_len: u16, reason: PacketInReason, table_id: u8, cookie: u64,
+        match_: Match, pad 2, data: Bytes,
+    },
+    FLOW_REMOVED => FlowRemoved {
+        cookie: u64, priority: u16, reason: u8, table_id: u8, duration_sec: u32, pad 4,
+        idle_timeout: u16, hard_timeout: u16, packet_count: u64, byte_count: u64, match_: Match,
+    },
+    PORT_STATUS => PortStatus { reason: u8, pad 7, desc: PortDesc },
+    PACKET_OUT => PacketOut { buffer_id: u32, in_port: u32, actions: PacketOutActions, data: Bytes },
+    FLOW_MOD => FlowMod(FlowMod),
+    GROUP_MOD => GroupMod {
+        command: GroupModCommand, type_: GroupType, pad 1, group_id: u32, buckets: Vec<Bucket>,
+    },
+    METER_MOD => MeterMod { command: MeterModCommand, pktps: MeterFlags, meter_id: u32, band: DropBand },
+    MULTIPART_REQUEST => MultipartRequest(MultipartReq),
+    MULTIPART_REPLY => MultipartReply(MultipartRes),
+    BARRIER_REQUEST => BarrierRequest,
+    BARRIER_REPLY => BarrierReply,
+    ROLE_REQUEST => RoleRequest { role: ControllerRole, pad 4, generation_id: u64 },
+    ROLE_REPLY => RoleReply { role: ControllerRole, pad 4, generation_id: u64 },
+}
+
+/// A packet-out's actions: their length, six zero bytes, the actions.
+struct PacketOutActions;
+
+impl Wire<'_, Vec<Action>> for PacketOutActions {
+    fn put(actions: &Vec<Action>, out: &mut BytesMut) {
+        wire::put_sized(out, 0, 6, |out| <Vec<Action>>::put(actions, out));
+    }
+    fn get(buf: &mut &[u8]) -> Result<Vec<Action>> {
+        <Vec<Action>>::get(&mut wire::get_sized(buf, 0, 6, |_| true, "")?)
+    }
+}
+
+/// A meter-mod's flags: the rate unit, and always a burst size.
+struct MeterFlags;
+
+impl Wire<'_, bool> for MeterFlags {
+    fn put(pktps: &bool, out: &mut BytesMut) {
+        // OFPMF_PKTPS or OFPMF_KBPS, and OFPMF_BURST
+        out.put_u16(if *pktps { 0x2 } else { 0x1 } | 0x4);
+    }
+    fn get(buf: &mut &[u8]) -> Result<bool> {
+        Ok(buf.u16()? & 0x2 != 0)
+    }
+}
+
+/// A meter-mod's one band, a 16-byte drop band (`OFPMBT_DROP`), when
+/// bytes follow its header; a delete has none.
+struct DropBand;
+
+impl Wire<'_, Option<MeterBand>> for DropBand {
+    fn put(band: &Option<MeterBand>, out: &mut BytesMut) {
+        if let Some(band) = band {
+            wire::put_tlv(out, 1, |out| MeterBand::put(band, out));
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Option<MeterBand>> {
+        if buf.is_empty() {
+            return Ok(None);
+        }
+        let ty = buf.u16()?;
+        let valid = |len| ty == 1 && len == 16;
+        let mut band = wire::get_sized(buf, 4, 0, valid, "only 16-byte drop bands supported")?;
+        MeterBand::get(&mut band).map(Some)
+    }
+}
+
 /// A decoded message whose flow-mod, if it is one, is left where the
 /// frame holds it.
 #[derive(Debug)]
@@ -845,34 +880,34 @@ pub(crate) fn whole_frame_len(buf: &[u8]) -> Result<usize> {
     Ok(len)
 }
 
+/// The frame at the front of `buf`, once all of it has arrived: its
+/// xid, its type, its body and its length.
+fn open(buf: &[u8]) -> Result<(Xid, u8, &[u8], usize)> {
+    let len = whole_frame_len(buf)?;
+    let mut body = buf.get(..len).ok_or(Error::Truncated)?;
+    let version = body.u8()?;
+    let ty = body.u8()?;
+    body.skip(2)?;
+    let xid = body.u32()?;
+    if version != OFP_VERSION && ty != HELLO {
+        return Err(Error::BadVersion(version));
+    }
+    Ok((xid, ty, body, len))
+}
+
+/// A complete frame whose body runs out inside a structure is
+/// malformed: no more bytes are coming for it.
+fn whole<T>(body: Result<T>) -> Result<T> {
+    body.map_err(|e| match e {
+        Error::Truncated => Error::Malformed("body ends inside a structure"),
+        e => e,
+    })
+}
+
 impl Message {
     /// The `ofp_type` byte of this message.
     pub fn type_byte(&self) -> u8 {
-        use msg_type::*;
-        match self {
-            Message::Hello => HELLO,
-            Message::Error { .. } => ERROR,
-            Message::EchoRequest(_) => ECHO_REQUEST,
-            Message::EchoReply(_) => ECHO_REPLY,
-            Message::FeaturesRequest => FEATURES_REQUEST,
-            Message::FeaturesReply { .. } => FEATURES_REPLY,
-            Message::GetConfigRequest => GET_CONFIG_REQUEST,
-            Message::GetConfigReply { .. } => GET_CONFIG_REPLY,
-            Message::SetConfig { .. } => SET_CONFIG,
-            Message::PacketIn { .. } => PACKET_IN,
-            Message::FlowRemoved { .. } => FLOW_REMOVED,
-            Message::PortStatus { .. } => PORT_STATUS,
-            Message::PacketOut { .. } => PACKET_OUT,
-            Message::FlowMod(_) => FLOW_MOD,
-            Message::GroupMod { .. } => GROUP_MOD,
-            Message::MeterMod { .. } => METER_MOD,
-            Message::MultipartRequest(_) => MULTIPART_REQUEST,
-            Message::MultipartReply(_) => MULTIPART_REPLY,
-            Message::BarrierRequest => BARRIER_REQUEST,
-            Message::BarrierReply => BARRIER_REPLY,
-            Message::RoleRequest { .. } => ROLE_REQUEST,
-            Message::RoleReply { .. } => ROLE_REPLY,
-        }
+        self.kind()
     }
 
     /// Encode with full header into a buffer of its own; `xid` is the
@@ -886,294 +921,13 @@ impl Message {
     /// Append the message, with full header, to `out`: a send buffer
     /// that coalesces several messages into one channel write.
     pub fn encode_into(&self, out: &mut BytesMut, xid: Xid) {
-        let start = out.len();
         out.put_u8(OFP_VERSION);
-        out.put_u8(self.type_byte());
-        let len = wire::reserve_u16(out);
-        out.put_u32(xid);
-        self.encode_body(out);
-        wire::patch_u16(out, len, start);
-    }
-
-    fn encode_body(&self, out: &mut BytesMut) {
-        match self {
-            Message::Hello
-            | Message::FeaturesRequest
-            | Message::GetConfigRequest
-            | Message::BarrierRequest
-            | Message::BarrierReply => {}
-            Message::Error { ty, code, data } => {
-                out.put_u16(*ty);
-                out.put_u16(*code);
-                out.put_slice(data);
-            }
-            Message::EchoRequest(d) | Message::EchoReply(d) => out.put_slice(d),
-            Message::RoleRequest {
-                role,
-                generation_id,
-            }
-            | Message::RoleReply {
-                role,
-                generation_id,
-            } => {
-                out.put_u32(role.value());
-                out.put_bytes(0, 4);
-                out.put_u64(*generation_id);
-            }
-            Message::FeaturesReply {
-                datapath_id,
-                n_buffers,
-                n_tables,
-                capabilities,
-            } => {
-                out.put_u64(*datapath_id);
-                out.put_u32(*n_buffers);
-                out.put_u8(*n_tables);
-                out.put_u8(0); // auxiliary_id
-                out.put_bytes(0, 2);
-                out.put_u32(*capabilities);
-                out.put_u32(0); // reserved
-            }
-            Message::GetConfigReply {
-                flags,
-                miss_send_len,
-            }
-            | Message::SetConfig {
-                flags,
-                miss_send_len,
-            } => {
-                out.put_u16(*flags);
-                out.put_u16(*miss_send_len);
-            }
-            Message::PacketIn {
-                buffer_id,
-                total_len,
-                reason,
-                table_id,
-                cookie,
-                match_,
-                data,
-            } => {
-                out.put_u32(*buffer_id);
-                out.put_u16(*total_len);
-                out.put_u8(reason.value());
-                out.put_u8(*table_id);
-                out.put_u64(*cookie);
-                match_.encode(out);
-                out.put_bytes(0, 2);
-                out.put_slice(data);
-            }
-            Message::FlowRemoved {
-                cookie,
-                priority,
-                reason,
-                table_id,
-                duration_sec,
-                idle_timeout,
-                hard_timeout,
-                packet_count,
-                byte_count,
-                match_,
-            } => {
-                out.put_u64(*cookie);
-                out.put_u16(*priority);
-                out.put_u8(*reason);
-                out.put_u8(*table_id);
-                out.put_u32(*duration_sec);
-                out.put_u32(0); // duration_nsec
-                out.put_u16(*idle_timeout);
-                out.put_u16(*hard_timeout);
-                out.put_u64(*packet_count);
-                out.put_u64(*byte_count);
-                match_.encode(out);
-            }
-            Message::PortStatus { reason, desc } => {
-                out.put_u8(*reason);
-                out.put_bytes(0, 7);
-                desc.encode(out);
-            }
-            Message::PacketOut {
-                buffer_id,
-                in_port,
-                actions,
-                data,
-            } => {
-                out.put_u32(*buffer_id);
-                out.put_u32(*in_port);
-                let actions_len = wire::reserve_u16(out);
-                out.put_bytes(0, 6);
-                let actions_start = out.len();
-                Action::encode_list(actions, out);
-                wire::patch_u16(out, actions_len, actions_start);
-                out.put_slice(data);
-            }
-            Message::FlowMod(fm) => {
-                fm.header().encode(out);
-                fm.match_.encode(out);
-                Instruction::encode_list(&fm.instructions, out);
-            }
-            Message::GroupMod {
-                command,
-                type_,
-                group_id,
-                buckets,
-            } => {
-                out.put_u16(command.value());
-                out.put_u8(type_.value());
-                out.put_u8(0);
-                out.put_u32(*group_id);
-                for b in buckets {
-                    let len = wire::reserve_u16(out); // counts itself
-                    out.put_u16(b.weight);
-                    out.put_u32(crate::port_no::ANY); // watch_port
-                    out.put_u32(crate::group_no::ANY); // watch_group
-                    out.put_bytes(0, 4);
-                    Action::encode_list(&b.actions, out);
-                    wire::patch_u16(out, len, len);
-                }
-            }
-            Message::MeterMod {
-                command,
-                meter_id,
-                pktps,
-                band,
-            } => {
-                out.put_u16(command.value());
-                let mut flags = if *pktps { 0x2 } else { 0x1 };
-                flags |= 0x4; // burst
-                out.put_u16(flags);
-                out.put_u32(*meter_id);
-                if let Some(b) = band {
-                    // OFPMBT_DROP
-                    wire::put_tlv(out, 1, |out| {
-                        out.put_u32(b.rate);
-                        out.put_u32(b.burst);
-                    });
-                }
-            }
-            Message::MultipartRequest(req) => match req {
-                MultipartReq::Desc => put_mp_header(out, mp_type::DESC),
-                MultipartReq::Flow {
-                    table_id,
-                    out_port,
-                    out_group,
-                    cookie,
-                    cookie_mask,
-                    match_,
-                }
-                | MultipartReq::Aggregate {
-                    table_id,
-                    out_port,
-                    out_group,
-                    cookie,
-                    cookie_mask,
-                    match_,
-                } => {
-                    let flow = matches!(req, MultipartReq::Flow { .. });
-                    put_mp_header(
-                        out,
-                        if flow {
-                            mp_type::FLOW
-                        } else {
-                            mp_type::AGGREGATE
-                        },
-                    );
-                    out.put_u8(*table_id);
-                    out.put_bytes(0, 3);
-                    out.put_u32(*out_port);
-                    out.put_u32(*out_group);
-                    out.put_bytes(0, 4);
-                    out.put_u64(*cookie);
-                    out.put_u64(*cookie_mask);
-                    match_.encode(out);
-                }
-                MultipartReq::Table => put_mp_header(out, mp_type::TABLE),
-                MultipartReq::PortStats { port_no } => {
-                    put_mp_header(out, mp_type::PORT_STATS);
-                    out.put_u32(*port_no);
-                    out.put_bytes(0, 4);
-                }
-                MultipartReq::PortDesc => put_mp_header(out, mp_type::PORT_DESC),
-            },
-            Message::MultipartReply(res) => match res {
-                MultipartRes::Desc {
-                    mfr,
-                    hw,
-                    sw,
-                    serial,
-                    dp,
-                } => {
-                    put_mp_header(out, mp_type::DESC);
-                    for (s, width) in [(mfr, 256), (hw, 256), (sw, 256), (serial, 32), (dp, 256)] {
-                        put_str(out, s, width);
-                    }
-                }
-                MultipartRes::Flow(entries) => {
-                    put_mp_header(out, mp_type::FLOW);
-                    for e in entries {
-                        let len = wire::reserve_u16(out); // counts itself
-                        out.put_u8(e.table_id);
-                        out.put_u8(0);
-                        out.put_u32(e.duration_sec);
-                        out.put_u32(0); // duration_nsec
-                        out.put_u16(e.priority);
-                        out.put_u16(e.idle_timeout);
-                        out.put_u16(e.hard_timeout);
-                        out.put_u16(e.flags);
-                        out.put_bytes(0, 4);
-                        out.put_u64(e.cookie);
-                        out.put_u64(e.packet_count);
-                        out.put_u64(e.byte_count);
-                        e.match_.encode(out);
-                        Instruction::encode_list(&e.instructions, out);
-                        wire::patch_u16(out, len, len);
-                    }
-                }
-                MultipartRes::Aggregate {
-                    packet_count,
-                    byte_count,
-                    flow_count,
-                } => {
-                    put_mp_header(out, mp_type::AGGREGATE);
-                    out.put_u64(*packet_count);
-                    out.put_u64(*byte_count);
-                    out.put_u32(*flow_count);
-                    out.put_bytes(0, 4);
-                }
-                MultipartRes::Table(entries) => {
-                    put_mp_header(out, mp_type::TABLE);
-                    for e in entries {
-                        out.put_u8(e.table_id);
-                        out.put_bytes(0, 3);
-                        out.put_u32(e.active_count);
-                        out.put_u64(e.lookup_count);
-                        out.put_u64(e.matched_count);
-                    }
-                }
-                MultipartRes::PortStats(entries) => {
-                    put_mp_header(out, mp_type::PORT_STATS);
-                    for e in entries {
-                        out.put_u32(e.port_no);
-                        out.put_bytes(0, 4);
-                        out.put_u64(e.rx_packets);
-                        out.put_u64(e.tx_packets);
-                        out.put_u64(e.rx_bytes);
-                        out.put_u64(e.tx_bytes);
-                        out.put_u64(e.rx_dropped);
-                        out.put_u64(e.tx_dropped);
-                        out.put_bytes(0, 48); // errors, collisions
-                        out.put_u32(0); // duration_sec
-                        out.put_u32(0); // duration_nsec
-                    }
-                }
-                MultipartRes::PortDesc(ports) => {
-                    put_mp_header(out, mp_type::PORT_DESC);
-                    for p in ports {
-                        p.encode(out);
-                    }
-                }
-            },
-        }
+        out.put_u8(self.kind());
+        // The length counts the whole message.
+        wire::put_sized(out, 4, 0, |out| {
+            out.put_u32(xid);
+            self.put_body(out);
+        });
     }
 
     /// Decode a single framed message from the front of `buf`. Returns the
@@ -1184,339 +938,26 @@ impl Message {
     /// header gives. A complete frame whose body runs out inside one of
     /// its structures is [`Error::Malformed`].
     pub fn decode(buf: &[u8]) -> Result<(Xid, Message, usize)> {
-        let (xid, msg, len) = Self::decode_ref(buf)?;
-        Ok((xid, msg.into_owned(), len))
+        let (xid, ty, mut body, len) = open(buf)?;
+        Ok((xid, whole(Self::get_body(ty, &mut body))?, len))
     }
 
     /// [`Message::decode`], but a flow-mod is left where `buf` holds it,
-    /// as a [`FlowModRef`]: the one parser of a flow-mod.
+    /// as a [`FlowModRef`].
     pub fn decode_ref(buf: &[u8]) -> Result<(Xid, MessageRef<'_>, usize)> {
-        let len = whole_frame_len(buf)?;
-        let mut frame = buf;
-        let mut body = frame.take(len)?;
-        let version = body.u8()?;
-        let ty = body.u8()?;
-        body.skip(2)?;
-        let xid = body.u32()?;
-        if version != OFP_VERSION && ty != msg_type::HELLO {
-            return Err(Error::BadVersion(version));
-        }
-        let msg = if ty == msg_type::FLOW_MOD {
+        let (xid, ty, mut body, len) = open(buf)?;
+        let msg = if ty == FLOW_MOD {
             FlowModRef::decode(&mut body).map(MessageRef::FlowMod)
         } else {
-            Self::decode_body(ty, &mut body).map(MessageRef::Owned)
+            Self::get_body(ty, &mut body).map(MessageRef::Owned)
         };
-        let msg = msg.map_err(|e| match e {
-            Error::Truncated => Error::Malformed("body ends inside a structure"),
-            e => e,
-        })?;
-        Ok((xid, msg, len))
-    }
-
-    /// The body of a message of type `ty`, which fills `body`: every
-    /// type but `FLOW_MOD`, which [`FlowModRef`] reads.
-    fn decode_body(ty: u8, body: &mut &[u8]) -> Result<Message> {
-        use msg_type::*;
-        Ok(match ty {
-            HELLO => Message::Hello,
-            ERROR => Message::Error {
-                ty: body.u16()?,
-                code: body.u16()?,
-                data: Bytes::copy_from_slice(body),
-            },
-            ECHO_REQUEST => Message::EchoRequest(Bytes::copy_from_slice(body)),
-            ECHO_REPLY => Message::EchoReply(Bytes::copy_from_slice(body)),
-            ROLE_REQUEST | ROLE_REPLY => {
-                let role = ControllerRole::from_value(body.u32()?)?;
-                body.skip(4)?;
-                let generation_id = body.u64()?;
-                if ty == ROLE_REQUEST {
-                    Message::RoleRequest {
-                        role,
-                        generation_id,
-                    }
-                } else {
-                    Message::RoleReply {
-                        role,
-                        generation_id,
-                    }
-                }
-            }
-            FEATURES_REQUEST => Message::FeaturesRequest,
-            FEATURES_REPLY => {
-                let datapath_id = body.u64()?;
-                let n_buffers = body.u32()?;
-                let n_tables = body.u8()?;
-                body.skip(3)?; // auxiliary_id, pad
-                let capabilities = body.u32()?;
-                body.skip(4)?; // reserved
-                Message::FeaturesReply {
-                    datapath_id,
-                    n_buffers,
-                    n_tables,
-                    capabilities,
-                }
-            }
-            GET_CONFIG_REQUEST => Message::GetConfigRequest,
-            GET_CONFIG_REPLY | SET_CONFIG => {
-                let flags = body.u16()?;
-                let miss_send_len = body.u16()?;
-                if ty == GET_CONFIG_REPLY {
-                    Message::GetConfigReply {
-                        flags,
-                        miss_send_len,
-                    }
-                } else {
-                    Message::SetConfig {
-                        flags,
-                        miss_send_len,
-                    }
-                }
-            }
-            PACKET_IN => {
-                let buffer_id = body.u32()?;
-                let total_len = body.u16()?;
-                let reason = PacketInReason::from_value(body.u8()?)?;
-                let table_id = body.u8()?;
-                let cookie = body.u64()?;
-                let match_ = Match::decode(body)?;
-                body.skip(2)?;
-                Message::PacketIn {
-                    buffer_id,
-                    total_len,
-                    reason,
-                    table_id,
-                    cookie,
-                    match_,
-                    data: Bytes::copy_from_slice(body),
-                }
-            }
-            FLOW_REMOVED => {
-                let cookie = body.u64()?;
-                let priority = body.u16()?;
-                let reason = body.u8()?;
-                let table_id = body.u8()?;
-                let duration_sec = body.u32()?;
-                body.skip(4)?; // duration_nsec
-                Message::FlowRemoved {
-                    cookie,
-                    priority,
-                    reason,
-                    table_id,
-                    duration_sec,
-                    idle_timeout: body.u16()?,
-                    hard_timeout: body.u16()?,
-                    packet_count: body.u64()?,
-                    byte_count: body.u64()?,
-                    match_: Match::decode(body)?,
-                }
-            }
-            PORT_STATUS => {
-                let reason = body.u8()?;
-                body.skip(7)?;
-                let desc = PortDesc::decode(body)?;
-                Message::PortStatus { reason, desc }
-            }
-            PACKET_OUT => {
-                let buffer_id = body.u32()?;
-                let in_port = body.u32()?;
-                let actions_len = usize::from(body.u16()?);
-                body.skip(6)?;
-                Message::PacketOut {
-                    buffer_id,
-                    in_port,
-                    actions: Action::decode_list(body, actions_len)?,
-                    data: Bytes::copy_from_slice(body),
-                }
-            }
-            GROUP_MOD => {
-                let command = GroupModCommand::from_value(body.u16()?)?;
-                let type_ = GroupType::from_value(body.u8()?)?;
-                body.skip(1)?;
-                let group_id = body.u32()?;
-                let buckets = body.items(|body| {
-                    let len = usize::from(body.u16()?); // counts itself
-                    if len < 16 {
-                        return Err(Error::Malformed("bucket too short"));
-                    }
-                    let mut bucket = body.take(len - 2)?;
-                    let weight = bucket.u16()?;
-                    bucket.skip(12)?; // watch_port, watch_group, pad
-                    let actions = bucket.items(Action::decode)?;
-                    Ok(Bucket { weight, actions })
-                })?;
-                Message::GroupMod {
-                    command,
-                    type_,
-                    group_id,
-                    buckets,
-                }
-            }
-            METER_MOD => {
-                let command = MeterModCommand::from_value(body.u16()?)?;
-                let flags = body.u16()?;
-                let meter_id = body.u32()?;
-                let band = if body.is_empty() {
-                    None
-                } else {
-                    let (band_type, band_len) = (body.u16()?, body.u16()?);
-                    if band_type != 1 || band_len != 16 {
-                        return Err(Error::Malformed("only 16-byte drop bands supported"));
-                    }
-                    let band = MeterBand {
-                        rate: body.u32()?,
-                        burst: body.u32()?,
-                    };
-                    body.skip(4)?;
-                    Some(band)
-                };
-                Message::MeterMod {
-                    command,
-                    meter_id,
-                    pktps: flags & 0x2 != 0,
-                    band,
-                }
-            }
-            MULTIPART_REQUEST => {
-                let mpty = body.u16()?;
-                body.skip(6)?; // flags, pad
-                Message::MultipartRequest(match mpty {
-                    mp_type::DESC => MultipartReq::Desc,
-                    mp_type::FLOW | mp_type::AGGREGATE => {
-                        let table_id = body.u8()?;
-                        body.skip(3)?;
-                        let out_port = body.u32()?;
-                        let out_group = body.u32()?;
-                        body.skip(4)?;
-                        let cookie = body.u64()?;
-                        let cookie_mask = body.u64()?;
-                        let match_ = Match::decode(body)?;
-                        if mpty == mp_type::FLOW {
-                            MultipartReq::Flow {
-                                table_id,
-                                out_port,
-                                out_group,
-                                cookie,
-                                cookie_mask,
-                                match_,
-                            }
-                        } else {
-                            MultipartReq::Aggregate {
-                                table_id,
-                                out_port,
-                                out_group,
-                                cookie,
-                                cookie_mask,
-                                match_,
-                            }
-                        }
-                    }
-                    mp_type::TABLE => MultipartReq::Table,
-                    mp_type::PORT_STATS => {
-                        let port_no = body.u32()?;
-                        body.skip(4)?;
-                        MultipartReq::PortStats { port_no }
-                    }
-                    mp_type::PORT_DESC => MultipartReq::PortDesc,
-                    _ => return Err(Error::Malformed("unsupported multipart type")),
-                })
-            }
-            MULTIPART_REPLY => {
-                let mpty = body.u16()?;
-                body.skip(6)?; // flags, pad
-                Message::MultipartReply(match mpty {
-                    mp_type::DESC => MultipartRes::Desc {
-                        mfr: get_str(body, 256)?,
-                        hw: get_str(body, 256)?,
-                        sw: get_str(body, 256)?,
-                        serial: get_str(body, 32)?,
-                        dp: get_str(body, 256)?,
-                    },
-                    mp_type::FLOW => MultipartRes::Flow(body.items(|body| {
-                        let len = usize::from(body.u16()?); // counts itself
-                        if len < 48 {
-                            return Err(Error::Malformed("flow stats entry too short"));
-                        }
-                        let mut e = body.take(len - 2)?;
-                        let table_id = e.u8()?;
-                        e.skip(1)?;
-                        let duration_sec = e.u32()?;
-                        e.skip(4)?; // duration_nsec
-                        let priority = e.u16()?;
-                        let idle_timeout = e.u16()?;
-                        let hard_timeout = e.u16()?;
-                        let flags = e.u16()?;
-                        e.skip(4)?;
-                        Ok(FlowStatsEntry {
-                            table_id,
-                            duration_sec,
-                            priority,
-                            idle_timeout,
-                            hard_timeout,
-                            flags,
-                            cookie: e.u64()?,
-                            packet_count: e.u64()?,
-                            byte_count: e.u64()?,
-                            match_: Match::decode(&mut e)?,
-                            instructions: e.items(Instruction::decode)?,
-                        })
-                    })?),
-                    mp_type::AGGREGATE => {
-                        let res = MultipartRes::Aggregate {
-                            packet_count: body.u64()?,
-                            byte_count: body.u64()?,
-                            flow_count: body.u32()?,
-                        };
-                        body.skip(4)?;
-                        res
-                    }
-                    mp_type::TABLE => MultipartRes::Table(body.items(|e| -> Result<_> {
-                        let table_id = e.u8()?;
-                        e.skip(3)?;
-                        Ok(TableStatsEntry {
-                            table_id,
-                            active_count: e.u32()?,
-                            lookup_count: e.u64()?,
-                            matched_count: e.u64()?,
-                        })
-                    })?),
-                    mp_type::PORT_STATS => {
-                        MultipartRes::PortStats(body.items(|e| -> Result<_> {
-                            let port_no = e.u32()?;
-                            e.skip(4)?;
-                            let entry = PortStatsEntry {
-                                port_no,
-                                rx_packets: e.u64()?,
-                                tx_packets: e.u64()?,
-                                rx_bytes: e.u64()?,
-                                tx_bytes: e.u64()?,
-                                rx_dropped: e.u64()?,
-                                tx_dropped: e.u64()?,
-                            };
-                            e.skip(56)?; // errors, collisions, duration
-                            Ok(entry)
-                        })?)
-                    }
-                    mp_type::PORT_DESC => MultipartRes::PortDesc(body.items(PortDesc::decode)?),
-                    _ => return Err(Error::Malformed("unsupported multipart type")),
-                })
-            }
-            BARRIER_REQUEST => Message::BarrierRequest,
-            BARRIER_REPLY => Message::BarrierReply,
-            other => return Err(Error::UnsupportedType(other)),
-        })
+        Ok((xid, whole(msg)?, len))
     }
 }
 
 /// Room reserved up front in [`Message::encode`]'s buffer: most messages
 /// fit, a longer one grows the buffer as it is written.
 const ENCODE_CAPACITY: usize = 128;
-
-/// The multipart header after the message header: kind, no flags, pad.
-fn put_mp_header(out: &mut BytesMut, ty: u16) {
-    out.put_u16(ty);
-    out.put_bytes(0, 6);
-}
 
 #[cfg(test)]
 mod tests {

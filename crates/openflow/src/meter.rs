@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::wire::{layout, wire_enum};
 use crate::{Error, Result};
 
 /// A meter band. Only the `drop` band type is modelled; DSCP remark is out
@@ -15,6 +16,8 @@ pub struct MeterBand {
     /// Burst size in kilobits (or packets).
     pub burst: u32,
 }
+
+layout! { MeterBand { rate: u32, burst: u32 } }
 
 /// One installed meter: a token bucket refilled at `band.rate`.
 #[derive(Debug, Clone)]
@@ -71,36 +74,17 @@ impl Meter {
     }
 }
 
-/// `ofp_meter_mod` command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MeterModCommand {
-    /// Create.
-    Add,
-    /// Replace.
-    Modify,
-    /// Remove.
-    Delete,
-}
-
-impl MeterModCommand {
-    /// Wire value.
-    pub fn value(&self) -> u16 {
-        match self {
-            MeterModCommand::Add => 0,
-            MeterModCommand::Modify => 1,
-            MeterModCommand::Delete => 2,
-        }
-    }
-
-    /// From wire value.
-    pub fn from_value(v: u16) -> Result<MeterModCommand> {
-        Ok(match v {
-            0 => MeterModCommand::Add,
-            1 => MeterModCommand::Modify,
-            2 => MeterModCommand::Delete,
-            _ => return Err(Error::Malformed("bad meter-mod command")),
-        })
-    }
+wire_enum! {
+    /// `ofp_meter_mod` command.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum MeterModCommand: u16 {
+        /// Create.
+        Add = 0,
+        /// Replace.
+        Modify = 1,
+        /// Remove.
+        Delete = 2,
+    } else Error::Malformed("bad meter-mod command")
 }
 
 /// The meter table of one switch.

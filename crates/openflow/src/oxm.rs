@@ -11,89 +11,123 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 use netpkt::flowkey::{FieldMask, OFPVID_PRESENT};
 use netpkt::{FlowKey, MacAddr};
 
-use crate::wire::{self, Cursor};
+use crate::wire::{self, Cursor, Wire};
 use crate::{Error, Result};
 
 /// `OFPXMC_OPENFLOW_BASIC`.
 pub const OXM_CLASS_BASIC: u16 = 0x8000;
 
-/// OXM basic-class field numbers (OF 1.3 §7.2.3.7).
-#[allow(missing_docs)]
-pub mod field_num {
-    pub const IN_PORT: u8 = 0;
-    pub const METADATA: u8 = 2;
-    pub const ETH_DST: u8 = 3;
-    pub const ETH_SRC: u8 = 4;
-    pub const ETH_TYPE: u8 = 5;
-    pub const VLAN_VID: u8 = 6;
-    pub const VLAN_PCP: u8 = 7;
-    pub const IP_DSCP: u8 = 8;
-    pub const IP_PROTO: u8 = 10;
-    pub const IPV4_SRC: u8 = 11;
-    pub const IPV4_DST: u8 = 12;
-    pub const TCP_SRC: u8 = 13;
-    pub const TCP_DST: u8 = 14;
-    pub const UDP_SRC: u8 = 15;
-    pub const UDP_DST: u8 = 16;
-    pub const ICMPV4_TYPE: u8 = 19;
-    pub const ICMPV4_CODE: u8 = 20;
-    pub const ARP_OP: u8 = 21;
-    pub const ARP_SPA: u8 = 22;
-    pub const ARP_TPA: u8 = 23;
-    pub const IPV6_SRC: u8 = 26;
-    pub const IPV6_DST: u8 = 27;
+/// The basic-class fields (OF 1.3 §7.2.3.7) in one table: each one's
+/// number, variant and value type, and `mask` where it may carry a
+/// mask (the HM bit). The field numbers, [`OxmField`], its `number`
+/// and both directions of its value are all read from it.
+macro_rules! oxm_fields {
+    ($($(#[$doc:meta])* $num:ident = $n:literal => $var:ident($t:ty $(, $mask:ident)?),)*) => {
+        /// OXM basic-class field numbers (OF 1.3 §7.2.3.7).
+        #[allow(missing_docs)]
+        pub mod field_num {
+            $(pub const $num: u8 = $n;)*
+        }
+
+        /// One OXM match field. Fields with an `Option` second element
+        /// support masks (`None` = exact match). Addresses are std's
+        /// byte-aligned `Ipv4Addr` / `Ipv6Addr`, so the widest variant, an
+        /// IPv6 address and its mask, sets the size.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum OxmField {
+            $($(#[$doc])* $var($t $(, oxm_fields!(@mask $mask $t))?),)*
+        }
+
+        impl OxmField {
+            /// The OXM field number.
+            pub fn number(&self) -> u8 {
+                match self {
+                    $(OxmField::$var(..) => field_num::$num,)*
+                }
+            }
+
+            fn has_mask(&self) -> bool {
+                match self {
+                    $(OxmField::$var(_ $(, $mask)?) => false $(|| $mask.is_some())?,)*
+                }
+            }
+
+            /// The value, and its mask if it has one.
+            fn put_value(&self, out: &mut BytesMut) {
+                match self {
+                    $(OxmField::$var(v $(, $mask)?) => {
+                        <$t>::put(v, out);
+                        $(if let Some(m) = $mask {
+                            <$t>::put(m, out);
+                        })?
+                    })*
+                }
+            }
+
+            /// The value of field `number`, and its mask if `hm` says
+            /// one follows.
+            fn get_value(number: u8, hm: bool, v: &mut &[u8]) -> Result<OxmField> {
+                Ok(match number {
+                    $(field_num::$num => OxmField::$var(
+                        <$t>::get(v)?
+                        $(, {
+                            let $mask = if hm { Some(<$t>::get(v)?) } else { None };
+                            $mask
+                        })?
+                    ),)*
+                    _ => return Err(Error::Malformed("unknown OXM field")),
+                })
+            }
+        }
+    };
+    (@mask $mask:ident $t:ty) => { Option<$t> };
 }
 
-/// One OXM match field. Fields with an `Option` second element support
-/// masks (`None` = exact match). Addresses are std's byte-aligned
-/// `Ipv4Addr` / `Ipv6Addr`, so the widest variant, an IPv6 address and
-/// its mask, sets the size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OxmField {
+oxm_fields! {
     /// Ingress port.
-    InPort(u32),
+    IN_PORT = 0 => InPort(u32),
     /// Pipeline metadata with optional mask.
-    Metadata(u64, Option<u64>),
+    METADATA = 2 => Metadata(u64, mask),
     /// Destination MAC with optional mask.
-    EthDst(MacAddr, Option<MacAddr>),
+    ETH_DST = 3 => EthDst(MacAddr, mask),
     /// Source MAC with optional mask.
-    EthSrc(MacAddr, Option<MacAddr>),
+    ETH_SRC = 4 => EthSrc(MacAddr, mask),
     /// EtherType (after VLAN tags).
-    EthType(u16),
+    ETH_TYPE = 5 => EthType(u16),
     /// VLAN id in OF encoding (`OFPVID_PRESENT | vid`) with optional mask.
-    VlanVid(u16, Option<u16>),
+    VLAN_VID = 6 => VlanVid(u16, mask),
     /// VLAN priority (requires a tagged match).
-    VlanPcp(u8),
+    VLAN_PCP = 7 => VlanPcp(u8),
     /// IP DSCP.
-    IpDscp(u8),
+    IP_DSCP = 8 => IpDscp(u8),
     /// IP protocol.
-    IpProto(u8),
+    IP_PROTO = 10 => IpProto(u8),
     /// IPv4 source with optional mask.
-    Ipv4Src(Ipv4Addr, Option<Ipv4Addr>),
+    IPV4_SRC = 11 => Ipv4Src(Ipv4Addr, mask),
     /// IPv4 destination with optional mask.
-    Ipv4Dst(Ipv4Addr, Option<Ipv4Addr>),
+    IPV4_DST = 12 => Ipv4Dst(Ipv4Addr, mask),
     /// TCP source port.
-    TcpSrc(u16),
+    TCP_SRC = 13 => TcpSrc(u16),
     /// TCP destination port.
-    TcpDst(u16),
+    TCP_DST = 14 => TcpDst(u16),
     /// UDP source port.
-    UdpSrc(u16),
+    UDP_SRC = 15 => UdpSrc(u16),
     /// UDP destination port.
-    UdpDst(u16),
+    UDP_DST = 16 => UdpDst(u16),
     /// ICMPv4 type.
-    Icmpv4Type(u8),
+    ICMPV4_TYPE = 19 => Icmpv4Type(u8),
     /// ICMPv4 code.
-    Icmpv4Code(u8),
+    ICMPV4_CODE = 20 => Icmpv4Code(u8),
     /// ARP opcode.
-    ArpOp(u16),
+    ARP_OP = 21 => ArpOp(u16),
     /// ARP sender protocol address with optional mask.
-    ArpSpa(Ipv4Addr, Option<Ipv4Addr>),
+    ARP_SPA = 22 => ArpSpa(Ipv4Addr, mask),
     /// ARP target protocol address with optional mask.
-    ArpTpa(Ipv4Addr, Option<Ipv4Addr>),
+    ARP_TPA = 23 => ArpTpa(Ipv4Addr, mask),
     /// IPv6 source with optional mask.
-    Ipv6Src(Ipv6Addr, Option<Ipv6Addr>),
+    IPV6_SRC = 26 => Ipv6Src(Ipv6Addr, mask),
     /// IPv6 destination with optional mask.
-    Ipv6Dst(Ipv6Addr, Option<Ipv6Addr>),
+    IPV6_DST = 27 => Ipv6Dst(Ipv6Addr, mask),
 }
 
 // Every rule's match and action blocks, every recorded megaflow program
@@ -101,111 +135,22 @@ pub enum OxmField {
 // fail the build, not widen them all.
 const _: () = assert!(std::mem::size_of::<OxmField>() == 40);
 
-impl OxmField {
-    /// The OXM field number.
-    pub fn number(&self) -> u8 {
-        use field_num::*;
-        match self {
-            OxmField::InPort(_) => IN_PORT,
-            OxmField::Metadata(..) => METADATA,
-            OxmField::EthDst(..) => ETH_DST,
-            OxmField::EthSrc(..) => ETH_SRC,
-            OxmField::EthType(_) => ETH_TYPE,
-            OxmField::VlanVid(..) => VLAN_VID,
-            OxmField::VlanPcp(_) => VLAN_PCP,
-            OxmField::IpDscp(_) => IP_DSCP,
-            OxmField::IpProto(_) => IP_PROTO,
-            OxmField::Ipv4Src(..) => IPV4_SRC,
-            OxmField::Ipv4Dst(..) => IPV4_DST,
-            OxmField::TcpSrc(_) => TCP_SRC,
-            OxmField::TcpDst(_) => TCP_DST,
-            OxmField::UdpSrc(_) => UDP_SRC,
-            OxmField::UdpDst(_) => UDP_DST,
-            OxmField::Icmpv4Type(_) => ICMPV4_TYPE,
-            OxmField::Icmpv4Code(_) => ICMPV4_CODE,
-            OxmField::ArpOp(_) => ARP_OP,
-            OxmField::ArpSpa(..) => ARP_SPA,
-            OxmField::ArpTpa(..) => ARP_TPA,
-            OxmField::Ipv6Src(..) => IPV6_SRC,
-            OxmField::Ipv6Dst(..) => IPV6_DST,
-        }
-    }
-
-    fn has_mask(&self) -> bool {
-        match self {
-            OxmField::Metadata(_, m) => m.is_some(),
-            OxmField::EthDst(_, m) | OxmField::EthSrc(_, m) => m.is_some(),
-            OxmField::VlanVid(_, m) => m.is_some(),
-            OxmField::Ipv4Src(_, m)
-            | OxmField::Ipv4Dst(_, m)
-            | OxmField::ArpSpa(_, m)
-            | OxmField::ArpTpa(_, m) => m.is_some(),
-            OxmField::Ipv6Src(_, m) | OxmField::Ipv6Dst(_, m) => m.is_some(),
-            _ => false,
-        }
-    }
-
-    /// Append the TLV to `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
+/// The TLV: class, field number and HM bit, the value's length, the
+/// value. Its length and mask bit are checked after the value is read.
+impl Wire<'_> for OxmField {
+    fn put(f: &OxmField, out: &mut BytesMut) {
         out.put_u16(OXM_CLASS_BASIC);
-        out.put_u8((self.number() << 1) | u8::from(self.has_mask()));
+        out.put_u8((f.number() << 1) | u8::from(f.has_mask()));
         let len = out.len();
         out.put_u8(0);
-        match *self {
-            OxmField::InPort(v) => out.put_u32(v),
-            OxmField::Metadata(v, m) => {
-                out.put_u64(v);
-                if let Some(m) = m {
-                    out.put_u64(m);
-                }
-            }
-            OxmField::EthDst(v, m) | OxmField::EthSrc(v, m) => {
-                out.put_slice(&v.octets());
-                if let Some(m) = m {
-                    out.put_slice(&m.octets());
-                }
-            }
-            OxmField::EthType(v) => out.put_u16(v),
-            OxmField::VlanVid(v, m) => {
-                out.put_u16(v);
-                if let Some(m) = m {
-                    out.put_u16(m);
-                }
-            }
-            OxmField::VlanPcp(v) | OxmField::IpDscp(v) | OxmField::IpProto(v) => out.put_u8(v),
-            OxmField::Ipv4Src(v, m) | OxmField::Ipv4Dst(v, m) => {
-                out.put_slice(&v.octets());
-                if let Some(m) = m {
-                    out.put_slice(&m.octets());
-                }
-            }
-            OxmField::TcpSrc(v)
-            | OxmField::TcpDst(v)
-            | OxmField::UdpSrc(v)
-            | OxmField::UdpDst(v)
-            | OxmField::ArpOp(v) => out.put_u16(v),
-            OxmField::Icmpv4Type(v) | OxmField::Icmpv4Code(v) => out.put_u8(v),
-            OxmField::ArpSpa(v, m) | OxmField::ArpTpa(v, m) => {
-                out.put_slice(&v.octets());
-                if let Some(m) = m {
-                    out.put_slice(&m.octets());
-                }
-            }
-            OxmField::Ipv6Src(v, m) | OxmField::Ipv6Dst(v, m) => {
-                out.put_slice(&v.octets());
-                if let Some(m) = m {
-                    out.put_slice(&m.octets());
-                }
-            }
-        }
+        f.put_value(out);
         let value_len = out.len() - len - 1;
         if let Some(field) = out.get_mut(len) {
             *field = value_len as u8;
         }
     }
 
-    /// Decode one TLV from the front of `buf`.
-    pub fn decode(buf: &mut &[u8]) -> Result<OxmField> {
+    fn get(buf: &mut &[u8]) -> Result<OxmField> {
         let class = buf.u16()?;
         let header = buf.u8()?;
         let len = usize::from(buf.u8()?);
@@ -214,7 +159,7 @@ impl OxmField {
         }
         let mut value = buf.take(len)?;
         let hm = header & 1 == 1;
-        let field = Self::decode_value(header >> 1, hm, &mut value)?;
+        let field = Self::get_value(header >> 1, hm, &mut value)?;
         if !value.is_empty() {
             return Err(Error::Malformed("bad OXM length"));
         }
@@ -223,68 +168,6 @@ impl OxmField {
         }
         Ok(field)
     }
-
-    fn decode_value(number: u8, hm: bool, v: &mut &[u8]) -> Result<OxmField> {
-        use field_num::*;
-        Ok(match number {
-            IN_PORT => OxmField::InPort(v.u32()?),
-            METADATA => {
-                let (x, m) = masked(v, hm, |c| c.u64())?;
-                OxmField::Metadata(x, m)
-            }
-            ETH_DST | ETH_SRC => {
-                let (x, m) = masked(v, hm, |c| c.array().map(MacAddr))?;
-                if number == ETH_DST {
-                    OxmField::EthDst(x, m)
-                } else {
-                    OxmField::EthSrc(x, m)
-                }
-            }
-            ETH_TYPE => OxmField::EthType(v.u16()?),
-            VLAN_VID => {
-                let (x, m) = masked(v, hm, |c| c.u16())?;
-                OxmField::VlanVid(x, m)
-            }
-            VLAN_PCP => OxmField::VlanPcp(v.u8()?),
-            IP_DSCP => OxmField::IpDscp(v.u8()?),
-            IP_PROTO => OxmField::IpProto(v.u8()?),
-            IPV4_SRC | IPV4_DST | ARP_SPA | ARP_TPA => {
-                let (x, m) = masked(v, hm, |c| c.u32().map(Ipv4Addr::from))?;
-                match number {
-                    IPV4_SRC => OxmField::Ipv4Src(x, m),
-                    IPV4_DST => OxmField::Ipv4Dst(x, m),
-                    ARP_SPA => OxmField::ArpSpa(x, m),
-                    _ => OxmField::ArpTpa(x, m),
-                }
-            }
-            TCP_SRC => OxmField::TcpSrc(v.u16()?),
-            TCP_DST => OxmField::TcpDst(v.u16()?),
-            UDP_SRC => OxmField::UdpSrc(v.u16()?),
-            UDP_DST => OxmField::UdpDst(v.u16()?),
-            ICMPV4_TYPE => OxmField::Icmpv4Type(v.u8()?),
-            ICMPV4_CODE => OxmField::Icmpv4Code(v.u8()?),
-            ARP_OP => OxmField::ArpOp(v.u16()?),
-            IPV6_SRC | IPV6_DST => {
-                let (x, m) = masked(v, hm, |c| c.array::<16>().map(Ipv6Addr::from))?;
-                if number == IPV6_SRC {
-                    OxmField::Ipv6Src(x, m)
-                } else {
-                    OxmField::Ipv6Dst(x, m)
-                }
-            }
-            _ => return Err(Error::Malformed("unknown OXM field")),
-        })
-    }
-}
-
-/// A field value, and its mask when the HM bit says one follows.
-fn masked<T>(
-    v: &mut &[u8],
-    hm: bool,
-    read: impl Fn(&mut &[u8]) -> netpkt::Result<T>,
-) -> Result<(T, Option<T>)> {
-    let value = read(v)?;
-    Ok((value, if hm { Some(read(v)?) } else { None }))
 }
 
 /// An ordered set of OXM fields: the `ofp_match` of flow mods, packet-ins
@@ -401,11 +284,10 @@ impl Match {
     pub fn encode(&self, out: &mut BytesMut) {
         let start = out.len();
         out.put_u16(1); // OFPMT_OXM
-        let len = wire::reserve_u16(out);
-        for f in &self.fields {
-            f.encode(out);
-        }
-        wire::patch_u16(out, len, start);
+                        // The length counts the type and itself, not the padding.
+        wire::put_sized(out, 4, 0, |out| {
+            self.fields.iter().for_each(|f| OxmField::put(f, out));
+        });
         wire::pad8(out, start);
     }
 
@@ -417,9 +299,18 @@ impl Match {
     }
 }
 
+impl Wire<'_> for Match {
+    fn put(m: &Match, out: &mut BytesMut) {
+        m.encode(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Match> {
+        Match::decode(buf)
+    }
+}
+
 /// The OXM fields of an `ofp_match` where a received message holds
-/// them, checked when it is parsed: every field is one
-/// [`OxmField::decode`] reads, so reading them again cannot fail.
+/// them, checked when it is parsed: every field is one the owned
+/// decode reads, so reading them again cannot fail.
 #[derive(Debug, Clone, Copy)]
 pub struct WireMatch<'a> {
     /// The OXM TLVs, without the match header and padding.
@@ -449,7 +340,7 @@ impl<'a> WireMatch<'a> {
         let tlvs = buf.take(len - 4)?;
         let (mut rest, mut fields) = (tlvs, 0);
         while !rest.is_empty() {
-            field(OxmField::decode(&mut rest)?);
+            field(OxmField::get(&mut rest)?);
             fields += 1;
         }
         buf.skip((8 - len % 8) % 8)?;
@@ -491,7 +382,7 @@ impl Iterator for Fields<'_> {
         // Checked when the match was parsed: a field that stopped
         // decoding would end the walk, and none does.
         (!self.0.is_empty())
-            .then(|| OxmField::decode(&mut self.0).ok())
+            .then(|| OxmField::get(&mut self.0).ok())
             .flatten()
     }
 }
@@ -810,7 +701,7 @@ mod tests {
         buf.put_u32(1);
         buf.put_u32(0xffff_ffff);
         let mut s = &buf[..];
-        assert!(OxmField::decode(&mut s).is_err());
+        assert!(OxmField::get(&mut s).is_err());
     }
 
     #[test]

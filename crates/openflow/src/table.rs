@@ -35,6 +35,7 @@ use netpkt::FlowKey;
 
 use crate::instruction::{InstructionRef, Program};
 use crate::oxm::Match;
+use crate::wire::wire_enum;
 use crate::{Error, Result};
 
 /// A table number within a pipeline.
@@ -55,66 +56,34 @@ pub mod flow_flags {
     pub const CHECK_OVERLAP: u16 = 1 << 1;
 }
 
-/// `ofp_flow_mod_command`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlowModCommand {
-    /// Insert (or replace an identical match+priority).
-    Add,
-    /// Modify instructions of all matching entries.
-    Modify,
-    /// Modify the entry exactly matching (match, priority).
-    ModifyStrict,
-    /// Delete all matching entries.
-    Delete,
-    /// Delete the entry exactly matching (match, priority).
-    DeleteStrict,
+wire_enum! {
+    /// `ofp_flow_mod_command`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum FlowModCommand: u8 {
+        /// Insert (or replace an identical match+priority).
+        Add = 0,
+        /// Modify instructions of all matching entries.
+        Modify = 1,
+        /// Modify the entry exactly matching (match, priority).
+        ModifyStrict = 2,
+        /// Delete all matching entries.
+        Delete = 3,
+        /// Delete the entry exactly matching (match, priority).
+        DeleteStrict = 4,
+    } else Error::Malformed("bad flow-mod command")
 }
 
-impl FlowModCommand {
-    /// Wire value.
-    pub fn value(&self) -> u8 {
-        match self {
-            FlowModCommand::Add => 0,
-            FlowModCommand::Modify => 1,
-            FlowModCommand::ModifyStrict => 2,
-            FlowModCommand::Delete => 3,
-            FlowModCommand::DeleteStrict => 4,
-        }
-    }
-
-    /// From wire value.
-    pub fn from_value(v: u8) -> Result<FlowModCommand> {
-        Ok(match v {
-            0 => FlowModCommand::Add,
-            1 => FlowModCommand::Modify,
-            2 => FlowModCommand::ModifyStrict,
-            3 => FlowModCommand::Delete,
-            4 => FlowModCommand::DeleteStrict,
-            _ => return Err(Error::Malformed("bad flow-mod command")),
-        })
-    }
-}
-
-/// Why an entry was removed (for `FLOW_REMOVED`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RemovedReason {
-    /// Idle timeout expired.
-    IdleTimeout,
-    /// Hard timeout expired.
-    HardTimeout,
-    /// Deleted by a flow-mod.
-    Delete,
-}
-
-impl RemovedReason {
-    /// Wire value.
-    pub fn value(&self) -> u8 {
-        match self {
-            RemovedReason::IdleTimeout => 0,
-            RemovedReason::HardTimeout => 1,
-            RemovedReason::Delete => 2,
-        }
-    }
+wire_enum! {
+    /// Why an entry was removed (for `FLOW_REMOVED`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum RemovedReason: u8 {
+        /// Idle timeout expired.
+        IdleTimeout = 0,
+        /// Hard timeout expired.
+        HardTimeout = 1,
+        /// Deleted by a flow-mod.
+        Delete = 2,
+    } else Error::Malformed("bad removed reason")
 }
 
 /// One installed flow entry.

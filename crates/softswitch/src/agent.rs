@@ -601,10 +601,7 @@ mod tests {
         let add = FlowMod::add(0xff)
             .priority(5)
             .apply(vec![Action::output(2)]);
-        let modify = FlowMod {
-            command: FlowModCommand::Modify,
-            ..add.clone()
-        };
+        let modify = add.clone().command(FlowModCommand::Modify);
         for (xid, fm) in [(3, add), (4, modify)] {
             let out = agent.handle(&mut dp, Message::FlowMod(fm).encode(xid), 0);
             assert_eq!(out.replies.len(), 1);
@@ -832,12 +829,11 @@ mod tests {
     fn modify_and_delete_filter_by_the_masked_cookie() {
         let (mut dp, mut agent) = (dp(), OfAgent::new("test"));
         cookie_rules(&mut agent, &mut dp);
-        let modify = FlowMod {
-            command: FlowModCommand::Modify,
-            cookie: 0x10,
-            cookie_mask: 0xf0,
-            ..FlowMod::add(0).apply(vec![Action::output(1)])
-        };
+        let mut modify = FlowMod::add(0)
+            .command(FlowModCommand::Modify)
+            .cookie(0x10)
+            .apply(vec![Action::output(1)]);
+        modify.header.cookie_mask = 0xf0;
         assert!(agent
             .handle(&mut dp, Message::FlowMod(modify).encode(2), 0)
             .replies
@@ -850,11 +846,8 @@ mod tests {
             outputs(&dp),
             vec![(0x10, true), (0x11, true), (0x20, false)]
         );
-        let delete = FlowMod {
-            cookie: 0x11,
-            cookie_mask: u64::MAX,
-            ..FlowMod::delete(0)
-        };
+        let mut delete = FlowMod::delete(0).cookie(0x11);
+        delete.header.cookie_mask = u64::MAX;
         assert!(agent
             .handle(&mut dp, Message::FlowMod(delete).encode(3), 0)
             .replies

@@ -1755,10 +1755,7 @@ pub(crate) mod tests {
             FlowModCommand::Modify,
             FlowModCommand::ModifyStrict,
         ] {
-            let fm = FlowMod {
-                command,
-                ..add.clone()
-            };
+            let fm = add.clone().command(command);
             assert_eq!(
                 dp.apply_flow_mod(&fm, 0).unwrap_err(),
                 Error::BadTable(0xff)

@@ -394,10 +394,9 @@ fn a_route_flow_mod_through_the_agent_allocates_only_what_its_rule_keeps() {
     let victim = route(7);
     let gone = dp.table(0).unwrap().len();
     dp.apply_flow_mod(
-        &FlowMod {
-            command: openflow::FlowModCommand::DeleteStrict,
-            ..victim.clone()
-        },
+        &victim
+            .clone()
+            .command(openflow::FlowModCommand::DeleteStrict),
         0,
     )
     .unwrap();
