@@ -97,9 +97,11 @@ impl Wire<'_> for Ipv6Addr {
 
 /// The rest of a body, copied: a message's trailing data.
 impl Wire<'_> for Bytes {
+    #[inline]
     fn put(v: &Bytes, out: &mut BytesMut) {
         out.put_slice(v);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> Result<Bytes> {
         Ok(Bytes::copy_from_slice(std::mem::take(buf)))
     }
@@ -107,9 +109,11 @@ impl Wire<'_> for Bytes {
 
 /// The rest of a body, where the message holds it.
 impl<'a> Wire<'a> for &'a [u8] {
+    #[inline]
     fn put(v: &&'a [u8], out: &mut BytesMut) {
         out.put_slice(v);
     }
+    #[inline]
     fn get(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
         Ok(std::mem::take(buf))
     }
@@ -118,9 +122,11 @@ impl<'a> Wire<'a> for &'a [u8] {
 /// Items to the end of the cursor: what a length field bounds, or the
 /// rest of a body.
 impl<'a, T: Wire<'a>> Wire<'a> for Vec<T> {
+    #[inline]
     fn put(v: &Vec<T>, out: &mut BytesMut) {
         v.iter().for_each(|item| T::put(item, out));
     }
+    #[inline]
     fn get(buf: &mut &'a [u8]) -> Result<Vec<T>> {
         std::mem::take(buf).items(T::get)
     }
@@ -157,7 +163,9 @@ pub(crate) fn put_sized(
 ) {
     let at = out.len();
     out.put_u16(0);
-    out.put_bytes(0, gap);
+    if gap > 0 {
+        out.put_bytes(0, gap);
+    }
     let from = out.len() - lead;
     body(out);
     let len = (out.len() - from) as u16;
@@ -231,10 +239,12 @@ pub(crate) fn get_tlv<'a>(
 macro_rules! layout {
     ($ty:ident { $($items:tt)* }) => {
         impl $crate::wire::Wire<'_> for $ty {
+            #[inline]
             fn put(v: &$ty, out: &mut ::bytes::BytesMut) {
                 let $crate::wire::layout!(@pat [$ty] v { $($items)* }) = v;
                 $crate::wire::layout!(@items out $($items)*)
             }
+            #[inline]
             fn get(buf: &mut &[u8]) -> $crate::Result<$ty> {
                 Ok($crate::wire::layout!(@get buf [$ty] { $($items)* }))
             }
@@ -242,12 +252,14 @@ macro_rules! layout {
     };
     ($ty:ident { $($items:tt)* } sized $lead:literal, $valid:expr, $bad:literal) => {
         impl $crate::wire::Wire<'_> for $ty {
+            #[inline]
             fn put(v: &$ty, out: &mut ::bytes::BytesMut) {
                 let $crate::wire::layout!(@pat [$ty] v { $($items)* }) = v;
                 $crate::wire::put_sized(out, $lead, 0, |out| {
                     $crate::wire::layout!(@items out $($items)*)
                 });
             }
+            #[inline]
             fn get(buf: &mut &[u8]) -> $crate::Result<$ty> {
                 let body = &mut $crate::wire::get_sized(buf, $lead, 0, $valid, $bad)?;
                 Ok($crate::wire::layout!(@get body [$ty] { $($items)* }))
@@ -348,6 +360,7 @@ macro_rules! wire_union {
             }
 
             /// Append the body, without its type code.
+            #[inline]
             fn put_body(&self, out: &mut ::bytes::BytesMut) $(where $g: $bound)? {
                 match self {
                     $($crate::wire::layout!(@pat [Self::$var] v $(($($tuple)*))? $({$($fields)*})?) => {
@@ -357,6 +370,7 @@ macro_rules! wire_union {
             }
 
             /// Read the body of a value of type code `kind`.
+            #[inline]
             fn get_body(kind: $tag, buf: &mut &$l [u8]) -> $crate::Result<Self> $(where $g: $bound)? {
                 Ok(match kind {
                     $($kind => $crate::wire::layout!(@get buf [Self::$var] $(($($tuple)*))? $({$($fields)*})?),)*
@@ -384,6 +398,7 @@ macro_rules! wire_enum {
 
         impl $name {
             /// Wire value.
+            #[inline]
             pub fn value(&self) -> $repr {
                 match self {
                     $($name::$var => $value,)*
@@ -391,6 +406,7 @@ macro_rules! wire_enum {
             }
 
             /// From wire value.
+            #[inline]
             pub fn from_value(v: $repr) -> $crate::Result<$name> {
                 match v {
                     $($value => Ok($name::$var),)*
