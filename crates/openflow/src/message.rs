@@ -142,8 +142,9 @@ pub struct FlowMod {
 
 layout! { FlowMod { header: FlowModHeader, match_: Match, instructions: Vec<Instruction> } }
 
-/// Prints its fields in wire order as one flat struct, as it did before
-/// the fixed ones were gathered into a [`FlowModHeader`].
+/// Prints its fields in wire order as one flat struct: a flow-mod reads
+/// by its wire fields in logs and in the decoder's verdict digest, not
+/// by how they are grouped.
 impl fmt::Debug for FlowMod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let h = &self.header;
