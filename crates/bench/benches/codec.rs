@@ -20,6 +20,11 @@
 //! 512 host-route flow-mods through a switch's `OfAgent` into its
 //! datapath, in ns per flow-mod: after the first call each one
 //! replaces its own route, so the table stays at 512 rules.
+//! `codec/openflow/route_build_encode/512` and `route_send/512` price a
+//! controller's side of the same 512 routes, appended to one send
+//! buffer, in ns per route: built with the `FlowMod` builder, encoded
+//! and dropped, against written from parts on the stack, as the ARP
+//! proxy sends them.
 
 use std::hint::black_box;
 
@@ -28,8 +33,9 @@ use bytes::{Bytes, BytesMut};
 use mgmt::pdu::{Pdu, PduType, SnmpMessage, Value};
 use mgmt::{mibs, Oid};
 use netpkt::MacAddr;
-use openflow::message::{FlowMod, Message};
-use openflow::{Action, Match, Session};
+use openflow::instruction::Insn;
+use openflow::message::{FlowMod, FlowModHeader, FlowModParts, Message};
+use openflow::{Action, Match, OxmField, Session};
 use softswitch::agent::OfAgent;
 use softswitch::datapath::{Datapath, DpConfig};
 
@@ -88,6 +94,7 @@ fn bench_openflow(rep: &mut Ledger) {
         black_box(Message::decode_ref(&wire).unwrap());
     });
     bench_agent(rep);
+    bench_route_send(rep);
     let pi = sample_packet_in();
     rep.calls("openflow/packet_in_encode", 1, || {
         black_box(pi.encode(43));
@@ -147,6 +154,41 @@ fn bench_agent(rep: &mut Ledger) {
         black_box(out);
     });
     assert_eq!(dp.table(0).map(|t| t.len()), Some(ROUTES as usize));
+}
+
+/// A controller's burst of host routes (`eth_dst → output`) appended to
+/// one send buffer: each route built as an owned `FlowMod`, encoded and
+/// dropped, against written from parts on the stack.
+fn bench_route_send(rep: &mut Ledger) {
+    const ROUTES: u32 = 512;
+    let name = format!("openflow/route_build_encode/{ROUTES}");
+    rep.calls(&name, ROUTES.into(), || {
+        let mut buf = BytesMut::new();
+        for h in 0..ROUTES {
+            let route = FlowMod::add(0)
+                .priority(20)
+                .match_(Match::new().eth_dst(MacAddr::host(h)))
+                .apply(vec![Action::output(1 + h % 4)]);
+            Message::FlowMod(route).encode_into(&mut buf, h);
+        }
+        black_box(buf.freeze());
+    });
+    let name = format!("openflow/route_send/{ROUTES}");
+    rep.calls(&name, ROUTES.into(), || {
+        let mut buf = BytesMut::new();
+        for h in 0..ROUTES {
+            let route = FlowModParts::<&[Action]> {
+                header: FlowModHeader {
+                    priority: 20,
+                    ..FlowModHeader::add(0)
+                },
+                match_: &[OxmField::EthDst(MacAddr::host(h), None)],
+                instructions: &[Insn::ApplyActions(&[Action::output(1 + h % 4)])],
+            };
+            route.encode_into(&mut buf, h);
+        }
+        black_box(buf.freeze());
+    });
 }
 
 fn sample_snmp_set() -> SnmpMessage {

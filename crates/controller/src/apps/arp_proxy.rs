@@ -42,6 +42,11 @@
 //! consumes what it can answer, the learning switch handles any MAC the
 //! host table does not know (and is free to flood it, as before).
 //!
+//! Every rule is sent from parts on the stack
+//! ([`SwitchHandle::send_flow_mod`]): its match fields and action list
+//! are arrays the sync loop builds per host, so a route costs the
+//! controller no allocation, only its bytes in the send buffer.
+//!
 //! The app is fabric-agnostic: it only sees `(dpid, port)` pairs. The
 //! `harmless` crate's fabric layer derives them from its topology and
 //! attachment table, and `FabricSpec`'s `arp_proxy` flag wires the
@@ -51,8 +56,9 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use netpkt::{builder, MacAddr};
-use openflow::message::FlowMod;
-use openflow::{Action, Match};
+use openflow::instruction::Insn;
+use openflow::message::{FlowModHeader, FlowModParts};
+use openflow::{Action, FlowModCommand, OxmField};
 
 use crate::node::{App, PacketInEvent, PacketInVerdict, SwitchHandle};
 
@@ -207,7 +213,14 @@ impl ArpProxy {
             }
             any = true;
             self.routes_retracted += 1;
-            sw.flow_mod(FlowMod::delete(0).match_(Match::new().eth_dst(h.mac)));
+            sw.send_flow_mod(FlowModParts::<&[Action]> {
+                header: FlowModHeader {
+                    command: FlowModCommand::Delete,
+                    ..FlowModHeader::add(0)
+                },
+                match_: &[OxmField::EthDst(h.mac, None)],
+                instructions: &[],
+            });
         }
         self.retracted.insert(dpid, self.retired.len());
         any
@@ -226,27 +239,34 @@ impl ArpProxy {
                 if d != dpid {
                     continue;
                 }
-                sw.flow_mod(
-                    FlowMod::add(0)
-                        .priority(GUARD_PRIORITY)
-                        .match_(Match::new().in_port(in_port).eth_dst(h.mac))
-                        .apply(vec![]), // match with no actions = drop
-                );
+                sw.send_flow_mod(FlowModParts::<&[Action]> {
+                    header: rule(GUARD_PRIORITY),
+                    match_: &[OxmField::InPort(in_port), OxmField::EthDst(h.mac, None)],
+                    // match with no actions = drop
+                    instructions: &[Insn::ApplyActions(&[])],
+                });
             }
             for &(d, out) in &h.ports {
                 if d != dpid {
                     continue;
                 }
-                sw.flow_mod(
-                    FlowMod::add(0)
-                        .priority(ROUTE_PRIORITY)
-                        .match_(Match::new().eth_dst(h.mac))
-                        .apply(vec![Action::output(out)]),
-                );
+                sw.send_flow_mod(FlowModParts::<&[Action]> {
+                    header: rule(ROUTE_PRIORITY),
+                    match_: &[OxmField::EthDst(h.mac, None)],
+                    instructions: &[Insn::ApplyActions(&[Action::output(out)])],
+                });
             }
         }
         self.pushed.insert(dpid, self.hosts.len());
         true
+    }
+}
+
+/// The fixed fields of one of the proxy's `ADD`s to table 0.
+fn rule(priority: u16) -> FlowModHeader {
+    FlowModHeader {
+        priority,
+        ..FlowModHeader::add(0)
     }
 }
 
@@ -272,11 +292,11 @@ impl App for ArpProxy {
         // Table-miss punt, so ARP broadcasts (which no dst-MAC route
         // matches) reach the proxy. Idempotent with the learning
         // switch's identical entry.
-        sw.flow_mod(
-            FlowMod::add(0)
-                .priority(0)
-                .apply(vec![Action::to_controller()]),
-        );
+        sw.send_flow_mod(FlowModParts::<&[Action]> {
+            header: rule(0),
+            match_: &[],
+            instructions: &[Insn::ApplyActions(&[Action::to_controller()])],
+        });
         self.sync_switch(sw);
     }
 
@@ -307,7 +327,7 @@ mod tests {
     use super::*;
     use crate::node::{test_handle, Outbox};
     use openflow::message::Message;
-    use openflow::FlowModCommand;
+    use openflow::Match;
 
     fn route(ip: [u8; 4], mac: u32) -> HostRoute {
         HostRoute {

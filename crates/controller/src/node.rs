@@ -7,8 +7,10 @@ use std::ops::Range;
 
 use netpkt::FlowKey;
 use netsim::{Node, NodeCtx, NodeId, PortId};
+use openflow::instruction::ActionList;
 use openflow::message::{
-    ControllerRole, FlowMod, Message, MultipartReq, MultipartRes, PortDesc, Xid,
+    ControllerRole, FlowMod, FlowModParts, Message, MultipartReq, MultipartRes, PacketOutParts,
+    PortDesc, Xid,
 };
 use openflow::oxm::OxmField;
 use openflow::{Action, Session, NO_BUFFER};
@@ -146,24 +148,28 @@ impl SwitchHandle<'_> {
         self.out.send(msg);
     }
 
-    /// Send a flow-mod. It must survive channel loss: it is tracked until
-    /// a barrier reply confirms the switch applied it, and re-sent by the
-    /// controller tick otherwise.
-    pub fn flow_mod(&mut self, fm: FlowMod) {
+    /// Send a flow-mod written from its parts, which the caller may
+    /// build on its stack (`FlowModParts::<&[Action]>`): its bytes go
+    /// straight into the send buffer and nothing is allocated for them.
+    /// It must survive channel loss: it is tracked until a barrier reply
+    /// confirms the switch applied it, and re-sent by the controller
+    /// tick otherwise.
+    pub fn send_flow_mod<A: ActionList>(&mut self, fm: FlowModParts<'_, A>) {
         self.out.flow_mods_sent += 1;
         let start = self.out.buf.len();
-        self.out.send(Message::FlowMod(fm));
+        let x = self.out.next_xid();
+        fm.encode_into(&mut self.out.buf, x);
         self.out.durable.push(start..self.out.buf.len());
+    }
+
+    /// Send an owned flow-mod: [`Self::send_flow_mod`] of its parts.
+    pub fn flow_mod(&mut self, fm: FlowMod) {
+        self.send_flow_mod(fm.parts());
     }
 
     /// Emit a frame out of a specific port (or FLOOD).
     pub fn packet_out(&mut self, out_port: u32, data: Bytes) {
-        self.send(Message::PacketOut {
-            buffer_id: NO_BUFFER,
-            in_port: openflow::port_no::CONTROLLER,
-            actions: vec![Action::output(out_port)],
-            data,
-        });
+        self.send_packet_out(openflow::port_no::CONTROLLER, out_port, &data);
     }
 
     /// Flood a punted frame, preserving its original ingress port so the
@@ -172,12 +178,20 @@ impl SwitchHandle<'_> {
     /// upstream that re-teaches bridges the source MAC on the wrong port
     /// and black-holes the host ("MAC flapping").
     pub fn packet_out_flood(&mut self, in_port: u32, data: Bytes) {
-        self.send(Message::PacketOut {
+        self.send_packet_out(in_port, openflow::port_no::FLOOD, &data);
+    }
+
+    /// Queue a packet-out of `data` with its one output action on the
+    /// stack.
+    fn send_packet_out(&mut self, in_port: u32, out_port: u32, data: &[u8]) {
+        let x = self.out.next_xid();
+        let po = PacketOutParts {
             buffer_id: NO_BUFFER,
             in_port,
-            actions: vec![Action::output(openflow::port_no::FLOOD)],
+            actions: &[Action::output(out_port)],
             data,
-        });
+        };
+        po.encode_into(&mut self.out.buf, x);
     }
 
     /// Send a barrier.
@@ -724,6 +738,54 @@ mod tests {
                 .any(|(xid, m)| *xid == 77 && *m == Message::EchoReply(Bytes::from_static(b"ping"))),
             "echo reply must mirror xid and payload, got {msgs:?}"
         );
+    }
+
+    /// The borrowed sends queue what the owned messages encode to, under
+    /// the same xids; a flow-mod either way is counted and filed as
+    /// durable, and the owned wrapper queues the same as its parts.
+    #[test]
+    fn borrowed_sends_queue_the_owned_messages_bytes() {
+        use openflow::instruction::Insn;
+        let mac = netpkt::MacAddr::host(9);
+        let owned = FlowMod::add(0)
+            .priority(20)
+            .match_(openflow::Match::new().eth_dst(mac))
+            .apply(vec![Action::output(3)]);
+        let data = Bytes::from_static(b"frame");
+        let mut lent = Outbox::default();
+        let mut sw = test_handle(1, &mut lent);
+        sw.send_flow_mod(FlowModParts::<&[Action]> {
+            header: owned.header,
+            match_: &[OxmField::EthDst(mac, None)],
+            instructions: &[Insn::ApplyActions(&[Action::output(3)])],
+        });
+        sw.packet_out(3, data.clone());
+        sw.packet_out_flood(2, data.clone());
+
+        let flow_mod = Message::FlowMod(owned.clone()).encode(1);
+        let packet_out = |xid, in_port, port| {
+            Message::PacketOut {
+                buffer_id: NO_BUFFER,
+                in_port,
+                actions: vec![Action::output(port)],
+                data: data.clone(),
+            }
+            .encode(xid)
+        };
+        let want = [
+            flow_mod.clone(),
+            packet_out(2, openflow::port_no::CONTROLLER, 3),
+            packet_out(3, 2, openflow::port_no::FLOOD),
+        ]
+        .concat();
+        assert_eq!(&lent.buf[..], &want[..]);
+        assert_eq!(lent.durable, vec![(0..flow_mod.len())]);
+        assert_eq!(lent.flow_mods_sent, 1);
+
+        let mut sent = Outbox::default();
+        test_handle(1, &mut sent).flow_mod(owned);
+        assert_eq!(&sent.buf[..], &flow_mod[..]);
+        assert_eq!((sent.durable, sent.flow_mods_sent), (lent.durable, 1));
     }
 
     #[test]

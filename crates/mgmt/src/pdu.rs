@@ -308,7 +308,7 @@ impl SnmpMessage {
         let error_index = integer(&mut pdu, "error-index must be INTEGER")?;
         let varbinds = ber::expect(&mut pdu, tag::SEQUENCE, "varbind list must be a SEQUENCE")?;
         end(pdu, "bytes after the varbind list")?;
-        let bindings = varbinds.items(binding)?;
+        let bindings = varbinds.items(VARBIND_MIN_LEN, binding)?;
         Ok(SnmpMessage {
             community,
             pdu: Pdu {
@@ -321,6 +321,10 @@ impl SnmpMessage {
         })
     }
 }
+
+/// The shortest variable binding the decoder accepts: its SEQUENCE
+/// header, an OID of one byte and a NULL value.
+const VARBIND_MIN_LEN: usize = 2 + 3 + 2;
 
 /// Read one variable binding.
 fn binding(c: &mut &[u8]) -> Result<(Oid, Value)> {

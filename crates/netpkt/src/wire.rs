@@ -18,9 +18,12 @@ pub trait Cursor<'a>: Sized {
     fn array<const N: usize>(&mut self) -> Result<[u8; N]>;
 
     /// Decode items with `item` until the cursor is used up: the
-    /// structures behind a length field, or a multipart body.
+    /// structures behind a length field, or a multipart body. No item
+    /// takes fewer than `min_len` bytes, so the vector is sized once,
+    /// for as many items as the bytes can hold, and never grown.
     fn items<T, E: From<Error>>(
         self,
+        min_len: usize,
         item: impl FnMut(&mut Self) -> core::result::Result<T, E>,
     ) -> core::result::Result<Vec<T>, E>;
 
@@ -49,6 +52,7 @@ pub trait Cursor<'a>: Sized {
     }
 
     /// A big-endian `u64`.
+    #[inline]
     fn u64(&mut self) -> Result<u64> {
         self.array().map(u64::from_be_bytes)
     }
@@ -71,9 +75,10 @@ impl<'a> Cursor<'a> for &'a [u8] {
 
     fn items<T, E: From<Error>>(
         mut self,
+        min_len: usize,
         mut item: impl FnMut(&mut Self) -> core::result::Result<T, E>,
     ) -> core::result::Result<Vec<T>, E> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.len() / min_len.max(1));
         while !self.is_empty() {
             out.push(item(&mut self)?);
         }

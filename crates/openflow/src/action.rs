@@ -3,7 +3,7 @@
 use bytes::BytesMut;
 
 use crate::oxm::OxmField;
-use crate::wire::{self, wire_enum, wire_union, Wire};
+use crate::wire::{self, wire_enum, wire_union, ListItem, Wire};
 use crate::{Error, Result};
 
 /// Default `max_len` for controller output actions.
@@ -122,6 +122,10 @@ impl Wire<'_> for Action {
         )?;
         Action::get_body(kind, &mut body)
     }
+}
+
+impl ListItem for Action {
+    const MIN_LEN: usize = 8;
 }
 
 /// The body of this stack's one experimenter action: its experimenter

@@ -11,7 +11,7 @@ use std::hash::{Hash, Hasher};
 use netpkt::FlowKey;
 
 use crate::action::Action;
-use crate::wire::{layout, wire_enum};
+use crate::wire::{layout, wire_enum, ListItem};
 use crate::{group_no, port_no, Error, Result};
 
 wire_enum! {
@@ -40,6 +40,10 @@ pub struct Bucket {
 layout! { Bucket {
     weight: u16, _: u32 = port_no::ANY, _: u32 = group_no::ANY, pad 4, actions: Vec<Action>,
 } sized 2, |len| len >= 16, "bucket too short" }
+
+impl ListItem for Bucket {
+    const MIN_LEN: usize = 16;
+}
 
 impl Bucket {
     /// A weight-1 bucket.

@@ -5,12 +5,13 @@ use std::fmt;
 use bytes::BytesMut;
 
 use crate::action::Action;
-use crate::wire::{self, wire_union, Wire};
+use crate::wire::{self, wire_union, ListItem, Wire};
 use crate::{Error, Result};
 
 /// An instruction attached to a flow entry, its action lists held as
 /// `A`: owned in an [`Instruction`], as wire bytes where a received
-/// flow-mod holds them. One layout reads and writes both.
+/// flow-mod holds them, borrowed (`&[Action]`) where a sender builds
+/// them on its stack. One layout reads and writes all three.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Insn<A> {
     /// Continue matching in a later table.
@@ -60,15 +61,45 @@ wire_union! {
     ty::METER => Meter(u32),
 }
 
+impl<A: wire::Put> Insn<A> {
+    /// Append the instruction's TLV: what [`Wire`] writes for an owned
+    /// one, and what a flow-mod sent from borrowed parts writes.
+    #[inline]
+    pub(crate) fn put_tlv(&self, out: &mut BytesMut) {
+        wire::put_tlv(out, self.kind(), |out| self.put_body(out));
+    }
+}
+
 impl<'a, A: Wire<'a>> Wire<'a> for Insn<A> {
     fn put(insn: &Insn<A>, out: &mut BytesMut) {
-        wire::put_tlv(out, insn.kind(), |out| insn.put_body(out));
+        insn.put_tlv(out);
     }
     fn get(buf: &mut &'a [u8]) -> Result<Insn<A>> {
         let (kind, mut body) = wire::get_tlv(buf, |len| len >= 8, "instruction too short")?;
         Insn::get_body(kind, &mut body)
     }
 }
+
+impl<A> ListItem for Insn<A> {
+    const MIN_LEN: usize = 8;
+}
+
+/// A borrowed action list is written as the owned one is.
+impl wire::Put for &[Action] {
+    #[inline]
+    fn put(actions: &&[Action], out: &mut BytesMut) {
+        actions.iter().for_each(|a| <Action as Wire>::put(a, out));
+    }
+}
+
+/// What an instruction's actions may be held as when it is sent: a
+/// `Vec<Action>` (an owned [`Instruction`]) or a `&[Action]` (one a
+/// sender builds on its stack, with no list allocated). Both write the
+/// same bytes; nothing outside this crate implements it.
+pub trait ActionList: wire::Put + Sized {}
+
+impl ActionList for Vec<Action> {}
+impl ActionList for &[Action] {}
 
 impl Instruction {
     /// Convenience: a single apply-actions instruction.

@@ -16,6 +16,13 @@
 //! multipart type, a bucket or a flow-stats entry shorter than its
 //! header, the meter band's type and length.
 //!
+//! A sender writes a flow-mod or a packet-out from borrowed parts
+//! ([`FlowModParts`], [`PacketOutParts`]): the match's fields and the
+//! action lists may sit on its stack. Those parts are the one writer
+//! of each body: [`Message::FlowMod`] and [`Message::PacketOut`] are
+//! written through them, so the bytes are the same whichever way the
+//! sender holds the message.
+//!
 //! A switch applies a flow-mod where its frame holds it:
 //! [`Message::decode_ref`] reads a `FLOW_MOD` as a [`FlowModRef`] that
 //! borrows the match and the instructions, checked as it is built.
@@ -32,11 +39,11 @@ use netpkt::FlowKey;
 
 use crate::action::Action;
 use crate::group::{Bucket, GroupModCommand, GroupType};
-use crate::instruction::{Instruction, Program, WireInstructions};
+use crate::instruction::{ActionList, Insn, Instruction, Program, WireInstructions};
 use crate::meter::{MeterBand, MeterModCommand};
-use crate::oxm::{Match, WireMatch};
+use crate::oxm::{self, Match, OxmField, WireMatch};
 use crate::table::FlowModCommand;
-use crate::wire::{self, layout, wire_enum, wire_union, Cursor, Str, Wire};
+use crate::wire::{self, layout, wire_enum, wire_union, Cursor, ListItem, Str, Wire};
 use crate::{Error, Result, NO_BUFFER, OFP_VERSION};
 
 use msg_type::*;
@@ -128,6 +135,10 @@ layout! { PortDesc {
     pad 16, curr_speed: u32, max_speed: u32,
 } }
 
+impl ListItem for PortDesc {
+    const MIN_LEN: usize = 64;
+}
+
 /// The `FLOW_MOD` payload: its fixed fields, its match, its
 /// instructions.
 #[derive(Clone, PartialEq)]
@@ -140,7 +151,21 @@ pub struct FlowMod {
     pub instructions: Vec<Instruction>,
 }
 
-layout! { FlowMod { header: FlowModHeader, match_: Match, instructions: Vec<Instruction> } }
+/// Written through its [`FlowModParts`], read in the same order.
+impl Wire<'_> for FlowMod {
+    #[inline]
+    fn put(fm: &FlowMod, out: &mut BytesMut) {
+        fm.parts().put(out);
+    }
+    #[inline]
+    fn get(buf: &mut &[u8]) -> Result<FlowMod> {
+        Ok(FlowMod {
+            header: FlowModHeader::get(buf)?,
+            match_: Match::get(buf)?,
+            instructions: <Vec<Instruction>>::get(buf)?,
+        })
+    }
+}
 
 /// Prints its fields in wire order as one flat struct: a flow-mod reads
 /// by its wire fields in logs and in the decoder's verdict digest, not
@@ -170,21 +195,18 @@ impl FlowMod {
     /// Start an `ADD` flow-mod for `table_id` (builder style).
     pub fn add(table_id: u8) -> FlowMod {
         FlowMod {
-            header: FlowModHeader {
-                cookie: 0,
-                cookie_mask: 0,
-                table_id,
-                command: FlowModCommand::Add,
-                idle_timeout: 0,
-                hard_timeout: 0,
-                priority: 0,
-                buffer_id: NO_BUFFER,
-                out_port: crate::port_no::ANY,
-                out_group: crate::group_no::ANY,
-                flags: 0,
-            },
+            header: FlowModHeader::add(table_id),
             match_: Match::any(),
             instructions: Vec::new(),
+        }
+    }
+
+    /// The flow-mod as the parts it is written from.
+    pub fn parts(&self) -> FlowModParts<'_, Vec<Action>> {
+        FlowModParts {
+            header: self.header,
+            match_: self.match_.fields(),
+            instructions: &self.instructions,
         }
     }
 
@@ -281,6 +303,59 @@ layout! { FlowModHeader {
     hard_timeout: u16, priority: u16, buffer_id: u32, out_port: u32, out_group: u32, flags: u16,
     pad 2,
 } }
+
+impl FlowModHeader {
+    /// The fixed fields of an `ADD` for `table_id`: no cookie, timeouts,
+    /// priority, buffer, filters or flags. Set others with struct update
+    /// syntax (`FlowModHeader { priority: 20, ..FlowModHeader::add(0) }`).
+    pub fn add(table_id: u8) -> FlowModHeader {
+        FlowModHeader {
+            cookie: 0,
+            cookie_mask: 0,
+            table_id,
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: 0,
+            buffer_id: NO_BUFFER,
+            out_port: crate::port_no::ANY,
+            out_group: crate::group_no::ANY,
+            flags: 0,
+        }
+    }
+}
+
+/// A `FLOW_MOD` over borrowed parts: the fixed fields, the match's
+/// fields and the instructions, each holding its actions as `A`
+/// ([`ActionList`]). It is the one writer of a flow-mod's body:
+/// [`Message::FlowMod`] is written through [`FlowMod::parts`], and a
+/// sender that builds a rule on its stack (`&[Insn<&[Action]>]`)
+/// writes the same bytes without allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowModParts<'a, A = &'a [Action]> {
+    /// The fixed fields.
+    pub header: FlowModHeader,
+    /// The match's fields, in order.
+    pub match_: &'a [OxmField],
+    /// The instruction list.
+    pub instructions: &'a [Insn<A>],
+}
+
+impl<A: ActionList> FlowModParts<'_, A> {
+    /// Append the flow-mod, with full header, to `out` under `xid`: the
+    /// bytes [`Message::encode_into`] writes for the owned flow-mod of
+    /// these parts.
+    pub fn encode_into(&self, out: &mut BytesMut, xid: Xid) {
+        put_message(out, FLOW_MOD, xid, |out| self.put(out));
+    }
+
+    #[inline]
+    fn put(&self, out: &mut BytesMut) {
+        FlowModHeader::put(&self.header, out);
+        oxm::put_match(self.match_, out);
+        self.instructions.iter().for_each(|insn| insn.put_tlv(out));
+    }
+}
 
 /// A received `FLOW_MOD`, read where its frame holds it: the fixed
 /// fields, and the match and instructions as checked wire bytes. Every
@@ -476,6 +551,11 @@ layout! { FlowStatsEntry {
     match_: Match, instructions: Vec<Instruction>,
 } sized 2, |len| len >= 48, "flow stats entry too short" }
 
+// Its fixed part and an empty match.
+impl ListItem for FlowStatsEntry {
+    const MIN_LEN: usize = 48 + 8;
+}
+
 /// One table in a `Table` multipart reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableStatsEntry {
@@ -492,6 +572,10 @@ pub struct TableStatsEntry {
 layout! { TableStatsEntry {
     table_id: u8, pad 3, active_count: u32, lookup_count: u64, matched_count: u64,
 } }
+
+impl ListItem for TableStatsEntry {
+    const MIN_LEN: usize = 24;
+}
 
 /// One port in a `PortStats` multipart reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -518,6 +602,10 @@ layout! { PortStatsEntry {
     port_no: u32, pad 4, rx_packets: u64, tx_packets: u64, rx_bytes: u64, tx_bytes: u64,
     rx_dropped: u64, tx_dropped: u64, pad 56,
 } }
+
+impl ListItem for PortStatsEntry {
+    const MIN_LEN: usize = 112;
+}
 
 /// Multipart reply bodies.
 #[derive(Debug, Clone, PartialEq)]
@@ -777,7 +865,7 @@ wire_union! {
         idle_timeout: u16, hard_timeout: u16, packet_count: u64, byte_count: u64, match_: Match,
     },
     PORT_STATUS => PortStatus { reason: u8, pad 7, desc: PortDesc },
-    PACKET_OUT => PacketOut { buffer_id: u32, in_port: u32, actions: PacketOutActions, data: Bytes },
+    PACKET_OUT => PacketOut { .. } as PacketOutBody,
     FLOW_MOD => FlowMod(FlowMod),
     GROUP_MOD => GroupMod {
         command: GroupModCommand, type_: GroupType, pad 1, group_id: u32, buckets: Vec<Bucket>,
@@ -791,15 +879,71 @@ wire_union! {
     ROLE_REPLY => RoleReply { role: ControllerRole, pad 4, generation_id: u64 },
 }
 
-/// A packet-out's actions: their length, six zero bytes, the actions.
-struct PacketOutActions;
+/// A `PACKET_OUT` over borrowed parts: the one writer of a
+/// packet-out's body, which [`Message::PacketOut`] is written through,
+/// and what a controller sends with its actions on its stack.
+#[derive(Debug, Clone, Copy)]
+pub struct PacketOutParts<'a> {
+    /// Buffer to release or [`NO_BUFFER`].
+    pub buffer_id: u32,
+    /// Ingress port context (or `port_no::CONTROLLER`).
+    pub in_port: u32,
+    /// Actions to apply.
+    pub actions: &'a [Action],
+    /// Frame data when not buffered.
+    pub data: &'a [u8],
+}
 
-impl Wire<'_, Vec<Action>> for PacketOutActions {
-    fn put(actions: &Vec<Action>, out: &mut BytesMut) {
-        wire::put_sized(out, 0, 6, |out| <Vec<Action>>::put(actions, out));
+impl PacketOutParts<'_> {
+    /// Append the packet-out, with full header, to `out` under `xid`:
+    /// the bytes [`Message::encode_into`] writes for the owned
+    /// packet-out of these parts.
+    pub fn encode_into(&self, out: &mut BytesMut, xid: Xid) {
+        put_message(out, PACKET_OUT, xid, |out| self.put(out));
     }
-    fn get(buf: &mut &[u8]) -> Result<Vec<Action>> {
-        <Vec<Action>>::get(&mut wire::get_sized(buf, 0, 6, |_| true, "")?)
+
+    /// The buffer id, the ingress port, the actions behind their length
+    /// and six zero bytes, the data.
+    fn put(&self, out: &mut BytesMut) {
+        out.put_u32(self.buffer_id);
+        out.put_u32(self.in_port);
+        wire::put_sized(out, 0, 6, |out| {
+            <&[Action] as wire::Put>::put(&self.actions, out)
+        });
+        out.put_slice(self.data);
+    }
+}
+
+/// [`Message::PacketOut`]'s body: written through its
+/// [`PacketOutParts`], read in the same order.
+struct PacketOutBody;
+
+impl Wire<'_, Message> for PacketOutBody {
+    fn put(m: &Message, out: &mut BytesMut) {
+        let Message::PacketOut {
+            buffer_id,
+            in_port,
+            actions,
+            data,
+        } = m
+        else {
+            unreachable!("the message table writes only a packet-out through its body");
+        };
+        PacketOutParts {
+            buffer_id: *buffer_id,
+            in_port: *in_port,
+            actions,
+            data,
+        }
+        .put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Message> {
+        Ok(Message::PacketOut {
+            buffer_id: buf.u32()?,
+            in_port: buf.u32()?,
+            actions: <Vec<Action>>::get(&mut wire::get_sized(buf, 0, 6, |_| true, "")?)?,
+            data: Bytes::get(buf)?,
+        })
     }
 }
 
@@ -922,13 +1066,7 @@ impl Message {
     /// Append the message, with full header, to `out`: a send buffer
     /// that coalesces several messages into one channel write.
     pub fn encode_into(&self, out: &mut BytesMut, xid: Xid) {
-        out.put_u8(OFP_VERSION);
-        out.put_u8(self.kind());
-        // The length counts the whole message.
-        wire::put_sized(out, 4, 0, |out| {
-            out.put_u32(xid);
-            self.put_body(out);
-        });
+        put_message(out, self.kind(), xid, |out| self.put_body(out));
     }
 
     /// Decode a single framed message from the front of `buf`. Returns the
@@ -954,6 +1092,19 @@ impl Message {
         };
         Ok((xid, whole(msg)?, len))
     }
+}
+
+/// Append one message to `out`: its header (version, `kind`, the length
+/// patched in from the bytes written, `xid`), then what `body` writes.
+#[inline]
+fn put_message(out: &mut BytesMut, kind: u8, xid: Xid, body: impl FnOnce(&mut BytesMut)) {
+    out.put_u8(OFP_VERSION);
+    out.put_u8(kind);
+    // The length counts the whole message.
+    wire::put_sized(out, 4, 0, |out| {
+        out.put_u32(xid);
+        body(out);
+    });
 }
 
 /// Room reserved up front in [`Message::encode`]'s buffer: most messages

@@ -282,22 +282,33 @@ impl Match {
 
     /// Encode as `ofp_match` (type=1/OXM, padded to 8 bytes).
     pub fn encode(&self, out: &mut BytesMut) {
-        let start = out.len();
-        out.put_u16(1); // OFPMT_OXM
-                        // The length counts the type and itself, not the padding.
-        wire::put_sized(out, 4, 0, |out| {
-            self.fields.iter().for_each(|f| OxmField::put(f, out));
-        });
-        wire::pad8(out, start);
+        put_match(&self.fields, out);
     }
 
     /// Decode an `ofp_match` from the front of `buf`, consuming padding.
     pub fn decode(buf: &mut &[u8]) -> Result<Match> {
         let mut fields = Vec::new();
-        WireMatch::read(buf, |f| fields.push(f))?;
+        WireMatch::read(buf, Some(&mut fields))?;
         Ok(Match { fields })
     }
 }
+
+/// Write `fields` as an `ofp_match` (type 1/OXM, padded to 8 bytes):
+/// the one writer of a match, whether a [`Match`] holds the fields or
+/// a sender lends them.
+#[inline]
+pub(crate) fn put_match(fields: &[OxmField], out: &mut BytesMut) {
+    let start = out.len();
+    out.put_u16(1); // OFPMT_OXM
+                    // The length counts the type and itself, not the padding.
+    wire::put_sized(out, 4, 0, |out| {
+        fields.iter().for_each(|f| OxmField::put(f, out));
+    });
+    wire::pad8(out, start);
+}
+
+/// The shortest OXM field: its 4-byte header and a 1-byte value.
+const OXM_MIN_LEN: usize = 5;
 
 impl Wire<'_> for Match {
     fn put(m: &Match, out: &mut BytesMut) {
@@ -323,12 +334,13 @@ impl<'a> WireMatch<'a> {
     /// Parse an `ofp_match` (type 1/OXM, padded to 8 bytes) from the
     /// front of `buf`, consuming padding.
     pub(crate) fn parse(buf: &mut &'a [u8]) -> Result<WireMatch<'a>> {
-        Self::read(buf, drop)
+        Self::read(buf, None)
     }
 
-    /// [`Self::parse`], handing each field to `field` as it decodes:
-    /// the one parser of a match, which [`Match::decode`] collects from.
-    fn read(buf: &mut &'a [u8], mut field: impl FnMut(OxmField)) -> Result<WireMatch<'a>> {
+    /// [`Self::parse`], and if `owned` is given, each field pushed to it
+    /// as it decodes, the vector sized once from the fields' bytes: the
+    /// one parser of a match, which [`Match::decode`] collects from.
+    fn read(buf: &mut &'a [u8], mut owned: Option<&mut Vec<OxmField>>) -> Result<WireMatch<'a>> {
         let ty = buf.u16()?;
         let len = usize::from(buf.u16()?);
         if ty != 1 {
@@ -338,9 +350,15 @@ impl<'a> WireMatch<'a> {
             return Err(Error::Malformed("match length below header"));
         }
         let tlvs = buf.take(len - 4)?;
+        if let Some(owned) = owned.as_mut() {
+            owned.reserve_exact(tlvs.len() / OXM_MIN_LEN);
+        }
         let (mut rest, mut fields) = (tlvs, 0);
         while !rest.is_empty() {
-            field(OxmField::get(&mut rest)?);
+            let field = OxmField::get(&mut rest)?;
+            if let Some(owned) = owned.as_mut() {
+                owned.push(field);
+            }
             fields += 1;
         }
         buf.skip((8 - len % 8) % 8)?;

@@ -15,6 +15,11 @@
 //!   keyed by type code, into an enum's `put_body` and `get_body`. The
 //!   encoder writes the items in order and the decoder reads them in
 //!   the same order, so no layout is written twice.
+//! * **Senders** may hold what they write in borrowed form: [`Put`] is
+//!   the writing half of a codec alone. Every [`Wire`] codec has it,
+//!   and a borrowed action list (`&[Action]`, built on a sender's
+//!   stack) has only it, so one instruction layout writes an owned
+//!   instruction and a borrowed one.
 //! * **Lengths** are never predicted. [`put_sized`] reserves a length
 //!   field, writes the structure and patches the field from the bytes
 //!   written. [`get_sized`] reads the field back, checks it and splits
@@ -43,6 +48,29 @@ pub(crate) trait Wire<'a, T = Self> {
     fn put(v: &T, out: &mut BytesMut);
     /// Read a `T` from the front of `buf`.
     fn get(buf: &mut &'a [u8]) -> Result<T>;
+}
+
+/// The writing half of a codec: what a value that is only ever sent
+/// needs. It is `pub` only so that a public bound can name it
+/// ([`crate::instruction::ActionList`]); the module is private.
+pub trait Put<T = Self> {
+    /// Append `v` to `out`.
+    fn put(v: &T, out: &mut BytesMut);
+}
+
+impl<'a, T, C: Wire<'a, T>> Put<T> for C {
+    #[inline]
+    fn put(v: &T, out: &mut BytesMut) {
+        <C as Wire<'a, T>>::put(v, out);
+    }
+}
+
+/// A structure that comes in lists: the fewest bytes one takes on the
+/// wire. A list is read into a vector sized once for as many items as
+/// its bytes can hold, so reading it never grows the vector.
+pub(crate) trait ListItem {
+    /// The shortest item the decoder accepts.
+    const MIN_LEN: usize;
 }
 
 macro_rules! big_endian {
@@ -121,14 +149,14 @@ impl<'a> Wire<'a> for &'a [u8] {
 
 /// Items to the end of the cursor: what a length field bounds, or the
 /// rest of a body.
-impl<'a, T: Wire<'a>> Wire<'a> for Vec<T> {
+impl<'a, T: Wire<'a> + ListItem> Wire<'a> for Vec<T> {
     #[inline]
     fn put(v: &Vec<T>, out: &mut BytesMut) {
-        v.iter().for_each(|item| T::put(item, out));
+        v.iter().for_each(|item| <T as Wire>::put(item, out));
     }
     #[inline]
     fn get(buf: &mut &'a [u8]) -> Result<Vec<T>> {
-        std::mem::take(buf).items(T::get)
+        std::mem::take(buf).items(T::MIN_LEN, <T as Wire>::get)
     }
 }
 
@@ -267,6 +295,12 @@ macro_rules! layout {
         }
     };
 
+    // A variant laid out by a codec of the whole enum (`{ .. } as C`):
+    // its pattern binds the value, and `C` writes and reads it.
+    (@pat [$($p:tt)*] $v:ident { .. } as $c:ty) => { $v @ $($p)* { .. } };
+    (@put $out:ident $v:ident { .. } as $c:ty) => { <$c as $crate::wire::Put<_>>::put($v, $out) };
+    (@get $buf:ident $p:tt { .. } as $c:ty) => { <$c as $crate::wire::Wire<_>>::get($buf)? };
+
     // The pattern of a unit, tuple or struct body; `_` binds nothing.
     (@pat [$($p:tt)*] $v:tt) => { $($p)* };
     (@pat [$($p:tt)*] $v:tt ($($c:tt)*)) => { $($p)*($v) };
@@ -287,9 +321,9 @@ macro_rules! layout {
     (@put $out:ident $v:tt) => {{}};
     (@put $out:ident $v:tt (pad $n:literal, $c:ty)) => {{
         ::bytes::BufMut::put_bytes($out, 0, $n);
-        <$c as $crate::wire::Wire<_>>::put($v, $out);
+        <$c as $crate::wire::Put<_>>::put($v, $out);
     }};
-    (@put $out:ident $v:tt ($c:ty)) => { <$c as $crate::wire::Wire<_>>::put($v, $out) };
+    (@put $out:ident $v:tt ($c:ty)) => { <$c as $crate::wire::Put<_>>::put($v, $out) };
     (@put $out:ident $v:tt { $($items:tt)* }) => { $crate::wire::layout!(@items $out $($items)*) };
     (@items $out:ident) => {{}};
     (@items $out:ident pad $n:literal $(, $($rest:tt)*)?) => {{
@@ -340,16 +374,19 @@ macro_rules! layout {
 
 /// An enum whose variants are bodies told apart by a type code that
 /// travels in front of them: one table of `CODE => Variant body`, where
-/// a body is nothing, `(Codec)` (after an optional `pad N,`) or
-/// `{ items }` as in [`layout!`]. It gives the enum `kind` (the code a
-/// value is written under), `put_body` and `get_body` (the body of a
-/// given code, or `unknown`'s error for a code outside the table); the
-/// caller frames the code and the body.
+/// a body is nothing, `(Codec)` (after an optional `pad N,`),
+/// `{ items }` as in [`layout!`], or `{ .. } as Codec` for a struct
+/// variant that a codec of the whole enum writes and reads. It gives
+/// the enum `kind` (the code a value is written under), `put_body` and
+/// `get_body` (the body of a given code, or `unknown`'s error for a
+/// code outside the table); the caller frames the code and the body.
+/// A generic parameter is bounded by [`Put`] to write and by its
+/// `bound` to read, so a value that is only sent need not be readable.
 macro_rules! wire_union {
     (
         impl<$l:lifetime $(, $g:ident: $bound:path)?> $ty:ty, kind: $tag:ty,
         unknown $k:tt => $unknown:expr;
-        $($kind:path => $var:ident $(($($tuple:tt)*))? $({$($fields:tt)*})?,)*
+        $($kind:path => $var:ident $(($($tuple:tt)*))? $({$($fields:tt)*})? $(as $whole:ty)?,)*
     ) => {
         impl<$l $(, $g)?> $ty {
             /// The type code a value is written under.
@@ -361,10 +398,10 @@ macro_rules! wire_union {
 
             /// Append the body, without its type code.
             #[inline]
-            fn put_body(&self, out: &mut ::bytes::BytesMut) $(where $g: $bound)? {
+            fn put_body(&self, out: &mut ::bytes::BytesMut) $(where $g: $crate::wire::Put)? {
                 match self {
-                    $($crate::wire::layout!(@pat [Self::$var] v $(($($tuple)*))? $({$($fields)*})?) => {
-                        $crate::wire::layout!(@put out v $(($($tuple)*))? $({$($fields)*})?)
+                    $($crate::wire::layout!(@pat [Self::$var] v $(($($tuple)*))? $({$($fields)*})? $(as $whole)?) => {
+                        $crate::wire::layout!(@put out v $(($($tuple)*))? $({$($fields)*})? $(as $whole)?)
                     })*
                 }
             }
@@ -373,7 +410,7 @@ macro_rules! wire_union {
             #[inline]
             fn get_body(kind: $tag, buf: &mut &$l [u8]) -> $crate::Result<Self> $(where $g: $bound)? {
                 Ok(match kind {
-                    $($kind => $crate::wire::layout!(@get buf [Self::$var] $(($($tuple)*))? $({$($fields)*})?),)*
+                    $($kind => $crate::wire::layout!(@get buf [Self::$var] $(($($tuple)*))? $({$($fields)*})? $(as $whole)?),)*
                     $k => return Err($unknown),
                 })
             }
@@ -479,7 +516,7 @@ mod tests {
             name: "abcdef".into(),
         };
         let mut out = BytesMut::new();
-        Sample::put(&sample, &mut out);
+        <Sample as Wire>::put(&sample, &mut out);
         assert_eq!(
             &out[..],
             &[0, 16, 1, 0, 0, 0, 0xff, 0xff, 2, 3, 4, 5, b'a', b'b', b'c', 0]

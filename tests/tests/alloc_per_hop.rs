@@ -40,15 +40,25 @@
 //! live than the second did, so what stays behind a run is one-time
 //! state, not a leak that grows with the runs.
 //!
+//! A seventh pins what the controller side costs: a `ControllerNode`
+//! running the ARP proxy completes one switch's handshake and pushes a
+//! route per host, at two table sizes. The proxy writes each route from
+//! parts on its stack into the send buffer, so the difference between
+//! the sizes is the switch's two resident blocks per route and nothing
+//! from the controller. An eighth decodes every message of
+//! `data/of_golden.txt` and requires that no vector is grown while it
+//! is read: matches and lists are sized once from their bytes.
+//!
 //! The allocator is per-binary, so this suite is a test binary of its
 //! own; `bytes::buffer_allocs` is process-wide, so its tests take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::Ipv4Addr;
 
 use bytes::buffer_allocs;
 use bytes::Bytes;
-use controller::apps::{ArpProxy, LearningSwitch};
+use controller::apps::{ArpProxy, HostRoute, LearningSwitch};
 use controller::ControllerNode;
 use harmless::fabric::{FabricSpec, Interconnect};
 use harmless::instance::HarmlessSpec;
@@ -66,6 +76,9 @@ use softswitch::{CostModel, SoftSwitchNode};
 thread_local! {
     /// Heap blocks requested by this thread while `COUNTING` is set.
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Of those, the `realloc` calls: blocks grown or shrunk in place
+    /// of a fresh one.
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Blocks allocated minus blocks freed by this thread while
     /// `COUNTING` is set; a `realloc` moves a block and counts neither.
     static LIVE: Cell<i64> = const { Cell::new(0) };
@@ -119,6 +132,9 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_block();
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            let _ = REALLOCS.try_with(|r| r.set(r.get() + 1));
+        }
         note_live(0, bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr` came from `System`; the rest is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -135,6 +151,15 @@ fn blocks_during(f: impl FnOnce()) -> u64 {
     f();
     COUNTING.with(|c| c.set(false));
     BLOCKS.with(Cell::get) - before
+}
+
+/// Run `f` and return the `realloc` calls this thread made meanwhile.
+fn reallocs_during(f: impl FnOnce()) -> u64 {
+    let before = REALLOCS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    REALLOCS.with(Cell::get) - before
 }
 
 /// Run `f` and return the heap blocks it left allocated on this thread.
@@ -424,6 +449,100 @@ fn a_route_flow_mod_through_the_agent_allocates_only_what_its_rule_keeps() {
         "heap blocks allocated and left live by one route flow-mod: want its match and its \
          program, nothing transient"
     );
+}
+
+/// The heap blocks a controller running the ARP proxy and one switch
+/// allocate, on this thread, from the switch dialing to the proxy's
+/// `routes` host routes installed and acknowledged: the handshake, one
+/// flush of the table-miss entry, the routes and a barrier, the
+/// switch's agent applying them, and the barrier reply.
+fn blocks_to_push_routes(routes: u32) -> u64 {
+    const DPID: u64 = 0x52;
+    let mut proxy = ArpProxy::new();
+    for h in 0..routes {
+        proxy.add_host(HostRoute {
+            ip: Ipv4Addr::from(0x0a00_0000 + h),
+            mac: MacAddr::host(h),
+            ports: vec![(DPID, 1 + h % 4)],
+            guards: Vec::new(),
+        });
+    }
+    let mut net = Network::new(7);
+    let ctrl = net.add_node(ControllerNode::new("ctrl", vec![Box::new(proxy)]));
+    let mut soft = SoftSwitchNode::new(
+        "ss2",
+        DpConfig::software(DPID),
+        1,
+        4096,
+        CostModel::default(),
+    );
+    for p in 1..=4 {
+        soft.add_port(p, format!("p{p}"), 1_000_000);
+    }
+    soft.connect_controller(ctrl);
+    let sw = net.add_node(soft);
+
+    // Well before the first 1 s controller tick and the switch's 500 ms
+    // expiry sweep.
+    let blocks = blocks_during(|| net.run_for(SimTime::from_millis(100)));
+
+    let c = net.node_ref::<ControllerNode>(ctrl);
+    assert_eq!(c.ready_switches(), 1, "the handshake completed");
+    assert_eq!(c.flow_mods_sent(), u64::from(routes) + 1);
+    let rules = net
+        .node_ref::<SoftSwitchNode>(sw)
+        .datapath()
+        .table(0)
+        .map(|t| t.len());
+    assert_eq!(
+        rules,
+        Some(routes as usize + 1),
+        "table-miss entry and every route"
+    );
+    blocks
+}
+
+/// The controller allocates nothing per route it pushes: the proxy
+/// writes each one from parts on its stack into the one send buffer.
+/// Pinned at two table sizes, exactly; between them, each route adds
+/// the two blocks the switch's rule keeps (its match and its program),
+/// and what is left over is the growth of the buffers and tables that
+/// hold them, not a block per route.
+#[test]
+fn a_controller_pushing_routes_allocates_only_the_switch_s_rules() {
+    let _turn = TURN.lock().unwrap();
+    const FEW: u32 = 256;
+    const MANY: u32 = 2_048;
+    let (few, many) = (blocks_to_push_routes(FEW), blocks_to_push_routes(MANY));
+    let per_route = (many - few) / u64::from(MANY - FEW);
+    assert_eq!(
+        per_route, 2,
+        "heap blocks per pushed route: {few} blocks for {FEW} routes, {many} for {MANY}"
+    );
+    assert_eq!(
+        (few, many),
+        (630, 4_295),
+        "heap blocks to push {FEW} and {MANY} routes"
+    );
+}
+
+/// Every sample message decodes into vectors sized once: a match from
+/// its fields' bytes, an action, instruction, bucket or multipart list
+/// from its items' bytes. No vector is grown while it is read.
+#[test]
+fn decoding_a_sample_message_grows_no_vector() {
+    let _turn = TURN.lock().unwrap();
+    for line in include_str!("data/of_golden.txt").lines() {
+        let (name, hex) = line.split_once(' ').expect("`name hex` lines");
+        let wire: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect();
+        let mut decoded = None;
+        let grown = reallocs_during(|| decoded = Some(Message::decode(&wire)));
+        assert!(decoded.is_some_and(|d| d.is_ok()), "{name} decodes");
+        assert_eq!(grown, 0, "{name}: vectors grown while it decoded");
+    }
 }
 
 /// A fabric control scenario like the benchmark's `fabric_ctrl` at a
