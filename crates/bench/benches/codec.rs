@@ -24,14 +24,20 @@
 //! controller's side of the same 512 routes, appended to one send
 //! buffer, in ns per route: built with the `FlowMod` builder, encoded
 //! and dropped, against written from parts on the stack, as the ARP
-//! proxy sends them.
+//! proxy sends them. `codec/snmp/set_round_trip` is one VLAN row write
+//! end to end beside `set_encode` and `set_decode`: an `SnmpClient`
+//! writes the Set, a legacy switch's agent reads it where it lies,
+//! applies it to its bridge through a `BridgeMib` and answers, and the
+//! client reads the answer.
 
 use std::hint::black_box;
 
 use bench::timing::Ledger;
 use bytes::{Bytes, BytesMut};
-use mgmt::pdu::{Pdu, PduType, SnmpMessage, Value};
-use mgmt::{mibs, Oid};
+use legacy_switch::mib::{BridgeMib, SysInfo};
+use legacy_switch::Bridge;
+use mgmt::pdu::{MessageRef, Pdu, PduType, SnmpMessage, Value};
+use mgmt::{agent_respond, mibs, Oid, SnmpClient};
 use netpkt::MacAddr;
 use openflow::instruction::Insn;
 use openflow::message::{FlowMod, FlowModHeader, FlowModParts, Message};
@@ -223,6 +229,20 @@ fn bench_snmp(rep: &mut Ledger) {
     let wire = msg.encode();
     rep.calls("snmp/set_decode", 1, || {
         black_box(SnmpMessage::decode(&wire).unwrap());
+    });
+    let mut bridge = Bridge::new(49);
+    let sys = SysInfo::default();
+    let mut client = SnmpClient::new("public");
+    rep.calls("snmp/set_round_trip", 1, || {
+        let request = client.set(&msg.pdu.bindings);
+        let mut mib = BridgeMib {
+            bridge: &mut bridge,
+            sys: &sys,
+            uptime_cs: 1,
+        };
+        let view = MessageRef::decode(&request).unwrap();
+        let response = agent_respond(&mut mib, "public", &view).unwrap();
+        black_box(client.accept(&response).unwrap().unwrap().error_status);
     });
     let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.5.101".parse().unwrap();
     rep.calls("snmp/oid_encode", 1, || {

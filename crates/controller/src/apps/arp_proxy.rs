@@ -85,15 +85,54 @@ pub struct HostRoute {
     pub guards: Vec<(u64, u32)>,
 }
 
+/// A retired entry, and how many of the datapaths it names have yet to
+/// pass it.
+struct Retired {
+    route: HostRoute,
+    readers: usize,
+}
+
+impl HostRoute {
+    /// Whether the route or a guard is on `dpid`.
+    fn touches(&self, dpid: u64) -> bool {
+        self.ports
+            .iter()
+            .chain(&self.guards)
+            .any(|&(d, _)| d == dpid)
+    }
+
+    /// The distinct datapaths it names.
+    fn datapaths(&self) -> usize {
+        let named = || self.ports.iter().chain(&self.guards).map(|&(d, _)| d);
+        named()
+            .enumerate()
+            .filter(|&(i, d)| !named().take(i).any(|e| e == d))
+            .count()
+    }
+}
+
 /// The ARP-proxy / proactive-routing app. See the module docs.
+///
+/// Neither table outgrows what a datapath may still need. A superseded
+/// or removed entry leaves a tombstone in `hosts`, so no index or push
+/// watermark moves while datapaths catch up; once every datapath has
+/// pushed past them and they number an eighth of the live entries, they
+/// go in one sweep, and `by_ip` and the watermarks shift down to match.
+/// A retired entry is dropped once every datapath it reached has
+/// retracted it (or skipped it, handshaking into empty tables), and the
+/// retraction watermarks shift down with it.
 pub struct ArpProxy {
-    hosts: Vec<HostRoute>,
+    /// Entries in registration order; `None` for a superseded or removed
+    /// one.
+    hosts: Vec<Option<HostRoute>>,
+    /// How many of `hosts` are `None`.
+    tombstones: usize,
     by_ip: HashMap<Ipv4Addr, usize>,
     /// dpid → number of `hosts` entries already installed there.
     pushed: HashMap<u64, usize>,
     /// Superseded/removed entries whose rules must be deleted from the
     /// datapaths they were pushed to.
-    retired: Vec<HostRoute>,
+    retired: Vec<Retired>,
     /// dpid → number of `retired` entries already retracted there.
     retracted: HashMap<u64, usize>,
     answered: u64,
@@ -106,6 +145,7 @@ impl ArpProxy {
     pub fn new() -> ArpProxy {
         ArpProxy {
             hosts: Vec::new(),
+            tombstones: 0,
             by_ip: HashMap::new(),
             pushed: HashMap::new(),
             retired: Vec::new(),
@@ -130,7 +170,7 @@ impl ArpProxy {
     pub fn add_host(&mut self, route: HostRoute) {
         self.retire(route.ip);
         self.by_ip.insert(route.ip, self.hosts.len());
-        self.hosts.push(route);
+        self.hosts.push(Some(route));
     }
 
     /// Drop a host from the table: its ARP entries stop being answered
@@ -150,11 +190,15 @@ impl ArpProxy {
         let Some(&i) = self.by_ip.get(&ip) else {
             return false;
         };
-        let old = self.hosts[i].clone();
-        self.hosts[i].ports.clear();
-        self.hosts[i].guards.clear();
-        if !old.ports.is_empty() || !old.guards.is_empty() {
-            self.retired.push(old);
+        if let Some(old) = self.hosts.get_mut(i).and_then(Option::take) {
+            self.tombstones += 1;
+            let readers = old.datapaths();
+            if readers > 0 {
+                self.retired.push(Retired {
+                    route: old,
+                    readers,
+                });
+            }
         }
         true
     }
@@ -176,7 +220,8 @@ impl ArpProxy {
 
     /// The registered MAC for an IP, if any.
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
-        self.by_ip.get(&ip).map(|&i| self.hosts[i].mac)
+        let &i = self.by_ip.get(&ip)?;
+        self.hosts.get(i)?.as_ref().map(|h| h.mac)
     }
 
     /// Bring `sw`'s datapath up to date with the host table *now*:
@@ -186,7 +231,9 @@ impl ArpProxy {
     /// move must converge without waiting for the next tick.
     pub fn sync_switch(&mut self, sw: &mut SwitchHandle) {
         let retracted = self.retract_routes(sw);
+        self.forget_retracted();
         let pushed = self.push_routes(sw);
+        self.forget_tombstones();
         if retracted || pushed {
             sw.barrier();
         }
@@ -202,15 +249,12 @@ impl ArpProxy {
         let dpid = sw.dpid;
         let from = *self.retracted.get(&dpid).unwrap_or(&0);
         let mut any = false;
-        for h in &self.retired[from.min(self.retired.len())..] {
-            let touches = h
-                .ports
-                .iter()
-                .chain(h.guards.iter())
-                .any(|&(d, _)| d == dpid);
-            if !touches {
+        let start = from.min(self.retired.len());
+        for Retired { route: h, readers } in &mut self.retired[start..] {
+            if !h.touches(dpid) {
                 continue;
             }
+            *readers -= 1;
             any = true;
             self.routes_retracted += 1;
             sw.send_flow_mod(FlowModParts::<&[Action]> {
@@ -226,15 +270,29 @@ impl ArpProxy {
         any
     }
 
+    /// Drop the leading retired entries that every datapath they name
+    /// has passed, shifting the watermarks down to match: a datapath
+    /// behind one of them is not named by it, so it reads nothing there.
+    fn forget_retracted(&mut self) {
+        let done = self.retired.iter().take_while(|r| r.readers == 0).count();
+        if done > 0 {
+            self.retired.drain(..done);
+            for mark in self.retracted.values_mut() {
+                *mark = mark.saturating_sub(done);
+            }
+        }
+    }
+
     /// Install rules for every host not yet pushed to `sw`'s datapath.
-    /// Returns true if anything was sent.
+    /// Returns true if any entry was past its watermark, even a
+    /// tombstone.
     fn push_routes(&mut self, sw: &mut SwitchHandle) -> bool {
         let dpid = sw.dpid;
         let from = *self.pushed.get(&dpid).unwrap_or(&0);
         if from >= self.hosts.len() {
             return false;
         }
-        for h in &self.hosts[from..] {
+        for h in self.hosts[from..].iter().flatten() {
             for &(d, in_port) in &h.guards {
                 if d != dpid {
                     continue;
@@ -259,6 +317,31 @@ impl ArpProxy {
         }
         self.pushed.insert(dpid, self.hosts.len());
         true
+    }
+
+    /// Sweep the tombstones out of `hosts` once every datapath has
+    /// pushed the whole table and they number an eighth of the live
+    /// entries: a sweep
+    /// re-points `by_ip` at every entry that moved down, so it waits
+    /// until it frees that many. Every watermark is then the table's
+    /// end, so each moves down by the same count.
+    fn forget_tombstones(&mut self) {
+        let len = self.hosts.len();
+        if self.tombstones == 0 || self.tombstones * 8 < len - self.tombstones {
+            return;
+        }
+        if self.pushed.values().any(|&mark| mark < len) {
+            return;
+        }
+        self.hosts.retain(Option::is_some);
+        for (i, h) in self.hosts.iter().enumerate() {
+            if let Some(h) = h {
+                self.by_ip.insert(h.ip, i);
+            }
+        }
+        let swept = len - self.hosts.len();
+        self.pushed.values_mut().for_each(|mark| *mark -= swept);
+        self.tombstones = 0;
     }
 }
 
@@ -288,7 +371,13 @@ impl App for ArpProxy {
         // rules that no longer exist are skipped (deleting into a fresh
         // table would be a harmless no-op, but it is dead traffic).
         self.pushed.insert(sw.dpid, 0);
-        self.retracted.insert(sw.dpid, self.retired.len());
+        let from = self.retracted.insert(sw.dpid, self.retired.len());
+        let start = from.unwrap_or(0).min(self.retired.len());
+        for r in &mut self.retired[start..] {
+            if r.route.touches(sw.dpid) {
+                r.readers -= 1;
+            }
+        }
         // Table-miss punt, so ARP broadcasts (which no dst-MAC route
         // matches) reach the proxy. Idempotent with the learning
         // switch's identical entry.
@@ -446,5 +535,79 @@ mod tests {
         );
         // Table-miss + host 1's route; host 2's tombstone installs nothing.
         assert_eq!(mods.len(), 2);
+    }
+
+    /// A large table is swept once its tombstones number an eighth of its
+    /// live entries: 1 000 moves among 512 hosts, each synced, never
+    /// leave more,
+    /// and every host still answers with its latest entry.
+    #[test]
+    fn a_large_table_keeps_at_most_an_eighth_in_tombstones() {
+        let mut p = ArpProxy::new();
+        let mut q = Outbox::default();
+        p.on_switch_ready(&mut test_handle(0x52, &mut q));
+        let ip = |h: u32| Ipv4Addr::from(0x0a00_0000 + h);
+        for h in 0..512 {
+            p.add_host(route(ip(h).octets(), h));
+        }
+        for i in 0..1_000u32 {
+            let h = i * 7 % 512;
+            p.add_host(route(ip(h).octets(), 1_000 + i));
+            q.buf.clear();
+            p.sync_switch(&mut test_handle(0x52, &mut q));
+            assert!(
+                p.hosts.len() <= 512 + 512 / 8,
+                "move {i}: {}",
+                p.hosts.len()
+            );
+        }
+        assert_eq!(p.hosts_known(), 512);
+        assert_eq!(p.hosts.iter().flatten().count(), 512);
+        for i in 1_000 - 512..1_000u32 {
+            assert_eq!(p.lookup(ip(i * 7 % 512)), Some(MacAddr::host(1_000 + i)));
+        }
+    }
+
+    /// A long-lived proxy holds only what a datapath may still need: 1 000
+    /// re-registrations of seven hosts, moving between two datapaths and
+    /// each followed by a sync of both, leave one entry per host and no
+    /// retired entry, while every superseded route was retracted where it
+    /// was installed.
+    #[test]
+    fn re_registrations_leave_no_superseded_entry_behind() {
+        let mut p = ArpProxy::new();
+        let (mut q52, mut q53) = (Outbox::default(), Outbox::default());
+        p.on_switch_ready(&mut test_handle(0x52, &mut q52));
+        p.on_switch_ready(&mut test_handle(0x53, &mut q53));
+        let mut deletes = 0;
+        for i in 0..1_000u32 {
+            let at = if i % 2 == 0 { 0x52 } else { 0x53 };
+            p.add_host(HostRoute {
+                ip: Ipv4Addr::new(10, 0, 0, (i % 7) as u8),
+                mac: MacAddr::host(i % 7),
+                ports: vec![(at, 1 + i % 3)],
+                guards: vec![(0x53, 9)],
+            });
+            q52.buf.clear();
+            q53.buf.clear();
+            p.sync_switch(&mut test_handle(0x52, &mut q52));
+            p.sync_switch(&mut test_handle(0x53, &mut q53));
+            deletes += [&q52, &q53]
+                .iter()
+                .flat_map(|q| flow_mods(&q.buf))
+                .filter(|(c, _)| *c == FlowModCommand::Delete)
+                .count();
+        }
+        assert_eq!(p.hosts_known(), 7);
+        assert_eq!(p.hosts.len(), p.hosts_known());
+        assert!(p.retired.is_empty());
+        for i in 0..7 {
+            let ip = Ipv4Addr::new(10, 0, 0, i);
+            assert_eq!(p.lookup(ip), Some(MacAddr::host(u32::from(i))));
+        }
+        // 993 superseded entries, each guarded on 0x53; the 497 of them
+        // routed on 0x52 are retracted there too.
+        assert_eq!(deletes, 993 + 497);
+        assert_eq!(p.routes_retracted(), 993 + 497);
     }
 }

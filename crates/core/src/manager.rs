@@ -24,7 +24,8 @@
 use bytes::{Bytes, BytesMut};
 
 use mgmt::driver::{detect_dialect, DesiredVlanConfig, Driver, SnmpOp, VlanDef};
-use mgmt::{mibs, Oid, SnmpClient, Value};
+use mgmt::pdu::{MessageRef, ValueRef};
+use mgmt::{mibs, Oid, SnmpClient};
 use netsim::{Node, NodeCtx, NodeId, PortId, SimTime};
 use openflow::message::Message;
 use softswitch::node::admin_set_controller;
@@ -266,18 +267,13 @@ impl HarmlessManager {
             }
             return;
         }
-        let op = self.plan[self.plan_idx].clone();
+        // The step is written from the plan where it lies.
+        let req = match &self.plan[self.plan_idx] {
+            SnmpOp::Set(bindings) => self.snmp.set(bindings),
+            SnmpOp::Verify(oid, _expect) => self.snmp.get(std::slice::from_ref(oid)),
+        };
         let legacy = self.config.legacy;
-        match op {
-            SnmpOp::Set(bindings) => {
-                let req = self.snmp.set(bindings);
-                self.send_tracked(legacy, req, Await::SnmpResponse, ctx);
-            }
-            SnmpOp::Verify(oid, _expect) => {
-                let req = self.snmp.get(&[oid]);
-                self.send_tracked(legacy, req, Await::SnmpResponse, ctx);
-            }
-        }
+        self.send_tracked(legacy, req, Await::SnmpResponse, ctx);
     }
 
     fn start_rollback(&mut self, reason: String, ctx: &mut NodeCtx) {
@@ -299,9 +295,8 @@ impl HarmlessManager {
             self.enter(ManagerPhase::RolledBack(reason), ctx);
             return;
         }
-        let op = self.plan[self.plan_idx].clone();
         let legacy = self.config.legacy;
-        if let SnmpOp::Set(bindings) = op {
+        if let SnmpOp::Set(bindings) = &self.plan[self.plan_idx] {
             let req = self.snmp.set(bindings);
             self.send_tracked(legacy, req, Await::SnmpResponse, ctx);
         } else {
@@ -359,9 +354,9 @@ impl HarmlessManager {
     /// React to a sysUpTime reading: a value below the previous one
     /// means the switch rebooted into factory defaults, so re-run the
     /// SNMP configuration plan against it.
-    fn handle_uptime(&mut self, pdu: &mgmt::Pdu, ctx: &mut NodeCtx) {
-        let got = pdu.bindings.first().and_then(|(_, v)| match v {
-            Value::TimeTicks(t) => Some(*t),
+    fn handle_uptime(&mut self, response: &MessageRef<'_>, ctx: &mut NodeCtx) {
+        let got = response.bindings.first().and_then(|vb| match vb.value {
+            ValueRef::TimeTicks(t) => Some(t),
             _ => None,
         });
         if let Some(t) = got {
@@ -384,24 +379,24 @@ impl HarmlessManager {
     }
 
     fn handle_snmp(&mut self, data: &Bytes, ctx: &mut NodeCtx) {
-        let Ok(Some(pdu)) = self.snmp.accept(data) else {
+        // The response is read where it lies.
+        let Ok(Some(response)) = self.snmp.accept(data) else {
             return;
         };
         let was_awaiting = std::mem::replace(&mut self.awaiting, Await::None);
         if matches!(was_awaiting, Await::UptimePoll) {
-            self.handle_uptime(&pdu, ctx);
+            self.handle_uptime(&response, ctx);
             return;
         }
+        let status = response.error_status;
         match self.phase.clone() {
             ManagerPhase::Discovering => {
-                if pdu.error_status != mgmt::ErrorStatus::NoError || pdu.bindings.len() < 3 {
+                if status != mgmt::ErrorStatus::NoError || response.bindings.len() < 3 {
                     self.enter(ManagerPhase::Failed("discovery failed".into()), ctx);
                     return;
                 }
-                self.facts_descr = match &pdu.bindings[0].1 {
-                    Value::OctetString(b) => String::from_utf8_lossy(b).into_owned(),
-                    _ => String::new(),
-                };
+                let descr = response.bindings.first().and_then(|vb| vb.value.as_bytes());
+                self.facts_descr = String::from_utf8_lossy(descr.unwrap_or_default()).into_owned();
                 self.build_plan();
                 self.enter(ManagerPhase::Configuring, ctx);
                 self.step_plan(ctx);
@@ -410,19 +405,17 @@ impl HarmlessManager {
                 let op = &self.plan[self.plan_idx];
                 match op {
                     SnmpOp::Set(_) => {
-                        if pdu.error_status != mgmt::ErrorStatus::NoError {
-                            self.start_rollback(
-                                format!("set rejected: {:?}", pdu.error_status),
-                                ctx,
-                            );
+                        if status != mgmt::ErrorStatus::NoError {
+                            self.start_rollback(format!("set rejected: {status:?}"), ctx);
                             return;
                         }
                     }
                     SnmpOp::Verify(oid, expect) => {
                         self.verifies_done += 1;
                         let injected = self.config.fail_verify_at == Some(self.verifies_done);
-                        let got = pdu.bindings.first().map(|(_, v)| v.clone());
-                        let matches = got.as_ref() == Some(expect);
+                        // The value read back is compared where it lies.
+                        let first = response.bindings.first();
+                        let matches = first.is_some_and(|vb| vb.value == *expect);
                         if injected || !matches {
                             self.start_rollback(format!("verification mismatch at {oid}"), ctx);
                             return;

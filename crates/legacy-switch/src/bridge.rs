@@ -62,6 +62,13 @@ impl PortSet {
         }
     }
 
+    /// Keep only the members `other` has too.
+    pub fn intersect(&mut self, other: &PortSet) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            *w &= other.words.get(i).copied().unwrap_or(0);
+        }
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -367,6 +374,10 @@ impl Bridge {
         Ok(())
     }
 
+    fn check_ports(&self, ports: &PortSet) -> Result<(), BridgeConfigError> {
+        ports.iter().try_for_each(|p| self.check_port(p))
+    }
+
     /// Create an (empty) VLAN; idempotent for existing VLANs.
     pub fn create_vlan(&mut self, vid: u16) -> Result<(), BridgeConfigError> {
         if !VlanTag::vid_is_valid(vid) {
@@ -394,32 +405,31 @@ impl Bridge {
     }
 
     /// Replace a VLAN's egress port set.
-    pub fn set_egress(&mut self, vid: u16, ports: &[u16]) -> Result<(), BridgeConfigError> {
-        for &p in ports {
-            self.check_port(p)?;
-        }
+    pub fn set_egress(
+        &mut self,
+        vid: u16,
+        ports: impl IntoIterator<Item = u16>,
+    ) -> Result<(), BridgeConfigError> {
+        let egress: PortSet = ports.into_iter().collect();
+        self.check_ports(&egress)?;
         let e = self.vlan_mut(vid)?;
-        e.egress = ports.iter().copied().collect();
-        e.untagged = e
-            .untagged
-            .iter()
-            .filter(|&p| e.egress.contains(p))
-            .collect();
+        e.untagged.intersect(&egress);
+        e.egress = egress;
         Ok(())
     }
 
     /// Replace a VLAN's untagged port set (must be ⊆ egress; enforced by
     /// intersection, as real agents do).
-    pub fn set_untagged(&mut self, vid: u16, ports: &[u16]) -> Result<(), BridgeConfigError> {
-        for &p in ports {
-            self.check_port(p)?;
-        }
+    pub fn set_untagged(
+        &mut self,
+        vid: u16,
+        ports: impl IntoIterator<Item = u16>,
+    ) -> Result<(), BridgeConfigError> {
+        let mut untagged: PortSet = ports.into_iter().collect();
+        self.check_ports(&untagged)?;
         let e = self.vlan_mut(vid)?;
-        e.untagged = ports
-            .iter()
-            .copied()
-            .filter(|&p| e.egress.contains(p))
-            .collect();
+        untagged.intersect(&e.egress);
+        e.untagged = untagged;
         Ok(())
     }
 
@@ -620,10 +630,11 @@ impl Bridge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mib::tests::next;
     use crate::mib::{BridgeMib, SysInfo};
+    use mgmt::mibs;
     use mgmt::oid::Oid;
     use mgmt::pdu::Value;
-    use mgmt::{mibs, MibStore};
     use netpkt::builder;
     use netpkt::EtherType;
     use proptest::prelude::*;
@@ -842,11 +853,11 @@ mod tests {
             BridgeConfigError::NoSuchVlan
         );
         assert_eq!(
-            b.set_egress(99, &[1]).unwrap_err(),
+            b.set_egress(99, [1]).unwrap_err(),
             BridgeConfigError::NoSuchVlan
         );
         assert_eq!(
-            b.set_egress(1, &[7]).unwrap_err(),
+            b.set_egress(1, [7]).unwrap_err(),
             BridgeConfigError::BadPort
         );
     }
@@ -855,14 +866,14 @@ mod tests {
     fn untagged_set_clamped_to_egress() {
         let mut b = Bridge::new(4);
         b.create_vlan(10).unwrap();
-        b.set_egress(10, &[1, 2]).unwrap();
-        b.set_untagged(10, &[1, 3]).unwrap(); // 3 is not a member
+        b.set_egress(10, [1, 2]).unwrap();
+        b.set_untagged(10, [1, 3]).unwrap(); // 3 is not a member
         assert_eq!(
             b.vlan(10).unwrap().untagged.iter().collect::<Vec<_>>(),
             vec![1]
         );
         // Shrinking egress shrinks untagged too.
-        b.set_egress(10, &[2]).unwrap();
+        b.set_egress(10, [2]).unwrap();
         assert!(b.vlan(10).unwrap().untagged.is_empty());
     }
 
@@ -925,16 +936,26 @@ mod tests {
             Ok(())
         }
 
-        fn set_egress(&mut self, vid: u16, ports: &[u16]) -> Result<(), BridgeConfigError> {
-            self.ports_ok(ports)?;
+        fn set_egress(
+            &mut self,
+            vid: u16,
+            ports: impl IntoIterator<Item = u16>,
+        ) -> Result<(), BridgeConfigError> {
+            let ports: Vec<u16> = ports.into_iter().collect();
+            self.ports_ok(&ports)?;
             let (egress, untagged) = self.vlan(vid)?;
             *egress = ports.iter().copied().collect();
             untagged.retain(|p| egress.contains(p));
             Ok(())
         }
 
-        fn set_untagged(&mut self, vid: u16, ports: &[u16]) -> Result<(), BridgeConfigError> {
-            self.ports_ok(ports)?;
+        fn set_untagged(
+            &mut self,
+            vid: u16,
+            ports: impl IntoIterator<Item = u16>,
+        ) -> Result<(), BridgeConfigError> {
+            let ports: Vec<u16> = ports.into_iter().collect();
+            self.ports_ok(&ports)?;
             let (egress, untagged) = self.vlan(vid)?;
             *untagged = ports
                 .iter()
@@ -1055,7 +1076,7 @@ mod tests {
         let table = Oid::new(mibs::VLAN_STATIC_ENTRY);
         let mut walked = Vec::new();
         let mut cur = table.clone();
-        while let Some(row) = mib.next(&cur).filter(|(oid, _)| table.contains(oid)) {
+        while let Some(row) = next(&mib, &cur).filter(|(oid, _)| table.contains(oid)) {
             cur = row.0.clone();
             walked.push(row);
         }
@@ -1093,8 +1114,8 @@ mod tests {
                 macro_rules! configure {
                     ($x:expr) => {
                         match op {
-                            0 => $x.set_egress(vid, &ports),
-                            1 => $x.set_untagged(vid, &ports),
+                            0 => $x.set_egress(vid, ports.iter().copied()),
+                            1 => $x.set_untagged(vid, ports.iter().copied()),
                             2 => $x.make_access_port(port, vid),
                             3 => $x.make_trunk_port(port, &vids),
                             4 => $x.destroy_vlan(vid),

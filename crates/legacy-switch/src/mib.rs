@@ -5,9 +5,11 @@
 //! exactly the path the HARMLESS Manager's NAPALM dialects use.
 //! Each request is answered from the bridge itself — an OID splits into
 //! a column of `COLUMNS` and one index arc — not from a built table.
+//! Names and SET bindings are read where the request holds them: a
+//! name's bytes, a port list's bits.
 
-use mgmt::oid::Oid;
-use mgmt::pdu::{ErrorStatus, Value};
+use mgmt::oid::{Oid, OidBytes, OidRef};
+use mgmt::pdu::{ErrorStatus, Value, ValueRef, VarBinds};
 use mgmt::{mibs, MibStore};
 
 use netpkt::vlan::VlanTag;
@@ -97,12 +99,26 @@ const COLUMNS: [(&[u32], Column); 12] = [
     (mibs::PVID, Column::Pvid),
 ];
 
+/// Each column of [`COLUMNS`] as a request's names hold it, to match
+/// them byte for byte.
+const COLUMN_BYTES: [OidBytes; COLUMNS.len()] = {
+    let mut out = [OidBytes::new(&[0, 0]); COLUMNS.len()];
+    let mut i = 0;
+    while i < COLUMNS.len() {
+        out[i] = OidBytes::new(COLUMNS[i].0);
+        i += 1;
+    }
+    out
+};
+
 impl BridgeMib<'_> {
-    /// Split an instance OID into its column and index arc.
-    fn decompose(oid: &Oid) -> Option<(Column, u32)> {
-        let (&instance, column) = oid.arcs().split_last()?;
-        let (_, c) = COLUMNS.iter().find(|(prefix, _)| *prefix == column)?;
-        Some((*c, instance))
+    /// Split an instance name into its column and index arc: the bytes
+    /// before its last arc are one column's.
+    fn decompose(name: OidRef<'_>) -> Option<(Column, u32)> {
+        let (stem, index) = name.split_last()?;
+        let at = COLUMN_BYTES.iter().position(|c| c.bytes() == stem)?;
+        let (_, column) = COLUMNS.get(at)?;
+        Some((*column, index))
     }
 
     /// The value of one instance, if it exists. The arc is narrowed
@@ -165,13 +181,16 @@ impl BridgeMib<'_> {
 }
 
 impl MibStore for BridgeMib<'_> {
-    fn get(&self, oid: &Oid) -> Option<Value> {
-        let (column, instance) = Self::decompose(oid)?;
+    fn get(&self, name: OidRef<'_>) -> Option<Value> {
+        let (column, instance) = Self::decompose(name)?;
         self.value(column, instance)
     }
 
-    fn next(&self, oid: &Oid) -> Option<(Oid, Value)> {
-        let arcs = oid.arcs();
+    fn next(&self, name: OidRef<'_>) -> Option<(Oid, Value)> {
+        // A walk's step, not a configuration write: the name is read
+        // into an owned OID.
+        let name = name.to_owned();
+        let arcs = name.arcs();
         COLUMNS.iter().find_map(|&(prefix, column)| {
             // Inside the column's subtree the arc after the prefix says
             // where to resume — a longer OID sorts between that instance
@@ -190,37 +209,51 @@ impl MibStore for BridgeMib<'_> {
         })
     }
 
-    fn set(&mut self, bindings: &[(Oid, Value)]) -> Result<(), (usize, ErrorStatus)> {
+    fn set(&mut self, bindings: VarBinds<'_>) -> Result<(), (usize, ErrorStatus)> {
         // Every binding is checked before any is written, against the
         // bridge as the bindings before it would leave it — which differs
-        // from the bridge only in which VLANs exist.
-        let mut changes: Vec<Change> = Vec::with_capacity(bindings.len());
-        for (i, (oid, value)) in bindings.iter().enumerate() {
-            let change = Change::decode(oid, value).map_err(|status| (i, status))?;
+        // from the bridge only in which VLANs exist. The changes of a
+        // request of up to four bindings (a row write is three) wait on
+        // the stack for the writes; a longer one is read again. Nothing
+        // is allocated.
+        let changes = || bindings.iter().map(|vb| Change::decode(vb.name, vb.value));
+        let n_ports = self.bridge.n_ports();
+        let mut kept = [None; 4];
+        for (i, change) in changes().enumerate() {
+            let change = change.map_err(|status| (i, status))?;
             let exists = |vid| {
-                let earlier = changes.iter().rev().find_map(|c| c.row(vid));
+                let earlier = changes().take(i).filter_map(|c| c.ok()?.row(vid)).last();
                 earlier.unwrap_or_else(|| self.bridge.vlan(vid).is_some())
             };
-            if !change.accepted(self.bridge.n_ports(), exists) {
+            if !change.accepted(n_ports, exists) {
                 return Err((i, ErrorStatus::WrongValue));
             }
-            changes.push(change);
+            if let Some(slot) = kept.get_mut(i) {
+                *slot = Some(change);
+            }
         }
-        for change in changes {
+        let mut apply = |change: Change| {
             change
                 .apply(self.bridge)
-                .expect("every change was checked before any was written");
+                .expect("every change was checked before any was written")
+        };
+        if bindings.len() <= kept.len() {
+            kept.into_iter().flatten().for_each(&mut apply);
+        } else {
+            changes().flatten().for_each(apply);
         }
         Ok(())
     }
 }
 
-/// One SET binding, decoded: the change it asks of the bridge.
-enum Change {
+/// One SET binding, decoded: the change it asks of the bridge. A port
+/// list stays the bytes the request holds.
+#[derive(Clone, Copy)]
+enum Change<'a> {
     /// A VLAN's egress ports, creating the VLAN if it does not exist.
-    Egress(u16, Vec<u16>),
+    Egress(u16, &'a [u8]),
     /// A VLAN's untagged ports, likewise.
-    Untagged(u16, Vec<u16>),
+    Untagged(u16, &'a [u8]),
     /// `createAndGo` of a VLAN.
     Create(u16),
     /// `destroy` of a VLAN.
@@ -229,25 +262,28 @@ enum Change {
     Pvid(u16, u16),
 }
 
-impl Change {
+impl<'a> Change<'a> {
     /// Decode one binding. Only the VLAN table and PVIDs are writable;
     /// everything else, sysName included, keeps its identity.
-    fn decode(oid: &Oid, value: &Value) -> Result<Change, ErrorStatus> {
+    fn decode(name: OidRef<'_>, value: ValueRef<'a>) -> Result<Change<'a>, ErrorStatus> {
         fn wrong<E>(_: E) -> ErrorStatus {
             ErrorStatus::WrongValue
         }
-        let (column, instance) = BridgeMib::decompose(oid)
+        let (column, instance) = BridgeMib::decompose(name)
             .filter(|(c, _)| *c == Column::Pvid || c.index() == Index::Vlan)
             .ok_or(ErrorStatus::NotWritable)?;
         let index = u16::try_from(instance).map_err(wrong)?;
         Ok(match column {
             Column::VlanEgress | Column::VlanUntagged => {
                 let bytes = value.as_bytes().ok_or(ErrorStatus::WrongType)?;
-                let ports = mibs::decode_portlist(bytes).ok_or(ErrorStatus::WrongValue)?;
+                // A port list names no port beyond `u16`.
+                if mibs::portlist_max(bytes) > Some(usize::from(u16::MAX)) {
+                    return Err(ErrorStatus::WrongValue);
+                }
                 if column == Column::VlanEgress {
-                    Change::Egress(index, ports)
+                    Change::Egress(index, bytes)
                 } else {
-                    Change::Untagged(index, ports)
+                    Change::Untagged(index, bytes)
                 }
             }
             Column::VlanRowStatus => match value.as_int() {
@@ -279,25 +315,27 @@ impl Change {
     /// names, takes the change: [`Bridge`]'s own rules, which ask only
     /// for valid VLAN ids, ports it has and VLANs that exist.
     fn accepted(&self, n_ports: u16, exists: impl Fn(u16) -> bool) -> bool {
-        let port = |p: &u16| (1..=n_ports).contains(p);
         match self {
             Change::Egress(vid, ports) | Change::Untagged(vid, ports) => {
-                VlanTag::vid_is_valid(*vid) && ports.iter().all(port)
+                VlanTag::vid_is_valid(*vid)
+                    && mibs::portlist_max(ports) <= Some(usize::from(n_ports))
             }
             Change::Create(vid) => VlanTag::vid_is_valid(*vid),
             Change::Destroy(vid) => exists(*vid),
-            Change::Pvid(p, vid) => port(p) && exists(*vid),
+            Change::Pvid(p, vid) => (1..=n_ports).contains(p) && exists(*vid),
         }
     }
 
     fn apply(self, bridge: &mut Bridge) -> Result<(), BridgeConfigError> {
+        // Decoding kept every port within `u16`.
+        let ports = |list| mibs::portlist_ports(list).filter_map(|p| u16::try_from(p).ok());
         match self {
-            Change::Egress(vid, ports) => bridge
+            Change::Egress(vid, list) => bridge
                 .create_vlan(vid)
-                .and_then(|()| bridge.set_egress(vid, &ports)),
-            Change::Untagged(vid, ports) => bridge
+                .and_then(|()| bridge.set_egress(vid, ports(list))),
+            Change::Untagged(vid, list) => bridge
                 .create_vlan(vid)
-                .and_then(|()| bridge.set_untagged(vid, &ports)),
+                .and_then(|()| bridge.set_untagged(vid, ports(list))),
             Change::Create(vid) => bridge.create_vlan(vid),
             Change::Destroy(vid) => bridge.destroy_vlan(vid),
             Change::Pvid(port, vid) => bridge.set_pvid(port, vid),
@@ -306,10 +344,45 @@ impl Change {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use mgmt::pdu::{Pdu, PduType, SnmpMessage};
+    use mgmt::pdu::{MessageRef, Pdu, PduType, SnmpMessage};
     use mgmt::store::agent_respond;
+
+    /// A request of `bindings` as an agent reads it: `f` is handed its
+    /// view.
+    fn request<R>(ty: PduType, bindings: &[(Oid, Value)], f: impl FnOnce(MessageRef) -> R) -> R {
+        let wire = SnmpMessage::new("public", Pdu::request(ty, 1, bindings.to_vec())).encode();
+        f(MessageRef::decode(&wire).unwrap())
+    }
+
+    /// `MibStore::get` of `name`, as a request holds it.
+    fn get(mib: &BridgeMib, name: &Oid) -> Option<Value> {
+        let binding = [(name.clone(), Value::Null)];
+        request(PduType::Get, &binding, |r| {
+            mib.get(r.bindings.first().unwrap().name)
+        })
+    }
+
+    /// `MibStore::next` of `name`, as a request holds it.
+    pub(crate) fn next(mib: &BridgeMib, name: &Oid) -> Option<(Oid, Value)> {
+        let binding = [(name.clone(), Value::Null)];
+        request(PduType::GetNext, &binding, |r| {
+            mib.next(r.bindings.first().unwrap().name)
+        })
+    }
+
+    /// `MibStore::set` of `bindings`, as a request holds them.
+    fn set(mib: &mut BridgeMib, bindings: &[(Oid, Value)]) -> Result<(), (usize, ErrorStatus)> {
+        request(PduType::Set, bindings, |r| mib.set(r.bindings))
+    }
+
+    /// The agent's answer to `req`, sent and received as bytes.
+    fn respond(mib: &mut BridgeMib, req: &SnmpMessage) -> SnmpMessage {
+        let wire = req.encode();
+        let resp = agent_respond(mib, "public", &MessageRef::decode(&wire).unwrap()).unwrap();
+        SnmpMessage::decode(&resp).unwrap()
+    }
 
     /// The oracle: every instance this agent serves with its current
     /// value, enumerated from the bridge and sorted — what `get` and
@@ -383,9 +456,9 @@ mod tests {
     /// `get` and `next` answer `oid` as a search of the snapshot would.
     fn assert_agrees(mib: &BridgeMib, rows: &[(Oid, Value)], oid: &Oid) {
         let row = rows.iter().find(|(o, _)| o == oid);
-        assert_eq!(mib.get(oid), row.map(|(_, v)| v.clone()), "get {oid}");
+        assert_eq!(get(mib, oid), row.map(|(_, v)| v.clone()), "get {oid}");
         let after = rows.iter().find(|(o, _)| o > oid);
-        assert_eq!(mib.next(oid), after.cloned(), "next {oid}");
+        assert_eq!(next(mib, oid), after.cloned(), "next {oid}");
     }
 
     #[test]
@@ -395,6 +468,17 @@ mod tests {
         for w in COLUMNS.windows(2) {
             let [(a, _), (b, _)] = [w[0], w[1]];
             assert!(a < b && !b.starts_with(a), "{a:?} before {b:?}");
+        }
+        // Each column's bytes are its arcs' and no other's.
+        for (bytes, (arcs, _)) in COLUMN_BYTES.iter().zip(COLUMNS) {
+            let wire = mgmt::SnmpClient::new("public").get(&[Oid::new(arcs)]);
+            let name = MessageRef::decode(&wire)
+                .unwrap()
+                .bindings
+                .first()
+                .unwrap()
+                .name;
+            assert_eq!(name.contents(), bytes.bytes(), "{arcs:?}");
         }
     }
 
@@ -427,10 +511,10 @@ mod tests {
                 // A walk from the root visits the snapshot, in its order.
                 let mut cur: Oid = "1".parse().unwrap();
                 for row in &rows {
-                    assert_eq!(mib.next(&cur).as_ref(), Some(row));
+                    assert_eq!(next(mib, &cur).as_ref(), Some(row));
                     cur = row.0.clone();
                 }
-                assert_eq!(mib.next(&cur), None);
+                assert_eq!(next(mib, &cur), None);
                 for (oid, _) in &rows {
                     let (last, stem) = oid.arcs().split_last().unwrap();
                     // The row, its column, a longer OID under it, the
@@ -490,7 +574,7 @@ mod tests {
             let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.2.65541".parse().unwrap();
             let ports = Value::OctetString(mibs::encode_portlist(&[2, 3], 4));
             assert_eq!(set1(mib, &oid, &ports), Err(ErrorStatus::WrongValue));
-            assert_eq!(mib.get(&oid), None);
+            assert_eq!(get(mib, &oid), None);
         });
         assert_eq!(format!("{:?}", b.vlans()), before, "VLAN 5 untouched");
     }
@@ -505,7 +589,7 @@ mod tests {
             let oid: Oid = "1.3.6.1.2.1.17.7.1.4.3.1.258.5".parse().unwrap();
             let ports = Value::OctetString(mibs::encode_portlist(&[2, 3], 4));
             assert_eq!(set1(mib, &oid, &ports), Err(ErrorStatus::NotWritable));
-            assert_eq!(mib.get(&oid), None);
+            assert_eq!(get(mib, &oid), None);
         });
         assert_eq!(format!("{:?}", b.vlans()), before, "VLAN 5 untouched");
     }
@@ -539,15 +623,14 @@ mod tests {
                 set1(mib, &oid, &Value::Gauge32(7)),
                 Err(ErrorStatus::WrongValue)
             );
-            assert_eq!(mib.get(&oid), None);
+            assert_eq!(get(mib, &oid), None);
         });
         assert_eq!(b.pvid(1), 1, "port 1 untouched");
     }
 
     /// One binding through the store's all-or-nothing `set`.
     fn set1(mib: &mut BridgeMib, oid: &Oid, value: &Value) -> Result<(), ErrorStatus> {
-        mib.set(&[(oid.clone(), value.clone())])
-            .map_err(|(_, status)| status)
+        set(mib, &[(oid.clone(), value.clone())]).map_err(|(_, status)| status)
     }
 
     fn with_mib<R>(bridge: &mut Bridge, f: impl FnOnce(&mut BridgeMib) -> R) -> R {
@@ -565,17 +648,13 @@ mod tests {
         let mut b = Bridge::new(4);
         b.make_access_port(1, 101).unwrap();
         with_mib(&mut b, |mib| {
-            let v = mib.get(&Oid::instance(mibs::PVID, 1)).unwrap();
+            let v = get(mib, &Oid::instance(mibs::PVID, 1)).unwrap();
             assert_eq!(v, Value::Gauge32(101));
-            let v = mib
-                .get(&Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101))
-                .unwrap();
+            let v = get(mib, &Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101)).unwrap();
             assert_eq!(v, Value::Integer(mibs::ROW_ACTIVE));
-            let v = mib.get(&Oid::instance(mibs::IF_NUMBER, 0)).unwrap();
+            let v = get(mib, &Oid::instance(mibs::IF_NUMBER, 0)).unwrap();
             assert_eq!(v, Value::Integer(4));
-            assert!(mib
-                .get(&Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 999))
-                .is_none());
+            assert!(get(mib, &Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 999)).is_none());
         });
     }
 
@@ -693,7 +772,7 @@ mod tests {
         ];
         for (id, bindings) in (1..).zip(requests) {
             let req = SnmpMessage::new("public", Pdu::request(PduType::Set, id, bindings));
-            let resp = agent_respond(&mut mib, "public", &req).unwrap();
+            let resp = respond(&mut mib, &req);
             assert_ne!(resp.pdu.error_status, ErrorStatus::NoError);
             assert_eq!(resp.pdu.error_index, 2, "the second binding is named");
         }
@@ -792,26 +871,30 @@ mod tests {
                 })
                 .collect();
             let mut refused = None;
-            for (i, (oid, value)) in bindings.iter().enumerate() {
-                let change = Change::decode(oid, value).expect("a writable, well-typed binding");
-                let accepted = change.accepted(n, |vid| b.vlan(vid).is_some());
-                let taken = change.apply(&mut b).is_ok();
-                assert_eq!(
-                    accepted, taken,
-                    "case {case}, binding {i}: {oid} = {value:?}"
-                );
-                if !taken {
-                    refused = Some(i);
-                    break;
+            request(PduType::Set, &bindings, |r| {
+                for (i, vb) in r.bindings.iter().enumerate() {
+                    let change =
+                        Change::decode(vb.name, vb.value).expect("a writable, well-typed binding");
+                    let accepted = change.accepted(n, |vid| b.vlan(vid).is_some());
+                    let taken = change.apply(&mut b).is_ok();
+                    let (oid, value) = &bindings[i];
+                    assert_eq!(
+                        accepted, taken,
+                        "case {case}, binding {i}: {oid} = {value:?}"
+                    );
+                    if !taken {
+                        refused = Some(i);
+                        break;
+                    }
                 }
-            }
+            });
             let before = state(&a);
             let mut mib = BridgeMib {
                 bridge: &mut a,
                 sys: &sys,
                 uptime_cs: 1,
             };
-            let result = mib.set(&bindings);
+            let result = set(&mut mib, &bindings);
             match refused {
                 None => {
                     assert_eq!(result, Ok(()), "case {case}");
@@ -850,7 +933,7 @@ mod tests {
                 "public",
                 Pdu::request(PduType::GetNext, count, vec![(cur.clone(), Value::Null)]),
             );
-            let resp = agent_respond(&mut mib, "public", &req).unwrap();
+            let resp = respond(&mut mib, &req);
             let (oid, val) = resp.pdu.bindings[0].clone();
             if val == Value::EndOfMibView {
                 break;

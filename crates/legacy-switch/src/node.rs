@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 
-use mgmt::pdu::SnmpMessage;
+use mgmt::pdu::MessageRef;
 use mgmt::store::agent_respond;
 use netsim::{Node, NodeCtx, NodeId, PortId, SimTime};
 
@@ -112,8 +112,9 @@ impl Node for LegacySwitchNode {
 
     fn on_ctrl(&mut self, from: NodeId, data: Bytes, ctx: &mut NodeCtx) {
         // The management plane speaks SNMP to this box; anything else is
-        // silently ignored, like a real closed appliance.
-        let Ok(msg) = SnmpMessage::decode(&data) else {
+        // silently ignored, like a real closed appliance. The request is
+        // read where it lies and answered straight into the response.
+        let Ok(request) = MessageRef::decode(&data) else {
             return;
         };
         self.snmp_requests += 1;
@@ -123,8 +124,8 @@ impl Node for LegacySwitchNode {
             sys: &self.sys,
             uptime_cs,
         };
-        if let Some(resp) = agent_respond(&mut mib, &self.community, &msg) {
-            ctx.ctrl_send(from, resp.encode());
+        if let Some(response) = agent_respond(&mut mib, &self.community, &request) {
+            ctx.ctrl_send(from, response);
         }
     }
 
@@ -148,7 +149,7 @@ impl Node for LegacySwitchNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgmt::pdu::{Pdu, PduType, Value};
+    use mgmt::pdu::{Pdu, PduType, SnmpMessage, Value};
     use mgmt::{mibs, Oid};
     use netpkt::MacAddr;
     use netsim::host::Host;

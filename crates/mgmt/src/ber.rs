@@ -17,7 +17,7 @@
 use bytes::{BufMut, BytesMut};
 use netpkt::wire::Cursor;
 
-use crate::oid::Oid;
+use crate::oid::{Oid, OidRef};
 use crate::{Error, Result};
 
 /// BER tag bytes used by SNMP.
@@ -199,7 +199,7 @@ fn put_base128(out: &mut BytesMut, v: u32) {
 
 /// Read one base-128 arc as [`put_base128`] writes it: no leading
 /// `0x80`, at most 32 bits.
-fn get_arc(c: &mut &[u8]) -> Result<u32> {
+pub(crate) fn get_arc(c: &mut &[u8]) -> Result<u32> {
     let unterminated = |_| Error::Malformed("unterminated base-128 arc");
     let mut b = c.u8().map_err(unterminated)?;
     if b == 0x80 {
@@ -219,20 +219,8 @@ fn get_arc(c: &mut &[u8]) -> Result<u32> {
 }
 
 /// Decode an OID from a TLV value.
-pub fn parse_oid(mut c: &[u8]) -> Result<Oid> {
-    if c.is_empty() {
-        return Err(Error::Malformed("empty OID"));
-    }
-    let first = get_arc(&mut c)?;
-    // X.690 §8.19.4: arc1 is 0, 1 or 2; arc2 = first − 40·arc1.
-    let arc1 = (first / 40).min(2);
-    // Every later arc takes at least one byte.
-    let mut arcs = Vec::with_capacity(2 + c.len());
-    arcs.extend([arc1, first - 40 * arc1]);
-    while !c.is_empty() {
-        arcs.push(get_arc(&mut c)?);
-    }
-    Ok(Oid(arcs))
+pub fn parse_oid(c: &[u8]) -> Result<Oid> {
+    OidRef::new(c).map(OidRef::to_owned)
 }
 
 #[cfg(test)]

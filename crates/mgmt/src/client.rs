@@ -5,7 +5,7 @@
 use bytes::Bytes;
 
 use crate::oid::Oid;
-use crate::pdu::{Pdu, PduType, SnmpMessage, Value};
+use crate::pdu::{MessageParts, MessageRef, PduType, Value, VarBindWriter};
 use crate::{Error, Result};
 
 /// Builds requests and correlates responses by request id.
@@ -38,43 +38,49 @@ impl SnmpClient {
         self.pending.is_some()
     }
 
-    fn issue(&mut self, ty: PduType, bindings: Vec<(Oid, Value)>) -> Bytes {
+    fn issue(&mut self, ty: PduType, bindings: impl FnOnce(&mut VarBindWriter<'_>)) -> Bytes {
         let id = self.next_request_id;
         self.next_request_id += 1;
         self.pending = Some(id);
         self.ops_sent += 1;
-        SnmpMessage::new(self.community.clone(), Pdu::request(ty, id, bindings)).encode()
+        MessageParts::request(&self.community, ty, id).encode(bindings)
     }
 
     /// Encode a Get for one or more instances.
     pub fn get(&mut self, oids: &[Oid]) -> Bytes {
-        self.issue(
-            PduType::Get,
-            oids.iter().map(|o| (o.clone(), Value::Null)).collect(),
-        )
+        self.issue(PduType::Get, |list| {
+            for oid in oids {
+                list.put(oid, &Value::Null);
+            }
+        })
     }
 
     /// Encode a GetNext for one instance.
     pub fn get_next(&mut self, oid: &Oid) -> Bytes {
-        self.issue(PduType::GetNext, vec![(oid.clone(), Value::Null)])
+        self.issue(PduType::GetNext, |list| list.put(oid, &Value::Null))
     }
 
     /// Encode a Set of the given bindings.
-    pub fn set(&mut self, bindings: Vec<(Oid, Value)>) -> Bytes {
-        self.issue(PduType::Set, bindings)
+    pub fn set(&mut self, bindings: &[(Oid, Value)]) -> Bytes {
+        self.issue(PduType::Set, |list| {
+            for (oid, value) in bindings {
+                list.put(oid, value);
+            }
+        })
     }
 
-    /// Feed received bytes; returns the response PDU if it answers the
-    /// outstanding request (stale/foreign responses yield `Ok(None)`).
-    pub fn accept(&mut self, data: &[u8]) -> Result<Option<Pdu>> {
-        let msg = SnmpMessage::decode(data)?;
-        if msg.pdu.ty != PduType::Response {
+    /// Feed received bytes; returns the response, read where it lies, if
+    /// it answers the outstanding request (stale/foreign responses yield
+    /// `Ok(None)`).
+    pub fn accept<'a>(&mut self, data: &'a [u8]) -> Result<Option<MessageRef<'a>>> {
+        let msg = MessageRef::decode(data)?;
+        if msg.ty != PduType::Response {
             return Err(Error::Malformed("expected a Response PDU"));
         }
         match self.pending {
-            Some(id) if id == msg.pdu.request_id => {
+            Some(id) if id == msg.request_id => {
                 self.pending = None;
-                Ok(Some(msg.pdu))
+                Ok(Some(msg))
             }
             _ => Ok(None),
         }
@@ -121,18 +127,22 @@ impl Walker {
         client.get_next(&self.cursor)
     }
 
-    /// Consume a response PDU; returns the step and, when continuing, the
+    /// Consume a response; returns the step and, when continuing, the
     /// next request to send.
-    pub fn accept(&mut self, client: &mut SnmpClient, pdu: &Pdu) -> (WalkStep, Option<Bytes>) {
-        let Some((oid, value)) = pdu.bindings.first() else {
+    pub fn accept(
+        &mut self,
+        client: &mut SnmpClient,
+        response: &MessageRef<'_>,
+    ) -> (WalkStep, Option<Bytes>) {
+        let Some((oid, value)) = response.bindings.first().map(|vb| vb.to_owned()) else {
             return (WalkStep::Done, None);
         };
-        if *value == Value::EndOfMibView || !self.root.contains(oid) || *oid <= self.cursor {
+        if value == Value::EndOfMibView || !self.root.contains(&oid) || oid <= self.cursor {
             return (WalkStep::Done, None);
         }
         self.cursor = oid.clone();
         let next = client.get_next(&self.cursor);
-        (WalkStep::Item(oid.clone(), value.clone()), Some(next))
+        (WalkStep::Item(oid, value), Some(next))
     }
 }
 
@@ -170,8 +180,15 @@ mod tests {
 
     /// Loopback transport: agent answers synchronously.
     fn transact(store: &mut MemoryMib, req: Bytes) -> Bytes {
-        let msg = SnmpMessage::decode(&req).unwrap();
-        agent_respond(store, "public", &msg).unwrap().encode()
+        let msg = MessageRef::decode(&req).unwrap();
+        agent_respond(store, "public", &msg).unwrap()
+    }
+
+    /// `MibStore::get` of `name` as a request holds it.
+    fn get(store: &MemoryMib, name: &Oid) -> Option<Value> {
+        let wire = SnmpClient::new("public").get(std::slice::from_ref(name));
+        let bindings = MessageRef::decode(&wire).unwrap().bindings;
+        store.get(bindings.first().unwrap().name)
     }
 
     #[test]
@@ -183,7 +200,10 @@ mod tests {
         let resp = transact(&mut store, req);
         let pdu = c.accept(&resp).unwrap().unwrap();
         assert!(!c.in_flight());
-        assert_eq!(pdu.bindings[0].1, Value::OctetString(b"dev".to_vec()));
+        assert_eq!(
+            pdu.bindings.first().unwrap().value,
+            Value::OctetString(b"dev".to_vec())
+        );
         assert_eq!(c.ops_sent(), 1);
     }
 
@@ -191,11 +211,14 @@ mod tests {
     fn set_round_trip_through_agent() {
         let mut store = agent();
         let mut c = SnmpClient::new("public");
-        let req = c.set(vec![(oid("1.3.6.1.2.1.99.0"), Value::Integer(7))]);
+        let req = c.set(&[(oid("1.3.6.1.2.1.99.0"), Value::Integer(7))]);
         let resp = transact(&mut store, req);
         let pdu = c.accept(&resp).unwrap().unwrap();
         assert_eq!(pdu.error_status, crate::pdu::ErrorStatus::NoError);
-        assert_eq!(store.get(&oid("1.3.6.1.2.1.99.0")), Some(Value::Integer(7)));
+        assert_eq!(
+            get(&store, &oid("1.3.6.1.2.1.99.0")),
+            Some(Value::Integer(7))
+        );
     }
 
     #[test]
@@ -206,7 +229,7 @@ mod tests {
         let resp1 = transact(&mut store, req1);
         let _req2_replaces_pending = c.get(&[oid("1.3.6.1.2.1.1.1.0")]);
         // resp1 answers request 1, but request 2 is pending now.
-        assert_eq!(c.accept(&resp1).unwrap(), None);
+        assert!(c.accept(&resp1).unwrap().is_none());
     }
 
     #[test]

@@ -29,6 +29,14 @@
 //! [`encode`](SnmpMessage::encode)s to the bytes it was read from. The
 //! one exception is an error-status outside [`ErrorStatus`]'s subset,
 //! which reads as `genErr`.
+//!
+//! There is one reader and one writer. [`MessageRef`] checks a message
+//! where it lies and borrows its community and bindings; the owned
+//! decode is that view made owned. [`MessageParts`] writes a message
+//! from a borrowed community and the PDU's fields, its bindings owned,
+//! named as a request held them, or echoed as a request's bytes. The
+//! agent and the manager work on the view and the writer: a request is
+//! answered straight into the response, and nothing is cloned.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +51,8 @@ pub mod pdu;
 pub mod store;
 
 pub use client::SnmpClient;
-pub use oid::Oid;
-pub use pdu::{ErrorStatus, Pdu, PduType, SnmpMessage, Value};
+pub use oid::{Oid, OidRef};
+pub use pdu::{ErrorStatus, MessageParts, MessageRef, Pdu, PduType, SnmpMessage, Value, ValueRef};
 pub use store::{agent_respond, MemoryMib, MibStore};
 
 /// Errors from the BER codec and PDU layers.

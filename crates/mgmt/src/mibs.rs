@@ -51,18 +51,26 @@ pub fn encode_portlist(ports: &[u16], n_ports: u16) -> Vec<u8> {
     out
 }
 
-/// Decode a Q-BRIDGE `PortList` back to port numbers; `None` if it
-/// names a port beyond `u16`.
-pub fn decode_portlist(bytes: &[u8]) -> Option<Vec<u16>> {
-    let mut out = Vec::new();
-    for (i, &b) in bytes.iter().enumerate() {
-        for bit in 0..8 {
-            if b & (0x80 >> bit) != 0 {
-                out.push(u16::try_from(i * 8 + bit + 1).ok()?);
-            }
-        }
-    }
-    Some(out)
+/// The highest port number a Q-BRIDGE `PortList` names, if any (beyond
+/// `u16` too).
+pub fn portlist_max(bytes: &[u8]) -> Option<usize> {
+    let (i, b) = bytes.iter().enumerate().rev().find(|(_, &b)| b != 0)?;
+    Some(i * 8 + 8 - b.trailing_zeros() as usize)
+}
+
+/// The port numbers a Q-BRIDGE `PortList` names, ascending; read where
+/// the list lies, as wide as its bits reach (beyond `u16` too).
+pub fn portlist_ports(bytes: &[u8]) -> impl Iterator<Item = usize> + Clone + '_ {
+    bytes.iter().enumerate().flat_map(|(i, &b)| {
+        let mut rest = b;
+        core::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.leading_zeros() as usize;
+                rest &= !(0x80 >> bit);
+                i * 8 + bit + 1
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -71,16 +79,18 @@ mod tests {
 
     #[test]
     fn portlist_round_trip() {
-        let ports = vec![1, 3, 8, 9, 24];
-        let enc = encode_portlist(&ports, 24);
+        let enc = encode_portlist(&[1, 3, 8, 9, 24], 24);
         assert_eq!(enc.len(), 3);
-        assert_eq!(decode_portlist(&enc), Some(ports));
-        // Port 65535, the last a u16 names, is bit 6 of octet 8191.
+        let read: Vec<usize> = portlist_ports(&enc).collect();
+        assert_eq!(read, [1, 3, 8, 9, 24]);
+        // Port 65535, the last a u16 names, is bit 6 of octet 8191; the
+        // bit after it is 65536.
         let mut long = vec![0u8; 8192];
-        long[8191] = 0x02;
-        assert_eq!(decode_portlist(&long), Some(vec![65535]));
-        long[8191] = 0x01;
-        assert_eq!(decode_portlist(&long), None);
+        long[8191] = 0x03;
+        assert_eq!(portlist_ports(&long).collect::<Vec<_>>(), [65535, 65536]);
+        assert_eq!(portlist_max(&long), Some(65536));
+        assert_eq!(portlist_max(&enc), Some(24));
+        assert_eq!(portlist_max(&[0, 0]), None);
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Object identifiers.
+//! Object identifiers, owned ([`Oid`]) and as a message holds them
+//! ([`OidRef`]).
 
 use core::fmt;
 use core::str::FromStr;
+
+use crate::ber;
 
 /// An SNMP object identifier (sequence of sub-identifiers).
 ///
@@ -48,6 +51,113 @@ impl Oid {
     /// lies in the subtree rooted at `self`.
     pub fn contains(&self, other: &Oid) -> bool {
         other.0.starts_with(&self.0)
+    }
+}
+
+/// An OID where a received message holds it: the contents of an OID
+/// TLV, checked when it was read, so its arcs read without fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OidRef<'a>(&'a [u8]);
+
+impl<'a> OidRef<'a> {
+    /// Check an OID TLV's contents (X.690 §8.19): one sub-identifier at
+    /// least, each base-128 arc in its shortest form and at most 32 bits.
+    pub fn new(contents: &'a [u8]) -> crate::Result<OidRef<'a>> {
+        if contents.is_empty() {
+            return Err(crate::Error::Malformed("empty OID"));
+        }
+        let mut c = contents;
+        while !c.is_empty() {
+            ber::get_arc(&mut c)?;
+        }
+        Ok(OidRef(contents))
+    }
+
+    /// Contents [`new`](OidRef::new) has checked before.
+    pub(crate) fn checked(contents: &'a [u8]) -> OidRef<'a> {
+        OidRef(contents)
+    }
+
+    /// The arcs: the first sub-identifier unpacked into two (arc1 is 0,
+    /// 1 or 2, arc2 = first − 40·arc1), then one per sub-identifier.
+    pub fn arcs(self) -> impl Iterator<Item = u32> + Clone + 'a {
+        let mut c = self.0;
+        let first = ber::get_arc(&mut c).unwrap_or_default();
+        let arc1 = (first / 40).min(2);
+        [arc1, first - 40 * arc1]
+            .into_iter()
+            .chain(core::iter::from_fn(move || ber::get_arc(&mut c).ok()))
+    }
+
+    /// The TLV contents, as read.
+    pub fn contents(self) -> &'a [u8] {
+        self.0
+    }
+
+    /// The name but its last arc, as the TLV contents hold it (to
+    /// compare with an [`OidBytes`]), and that arc: a MIB instance's
+    /// column and index. `None` for a name of one sub-identifier, whose
+    /// two arcs share a byte.
+    pub fn split_last(self) -> Option<(&'a [u8], u32)> {
+        // Every byte of a sub-identifier but its last has the top bit
+        // set, so the last one starts after the last such run.
+        let body = self.0.get(..self.0.len().checked_sub(1)?)?;
+        let start = body.iter().rposition(|&b| b & 0x80 == 0)? + 1;
+        let (stem, mut last) = self.0.split_at(start);
+        Some((stem, ber::get_arc(&mut last).ok()?))
+    }
+
+    /// The owned OID.
+    pub fn to_owned(self) -> Oid {
+        // Every arc after the first sub-identifier takes a byte at least.
+        let mut rest = self.0;
+        let _ = ber::get_arc(&mut rest);
+        let mut arcs = Vec::with_capacity(2 + rest.len());
+        arcs.extend(self.arcs());
+        Oid(arcs)
+    }
+}
+
+/// The longest OID an [`OidBytes`] holds, in bytes.
+const OID_BYTES_MAX: usize = 16;
+
+/// A constant OID as a message holds it — the contents of its OID TLV,
+/// written at compile time — to compare received names with byte for
+/// byte ([`OidRef::split_last`]). Its arcs after the first two fit in
+/// one byte each (below 128), as every MIB column in [`crate::mibs`]
+/// does.
+#[derive(Debug, Clone, Copy)]
+pub struct OidBytes {
+    bytes: [u8; OID_BYTES_MAX],
+    len: usize,
+}
+
+impl OidBytes {
+    /// Encode `arcs`; fails to compile (or panics) if one does not fit
+    /// a byte or there are too many.
+    // Indexing is checked at compile time for the constants this builds;
+    // a `const fn` cannot call `get`.
+    #[allow(clippy::indexing_slicing)]
+    pub const fn new(arcs: &[u32]) -> OidBytes {
+        assert!(arcs.len() >= 2 && arcs.len() <= OID_BYTES_MAX + 1);
+        assert!(arcs[0] <= 2 && arcs[1] < 40);
+        let mut bytes = [0; OID_BYTES_MAX];
+        bytes[0] = (arcs[0] * 40 + arcs[1]) as u8;
+        let mut i = 2;
+        while i < arcs.len() {
+            assert!(arcs[i] < 0x80, "an arc of more than one byte");
+            bytes[i - 1] = arcs[i] as u8;
+            i += 1;
+        }
+        OidBytes {
+            bytes,
+            len: arcs.len() - 1,
+        }
+    }
+
+    /// The TLV contents.
+    pub fn bytes(&self) -> &[u8] {
+        self.bytes.get(..self.len).unwrap_or_default()
     }
 }
 

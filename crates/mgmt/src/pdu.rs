@@ -1,10 +1,21 @@
-//! SNMPv2c messages and PDUs.
+//! SNMPv2c messages and PDUs: the owned [`SnmpMessage`], the view
+//! [`MessageRef`] a received message is read as, and [`MessageParts`],
+//! the one writer.
+//!
+//! A message is read once, where it lies: [`MessageRef::decode`] checks
+//! every TLV and leaves the bindings in place, as a [`VarBinds`] list
+//! whose names and values are read again without fail.
+//! [`SnmpMessage::decode`] is that view made owned. Every message is
+//! written by [`MessageParts`] — the community and the PDU's fixed
+//! fields, borrowed — with its bindings written into the open list:
+//! owned, a name as it was read, or a received list's bytes as they are.
+//! The reader accepts only the form the writer produces, so bindings
+//! echoed as bytes are the bytes their owned encoding would be.
 
-use bytes::{Bytes, BytesMut};
-use netpkt::wire::Cursor;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::ber::{self, tag};
-use crate::oid::Oid;
+use crate::oid::{Oid, OidRef};
 use crate::{Error, Result};
 
 /// An SMI value as carried in a variable binding.
@@ -79,31 +90,126 @@ impl Value {
             Value::EndOfMibView => ber::put_tlv(out, tag::END_OF_MIB_VIEW, &[]),
         }
     }
+}
 
-    fn decode(t: u8, value: &[u8]) -> Result<Value> {
+/// A [`Value`] where a received message holds it: scalars read, an
+/// octet string or an OID left in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// INTEGER.
+    Integer(i64),
+    /// OCTET STRING.
+    OctetString(&'a [u8]),
+    /// NULL.
+    Null,
+    /// OBJECT IDENTIFIER.
+    Oid(OidRef<'a>),
+    /// IpAddress.
+    IpAddress([u8; 4]),
+    /// Counter32.
+    Counter32(u32),
+    /// Gauge32 / Unsigned32.
+    Gauge32(u32),
+    /// TimeTicks (centiseconds).
+    TimeTicks(u32),
+    /// Counter64.
+    Counter64(u64),
+    /// v2c exception: no such object.
+    NoSuchObject,
+    /// v2c exception: no such instance.
+    NoSuchInstance,
+    /// v2c exception: end of MIB view.
+    EndOfMibView,
+}
+
+impl<'a> ValueRef<'a> {
+    /// Read a value TLV's contents, tagged `t`.
+    pub fn decode(t: u8, value: &'a [u8]) -> Result<ValueRef<'a>> {
         let empty = |v| match value {
             [] => Ok(v),
             _ => Err(Error::Malformed("NULL or exception with contents")),
         };
         Ok(match t {
-            tag::INTEGER => Value::Integer(ber::parse_integer(value)?),
-            tag::OCTET_STRING => Value::OctetString(value.to_vec()),
-            tag::NULL => empty(Value::Null)?,
-            tag::OID => Value::Oid(ber::parse_oid(value)?),
-            tag::IP_ADDRESS => Value::IpAddress(
+            tag::INTEGER => ValueRef::Integer(ber::parse_integer(value)?),
+            tag::OCTET_STRING => ValueRef::OctetString(value),
+            tag::NULL => empty(ValueRef::Null)?,
+            tag::OID => ValueRef::Oid(OidRef::new(value)?),
+            tag::IP_ADDRESS => ValueRef::IpAddress(
                 value
                     .try_into()
                     .map_err(|_| Error::Malformed("IpAddress must be 4 bytes"))?,
             ),
-            tag::COUNTER32 => Value::Counter32(ber::parse_integer(value)?),
-            tag::GAUGE32 => Value::Gauge32(ber::parse_integer(value)?),
-            tag::TIMETICKS => Value::TimeTicks(ber::parse_integer(value)?),
-            tag::COUNTER64 => Value::Counter64(ber::parse_integer(value)?),
-            tag::NO_SUCH_OBJECT => empty(Value::NoSuchObject)?,
-            tag::NO_SUCH_INSTANCE => empty(Value::NoSuchInstance)?,
-            tag::END_OF_MIB_VIEW => empty(Value::EndOfMibView)?,
+            tag::COUNTER32 => ValueRef::Counter32(ber::parse_integer(value)?),
+            tag::GAUGE32 => ValueRef::Gauge32(ber::parse_integer(value)?),
+            tag::TIMETICKS => ValueRef::TimeTicks(ber::parse_integer(value)?),
+            tag::COUNTER64 => ValueRef::Counter64(ber::parse_integer(value)?),
+            tag::NO_SUCH_OBJECT => empty(ValueRef::NoSuchObject)?,
+            tag::NO_SUCH_INSTANCE => empty(ValueRef::NoSuchInstance)?,
+            tag::END_OF_MIB_VIEW => empty(ValueRef::EndOfMibView)?,
             _ => return Err(Error::Malformed("unknown value tag")),
         })
+    }
+
+    /// Integer accessor, as [`Value::as_int`].
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            ValueRef::Integer(v) => Some(v),
+            ValueRef::Counter32(v) | ValueRef::Gauge32(v) | ValueRef::TimeTicks(v) => {
+                Some(i64::from(v))
+            }
+            ValueRef::Counter64(v) => i64::try_from(v).ok(),
+            _ => None,
+        }
+    }
+
+    /// Octet-string accessor.
+    pub fn as_bytes(self) -> Option<&'a [u8]> {
+        match self {
+            ValueRef::OctetString(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The owned value.
+    pub fn to_owned(self) -> Value {
+        match self {
+            ValueRef::Integer(v) => Value::Integer(v),
+            ValueRef::OctetString(v) => Value::OctetString(v.to_vec()),
+            ValueRef::Null => Value::Null,
+            ValueRef::Oid(o) => Value::Oid(o.to_owned()),
+            ValueRef::IpAddress(a) => Value::IpAddress(a),
+            ValueRef::Counter32(v) => Value::Counter32(v),
+            ValueRef::Gauge32(v) => Value::Gauge32(v),
+            ValueRef::TimeTicks(v) => Value::TimeTicks(v),
+            ValueRef::Counter64(v) => Value::Counter64(v),
+            ValueRef::NoSuchObject => Value::NoSuchObject,
+            ValueRef::NoSuchInstance => Value::NoSuchInstance,
+            ValueRef::EndOfMibView => Value::EndOfMibView,
+        }
+    }
+}
+
+/// A value compares equal to the owned value it would become, without
+/// becoming it.
+impl PartialEq<Value> for ValueRef<'_> {
+    fn eq(&self, other: &Value) -> bool {
+        use Value as V;
+        use ValueRef as R;
+        match (*self, other) {
+            (R::Integer(a), V::Integer(b)) => a == *b,
+            (R::OctetString(a), V::OctetString(b)) => a == &b[..],
+            (R::Oid(a), V::Oid(b)) => a.arcs().eq(b.arcs().iter().copied()),
+            (R::IpAddress(a), V::IpAddress(b)) => a == *b,
+            (R::Counter32(a), V::Counter32(b))
+            | (R::Gauge32(a), V::Gauge32(b))
+            | (R::TimeTicks(a), V::TimeTicks(b)) => a == *b,
+            (R::Counter64(a), V::Counter64(b)) => a == *b,
+            (R::Null, V::Null)
+            | (R::NoSuchObject, V::NoSuchObject)
+            | (R::NoSuchInstance, V::NoSuchInstance)
+            | (R::EndOfMibView, V::EndOfMibView) => true,
+            _ => false,
+        }
     }
 }
 
@@ -245,9 +351,9 @@ pub struct SnmpMessage {
 /// SNMP version field for v2c.
 pub const VERSION_2C: i64 = 1;
 
-/// Room reserved up front in [`SnmpMessage::encode`]'s buffer: a request
-/// or a row write fits, a longer message grows the buffer as it is
-/// written.
+/// Room reserved up front in [`MessageParts::encode`]'s buffer: a
+/// request or a row write fits, a longer message grows the buffer as it
+/// is written.
 const ENCODE_CAPACITY: usize = 128;
 
 impl SnmpMessage {
@@ -259,33 +365,54 @@ impl SnmpMessage {
         }
     }
 
-    /// Encode to BER bytes.
+    /// Encode to BER bytes, through [`MessageParts`].
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(ENCODE_CAPACITY);
-        let out = &mut buf;
-        let msg = ber::open(out, tag::SEQUENCE);
-        ber::put_integer(out, tag::INTEGER, VERSION_2C.into());
-        ber::put_tlv(out, tag::OCTET_STRING, self.community.as_bytes());
-        let pdu = ber::open(out, self.pdu.ty as u8);
-        ber::put_integer(out, tag::INTEGER, self.pdu.request_id.into());
-        ber::put_integer(out, tag::INTEGER, self.pdu.error_status.value().into());
-        ber::put_integer(out, tag::INTEGER, self.pdu.error_index.into());
-        let varbinds = ber::open(out, tag::SEQUENCE);
-        for (oid, val) in &self.pdu.bindings {
-            let vb = ber::open(out, tag::SEQUENCE);
-            ber::put_oid(out, oid);
-            val.encode(out);
-            ber::close(out, vb);
-        }
-        ber::close(out, varbinds);
-        ber::close(out, pdu);
-        ber::close(out, msg);
-        buf.freeze()
+        let pdu = &self.pdu;
+        let parts = MessageParts {
+            community: &self.community,
+            ty: pdu.ty,
+            request_id: pdu.request_id,
+            error_status: pdu.error_status,
+            error_index: pdu.error_index,
+        };
+        parts.encode(|list| {
+            for (name, value) in &pdu.bindings {
+                list.put(name, value);
+            }
+        })
     }
 
-    /// Decode from BER bytes: exactly one message, each TLV read to its
-    /// end and in the form [`encode`](SnmpMessage::encode) writes it.
+    /// Decode from BER bytes: the [`MessageRef`] view of them, made
+    /// owned.
     pub fn decode(data: &[u8]) -> Result<SnmpMessage> {
+        MessageRef::decode(data).map(MessageRef::to_owned)
+    }
+}
+
+/// A received message, read where it lies: the fixed fields read, the
+/// community and the bindings borrowed. Whatever it accepts, an owned
+/// decode would have, and its bindings read again without fail.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageRef<'a> {
+    /// Community string.
+    pub community: &'a str,
+    /// Kind of PDU.
+    pub ty: PduType,
+    /// Request id.
+    pub request_id: i64,
+    /// Error status; a code outside [`ErrorStatus`]'s subset reads as
+    /// `GenErr`.
+    pub error_status: ErrorStatus,
+    /// 1-based index of the failed binding, 0 if none.
+    pub error_index: i64,
+    /// The variable bindings.
+    pub bindings: VarBinds<'a>,
+}
+
+impl<'a> MessageRef<'a> {
+    /// Check BER bytes: exactly one message, each TLV read to its end and
+    /// in the form [`MessageParts`] writes it.
+    pub fn decode(data: &'a [u8]) -> Result<MessageRef<'a>> {
         let mut rest = data;
         let mut msg = ber::expect(&mut rest, tag::SEQUENCE, "message must be a SEQUENCE")?;
         end(rest, "bytes after the message")?;
@@ -297,7 +424,7 @@ impl SnmpMessage {
             tag::OCTET_STRING,
             "community must be an OCTET STRING",
         )?;
-        let community = String::from_utf8(community.to_vec())
+        let community = core::str::from_utf8(community)
             .map_err(|_| Error::Malformed("community must be UTF-8"))?;
         let (ptag, mut pdu) = ber::get_tlv(&mut msg)?;
         end(msg, "bytes after the PDU")?;
@@ -306,33 +433,107 @@ impl SnmpMessage {
         let error_status =
             ErrorStatus::from_value(integer(&mut pdu, "error-status must be INTEGER")?);
         let error_index = integer(&mut pdu, "error-index must be INTEGER")?;
-        let varbinds = ber::expect(&mut pdu, tag::SEQUENCE, "varbind list must be a SEQUENCE")?;
+        let list = ber::expect(&mut pdu, tag::SEQUENCE, "varbind list must be a SEQUENCE")?;
         end(pdu, "bytes after the varbind list")?;
-        let bindings = varbinds.items(VARBIND_MIN_LEN, binding)?;
-        Ok(SnmpMessage {
+        Ok(MessageRef {
             community,
+            ty,
+            request_id,
+            error_status,
+            error_index,
+            bindings: VarBinds::read(list)?,
+        })
+    }
+
+    /// The owned message: what [`SnmpMessage::decode`] returns.
+    pub fn to_owned(self) -> SnmpMessage {
+        let mut bindings = Vec::with_capacity(self.bindings.len());
+        bindings.extend(self.bindings.iter().map(VarBind::to_owned));
+        SnmpMessage {
+            community: self.community.to_owned(),
             pdu: Pdu {
-                ty,
-                request_id,
-                error_status,
-                error_index,
+                ty: self.ty,
+                request_id: self.request_id,
+                error_status: self.error_status,
+                error_index: self.error_index,
                 bindings,
             },
-        })
+        }
     }
 }
 
-/// The shortest variable binding the decoder accepts: its SEQUENCE
-/// header, an OID of one byte and a NULL value.
-const VARBIND_MIN_LEN: usize = 2 + 3 + 2;
+/// A checked variable-binding list where a message holds it.
+#[derive(Debug, Clone, Copy)]
+pub struct VarBinds<'a> {
+    /// The list's contents: its bindings' TLVs.
+    list: &'a [u8],
+    /// How many bindings they are.
+    len: usize,
+}
 
-/// Read one variable binding.
-fn binding(c: &mut &[u8]) -> Result<(Oid, Value)> {
+impl<'a> VarBinds<'a> {
+    /// Check a varbind list's contents, binding by binding.
+    fn read(list: &'a [u8]) -> Result<VarBinds<'a>> {
+        let (mut c, mut len) = (list, 0);
+        while !c.is_empty() {
+            binding(&mut c, OidRef::new)?;
+            len += 1;
+        }
+        Ok(VarBinds { list, len })
+    }
+
+    /// The bindings, in order.
+    pub fn iter(self) -> impl Iterator<Item = VarBind<'a>> + Clone {
+        let mut c = self.list;
+        core::iter::from_fn(move || binding(&mut c, |name| Ok(OidRef::checked(name))).ok())
+    }
+
+    /// The first binding, if any.
+    pub fn first(self) -> Option<VarBind<'a>> {
+        self.iter().next()
+    }
+
+    /// Number of bindings.
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// True if there are none.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
+/// One variable binding where a message holds it.
+#[derive(Debug, Clone, Copy)]
+pub struct VarBind<'a> {
+    /// The instance named.
+    pub name: OidRef<'a>,
+    /// Its value.
+    pub value: ValueRef<'a>,
+}
+
+impl VarBind<'_> {
+    /// The owned binding.
+    pub fn to_owned(self) -> (Oid, Value) {
+        (self.name.to_owned(), self.value.to_owned())
+    }
+}
+
+/// Read one variable binding, its name through `oid`: a check, or none
+/// for a list checked before.
+fn binding<'a>(
+    c: &mut &'a [u8],
+    oid: impl FnOnce(&'a [u8]) -> Result<OidRef<'a>>,
+) -> Result<VarBind<'a>> {
     let mut vb = ber::expect(c, tag::SEQUENCE, "varbind must be a SEQUENCE")?;
     let name = ber::expect(&mut vb, tag::OID, "varbind name must be an OID")?;
     let (t, value) = ber::get_tlv(&mut vb)?;
     end(vb, "bytes after a varbind's value")?;
-    Ok((ber::parse_oid(name)?, Value::decode(t, value)?))
+    Ok(VarBind {
+        name: oid(name)?,
+        value: ValueRef::decode(t, value)?,
+    })
 }
 
 /// Read an INTEGER TLV; any other tag is `Malformed(what)`.
@@ -345,6 +546,103 @@ fn end(rest: &[u8], what: &'static str) -> Result<()> {
     match rest {
         [] => Ok(()),
         _ => Err(Error::Malformed(what)),
+    }
+}
+
+/// A message's fixed parts, borrowed: the community and the PDU's
+/// fields but its bindings. The one writer of SNMP messages; the
+/// bindings are written into the open list by the caller.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageParts<'a> {
+    /// Community string.
+    pub community: &'a str,
+    /// Kind of PDU.
+    pub ty: PduType,
+    /// Request id.
+    pub request_id: i64,
+    /// Error status.
+    pub error_status: ErrorStatus,
+    /// 1-based index of the failed binding, 0 if none.
+    pub error_index: i64,
+}
+
+impl<'a> MessageParts<'a> {
+    /// A request.
+    pub fn request(community: &'a str, ty: PduType, request_id: i64) -> MessageParts<'a> {
+        MessageParts {
+            community,
+            ty,
+            request_id,
+            error_status: ErrorStatus::NoError,
+            error_index: 0,
+        }
+    }
+
+    /// The response to `request` in `community`, with `status` naming
+    /// binding `index` (0 and `NoError` for a success).
+    pub fn response(
+        community: &'a str,
+        request: &MessageRef<'_>,
+        error_status: ErrorStatus,
+        error_index: i64,
+    ) -> MessageParts<'a> {
+        MessageParts {
+            community,
+            ty: PduType::Response,
+            request_id: request.request_id,
+            error_status,
+            error_index,
+        }
+    }
+
+    /// Append the message to `out`; `bindings` writes the varbind list.
+    pub fn write_into(&self, out: &mut BytesMut, bindings: impl FnOnce(&mut VarBindWriter<'_>)) {
+        let msg = ber::open(out, tag::SEQUENCE);
+        ber::put_integer(out, tag::INTEGER, VERSION_2C.into());
+        ber::put_tlv(out, tag::OCTET_STRING, self.community.as_bytes());
+        let pdu = ber::open(out, self.ty as u8);
+        ber::put_integer(out, tag::INTEGER, self.request_id.into());
+        ber::put_integer(out, tag::INTEGER, self.error_status.value().into());
+        ber::put_integer(out, tag::INTEGER, self.error_index.into());
+        let list = ber::open(out, tag::SEQUENCE);
+        bindings(&mut VarBindWriter(out));
+        ber::close(out, list);
+        ber::close(out, pdu);
+        ber::close(out, msg);
+    }
+
+    /// The message in a buffer of its own.
+    pub fn encode(&self, bindings: impl FnOnce(&mut VarBindWriter<'_>)) -> Bytes {
+        let mut out = BytesMut::with_capacity(ENCODE_CAPACITY);
+        self.write_into(&mut out, bindings);
+        out.freeze()
+    }
+}
+
+/// Writes bindings into a message's open varbind list.
+pub struct VarBindWriter<'o>(&'o mut BytesMut);
+
+impl VarBindWriter<'_> {
+    /// One binding of an owned name and value.
+    pub fn put(&mut self, name: &Oid, value: &Value) {
+        let vb = ber::open(self.0, tag::SEQUENCE);
+        ber::put_oid(self.0, name);
+        value.encode(self.0);
+        ber::close(self.0, vb);
+    }
+
+    /// One binding of a name as a message held it and an owned value.
+    pub fn put_at(&mut self, name: OidRef<'_>, value: &Value) {
+        let vb = ber::open(self.0, tag::SEQUENCE);
+        ber::put_tlv(self.0, tag::OID, name.contents());
+        value.encode(self.0);
+        ber::close(self.0, vb);
+    }
+
+    /// A received list's bindings, as their bytes: what writing each
+    /// one owned would write, since they were read only in that form.
+    pub fn echo(&mut self, bindings: VarBinds<'_>) {
+        self.0.put_slice(bindings.list);
     }
 }
 

@@ -1,73 +1,76 @@
 //! Agent-side MIB dispatch: the [`MibStore`] trait a managed device
-//! implements, and [`agent_respond`], which turns a request message into a
-//! response against such a store.
+//! implements, and [`agent_respond`], which answers a request message
+//! against such a store.
+//!
+//! The request is read as a [`MessageRef`] and the response written
+//! straight into its buffer: a Get's names as the request holds them,
+//! each beside the value the store gives, and a Set's bindings, taken
+//! or refused, echoed as the request's bytes.
 
 use std::collections::BTreeMap;
 
-use crate::oid::Oid;
-use crate::pdu::{ErrorStatus, PduType, SnmpMessage, Value};
+use bytes::Bytes;
+
+use crate::oid::{Oid, OidRef};
+use crate::pdu::{ErrorStatus, MessageParts, MessageRef, PduType, Value, VarBinds};
 
 /// The view a device exposes to its SNMP agent.
 ///
 /// `get`/`next` serve reads; `set` applies one request's writes to live
 /// configuration, all or none. Implementations decide which OIDs exist
-/// and which are writable.
+/// and which are writable. Names and bindings are borrowed from the
+/// request.
 pub trait MibStore {
     /// Exact-instance read.
-    fn get(&self, oid: &Oid) -> Option<Value>;
+    fn get(&self, name: OidRef<'_>) -> Option<Value>;
 
-    /// Smallest instance strictly greater than `oid`, with its value
+    /// Smallest instance strictly greater than `name`, with its value
     /// (lexicographic OID order).
-    fn next(&self, oid: &Oid) -> Option<(Oid, Value)>;
+    fn next(&self, name: OidRef<'_>) -> Option<(Oid, Value)>;
 
     /// Write every binding, in order, as one change to device state
     /// (RFC 3416 §4.2.5): `Err((i, status))` says binding `i` was
     /// rejected, and then nothing is written.
-    fn set(&mut self, bindings: &[(Oid, Value)]) -> Result<(), (usize, ErrorStatus)>;
+    fn set(&mut self, bindings: VarBinds<'_>) -> Result<(), (usize, ErrorStatus)>;
 }
 
-/// Process one SNMP request against `store`, producing the response
-/// message. Unknown communities are dropped (returns `None`), matching
+/// Answer one SNMP request against `store`: the response message's
+/// bytes. Unknown communities are dropped (returns `None`), matching
 /// agent behaviour on community mismatch.
 pub fn agent_respond(
     store: &mut dyn MibStore,
     community: &str,
-    request: &SnmpMessage,
-) -> Option<SnmpMessage> {
+    request: &MessageRef<'_>,
+) -> Option<Bytes> {
     if request.community != community {
         return None;
     }
-    let pdu = &request.pdu;
-    let response = match pdu.ty {
-        PduType::Get => {
-            let bindings = pdu
-                .bindings
-                .iter()
-                .map(|(oid, _)| {
-                    let v = store.get(oid).unwrap_or(Value::NoSuchInstance);
-                    (oid.clone(), v)
-                })
-                .collect();
-            pdu.response(bindings)
+    let bindings = request.bindings;
+    let answer = |status, index| MessageParts::response(community, request, status, index);
+    Some(match request.ty {
+        PduType::Get => answer(ErrorStatus::NoError, 0).encode(|list| {
+            for vb in bindings.iter() {
+                let value = store.get(vb.name).unwrap_or(Value::NoSuchInstance);
+                list.put_at(vb.name, &value);
+            }
+        }),
+        PduType::GetNext => answer(ErrorStatus::NoError, 0).encode(|list| {
+            for vb in bindings.iter() {
+                match store.next(vb.name) {
+                    Some((name, value)) => list.put(&name, &value),
+                    None => list.put_at(vb.name, &Value::EndOfMibView),
+                }
+            }
+        }),
+        PduType::Set => {
+            let parts = match store.set(bindings) {
+                Ok(()) => answer(ErrorStatus::NoError, 0),
+                Err((i, status)) => answer(status, (i + 1) as i64),
+            };
+            parts.encode(|list| list.echo(bindings))
         }
-        PduType::GetNext => {
-            let bindings = pdu
-                .bindings
-                .iter()
-                .map(|(oid, _)| match store.next(oid) {
-                    Some((next_oid, v)) => (next_oid, v),
-                    None => (oid.clone(), Value::EndOfMibView),
-                })
-                .collect();
-            pdu.response(bindings)
-        }
-        PduType::Set => match store.set(&pdu.bindings) {
-            Ok(()) => pdu.response(pdu.bindings.clone()),
-            Err((i, status)) => pdu.error_response(status, (i + 1) as i64),
-        },
         PduType::Response => return None, // agents do not answer responses
-    };
-    Some(SnmpMessage::new(community, response))
+    })
 }
 
 /// A [`MibStore`] backed by an in-memory ordered map. Useful on its own for
@@ -101,25 +104,29 @@ impl MemoryMib {
 }
 
 impl MibStore for MemoryMib {
-    fn get(&self, oid: &Oid) -> Option<Value> {
-        self.entries.get(oid).cloned()
+    fn get(&self, name: OidRef<'_>) -> Option<Value> {
+        self.entries.get(&name.to_owned()).cloned()
     }
 
-    fn next(&self, oid: &Oid) -> Option<(Oid, Value)> {
+    fn next(&self, name: OidRef<'_>) -> Option<(Oid, Value)> {
         use std::ops::Bound;
         self.entries
-            .range((Bound::Excluded(oid.clone()), Bound::Unbounded))
+            .range((Bound::Excluded(name.to_owned()), Bound::Unbounded))
             .next()
             .map(|(k, v)| (k.clone(), v.clone()))
     }
 
-    fn set(&mut self, bindings: &[(Oid, Value)]) -> Result<(), (usize, ErrorStatus)> {
+    fn set(&mut self, bindings: VarBinds<'_>) -> Result<(), (usize, ErrorStatus)> {
         let writable = |oid: &Oid| self.writable.iter().any(|p| p.contains(oid));
-        if let Some(i) = bindings.iter().position(|(oid, _)| !writable(oid)) {
+        if let Some(i) = bindings
+            .iter()
+            .position(|vb| !writable(&vb.name.to_owned()))
+        {
             return Err((i, ErrorStatus::NotWritable));
         }
-        for (oid, value) in bindings {
-            self.entries.insert(oid.clone(), value.clone());
+        for vb in bindings.iter() {
+            let (oid, value) = vb.to_owned();
+            self.entries.insert(oid, value);
         }
         Ok(())
     }
@@ -128,10 +135,25 @@ impl MibStore for MemoryMib {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pdu::Pdu;
+    use crate::pdu::{Pdu, SnmpMessage};
 
     fn oid(s: &str) -> Oid {
         s.parse().unwrap()
+    }
+
+    /// The agent's answer to `req`, sent and received as bytes.
+    fn respond(s: &mut MemoryMib, req: &SnmpMessage) -> Option<SnmpMessage> {
+        let wire = req.encode();
+        let resp = agent_respond(s, "public", &MessageRef::decode(&wire).unwrap())?;
+        Some(SnmpMessage::decode(&resp).unwrap())
+    }
+
+    /// `MibStore::get` of `name` as a request holds it.
+    fn get(s: &MemoryMib, name: &Oid) -> Option<Value> {
+        let req = Pdu::request(PduType::Get, 1, vec![(name.clone(), Value::Null)]);
+        let wire = SnmpMessage::new("public", req).encode();
+        let bindings = MessageRef::decode(&wire).unwrap().bindings;
+        s.get(bindings.first().unwrap().name)
     }
 
     fn store() -> MemoryMib {
@@ -163,7 +185,7 @@ mod tests {
                 ],
             ),
         );
-        let resp = agent_respond(&mut s, "public", &req).unwrap();
+        let resp = respond(&mut s, &req).unwrap();
         assert_eq!(
             resp.pdu.bindings[0].1,
             Value::OctetString(b"test device".to_vec())
@@ -181,7 +203,7 @@ mod tests {
                 "public",
                 Pdu::request(PduType::GetNext, 1, vec![(cur.clone(), Value::Null)]),
             );
-            let resp = agent_respond(&mut s, "public", &req).unwrap();
+            let resp = respond(&mut s, &req).unwrap();
             let (next, v) = resp.pdu.bindings[0].clone();
             if v == Value::EndOfMibView {
                 break;
@@ -213,10 +235,10 @@ mod tests {
                 )],
             ),
         );
-        let resp = agent_respond(&mut s, "public", &ok).unwrap();
+        let resp = respond(&mut s, &ok).unwrap();
         assert_eq!(resp.pdu.error_status, ErrorStatus::NoError);
         assert_eq!(
-            s.get(&oid("1.3.6.1.2.1.1.5.0")),
+            get(&s, &oid("1.3.6.1.2.1.1.5.0")),
             Some(Value::OctetString(b"renamed".to_vec()))
         );
 
@@ -231,7 +253,7 @@ mod tests {
                 )],
             ),
         );
-        let resp = agent_respond(&mut s, "public", &bad).unwrap();
+        let resp = respond(&mut s, &bad).unwrap();
         assert_eq!(resp.pdu.error_status, ErrorStatus::NotWritable);
         assert_eq!(resp.pdu.error_index, 1);
     }
@@ -253,11 +275,11 @@ mod tests {
                 ],
             ),
         );
-        let resp = agent_respond(&mut s, "public", &req).unwrap();
+        let resp = respond(&mut s, &req).unwrap();
         assert_eq!(resp.pdu.error_status, ErrorStatus::NotWritable);
         assert_eq!(resp.pdu.error_index, 2);
         assert_eq!(
-            s.get(&oid("1.3.6.1.2.1.1.5.0")),
+            get(&s, &oid("1.3.6.1.2.1.1.5.0")),
             Some(Value::OctetString(b"sw1".to_vec())),
             "the writable binding ahead of the rejected one is not written"
         );
@@ -274,6 +296,6 @@ mod tests {
                 vec![(oid("1.3.6.1.2.1.1.1.0"), Value::Null)],
             ),
         );
-        assert!(agent_respond(&mut s, "public", &req).is_none());
+        assert!(respond(&mut s, &req).is_none());
     }
 }

@@ -49,6 +49,14 @@
 //! `data/of_golden.txt` and requires that no vector is grown while it
 //! is read: matches and lists are sized once from their bytes.
 //!
+//! A ninth sends one SNMP Set of a VLAN row — three bindings, as the
+//! manager's plan writes it — from an `SnmpClient` through a legacy
+//! switch's agent and back: the request and the response are read
+//! where they lie, so the round trip allocates its two messages and the
+//! two port sets the bridge keeps, nothing else (37 blocks when each
+//! request was decoded into an owned message and each answer built as
+//! one).
+//!
 //! The allocator is per-binary, so this suite is a test binary of its
 //! own; `bytes::buffer_allocs` is process-wide, so its tests take turns.
 
@@ -62,7 +70,10 @@ use controller::apps::{ArpProxy, HostRoute, LearningSwitch};
 use controller::ControllerNode;
 use harmless::fabric::{FabricSpec, Interconnect};
 use harmless::instance::HarmlessSpec;
-use legacy_switch::{CotsConfig, CotsSwitchNode, LegacySwitchNode};
+use legacy_switch::mib::{BridgeMib, SysInfo};
+use legacy_switch::{Bridge, CotsConfig, CotsSwitchNode, LegacySwitchNode};
+use mgmt::pdu::{ErrorStatus, MessageRef, Value};
+use mgmt::{agent_respond, mibs, Oid, SnmpClient};
 use netpkt::MacAddr;
 use netsim::traffic::{FlowSpec, Generator, Pattern, Sink};
 use netsim::{LinkSpec, Network, PortId, ShardMap, SimTime};
@@ -543,6 +554,65 @@ fn decoding_a_sample_message_grows_no_vector() {
         assert!(decoded.is_some_and(|d| d.is_ok()), "{name} decodes");
         assert_eq!(grown, 0, "{name}: vectors grown while it decoded");
     }
+}
+
+/// One SNMP Set round trip: a manager's client writes a VLAN row of
+/// three bindings (egress and untagged port lists, `createAndGo`), a
+/// legacy switch's agent reads the request where it lies, applies it to
+/// its bridge through a `BridgeMib` and answers by echoing the
+/// request's bindings, and the client reads the answer where it lies.
+/// The heap blocks are the two messages' bytes, two each (the byte
+/// vector and its reference count), and the row's two new port sets,
+/// which the bridge keeps; the row exists already, so the VLAN table
+/// does not grow. Decoding each request into an owned message, cloning
+/// its bindings into an owned answer and encoding that took 37.
+#[test]
+fn an_snmp_set_round_trip_allocates_its_two_messages() {
+    let _turn = TURN.lock().unwrap();
+    let mut bridge = Bridge::new(49);
+    bridge.create_vlan(101).unwrap();
+    let sys = SysInfo::default();
+    let mut client = SnmpClient::new("public");
+    let row = [
+        (
+            Oid::instance(mibs::VLAN_STATIC_EGRESS_PORTS, 101),
+            Value::OctetString(mibs::encode_portlist(&[1, 49], 49)),
+        ),
+        (
+            Oid::instance(mibs::VLAN_STATIC_UNTAGGED_PORTS, 101),
+            Value::OctetString(mibs::encode_portlist(&[1], 49)),
+        ),
+        (
+            Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, 101),
+            Value::Integer(mibs::ROW_CREATE_AND_GO),
+        ),
+    ];
+    let mut status = None;
+    let blocks = blocks_during(|| {
+        let request = client.set(&row);
+        let mut mib = BridgeMib {
+            bridge: &mut bridge,
+            sys: &sys,
+            uptime_cs: 1,
+        };
+        let view = MessageRef::decode(&request).expect("the request decodes");
+        let response = agent_respond(&mut mib, "public", &view).expect("an answer");
+        status = client
+            .accept(&response)
+            .ok()
+            .flatten()
+            .map(|r| r.error_status);
+    });
+    assert_eq!(status, Some(ErrorStatus::NoError));
+    let vlan = bridge.vlan(101).expect("the row");
+    assert_eq!(vlan.egress.iter().collect::<Vec<_>>(), [1, 49]);
+    assert_eq!(vlan.untagged.iter().collect::<Vec<_>>(), [1]);
+    assert_eq!(
+        blocks,
+        2 * 2 + 2,
+        "heap blocks of one Set round trip: want the request's and the response's bytes and \
+         the bridge's two new port sets"
+    );
 }
 
 /// A fabric control scenario like the benchmark's `fabric_ctrl` at a

@@ -1970,14 +1970,23 @@ fn an_ipv6_prefix_rule_matches_its_leading_octets() {
 /// The SNMP path is total (the management-plane twin of
 /// `frame_path_is_total_under_mutation`): every byte of every sample set
 /// to each value — in debug builds a stride of them — and every cut go
-/// through `SnmpMessage::decode`, an agent over a `BridgeMib` and a
-/// manager's `SnmpClient::accept`. Nothing panics, every cut is
-/// `Truncated`, the agent's answers round-trip, and a mutant that
-/// decodes re-encodes to exactly its own bytes — but for the exceptions
-/// counted by name below, which are the decoder's, not the sweep's.
+/// through `SnmpMessage::decode`, the `MessageRef` view, an agent over a
+/// `BridgeMib` and a manager's `SnmpClient::accept`. Nothing panics,
+/// every cut is `Truncated`, the view fails exactly where the owned
+/// decode fails, with the same error, and is the owned decode when made
+/// owned, the agent's answers round-trip, and a mutant that decodes
+/// re-encodes to exactly its own bytes — but for the exceptions counted
+/// by name below, which are the decoder's, not the sweep's.
+///
+/// The decoder's verdict on every mutant (all 256 values in both
+/// builds) and every cut — the `Debug` of `SnmpMessage::decode`'s whole
+/// result — is folded into one digest and compared with the value the
+/// owned decoder gave before messages were read as views: every accept
+/// and every error is kept.
 #[test]
 fn snmp_path_is_total_under_mutation() {
     use legacy_switch::mib::{BridgeMib, SysInfo};
+    use mgmt::pdu::MessageRef as SnmpView;
     use mgmt::{agent_respond, SnmpClient};
     let sys = SysInfo::default();
     let mut bridge = legacy_switch::Bridge::new(4);
@@ -1986,9 +1995,29 @@ fn snmp_path_is_total_under_mutation() {
     let mut client = SnmpClient::new("public");
     let _pending = client.get(&[]);
     let mut exceptions = std::collections::BTreeMap::<&str, usize>::new();
+    let (mut verdicts, mut text) = (Fold::default(), String::new());
+    let mut verdict = |wire: &[u8]| {
+        use std::fmt::Write;
+        match SnmpMessage::decode(wire) {
+            Ok(msg) => verdicts.add(&msg.encode()),
+            Err(e) => {
+                text.clear();
+                write!(text, "{e:?}").expect("formatting cannot fail");
+                verdicts.add(text.as_bytes());
+            }
+        }
+    };
     let mut check = |wire: &[u8], what: &dyn Fn() -> String| {
         let _ = client.accept(wire);
-        let Ok(msg) = SnmpMessage::decode(wire) else {
+        let owned = SnmpMessage::decode(wire);
+        let view = SnmpView::decode(wire);
+        assert_eq!(
+            view.clone().map(SnmpView::to_owned),
+            owned,
+            "{}: the view reads otherwise",
+            what()
+        );
+        let (Ok(msg), Ok(request)) = (owned, view) else {
             return;
         };
         let again = msg.encode();
@@ -2007,22 +2036,24 @@ fn snmp_path_is_total_under_mutation() {
             sys: &sys,
             uptime_cs: 1,
         };
-        if let Some(response) = agent_respond(&mut mib, &msg.community, &msg) {
-            let wire = response.encode();
-            assert_eq!(SnmpMessage::decode(&wire), Ok(response), "{}", what());
-            let _ = client.accept(&wire);
+        if let Some(response) = agent_respond(&mut mib, request.community, &request) {
+            let back = SnmpMessage::decode(&response).expect("the agent's answer decodes");
+            assert_eq!(back.encode(), response, "{}", what());
+            let _ = client.accept(&response);
         }
     };
-    let debug = cfg!(debug_assertions);
-    let values: Vec<u8> = (0..=u8::MAX).step_by(if debug { 3 } else { 1 }).collect();
+    let stride = if cfg!(debug_assertions) { 3 } else { 1 };
     let samples = snmp_samples();
     for (name, msg) in &samples {
         let mut wire = msg.encode().to_vec();
         for i in 0..wire.len() {
             let orig = wire[i];
-            for &v in &values {
+            for v in 0..=u8::MAX {
                 wire[i] = v;
-                check(&wire, &|| format!("{name}: byte {i} = {v:#04x}"));
+                verdict(&wire);
+                if v % stride == 0 {
+                    check(&wire, &|| format!("{name}: byte {i} = {v:#04x}"));
+                }
             }
             wire[i] = orig;
         }
@@ -2034,17 +2065,193 @@ fn snmp_path_is_total_under_mutation() {
                 "{}",
                 what()
             );
+            verdict(&wire[..cut]);
             check(&wire[..cut], &what);
         }
     }
     // Each sample's error-status byte, set to every code outside the
     // subset that the sweep reaches: 248 of 256, in debug 84 of 86.
-    let per_sample = if debug { 84 } else { 248 };
+    let per_sample = if stride == 1 { 248 } else { 84 };
     assert_eq!(
         exceptions,
         [("error_status_outside_subset", samples.len() * per_sample)].into(),
     );
+    assert_eq!(
+        verdicts.0, SNMP_VERDICT_DIGEST,
+        "the decoder accepts or rejects some mutant otherwise"
+    );
 }
+
+/// [`snmp_path_is_total_under_mutation`]'s verdict digest.
+const SNMP_VERDICT_DIGEST: u64 = 0xb820_4594_6260_6e31;
+
+/// A random request to a legacy switch of `n_ports` ports: Get, GetNext
+/// or Set, now and then a Response (which an agent does not answer) or
+/// a wrong community. Names are instances of every column the switch
+/// serves, at indices in and around its ports and VLANs, and names that
+/// are no instance; a Set's values are right, of the wrong type, or out
+/// of range, and some name what is not writable.
+fn random_snmp_request(rand: &mut impl FnMut(u64) -> u64, n_ports: u16, id: i64) -> SnmpMessage {
+    use mgmt::{mibs, Oid};
+    const COLUMNS: [&[u32]; 12] = [
+        mibs::SYS_DESCR,
+        mibs::SYS_UPTIME,
+        mibs::SYS_NAME,
+        mibs::IF_NUMBER,
+        mibs::IF_DESCR,
+        mibs::IF_OPER_STATUS,
+        mibs::IF_IN_OCTETS,
+        mibs::IF_OUT_OCTETS,
+        mibs::VLAN_STATIC_EGRESS_PORTS,
+        mibs::VLAN_STATIC_UNTAGGED_PORTS,
+        mibs::VLAN_STATIC_ROW_STATUS,
+        mibs::PVID,
+    ];
+    let n = u32::from(n_ports);
+    let indices = [
+        0,
+        1,
+        2,
+        3,
+        5,
+        n,
+        n + 1,
+        101,
+        4094,
+        4095,
+        4096,
+        65537,
+        u32::MAX,
+    ];
+    let name = |rand: &mut dyn FnMut(u64) -> u64, ty: PduType| -> (usize, Oid) {
+        // A Set mostly names a writable instance that exists.
+        if ty == PduType::Set && rand(4) != 0 {
+            let column = 8 + rand(4) as usize;
+            let index = [1, 2, n, 101][rand(4) as usize];
+            return (column, Oid::instance(COLUMNS[column], index));
+        }
+        let column = rand(COLUMNS.len() as u64) as usize;
+        let instance = Oid::instance(
+            COLUMNS[column],
+            indices[rand(indices.len() as u64) as usize],
+        );
+        let oid = match rand(10) {
+            0 => Oid::new(COLUMNS[column]),
+            1 => instance.child(rand(3) as u32),
+            2 => Oid::new(&[1, 3, 6, 1, 2, 1, 99, rand(3) as u32]),
+            3 => Oid::new(&[rand(3) as u32]),
+            _ => instance,
+        };
+        (column, oid)
+    };
+    let ty = match rand(16) {
+        0 => PduType::Response,
+        1..=4 => PduType::Get,
+        5..=7 => PduType::GetNext,
+        _ => PduType::Set,
+    };
+    let bindings = (0..rand(4) + u64::from(ty != PduType::Get))
+        .map(|_| {
+            let (column, oid) = name(rand, ty);
+            if ty != PduType::Set {
+                return (oid, Value::Null);
+            }
+            let ports: Vec<u16> = (0..=n_ports + 1).filter(|_| rand(3) == 0).collect();
+            let portlist = Value::OctetString(mibs::encode_portlist(&ports, n_ports + 1));
+            let vid = [1, 1, 101, 101, 5, 4095, 70000][rand(7) as usize];
+            let value = match (rand(12), column) {
+                (0, _) => Value::Null,
+                (1, _) => Value::OctetString(b"x".to_vec()),
+                // A port list naming port 65537, past any u16.
+                (2, _) => Value::OctetString([vec![0; 8192], vec![0x40]].concat()),
+                (_, 8 | 9) => portlist,
+                (3, 10) => Value::Integer(rand(8) as i64),
+                (_, 10) => {
+                    Value::Integer([mibs::ROW_CREATE_AND_GO, mibs::ROW_DESTROY][rand(2) as usize])
+                }
+                (3, _) => Value::Integer(vid),
+                _ => Value::Gauge32(vid as u32),
+            };
+            (oid, value)
+        })
+        .collect();
+    let community = if rand(10) == 0 { "private" } else { "public" };
+    SnmpMessage::new(community, Pdu::request(ty, id, bindings))
+}
+
+/// The agent answers in place as the owned agent did: random requests
+/// (`random_snmp_request`) to random bridges through `agent_respond` and
+/// a `BridgeMib`, every request's bytes, the response's bytes (or its
+/// absence) and the bridge's VLAN table and PVIDs after it folded into
+/// one digest. The value pinned is what the owned path gave — decode the
+/// request, build the response PDU (cloning a Set's bindings into it),
+/// encode it — on the same stream, so every byte answered and every
+/// change made is as it was. Bad values, unwritable names, wrong types
+/// and wrong communities are all drawn, and counted below.
+#[test]
+fn the_agent_answers_as_the_owned_agent_did() {
+    use legacy_switch::mib::{BridgeMib, SysInfo};
+    use legacy_switch::Bridge;
+    use mgmt::pdu::MessageRef as SnmpView;
+    let mut state = 0x853c_49e6_748f_ea9bu64;
+    let mut rand = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let sys = SysInfo::default();
+    let (mut digest, mut outcomes) = (Fold::default(), std::collections::BTreeMap::new());
+    for case in 0..60 {
+        let n = 1 + rand(6) as u16;
+        let mut bridge = Bridge::new(n);
+        for _ in 0..rand(5) {
+            let port = 1 + rand(u64::from(n)) as u16;
+            let _ = bridge.make_access_port(port, 100 + rand(4) as u16);
+        }
+        for id in 0..100 {
+            let wire = random_snmp_request(&mut rand, n, case * 100 + id).encode();
+            let mut mib = BridgeMib {
+                bridge: &mut bridge,
+                sys: &sys,
+                uptime_cs: 4321,
+            };
+            let request = SnmpView::decode(&wire).expect("a request decodes");
+            let response = mgmt::agent_respond(&mut mib, "public", &request);
+            let outcome = match &response {
+                None => "dropped".to_string(),
+                Some(r) => {
+                    let pdu = SnmpMessage::decode(r).expect("the answer decodes").pdu;
+                    format!("{:?} {:?}", request.ty, pdu.error_status)
+                }
+            };
+            *outcomes.entry(outcome).or_insert(0) += 1;
+            digest.add(&wire);
+            digest.add(response.as_deref().unwrap_or(b"none"));
+            let pvids: Vec<u16> = (1..=n).map(|p| bridge.pvid(p)).collect();
+            digest.add(format!("{:?} {pvids:?}", bridge.vlans()).as_bytes());
+        }
+    }
+    for (outcome, at_least) in [
+        ("dropped", 500),
+        ("Get NoError", 800),
+        ("GetNext NoError", 800),
+        ("Set NoError", 100),
+        ("Set NotWritable", 500),
+        ("Set WrongType", 100),
+        ("Set WrongValue", 100),
+    ] {
+        let seen = outcomes.get(outcome).copied().unwrap_or(0);
+        assert!(seen >= at_least, "{outcome}: {seen} of {outcomes:?}");
+    }
+    assert_eq!(
+        digest.0, SNMP_AGENT_DIGEST,
+        "the agent answers or changes the bridge otherwise"
+    );
+}
+
+/// [`the_agent_answers_as_the_owned_agent_did`]'s digest.
+const SNMP_AGENT_DIGEST: u64 = 0xbf21_86e5_91da_d0e7;
 
 /// Whether `wire`'s error-status is an INTEGER outside the codes
 /// `ErrorStatus` names.
