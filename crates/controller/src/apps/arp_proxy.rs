@@ -101,12 +101,13 @@ impl HostRoute {
             .any(|&(d, _)| d == dpid)
     }
 
-    /// The distinct datapaths it names.
-    fn datapaths(&self) -> usize {
+    /// The distinct datapaths it names that hold a retraction
+    /// watermark: those synced since their last handshake.
+    fn readers(&self, retracted: &HashMap<u64, usize>) -> usize {
         let named = || self.ports.iter().chain(&self.guards).map(|&(d, _)| d);
         named()
             .enumerate()
-            .filter(|&(i, d)| !named().take(i).any(|e| e == d))
+            .filter(|&(i, d)| retracted.contains_key(&d) && !named().take(i).any(|e| e == d))
             .count()
     }
 }
@@ -115,12 +116,16 @@ impl HostRoute {
 ///
 /// Neither table outgrows what a datapath may still need. A superseded
 /// or removed entry leaves a tombstone in `hosts`, so no index or push
-/// watermark moves while datapaths catch up; once every datapath has
-/// pushed past them and they number an eighth of the live entries, they
-/// go in one sweep, and `by_ip` and the watermarks shift down to match.
-/// A retired entry is dropped once every datapath it reached has
-/// retracted it (or skipped it, handshaking into empty tables), and the
-/// retraction watermarks shift down with it.
+/// watermark moves while datapaths catch up; once every datapath with a
+/// push watermark has pushed past them and they number an eighth of the
+/// live entries, they go in one sweep, and `by_ip` and the watermarks
+/// shift down to match.
+/// A retired entry waits only on the datapaths that were synced when it
+/// was retired, and is dropped once each has retracted it or skipped
+/// it — handshaking into empty tables, or declared down — and the
+/// retraction watermarks shift down with it. A datapath that is down,
+/// or has not handshaken yet, holds no watermark, so it pins neither
+/// table.
 pub struct ArpProxy {
     /// Entries in registration order; `None` for a superseded or removed
     /// one.
@@ -192,7 +197,7 @@ impl ArpProxy {
         };
         if let Some(old) = self.hosts.get_mut(i).and_then(Option::take) {
             self.tombstones += 1;
-            let readers = old.datapaths();
+            let readers = old.readers(&self.retracted);
             if readers > 0 {
                 self.retired.push(Retired {
                     route: old,
@@ -245,9 +250,14 @@ impl ArpProxy {
     /// while matching nothing the table-miss entry covers. Must run
     /// *before* [`ArpProxy::push_routes`] in a sync so a same-MAC move
     /// deletes the old rule, then installs the new one.
+    ///
+    /// A datapath without a watermark holds none of the retired rules
+    /// and waits on none of them: it only gets its watermark.
     fn retract_routes(&mut self, sw: &mut SwitchHandle) -> bool {
         let dpid = sw.dpid;
-        let from = *self.retracted.get(&dpid).unwrap_or(&0);
+        let Some(from) = self.retracted.insert(dpid, self.retired.len()) else {
+            return false;
+        };
         let mut any = false;
         let start = from.min(self.retired.len());
         for Retired { route: h, readers } in &mut self.retired[start..] {
@@ -266,8 +276,23 @@ impl ArpProxy {
                 instructions: &[],
             });
         }
-        self.retracted.insert(dpid, self.retired.len());
         any
+    }
+
+    /// Pass every retired entry `dpid` has yet to retract without
+    /// deleting anything — its tables are empty or out of reach — and
+    /// drop its watermarks.
+    fn skip_retired(&mut self, dpid: u64) {
+        self.pushed.remove(&dpid);
+        let Some(from) = self.retracted.remove(&dpid) else {
+            return;
+        };
+        let start = from.min(self.retired.len());
+        for r in &mut self.retired[start..] {
+            if r.route.touches(dpid) {
+                r.readers -= 1;
+            }
+        }
     }
 
     /// Drop the leading retired entries that every datapath they name
@@ -370,14 +395,9 @@ impl App for ArpProxy {
         // every live route gets (re)installed, and deletes queued for
         // rules that no longer exist are skipped (deleting into a fresh
         // table would be a harmless no-op, but it is dead traffic).
+        self.skip_retired(sw.dpid);
         self.pushed.insert(sw.dpid, 0);
-        let from = self.retracted.insert(sw.dpid, self.retired.len());
-        let start = from.unwrap_or(0).min(self.retired.len());
-        for r in &mut self.retired[start..] {
-            if r.route.touches(sw.dpid) {
-                r.readers -= 1;
-            }
-        }
+        self.retracted.insert(sw.dpid, self.retired.len());
         // Table-miss punt, so ARP broadcasts (which no dst-MAC route
         // matches) reach the proxy. Idempotent with the learning
         // switch's identical entry.
@@ -393,6 +413,13 @@ impl App for ArpProxy {
         // Hosts registered (or retired) after a datapath's handshake
         // catch up here.
         self.sync_switch(sw);
+    }
+
+    fn on_switch_down(&mut self, dpid: u64) {
+        // Its next handshake brings empty tables: nothing retired waits
+        // on it from now, and no sweep waits on its push watermark.
+        self.skip_retired(dpid);
+        self.forget_retracted();
     }
 
     fn on_packet_in(&mut self, sw: &mut SwitchHandle, ev: &PacketInEvent) -> PacketInVerdict {
@@ -464,9 +491,11 @@ mod tests {
             ports: vec![(0x52, 1), (0x53, 9)],
             guards: vec![(0x53, 9)],
         });
-        let mut q52 = Outbox::default();
+        let (mut q52, mut q53) = (Outbox::default(), Outbox::default());
         p.sync_switch(&mut test_handle(0x52, &mut q52));
+        p.sync_switch(&mut test_handle(0x53, &mut q53));
         assert_eq!(flow_mods(&q52.buf).len(), 1);
+        assert_eq!(flow_mods(&q53.buf).len(), 2);
         assert_eq!(p.routes_retracted(), 0);
 
         // The host moves: same identity, new location.
@@ -486,7 +515,7 @@ mod tests {
         assert_eq!(mods[1].0, FlowModCommand::Add);
         assert_eq!(mods.len(), 2);
         // 0x53 held a route *and* a guard, swept by the one delete.
-        let mut q53 = Outbox::default();
+        q53.buf.clear();
         p.sync_switch(&mut test_handle(0x53, &mut q53));
         let mods = flow_mods(&q53.buf);
         assert_eq!(mods[0].0, FlowModCommand::Delete);
@@ -609,5 +638,49 @@ mod tests {
         // routed on 0x52 are retracted there too.
         assert_eq!(deletes, 993 + 497);
         assert_eq!(p.routes_retracted(), 993 + 497);
+    }
+
+    /// A datapath declared down, or one that never handshook, pins
+    /// neither table: with one of two switches down and a third never
+    /// seen, 1 000 moves synced on the live one leave one entry per host
+    /// and nothing retired, and the downed switch's next handshake
+    /// installs the live routes and deletes nothing.
+    #[test]
+    fn a_switch_that_is_down_holds_nothing_back() {
+        let mut p = ArpProxy::new();
+        let (mut q52, mut q53) = (Outbox::default(), Outbox::default());
+        p.on_switch_ready(&mut test_handle(0x52, &mut q52));
+        p.on_switch_ready(&mut test_handle(0x53, &mut q53));
+        let host = |i: u32| HostRoute {
+            ip: Ipv4Addr::new(10, 0, 0, (i % 7) as u8),
+            mac: MacAddr::host(i % 7),
+            ports: vec![(0x52, 1 + i % 3), (0x53, 4), (0x54, 5)],
+            guards: vec![(0x53, 9)],
+        };
+        for i in 0..7 {
+            p.add_host(host(i));
+        }
+        p.sync_switch(&mut test_handle(0x52, &mut q52));
+        p.sync_switch(&mut test_handle(0x53, &mut q53));
+        p.on_switch_down(0x53);
+        for i in 7..1_007u32 {
+            p.add_host(host(i));
+            q52.buf.clear();
+            p.sync_switch(&mut test_handle(0x52, &mut q52));
+            assert!(p.hosts.len() <= 7 + 1, "move {i}: {}", p.hosts.len());
+            assert!(p.retired.is_empty(), "move {i}: {}", p.retired.len());
+        }
+        assert_eq!(p.hosts.len(), p.hosts_known());
+        // Only the live switch was asked to delete.
+        assert_eq!(p.routes_retracted(), 1_000);
+        q53.buf.clear();
+        p.on_switch_ready(&mut test_handle(0x53, &mut q53));
+        let mods = flow_mods(&q53.buf);
+        assert!(
+            mods.iter().all(|(c, _)| *c == FlowModCommand::Add),
+            "{mods:?}"
+        );
+        // Table-miss, then a guard and a route per host.
+        assert_eq!(mods.len(), 1 + 7 * 2);
     }
 }

@@ -212,13 +212,10 @@ impl MibStore for BridgeMib<'_> {
     fn set(&mut self, bindings: VarBinds<'_>) -> Result<(), (usize, ErrorStatus)> {
         // Every binding is checked before any is written, against the
         // bridge as the bindings before it would leave it — which differs
-        // from the bridge only in which VLANs exist. The changes of a
-        // request of up to four bindings (a row write is three) wait on
-        // the stack for the writes; a longer one is read again. Nothing
-        // is allocated.
+        // from the bridge only in which VLANs exist — then decoded again
+        // to be applied. Nothing is allocated.
         let changes = || bindings.iter().map(|vb| Change::decode(vb.name, vb.value));
         let n_ports = self.bridge.n_ports();
-        let mut kept = [None; 4];
         for (i, change) in changes().enumerate() {
             let change = change.map_err(|status| (i, status))?;
             let exists = |vid| {
@@ -228,27 +225,18 @@ impl MibStore for BridgeMib<'_> {
             if !change.accepted(n_ports, exists) {
                 return Err((i, ErrorStatus::WrongValue));
             }
-            if let Some(slot) = kept.get_mut(i) {
-                *slot = Some(change);
-            }
         }
-        let mut apply = |change: Change| {
+        changes().flatten().for_each(|change| {
             change
                 .apply(self.bridge)
                 .expect("every change was checked before any was written")
-        };
-        if bindings.len() <= kept.len() {
-            kept.into_iter().flatten().for_each(&mut apply);
-        } else {
-            changes().flatten().for_each(apply);
-        }
+        });
         Ok(())
     }
 }
 
 /// One SET binding, decoded: the change it asks of the bridge. A port
 /// list stays the bytes the request holds.
-#[derive(Clone, Copy)]
 enum Change<'a> {
     /// A VLAN's egress ports, creating the VLAN if it does not exist.
     Egress(u16, &'a [u8]),

@@ -17,7 +17,7 @@
 use bytes::{BufMut, BytesMut};
 use netpkt::wire::Cursor;
 
-use crate::oid::{Oid, OidRef};
+use crate::oid::Oid;
 use crate::{Error, Result};
 
 /// BER tag bytes used by SNMP.
@@ -218,14 +218,10 @@ pub(crate) fn get_arc(c: &mut &[u8]) -> Result<u32> {
     }
 }
 
-/// Decode an OID from a TLV value.
-pub fn parse_oid(c: &[u8]) -> Result<Oid> {
-    OidRef::new(c).map(OidRef::to_owned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oid::OidRef;
 
     #[test]
     fn lengths_round_trip() {
@@ -343,7 +339,7 @@ mod tests {
             let mut sl = &out[..];
             let (t, val) = get_tlv(&mut sl).unwrap();
             assert_eq!(t, tag::OID);
-            assert_eq!(parse_oid(val).unwrap(), oid, "oid {s}");
+            assert_eq!(OidRef::new(val).unwrap().to_owned(), oid, "oid {s}");
         }
         // The canonical 1.3.6.1 prefix byte is 0x2b.
         let mut out = BytesMut::new();

@@ -314,29 +314,6 @@ impl Pdu {
             bindings,
         }
     }
-
-    /// The success response mirroring this request with new bindings.
-    pub fn response(&self, bindings: Vec<(Oid, Value)>) -> Pdu {
-        Pdu {
-            ty: PduType::Response,
-            request_id: self.request_id,
-            error_status: ErrorStatus::NoError,
-            error_index: 0,
-            bindings,
-        }
-    }
-
-    /// An error response mirroring this request (bindings echoed back, as
-    /// the RFC requires).
-    pub fn error_response(&self, status: ErrorStatus, index: i64) -> Pdu {
-        Pdu {
-            ty: PduType::Response,
-            request_id: self.request_id,
-            error_status: status,
-            error_index: index,
-            bindings: self.bindings.clone(),
-        }
-    }
 }
 
 /// A complete SNMPv2c message.
@@ -595,8 +572,11 @@ impl<'a> MessageParts<'a> {
         }
     }
 
-    /// Append the message to `out`; `bindings` writes the varbind list.
-    pub fn write_into(&self, out: &mut BytesMut, bindings: impl FnOnce(&mut VarBindWriter<'_>)) {
+    /// The message in a buffer of its own; `bindings` writes the
+    /// varbind list.
+    pub fn encode(&self, bindings: impl FnOnce(&mut VarBindWriter<'_>)) -> Bytes {
+        let mut buf = BytesMut::with_capacity(ENCODE_CAPACITY);
+        let out = &mut buf;
         let msg = ber::open(out, tag::SEQUENCE);
         ber::put_integer(out, tag::INTEGER, VERSION_2C.into());
         ber::put_tlv(out, tag::OCTET_STRING, self.community.as_bytes());
@@ -609,13 +589,7 @@ impl<'a> MessageParts<'a> {
         ber::close(out, list);
         ber::close(out, pdu);
         ber::close(out, msg);
-    }
-
-    /// The message in a buffer of its own.
-    pub fn encode(&self, bindings: impl FnOnce(&mut VarBindWriter<'_>)) -> Bytes {
-        let mut out = BytesMut::with_capacity(ENCODE_CAPACITY);
-        self.write_into(&mut out, bindings);
-        out.freeze()
+        buf.freeze()
     }
 }
 
@@ -700,19 +674,23 @@ mod tests {
 
     #[test]
     fn error_response_echoes_bindings() {
-        let req = Pdu::request(
-            PduType::Set,
-            9,
-            vec![(oid("1.3.6.1.2.1.1.5.0"), Value::OctetString(b"x".to_vec()))],
+        let req = SnmpMessage::new(
+            "public",
+            Pdu::request(
+                PduType::Set,
+                9,
+                vec![(oid("1.3.6.1.2.1.1.5.0"), Value::OctetString(b"x".to_vec()))],
+            ),
         );
-        let resp = req.error_response(ErrorStatus::NotWritable, 1);
-        assert_eq!(resp.request_id, 9);
-        assert_eq!(resp.error_status, ErrorStatus::NotWritable);
-        assert_eq!(resp.error_index, 1);
-        assert_eq!(resp.bindings, req.bindings);
-        // And it survives the wire.
-        let msg = SnmpMessage::new("public", resp);
-        assert_eq!(SnmpMessage::decode(&msg.encode()).unwrap(), msg);
+        let wire = req.encode();
+        let view = MessageRef::decode(&wire).unwrap();
+        let parts = MessageParts::response("public", &view, ErrorStatus::NotWritable, 1);
+        let resp = SnmpMessage::decode(&parts.encode(|w| w.echo(view.bindings))).unwrap();
+        assert_eq!(resp.pdu.ty, PduType::Response);
+        assert_eq!(resp.pdu.request_id, 9);
+        assert_eq!(resp.pdu.error_status, ErrorStatus::NotWritable);
+        assert_eq!(resp.pdu.error_index, 1);
+        assert_eq!(resp.pdu.bindings, req.pdu.bindings);
     }
 
     #[test]

@@ -1852,8 +1852,13 @@ fn snmp_samples() -> Vec<(&'static str, SnmpMessage)> {
             "response_error",
             SnmpMessage::new(
                 "public",
-                Pdu::request(PduType::Set, 9, vlan_row(102))
-                    .error_response(ErrorStatus::NotWritable, 2),
+                Pdu {
+                    ty: PduType::Response,
+                    request_id: 9,
+                    error_status: ErrorStatus::NotWritable,
+                    error_index: 2,
+                    bindings: vlan_row(102),
+                },
             ),
         ),
         (
@@ -1878,10 +1883,16 @@ fn snmp_samples() -> Vec<(&'static str, SnmpMessage)> {
             "response_long_string",
             SnmpMessage::new(
                 "public",
-                Pdu::request(PduType::Get, 5, vec![]).response(vec![(
-                    oid("1.3.6.1.2.1.1.1.0"),
-                    Value::OctetString(vec![b'x'; 300]),
-                )]),
+                Pdu {
+                    ty: PduType::Response,
+                    request_id: 5,
+                    error_status: ErrorStatus::NoError,
+                    error_index: 0,
+                    bindings: vec![(
+                        oid("1.3.6.1.2.1.1.1.0"),
+                        Value::OctetString(vec![b'x'; 300]),
+                    )],
+                },
             ),
         ),
     ]
