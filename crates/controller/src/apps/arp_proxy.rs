@@ -683,4 +683,79 @@ mod tests {
         // Table-miss, then a guard and a route per host.
         assert_eq!(mods.len(), 1 + 7 * 2);
     }
+
+    /// The proxy queues what it always queued: 200 random streams of 400
+    /// `add_host` / `remove_host` / `sync_switch` / `on_switch_ready` /
+    /// `on_switch_down` calls over four datapaths — synced before their
+    /// handshake, after it, after going down — with every byte queued,
+    /// `routes_retracted()`, `hosts_known()` and one lookup folded into
+    /// one digest after each call. The value pinned was recorded from the
+    /// proxy that kept a shared log of retired entries with reader counts
+    /// and a retraction watermark per datapath.
+    #[test]
+    fn an_op_stream_queues_what_the_parent_queued() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes.iter().chain(&(bytes.len() as u64).to_le_bytes()) {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let (mut deletes, mut adds) = (0, 0);
+        for _ in 0..200 {
+            let mut p = ArpProxy::new();
+            let mut q = Outbox::default();
+            for _ in 0..400 {
+                let dpid = 0x51 + rand(4);
+                let ip = Ipv4Addr::new(10, 0, 0, rand(12) as u8);
+                match rand(10) {
+                    0..=2 => {
+                        let (n_ports, n_guards) = (1 + rand(3), rand(3));
+                        let mut at = || (0x51 + rand(4), 1 + rand(4) as u32);
+                        let ports = (0..n_ports).map(|_| at()).collect();
+                        let guards = (0..n_guards).map(|_| at()).collect();
+                        p.add_host(HostRoute {
+                            ip,
+                            mac: MacAddr::host(rand(40) as u32),
+                            ports,
+                            guards,
+                        });
+                    }
+                    3 => {
+                        p.remove_host(ip);
+                    }
+                    4..=6 => p.sync_switch(&mut test_handle(dpid, &mut q)),
+                    7..=8 => p.on_switch_ready(&mut test_handle(dpid, &mut q)),
+                    _ => p.on_switch_down(dpid),
+                }
+                for (c, _) in flow_mods(&q.buf) {
+                    match c {
+                        FlowModCommand::Delete => deletes += 1,
+                        _ => adds += 1,
+                    }
+                }
+                fold(&q.buf);
+                q.buf.clear();
+                fold(&p.routes_retracted().to_le_bytes());
+                fold(&p.hosts_known().to_le_bytes());
+                let mac = p.lookup(Ipv4Addr::new(10, 0, 0, rand(12) as u8));
+                fold(&mac.map_or([0xff; 6], |m| m.0));
+            }
+        }
+        // The streams reach both kinds of flow-mod in numbers.
+        assert!(deletes > 10_000 && adds > 50_000, "{deletes} {adds}");
+        assert_eq!(
+            digest, OP_STREAM_DIGEST,
+            "the proxy queues other bytes or counts otherwise"
+        );
+    }
+
+    /// [`an_op_stream_queues_what_the_parent_queued`]'s digest.
+    const OP_STREAM_DIGEST: u64 = 0x3271_a74d_faf1_2121;
 }
