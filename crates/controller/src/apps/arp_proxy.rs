@@ -52,7 +52,7 @@
 //! attachment table, and `FabricSpec`'s `arp_proxy` flag wires the
 //! whole thing up.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use netpkt::{builder, MacAddr};
@@ -85,13 +85,6 @@ pub struct HostRoute {
     pub guards: Vec<(u64, u32)>,
 }
 
-/// A retired entry, and how many of the datapaths it names have yet to
-/// pass it.
-struct Retired {
-    route: HostRoute,
-    readers: usize,
-}
-
 impl HostRoute {
     /// Whether the route or a guard is on `dpid`.
     fn touches(&self, dpid: u64) -> bool {
@@ -100,32 +93,34 @@ impl HostRoute {
             .chain(&self.guards)
             .any(|&(d, _)| d == dpid)
     }
+}
 
-    /// The distinct datapaths it names that hold a retraction
-    /// watermark: those synced since their last handshake.
-    fn readers(&self, retracted: &HashMap<u64, usize>) -> usize {
-        let named = || self.ports.iter().chain(&self.guards).map(|&(d, _)| d);
-        named()
-            .enumerate()
-            .filter(|&(i, d)| retracted.contains_key(&d) && !named().take(i).any(|e| e == d))
-            .count()
-    }
+/// What the proxy knows of one datapath synced since its handshake.
+#[derive(Default)]
+struct Synced {
+    /// Number of `hosts` entries already installed there.
+    pushed: usize,
+    /// MACs of the entries naming it that were retired since its last
+    /// sync, in retirement order: each is deleted there on its next sync.
+    deletes: Vec<MacAddr>,
 }
 
 /// The ARP-proxy / proactive-routing app. See the module docs.
 ///
-/// Neither table outgrows what a datapath may still need. A superseded
-/// or removed entry leaves a tombstone in `hosts`, so no index or push
-/// watermark moves while datapaths catch up; once every datapath with a
-/// push watermark has pushed past them and they number an eighth of the
-/// live entries, they go in one sweep, and `by_ip` and the watermarks
-/// shift down to match.
-/// A retired entry waits only on the datapaths that were synced when it
-/// was retired, and is dropped once each has retracted it or skipped
-/// it — handshaking into empty tables, or declared down — and the
-/// retraction watermarks shift down with it. A datapath that is down,
-/// or has not handshaken yet, holds no watermark, so it pins neither
-/// table.
+/// The proxy keeps one record per datapath synced since its handshake
+/// (or first sync): how far into `hosts` it has been pushed, and the
+/// MACs it must delete. Retiring an entry appends its MAC to the queue
+/// of each such datapath it names; a sync drains that queue, then
+/// pushes past the watermark. A handshake resets the record (the tables
+/// are empty: nothing to delete, everything to push), and a datapath
+/// declared down loses it, so a switch that is down or has never been
+/// seen holds nothing.
+///
+/// A superseded or removed entry leaves a tombstone in `hosts`, so no
+/// index or push watermark moves while datapaths catch up; once every
+/// synced datapath has pushed past them and they number an eighth of
+/// the live entries, they go in one sweep, and `by_ip` and the
+/// watermarks shift down to match.
 pub struct ArpProxy {
     /// Entries in registration order; `None` for a superseded or removed
     /// one.
@@ -133,13 +128,8 @@ pub struct ArpProxy {
     /// How many of `hosts` are `None`.
     tombstones: usize,
     by_ip: HashMap<Ipv4Addr, usize>,
-    /// dpid → number of `hosts` entries already installed there.
-    pushed: HashMap<u64, usize>,
-    /// Superseded/removed entries whose rules must be deleted from the
-    /// datapaths they were pushed to.
-    retired: Vec<Retired>,
-    /// dpid → number of `retired` entries already retracted there.
-    retracted: HashMap<u64, usize>,
+    /// dpid → its record, for every datapath synced since its handshake.
+    synced: BTreeMap<u64, Synced>,
     answered: u64,
     routes_retracted: u64,
 }
@@ -152,9 +142,7 @@ impl ArpProxy {
             hosts: Vec::new(),
             tombstones: 0,
             by_ip: HashMap::new(),
-            pushed: HashMap::new(),
-            retired: Vec::new(),
-            retracted: HashMap::new(),
+            synced: BTreeMap::new(),
             answered: 0,
             routes_retracted: 0,
         }
@@ -188,21 +176,19 @@ impl ArpProxy {
         known
     }
 
-    /// Tombstone `ip`'s current entry (indices and per-dpid push
-    /// watermarks stay valid) and queue its installed rules for
-    /// retraction.
+    /// Tombstone `ip`'s current entry (indices and push watermarks stay
+    /// valid) and queue its MAC for deletion on every synced datapath it
+    /// names.
     fn retire(&mut self, ip: Ipv4Addr) -> bool {
         let Some(&i) = self.by_ip.get(&ip) else {
             return false;
         };
         if let Some(old) = self.hosts.get_mut(i).and_then(Option::take) {
             self.tombstones += 1;
-            let readers = old.readers(&self.retracted);
-            if readers > 0 {
-                self.retired.push(Retired {
-                    route: old,
-                    readers,
-                });
+            for (&dpid, s) in &mut self.synced {
+                if old.touches(dpid) {
+                    s.deletes.push(old.mac);
+                }
             }
         }
         true
@@ -234,128 +220,46 @@ impl ArpProxy {
     /// The same sync runs on every handshake and controller tick; call
     /// this via [`crate::ControllerNode::for_each_switch`] when a host
     /// move must converge without waiting for the next tick.
-    pub fn sync_switch(&mut self, sw: &mut SwitchHandle) {
-        let retracted = self.retract_routes(sw);
-        self.forget_retracted();
-        let pushed = self.push_routes(sw);
-        self.forget_tombstones();
-        if retracted || pushed {
-            sw.barrier();
-        }
-    }
-
-    /// Issue delete flow-mods on `sw` for every retired entry not yet
-    /// retracted there. One non-strict `eth_dst` delete per entry sweeps
-    /// its route, its guards and any stale reactive rules for that MAC,
-    /// while matching nothing the table-miss entry covers. Must run
-    /// *before* [`ArpProxy::push_routes`] in a sync so a same-MAC move
-    /// deletes the old rule, then installs the new one.
     ///
-    /// A datapath without a watermark holds none of the retired rules
-    /// and waits on none of them: it only gets its watermark.
-    fn retract_routes(&mut self, sw: &mut SwitchHandle) -> bool {
-        let dpid = sw.dpid;
-        let Some(from) = self.retracted.insert(dpid, self.retired.len()) else {
-            return false;
-        };
-        let mut any = false;
-        let start = from.min(self.retired.len());
-        for Retired { route: h, readers } in &mut self.retired[start..] {
-            if !h.touches(dpid) {
-                continue;
-            }
-            *readers -= 1;
-            any = true;
+    /// One non-strict `eth_dst` delete per queued MAC sweeps the retired
+    /// entry's route, its guards and any stale reactive rules for that
+    /// MAC, while matching nothing the table-miss entry covers. Deletes
+    /// go first, so a same-MAC move deletes the old rule, then installs
+    /// the new one.
+    pub fn sync_switch(&mut self, sw: &mut SwitchHandle) {
+        let s = self.synced.entry(sw.dpid).or_default();
+        let retracted = !s.deletes.is_empty();
+        for mac in s.deletes.drain(..) {
             self.routes_retracted += 1;
             sw.send_flow_mod(FlowModParts::<&[Action]> {
                 header: FlowModHeader {
                     command: FlowModCommand::Delete,
                     ..FlowModHeader::add(0)
                 },
-                match_: &[OxmField::EthDst(h.mac, None)],
+                match_: &[OxmField::EthDst(mac, None)],
                 instructions: &[],
             });
         }
-        any
-    }
-
-    /// Pass every retired entry `dpid` has yet to retract without
-    /// deleting anything — its tables are empty or out of reach — and
-    /// drop its watermarks.
-    fn skip_retired(&mut self, dpid: u64) {
-        self.pushed.remove(&dpid);
-        let Some(from) = self.retracted.remove(&dpid) else {
-            return;
-        };
-        let start = from.min(self.retired.len());
-        for r in &mut self.retired[start..] {
-            if r.route.touches(dpid) {
-                r.readers -= 1;
-            }
+        let from = std::mem::replace(&mut s.pushed, self.hosts.len());
+        let pushed = from < self.hosts.len();
+        push_routes(&self.hosts[from..], sw);
+        self.forget_tombstones();
+        if retracted || pushed {
+            sw.barrier();
         }
     }
 
-    /// Drop the leading retired entries that every datapath they name
-    /// has passed, shifting the watermarks down to match: a datapath
-    /// behind one of them is not named by it, so it reads nothing there.
-    fn forget_retracted(&mut self) {
-        let done = self.retired.iter().take_while(|r| r.readers == 0).count();
-        if done > 0 {
-            self.retired.drain(..done);
-            for mark in self.retracted.values_mut() {
-                *mark = mark.saturating_sub(done);
-            }
-        }
-    }
-
-    /// Install rules for every host not yet pushed to `sw`'s datapath.
-    /// Returns true if any entry was past its watermark, even a
-    /// tombstone.
-    fn push_routes(&mut self, sw: &mut SwitchHandle) -> bool {
-        let dpid = sw.dpid;
-        let from = *self.pushed.get(&dpid).unwrap_or(&0);
-        if from >= self.hosts.len() {
-            return false;
-        }
-        for h in self.hosts[from..].iter().flatten() {
-            for &(d, in_port) in &h.guards {
-                if d != dpid {
-                    continue;
-                }
-                sw.send_flow_mod(FlowModParts::<&[Action]> {
-                    header: rule(GUARD_PRIORITY),
-                    match_: &[OxmField::InPort(in_port), OxmField::EthDst(h.mac, None)],
-                    // match with no actions = drop
-                    instructions: &[Insn::ApplyActions(&[])],
-                });
-            }
-            for &(d, out) in &h.ports {
-                if d != dpid {
-                    continue;
-                }
-                sw.send_flow_mod(FlowModParts::<&[Action]> {
-                    header: rule(ROUTE_PRIORITY),
-                    match_: &[OxmField::EthDst(h.mac, None)],
-                    instructions: &[Insn::ApplyActions(&[Action::output(out)])],
-                });
-            }
-        }
-        self.pushed.insert(dpid, self.hosts.len());
-        true
-    }
-
-    /// Sweep the tombstones out of `hosts` once every datapath has
-    /// pushed the whole table and they number an eighth of the live
-    /// entries: a sweep
-    /// re-points `by_ip` at every entry that moved down, so it waits
-    /// until it frees that many. Every watermark is then the table's
-    /// end, so each moves down by the same count.
+    /// Sweep the tombstones out of `hosts` once every synced datapath
+    /// has pushed the whole table and they number an eighth of the live
+    /// entries: a sweep re-points `by_ip` at every entry that moved
+    /// down, so it waits until it frees that many. Every watermark is
+    /// then the table's end, so each moves down by the same count.
     fn forget_tombstones(&mut self) {
         let len = self.hosts.len();
         if self.tombstones == 0 || self.tombstones * 8 < len - self.tombstones {
             return;
         }
-        if self.pushed.values().any(|&mark| mark < len) {
+        if self.synced.values().any(|s| s.pushed < len) {
             return;
         }
         self.hosts.retain(Option::is_some);
@@ -365,8 +269,36 @@ impl ArpProxy {
             }
         }
         let swept = len - self.hosts.len();
-        self.pushed.values_mut().for_each(|mark| *mark -= swept);
+        self.synced.values_mut().for_each(|s| s.pushed -= swept);
         self.tombstones = 0;
+    }
+}
+
+/// Install on `sw` the guards and routes `hosts` name on its datapath.
+fn push_routes(hosts: &[Option<HostRoute>], sw: &mut SwitchHandle) {
+    let dpid = sw.dpid;
+    for h in hosts.iter().flatten() {
+        for &(d, in_port) in &h.guards {
+            if d != dpid {
+                continue;
+            }
+            sw.send_flow_mod(FlowModParts::<&[Action]> {
+                header: rule(GUARD_PRIORITY),
+                match_: &[OxmField::InPort(in_port), OxmField::EthDst(h.mac, None)],
+                // match with no actions = drop
+                instructions: &[Insn::ApplyActions(&[])],
+            });
+        }
+        for &(d, out) in &h.ports {
+            if d != dpid {
+                continue;
+            }
+            sw.send_flow_mod(FlowModParts::<&[Action]> {
+                header: rule(ROUTE_PRIORITY),
+                match_: &[OxmField::EthDst(h.mac, None)],
+                instructions: &[Insn::ApplyActions(&[Action::output(out)])],
+            });
+        }
     }
 }
 
@@ -391,13 +323,11 @@ impl App for ArpProxy {
 
     fn on_switch_ready(&mut self, sw: &mut SwitchHandle) {
         // A handshake means empty tables — a first connect, or a device
-        // that rebooted and lost everything. Rewind both watermarks:
-        // every live route gets (re)installed, and deletes queued for
-        // rules that no longer exist are skipped (deleting into a fresh
-        // table would be a harmless no-op, but it is dead traffic).
-        self.skip_retired(sw.dpid);
-        self.pushed.insert(sw.dpid, 0);
-        self.retracted.insert(sw.dpid, self.retired.len());
+        // that rebooted and lost everything. Reset its record: every
+        // live route gets (re)installed, and deletes queued for rules
+        // that no longer exist are dropped (deleting into a fresh table
+        // would be a harmless no-op, but it is dead traffic).
+        self.synced.insert(sw.dpid, Synced::default());
         // Table-miss punt, so ARP broadcasts (which no dst-MAC route
         // matches) reach the proxy. Idempotent with the learning
         // switch's identical entry.
@@ -416,10 +346,9 @@ impl App for ArpProxy {
     }
 
     fn on_switch_down(&mut self, dpid: u64) {
-        // Its next handshake brings empty tables: nothing retired waits
-        // on it from now, and no sweep waits on its push watermark.
-        self.skip_retired(dpid);
-        self.forget_retracted();
+        // Its next handshake brings empty tables: nothing is queued for
+        // it from now, and no sweep waits on its push watermark.
+        self.synced.remove(&dpid);
     }
 
     fn on_packet_in(&mut self, sw: &mut SwitchHandle, ev: &PacketInEvent) -> PacketInVerdict {
@@ -629,7 +558,7 @@ mod tests {
         }
         assert_eq!(p.hosts_known(), 7);
         assert_eq!(p.hosts.len(), p.hosts_known());
-        assert!(p.retired.is_empty());
+        assert!(p.synced.values().all(|s| s.deletes.is_empty()));
         for i in 0..7 {
             let ip = Ipv4Addr::new(10, 0, 0, i);
             assert_eq!(p.lookup(ip), Some(MacAddr::host(u32::from(i))));
@@ -668,7 +597,7 @@ mod tests {
             q52.buf.clear();
             p.sync_switch(&mut test_handle(0x52, &mut q52));
             assert!(p.hosts.len() <= 7 + 1, "move {i}: {}", p.hosts.len());
-            assert!(p.retired.is_empty(), "move {i}: {}", p.retired.len());
+            assert!(p.synced.values().all(|s| s.deletes.is_empty()), "move {i}");
         }
         assert_eq!(p.hosts.len(), p.hosts_known());
         // Only the live switch was asked to delete.

@@ -31,9 +31,10 @@
 //!
 //! Configuration is per-dpid and wholesale ([`Router::set_config`]):
 //! the fabric layer computes each edge datapath's route list once from
-//! the topology. Sync follows the ArpProxy watermark discipline —
-//! deletes before adds, handshake rewinds the push watermark and skips
-//! deletes into a fresh table.
+//! the topology. Like `ArpProxy`, the router keeps what it installed
+//! per datapath, here the config version: a sync sends deletes before
+//! adds, and a handshake resets the datapath to nothing installed, so
+//! the whole config goes into the fresh table and no delete does.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -265,7 +266,7 @@ impl Router {
 }
 
 /// The 32-bit netmask for a prefix length (0 → `0.0.0.0`).
-fn prefix_mask(len: u8) -> u32 {
+pub fn prefix_mask(len: u8) -> u32 {
     if len == 0 {
         0
     } else {

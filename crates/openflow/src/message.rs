@@ -1050,11 +1050,6 @@ fn whole<T>(body: Result<T>) -> Result<T> {
 }
 
 impl Message {
-    /// The `ofp_type` byte of this message.
-    pub fn type_byte(&self) -> u8 {
-        self.kind()
-    }
-
     /// Encode with full header into a buffer of its own; `xid` is the
     /// transaction id.
     pub fn encode(&self, xid: Xid) -> Bytes {

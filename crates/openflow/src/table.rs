@@ -27,9 +27,6 @@
 //! An index returned by a lookup names a slot, and is valid until the
 //! table's next mutation ([`FlowTable::version`] moves with every one).
 
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
-
 use netpkt::flowkey::FieldMask;
 use netpkt::FlowKey;
 
@@ -455,10 +452,12 @@ pub struct FlowTable {
     /// The ids of the non-vacant groups, ascending by `first`.
     probe_order: Vec<MaskId>,
     /// Seeds [`FlowKey::flow_hash64`] for this table's fingerprints,
-    /// drawn once from std's `RandomState`. It moves which keys share a
-    /// fingerprint from table to table and run to run, so no fixed set
-    /// of matches spills in every table. It does not make the hash a
-    /// PRF, and need not: the controller, which authors every key, is
+    /// derived from the datapath id and the table id ([`table_seed`]).
+    /// It moves which keys share a fingerprint from table to table, so
+    /// no fixed set of matches spills in every table, and it is the same
+    /// in every run: where the index's buckets fall, and so when its
+    /// arrays grow, repeats exactly. It does not make the hash a PRF,
+    /// and need not: the controller, which authors every key, is
     /// trusted, and a shared fingerprint costs a walk of the spill
     /// list, never a wrong entry.
     seed: u64,
@@ -469,14 +468,25 @@ pub struct FlowTable {
     hits: u64,
 }
 
+/// The fingerprint seed of table `id` of datapath `datapath_id`: the
+/// pair, packed injectively, through SplitMix64's finalizer, so tables
+/// differ in every bit of their seeds.
+fn table_seed(datapath_id: u64, id: TableId) -> u64 {
+    let mut z = datapath_id.rotate_left(8) ^ u64::from(id.0);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl FlowTable {
-    /// An unbounded table.
+    /// An unbounded table, of datapath 0.
     pub fn new(id: TableId) -> FlowTable {
-        FlowTable::with_capacity(id, usize::MAX)
+        FlowTable::with_capacity(0, id, usize::MAX)
     }
 
-    /// A table that refuses adds beyond `capacity` entries (models TCAM).
-    pub fn with_capacity(id: TableId, capacity: usize) -> FlowTable {
+    /// Table `id` of datapath `datapath_id`, refusing adds beyond
+    /// `capacity` entries (models TCAM).
+    pub fn with_capacity(datapath_id: u64, id: TableId, capacity: usize) -> FlowTable {
         FlowTable {
             id,
             entries: Vec::new(),
@@ -485,7 +495,7 @@ impl FlowTable {
             order: Vec::new(),
             groups: Vec::new(),
             probe_order: Vec::new(),
-            seed: RandomState::new().build_hasher().finish(),
+            seed: table_seed(datapath_id, id),
             next_seq: 0,
             capacity,
             version: 0,
@@ -860,7 +870,7 @@ impl FlowTable {
             }
         }
         slots.retain(|&s| sel.passes(self.at(s)));
-        // Bucket order differs from run to run (the seed moves it); what
+        // Bucket order differs from table to table (the seed moves it); what
         // is removed, in which order, feeds `FLOW_REMOVED`.
         slots.sort_unstable_by_key(|&s| self.rank_of(s));
         slots
@@ -1091,7 +1101,7 @@ mod tests {
 
     #[test]
     fn capacity_enforced() {
-        let mut t = FlowTable::with_capacity(TableId(0), 2);
+        let mut t = FlowTable::with_capacity(0, TableId(0), 2);
         t.install(entry(1, udp_match(1), 1)).unwrap();
         t.install(entry(1, udp_match(2), 1)).unwrap();
         assert_eq!(
@@ -1403,7 +1413,7 @@ mod tests {
 
     #[test]
     fn a_bounded_table_never_reserves_past_its_capacity() {
-        let mut t = FlowTable::with_capacity(TableId(0), 40);
+        let mut t = FlowTable::with_capacity(0, TableId(0), 40);
         for port in 0..40 {
             t.install(entry(5, udp_match(port), 1)).unwrap();
             assert_slack(&t);

@@ -407,7 +407,7 @@ proptest! {
         capacity in 3usize..12,
         ops in proptest::collection::vec((0u8..12, 0u8..9, any::<u8>(), 0u16..3, any::<u8>()), 1..60),
     ) {
-        let mut table = FlowTable::with_capacity(TableId(0), capacity);
+        let mut table = FlowTable::with_capacity(0, TableId(0), capacity);
         let mut model = ScanTable { entries: Vec::new(), capacity, version: 0 };
         let probes: Vec<FlowKey> = (0..24u32)
             .map(|i| {

@@ -299,18 +299,21 @@ impl ActionSet {
     }
 }
 
+/// The empty flow tables of a datapath built per `config`.
+fn empty_tables(config: &DpConfig) -> Vec<FlowTable> {
+    (0..config.n_tables.max(1))
+        .map(|i| FlowTable::with_capacity(config.datapath_id, TableId(i), config.table_capacity))
+        .collect()
+}
+
 impl Datapath {
     /// Build an empty datapath per `config`.
     pub fn new(config: DpConfig) -> Datapath {
-        let n = usize::from(config.n_tables.max(1));
-        let tables = (0..n)
-            .map(|i| FlowTable::with_capacity(TableId(i as u8), config.table_capacity))
-            .collect();
         Datapath {
             caches: Caches::new(&config),
+            tables: empty_tables(&config),
             config,
             ports: BTreeMap::new(),
-            tables,
             groups: GroupTable::new(),
             meters: MeterTable::new(),
             epoch: 1,
@@ -344,10 +347,7 @@ impl Datapath {
     /// Ports (hardware) and their counters survive. The epoch is bumped
     /// so any cached path that somehow survived is invalidated.
     pub fn reset_tables(&mut self) {
-        let n = usize::from(self.config.n_tables.max(1));
-        self.tables = (0..n)
-            .map(|i| FlowTable::with_capacity(TableId(i as u8), self.config.table_capacity))
-            .collect();
+        self.tables = empty_tables(&self.config);
         self.groups = GroupTable::new();
         self.meters = MeterTable::new();
         self.caches = Caches::new(&self.config);

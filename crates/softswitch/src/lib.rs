@@ -23,9 +23,6 @@
 //!   with OVS-style unwildcarding;
 //! * [`nat`] — the stateful source-NAT connection table behind
 //!   [`openflow::Action::Nat`];
-//! * [`route`] — a standalone longest-prefix-match table (the reference
-//!   structure the routing stage's masked flow entries are checked
-//!   against);
 //! * [`datapath`] — the multi-table pipeline: flow/group/meter tables,
 //!   reserved-port semantics, IPv4 TTL/NAT stages, packet-in
 //!   generation, [`PipelineMode`] selection;
@@ -48,12 +45,10 @@ pub mod cache;
 pub mod datapath;
 pub mod nat;
 pub mod node;
-pub mod route;
 pub mod trace;
 
 pub use batch::{BatchResult, FrameBatch};
 pub use datapath::{Datapath, DatapathStats, DpConfig, PipelineMode};
 pub use nat::{NatConfig, NatProto, NatTable};
 pub use node::{FailMode, SoftSwitchNode};
-pub use route::LpmTable;
 pub use trace::{CostModel, ProcessingTrace};

@@ -518,7 +518,9 @@ fn blocks_to_push_routes(routes: u32) -> u64 {
 /// Pinned at two table sizes, exactly; between them, each route adds
 /// the two blocks the switch's rule keeps (its match and its program),
 /// and what is left over is the growth of the buffers and tables that
-/// hold them, not a block per route.
+/// hold them, not a block per route. The switch's table seeds its
+/// fingerprints from its datapath id, so where its index buckets fall,
+/// and how often they grow, is the same in every run.
 #[test]
 fn a_controller_pushing_routes_allocates_only_the_switch_s_rules() {
     let _turn = TURN.lock().unwrap();
@@ -532,7 +534,7 @@ fn a_controller_pushing_routes_allocates_only_the_switch_s_rules() {
     );
     assert_eq!(
         (few, many),
-        (630, 4_295),
+        (629, 4_294),
         "heap blocks to push {FEW} and {MANY} routes"
     );
 }

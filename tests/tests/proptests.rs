@@ -2286,27 +2286,14 @@ fn error_status_outside_subset(wire: &[u8]) -> bool {
 
 use softswitch::actions::{dec_ttl, TtlResult};
 use softswitch::nat::{NatProto, NatTable};
-use softswitch::route::prefix_mask;
-use softswitch::{LpmTable, NatConfig};
+use softswitch::NatConfig;
 
-/// Addresses drawn from a deliberately tiny pool so generated prefixes
-/// overlap (nested supernets, sibling subnets, exact duplicates).
 /// Set the TTL of an untagged IPv4 frame, checksum recomputed.
 fn set_ttl(frame: &mut [u8], ttl: u8) {
     let mut ip = netpkt::ipv4::Header::parse(&mut &frame[14..]).unwrap();
     ip.ttl = ttl;
     ip.write(&mut &mut frame[14..]).unwrap();
     netpkt::ipv4::fill_checksum(&mut frame[14..14 + ip.header_len]);
-}
-
-fn arb_lpm_base() -> impl Strategy<Value = u32> {
-    prop_oneof![
-        Just(0x0a00_0000u32), // 10.0.0.0
-        Just(0x0a01_0000u32), // 10.1.0.0
-        Just(0x0a01_8000u32), // 10.1.128.0
-        Just(0x0aff_0000u32), // 10.255.0.0
-        any::<u32>(),
-    ]
 }
 
 /// One step of the NAT state machine:
@@ -2317,55 +2304,6 @@ fn arb_nat_op() -> impl Strategy<Value = (u8, u8, u16, u64)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// LPM table ≡ naive linear-scan oracle, under heavy prefix
-    /// overlap, duplicate inserts and default-route (`/0`) fallback.
-    #[test]
-    fn lpm_lookup_matches_linear_scan_oracle(
-        routes in proptest::collection::vec((arb_lpm_base(), 0u8..=32, any::<u16>()), 0..24),
-        with_default in any::<bool>(),
-        probes in proptest::collection::vec((any::<usize>(), any::<u32>(), any::<bool>()), 1..48),
-    ) {
-        let mut table: LpmTable<u16> = LpmTable::new();
-        // The oracle: a flat list of (masked prefix, len, value),
-        // replace-on-duplicate, scanned linearly per lookup.
-        let mut oracle: Vec<(u32, u8, u16)> = Vec::new();
-        let mut insert = |table: &mut LpmTable<u16>, addr: u32, len: u8, val: u16| {
-            let masked = addr & prefix_mask(len);
-            table.insert(std::net::Ipv4Addr::from(addr), len, val);
-            if let Some(slot) = oracle.iter_mut().find(|r| (r.0, r.1) == (masked, len)) {
-                slot.2 = val;
-            } else {
-                oracle.push((masked, len, val));
-            }
-        };
-        for &(addr, len, val) in &routes {
-            insert(&mut table, addr, len, val);
-        }
-        if with_default {
-            insert(&mut table, 0, 0, 0xd00d);
-        }
-        prop_assert_eq!(table.len(), oracle.len());
-        for &(idx, bits, random) in &probes {
-            // Half the probes land inside an installed prefix (random
-            // host bits), half are fully random.
-            let addr = if random || oracle.is_empty() {
-                bits
-            } else {
-                let (p, len, _) = oracle[idx % oracle.len()];
-                p | (bits & !prefix_mask(len))
-            };
-            let want = oracle
-                .iter()
-                .filter(|&&(p, len, _)| addr & prefix_mask(len) == p)
-                .max_by_key(|&&(_, len, _)| len)
-                .map(|&(_, len, val)| (len, val));
-            let got = table
-                .lookup(std::net::Ipv4Addr::from(addr))
-                .map(|(len, &val)| (len, val));
-            prop_assert_eq!(got, want, "probe {:?}", std::net::Ipv4Addr::from(addr));
-        }
-    }
 
     /// NAT connection table vs an exact model, under arbitrary
     /// egress/ingress/sweep/wait interleavings: every live mapping
@@ -2520,7 +2458,7 @@ proptest! {
             ).unwrap();
             dp.apply_flow_mod(&FlowMod::add(1).priority(0).goto(2), 0).unwrap();
             let route = |prefix: [u8; 4], len: u8, prio: u16, nat: Option<NatDir>, out: u32| {
-                let mask = std::net::Ipv4Addr::from(softswitch::route::prefix_mask(len));
+                let mask = std::net::Ipv4Addr::from(controller::apps::router::prefix_mask(len));
                 let m = if len == 0 {
                     Match::new().eth_type(0x0800)
                 } else {
