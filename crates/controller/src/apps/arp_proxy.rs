@@ -529,7 +529,7 @@ mod tests {
     /// A long-lived proxy holds only what a datapath may still need: 1 000
     /// re-registrations of seven hosts, moving between two datapaths and
     /// each followed by a sync of both, leave one entry per host and no
-    /// retired entry, while every superseded route was retracted where it
+    /// delete queued, while every superseded route was retracted where it
     /// was installed.
     #[test]
     fn re_registrations_leave_no_superseded_entry_behind() {
@@ -569,10 +569,10 @@ mod tests {
         assert_eq!(p.routes_retracted(), 993 + 497);
     }
 
-    /// A datapath declared down, or one that never handshook, pins
-    /// neither table: with one of two switches down and a third never
-    /// seen, 1 000 moves synced on the live one leave one entry per host
-    /// and nothing retired, and the downed switch's next handshake
+    /// A datapath declared down, or one that never handshook, holds
+    /// nothing: with one of two switches down and a third never seen,
+    /// 1 000 moves synced on the live one leave one entry per host and
+    /// no delete queued, and the downed switch's next handshake
     /// installs the live routes and deletes nothing.
     #[test]
     fn a_switch_that_is_down_holds_nothing_back() {
