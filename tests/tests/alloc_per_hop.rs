@@ -462,6 +462,49 @@ fn a_route_flow_mod_through_the_agent_allocates_only_what_its_rule_keeps() {
     );
 }
 
+/// One route `DELETE_STRICT`, its bytes as the channel delivers them,
+/// through `OfAgent::handle`: the agent selects the rule by the match's
+/// key and mask, read where the chunk holds them, and builds no owned
+/// match. The five blocks it allocates are the table's and the
+/// datapath's lists: the selected slots, the same slots highest first,
+/// the removed entries with their ranks and then in table order, and
+/// the datapath's list of them by table. The rule's own two blocks, its
+/// match and its program, are freed.
+#[test]
+fn a_route_delete_through_the_agent_allocates_only_its_removal_lists() {
+    let _turn = TURN.lock().unwrap();
+    let mut dp = Datapath::new(DpConfig::software(1));
+    for p in 1..=4 {
+        dp.add_port(p, format!("p{p}"), 1_000_000);
+    }
+    let route = |h: u32| {
+        FlowMod::add(0)
+            .priority(100)
+            .match_(Match::new().eth_dst(MacAddr::host(h)))
+            .apply(vec![Action::output(1 + h % 4)])
+    };
+    let mut agent = OfAgent::new("ss2");
+    agent.handle(&mut dp, Message::Hello.encode(1), 0);
+    for h in 0..64 {
+        agent.handle(&mut dp, Message::FlowMod(route(h)).encode(2), 0);
+    }
+    let delete = route(7).command(openflow::FlowModCommand::DeleteStrict);
+    let wire: Bytes = Message::FlowMod(delete).encode(3);
+
+    let (mut replies, mut live) = (usize::MAX, 0);
+    let blocks = blocks_during(|| {
+        live = live_after(|| replies = agent.handle(&mut dp, wire.clone(), 0).replies.len());
+    });
+    assert_eq!(replies, 0, "the route asked for no FLOW_REMOVED");
+    assert_eq!(dp.table(0).unwrap().len(), 63, "the route is gone");
+    assert_eq!(
+        (blocks, live),
+        (5, -2),
+        "heap blocks allocated by one route delete, and left live: want its removal lists \
+         and no match, and the rule's match and program freed"
+    );
+}
+
 /// The heap blocks a controller running the ARP proxy and one switch
 /// allocate, on this thread, from the switch dialing to the proxy's
 /// `routes` host routes installed and acknowledged: the handshake, one

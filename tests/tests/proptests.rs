@@ -1213,6 +1213,12 @@ fn of_encoding_matches_golden_bytes() {
 /// (`view_agrees`): it rejects exactly what the owned decode rejects,
 /// with the same error, and reads as the owned flow-mod.
 ///
+/// What the agent does with each mutant — its replies' bytes and the
+/// rules its datapath holds after it — is folded into a second digest,
+/// compared with `AGENT_APPLY_DIGEST`, recorded before a flow-mod's
+/// match was read once on apply: a change to how a switch applies what
+/// it is sent must answer and install exactly as before.
+///
 /// The decoder's verdict on every mutant and every cut, in order — the
 /// `Debug` of `Message::decode`'s whole result, the message with its
 /// xid and length or the error — is folded into one digest and
@@ -1228,6 +1234,7 @@ fn of_decoder_is_total_under_mutation() {
         write!(text, "{:?}", Message::decode(frame)).expect("formatting cannot fail");
         verdicts.add(text.as_bytes());
     };
+    let mut applied = Fold::default();
     let hello = Message::Hello.encode(1);
     let echo = Message::EchoRequest(Bytes::new());
     let mut session = openflow::Session::default();
@@ -1277,7 +1284,7 @@ fn of_decoder_is_total_under_mutation() {
                 verdict(&wire);
                 if v % stride == 0 {
                     view_agrees(&wire, &what);
-                    through_agent(&mut switch, &wire, &what);
+                    through_agent(&mut switch, &wire, &what, &mut applied);
                 }
             }
             wire[i] = orig;
@@ -1292,17 +1299,33 @@ fn of_decoder_is_total_under_mutation() {
             check(&short, &what);
             verdict(&short);
             view_agrees(&short, &what);
-            through_agent(&mut switch, &short, &what);
+            through_agent(&mut switch, &short, &what, &mut applied);
         }
     }
     assert_eq!(
         verdicts.0, OF_VERDICT_DIGEST,
         "the decoder accepts or rejects some mutant otherwise"
     );
+    // A debug build hands the agent a stride of the values, so it sees
+    // other mutants, in another order, and has its own digest.
+    let want = if cfg!(debug_assertions) {
+        AGENT_APPLY_DIGEST.1
+    } else {
+        AGENT_APPLY_DIGEST.0
+    };
+    assert_eq!(
+        applied.0, want,
+        "the agent answers or installs some mutant otherwise"
+    );
 }
 
 /// [`of_decoder_is_total_under_mutation`]'s verdict digest.
 const OF_VERDICT_DIGEST: u64 = 0x7263_aa63_1996_00da;
+
+/// [`of_decoder_is_total_under_mutation`]'s digest of the agent's
+/// replies and rule counts: `--release` (every value), then debug (a
+/// stride of them).
+const AGENT_APPLY_DIGEST: (u64, u64) = (0x8c9a_0afa_e0c7_cb60, 0xe063_3425_9828_4916);
 
 /// A 64-bit FNV-1a-style fold of byte strings, eight bytes at a time
 /// (a debug build formats and folds every mutant), each string ended
@@ -1375,11 +1398,13 @@ fn mutant_switch() -> (softswitch::agent::OfAgent, Datapath) {
 
 /// A frame whose header says it has fully arrived, handed to the
 /// agent: it applies the message without panicking, and every reply
-/// (an error, if the frame does not decode) decodes.
+/// (an error, if the frame does not decode) decodes. The replies' bytes
+/// and the rules the datapath then holds go into `applied`.
 fn through_agent(
     (agent, dp): &mut (softswitch::agent::OfAgent, Datapath),
     frame: &[u8],
     what: &dyn Fn() -> String,
+    applied: &mut Fold,
 ) {
     if frame.len() < 8 || usize::from(u16::from_be_bytes([frame[2], frame[3]])) != frame.len() {
         return;
@@ -1394,7 +1419,13 @@ fn through_agent(
             "{}: the agent's reply does not decode",
             what()
         );
+        applied.add(reply);
     }
+    let rules: usize = (0..dp.n_tables())
+        .filter_map(|t| dp.table(t))
+        .map(|t| t.len())
+        .sum();
+    applied.add(&(rules as u64).to_le_bytes());
 }
 
 /// The session's chunking oracle. Every message sample, each under its
@@ -1648,6 +1679,204 @@ fn assert_view_is(view: FlowModRef<'_>, fm: &FlowMod) {
         format!("{:?}", openflow::Program::new(&fm.instructions)),
     );
 }
+
+/// A field of a match whose prerequisites (OF 1.3 §7.2.3.8) are the
+/// point: one that provides a fact another needs (a tagged VLAN; an
+/// IPv4, IPv6 or ARP EtherType; a TCP, UDP or ICMP protocol), a near
+/// miss of one, or one that needs a fact. Together with
+/// `arb_oxm_field` they cover every `OxmField` variant.
+fn prerequisite_field(rand: &mut impl FnMut(u64) -> u64) -> OxmField {
+    use std::net::Ipv4Addr;
+    let v4 = Ipv4Addr::from(rand(1 << 32) as u32);
+    let v6 = Ipv6Addr::from(u128::from(rand(u64::MAX)) << 64 | u128::from(rand(u64::MAX)));
+    let prefix = Ipv4Addr::new(255, 255, 0, 0);
+    match rand(27) {
+        0 => OxmField::VlanVid(0x1000 | 101, None),
+        1 => OxmField::VlanVid(0x1000, Some(0x1000)),
+        2 => OxmField::VlanVid(0, None),
+        3 => OxmField::EthType(0x0800),
+        4 => OxmField::EthType(0x86dd),
+        5 => OxmField::EthType(0x0806),
+        6 => OxmField::EthType(0x8100),
+        7 => OxmField::IpProto(6),
+        8 => OxmField::IpProto(17),
+        9 => OxmField::IpProto(1),
+        10 => OxmField::IpProto(58),
+        11 => OxmField::VlanPcp(rand(8) as u8),
+        12 => OxmField::IpDscp(rand(64) as u8),
+        13 => OxmField::Ipv4Src(v4, None),
+        14 => OxmField::Ipv4Dst(v4, Some(prefix)),
+        15 => OxmField::Ipv6Src(v6, None),
+        16 => OxmField::Ipv6Dst(v6, Some(Ipv6Addr::from(u128::MAX << 64))),
+        17 => OxmField::TcpSrc(rand(1 << 16) as u16),
+        18 => OxmField::TcpDst(80),
+        19 => OxmField::UdpSrc(rand(1 << 16) as u16),
+        20 => OxmField::UdpDst(53),
+        21 => OxmField::Icmpv4Type(8),
+        22 => OxmField::Icmpv4Code(rand(16) as u8),
+        23 => OxmField::ArpOp(1),
+        24 => OxmField::ArpSpa(v4, Some(prefix)),
+        25 => OxmField::ArpTpa(v4, None),
+        _ => OxmField::InPort(1 + rand(4) as u32),
+    }
+}
+
+/// A protocol stack's fields, most of them, in random order: a list
+/// that is often valid, with its prerequisites before or after the
+/// fields that need them, and sometimes missing one.
+fn shuffled_stack(rand: &mut impl FnMut(u64) -> u64) -> Vec<OxmField> {
+    use std::net::Ipv4Addr;
+    let (v4, v6) = (Ipv4Addr::new(10, 0, 0, 1), Ipv6Addr::from(1u128));
+    let stack: &[OxmField] = match rand(6) {
+        0 => &[
+            OxmField::VlanVid(0x1000 | 7, None),
+            OxmField::VlanPcp(5),
+            OxmField::InPort(2),
+        ],
+        1 => &[
+            OxmField::EthType(0x0800),
+            OxmField::IpProto(6),
+            OxmField::TcpSrc(1024),
+            OxmField::TcpDst(80),
+            OxmField::Ipv4Src(v4, None),
+        ],
+        2 => &[
+            OxmField::EthType(0x0800),
+            OxmField::IpProto(17),
+            OxmField::UdpDst(53),
+            OxmField::Ipv4Dst(v4, None),
+            OxmField::IpDscp(46),
+        ],
+        3 => &[
+            OxmField::EthType(0x0800),
+            OxmField::IpProto(1),
+            OxmField::Icmpv4Type(8),
+            OxmField::Icmpv4Code(0),
+        ],
+        4 => &[
+            OxmField::EthType(0x86dd),
+            OxmField::IpProto(6),
+            OxmField::TcpDst(443),
+            OxmField::Ipv6Src(v6, None),
+            OxmField::Ipv6Dst(v6, Some(Ipv6Addr::from(u128::MAX << 64))),
+        ],
+        _ => &[
+            OxmField::EthType(0x0806),
+            OxmField::ArpOp(2),
+            OxmField::ArpSpa(v4, None),
+            OxmField::ArpTpa(v4, Some(Ipv4Addr::new(255, 255, 255, 0))),
+        ],
+    };
+    let mut fields: Vec<OxmField> = stack.iter().copied().filter(|_| rand(6) != 0).collect();
+    for i in (1..fields.len()).rev() {
+        fields.swap(i, rand(i as u64 + 1) as usize);
+    }
+    fields
+}
+
+/// A match's verdict and its key and mask, pinned on a fixed stream of
+/// field lists: `arb_match` draws as they are, with one of their fields
+/// repeated somewhere, lists of `prerequisite_field`s in random order
+/// (so a prerequisite comes before or after the field that needs it,
+/// or not at all), the two shuffled together, and `shuffled_stack`s. `Match::validate`'s
+/// result and `Match::to_key_mask` of every list, valid or not, fold
+/// into one digest, compared with `MATCH_VERDICT_DIGEST`, recorded when
+/// the verdict and the key were two walks of the fields: one walk must
+/// give the same first error, in author order, and the same key and
+/// mask, last field winning, for every list.
+#[test]
+fn match_verdicts_and_keys_hold_their_recorded_digest() {
+    let mut rng = TestRng::for_test("match_verdicts_and_keys");
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut rand = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let drawn = arb_match();
+    let (mut digest, mut outcomes) = (Fold::default(), std::collections::BTreeMap::new());
+    // Valid lists in which some field needs an EtherType that only a
+    // later field provides.
+    let mut provided_later = 0;
+    for case in 0..6_000 {
+        let mut fields = drawn.new_value(&mut rng).fields().to_vec();
+        match case % 5 {
+            0 => {}
+            1 => {
+                if !fields.is_empty() {
+                    let again = fields[rand(fields.len() as u64) as usize];
+                    fields.insert(rand(fields.len() as u64 + 1) as usize, again);
+                }
+            }
+            2 => {
+                fields = (0..1 + rand(7))
+                    .map(|_| prerequisite_field(&mut rand))
+                    .collect()
+            }
+            3 => fields = shuffled_stack(&mut rand),
+            _ => {
+                for _ in 0..1 + rand(5) {
+                    let at = rand(fields.len() as u64 + 1) as usize;
+                    fields.insert(at, prerequisite_field(&mut rand));
+                }
+            }
+        }
+        let m = fields.iter().fold(Match::new(), |m, f| m.with(*f));
+        let verdict = m.validate();
+        digest.add(format!("{:?} {:?} {:?}", m.fields(), verdict, m.to_key_mask()).as_bytes());
+        let first = |is: fn(&OxmField) -> bool| fields.iter().position(is);
+        let needs_eth_type = first(|f| {
+            matches!(
+                f,
+                OxmField::IpProto(_)
+                    | OxmField::IpDscp(_)
+                    | OxmField::Ipv4Src(..)
+                    | OxmField::Ipv4Dst(..)
+                    | OxmField::Ipv6Src(..)
+                    | OxmField::Ipv6Dst(..)
+                    | OxmField::ArpOp(_)
+                    | OxmField::ArpSpa(..)
+                    | OxmField::ArpTpa(..)
+            )
+        });
+        let eth_type = first(|f| matches!(f, OxmField::EthType(_)));
+        if verdict.is_ok() && needs_eth_type < eth_type && needs_eth_type.is_some() {
+            provided_later += 1;
+        }
+        *outcomes.entry(format!("{verdict:?}")).or_insert(0) += 1;
+    }
+    assert!(
+        provided_later >= 200,
+        "{provided_later} lists with a later prerequisite"
+    );
+    for (outcome, at_least) in [
+        ("Ok(())", 1_000),
+        ("duplicate field", 300),
+        ("VLAN_PCP requires tagged VLAN_VID", 50),
+        ("IP field requires ETH_TYPE ip", 50),
+        ("IPv4 field requires ETH_TYPE 0x0800", 50),
+        ("IPv6 field requires ETH_TYPE 0x86dd", 50),
+        ("TCP field requires IP_PROTO 6", 50),
+        ("UDP field requires IP_PROTO 17", 50),
+        ("ICMP field requires IP_PROTO 1", 50),
+        ("ARP field requires ETH_TYPE 0x0806", 50),
+    ] {
+        let seen: u32 = outcomes
+            .iter()
+            .filter(|(o, _)| o.contains(outcome))
+            .map(|(_, n)| n)
+            .sum();
+        assert!(seen >= at_least, "{outcome}: {seen} of {outcomes:?}");
+    }
+    assert_eq!(
+        digest.0, MATCH_VERDICT_DIGEST,
+        "some field list validates or keys otherwise"
+    );
+}
+
+/// [`match_verdicts_and_keys_hold_their_recorded_digest`]'s digest.
+const MATCH_VERDICT_DIGEST: u64 = 0xab7b_bbeb_ed93_26d9;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
