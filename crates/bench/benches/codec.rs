@@ -19,7 +19,10 @@
 //! `codec/openflow/agent_handle/512_route_flow_mods` pushes a chunk of
 //! 512 host-route flow-mods through a switch's `OfAgent` into its
 //! datapath, in ns per flow-mod: after the first call each one
-//! replaces its own route, so the table stays at 512 rules.
+//! replaces its own route, so the table stays at 512 rules. Its
+//! `512_route_deletes` twin times a chunk of `DELETE_STRICT`s of the
+//! same routes emptying the table, in ns per flow-mod; the adds that
+//! refill it between steps are not timed.
 //! `codec/openflow/route_build_encode/512` and `route_send/512` price a
 //! controller's side of the same 512 routes, appended to one send
 //! buffer, in ns per route: built with the `FlowMod` builder, encoded
@@ -31,6 +34,7 @@
 //! client reads the answer.
 
 use std::hint::black_box;
+use std::time::Instant;
 
 use bench::timing::Ledger;
 use bytes::{Bytes, BytesMut};
@@ -41,7 +45,7 @@ use mgmt::{agent_respond, mibs, Oid, SnmpClient};
 use netpkt::MacAddr;
 use openflow::instruction::Insn;
 use openflow::message::{FlowMod, FlowModHeader, FlowModParts, Message};
-use openflow::{Action, Match, OxmField, Session};
+use openflow::{Action, FlowModCommand, Match, OxmField, Session};
 use softswitch::agent::OfAgent;
 use softswitch::datapath::{Datapath, DpConfig};
 
@@ -160,6 +164,26 @@ fn bench_agent(rep: &mut Ledger) {
         black_box(out);
     });
     assert_eq!(dp.table(0).map(|t| t.len()), Some(ROUTES as usize));
+    // The same routes taken out by DELETE_STRICT, one chunk per step;
+    // the adds that put them back are not timed.
+    let mut deletes = BytesMut::new();
+    for h in 0..ROUTES {
+        let route = FlowMod::add(0)
+            .priority(100)
+            .match_(Match::new().eth_dst(MacAddr::host(h)))
+            .command(FlowModCommand::DeleteStrict);
+        Message::FlowMod(route).encode_into(&mut deletes, h);
+    }
+    let deletes = deletes.freeze();
+    let name = format!("openflow/agent_handle/{ROUTES}_route_deletes");
+    rep.rounds(&name, || {
+        let start = Instant::now();
+        black_box(agent.handle(&mut dp, deletes.clone(), 0));
+        let took = start.elapsed();
+        assert_eq!(dp.table(0).map(|t| t.len()), Some(0));
+        agent.handle(&mut dp, chunk.clone(), 0);
+        (took, ROUTES.into())
+    });
 }
 
 /// A controller's burst of host routes (`eth_dst → output`) appended to

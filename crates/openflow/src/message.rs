@@ -400,12 +400,11 @@ impl<'a> FlowModRef<'a> {
 pub trait FlowModSource {
     /// The fixed fields.
     fn header(&self) -> FlowModHeader;
-    /// Check the match's prerequisites ([`Match::validate`]).
-    fn validate(&self) -> Result<()>;
-    /// The match's lookup key and mask ([`Match::to_key_mask`]).
-    fn to_key_mask(&self) -> (FlowKey, FieldMask);
-    /// The match, owned, its fields in one exact-size block.
-    fn to_match(&self) -> Match;
+    /// The match read once: checked ([`Match::validate`]'s verdict is
+    /// the error), its lookup key and mask ([`Match::to_key_mask`]),
+    /// and if `keep` is set, the match a rule keeps, its fields in one
+    /// exact-size block. Without `keep` nothing is allocated.
+    fn checked_match(&self, keep: bool) -> Result<(FlowKey, FieldMask, Option<Match>)>;
     /// The instructions as a rule keeps them.
     fn to_program(&self) -> Program;
 }
@@ -415,16 +414,11 @@ impl FlowModSource for FlowMod {
         self.header
     }
 
-    fn validate(&self) -> Result<()> {
-        self.match_.validate()
-    }
-
-    fn to_key_mask(&self) -> (FlowKey, FieldMask) {
-        self.match_.to_key_mask()
-    }
-
-    fn to_match(&self) -> Match {
-        self.match_.clone()
+    #[inline]
+    fn checked_match(&self, keep: bool) -> Result<(FlowKey, FieldMask, Option<Match>)> {
+        let (verdict, key, mask) = oxm::fold(self.match_.fields().iter().copied());
+        verdict?;
+        Ok((key, mask, keep.then(|| self.match_.clone())))
     }
 
     fn to_program(&self) -> Program {
@@ -437,16 +431,9 @@ impl FlowModSource for FlowModRef<'_> {
         self.header
     }
 
-    fn validate(&self) -> Result<()> {
-        self.match_.validate()
-    }
-
-    fn to_key_mask(&self) -> (FlowKey, FieldMask) {
-        self.match_.to_key_mask()
-    }
-
-    fn to_match(&self) -> Match {
-        self.match_.to_owned()
+    #[inline]
+    fn checked_match(&self, keep: bool) -> Result<(FlowKey, FieldMask, Option<Match>)> {
+        self.match_.checked(keep)
     }
 
     fn to_program(&self) -> Program {

@@ -7,6 +7,7 @@
 
 use bytes::{BufMut, BytesMut};
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::ops::BitAnd;
 
 use netpkt::flowkey::{FieldMask, OFPVID_PRESENT};
 use netpkt::{FlowKey, MacAddr};
@@ -46,6 +47,7 @@ macro_rules! oxm_fields {
                 }
             }
 
+            #[inline]
             fn has_mask(&self) -> bool {
                 match self {
                     $(OxmField::$var(_ $(, $mask)?) => false $(|| $mask.is_some())?,)*
@@ -266,12 +268,13 @@ impl Match {
 
     /// Validate OF 1.3 prerequisites (§7.2.3.8) and duplicate fields.
     pub fn validate(&self) -> Result<()> {
-        validate(self.fields.iter().copied())
+        fold(self.fields.iter().copied()).0
     }
 
     /// Convert to the `(value, mask)` pair used for dataplane lookup.
     pub fn to_key_mask(&self) -> (FlowKey, FieldMask) {
-        key_mask(self.fields.iter().copied())
+        let (_, key, mask) = fold(self.fields.iter().copied());
+        (key, mask)
     }
 
     /// True if `pkt` (an extracted flow key) satisfies this match.
@@ -372,12 +375,13 @@ impl<'a> WireMatch<'a> {
 
     /// See [`Match::validate`].
     pub fn validate(&self) -> Result<()> {
-        validate(self.fields())
+        fold(self.fields()).0
     }
 
     /// See [`Match::to_key_mask`].
     pub fn to_key_mask(&self) -> (FlowKey, FieldMask) {
-        key_mask(self.fields())
+        let (_, key, mask) = fold(self.fields());
+        (key, mask)
     }
 
     /// The owned match, its fields in one block of exactly their
@@ -386,6 +390,20 @@ impl<'a> WireMatch<'a> {
         let mut fields = Vec::with_capacity(self.len);
         fields.extend(self.fields());
         Match { fields }
+    }
+
+    /// [`Self::validate`]'s verdict and [`Self::to_key_mask`]'s pair
+    /// from one walk of the fields, and if `keep` is set, the owned
+    /// match ([`Self::to_owned`]) collected in the same walk.
+    pub(crate) fn checked(self, keep: bool) -> Result<(FlowKey, FieldMask, Option<Match>)> {
+        let mut kept = keep.then(|| Vec::with_capacity(self.len));
+        let (verdict, key, mask) = fold(self.fields().inspect(|f| {
+            if let Some(kept) = kept.as_mut() {
+                kept.push(*f);
+            }
+        }));
+        verdict?;
+        Ok((key, mask, kept.map(|fields| Match { fields })))
     }
 }
 
@@ -405,180 +423,130 @@ impl Iterator for Fields<'_> {
     }
 }
 
-/// OF 1.3 prerequisites (§7.2.3.8) and duplicate fields of a match's
-/// fields: the first field, in author order, that repeats one before
-/// it or misses a field it requires is the error. A prerequisite may
-/// follow the field that needs it, so what the fields provide is
-/// gathered first.
-fn validate(fields: impl Iterator<Item = OxmField> + Clone) -> Result<()> {
-    let (mut tagged, mut ipv4, mut ipv6, mut arp) = (false, false, false, false);
-    let (mut tcp, mut udp, mut icmp) = (false, false, false);
-    for f in fields.clone() {
-        match f {
-            OxmField::VlanVid(v, _) if v & OFPVID_PRESENT != 0 => tagged = true,
-            OxmField::EthType(0x0800) => ipv4 = true,
-            OxmField::EthType(0x86dd) => ipv6 = true,
-            OxmField::EthType(0x0806) => arp = true,
-            OxmField::IpProto(6) => tcp = true,
-            OxmField::IpProto(17) => udp = true,
-            OxmField::IpProto(1) => icmp = true,
-            _ => {}
+/// Facts a match's fields establish for the prerequisites of others
+/// (OF 1.3 §7.2.3.8), one bit each.
+const TAGGED: u8 = 1;
+const IPV4: u8 = 1 << 1;
+const IPV6: u8 = 1 << 2;
+const ARP: u8 = 1 << 3;
+const TCP: u8 = 1 << 4;
+const UDP: u8 = 1 << 5;
+const ICMP: u8 = 1 << 6;
+
+/// What field `number` needs: the facts any one of which meets it, and
+/// the error of a match that provides none of them.
+fn need(number: u8) -> Option<(u8, &'static str)> {
+    use field_num::*;
+    Some(match number {
+        VLAN_PCP => (TAGGED, "VLAN_PCP requires tagged VLAN_VID"),
+        IP_PROTO | IP_DSCP => (IPV4 | IPV6, "IP field requires ETH_TYPE ip"),
+        IPV4_SRC | IPV4_DST => (IPV4, "IPv4 field requires ETH_TYPE 0x0800"),
+        IPV6_SRC | IPV6_DST => (IPV6, "IPv6 field requires ETH_TYPE 0x86dd"),
+        TCP_SRC | TCP_DST => (TCP, "TCP field requires IP_PROTO 6"),
+        UDP_SRC | UDP_DST => (UDP, "UDP field requires IP_PROTO 17"),
+        ICMPV4_TYPE | ICMPV4_CODE => (ICMP, "ICMP field requires IP_PROTO 1"),
+        ARP_OP | ARP_SPA | ARP_TPA => (ARP, "ARP field requires ETH_TYPE 0x0806"),
+        _ => return None,
+    })
+}
+
+/// A masked field's value under its mask, and the mask (`full` if the
+/// field carries none).
+fn under<A: Into<T>, T: Copy + BitAnd<Output = T>>(v: A, m: Option<A>, full: T) -> (T, T) {
+    let m = m.map_or(full, Into::into);
+    (v.into() & m, m)
+}
+
+impl OxmField {
+    /// The facts this field provides.
+    fn provides(&self) -> u8 {
+        match *self {
+            OxmField::VlanVid(v, _) if v & OFPVID_PRESENT != 0 => TAGGED,
+            OxmField::EthType(0x0800) => IPV4,
+            OxmField::EthType(0x86dd) => IPV6,
+            OxmField::EthType(0x0806) => ARP,
+            OxmField::IpProto(6) => TCP,
+            OxmField::IpProto(17) => UDP,
+            OxmField::IpProto(1) => ICMP,
+            _ => 0,
         }
     }
-    let mut seen = 0u64;
-    for f in fields {
-        let bit = 1u64 << f.number();
-        if seen & bit != 0 {
-            return Err(Error::BadMatch("duplicate field"));
-        }
-        seen |= bit;
-        let missing = match f {
-            OxmField::VlanPcp(_) if !tagged => "VLAN_PCP requires tagged VLAN_VID",
-            OxmField::IpProto(_) | OxmField::IpDscp(_) if !(ipv4 || ipv6) => {
-                "IP field requires ETH_TYPE ip"
-            }
-            OxmField::Ipv4Src(..) | OxmField::Ipv4Dst(..) if !ipv4 => {
-                "IPv4 field requires ETH_TYPE 0x0800"
-            }
-            OxmField::Ipv6Src(..) | OxmField::Ipv6Dst(..) if !ipv6 => {
-                "IPv6 field requires ETH_TYPE 0x86dd"
-            }
-            OxmField::TcpSrc(_) | OxmField::TcpDst(_) if !tcp => "TCP field requires IP_PROTO 6",
-            OxmField::UdpSrc(_) | OxmField::UdpDst(_) if !udp => "UDP field requires IP_PROTO 17",
-            OxmField::Icmpv4Type(_) | OxmField::Icmpv4Code(_) if !icmp => {
-                "ICMP field requires IP_PROTO 1"
-            }
-            OxmField::ArpOp(_) | OxmField::ArpSpa(..) | OxmField::ArpTpa(..) if !arp => {
-                "ARP field requires ETH_TYPE 0x0806"
-            }
-            _ => continue,
+
+    /// Set this field's part of a match's `(value, mask)` pair.
+    #[inline]
+    fn key_into(self, key: &mut FlowKey, mask: &mut FieldMask) {
+        let mac = |v: MacAddr, m: Option<MacAddr>| {
+            let m = m.unwrap_or(MacAddr([0xff; 6]));
+            let mut v = v.0;
+            v.iter_mut().zip(m.0).for_each(|(b, m)| *b &= m);
+            (MacAddr(v), m)
         };
-        return Err(Error::BadMatch(missing));
+        let vid = OFPVID_PRESENT | netpkt::VID_MASK;
+        match self {
+            OxmField::InPort(v) => (key.in_port, mask.in_port) = (v, u32::MAX),
+            OxmField::Metadata(v, m) => (key.metadata, mask.metadata) = under(v, m, u64::MAX),
+            OxmField::EthDst(v, m) => (key.eth_dst, mask.eth_dst) = mac(v, m),
+            OxmField::EthSrc(v, m) => (key.eth_src, mask.eth_src) = mac(v, m),
+            OxmField::EthType(v) => (key.eth_type, mask.eth_type) = (v, u16::MAX),
+            OxmField::VlanVid(v, m) => (key.vlan_vid, mask.vlan_vid) = under(v, m, vid),
+            OxmField::VlanPcp(v) => (key.vlan_pcp, mask.vlan_pcp) = (v, u8::MAX),
+            OxmField::IpDscp(v) => (key.ip_dscp, mask.ip_dscp) = (v, u8::MAX),
+            OxmField::IpProto(v) => (key.ip_proto, mask.ip_proto) = (v, u8::MAX),
+            OxmField::Ipv4Src(v, m) => (key.ipv4_src, mask.ipv4_src) = under(v, m, u32::MAX),
+            OxmField::Ipv4Dst(v, m) => (key.ipv4_dst, mask.ipv4_dst) = under(v, m, u32::MAX),
+            OxmField::TcpSrc(v) => (key.tcp_src, mask.tcp_src) = (v, u16::MAX),
+            OxmField::TcpDst(v) => (key.tcp_dst, mask.tcp_dst) = (v, u16::MAX),
+            OxmField::UdpSrc(v) => (key.udp_src, mask.udp_src) = (v, u16::MAX),
+            OxmField::UdpDst(v) => (key.udp_dst, mask.udp_dst) = (v, u16::MAX),
+            OxmField::Icmpv4Type(v) => (key.icmp_type, mask.icmp_type) = (v, u8::MAX),
+            OxmField::Icmpv4Code(v) => (key.icmp_code, mask.icmp_code) = (v, u8::MAX),
+            OxmField::ArpOp(v) => (key.arp_op, mask.arp_op) = (v, u16::MAX),
+            OxmField::ArpSpa(v, m) => (key.arp_spa, mask.arp_spa) = under(v, m, u32::MAX),
+            OxmField::ArpTpa(v, m) => (key.arp_tpa, mask.arp_tpa) = under(v, m, u32::MAX),
+            OxmField::Ipv6Src(v, m) => (key.ipv6_src, mask.ipv6_src) = under(v, m, u128::MAX),
+            OxmField::Ipv6Dst(v, m) => (key.ipv6_dst, mask.ipv6_dst) = under(v, m, u128::MAX),
+        }
     }
-    Ok(())
 }
 
-/// The `(value, mask)` pair of a match's fields.
-fn key_mask(fields: impl Iterator<Item = OxmField>) -> (FlowKey, FieldMask) {
-    let mut key = FlowKey::default();
-    let mut mask = FieldMask::default();
-    let full_mac = MacAddr([0xff; 6]);
-    for f in fields {
-        match f {
-            OxmField::InPort(v) => {
-                key.in_port = v;
-                mask.in_port = u32::MAX;
+/// One walk of a match's fields: its verdict under OF 1.3
+/// prerequisites (§7.2.3.8) and duplicate fields, and its `(value,
+/// mask)` pair, the last of a repeated field winning. The error is the
+/// first field, in author order, that repeats one before it or needs a
+/// fact no field provides. A prerequisite may follow the field that
+/// needs it, so the needs are judged after the walk, each field ahead
+/// of the first repeat by where it stands.
+pub(crate) fn fold(fields: impl Iterator<Item = OxmField>) -> (Result<()>, FlowKey, FieldMask) {
+    let (mut key, mut mask) = (FlowKey::default(), FieldMask::default());
+    let (mut seen, mut provided, mut first) = (0u64, 0u8, None);
+    // Where each field number stands, ahead of the first repeat.
+    let mut at = [0usize; 64];
+    for (i, f) in fields.enumerate() {
+        provided |= f.provides();
+        let n = f.number();
+        if first.is_none() {
+            if seen & 1 << n != 0 {
+                first = Some((i, "duplicate field"));
+            } else if let Some(stands) = at.get_mut(usize::from(n)) {
+                seen |= 1 << n;
+                *stands = i;
             }
-            OxmField::Metadata(v, m) => {
-                let m = m.unwrap_or(u64::MAX);
-                key.metadata = v & m;
-                mask.metadata = m;
-            }
-            OxmField::EthDst(v, m) => {
-                let m = m.unwrap_or(full_mac);
-                key.eth_dst = v.masked_with(&m);
-                mask.eth_dst = m;
-            }
-            OxmField::EthSrc(v, m) => {
-                let m = m.unwrap_or(full_mac);
-                key.eth_src = v.masked_with(&m);
-                mask.eth_src = m;
-            }
-            OxmField::EthType(v) => {
-                key.eth_type = v;
-                mask.eth_type = u16::MAX;
-            }
-            OxmField::VlanVid(v, m) => {
-                let m = m.unwrap_or(OFPVID_PRESENT | netpkt::VID_MASK);
-                key.vlan_vid = v & m;
-                mask.vlan_vid = m;
-            }
-            OxmField::VlanPcp(v) => {
-                key.vlan_pcp = v;
-                mask.vlan_pcp = u8::MAX;
-            }
-            OxmField::IpDscp(v) => {
-                key.ip_dscp = v;
-                mask.ip_dscp = u8::MAX;
-            }
-            OxmField::IpProto(v) => {
-                key.ip_proto = v;
-                mask.ip_proto = u8::MAX;
-            }
-            OxmField::Ipv4Src(v, m) => {
-                let m = m.map(u32::from).unwrap_or(u32::MAX);
-                key.ipv4_src = u32::from(v) & m;
-                mask.ipv4_src = m;
-            }
-            OxmField::Ipv4Dst(v, m) => {
-                let m = m.map(u32::from).unwrap_or(u32::MAX);
-                key.ipv4_dst = u32::from(v) & m;
-                mask.ipv4_dst = m;
-            }
-            OxmField::TcpSrc(v) => {
-                key.tcp_src = v;
-                mask.tcp_src = u16::MAX;
-            }
-            OxmField::TcpDst(v) => {
-                key.tcp_dst = v;
-                mask.tcp_dst = u16::MAX;
-            }
-            OxmField::UdpSrc(v) => {
-                key.udp_src = v;
-                mask.udp_src = u16::MAX;
-            }
-            OxmField::UdpDst(v) => {
-                key.udp_dst = v;
-                mask.udp_dst = u16::MAX;
-            }
-            OxmField::Icmpv4Type(v) => {
-                key.icmp_type = v;
-                mask.icmp_type = u8::MAX;
-            }
-            OxmField::Icmpv4Code(v) => {
-                key.icmp_code = v;
-                mask.icmp_code = u8::MAX;
-            }
-            OxmField::ArpOp(v) => {
-                key.arp_op = v;
-                mask.arp_op = u16::MAX;
-            }
-            OxmField::ArpSpa(v, m) => {
-                let m = m.map(u32::from).unwrap_or(u32::MAX);
-                key.arp_spa = u32::from(v) & m;
-                mask.arp_spa = m;
-            }
-            OxmField::ArpTpa(v, m) => {
-                let m = m.map(u32::from).unwrap_or(u32::MAX);
-                key.arp_tpa = u32::from(v) & m;
-                mask.arp_tpa = m;
-            }
-            OxmField::Ipv6Src(v, m) => {
-                let m = m.map(u128::from).unwrap_or(u128::MAX);
-                key.ipv6_src = u128::from(v) & m;
-                mask.ipv6_src = m;
-            }
-            OxmField::Ipv6Dst(v, m) => {
-                let m = m.map(u128::from).unwrap_or(u128::MAX);
-                key.ipv6_dst = u128::from(v) & m;
-                mask.ipv6_dst = m;
+        }
+        f.key_into(&mut key, &mut mask);
+    }
+    let mut ahead = seen;
+    while ahead != 0 {
+        let n = ahead.trailing_zeros();
+        ahead &= ahead - 1;
+        let unmet = need(n as u8).filter(|(meets, _)| provided & meets == 0);
+        if let (Some((_, why)), Some(&i)) = (unmet, at.get(n as usize)) {
+            if first.is_none_or(|(j, _)| i < j) {
+                first = Some((i, why));
             }
         }
     }
-    (key, mask)
-}
-
-/// Mask helper for [`MacAddr`] used by `to_key_mask`.
-trait MaskedMac {
-    fn masked_with(&self, m: &MacAddr) -> MacAddr;
-}
-
-impl MaskedMac for MacAddr {
-    fn masked_with(&self, m: &MacAddr) -> MacAddr {
-        let mut out = self.0;
-        out.iter_mut().zip(m.0).for_each(|(b, m)| *b &= m);
-        MacAddr(out)
-    }
+    let verdict = first.map_or(Ok(()), |(_, why)| Err(Error::BadMatch(why)));
+    (verdict, key, mask)
 }
 
 #[cfg(test)]

@@ -166,6 +166,12 @@ impl FlowEntry {
         self
     }
 
+    /// True if the entry has an idle or a hard timeout: one that
+    /// [`FlowTable::expire`] may remove.
+    pub fn is_timed(&self) -> bool {
+        self.idle_timeout > 0 || self.hard_timeout > 0
+    }
+
     /// True if the entry outputs to `port` (for delete filters);
     /// `port_no::ANY` matches everything.
     pub fn outputs_to(&self, port: u32) -> bool {
@@ -461,6 +467,9 @@ pub struct FlowTable {
     /// trusted, and a shared fingerprint costs a walk of the spill
     /// list, never a wrong entry.
     seed: u64,
+    /// How many entries are timed ([`FlowEntry::is_timed`]): with none,
+    /// [`FlowTable::expire`] has nothing to scan for.
+    timed: usize,
     next_seq: u64,
     capacity: usize,
     version: u64,
@@ -496,6 +505,7 @@ impl FlowTable {
             groups: Vec::new(),
             probe_order: Vec::new(),
             seed: table_seed(datapath_id, id),
+            timed: 0,
             next_seq: 0,
             capacity,
             version: 0,
@@ -517,6 +527,12 @@ impl FlowTable {
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Number of installed entries with a timeout
+    /// ([`FlowEntry::is_timed`]).
+    pub fn timed(&self) -> usize {
+        self.timed
     }
 
     /// Monotonic version, bumped on every mutation (drives dataplane cache
@@ -707,10 +723,9 @@ impl FlowTable {
             }
         }
         self.masks.swap_remove(slot as usize);
-        (
-            self.ranks.swap_remove(slot as usize),
-            self.entries.swap_remove(slot as usize),
-        )
+        let entry = self.entries.swap_remove(slot as usize);
+        self.timed -= usize::from(entry.is_timed());
+        (self.ranks.swap_remove(slot as usize), entry)
     }
 
     /// Remove the entries in `sel` (slots, in table order) and return
@@ -806,7 +821,9 @@ impl FlowTable {
             group.and_then(|id| self.find(self.group(id), key_hash, &entry.key, entry.priority));
         if let Some(slot) = installed {
             // Identical match + priority: replace in place (counters reset).
-            self.entries[slot as usize] = entry;
+            self.timed += usize::from(entry.is_timed());
+            let old = std::mem::replace(&mut self.entries[slot as usize], entry);
+            self.timed -= usize::from(old.is_timed());
         } else {
             if self.entries.len() >= self.capacity {
                 return Err(Error::TableFull);
@@ -823,6 +840,7 @@ impl FlowTable {
             self.order.insert(self.position(rank), slot);
             self.ranks.push(rank);
             self.masks.push(id);
+            self.timed += usize::from(entry.is_timed());
             self.entries.push(entry);
         }
         self.version += 1;
@@ -967,8 +985,11 @@ impl FlowTable {
     }
 
     /// Remove timed-out entries; returns them, in table order, with
-    /// their reasons.
+    /// their reasons. A table with no timed entry is not scanned.
     pub fn expire(&mut self, now_ns: u64) -> Vec<(FlowEntry, RemovedReason)> {
+        if self.timed == 0 {
+            return Vec::new();
+        }
         let due = |timeout: u16, since_ns: u64| {
             timeout > 0 && now_ns >= since_ns + u64::from(timeout) * 1_000_000_000
         };

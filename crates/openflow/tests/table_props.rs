@@ -550,3 +550,74 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The table's count of timed entries follows every operation: adds
+    /// of timed and untimed rules, replacements in place that switch a
+    /// rule between the two, modifies, deletes and expiries. After each
+    /// step it is the number of installed entries with a timeout, and
+    /// an expiry (which scans nothing when the count is zero) removes
+    /// exactly what the scan model's does, in order, with the same
+    /// reasons.
+    #[test]
+    fn the_timed_count_follows_every_operation(
+        ops in proptest::collection::vec((0u8..10, 0u8..9, 0u8..4, 0u16..2, any::<u8>()), 1..60),
+    ) {
+        let mut table = FlowTable::with_capacity(0, TableId(0), 8);
+        let mut model = ScanTable { entries: Vec::new(), capacity: 8, version: 0 };
+        for (step, (op, shape, v, priority, aux)) in ops.into_iter().enumerate() {
+            let now_ns = step as u64 * 1_000_000_000;
+            let m = model_match(shape, v);
+            let strict = aux & 1 != 0;
+            let insns = Instruction::apply(vec![Action::output(u32::from(aux >> 6))]);
+            match op {
+                0..=4 => {
+                    // Most rules are permanent, as a route is.
+                    let (idle, hard) = match aux >> 1 & 7 {
+                        0 => (2, 0),
+                        1 => (0, 3),
+                        2 => (1, 4),
+                        _ => (0, 0),
+                    };
+                    let e = FlowEntry::new(priority, m, Program::new(&insns), now_ns)
+                        .with_cookie(step as u64)
+                        .with_timeouts(idle, hard);
+                    prop_assert_eq!(table.install(e.clone()), model.add(e), "add, step {}", step);
+                }
+                5 => {
+                    let sel = Selector { strict, priority, ..Selector::within(&m) };
+                    prop_assert_eq!(
+                        table.modify(&sel, &Program::new(&insns)),
+                        model.modify(&m, priority, strict, (0, 0), &insns),
+                        "modify, step {}", step
+                    );
+                }
+                6 | 7 => {
+                    let sel = Selector { strict, priority, ..Selector::within(&m) };
+                    let got = table.delete(&sel);
+                    let want = model.remove(|e| ScanTable::selects(e, &m, priority, strict, (0, 0)));
+                    prop_assert_eq!(
+                        got.iter().map(view).collect::<Vec<_>>(),
+                        want.iter().map(view).collect::<Vec<_>>(),
+                        "delete, step {}", step
+                    );
+                }
+                _ => {
+                    let got = table.expire(now_ns);
+                    let want = model.expire(now_ns);
+                    prop_assert_eq!(
+                        got.iter().map(|(e, r)| (view(e), *r)).collect::<Vec<_>>(),
+                        want.iter().map(|(e, r)| (view(e), *r)).collect::<Vec<_>>(),
+                        "expire, step {}", step
+                    );
+                }
+            }
+            let timed = table.entries().iter().filter(|e| e.is_timed()).count();
+            prop_assert_eq!(table.timed(), timed, "timed entries, step {}", step);
+            let modelled = model.entries.iter().filter(|e| e.is_timed()).count();
+            prop_assert_eq!(timed, modelled, "the model's timed entries, step {}", step);
+        }
+    }
+}

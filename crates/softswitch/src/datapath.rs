@@ -551,15 +551,18 @@ impl Datapath {
     /// Apply a flow-mod, owned ([`openflow::message::FlowMod`]) or read
     /// where its frame holds it ([`openflow::message::FlowModRef`]);
     /// returns entries removed by delete commands (for `FLOW_REMOVED`
-    /// generation). The match's key and mask are computed once, here;
-    /// an add allocates the rule's match and program and nothing else.
+    /// generation). The match is read once, here: checked, keyed and,
+    /// for an add, kept in the same walk of its fields. An add allocates
+    /// the rule's match and program and nothing else; a modify or a
+    /// delete allocates no match.
     pub fn apply_flow_mod(
         &mut self,
         fm: &impl FlowModSource,
         now_ns: u64,
     ) -> Result<Vec<(u8, FlowEntry)>> {
-        fm.validate()?;
         let h = fm.header();
+        let add = matches!(h.command, FlowModCommand::Add);
+        let (key, mask, kept) = fm.checked_match(add)?;
         let tid = usize::from(h.table_id);
         // OFPTT_ALL names every table only in a delete; an add or a
         // modify for it is a bad table like any other out of range.
@@ -571,7 +574,6 @@ impl Datapath {
         if !all_tables && tid >= self.tables.len() {
             return Err(Error::BadTable(h.table_id));
         }
-        let (key, mask) = fm.to_key_mask();
         let sel = Selector {
             key,
             mask,
@@ -588,7 +590,9 @@ impl Datapath {
         let mut removed = Vec::new();
         match h.command {
             FlowModCommand::Add => {
-                let entry = FlowEntry::new(h.priority, fm.to_match(), fm.to_program(), now_ns)
+                // Kept, since this is an add.
+                let match_ = kept.unwrap_or_default();
+                let entry = FlowEntry::new(h.priority, match_, fm.to_program(), now_ns)
                     .with_cookie(h.cookie)
                     .with_timeouts(h.idle_timeout, h.hard_timeout)
                     .with_flags(h.flags);

@@ -1369,13 +1369,19 @@ fn view_agrees(frame: &[u8], what: &dyn Fn() -> String) {
             let program = openflow::Program::from_wire(&view.instructions);
             assert_eq!(program.to_vec(), fm.instructions, "{}: program", what());
             assert_eq!(
-                view.to_key_mask(),
+                view.match_.to_key_mask(),
                 fm.match_.to_key_mask(),
                 "{}: key",
                 what()
             );
-            let verdict = FlowModSource::validate(&view);
+            let verdict = view.match_.validate();
             assert_eq!(verdict, fm.match_.validate(), "{}: prerequisites", what());
+            assert_eq!(
+                view.checked_match(true),
+                fm.checked_match(true),
+                "{}: the match as a switch applies it",
+                what()
+            );
         }
         (viewed, _) => assert_eq!(
             viewed.map(|(xid, m, n)| (xid, m.into_owned(), n)),
@@ -1669,10 +1675,23 @@ fn flow_mod_view(wire: &[u8]) -> Option<FlowModRef<'_>> {
 fn assert_view_is(view: FlowModRef<'_>, fm: &FlowMod) {
     assert_eq!(&view.to_owned(), fm);
     assert_eq!(view.header, fm.header());
-    assert_eq!(view.to_match(), fm.match_);
+    assert_eq!(view.match_.to_owned(), fm.match_);
     assert_eq!(view.match_.fields().collect::<Vec<_>>(), fm.match_.fields());
-    assert_eq!(view.to_key_mask(), fm.match_.to_key_mask());
-    assert_eq!(FlowModSource::validate(&view), fm.match_.validate());
+    assert_eq!(view.match_.to_key_mask(), fm.match_.to_key_mask());
+    assert_eq!(view.match_.validate(), fm.match_.validate());
+    let (key, mask) = fm.match_.to_key_mask();
+    let verdict = fm.match_.validate();
+    assert_eq!(
+        view.checked_match(true),
+        verdict
+            .clone()
+            .map(|()| (key, mask, Some(fm.match_.clone())))
+    );
+    assert_eq!(
+        view.checked_match(false),
+        verdict.map(|()| (key, mask, None))
+    );
+    assert_eq!(fm.checked_match(true), view.checked_match(true));
     assert_eq!(view.instructions.to_vec(), fm.instructions);
     assert_eq!(
         format!("{:?}", openflow::Program::from_wire(&view.instructions)),
