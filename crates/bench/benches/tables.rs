@@ -135,7 +135,7 @@ fn bench_flow_mod(rep: &mut Ledger) {
             }
             let took = start.elapsed();
             for host in n..n + BATCH {
-                t.delete(&Selector::strict(&route_match(host), 100));
+                t.delete(&Selector::strict(&route_match(host), 100), drop);
             }
             (took, BATCH.into())
         });
@@ -161,8 +161,9 @@ fn bench_flow_mod(rep: &mut Ledger) {
                     } else {
                         Selector::within(&m)
                     };
-                    let gone = t.delete(&sel);
-                    assert_eq!(gone.len(), 1);
+                    let mut gone = 0;
+                    t.delete(&sel, |_| gone += 1);
+                    assert_eq!(gone, 1);
                 }
                 let took = start.elapsed();
                 for &h in &victims {

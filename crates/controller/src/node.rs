@@ -3,14 +3,13 @@
 use bytes::{Bytes, BytesMut};
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use netpkt::FlowKey;
 use netsim::{Node, NodeCtx, NodeId, PortId};
 use openflow::instruction::ActionList;
 use openflow::message::{
-    ControllerRole, FlowMod, FlowModParts, Message, MultipartReq, MultipartRes, PacketOutParts,
-    PortDesc, Xid,
+    msg_type, ControllerRole, FlowMod, FlowModParts, Message, MultipartReq, MultipartRes,
+    PacketOutParts, PortDesc, Xid,
 };
 use openflow::oxm::OxmField;
 use openflow::{Action, Session, NO_BUFFER};
@@ -52,10 +51,10 @@ pub struct SwitchState {
     pub ready: bool,
     /// Stream reassembly and the keepalive probes awaiting their reply.
     session: Session,
-    /// Flow-mods sent but not yet covered by a BARRIER_REPLY, tagged
-    /// with the covering barrier's xid: each a slice of the buffer it
-    /// was sent in. The periodic tick re-sends whatever lingers here, so
-    /// rule pushes survive a lossy control channel.
+    /// Flushes that carried flow-mods and that no BARRIER_REPLY has
+    /// covered yet: the buffer sent, under its trailing barrier's xid.
+    /// The periodic tick re-sends the flow-mods of whatever lingers
+    /// here, so rule pushes survive a lossy control channel.
     inflight: Vec<(Xid, Bytes)>,
 }
 
@@ -76,16 +75,13 @@ impl SwitchState {
         }
     }
 
-    /// Send what `out` queued to this switch (`node`); if any of it was
-    /// state-mutating, append a barrier and track those frames until its
+    /// Send what `out` queued to this switch (`node`); if a flow-mod is
+    /// among it, append a barrier and track the buffer sent until its
     /// reply confirms delivery.
     fn flush(&mut self, node: NodeId, out: &mut Outbox, ctx: &mut NodeCtx) {
-        let barrier = (!out.durable.is_empty()).then(|| out.send(Message::BarrierRequest));
+        let barrier = out.durable.then(|| out.send(Message::BarrierRequest));
         let sent = out.transmit(node, ctx);
-        if let Some(b) = barrier {
-            self.inflight
-                .extend(out.durable.drain(..).map(|at| (b, sent.slice(at))));
-        }
+        self.inflight.extend(barrier.map(|b| (b, sent)));
     }
 }
 
@@ -99,9 +95,9 @@ pub(crate) struct Outbox {
     /// Messages for the switch being served, encoded back to back in
     /// send order: the next channel write.
     pub(crate) buf: BytesMut,
-    /// Where in `buf` the state-mutating messages lie, to be tracked
-    /// until a barrier reply confirms the switch applied them.
-    durable: Vec<Range<usize>>,
+    /// A `FLOW_MOD` is in `buf`, however it was sent: the flush ends in a
+    /// barrier and is tracked until its reply confirms the switch has it.
+    durable: bool,
 }
 
 impl Outbox {
@@ -112,6 +108,7 @@ impl Outbox {
 
     /// Queue `msg` under a fresh xid, which is returned.
     fn send(&mut self, msg: Message) -> Xid {
+        self.durable |= matches!(msg, Message::FlowMod(_));
         let x = self.next_xid();
         msg.encode_into(&mut self.buf, x);
         x
@@ -124,6 +121,7 @@ impl Outbox {
     /// the state it confirms — sent separately, a dropped flow mod whose
     /// barrier survived would confirm state the switch never applied.
     fn transmit(&mut self, node: NodeId, ctx: &mut NodeCtx) -> Bytes {
+        self.durable = false;
         let sent = std::mem::take(&mut self.buf).freeze();
         if !sent.is_empty() {
             ctx.ctrl_send(node, sent.clone());
@@ -156,10 +154,9 @@ impl SwitchHandle<'_> {
     /// tick otherwise.
     pub fn send_flow_mod<A: ActionList>(&mut self, fm: FlowModParts<'_, A>) {
         self.out.flow_mods_sent += 1;
-        let start = self.out.buf.len();
+        self.out.durable = true;
         let x = self.out.next_xid();
         fm.encode_into(&mut self.out.buf, x);
-        self.out.durable.push(start..self.out.buf.len());
     }
 
     /// Send an owned flow-mod: [`Self::send_flow_mod`] of its parts.
@@ -336,8 +333,7 @@ impl ControllerNode {
     /// only dials a backup after declaring its master dead, so an
     /// incoming handshake *is* the fail-over signal.
     pub fn with_role(mut self, role: ControllerRole, generation_id: u64) -> Self {
-        self.role = role;
-        self.generation_id = generation_id;
+        self.set_role(role, generation_id);
         self
     }
 
@@ -429,8 +425,7 @@ impl ControllerNode {
         }
         let ready = self.switches.iter_mut().filter(|(_, st)| st.ready);
         for ((&node, st), (buf, durable)) in ready.zip(queued) {
-            self.out.buf = buf;
-            self.out.durable = durable;
+            (self.out.buf, self.out.durable) = (buf, durable);
             st.flush(node, &mut self.out, ctx);
         }
     }
@@ -481,18 +476,22 @@ impl Node for ControllerNode {
                 continue;
             }
             if !st.inflight.is_empty() {
-                // Re-sync: anything pushed but never barrier-acked (lost
-                // on the channel, or acked by a reply that was itself
-                // lost) is re-sent under a fresh barrier. Flow mods are
-                // idempotent, so a spurious re-send converges to the same
-                // tables.
-                for (_, frame) in &st.inflight {
-                    out.buf.extend_from_slice(frame);
+                // Re-sync: every flow-mod pushed but never barrier-acked
+                // (lost, or acked by a reply that was lost) is re-sent in
+                // order as one flush under a fresh barrier. Flow mods are
+                // idempotent: a spurious re-send converges the same.
+                let mut frames = Session::default();
+                for (_, sent) in st.inflight.drain(..) {
+                    frames.push(sent);
+                    while let Some(Ok(frame)) = frames.next_frame() {
+                        if frame.get(1) == Some(&msg_type::FLOW_MOD) {
+                            out.buf.extend_from_slice(&frame);
+                            self.retransmits += 1;
+                        }
+                    }
                 }
-                self.retransmits += st.inflight.len() as u64;
-                let b = out.send(Message::BarrierRequest);
-                st.inflight.iter_mut().for_each(|e| e.0 = b);
-                out.transmit(node, ctx);
+                out.durable = true;
+                st.flush(node, out, ctx);
             }
             // Keepalive: probe the switch, unless it has left
             // MAX_MISSED_ECHOES probes unanswered — then it is declared
@@ -546,7 +545,7 @@ impl Node for ControllerNode {
                     None
                 }
                 Message::BarrierReply => {
-                    // Everything covered by this barrier (or an earlier
+                    // Every flush covered by this barrier (or an earlier
                     // one) reached the switch; stop tracking it.
                     st.inflight.retain(|(b, _)| *b > xid);
                     None
@@ -741,8 +740,9 @@ mod tests {
     }
 
     /// The borrowed sends queue what the owned messages encode to, under
-    /// the same xids; a flow-mod either way is counted and filed as
-    /// durable, and the owned wrapper queues the same as its parts.
+    /// the same xids; a flow-mod, however it is sent, makes the flush
+    /// durable (and, sent as a flow-mod, is counted), and the owned
+    /// wrapper queues the same as its parts.
     #[test]
     fn borrowed_sends_queue_the_owned_messages_bytes() {
         use openflow::instruction::Insn;
@@ -779,13 +779,147 @@ mod tests {
         ]
         .concat();
         assert_eq!(&lent.buf[..], &want[..]);
-        assert_eq!(lent.durable, vec![(0..flow_mod.len())]);
-        assert_eq!(lent.flow_mods_sent, 1);
+        assert_eq!((lent.durable, lent.flow_mods_sent), (true, 1));
 
         let mut sent = Outbox::default();
-        test_handle(1, &mut sent).flow_mod(owned);
+        test_handle(1, &mut sent).flow_mod(owned.clone());
         assert_eq!(&sent.buf[..], &flow_mod[..]);
-        assert_eq!((sent.durable, sent.flow_mods_sent), (lent.durable, 1));
+        assert_eq!((sent.durable, sent.flow_mods_sent), (true, 1));
+
+        let mut raw = Outbox::default();
+        test_handle(1, &mut raw).send(Message::FlowMod(owned));
+        assert_eq!(&raw.buf[..], &flow_mod[..]);
+        assert!(raw.durable, "a flow-mod sent raw is tracked too");
+
+        let mut none = Outbox::default();
+        test_handle(1, &mut none).packet_out(3, data);
+        assert!(!none.durable, "a packet-out alone needs no barrier");
+    }
+
+    /// On ready, queues a flow-mod, a packet-out and a second flow-mod,
+    /// sent raw.
+    struct Pusher;
+    impl App for Pusher {
+        fn name(&self) -> &str {
+            "pusher"
+        }
+        fn on_switch_ready(&mut self, sw: &mut SwitchHandle) {
+            sw.flow_mod(route(1));
+            sw.packet_out(2, Bytes::from_static(b"frame"));
+            sw.send(Message::FlowMod(route(2)));
+        }
+    }
+
+    fn route(host: u32) -> FlowMod {
+        FlowMod::add(0)
+            .priority(100)
+            .match_(openflow::Match::new().eth_dst(netpkt::MacAddr::host(host)))
+            .apply(vec![Action::output(host)])
+    }
+
+    /// The frames of one control chunk, as `(type, xid, bytes)`.
+    fn frames(chunk: &Bytes) -> Vec<(u8, Xid, Bytes)> {
+        let mut rx = Session::default();
+        rx.push(chunk.clone());
+        std::iter::from_fn(|| rx.next_frame())
+            .map(|f| {
+                let f = f.expect("whole frames");
+                let xid = u32::from_be_bytes([f[4], f[5], f[6], f[7]]);
+                (f[1], xid, f)
+            })
+            .collect()
+    }
+
+    /// A flush that mixes a role request, flow-mods and a packet-out
+    /// loses its barrier reply: the next tick re-sends exactly its
+    /// flow-mods, byte for byte and in order, under one fresh barrier. A
+    /// late reply to the old barrier confirms nothing the re-send
+    /// carries; a reply to the fresh one ends the re-sends.
+    #[test]
+    fn an_unconfirmed_flush_re_sends_exactly_its_flow_mods() {
+        let mut net = netsim::Network::new(1);
+        let ctrl = net.add_node(
+            ControllerNode::new("ctrl", vec![Box::new(Pusher)])
+                .with_role(ControllerRole::Master, 1),
+        );
+        let sw = net.add_node(Recorder { frames: Vec::new() });
+        let deliver = |net: &mut netsim::Network, msg: Message, xid: Xid| {
+            net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
+                c.on_ctrl(sw, msg.encode(xid), ctx)
+            });
+        };
+        deliver(&mut net, Message::Hello, 1);
+        deliver(
+            &mut net,
+            Message::FeaturesReply {
+                datapath_id: 7,
+                n_buffers: 0,
+                n_tables: 1,
+                capabilities: 0,
+            },
+            2,
+        );
+        deliver(
+            &mut net,
+            Message::MultipartReply(MultipartRes::PortDesc(vec![])),
+            3,
+        );
+        net.run_until(netsim::SimTime::from_millis(1));
+        let chunks = |net: &netsim::Network| net.node_ref::<Recorder>(sw).frames.clone();
+        let flush = frames(chunks(&net).last().expect("the ready flush"));
+        let types: Vec<u8> = flush.iter().map(|f| f.0).collect();
+        use msg_type::*;
+        assert_eq!(
+            types,
+            [
+                ROLE_REQUEST,
+                FLOW_MOD,
+                PACKET_OUT,
+                FLOW_MOD,
+                BARRIER_REQUEST
+            ]
+        );
+        let flow_mods: Vec<u8> = [&flush[1].2[..], &flush[3].2[..]].concat();
+        let old_barrier = flush[4].1;
+
+        // Each tick re-sends until a reply covers what it sent; the
+        // tick's echo probe follows in a chunk of its own.
+        let mut last_barrier = old_barrier;
+        let mut tick = |net: &mut netsim::Network, secs: u64| -> Option<Xid> {
+            let before = chunks(net).len();
+            net.run_until(netsim::SimTime::from_millis(secs * 1000 + 1));
+            let new = chunks(net)[before..].to_vec();
+            let resent = new
+                .iter()
+                .find(|c| frames(c).iter().any(|f| f.0 == BARRIER_REQUEST))?;
+            let (barrier, body) = {
+                let f = frames(resent);
+                let (last, rest) = f.split_last().expect("a barrier");
+                assert_eq!(last.0, BARRIER_REQUEST);
+                (
+                    last.1,
+                    rest.iter().flat_map(|f| f.2.to_vec()).collect::<Vec<u8>>(),
+                )
+            };
+            assert_eq!(body, flow_mods, "the flow-mods, byte for byte, in order");
+            assert!(barrier > last_barrier, "under a fresh barrier");
+            last_barrier = barrier;
+            Some(barrier)
+        };
+        tick(&mut net, 1).expect("the flow-mods go again");
+        assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 2);
+
+        deliver(&mut net, Message::BarrierReply, old_barrier);
+        let fresh = tick(&mut net, 2).expect("a late reply to the old barrier drops nothing");
+        assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 4);
+
+        deliver(&mut net, Message::BarrierReply, fresh);
+        assert_eq!(
+            tick(&mut net, 3),
+            None,
+            "the fresh barrier's reply confirms them"
+        );
+        assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 4);
     }
 
     #[test]

@@ -184,6 +184,29 @@ impl Network {
         total
     }
 
+    /// Keep every control message `node` sends from now on, as it left
+    /// the node: before the channel's impairments or a partition drop
+    /// it. [`Network::ctrl_sent`] reads them back; a test uses this to
+    /// see what a device put on its control channel.
+    pub fn log_ctrl_sends(&mut self, node: NodeId) {
+        for s in &mut self.shards {
+            s.ctrl_logged.push(node);
+        }
+    }
+
+    /// The control messages `node` sent while
+    /// [`Network::log_ctrl_sends`] logged it, with their destinations,
+    /// in send order.
+    pub fn ctrl_sent(&self, node: NodeId) -> impl Iterator<Item = (NodeId, &Bytes)> {
+        // A node sends from shard 0 until `set_shards` and from its own
+        // shard after, which `set_shards` starts with an empty log.
+        self.shards
+            .iter()
+            .flat_map(|s| &s.ctrl_log)
+            .filter(move |(from, _, _)| *from == node)
+            .map(|(_, to, data)| (*to, data))
+    }
+
     /// Partition `node` from the out-of-band control plane *now*:
     /// control messages from or to it are discarded (at send time, and
     /// on delivery for messages already in flight) until
@@ -298,8 +321,10 @@ impl Network {
         // state; accumulated per-channel counters stay on shard 0.
         for s in &mut shards {
             s.ctrl_blocked = old.ctrl_blocked.clone();
+            s.ctrl_logged = old.ctrl_logged.clone();
         }
         shards[0].ctrl_stats = std::mem::take(&mut old.ctrl_stats);
+        shards[0].ctrl_log = std::mem::take(&mut old.ctrl_log);
 
         // Nodes (with their port rows and started flags).
         let n_nodes = old.nodes.len();

@@ -460,6 +460,11 @@ pub(crate) struct Shard {
     /// sender's shard; partition drops of in-flight messages in the
     /// receiver's.
     pub ctrl_stats: HashMap<(usize, usize), CtrlStats>,
+    /// Nodes whose control sends are logged (a replica, like
+    /// `ctrl_blocked`), and the log of those sent from this shard:
+    /// `(from, to, message)` in send order.
+    pub ctrl_logged: Vec<NodeId>,
+    pub ctrl_log: Vec<(NodeId, NodeId, Bytes)>,
     pub outbox: Vec<Remote>,
     /// Action buffer lent to each callback by [`Shard::dispatch`] and
     /// drained by [`Shard::apply`], so a callback allocates none.
@@ -487,6 +492,8 @@ impl Shard {
             blackholed_in_flight: 0,
             ctrl_blocked: Vec::new(),
             ctrl_stats: HashMap::new(),
+            ctrl_logged: Vec::new(),
+            ctrl_log: Vec::new(),
             outbox: Vec::new(),
             scratch: Vec::new(),
         }
@@ -731,6 +738,9 @@ impl Shard {
                 Action::Timer { at, token } => self.push(at, Ev::Timer { node: idx, token }),
                 Action::Ctrl { to, data } => {
                     let from = self.gids[idx as usize];
+                    if self.ctrl_logged.contains(&from) {
+                        self.ctrl_log.push((from, to, data.clone()));
+                    }
                     // Control partition: either endpoint down ⇒ the
                     // message dies at the sender. The blocked set is a
                     // per-shard replica, so this check is local and

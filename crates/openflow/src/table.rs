@@ -678,12 +678,12 @@ impl FlowTable {
             .sort_by_key(|&id| groups[id as usize].first);
     }
 
-    /// Take the entry in `slot` out of its mask group; returns the
-    /// group's id if the entry was its first and others remain. A group
-    /// left with no entry is vacated.
-    fn unindex(&mut self, slot: Slot) -> Option<MaskId> {
+    /// Take the entry in `slot` out of its mask group. A group left with
+    /// no entry is vacated; one that lost its first entry keeps a stale
+    /// `first` until [`Self::remove_where`] renews it.
+    fn unindex(&mut self, slot: Slot) {
         let e = self.at(slot);
-        let (id, priority, rank) = (self.masks[slot as usize], e.priority, self.rank_of(slot));
+        let (id, priority) = (self.masks[slot as usize], e.priority);
         let tag = Self::tag(self.key_hash(&e.key), priority);
         let g = &mut self.groups[id as usize];
         if !g.index.remove(tag, slot) {
@@ -699,19 +699,25 @@ impl FlowTable {
         }
         if g.is_vacant() {
             *g = MaskGroup::default();
-            return None;
         }
-        (g.first == rank).then_some(id)
     }
 
-    /// Take the entry in `slot`, already out of the index and of table
-    /// order, out of the slab; returns it with its rank. The last entry
-    /// moves into `slot`, and its places in table order and in the
-    /// index are relabelled.
-    fn swap_out(&mut self, slot: Slot) -> (u64, FlowEntry) {
+    /// Take the entry in `slot`, already out of the index, out of the
+    /// slab while [`Self::remove_where`] walks table order: the entries
+    /// kept so far are `order[..kept]`, those not yet visited
+    /// `order[next..]`, both in rank order. The last entry moves into
+    /// `slot`, and its places in table order (in one of those two runs)
+    /// and in the index are relabelled.
+    fn swap_out(&mut self, slot: Slot, kept: usize, next: usize) -> FlowEntry {
         let last = (self.entries.len() - 1) as Slot;
         if slot != last {
-            let pos = self.position(self.rank_of(last));
+            let rank = self.rank_of(last);
+            let (from, to) = if rank < self.rank_of(slot) {
+                (0, kept)
+            } else {
+                (next, self.order.len())
+            };
+            let pos = from + self.order[from..to].partition_point(|&s| self.rank_of(s) < rank);
             self.order[pos] = slot;
             let e = self.at(last);
             let id = self.masks[last as usize];
@@ -723,53 +729,62 @@ impl FlowTable {
             }
         }
         self.masks.swap_remove(slot as usize);
+        self.ranks.swap_remove(slot as usize);
         let entry = self.entries.swap_remove(slot as usize);
         self.timed -= usize::from(entry.is_timed());
-        (self.ranks.swap_remove(slot as usize), entry)
+        entry
     }
 
-    /// Remove the entries in `sel` (slots, in table order) and return
-    /// them in table order.
-    fn remove_at(&mut self, sel: &[Slot]) -> Vec<FlowEntry> {
-        let Some(&head) = sel.first() else {
-            return Vec::new();
-        };
-        // Groups that lose their first entry.
-        let headless: Vec<MaskId> = sel.iter().filter_map(|&s| self.unindex(s)).collect();
-        // Both lists are in table order: stop at the last one selected,
-        // and the tail behind it moves once.
-        let start = self.position(self.rank_of(head));
-        let mut sel_iter = sel.iter().peekable();
-        self.order
-            .extract_if(start.., |s| sel_iter.next_if_eq(&&*s).is_some())
-            .take(sel.len())
-            .for_each(drop);
-        // Highest slot first: the entry that moves into a vacated slot
-        // is never one still to go.
-        let mut by_slot = sel.to_vec();
-        by_slot.sort_unstable_by(|a, b| b.cmp(a));
-        let mut removed: Vec<(u64, FlowEntry)> =
-            by_slot.into_iter().map(|s| self.swap_out(s)).collect();
-        removed.sort_unstable_by_key(|(rank, _)| *rank);
+    /// Walk table order from position `start` and remove the first
+    /// `count` entries `pick` says something of (every one, for
+    /// `usize::MAX`), handing each to `out`, in table order, with what
+    /// `pick` said. Table order closes up behind the walk, and the
+    /// tail behind the last one removed moves once; nothing is
+    /// allocated.
+    fn remove_where<R>(
+        &mut self,
+        start: usize,
+        mut count: usize,
+        pick: impl Fn(&Self, Slot) -> Option<R>,
+        mut out: impl FnMut(FlowEntry, R),
+    ) {
+        let (mut kept, mut next) = (start, start);
+        while count > 0 && next < self.order.len() {
+            let slot = self.order[next];
+            next += 1;
+            if let Some(said) = pick(self, slot) {
+                count -= 1;
+                self.unindex(slot);
+                out(self.swap_out(slot, kept, next), said);
+            } else {
+                self.order[kept] = slot;
+                kept += 1;
+            }
+        }
+        if kept == next {
+            return;
+        }
+        self.order.drain(kept..next);
         let groups = &self.groups;
         self.probe_order
             .retain(|&id| !groups[id as usize].is_vacant());
-        for id in headless {
-            // A later removal of the same pass may have vacated it.
-            if self.group(id).is_vacant() {
+        for i in 0..self.probe_order.len() {
+            let id = self.probe_order[i];
+            let first = self.group(id).first;
+            let at = self.position(first);
+            if self.order.get(at).map(|&s| self.rank_of(s)) == Some(first) {
                 continue;
             }
-            // The next entry of the group is the first one of its id at
-            // or after where the one that went was.
-            let from = self.position(self.group(id).first);
-            let mut rest = self.order[from..].iter();
-            let next = rest.find(|&&s| self.masks[s as usize] == id);
+            // The group lost its first entry: the next is the first one
+            // of its id at or after where that one was.
+            let next = self.order[at..]
+                .iter()
+                .find(|&&s| self.masks[s as usize] == id);
             self.groups[id as usize].first =
                 self.rank_of(*next.expect("a non-empty group has an entry"));
         }
         self.sort_probes();
         self.version += 1;
-        removed.into_iter().map(|(_, e)| e).collect()
     }
 
     /// The next install sequence number. When the 2^48 are spent, the
@@ -865,31 +880,45 @@ impl FlowTable {
         grow(&mut self.order, room);
     }
 
-    /// Slots, in table order, of the entries `sel` selects.
-    fn selected(&self, sel: &Selector) -> Vec<Slot> {
-        let (fkey, fmask, priority, strict) = (&sel.key, &sel.mask, sel.priority, sel.strict);
-        let key_hash = self.key_hash(fkey);
-        let mut slots = Vec::new();
-        // A vacant group has no entries to add.
+    /// True if `sel` selects the entry in `slot`.
+    fn picks(&self, sel: &Selector, slot: Slot) -> bool {
+        let (e, mask) = (self.at(slot), self.mask_of(slot));
+        let within = if sel.strict {
+            e.priority == sel.priority && *mask == sel.mask && e.key == sel.key
+        } else {
+            mask.mask_union(&sel.mask) == *mask && e.key.masked(&sel.mask) == sel.key
+        };
+        within && sel.passes(e)
+    }
+
+    /// Call `f` with the slot of each entry `sel` selects, found through
+    /// the index, in no defined order.
+    fn for_each_selected(&self, sel: &Selector, mut f: impl FnMut(Slot)) {
+        let key_hash = self.key_hash(&sel.key);
+        // A vacant group has no entries to visit.
         for g in &self.groups {
-            if g.mask == *fmask {
+            if g.mask == sel.mask {
                 // Within a filter of the group's own mask means an equal
                 // key: one probe per priority.
                 let prios = g.prios.iter().map(|p| p.0);
-                slots.extend(
-                    prios
-                        .filter(|p| !strict || *p == priority)
-                        .filter_map(|p| self.find(g, key_hash, fkey, p)),
-                );
-            } else if !strict && g.mask.mask_union(fmask) == g.mask {
+                prios
+                    .filter(|&p| !sel.strict || p == sel.priority)
+                    .filter_map(|p| self.find(g, key_hash, &sel.key, p))
+                    .filter(|&s| sel.passes(self.at(s)))
+                    .for_each(&mut f);
+            } else if !sel.strict && g.mask.mask_union(&sel.mask) == g.mask {
                 // Entries narrower than the filter: walk the group.
                 let group = g.index.slots().chain(g.spill.iter().copied());
-                slots.extend(group.filter(|&s| self.at(s).key.masked(fmask) == *fkey));
+                group.filter(|&s| self.picks(sel, s)).for_each(&mut f);
             }
         }
-        slots.retain(|&s| sel.passes(self.at(s)));
-        // Bucket order differs from table to table (the seed moves it); what
-        // is removed, in which order, feeds `FLOW_REMOVED`.
+    }
+
+    /// Slots, in table order, of the entries `sel` selects.
+    fn selected(&self, sel: &Selector) -> Vec<Slot> {
+        let mut slots = Vec::new();
+        self.for_each_selected(sel, |s| slots.push(s));
+        // Bucket order differs from table to table (the seed moves it).
         slots.sort_unstable_by_key(|&s| self.rank_of(s));
         slots
     }
@@ -912,12 +941,22 @@ impl FlowTable {
         slots.len()
     }
 
-    /// Delete the entries `sel` selects. Returns the removed entries in
-    /// table order (with reason `Delete`) so the caller can emit
-    /// `FLOW_REMOVED` for those that asked.
-    pub fn delete(&mut self, sel: &Selector) -> Vec<FlowEntry> {
-        let slots = self.selected(sel);
-        self.remove_at(&slots)
+    /// Delete the entries `sel` selects, handing each to `removed` in
+    /// table order (their reason is `Delete`), so the caller can emit
+    /// `FLOW_REMOVED` for those that asked. Allocates nothing: the index
+    /// finds how many there are and where the first one stands, and the
+    /// removal walks table order from there until it has them all.
+    pub fn delete(&mut self, sel: &Selector, mut removed: impl FnMut(FlowEntry)) {
+        let (mut count, mut head) = (0, u64::MAX);
+        self.for_each_selected(sel, |s| {
+            count += 1;
+            head = head.min(self.rank_of(s));
+        });
+        if count > 0 {
+            let start = self.position(head);
+            let pick = |t: &Self, s| t.picks(sel, s).then_some(());
+            self.remove_where(start, count, pick, |e, ()| removed(e));
+        }
     }
 
     /// Highest-priority entry matching `pkt`, if any, by linear scan —
@@ -993,21 +1032,19 @@ impl FlowTable {
         let due = |timeout: u16, since_ns: u64| {
             timeout > 0 && now_ns >= since_ns + u64::from(timeout) * 1_000_000_000
         };
-        let (sel, reasons): (Vec<Slot>, Vec<RemovedReason>) = self
-            .order
-            .iter()
-            .filter_map(|&slot| {
-                let e = self.at(slot);
-                if due(e.hard_timeout, e.installed_ns) {
-                    Some((slot, RemovedReason::HardTimeout))
-                } else if due(e.idle_timeout, e.last_used_ns) {
-                    Some((slot, RemovedReason::IdleTimeout))
-                } else {
-                    None
-                }
-            })
-            .unzip();
-        self.remove_at(&sel).into_iter().zip(reasons).collect()
+        let reason = |t: &Self, slot| {
+            let e = t.at(slot);
+            if due(e.hard_timeout, e.installed_ns) {
+                Some(RemovedReason::HardTimeout)
+            } else if due(e.idle_timeout, e.last_used_ns) {
+                Some(RemovedReason::IdleTimeout)
+            } else {
+                None
+            }
+        };
+        let mut expired = Vec::new();
+        self.remove_where(0, usize::MAX, reason, |e, r| expired.push((e, r)));
+        expired
     }
 }
 
@@ -1057,11 +1094,14 @@ mod tests {
             } else {
                 Selector::within(m)
             };
-            self.delete(&Selector {
+            let mut removed = Vec::new();
+            let sel = Selector {
                 out_port,
                 out_group,
                 ..sel
-            })
+            };
+            self.delete(&sel, |e| removed.push(e));
+            removed
         }
     }
 

@@ -26,6 +26,14 @@ fn arb_rule_match() -> impl Strategy<Value = Match> {
     ]
 }
 
+/// The entries `sel` deletes from `table`, in the order it hands them
+/// out.
+fn deleted(table: &mut FlowTable, sel: &Selector) -> Vec<FlowEntry> {
+    let mut removed = Vec::new();
+    table.delete(sel, |e| removed.push(e));
+    removed
+}
+
 /// True if every packet `e` matches also matches `(fkey, fmask)`: the
 /// non-strict filter relation, from the entry's own match.
 fn within_filter(e: &FlowEntry, fkey: &FlowKey, fmask: &FieldMask) -> bool {
@@ -131,7 +139,7 @@ proptest! {
             .iter()
             .filter(|e| within_filter(e, &fkey, &fmask))
             .count();
-        let removed = table.delete(&Selector::within(&filter));
+        let removed = deleted(&mut table, &Selector::within(&filter));
         prop_assert_eq!(removed.len(), should_go);
         prop_assert_eq!(table.len(), before - should_go);
         // Survivors must not be within the filter.
@@ -470,7 +478,7 @@ proptest! {
                     "modify, step {}", step
                 ),
                 7..=9 => {
-                    let got = table.delete(&sel);
+                    let got = deleted(&mut table, &sel);
                     let want = model.remove(|e| {
                         ScanTable::selects(e, &m, priority, strict, cookie)
                             && e.outputs_to(out_port)
@@ -596,7 +604,7 @@ proptest! {
                 }
                 6 | 7 => {
                     let sel = Selector { strict, priority, ..Selector::within(&m) };
-                    let got = table.delete(&sel);
+                    let got = deleted(&mut table, &sel);
                     let want = model.remove(|e| ScanTable::selects(e, &m, priority, strict, (0, 0)));
                     prop_assert_eq!(
                         got.iter().map(view).collect::<Vec<_>>(),

@@ -554,7 +554,8 @@ impl Datapath {
     /// generation). The match is read once, here: checked, keyed and,
     /// for an add, kept in the same walk of its fields. An add allocates
     /// the rule's match and program and nothing else; a modify or a
-    /// delete allocates no match.
+    /// delete allocates no match, and a delete nothing but the list it
+    /// returns.
     pub fn apply_flow_mod(
         &mut self,
         fm: &impl FlowModSource,
@@ -608,9 +609,7 @@ impl Datapath {
                     tid..tid + 1
                 };
                 for t in range {
-                    for e in self.tables[t].delete(&sel) {
-                        removed.push((t as u8, e));
-                    }
+                    self.tables[t].delete(&sel, |e| removed.push((t as u8, e)));
                 }
             }
         }

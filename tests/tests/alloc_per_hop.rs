@@ -45,7 +45,9 @@
 //! route per host, at two table sizes. The proxy writes each route from
 //! parts on its stack into the send buffer, so the difference between
 //! the sizes is the switch's two resident blocks per route and nothing
-//! from the controller. An eighth decodes every message of
+//! from the controller; while those routes await their barrier reply,
+//! the controller holds the buffer it sent them in and nothing per
+//! route. An eighth decodes every message of
 //! `data/of_golden.txt` and requires that no vector is grown while it
 //! is read: matches and lists are sized once from their bytes.
 //!
@@ -465,13 +467,15 @@ fn a_route_flow_mod_through_the_agent_allocates_only_what_its_rule_keeps() {
 /// One route `DELETE_STRICT`, its bytes as the channel delivers them,
 /// through `OfAgent::handle`: the agent selects the rule by the match's
 /// key and mask, read where the chunk holds them, and builds no owned
-/// match. The five blocks it allocates are the table's and the
-/// datapath's lists: the selected slots, the same slots highest first,
-/// the removed entries with their ranks and then in table order, and
-/// the datapath's list of them by table. The rule's own two blocks, its
-/// match and its program, are freed.
+/// match. The table counts and places the selection through its index
+/// and hands the entry straight to the datapath, so the one block
+/// allocated is the list the datapath returns, the removed entries by
+/// table (five while the table listed the selected slots, sorted a copy
+/// of them, paired the entries with their ranks and collected them
+/// again). The rule's own two blocks, its match and its program, are
+/// freed.
 #[test]
-fn a_route_delete_through_the_agent_allocates_only_its_removal_lists() {
+fn a_route_delete_through_the_agent_allocates_only_the_list_it_returns() {
     let _turn = TURN.lock().unwrap();
     let mut dp = Datapath::new(DpConfig::software(1));
     for p in 1..=4 {
@@ -499,19 +503,18 @@ fn a_route_delete_through_the_agent_allocates_only_its_removal_lists() {
     assert_eq!(dp.table(0).unwrap().len(), 63, "the route is gone");
     assert_eq!(
         (blocks, live),
-        (5, -2),
-        "heap blocks allocated by one route delete, and left live: want its removal lists \
+        (1, -2),
+        "heap blocks allocated by one route delete, and left live: want the list it returns \
          and no match, and the rule's match and program freed"
     );
 }
 
-/// The heap blocks a controller running the ARP proxy and one switch
-/// allocate, on this thread, from the switch dialing to the proxy's
-/// `routes` host routes installed and acknowledged: the handshake, one
-/// flush of the table-miss entry, the routes and a barrier, the
-/// switch's agent applying them, and the barrier reply.
-fn blocks_to_push_routes(routes: u32) -> u64 {
-    const DPID: u64 = 0x52;
+/// The datapath id of the one switch the route-pushing tests serve.
+const DPID: u64 = 0x52;
+
+/// A controller running the ARP proxy with `routes` host routes, each
+/// out of one of the four ports of datapath `DPID`.
+fn route_pusher(routes: u32) -> ControllerNode {
     let mut proxy = ArpProxy::new();
     for h in 0..routes {
         proxy.add_host(HostRoute {
@@ -521,8 +524,17 @@ fn blocks_to_push_routes(routes: u32) -> u64 {
             guards: Vec::new(),
         });
     }
+    ControllerNode::new("ctrl", vec![Box::new(proxy)])
+}
+
+/// The heap blocks a controller running the ARP proxy and one switch
+/// allocate, on this thread, from the switch dialing to the proxy's
+/// `routes` host routes installed and acknowledged: the handshake, one
+/// flush of the table-miss entry, the routes and a barrier, the
+/// switch's agent applying them, and the barrier reply.
+fn blocks_to_push_routes(routes: u32) -> u64 {
     let mut net = Network::new(7);
-    let ctrl = net.add_node(ControllerNode::new("ctrl", vec![Box::new(proxy)]));
+    let ctrl = net.add_node(route_pusher(routes));
     let mut soft = SoftSwitchNode::new(
         "ss2",
         DpConfig::software(DPID),
@@ -577,8 +589,79 @@ fn a_controller_pushing_routes_allocates_only_the_switch_s_rules() {
     );
     assert_eq!(
         (few, many),
-        (629, 4_294),
+        (621, 4_283),
         "heap blocks to push {FEW} and {MANY} routes"
+    );
+}
+
+/// What a controller running the ARP proxy holds while `routes` host
+/// routes await their barrier reply, as `(live blocks, live bytes)` left
+/// by the message that completes one switch's handshake, and the live
+/// bytes the barrier reply then frees. The switch's control channel is
+/// down, so the flush's buffer is dropped at the sender and the
+/// controller's in-flight record is its only holder.
+fn held_in_flight(routes: u32) -> (i64, i64, i64) {
+    let mut net = Network::new(7);
+    let ctrl = net.add_node(route_pusher(routes));
+    let sw = net.add_node(Sink::new("ss2"));
+    net.ctrl_down(sw);
+    let mut deliver = |msg: Message| {
+        net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
+            netsim::Node::on_ctrl(c, sw, msg.encode(1), ctx);
+        });
+    };
+    deliver(Message::Hello);
+    deliver(Message::FeaturesReply {
+        datapath_id: DPID,
+        n_buffers: 0,
+        n_tables: 1,
+        capabilities: 0,
+    });
+    let (mut held_bytes, mut freed) = (0, 0);
+    let held_blocks = live_after(|| {
+        held_bytes = live_bytes_after(|| {
+            deliver(Message::MultipartReply(
+                openflow::message::MultipartRes::PortDesc(Vec::new()),
+            ));
+        });
+    });
+    // A reply covers its barrier and every earlier one.
+    let reply = Message::BarrierReply.encode(u32::MAX);
+    net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
+        freed = -live_bytes_after(|| netsim::Node::on_ctrl(c, sw, reply, ctx));
+    });
+    let c = net.node_ref::<ControllerNode>(ctrl);
+    assert_eq!(
+        c.flow_mods_sent(),
+        u64::from(routes) + 1,
+        "every route went"
+    );
+    (held_blocks, held_bytes, freed)
+}
+
+/// Routes in flight cost the controller their send buffer and nothing
+/// per route: it keeps one record per flush, the buffer sent, so
+/// between 256 and 2 048 routes awaiting their barrier reply its live
+/// blocks do not change and its live bytes grow by exactly what the
+/// reply frees, the buffer's own block (one `(xid, slice)` entry per
+/// route and a range per route beside it, 56 bytes or more, while it
+/// tracked each flow-mod).
+#[test]
+fn routes_in_flight_cost_the_controller_only_their_send_buffer() {
+    let _turn = TURN.lock().unwrap();
+    let few = held_in_flight(256);
+    let many = held_in_flight(2_048);
+    assert_eq!(few.0, many.0, "live blocks, {few:?} against {many:?}");
+    assert_eq!(
+        many.1 - few.1,
+        many.2 - few.2,
+        "live bytes beyond the send buffer's, {few:?} against {many:?}"
+    );
+    assert!(few.2 >= 257 * 88, "the reply frees the buffer: {few:?}");
+    assert_eq!(
+        (few, many),
+        ((4, 33_424, 32_976), (4, 262_800, 262_352)),
+        "(live blocks, live bytes, bytes the reply frees) at 256 and 2 048 routes"
     );
 }
 

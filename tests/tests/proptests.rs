@@ -2841,6 +2841,117 @@ fn rule_fingerprint(net: &netsim::Network, fx: &harmless::fabric::Fabric) -> Vec
     rules
 }
 
+/// The controller of [`run_lossy_fabric`]: the fabric ARP proxy ahead
+/// of a learning switch.
+fn fabric_controller() -> controller::ControllerNode {
+    controller::ControllerNode::new(
+        "ctrl",
+        vec![
+            Box::new(controller::apps::ArpProxy::new()),
+            Box::new(controller::apps::LearningSwitch::new()),
+        ],
+    )
+}
+
+/// Build a two-pod soft-spine fabric around the controller `ctrl`, with
+/// a host on each of the first `hosts` access ports of each pod, run it
+/// for 3 s on a control channel impaired by `profile` (on `threads`
+/// worker threads, if given), then heal the channel and let the
+/// periodic resync quiesce until 6 s.
+fn run_lossy_fabric(
+    net: &mut netsim::Network,
+    ctrl: netsim::NodeId,
+    profile: netsim::CtrlProfile,
+    threads: Option<usize>,
+    hosts: u16,
+) -> harmless::fabric::Fabric {
+    use harmless::fabric::{FabricSpec, Interconnect};
+    use harmless::instance::HarmlessSpec;
+    use netsim::{CtrlProfile, SimTime};
+
+    let mut fx = FabricSpec::new(2, HarmlessSpec::new(hosts.max(2)))
+        .with_interconnect(Interconnect::SpineSoft)
+        .with_arp_proxy(true)
+        .build(net)
+        .expect("valid fabric spec");
+    fx.configure_direct(net);
+    fx.connect_controller(net, ctrl);
+    for port in 1..=hosts {
+        fx.attach_host(net, 0, port).expect("free port");
+        fx.attach_host(net, 1, port).expect("free port");
+    }
+    // Fast retry so even an unlucky drop streak leaves dozens of
+    // handshake attempts inside the window.
+    fx.for_each_softswitch(net, |sw| {
+        sw.set_keepalive(SimTime::from_millis(50), 2);
+        sw.set_backoff(SimTime::from_millis(50), SimTime::from_millis(200));
+    });
+    net.set_ctrl_profile(profile);
+    if let Some(t) = threads {
+        net.set_shards(&fx.shard_map());
+        net.set_threads(t);
+    }
+    net.run_until(SimTime::from_secs(3));
+    // Heal the channel and let the periodic resync quiesce: the
+    // convergence claim is about where the state settles once the
+    // impairment ends, not about a lucky mid-handshake snapshot (a reply
+    // lost just before the cutoff is only re-driven on the next 1 s
+    // controller tick).
+    net.set_ctrl_profile(CtrlProfile::lossless());
+    net.run_until(SimTime::from_secs(6));
+    fx
+}
+
+/// [`lossy_resync_retransmits_the_recorded_bytes`]'s digest, recorded
+/// while the controller kept one in-flight slice per flow-mod.
+const RETRANSMIT_DIGEST: u64 = 0x276f_1f27_9090_b95d;
+
+/// Retransmission oracle: the lossy-channel fabric of
+/// `lossy_ctrl_resync_converges_to_fault_free_rules`, over a fixed set
+/// of seeds and impairments. Every flow-mod the controller re-sends
+/// because no barrier reply confirmed it, byte for byte and in send
+/// order, and each run's final `retransmits()` fold into one digest: a
+/// change to how the controller tracks what is in flight must re-send
+/// exactly what it re-sent before.
+#[test]
+fn lossy_resync_retransmits_the_recorded_bytes() {
+    use netsim::{CtrlProfile, Network, SimTime};
+
+    let mut digest = Fold::default();
+    let mut retransmits = 0;
+    for seed in 1..=12u64 {
+        let profile = CtrlProfile::lossy(0.02 * seed as f64)
+            .with_dup(0.005 * seed as f64)
+            .with_reorder(0.05, SimTime::from_micros(200));
+        let mut net = Network::new(seed);
+        let ctrl = net.add_node(fabric_controller());
+        net.log_ctrl_sends(ctrl);
+        run_lossy_fabric(&mut net, ctrl, profile, None, 16);
+        // The controller draws every xid from one counter, so a flow-mod
+        // under an xid it has already sent is a re-send.
+        let mut sent = std::collections::BTreeSet::new();
+        for (_, chunk) in net.ctrl_sent(ctrl) {
+            let mut frames = openflow::Session::default();
+            frames.push(chunk.clone());
+            while let Some(frame) = frames.next_frame() {
+                let frame = frame.expect("the controller sends whole messages");
+                let xid = u32::from_be_bytes(frame[4..8].try_into().expect("a header"));
+                if frame[1] == openflow::message::msg_type::FLOW_MOD && !sent.insert(xid) {
+                    digest.add(&frame);
+                }
+            }
+        }
+        let c = net.node_ref::<controller::ControllerNode>(ctrl);
+        digest.add(&c.retransmits().to_le_bytes());
+        retransmits += c.retransmits();
+    }
+    assert!(retransmits > 0, "the impaired runs re-send something");
+    assert_eq!(
+        digest.0, RETRANSMIT_DIGEST,
+        "the controller re-sends other bytes, or another count ({retransmits} re-sent)"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -2954,47 +3065,12 @@ proptest! {
         reorder in 0.0f64..0.10,
         threads in 2usize..=4,
     ) {
-        use harmless::fabric::{FabricSpec, Interconnect};
-        use harmless::instance::HarmlessSpec;
         use netsim::{CtrlProfile, Network, SimTime};
 
         let run = |profile: CtrlProfile, threads: Option<usize>| {
             let mut net = Network::new(seed);
-            let ctrl = net.add_node(controller::ControllerNode::new(
-                "ctrl",
-                vec![
-                    Box::new(controller::apps::ArpProxy::new()),
-                    Box::new(controller::apps::LearningSwitch::new()),
-                ],
-            ));
-            let mut fx = FabricSpec::new(2, HarmlessSpec::new(2))
-                .with_interconnect(Interconnect::SpineSoft)
-                .with_arp_proxy(true)
-                .build(&mut net)
-                .expect("valid fabric spec");
-            fx.configure_direct(&mut net);
-            fx.connect_controller(&mut net, ctrl);
-            fx.attach_host(&mut net, 0, 1).expect("free port");
-            fx.attach_host(&mut net, 1, 1).expect("free port");
-            // Fast retry so even an unlucky drop streak leaves dozens
-            // of handshake attempts inside the window.
-            fx.for_each_softswitch(&mut net, |sw| {
-                sw.set_keepalive(SimTime::from_millis(50), 2);
-                sw.set_backoff(SimTime::from_millis(50), SimTime::from_millis(200));
-            });
-            net.set_ctrl_profile(profile);
-            if let Some(t) = threads {
-                net.set_shards(&fx.shard_map());
-                net.set_threads(t);
-            }
-            net.run_until(SimTime::from_secs(3));
-            // Heal the channel and let the periodic resync quiesce: the
-            // convergence claim is about where the state settles once
-            // the impairment ends, not about a lucky mid-handshake
-            // snapshot (a reply lost just before the cutoff is only
-            // re-driven on the next 1 s controller tick).
-            net.set_ctrl_profile(CtrlProfile::lossless());
-            net.run_until(SimTime::from_secs(6));
+            let ctrl = net.add_node(fabric_controller());
+            let fx = run_lossy_fabric(&mut net, ctrl, profile, threads, 1);
             let rules = rule_fingerprint(&net, &fx);
             (rules, net.events_processed(), net.ctrl_stats().dropped)
         };
