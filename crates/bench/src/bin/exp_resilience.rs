@@ -256,26 +256,18 @@ fn tune_switches(hx: &mut Harness, mode: FailMode) {
     });
 }
 
-/// Canonical `(priority, match, instructions)` rule set of every
-/// software datapath, for fault-free-twin comparison.
-fn rule_fingerprint(hx: &Harness) -> Vec<Vec<String>> {
+/// The rule digest of every software datapath, for fault-free-twin
+/// comparison.
+fn rule_fingerprint(hx: &Harness) -> Vec<u64> {
     let mut switches: Vec<NodeId> = (0..PODS).map(|p| hx.fx.pod(p).ss2).collect();
     switches.push(hx.fx.spine().expect("soft spine").node());
     switches
         .iter()
         .map(|&n| {
-            let mut v: Vec<String> = hx
-                .net
+            hx.net
                 .node_ref::<SoftSwitchNode>(n)
                 .datapath()
-                .table(0)
-                .expect("table 0")
-                .entries()
-                .iter()
-                .map(|e| format!("{}|{:?}|{:?}", e.priority, e.match_, e.instructions))
-                .collect();
-            v.sort();
-            v
+                .rule_digest()
         })
         .collect()
 }
@@ -310,7 +302,7 @@ fn ctrl_side(hx: &mut Harness, plan: &'static str, ctrls: &[NodeId]) -> CtrlSide
 /// E9a — crash the master with a warm-standby backup registered (or,
 /// with `crash: false`, the fault-free twin the crashed run is
 /// compared against).
-fn ctrl_failover(window: SimTime, crash: bool) -> (Report, CtrlSide, Vec<Vec<String>>) {
+fn ctrl_failover(window: SimTime, crash: bool) -> (Report, CtrlSide, Vec<u64>) {
     let stop = window - SimTime::from_millis(400);
     let mut hx = build(7, stop);
     hx.fx.configure_direct(&mut hx.net);
@@ -375,7 +367,7 @@ fn ctrl_lossy(
     profile: CtrlProfile,
     threads: Option<usize>,
     plan: &'static str,
-) -> (Report, CtrlSide, Vec<Vec<String>>, u64) {
+) -> (Report, CtrlSide, Vec<u64>, u64) {
     let stop = window - SimTime::from_millis(400);
     let mut hx = build(7, stop);
     hx.fx.configure_direct(&mut hx.net);

@@ -228,7 +228,6 @@ impl ArpProxy {
     /// the new one.
     pub fn sync_switch(&mut self, sw: &mut SwitchHandle) {
         let s = self.synced.entry(sw.dpid).or_default();
-        let retracted = !s.deletes.is_empty();
         for mac in s.deletes.drain(..) {
             self.routes_retracted += 1;
             sw.send_flow_mod(FlowModParts::<&[Action]> {
@@ -241,12 +240,8 @@ impl ArpProxy {
             });
         }
         let from = std::mem::replace(&mut s.pushed, self.hosts.len());
-        let pushed = from < self.hosts.len();
         push_routes(&self.hosts[from..], sw);
         self.forget_tombstones();
-        if retracted || pushed {
-            sw.barrier();
-        }
     }
 
     /// Sweep the tombstones out of `hosts` once every synced datapath
@@ -618,9 +613,11 @@ mod tests {
     /// `on_switch_down` calls over four datapaths — synced before their
     /// handshake, after it, after going down — with every byte queued,
     /// `routes_retracted()`, `hosts_known()` and one lookup folded into
-    /// one digest after each call. The value pinned was recorded from the
-    /// proxy that kept a shared log of retired entries with reader counts
-    /// and a retraction watermark per datapath.
+    /// one digest after each call, and the same with the queued bytes'
+    /// barriers cut out and xids zeroed into a second. The bytes were
+    /// first pinned from the proxy that kept a shared log of retired
+    /// entries with reader counts and a retraction watermark per
+    /// datapath.
     #[test]
     fn an_op_stream_queues_what_the_parent_queued() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -630,10 +627,35 @@ mod tests {
             state ^= state << 17;
             state % n
         };
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |bytes: &[u8]| {
+        fn fnv(digest: &mut u64, bytes: &[u8]) {
             for &b in bytes.iter().chain(&(bytes.len() as u64).to_le_bytes()) {
-                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        // The queued bytes with every BARRIER_REQUEST cut out and every
+        // xid zeroed: what the proxy asked for, whoever numbered it.
+        fn stripped(buf: &[u8]) -> Vec<u8> {
+            let mut rx = openflow::Session::default();
+            rx.push(bytes::Bytes::copy_from_slice(buf));
+            let mut out = Vec::with_capacity(buf.len());
+            while let Some(frame) = rx.next_frame() {
+                let frame = frame.expect("whole frames");
+                if frame[1] != openflow::message::msg_type::BARRIER_REQUEST {
+                    out.extend_from_slice(&frame[..4]);
+                    out.extend_from_slice(&[0; 4]);
+                    out.extend_from_slice(&frame[8..]);
+                }
+            }
+            out
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut requests = digest;
+        let mut fold = |bytes: &[u8], queued: bool| {
+            fnv(&mut digest, bytes);
+            if queued {
+                fnv(&mut requests, &stripped(bytes));
+            } else {
+                fnv(&mut requests, bytes);
             }
         };
         let (mut deletes, mut adds) = (0, 0);
@@ -669,22 +691,33 @@ mod tests {
                         _ => adds += 1,
                     }
                 }
-                fold(&q.buf);
+                fold(&q.buf, true);
                 q.buf.clear();
-                fold(&p.routes_retracted().to_le_bytes());
-                fold(&p.hosts_known().to_le_bytes());
+                fold(&p.routes_retracted().to_le_bytes(), false);
+                fold(&p.hosts_known().to_le_bytes(), false);
                 let mac = p.lookup(Ipv4Addr::new(10, 0, 0, rand(12) as u8));
-                fold(&mac.map_or([0xff; 6], |m| m.0));
+                fold(&mac.map_or([0xff; 6], |m| m.0), false);
             }
         }
         // The streams reach both kinds of flow-mod in numbers.
         assert!(deletes > 10_000 && adds > 50_000, "{deletes} {adds}");
+        assert_eq!(
+            requests, OP_STREAM_REQUESTS_DIGEST,
+            "the proxy asks for other rules or counts otherwise"
+        );
         assert_eq!(
             digest, OP_STREAM_DIGEST,
             "the proxy queues other bytes or counts otherwise"
         );
     }
 
-    /// [`an_op_stream_queues_what_the_parent_queued`]'s digest.
-    const OP_STREAM_DIGEST: u64 = 0x3271_a74d_faf1_2121;
+    /// [`an_op_stream_queues_what_the_parent_queued`]'s digest, xids
+    /// included: re-pinned when a sync stopped queueing a barrier of its
+    /// own (every later xid moved down), with the fold below unchanged.
+    const OP_STREAM_DIGEST: u64 = 0xf46f_bae1_ebce_6e54;
+
+    /// The same fold over the queued bytes with barriers cut out and
+    /// xids zeroed, recorded from the proxy that ended each sync that
+    /// queued a flow-mod with a barrier of its own.
+    const OP_STREAM_REQUESTS_DIGEST: u64 = 0x95ac_dc1f_78f1_d02d;
 }

@@ -52,7 +52,6 @@ impl Dmz {
                 sw.flow_mod(Self::pair_rule(x, y));
             }
         }
-        sw.barrier();
     }
 
     /// Revoke a pair at runtime.
@@ -64,7 +63,6 @@ impl Dmz {
                 sw.flow_mod(fm);
             }
         }
-        sw.barrier();
     }
 }
 
@@ -94,7 +92,6 @@ impl App for Dmz {
         // Anything else (LLDP etc.): drop quietly at priority 0 by having
         // no table-miss entry in table 0... but we *do* need nothing here:
         // absent miss entry means drop per OF 1.3.
-        sw.barrier();
         self.installed = true;
     }
 }

@@ -132,7 +132,6 @@ impl App for LoadBalancer {
         }
         // Everything else goes to the learning stage in table 1.
         sw.flow_mod(FlowMod::add(0).priority(1).goto(1));
-        sw.barrier();
     }
 
     fn on_packet_in(&mut self, sw: &mut SwitchHandle, ev: &PacketInEvent) -> PacketInVerdict {

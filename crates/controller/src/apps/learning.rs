@@ -66,7 +66,6 @@ impl App for LearningSwitch {
                 .priority(0)
                 .apply(vec![Action::to_controller()]),
         );
-        sw.barrier();
     }
 
     fn on_packet_in(&mut self, sw: &mut SwitchHandle, ev: &PacketInEvent) -> PacketInVerdict {

@@ -58,7 +58,6 @@ impl ParentalControl {
         if self.blocked.insert((user, dst)) && self.installed {
             self.blocks_installed += 1;
             sw.flow_mod(Self::block_rule(user, dst));
-            sw.barrier();
         }
     }
 
@@ -71,7 +70,6 @@ impl ParentalControl {
                 .priority(200)
                 .match_(Match::new().eth_type(0x0800).ipv4_src(user).ipv4_dst(dst));
             sw.flow_mod(fm);
-            sw.barrier();
         }
     }
 }
@@ -88,7 +86,6 @@ impl App for ParentalControl {
         }
         // Everything not blocked flows to the learning stage.
         sw.flow_mod(FlowMod::add(0).priority(1).goto(1));
-        sw.barrier();
         self.installed = true;
     }
 }

@@ -179,7 +179,6 @@ impl Router {
         }
         self.push(sw, &config);
         self.pushed.insert(dpid, version);
-        sw.barrier();
     }
 
     /// Delete every rule this app owns on `sw`: the tables it has to

@@ -39,7 +39,6 @@ impl App for StaticForwarder {
                     .apply(vec![Action::output(out)]),
             );
         }
-        sw.barrier();
     }
 }
 

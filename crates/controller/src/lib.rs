@@ -1,9 +1,9 @@
 //! # controller — the SDN controller and its applications
 //!
 //! A compact OpenFlow 1.3 controller in the Ryu mould: the
-//! [`ControllerNode`] owns the channels (handshake, echo, port discovery)
-//! and dispatches events to [`App`]s through a [`SwitchHandle`] that
-//! queues messages back to the switch.
+//! [`ControllerNode`] owns the channels (handshake, echo, port discovery,
+//! barriers) and dispatches events to [`App`]s through a [`SwitchHandle`]
+//! that queues flow-mods and packet-outs back to the switch.
 //!
 //! The bundled apps are the three use cases the HARMLESS demo showcases
 //! (Fig. 1), plus the plumbing they share:

@@ -77,7 +77,9 @@ impl SwitchState {
 
     /// Send what `out` queued to this switch (`node`); if a flow-mod is
     /// among it, append a barrier and track the buffer sent until its
-    /// reply confirms delivery.
+    /// reply confirms delivery. This is the one place a barrier is
+    /// written: apps queue flow-mods and packet-outs, and each flush
+    /// carries at most one barrier, as its last frame.
     fn flush(&mut self, node: NodeId, out: &mut Outbox, ctx: &mut NodeCtx) {
         let barrier = out.durable.then(|| out.send(Message::BarrierRequest));
         let sent = out.transmit(node, ctx);
@@ -95,8 +97,8 @@ pub(crate) struct Outbox {
     /// Messages for the switch being served, encoded back to back in
     /// send order: the next channel write.
     pub(crate) buf: BytesMut,
-    /// A `FLOW_MOD` is in `buf`, however it was sent: the flush ends in a
-    /// barrier and is tracked until its reply confirms the switch has it.
+    /// A `FLOW_MOD` is in `buf`: the flush ends in a barrier and is
+    /// tracked until its reply confirms the switch has it.
     durable: bool,
 }
 
@@ -106,9 +108,9 @@ impl Outbox {
         self.xid
     }
 
-    /// Queue `msg` under a fresh xid, which is returned.
+    /// Queue one of the node's own channel messages under a fresh xid,
+    /// which is returned.
     fn send(&mut self, msg: Message) -> Xid {
-        self.durable |= matches!(msg, Message::FlowMod(_));
         let x = self.next_xid();
         msg.encode_into(&mut self.buf, x);
         x
@@ -141,11 +143,6 @@ pub struct SwitchHandle<'a> {
 }
 
 impl SwitchHandle<'_> {
-    /// Send a raw message.
-    pub fn send(&mut self, msg: Message) {
-        self.out.send(msg);
-    }
-
     /// Send a flow-mod written from its parts, which the caller may
     /// build on its stack (`FlowModParts::<&[Action]>`): its bytes go
     /// straight into the send buffer and nothing is allocated for them.
@@ -189,11 +186,6 @@ impl SwitchHandle<'_> {
             data,
         };
         po.encode_into(&mut self.out.buf, x);
-    }
-
-    /// Send a barrier.
-    pub fn barrier(&mut self) {
-        self.send(Message::BarrierRequest);
     }
 }
 
@@ -250,14 +242,8 @@ pub trait App: Any + Send {
     /// down; its state will be rebuilt on the next handshake.
     fn on_switch_down(&mut self, _dpid: u64) {}
 
-    /// A flow entry was removed.
-    fn on_flow_removed(&mut self, _sw: &mut SwitchHandle, _msg: &Message) {}
-
-    /// A multipart (statistics) reply arrived.
-    fn on_stats(&mut self, _sw: &mut SwitchHandle, _msg: &Message) {}
-
     /// Periodic tick from the controller (1 s period), for apps that need
-    /// to reissue rules or poll stats.
+    /// to reissue rules.
     fn on_tick(&mut self, _sw: &mut SwitchHandle) {}
 }
 
@@ -266,21 +252,19 @@ pub trait App: Any + Send {
 enum AppEvent {
     SwitchReady,
     PacketIn(PacketInEvent),
-    FlowRemoved(Message),
-    Stats(Message),
 }
 
 impl AppEvent {
     /// Offer the event to one app. Only a packet-in can end the chain;
-    /// the other callbacks always let the next app see the event.
+    /// a ready switch is offered to every app.
     fn offer(&self, app: &mut dyn App, sw: &mut SwitchHandle) -> PacketInVerdict {
         match self {
-            AppEvent::SwitchReady => app.on_switch_ready(sw),
-            AppEvent::PacketIn(ev) => return app.on_packet_in(sw, ev),
-            AppEvent::FlowRemoved(m) => app.on_flow_removed(sw, m),
-            AppEvent::Stats(m) => app.on_stats(sw, m),
+            AppEvent::SwitchReady => {
+                app.on_switch_ready(sw);
+                PacketInVerdict::Continue
+            }
+            AppEvent::PacketIn(ev) => app.on_packet_in(sw, ev),
         }
-        PacketInVerdict::Continue
     }
 }
 
@@ -592,8 +576,6 @@ impl Node for ControllerNode {
                         })
                     })
                 }
-                m @ Message::FlowRemoved { .. } => Some(AppEvent::FlowRemoved(m)),
-                m @ Message::MultipartReply(_) => Some(AppEvent::Stats(m)),
                 Message::Error { ty, .. } => {
                     self.errors_seen += 1;
                     if ty == 11 {
@@ -740,9 +722,8 @@ mod tests {
     }
 
     /// The borrowed sends queue what the owned messages encode to, under
-    /// the same xids; a flow-mod, however it is sent, makes the flush
-    /// durable (and, sent as a flow-mod, is counted), and the owned
-    /// wrapper queues the same as its parts.
+    /// the same xids; a flow-mod makes the flush durable and is counted,
+    /// and the owned wrapper queues the same as its parts.
     #[test]
     fn borrowed_sends_queue_the_owned_messages_bytes() {
         use openflow::instruction::Insn;
@@ -782,22 +763,16 @@ mod tests {
         assert_eq!((lent.durable, lent.flow_mods_sent), (true, 1));
 
         let mut sent = Outbox::default();
-        test_handle(1, &mut sent).flow_mod(owned.clone());
+        test_handle(1, &mut sent).flow_mod(owned);
         assert_eq!(&sent.buf[..], &flow_mod[..]);
         assert_eq!((sent.durable, sent.flow_mods_sent), (true, 1));
-
-        let mut raw = Outbox::default();
-        test_handle(1, &mut raw).send(Message::FlowMod(owned));
-        assert_eq!(&raw.buf[..], &flow_mod[..]);
-        assert!(raw.durable, "a flow-mod sent raw is tracked too");
 
         let mut none = Outbox::default();
         test_handle(1, &mut none).packet_out(3, data);
         assert!(!none.durable, "a packet-out alone needs no barrier");
     }
 
-    /// On ready, queues a flow-mod, a packet-out and a second flow-mod,
-    /// sent raw.
+    /// On ready, queues a flow-mod, a packet-out and a second flow-mod.
     struct Pusher;
     impl App for Pusher {
         fn name(&self) -> &str {
@@ -806,7 +781,7 @@ mod tests {
         fn on_switch_ready(&mut self, sw: &mut SwitchHandle) {
             sw.flow_mod(route(1));
             sw.packet_out(2, Bytes::from_static(b"frame"));
-            sw.send(Message::FlowMod(route(2)));
+            sw.flow_mod(route(2));
         }
     }
 
@@ -830,6 +805,103 @@ mod tests {
             .collect()
     }
 
+    /// Hand the controller `msg` from `sw` under `xid`.
+    fn deliver(net: &mut netsim::Network, ctrl: NodeId, sw: NodeId, msg: Message, xid: Xid) {
+        net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| c.on_ctrl(sw, msg.encode(xid), ctx));
+    }
+
+    /// A network of `ctrl` and a recording switch, datapath 7, that has
+    /// completed its handshake; the controller's ready flush is the
+    /// recorder's last chunk.
+    fn handshake(ctrl: ControllerNode) -> (netsim::Network, NodeId, NodeId) {
+        let mut net = netsim::Network::new(1);
+        let ctrl = net.add_node(ctrl);
+        let sw = net.add_node(Recorder { frames: Vec::new() });
+        deliver(&mut net, ctrl, sw, Message::Hello, 1);
+        let features = Message::FeaturesReply {
+            datapath_id: 7,
+            n_buffers: 0,
+            n_tables: 1,
+            capabilities: 0,
+        };
+        deliver(&mut net, ctrl, sw, features, 2);
+        let ports = Message::MultipartReply(MultipartRes::PortDesc(vec![]));
+        deliver(&mut net, ctrl, sw, ports, 3);
+        net.run_until(netsim::SimTime::from_millis(1));
+        (net, ctrl, sw)
+    }
+
+    /// The message types of the recorder's last chunk.
+    fn last_flush(net: &netsim::Network, sw: NodeId) -> Vec<u8> {
+        let chunks = &net.node_ref::<Recorder>(sw).frames;
+        frames(chunks.last().expect("a flush"))
+            .iter()
+            .map(|f| f.0)
+            .collect()
+    }
+
+    /// Each flush the node sends carries at most one barrier, its last
+    /// frame: the ready flush of a proxy-and-learning chain (each app
+    /// queues flow-mods), a router config change pushed through
+    /// `sync_now`, and none in a flush of packet-outs alone.
+    #[test]
+    fn a_flush_carries_one_barrier_and_only_after_a_flow_mod() {
+        use crate::apps::{ArpProxy, LearningSwitch, Router, RouterConfig};
+        use msg_type::{BARRIER_REQUEST, FLOW_MOD, PACKET_OUT};
+        let barriers = |types: &[u8]| types.iter().filter(|&&t| t == BARRIER_REQUEST).count();
+        let host = netpkt::MacAddr::host(2);
+        let host_ip = std::net::Ipv4Addr::new(10, 0, 0, 2);
+        let mut proxy = ArpProxy::new();
+        proxy.add_host(crate::apps::HostRoute {
+            ip: host_ip,
+            mac: host,
+            ports: vec![(7, 2)],
+            guards: vec![],
+        });
+        let apps: Vec<Box<dyn App>> = vec![Box::new(proxy), Box::new(LearningSwitch::new())];
+        let (mut net, ctrl, sw) = handshake(ControllerNode::new("ctrl", apps));
+        let ready = last_flush(&net, sw);
+        assert_eq!(ready.iter().filter(|&&t| t == FLOW_MOD).count(), 3);
+        assert_eq!(barriers(&ready), 1, "{ready:?}");
+        assert_eq!(ready.last(), Some(&BARRIER_REQUEST));
+
+        // An ARP request the proxy answers: one packet-out, no barrier.
+        let who_has =
+            netpkt::builder::arp_request(netpkt::MacAddr::host(1), [10, 0, 0, 1].into(), host_ip);
+        let pi = Message::PacketIn {
+            buffer_id: NO_BUFFER,
+            total_len: who_has.len() as u16,
+            reason: openflow::message::PacketInReason::NoMatch,
+            table_id: 0,
+            cookie: 0,
+            match_: openflow::Match::new().in_port(1),
+            data: who_has,
+        };
+        deliver(&mut net, ctrl, sw, pi, 4);
+        net.run_until(netsim::SimTime::from_millis(2));
+        assert_eq!(last_flush(&net, sw), [PACKET_OUT]);
+
+        let (mut net, ctrl, sw) =
+            handshake(ControllerNode::new("ctrl", vec![Box::new(Router::new())]));
+        let config = RouterConfig {
+            mac: netpkt::MacAddr::host(99),
+            routes: vec![],
+            nat_external: None,
+            uplink_guards: vec![1],
+        };
+        net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
+            c.app_mut::<Router>()
+                .expect("a router")
+                .set_config(7, config);
+            c.sync_now(ctx);
+        });
+        net.run_until(netsim::SimTime::from_millis(2));
+        let pushed = last_flush(&net, sw);
+        assert_eq!(pushed.iter().filter(|&&t| t == FLOW_MOD).count(), 4);
+        assert_eq!(barriers(&pushed), 1, "{pushed:?}");
+        assert_eq!(pushed.last(), Some(&BARRIER_REQUEST));
+    }
+
     /// A flush that mixes a role request, flow-mods and a packet-out
     /// loses its barrier reply: the next tick re-sends exactly its
     /// flow-mods, byte for byte and in order, under one fresh barrier. A
@@ -837,34 +909,10 @@ mod tests {
     /// carries; a reply to the fresh one ends the re-sends.
     #[test]
     fn an_unconfirmed_flush_re_sends_exactly_its_flow_mods() {
-        let mut net = netsim::Network::new(1);
-        let ctrl = net.add_node(
+        let (mut net, ctrl, sw) = handshake(
             ControllerNode::new("ctrl", vec![Box::new(Pusher)])
                 .with_role(ControllerRole::Master, 1),
         );
-        let sw = net.add_node(Recorder { frames: Vec::new() });
-        let deliver = |net: &mut netsim::Network, msg: Message, xid: Xid| {
-            net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
-                c.on_ctrl(sw, msg.encode(xid), ctx)
-            });
-        };
-        deliver(&mut net, Message::Hello, 1);
-        deliver(
-            &mut net,
-            Message::FeaturesReply {
-                datapath_id: 7,
-                n_buffers: 0,
-                n_tables: 1,
-                capabilities: 0,
-            },
-            2,
-        );
-        deliver(
-            &mut net,
-            Message::MultipartReply(MultipartRes::PortDesc(vec![])),
-            3,
-        );
-        net.run_until(netsim::SimTime::from_millis(1));
         let chunks = |net: &netsim::Network| net.node_ref::<Recorder>(sw).frames.clone();
         let flush = frames(chunks(&net).last().expect("the ready flush"));
         let types: Vec<u8> = flush.iter().map(|f| f.0).collect();
@@ -909,11 +957,11 @@ mod tests {
         tick(&mut net, 1).expect("the flow-mods go again");
         assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 2);
 
-        deliver(&mut net, Message::BarrierReply, old_barrier);
+        deliver(&mut net, ctrl, sw, Message::BarrierReply, old_barrier);
         let fresh = tick(&mut net, 2).expect("a late reply to the old barrier drops nothing");
         assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 4);
 
-        deliver(&mut net, Message::BarrierReply, fresh);
+        deliver(&mut net, ctrl, sw, Message::BarrierReply, fresh);
         assert_eq!(
             tick(&mut net, 3),
             None,

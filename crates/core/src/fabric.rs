@@ -516,25 +516,12 @@ mod tests {
                 .iter()
                 .map(|&h| net.node_ref::<Host>(h).echo_replies_received())
                 .sum();
-            // Canonical rule set of every software datapath: the
-            // converged state must not depend on which controller
-            // installed it.
+            // The rule digest of every software datapath: the converged
+            // state must not depend on which controller installed it.
             let switches = [fx.pod(0).ss2, fx.pod(1).ss2, fx.spine().unwrap().node()];
-            let rules: Vec<Vec<String>> = switches
+            let rules: Vec<u64> = switches
                 .iter()
-                .map(|&n| {
-                    let mut v: Vec<String> = net
-                        .node_ref::<SoftSwitchNode>(n)
-                        .datapath()
-                        .table(0)
-                        .unwrap()
-                        .entries()
-                        .iter()
-                        .map(|e| format!("{}|{:?}|{:?}", e.priority, e.match_, e.instructions))
-                        .collect();
-                    v.sort();
-                    v
-                })
+                .map(|&n| net.node_ref::<SoftSwitchNode>(n).datapath().rule_digest())
                 .collect();
             let mut failovers = 0u64;
             let mut all_up = true;

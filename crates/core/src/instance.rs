@@ -274,11 +274,6 @@ pub struct HarmlessInstance {
 }
 
 impl HarmlessInstance {
-    /// Legacy-switch port number of trunk `t` (1-based).
-    pub fn trunk_legacy_port(&self, t: u16) -> u16 {
-        self.spec.n_access_ports + t
-    }
-
     /// SS_2 (OpenFlow) port number of fabric uplink `k` (1-based).
     /// Uplinks sit directly above the access-port range, so the
     /// controller sees them as ordinary high-numbered ports.
@@ -548,8 +543,10 @@ mod tests {
     fn trunk_numbering() {
         let mut net = Network::new(1);
         let hx = HarmlessSpec::new(8).with_trunks(2).build(&mut net);
-        assert_eq!(hx.trunk_legacy_port(1), 9);
-        assert_eq!(hx.trunk_legacy_port(2), 10);
+        // The trunks sit right above the 8 access ports of the legacy
+        // switch, and the VLANs spread over both.
+        assert_eq!(hx.home_trunk_for(102), 9);
+        assert_eq!(hx.home_trunk_for(101), 10);
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl Driver {
         self.candidate = Some(cfg);
     }
 
-    /// True if a candidate is staged.
-    pub fn has_candidate(&self) -> bool {
-        self.candidate.is_some()
-    }
-
     /// The plan that applies the candidate (NAPALM `commit_config`). The
     /// candidate becomes the committed config.
     pub fn commit_plan(&mut self) -> Vec<SnmpOp> {
@@ -347,10 +342,9 @@ mod tests {
         let mut d = Driver::new(Box::new(QBridgeDialect));
         assert!(d.commit_plan().is_empty());
         d.load_merge_candidate(harmless_style_config());
-        assert!(d.has_candidate());
         let plan = d.commit_plan();
         assert!(!plan.is_empty());
-        assert!(!d.has_candidate());
+        assert!(d.commit_plan().is_empty(), "the candidate was committed");
         let rb = d.rollback_plan();
         // 4 pvid resets + 4 row destroys
         assert_eq!(rb.len(), 8);

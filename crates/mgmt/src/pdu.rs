@@ -66,14 +66,6 @@ impl Value {
         }
     }
 
-    /// True for the three v2c exception markers.
-    pub fn is_exception(&self) -> bool {
-        matches!(
-            self,
-            Value::NoSuchObject | Value::NoSuchInstance | Value::EndOfMibView
-        )
-    }
-
     fn encode(&self, out: &mut BytesMut) {
         match self {
             Value::Integer(v) => ber::put_integer(out, tag::INTEGER, (*v).into()),
@@ -735,8 +727,6 @@ mod tests {
             Value::OctetString(b"ab".to_vec()).as_bytes(),
             Some(&b"ab"[..])
         );
-        assert!(Value::EndOfMibView.is_exception());
-        assert!(!Value::Null.is_exception());
     }
 
     /// A response of one binding, written field by field so that a field

@@ -33,11 +33,6 @@ impl MacAddr {
         self.0
     }
 
-    /// True for `ff:ff:ff:ff:ff:ff`.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
     /// True when the group bit (I/G, least-significant bit of the first
     /// octet) is set; broadcast is also multicast.
     pub fn is_multicast(&self) -> bool {
@@ -47,11 +42,6 @@ impl MacAddr {
     /// True for addresses that are neither multicast nor broadcast.
     pub fn is_unicast(&self) -> bool {
         !self.is_multicast()
-    }
-
-    /// True when the locally-administered bit (U/L) is set.
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 
     /// The address as a `u64` with the two high octets zero. Handy as a map
@@ -136,7 +126,6 @@ mod tests {
 
     #[test]
     fn broadcast_is_multicast() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(MacAddr::BROADCAST.is_multicast());
         assert!(!MacAddr::BROADCAST.is_unicast());
     }
@@ -145,7 +134,7 @@ mod tests {
     fn host_addresses_are_local_unicast() {
         let m = MacAddr::host(42);
         assert!(m.is_unicast());
-        assert!(m.is_local());
+        assert!(m.0[0] & 0x02 != 0, "the locally administered bit");
         assert_eq!(m.octets()[5], 42);
     }
 

@@ -41,11 +41,6 @@ impl Stamp {
             sent_ns: buf.u64().ok()?,
         })
     }
-
-    /// Extract the stamp of a generated frame (Ethernet/[802.1Q]/IPv4/UDP).
-    pub fn from_frame(frame: &[u8]) -> Option<Stamp> {
-        udp_port_and_stamp(frame)?.1
-    }
 }
 
 /// The UDP destination port and the stamp (if the payload holds one) of
@@ -678,7 +673,8 @@ mod tests {
             f.src_mac, f.dst_mac, f.src_ip, f.dst_ip, f.src_port, f.dst_port, &payload,
         );
         let tagged = push_vlan(&frame, VlanTag::new(101)).unwrap();
-        assert_eq!(Stamp::from_frame(&tagged).unwrap().seq, 7);
+        let (_, stamp) = udp_port_and_stamp(&tagged).unwrap();
+        assert_eq!(stamp.unwrap().seq, 7);
     }
 
     #[test]

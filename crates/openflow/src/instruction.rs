@@ -175,8 +175,10 @@ fn actions(mut bytes: &[u8]) -> impl Iterator<Item = Action> + '_ {
 /// and action count as a small head beside them. The first head sits
 /// in the program itself, so a one-instruction rule — every rule a
 /// controller here installs — is that instruction's actions and
-/// nothing else on the heap. Read it through [`Program::iter`].
-#[derive(Clone)]
+/// nothing else on the heap. Read it through [`Program::iter`]. Its
+/// layout is a function of the list, so two programs built from one
+/// list hash alike.
+#[derive(Clone, Hash)]
 pub struct Program {
     /// The first instruction's head; `None` for an empty list.
     first: Option<Head>,
@@ -186,7 +188,7 @@ pub struct Program {
 }
 
 /// An instruction's kind, with the operand that fits beside it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 enum Head {
     GotoTable(u8),
     /// Its operand is the [`Op::Metadata`] that follows.
@@ -198,7 +200,7 @@ enum Head {
     Meter(u32),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 enum Op {
     Action(Action),
     Head(Head),

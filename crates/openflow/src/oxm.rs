@@ -226,11 +226,6 @@ impl Match {
         self.with(OxmField::VlanVid(0, None))
     }
 
-    /// Match any tagged frame regardless of VID.
-    pub fn any_vlan(self) -> Match {
-        self.with(OxmField::VlanVid(OFPVID_PRESENT, Some(OFPVID_PRESENT)))
-    }
-
     /// Match on IP protocol (requires [`Match::eth_type`] 0x0800/0x86dd).
     pub fn ip_proto(self, p: u8) -> Match {
         self.with(OxmField::IpProto(p))
@@ -586,8 +581,6 @@ mod tests {
     fn vlan_translator_match_round_trip() {
         let m = Match::new().in_port(1).vlan(101);
         assert_eq!(round_trip(&m), m);
-        let any = Match::new().any_vlan();
-        assert_eq!(round_trip(&any), any);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! An index returned by a lookup names a slot, and is valid until the
 //! table's next mutation ([`FlowTable::version`] moves with every one).
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use netpkt::flowkey::FieldMask;
 use netpkt::FlowKey;
 
@@ -575,6 +577,30 @@ impl FlowTable {
         self.groups
             .iter()
             .fold(FieldMask::default(), |m, g| m.mask_union(&g.mask))
+    }
+
+    /// A fingerprint of the installed rules, whatever their order: each
+    /// entry's priority, key, mask, cookie, timeouts, flags and program
+    /// hashed on their own, the hashes summed. Two tables that hold the
+    /// same rules read the same; one field of one rule changed moves it.
+    /// Counters and install times are not part of a rule.
+    pub fn digest(&self) -> u64 {
+        self.entries
+            .iter()
+            .zip(&self.masks)
+            .fold(0, |sum, (e, &m)| {
+                let mut h = DefaultHasher::new();
+                let rule = (e.priority, &e.key, &self.group(m).mask, e.cookie);
+                (
+                    rule,
+                    e.idle_timeout,
+                    e.hard_timeout,
+                    e.flags,
+                    &e.instructions,
+                )
+                    .hash(&mut h);
+                sum.wrapping_add(h.finish())
+            })
     }
 
     fn at(&self, slot: Slot) -> &FlowEntry {

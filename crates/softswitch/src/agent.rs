@@ -16,7 +16,7 @@ use openflow::message::{
     PacketInReason, TableStatsEntry, Xid,
 };
 use openflow::table::{flow_flags, FlowEntry, RemovedReason, Selector};
-use openflow::{Action, Error, Session, NO_BUFFER};
+use openflow::{Error, Session, NO_BUFFER};
 
 use crate::batch::BatchResult;
 use crate::datapath::Datapath;
@@ -486,18 +486,6 @@ impl OfAgent {
     }
 }
 
-/// Convenience used by tests: build the `PACKET_OUT` a controller would
-/// send to emit `data` out of `port`.
-pub fn packet_out_msg(xid: Xid, port: u32, data: Bytes) -> Bytes {
-    Message::PacketOut {
-        buffer_id: NO_BUFFER,
-        in_port: openflow::port_no::CONTROLLER,
-        actions: vec![Action::output(port)],
-        data,
-    }
-    .encode(xid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,8 +495,20 @@ mod tests {
     use netpkt::{builder, MacAddr};
     use openflow::message::FlowMod;
     use openflow::table::FlowModCommand;
-    use openflow::Match;
+    use openflow::{Action, Match};
     use std::net::Ipv4Addr;
+
+    /// The `PACKET_OUT` a controller would send to emit `data` out of
+    /// `port`.
+    fn packet_out_msg(xid: Xid, port: u32, data: Bytes) -> Bytes {
+        Message::PacketOut {
+            buffer_id: NO_BUFFER,
+            in_port: openflow::port_no::CONTROLLER,
+            actions: vec![Action::output(port)],
+            data,
+        }
+        .encode(xid)
+    }
 
     fn dp() -> Datapath {
         let mut dp = Datapath::new(DpConfig::software(0xabc).with_mode(PipelineMode::full()));

@@ -221,11 +221,6 @@ impl BatchResult {
         self.outputs.len()
     }
 
-    /// Frames the pipeline dropped.
-    pub fn dropped_count(&self) -> usize {
-        self.frames.iter().filter(|f| f.dropped).count()
-    }
-
     /// Empty the arenas, keeping their allocations for the next batch.
     #[inline]
     pub fn clear(&mut self) {
@@ -411,7 +406,6 @@ mod tests {
         assert_eq!(by_port[&3].len(), 1);
         assert_eq!(&by_port[&2][1][..], b"c");
         assert_eq!(r.total_outputs(), 3);
-        assert_eq!(r.dropped_count(), 1);
         let dropped: Vec<bool> = r.frames().iter().map(|f| f.dropped).collect();
         assert_eq!(dropped, [false, true, false]);
         assert!(r.packet_ins_of(0).is_empty() && r.packet_ins_of(1).is_empty());

@@ -493,6 +493,17 @@ impl Datapath {
         self.tables.get(usize::from(id))
     }
 
+    /// Every table's [`FlowTable::digest`], folded with its id: what two
+    /// datapaths that claim the same rules must share.
+    pub fn rule_digest(&self) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        for t in &self.tables {
+            (t.id(), t.digest()).hash(&mut h);
+        }
+        h.finish()
+    }
+
     /// Microflow cache stats accessor.
     pub fn micro_cache(&self) -> &MicroflowCache {
         &self.caches.micro

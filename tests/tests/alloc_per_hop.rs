@@ -589,7 +589,7 @@ fn a_controller_pushing_routes_allocates_only_the_switch_s_rules() {
     );
     assert_eq!(
         (few, many),
-        (621, 4_283),
+        (618, 4_280),
         "heap blocks to push {FEW} and {MANY} routes"
     );
 }

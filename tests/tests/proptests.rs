@@ -2817,28 +2817,97 @@ proptest! {
     }
 }
 
-/// Every rule of every software datapath of `fx` (each pod's SS_2, a
-/// soft spine), as sorted `datapath table priority|match|instructions`
-/// lines: what two runs that claim the same converged state must share.
-fn rule_fingerprint(net: &netsim::Network, fx: &harmless::fabric::Fabric) -> Vec<String> {
+/// The rule digest of every software datapath of `fx` (each pod's SS_2,
+/// a soft spine), in that order: what two runs that claim the same
+/// converged state must share.
+fn rule_fingerprint(net: &netsim::Network, fx: &harmless::fabric::Fabric) -> Vec<u64> {
     let mut nodes: Vec<_> = fx.pods().map(|p| p.ss2).collect();
     if let Some(harmless::fabric::Spine::Soft(spine)) = fx.spine() {
         nodes.push(spine);
     }
-    let mut rules = Vec::new();
-    for (d, &node) in nodes.iter().enumerate() {
-        let dp = net.node_ref::<softswitch::SoftSwitchNode>(node).datapath();
-        for t in 0..3 {
-            for e in dp.table(t).map_or(&[][..], |t| t.entries()) {
-                rules.push(format!(
-                    "dp{d} t{t} {}|{:?}|{:?}",
-                    e.priority, e.match_, e.instructions
-                ));
-            }
-        }
+    nodes
+        .iter()
+        .map(|&n| {
+            net.node_ref::<softswitch::SoftSwitchNode>(n)
+                .datapath()
+                .rule_digest()
+        })
+        .collect()
+}
+
+/// One rule of the table-digest property: priority, `eth_dst` value and
+/// mask, cookie, idle and hard timeouts, flags and program.
+type DigestRule = (u16, [u8; 6], [u8; 6], u64, u16, u16, u16, Vec<Action>);
+
+/// [`openflow::FlowTable::digest`] of a table that installed `rules` in
+/// the order `order` names them.
+fn table_digest(rules: &[DigestRule], order: impl Iterator<Item = usize>) -> u64 {
+    let mut table = openflow::FlowTable::new(openflow::TableId(0));
+    for i in order {
+        let (priority, mac, mask, cookie, idle, hard, flags, ref actions) = rules[i];
+        let m = Match::new().with(OxmField::EthDst(MacAddr(mac), Some(MacAddr(mask))));
+        let (key, mask) = m.to_key_mask();
+        let program = openflow::Program::new(&Instruction::apply(actions.clone()));
+        let mut e = openflow::FlowEntry::new(priority, m, program, 0);
+        (e.cookie, e.idle_timeout, e.hard_timeout, e.flags) = (cookie, idle, hard, flags);
+        table.add(e, key, mask).expect("no overlap check");
     }
-    rules.sort();
-    rules
+    table.digest()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The rule digest reads the rules, not how they arrived: two
+    /// insertion orders of one rule set give one digest, and any one
+    /// field of one rule changed gives another.
+    #[test]
+    fn table_digest_is_order_free_and_sees_every_field(
+        drawn in proptest::collection::vec(
+            (
+                any::<u8>(),
+                any::<[u8; 6]>(),
+                any::<[u8; 6]>(),
+                (any::<u64>(), any::<u16>(), any::<u16>(), any::<u16>()),
+                arb_program(),
+            ),
+            1..16,
+        ),
+        shift in any::<usize>(),
+        pick in any::<usize>(),
+        field in 0usize..8,
+    ) {
+        // Distinct priorities: no add replaces another, whatever the order.
+        let rules: Vec<DigestRule> = drawn
+            .into_iter()
+            .enumerate()
+            .map(|(i, (low, mac, mut mask, (cookie, idle, hard, flags), actions))| {
+                // The last bit of the MAC is always matched, so flipping
+                // it moves the key.
+                mask[5] |= 1;
+                let flags = flags & !openflow::table::flow_flags::CHECK_OVERLAP;
+                ((i as u16) << 8 | u16::from(low), mac, mask, cookie, idle, hard, flags, actions)
+            })
+            .collect();
+        let n = rules.len();
+        let digest = table_digest(&rules, 0..n);
+        let shuffled = (0..n).rev().map(|i| (i + shift % n) % n);
+        prop_assert_eq!(table_digest(&rules, shuffled), digest, "insertion order");
+
+        let mut changed = rules.clone();
+        let r = &mut changed[pick % n];
+        match field {
+            0 => r.0 ^= 1,
+            1 => r.1[5] ^= 1,
+            2 => r.2[0] ^= 0x80,
+            3 => r.3 ^= 1,
+            4 => r.4 ^= 1,
+            5 => r.5 ^= 1,
+            6 => r.6 ^= openflow::table::flow_flags::SEND_FLOW_REM,
+            _ => r.7.push(Action::PopVlan),
+        }
+        prop_assert_ne!(table_digest(&changed, 0..n), digest, "field {} of rule {}", field, pick % n);
+    }
 }
 
 /// The controller of [`run_lossy_fabric`]: the fabric ARP proxy ahead
@@ -2903,8 +2972,10 @@ fn run_lossy_fabric(
 }
 
 /// [`lossy_resync_retransmits_the_recorded_bytes`]'s digest, recorded
-/// while the controller kept one in-flight slice per flow-mod.
-const RETRANSMIT_DIGEST: u64 = 0x276f_1f27_9090_b95d;
+/// while the controller kept one in-flight slice per flow-mod and
+/// re-recorded when the apps' own barriers went: with fewer replies on
+/// the channel, its random drops fall on other messages.
+const RETRANSMIT_DIGEST: u64 = 0x1616_ccac_3221_691d;
 
 /// Retransmission oracle: the lossy-channel fabric of
 /// `lossy_ctrl_resync_converges_to_fault_free_rules`, over a fixed set
@@ -3169,7 +3240,7 @@ proptest! {
         let ops = plan_fabric_ops(&raw);
         let interconnect =
             [Interconnect::Line, Interconnect::SpineSoft, Interconnect::SpineLegacy][interconnect];
-        let run = |wired: Wired| -> Vec<String> {
+        let run = |wired: Wired| -> Vec<u64> {
             let mut net = Network::new(7);
             let apps = || -> Vec<Box<dyn controller::App>> {
                 if l3 {
