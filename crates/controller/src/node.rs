@@ -8,8 +8,8 @@ use netpkt::FlowKey;
 use netsim::{Node, NodeCtx, NodeId, PortId};
 use openflow::instruction::ActionList;
 use openflow::message::{
-    msg_type, ControllerRole, FlowMod, FlowModParts, Message, MultipartReq, MultipartRes,
-    PacketOutParts, PortDesc, Xid,
+    ControllerRole, FlowMod, FlowModParts, Message, MultipartReq, MultipartRes, PacketOutParts,
+    PortDesc, Xid,
 };
 use openflow::oxm::OxmField;
 use openflow::{Action, Session, NO_BUFFER};
@@ -51,11 +51,6 @@ pub struct SwitchState {
     pub ready: bool,
     /// Stream reassembly and the keepalive probes awaiting their reply.
     session: Session,
-    /// Flushes that carried flow-mods and that no BARRIER_REPLY has
-    /// covered yet: the buffer sent, under its trailing barrier's xid.
-    /// The periodic tick re-sends the flow-mods of whatever lingers
-    /// here, so rule pushes survive a lossy control channel.
-    inflight: Vec<(Xid, Bytes)>,
 }
 
 impl SwitchState {
@@ -64,7 +59,6 @@ impl SwitchState {
     fn reset_session(&mut self) {
         self.ready = false;
         self.session.reset();
-        self.inflight.clear();
     }
 
     fn handle<'a>(&'a self, out: &'a mut Outbox) -> SwitchHandle<'a> {
@@ -76,14 +70,15 @@ impl SwitchState {
     }
 
     /// Send what `out` queued to this switch (`node`); if a flow-mod is
-    /// among it, append a barrier and track the buffer sent until its
-    /// reply confirms delivery. This is the one place a barrier is
-    /// written: apps queue flow-mods and packet-outs, and each flush
-    /// carries at most one barrier, as its last frame.
+    /// among it, append a barrier, the flush's fence: the switch applies
+    /// everything ahead of it before what follows. This is the one place
+    /// a barrier is written: apps queue flow-mods and packet-outs, and
+    /// each flush carries at most one barrier, as its last frame.
     fn flush(&mut self, node: NodeId, out: &mut Outbox, ctx: &mut NodeCtx) {
-        let barrier = out.durable.then(|| out.send(Message::BarrierRequest));
-        let sent = out.transmit(node, ctx);
-        self.inflight.extend(barrier.map(|b| (b, sent)));
+        if out.durable {
+            out.send(Message::BarrierRequest);
+        }
+        out.transmit(node, ctx);
     }
 }
 
@@ -97,8 +92,7 @@ pub(crate) struct Outbox {
     /// Messages for the switch being served, encoded back to back in
     /// send order: the next channel write.
     pub(crate) buf: BytesMut,
-    /// A `FLOW_MOD` is in `buf`: the flush ends in a barrier and is
-    /// tracked until its reply confirms the switch has it.
+    /// A `FLOW_MOD` is in `buf`: the flush ends in a barrier.
     durable: bool,
 }
 
@@ -108,27 +102,21 @@ impl Outbox {
         self.xid
     }
 
-    /// Queue one of the node's own channel messages under a fresh xid,
-    /// which is returned.
-    fn send(&mut self, msg: Message) -> Xid {
+    /// Queue one of the node's own channel messages under a fresh xid.
+    fn send(&mut self, msg: Message) {
         let x = self.next_xid();
         msg.encode_into(&mut self.buf, x);
-        x
     }
 
-    /// Put the buffer on the channel to `node` as one coalesced message,
-    /// and return what was sent (empty if nothing was queued).
-    /// Fate sharing is load-bearing on lossy channels: the trailing
-    /// barrier of a flush must be dropped or delivered *together with*
-    /// the state it confirms — sent separately, a dropped flow mod whose
-    /// barrier survived would confirm state the switch never applied.
-    fn transmit(&mut self, node: NodeId, ctx: &mut NodeCtx) -> Bytes {
+    /// Put the buffer, if anything was queued, on the channel to `node`
+    /// as one coalesced message. The channel delivers a switch's
+    /// messages in order or holds them, like OpenFlow's TCP session, so
+    /// nothing sent needs to be kept.
+    fn transmit(&mut self, node: NodeId, ctx: &mut NodeCtx) {
         self.durable = false;
-        let sent = std::mem::take(&mut self.buf).freeze();
-        if !sent.is_empty() {
-            ctx.ctrl_send(node, sent.clone());
+        if !self.buf.is_empty() {
+            ctx.ctrl_send(node, std::mem::take(&mut self.buf).freeze());
         }
-        sent
     }
 }
 
@@ -146,9 +134,7 @@ impl SwitchHandle<'_> {
     /// Send a flow-mod written from its parts, which the caller may
     /// build on its stack (`FlowModParts::<&[Action]>`): its bytes go
     /// straight into the send buffer and nothing is allocated for them.
-    /// It must survive channel loss: it is tracked until a barrier reply
-    /// confirms the switch applied it, and re-sent by the controller
-    /// tick otherwise.
+    /// The flush that carries it ends in a barrier.
     pub fn send_flow_mod<A: ActionList>(&mut self, fm: FlowModParts<'_, A>) {
         self.out.flow_mods_sent += 1;
         self.out.durable = true;
@@ -287,7 +273,6 @@ pub struct ControllerNode {
     generation_id: u64,
     packet_ins: u64,
     errors_seen: u64,
-    retransmits: u64,
     switch_deaths: u64,
     promotions: u64,
 }
@@ -304,7 +289,6 @@ impl ControllerNode {
             generation_id: 0,
             packet_ins: 0,
             errors_seen: 0,
-            retransmits: 0,
             switch_deaths: 0,
             promotions: 0,
         }
@@ -338,9 +322,11 @@ impl ControllerNode {
         self.promotions
     }
 
-    /// Frames re-sent because no barrier reply confirmed them.
+    /// Always 0: the control channel loses nothing on its own, so the
+    /// controller re-sends nothing. Kept only for `hbench`, which reads
+    /// it as `controller.retransmits` and `netsim.ctrl_retx`.
     pub fn retransmits(&self) -> u64 {
-        self.retransmits
+        0
     }
 
     /// Switches declared down after unanswered keepalive probes.
@@ -442,41 +428,7 @@ impl Node for ControllerNode {
             return;
         }
         self.sync_now(ctx);
-        let out = &mut self.out;
-        for (&node, st) in self.switches.iter_mut() {
-            if !st.ready {
-                // Handshake re-drive: a switch whose FEATURES_REPLY or
-                // PORT_DESC reply was lost sits mid-handshake forever —
-                // HELLOs crossed and echoes flow, so neither side sees a
-                // dead link and nobody redials. Re-ask for the missing
-                // step each tick; both replies are idempotent, so a
-                // duplicate answer is harmless.
-                out.send(if st.dpid == 0 {
-                    Message::FeaturesRequest
-                } else {
-                    Message::MultipartRequest(MultipartReq::PortDesc)
-                });
-                out.transmit(node, ctx);
-                continue;
-            }
-            if !st.inflight.is_empty() {
-                // Re-sync: every flow-mod pushed but never barrier-acked
-                // (lost, or acked by a reply that was lost) is re-sent in
-                // order as one flush under a fresh barrier. Flow mods are
-                // idempotent: a spurious re-send converges the same.
-                let mut frames = Session::default();
-                for (_, sent) in st.inflight.drain(..) {
-                    frames.push(sent);
-                    while let Some(Ok(frame)) = frames.next_frame() {
-                        if frame.get(1) == Some(&msg_type::FLOW_MOD) {
-                            out.buf.extend_from_slice(&frame);
-                            self.retransmits += 1;
-                        }
-                    }
-                }
-                out.durable = true;
-                st.flush(node, out, ctx);
-            }
+        for (&node, st) in self.switches.iter_mut().filter(|(_, st)| st.ready) {
             // Keepalive: probe the switch, unless it has left
             // MAX_MISSED_ECHOES probes unanswered — then it is declared
             // down and its session state dropped; the next handshake
@@ -488,7 +440,7 @@ impl Node for ControllerNode {
                     app.on_switch_down(st.dpid);
                 }
             } else {
-                ctx.ctrl_send(node, st.session.probe(out.next_xid()));
+                ctx.ctrl_send(node, st.session.probe(self.out.next_xid()));
             }
         }
         ctx.schedule(TICK, TOKEN_TICK);
@@ -526,12 +478,6 @@ impl Node for ControllerNode {
                 }
                 Message::EchoReply(_) => {
                     st.session.ack(xid);
-                    None
-                }
-                Message::BarrierReply => {
-                    // Every flush covered by this barrier (or an earlier
-                    // one) reached the switch; stop tracking it.
-                    st.inflight.retain(|(b, _)| *b > xid);
                     None
                 }
                 Message::FeaturesReply { datapath_id, .. } => {
@@ -609,7 +555,7 @@ impl Node for ControllerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflow::message::PacketInReason;
+    use openflow::message::{msg_type, PacketInReason};
 
     /// First app in the chain: returns a configured verdict.
     struct Gate {
@@ -772,26 +718,6 @@ mod tests {
         assert!(!none.durable, "a packet-out alone needs no barrier");
     }
 
-    /// On ready, queues a flow-mod, a packet-out and a second flow-mod.
-    struct Pusher;
-    impl App for Pusher {
-        fn name(&self) -> &str {
-            "pusher"
-        }
-        fn on_switch_ready(&mut self, sw: &mut SwitchHandle) {
-            sw.flow_mod(route(1));
-            sw.packet_out(2, Bytes::from_static(b"frame"));
-            sw.flow_mod(route(2));
-        }
-    }
-
-    fn route(host: u32) -> FlowMod {
-        FlowMod::add(0)
-            .priority(100)
-            .match_(openflow::Match::new().eth_dst(netpkt::MacAddr::host(host)))
-            .apply(vec![Action::output(host)])
-    }
-
     /// The frames of one control chunk, as `(type, xid, bytes)`.
     fn frames(chunk: &Bytes) -> Vec<(u8, Xid, Bytes)> {
         let mut rx = Session::default();
@@ -902,72 +828,113 @@ mod tests {
         assert_eq!(pushed.last(), Some(&BARRIER_REQUEST));
     }
 
-    /// A flush that mixes a role request, flow-mods and a packet-out
-    /// loses its barrier reply: the next tick re-sends exactly its
-    /// flow-mods, byte for byte and in order, under one fresh barrier. A
-    /// late reply to the old barrier confirms nothing the re-send
-    /// carries; a reply to the fresh one ends the re-sends.
+    /// A host route for `host`, out of port `host` of datapath 7.
+    fn host_route(host: u32) -> crate::apps::HostRoute {
+        crate::apps::HostRoute {
+            ip: std::net::Ipv4Addr::new(10, 0, 0, host as u8),
+            mac: netpkt::MacAddr::host(host),
+            ports: vec![(7, host)],
+            guards: vec![],
+        }
+    }
+
+    /// A tick's own sync leaves once. The proxy's ready flush is
+    /// confirmed; a host registered afterwards reaches the switch with
+    /// the next tick's sync, in one flush under one barrier, and the
+    /// tick's echo probe follows in a chunk of its own. While the
+    /// controller replayed unconfirmed flushes, the replay ran right
+    /// after the sync and found it unconfirmed (no reply can arrive in
+    /// between): the flow-mods per chunk read `[1, 1, 0]`.
     #[test]
-    fn an_unconfirmed_flush_re_sends_exactly_its_flow_mods() {
-        let (mut net, ctrl, sw) = handshake(
-            ControllerNode::new("ctrl", vec![Box::new(Pusher)])
-                .with_role(ControllerRole::Master, 1),
+    fn a_tick_sends_its_own_sync_once() {
+        use crate::apps::ArpProxy;
+        let (mut net, ctrl, sw) =
+            handshake(ControllerNode::new("ctrl", vec![Box::new(ArpProxy::new())]));
+        let ready = frames(
+            net.node_ref::<Recorder>(sw)
+                .frames
+                .last()
+                .expect("ready flush"),
         );
-        let chunks = |net: &netsim::Network| net.node_ref::<Recorder>(sw).frames.clone();
-        let flush = frames(chunks(&net).last().expect("the ready flush"));
-        let types: Vec<u8> = flush.iter().map(|f| f.0).collect();
-        use msg_type::*;
-        assert_eq!(
-            types,
-            [
-                ROLE_REQUEST,
-                FLOW_MOD,
-                PACKET_OUT,
-                FLOW_MOD,
-                BARRIER_REQUEST
-            ]
-        );
-        let flow_mods: Vec<u8> = [&flush[1].2[..], &flush[3].2[..]].concat();
-        let old_barrier = flush[4].1;
+        let barrier = ready.last().expect("a barrier").1;
+        deliver(&mut net, ctrl, sw, Message::BarrierReply, barrier);
+        net.node_mut::<ControllerNode>(ctrl)
+            .app_mut::<ArpProxy>()
+            .expect("a proxy")
+            .add_host(host_route(2));
+        let before = net.node_ref::<Recorder>(sw).frames.len();
+        net.run_until(netsim::SimTime::from_millis(1001));
+        let flow_mods: Vec<usize> = net.node_ref::<Recorder>(sw).frames[before..]
+            .iter()
+            .map(|c| {
+                frames(c)
+                    .iter()
+                    .filter(|f| f.0 == msg_type::FLOW_MOD)
+                    .count()
+            })
+            .collect();
+        assert_eq!(flow_mods, [1, 0], "flow-mods per chunk the tick sent");
+    }
 
-        // Each tick re-sends until a reply covers what it sent; the
-        // tick's echo probe follows in a chunk of its own.
-        let mut last_barrier = old_barrier;
-        let mut tick = |net: &mut netsim::Network, secs: u64| -> Option<Xid> {
-            let before = chunks(net).len();
-            net.run_until(netsim::SimTime::from_millis(secs * 1000 + 1));
-            let new = chunks(net)[before..].to_vec();
-            let resent = new
-                .iter()
-                .find(|c| frames(c).iter().any(|f| f.0 == BARRIER_REQUEST))?;
-            let (barrier, body) = {
-                let f = frames(resent);
-                let (last, rest) = f.split_last().expect("a barrier");
-                assert_eq!(last.0, BARRIER_REQUEST);
-                (
-                    last.1,
-                    rest.iter().flat_map(|f| f.2.to_vec()).collect::<Vec<u8>>(),
-                )
-            };
-            assert_eq!(body, flow_mods, "the flow-mods, byte for byte, in order");
-            assert!(barrier > last_barrier, "under a fresh barrier");
-            last_barrier = barrier;
-            Some(barrier)
-        };
-        tick(&mut net, 1).expect("the flow-mods go again");
-        assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 2);
+    /// Whether the switch `sw` holds the proxy's route to `host`.
+    fn has_route(net: &netsim::Network, sw: NodeId, host: u32) -> bool {
+        let mac = netpkt::MacAddr::host(host);
+        let dp = net.node_ref::<softswitch::SoftSwitchNode>(sw).datapath();
+        dp.table(0)
+            .expect("table 0")
+            .entries()
+            .iter()
+            .any(|e| e.match_.fields().contains(&OxmField::EthDst(mac, None)))
+    }
 
-        deliver(&mut net, ctrl, sw, Message::BarrierReply, old_barrier);
-        let fresh = tick(&mut net, 2).expect("a late reply to the old barrier drops nothing");
-        assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 4);
-
-        deliver(&mut net, ctrl, sw, Message::BarrierReply, fresh);
-        assert_eq!(
-            tick(&mut net, 3),
-            None,
-            "the fresh barrier's reply confirms them"
-        );
-        assert_eq!(net.node_ref::<ControllerNode>(ctrl).retransmits(), 4);
+    /// Two syncs in one tick on a lossy channel both install. A switch
+    /// completes its handshake on a clean channel; then, on one that
+    /// loses half its messages, the proxy pushes host 2's route and,
+    /// 1 ms later, host 3's, each through `sync_now`, so each in a flush
+    /// of its own under its own barrier. After the channel heals and
+    /// two ticks pass, the switch holds both routes.
+    ///
+    /// While the channel lost messages on their own and the controller
+    /// replayed flushes no barrier reply had covered, a reply to the
+    /// second flush confirmed the first, lost one too: host 2's route
+    /// was never sent again. Seeds 3 and 15 of these lost it then.
+    #[test]
+    fn two_syncs_in_one_tick_both_install_on_a_lossy_channel() {
+        use crate::apps::ArpProxy;
+        use netsim::{CtrlProfile, SimTime};
+        use softswitch::{CostModel, DpConfig, SoftSwitchNode};
+        let mut stalled = 0;
+        for seed in 1..=16 {
+            let mut net = netsim::Network::new(seed);
+            let ctrl = net.add_node(ControllerNode::new("ctrl", vec![Box::new(ArpProxy::new())]));
+            let mut soft =
+                SoftSwitchNode::new("ss", DpConfig::software(7), 1, 4096, CostModel::default());
+            for p in 1..=3 {
+                soft.add_port(p, format!("p{p}"), 1_000_000);
+            }
+            soft.connect_controller(ctrl);
+            let sw = net.add_node(soft);
+            net.run_until(SimTime::from_millis(100));
+            net.set_ctrl_profile(CtrlProfile::lossy(0.5));
+            for host in [2, 3] {
+                net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
+                    c.app_mut::<ArpProxy>()
+                        .expect("a proxy")
+                        .add_host(host_route(host));
+                    c.sync_now(ctx);
+                });
+                net.run_for(SimTime::from_millis(1));
+            }
+            net.run_until(SimTime::from_millis(200));
+            stalled += net.ctrl_stats().dropped;
+            net.set_ctrl_profile(CtrlProfile::lossless());
+            net.run_until(SimTime::from_millis(2500));
+            assert!(
+                has_route(&net, sw, 2) && has_route(&net, sw, 3),
+                "seed {seed}: both routes installed"
+            );
+        }
+        assert!(stalled > 0, "the channel lost messages");
     }
 
     #[test]

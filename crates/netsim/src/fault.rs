@@ -21,26 +21,35 @@
 //! * **Reset** — the node's [`crate::Node::on_reset`] hook fires: the
 //!   device drops whatever a real power cycle would lose.
 //! * **Ctrl down / up** — the named node is partitioned from the
-//!   out-of-band control plane: control messages from or to it are
-//!   discarded at send time (and on delivery, for messages already in
-//!   flight when the partition begins). The partition state is
-//!   replicated into **every** shard's queue at the same instant, so a
-//!   sender's shard can decide locally and the schedule stays
-//!   bit-identical for any thread count.
+//!   out-of-band control plane. A control message from or to it that
+//!   arrives while either end is partitioned is *held* where it arrives;
+//!   when the last partition of the pair heals, the held messages are
+//!   delivered at that instant, in send order, ahead of anything sent
+//!   later. A partition that never heals (every crash scenario) keeps
+//!   them for good: both ends see the session end through their own
+//!   keepalive death. The partition state is replicated into **every**
+//!   shard's queue at the same instant, so a receiver's shard decides
+//!   locally and the schedule stays bit-identical for any thread count.
 //!
-//! Beyond scheduled faults, a stochastic [`CtrlProfile`] (armed with
-//! [`crate::Network::set_ctrl_profile`]) impairs every control message
-//! with probabilistic drop, duplication, bounded reorder jitter and
-//! fixed extra delay. Decisions are drawn from the **sending shard's**
-//! RNG stream at send time — the only point where the message order is
-//! already deterministic — and extra latency is always added on top of
-//! the base control delay, so the conservative lookahead still holds
-//! and lossy runs remain bit-identical for any thread count.
+//! The control channel between two nodes is one session, as OpenFlow's
+//! TCP or TLS channel is (OpenFlow 1.3, §6.3): messages of an ordered
+//! pair arrive in send order, or are delayed — never lost, copied or
+//! overtaken on their own. A stochastic [`CtrlProfile`] (armed with
+//! [`crate::Network::set_ctrl_profile`]) models what such a channel
+//! suffers: a loss draw stalls its message by one retransmission
+//! timeout (`CTRL_RTO`, 10 ms), and jitter delays it by a bounded
+//! amount; a message never arrives before one its pair sent earlier, so
+//! a stall holds up everything behind it. Decisions are drawn from the
+//! **sending shard's** RNG stream at send time — the only point where
+//! the message order is already deterministic — and every delay is
+//! added on top of the base control delay, so the conservative
+//! lookahead still holds and lossy runs remain bit-identical for any
+//! thread count.
 //!
 //! Blackholed frames are counted (per direction in
 //! [`crate::LinkStats::blackholed_frames`], in-flight losses at the
 //! shard) and totalled by [`crate::Network::blackholed_frames`];
-//! control-message impairments are counted per channel in
+//! control-message stalls and holds are counted per channel in
 //! [`crate::stats::CtrlStats`] and totalled by
 //! [`crate::Network::ctrl_stats`].
 
@@ -72,7 +81,7 @@ pub enum Fault {
         node: NodeId,
     },
     /// Partition `node` from the out-of-band control plane: control
-    /// messages from or to it are discarded until a matching
+    /// messages from or to it are held until a matching
     /// [`Fault::CtrlUp`].
     CtrlDown {
         /// The node to partition.
@@ -85,41 +94,41 @@ pub enum Fault {
     },
 }
 
+/// The retransmission timeout of a control session: a message a loss
+/// draw hits arrives this much later than it would have. Shorter than
+/// the shortest keepalive death any scenario sets (two missed 50 ms
+/// probes), so a loss draw alone never ends a session, as one lost
+/// segment does not end a TCP connection.
+pub(crate) const CTRL_RTO: SimTime = SimTime::from_millis(10);
+
 /// A stochastic impairment profile for the out-of-band control channel,
 /// armed network-wide with [`crate::Network::set_ctrl_profile`].
 ///
-/// Each control message is (in this order) dropped with probability
-/// `drop`; duplicated with probability `dup` (the copy arrives at the
-/// same instant, ordered after the original); and jittered with
-/// probability `reorder` by a uniform extra delay in
-/// `(0, reorder_bound]`, which lets it overtake or fall behind
-/// neighbouring sends — a *bounded* reorder. `extra_delay` is added to
-/// every message unconditionally. All randomness comes from the sending
-/// shard's RNG stream, so an armed profile is bit-identical for any
-/// thread count; a no-op profile (the default) draws nothing and leaves
+/// Each control message is (in this order) stalled with probability
+/// `drop` by one retransmission timeout (10 ms), as a lost TCP segment
+/// is sent again, and jittered with probability `jitter` by a uniform
+/// extra delay in `(0, jitter_bound]`. Neither reorders: a message never arrives
+/// before one its pair sent earlier, so everything behind a stalled
+/// message waits for it. All randomness comes from the sending shard's
+/// RNG stream, so an armed profile is bit-identical for any thread
+/// count; a no-op profile (the default) draws nothing and leaves
 /// historical RNG streams untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CtrlProfile {
-    /// Probability each message is discarded.
+    /// Probability each message is lost once and sent again.
     pub drop: f64,
-    /// Probability each message is delivered twice.
-    pub dup: f64,
-    /// Probability each message receives reorder jitter.
-    pub reorder: f64,
-    /// Upper bound of the reorder jitter (uniform in `(0, bound]`).
-    pub reorder_bound: SimTime,
-    /// Fixed extra delay added to every message.
-    pub extra_delay: SimTime,
+    /// Probability each message receives jitter.
+    pub jitter: f64,
+    /// Upper bound of the jitter (uniform in `(0, bound]`).
+    pub jitter_bound: SimTime,
 }
 
 impl Default for CtrlProfile {
     fn default() -> Self {
         CtrlProfile {
             drop: 0.0,
-            dup: 0.0,
-            reorder: 0.0,
-            reorder_bound: SimTime::ZERO,
-            extra_delay: SimTime::ZERO,
+            jitter: 0.0,
+            jitter_bound: SimTime::ZERO,
         }
     }
 }
@@ -130,7 +139,8 @@ impl CtrlProfile {
         CtrlProfile::default()
     }
 
-    /// A profile that drops each message with probability `drop`.
+    /// A profile that loses (and so stalls) each message with
+    /// probability `drop`.
     pub fn lossy(drop: f64) -> CtrlProfile {
         CtrlProfile {
             drop,
@@ -138,32 +148,17 @@ impl CtrlProfile {
         }
     }
 
-    /// Set the duplication probability.
-    pub fn with_dup(mut self, dup: f64) -> Self {
-        self.dup = dup;
-        self
-    }
-
-    /// Set the reorder probability and jitter bound.
-    pub fn with_reorder(mut self, reorder: f64, bound: SimTime) -> Self {
-        self.reorder = reorder;
-        self.reorder_bound = bound;
-        self
-    }
-
-    /// Set the fixed extra delay added to every message.
-    pub fn with_extra_delay(mut self, extra: SimTime) -> Self {
-        self.extra_delay = extra;
+    /// Set the jitter probability and bound.
+    pub fn with_jitter(mut self, jitter: f64, bound: SimTime) -> Self {
+        self.jitter = jitter;
+        self.jitter_bound = bound;
         self
     }
 
     /// True when the profile impairs nothing (the fast path: no RNG
     /// draws, no per-message accounting).
     pub fn is_noop(&self) -> bool {
-        self.drop == 0.0
-            && self.dup == 0.0
-            && self.reorder == 0.0
-            && self.extra_delay == SimTime::ZERO
+        self.drop == 0.0 && self.jitter == 0.0
     }
 }
 
@@ -251,7 +246,9 @@ impl FaultPlan {
     /// Crash `node` at `at` and bring it back `outage` later: state is
     /// lost at the crash instant and the control plane reconnects at
     /// `at + outage` — the node restarts blank and must be resynced by
-    /// its peers.
+    /// its peers. What its peers sent it during the outage was held by
+    /// the partition and arrives at the reconnect, ahead of anything
+    /// newer.
     pub fn crash_restart(self, at: SimTime, outage: SimTime, node: NodeId) -> Self {
         self.crash(at, node).ctrl_up(at + outage, node)
     }
@@ -314,10 +311,7 @@ mod tests {
         assert!(CtrlProfile::lossless().is_noop());
         assert!(!CtrlProfile::lossy(0.1).is_noop());
         assert!(!CtrlProfile::lossless()
-            .with_extra_delay(SimTime::from_micros(1))
-            .is_noop());
-        assert!(!CtrlProfile::lossless()
-            .with_reorder(0.5, SimTime::from_micros(10))
+            .with_jitter(0.5, SimTime::from_micros(10))
             .is_noop());
     }
 

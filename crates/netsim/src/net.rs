@@ -148,19 +148,18 @@ impl Network {
     }
 
     /// Arm a stochastic control-channel impairment profile (see
-    /// [`CtrlProfile`]): probabilistic drop, duplication, bounded
-    /// reorder jitter and fixed extra delay applied to every control
-    /// message from its send instant on. Call between `run_*`
-    /// invocations. Extra latency is added *on top of* the base control
-    /// delay, so the conservative lookahead is untouched and lossy runs
-    /// stay bit-identical for any thread count.
+    /// [`CtrlProfile`]): loss stalls and bounded jitter applied to every
+    /// control message from its send instant on, each pair's messages
+    /// still arriving in send order. Call between `run_*` invocations.
+    /// Every delay is added *on top of* the base control delay, so the
+    /// conservative lookahead is untouched and lossy runs stay
+    /// bit-identical for any thread count.
     pub fn set_ctrl_profile(&mut self, profile: CtrlProfile) {
         self.ctrl_profile = profile;
     }
 
     /// Control-channel impairment counters summed over every channel
-    /// (see [`CtrlStats`]; `retransmitted` is owned by the protocol
-    /// layer and stays 0 here).
+    /// (see [`CtrlStats`]).
     pub fn ctrl_stats(&self) -> CtrlStats {
         let mut total = CtrlStats::default();
         for s in &self.shards {
@@ -172,8 +171,8 @@ impl Network {
     }
 
     /// Impairment counters of the directed control channel `from → to`
-    /// (summed across shards: send-side impairments live in the
-    /// sender's shard, in-flight partition drops in the receiver's).
+    /// (summed across shards: send-side stalls live in the sender's
+    /// shard, partition holds in the receiver's).
     pub fn ctrl_channel_stats(&self, from: NodeId, to: NodeId) -> CtrlStats {
         let mut total = CtrlStats::default();
         for s in &self.shards {
@@ -184,48 +183,31 @@ impl Network {
         total
     }
 
-    /// Keep every control message `node` sends from now on, as it left
-    /// the node: before the channel's impairments or a partition drop
-    /// it. [`Network::ctrl_sent`] reads them back; a test uses this to
-    /// see what a device put on its control channel.
-    pub fn log_ctrl_sends(&mut self, node: NodeId) {
-        for s in &mut self.shards {
-            s.ctrl_logged.push(node);
-        }
-    }
-
-    /// The control messages `node` sent while
-    /// [`Network::log_ctrl_sends`] logged it, with their destinations,
-    /// in send order.
-    pub fn ctrl_sent(&self, node: NodeId) -> impl Iterator<Item = (NodeId, &Bytes)> {
-        // A node sends from shard 0 until `set_shards` and from its own
-        // shard after, which `set_shards` starts with an empty log.
-        self.shards
-            .iter()
-            .flat_map(|s| &s.ctrl_log)
-            .filter(move |(from, _, _)| *from == node)
-            .map(|(_, to, data)| (*to, data))
-    }
-
     /// Partition `node` from the out-of-band control plane *now*:
-    /// control messages from or to it are discarded (at send time, and
-    /// on delivery for messages already in flight) until
-    /// [`Network::ctrl_up`]. This is the explicit control-channel
-    /// teardown — unlike [`Network::disconnect`]'s dead-link
-    /// tombstones, the partition cannot be silently replaced by a
-    /// re-attach. Call between `run_*` invocations; scheduled variants
-    /// live in [`FaultPlan::ctrl_down`](crate::FaultPlan::ctrl_down).
+    /// control messages from or to it are held where they arrive (those
+    /// already in flight too) until [`Network::ctrl_up`]. This is the
+    /// explicit control-channel teardown — unlike
+    /// [`Network::disconnect`]'s dead-link tombstones, the partition
+    /// cannot be silently replaced by a re-attach. Call between `run_*`
+    /// invocations; scheduled variants live in
+    /// [`FaultPlan::ctrl_down`](crate::FaultPlan::ctrl_down).
     pub fn ctrl_down(&mut self, node: NodeId) {
         for s in &mut self.shards {
             s.set_ctrl_blocked(node, true);
         }
     }
 
-    /// Heal `node`'s control-plane partition *now*.
+    /// Heal `node`'s control-plane partition *now*: messages held for
+    /// every pair it reconnects are delivered at this instant, in send
+    /// order.
     pub fn ctrl_up(&mut self, node: NodeId) {
+        let env = self.env();
         for s in &mut self.shards {
             s.set_ctrl_blocked(node, false);
+            s.now = self.now;
+            s.release_held(&env);
         }
+        self.runtime.exchange(&mut self.shards, &env);
     }
 
     /// Whether `node` is currently partitioned from the control plane.
@@ -321,10 +303,8 @@ impl Network {
         // state; accumulated per-channel counters stay on shard 0.
         for s in &mut shards {
             s.ctrl_blocked = old.ctrl_blocked.clone();
-            s.ctrl_logged = old.ctrl_logged.clone();
         }
         shards[0].ctrl_stats = std::mem::take(&mut old.ctrl_stats);
-        shards[0].ctrl_log = std::mem::take(&mut old.ctrl_log);
 
         // Nodes (with their port rows and started flags).
         let n_nodes = old.nodes.len();
@@ -343,6 +323,19 @@ impl Network {
                 shard: target as u32,
                 idx,
             });
+        }
+
+        // A pair's send tail follows its sender, held control messages
+        // their receiver.
+        for (pair, tail) in std::mem::take(&mut old.ctrl_tail) {
+            shards[loc[pair.0].shard as usize]
+                .ctrl_tail
+                .insert(pair, tail);
+        }
+        for (from, to, data) in std::mem::take(&mut old.ctrl_held) {
+            shards[loc[to.0].shard as usize]
+                .ctrl_held
+                .push((from, to, data));
         }
 
         // Channels follow their transmitting node; peers are re-resolved
@@ -799,6 +792,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::CTRL_RTO;
 
     /// Echoes every frame back out the port it came in on, after `delay`.
     struct Echo {
@@ -1528,13 +1522,17 @@ mod tests {
         }
     }
 
-    /// A node that sends one ctrl message to `to` every `interval` and
-    /// counts what it receives back.
+    /// A node that sends one ctrl message every `interval`, to each of
+    /// `to` in turn, `remaining` in all, and records what it sends and
+    /// what it receives. A message carries its number on its pair.
     struct CtrlChatter {
-        to: NodeId,
+        to: Vec<NodeId>,
         interval: SimTime,
         remaining: u32,
-        received: Vec<(NodeId, SimTime)>,
+        /// Each pair's send instants, by destination.
+        sent: std::collections::BTreeMap<NodeId, Vec<SimTime>>,
+        /// `(from, number, arrival)` in arrival order.
+        received: Vec<(NodeId, u32, SimTime)>,
     }
     impl Node for CtrlChatter {
         fn on_start(&mut self, ctx: &mut NodeCtx) {
@@ -1543,36 +1541,45 @@ mod tests {
         fn on_timer(&mut self, _t: u64, ctx: &mut NodeCtx) {
             if self.remaining > 0 {
                 self.remaining -= 1;
-                ctx.ctrl_send(self.to, Bytes::from_static(b"m"));
+                let to = self.to[self.remaining as usize % self.to.len()];
+                let sent = self.sent.entry(to).or_default();
+                let n = sent.len() as u32;
+                sent.push(ctx.now());
+                ctx.ctrl_send(to, Bytes::copy_from_slice(&n.to_be_bytes()));
                 ctx.schedule(self.interval, 0);
             }
         }
-        fn on_ctrl(&mut self, from: NodeId, _d: Bytes, ctx: &mut NodeCtx) {
-            self.received.push((from, ctx.now()));
+        fn on_ctrl(&mut self, from: NodeId, d: Bytes, ctx: &mut NodeCtx) {
+            let n = u32::from_be_bytes(d[..4].try_into().expect("a numbered message"));
+            self.received.push((from, n, ctx.now()));
         }
         fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
     }
 
     fn chatter(to: NodeId, interval: SimTime, n: u32) -> CtrlChatter {
         CtrlChatter {
-            to,
+            to: vec![to],
             interval,
             remaining: n,
+            sent: Default::default(),
             received: Vec::new(),
         }
     }
 
+    fn micros(us: &[u64]) -> Vec<SimTime> {
+        us.iter().map(|&t| SimTime::from_micros(t)).collect()
+    }
+
     #[test]
-    fn ctrl_partition_drops_messages_both_ways_until_healed() {
+    fn ctrl_partition_holds_messages_both_ways_until_healed() {
         let mut net = Network::new(3);
-        let sink = NodeId(0); // self-reference placeholder, fixed below
-        let a = net.add_node(chatter(sink, SimTime::from_micros(100), 10));
+        let a = net.add_node(chatter(NodeId(1), SimTime::from_micros(100), 10));
         let b = net.add_node(chatter(a, SimTime::from_micros(100), 10));
-        net.node_mut::<CtrlChatter>(a).to = b;
-        // Partition b for [250 µs, 650 µs): sends at 300/400/500/600 µs
-        // in both directions die at the sender (b is an endpoint of
-        // both channels), and a's 200 µs send — in flight when the
-        // partition starts — dies on delivery at 250 µs.
+        // Partition b for [250 µs, 650 µs): the sends of 200–500 µs in
+        // both directions (b is an endpoint of both channels) arrive in
+        // it and are held — the 200 µs ones were in flight when it
+        // began — then delivered in order at 650 µs, ahead of the 600 µs
+        // sends arriving at the same instant.
         let plan = crate::FaultPlan::new().ctrl_partition(
             SimTime::from_micros(250),
             SimTime::from_micros(400),
@@ -1580,49 +1587,58 @@ mod tests {
         );
         net.apply_faults(&plan);
         net.run_until_idle();
-        assert_eq!(net.node_ref::<CtrlChatter>(a).received.len(), 6);
-        assert_eq!(net.node_ref::<CtrlChatter>(b).received.len(), 5);
-        let st = net.ctrl_stats();
-        assert_eq!(st.dropped, 9);
-        assert_eq!(st.duplicated + st.reordered, 0);
-        // Per-channel view: 4 send-side + 1 in-flight toward b, 4 back.
-        assert_eq!(net.ctrl_channel_stats(a, b).dropped, 5);
+        for (node, peer) in [(a, b), (b, a)] {
+            let got = &net.node_ref::<CtrlChatter>(node).received;
+            assert_eq!(
+                got.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
+                (0..10).map(|n| (peer, n)).collect::<Vec<_>>(),
+                "every message, once, in send order"
+            );
+            assert_eq!(
+                got.iter().map(|r| r.2).collect::<Vec<_>>(),
+                micros(&[50, 150, 650, 650, 650, 650, 650, 750, 850, 950])
+            );
+        }
+        assert_eq!(net.ctrl_stats().dropped, 8);
+        assert_eq!(net.ctrl_channel_stats(a, b).dropped, 4);
         assert_eq!(net.ctrl_channel_stats(b, a).dropped, 4);
     }
 
     #[test]
     fn ctrl_down_facade_blocks_in_flight_delivery() {
         let mut net = Network::new(3);
-        let r = net.add_node(chatter(NodeId(0), SimTime::from_micros(1), 0));
+        let r = net.add_node(chatter(NodeId(1), SimTime::from_micros(1), 0));
         let s = net.add_node(chatter(r, SimTime::from_micros(100), 1));
         net.run_until(SimTime::from_micros(20)); // message in flight (50 µs delay)
         assert!(!net.ctrl_is_down(r));
         net.ctrl_down(r);
         assert!(net.ctrl_is_down(r));
-        net.run_until_idle();
-        // The in-flight message was discarded on delivery.
+        net.run_until(SimTime::from_millis(1));
+        // The in-flight message is held on delivery…
         assert!(net.node_ref::<CtrlChatter>(r).received.is_empty());
         assert_eq!(net.ctrl_channel_stats(s, r).dropped, 1);
         net.ctrl_up(r);
         assert!(!net.ctrl_is_down(r));
+        // …and delivered the instant the partition heals.
+        assert_eq!(
+            net.node_ref::<CtrlChatter>(r).received,
+            [(s, 0, SimTime::from_millis(1))]
+        );
         net.with_node_ctx::<CtrlChatter, _>(s, |n, ctx| {
             n.remaining = 1;
             ctx.schedule(SimTime::ZERO, 0);
         });
         net.run_until_idle();
-        assert_eq!(net.node_ref::<CtrlChatter>(r).received.len(), 1);
+        let got = &net.node_ref::<CtrlChatter>(r).received;
+        assert_eq!(got.iter().map(|r| r.1).collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]
-    fn lossy_profile_drops_dups_and_reorders() {
+    fn lossy_profile_stalls_and_jitters_in_send_order() {
         let mut net = Network::new(11);
-        let r = net.add_node(chatter(NodeId(0), SimTime::from_micros(1), 0));
+        let r = net.add_node(chatter(NodeId(1), SimTime::from_micros(1), 0));
         let s = net.add_node(chatter(r, SimTime::from_micros(10), 400));
-        net.set_ctrl_profile(
-            CtrlProfile::lossy(0.25)
-                .with_dup(0.10)
-                .with_reorder(0.20, SimTime::from_micros(30)),
-        );
+        net.set_ctrl_profile(CtrlProfile::lossy(0.25).with_jitter(0.20, SimTime::from_micros(30)));
         net.run_until_idle();
         let st = net.ctrl_channel_stats(s, r);
         assert_eq!(st.sent, 400);
@@ -1631,44 +1647,72 @@ mod tests {
             "dropped={}",
             st.dropped
         );
-        assert!(st.duplicated > 10, "duplicated={}", st.duplicated);
-        assert!(st.reordered > 30, "reordered={}", st.reordered);
-        let got = net.node_ref::<CtrlChatter>(r).received.len() as u64;
-        assert_eq!(got, st.sent - st.dropped + st.duplicated);
-        // Reorder jitter produced at least one pair of out-of-order
-        // arrivals relative to send order (arrival times not monotone
-        // would be invisible here since the vec is in arrival order —
-        // instead check some message took more than the base delay).
-        let late = net
-            .node_ref::<CtrlChatter>(r)
-            .received
-            .iter()
-            .filter(|(_, t)| {
-                !(t.as_nanos() - SimTime::from_micros(50).as_nanos()).is_multiple_of(10 * 1000)
+        let got = &net.node_ref::<CtrlChatter>(r).received;
+        let sent = &net.node_ref::<CtrlChatter>(s).sent[&r];
+        assert_eq!(
+            got.iter().map(|r| r.1).collect::<Vec<_>>(),
+            (0..400).collect::<Vec<_>>(),
+            "every message once, in send order"
+        );
+        let base = SimTime::from_micros(50);
+        let delays: Vec<SimTime> = got.iter().zip(sent).map(|(r, &t)| r.2 - t).collect();
+        assert!(delays.iter().all(|&d| d >= base));
+        // A loss draw stalls its message a full RTO, and so everything
+        // its pair sends within that RTO behind it.
+        let stalled = delays.iter().filter(|&&d| d >= base + CTRL_RTO).count();
+        assert!(stalled as u64 > st.dropped, "stalled={stalled}");
+        // Jitter shows as a delay that is neither the base nor a stall,
+        // on a message that did not just wait for the one ahead of it.
+        let jittered = (1..got.len())
+            .filter(|&i| {
+                got[i].2 > got[i - 1].2 && delays[i] != base && delays[i] != base + CTRL_RTO
             })
             .count();
-        assert!(late > 0, "some arrivals carry reorder jitter");
+        assert!(jittered > 0, "some arrivals carry jitter");
+    }
+
+    #[test]
+    fn a_loss_stalls_the_pair_one_rto() {
+        let mut net = Network::new(1);
+        let r = net.add_node(chatter(NodeId(1), SimTime::from_micros(1), 0));
+        let _s = net.add_node(chatter(r, SimTime::from_millis(4), 4));
+        // The 0 ms send is lost once: it arrives one RTO late.
+        net.set_ctrl_profile(CtrlProfile::lossy(1.0));
+        net.run_until(SimTime::from_millis(1));
+        // The sends of 4 and 8 ms, on an unimpaired channel, wait for
+        // it; the 12 ms one takes the plain delay again.
+        net.set_ctrl_profile(CtrlProfile::lossless());
+        net.run_until_idle();
+        let late = SimTime::from_micros(50) + CTRL_RTO;
+        assert_eq!(
+            net.node_ref::<CtrlChatter>(r)
+                .received
+                .iter()
+                .map(|r| r.2)
+                .collect::<Vec<_>>(),
+            [late, late, late, SimTime::from_micros(12_050)]
+        );
     }
 
     #[test]
     fn extra_delay_shifts_every_ctrl_message() {
         let mut net = Network::new(1);
-        let r = net.add_node(chatter(NodeId(0), SimTime::from_micros(1), 0));
+        let r = net.add_node(chatter(NodeId(1), SimTime::from_micros(1), 0));
         let s = net.add_node(chatter(r, SimTime::from_micros(100), 2));
-        net.node_mut::<CtrlChatter>(r).to = s;
-        net.set_ctrl_profile(CtrlProfile::lossless().with_extra_delay(SimTime::from_micros(75)));
+        net.node_mut::<CtrlChatter>(r).to = vec![s];
+        // 75 µs on top of the default 50 µs, for every message alike.
+        net.set_ctrl_delay(SimTime::from_micros(125));
         net.run_until_idle();
         let got = &net.node_ref::<CtrlChatter>(r).received;
-        // Base 50 µs + 75 µs extra = 125 µs after each 100 µs-spaced send.
         assert_eq!(
-            got.iter().map(|(_, t)| *t).collect::<Vec<_>>(),
-            vec![SimTime::from_micros(125), SimTime::from_micros(225)]
+            got.iter().map(|r| r.2).collect::<Vec<_>>(),
+            micros(&[125, 225])
         );
     }
 
     /// Cross-shard ctrl chatter under a lossy profile plus a scheduled
     /// partition: bit-identical for any thread count.
-    fn lossy_ctrl_scenario(threads: usize) -> (Vec<(NodeId, SimTime)>, u64, u64) {
+    fn lossy_ctrl_scenario(threads: usize) -> (Vec<(NodeId, u32, SimTime)>, u64, u64) {
         let mut net = Network::new(77);
         let r = net.add_node(chatter(NodeId(0), SimTime::from_micros(1), 0));
         let s1 = net.add_node(chatter(r, SimTime::from_micros(7), 200));
@@ -1678,11 +1722,7 @@ mod tests {
         map.assign(s2, 2);
         net.set_shards(&map);
         net.set_threads(threads);
-        net.set_ctrl_profile(
-            CtrlProfile::lossy(0.15)
-                .with_dup(0.05)
-                .with_reorder(0.25, SimTime::from_micros(40)),
-        );
+        net.set_ctrl_profile(CtrlProfile::lossy(0.15).with_jitter(0.25, SimTime::from_micros(40)));
         let plan = crate::FaultPlan::new().ctrl_partition(
             SimTime::from_micros(300),
             SimTime::from_micros(200),
@@ -1701,6 +1741,134 @@ mod tests {
         assert!(base.1 > 0, "the profile actually dropped something");
         for threads in [2, 3, 8] {
             assert_eq!(lossy_ctrl_scenario(threads), base, "threads={threads}");
+        }
+    }
+
+    /// What one run of [`ctrl_sessions_keep_the_channel_contract`]
+    /// leaves: every node's sends and arrivals, the counters and the
+    /// events processed.
+    type SessionRun = (
+        Vec<(
+            std::collections::BTreeMap<NodeId, Vec<SimTime>>,
+            Vec<(NodeId, u32, SimTime)>,
+        )>,
+        CtrlStats,
+        u64,
+    );
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(12))]
+
+        /// The channel contract: four nodes, on three shards, chatter
+        /// numbered messages to each other under a random lossy profile
+        /// and a random schedule of partitions, short and longer than a
+        /// keepalive, perhaps ending in one that never heals. Each
+        /// ordered pair's arrivals are its sends, in order and once,
+        /// up to a prefix; a pair no permanent partition touches gets
+        /// them all, and every other pair every message sent long enough
+        /// (one control delay, one RTO and the jitter bound) before the
+        /// partition began, which covers all it sent before the last
+        /// heal. The run is bit-identical on 1, 2 and 4 threads.
+        #[test]
+        fn ctrl_sessions_keep_the_channel_contract(
+            seed in proptest::prelude::any::<u64>(),
+            drop in 0.0f64..0.3,
+            jitter in 0.0f64..0.5,
+            bound_us in 1u64..2_000,
+            cuts in proptest::collection::vec(
+                (0usize..4, 0u64..300, proptest::prelude::any::<bool>(), 1u64..150),
+                0..4,
+            ),
+            crash in proptest::option::of((0usize..4, 0u64..50)),
+        ) {
+            let delay = SimTime::from_millis(1);
+            let bound = SimTime::from_micros(bound_us);
+            let mut plan = crate::FaultPlan::new();
+            let mut last_heal = SimTime::ZERO;
+            for &(node, at, long, len) in &cuts {
+                let at = SimTime::from_millis(at);
+                let len = if long {
+                    SimTime::from_millis(100 + len)
+                } else {
+                    SimTime::from_micros(20 * len)
+                };
+                plan = plan.ctrl_partition(at, len, NodeId(node));
+                last_heal = last_heal.max(at + len);
+            }
+            let slack = delay + CTRL_RTO + bound;
+            let crash = crash.map(|(node, after)| {
+                (NodeId(node), last_heal + slack + SimTime::from_millis(after))
+            });
+            if let Some((node, at)) = crash {
+                plan = plan.ctrl_down(at, node);
+            }
+            let run = |threads: usize| -> SessionRun {
+                let mut net = Network::new(seed);
+                for i in 0..4 {
+                    let peers = (0..4).filter(|&j| j != i).map(NodeId).collect();
+                    net.add_node(CtrlChatter {
+                        to: peers,
+                        interval: SimTime::from_micros(400 + 50 * i as u64),
+                        remaining: 600,
+                        sent: Default::default(),
+                        received: Vec::new(),
+                    });
+                }
+                let mut map = ShardMap::new(3);
+                for (node, shard) in [(1, 1), (2, 2), (3, 1)] {
+                    map.assign(NodeId(node), shard);
+                }
+                net.set_shards(&map);
+                net.set_threads(threads);
+                net.set_ctrl_delay(delay);
+                net.set_ctrl_profile(CtrlProfile::lossy(drop).with_jitter(jitter, bound));
+                net.apply_faults(&plan);
+                net.run_until_idle();
+                let nodes = (0..4)
+                    .map(|i| {
+                        let c = net.node_ref::<CtrlChatter>(NodeId(i));
+                        (c.sent.clone(), c.received.clone())
+                    })
+                    .collect();
+                (nodes, net.ctrl_stats(), net.events_processed())
+            };
+            let base = run(1);
+            for from in 0..4 {
+                for to in (0..4).filter(|&to| to != from) {
+                    let (from, to) = (NodeId(from), NodeId(to));
+                    let sent = &base.0[from.0].0[&to];
+                    let got: Vec<u32> = base.0[to.0]
+                        .1
+                        .iter()
+                        .filter(|r| r.0 == from)
+                        .map(|r| r.1)
+                        .collect();
+                    proptest::prop_assert_eq!(
+                        &got,
+                        &(0..got.len() as u32).collect::<Vec<_>>(),
+                        "{} -> {}: an in-order prefix of the sends, no duplicate",
+                        from,
+                        to
+                    );
+                    let due = match crash {
+                        Some((node, at)) if node == from || node == to => {
+                            sent.iter().filter(|&&t| t + slack < at).count()
+                        }
+                        _ => sent.len(),
+                    };
+                    proptest::prop_assert!(
+                        got.len() >= due,
+                        "{} -> {}: {} of {} due arrived",
+                        from,
+                        to,
+                        got.len(),
+                        due
+                    );
+                }
+            }
+            for threads in [2, 4] {
+                proptest::prop_assert_eq!(run(threads), base.clone(), "threads={}", threads);
+            }
         }
     }
 

@@ -16,8 +16,9 @@
 //!
 //! * frames crossing an inter-shard link arrive no earlier than the
 //!   link's propagation delay after they were transmitted;
-//! * control-plane messages arrive exactly `ctrl_delay` after they were
-//!   sent.
+//! * control-plane messages arrive no earlier than `ctrl_delay` after
+//!   they were sent (a lossy profile only adds delay, and a partition
+//!   holds a message where it arrives).
 //!
 //! With `lookahead = min(min cross-shard link delay, ctrl_delay)`, any
 //! cross-shard event *generated* at time `t` *arrives* at `t + lookahead`
@@ -103,7 +104,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::fault::CtrlProfile;
+use crate::fault::{CtrlProfile, CTRL_RTO};
 use crate::link::LinkDir;
 use crate::net::NodeId;
 use crate::node::{Action, Node, NodeCtx, PortId};
@@ -456,15 +457,18 @@ pub(crate) struct Shard {
     /// agree at every window boundary.
     pub ctrl_blocked: Vec<bool>,
     /// Per-channel control impairment counters, keyed by the global
-    /// `(from, to)` node pair. Send-side impairments accumulate in the
-    /// sender's shard; partition drops of in-flight messages in the
-    /// receiver's.
+    /// `(from, to)` node pair. Send-side stalls accumulate in the
+    /// sender's shard; partition holds in the receiver's.
     pub ctrl_stats: HashMap<(usize, usize), CtrlStats>,
-    /// Nodes whose control sends are logged (a replica, like
-    /// `ctrl_blocked`), and the log of those sent from this shard:
-    /// `(from, to, message)` in send order.
-    pub ctrl_logged: Vec<NodeId>,
-    pub ctrl_log: Vec<(NodeId, NodeId, Bytes)>,
+    /// The arrival time of the last control message each `(from, to)`
+    /// pair sent from this shard, kept only while a lossy profile is
+    /// armed or one of its delays is still in flight: no later message
+    /// of the pair may arrive before it.
+    pub ctrl_tail: HashMap<(usize, usize), SimTime>,
+    /// Control messages `(from, to, message)` that arrived at a node of
+    /// this shard while the pair was partitioned, in arrival order:
+    /// delivered when the pair heals.
+    pub ctrl_held: Vec<(NodeId, NodeId, Bytes)>,
     pub outbox: Vec<Remote>,
     /// Action buffer lent to each callback by [`Shard::dispatch`] and
     /// drained by [`Shard::apply`], so a callback allocates none.
@@ -492,8 +496,8 @@ impl Shard {
             blackholed_in_flight: 0,
             ctrl_blocked: Vec::new(),
             ctrl_stats: HashMap::new(),
-            ctrl_logged: Vec::new(),
-            ctrl_log: Vec::new(),
+            ctrl_tail: HashMap::new(),
+            ctrl_held: Vec::new(),
             outbox: Vec::new(),
             scratch: Vec::new(),
         }
@@ -514,6 +518,57 @@ impl Shard {
 
     fn ctrl_stat(&mut self, from: NodeId, to: NodeId) -> &mut CtrlStats {
         self.ctrl_stats.entry((from.0, to.0)).or_default()
+    }
+
+    /// When a control message `from → to` sent now arrives: one control
+    /// delay later, plus what an armed profile draws (a stall of one
+    /// [`CTRL_RTO`], jitter), and never before the pair's previous
+    /// message — a session delivers in send order. Messages that arrive
+    /// at the same instant keep their send order through the event
+    /// sequence (locally) or the source sequence (across shards).
+    fn ctrl_arrival(&mut self, from: NodeId, to: NodeId, env: &Env) -> SimTime {
+        let base = self.now + env.ctrl_delay;
+        let p = env.ctrl_profile;
+        if p.is_noop() && self.ctrl_tail.is_empty() {
+            // Unimpaired sends all take the same delay, so they keep
+            // their order by themselves.
+            return base;
+        }
+        let mut at = base;
+        if !p.is_noop() {
+            // Draws come from this shard's RNG stream, at the send
+            // instant — the one point where ordering is already fixed.
+            self.ctrl_stat(from, to).sent += 1;
+            if p.drop > 0.0 && self.rng.gen_bool(p.drop) {
+                self.ctrl_stat(from, to).dropped += 1;
+                at += CTRL_RTO;
+            }
+            if p.jitter > 0.0 && p.jitter_bound > SimTime::ZERO && self.rng.gen_bool(p.jitter) {
+                at += SimTime::from_nanos(self.rng.gen_range(1..=p.jitter_bound.as_nanos()));
+            }
+        }
+        let pair = (from.0, to.0);
+        let tail = self.ctrl_tail.entry(pair).or_insert(at);
+        at = at.max(*tail);
+        *tail = at;
+        if p.is_noop() && at == base {
+            // Disarmed, and no delay drawn before is ahead any more.
+            self.ctrl_tail.remove(&pair);
+        }
+        at
+    }
+
+    /// Deliver, in arrival order, every held control message whose pair
+    /// is no longer partitioned.
+    pub fn release_held(&mut self, env: &Env) {
+        for (from, to, data) in std::mem::take(&mut self.ctrl_held) {
+            if self.ctrl_blocked(from) || self.ctrl_blocked(to) {
+                self.ctrl_held.push((from, to, data));
+            } else {
+                let idx = env.loc[to.0].idx;
+                self.dispatch(idx, env, |n, ctx| n.on_ctrl(from, data, ctx));
+            }
+        }
     }
 
     /// The RNG stream of shard `id` for a network seeded with `seed`.
@@ -669,12 +724,13 @@ impl Shard {
                 self.dispatch(node, env, |n, ctx| n.on_timer(token, ctx));
             }
             Ev::Ctrl { node, from, data } => {
-                // A message already in flight when the receiver was
-                // partitioned is discarded on delivery (the send-time
-                // check lives in `apply`).
+                // A partition holds the pair's messages where they
+                // arrive, in order, until it heals. A pair with held
+                // messages is partitioned, so nothing overtakes them.
                 let to = self.gids[node as usize];
-                if self.ctrl_blocked(to) {
+                if self.ctrl_blocked(from) || self.ctrl_blocked(to) {
                     self.ctrl_stat(from, to).dropped += 1;
+                    self.ctrl_held.push((from, to, data));
                     return;
                 }
                 self.dispatch(node, env, |n, ctx| n.on_ctrl(from, data, ctx));
@@ -696,7 +752,10 @@ impl Shard {
                     self.dispatch(node, env, |n, ctx| n.on_reset(ctx));
                 }
                 FaultEv::CtrlDown { node } => self.set_ctrl_blocked(node, true),
-                FaultEv::CtrlUp { node } => self.set_ctrl_blocked(node, false),
+                FaultEv::CtrlUp { node } => {
+                    self.set_ctrl_blocked(node, false);
+                    self.release_held(env);
+                }
             },
         }
     }
@@ -738,70 +797,30 @@ impl Shard {
                 Action::Timer { at, token } => self.push(at, Ev::Timer { node: idx, token }),
                 Action::Ctrl { to, data } => {
                     let from = self.gids[idx as usize];
-                    if self.ctrl_logged.contains(&from) {
-                        self.ctrl_log.push((from, to, data.clone()));
-                    }
-                    // Control partition: either endpoint down ⇒ the
-                    // message dies at the sender. The blocked set is a
-                    // per-shard replica, so this check is local and
-                    // thread-count independent.
-                    if self.ctrl_blocked(from) || self.ctrl_blocked(to) {
-                        self.ctrl_stat(from, to).dropped += 1;
-                        continue;
-                    }
-                    let mut at = self.now + env.ctrl_delay;
-                    let mut copies = 1u32;
-                    let p = env.ctrl_profile;
-                    if !p.is_noop() {
-                        // Impairment decisions come from this shard's
-                        // RNG stream, at the send instant — the one
-                        // point where ordering is already fixed.
-                        at += p.extra_delay;
-                        let st = self.ctrl_stat(from, to);
-                        st.sent += 1;
-                        if p.drop > 0.0 && self.rng.gen_bool(p.drop) {
-                            self.ctrl_stat(from, to).dropped += 1;
-                            continue;
-                        }
-                        if p.dup > 0.0 && self.rng.gen_bool(p.dup) {
-                            self.ctrl_stat(from, to).duplicated += 1;
-                            copies = 2;
-                        }
-                        if p.reorder > 0.0
-                            && p.reorder_bound > SimTime::ZERO
-                            && self.rng.gen_bool(p.reorder)
-                        {
-                            let jitter = self.rng.gen_range(1..=p.reorder_bound.as_nanos());
-                            at += SimTime::from_nanos(jitter);
-                            self.ctrl_stat(from, to).reordered += 1;
-                        }
-                    }
+                    let at = self.ctrl_arrival(from, to, env);
                     let l = env.loc[to.0];
-                    for _ in 0..copies {
-                        let data = data.clone();
-                        if l.shard == self.id {
-                            self.push(
-                                at,
-                                Ev::Ctrl {
-                                    node: l.idx,
-                                    from,
-                                    data,
-                                },
-                            );
-                        } else {
-                            let src_seq = self.seq;
-                            self.seq += 1;
-                            self.outbox.push(Remote {
-                                at,
-                                src_shard: self.id,
-                                src_seq,
-                                ev: REv::Ctrl {
-                                    node: to,
-                                    from,
-                                    data,
-                                },
-                            });
-                        }
+                    if l.shard == self.id {
+                        self.push(
+                            at,
+                            Ev::Ctrl {
+                                node: l.idx,
+                                from,
+                                data,
+                            },
+                        );
+                    } else {
+                        let src_seq = self.seq;
+                        self.seq += 1;
+                        self.outbox.push(Remote {
+                            at,
+                            src_shard: self.id,
+                            src_seq,
+                            ev: REv::Ctrl {
+                                node: to,
+                                from,
+                                data,
+                            },
+                        });
                     }
                 }
             }

@@ -155,28 +155,16 @@ impl Histogram {
 }
 
 /// Control-channel impairment counters for one channel (an ordered
-/// `(from, to)` node pair) or an aggregate of channels.
-///
-/// `sent`/`dropped`/`duplicated`/`reordered` are filled by the
-/// simulator's control fault model (see `netsim::fault::CtrlProfile`):
-/// a message counts as `sent` when a lossy profile observed it,
-/// `dropped` when the profile or a control partition discarded it,
-/// `duplicated`/`reordered` when the corresponding impairment was
-/// applied. `retransmitted` is owned by the protocol layer above —
-/// agents and controllers count their recovery resends here when a
-/// rollup is assembled.
+/// `(from, to)` node pair) or an aggregate of channels, filled by the
+/// simulator's control fault model (see [`crate::fault`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtrlStats {
-    /// Messages observed by an active lossy profile.
+    /// Messages sent while a lossy profile was armed.
     pub sent: u64,
-    /// Messages discarded (probabilistic drop or control partition).
+    /// Messages that did not arrive on their first try: each loss draw,
+    /// which stalls its message one retransmission timeout, and each
+    /// message a control partition held (until it healed, or for good).
     pub dropped: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
-    /// Messages given extra jitter past later sends.
-    pub reordered: u64,
-    /// Protocol-level recovery resends (filled by the layer above).
-    pub retransmitted: u64,
 }
 
 impl CtrlStats {
@@ -184,9 +172,6 @@ impl CtrlStats {
     pub fn merge(&mut self, other: &CtrlStats) {
         self.sent += other.sent;
         self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.reordered += other.reordered;
-        self.retransmitted += other.retransmitted;
     }
 }
 
@@ -213,8 +198,9 @@ pub struct Rollup {
     pub bytes_modeled: u64,
     /// Bytes carried by per-frame Deliver events (packet-level).
     pub bytes_simulated: u64,
-    /// Control-channel impairment counters (drops, dups, reorders,
-    /// protocol retransmits) for the channels this rollup covers.
+    /// Control-channel impairment counters (messages sent under a lossy
+    /// profile, stalls and partition holds) for the channels this
+    /// rollup covers.
     pub ctrl: CtrlStats,
 }
 

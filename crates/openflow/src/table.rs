@@ -1442,7 +1442,7 @@ mod tests {
         assert_hits(&mut t, 2, Some(2));
         assert_hits(&mut t, 1, Some(4));
         t.install(entry(5, udp_match(1), 8)).unwrap();
-        assert_eq!(t.len(), 4, "replaced, not duplicated");
+        assert_eq!(t.len(), 4, "replaced, not added twice");
         let any = (crate::port_no::ANY, crate::group_no::ANY);
         assert_eq!(
             t.delete_match(&udp_match(3), 5, true, any.0, any.1).len(),

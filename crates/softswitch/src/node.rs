@@ -19,8 +19,8 @@
 //! With [`SoftSwitchNode::with_datapath_cores`] the RX path switches
 //! from shared-queue work conservation to RSS-style flow steering:
 //! each frame's 5-tuple hash ([`netpkt::flowhash::rss_hash`]) pins its
-//! flow to one service slot, so frames of a flow are never reordered
-//! by parallel service periods. One steered core is bit-identical to
+//! flow to one service slot, so parallel service periods never put the
+//! frames of a flow out of order. One steered core is bit-identical to
 //! the unsteered single-core switch.
 //!
 //! Sim port numbering is 1:1 with OpenFlow port numbers (`PortId(n)` ↔
