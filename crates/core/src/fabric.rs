@@ -504,7 +504,7 @@ mod tests {
             round(&mut net);
             round(&mut net);
             if crash {
-                net.ctrl_down(primary);
+                net.schedule_ctrl_down(net.now(), primary);
                 // Outage window: detection (2 × 50 ms of unanswered
                 // probes), backoff, redial and re-handshake.
                 net.run_for(SimTime::from_millis(400));

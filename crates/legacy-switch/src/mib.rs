@@ -212,18 +212,22 @@ impl MibStore for BridgeMib<'_> {
     fn set(&mut self, bindings: VarBinds<'_>) -> Result<(), (usize, ErrorStatus)> {
         // Every binding is checked before any is written, against the
         // bridge as the bindings before it would leave it — which differs
-        // from the bridge only in which VLANs exist — then decoded again
-        // to be applied. Nothing is allocated.
+        // from the bridge only in which VLANs exist, tracked in `rows` —
+        // then decoded again to be applied. Nothing is allocated.
         let changes = || bindings.iter().map(|vb| Change::decode(vb.name, vb.value));
         let n_ports = self.bridge.n_ports();
+        let mut rows = Rows([0; 64], [0; 64]);
         for (i, change) in changes().enumerate() {
             let change = change.map_err(|status| (i, status))?;
             let exists = |vid| {
-                let earlier = changes().take(i).filter_map(|c| c.ok()?.row(vid)).last();
-                earlier.unwrap_or_else(|| self.bridge.vlan(vid).is_some())
+                rows.get(vid)
+                    .unwrap_or_else(|| self.bridge.vlan(vid).is_some())
             };
             if !change.accepted(n_ports, exists) {
                 return Err((i, ErrorStatus::WrongValue));
+            }
+            if let Some((vid, exists)) = change.row() {
+                rows.set(vid, exists);
             }
         }
         changes().flatten().for_each(|change| {
@@ -232,6 +236,27 @@ impl MibStore for BridgeMib<'_> {
                 .expect("every change was checked before any was written")
         });
         Ok(())
+    }
+}
+
+/// The VLAN rows the checked bindings of one SET decide, in two
+/// 4096-bit sets on the stack: whether a binding decided a row, and
+/// whether the row exists after the last one that did. No accepted
+/// change decides an id past 4095, so those read as undecided.
+struct Rows([u64; 64], [u64; 64]);
+
+impl Rows {
+    fn get(&self, vid: u16) -> Option<bool> {
+        let (word, bit) = (usize::from(vid / 64), 1u64 << (vid % 64));
+        (self.0.get(word)? & bit != 0).then(|| self.1[word] & bit != 0)
+    }
+
+    fn set(&mut self, vid: u16, exists: bool) {
+        let (word, bit) = (usize::from(vid / 64), 1u64 << (vid % 64));
+        if let (Some(decided), Some(row)) = (self.0.get_mut(word), self.1.get_mut(word)) {
+            *decided |= bit;
+            *row = if exists { *row | bit } else { *row & !bit };
+        }
     }
 }
 
@@ -287,14 +312,14 @@ impl<'a> Change<'a> {
         })
     }
 
-    /// Whether VLAN `vid` exists after this change, if the change
-    /// decides it.
-    fn row(&self, vid: u16) -> Option<bool> {
+    /// The VLAN row this change decides, and whether the row exists
+    /// after it.
+    fn row(&self) -> Option<(u16, bool)> {
         match *self {
-            Change::Egress(v, _) | Change::Untagged(v, _) | Change::Create(v) => {
-                (v == vid).then_some(true)
+            Change::Egress(vid, _) | Change::Untagged(vid, _) | Change::Create(vid) => {
+                Some((vid, true))
             }
-            Change::Destroy(v) => (v == vid).then_some(false),
+            Change::Destroy(vid) => Some((vid, false)),
             Change::Pvid(..) => None,
         }
     }
@@ -775,6 +800,54 @@ pub(crate) mod tests {
             Err(ErrorStatus::WrongValue)
         );
         assert_eq!((format!("{:?}", b.vlans()), b.pvid(1)), before);
+    }
+
+    /// A SET of 64 VLAN creates followed by a PVID on each: every PVID
+    /// names a row an earlier binding created, so the request is taken
+    /// whole. Destroying one of the rows ahead of the PVIDs makes the
+    /// PVID on it the binding the agent names.
+    #[test]
+    fn a_set_of_64_creates_then_their_pvids_is_taken_whole() {
+        let vids: Vec<u16> = (0..64).map(|k| 200 + 7 * k).collect();
+        let request = |destroyed: Option<u16>| {
+            let creates = vids.iter().map(|&vid| {
+                (
+                    Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, vid.into()),
+                    Value::Integer(mibs::ROW_CREATE_AND_GO),
+                )
+            });
+            let destroy = destroyed.map(|vid| {
+                (
+                    Oid::instance(mibs::VLAN_STATIC_ROW_STATUS, vid.into()),
+                    Value::Integer(mibs::ROW_DESTROY),
+                )
+            });
+            let pvids = (1..)
+                .zip(&vids)
+                .map(|(port, &vid)| (Oid::instance(mibs::PVID, port), Value::Gauge32(vid.into())));
+            let bindings = creates.chain(destroy).chain(pvids).collect();
+            SnmpMessage::new("public", Pdu::request(PduType::Set, 1, bindings))
+        };
+
+        let mut b = Bridge::new(64);
+        let before = format!("{:?}", b.vlans());
+        let resp = with_mib(&mut b, |mib| respond(mib, &request(Some(vids[9]))));
+        assert_eq!(resp.pdu.error_status, ErrorStatus::WrongValue);
+        assert_eq!(
+            resp.pdu.error_index,
+            64 + 1 + 10,
+            "the PVID on the destroyed row"
+        );
+        assert_eq!(format!("{:?}", b.vlans()), before, "nothing written");
+
+        let req = request(None);
+        let resp = with_mib(&mut b, |mib| respond(mib, &req));
+        assert_eq!(resp.pdu.error_status, ErrorStatus::NoError);
+        assert_eq!(resp.pdu.bindings, req.pdu.bindings, "the bindings echoed");
+        for (port, &vid) in (1..).zip(&vids) {
+            assert!(b.vlan(vid).is_some());
+            assert_eq!(b.pvid(port), vid);
+        }
     }
 
     /// The oracle of an all-or-nothing SET: `Change::accepted` restates

@@ -236,23 +236,6 @@ impl FaultPlan {
         self.ctrl_down(at, node).ctrl_up(at + duration, node)
     }
 
-    /// Crash `node` at `at` with no recovery: it loses all state
-    /// ([`crate::Node::on_reset`]) and stays partitioned from the
-    /// control plane forever.
-    pub fn crash(self, at: SimTime, node: NodeId) -> Self {
-        self.ctrl_down(at, node).reset(at, node)
-    }
-
-    /// Crash `node` at `at` and bring it back `outage` later: state is
-    /// lost at the crash instant and the control plane reconnects at
-    /// `at + outage` — the node restarts blank and must be resynced by
-    /// its peers. What its peers sent it during the outage was held by
-    /// the partition and arrives at the reconnect, ahead of anything
-    /// newer.
-    pub fn crash_restart(self, at: SimTime, outage: SimTime, node: NodeId) -> Self {
-        self.crash(at, node).ctrl_up(at + outage, node)
-    }
-
     /// The scheduled entries in time order (ties keep insertion order).
     pub fn entries(&self) -> Vec<(SimTime, Fault)> {
         let mut v = self.entries.clone();
@@ -287,23 +270,6 @@ mod tests {
         assert!(matches!(e[0].1, Fault::LinkDown { .. }));
         assert!(matches!(e[1].1, Fault::LinkUp { .. }));
         assert!(matches!(e[2].1, Fault::Reset { .. }));
-    }
-
-    #[test]
-    fn crash_restart_expands_to_down_reset_up() {
-        let plan = FaultPlan::new().crash_restart(
-            SimTime::from_millis(10),
-            SimTime::from_millis(4),
-            NodeId(2),
-        );
-        let e = plan.entries();
-        assert_eq!(e.len(), 3);
-        assert!(matches!(e[0].1, Fault::CtrlDown { node: NodeId(2) }));
-        assert!(matches!(e[1].1, Fault::Reset { node: NodeId(2) }));
-        assert_eq!(
-            e[2],
-            (SimTime::from_millis(14), Fault::CtrlUp { node: NodeId(2) })
-        );
     }
 
     #[test]

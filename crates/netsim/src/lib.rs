@@ -20,11 +20,14 @@
 //! The simulator is fully deterministic: within a shard, events are
 //! ordered by `(time, sequence-number)` and all randomness flows from
 //! seeded per-shard RNG streams. By default a network is one shard and
-//! runs the classic sequential loop; [`Network::set_shards`] splits it
+//! runs the classic sequential loop; [`Network::set_shards`] splits a
+//! freshly built network, before it first runs or schedules an event,
 //! along a [`ShardMap`] (one shard per fabric pod plus a system shard)
 //! and [`Network::set_threads`] runs the shards on worker threads with
 //! conservative lookahead synchronization — see the [`shard`] module.
-//! Results are bit-identical for every thread count.
+//! Results are bit-identical for every thread count. Faults, control
+//! plane partitions included, are scheduled events ([`FaultPlan`],
+//! `Network::schedule_*`).
 //!
 //! ## Example
 //!

@@ -4,7 +4,7 @@
 //! An unsharded [`Network`] (the default) is a single shard running the
 //! classic sequential single-queue loop — behavior, event order and RNG
 //! stream are identical to the historical simulator. Call
-//! [`Network::set_shards`] to split the network along a
+//! [`Network::set_shards`] to split a freshly built network along a
 //! [`ShardMap`] and [`Network::set_threads`] to run the shards on worker
 //! threads; see the [`crate::shard`] module docs for the conservative
 //! synchronization protocol.
@@ -183,38 +183,6 @@ impl Network {
         total
     }
 
-    /// Partition `node` from the out-of-band control plane *now*:
-    /// control messages from or to it are held where they arrive (those
-    /// already in flight too) until [`Network::ctrl_up`]. This is the
-    /// explicit control-channel teardown — unlike
-    /// [`Network::disconnect`]'s dead-link tombstones, the partition
-    /// cannot be silently replaced by a re-attach. Call between `run_*`
-    /// invocations; scheduled variants live in
-    /// [`FaultPlan::ctrl_down`](crate::FaultPlan::ctrl_down).
-    pub fn ctrl_down(&mut self, node: NodeId) {
-        for s in &mut self.shards {
-            s.set_ctrl_blocked(node, true);
-        }
-    }
-
-    /// Heal `node`'s control-plane partition *now*: messages held for
-    /// every pair it reconnects are delivered at this instant, in send
-    /// order.
-    pub fn ctrl_up(&mut self, node: NodeId) {
-        let env = self.env();
-        for s in &mut self.shards {
-            s.set_ctrl_blocked(node, false);
-            s.now = self.now;
-            s.release_held(&env);
-        }
-        self.runtime.exchange(&mut self.shards, &env);
-    }
-
-    /// Whether `node` is currently partitioned from the control plane.
-    pub fn ctrl_is_down(&self, node: NodeId) -> bool {
-        self.shards[0].ctrl_blocked(node)
-    }
-
     /// Number of shards (1 unless [`Network::set_shards`] was called).
     pub fn n_shards(&self) -> usize {
         self.shards.len()
@@ -262,23 +230,33 @@ impl Network {
         self.runtime.stats()
     }
 
-    /// Split the network into the shards described by `map`: per-shard
-    /// node/link/queue/RNG state with conservative barrier
-    /// synchronization (see [`crate::shard`]). Typically called once,
-    /// after the topology is built — derive the map from a fabric with
-    /// `Fabric::shard_map` in the `harmless` crate.
+    /// Split a fresh network into the shards described by `map`:
+    /// per-shard node/link/queue/RNG state with conservative barrier
+    /// synchronization (see [`crate::shard`]). Call it once, after the
+    /// topology is built and before the network first runs or schedules
+    /// an event — derive the map from a fabric with `Fabric::shard_map`
+    /// in the `harmless` crate.
     ///
-    /// Pending events move to their target's shard; shard 0 keeps the
-    /// current RNG stream and counters. Nodes added later default to
-    /// shard 0. A thread count set earlier applies to the new shards.
+    /// Only the nodes, their port rows and their links move; shard 0
+    /// keeps the network's RNG stream (a [`Network::with_node_ctx`] may
+    /// have drawn from it). Nodes added later default to shard 0. A
+    /// thread count set earlier applies to the new shards.
     ///
     /// # Panics
-    /// Panics if the network is already sharded, or if `map` assigns a
-    /// node this network does not have.
+    /// Panics if the network is already sharded; if it has run or
+    /// scheduled an event (a fault, an [`Network::inject`], a timer or a
+    /// frame from [`Network::with_node_ctx`]), or dropped one at an
+    /// unconnected port; or if `map` assigns a node this network does
+    /// not have.
     pub fn set_shards(&mut self, map: &ShardMap) {
         assert!(
             self.shards.len() == 1,
             "network is already sharded; set_shards can only be called once"
+        );
+        assert!(
+            self.shards[0].is_fresh(),
+            "set_shards splits a fresh network: call it before the first run \
+             and before any event is scheduled"
         );
         if let Some(max) = map.max_assigned_node() {
             assert!(
@@ -289,152 +267,43 @@ impl Network {
             );
         }
         let n = map.n_shards();
-        let mut old = self.shards.pop().expect("single shard");
+        let old = self.shards.pop().expect("single shard");
         let mut shards: Vec<Shard> = (0..n)
             .map(|k| Shard::new(k as u32, Shard::rng_stream(self.seed, k as u32)))
             .collect();
-        shards[0].rng = std::mem::replace(&mut old.rng, Shard::rng_stream(self.seed, 0));
-        shards[0].events_processed = old.events_processed;
-        shards[0].unconnected_drops = old.unconnected_drops;
-        for s in &mut shards {
-            s.now = old.now;
-        }
-        // Every shard starts from the same replica of the partition
-        // state; accumulated per-channel counters stay on shard 0.
-        for s in &mut shards {
-            s.ctrl_blocked = old.ctrl_blocked.clone();
-        }
-        shards[0].ctrl_stats = std::mem::take(&mut old.ctrl_stats);
+        shards[0].rng = old.rng;
 
-        // Nodes (with their port rows and started flags).
-        let n_nodes = old.nodes.len();
-        let mut loc = Vec::with_capacity(n_nodes);
-        let old_started = std::mem::take(&mut old.started);
-        let old_ports = std::mem::take(&mut old.ports);
-        for (i, node) in std::mem::take(&mut old.nodes).into_iter().enumerate() {
-            let gid = NodeId(i);
-            let target = map.shard_of(gid);
-            assert!(target < n, "node {gid} assigned to out-of-range shard");
-            let sh = &mut shards[target];
-            let idx = sh.add_node(node, gid);
-            sh.started[idx as usize] = old_started[i];
-            sh.ports[idx as usize] = old_ports[i].clone();
-            loc.push(Loc {
-                shard: target as u32,
-                idx,
-            });
-        }
-
-        // A pair's send tail follows its sender, held control messages
-        // their receiver.
-        for (pair, tail) in std::mem::take(&mut old.ctrl_tail) {
-            shards[loc[pair.0].shard as usize]
-                .ctrl_tail
-                .insert(pair, tail);
-        }
-        for (from, to, data) in std::mem::take(&mut old.ctrl_held) {
-            shards[loc[to.0].shard as usize]
-                .ctrl_held
-                .push((from, to, data));
-        }
+        // Nodes, with their port rows.
+        let nodes = old.nodes.into_iter().zip(old.ports).enumerate();
+        let loc: Vec<Loc> = nodes
+            .map(|(i, (node, ports))| {
+                let gid = NodeId(i);
+                let target = map.shard_of(gid);
+                assert!(target < n, "node {gid} assigned to out-of-range shard");
+                let sh = &mut shards[target];
+                let idx = sh.add_node(node, gid);
+                sh.ports[idx as usize] = ports;
+                Loc {
+                    shard: target as u32,
+                    idx,
+                }
+            })
+            .collect();
 
         // Channels follow their transmitting node; peers are re-resolved
         // against the new locations.
-        let mut old_chans: Vec<Option<Chan>> = std::mem::take(&mut old.chans)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut chan_remap: Vec<Option<(u32, u32)>> = vec![None; old_chans.len()];
-        for (i, l) in loc.iter().enumerate() {
-            debug_assert_eq!(shards[l.shard as usize].gids[l.idx as usize], NodeId(i));
-            let n_ports = shards[l.shard as usize].ports[l.idx as usize].len();
-            for p in 0..n_ports {
-                let Some(old_c) = shards[l.shard as usize].ports[l.idx as usize][p] else {
-                    continue;
-                };
-                let mut chan = old_chans[old_c as usize]
+        let mut old_chans: Vec<Option<Chan>> = old.chans.into_iter().map(Some).collect();
+        for l in &loc {
+            let sh = &mut shards[l.shard as usize];
+            for slot in sh.ports[l.idx as usize].iter_mut().flatten() {
+                let mut chan = old_chans[*slot as usize]
                     .take()
                     .expect("each channel has exactly one owner");
                 let pl = loc[chan.peer.0];
-                chan.peer_shard = pl.shard;
-                chan.peer_idx = pl.idx;
-                let sh = &mut shards[l.shard as usize];
-                let new_c = sh.chans.len() as u32;
+                (chan.peer_shard, chan.peer_idx) = (pl.shard, pl.idx);
+                *slot = sh.chans.len() as u32;
                 sh.chans.push(chan);
-                sh.ports[l.idx as usize][p] = Some(new_c);
-                chan_remap[old_c as usize] = Some((l.shard, new_c));
             }
-        }
-
-        // Pending events migrate to the shard of their target, keeping
-        // global (time, seq) order so re-assigned sequence numbers stay
-        // deterministic.
-        for sched in old.drain_events() {
-            let (target, ev) = match sched.ev {
-                // In the old single shard, local index == global id.
-                Ev::Deliver { node, port, frame } => {
-                    let l = loc[node as usize];
-                    (
-                        l.shard,
-                        Ev::Deliver {
-                            node: l.idx,
-                            port,
-                            frame,
-                        },
-                    )
-                }
-                Ev::Timer { node, token } => {
-                    let l = loc[node as usize];
-                    (l.shard, Ev::Timer { node: l.idx, token })
-                }
-                Ev::Ctrl { node, from, data } => {
-                    let l = loc[node as usize];
-                    (
-                        l.shard,
-                        Ev::Ctrl {
-                            node: l.idx,
-                            from,
-                            data,
-                        },
-                    )
-                }
-                Ev::Emit { node, port, frame } => {
-                    let l = loc[node as usize];
-                    (
-                        l.shard,
-                        Ev::Emit {
-                            node: l.idx,
-                            port,
-                            frame,
-                        },
-                    )
-                }
-                Ev::TxDone { chan } => {
-                    let (s, c) = chan_remap[chan as usize].expect("event references a live chan");
-                    (s, Ev::TxDone { chan: c })
-                }
-                Ev::Fault(FaultEv::LinkDown { chan }) => {
-                    let (s, c) = chan_remap[chan as usize].expect("fault references a live chan");
-                    (s, Ev::Fault(FaultEv::LinkDown { chan: c }))
-                }
-                Ev::Fault(FaultEv::LinkUp { chan }) => {
-                    let (s, c) = chan_remap[chan as usize].expect("fault references a live chan");
-                    (s, Ev::Fault(FaultEv::LinkUp { chan: c }))
-                }
-                Ev::Fault(FaultEv::Reset { node }) => {
-                    let l = loc[node as usize];
-                    (l.shard, Ev::Fault(FaultEv::Reset { node: l.idx }))
-                }
-                Ev::Fault(f @ (FaultEv::CtrlDown { .. } | FaultEv::CtrlUp { .. })) => {
-                    // Partition events are replicated: every new shard
-                    // gets its own copy at the same instant.
-                    for sh in shards.iter_mut() {
-                        sh.push(sched.at, Ev::Fault(f));
-                    }
-                    continue;
-                }
-            };
-            shards[target as usize].push(sched.at, ev);
         }
 
         self.shards = shards;
@@ -520,19 +389,26 @@ impl Network {
         self.shards[l.shard as usize].push(at, Ev::Fault(FaultEv::Reset { node: l.idx }));
     }
 
-    /// Schedule a control-plane partition of `node` at `at`. The event
-    /// is replicated into **every** shard's queue at that instant so
-    /// each sender's replica of the blocked set flips in lockstep —
-    /// the same trick [`Network::schedule_link_down`] uses with one
-    /// event per link direction.
+    /// Schedule a control-plane partition of `node` at `at`: control
+    /// messages from or to it that arrive from then on (those already
+    /// in flight too) are held where they arrive until
+    /// [`Network::schedule_ctrl_up`] heals it. This, or the same entry
+    /// of a [`FaultPlan`], is the one way to partition a node; at
+    /// `at = net.now()` it cuts the node off when the network next runs,
+    /// before any message in flight arrives. The event is replicated into
+    /// **every** shard's queue at that instant so each shard's replica
+    /// of the blocked set flips in lockstep — the same trick
+    /// [`Network::schedule_link_down`] uses with one event per link
+    /// direction.
     pub fn schedule_ctrl_down(&mut self, at: SimTime, node: NodeId) {
         for s in &mut self.shards {
             s.push(at, Ev::Fault(FaultEv::CtrlDown { node }));
         }
     }
 
-    /// Schedule the control-plane partition of `node` to heal at `at`
-    /// (replicated into every shard, like
+    /// Schedule the control-plane partition of `node` to heal at `at`:
+    /// messages held for every pair it reconnects are delivered at that
+    /// instant, in send order (replicated into every shard, like
     /// [`Network::schedule_ctrl_down`]).
     pub fn schedule_ctrl_up(&mut self, at: SimTime, node: NodeId) {
         for s in &mut self.shards {
@@ -1250,52 +1126,37 @@ mod tests {
         );
     }
 
+    /// `set_shards` splits a fresh network only: one that has run, or
+    /// holds an event, panics rather than hand its state over.
     #[test]
-    fn set_shards_preserves_pending_events() {
-        let mut net = Network::new(5);
-        let p = net.add_node(pinger(2, SimTime::from_micros(10)));
-        let e = net.add_node(Echo {
-            delay: SimTime::from_micros(1),
-            seen: 0,
-        });
-        net.connect(p, PortId(0), e, PortId(0), LinkSpec::gigabit());
-        // Run mid-way so frames and timers are in flight, then shard.
+    #[should_panic(expected = "splits a fresh network")]
+    fn set_shards_panics_after_a_run() {
+        // A run that schedules nothing still starts the nodes.
+        let mut net = Network::new(9);
+        for _ in 0..2 {
+            net.add_node(Echo {
+                delay: SimTime::ZERO,
+                seen: 0,
+            });
+        }
         net.run_until(SimTime::from_micros(11));
-        let mut map = ShardMap::new(2);
-        map.assign(e, 1);
-        net.set_shards(&map);
-        net.run_until_idle();
-        assert_eq!(net.node_ref::<Echo>(e).seen, 2);
-        assert_eq!(net.node_ref::<Pinger>(p).arrivals.len(), 2);
+        shard_echo(&mut net, 2);
     }
 
-    /// More pending timers than the event queue's near run holds, so
-    /// that repartitioning drains both of its tiers: the new shard must
-    /// fire them in `(time, scheduling order)` order.
     #[test]
-    fn set_shards_hands_over_both_tiers_of_the_event_queue_in_order() {
-        struct Timers(Vec<u64>);
-        impl Node for Timers {
-            fn on_start(&mut self, ctx: &mut NodeCtx) {
-                for token in 0..40 {
-                    ctx.schedule(SimTime::from_micros(100 - 10 * (token % 7)), token);
-                }
-            }
-            fn on_packet(&mut self, _: PortId, _: Bytes, _: &mut NodeCtx) {}
-            fn on_timer(&mut self, token: u64, _: &mut NodeCtx) {
-                self.0.push(token);
-            }
-        }
-        let mut net = Network::new(5);
-        let t = net.add_node(Timers(Vec::new()));
-        net.run_until(SimTime::from_micros(1));
-        let mut map = ShardMap::new(2);
-        map.assign(t, 1);
-        net.set_shards(&map);
-        net.run_until_idle();
-        let mut want: Vec<u64> = (0..40).collect();
-        want.sort_by_key(|token| (100 - 10 * (token % 7), *token));
-        assert_eq!(net.node_ref::<Timers>(t).0, want);
+    #[should_panic(expected = "splits a fresh network")]
+    fn set_shards_panics_after_a_scheduled_fault() {
+        let mut net = two_node_net();
+        net.schedule_ctrl_down(SimTime::from_millis(1), NodeId(1));
+        shard_echo(&mut net, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "splits a fresh network")]
+    fn set_shards_panics_after_an_inject() {
+        let mut net = two_node_net();
+        net.inject(NodeId(1), PortId(0), Bytes::from_static(b"x"));
+        shard_echo(&mut net, 2);
     }
 
     #[test]
@@ -1604,22 +1465,21 @@ mod tests {
         assert_eq!(net.ctrl_channel_stats(b, a).dropped, 4);
     }
 
+    /// A partition scheduled at `now` between runs: a message already in
+    /// flight is held on delivery and delivered the instant a heal
+    /// scheduled at a later `now` fires.
     #[test]
-    fn ctrl_down_facade_blocks_in_flight_delivery() {
+    fn a_partition_scheduled_now_holds_a_message_in_flight() {
         let mut net = Network::new(3);
         let r = net.add_node(chatter(NodeId(1), SimTime::from_micros(1), 0));
         let s = net.add_node(chatter(r, SimTime::from_micros(100), 1));
         net.run_until(SimTime::from_micros(20)); // message in flight (50 µs delay)
-        assert!(!net.ctrl_is_down(r));
-        net.ctrl_down(r);
-        assert!(net.ctrl_is_down(r));
+        net.schedule_ctrl_down(net.now(), r);
         net.run_until(SimTime::from_millis(1));
-        // The in-flight message is held on delivery…
         assert!(net.node_ref::<CtrlChatter>(r).received.is_empty());
         assert_eq!(net.ctrl_channel_stats(s, r).dropped, 1);
-        net.ctrl_up(r);
-        assert!(!net.ctrl_is_down(r));
-        // …and delivered the instant the partition heals.
+        net.schedule_ctrl_up(net.now(), r);
+        net.run_until(SimTime::from_millis(1));
         assert_eq!(
             net.node_ref::<CtrlChatter>(r).received,
             [(s, 0, SimTime::from_millis(1))]

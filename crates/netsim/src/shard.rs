@@ -4,10 +4,13 @@
 //! A [`crate::Network`] is always a collection of shards. The default
 //! is a single shard, which runs the classic sequential loop and behaves
 //! exactly as the historical single-queue simulator. Calling
-//! [`crate::Network::set_shards`] with a [`ShardMap`] splits the nodes,
-//! links and the pending event queue into independent shards — in fabric
-//! terms, one shard per pod plus shard 0 for the spine, the controller
-//! and management nodes.
+//! [`crate::Network::set_shards`] with a [`ShardMap`] splits the nodes
+//! and links of a fresh network — built, but not yet run, with no event
+//! scheduled — into independent shards: in fabric terms, one shard per
+//! pod plus shard 0 for the spine, the controller and management nodes.
+//! Nothing is handed over between shards but nodes, their port rows and
+//! their links, so a piece of per-shard state (a queue, a control
+//! channel's tails and held messages, a counter) never needs a migration.
 //!
 //! ## The conservative window protocol
 //!
@@ -360,14 +363,6 @@ impl EventQueue {
             self.far.pop()
         }
     }
-
-    /// Empty the queue, in `(at, seq)` order.
-    pub fn drain_sorted(&mut self) -> Vec<Sched> {
-        let mut evs = std::mem::take(&mut self.far).into_vec();
-        evs.extend(self.near.drain(..));
-        evs.sort_by_key(Sched::key);
-        evs
-    }
 }
 
 /// One egress channel: the transmitting half of a duplex link, owned by
@@ -432,7 +427,7 @@ pub(crate) struct Shard {
     pub nodes: Vec<Box<dyn Node>>,
     /// Global id of each local node (parallel to `nodes`).
     pub gids: Vec<NodeId>,
-    pub started: Vec<bool>,
+    started: Vec<bool>,
     /// Per-node egress map: `ports[idx][port] = Some(chan)` — a plain
     /// vector lookup on the `emit` hot path (one per frame hop) instead
     /// of the former `HashMap<(NodeId, PortId), _>` probe.
@@ -455,7 +450,7 @@ pub(crate) struct Shard {
     /// indexed by **global** node id. Every shard processes the same
     /// `CtrlDown`/`CtrlUp` events at the same instant, so the replicas
     /// agree at every window boundary.
-    pub ctrl_blocked: Vec<bool>,
+    ctrl_blocked: Vec<bool>,
     /// Per-channel control impairment counters, keyed by the global
     /// `(from, to)` node pair. Send-side stalls accumulate in the
     /// sender's shard; partition holds in the receiver's.
@@ -464,11 +459,11 @@ pub(crate) struct Shard {
     /// pair sent from this shard, kept only while a lossy profile is
     /// armed or one of its delays is still in flight: no later message
     /// of the pair may arrive before it.
-    pub ctrl_tail: HashMap<(usize, usize), SimTime>,
+    ctrl_tail: HashMap<(usize, usize), SimTime>,
     /// Control messages `(from, to, message)` that arrived at a node of
     /// this shard while the pair was partitioned, in arrival order:
     /// delivered when the pair heals.
-    pub ctrl_held: Vec<(NodeId, NodeId, Bytes)>,
+    ctrl_held: Vec<(NodeId, NodeId, Bytes)>,
     pub outbox: Vec<Remote>,
     /// Action buffer lent to each callback by [`Shard::dispatch`] and
     /// drained by [`Shard::apply`], so a callback allocates none.
@@ -503,13 +498,20 @@ impl Shard {
         }
     }
 
+    /// True while nothing has happened in this shard: no node started,
+    /// no event scheduled, no frame dropped at an unconnected port. All
+    /// its other state then belongs to its nodes and links.
+    pub fn is_fresh(&self) -> bool {
+        self.seq == 0 && self.unconnected_drops == 0 && !self.started.contains(&true)
+    }
+
     /// True when `node` is partitioned from the control plane.
-    pub fn ctrl_blocked(&self, node: NodeId) -> bool {
+    fn ctrl_blocked(&self, node: NodeId) -> bool {
         self.ctrl_blocked.get(node.0).copied().unwrap_or(false)
     }
 
     /// Flip `node`'s control-plane partition state in this replica.
-    pub fn set_ctrl_blocked(&mut self, node: NodeId, blocked: bool) {
+    fn set_ctrl_blocked(&mut self, node: NodeId, blocked: bool) {
         if self.ctrl_blocked.len() <= node.0 {
             self.ctrl_blocked.resize(node.0 + 1, false);
         }
@@ -560,7 +562,7 @@ impl Shard {
 
     /// Deliver, in arrival order, every held control message whose pair
     /// is no longer partitioned.
-    pub fn release_held(&mut self, env: &Env) {
+    fn release_held(&mut self, env: &Env) {
         for (from, to, data) in std::mem::take(&mut self.ctrl_held) {
             if self.ctrl_blocked(from) || self.ctrl_blocked(to) {
                 self.ctrl_held.push((from, to, data));
@@ -639,11 +641,6 @@ impl Shard {
     /// [`Shard::next_time`] conflates.
     pub fn has_events(&self) -> bool {
         !self.queue.is_empty()
-    }
-
-    /// Drain the queue in `(time, seq)` order (used when repartitioning).
-    pub fn drain_events(&mut self) -> Vec<Sched> {
-        self.queue.drain_sorted()
     }
 
     /// Resolve and enqueue one cross-shard event. Callers must feed
@@ -936,10 +933,11 @@ mod tests {
 
     proptest! {
         /// Random interleavings of push, burst, pop, peek, conditional
-        /// pop and drain against a plain min-heap of keys. Timestamps
-        /// come from a small range, so equal ones are common; a burst
-        /// overflows the run at one instant; the low end of the range
-        /// is earlier than everything queued.
+        /// pop and popping the queue empty against a plain min-heap of
+        /// keys. Timestamps come from a small range, so equal ones are
+        /// common; a burst overflows the run at one instant, so both
+        /// tiers hold events when it is emptied; the low end of the
+        /// range is earlier than everything queued.
         #[test]
         fn event_queue_pops_in_key_order_like_a_heap(
             ops in proptest::collection::vec((0u8..12, 0u64..48), 1..400),
@@ -968,7 +966,7 @@ mod tests {
                         prop_assert_eq!(q.pop_if(|at| at <= limit).map(|s| s.key()), want);
                     }
                     10 => {
-                        let all: Vec<_> = q.drain_sorted().iter().map(Sched::key).collect();
+                        let all: Vec<_> = std::iter::from_fn(|| q.pop_if(|_| true)).map(|s| s.key()).collect();
                         let want: Vec<_> = std::mem::take(&mut model).into_sorted_vec().into_iter().rev().map(|Reverse(key)| key).collect();
                         prop_assert_eq!(all, want);
                     }
@@ -979,21 +977,6 @@ mod tests {
                 prop_assert!(q.near.len() <= NEAR_RUN);
             }
         }
-    }
-
-    #[test]
-    fn draining_hands_back_both_tiers_in_key_order() {
-        let mut q = EventQueue::new();
-        // Later events first, so that the run fills and then spills.
-        for seq in 0..40 {
-            q.push(timer(1_000 - 10 * (seq % 7), seq));
-        }
-        assert_eq!(q.near.len(), NEAR_RUN);
-        assert_eq!(q.far.len(), 40 - NEAR_RUN);
-        let keys: Vec<_> = q.drain_sorted().iter().map(Sched::key).collect();
-        assert_eq!(keys.len(), 40);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -1214,7 +1214,7 @@ mod tests {
         }
         // Explicit control-channel teardown: the agent must observe it
         // (via missed probes), not silently keep a dead channel "up".
-        net.ctrl_down(ctrl);
+        net.schedule_ctrl_down(net.now(), ctrl);
         net.run_until(SimTime::from_millis(500));
         {
             let sw = net.node_ref::<SoftSwitchNode>(s);
@@ -1231,7 +1231,7 @@ mod tests {
             assert_eq!(net.node_ref::<Sink>(sink).received(), 1);
         }
         // Heal the channel: backoff redial completes a fresh handshake.
-        net.ctrl_up(ctrl);
+        net.schedule_ctrl_up(net.now(), ctrl);
         net.run_until(SimTime::from_secs(3));
         {
             let sw = net.node_ref::<SoftSwitchNode>(s);
@@ -1255,7 +1255,7 @@ mod tests {
             )
             .unwrap();
         net.run_until(SimTime::from_millis(150));
-        net.ctrl_down(ctrl);
+        net.schedule_ctrl_down(net.now(), ctrl);
         net.run_until(SimTime::from_millis(500));
         assert!(!net.node_ref::<SoftSwitchNode>(s).controller_link_up());
         // The installed rule keeps forwarding (IPv4 frame hits it)…
@@ -1310,7 +1310,7 @@ mod tests {
         );
         // Kill the primary; the switch must promote the backup and
         // complete a full re-handshake with it.
-        net.ctrl_down(primary);
+        net.schedule_ctrl_down(net.now(), primary);
         net.run_until(SimTime::from_secs(2));
         let sw = net.node_ref::<SoftSwitchNode>(s);
         assert_eq!(sw.controller(), Some(backup), "backup must be promoted");

@@ -3027,7 +3027,7 @@ proptest! {
                 sw.set_keepalive(SimTime::from_millis(20), 2);
                 sw.set_backoff(SimTime::from_millis(20), SimTime::from_millis(80));
             });
-            net.ctrl_down(ctrl);
+            net.schedule_ctrl_down(net.now(), ctrl);
             let a = fx.attach_host(&mut net, 0, src_port).expect("free port");
             let b = fx.attach_host(&mut net, 1, dst_port).expect("free port");
             let dst_ip = fx.host_ip(1, dst_port);
@@ -3243,7 +3243,7 @@ proptest! {
                 Wired::Last => fx.connect_controller(&mut net, primary),
                 Wired::StandbyJoinsAt(_) => {
                     net.run_for(SimTime::from_millis(200));
-                    net.ctrl_down(primary);
+                    net.schedule_ctrl_down(net.now(), primary);
                 }
             }
             net.run_for(SimTime::from_millis(1500));
